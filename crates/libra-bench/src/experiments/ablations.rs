@@ -14,6 +14,7 @@
 //!    coverage (§6.2) against a scheduler that chases raw idle volume.
 
 use crate::*;
+use libra_core::controlplane::ControlConfig;
 use libra_core::pool::GetOrder;
 use libra_core::{CoverageSelector, LibraConfig, LibraPlatform, NodeSelector, VolumeSelector};
 use libra_sim::engine::SimConfig;
@@ -56,10 +57,8 @@ pub fn pool_order() {
     let jobs: Vec<(usize, u64)> =
         (0..variants.len()).flat_map(|vi| (0..reps).map(move |rep| (vi, rep))).collect();
     let runs = par_map(jobs, |(vi, rep)| {
-        let run = single_run(
-            LibraConfig { pool_order: variants[vi].1, ..LibraConfig::libra() },
-            42 + rep,
-        );
+        let control = ControlConfig { pool_order: variants[vi].1, ..ControlConfig::default() };
+        let run = single_run(LibraConfig { control, ..LibraConfig::libra() }, 42 + rep);
         (
             run.result.latency_percentile(99.0),
             libra_sim::metrics::mean(run.result.speedups().into_iter()),
@@ -89,10 +88,9 @@ pub fn continuous_acceleration() {
     let jobs: Vec<(usize, u64)> =
         (0..variants.len()).flat_map(|vi| (0..reps).map(move |rep| (vi, rep))).collect();
     let runs = par_map(jobs, |(vi, rep)| {
-        let run = single_run(
-            LibraConfig { continuous_acceleration: variants[vi].1, ..LibraConfig::libra() },
-            42 + rep,
-        );
+        let control =
+            ControlConfig { continuous_acceleration: variants[vi].1, ..ControlConfig::default() };
+        let run = single_run(LibraConfig { control, ..LibraConfig::libra() }, 42 + rep);
         (
             run.result.latency_percentile(99.0),
             run.result.records.iter().filter(|r| r.flags.accelerated).count() as f64,
@@ -120,8 +118,8 @@ pub fn headroom() {
     let jobs: Vec<(usize, u64)> =
         (0..hs.len()).flat_map(|hi| (0..reps).map(move |rep| (hi, rep))).collect();
     let runs = par_map(jobs, |(hi, rep)| {
-        let run =
-            single_run(LibraConfig { harvest_headroom: hs[hi], ..LibraConfig::libra() }, 42 + rep);
+        let control = ControlConfig { harvest_headroom: hs[hi], ..ControlConfig::default() };
+        let run = single_run(LibraConfig { control, ..LibraConfig::libra() }, 42 + rep);
         (
             run.result.latency_percentile(99.0),
             run.report.safeguard_triggers as f64,

@@ -4,6 +4,7 @@
 //! the sweet spot, with the safeguarded ratio falling as the threshold rises.
 
 use crate::*;
+use libra_core::controlplane::ControlConfig;
 use libra_core::{LibraConfig, LibraPlatform};
 use libra_sim::engine::SimConfig;
 use libra_workloads::trace::TraceGen;
@@ -18,7 +19,8 @@ pub fn run() -> Vec<(f64, f64, f64)> {
     // All eleven thresholds run concurrently; rows print in sweep order.
     let out: Vec<(f64, f64, f64)> = par_map((0..=10usize).collect(), |i| {
         let thr = i as f64 / 10.0;
-        let cfg = LibraConfig { safeguard_threshold: thr, ..LibraConfig::libra() };
+        let control = ControlConfig { safeguard_threshold: thr, ..ControlConfig::default() };
+        let cfg = LibraConfig { control, ..LibraConfig::libra() };
         let mut platform = LibraPlatform::new(cfg);
         let sim = libra_sim::engine::Simulation::new(
             sebs_suite(),

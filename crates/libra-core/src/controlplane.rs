@@ -38,22 +38,30 @@ use libra_sim::resources::{sat_u64, ResourceVec};
 use libra_sim::time::SimTime;
 use std::collections::BTreeMap;
 
-/// Decision knobs of the shared control plane (the policy subset of
-/// `LibraConfig` — profiler/scheduler knobs stay with the drivers).
+/// Safeguard trips before a function's memory harvesting stops.
+const MEM_BLACKLIST_AFTER: u32 = 3;
+
+/// Decision knobs of the shared control plane (embedded in `LibraConfig` —
+/// profiler/scheduler knobs stay with the drivers).
 #[derive(Clone, Debug)]
 pub struct ControlConfig {
     /// Enable the safeguard (off = Libra-NS).
     pub safeguard: bool,
     /// Safeguard trigger threshold (default 0.8).
     pub safeguard_threshold: f64,
-    /// Safeguard trips before a function's memory harvesting stops.
-    pub mem_blacklist_after: u32,
-    /// Multiplicative headroom above the predicted peak when harvesting.
+    /// Multiplicative headroom left above the predicted peak when harvesting
+    /// (grant = pred × headroom, clamped to the user allocation). The default
+    /// 1.0 harvests down to the predicted class ceiling itself — the
+    /// aggressive posture of the paper, where the safeguard (not padding) is
+    /// what protects against mispredictions and near-boundary peaks (Fig 14
+    /// shows a sizeable safeguarded fraction at the default 0.8 threshold).
     pub harvest_headroom: f64,
-    /// Pool hand-out order (the paper's design is longest-lived-first).
+    /// Pool hand-out order (ablation knob; the paper's design is
+    /// longest-lived-first, Fig 4).
     pub pool_order: GetOrder,
     /// Re-acquire an accelerable invocation's shortfall at every
-    /// observation (off = one-shot acceleration at admission only).
+    /// observation (ablation knob; off = one-shot acceleration at admission
+    /// only).
     pub continuous_acceleration: bool,
 }
 
@@ -62,7 +70,6 @@ impl Default for ControlConfig {
         ControlConfig {
             safeguard: true,
             safeguard_threshold: 0.8,
-            mem_blacklist_after: 3,
             harvest_headroom: 1.0,
             pool_order: GetOrder::LongestLived,
             continuous_acceleration: true,
@@ -273,7 +280,7 @@ pub struct ControlPlane {
 impl ControlPlane {
     /// A control plane for `n_nodes` nodes and `n_funcs` deployed functions.
     pub fn new(cfg: ControlConfig, n_funcs: usize, n_nodes: usize) -> Self {
-        let safeguard = Safeguard::new(n_funcs, cfg.safeguard_threshold, cfg.mem_blacklist_after);
+        let safeguard = Safeguard::new(n_funcs, cfg.safeguard_threshold, MEM_BLACKLIST_AFTER);
         ControlPlane {
             cfg,
             pools: (0..n_nodes).map(|_| HarvestResourcePool::new()).collect(),

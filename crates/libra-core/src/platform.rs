@@ -20,7 +20,6 @@
 use crate::controlplane::{
     Action, Admission, ControlConfig, ControlPlane, LendFailure, Observation,
 };
-use crate::pool::GetOrder;
 use crate::profiler::{ModelChoice, Profiler, ProfilerConfig};
 use crate::scheduler::{CoverageSelector, NodeSelector, SchedView};
 use libra_sim::engine::{SimCtx, World};
@@ -30,54 +29,34 @@ use libra_sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
 use libra_sim::time::SimDuration;
 use std::collections::VecDeque;
 
+/// Moving-window length for the NP variant (paper: n = 5).
+const NP_WINDOW: usize = 5;
+
 /// Libra configuration (§8.2.3 defaults).
 #[derive(Clone, Debug)]
 pub struct LibraConfig {
     /// Enable the profiler (off = Libra-NP: moving-window estimates).
     pub profiler: bool,
-    /// Enable the safeguard (off = Libra-NS).
-    pub safeguard: bool,
-    /// Safeguard trigger threshold (default 0.8).
-    pub safeguard_threshold: f64,
     /// Demand-coverage CPU weight α (default 0.9).
     pub alpha: f64,
     /// Which model families the profiler may use (Fig 13a ablation).
     pub model_choice: ModelChoice,
-    /// Moving-window length for the NP variant (paper: n = 5).
-    pub np_window: usize,
-    /// Safeguard trips before a function's memory harvesting stops.
-    pub mem_blacklist_after: u32,
-    /// Multiplicative headroom left above the predicted peak when harvesting
-    /// (grant = pred × headroom, clamped to the user allocation). The default
-    /// 1.0 harvests down to the predicted class ceiling itself — the
-    /// aggressive posture of the paper, where the safeguard (not padding) is
-    /// what protects against mispredictions and near-boundary peaks (Fig 14
-    /// shows a sizeable safeguarded fraction at the default 0.8 threshold).
-    pub harvest_headroom: f64,
-    /// Pool hand-out order (ablation knob; the paper's design is
-    /// longest-lived-first, Fig 4).
-    pub pool_order: GetOrder,
-    /// Re-acquire an accelerable invocation's shortfall at every monitor
-    /// window (ablation knob; off = one-shot acceleration at start only).
-    pub continuous_acceleration: bool,
     /// Profiler internals.
     pub profiler_cfg: ProfilerConfig,
+    /// The harvest policy knobs, handed to the shared control plane as is
+    /// (safeguard on/off and threshold, harvest headroom, pool order,
+    /// continuous acceleration).
+    pub control: ControlConfig,
 }
 
 impl Default for LibraConfig {
     fn default() -> Self {
         LibraConfig {
             profiler: true,
-            safeguard: true,
-            safeguard_threshold: 0.8,
             alpha: 0.9,
             model_choice: ModelChoice::Auto,
-            np_window: 5,
-            mem_blacklist_after: 3,
-            harvest_headroom: 1.0,
-            pool_order: GetOrder::LongestLived,
-            continuous_acceleration: true,
             profiler_cfg: ProfilerConfig::default(),
+            control: ControlConfig::default(),
         }
     }
 }
@@ -90,7 +69,8 @@ impl LibraConfig {
 
     /// Libra-NS: safeguard disabled.
     pub fn ns() -> Self {
-        LibraConfig { safeguard: false, ..Self::default() }
+        let control = ControlConfig { safeguard: false, ..ControlConfig::default() };
+        LibraConfig { control, ..Self::default() }
     }
 
     /// Libra-NP: profiler replaced by a 5-invocation moving window of maxima.
@@ -100,12 +80,12 @@ impl LibraConfig {
 
     /// Libra-NSP: neither safeguard nor profiler.
     pub fn nsp() -> Self {
-        LibraConfig { profiler: false, safeguard: false, ..Self::default() }
+        LibraConfig { profiler: false, ..Self::ns() }
     }
 
     /// Variant name for reports.
     pub fn variant_name(&self) -> &'static str {
-        match (self.profiler, self.safeguard) {
+        match (self.profiler, self.control.safeguard) {
             (true, true) => match self.model_choice {
                 ModelChoice::Auto => "Libra",
                 ModelChoice::HistogramOnly => "Libra-Hist",
@@ -114,18 +94,6 @@ impl LibraConfig {
             (true, false) => "Libra-NS",
             (false, true) => "Libra-NP",
             (false, false) => "Libra-NSP",
-        }
-    }
-
-    /// The policy subset driving the shared control plane.
-    pub fn control(&self) -> ControlConfig {
-        ControlConfig {
-            safeguard: self.safeguard,
-            safeguard_threshold: self.safeguard_threshold,
-            mem_blacklist_after: self.mem_blacklist_after,
-            harvest_headroom: self.harvest_headroom,
-            pool_order: self.pool_order,
-            continuous_acceleration: self.continuous_acceleration,
         }
     }
 }
@@ -190,7 +158,7 @@ impl<S: NodeSelector> LibraPlatform<S> {
     /// Libra's harvesting stack over a custom node selector (for the §8.4
     /// scheduling-algorithm comparison).
     pub fn with_selector(cfg: LibraConfig, selector: S) -> Self {
-        let core = ControlPlane::new(cfg.control(), 0, 0);
+        let core = ControlPlane::new(cfg.control.clone(), 0, 0);
         LibraPlatform {
             cfg,
             selector,
@@ -280,8 +248,8 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
             .cfg
             .profiler
             .then(|| Profiler::new(n_funcs, self.cfg.profiler_cfg.clone(), self.cfg.model_choice));
-        self.windows = vec![Window::new(self.cfg.np_window); n_funcs];
-        self.core = ControlPlane::new(self.cfg.control(), n_funcs, world.num_nodes());
+        self.windows = vec![Window::new(NP_WINDOW); n_funcs];
+        self.core = ControlPlane::new(self.cfg.control.clone(), n_funcs, world.num_nodes());
         self.core.set_record_trace(self.record_trace);
         self.initialized = true;
     }

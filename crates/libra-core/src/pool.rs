@@ -354,9 +354,8 @@ impl HarvestResourcePool {
 pub mod reference {
     //! The pre-index sorted-scan pool: observationally equivalent to
     //! [`HarvestResourcePool`](super::HarvestResourcePool) but re-sorting all
-    //! entries on every `get`/`snapshot`. Kept as the criterion-bench
-    //! baseline and as the oracle for the equivalence proptest — not for
-    //! production use.
+    //! entries on every `get`/`snapshot`. Kept as the oracle for the
+    //! equivalence proptest — not for production use.
 
     use super::{GetOrder, PoolEntryStatus, PoolSnapshot};
     use libra_sim::ids::InvocationId;
@@ -419,11 +418,6 @@ pub mod reference {
             e.cpu_idle_millis += vol.cpu_millis;
             e.mem_idle_mb += vol.mem_mb;
             e.priority = priority;
-        }
-
-        /// See [`HarvestResourcePool::get`](super::HarvestResourcePool::get).
-        pub fn get(&mut self, want: ResourceVec, now: SimTime) -> Vec<(InvocationId, ResourceVec)> {
-            self.get_with(want, now, GetOrder::LongestLived)
         }
 
         /// Full-sort hand-out: evicts expired entries, sorts the survivors by

@@ -34,12 +34,13 @@ use libra_core::controlplane::{
 };
 use libra_core::keepalive::{publish_idle_warm, KeepAlivePolicy, PolicyKind};
 use libra_core::sharding::{ScheduleRequest, ShardedScheduler};
+use libra_sim::container::WarmPool;
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
-use libra_sim::invocation::{exec_rate_millis, mem_usage_model};
+use libra_sim::invocation::{exec_rate_millis, mem_usage_model, InvState, StageCursor};
 use libra_sim::platform::LoanEnd;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
-use libra_sim::trace_spans::{ExecTrace, LoanOutcome, LoanSpan, SpanKind, SpanSink};
+use libra_sim::trace_spans::{ExecTrace, LoanOutcome, LoanSpan, SpanSink};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -151,36 +152,23 @@ struct NodeInner {
     /// reserve), so when the shard slice cannot cover the charge it is
     /// tracked here and repaid by the next releases on that shard.
     overdraft: Vec<ResourceVec>,
-    /// Idle warm containers `(func, pinned MB, keep-until)` — the live
-    /// analog of the simulator's `WarmPool`, with every deadline stamped by
-    /// the keep-alive policy below.
-    warm: Vec<(u32, u64, SimTime)>,
+    /// Idle warm containers: the registry the simulator's nodes hold, with
+    /// every deadline stamped by the keep-alive policy below.
+    warm: WarmPool,
     /// This node's keep-alive policy instance ([`LiveConfig::keepalive`]).
     policy: Box<dyn KeepAlivePolicy>,
-    /// Open harvest loans `(source, borrower) → (start µs, volume)`, kept
-    /// only while span tracing is on so loan lifetimes can be closed with
-    /// the outcome the control plane reports.
-    open_loans: HashMap<(u32, u32), (u64, ResourceVec)>,
+    /// Open harvest loans `(source, borrower) → start µs`, kept only while
+    /// span tracing is on so loan lifetimes can be closed with the outcome
+    /// the control plane reports.
+    open_loans: HashMap<(u32, u32), u64>,
 }
 
 impl NodeInner {
-    /// Prune expired warm containers and publish the node's idle-warm pin
+    /// Reap expired warm containers and publish the node's idle-warm pin
     /// gauge to the control plane's harvestable-supply view.
     fn refresh_warm(&mut self, now: SimTime) {
-        self.warm.retain(|&(_, _, keep_until)| now <= keep_until);
-        let pinned: u64 = self.warm.iter().map(|&(_, mb, _)| mb).sum();
-        publish_idle_warm(&mut self.core, NodeId(0), pinned, now);
-    }
-
-    /// Consume one live warm container for `func`, if any (a warm hit).
-    fn take_warm(&mut self, func: u32, now: SimTime) -> bool {
-        match self.warm.iter().position(|&(f, _, keep_until)| f == func && now <= keep_until) {
-            Some(pos) => {
-                self.warm.remove(pos);
-                true
-            }
-            None => false,
-        }
+        let _ = self.warm.evict_expired(now);
+        publish_idle_warm(&mut self.core, NodeId(0), self.warm.pinned_mem_mb(now), now);
     }
 }
 
@@ -188,30 +176,21 @@ struct NodeShared {
     inner: Mutex<NodeInner>,
 }
 
-/// Close an open harvest-loan lifetime span with `outcome` (no-op when span
-/// tracing is off or the loan was never opened — e.g. a lend the scheduler
-/// refused).
-fn close_loan_span(
-    open: &mut HashMap<(u32, u32), (u64, ResourceVec)>,
-    sink: Option<&Mutex<SpanSink>>,
+/// Give `vol` of the charge `inv` holds back to its shard's slice (repaying
+/// that shard's overdraft first); a no-op once `inv`'s exec state is gone.
+fn release_for(
+    exec: &HashMap<u32, ExecState>,
+    overdraft: &mut [ResourceVec],
+    sched: &ShardedScheduler,
     node: u32,
-    source: InvocationId,
-    borrower: InvocationId,
-    now: SimTime,
-    outcome: LoanOutcome,
+    inv: InvocationId,
+    vol: ResourceVec,
 ) {
-    let Some(s) = sink else { return };
-    let Some((start_us, vol)) = open.remove(&(source.0, borrower.0)) else { return };
-    s.lock().record_loan(LoanSpan {
-        source: source.0 as u64,
-        borrower: borrower.0 as u64,
-        node,
-        cpu_millis: vol.cpu_millis,
-        mem_mb: vol.mem_mb,
-        start_us,
-        end_us: now.as_micros(),
-        outcome,
-    });
+    if let Some(st) = exec.get(&inv.0) {
+        if let Some(over) = overdraft.get_mut(st.shard) {
+            release_charge(over, sched, st.shard, node, vol);
+        }
+    }
 }
 
 /// Replay control-plane actions against the live substrate: the sharded
@@ -231,17 +210,46 @@ fn apply_actions(
 ) {
     let NodeInner { core, exec, overdraft, open_loans, .. } = inner;
     for &a in actions {
+        // Loan lifetimes: a span closes, with the volume and outcome of the
+        // action that ended it, once the control plane no longer holds the
+        // loan — a partial trim (`Return` of some of the CPU) leaves it open,
+        // exactly as the simulator's `return_loan` does.
+        let ended = match a {
+            Action::Return { source, borrower, vol } => {
+                Some((source, borrower, vol, LoanOutcome::Returned))
+            }
+            Action::Revoke { source, borrower, vol, reason } => {
+                Some((source, borrower, vol, LoanOutcome::Revoked(reason)))
+            }
+            Action::Admitted { .. }
+            | Action::SetGrant { .. }
+            | Action::Lend { .. }
+            | Action::PreemptiveRelease { .. }
+            | Action::Requeue { .. } => None,
+        };
+        if let (Some(sink), Some((source, borrower, vol, outcome))) = (sink, ended) {
+            if !core.has_loan(source, borrower) {
+                if let Some(start_us) = open_loans.remove(&(source.0, borrower.0)) {
+                    sink.lock().record_loan(LoanSpan {
+                        source: source.0 as u64,
+                        borrower: borrower.0 as u64,
+                        node,
+                        cpu_millis: vol.cpu_millis,
+                        mem_mb: vol.mem_mb,
+                        start_us,
+                        end_us: now.as_micros(),
+                        outcome,
+                    });
+                }
+            }
+        }
         match a {
             // The scheduler reservation *is* the live admission; the action
             // is the explicit trace record networked frontends key off.
             Action::Admitted { .. } => {}
             // Harvest: the freed volume leaves the committed charge.
             Action::SetGrant { inv, freed, .. } => {
-                if let Some(st) = exec.get(&inv.0) {
-                    if let Some(over) = overdraft.get_mut(st.shard) {
-                        release_charge(over, sched, st.shard, node, freed);
-                    }
-                }
+                release_for(exec, overdraft, sched, node, inv, freed);
             }
             // Lending re-commits pooled idle volume: admissions may have
             // consumed it, so charge the source's slice first and report the
@@ -257,72 +265,35 @@ fn apply_actions(
                         b.accelerated = true;
                     }
                     if sink.is_some() {
-                        open_loans.insert((source.0, borrower.0), (now.as_micros(), vol));
+                        // A re-lend on a pair whose loan is still open
+                        // extends that lifetime: keep its first start.
+                        open_loans.entry((source.0, borrower.0)).or_insert(now.as_micros());
                     }
                 } else {
                     core.lend_failed(source, borrower, vol, LendFailure::NoCapacity, now);
                 }
             }
             // Trimmed volume goes back to uncommitted idle.
-            Action::Return { source, borrower, vol } => {
-                close_loan_span(
-                    open_loans,
-                    sink,
-                    node,
-                    source,
-                    borrower,
-                    now,
-                    LoanOutcome::Returned,
-                );
-                if let Some(src) = exec.get(&source.0) {
-                    if let Some(over) = overdraft.get_mut(src.shard) {
-                        release_charge(over, sched, src.shard, node, vol);
-                    }
-                }
+            Action::Return { source, vol, .. } => {
+                release_for(exec, overdraft, sched, node, source, vol);
             }
-            Action::Revoke { source, borrower, vol, reason } => {
-                close_loan_span(
-                    open_loans,
-                    sink,
-                    node,
-                    source,
-                    borrower,
-                    now,
-                    match reason {
-                        LoanEnd::SourceCompleted => LoanOutcome::SourceCompleted,
-                        LoanEnd::BorrowerCompleted => LoanOutcome::BorrowerCompleted,
-                        LoanEnd::Safeguard => LoanOutcome::Safeguard,
-                        LoanEnd::SourceOom => LoanOutcome::SourceOom,
-                        LoanEnd::Crashed => LoanOutcome::Crashed,
-                    },
-                );
-                match reason {
+            Action::Revoke { source, vol, reason, .. } => {
+                let source_unwinds = match reason {
                     // The source lives on: release the lend-time charge taken on
                     // its shard (re-harvest or forced unwind).
-                    LoanEnd::BorrowerCompleted | LoanEnd::Safeguard | LoanEnd::SourceOom => {
-                        if let Some(src) = exec.get(&source.0) {
-                            if let Some(over) = overdraft.get_mut(src.shard) {
-                                release_charge(over, sched, src.shard, node, vol);
-                            }
-                        }
-                    }
+                    LoanEnd::BorrowerCompleted | LoanEnd::Safeguard | LoanEnd::SourceOom => false,
                     // The source is going away: its completion path releases the
                     // full pre-revocation charge in one shot.
-                    LoanEnd::SourceCompleted => {}
+                    LoanEnd::SourceCompleted => true,
                     // Drain/crash abort. When the *source* is the invocation
                     // being unwound its wholesale release covers this charge;
                     // but a loan the unwound invocation *borrowed* is charged on
                     // its still-live source's shard and must be released here —
                     // abandoning it would strand slice capacity across a drain.
-                    LoanEnd::Crashed => {
-                        if unwinding != Some(source) {
-                            if let Some(src) = exec.get(&source.0) {
-                                if let Some(over) = overdraft.get_mut(src.shard) {
-                                    release_charge(over, sched, src.shard, node, vol);
-                                }
-                            }
-                        }
-                    }
+                    LoanEnd::Crashed => unwinding == Some(source),
+                };
+                if !source_unwinds {
+                    release_for(exec, overdraft, sched, node, source, vol);
                 }
             }
             // Safeguard (§5.2): the grant is already back at nominal in the
@@ -487,14 +458,31 @@ struct ClusterShared {
     aborted: AtomicU64,
     peak_committed: AtomicU64,
     shard_kills: AtomicU64,
-    warm_hits: AtomicU64,
-    cold_starts: AtomicU64,
     records: Mutex<Vec<LiveRecord>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     aux: Mutex<Vec<JoinHandle<()>>>,
     /// Execution-timeline span sink (inert unless `config.trace_spans`;
     /// recording paths check the config flag before ever taking this lock).
     spans: Mutex<SpanSink>,
+}
+
+impl ClusterShared {
+    /// Workload-microseconds since cluster start.
+    fn now_us(&self) -> u64 {
+        (self.t0.elapsed().as_secs_f64() * 1e6 * self.config.time_scale) as u64
+    }
+
+    /// Charge the interval since `stage`'s cursor to the stage `state` — the
+    /// lifecycle state its invocation is leaving right now — was spending it
+    /// in. The span lock is taken only when tracing is on.
+    fn leave_stage(&self, stage: &mut StageCursor, state: InvState) {
+        let now = SimTime(self.now_us());
+        if self.config.trace_spans {
+            stage.leave(state, now, 0, &mut self.spans.lock());
+        } else {
+            stage.leave(state, now, 0, &mut SpanSink::new(false));
+        }
+    }
 }
 
 /// Decrements the in-flight gauge when an invocation thread exits, however
@@ -535,7 +523,7 @@ impl LiveCluster {
                         core,
                         exec: HashMap::new(),
                         overdraft: vec![ResourceVec::ZERO; config.shards],
-                        warm: Vec::new(),
+                        warm: WarmPool::new(),
                         policy: config.keepalive.build(),
                         open_loans: HashMap::new(),
                     }),
@@ -559,8 +547,6 @@ impl LiveCluster {
             aborted: AtomicU64::new(0),
             peak_committed: AtomicU64::new(0),
             shard_kills: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            cold_starts: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
             handles: Mutex::new(Vec::new()),
             aux: Mutex::new(Vec::new()),
@@ -681,13 +667,14 @@ impl LiveCluster {
     /// Workload-microseconds since cluster start — the timebase every
     /// execution-timeline span is stamped in.
     pub fn now_us(&self) -> u64 {
-        (self.shared.t0.elapsed().as_secs_f64() * 1e6 * self.shared.config.time_scale) as u64
+        self.shared.now_us()
     }
 
     /// Record a frontend-stage span for `inv` (a networked frontend's
     /// admission overhead, stamped via [`LiveCluster::now_us`]). No-op
     /// unless [`LiveConfig::trace_spans`] is set.
     pub fn record_frontend_span(&self, inv: u64, start_us: u64, end_us: u64) {
+        use libra_sim::trace_spans::SpanKind;
         if self.shared.config.trace_spans {
             self.shared.spans.lock().record(
                 inv,
@@ -776,12 +763,14 @@ impl LiveCluster {
 
         let mut records: Vec<LiveRecord> = sh.records.lock().clone();
         records.sort_by_key(|r| r.idx);
-        let (mut loans_expired, mut safeguard_releases) = (0, 0);
+        let stats = self.stats();
+        let (mut warm_hits, mut cold_starts) = (0, 0);
         let mut actions_by_node = Vec::with_capacity(sh.nodes.len());
         for n in &sh.nodes {
             let g = n.inner.lock();
-            loans_expired += g.core.counters().loans_expired;
-            safeguard_releases += g.core.safeguard().triggers();
+            let (hits, colds) = g.warm.stats();
+            warm_hits += hits;
+            cold_starts += colds;
             actions_by_node.push(g.core.action_trace().to_vec());
         }
         let scale = sh.config.time_scale;
@@ -791,13 +780,13 @@ impl LiveCluster {
             records,
             trace,
             makespan_ms: sh.t0.elapsed().as_secs_f64() * 1e3 * scale,
-            loans_expired,
-            safeguard_releases,
-            aborted: sh.aborted.load(Ordering::SeqCst),
+            loans_expired: stats.loans_expired,
+            safeguard_releases: stats.safeguard_releases,
+            aborted: stats.aborted,
             peak_committed_cpu: sh.peak_committed.load(Ordering::Relaxed),
-            shard_kills: sh.shard_kills.load(Ordering::Relaxed) as u32,
-            warm_hits: sh.warm_hits.load(Ordering::Relaxed),
-            cold_starts: sh.cold_starts.load(Ordering::Relaxed),
+            shard_kills: stats.shard_kills,
+            warm_hits,
+            cold_starts,
             actions_by_node,
         }
     }
@@ -886,28 +875,29 @@ impl LiveCluster {
     }
 }
 
-/// Unwind one invocation through the control plane at drain time: charge
-/// captured, `on_abort` unwinds the loan ledger, the emitted revocations are
-/// replayed, and the wholesale charge is released back to the shard slice.
-fn quiesce_abort(
+/// Take `inv` off its node through the control plane — `on_complete` if it
+/// `finished`, `on_abort` if a drain cuts it short. The charge still on the
+/// books (own grant + everything lent out) is captured *before* the event
+/// unwinds the loan ledger, the emitted revocations are replayed, and that
+/// whole charge goes back to the shard slice in one shot, so neither ending
+/// strands a harvest loan or a slice charge. Returns the removed exec state.
+fn unwind(
     g: &mut NodeInner,
     sched: &ShardedScheduler,
     node: u32,
     inv: InvocationId,
-    shard: usize,
     now: SimTime,
     sink: Option<&Mutex<SpanSink>>,
-) {
-    let Some(still) = g.core.charge(inv) else {
-        g.exec.remove(&inv.0);
-        return;
-    };
-    let actions = g.core.on_abort(inv, now);
+    finished: bool,
+) -> Option<ExecState> {
+    let Some(still) = g.core.charge(inv) else { return g.exec.remove(&inv.0) };
+    let actions = if finished { g.core.on_complete(inv, now) } else { g.core.on_abort(inv, now) };
     apply_actions(g, sched, node, &actions, now, Some(inv), sink);
-    g.exec.remove(&inv.0);
-    if let Some(over) = g.overdraft.get_mut(shard) {
-        release_charge(over, sched, shard, node, still);
+    let me = g.exec.remove(&inv.0)?;
+    if let Some(over) = g.overdraft.get_mut(me.shard) {
+        release_charge(over, sched, me.shard, node, still);
     }
+    Some(me)
 }
 
 /// One invocation's whole life, on its own OS thread.
@@ -923,9 +913,7 @@ fn run_invocation(
     let t0 = shared.t0;
     let scale = config.time_scale;
     let to_work_ms = |d: Duration| d.as_secs_f64() * 1e3 * scale;
-    let to_us = |d: Duration| (d.as_secs_f64() * 1e6 * scale) as u64;
-    let tracing = config.trace_spans;
-    let sink = if tracing { Some(&shared.spans) } else { None };
+    let sink = if config.trace_spans { Some(&shared.spans) } else { None };
 
     // Arrive on schedule (workload ms → real ms). Network-driven requests
     // arrive with `at_ms` already in the past and start immediately. The
@@ -938,7 +926,11 @@ fn run_invocation(
         }
         std::thread::sleep(arrive_real.saturating_sub(t0.elapsed()).min(config.quantum));
     }
-    let submitted = Instant::now();
+    // The latency ledger: scheduler wait, then exec segments split at every
+    // OOM restart (mirroring the simulator's per-attempt segmentation), all
+    // charged through the same cursor the engine uses.
+    let submit = SimTime(shared.now_us());
+    let mut stage = StageCursor::new(idx as u64, submit, SimDuration::ZERO);
 
     // Admission: retry until a shard slice fits the allocation.
     let (shard, node_id) = loop {
@@ -962,20 +954,8 @@ fn run_invocation(
             None => std::thread::sleep(config.quantum),
         }
     };
-    let sched_ms = to_work_ms(submitted.elapsed());
-    // Scheduler-stage span: submission → shard slice found. Exec segments
-    // start here and are split at every OOM restart, mirroring the
-    // simulator's per-attempt segmentation.
-    let mut seg_start_us = to_us(t0.elapsed());
-    if tracing {
-        shared.spans.lock().record(
-            idx as u64,
-            0,
-            SpanKind::Scheduler,
-            SimTime(to_us(submitted.duration_since(t0))),
-            SimTime(seg_start_us),
-        );
-    }
+    // Scheduler stage: submission → shard slice found.
+    shared.leave_stage(&mut stage, InvState::AwaitingDecision);
 
     // The scheduler only answers node ids it was spawned with, so a miss
     // here means the fleet is misconfigured — treat it like a wedged run
@@ -1012,11 +992,7 @@ fn run_invocation(
         // Warm-lifecycle: the policy sees the arrival, then the admission
         // consumes a live warm container if the registry holds one.
         g.policy.on_arrival(FunctionId(req.func), now_ms);
-        if g.take_warm(req.func, now_ms) {
-            shared.warm_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.cold_starts.fetch_add(1, Ordering::Relaxed);
-        }
+        let _ = g.warm.acquire(FunctionId(req.func), now_ms);
         g.refresh_warm(now_ms);
         let pred = if config.harvesting { req.pred } else { None };
         let actions = g.core.on_admit(
@@ -1043,7 +1019,7 @@ fn run_invocation(
             // Drain quiesce: unwind through the control plane so loans and
             // slice charges are conserved, not abandoned.
             let now_ms = SimTime::from_millis(to_work_ms(t0.elapsed()) as u64);
-            quiesce_abort(&mut g, sched, node_u32, inv, shard, now_ms, sink);
+            unwind(&mut g, sched, node_u32, inv, now_ms, sink, false);
             shared.aborted.fetch_add(1, Ordering::SeqCst);
             return;
         }
@@ -1081,47 +1057,26 @@ fn run_invocation(
         };
 
         if finished {
-            // Charge on the books *before* completion unwinds it: own grant
-            // + everything still lent out.
-            let still = g.core.charge(inv).unwrap_or(req.alloc);
-            let actions = g.core.on_complete(inv, now_ms);
-            apply_actions(&mut g, sched, node_u32, &actions, now_ms, Some(inv), sink);
-            let Some(me) = g.exec.remove(&inv_id) else {
+            let Some(me) = unwind(&mut g, sched, node_u32, inv, now_ms, sink, true) else {
                 shared.expired.store(true, Ordering::SeqCst);
                 return;
             };
-            if let Some(over) = g.overdraft.get_mut(shard) {
-                release_charge(over, &**sched, shard, node_u32, still);
-            }
             // Warm-lifecycle: the policy decides whether (and until when)
             // this container's memory stays pinned as an idle warm container.
-            g.policy.on_complete(FunctionId(req.func), now_ms);
-            let idle_peers = g
-                .warm
-                .iter()
-                .filter(|&&(f, _, keep_until)| f == req.func && now_ms <= keep_until)
-                .count();
-            if let Some(keep_until) = g.policy.keep_until(FunctionId(req.func), idle_peers, now_ms)
-            {
-                g.warm.push((req.func, req.alloc.mem_mb, keep_until));
+            let func = FunctionId(req.func);
+            g.policy.on_complete(func, now_ms);
+            let idle_peers = g.warm.count_at(func, now_ms);
+            if let Some(keep_until) = g.policy.keep_until(func, idle_peers, now_ms) {
+                g.warm.release(func, shard, req.alloc.mem_mb, now_ms, keep_until);
             }
             g.refresh_warm(now_ms);
             drop(g);
 
-            if tracing {
-                shared.spans.lock().record(
-                    idx as u64,
-                    0,
-                    SpanKind::Exec,
-                    SimTime(seg_start_us),
-                    SimTime(to_us(t0.elapsed())),
-                );
-            }
-            let latency_ms = to_work_ms(submitted.elapsed());
+            shared.leave_stage(&mut stage, InvState::Running);
             let record = LiveRecord {
                 idx,
-                latency_ms,
-                sched_ms,
+                latency_ms: stage.cursor().since(submit).as_millis_f64(),
+                sched_ms: stage.breakdown().scheduler.as_millis_f64(),
                 baseline_exec_ms: req.alloc_duration_ms() as f64,
                 accelerated: me.accelerated,
                 harvested,
@@ -1143,17 +1098,7 @@ fn run_invocation(
             // The restart splits the exec timeline into per-restart segments
             // (same attempt: an OOM restart is a container event, not a
             // crash requeue).
-            if tracing {
-                let now_us = to_us(t0.elapsed());
-                shared.spans.lock().record(
-                    idx as u64,
-                    0,
-                    SpanKind::Exec,
-                    SimTime(seg_start_us),
-                    SimTime(now_us),
-                );
-                seg_start_us = now_us;
-            }
+            shared.leave_stage(&mut stage, InvState::Running);
             continue;
         }
 
@@ -1339,10 +1284,24 @@ mod tests {
         c.nodes = 1;
         c.shards = 1;
         c.control.safeguard = false;
+        c.trace_spans = true;
         let r = run_live(&w, &c);
         assert_eq!(r.records.len(), 1);
         assert!(r.records[0].oom_restarts >= 1, "the OOM rule must restart the invocation");
         assert!(r.oom_restarts >= 1);
+        // The ledger across the restart: one scheduler span, then one exec
+        // segment per (re)start, tiling [submit, completion] exactly; the
+        // record's stage figures are reads of the same cursor.
+        let trace = r.trace.expect("tracing enabled");
+        let spans = trace.spans_for(0);
+        let kinds: Vec<&str> = spans.iter().map(|s| s.kind.label()).collect();
+        assert_eq!(kinds[0], "scheduler");
+        assert_eq!(kinds.len(), 2 + r.records[0].oom_restarts as usize, "{kinds:?}");
+        assert!(kinds[1..].iter().all(|k| *k == "exec"), "{kinds:?}");
+        assert!(spans.windows(2).all(|w| w[0].end_us == w[1].start_us), "gap/overlap: {spans:?}");
+        let total_us: u64 = spans.iter().map(|s| s.len_us()).sum();
+        assert!((r.records[0].latency_ms - total_us as f64 / 1e3).abs() < 1e-3);
+        assert!((r.records[0].sched_ms - spans[0].len_us() as f64 / 1e3).abs() < 1e-3);
     }
 
     #[test]

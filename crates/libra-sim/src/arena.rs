@@ -153,6 +153,7 @@ mod tests {
             },
             ResourceVec::from_cores_mb(1, 256),
             SimTime::ZERO,
+            SimDuration::ZERO,
         )
     }
 

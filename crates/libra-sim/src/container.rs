@@ -23,10 +23,9 @@
 //! and a cached earliest deadline lets the periodic expiry sweep return
 //! without scanning when nothing can have expired. The pre-index
 //! linear-scan implementation survives in [`mod@reference`] as the
-//! equivalence-proptest oracle and bench baseline.
+//! equivalence-proptest oracle.
 
 use crate::ids::FunctionId;
-use crate::resources::ResourceVec;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -198,16 +197,6 @@ impl WarmPool {
         freed
     }
 
-    /// Number of idle warm containers for `func` still within keep-alive.
-    pub fn warm_count(&mut self, func: FunctionId, now: SimTime) -> usize {
-        self.count_at(func, now)
-    }
-
-    /// True if at least one warm container for `func` would be available.
-    pub fn has_warm(&mut self, func: FunctionId, now: SimTime) -> bool {
-        self.count_at(func, now) > 0
-    }
-
     /// (warm hits, cold starts) served so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.warm_hits, self.cold_starts)
@@ -243,16 +232,9 @@ impl WarmPool {
     }
 }
 
-/// Convenience for engine call-sites.
-pub fn pin(shard: usize, mem_mb: u64) -> ResourceVec {
-    let _ = shard;
-    ResourceVec::new(0, mem_mb)
-}
-
 /// The pre-index, pre-policy warm pool: linear scans over a `Vec`, fixed
 /// keep-alive TTL applied to every entry. Kept as the proptest oracle (the
-/// indexed pool under a fixed-TTL policy must be event-for-event equivalent)
-/// and as the bench baseline quantifying what the index buys.
+/// indexed pool under a fixed-TTL policy must be event-for-event equivalent).
 pub mod reference {
     use super::FunctionId;
     use crate::time::{SimDuration, SimTime};
@@ -395,8 +377,8 @@ mod tests {
     fn keepalive_expires_containers() {
         let mut p = WarmPool::new();
         p.release(F, 0, 256, SimTime::ZERO, SimTime::from_secs(10));
-        assert!(p.has_warm(F, SimTime::from_secs(10)));
-        assert!(!p.has_warm(F, SimTime::from_secs(11)));
+        assert_eq!(p.count_at(F, SimTime::from_secs(10)), 1);
+        assert_eq!(p.count_at(F, SimTime::from_secs(11)), 0);
         assert!(p.acquire(F, SimTime::from_secs(11)).is_none());
         let reaped = p.evict_expired(SimTime::from_secs(12));
         assert_eq!(reaped, vec![(0, 256)]);
@@ -451,7 +433,7 @@ mod tests {
         let mut p = WarmPool::new();
         park(&mut p, F, 0, 100, SimTime::ZERO);
         park(&mut p, F, 0, 100, SimTime::ZERO);
-        assert_eq!(p.warm_count(F, SimTime::from_secs(1)), 2);
+        assert_eq!(p.count_at(F, SimTime::from_secs(1)), 2);
         assert!(p.acquire(F, SimTime::from_secs(1)).is_some());
         assert!(p.acquire(F, SimTime::from_secs(1)).is_some());
         assert!(p.acquire(F, SimTime::from_secs(1)).is_none());

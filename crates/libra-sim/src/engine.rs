@@ -37,6 +37,17 @@ use crate::trace::{Trace, TraceEntry};
 use crate::trace_spans::{LoanOutcome, LoanSpan, SpanKind, SpanSink};
 use std::collections::{BTreeMap, VecDeque};
 
+/// Safeguard monitor window (usage check interval, §5.2).
+const MONITOR_INTERVAL: SimDuration = SimDuration(100_000);
+/// Node health-ping interval (pool status piggyback, §6.4).
+const PING_INTERVAL: SimDuration = SimDuration(500_000);
+/// Cluster utilization sampling interval (Figs 7, 11).
+const SAMPLE_INTERVAL: SimDuration = SimDuration(500_000);
+/// Per-known-node part of a scheduler decision's service time, nanoseconds.
+const DECISION_PER_NODE_NS: u64 = 2_000;
+/// Base re-admission backoff after a crash/abort; doubles per requeue.
+const CRASH_BACKOFF: SimDuration = SimDuration(1_000_000);
+
 /// Engine tuning knobs (cluster-level, not policy-level).
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -46,24 +57,14 @@ pub struct SimConfig {
     pub cold_start: SimDuration,
     /// Warm container keep-alive window.
     pub keepalive: SimDuration,
-    /// Safeguard monitor window (usage check interval, §5.2).
-    pub monitor_interval: SimDuration,
-    /// Node health-ping interval (pool status piggyback, §6.4).
-    pub ping_interval: SimDuration,
-    /// Cluster utilization sampling interval (Figs 7, 11).
-    pub sample_interval: SimDuration,
     /// Fixed part of a scheduler decision's service time.
     pub decision_base: SimDuration,
-    /// Per-known-node part of a decision's service time, in nanoseconds.
-    pub decision_per_node_ns: u64,
     /// Hard ceiling on simulated time; exceeding it aborts with diagnostics
     /// (guards against workloads that can never be placed).
     pub max_sim_time: SimDuration,
     /// How many times a crash/abort victim is requeued before it is
     /// terminally `Aborted` (fault injection only).
     pub crash_max_retries: u32,
-    /// Base re-admission backoff after a crash/abort; doubles per requeue.
-    pub crash_backoff: SimDuration,
     /// How measurements are aggregated: full record streams (default) or
     /// constant-space online summaries for huge traces.
     pub metrics: MetricsMode,
@@ -79,14 +80,9 @@ impl Default for SimConfig {
             shards: 1,
             cold_start: SimDuration::from_millis(500),
             keepalive: SimDuration::from_secs(60),
-            monitor_interval: SimDuration::from_millis(100),
-            ping_interval: SimDuration::from_millis(500),
-            sample_interval: SimDuration::from_millis(500),
             decision_base: SimDuration(300),
-            decision_per_node_ns: 2_000,
             max_sim_time: SimDuration::from_secs(48 * 3600),
             crash_max_retries: 3,
-            crash_backoff: SimDuration::from_secs(1),
             metrics: MetricsMode::Full,
             trace_spans: false,
         }
@@ -314,7 +310,7 @@ impl World {
 
     /// Decision service time for a shard given the current cluster size.
     fn decision_latency(&self) -> SimDuration {
-        let per_node = (self.config.decision_per_node_ns * self.nodes.len() as u64) / 1_000;
+        let per_node = (DECISION_PER_NODE_NS * self.nodes.len() as u64) / 1_000;
         self.config.decision_base + SimDuration(per_node)
     }
 
@@ -543,14 +539,35 @@ impl World {
         self.nodes[node.idx()].force_reserve(shard, new);
         if !old.fits_within(&new) {
             // Charge shrank in some dimension: parked invocations may fit now.
-            let now = self.clock;
-            for s in 0..self.shards.len() {
-                if !self.shards[s].blocked.is_empty() && !self.shards[s].retry_pending {
-                    self.shards[s].retry_pending = true;
-                    self.queue.push(now, Event::RetryBlocked { shard: s });
-                }
+            self.wake_blocked();
+        }
+    }
+
+    /// Capacity may have been freed: give every shard's parked invocations
+    /// one retry at the current instant.
+    fn wake_blocked(&mut self) {
+        for s in 0..self.shards.len() {
+            if !self.shards[s].blocked.is_empty() && !self.shards[s].retry_pending {
+                self.shards[s].retry_pending = true;
+                self.queue.push(self.clock, Event::RetryBlocked { shard: s });
             }
         }
+    }
+
+    /// Charge the interval since invocation `idx`'s stage cursor to the
+    /// stage its *current* state was spending it in (see
+    /// [`StageCursor::leave`](crate::invocation::StageCursor::leave)). Call
+    /// at a lifecycle transition, before the state changes.
+    fn leave_stage(&mut self, idx: usize) {
+        let inv = self.invs.get_mut(idx);
+        inv.stage.leave(inv.state, self.clock, inv.requeues, &mut self.spans);
+    }
+
+    /// Pre-charge a fixed overhead ending at `to` (possibly ahead of the
+    /// clock) to `kind` for invocation `idx`.
+    fn advance_stage(&mut self, idx: usize, kind: SpanKind, to: SimTime) {
+        let inv = self.invs.get_mut(idx);
+        inv.stage.advance(kind, to, inv.requeues, &mut self.spans);
     }
 
     /// Cross-check every conservation invariant. Called by tests and (in
@@ -626,23 +643,10 @@ impl World {
                 }
             }
         }
-        // Breakdown-cursor conservation: stage charges are incremental, so at
-        // any instant the booked stages must sum exactly to the span between
-        // arrival and the stage cursor (the point charged up to). Completion
-        // advances the cursor to `end`, making `total()` equal latency by
-        // construction — the drift the old absolute recomputation suffered
-        // on requeue/OOM paths cannot reappear without tripping this.
+        // Stage-cursor conservation, at any instant (`StageCursor::check`).
         for slot in self.invs.live_slots() {
             let inv = self.invs.get(slot);
-            let charged = inv.stage_start.since(inv.arrival);
-            if inv.breakdown.total() != charged {
-                return Err(format!(
-                    "{:?} breakdown sums to {:?} but the stage cursor implies {:?}",
-                    inv.id,
-                    inv.breakdown.total(),
-                    charged
-                ));
-            }
+            inv.stage.check(inv.arrival).map_err(|why| format!("{:?} {why}", inv.id))?;
         }
         Ok(())
     }
@@ -824,7 +828,7 @@ impl<'a> SimCtx<'a> {
     pub fn preemptive_release(&mut self, source: InvocationId) -> Vec<Loan> {
         let broken = self.revoke_loans_from(source);
         for loan in &broken {
-            self.w.note_loan_end(loan, LoanOutcome::Safeguard);
+            self.w.note_loan_end(loan, LoanOutcome::Revoked(LoanEnd::Safeguard));
         }
         let Some(si) = self.w.try_slot(source) else {
             return broken;
@@ -992,7 +996,7 @@ impl Simulation {
         w.queue.push(SimTime::ZERO, Event::UtilizationSample);
         for n in 0..w.nodes.len() {
             w.queue.push(
-                SimTime::ZERO + w.config.ping_interval,
+                SimTime::ZERO + PING_INTERVAL,
                 Event::HealthPing(NodeId(u32::try_from(n).unwrap_or(u32::MAX))),
             );
         }
@@ -1122,14 +1126,14 @@ impl Simulation {
                     platform.on_ping(w, node);
                 }
                 if w.completed + w.aborted < total {
-                    let at = w.clock + w.config.ping_interval;
+                    let at = w.clock + PING_INTERVAL;
                     w.queue.push(at, Event::HealthPing(node));
                 }
             }
             Event::UtilizationSample => {
                 Self::sample_utilization(w);
                 if w.completed + w.aborted < total {
-                    let at = w.clock + w.config.sample_interval;
+                    let at = w.clock + SAMPLE_INTERVAL;
                     w.queue.push(at, Event::UtilizationSample);
                 }
             }
@@ -1189,28 +1193,30 @@ impl Simulation {
         w.first_arrival = Some(w.first_arrival.map_or(now, |f| f.min(now)));
         let spec = &w.funcs[e.func.idx()];
         let demand = spec.model.demand(&e.input);
-        let idx =
-            w.invs.insert(Invocation::new(id, e.func, e.input, demand, spec.user_alloc, e.at));
+        let ovh = w.overheads;
+        let idx = w.invs.insert(Invocation::new(
+            id,
+            e.func,
+            e.input,
+            demand,
+            spec.user_alloc,
+            e.at,
+            ovh.pool,
+        ));
         w.invs.get_mut(idx).state = InvState::AwaitingDecision;
         let pred = platform.predict(w, id);
-        let ovh = w.overheads;
+        // Frontend (+ profiler) are charged up front, so the next stage
+        // (scheduler) starts accruing at `ready`.
+        let mut ready = now + ovh.frontend;
+        w.advance_stage(idx, SpanKind::Frontend, ready);
+        if pred.is_some() {
+            ready += ovh.profiler;
+            w.advance_stage(idx, SpanKind::Profiler, ready);
+        }
+        let shard = id.0 as usize % w.shards.len();
         let inv = w.invs.get_mut(idx);
         inv.pred = pred;
-        inv.breakdown.frontend = ovh.frontend;
-        let mut ready = now + ovh.frontend;
-        if pred.is_some() {
-            inv.breakdown.profiler = ovh.profiler;
-            ready += ovh.profiler;
-        }
-        // Stage cursor: frontend (+ profiler) are charged up front, so the
-        // next stage (scheduler) starts accruing at `ready`.
-        inv.stage_start = ready;
-        let shard = id.0 as usize % w.shards.len();
         inv.shard = Some(shard);
-        w.spans.record(id.0 as u64, 0, SpanKind::Frontend, now, now + ovh.frontend);
-        if pred.is_some() {
-            w.spans.record(id.0 as u64, 0, SpanKind::Profiler, now + ovh.frontend, ready);
-        }
         w.shards[shard].queue.push_back((id, ready));
         Self::kick_shard(w, shard);
         // Warm-lifecycle hook: the policy sees every arrival and may direct
@@ -1254,22 +1260,15 @@ impl Simulation {
                     w.nodes[node.idx()].try_reserve(shard, nominal)
                 } =>
             {
+                // Everything since the stage cursor — shard queueing +
+                // decision service for *this* attempt only (a requeued
+                // attempt's cursor moved on at re-admission) — is scheduler
+                // time. The pool overhead committed now elapses before
+                // StartExec; the cursor splits that gap there.
+                w.leave_stage(idx);
                 let inv = w.invs.get_mut(idx);
-                inv.decided_at = Some(now);
                 inv.node = Some(node);
-                // Incremental charge: everything since the stage cursor —
-                // shard queueing + decision service for *this* attempt only
-                // (a requeued attempt's cursor was reset at re-admission, so
-                // the failed attempt's exec/backoff no longer leak in here).
-                inv.breakdown.scheduler += now.since(inv.stage_start);
-                let attempt = inv.requeues;
-                let sched_from = inv.stage_start;
-                inv.stage_start = now;
-                // Pool overhead is committed now but elapses before
-                // StartExec; the gap is split there against this marker.
-                inv.pending_pool = w.overheads.pool;
-                let func = inv.func;
-                w.spans.record(id.0 as u64, attempt, SpanKind::Scheduler, sched_from, now);
+                let (func, attempt) = (inv.func, inv.requeues);
                 w.resident_push(node.idx(), id);
                 let warm = w.nodes[node.idx()].warm.acquire(func, now).is_some();
                 let mut start_at = now + w.overheads.pool;
@@ -1297,29 +1296,15 @@ impl Simulation {
             return; // stale start from a crashed attempt
         }
         let first_start = w.invs.get(idx).exec_start.is_none();
-        {
-            // Charge the gap since the last stage transition: up to
-            // `pending_pool` of it is harvest-pool bookkeeping (set at the
-            // scheduling decision; zero after an OOM restart), the rest is
-            // container init. The split telescopes — pool + init equals the
-            // gap exactly, whatever combination of warm/cold/OOM produced it.
-            let inv = w.invs.get_mut(idx);
-            let gap = now.since(inv.stage_start);
-            let pool_part = if gap < inv.pending_pool { gap } else { inv.pending_pool };
-            inv.breakdown.pool += pool_part;
-            inv.breakdown.container_init += gap.saturating_sub(pool_part);
-            let (from, attempt) = (inv.stage_start, inv.requeues);
-            inv.stage_start = now;
-            inv.pending_pool = SimDuration::ZERO;
-            if first_start {
-                inv.exec_start = Some(now);
-            }
-            inv.state = InvState::Running;
-            inv.last_update = now;
-            let id_u = id.0 as u64;
-            w.spans.record(id_u, attempt, SpanKind::Pool, from, from + pool_part);
-            w.spans.record(id_u, attempt, SpanKind::ContainerInit, from + pool_part, now);
+        // The gap since the decision (or the OOM) is pool bookkeeping, then
+        // container init — whatever warm/cold/OOM combination produced it.
+        w.leave_stage(idx);
+        let inv = w.invs.get_mut(idx);
+        if first_start {
+            inv.exec_start = Some(now);
         }
+        inv.state = InvState::Running;
+        inv.last_update = now;
         if first_start && w.invs.get(idx).restarts == 0 {
             let mut ctx = SimCtx { w };
             platform.on_start(&mut ctx, id);
@@ -1333,7 +1318,7 @@ impl Simulation {
         let node = node.idx();
         w.settle_node(node);
         w.reschedule_node(node);
-        let at = now + w.config.monitor_interval;
+        let at = now + MONITOR_INTERVAL;
         w.queue.push(at, Event::MonitorTick { inv: id, attempt });
     }
 
@@ -1348,7 +1333,7 @@ impl Simulation {
             InvState::Running => {}
             InvState::ColdStarting => {
                 // restarting after OOM: keep the tick chain alive
-                let at = w.clock + w.config.monitor_interval;
+                let at = w.clock + MONITOR_INTERVAL;
                 w.queue.push(at, Event::MonitorTick { inv: id, attempt });
                 return;
             }
@@ -1370,7 +1355,7 @@ impl Simulation {
         }
         // One-shot injected jitter stretches exactly one monitor interval.
         let jitter = w.tick_jitter.take().unwrap_or(SimDuration::ZERO);
-        let at = w.clock + w.config.monitor_interval + jitter;
+        let at = w.clock + MONITOR_INTERVAL + jitter;
         w.queue.push(at, Event::MonitorTick { inv: id, attempt });
     }
 
@@ -1378,26 +1363,11 @@ impl Simulation {
         let idx = w.slot(id);
         // The dying invocation needs its lent-out memory back, and its
         // borrowed-in loans are dropped for a clean restart.
-        let broken = {
-            let mut ctx = SimCtx { w };
-            ctx.revoke_loans_from(id)
-        };
-        for loan in &broken {
-            w.note_loan_end(loan, LoanOutcome::SourceOom);
-            let mut ctx = SimCtx { w };
-            platform.on_loan_ended(&mut ctx, loan, LoanEnd::SourceOom);
-        }
-        let returned: Vec<Loan> = w.invs.get_mut(idx).borrowed_in.drain(..).collect();
-        for loan in &returned {
-            let si = w.slot(loan.source);
-            let old = w.invs.get(si).charge();
-            w.invs.get_mut(si).lent_out -= loan.res;
-            w.reconcile_charge(si, old);
-            w.note_loan_end(loan, LoanOutcome::BorrowerCompleted);
-            let mut ctx = SimCtx { w };
-            platform.on_loan_ended(&mut ctx, loan, LoanEnd::BorrowerCompleted);
-        }
+        Self::end_loans(w, platform, id, LoanEnd::SourceOom, LoanEnd::BorrowerCompleted);
         let now = w.clock;
+        // The executed segment that just died is exec time; the restart's
+        // cold start is charged when the next StartExec leaves ColdStarting.
+        w.leave_stage(idx);
         let old_charge = w.invs.get(idx).charge();
         let inv = w.invs.get_mut(idx);
         inv.flags.oomed = true;
@@ -1406,14 +1376,6 @@ impl Simulation {
         inv.own_grant = inv.nominal;
         inv.state = InvState::ColdStarting;
         inv.finish_gen += 1;
-        // Charge the executed segment that just died; the restart's cold
-        // start is charged by the next StartExec against the cursor (the old
-        // eager `container_init += cold_start` double-counted when a crash
-        // killed the restart before it began).
-        inv.breakdown.exec += now.since(inv.stage_start);
-        let (seg_from, attempt) = (inv.stage_start, inv.requeues);
-        inv.stage_start = now;
-        w.spans.record(id.0 as u64, attempt, SpanKind::Exec, seg_from, now);
         w.reconcile_charge(idx, old_charge);
         let Some(node) = w.invs.get(idx).node else {
             debug_assert!(false, "oom without node for {id:?}");
@@ -1429,10 +1391,37 @@ impl Simulation {
         platform.on_oom(&mut ctx, id);
     }
 
+    /// Unwind, at this instant, every loan touching `id`: what it lent out
+    /// is revoked from the borrowers (ending `as_source`), what it borrowed
+    /// returns to its sources' books (ending `as_borrower`). The platform
+    /// hears about each loan through `on_loan_ended`.
+    fn end_loans(
+        w: &mut World,
+        platform: &mut dyn Platform,
+        id: InvocationId,
+        as_source: LoanEnd,
+        as_borrower: LoanEnd,
+    ) {
+        let broken = SimCtx { w }.revoke_loans_from(id);
+        for loan in &broken {
+            w.note_loan_end(loan, LoanOutcome::Revoked(as_source));
+            platform.on_loan_ended(&mut SimCtx { w }, loan, as_source);
+        }
+        let idx = w.slot(id);
+        let returned: Vec<Loan> = w.invs.get_mut(idx).borrowed_in.drain(..).collect();
+        for loan in &returned {
+            let si = w.slot(loan.source);
+            let old = w.invs.get(si).charge();
+            w.invs.get_mut(si).lent_out -= loan.res;
+            w.reconcile_charge(si, old);
+            w.note_loan_end(loan, LoanOutcome::Revoked(as_borrower));
+            platform.on_loan_ended(&mut SimCtx { w }, loan, as_borrower);
+        }
+    }
+
     /// Replay one injected fault.
     fn on_fault(w: &mut World, platform: &mut dyn Platform, kind: FaultKind) {
         w.faults_fired += 1;
-        let now = w.clock;
         match kind {
             FaultKind::NodeCrash(n) => {
                 if n.idx() >= w.nodes.len() || !w.nodes[n.idx()].is_alive() {
@@ -1460,12 +1449,7 @@ impl Simulation {
                 }
                 w.nodes[n.idx()].recover();
                 // Capacity is visible again: give parked invocations a chance.
-                for s in 0..w.shards.len() {
-                    if !w.shards[s].blocked.is_empty() && !w.shards[s].retry_pending {
-                        w.shards[s].retry_pending = true;
-                        w.queue.push(now, Event::RetryBlocked { shard: s });
-                    }
-                }
+                w.wake_blocked();
             }
             FaultKind::AbortInvocation(id) => {
                 let placed = w.try_slot(id).is_some_and(|s| {
@@ -1514,27 +1498,7 @@ impl Simulation {
             // The attempt's work is lost, but the usage integrals stay honest.
             w.update_progress(idx);
         }
-        // Outgoing loans: borrowers lose the resources this instant.
-        let broken = {
-            let mut ctx = SimCtx { w };
-            ctx.revoke_loans_from(id)
-        };
-        for loan in &broken {
-            w.note_loan_end(loan, LoanOutcome::Crashed);
-            let mut ctx = SimCtx { w };
-            platform.on_loan_ended(&mut ctx, loan, LoanEnd::Crashed);
-        }
-        // Incoming loans: the volumes return to their sources' books.
-        let returned: Vec<Loan> = w.invs.get_mut(idx).borrowed_in.drain(..).collect();
-        for loan in &returned {
-            let si = w.slot(loan.source);
-            let old = w.invs.get(si).charge();
-            w.invs.get_mut(si).lent_out -= loan.res;
-            w.reconcile_charge(si, old);
-            w.note_loan_end(loan, LoanOutcome::Crashed);
-            let mut ctx = SimCtx { w };
-            platform.on_loan_ended(&mut ctx, loan, LoanEnd::Crashed);
-        }
+        Self::end_loans(w, platform, id, LoanEnd::Crashed, LoanEnd::Crashed);
         // Platform cleanup while the invocation still knows its node.
         {
             let mut ctx = SimCtx { w };
@@ -1550,30 +1514,7 @@ impl Simulation {
 
         // Charge the dying attempt's partial stage and emit its span before
         // the attempt counter moves on; from here until requeue is backoff.
-        {
-            let inv = w.invs.get_mut(idx);
-            let (from, attempt) = (inv.stage_start, inv.requeues);
-            let gap = now.since(from);
-            let running = inv.state == InvState::Running;
-            let pool_part = if running {
-                inv.breakdown.exec += gap;
-                SimDuration::ZERO
-            } else {
-                let p = if gap < inv.pending_pool { gap } else { inv.pending_pool };
-                inv.breakdown.pool += p;
-                inv.breakdown.container_init += gap.saturating_sub(p);
-                p
-            };
-            inv.stage_start = now;
-            inv.pending_pool = SimDuration::ZERO;
-            let id_u = id.0 as u64;
-            if running {
-                w.spans.record(id_u, attempt, SpanKind::Exec, from, now);
-            } else {
-                w.spans.record(id_u, attempt, SpanKind::Pool, from, from + pool_part);
-                w.spans.record(id_u, attempt, SpanKind::ContainerInit, from + pool_part, now);
-            }
-        }
+        w.leave_stage(idx);
 
         let max_retries = w.config.crash_max_retries;
         let inv = w.invs.get_mut(idx);
@@ -1594,7 +1535,7 @@ impl Simulation {
         } else {
             inv.state = InvState::Pending;
             w.requeue_total += 1;
-            let backoff = w.config.crash_backoff.saturating_mul(1u64 << (attempt - 1).min(16));
+            let backoff = CRASH_BACKOFF.saturating_mul(1u64 << (attempt - 1).min(16));
             w.queue.push(now + backoff, Event::Requeue(id));
         }
         // The departure changes the node's CPU-share balance.
@@ -1602,12 +1543,7 @@ impl Simulation {
         w.reschedule_node(node.idx());
         // A targeted abort frees capacity on a live node: unblock the parked.
         if w.nodes[node.idx()].is_alive() {
-            for s in 0..w.shards.len() {
-                if !w.shards[s].blocked.is_empty() && !w.shards[s].retry_pending {
-                    w.shards[s].retry_pending = true;
-                    w.queue.push(now, Event::RetryBlocked { shard: s });
-                }
-            }
+            w.wake_blocked();
         }
         // A terminal abort leaves the simulation for good: retire the slot so
         // any straggling StartExec/MonitorTick/Finish events read as stale.
@@ -1625,22 +1561,15 @@ impl Simulation {
         if w.invs.get(idx).state != InvState::Pending {
             return;
         }
-        let now = w.clock;
-        let ovh = w.overheads;
-        let inv = w.invs.get_mut(idx);
-        inv.state = InvState::AwaitingDecision;
         // The wait since the kill is crash backoff; then the invocation
         // passes the front end again. The new attempt's spans start here.
-        let (from, attempt) = (inv.stage_start, inv.requeues);
-        inv.breakdown.backoff += now.since(from);
-        inv.breakdown.frontend += ovh.frontend;
-        let ready = now + ovh.frontend;
-        inv.stage_start = ready;
+        w.leave_stage(idx);
+        let ready = w.clock + w.overheads.frontend;
+        w.advance_stage(idx, SpanKind::Frontend, ready);
         let shard = id.0 as usize % w.shards.len();
+        let inv = w.invs.get_mut(idx);
+        inv.state = InvState::AwaitingDecision;
         inv.shard = Some(shard);
-        let id_u = id.0 as u64;
-        w.spans.record(id_u, attempt, SpanKind::Backoff, from, now);
-        w.spans.record(id_u, attempt, SpanKind::Frontend, now, ready);
         w.shards[shard].queue.push_back((id, ready));
         Self::kick_shard(w, shard);
     }
@@ -1659,46 +1588,24 @@ impl Simulation {
         }
         let now = w.clock;
 
-        // Timeliness law (§3.1): everything this invocation lent out is gone.
-        let broken = {
-            let mut ctx = SimCtx { w };
-            ctx.revoke_loans_from(id)
-        };
-        for loan in &broken {
-            w.note_loan_end(loan, LoanOutcome::SourceCompleted);
-            let mut ctx = SimCtx { w };
-            platform.on_loan_ended(&mut ctx, loan, LoanEnd::SourceCompleted);
-        }
-        // Re-harvest opportunity (§5.1): loans it held return to their sources.
-        let returned: Vec<Loan> = w.invs.get_mut(idx).borrowed_in.drain(..).collect();
-        for loan in &returned {
-            let si = w.slot(loan.source);
-            let old = w.invs.get(si).charge();
-            w.invs.get_mut(si).lent_out -= loan.res;
-            w.reconcile_charge(si, old);
-            w.note_loan_end(loan, LoanOutcome::BorrowerCompleted);
-            let mut ctx = SimCtx { w };
-            platform.on_loan_ended(&mut ctx, loan, LoanEnd::BorrowerCompleted);
-        }
+        // Timeliness law (§3.1): everything this invocation lent out is
+        // gone; re-harvest opportunity (§5.1): loans it held return to
+        // their sources.
+        Self::end_loans(w, platform, id, LoanEnd::SourceCompleted, LoanEnd::BorrowerCompleted);
 
-        let (exec, seg_from, attempt) = {
-            let inv = w.invs.get_mut(idx);
-            inv.state = InvState::Completed;
-            inv.end = Some(now);
-            // Physics: wall-clock of the final attempt, OOM gaps included —
-            // what `Actuals` and the golden traces pin.
-            debug_assert!(inv.exec_start.is_some(), "completed {id:?} without exec start");
-            let exec = now.since(inv.exec_start.unwrap_or(inv.stage_start));
-            // Accounting: the segment since the stage cursor belongs to exec.
-            // Charging incrementally (never recomputing from `exec_start`)
-            // keeps `breakdown.total()` telescoping to end-to-end latency
-            // across OOM restarts and crash requeues.
-            let (seg_from, attempt) = (inv.stage_start, inv.requeues);
-            inv.breakdown.exec += now.since(seg_from);
-            inv.stage_start = now;
-            (exec, seg_from, attempt)
-        };
-        w.spans.record(id.0 as u64, attempt, SpanKind::Exec, seg_from, now);
+        // Physics: wall-clock of the final attempt, OOM gaps included —
+        // what `Actuals` and the golden traces pin.
+        let inv = w.invs.get(idx);
+        debug_assert!(inv.exec_start.is_some(), "completed {id:?} without exec start");
+        let exec = now.since(inv.exec_start.unwrap_or(inv.stage.cursor()));
+        // Accounting: only the segment since the stage cursor is charged to
+        // exec (never recomputed from `exec_start`), which keeps the
+        // breakdown telescoping to end-to-end latency across OOM restarts
+        // and crash requeues.
+        w.leave_stage(idx);
+        let inv = w.invs.get_mut(idx);
+        inv.state = InvState::Completed;
+        inv.end = Some(now);
 
         let inv = w.invs.get(idx);
         let actuals = Actuals {
@@ -1747,12 +1654,7 @@ impl Simulation {
         }
 
         // Freed capacity: give parked invocations another chance.
-        for s in 0..w.shards.len() {
-            if !w.shards[s].blocked.is_empty() && !w.shards[s].retry_pending {
-                w.shards[s].retry_pending = true;
-                w.queue.push(now, Event::RetryBlocked { shard: s });
-            }
-        }
+        w.wake_blocked();
     }
 
     /// The counterfactual response latency with user-defined resources
@@ -1767,10 +1669,11 @@ impl Simulation {
         // Breakdown auditor (debug builds): the incremental stage charges
         // must telescope exactly to end-to-end latency — no drift, no
         // double-count, on every retry/OOM/cold-start combination.
+        debug_assert_eq!(inv.stage.cursor(), inv.arrival + latency, "cursor short of {id:?}'s end");
         debug_assert_eq!(
-            inv.breakdown.total(),
-            latency,
-            "stage breakdown drifted from latency for {id:?}"
+            inv.stage.check(inv.arrival),
+            Ok(()),
+            "stage breakdown drifted for {id:?}"
         );
         let busy = inv.nominal.cpu_millis.min(inv.true_demand.cpu_peak_millis).max(1);
         let peak_mem = inv.true_demand.mem_peak_mb;
@@ -1811,7 +1714,7 @@ impl Simulation {
             flags: inv.flags,
             cpu_reassigned_core_sec: inv.cpu_reassigned as f64 / 1e9, // millicore·µs → core·s
             mem_reassigned_mb_sec: inv.mem_reassigned as f64 / 1e6,   // MB·µs → MB·s
-            breakdown: inv.breakdown,
+            breakdown: *inv.stage.breakdown(),
             pred: inv.pred,
             cpu_peak_obs: inv.cpu_peak_obs,
             mem_peak_obs: inv.mem_usage_mb(),

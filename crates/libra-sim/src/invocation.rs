@@ -10,6 +10,7 @@ use crate::demand::{InputMeta, TrueDemand};
 use crate::ids::{FunctionId, InvocationId, NodeId};
 use crate::resources::ResourceVec;
 use crate::time::{SimDuration, SimTime};
+use crate::trace_spans::{SpanKind, SpanSink};
 
 /// Substrate-shared execution physics: the work-accumulation rate (in
 /// millicores) of an invocation holding `usable_cpu_millis` of schedulable
@@ -134,10 +135,10 @@ pub struct Loan {
 
 /// Per-invocation latency breakdown (Fig 15).
 ///
-/// Stages are charged *incrementally* as the lifecycle advances (see the
-/// engine's `stage_start` cursor): every microsecond between arrival and
-/// completion lands in exactly one stage, across any number of OOM restarts
-/// or crash requeues, so `total()` equals end-to-end latency by construction.
+/// Stages are charged *incrementally* as the lifecycle advances (see
+/// [`StageCursor`]): every microsecond between arrival and completion lands
+/// in exactly one stage, across any number of OOM restarts or crash requeues,
+/// so `total()` equals end-to-end latency by construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct StageBreakdown {
     /// Front-end admission (accumulated across requeue re-admissions).
@@ -168,6 +169,108 @@ impl StageBreakdown {
             + self.container_init
             + self.exec
             + self.backoff
+    }
+
+    fn stage_mut(&mut self, kind: SpanKind) -> &mut SimDuration {
+        match kind {
+            SpanKind::Frontend => &mut self.frontend,
+            SpanKind::Profiler => &mut self.profiler,
+            SpanKind::Scheduler => &mut self.scheduler,
+            SpanKind::Pool => &mut self.pool,
+            SpanKind::ContainerInit => &mut self.container_init,
+            SpanKind::Exec => &mut self.exec,
+            SpanKind::Backoff => &mut self.backoff,
+        }
+    }
+}
+
+/// The one writer of an invocation's latency ledger, shared by the engine
+/// and the live cluster: it owns the [`StageBreakdown`], the instant the
+/// breakdown has been charged up to, and the pool overhead the current
+/// attempt still owes. Every charge is `to − cursor`, booked to one stage,
+/// emitted as one span, after which the cursor sits at `to` — so the stages
+/// telescope to `cursor − arrival` at every instant and to the end-to-end
+/// latency at completion, and the spans of one invocation tile that interval.
+#[derive(Clone, Copy, Debug)]
+pub struct StageCursor {
+    /// Invocation the emitted spans are tagged with.
+    inv: u64,
+    breakdown: StageBreakdown,
+    at: SimTime,
+    /// Pool-bookkeeping overhead the platform commits at each scheduling
+    /// decision ([`PlatformOverheads::pool`](crate::platform::PlatformOverheads)).
+    pool_overhead: SimDuration,
+    /// The part of `pool_overhead` committed by the last decision and not
+    /// yet charged: leaving `ColdStarting` books up to this much of the gap
+    /// as `pool` and the rest as `container_init`. Zero on an OOM restart.
+    pending_pool: SimDuration,
+}
+
+impl StageCursor {
+    /// A cursor for invocation `inv` at `arrival` with nothing charged.
+    pub fn new(inv: u64, arrival: SimTime, pool_overhead: SimDuration) -> Self {
+        StageCursor {
+            inv,
+            breakdown: StageBreakdown::default(),
+            at: arrival,
+            pool_overhead,
+            pending_pool: SimDuration::ZERO,
+        }
+    }
+
+    /// The stage sums charged so far.
+    pub fn breakdown(&self) -> &StageBreakdown {
+        &self.breakdown
+    }
+
+    /// The instant the breakdown has been charged up to.
+    pub fn cursor(&self) -> SimTime {
+        self.at
+    }
+
+    /// Charge `to − cursor` to `kind`, emit the span (tagged `attempt`) and
+    /// move the cursor. `to` may lie ahead of the clock: fixed overheads
+    /// (frontend, profiler) are pre-charged this way at arrival and requeue,
+    /// and the next stage starts accruing where they end.
+    #[inline]
+    pub fn advance(&mut self, kind: SpanKind, to: SimTime, attempt: u32, spans: &mut SpanSink) {
+        *self.breakdown.stage_mut(kind) += to.since(self.at);
+        spans.record(self.inv, attempt, kind, self.at, to);
+        self.at = to;
+    }
+
+    /// Charge the interval since the cursor to the stage that `state` — the
+    /// lifecycle state being left at `now` — was spending it in.
+    #[inline]
+    pub fn leave(&mut self, state: InvState, now: SimTime, attempt: u32, spans: &mut SpanSink) {
+        match state {
+            InvState::AwaitingDecision | InvState::Blocked => {
+                self.advance(SpanKind::Scheduler, now, attempt, spans);
+                self.pending_pool = self.pool_overhead;
+            }
+            InvState::ColdStarting => {
+                let gap = now.since(self.at);
+                let pool_end = self.at + gap.min(self.pending_pool);
+                self.pending_pool = SimDuration::ZERO;
+                self.advance(SpanKind::Pool, pool_end, attempt, spans);
+                self.advance(SpanKind::ContainerInit, now, attempt, spans);
+            }
+            InvState::Running => self.advance(SpanKind::Exec, now, attempt, spans),
+            InvState::Pending => self.advance(SpanKind::Backoff, now, attempt, spans),
+            InvState::Completed | InvState::Aborted => {
+                debug_assert!(false, "no stage accrues in terminal state {state:?}");
+            }
+        }
+    }
+
+    /// Conservation check: the booked stages must sum exactly to the span
+    /// between `arrival` and the cursor.
+    pub fn check(&self, arrival: SimTime) -> Result<(), String> {
+        let (booked, charged) = (self.breakdown.total(), self.at.since(arrival));
+        if booked == charged {
+            return Ok(());
+        }
+        Err(format!("breakdown sums to {booked:?} but the stage cursor implies {charged:?}"))
     }
 }
 
@@ -202,8 +305,6 @@ pub struct Invocation {
 
     /// Arrival at the front end.
     pub arrival: SimTime,
-    /// When the scheduling decision completed.
-    pub decided_at: Option<SimTime>,
     /// When user code began executing.
     pub exec_start: Option<SimTime>,
     /// Completion time.
@@ -257,17 +358,8 @@ pub struct Invocation {
     pub pred: Option<Prediction>,
     /// Outcome category flags.
     pub flags: InvFlags,
-    /// Latency breakdown.
-    pub breakdown: StageBreakdown,
-    /// Stage cursor: the instant up to which the breakdown has been charged.
-    /// Every lifecycle transition charges `now − stage_start` to the stage
-    /// that just ended and advances the cursor, so the stages telescope to
-    /// exactly the end-to-end latency.
-    pub stage_start: SimTime,
-    /// Pool-bookkeeping overhead committed at the last scheduling decision
-    /// but not yet charged; the next `StartExec` splits its pre-exec gap
-    /// into `pool` (up to this much) and `container_init` (the rest).
-    pub pending_pool: SimDuration,
+    /// Latency breakdown and the cursor it has been charged up to.
+    pub stage: StageCursor,
 
     /// ∫ (effective − nominal) CPU dt, in millicore-µs (signed):
     /// positive = net accelerated, negative = net harvested (Fig 8 x-axis).
@@ -277,7 +369,8 @@ pub struct Invocation {
 }
 
 impl Invocation {
-    /// Create a fresh record in `Pending` state.
+    /// Create a fresh record in `Pending` state. `pool_overhead` is what the
+    /// platform charges per scheduling decision (see [`StageCursor`]).
     pub fn new(
         id: InvocationId,
         func: FunctionId,
@@ -285,6 +378,7 @@ impl Invocation {
         true_demand: TrueDemand,
         nominal: ResourceVec,
         arrival: SimTime,
+        pool_overhead: SimDuration,
     ) -> Self {
         Invocation {
             id,
@@ -293,7 +387,6 @@ impl Invocation {
             true_demand,
             work_total: true_demand.work(),
             arrival,
-            decided_at: None,
             exec_start: None,
             end: None,
             node: None,
@@ -315,9 +408,7 @@ impl Invocation {
             requeues: 0,
             pred: None,
             flags: InvFlags::default(),
-            breakdown: StageBreakdown::default(),
-            stage_start: arrival,
-            pending_pool: SimDuration::ZERO,
+            stage: StageCursor::new(id.0 as u64, arrival, pool_overhead),
             cpu_reassigned: 0,
             mem_reassigned: 0,
         }
@@ -398,6 +489,7 @@ mod tests {
             demand(),
             ResourceVec::from_cores_mb(4, 1024),
             SimTime::ZERO,
+            SimDuration::ZERO,
         )
     }
 
@@ -450,6 +542,89 @@ mod tests {
         let mut i = inv();
         i.work_total = 0;
         assert_eq!(i.progress_frac(), 1.0);
+    }
+
+    /// `leave` over every state, including the pool/container-init split
+    /// boundaries: after each step the stages sum to `cursor − arrival`, and
+    /// the emitted spans tile `[arrival, cursor]` with the expected kinds.
+    #[test]
+    fn stage_cursor_leave_charges_the_state_being_left() {
+        use InvState::*;
+        use SpanKind::*;
+        const POOL: u64 = 200;
+        // (state left, µs since the previous step, armed pool before the
+        //  step?, expected (kind, length µs) charges in order)
+        type Step = (InvState, u64, bool, &'static [(SpanKind, u64)]);
+        let steps: [Step; 10] = [
+            (AwaitingDecision, 40, false, &[(Scheduler, 40)]),
+            // gap < pending_pool: all pool, nothing left for init.
+            (ColdStarting, 150, true, &[(Pool, 150)]),
+            (Pending, 1_000, false, &[(Backoff, 1_000)]),
+            (Blocked, 70, false, &[(Scheduler, 70)]),
+            // gap == pending_pool: the boundary still charges no init.
+            (ColdStarting, POOL, true, &[(Pool, POOL)]),
+            (Running, 900, false, &[(Exec, 900)]),
+            // pending_pool == 0 (OOM restart): the whole gap is init.
+            (ColdStarting, 500, false, &[(ContainerInit, 500)]),
+            (Running, 0, false, &[]),
+            (AwaitingDecision, 5, false, &[(Scheduler, 5)]),
+            // gap > pending_pool, and gap == 0 right after.
+            (ColdStarting, POOL + 300, true, &[(Pool, POOL), (ContainerInit, 300)]),
+        ];
+        let arrival = SimTime(1_000);
+        let mut stage = StageCursor::new(7, arrival, SimDuration(POOL));
+        let mut spans = SpanSink::new(true);
+        let mut now = arrival;
+        let mut expected: Vec<(SpanKind, u64, u64)> = Vec::new();
+        for (state, dt, armed, charges) in steps {
+            assert_eq!(stage.pending_pool, SimDuration(if armed { POOL } else { 0 }), "{state:?}");
+            now += SimDuration(dt);
+            let mut from = stage.cursor().as_micros();
+            for &(kind, len) in charges {
+                expected.push((kind, from, from + len));
+                from += len;
+            }
+            stage.leave(state, now, 0, &mut spans);
+            assert_eq!(stage.cursor(), now);
+            assert_eq!(stage.breakdown().total(), now.since(arrival), "after leaving {state:?}");
+            assert_eq!(stage.check(arrival), Ok(()));
+        }
+        stage.leave(ColdStarting, now, 0, &mut spans); // gap == 0
+        assert_eq!(stage.breakdown().total(), now.since(arrival));
+
+        let b = *stage.breakdown();
+        assert_eq!(
+            (b.scheduler, b.backoff, b.exec),
+            (SimDuration(115), SimDuration(1_000), SimDuration(900))
+        );
+        assert_eq!((b.pool, b.container_init), (SimDuration(150 + 2 * POOL), SimDuration(800)));
+        let trace = spans.into_trace().expect("enabled");
+        let got: Vec<_> =
+            trace.spans_for(7).iter().map(|s| (s.kind, s.start_us, s.end_us)).collect();
+        assert_eq!(got, expected);
+        assert_eq!(got.first().map(|s| s.1), Some(arrival.as_micros()));
+        assert_eq!(got.last().map(|s| s.2), Some(now.as_micros()));
+        assert!(got.windows(2).all(|w| w[0].2 == w[1].1), "spans must tile: {got:?}");
+    }
+
+    /// `advance` may run ahead of the clock (pre-charged overheads); the
+    /// next `leave` starts accruing where the pre-charge ended.
+    #[test]
+    fn stage_cursor_advance_precharges_ahead_of_the_clock() {
+        let arrival = SimTime(50);
+        let mut stage = StageCursor::new(0, arrival, SimDuration::ZERO);
+        let mut spans = SpanSink::new(false);
+        stage.advance(SpanKind::Frontend, SimTime(350), 0, &mut spans);
+        stage.advance(SpanKind::Profiler, SimTime(1_850), 0, &mut spans);
+        assert_eq!(stage.cursor(), SimTime(1_850));
+        stage.leave(InvState::AwaitingDecision, SimTime(2_000), 0, &mut spans);
+        let b = stage.breakdown();
+        assert_eq!(
+            (b.frontend, b.profiler, b.scheduler),
+            (SimDuration(300), SimDuration(1_500), SimDuration(150))
+        );
+        assert_eq!(stage.check(arrival), Ok(()));
+        assert!(stage.check(SimTime(49)).is_err(), "a wrong arrival must be flagged");
     }
 
     #[test]

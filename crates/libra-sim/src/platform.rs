@@ -13,7 +13,7 @@ use crate::invocation::{Actuals, Loan, Prediction};
 use crate::time::{SimDuration, SimTime};
 
 /// Why a loan ended before (or at) its natural conclusion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
 pub enum LoanEnd {
     /// The source invocation completed — the timeliness law revoked the
     /// resources (§3.1). The borrower keeps running with what remains.

@@ -19,6 +19,7 @@
 //! guards the hot path with tracing compiled in but off.
 
 use crate::metrics::percentiles;
+use crate::platform::LoanEnd;
 use crate::time::SimTime;
 
 /// Which pipeline stage a [`Span`] covers (the Fig 15 vocabulary, plus the
@@ -90,20 +91,13 @@ impl Span {
     }
 }
 
-/// How a harvest loan's lifetime ended.
+/// How a harvest loan's lifetime ended: one of the revocation paths every
+/// substrate shares ([`LoanEnd`]), or a voluntary return.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
 pub enum LoanOutcome {
-    /// Timeliness revocation: the source completed (§3.1).
-    SourceCompleted,
-    /// The borrower completed and returned the volume (re-harvest).
-    BorrowerCompleted,
-    /// The safeguard preemptively released the source (§5.2).
-    Safeguard,
-    /// The source OOMed and reclaimed its memory.
-    SourceOom,
-    /// A fault destroyed one end of the loan.
-    Crashed,
-    /// The driver returned the loan outside the revocation paths.
+    /// The loan was revoked, for the wrapped reason.
+    Revoked(LoanEnd),
+    /// The borrower handed the whole loan back (usage-guided trimming).
     Returned,
 }
 
@@ -111,11 +105,11 @@ impl LoanOutcome {
     /// Stable lower-case label.
     pub fn label(self) -> &'static str {
         match self {
-            LoanOutcome::SourceCompleted => "source_completed",
-            LoanOutcome::BorrowerCompleted => "borrower_completed",
-            LoanOutcome::Safeguard => "safeguard",
-            LoanOutcome::SourceOom => "source_oom",
-            LoanOutcome::Crashed => "crashed",
+            LoanOutcome::Revoked(LoanEnd::SourceCompleted) => "source_completed",
+            LoanOutcome::Revoked(LoanEnd::BorrowerCompleted) => "borrower_completed",
+            LoanOutcome::Revoked(LoanEnd::Safeguard) => "safeguard",
+            LoanOutcome::Revoked(LoanEnd::SourceOom) => "source_oom",
+            LoanOutcome::Revoked(LoanEnd::Crashed) => "crashed",
             LoanOutcome::Returned => "returned",
         }
     }
@@ -497,7 +491,7 @@ mod tests {
             mem_mb: 256,
             start_us: 2_000,
             end_us: 400_000,
-            outcome: LoanOutcome::SourceCompleted,
+            outcome: LoanOutcome::Revoked(LoanEnd::SourceCompleted),
         });
         let t = s.into_trace().expect("enabled");
         let html = t.to_html();

@@ -27,13 +27,15 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> benchmark harness against the working tree (build + its unit tests)"
+# benchmarks/perf is its own workspace path-depending on crates/libra-*: a
+# public-API break the PR pipeline would reject shows up here first.
+cargo test --release --offline -q --manifest-path benchmarks/perf/Cargo.toml
+
 echo "==> gateway smoke (500 seeded requests over loopback, scrape /metrics)"
 # gateway_loadgen exits nonzero on any 5xx-from-bugs, dropped request, or
 # missing metrics series; seeded traffic keeps the run reproducible.
 cargo run --release -q -p libra-gateway --bin gateway_loadgen -- --seed 42 --requests 500
-
-echo "==> pool-bench smoke (emits BENCH_pool.json)"
-cargo run --release -p libra-bench --bin bench_pool
 
 echo "==> sim-scale smoke (emits BENCH_sim.json, 2x regression gate vs committed baseline)"
 # Scaled-down huge tier (~20k invocations, 100 nodes); fails if wall-clock
@@ -60,5 +62,8 @@ LIBRA_REPS=1 LIBRA_THREADS=4 LIBRA_RESULTS_DIR="$KA_B" \
   cargo run --release -q -p libra-bench --bin exp_keepalive > /dev/null
 cmp "$KA_A/exp_keepalive.csv" "$KA_B/exp_keepalive.csv"
 rm -rf "$KA_A" "$KA_B"
+
+echo "==> non-test Rust lines per crate (scripts/loc.sh)"
+./scripts/loc.sh
 
 echo "verify: all green"

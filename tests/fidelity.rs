@@ -21,7 +21,7 @@
 use libra::core::controlplane::Action;
 use libra::core::keepalive::{HistogramConfig, PolicyKind, WithKeepAlive};
 use libra::core::{LibraConfig, LibraPlatform};
-use libra::live::{run_live, LiveConfig, LiveRequest};
+use libra::live::{run_live, LiveConfig, LiveRecord, LiveRequest};
 use libra::sim::demand::{ConstantDemand, InputMeta, TrueDemand};
 use libra::sim::engine::{SimConfig, SimCtx, Simulation, World};
 use libra::sim::function::FunctionSpec;
@@ -31,6 +31,7 @@ use libra::sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport}
 use libra::sim::resources::ResourceVec;
 use libra::sim::time::{SimDuration, SimTime};
 use libra::sim::trace::Trace;
+use libra::sim::trace_spans::{ExecTrace, SpanKind};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,6 +62,70 @@ fn prediction(p: (u64, u64, u64)) -> Prediction {
         mem_mb: p.1,
         duration: SimDuration::from_millis(p.2),
         path: PredictionPath::Histogram,
+    }
+}
+
+/// The scenario as the simulator takes it: one function per actor (constant
+/// demand, 64 MB floor) and one arrival each.
+fn sim_scenario(actors: &[Actor], arrivals_ms: &[u64]) -> (Vec<FunctionSpec>, Trace) {
+    let funcs = actors
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            FunctionSpec::new(
+                format!("actor-{i}"),
+                ResourceVec::new(a.alloc.0, a.alloc.1),
+                Arc::new(ConstantDemand(TrueDemand {
+                    cpu_peak_millis: a.demand.0,
+                    mem_peak_mb: a.demand.1,
+                    base_duration: SimDuration::from_millis(a.demand.2),
+                })),
+            )
+            .with_mem_floor(64)
+        })
+        .collect();
+    let mut trace = Trace::new();
+    for (i, at) in arrivals_ms.iter().enumerate() {
+        trace.push(SimTime::from_millis(*at), FunctionId(i as u32), InputMeta::new(1, 1));
+    }
+    (funcs, trace)
+}
+
+/// The scenario as the live cluster takes it (one function id: distinct
+/// behaviour comes from the per-request predictions).
+fn live_requests(actors: &[Actor], arrivals_ms: &[u64]) -> Vec<LiveRequest> {
+    actors
+        .iter()
+        .zip(arrivals_ms)
+        .map(|(a, &at_ms)| LiveRequest {
+            at_ms,
+            func: 0,
+            alloc: ResourceVec::new(a.alloc.0, a.alloc.1),
+            demand_cpu_millis: a.demand.0,
+            demand_mem_mb: a.demand.1,
+            mem_floor_mb: 64,
+            work_mcore_ms: a.demand.0 * a.demand.2,
+            pred: Some(prediction(a.pred)),
+        })
+        .collect()
+}
+
+/// The live ledger is the engine's: every invocation's scheduler + exec
+/// spans tile `[submit, completion]` with no gap or overlap, and the record's
+/// `sched_ms`/`latency_ms` are reads of the same cursor.
+fn assert_live_spans_tile(trace: &ExecTrace, records: &[LiveRecord]) {
+    for r in records {
+        let spans = trace.spans_for(r.idx as u64);
+        let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds.first(), Some(&SpanKind::Scheduler), "inv {}: {kinds:?}", r.idx);
+        assert!(kinds[1..].iter().all(|k| *k == SpanKind::Exec), "inv {}: {kinds:?}", r.idx);
+        assert!(kinds.len() >= 2, "inv {} must carry an exec span", r.idx);
+        for w in spans.windows(2) {
+            assert_eq!(w[0].end_us, w[1].start_us, "inv {}: gap or overlap in {spans:?}", r.idx);
+        }
+        let total_us: u64 = spans.iter().map(|s| s.len_us()).sum();
+        assert!((r.latency_ms - total_us as f64 / 1e3).abs() < 1e-3, "inv {}: latency", r.idx);
+        assert!((r.sched_ms - spans[0].len_us() as f64 / 1e3).abs() < 1e-3, "inv {}: sched", r.idx);
     }
 }
 
@@ -125,26 +190,7 @@ fn sim_trace() -> Vec<Action> {
 /// Same, under an explicit keep-alive policy (wrapped via [`WithKeepAlive`],
 /// the same composition the experiment harness uses).
 fn sim_trace_with(policy: PolicyKind) -> Vec<Action> {
-    let funcs: Vec<FunctionSpec> = ACTORS
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            FunctionSpec::new(
-                format!("actor-{i}"),
-                ResourceVec::new(a.alloc.0, a.alloc.1),
-                Arc::new(ConstantDemand(TrueDemand {
-                    cpu_peak_millis: a.demand.0,
-                    mem_peak_mb: a.demand.1,
-                    base_duration: SimDuration::from_millis(a.demand.2),
-                })),
-            )
-            .with_mem_floor(64)
-        })
-        .collect();
-    let mut trace = Trace::new();
-    for (i, at) in ARRIVALS_MS.iter().enumerate() {
-        trace.push(SimTime::from_millis(*at), FunctionId(i as u32), InputMeta::new(1, 1));
-    }
+    let (funcs, trace) = sim_scenario(&ACTORS, &ARRIVALS_MS);
     let sim = Simulation::new(
         funcs,
         vec![ResourceVec::from_cores_mb(16, 16 * 1024)],
@@ -171,20 +217,7 @@ fn live_trace() -> (Vec<Action>, libra::live::LiveResult) {
 /// Same, under an explicit keep-alive policy on the live cluster's
 /// warm-container registry.
 fn live_trace_with(policy: PolicyKind) -> (Vec<Action>, libra::live::LiveResult) {
-    let workload: Vec<LiveRequest> = ACTORS
-        .iter()
-        .zip(ARRIVALS_MS)
-        .map(|(a, at_ms)| LiveRequest {
-            at_ms,
-            func: 0, // distinct funcs come from per-request predictions below
-            alloc: ResourceVec::new(a.alloc.0, a.alloc.1),
-            demand_cpu_millis: a.demand.0,
-            demand_mem_mb: a.demand.1,
-            mem_floor_mb: 64,
-            work_mcore_ms: a.demand.0 * a.demand.2,
-            pred: Some(prediction(a.pred)),
-        })
-        .collect();
+    let workload = live_requests(&ACTORS, &ARRIVALS_MS);
     let cfg = LiveConfig {
         nodes: 1,
         capacity: ResourceVec::from_cores_mb(16, 16 * 1024),
@@ -390,29 +423,8 @@ fn histogram_policy_keeps_substrates_in_lockstep() {
 fn execution_trace_critical_paths_agree_across_substrates() {
     use libra::gateway::server::{Gateway, GatewayConfig};
     use libra::gateway::tenant::TenantQuota;
-    use libra::sim::trace_spans::{ExecTrace, SpanKind};
-
     // Simulator, tracing on.
-    let funcs: Vec<FunctionSpec> = ACTORS
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            FunctionSpec::new(
-                format!("actor-{i}"),
-                ResourceVec::new(a.alloc.0, a.alloc.1),
-                Arc::new(ConstantDemand(TrueDemand {
-                    cpu_peak_millis: a.demand.0,
-                    mem_peak_mb: a.demand.1,
-                    base_duration: SimDuration::from_millis(a.demand.2),
-                })),
-            )
-            .with_mem_floor(64)
-        })
-        .collect();
-    let mut trace = Trace::new();
-    for (i, at) in ARRIVALS_MS.iter().enumerate() {
-        trace.push(SimTime::from_millis(*at), FunctionId(i as u32), InputMeta::new(1, 1));
-    }
+    let (funcs, trace) = sim_scenario(&ACTORS, &ARRIVALS_MS);
     let sim = Simulation::new(
         funcs,
         vec![ResourceVec::from_cores_mb(16, 16 * 1024)],
@@ -430,20 +442,7 @@ fn execution_trace_critical_paths_agree_across_substrates() {
     assert!(!sim_result.summary.span_stats.is_empty(), "traced runs publish span stats");
 
     // Live threaded runtime, tracing on.
-    let workload: Vec<LiveRequest> = ACTORS
-        .iter()
-        .zip(ARRIVALS_MS)
-        .map(|(a, at_ms)| LiveRequest {
-            at_ms,
-            func: 0,
-            alloc: ResourceVec::new(a.alloc.0, a.alloc.1),
-            demand_cpu_millis: a.demand.0,
-            demand_mem_mb: a.demand.1,
-            mem_floor_mb: 64,
-            work_mcore_ms: a.demand.0 * a.demand.2,
-            pred: Some(prediction(a.pred)),
-        })
-        .collect();
+    let workload = live_requests(&ACTORS, &ARRIVALS_MS);
     let live_cfg = LiveConfig {
         nodes: 1,
         capacity: ResourceVec::from_cores_mb(16, 16 * 1024),
@@ -456,6 +455,7 @@ fn execution_trace_critical_paths_agree_across_substrates() {
     };
     let live_result = run_live(&workload, &live_cfg);
     let live_spans = live_result.trace.expect("live tracing enabled");
+    assert_live_spans_tile(&live_spans, &live_result.records);
 
     // Gateway over loopback, tracing on; also probe the /trace endpoint.
     let gw = Gateway::start(GatewayConfig {
@@ -571,4 +571,79 @@ fn execution_trace_critical_paths_agree_across_substrates() {
     assert!(!sim_spans.loans.is_empty(), "scenario must exercise loans");
     assert_eq!(loan_keys(&sim_spans), loan_keys(&live_spans), "sim/live loan spans diverged");
     assert_eq!(loan_keys(&live_spans), loan_keys(&gw_spans), "live/gateway loan spans diverged");
+}
+
+/// A loan outlives a partial trim on both substrates. The borrower's
+/// prediction (4000 m) overshoots its true CPU (2000 m) on a 1000 m
+/// allocation: it borrows 3000 m from the donor at start, the first usage
+/// observation trims 1334 m of it (`keep = busy + busy/3`), and the remaining
+/// 1666 m stays on loan until the borrower completes. The loan's span must
+/// therefore run from the borrower's start to its completion and end as
+/// `borrower_completed` with the remaining volume — not end at the trim as
+/// `returned` with the lend-time volume — identically in sim and live.
+#[test]
+fn trimmed_loan_span_stays_open_until_the_loan_is_gone() {
+    const PAIR: [Actor; 2] = [
+        Actor { alloc: (8_000, 4_096), demand: (2_000, 1_024, 3_000), pred: (2_000, 2_048, 3_000) },
+        Actor { alloc: (1_000, 512), demand: (2_000, 256, 600), pred: (4_000, 512, 600) },
+    ];
+    const PAIR_ARRIVALS_MS: [u64; 2] = [0, 100];
+
+    let (funcs, trace) = sim_scenario(&PAIR, &PAIR_ARRIVALS_MS);
+    let sim = Simulation::new(
+        funcs,
+        vec![ResourceVec::from_cores_mb(16, 16 * 1024)],
+        SimConfig { shards: 1, trace_spans: true, ..SimConfig::default() },
+    );
+    let mut platform = FixedPredPlatform {
+        inner: LibraPlatform::new(LibraConfig::libra()),
+        preds: PAIR.iter().map(|a| prediction(a.pred)).collect(),
+    };
+    platform.inner.enable_action_trace();
+    let sim_result = sim.run(&trace, &mut platform);
+    assert_eq!(sim_result.records.len(), 2);
+    let sim_spans = sim_result.trace.expect("sim tracing enabled");
+
+    let live_cfg = LiveConfig {
+        nodes: 1,
+        capacity: ResourceVec::from_cores_mb(16, 16 * 1024),
+        shards: 1,
+        harvesting: true,
+        quantum: Duration::from_millis(1),
+        time_scale: 4.0,
+        record_trace: true,
+        trace_spans: true,
+        ..LiveConfig::default()
+    };
+    let live_result = run_live(&live_requests(&PAIR, &PAIR_ARRIVALS_MS), &live_cfg);
+    assert_eq!(live_result.records.len(), 2);
+    let live_spans = live_result.trace.expect("live tracing enabled");
+    assert_live_spans_tile(&live_spans, &live_result.records);
+
+    // Both control planes took the same decisions, the partial trim included.
+    let trim = Action::Return {
+        borrower: InvocationId(1),
+        source: InvocationId(0),
+        vol: ResourceVec::new(1_334, 0),
+    };
+    let sim_actions = platform.inner.core().action_trace().to_vec();
+    for inv in 0..2u32 {
+        assert_eq!(project(&sim_actions, inv), project(&live_result.actions_by_node[0], inv));
+    }
+    assert!(sim_actions.contains(&trim), "scenario must exercise a partial trim: {sim_actions:#?}");
+
+    for (name, t) in [("sim", &sim_spans), ("live", &live_spans)] {
+        let [loan] = t.loans[..] else {
+            panic!("{name}: exactly one loan span, got {:?}", t.loans)
+        };
+        assert_eq!((loan.source, loan.borrower), (0, 1), "{name}");
+        assert_eq!((loan.cpu_millis, loan.mem_mb), (1_666, 0), "{name}: remaining volume");
+        assert_eq!(loan.outcome.label(), "borrower_completed", "{name}");
+        // Endpoints: the loan lives exactly as long as the borrower executes
+        // (to the live driver's millisecond event clock plus lock hand-over).
+        let exec: Vec<_> = t.spans_for(1).iter().filter(|s| s.kind == SpanKind::Exec).collect();
+        let [exec] = exec[..] else { panic!("{name}: one exec segment, got {exec:?}") };
+        assert!(loan.start_us.abs_diff(exec.start_us) <= 20_000, "{name}: {loan:?} vs {exec:?}");
+        assert!(loan.end_us.abs_diff(exec.end_us) <= 20_000, "{name}: {loan:?} vs {exec:?}");
+    }
 }
