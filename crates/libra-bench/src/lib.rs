@@ -138,11 +138,15 @@ pub fn mean_of(values: &[f64]) -> f64 {
 /// Worker-thread count for the parallel sweep runner: `LIBRA_THREADS` env,
 /// else the machine's available parallelism.
 pub fn threads() -> usize {
-    std::env::var("LIBRA_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    let default = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    knob(std::env::var("LIBRA_THREADS").ok().as_deref(), |&n| n > 0, default)
+}
+
+/// An environment knob's value: `raw` parsed as `T` if it parses and is
+/// `valid`, else `default`. Pure (takes the raw string, not the variable
+/// name) so tests need no `set_var`, which races the parallel test runner.
+fn knob<T: std::str::FromStr>(raw: Option<&str>, valid: impl Fn(&T) -> bool, default: T) -> T {
+    raw.and_then(|v| v.trim().parse().ok()).filter(valid).unwrap_or(default)
 }
 
 /// Configure the global rayon pool once per process from [`threads`].
@@ -223,20 +227,37 @@ pub fn compare(label: &str, paper: &str, measured: String) {
     println!("{label:<44} paper: {paper:<22} measured: {measured}");
 }
 
-/// Environment-tunable repetition count (default 3; the paper used 5).
+/// Environment-tunable repetition count (default 3; the paper used 5). Zero
+/// is rejected: every figure indexes its last repetition.
 pub fn repetitions() -> u64 {
-    std::env::var("LIBRA_REPS").ok().and_then(|v| v.parse().ok()).unwrap_or(3)
+    knob(std::env::var("LIBRA_REPS").ok().as_deref(), |&n| n > 0, 3)
 }
 
 /// Environment-tunable scale factor for heavyweight experiments (1.0 = paper
-/// scale). Smoke tests set it below 1.
+/// scale). Smoke tests set it below 1. Must be positive and finite.
 pub fn scale() -> f64 {
-    std::env::var("LIBRA_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(1.0)
+    knob(std::env::var("LIBRA_SCALE").ok().as_deref(), |x| x.is_finite() && *x > 0.0, 1.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn knobs_reject_non_positive_and_non_finite_values() {
+        let reps = |raw| knob(raw, |&n: &u64| n > 0, 3);
+        assert_eq!(reps(None), 3);
+        assert_eq!(reps(Some("5")), 5);
+        assert_eq!(reps(Some(" 1\n")), 1);
+        for bad in ["0", "-2", "1.5", "", "many"] {
+            assert_eq!(reps(Some(bad)), 3, "LIBRA_REPS={bad:?}");
+        }
+        let scale = |raw| knob(raw, |x: &f64| x.is_finite() && *x > 0.0, 1.0);
+        assert_eq!(scale(Some("0.25")), 0.25);
+        for bad in ["0", "-1", "NaN", "inf", "-inf", "x"] {
+            assert_eq!(scale(Some(bad)), 1.0, "LIBRA_SCALE={bad:?}");
+        }
+    }
 
     #[test]
     fn platform_kinds_build() {

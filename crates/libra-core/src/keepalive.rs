@@ -30,7 +30,7 @@
 
 use crate::controlplane::ControlPlane;
 use libra_ml::histogram::StreamingHistogram;
-use libra_sim::engine::{SimCtx, World};
+use libra_sim::engine::{SimCtx, World, KEEPALIVE};
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
 use libra_sim::invocation::{Actuals, Loan, Prediction};
 use libra_sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
@@ -73,7 +73,7 @@ pub trait KeepAlivePolicy: Send {
 
 /// OpenWhisk's fixed keep-alive window: every idle container survives
 /// exactly `ttl` past its last use. Stateless and byte-identical to the
-/// pre-policy engine when `ttl` matches `SimConfig::keepalive`.
+/// pre-policy engine when `ttl` is the engine's [`KEEPALIVE`] window.
 #[derive(Clone, Copy, Debug)]
 pub struct FixedTtl {
     /// Idle lifetime of a warm container.
@@ -81,9 +81,10 @@ pub struct FixedTtl {
 }
 
 impl FixedTtl {
-    /// The classic 60 s window (OpenWhisk default; the repo's seed value).
+    /// The classic 60 s window (OpenWhisk default): the same [`KEEPALIVE`]
+    /// constant the engine's default `Platform::warm_keep` answers with.
     pub fn standard() -> Self {
-        FixedTtl { ttl: SimDuration::from_secs(60) }
+        FixedTtl { ttl: KEEPALIVE }
     }
 }
 
@@ -356,7 +357,7 @@ pub enum PolicyKind {
 
 impl Default for PolicyKind {
     fn default() -> Self {
-        PolicyKind::FixedTtl(SimDuration::from_secs(60))
+        PolicyKind::FixedTtl(KEEPALIVE)
     }
 }
 

@@ -17,8 +17,8 @@
 //! * [`scheduler`] — §6.3: accelerable/non-accelerable classification,
 //!   hashing and coverage-greedy node selection, pluggable
 //!   [`scheduler::NodeSelector`],
-//! * [`sharding`] — §6.4: a native multi-threaded decentralized sharded
-//!   scheduler (used to measure real sub-millisecond decision latency),
+//! * [`sharding`] — §6.4: the native decentralized sharded scheduler, one lock
+//!   per shard around the simulator's slice books (times its own decisions),
 //! * [`controlplane`] — the substrate-agnostic policy core: a pure,
 //!   clock-free state machine over the loan ledger + pools + safeguard that
 //!   consumes admission/observation/completion events and emits explicit

@@ -1,27 +1,31 @@
-//! A native, multi-threaded decentralized sharding scheduler (§6.4).
+//! The decentralized sharding scheduler (§6.4), natively.
 //!
-//! The simulator models scheduler shards as queueing servers; this module is
-//! the *real thing*: N scheduler threads, each owning an even slice of every
-//! node's capacity plus its own copy of the piggybacked pool snapshots —
-//! **no shared mutable state, no locks between shards** (the paper's core
-//! scalability argument: "schedulers no longer need to share any data for
-//! synchronization"). Communication is message passing over crossbeam
-//! channels, so the design is data-race-free by construction.
+//! The simulator models scheduler shards as queueing servers over each
+//! [`libra_sim::node::Node`]'s per-shard [`Slice`]s; this is the same thing
+//! for real threads. Each of the N shards owns an even slice of every node's
+//! capacity — the very cell type the simulator uses, so both substrates admit
+//! and refuse by one arithmetic — plus its own copy of the piggybacked pool
+//! snapshots, behind that shard's lock. **Shards share nothing with each
+//! other** (the paper's core scalability argument: "schedulers no longer need
+//! to share any data for synchronization"): every operation locks one shard,
+//! mutates its books and returns, so a shard's books have one write path and
+//! callers of different shards never contend.
 //!
-//! It exists to measure what the paper measures in Fig 12(c): the real
-//! wall-clock scheduling overhead per decision (pick-up → node selected),
-//! which must stay under a millisecond even at 50 nodes. The Criterion bench
-//! `sched_decision` and the `exp_fig12_scaling` binary drive it.
+//! It also measures what the paper measures in Fig 12(c): the wall-clock
+//! scheduling overhead per decision (pick-up → node selected), which must
+//! stay under a millisecond even at 50 nodes. `exp_fig12` drives it with a
+//! wall clock; `benchmarks/perf` times whole calls as
+//! `sharding.schedule_on_us`.
 
 use crate::clock::{Clock, NullClock};
 use crate::coverage::demand_coverage;
 use crate::pool::PoolSnapshot;
-use crossbeam::channel::{bounded, unbounded, Sender};
+use libra_sim::node::Slice;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A scheduling request, as the front end would deliver it.
@@ -49,52 +53,27 @@ pub struct Decision {
     pub latency: Duration,
 }
 
-enum Job {
-    Schedule(ScheduleRequest, Sender<Decision>),
-    /// Release a previous reservation (invocation completed).
-    Release {
-        node: u32,
-        res: ResourceVec,
-    },
-    /// Try to re-commit previously released (harvested) capacity on a
-    /// specific node — e.g. when pooled idle volume is lent out. Replies
-    /// whether the slice still had room.
-    Charge {
-        node: u32,
-        res: ResourceVec,
-        reply: Sender<bool>,
-    },
-    /// Refresh a node's pool snapshot (the health-ping piggyback).
-    Snapshot {
-        node: u32,
-        snap: PoolSnapshot,
-    },
-    Stop,
-}
-
+/// One shard's books: its slice of every node, its view of every node's
+/// harvest pool, and whether it is currently up.
 struct ShardState {
-    free: Vec<ResourceVec>,
+    slices: Vec<Slice>,
     snapshots: Vec<PoolSnapshot>,
     alpha: f64,
+    alive: bool,
 }
 
 impl ShardState {
-    fn decide(&mut self, req: &ScheduleRequest) -> Option<u32> {
-        let n = self.free.len();
-        if req.extra.is_zero() {
+    fn decide(&self, req: &ScheduleRequest) -> Option<u32> {
+        let n = self.slices.len();
+        let fits = |i: usize| req.nominal.fits_within(&self.slices[i].free());
+        let pick = if req.extra.is_zero() {
             // Non-accelerable: hash home + linear probe.
             let home = (hash(req.func) % n as u64) as usize;
-            (0..n)
-                .map(|k| (home + k) % n)
-                .find(|&i| req.nominal.fits_within(&self.free[i]))
-                .map(|i| i as u32)
+            (0..n).map(|k| (home + k) % n).find(|&i| fits(i))
         } else {
             // Accelerable: greedy max weighted demand coverage.
             let mut best: Option<(f64, usize)> = None;
-            for i in 0..n {
-                if !req.nominal.fits_within(&self.free[i]) {
-                    continue;
-                }
+            for i in (0..n).filter(|&i| fits(i)) {
                 let c = demand_coverage(
                     &self.snapshots[i],
                     req.extra,
@@ -106,8 +85,9 @@ impl ShardState {
                     best = Some((c, i));
                 }
             }
-            best.map(|(_, i)| i as u32)
-        }
+            best.map(|(_, i)| i)
+        };
+        pick.and_then(|i| u32::try_from(i).ok())
     }
 }
 
@@ -117,36 +97,28 @@ fn hash(f: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One shard: its inbox, its slice state (shared with the worker thread so
-/// a respawn resumes from the same ledger), and the worker's join handle.
-struct ShardSlot {
-    tx: Mutex<Sender<Job>>,
-    state: Arc<Mutex<ShardState>>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// Handle to a running fleet of scheduler shards.
+/// A fleet of scheduler shards.
 ///
 /// Shards can be [`kill`](ShardedScheduler::kill)ed and
-/// [`respawn`](ShardedScheduler::respawn)ed at runtime (fault injection).
-/// Every client-facing call degrades instead of panicking when its shard is
-/// down: `schedule_on` answers `node: None` (the caller retries, exactly
-/// like an unplaceable request), `try_charge` answers `false` (the loan is
-/// skipped), and `release` applies directly to the shared slice ledger so
-/// freed capacity is never lost.
+/// [`respawn`](ShardedScheduler::respawn)ed at runtime (fault injection). A
+/// dead shard keeps its books and degrades instead of panicking:
+/// `schedule_on` answers `node: None` (the caller retries, exactly like an
+/// unplaceable request), `try_charge` answers `false` (the loan is skipped),
+/// while `release` and `force_charge` still land — capacity that running
+/// invocations give back or are restored to is never lost to a crash.
 pub struct ShardedScheduler {
-    slots: Vec<ShardSlot>,
-    next: std::sync::atomic::AtomicUsize,
+    shards: Vec<Mutex<ShardState>>,
+    next: AtomicUsize,
     clock: Arc<dyn Clock>,
 }
 
 impl ShardedScheduler {
-    /// Spawn `shards` scheduler threads over `nodes` nodes of `capacity`
-    /// each. Each shard owns `capacity / shards` of every node. Decision
-    /// latency is measured against [`NullClock`] (always zero) — the
-    /// deterministic default; harnesses that want the real Fig 12(c) numbers
-    /// use [`spawn_with_clock`](ShardedScheduler::spawn_with_clock) with a
-    /// wall clock.
+    /// Start `shards` schedulers over `nodes` nodes of `capacity` each. Each
+    /// shard owns `capacity / shards` of every node. Decision latency is
+    /// measured against [`NullClock`] (always zero) — the deterministic
+    /// default; harnesses that want the real Fig 12(c) numbers use
+    /// [`spawn_with_clock`](ShardedScheduler::spawn_with_clock) with a wall
+    /// clock.
     pub fn spawn(shards: usize, nodes: usize, capacity: ResourceVec, alpha: f64) -> Self {
         Self::spawn_with_clock(shards, nodes, capacity, alpha, Arc::new(NullClock))
     }
@@ -160,165 +132,103 @@ impl ShardedScheduler {
         clock: Arc<dyn Clock>,
     ) -> Self {
         assert!(shards > 0 && nodes > 0);
-        let slice = capacity.div(shards as u64);
-        let mut slots = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let state = Arc::new(Mutex::new(ShardState {
-                free: vec![slice; nodes],
-                snapshots: vec![PoolSnapshot::new(); nodes],
-                alpha,
-            }));
-            let (tx, handle) = Self::spawn_thread(Arc::clone(&state), Arc::clone(&clock));
-            slots.push(ShardSlot { tx: Mutex::new(tx), state, handle: Mutex::new(Some(handle)) });
+        let state = || ShardState {
+            slices: vec![Slice::new(capacity.div(shards as u64)); nodes],
+            snapshots: vec![PoolSnapshot::new(); nodes],
+            alpha,
+            alive: true,
+        };
+        ShardedScheduler {
+            shards: (0..shards).map(|_| Mutex::new(state())).collect(),
+            next: AtomicUsize::new(0),
+            clock,
         }
-        ShardedScheduler { slots, next: std::sync::atomic::AtomicUsize::new(0), clock }
-    }
-
-    fn spawn_thread(
-        state: Arc<Mutex<ShardState>>,
-        clock: Arc<dyn Clock>,
-    ) -> (Sender<Job>, JoinHandle<()>) {
-        let (tx, rx) = unbounded::<Job>();
-        let handle = std::thread::spawn(move || {
-            while let Ok(job) = rx.recv() {
-                match job {
-                    Job::Schedule(req, reply) => {
-                        let t0 = clock.now_micros();
-                        let mut state = state.lock();
-                        let node = state.decide(&req);
-                        if let Some(i) = node {
-                            state.free[i as usize] -= req.nominal;
-                        }
-                        drop(state);
-                        let latency = Duration::from_micros(clock.now_micros().saturating_sub(t0));
-                        let _ = reply.send(Decision { node, latency });
-                    }
-                    Job::Release { node, res } => {
-                        state.lock().free[node as usize] += res;
-                    }
-                    Job::Charge { node, res, reply } => {
-                        let mut state = state.lock();
-                        let ok = res.fits_within(&state.free[node as usize]);
-                        if ok {
-                            state.free[node as usize] -= res;
-                        }
-                        drop(state);
-                        let _ = reply.send(ok);
-                    }
-                    Job::Snapshot { node, snap } => {
-                        state.lock().snapshots[node as usize] = snap;
-                    }
-                    Job::Stop => break,
-                }
-            }
-        });
-        (tx, handle)
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.slots.len()
+        self.shards.len()
     }
 
-    /// Whether `shard`'s worker thread is currently running.
+    /// Whether `shard` is currently up.
     pub fn is_alive(&self, shard: usize) -> bool {
-        self.slots[shard].handle.lock().is_some()
+        self.shards[shard].lock().alive
     }
 
-    /// Kill `shard`: its inbox is replaced with a disconnected sender, the
-    /// worker drains already-queued jobs and exits, and every later send
-    /// fails fast. The slice ledger survives in shared state for
-    /// [`respawn`](ShardedScheduler::respawn). Idempotent.
+    /// Kill `shard`: it stops admitting and charging until
+    /// [`respawn`](ShardedScheduler::respawn); its books survive. Idempotent.
     pub fn kill(&self, shard: usize) {
-        let dead = {
-            let (tx, _rx) = unbounded::<Job>();
-            tx // receiver dropped here: all sends on this inbox fail
-        };
-        let old = std::mem::replace(&mut *self.slots[shard].tx.lock(), dead);
-        drop(old); // last live sender gone → worker's recv loop ends
-        if let Some(h) = self.slots[shard].handle.lock().take() {
-            let _ = h.join();
-        }
+        self.shards[shard].lock().alive = false;
     }
 
-    /// Restart a killed shard over its preserved slice ledger. No-op if the
+    /// Bring a killed shard back over its preserved books. No-op if the
     /// shard is alive.
     pub fn respawn(&self, shard: usize) {
-        let slot = &self.slots[shard];
-        let mut handle = slot.handle.lock();
-        if handle.is_some() {
-            return;
-        }
-        let (tx, h) = Self::spawn_thread(Arc::clone(&slot.state), Arc::clone(&self.clock));
-        *slot.tx.lock() = tx;
-        *handle = Some(h);
+        self.shards[shard].lock().alive = true;
     }
 
-    /// Schedule a request on the next shard (front-end round robin), blocking
-    /// for the decision.
+    /// Schedule a request on the next shard (front-end round robin).
     pub fn schedule(&self, req: ScheduleRequest) -> Decision {
-        let s = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed) % self.slots.len();
+        let s = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.schedule_on(s, req)
     }
 
-    /// Schedule on a specific shard. A dead shard answers `node: None`, the
-    /// same signal as "no capacity" — callers retry either way.
+    /// Schedule on a specific shard, reserving the nominal allocation on the
+    /// selected node. A dead shard answers `node: None`, the same signal as
+    /// "no capacity" — callers retry either way. The latency clock starts at
+    /// pick-up (lock held), so it times the decision, not the wait for it.
     pub fn schedule_on(&self, shard: usize, req: ScheduleRequest) -> Decision {
-        let unavailable = Decision { node: None, latency: Duration::ZERO };
-        let (tx, rx) = bounded(1);
-        if self.slots[shard].tx.lock().send(Job::Schedule(req, tx)).is_err() {
-            return unavailable;
+        let mut state = self.shards[shard].lock();
+        if !state.alive {
+            return Decision { node: None, latency: Duration::ZERO };
         }
-        rx.recv().unwrap_or(unavailable)
+        let t0 = self.clock.now_micros();
+        let node =
+            state.decide(&req).filter(|&i| state.slices[i as usize].try_reserve(req.nominal));
+        drop(state);
+        let latency = Duration::from_micros(self.clock.now_micros().saturating_sub(t0));
+        Decision { node, latency }
     }
 
-    /// Release a reservation previously granted by `shard`. If the shard is
-    /// down, the release is applied directly to the shared slice ledger —
-    /// freed capacity must never be lost to a crash.
+    /// Release a reservation previously granted by `shard` (dead or alive).
     pub fn release(&self, shard: usize, node: u32, res: ResourceVec) {
-        if self.slots[shard].tx.lock().send(Job::Release { node, res }).is_err() {
-            self.slots[shard].state.lock().free[node as usize] += res;
-        }
+        self.shards[shard].lock().slices[node as usize].release(res);
     }
 
     /// Try to re-commit `res` on `node` within `shard`'s slice (used when
-    /// pooled idle capacity is lent out — lending re-commits it). Blocks for
-    /// the answer; `false` means admissions already consumed the room (or
-    /// the shard is down — the conservative answer).
+    /// pooled idle capacity is lent out — lending re-commits it). `false`
+    /// means admissions already consumed the room, or the shard is down —
+    /// the conservative answer.
     pub fn try_charge(&self, shard: usize, node: u32, res: ResourceVec) -> bool {
-        let (tx, rx) = bounded(1);
-        if self.slots[shard].tx.lock().send(Job::Charge { node, res, reply: tx }).is_err() {
-            return false;
-        }
-        rx.recv().unwrap_or(false)
+        let mut state = self.shards[shard].lock();
+        state.alive && state.slices[node as usize].try_reserve(res)
     }
 
-    /// A snapshot of `shard`'s free slice per node, read directly from the
-    /// shared slice ledger (works even while the shard is down). Diagnostic:
-    /// quiescence checks assert the slices return to `capacity / shards`
-    /// after a graceful drain.
+    /// Re-commit `res` on `node` within `shard`'s slice unconditionally —
+    /// the live twin of the simulator's `Node::force_reserve`: a safeguard
+    /// release or OOM restart must restore the nominal grant even when
+    /// admissions already consumed the freed capacity. The slice may end up
+    /// over-reserved; it then admits nothing until releases bring it back
+    /// under its capacity.
+    pub fn force_charge(&self, shard: usize, node: u32, res: ResourceVec) {
+        self.shards[shard].lock().slices[node as usize].force_reserve(res);
+    }
+
+    /// A snapshot of `shard`'s free slice per node (works even while the
+    /// shard is down). Diagnostic: quiescence checks assert the slices
+    /// return to `capacity / shards` after a graceful drain.
     pub fn slice_free(&self, shard: usize) -> Option<Vec<ResourceVec>> {
-        self.slots.get(shard).map(|s| s.state.lock().free.clone())
+        self.shards.get(shard).map(|s| s.lock().slices.iter().map(Slice::free).collect())
     }
 
     /// Push a fresh pool snapshot for `node` to every shard (the broadcast
     /// health ping). Dead shards miss the update — their view goes stale,
     /// like a real partitioned scheduler.
     pub fn push_snapshot(&self, node: u32, snap: &PoolSnapshot) {
-        for slot in &self.slots {
-            let _ = slot.tx.lock().send(Job::Snapshot { node, snap: snap.clone() });
-        }
-    }
-}
-
-impl Drop for ShardedScheduler {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            let _ = slot.tx.lock().send(Job::Stop);
-        }
-        for slot in &self.slots {
-            if let Some(h) = slot.handle.lock().take() {
-                let _ = h.join();
+        for shard in &self.shards {
+            let mut state = shard.lock();
+            if state.alive {
+                state.snapshots[node as usize] = snap.clone();
             }
         }
     }
@@ -363,17 +273,32 @@ mod tests {
         assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
         assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "slice full");
         sched.release(0, 0, ResourceVec::from_cores_mb(2, 512));
-        // Releases are async; nudge with retries.
-        let mut ok = false;
-        for _ in 0..100 {
-            if sched.schedule_on(0, req(0, 0)).node.is_some() {
-                ok = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-            sched.release(0, 0, ResourceVec::ZERO); // fence-ish: ordered channel
-        }
-        assert!(ok, "released capacity must become schedulable again");
+        assert!(
+            sched.schedule_on(0, req(0, 0)).node.is_some(),
+            "released capacity must be schedulable by the very next call"
+        );
+    }
+
+    #[test]
+    fn forced_restore_blocks_admission_until_released() {
+        // One shard, one node, 4-core / 4 GB slice holding one 2-core
+        // admission; a forced restore of 3 cores over-reserves the CPU side.
+        let sched = ShardedScheduler::spawn(1, 1, ResourceVec::from_cores_mb(4, 4096), 0.9);
+        assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
+        let restored = ResourceVec::from_cores_mb(3, 1024);
+        sched.force_charge(0, 0, restored);
+        assert_eq!(sched.slice_free(0).unwrap()[0].cpu_millis, 0, "free saturates at zero");
+        assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "no admission beside the debt");
+        assert!(!sched.try_charge(0, 0, ResourceVec::new(100, 0)), "no lending beside it either");
+        // Giving back exactly the overshoot (1 core) frees nothing yet ...
+        sched.release(0, 0, ResourceVec::from_cores_mb(1, 0));
+        assert!(!sched.try_charge(0, 0, ResourceVec::new(100, 0)));
+        // ... releasing the restore itself brings the slice back under.
+        sched.release(0, 0, ResourceVec::from_cores_mb(2, 1024));
+        assert!(sched.try_charge(0, 0, ResourceVec::new(100, 0)));
+        assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "1.9 cores left");
+        sched.release(0, 0, ResourceVec::new(100, 0));
+        assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
     }
 
     #[test]
@@ -385,8 +310,6 @@ mod tests {
             expiry: SimTime::from_secs(100),
         }];
         sched.push_snapshot(2, &snap);
-        // Snapshot delivery is ordered per channel; the subsequent schedule
-        // on the same shard sees it.
         let d = sched.schedule_on(0, req(3, 2_000));
         assert_eq!(d.node, Some(2), "accelerable request must chase the harvested pool");
     }
@@ -419,7 +342,7 @@ mod tests {
         assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
         sched.kill(0);
         // The completion path releases while the shard is down; the capacity
-        // must land in the shared ledger, not vanish with the dead inbox.
+        // must land in the dead shard's books.
         sched.release(0, 0, ResourceVec::from_cores_mb(2, 512));
         sched.respawn(0);
         assert!(

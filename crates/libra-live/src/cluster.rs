@@ -3,16 +3,19 @@
 //! `parking_lot` mutexes, one OS thread runs each invocation, and every
 //! quantum the invocation thread itself settles its progress, reports a
 //! cgroups-style usage observation to the control plane and replays the
-//! emitted [`Action`]s against the sharded scheduler's real admission ledger.
+//! emitted [`Action`]s against the sharded scheduler's slice books.
 //!
 //! The policy — harvesting (CPU *and* memory), lending, usage-guided
 //! trimming, the safeguard's preemptive release (§5.2), the OOM rule (§5.1)
 //! and the timeliness law (§3.1) — is the very same [`ControlPlane`] state
 //! machine the deterministic simulator drives, so the two substrates produce
 //! comparable action traces (see the cross-substrate fidelity test). This
-//! crate only supplies the physics: real clocks, real locks, real
-//! message-passing admission, plus a watchdog that turns a wedged run into a
+//! crate only supplies the physics: real clocks, real locks, admission
+//! against per-shard slice books (the simulator's own [`Slice`] cell, one
+//! lock per shard), plus a watchdog that turns a wedged run into a
 //! diagnostic panic instead of a hung CI job.
+//!
+//! [`Slice`]: libra_sim::node::Slice
 //!
 //! Two driver surfaces exist over the same machinery:
 //!
@@ -26,7 +29,6 @@
 //!   (`on_abort` + charge release) so no harvest loan or scheduler-slice
 //!   charge is ever stranded by shutdown.
 
-use crate::accounting::{charge_forced, release_charge};
 use crate::workload::LiveRequest;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use libra_core::controlplane::{
@@ -95,7 +97,7 @@ pub struct LiveConfig {
 
 /// Live fault injection: a driver thread repeatedly kills a (seeded-random)
 /// scheduler shard, holds it down, then respawns it. Admission, charging and
-/// release paths must all survive the dead inbox (see
+/// release paths must all survive the dead shard (see
 /// [`ShardedScheduler::kill`]).
 #[derive(Clone, Debug)]
 pub struct LiveChaos {
@@ -147,11 +149,6 @@ struct NodeInner {
     /// The shared policy core, instantiated per node (its `NodeId(0)`).
     core: ControlPlane,
     exec: HashMap<u32, ExecState>,
-    /// Per-shard forced-restore debt: safeguard releases and OOM restarts
-    /// re-commit capacity unconditionally (like the simulator's forced
-    /// reserve), so when the shard slice cannot cover the charge it is
-    /// tracked here and repaid by the next releases on that shard.
-    overdraft: Vec<ResourceVec>,
     /// Idle warm containers: the registry the simulator's nodes hold, with
     /// every deadline stamped by the keep-alive policy below.
     warm: WarmPool,
@@ -176,25 +173,22 @@ struct NodeShared {
     inner: Mutex<NodeInner>,
 }
 
-/// Give `vol` of the charge `inv` holds back to its shard's slice (repaying
-/// that shard's overdraft first); a no-op once `inv`'s exec state is gone.
+/// Give `vol` of the charge `inv` holds back to its shard's slice; a no-op
+/// once `inv`'s exec state is gone.
 fn release_for(
     exec: &HashMap<u32, ExecState>,
-    overdraft: &mut [ResourceVec],
     sched: &ShardedScheduler,
     node: u32,
     inv: InvocationId,
     vol: ResourceVec,
 ) {
     if let Some(st) = exec.get(&inv.0) {
-        if let Some(over) = overdraft.get_mut(st.shard) {
-            release_charge(over, sched, st.shard, node, vol);
-        }
+        sched.release(st.shard, node, vol);
     }
 }
 
 /// Replay control-plane actions against the live substrate: the sharded
-/// scheduler's admission ledger and the per-invocation exec states.
+/// scheduler's slice books and the per-invocation exec states.
 ///
 /// `unwinding` names the invocation whose *whole* charge the caller releases
 /// in one shot after the event (the completion/abort paths): revocations
@@ -208,7 +202,7 @@ fn apply_actions(
     unwinding: Option<InvocationId>,
     sink: Option<&Mutex<SpanSink>>,
 ) {
-    let NodeInner { core, exec, overdraft, open_loans, .. } = inner;
+    let NodeInner { core, exec, open_loans, .. } = inner;
     for &a in actions {
         // Loan lifetimes: a span closes, with the volume and outcome of the
         // action that ended it, once the control plane no longer holds the
@@ -249,7 +243,7 @@ fn apply_actions(
             Action::Admitted { .. } => {}
             // Harvest: the freed volume leaves the committed charge.
             Action::SetGrant { inv, freed, .. } => {
-                release_for(exec, overdraft, sched, node, inv, freed);
+                release_for(exec, sched, node, inv, freed);
             }
             // Lending re-commits pooled idle volume: admissions may have
             // consumed it, so charge the source's slice first and report the
@@ -259,8 +253,7 @@ fn apply_actions(
                     core.lend_failed(source, borrower, vol, LendFailure::SourceGone, now);
                     continue;
                 };
-                let src_shard = src.shard;
-                if sched.try_charge(src_shard, node, vol) {
+                if sched.try_charge(src.shard, node, vol) {
                     if let Some(b) = exec.get_mut(&borrower.0) {
                         b.accelerated = true;
                     }
@@ -275,7 +268,7 @@ fn apply_actions(
             }
             // Trimmed volume goes back to uncommitted idle.
             Action::Return { source, vol, .. } => {
-                release_for(exec, overdraft, sched, node, source, vol);
+                release_for(exec, sched, node, source, vol);
             }
             Action::Revoke { source, vol, reason, .. } => {
                 let source_unwinds = match reason {
@@ -293,18 +286,17 @@ fn apply_actions(
                     LoanEnd::Crashed => unwinding == Some(source),
                 };
                 if !source_unwinds {
-                    release_for(exec, overdraft, sched, node, source, vol);
+                    release_for(exec, sched, node, source, vol);
                 }
             }
             // Safeguard (§5.2): the grant is already back at nominal in the
-            // ledger; force the substrate charge to match.
+            // ledger; force the substrate charge to match, even if admissions
+            // already consumed the freed volume (the slice then admits
+            // nothing until releases bring it back under its capacity).
             Action::PreemptiveRelease { inv, restored } => {
                 if let Some(st) = exec.get_mut(&inv.0) {
                     st.safeguarded = true;
-                    let shard = st.shard;
-                    if let Some(over) = overdraft.get_mut(shard) {
-                        charge_forced(over, sched, shard, node, restored);
-                    }
+                    sched.force_charge(st.shard, node, restored);
                 }
             }
             // OOM rule (§5.1): restart from scratch at the nominal grant.
@@ -313,10 +305,7 @@ fn apply_actions(
                     st.oom_restarts += 1;
                     st.work_left = st.work_total;
                     st.last_settle = Instant::now();
-                    let shard = st.shard;
-                    if let Some(over) = overdraft.get_mut(shard) {
-                        charge_forced(over, sched, shard, node, restored);
-                    }
+                    sched.force_charge(st.shard, node, restored);
                 }
             }
         }
@@ -522,7 +511,6 @@ impl LiveCluster {
                     inner: Mutex::new(NodeInner {
                         core,
                         exec: HashMap::new(),
-                        overdraft: vec![ResourceVec::ZERO; config.shards],
                         warm: WarmPool::new(),
                         policy: config.keepalive.build(),
                         open_loans: HashMap::new(),
@@ -792,9 +780,9 @@ impl LiveCluster {
     }
 
     /// Post-drain quiescence check: every node's control-plane ledger must
-    /// be empty and conserved, every exec table empty, every overdraft
-    /// repaid, and every scheduler-shard slice back at `capacity / shards` —
-    /// i.e. no harvest loan or admission charge survived the drain.
+    /// be empty and conserved, every exec table empty, and nothing reserved
+    /// in any scheduler shard's slice of any node — i.e. no harvest loan or
+    /// admission charge survived the drain.
     pub fn conservation_report(&self) -> Result<(), String> {
         let sh = &self.shared;
         for (i, n) in sh.nodes.iter().enumerate() {
@@ -816,22 +804,10 @@ impl LiveCluster {
         }
         let slice = sh.config.capacity.div(sh.config.shards as u64);
         for shard in 0..sh.config.shards {
-            let Some(free) = sh.sched.slice_free(shard) else {
-                return Err(format!("shard {shard}: no slice ledger"));
-            };
-            for (node, f) in free.iter().enumerate() {
-                let over = sh
-                    .nodes
-                    .get(node)
-                    .map(|n| {
-                        n.inner.lock().overdraft.get(shard).copied().unwrap_or(ResourceVec::ZERO)
-                    })
-                    .unwrap_or(ResourceVec::ZERO);
-                let restored = *f + over;
-                if restored != slice {
+            for (node, free) in sh.sched.slice_free(shard).iter().flatten().enumerate() {
+                if *free != slice {
                     return Err(format!(
-                        "shard {shard} node {node}: slice {restored:?} != {slice:?} after drain \
-                         (free {f:?}, overdraft {over:?})"
+                        "shard {shard} node {node}: only {free:?} of {slice:?} free after drain"
                     ));
                 }
             }
@@ -853,12 +829,7 @@ impl LiveCluster {
         }
         for (i, n) in sh.nodes.iter().enumerate() {
             let g = n.inner.lock();
-            let _ = writeln!(
-                dump,
-                "node {i}: {} resident threads, overdraft {:?}",
-                g.exec.len(),
-                g.overdraft
-            );
+            let _ = writeln!(dump, "node {i}: {} resident threads", g.exec.len());
             for (id, st) in &g.exec {
                 let _ = writeln!(
                     dump,
@@ -894,9 +865,7 @@ fn unwind(
     let actions = if finished { g.core.on_complete(inv, now) } else { g.core.on_abort(inv, now) };
     apply_actions(g, sched, node, &actions, now, Some(inv), sink);
     let me = g.exec.remove(&inv.0)?;
-    if let Some(over) = g.overdraft.get_mut(me.shard) {
-        release_charge(over, sched, me.shard, node, still);
-    }
+    sched.release(me.shard, node, still);
     Some(me)
 }
 

@@ -4,8 +4,9 @@
 //! policy core — [`libra_core::controlplane::ControlPlane`] — through the
 //! same action-trace contract; what changes is the substrate. Here the
 //! mechanics are real: node state behind `parking_lot` locks, one thread per
-//! running invocation, the decentralized sharded scheduler of §6.4 doing
-//! real message-passing admission, and the full policy surface — CPU *and*
+//! running invocation, the decentralized sharded scheduler of §6.4 admitting
+//! against per-shard slice books (the simulator's own reserved-vs-slice
+//! cell, one lock per shard), and the full policy surface — CPU *and*
 //! memory harvesting, safeguard preemptive release (§5.2), OOM restarts
 //! (§5.1) and the timeliness law (§3.1) — enforced in real time while a
 //! watchdog turns any wedged run into a diagnostic panic.
@@ -22,12 +23,10 @@
 
 #![warn(missing_docs)]
 
-pub mod accounting;
 pub mod clock;
 pub mod cluster;
 pub mod workload;
 
-pub use accounting::CapacityLedger;
 pub use clock::WallClock;
 pub use cluster::{
     run_live, LiveChaos, LiveCluster, LiveConfig, LiveRecord, LiveResult, LiveStats, SubmitError,

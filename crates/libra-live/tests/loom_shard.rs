@@ -13,18 +13,18 @@
 //! which must hold on every interleaving:
 //!
 //! * concurrent admissions never oversubscribe a shard slice,
-//! * forced restores (safeguard / OOM) plus racing releases neither mint nor
-//!   leak capacity — overdraft is always repaid by the end,
+//! * forced restores (safeguard / OOM) racing releases neither mint nor leak
+//!   capacity — however far the slice was over-reserved in between, nothing
+//!   is reserved once every charge has been released,
 //! * a shard kill/respawn racing a release loses no freed capacity.
 
 #![cfg(loom)]
 
 use libra_core::sharding::{ScheduleRequest, ShardedScheduler};
-use libra_live::accounting::{charge_forced, release_charge};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use loom::sync::atomic::{AtomicUsize, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::Arc;
 
 const CAPACITY_CPU: u64 = 8_000;
 const CAPACITY_MEM: u64 = 8_192;
@@ -48,16 +48,12 @@ fn req(nominal: ResourceVec) -> ScheduleRequest {
     }
 }
 
-/// Assert the shard slice holds exactly `free`: charging `free` must succeed
-/// (nothing leaked) and one more sliver must fail (nothing minted).
-fn assert_free_exactly(s: &ShardedScheduler, free: ResourceVec) {
-    if !free.is_zero() {
-        assert!(s.try_charge(0, 0, free), "slice lost capacity: {free:?} no longer fits");
-    }
-    assert!(
-        !s.try_charge(0, 0, ResourceVec::new(100, 0)),
-        "slice minted capacity: still has room after recharging everything"
-    );
+/// Assert nothing is reserved: the whole slice is free (nothing leaked) and
+/// not a sliver more can be charged on top of it (nothing minted).
+fn assert_nothing_reserved(s: &ShardedScheduler) {
+    assert_eq!(s.slice_free(0), Some(vec![capacity()]), "reservations survive");
+    assert!(s.try_charge(0, 0, capacity()), "the whole slice must be chargeable");
+    assert!(!s.try_charge(0, 0, ResourceVec::new(100, 0)), "slice minted capacity");
 }
 
 #[test]
@@ -89,43 +85,33 @@ fn concurrent_admissions_never_oversubscribe() {
         for _ in 0..n {
             s.release(0, 0, ResourceVec::new(3_000, 1_024));
         }
-        assert_free_exactly(&s, capacity());
+        assert_nothing_reserved(&s);
     });
 }
 
 #[test]
-fn forced_restore_vs_release_conserves_capacity() {
+fn forced_restore_vs_release_ends_with_nothing_reserved() {
     loom::model(|| {
         let s = Arc::new(sched());
-        let overdraft = Arc::new(Mutex::new(ResourceVec::ZERO));
-
         // Two invocations' worth of charge that cannot both fit: whichever
-        // forced restore loses the race becomes overdraft, and the racing
-        // releases must repay it — the live safeguard/OOM-restart scenario.
+        // forced restore lands second over-reserves the slice, and the racing
+        // releases must bring it all the way back — the live safeguard /
+        // OOM-restart scenario.
         let vol_a = ResourceVec::new(6_000, 4_096);
         let vol_b = ResourceVec::new(6_000, 6_144);
         let mut handles = Vec::new();
         for vol in [vol_a, vol_b] {
             let s = Arc::clone(&s);
-            let overdraft = Arc::clone(&overdraft);
             handles.push(loom::thread::spawn(move || {
-                {
-                    let mut over = overdraft.lock().unwrap();
-                    charge_forced(&mut over, &*s, 0, 0, vol);
-                }
+                s.force_charge(0, 0, vol);
                 loom::thread::yield_now();
-                {
-                    let mut over = overdraft.lock().unwrap();
-                    release_charge(&mut over, &*s, 0, 0, vol);
-                }
+                s.release(0, 0, vol);
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        let over = *overdraft.lock().unwrap();
-        assert!(over.is_zero(), "overdraft must be fully repaid, still owing {over:?}");
-        assert_free_exactly(&s, capacity());
+        assert_nothing_reserved(&s);
     });
 }
 
@@ -147,15 +133,14 @@ fn release_racing_shard_kill_loses_nothing() {
         let releaser = {
             let s = Arc::clone(&s);
             loom::thread::spawn(move || {
-                // Lands in the live inbox, the drain-on-kill queue, or the
-                // direct-to-ledger fallback depending on the interleaving —
-                // the freed volume must survive all three routes.
+                // Lands before the kill, while the shard is down, or after
+                // the respawn — the dead shard's books take it all the same.
                 s.release(0, 0, ResourceVec::new(2_000, 1_024));
             })
         };
         killer.join().unwrap();
         releaser.join().unwrap();
         assert!(s.is_alive(0), "shard must be back up after respawn");
-        assert_free_exactly(&s, capacity());
+        assert_nothing_reserved(&s);
     });
 }

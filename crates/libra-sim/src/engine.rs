@@ -39,6 +39,14 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Safeguard monitor window (usage check interval, §5.2).
 const MONITOR_INTERVAL: SimDuration = SimDuration(100_000);
+/// Container cold-start delay.
+const COLD_START: SimDuration = SimDuration(500_000);
+/// Fixed keep-alive window of an idle warm container (OpenWhisk's 60 s): the
+/// default [`Platform::warm_keep`] answer and the policy layer's standard TTL.
+pub const KEEPALIVE: SimDuration = SimDuration(60_000_000);
+/// Hard ceiling on simulated time; exceeding it aborts with diagnostics
+/// (guards against workloads that can never be placed).
+const MAX_SIM_TIME: SimDuration = SimDuration(48 * 3600 * 1_000_000);
 /// Node health-ping interval (pool status piggyback, §6.4).
 const PING_INTERVAL: SimDuration = SimDuration(500_000);
 /// Cluster utilization sampling interval (Figs 7, 11).
@@ -53,15 +61,8 @@ const CRASH_BACKOFF: SimDuration = SimDuration(1_000_000);
 pub struct SimConfig {
     /// Number of decentralized scheduler shards (§6.4). 1 = centralized.
     pub shards: usize,
-    /// Container cold-start delay.
-    pub cold_start: SimDuration,
-    /// Warm container keep-alive window.
-    pub keepalive: SimDuration,
     /// Fixed part of a scheduler decision's service time.
     pub decision_base: SimDuration,
-    /// Hard ceiling on simulated time; exceeding it aborts with diagnostics
-    /// (guards against workloads that can never be placed).
-    pub max_sim_time: SimDuration,
     /// How many times a crash/abort victim is requeued before it is
     /// terminally `Aborted` (fault injection only).
     pub crash_max_retries: u32,
@@ -78,10 +79,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             shards: 1,
-            cold_start: SimDuration::from_millis(500),
-            keepalive: SimDuration::from_secs(60),
             decision_base: SimDuration(300),
-            max_sim_time: SimDuration::from_secs(48 * 3600),
             crash_max_retries: 3,
             metrics: MetricsMode::Full,
             trace_spans: false,
@@ -1021,8 +1019,8 @@ impl Simulation {
                 let e = &trace.entries[order[next] as usize];
                 debug_assert!(e.at >= w.clock, "time went backwards");
                 assert!(
-                    e.at.since(SimTime::ZERO) <= w.config.max_sim_time,
-                    "simulation exceeded max_sim_time with {}/{total} complete — \
+                    e.at.since(SimTime::ZERO) <= MAX_SIM_TIME,
+                    "simulation exceeded MAX_SIM_TIME with {}/{total} complete — \
                      is some invocation permanently unplaceable?",
                     w.completed
                 );
@@ -1049,8 +1047,8 @@ impl Simulation {
             };
             debug_assert!(at >= w.clock, "time went backwards");
             assert!(
-                at.since(SimTime::ZERO) <= w.config.max_sim_time,
-                "simulation exceeded max_sim_time with {}/{total} complete — \
+                at.since(SimTime::ZERO) <= MAX_SIM_TIME,
+                "simulation exceeded MAX_SIM_TIME with {}/{total} complete — \
                  is some invocation permanently unplaceable?",
                 w.completed
             );
@@ -1274,7 +1272,7 @@ impl Simulation {
                 let mut start_at = now + w.overheads.pool;
                 if !warm {
                     w.invs.get_mut(idx).cold_start = true;
-                    start_at += w.config.cold_start;
+                    start_at += COLD_START;
                 }
                 w.invs.get_mut(idx).state = InvState::ColdStarting;
                 w.queue.push(start_at, Event::StartExec { inv: id, attempt });
@@ -1384,7 +1382,7 @@ impl Simulation {
         let node = node.idx();
         w.settle_node(node);
         w.reschedule_node(node);
-        let at = now + w.config.cold_start;
+        let at = now + COLD_START;
         let attempt = w.invs.get(idx).requeues;
         w.queue.push(at, Event::StartExec { inv: id, attempt });
         let mut ctx = SimCtx { w };

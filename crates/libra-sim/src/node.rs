@@ -15,14 +15,74 @@ use crate::ids::{InvocationId, NodeId};
 use crate::resources::ResourceVec;
 use crate::time::SimTime;
 
+/// One scheduler shard's books for its slice of one node: a fixed `capacity`
+/// and the nominal volume `reserved` against it. The only ledger model in
+/// the workspace — [`Node`] keeps one per shard for the simulator, the live
+/// sharded scheduler one per node behind each shard's lock — so both
+/// substrates refuse and admit by the same arithmetic.
+#[derive(Clone, Copy, Debug)]
+pub struct Slice {
+    capacity: ResourceVec,
+    reserved: ResourceVec,
+}
+
+impl Slice {
+    /// An empty slice of `capacity`.
+    pub fn new(capacity: ResourceVec) -> Self {
+        Slice { capacity, reserved: ResourceVec::ZERO }
+    }
+
+    /// The slice's capacity.
+    pub fn capacity(&self) -> ResourceVec {
+        self.capacity
+    }
+
+    /// Volume currently reserved (may exceed the capacity after a
+    /// [`force_reserve`](Slice::force_reserve)).
+    pub fn reserved(&self) -> ResourceVec {
+        self.reserved
+    }
+
+    /// Unreserved capacity, saturating at zero while the slice is
+    /// over-reserved.
+    pub fn free(&self) -> ResourceVec {
+        self.capacity.saturating_sub(&self.reserved)
+    }
+
+    /// Reserve `res` if it fits the free capacity. While a forced restore
+    /// has a dimension over-reserved nothing that needs that dimension fits:
+    /// admission stops until releases bring `reserved` back under capacity.
+    pub fn try_reserve(&mut self, res: ResourceVec) -> bool {
+        let fits = res.fits_within(&self.free());
+        if fits {
+            self.reserved += res;
+        }
+        fits
+    }
+
+    /// Reserve `res` without a capacity check. Used when a safeguard or OOM
+    /// restores a harvested invocation to its user allocation: the restore
+    /// must succeed even if it transiently over-reserves the slice (the
+    /// kernel absorbs it via proportional CPU sharing; see `engine`).
+    pub fn force_reserve(&mut self, res: ResourceVec) {
+        self.reserved += res;
+    }
+
+    /// Give `res` back.
+    pub fn release(&mut self, res: ResourceVec) {
+        debug_assert!(res.fits_within(&self.reserved), "released {res} of {}", self.reserved);
+        self.reserved -= res;
+    }
+}
+
 /// One worker node.
 pub struct Node {
     /// Identity.
     pub id: NodeId,
     /// Total capacity for user functions.
     pub capacity: ResourceVec,
-    /// Per-shard nominal reservations (one slot per scheduler shard).
-    reserved: Vec<ResourceVec>,
+    /// Per-shard nominal reservations (one slice per scheduler shard).
+    slices: Vec<Slice>,
     /// Head of the intrusive resident list (invocations assigned here,
     /// cold-starting or running), in admission order. The links live in
     /// `Invocation::{res_prev, res_next}`; the engine maintains both ends.
@@ -51,7 +111,7 @@ impl Node {
         Node {
             id,
             capacity,
-            reserved: vec![ResourceVec::ZERO; shards],
+            slices: vec![Slice::new(capacity.div(shards as u64)); shards],
             resident_head: None,
             resident_tail: None,
             resident_len: 0,
@@ -81,12 +141,12 @@ impl Node {
 
     /// Number of scheduler shards this node is sliced across.
     pub fn shards(&self) -> usize {
-        self.reserved.len()
+        self.slices.len()
     }
 
     /// Capacity slice owned by one shard.
     pub fn shard_capacity(&self) -> ResourceVec {
-        self.capacity.div(self.reserved.len() as u64)
+        self.slices[0].capacity()
     }
 
     /// Free (unreserved) capacity within `shard`'s slice. A crashed node
@@ -95,7 +155,7 @@ impl Node {
         if !self.alive {
             return ResourceVec::ZERO;
         }
-        self.shard_capacity().saturating_sub(&self.reserved[shard])
+        self.slices[shard].free()
     }
 
     /// Try to reserve `res` nominally within `shard`'s slice. Idle warm
@@ -103,31 +163,27 @@ impl Node {
     /// on demand (`Node::settle_pins`), exactly like OpenWhisk's container
     /// pool tearing down paused containers to make room.
     pub fn try_reserve(&mut self, shard: usize, res: ResourceVec) -> bool {
-        if res.fits_within(&self.free_in_shard(shard)) {
-            self.reserved[shard] += res;
-            self.settle_pins(shard);
-            true
-        } else {
-            false
+        let fits = res.fits_within(&self.free_in_shard(shard));
+        if fits {
+            self.force_reserve(shard, res);
         }
+        fits
     }
 
-    /// Add to `shard`'s reservation without a capacity check. Used when a
-    /// safeguard or OOM restores a harvested invocation to its user
-    /// allocation: the restore must succeed even if it transiently
-    /// oversubscribes the slice (the kernel absorbs it via proportional CPU
-    /// sharing; see `engine`).
+    /// Add to `shard`'s reservation without a capacity check
+    /// ([`Slice::force_reserve`]): a safeguard or OOM restore must succeed
+    /// even if it transiently oversubscribes the slice.
     pub fn force_reserve(&mut self, shard: usize, res: ResourceVec) {
-        self.reserved[shard] += res;
+        self.slices[shard].force_reserve(res);
         self.settle_pins(shard);
     }
 
     /// Evict warm containers of `shard` until its reservations plus pinned
     /// warm memory fit the slice again.
     fn settle_pins(&mut self, shard: usize) {
-        let slice_mem = self.shard_capacity().mem_mb;
-        let over =
-            (self.reserved[shard].mem_mb + self.warm.pinned_for(shard)).saturating_sub(slice_mem);
+        let slice = &self.slices[shard];
+        let used = slice.reserved().mem_mb + self.warm.pinned_for(shard);
+        let over = used.saturating_sub(slice.capacity().mem_mb);
         if over > 0 {
             let _ = self.warm.evict_for(shard, over, SimTime::ZERO);
         }
@@ -145,27 +201,26 @@ impl Node {
         now: SimTime,
         keep_until: SimTime,
     ) {
-        let slice_mem = self.shard_capacity().mem_mb;
-        let room =
-            slice_mem.saturating_sub(self.reserved[shard].mem_mb + self.warm.pinned_for(shard));
-        if mem_mb <= room {
+        let slice = &self.slices[shard];
+        let used = slice.reserved().mem_mb + self.warm.pinned_for(shard);
+        if mem_mb <= slice.capacity().mem_mb.saturating_sub(used) {
             self.warm.release(func, shard, mem_mb, now, keep_until);
         }
     }
 
     /// Release a reservation from `shard`'s slice.
     pub fn release(&mut self, shard: usize, res: ResourceVec) {
-        self.reserved[shard] -= res;
+        self.slices[shard].release(res);
     }
 
     /// Current reservation of one shard (for invariant checks).
     pub fn reserved_in(&self, shard: usize) -> ResourceVec {
-        self.reserved[shard]
+        self.slices[shard].reserved()
     }
 
     /// Total nominal reservation across all shards.
     pub fn total_reserved(&self) -> ResourceVec {
-        self.reserved.iter().fold(ResourceVec::ZERO, |acc, r| acc + *r)
+        self.slices.iter().fold(ResourceVec::ZERO, |acc, s| acc + s.reserved())
     }
 
     /// Number of invocations currently resident.
@@ -209,6 +264,18 @@ mod tests {
         n.release(0, r);
         assert_eq!(n.total_reserved(), ResourceVec::ZERO);
         assert_eq!(n.free_in_shard(0), n.shard_capacity());
+    }
+
+    #[test]
+    fn over_reserved_slice_refuses_until_released() {
+        let mut s = Slice::new(ResourceVec::from_cores_mb(4, 4096));
+        assert!(s.try_reserve(ResourceVec::from_cores_mb(3, 1024)));
+        s.force_reserve(ResourceVec::from_cores_mb(3, 1024));
+        assert_eq!(s.free(), ResourceVec::new(0, 2048), "free saturates per dimension");
+        assert!(!s.try_reserve(ResourceVec::new(100, 1)), "no admission beside the debt");
+        s.release(ResourceVec::from_cores_mb(3, 1024));
+        assert!(s.try_reserve(ResourceVec::from_cores_mb(1, 1024)));
+        assert_eq!(s.reserved(), ResourceVec::from_cores_mb(4, 2048));
     }
 
     #[test]

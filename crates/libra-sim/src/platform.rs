@@ -147,10 +147,10 @@ pub trait Platform {
     /// `idle_peers` containers for the same function already sit idle on
     /// that node. Returns the deadline until which the engine should keep
     /// it warm (pinning its memory), or `None` to tear it down immediately.
-    /// The default reproduces the classic fixed keep-alive window from
-    /// [`SimConfig::keepalive`](crate::engine::SimConfig::keepalive).
+    /// The default is the classic fixed window,
+    /// [`KEEPALIVE`](crate::engine::KEEPALIVE).
     fn warm_keep(&mut self, world: &World, func: FunctionId, idle_peers: usize) -> Option<SimTime> {
-        Some(world.now() + world.config.keepalive)
+        Some(world.now() + crate::engine::KEEPALIVE)
     }
 
     /// End-of-run counters.

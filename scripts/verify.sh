@@ -29,8 +29,10 @@ cargo test --workspace -q
 
 echo "==> benchmark harness against the working tree (build + its unit tests)"
 # benchmarks/perf is its own workspace path-depending on crates/libra-*: a
-# public-API break the PR pipeline would reject shows up here first.
-cargo test --release --offline -q --manifest-path benchmarks/perf/Cargo.toml
+# public-API break the PR pipeline would reject shows up here first. --locked:
+# a dependency-set change in a crate the harness sees would rewrite
+# benchmarks/perf/Cargo.lock, a file PRs may not touch — fail instead.
+cargo test --release --offline --locked -q --manifest-path benchmarks/perf/Cargo.toml
 
 echo "==> gateway smoke (500 seeded requests over loopback, scrape /metrics)"
 # gateway_loadgen exits nonzero on any 5xx-from-bugs, dropped request, or
