@@ -1,4 +1,4 @@
-//! exp_chaos — resilience of the harvest control plane under injected
+//! `exp chaos` — resilience of the harvest control plane under injected
 //! faults (libra-chaos).
 //!
 //! Two claims are checked. First, fault injection is *provably inert* when

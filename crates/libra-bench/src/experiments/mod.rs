@@ -2,8 +2,8 @@
 //!
 //! Each module's `run()` prints the measured numbers side by side with the
 //! paper's expected shape and writes CSV series under `results/` (override
-//! with `LIBRA_RESULTS_DIR`). The `run_all` binary executes everything; the
-//! `exp_*` binaries run one experiment each.
+//! with `LIBRA_RESULTS_DIR`). The `exp` binary runs one by name, or `all`;
+//! [`scale`] is its simulator scale run, not a figure of the paper.
 
 pub mod ablations;
 pub mod chaos;
@@ -19,5 +19,6 @@ pub mod fig15;
 pub mod fig16;
 pub mod keepalive;
 pub mod overheads;
+pub mod scale;
 pub mod table1;
 pub mod table2;

@@ -1,0 +1,76 @@
+//! `exp scale` — the `huge` trace tier (1M invocations at 20k RPM across a
+//! 400-function Zipf catalogue, on 1,000 × 48-core nodes) through the engine
+//! in [`MetricsMode::Streaming`]: the workload the slab arena, streamed
+//! arrivals, intrusive resident lists and online metrics exist for, and the
+//! only code that runs it at full size. `LIBRA_SCALE` shrinks invocations,
+//! arrival rate and node count together (0.02: 20k invocations, 20 nodes).
+//!
+//! It asserts conservation and prints one throughput line; the regression
+//! gate on simulator speed is the repo benchmark (`benchmarks/perf`).
+
+use libra_sim::engine::{NullPlatform, SimConfig, Simulation};
+use libra_sim::metrics::MetricsMode;
+use libra_workloads::trace::HugeTier;
+use std::time::Instant;
+
+/// Peak resident set size (VmHWM) in MB, from `/proc/self/status`.
+/// Returns 0 on platforms without procfs — the field is informational.
+fn peak_rss_mb() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
+            return kb / 1024;
+        }
+    }
+    0
+}
+
+/// Run the tier and print its throughput line.
+pub fn run() {
+    let scale = crate::scale();
+    let mut tier = HugeTier::standard(42);
+    let scaled = |n: usize| ((n as f64 * scale) as usize).max(1);
+    tier.invocations = scaled(tier.invocations);
+    tier.nodes = scaled(tier.nodes);
+    tier.rpm *= scale;
+    eprintln!(
+        "[scale] scale={scale} invocations={} functions={} nodes={}",
+        tier.invocations,
+        tier.gen.kinds.len(),
+        tier.nodes
+    );
+
+    let trace = tier.trace();
+    let config =
+        SimConfig { shards: tier.shards, metrics: MetricsMode::Streaming, ..SimConfig::default() };
+    let sim = Simulation::new(tier.suite(), tier.node_caps(), config);
+
+    let t_run = Instant::now();
+    let result = sim.run(&trace, &mut NullPlatform);
+    let wall_sec = t_run.elapsed().as_secs_f64();
+
+    let total = result.summary.completed + result.aborted;
+    assert_eq!(total as usize, tier.invocations, "every invocation must be accounted for");
+    assert!(result.records.is_empty(), "streaming mode must not buffer records");
+    assert_eq!(result.pool_violations, 0, "safety ledger must stay exact at scale");
+
+    let inv_per_sec = result.summary.completed as f64 / wall_sec.max(1e-9);
+    let event_ops = result.event_pushes + result.event_pops;
+    let events_per_sec = event_ops as f64 / wall_sec.max(1e-9);
+
+    println!(
+        "tier=huge scale={scale} completed={} aborted={} wall={wall_sec:.2}s \
+         inv/s={inv_per_sec:.0} events/s={events_per_sec:.0} peak_rss={}MB \
+         peak_live={} p50={:.3}s p99={:.3}s mean_cpu_util={:.3}",
+        result.summary.completed,
+        result.aborted,
+        peak_rss_mb(),
+        result.summary.peak_live_invocations,
+        result.summary.latency_sketch.quantile(50.0),
+        result.summary.latency_sketch.quantile(99.0),
+        result.summary.cpu_util.mean(),
+    );
+}

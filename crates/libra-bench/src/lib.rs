@@ -1,10 +1,11 @@
 //! # libra-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! index); this library holds the shared machinery: platform constructors,
-//! run drivers, and plain-text table/CDF reporting.
+//! One module per table/figure of the paper under [`experiments`] (see
+//! DESIGN.md §3 for the index), run by name through the one `exp` binary;
+//! this library holds the shared machinery: platform constructors, run
+//! drivers, and plain-text table/CDF reporting.
 //!
-//! Every binary prints the paper's expected shape next to the measured
+//! Every experiment prints the paper's expected shape next to the measured
 //! numbers and writes CSV series under `results/` for external plotting.
 
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
 //! Terminal plots: multi-series line charts and bar charts rendered in
-//! plain text, so each `exp_*` binary can show the *shape* of its figure
+//! plain text, so each experiment can show the *shape* of its figure
 //! right in the terminal next to the numbers (CSVs under `results/` remain
 //! the precise artifact).
 

@@ -88,7 +88,7 @@ impl ChaosConfig {
         }
     }
 
-    /// Uniformly scale every fault count by `k` (the exp_chaos sweep knob).
+    /// Uniformly scale every fault count by `k` (the `exp chaos` sweep knob).
     pub fn scaled(mut self, k: f64) -> Self {
         self.node_crashes *= k;
         self.invocation_aborts *= k;

@@ -9,10 +9,13 @@
 //! request takes the max-coverage node in arrival order, consuming pool
 //! volume as it goes) and the batch-optimal assignment (exhaustive search
 //! over node choices, same consumption model), so the optimality gap —
-//! and the cost of closing it — can be quantified (`exp_ablations`).
+//! and the cost of closing it — can be quantified (`exp ablations`). The
+//! greedy side is not a second copy of the production algorithm: each request
+//! runs [`crate::scheduler::max_coverage`], the scan `place` itself runs.
 
 use crate::coverage::demand_coverage;
 use crate::pool::{PoolEntryStatus, PoolSnapshot};
+use crate::scheduler::max_coverage;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 
@@ -93,7 +96,8 @@ fn evaluate(
 }
 
 /// Greedy assignment: requests in order, each taking the max-coverage node
-/// with room (ties to the lower node id) — Libra's production algorithm
+/// with room (ties to the lower node id) — the accelerable half of the
+/// production rule ([`crate::scheduler::place`], the very scan it runs)
 /// applied to a batch.
 pub fn greedy_assign(
     reqs: &[BatchRequest],
@@ -106,18 +110,11 @@ pub fn greedy_assign(
     let mut out = Vec::with_capacity(reqs.len());
     let mut total = 0.0;
     for req in reqs {
-        let mut best: Option<(f64, usize)> = None;
-        for (n, f) in free.iter().enumerate() {
-            if !req.nominal.fits_within(f) {
-                continue;
-            }
-            let c = demand_coverage(&snaps[n], req.extra, now, req.duration, alpha);
-            if best.is_none_or(|(bc, _)| c > bc + 1e-12) {
-                best = Some((c, n));
-            }
-        }
-        match best {
-            Some((c, n)) => {
+        let fitting = (0..nodes.len())
+            .filter(|&n| req.nominal.fits_within(&free[n]))
+            .map(|n| (n, snaps[n].as_slice()));
+        match max_coverage(req.extra, now, req.duration, alpha, fitting) {
+            Some((n, c)) => {
                 free[n] -= req.nominal;
                 total += c;
                 consume(&mut snaps[n], req.extra);

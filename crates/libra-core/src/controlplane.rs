@@ -809,7 +809,7 @@ impl ControlPlane {
     /// The harvestable-supply view for one node: the pooled idle entitlement
     /// volume harvesters can borrow today, alongside the keep-alive-policy-
     /// dependent idle-warm memory — the supply a warm-pin-aware harvester
-    /// *would* see. `exp_keepalive` sweeps policies against exactly this
+    /// *would* see. `exp keepalive` sweeps policies against exactly this
     /// split.
     pub fn harvestable_supply(&self, node: NodeId) -> (ResourceVec, u64) {
         let pooled =

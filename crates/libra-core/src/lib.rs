@@ -14,11 +14,13 @@
 //!   priority, preemptive release, re-harvesting, idle-time ledger),
 //! * [`safeguard`] — §5.2: usage-threshold protection + OOM blacklisting,
 //! * [`coverage`] — §6.2: time-weighted demand coverage,
-//! * [`scheduler`] — §6.3: accelerable/non-accelerable classification,
-//!   hashing and coverage-greedy node selection, pluggable
-//!   [`scheduler::NodeSelector`],
+//! * [`scheduler`] — §6.3: accelerable/non-accelerable classification and
+//!   the one placement rule ([`scheduler::place`]: hash home + linear probe,
+//!   or greedy maximum coverage) every substrate asks; the simulator's
+//!   pluggable [`scheduler::NodeSelector`]s over it,
 //! * [`sharding`] — §6.4: the native decentralized sharded scheduler, one lock
-//!   per shard around the simulator's slice books (times its own decisions),
+//!   per shard around the simulator's slice books; places by the same rule
+//!   (times its own decisions),
 //! * [`controlplane`] — the substrate-agnostic policy core: a pure,
 //!   clock-free state machine over the loan ledger + pools + safeguard that
 //!   consumes admission/observation/completion events and emits explicit
@@ -65,6 +67,6 @@ pub use profiler::{ModelChoice, ModelScores, Profiler, ProfilerConfig, WorkloadD
 pub use safeguard::Safeguard;
 pub use scheduler::{
     classify, hash_probe, CoverageSelector, HashSelector, InvClass, NodeSelector, SchedView,
-    VolumeSelector,
+    ScheduleRequest, VolumeSelector,
 };
-pub use sharding::{Decision, ScheduleRequest, ShardedScheduler};
+pub use sharding::{Decision, ShardedScheduler};

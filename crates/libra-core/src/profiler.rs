@@ -43,53 +43,42 @@ pub const MEM_CLASS_MB: u64 = 128;
 /// maximum allocation of §8.2.3.
 pub const MAX_CPU_CLASS: usize = 16;
 
+/// Held-out fraction for the relatedness test (paper: 7:3 split).
+const TRAIN_FRAC: f64 = 0.7;
+/// CPU-class accuracy threshold for declaring a function input
+/// size-related.
+const ACC_THRESHOLD: f64 = 0.7;
+/// Memory-class accuracy threshold. Lower than the CPU threshold because
+/// fine-grained 128 MB classes put many boundary-adjacent samples within
+/// measurement noise, capping achievable accuracy even for perfectly
+/// size-determined footprints; the decisive signal is the wide gap to
+/// size-unrelated functions (compare Table 2's two halves).
+const MEM_ACC_THRESHOLD: f64 = 0.55;
+/// R² threshold for declaring a function input size-related.
+const R2_THRESHOLD: f64 = 0.8;
+/// Refit forests after this many online observations — low, so they extend
+/// a narrow first-seen size domain quickly.
+const RETRAIN_EVERY: usize = 8;
+/// Tail percentile for CPU/memory peak estimates (histogram path).
+const PEAK_PERCENTILE: f64 = 99.0;
+/// Head percentile for duration estimates (histogram path).
+const DURATION_PERCENTILE: f64 = 5.0;
+/// Relative measurement noise applied to pilot observations.
+const PILOT_NOISE: f64 = 0.02;
+/// RNG seed of the duplicator and the forests (mixed with the function id).
+const SEED: u64 = 0x11b7a;
+
 /// Profiler tuning.
 #[derive(Clone, Debug)]
 pub struct ProfilerConfig {
     /// Number of duplicated data points the duplicator produces (the paper
     /// scales inputs "with a maximum of 100 times").
     pub duplicate_points: usize,
-    /// Held-out fraction for the relatedness test (paper: 7:3 split).
-    pub train_frac: f64,
-    /// CPU-class accuracy threshold for declaring a function input
-    /// size-related.
-    pub acc_threshold: f64,
-    /// Memory-class accuracy threshold. Lower than the CPU threshold
-    /// because fine-grained 128 MB classes put many boundary-adjacent
-    /// samples within measurement noise, capping achievable accuracy even
-    /// for perfectly size-determined footprints; the decisive signal is the
-    /// wide gap to size-unrelated functions (compare Table 2's two halves).
-    pub mem_acc_threshold: f64,
-    /// R² threshold for declaring a function input size-related.
-    pub r2_threshold: f64,
-    /// Refit forests after this many online observations.
-    pub retrain_every: usize,
-    /// Tail percentile for CPU/memory peak estimates (histogram path).
-    pub peak_percentile: f64,
-    /// Head percentile for duration estimates (histogram path).
-    pub duration_percentile: f64,
-    /// Relative measurement noise applied to pilot observations.
-    pub pilot_noise: f64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for ProfilerConfig {
     fn default() -> Self {
-        ProfilerConfig {
-            duplicate_points: 100,
-            train_frac: 0.7,
-            acc_threshold: 0.7,
-            mem_acc_threshold: 0.55,
-            r2_threshold: 0.8,
-            retrain_every: 8,
-            peak_percentile: 99.0,
-            duration_percentile: 5.0,
-            pilot_noise: 0.02,
-            // (retrain_every default lowered so online observations extend a
-            // narrow first-seen size domain quickly)
-            seed: 0x11b7a,
-        }
+        ProfilerConfig { duplicate_points: 100 }
     }
 }
 
@@ -337,8 +326,8 @@ impl Profiler {
         let t0 = self.clock.now_micros();
         let dup = WorkloadDuplicator {
             points: self.cfg.duplicate_points,
-            noise: self.cfg.pilot_noise,
-            seed: self.cfg.seed ^ (f as u64) << 8,
+            noise: PILOT_NOISE,
+            seed: SEED ^ (f as u64) << 8,
         };
         let obs = dup.run(spec, first_input);
 
@@ -351,14 +340,10 @@ impl Profiler {
                 o.duration.as_secs_f64(),
             );
         }
-        let (ml, scores) = Self::fit_forests(&data, self.cfg.train_frac, self.cfg.seed ^ f as u64);
+        let (ml, scores) = Self::fit_forests(&data, TRAIN_FRAC, SEED ^ f as u64);
         self.scores[f] = Some(scores);
 
-        let related = scores.input_size_related(
-            self.cfg.acc_threshold,
-            self.cfg.mem_acc_threshold,
-            self.cfg.r2_threshold,
-        );
+        let related = scores.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD);
         let use_ml = match self.choice {
             ModelChoice::Auto => related,
             ModelChoice::HistogramOnly => false,
@@ -493,9 +478,9 @@ impl Profiler {
                 })
             }
             FuncState::Hist(h) => {
-                let cpu_raw = h.cpu.percentile(self.cfg.peak_percentile)?;
-                let mem_raw = h.mem.percentile(self.cfg.peak_percentile)?;
-                let dur_raw = h.dur.percentile(self.cfg.duration_percentile)?;
+                let cpu_raw = h.cpu.percentile(PEAK_PERCENTILE)?;
+                let mem_raw = h.mem.percentile(PEAK_PERCENTILE)?;
+                let dur_raw = h.dur.percentile(DURATION_PERCENTILE)?;
                 let cpu = (cpu_class(cpu_raw.ceil() as u64) as u64) * MILLIS_PER_CORE;
                 let mem = (mem_class(mem_raw.ceil() as u64) as u64) * MEM_CLASS_MB;
                 Some(Prediction {
@@ -510,7 +495,6 @@ impl Profiler {
 
     /// Online update after a completion (§4.1 "model update").
     pub fn observe(&mut self, f: usize, input: InputMeta, actuals: &Actuals) {
-        let retrain_every = self.cfg.retrain_every;
         let clock = &*self.clock;
         let mut refit_micros = None;
         match &mut self.states[f] {
@@ -532,7 +516,7 @@ impl Profiler {
                 m.size_min = m.size_min.min(input.size);
                 m.size_max = m.size_max.max(input.size);
                 m.since_refit += 1;
-                if m.since_refit >= retrain_every {
+                if m.since_refit >= RETRAIN_EVERY {
                     m.since_refit = 0;
                     let t0 = clock.now_micros();
                     let params = ForestParams { n_trees: 24, seed: 1, ..Default::default() };

@@ -12,9 +12,15 @@
 //! Every scheduler shard sees the same per-node pool status, learned from
 //! piggybacked health pings (§6.4) — snapshots are therefore slightly stale,
 //! exactly like production.
+//!
+//! That rule is written once, as [`place`] over two closures (does node *i*
+//! fit; what does its pool advertise), and every substrate asks it: the
+//! selectors below, the live [`crate::sharding::ShardedScheduler`], and
+//! [`crate::batch::greedy_assign`] through [`max_coverage`]. `hash_func` is
+//! the only function hash, so a function's home node is the same everywhere.
 
 use crate::coverage::demand_coverage;
-use crate::pool::PoolSnapshot;
+use crate::pool::{PoolEntryStatus, PoolSnapshot};
 use libra_sim::engine::World;
 use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::resources::ResourceVec;
@@ -59,6 +65,83 @@ impl SchedView {
     pub fn all_stale(&self, now: SimTime) -> bool {
         !self.pings.is_empty() && self.pings.keys().all(|&n| self.is_stale(n, now))
     }
+
+    /// What `node`'s pool can be trusted to hold at `now`: its last
+    /// snapshot, or nothing when it never pinged or its view is stale (the
+    /// pool may be gone — crashed node, dropped pings).
+    pub fn fresh(&self, node: NodeId, now: SimTime) -> &[PoolEntryStatus] {
+        if self.is_stale(node, now) {
+            return &[];
+        }
+        self.snapshots.get(&node).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// A scheduling request, as the front end would deliver it.
+#[derive(Clone, Debug)]
+pub struct ScheduleRequest {
+    /// User-defined allocation (admission unit).
+    pub nominal: ResourceVec,
+    /// Extra demand beyond the allocation (zero ⇒ non-accelerable).
+    pub extra: ResourceVec,
+    /// Function id (drives the non-accelerable hash).
+    pub func: u32,
+    /// Predicted execution duration (the coverage window).
+    pub duration: SimDuration,
+    /// Logical now for coverage integration.
+    pub now: SimTime,
+}
+
+/// Deterministic function-id hash (splitmix). The golden traces pin it.
+fn hash_func(f: u32) -> u64 {
+    let mut z = (f as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The candidate whose pool snapshot gives `extra` the greatest weighted
+/// demand coverage (§6.2) over `[now, now + dur]`, and that coverage. Equal
+/// coverages (within 1e-12) go to the earlier candidate.
+pub fn max_coverage<'a>(
+    extra: ResourceVec,
+    now: SimTime,
+    dur: SimDuration,
+    alpha: f64,
+    candidates: impl IntoIterator<Item = (usize, &'a [PoolEntryStatus])>,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, snap) in candidates {
+        let c = demand_coverage(snap, extra, now, dur, alpha);
+        if best.is_none_or(|(_, bc)| c > bc + 1e-12) {
+            best = Some((i, c));
+        }
+    }
+    best
+}
+
+/// The §6.3 placement rule over node indices `0..nodes`: `fits(i)` says
+/// whether node *i* has room for the user allocation, `snapshot(i)` what its
+/// harvest pool advertises. A non-accelerable request (`extra` zero) takes
+/// the first fitting node probing linearly from its function's hash home (no
+/// pool knowledge needed); an accelerable one the fitting node with the
+/// maximum coverage, ties to the lowest index. `None` when nothing fits.
+pub fn place<'a>(
+    req: &ScheduleRequest,
+    alpha: f64,
+    nodes: usize,
+    fits: impl Fn(usize) -> bool,
+    snapshot: impl Fn(usize) -> &'a [PoolEntryStatus],
+) -> Option<usize> {
+    if nodes == 0 {
+        return None;
+    }
+    if req.extra.is_zero() {
+        let home = (hash_func(req.func) % nodes as u64) as usize;
+        return (0..nodes).map(|k| (home + k) % nodes).find(|&i| fits(i));
+    }
+    let fitting = (0..nodes).filter(|&i| fits(i)).map(|i| (i, snapshot(i)));
+    max_coverage(req.extra, req.now, req.duration, alpha, fitting).map(|(i, _)| i)
 }
 
 /// Classification of an invocation (§6.3).
@@ -108,25 +191,42 @@ pub trait NodeSelector: Send {
     ) -> Option<NodeId>;
 }
 
-/// Deterministic function-id hash (splitmix).
-fn hash_func(f: u32) -> u64 {
-    let mut z = (f as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// [`place`] for `inv` over `shard`'s slice of each simulated node; `extra`
+/// zero asks the non-accelerable half whatever the invocation's class.
+fn place_in_world<'a>(
+    world: &World,
+    shard: usize,
+    inv: InvocationId,
+    extra: ResourceVec,
+    alpha: f64,
+    snapshot: impl Fn(NodeId) -> &'a [PoolEntryStatus],
+) -> Option<NodeId> {
+    let rec = world.inv(inv);
+    let req = ScheduleRequest {
+        nominal: rec.nominal,
+        extra,
+        func: rec.func.0,
+        duration: rec.pred.map_or(SimDuration::ZERO, |p| p.duration),
+        now: world.now(),
+    };
+    // `place` asks about `i < num_nodes` only, which `World` numbers in u32.
+    let node = |i: usize| NodeId(u32::try_from(i).unwrap_or(u32::MAX));
+    place(
+        &req,
+        alpha,
+        world.num_nodes(),
+        |i| rec.nominal.fits_within(&world.free_in_shard(node(i), shard)),
+        |i| snapshot(node(i)),
+    )
+    .map(node)
 }
 
 /// Hash with linear probing: the first node (starting at the function's hash
 /// home) whose shard slice fits the user allocation. This is both the
 /// OpenWhisk default algorithm and Libra's path for non-accelerable
-/// invocations.
+/// invocations — [`place`] with nothing extra to chase.
 pub fn hash_probe(world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
-    let rec = world.inv(inv);
-    let n = world.num_nodes();
-    let home = (hash_func(rec.func.0) % n as u64) as usize;
-    (0..n)
-        .filter_map(|k| u32::try_from((home + k) % n).ok().map(NodeId))
-        .find(|&node| rec.nominal.fits_within(&world.free_in_shard(node, shard)))
+    place_in_world(world, shard, inv, ResourceVec::ZERO, 0.0, |_| &[])
 }
 
 /// OpenWhisk's default algorithm as a pluggable selector: pure
@@ -170,49 +270,14 @@ impl NodeSelector for CoverageSelector {
         view: &SchedView,
         alpha: f64,
     ) -> Option<NodeId> {
-        match classify(world, inv) {
-            InvClass::NonAccelerable => hash_probe(world, shard, inv),
-            InvClass::Accelerable(extra) => {
-                let rec = world.inv(inv);
-                let Some(pred) = rec.pred else {
-                    // Accelerable implies a prediction; if the record lost
-                    // it, place like a non-accelerable invocation.
-                    debug_assert!(false, "accelerable {inv:?} without prediction");
-                    return hash_probe(world, shard, inv);
-                };
-                let dur = pred.duration;
-                let now = world.now();
-                // Lost contact with every pool: stop chasing coverage and
-                // fall back to the non-accelerable placement path, which
-                // needs no pool knowledge at all.
-                if view.all_stale(now) {
-                    return hash_probe(world, shard, inv);
-                }
-                let mut best: Option<(f64, NodeId)> = None;
-                for node in world.node_ids() {
-                    if !rec.nominal.fits_within(&world.free_in_shard(node, shard)) {
-                        continue;
-                    }
-                    let empty = PoolSnapshot::new();
-                    // A stale snapshot describes a pool that may be gone
-                    // (crashed node, dropped pings): treat it as empty.
-                    let snap = if view.is_stale(node, now) {
-                        &empty
-                    } else {
-                        view.snapshots.get(&node).unwrap_or(&empty)
-                    };
-                    let c = demand_coverage(snap, extra, now, dur, alpha);
-                    let better = match best {
-                        None => true,
-                        Some((bc, _)) => c > bc + 1e-12,
-                    };
-                    if better {
-                        best = Some((c, node));
-                    }
-                }
-                best.map(|(_, n)| n)
-            }
-        }
+        let now = world.now();
+        // Non-accelerable — or contact lost with every pool, so no coverage
+        // to trust: ask the half that needs no pool knowledge.
+        let extra = match classify(world, inv) {
+            InvClass::Accelerable(extra) if !view.all_stale(now) => extra,
+            _ => ResourceVec::ZERO,
+        };
+        place_in_world(world, shard, inv, extra, alpha, |n| view.fresh(n, now))
     }
 }
 
@@ -310,6 +375,63 @@ mod tests {
             }
             n
         }
+    }
+
+    fn req(func: u32, extra_cpu: u64) -> ScheduleRequest {
+        ScheduleRequest {
+            nominal: ResourceVec::from_cores_mb(2, 512),
+            extra: ResourceVec::new(extra_cpu, 0),
+            func,
+            duration: SimDuration::from_secs(2),
+            now: SimTime::ZERO,
+        }
+    }
+
+    fn idle(cpu: u64) -> PoolSnapshot {
+        vec![PoolEntryStatus {
+            cpu_idle_millis: cpu,
+            mem_idle_mb: 0,
+            expiry: SimTime::from_secs(100),
+        }]
+    }
+
+    #[test]
+    fn place_probes_from_the_hash_home_wrapping_past_the_last_node() {
+        let none = |_: usize| -> &[PoolEntryStatus] { &[] };
+        // Find a function homed on the last of 4 nodes.
+        let f = (0..64).find(|&f| place(&req(f, 0), 0.9, 4, |_| true, none) == Some(3)).unwrap();
+        // Home full: the probe wraps to node 0; nodes 0 and 1 full too: node 2.
+        assert_eq!(place(&req(f, 0), 0.9, 4, |i| i != 3, none), Some(0));
+        assert_eq!(place(&req(f, 0), 0.9, 4, |i| i == 2, none), Some(2));
+        assert_eq!(place(&req(f, 0), 0.9, 4, |_| false, none), None);
+        assert_eq!(place(&req(f, 0), 0.9, 0, |_| true, none), None, "no nodes, no answer");
+        assert_eq!(place(&req(f, 2_000), 0.9, 0, |_| true, none), None);
+    }
+
+    #[test]
+    fn place_chases_coverage_among_fitting_nodes_and_ties_go_low() {
+        let snaps = [idle(1_000), idle(2_000), idle(2_000), idle(4_000)];
+        let snap = |i: usize| snaps[i].as_slice();
+        // Node 3 covers most but does not fit; 1 and 2 tie: the lower wins.
+        assert_eq!(place(&req(9, 2_000), 0.9, 4, |i| i != 3, snap), Some(1));
+        assert_eq!(place(&req(9, 4_000), 0.9, 4, |_| true, snap), Some(3));
+        // Nothing advertised anywhere: every coverage is equal, node 0 wins
+        // whatever the function's hash home is.
+        assert_eq!(place(&req(9, 2_000), 0.9, 4, |_| true, |_| &[]), Some(0));
+        assert_eq!(place(&req(9, 2_000), 0.9, 4, |_| false, snap), None);
+    }
+
+    #[test]
+    fn fresh_view_is_the_snapshot_only_while_pings_keep_coming() {
+        let mut view = SchedView::new();
+        let n = NodeId(0);
+        assert!(view.fresh(n, SimTime::from_secs(9)).is_empty(), "never pinged");
+        view.snapshots.insert(n, idle(1_000));
+        let pinged = SimTime::from_secs(10);
+        view.note_ping(n, pinged);
+        let limit = pinged + STALE_VIEW_AFTER;
+        assert_eq!(view.fresh(n, limit), idle(1_000).as_slice());
+        assert!(view.fresh(n, limit + SimDuration(1)).is_empty(), "stale");
     }
 
     #[test]

@@ -11,37 +11,27 @@
 //! mutates its books and returns, so a shard's books have one write path and
 //! callers of different shards never contend.
 //!
+//! Where a request goes is not decided here: a shard asks the one §6.3 rule,
+//! [`crate::scheduler::place`], over its own slices and snapshots — the same
+//! function, and the same function hash, the simulator's selectors ask — and
+//! reserves what the rule picked.
+//!
 //! It also measures what the paper measures in Fig 12(c): the wall-clock
 //! scheduling overhead per decision (pick-up → node selected), which must
-//! stay under a millisecond even at 50 nodes. `exp_fig12` drives it with a
+//! stay under a millisecond even at 50 nodes. `exp fig12` drives it with a
 //! wall clock; `benchmarks/perf` times whole calls as
 //! `sharding.schedule_on_us`.
 
 use crate::clock::{Clock, NullClock};
-use crate::coverage::demand_coverage;
 use crate::pool::PoolSnapshot;
+use crate::scheduler::place;
+pub use crate::scheduler::ScheduleRequest;
 use libra_sim::node::Slice;
 use libra_sim::resources::ResourceVec;
-use libra_sim::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A scheduling request, as the front end would deliver it.
-#[derive(Clone, Debug)]
-pub struct ScheduleRequest {
-    /// User-defined allocation (admission unit).
-    pub nominal: ResourceVec,
-    /// Extra demand beyond the allocation (zero ⇒ non-accelerable).
-    pub extra: ResourceVec,
-    /// Function id (drives the non-accelerable hash).
-    pub func: u32,
-    /// Predicted execution duration (the coverage window).
-    pub duration: SimDuration,
-    /// Logical now for coverage integration.
-    pub now: SimTime,
-}
 
 /// A completed decision.
 #[derive(Clone, Copy, Debug)]
@@ -60,41 +50,6 @@ struct ShardState {
     snapshots: Vec<PoolSnapshot>,
     alpha: f64,
     alive: bool,
-}
-
-impl ShardState {
-    fn decide(&self, req: &ScheduleRequest) -> Option<u32> {
-        let n = self.slices.len();
-        let fits = |i: usize| req.nominal.fits_within(&self.slices[i].free());
-        let pick = if req.extra.is_zero() {
-            // Non-accelerable: hash home + linear probe.
-            let home = (hash(req.func) % n as u64) as usize;
-            (0..n).map(|k| (home + k) % n).find(|&i| fits(i))
-        } else {
-            // Accelerable: greedy max weighted demand coverage.
-            let mut best: Option<(f64, usize)> = None;
-            for i in (0..n).filter(|&i| fits(i)) {
-                let c = demand_coverage(
-                    &self.snapshots[i],
-                    req.extra,
-                    req.now,
-                    req.duration,
-                    self.alpha,
-                );
-                if best.is_none_or(|(bc, _)| c > bc + 1e-12) {
-                    best = Some((c, i));
-                }
-            }
-            best.map(|(_, i)| i)
-        };
-        pick.and_then(|i| u32::try_from(i).ok())
-    }
-}
-
-fn hash(f: u32) -> u64 {
-    let mut z = (f as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^ (z >> 31)
 }
 
 /// A fleet of scheduler shards.
@@ -183,8 +138,10 @@ impl ShardedScheduler {
             return Decision { node: None, latency: Duration::ZERO };
         }
         let t0 = self.clock.now_micros();
-        let node =
-            state.decide(&req).filter(|&i| state.slices[i as usize].try_reserve(req.nominal));
+        let fits = |i: usize| req.nominal.fits_within(&state.slices[i].free());
+        let node = place(&req, state.alpha, state.slices.len(), fits, |i| &state.snapshots[i])
+            .and_then(|i| u32::try_from(i).ok())
+            .filter(|&i| state.slices[i as usize].try_reserve(req.nominal));
         drop(state);
         let latency = Duration::from_micros(self.clock.now_micros().saturating_sub(t0));
         Decision { node, latency }
@@ -238,6 +195,7 @@ impl ShardedScheduler {
 mod tests {
     use super::*;
     use crate::pool::PoolEntryStatus;
+    use libra_sim::time::{SimDuration, SimTime};
 
     fn req(func: u32, extra_cpu: u64) -> ScheduleRequest {
         ScheduleRequest {

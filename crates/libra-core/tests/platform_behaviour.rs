@@ -93,8 +93,7 @@ fn extrapolation_scales_predictions_beyond_trained_span() {
 #[test]
 fn online_observations_extend_the_trained_span() {
     let suite = sebs_suite();
-    let cfg = ProfilerConfig { retrain_every: 4, ..ProfilerConfig::default() };
-    let mut p = Profiler::new(10, cfg, ModelChoice::Auto);
+    let mut p = Profiler::new(10, ProfilerConfig::default(), ModelChoice::Auto);
     let f = AppKind::Cp.id().idx();
     p.train(f, &suite[f], InputMeta::new(2, 9));
     let before = p.predict(f, InputMeta::new(200, 1)).expect("trained");

@@ -9,7 +9,6 @@
 //!   strands loans on the ledger (paper §4 safeguard);
 //! * drivers must handle **every `Action` variant** — a wildcard arm would
 //!   silently drop a newly added Action;
-//! * every `charge_*` acquisition must be **released on error paths**;
 //! * resource-volume floats must not be compared **bit-exactly**, and hot
 //!   paths must not truncate counters through raw `as` casts.
 //!

@@ -33,8 +33,6 @@ pub const RULE_PANIC: &str = "panic";
 pub const RULE_ACTION_WILDCARD: &str = "action-wildcard";
 /// Float-equality rule name.
 pub const RULE_FLOAT_EQ: &str = "float-eq";
-/// Charge/release pairing rule name.
-pub const RULE_CHARGE: &str = "charge-pairing";
 /// Narrowing-cast audit rule name.
 pub const RULE_CAST: &str = "cast";
 /// Allow-comment hygiene rule name.
@@ -690,215 +688,6 @@ fn float_source(toks: &[Token], i: usize) -> bool {
 }
 
 // ====================================================================
-// Charge/release pairing (intra-procedural, branch-aware)
-// ====================================================================
-
-/// Rule — charge/release pairing: inside any one function, a
-/// `charge_*(..)` acquisition must not be followed by an early exit
-/// (`return`, `?`) on a path that has not seen a `release_*(..)`. Charges
-/// that flow to the end of the function are fine — they are handed to the
-/// ledger/state machine, whose global balance the debug-assert auditor
-/// checks at runtime; this rule mechanizes the *local* discipline that an
-/// error path must give back what it took. Binding the charge result
-/// (`let guard = charge_..(..)`) counts as guarded ownership.
-pub fn rule_charge_pairing(file: &FileEntry, out: &mut Emitter) {
-    let toks = &file.lexed.tokens;
-    for f in &file.items.fns {
-        if f.is_test || f.body.0 == f.body.1 {
-            continue;
-        }
-        let mut walker = ChargeWalker { file, toks, out };
-        let body = (f.body.0 + 1, f.body.1.saturating_sub(1));
-        walker.walk(body.0, body.1, &mut Vec::new());
-    }
-}
-
-struct ChargeWalker<'a, 'b> {
-    file: &'a FileEntry,
-    toks: &'a [Token],
-    out: &'b mut Emitter,
-}
-
-impl ChargeWalker<'_, '_> {
-    /// Walk tokens `[i, end)` at one nesting level. `outstanding` carries
-    /// the lines of unreleased `charge_*` calls on this path; mutated in
-    /// place to reflect the state at the end of the range.
-    fn walk(&mut self, mut i: usize, end: usize, outstanding: &mut Vec<u32>) {
-        while i < end {
-            let t = &self.toks[i];
-            if self.file.mask[i] {
-                i += 1;
-                continue;
-            }
-            if t.is_ident("if") || t.is_ident("else") {
-                // Branch: process arms with cloned states, union after.
-                let (arms, next) = self.branch_blocks(i, end);
-                if arms.is_empty() {
-                    i += 1;
-                    continue;
-                }
-                let mut merged: Vec<u32> = outstanding.clone(); // else-less: fallthrough keeps state
-                for (s, e) in arms {
-                    let mut st = outstanding.clone();
-                    self.walk(s, e, &mut st);
-                    for l in st {
-                        if !merged.contains(&l) {
-                            merged.push(l);
-                        }
-                    }
-                }
-                *outstanding = merged;
-                i = next;
-                continue;
-            }
-            if t.is_ident("match") || t.is_ident("loop") || t.is_ident("while") || t.is_ident("for")
-            {
-                // Approximation: scan the construct's block linearly with
-                // the current state (a release in any arm clears; an early
-                // exit after a charge still diagnoses).
-                i += 1;
-                continue;
-            }
-            if let Tok::Ident(name) = &t.tok {
-                if name.starts_with("charge_")
-                    && self.toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                {
-                    let close = self.match_paren(i + 1, end);
-                    // `let g = charge_..(..)` — guard binding owns the charge.
-                    if !self.is_let_bound(i) {
-                        outstanding.push(t.line);
-                    }
-                    // `charge_..(..)?` — if the `?` fires the charge itself
-                    // failed and nothing is held; skip that `?` (later exits
-                    // still see the charge as outstanding).
-                    if self.toks.get(close).is_some_and(|n| n.is_punct("?")) {
-                        i = close + 1;
-                    } else {
-                        i = close;
-                    }
-                    continue;
-                }
-                if name.starts_with("release_")
-                    && self.toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                {
-                    outstanding.clear();
-                    i += 1;
-                    continue;
-                }
-                if name == "return" && !outstanding.is_empty() {
-                    self.leak(t.line, outstanding, "`return`");
-                    outstanding.clear();
-                    i += 1;
-                    continue;
-                }
-            }
-            if t.is_punct("?") && !outstanding.is_empty() {
-                self.leak(t.line, outstanding, "`?` propagation");
-                outstanding.clear();
-            }
-            i += 1;
-        }
-    }
-
-    fn leak(&mut self, line: u32, outstanding: &[u32], how: &str) {
-        let charged: Vec<String> = outstanding.iter().map(|l| format!("line {l}")).collect();
-        self.out.emit(
-            self.file,
-            RULE_CHARGE,
-            line,
-            format!(
-                "early exit via {how} with an unreleased `charge_*` ({}) on this path: release the charge on the error path (or bind it to a guard)",
-                charged.join(", ")
-            ),
-            Vec::new(),
-        );
-    }
-
-    /// Is the `charge_*` call at `i` the initialiser of a `let` binding?
-    /// Looks back to the statement start for `let .. =`.
-    fn is_let_bound(&self, i: usize) -> bool {
-        let mut k = i;
-        let mut saw_eq = false;
-        while k > 0 {
-            k -= 1;
-            let t = &self.toks[k];
-            if t.is_punct(";") || t.is_punct("{") || t.is_punct("}") {
-                return false;
-            }
-            if t.is_punct("=") {
-                saw_eq = true;
-            }
-            if t.is_ident("let") {
-                return saw_eq;
-            }
-        }
-        false
-    }
-
-    /// One past the `)` matching the `(` at `open` (bounded by `end`).
-    fn match_paren(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut j = open;
-        while j < end {
-            let t = &self.toks[j];
-            if t.is_punct("(") {
-                depth += 1;
-            } else if t.is_punct(")") {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            j += 1;
-        }
-        end
-    }
-
-    /// For an `if`/`else` at `i`, find its arm block(s): returns the token
-    /// ranges (inside the braces) of the then-block (and, transparently,
-    /// subsequent `else`/`else if` blocks are handled by the caller seeing
-    /// the `else` keyword next). Returns `(arms, resume_index)`.
-    fn branch_blocks(&self, i: usize, end: usize) -> (Vec<(usize, usize)>, usize) {
-        // Scan from `i` to the block `{` at depth 0 (the condition may
-        // contain parens but not bare braces except struct literals, which
-        // the lexer can't distinguish — accepted imprecision).
-        let mut j = i + 1;
-        let mut d = 0i32;
-        while j < end {
-            let t = &self.toks[j];
-            if t.is_punct("(") || t.is_punct("[") {
-                d += 1;
-            } else if t.is_punct(")") || t.is_punct("]") {
-                d -= 1;
-            } else if t.is_punct("{") && d == 0 {
-                break;
-            } else if t.is_punct(";") && d == 0 {
-                return (Vec::new(), i + 1);
-            }
-            j += 1;
-        }
-        if j >= end {
-            return (Vec::new(), i + 1);
-        }
-        let mut depth = 0i32;
-        let mut k = j;
-        while k < end {
-            let t = &self.toks[k];
-            if t.is_punct("{") {
-                depth += 1;
-            } else if t.is_punct("}") {
-                depth -= 1;
-                if depth == 0 {
-                    return (vec![(j + 1, k)], k + 1);
-                }
-            }
-            k += 1;
-        }
-        (Vec::new(), j + 1)
-    }
-}
-
-// ====================================================================
 // Allow hygiene
 // ====================================================================
 
@@ -1003,7 +792,6 @@ pub fn run_all(files: &[FileEntry], workspace: bool) -> (Emitter, FnId) {
         rule_determinism_crates(file, &mut em);
         rule_action_wildcard(file, &mut em);
         rule_float_eq(file, &mut em);
-        rule_charge_pairing(file, &mut em);
     }
     rule_panic_reachability(&g, &mut em);
     rule_determinism_reachability(&g, &mut em);

@@ -295,62 +295,6 @@ fn cast_suppressed_by_reasoned_allow() {
     assert!(rules_at(PANIC_PATH, src).is_empty());
 }
 
-// ---- charge/release pairing ----------------------------------------------
-
-#[test]
-fn charge_flags_early_return_with_outstanding_charge() {
-    let src = "fn f(n: u64) {\n    charge_cpu(n);\n    if n > 3 {\n        return;\n    }\n    hand_off(n);\n}\n";
-    let ds = lint_source(NEUTRAL_PATH, src);
-    assert_eq!(
-        ds.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
-        vec![("charge-pairing", 4)]
-    );
-    assert!(ds[0].msg.contains("line 2"), "message names the charge site: {}", ds[0].msg);
-}
-
-#[test]
-fn charge_flags_question_mark_after_charge() {
-    let src =
-        "fn f(n: u64) -> Result<(), E> {\n    charge_mem(n);\n    fallible(n)?;\n    Ok(())\n}\n";
-    assert_eq!(rules_at(NEUTRAL_PATH, src), vec![("charge-pairing".into(), 3)]);
-}
-
-#[test]
-fn charge_release_on_error_path_is_clean() {
-    let src = "fn f(n: u64) -> Result<(), E> {\n    charge_cpu(n);\n    if fails(n) {\n        release_cpu(n);\n        return Err(E);\n    }\n    Ok(())\n}\n";
-    assert!(rules_at(NEUTRAL_PATH, src).is_empty());
-}
-
-#[test]
-fn charge_let_binding_counts_as_guard() {
-    let src = "fn f(n: u64) -> Result<(), E> {\n    let _guard = charge_cpu(n);\n    fallible(n)?;\n    Ok(())\n}\n";
-    assert!(rules_at(NEUTRAL_PATH, src).is_empty());
-}
-
-#[test]
-fn charge_question_on_the_charge_itself_is_not_a_leak() {
-    // If `charge_..(..)?` propagates, the charge failed and nothing is held;
-    // a *later* `?` on the same path still leaks.
-    let clean = "fn f(n: u64) -> Result<(), E> {\n    charge_cpu(n)?;\n    Ok(())\n}\n";
-    assert_eq!(rules_at(NEUTRAL_PATH, clean), vec![]);
-    let leaky =
-        "fn f(n: u64) -> Result<(), E> {\n    charge_cpu(n)?;\n    fallible(n)?;\n    Ok(())\n}\n";
-    assert_eq!(rules_at(NEUTRAL_PATH, leaky), vec![("charge-pairing".into(), 3)]);
-}
-
-#[test]
-fn charge_branch_state_is_unioned() {
-    // Charge taken on only one branch still leaks at a later exit.
-    let src = "fn f(n: u64) -> Result<(), E> {\n    if n > 3 {\n        charge_cpu(n);\n    }\n    fallible(n)?;\n    Ok(())\n}\n";
-    assert_eq!(rules_at(NEUTRAL_PATH, src), vec![("charge-pairing".into(), 5)]);
-}
-
-#[test]
-fn charge_flowing_to_fn_end_is_a_hand_off() {
-    let src = "fn f(n: u64) {\n    charge_cpu(n);\n    note(n);\n}\n";
-    assert!(rules_at(NEUTRAL_PATH, src).is_empty());
-}
-
 // ---- action exhaustiveness ----------------------------------------------
 
 #[test]

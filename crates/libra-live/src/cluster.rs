@@ -17,6 +17,19 @@
 //!
 //! [`Slice`]: libra_sim::node::Slice
 //!
+//! Placement is [`libra_core::scheduler::place`] through
+//! [`ShardedScheduler::schedule_on`], so a function's hash home is the node
+//! the simulator would pick. This driver asks the rule only its
+//! non-accelerable half: `run_invocation` sends `extra: ResourceVec::ZERO`
+//! and `now: SimTime::ZERO`, and nothing here calls
+//! [`ShardedScheduler::push_snapshot`], so every request is hashed and probed
+//! and the shards' pool views stay empty. On this substrate the coverage half
+//! is reached only by `exp fig12` (c), the `sharding.schedule_on_us` drill of
+//! `benchmarks/perf` and unit tests. Wiring it is a ping path that pushes
+//! `ControlPlane::snapshot` plus the real `extra`/`now` in `run_invocation`;
+//! it changes where `live_closed` places work, so it is its own measured
+//! change.
+//!
 //! Two driver surfaces exist over the same machinery:
 //!
 //! * [`run_live`] — the batch harness: submit a whole workload, wait for the

@@ -15,8 +15,9 @@
 //!
 //! **Zero cost when disabled.** A disabled [`SpanSink`] never allocates:
 //! its vectors stay at `Vec::new()` (no heap block) and every `record*`
-//! call is an inlined early return on one boolean. `bench_sim --check`
-//! guards the hot path with tracing compiled in but off.
+//! call is an inlined early return on one boolean. The repo benchmark's
+//! sim workloads (`benchmarks/perf`) run the hot path with tracing compiled
+//! in but off.
 
 use crate::metrics::percentiles;
 use crate::platform::LoanEnd;

@@ -205,7 +205,7 @@ impl TraceGen {
 }
 
 /// The `huge` benchmark tier: everything a driver needs to reproduce the
-/// million-invocation, thousand-node stress workload (`bench_sim`). The
+/// million-invocation, thousand-node stress workload (`exp scale`). The
 /// tier exists to make the simulator's scale limits measurable — at this
 /// size the engine must stream arrivals, recycle invocation slots and keep
 /// metrics online, or it simply does not finish.
@@ -237,21 +237,6 @@ impl HugeTier {
             invocations: 1_000_000,
             rpm: 20_000.0,
             nodes: 1_000,
-            node_cores: 48,
-            node_mem_mb: 196_608,
-            shards: 4,
-        }
-    }
-
-    /// A proportionally scaled-down tier (~20k invocations on 100 nodes)
-    /// for CI smoke runs: same catalogue shape, same per-node load, a
-    /// hundredth of the wall time.
-    pub fn smoke(seed: u64) -> Self {
-        HugeTier {
-            gen: TraceGen::zipf_catalogue(400, seed, 1.1),
-            invocations: 20_000,
-            rpm: 2_000.0,
-            nodes: 100,
             node_cores: 48,
             node_mem_mb: 196_608,
             shards: 4,
@@ -444,11 +429,6 @@ mod tests {
         for spec in tier.suite() {
             assert!(spec.user_alloc.fits_within(&slice), "{} won't place", spec.name);
         }
-        let smoke = HugeTier::smoke(1);
-        // Same per-node pressure: rpm/nodes ratio preserved.
-        let full_rate = tier.rpm / tier.nodes as f64;
-        let smoke_rate = smoke.rpm / smoke.nodes as f64;
-        assert!((full_rate - smoke_rate).abs() < 1e-9);
     }
 
     #[test]

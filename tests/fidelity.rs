@@ -647,3 +647,54 @@ fn trimmed_loan_span_stays_open_until_the_loan_is_gone() {
         assert!(loan.end_us.abs_diff(exec.end_us) <= 20_000, "{name}: {loan:?} vs {exec:?}");
     }
 }
+
+/// §6.3 is one function (`libra_core::scheduler::place`) asked by both
+/// substrates, so a function's hash home is the same node in the simulator
+/// and in the live cluster. Four nodes, one shard, one unprofiled (hence
+/// non-accelerable) invocation of each of functions 0–7, small and spaced so
+/// capacity never binds and the probe never has to leave the home node.
+#[test]
+fn placement_agrees_on_four_nodes() {
+    const ONE: Actor = Actor { alloc: (1_000, 256), demand: (1_000, 128, 50), pred: (0, 0, 0) };
+    let actors: Vec<Actor> = (0..8).map(|_| ONE).collect();
+    let arrivals_ms: Vec<u64> = (0..8).map(|i| i * 100).collect();
+    let capacity = ResourceVec::from_cores_mb(16, 16 * 1024);
+
+    let (funcs, trace) = sim_scenario(&actors, &arrivals_ms);
+    let sim =
+        Simulation::new(funcs, vec![capacity; 4], SimConfig { shards: 1, ..SimConfig::default() });
+    // Libra-NP predicts from past completions only: a first invocation has none.
+    let sim_result = sim.run(&trace, &mut LibraPlatform::new(LibraConfig::np()));
+    assert_eq!(sim_result.records.len(), 8);
+
+    let workload: Vec<LiveRequest> = live_requests(&actors, &arrivals_ms)
+        .into_iter()
+        .enumerate()
+        .map(|(f, r)| LiveRequest { func: f as u32, pred: None, ..r })
+        .collect();
+    let cfg = LiveConfig {
+        nodes: 4,
+        capacity,
+        shards: 1,
+        harvesting: true,
+        quantum: Duration::from_millis(1),
+        time_scale: 4.0,
+        record_trace: true,
+        ..LiveConfig::default()
+    };
+    let live_result = run_live(&workload, &cfg);
+    assert_eq!(live_result.records.len(), 8);
+
+    let sim_homes: Vec<u32> = (0..8u32)
+        .map(|f| sim_result.records.iter().find(|r| r.func == FunctionId(f)).expect("ran").node.0)
+        .collect();
+    let live_homes: Vec<u32> = (0..8u32)
+        .map(|inv| {
+            let admitted = |a: &Action| matches!(a, Action::Admitted { inv: i, .. } if i.0 == inv);
+            let n = live_result.actions_by_node.iter().position(|acts| acts.iter().any(admitted));
+            n.expect("admitted somewhere") as u32
+        })
+        .collect();
+    assert_eq!(sim_homes, live_homes, "a function's home node must not depend on the substrate");
+    assert!(sim_homes.iter().any(|&n| n != sim_homes[0]), "scenario must spread: {sim_homes:?}");
+}
