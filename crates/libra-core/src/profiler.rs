@@ -340,7 +340,7 @@ impl Profiler {
                 o.duration.as_secs_f64(),
             );
         }
-        let (ml, scores) = Self::fit_forests(&data, TRAIN_FRAC, SEED ^ f as u64);
+        let (ml, scores) = Self::fit_forests(data, TRAIN_FRAC, SEED ^ f as u64);
         self.scores[f] = Some(scores);
 
         let related = scores.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD);
@@ -362,52 +362,37 @@ impl Profiler {
         self.train_micros.push((u128::from(elapsed), 0));
     }
 
-    fn fit_forests(data: &Dataset3, train_frac: f64, seed: u64) -> (MlModels, ModelScores) {
+    fn fit_forests(data: Dataset3, train_frac: f64, seed: u64) -> (MlModels, ModelScores) {
         // Hold-out split for the relatedness test, then refit on all rows.
-        let n = data.len();
-        let split = Dataset::from_rows(data.x.clone(), (0..n).map(|i| i as f64).collect());
-        let (tr_idx, te_idx) = split.train_test_split(train_frac, seed);
-        let pick = |idxs: &Dataset, col: &[f64]| -> (Vec<Vec<f64>>, Vec<f64>) {
-            let ids: Vec<usize> = idxs.y.iter().map(|&v| v as usize).collect();
-            (
-                ids.iter().map(|&i| data.x[i].clone()).collect(),
-                ids.iter().map(|&i| col[i]).collect(),
-            )
-        };
+        // One split serves the three targets: the features of its train and
+        // test rows are picked once, each target column as it is needed.
+        let (tr, te) = Dataset::split_indices(data.len(), train_frac, seed);
+        let rows = |ids: &[usize]| ids.iter().map(|&i| data.x[i].clone()).collect::<Vec<_>>();
+        let pick = |ids: &[usize], col: &[f64]| ids.iter().map(|&i| col[i]).collect::<Vec<_>>();
+        let (trx, tex) = (rows(&tr), rows(&te));
         let params = ForestParams { n_trees: 24, seed, ..Default::default() };
         let n_cpu_classes = MAX_CPU_CLASS + 1;
         let n_mem_classes = data.mem.iter().map(|&v| v as usize).max().unwrap_or(1) + 2;
 
-        let (trx, trc) = pick(&tr_idx, &data.cpu);
-        let (tex, tec) = pick(&te_idx, &data.cpu);
-        let cpu_rf = RandomForest::fit(
-            &trx,
-            &trc,
-            Task::Classification { n_classes: n_cpu_classes },
-            params,
+        let holdout_accuracy = |col: &[f64], n_classes: usize| {
+            let rf = RandomForest::fit(
+                &trx,
+                &pick(&tr, col),
+                Task::Classification { n_classes },
+                params,
+            );
+            accuracy(
+                &tex.iter().map(|r| rf.predict_class(r)).collect::<Vec<_>>(),
+                &te.iter().map(|&i| col[i] as usize).collect::<Vec<_>>(),
+            )
+        };
+        let cpu_acc = holdout_accuracy(&data.cpu, n_cpu_classes);
+        let mem_acc = holdout_accuracy(&data.mem, n_mem_classes);
+        let dur_rf = RandomForest::fit(&trx, &pick(&tr, &data.dur), Task::Regression, params);
+        let dur_r2 = r2_score(
+            &tex.iter().map(|r| dur_rf.predict(r)).collect::<Vec<_>>(),
+            &pick(&te, &data.dur),
         );
-        let cpu_acc = accuracy(
-            &tex.iter().map(|r| cpu_rf.predict_class(r)).collect::<Vec<_>>(),
-            &tec.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-        );
-
-        let (_, trm) = pick(&tr_idx, &data.mem);
-        let (_, tem) = pick(&te_idx, &data.mem);
-        let mem_rf = RandomForest::fit(
-            &trx,
-            &trm,
-            Task::Classification { n_classes: n_mem_classes },
-            params,
-        );
-        let mem_acc = accuracy(
-            &tex.iter().map(|r| mem_rf.predict_class(r)).collect::<Vec<_>>(),
-            &tem.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-        );
-
-        let (_, trd) = pick(&tr_idx, &data.dur);
-        let (_, ted) = pick(&te_idx, &data.dur);
-        let dur_rf = RandomForest::fit(&trx, &trd, Task::Regression, params);
-        let dur_r2 = r2_score(&tex.iter().map(|r| dur_rf.predict(r)).collect::<Vec<_>>(), &ted);
 
         // Refit on the full dataset for serving.
         let all_cpu = RandomForest::fit(
@@ -424,13 +409,7 @@ impl Profiler {
         );
         let all_dur = RandomForest::fit(&data.x, &data.dur, Task::Regression, params);
 
-        let data3 = Dataset3 {
-            x: data.x.clone(),
-            cpu: data.cpu.clone(),
-            mem: data.mem.clone(),
-            dur: data.dur.clone(),
-        };
-        let sizes: Vec<u64> = data3.x.iter().map(|r| r[0] as u64).collect();
+        let sizes: Vec<u64> = data.x.iter().map(|r| r[0] as u64).collect();
         let size_min = sizes.iter().copied().min().unwrap_or(1);
         let size_max = sizes.iter().copied().max().unwrap_or(1);
 
@@ -439,7 +418,7 @@ impl Profiler {
                 cpu: all_cpu,
                 mem: all_mem,
                 dur: all_dur,
-                data: data3,
+                data,
                 since_refit: 0,
                 size_min,
                 size_max,

@@ -230,9 +230,7 @@ impl<S: Read + Write> Conn<S> {
             head.push_str("\r\n");
         }
         head.push_str(&format!("Content-Length: {}\r\n\r\n", resp.body.len()));
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(&resp.body)?;
-        self.stream.flush()
+        self.send_message(head, &resp.body)
     }
 
     /// Send a request (client side).
@@ -241,8 +239,17 @@ impl<S: Read + Write> Conn<S> {
             "{method} {target} HTTP/1.1\r\nHost: libra-gateway\r\nContent-Length: {}\r\n\r\n",
             body.len()
         );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
+        self.send_message(head, body)
+    }
+
+    /// Head and body leave in one `write`. Written apart, the body is a
+    /// second small segment that Nagle's algorithm holds until the peer
+    /// acknowledges the head — and on a keep-alive connection the peer delays
+    /// that acknowledgement (~40 ms) waiting for data of its own to carry it.
+    fn send_message(&mut self, head: String, body: &[u8]) -> std::io::Result<()> {
+        let mut message = head.into_bytes();
+        message.extend_from_slice(body);
+        self.stream.write_all(&message)?;
         self.stream.flush()
     }
 }
@@ -279,10 +286,11 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, RecvError> {
 mod tests {
     use super::*;
 
-    /// In-memory stream: reads from a script, collects writes.
+    /// In-memory stream: reads from a script, collects and counts writes.
     struct Script {
         input: std::io::Cursor<Vec<u8>>,
         output: Vec<u8>,
+        writes: usize,
     }
 
     impl Read for Script {
@@ -293,6 +301,7 @@ mod tests {
 
     impl Write for Script {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
             self.output.write(buf)
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -304,6 +313,7 @@ mod tests {
         Conn::new(Script {
             input: std::io::Cursor::new(input.as_bytes().to_vec()),
             output: Vec::new(),
+            writes: 0,
         })
     }
 
@@ -363,5 +373,28 @@ mod tests {
         assert_eq!(r.status, 429);
         assert_eq!(r.header("retry-after"), Some("2"));
         assert_eq!(r.body, b"no");
+    }
+
+    /// A message written in two pieces stalls on a keep-alive socket (see
+    /// `send_message`): head and body must reach the stream in one `write`.
+    #[test]
+    fn each_message_is_one_write() {
+        let mut c = conn("");
+        let resp =
+            Response::text(429, "Too Many Requests", "slow down").with_header("Retry-After", "2");
+        c.send_response(&resp).expect("in-memory write");
+        assert_eq!(c.stream.writes, 1);
+        assert_eq!(
+            c.stream.output,
+            b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 2\r\nContent-Length: 9\r\n\r\nslow down"
+        );
+
+        let mut c = conn("");
+        c.send_request("POST", "/invoke/a/0", b"body").expect("in-memory write");
+        assert_eq!(c.stream.writes, 1);
+        assert_eq!(
+            c.stream.output,
+            b"POST /invoke/a/0 HTTP/1.1\r\nHost: libra-gateway\r\nContent-Length: 4\r\n\r\nbody"
+        );
     }
 }

@@ -53,18 +53,25 @@ impl Dataset {
     /// `train_frac` of rows in train — the paper's 7:3 split (§8.2.3) is
     /// `train_frac = 0.7`.
     pub fn train_test_split(&self, train_frac: f64, seed: u64) -> (Dataset, Dataset) {
+        let (train, test) = Self::split_indices(self.len(), train_frac, seed);
+        let rows = |ids: &[usize]| Dataset {
+            x: ids.iter().map(|&i| self.x[i].clone()).collect(),
+            y: ids.iter().map(|&i| self.y[i]).collect(),
+        };
+        (rows(&train), rows(&test))
+    }
+
+    /// The row numbers [`train_test_split`](Self::train_test_split) puts in
+    /// (train, test) for `n` rows — for a caller that keeps several target
+    /// columns over one feature matrix and splits them alike.
+    pub fn split_indices(n: usize, train_frac: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
         assert!((0.0..=1.0).contains(&train_frac), "train_frac out of range");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
+        let mut idx: Vec<usize> = (0..n).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         idx.shuffle(&mut rng);
-        let n_train = (self.len() as f64 * train_frac).round() as usize;
-        let mut train = Dataset::new();
-        let mut test = Dataset::new();
-        for (k, &i) in idx.iter().enumerate() {
-            let dst = if k < n_train { &mut train } else { &mut test };
-            dst.push(self.x[i].clone(), self.y[i]);
-        }
-        (train, test)
+        let n_train = (n as f64 * train_frac).round() as usize;
+        let test = idx.split_off(n_train.min(n));
+        (idx, test)
     }
 
     /// Targets as class indices (for classifiers).

@@ -4,13 +4,17 @@
 //! models, we opt for Random Forest"). Two classifiers (CPU peak, memory
 //! peak) and one regressor (execution time) per function.
 //!
-//! Tree training is embarrassingly parallel; `fit` fans the trees out over
-//! crossbeam scoped threads (data-race-free by construction: each thread
-//! reads shared `&[Vec<f64>]` slices and writes its own tree slot).
+//! Tree training is embarrassingly parallel; on more than one core `fit`
+//! fans the trees of a larger forest out over crossbeam scoped threads
+//! (data-race-free by construction: each thread reads shared `&[Vec<f64>]`
+//! slices and writes its own tree slot). On one core, where the fan-out
+//! would be a single worker, it grows them inline. Either way a tree sees
+//! its bootstrap sample as a list of row numbers, not as a copy of the rows.
 
 use crate::tree::{DecisionTree, Task, TreeParams};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::thread::available_parallelism;
 
 /// Forest hyperparameters.
 #[derive(Clone, Copy, Debug)]
@@ -68,20 +72,15 @@ impl RandomForest {
 
         let fit_one = |seed: u64| -> DecisionTree {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut bx = Vec::with_capacity(sample_n);
-            let mut by = Vec::with_capacity(sample_n);
-            for _ in 0..sample_n {
-                let i = rng.gen_range(0..n);
-                bx.push(x[i].clone());
-                by.push(y[i]);
-            }
-            DecisionTree::fit(&bx, &by, task, tree_params, &mut rng)
+            let rows: Vec<usize> = (0..sample_n).map(|_| rng.gen_range(0..n)).collect();
+            DecisionTree::fit_rows(x, y, &rows, task, tree_params, &mut rng)
         };
 
         // Parallel fan-out for larger forests; sequential below the
-        // threshold where thread spawn overhead dominates.
-        let trees: Vec<DecisionTree> = if params.n_trees >= 16 && n >= 64 {
-            let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
+        // threshold where thread spawn overhead dominates, and on one core.
+        let large = params.n_trees >= 16 && n >= 64;
+        let threads = if large { available_parallelism().map_or(4, |p| p.get()) } else { 1 };
+        let trees: Vec<DecisionTree> = if threads > 1 {
             let chunk = params.n_trees.div_ceil(threads);
             let mut out: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
             let scope_ok = crossbeam::scope(|s| {
@@ -208,5 +207,42 @@ mod tests {
         let p = ForestParams { n_trees: 32, ..Default::default() };
         let f = RandomForest::fit(&x, &y, Task::Regression, p);
         assert_eq!(f.len(), 32);
+    }
+
+    /// `fit` against a forest built the way it was before trees took row
+    /// lists: every tree's bootstrap rows cloned, the tree grown by the split
+    /// search the sweep replaced (`DecisionTree::fit_oracle`). Same trees,
+    /// so bit-equal predictions, on both sides of the 64-row fan-out threshold.
+    #[test]
+    fn fit_matches_oracle_trees_on_cloned_bootstrap_rows() {
+        for n in [40usize, 150] {
+            let (x, y_class) = step_data(n);
+            let y_reg: Vec<f64> = (0..n).map(|i| 1e6 + ((i * 7) % 13) as f64 * 0.25).collect();
+            for (task, y, subsample) in [
+                (Task::Classification { n_classes: 4 }, &y_class, 2),
+                (Task::Regression, &y_reg, 1),
+            ] {
+                let params = ForestParams { n_trees: 16, seed: 7, ..Default::default() };
+                let fitted = RandomForest::fit(&x, y, task, params);
+
+                let tree_params = TreeParams { feature_subsample: Some(subsample), ..params.tree };
+                let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
+                let trees: Vec<DecisionTree> = (0..params.n_trees)
+                    .map(|_| {
+                        let mut rng = ChaCha8Rng::seed_from_u64(seeder.next_u64());
+                        let drawn: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                        let bx: Vec<Vec<f64>> = drawn.iter().map(|&i| x[i].clone()).collect();
+                        let by: Vec<f64> = drawn.iter().map(|&i| y[i]).collect();
+                        DecisionTree::fit_oracle(&bx, &by, task, tree_params, &mut rng)
+                    })
+                    .collect();
+                let reference = RandomForest { trees, task };
+
+                assert_eq!(format!("{:?}", fitted.trees), format!("{:?}", reference.trees));
+                for row in &x {
+                    assert_eq!(fitted.predict(row).to_bits(), reference.predict(row).to_bits());
+                }
+            }
+        }
     }
 }

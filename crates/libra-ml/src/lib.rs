@@ -18,7 +18,8 @@
 //!   standardization, accuracy and R²).
 //!
 //! All models are deterministic given their seeds; forest training fans out
-//! across crossbeam scoped threads.
+//! across crossbeam scoped threads where there is more than one core, and
+//! runs inline on one.
 
 #![warn(missing_docs)]
 

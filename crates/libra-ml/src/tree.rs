@@ -2,10 +2,17 @@
 //!
 //! The building block for the random forests Libra's profiler uses
 //! (§4.3.1). Splits minimize Gini impurity (classification) or sum of
-//! squared errors (regression); candidate thresholds are the midpoints
-//! between consecutive distinct feature values. Datasets here are small
-//! (a workload duplicator produces ≤ a few hundred rows per function), so
-//! exact threshold enumeration is affordable and keeps the tree exact.
+//! squared errors (regression); every midpoint between consecutive distinct
+//! feature values is a candidate threshold, so the tree is the exact CART
+//! tree. The search sorts a node's rows once per feature and sweeps the
+//! boundaries with a left-side pointer (`sweep`) — O(n log n) a node — yet
+//! picks the split, and reports the gain, that dividing the node afresh
+//! at every threshold would. For classification that is immediate: class
+//! counts are integers, so running left counts and `total − left` give each
+//! side's impurity through the same `gini_n` a whole node uses. A side's SSE
+//! is a float sum in row order that no running sum reproduces, so regression
+//! first scores every candidate from prefix sums and evaluates the slow way
+//! only those the score cannot rule out (`best_sse_split` has the argument).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -53,10 +60,166 @@ pub struct DecisionTree {
     task: Task,
 }
 
+/// The best split of a node so far: `(gain, feature, threshold)`.
+type Best = Option<(f64, usize, f64)>;
+
+/// Keep `best` unless `gain` is strictly greater: of equal gains the first
+/// enumerated wins.
+fn offer(best: &mut Best, gain: f64, f: usize, thr: f64) {
+    if best.is_none_or(|(g, _, _)| gain > g) {
+        *best = Some((gain, f, thr));
+    }
+}
+
+/// Sum of squared deviations from the mean of `n` targets, two passes in
+/// iteration order.
+fn sse(ys: impl Iterator<Item = f64> + Clone, n: usize) -> f64 {
+    let mean = ys.clone().sum::<f64>() / n as f64;
+    ys.map(|v| (v - mean).powi(2)).sum::<f64>()
+}
+
+/// Gini impurity times `n` of `n` rows with these per-class counts.
+fn gini_n(counts: impl Iterator<Item = usize>, n: usize) -> f64 {
+    let n = n as f64;
+    let gini = 1.0 - counts.map(|c| (c as f64 / n).powi(2)).sum::<f64>();
+    gini * n
+}
+
+fn class_counts(y: &[f64], idx: &[usize], n_classes: usize) -> Vec<usize> {
+    let mut counts = vec![0usize; n_classes];
+    for &i in idx {
+        counts[y[i] as usize] += 1;
+    }
+    counts
+}
+
+/// Enumerate feature `f`'s candidate splits of node `idx` in ascending
+/// threshold order: sort the node's `(value, row)` pairs once, then at each
+/// boundary between distinct values call `visit(thr, entered, n_left)` with
+/// the pairs that joined the left side since the last call and that side's
+/// size. The left side is `value <= thr`, advanced by value, not position:
+/// the midpoint of two adjacent floats can round up to the right one, whose
+/// rows are then on the left too.
+fn sweep(
+    x: &[Vec<f64>],
+    idx: &[usize],
+    f: usize,
+    mut visit: impl FnMut(f64, &[(f64, usize)], usize),
+) {
+    let mut vals: Vec<(f64, usize)> = idx.iter().map(|&i| (x[i][f], i)).collect();
+    vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    let mut right: &[(f64, usize)] = &vals;
+    for pair in vals.windows(2) {
+        let (prev, cur) = (pair[0].0, pair[1].0);
+        let thr = (cur + prev) / 2.0;
+        if cur == prev || thr.is_nan() {
+            continue; // no boundary, or −∞ | +∞: no midpoint, and no row `<=` it
+        }
+        let moved = right.iter().take_while(|v| v.0 <= thr).count();
+        if moved == right.len() {
+            break; // no right side, at this or any later (never lower) threshold
+        }
+        let (entered, rest) = right.split_at(moved);
+        right = rest;
+        visit(thr, entered, vals.len() - right.len());
+    }
+}
+
+/// Best Gini split of node `idx` over `feats`: each side's class counts come
+/// from the sweep, its impurity from `gini_n` as a whole node's does.
+fn best_gini_split(
+    x: &[Vec<f64>],
+    y: &[f64],
+    idx: &[usize],
+    feats: &[usize],
+    n_classes: usize,
+) -> Best {
+    let total = class_counts(y, idx, n_classes);
+    let parent = gini_n(total.iter().copied(), idx.len());
+    let mut left = vec![0usize; n_classes];
+    let mut best = None;
+    for &f in feats {
+        left.fill(0);
+        sweep(x, idx, f, |thr, entered, n_left| {
+            for &(_, i) in entered {
+                left[y[i] as usize] += 1;
+            }
+            let right = total.iter().zip(&left).map(|(&t, &l)| t - l);
+            let gain =
+                parent - gini_n(left.iter().copied(), n_left) - gini_n(right, idx.len() - n_left);
+            offer(&mut best, gain, f, thr);
+        });
+    }
+    best
+}
+
+/// Best SSE split of node `idx` over `feats`: the split, and the gain, that
+/// evaluating `parent − sse(left) − sse(right)` at every candidate would give.
+///
+/// Each candidate is first scored `s = SL²/nL + SR²/nR`, `SL` the sweep's
+/// running sum of the node-centred targets `z = y − c` and `SR = Σz − SL`. In
+/// exact arithmetic `s = G + n(ȳ − c)²` for any centre `c`, `G` the true gain,
+/// so `s` ranks candidates as `G` does. In floats (`u = ε/2`, `Z = Σz²`,
+/// `Y = max|y|`) `s` is off by `E_s ≲ (4n^1.5 + 2n + 6)·u·Z` — `SR` carries up
+/// to `2n·u·Σ|z|` of rounding, `Σ|z| ≤ √(nZ)`, `|SR| ≤ √(nR·Z)` — and the slow
+/// evaluation `Ĝ` is off too, by a constant all candidates share (the parent's
+/// error) plus `E_g ≲ (2n + 6)·u·Z + n³u²Y²`: a side's mean is a float sum,
+/// wrong by up to `n_s·u·Y`, which adds `n_s³u²Y²` to its SSE, and the squares,
+/// sums and subtractions add `(n + 3)·u` of it. That last term is nothing
+/// unless the targets sit on a large offset, and then it is what matters.
+///
+/// The slow winner `w` has `Ĝ_w ≥ Ĝ_k`, hence `G_w ≥ G_k − 2E_g` and
+/// `s_w ≥ s_k − 2(E_s + E_g)` for every `k`: it scores within `2·tol` of the
+/// top for any `tol ≥ E_s + E_g`, and the one below has a factor of 6 and more
+/// to spare. Evaluating just those candidates the slow way, in enumeration
+/// order under the same strict `>`, returns `w` with `Ĝ_w` — the first of the
+/// maxima is the first in any subset that holds it. A score not provably
+/// below the line (NaN, or a non-finite `tol`) is evaluated.
+fn best_sse_split(x: &[Vec<f64>], y: &[f64], idx: &[usize], feats: &[usize]) -> Best {
+    let parent = sse(idx.iter().map(|&i| y[i]), idx.len());
+    let n = idx.len() as f64;
+    let centre = idx.iter().map(|&i| y[i]).sum::<f64>() / n;
+    let (mut z_sum, mut z_sq, mut y_max) = (0.0f64, 0.0f64, 0.0f64);
+    for &i in idx {
+        let z = y[i] - centre;
+        z_sum += z;
+        z_sq += z * z;
+        y_max = y_max.max(y[i].abs());
+    }
+    let tol =
+        64.0 * f64::EPSILON * n.powf(1.5) * z_sq + 4.0 * (f64::EPSILON * y_max).powi(2) * n.powi(3);
+
+    let mut scored: Vec<(f64, usize, f64, usize)> = Vec::new(); // (score, feature, thr, n_left)
+    for &f in feats {
+        let mut sl = 0.0f64;
+        sweep(x, idx, f, |thr, entered, n_left| {
+            for &(_, i) in entered {
+                sl += y[i] - centre;
+            }
+            let sr = z_sum - sl;
+            let (nl, nr) = (n_left as f64, (idx.len() - n_left) as f64);
+            scored.push((sl * (sl / nl) + sr * (sr / nr), f, thr, n_left));
+        });
+    }
+    let line = scored.iter().map(|c| c.0).fold(f64::NEG_INFINITY, f64::max) - 2.0 * tol;
+
+    let mut best = None;
+    for &(score, f, thr, n_left) in &scored {
+        if score < line {
+            continue;
+        }
+        let side =
+            |left: bool| idx.iter().filter(move |&&i| (x[i][f] <= thr) == left).map(|&i| y[i]);
+        let gain = parent - sse(side(true), n_left) - sse(side(false), idx.len() - n_left);
+        offer(&mut best, gain, f, thr);
+    }
+    best
+}
+
 impl DecisionTree {
     /// Fit a tree on `(x, y)`; classification labels must be `0..n_classes`
-    /// encoded as `f64`. `rng` drives feature subsampling (pass any
-    /// deterministic RNG for reproducible forests).
+    /// encoded as `f64`, features must not be NaN. `rng` drives feature
+    /// subsampling (pass any deterministic RNG for reproducible forests).
     pub fn fit(
         x: &[Vec<f64>],
         y: &[f64],
@@ -66,9 +229,22 @@ impl DecisionTree {
     ) -> Self {
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
         assert!(!x.is_empty(), "cannot fit a tree on an empty dataset");
+        let rows: Vec<usize> = (0..x.len()).collect();
+        Self::fit_rows(x, y, &rows, task, params, rng)
+    }
+
+    /// Fit a tree on the rows `rows` of `(x, y)`, repeats and all, in that
+    /// order — a forest's bootstrap sample without a copy of the data.
+    pub(crate) fn fit_rows(
+        x: &[Vec<f64>],
+        y: &[f64],
+        rows: &[usize],
+        task: Task,
+        params: TreeParams,
+        rng: &mut impl Rng,
+    ) -> Self {
         let mut tree = DecisionTree { nodes: Vec::new(), task };
-        let idx: Vec<usize> = (0..x.len()).collect();
-        tree.grow(x, y, &idx, 0, params, rng);
+        tree.grow(x, y, rows, 0, params, rng);
         tree
     }
 
@@ -93,36 +269,12 @@ impl DecisionTree {
     fn leaf_value(&self, y: &[f64], idx: &[usize]) -> f64 {
         match self.task {
             Task::Regression => idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64,
-            Task::Classification { n_classes } => {
-                let mut counts = vec![0usize; n_classes];
-                for &i in idx {
-                    counts[y[i] as usize] += 1;
-                }
-                counts
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &c)| c)
-                    .map(|(k, _)| k as f64)
-                    .unwrap_or(0.0)
-            }
-        }
-    }
-
-    fn impurity(&self, y: &[f64], idx: &[usize]) -> f64 {
-        match self.task {
-            Task::Regression => {
-                let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64;
-                idx.iter().map(|&i| (y[i] - mean).powi(2)).sum::<f64>()
-            }
-            Task::Classification { n_classes } => {
-                let mut counts = vec![0usize; n_classes];
-                for &i in idx {
-                    counts[y[i] as usize] += 1;
-                }
-                let n = idx.len() as f64;
-                let gini = 1.0 - counts.iter().map(|&c| (c as f64 / n).powi(2)).sum::<f64>();
-                gini * n
-            }
+            Task::Classification { n_classes } => class_counts(y, idx, n_classes)
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, &c)| c)
+                .map(|(k, _)| k as f64)
+                .unwrap_or(0.0),
         }
     }
 
@@ -151,27 +303,10 @@ impl DecisionTree {
             feats.truncate(k.clamp(1, d));
         }
 
-        let parent = self.impurity(y, idx);
-        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-        for &f in &feats {
-            let mut vals: Vec<(f64, usize)> = idx.iter().map(|&i| (x[i][f], i)).collect();
-            vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            for pair in vals.windows(2) {
-                let (prev, cur) = (pair[0].0, pair[1].0);
-                if cur == prev {
-                    continue;
-                }
-                let thr = (cur + prev) / 2.0;
-                let (l, r): (Vec<usize>, Vec<usize>) = idx.iter().partition(|&&i| x[i][f] <= thr);
-                if l.is_empty() || r.is_empty() {
-                    continue;
-                }
-                let gain = parent - self.impurity(y, &l) - self.impurity(y, &r);
-                if best.is_none_or(|(g, _, _)| gain > g) {
-                    best = Some((gain, f, thr));
-                }
-            }
-        }
+        let best = match self.task {
+            Task::Regression => best_sse_split(x, y, idx, &feats),
+            Task::Classification { n_classes } => best_gini_split(x, y, idx, &feats, n_classes),
+        };
 
         match best {
             Some((gain, f, thr)) if gain > 1e-12 => {
@@ -189,10 +324,271 @@ impl DecisionTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// The split search `grow` had before the sweep, verbatim — every
+    /// candidate threshold re-partitions the node and both impurities are
+    /// computed from scratch — with the `impurity` and `leaf_value` of the
+    /// time. The oracle the sweep must match node for node, bit for bit.
+    impl DecisionTree {
+        pub(crate) fn fit_oracle(
+            x: &[Vec<f64>],
+            y: &[f64],
+            task: Task,
+            params: TreeParams,
+            rng: &mut impl Rng,
+        ) -> Self {
+            let mut tree = DecisionTree { nodes: Vec::new(), task };
+            let idx: Vec<usize> = (0..x.len()).collect();
+            tree.grow_oracle(x, y, &idx, 0, params, rng);
+            tree
+        }
+
+        fn leaf_value_oracle(&self, y: &[f64], idx: &[usize]) -> f64 {
+            match self.task {
+                Task::Regression => idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64,
+                Task::Classification { n_classes } => {
+                    let mut counts = vec![0usize; n_classes];
+                    for &i in idx {
+                        counts[y[i] as usize] += 1;
+                    }
+                    counts
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|(_, &c)| c)
+                        .map(|(k, _)| k as f64)
+                        .unwrap_or(0.0)
+                }
+            }
+        }
+
+        fn impurity_oracle(&self, y: &[f64], idx: &[usize]) -> f64 {
+            match self.task {
+                Task::Regression => {
+                    let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64;
+                    idx.iter().map(|&i| (y[i] - mean).powi(2)).sum::<f64>()
+                }
+                Task::Classification { n_classes } => {
+                    let mut counts = vec![0usize; n_classes];
+                    for &i in idx {
+                        counts[y[i] as usize] += 1;
+                    }
+                    let n = idx.len() as f64;
+                    let gini = 1.0 - counts.iter().map(|&c| (c as f64 / n).powi(2)).sum::<f64>();
+                    gini * n
+                }
+            }
+        }
+
+        fn grow_oracle(
+            &mut self,
+            x: &[Vec<f64>],
+            y: &[f64],
+            idx: &[usize],
+            depth: usize,
+            params: TreeParams,
+            rng: &mut impl Rng,
+        ) -> usize {
+            let node_id = self.nodes.len();
+            self.nodes.push(NodeKind::Leaf { value: 0.0 }); // placeholder
+
+            let pure = idx.iter().all(|&i| y[i] == y[idx[0]]);
+            if depth >= params.max_depth || idx.len() < params.min_samples_split || pure {
+                self.nodes[node_id] = NodeKind::Leaf { value: self.leaf_value_oracle(y, idx) };
+                return node_id;
+            }
+
+            let d = x[0].len();
+            let mut feats: Vec<usize> = (0..d).collect();
+            if let Some(k) = params.feature_subsample {
+                feats.shuffle(rng);
+                feats.truncate(k.clamp(1, d));
+            }
+
+            let parent = self.impurity_oracle(y, idx);
+            let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+            for &f in &feats {
+                let mut vals: Vec<(f64, usize)> = idx.iter().map(|&i| (x[i][f], i)).collect();
+                vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+                for pair in vals.windows(2) {
+                    let (prev, cur) = (pair[0].0, pair[1].0);
+                    if cur == prev {
+                        continue;
+                    }
+                    let thr = (cur + prev) / 2.0;
+                    let (l, r): (Vec<usize>, Vec<usize>) =
+                        idx.iter().partition(|&&i| x[i][f] <= thr);
+                    if l.is_empty() || r.is_empty() {
+                        continue;
+                    }
+                    let gain = parent - self.impurity_oracle(y, &l) - self.impurity_oracle(y, &r);
+                    if best.is_none_or(|(g, _, _)| gain > g) {
+                        best = Some((gain, f, thr));
+                    }
+                }
+            }
+
+            match best {
+                Some((gain, f, thr)) if gain > 1e-12 => {
+                    let (l, r): (Vec<usize>, Vec<usize>) =
+                        idx.iter().partition(|&&i| x[i][f] <= thr);
+                    let left = self.grow_oracle(x, y, &l, depth + 1, params, rng);
+                    let right = self.grow_oracle(x, y, &r, depth + 1, params, rng);
+                    self.nodes[node_id] =
+                        NodeKind::Split { feature: f, threshold: thr, left, right };
+                }
+                _ => {
+                    self.nodes[node_id] = NodeKind::Leaf { value: self.leaf_value_oracle(y, idx) };
+                }
+            }
+            node_id
+        }
+    }
+
+    /// Fit `rows` of `(x, y)` with the sweep and a copy of those rows with
+    /// the oracle, from equal RNG states: same nodes, same RNG draws.
+    fn assert_same_tree(
+        x: &[Vec<f64>],
+        y: &[f64],
+        rows: &[usize],
+        task: Task,
+        params: TreeParams,
+        what: &str,
+    ) -> DecisionTree {
+        let (mut rng_new, mut rng_old) = (rng(), rng());
+        let new = DecisionTree::fit_rows(x, y, rows, task, params, &mut rng_new);
+        let bx: Vec<Vec<f64>> = rows.iter().map(|&i| x[i].clone()).collect();
+        let by: Vec<f64> = rows.iter().map(|&i| y[i]).collect();
+        let old = DecisionTree::fit_oracle(&bx, &by, task, params, &mut rng_old);
+        assert_eq!(format!("{:?}", new.nodes), format!("{:?}", old.nodes), "{what}");
+        assert_eq!(rng_new.next_u64(), rng_old.next_u64(), "{what}: RNG draws differ");
+        new
+    }
+
+    /// 2,400 random nodes' worth of trees against the oracle: 2–160 rows
+    /// (plain or drawn with replacement), 1–3 features on 2–40 value levels
+    /// (ties abound) with a monotone twin, both tasks, with and without
+    /// feature subsampling, regression targets on 2–40 levels or continuous,
+    /// offset by 10⁰…10¹³ over spreads of 10⁰…10⁻⁷.
+    #[test]
+    fn sweep_grows_the_oracles_trees_bit_for_bit() {
+        for case in 0..2400u64 {
+            let mut g = ChaCha8Rng::seed_from_u64(0x5eed_0000 + case);
+            let n = g.gen_range(2..=160usize);
+            let d = g.gen_range(1..=3usize);
+            let levels = g.gen_range(2..=40u32);
+            let twin = g.gen_range(0..3u32); // 0 none, 1 increasing, 2 decreasing
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    let mut row: Vec<f64> =
+                        (0..d).map(|_| f64::from(g.gen_range(0..levels)) * 0.37).collect();
+                    if d > 1 && twin > 0 {
+                        row[1] = if twin == 1 { row[0] * 3.0 + 1.0 } else { -row[0] };
+                    }
+                    row
+                })
+                .collect();
+            let classify = case % 2 == 0;
+            let (task, y): (Task, Vec<f64>) = if classify {
+                let n_classes = g.gen_range(2..=6usize);
+                let y = x
+                    .iter()
+                    .map(|r| ((r[0] / 0.37) as usize + g.gen_range(0..2usize)) % n_classes)
+                    .map(|c| c as f64)
+                    .collect();
+                (Task::Classification { n_classes }, y)
+            } else {
+                let offset = if g.gen_bool(0.2) { 0.0 } else { 10f64.powi(g.gen_range(0..=13i32)) };
+                let spread = 10f64.powi(-g.gen_range(0..=7i32));
+                let y_levels = g.gen_range(2..=40u32);
+                let continuous = g.gen_bool(0.3);
+                let y = x
+                    .iter()
+                    .map(|r| {
+                        let noise = if continuous {
+                            g.gen_range(0.0..1.0) * f64::from(y_levels)
+                        } else {
+                            f64::from(g.gen_range(0..y_levels))
+                        };
+                        offset + spread * (noise + (r[0] / 0.37).floor() * 0.5)
+                    })
+                    .collect();
+                (Task::Regression, y)
+            };
+            let params = TreeParams {
+                max_depth: g.gen_range(1..=12),
+                min_samples_split: g.gen_range(2..=5),
+                feature_subsample: g.gen_bool(0.5).then(|| g.gen_range(1..=d)),
+            };
+            let rows: Vec<usize> = if g.gen_bool(0.5) {
+                (0..n).collect()
+            } else {
+                (0..n).map(|_| g.gen_range(0..n)).collect()
+            };
+            assert_same_tree(&x, &y, &rows, task, params, &format!("case {case}"));
+        }
+    }
+
+    /// The midpoint of two adjacent floats is one of them. Rounded down it
+    /// is the left value and the split stands; rounded up it is the right
+    /// value, whose rows then sit on the left as well.
+    #[test]
+    fn midpoint_of_adjacent_floats_splits_as_the_comparison_does() {
+        let e = f64::EPSILON;
+        let all = TreeParams::default();
+
+        let x = vec![vec![1.0], vec![1.0 + e]];
+        assert_eq!((x[0][0] + x[1][0]) / 2.0, 1.0, "rounds down to the left value");
+        let t = assert_same_tree(&x, &[0.0, 1.0], &[0, 1], Task::Regression, all, "down");
+        assert_eq!(t.size(), 3);
+        assert_eq!((t.predict(&[1.0]), t.predict(&[1.0 + e])), (0.0, 1.0));
+
+        // −∞ | +∞ has no midpoint at all: NaN, with no row `<=` it.
+        let x = vec![vec![f64::NEG_INFINITY], vec![f64::INFINITY]];
+        let t = assert_same_tree(&x, &[0.0, 1.0], &[0, 1], Task::Regression, all, "nan");
+        assert_eq!(t.size(), 1);
+
+        let x = vec![vec![1.0 + e], vec![1.0 + 2.0 * e], vec![5.0]];
+        assert_eq!((x[0][0] + x[1][0]) / 2.0, 1.0 + 2.0 * e, "rounds up to the right value");
+        // Alone the pair cannot be split: the only threshold empties the right side.
+        let t = assert_same_tree(&x, &[0.0, 10.0, 20.0], &[0, 1], Task::Regression, all, "up/2");
+        assert_eq!(t.size(), 1);
+        assert_eq!(t.predict(&[1.0 + e]), 5.0);
+        // With a third row the rounded-up threshold is a split, both rows on its left.
+        for task in [Task::Regression, Task::Classification { n_classes: 21 }] {
+            let t = assert_same_tree(&x, &[0.0, 10.0, 20.0], &[0, 1, 2], task, all, "up/3");
+            assert_eq!(t.size(), 3);
+            assert!(
+                matches!(t.nodes[0], NodeKind::Split { threshold, .. } if threshold == 1.0 + 2.0 * e)
+            );
+            assert_eq!(t.predict(&[1.0 + e]), t.predict(&[1.0 + 2.0 * e]));
+            assert_eq!(t.predict(&[5.0]), 20.0);
+        }
+    }
+
+    /// Targets that tie — all equal but one, or two levels in blocks — make
+    /// candidates whose gains tie or nearly tie: each keeps the oracle's pick.
+    #[test]
+    fn tied_targets_keep_the_oracles_pick() {
+        let x: Vec<Vec<f64>> = (0..60).map(|i| vec![f64::from(i), f64::from(59 - i)]).collect();
+        let rows: Vec<usize> = (0..60).collect();
+        for odd_one in [0, 17, 59] {
+            for offset in [0.0, 1e9] {
+                let mut y = vec![offset + 3e-5; 60];
+                y[odd_one] = offset + 7e-5;
+                for sub in [None, Some(1)] {
+                    let params = TreeParams { feature_subsample: sub, ..Default::default() };
+                    let what = format!("odd one {odd_one}, offset {offset}, subsample {sub:?}");
+                    assert_same_tree(&x, &y, &rows, Task::Regression, params, &what);
+                }
+            }
+        }
+        let y: Vec<f64> = (0..60).map(|i| f64::from((i / 10) % 2)).collect();
+        assert_same_tree(&x, &y, &rows, Task::Regression, TreeParams::default(), "blocks");
+    }
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(1)

@@ -39,11 +39,15 @@ echo "==> gateway smoke (500 seeded requests over loopback, scrape /metrics)"
 # missing metrics series; seeded traffic keeps the run reproducible.
 cargo run --release -q -p libra-gateway --bin gateway_loadgen -- --seed 42 --requests 500
 
-echo "==> sim smoke through the benchmark harness (5 s of sim_engine, conservation checked)"
+echo "==> sim smokes through the benchmark harness (5 s each: sim_engine, conservation checked; sim_libra, the profiler path)"
 # The harness the PR pipeline gates on: its last stdout line is the JSON
-# result, which must say the run was correct and nothing failed.
-benchmarks/perf/run.sh --workload sim_engine --seed 42 --seconds 5 --trace 0 | tail -1 \
-  | grep -q '"correct":true,"attempted":[0-9]*,"failed":0'
+# result, which must say the run was correct and nothing failed. sim_libra is
+# full Libra with the ML profiler on (train, predict, observe, refit); 5 s
+# holds about ten repetitions of it.
+for workload in sim_engine sim_libra; do
+  benchmarks/perf/run.sh --workload "$workload" --seed 42 --seconds 5 --trace 0 | tail -1 \
+    | grep -q '"correct":true,"attempted":[0-9]*,"failed":0'
+done
 
 echo "==> trace-export smoke (seed workload with tracing on, grep the HTML timeline)"
 # The single-set seed workload with span tracing enabled must export a
