@@ -9,6 +9,7 @@
 //! gate on simulator speed is the repo benchmark (`benchmarks/perf`).
 
 use libra_sim::engine::{NullPlatform, SimConfig, Simulation};
+use libra_sim::event::Event;
 use libra_sim::metrics::MetricsMode;
 use libra_workloads::trace::HugeTier;
 use std::time::Instant;
@@ -61,10 +62,22 @@ pub fn run() {
     let event_ops = result.event_pushes + result.event_pops;
     let events_per_sec = event_ops as f64 / wall_sec.max(1e-9);
 
+    // Where the pops went, for the next event diet: `kind=pops`, with the
+    // lazily-cancelled share in brackets where there is one.
+    let pops: Vec<String> = Event::KIND_NAMES
+        .iter()
+        .zip(&result.pops_by_kind)
+        .filter(|(_, k)| k.handled + k.stale > 0)
+        .map(|(name, k)| match k.stale {
+            0 => format!("{name}={}", k.handled),
+            stale => format!("{name}={}({stale} stale)", k.handled + stale),
+        })
+        .collect();
+
     println!(
         "tier=huge scale={scale} completed={} aborted={} wall={wall_sec:.2}s \
          inv/s={inv_per_sec:.0} events/s={events_per_sec:.0} peak_rss={}MB \
-         peak_live={} p50={:.3}s p99={:.3}s mean_cpu_util={:.3}",
+         peak_live={} p50={:.3}s p99={:.3}s mean_cpu_util={:.3} pops: {}",
         result.summary.completed,
         result.aborted,
         peak_rss_mb(),
@@ -72,5 +85,6 @@ pub fn run() {
         result.summary.latency_sketch.quantile(50.0),
         result.summary.latency_sketch.quantile(99.0),
         result.summary.cpu_util.mean(),
+        pops.join(" "),
     );
 }

@@ -23,18 +23,19 @@
 //! Policies ([`Platform`]) only make decisions; they cannot bend physics.
 
 use crate::arena::InvArena;
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, EventQueue, EVENT_KINDS};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::function::FunctionSpec;
 use crate::ids::{FunctionId, InvocationId, NodeId};
 use crate::invocation::{Actuals, InvState, Invocation, Loan};
-use crate::metrics::{InvRecord, MetricsMode, RunResult, RunSummary, UtilSample};
+use crate::metrics::{InvRecord, KindPops, MetricsMode, RunResult, RunSummary, UtilSample};
 use crate::node::Node;
 use crate::platform::{LoanEnd, Platform, PlatformOverheads};
 use crate::resources::{sat_u64, ResourceVec};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEntry};
 use crate::trace_spans::{LoanOutcome, LoanSpan, SpanKind, SpanSink};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Safeguard monitor window (usage check interval, §5.2).
@@ -175,6 +176,13 @@ pub struct World {
     drop_pings: Vec<u32>,
     delay_ping: Vec<Option<SimDuration>>,
     tick_jitter: Option<SimDuration>,
+    /// Per node, the cached [`World::node_running_eff_cpu`] sum; `None` after
+    /// anything that can change it, recomputed by the next read. A `Cell`
+    /// because reads come through `&World` (policy hooks, `usage`).
+    running_eff_cpu: Vec<Cell<Option<u64>>>,
+    /// Pops per event kind, split by whether the handler ran or dropped the
+    /// event at its staleness check.
+    pops_by_kind: [KindPops; EVENT_KINDS],
     /// Execution-timeline span sink (inert unless `config.trace_spans`).
     spans: SpanSink,
 }
@@ -372,8 +380,41 @@ impl World {
         self.queue.push(at, Event::Finish { inv: id, generation });
     }
 
-    /// Σ effective CPU allocation of *running* invocations on a node.
+    /// Σ effective CPU allocation of *running* invocations on a node, in
+    /// O(1): the sum is cached per node and recomputed — by walking the
+    /// resident list — only on the first read after something that can
+    /// change it ([`World::invalidate_running_cpu`] names those places).
+    /// Debug builds re-walk on every read and assert the cache agrees;
+    /// [`World::check_invariants`] checks it in every build.
     fn node_running_eff_cpu(&self, node_idx: usize) -> u64 {
+        let cache = &self.running_eff_cpu[node_idx];
+        if let Some(total) = cache.get() {
+            debug_assert_eq!(
+                total,
+                self.walk_running_eff_cpu(node_idx),
+                "stale running-CPU cache on node {node_idx}"
+            );
+            return total;
+        }
+        let total = self.walk_running_eff_cpu(node_idx);
+        cache.set(Some(total));
+        total
+    }
+
+    /// Forget `node_idx`'s cached running-CPU sum. Called wherever the sum
+    /// can change: a resident enters `Running` (`on_start_exec`) or leaves
+    /// it while staying resident (`on_oom`), a resident is unlinked (how a
+    /// completion or a kill leaves; joining changes nothing, a resident
+    /// joins `ColdStarting`), or its effective allocation changes
+    /// (`with_alloc_change`, and `end_loans` dropping the loans it held).
+    /// Invalidating twice is harmless, so call sites need not know about
+    /// each other.
+    fn invalidate_running_cpu(&self, node_idx: usize) {
+        self.running_eff_cpu[node_idx].set(None);
+    }
+
+    /// [`World::node_running_eff_cpu`] computed from the resident list.
+    fn walk_running_eff_cpu(&self, node_idx: usize) -> u64 {
         let mut total = 0u64;
         let mut cur = self.nodes[node_idx].resident_head;
         while let Some(id) = cur {
@@ -438,11 +479,14 @@ impl World {
             }
         }
         self.nodes[node_idx].resident_len -= 1;
+        self.invalidate_running_cpu(node_idx);
     }
 
     /// Proportional-share CPU scale for a node: 1.0 while allocations fit;
     /// `capacity / Σ allocations` when a safeguard/OOM restore transiently
-    /// oversubscribed it (the kernel's fair-share behaviour).
+    /// oversubscribed it (the kernel's fair-share behaviour). O(1) between
+    /// allocation changes — every monitor tick asks — because the sum is
+    /// cached (see `node_running_eff_cpu`).
     pub fn node_cpu_scale(&self, node_idx: usize) -> f64 {
         let total = self.node_running_eff_cpu(node_idx);
         let cap = self.nodes[node_idx].capacity.cpu_millis;
@@ -510,6 +554,7 @@ impl World {
             self.update_progress(i);
         }
         f(self);
+        self.invalidate_running_cpu(node_idx);
         let post = self.node_cpu_scale(node_idx);
         if pre < 1.0 || post < 1.0 {
             self.settle_node(node_idx);
@@ -592,6 +637,16 @@ impl World {
                     "{:?} resident list length drift: walked {walked}, recorded {}",
                     node.id, node.resident_len
                 ));
+            }
+            let node_idx = node.id.idx();
+            if let Some(cached) = self.running_eff_cpu[node_idx].get() {
+                let walked = self.walk_running_eff_cpu(node_idx);
+                if cached != walked {
+                    return Err(format!(
+                        "{:?} running-CPU cache drift: cached {cached}, residents sum to {walked}",
+                        node.id
+                    ));
+                }
             }
             for (s, want) in per_shard.iter().enumerate() {
                 let got = node.reserved_in(s);
@@ -900,6 +955,7 @@ impl Simulation {
     pub fn new(funcs: Vec<FunctionSpec>, node_caps: Vec<ResourceVec>, config: SimConfig) -> Self {
         assert!(config.shards > 0, "need at least one scheduler shard");
         assert!(!node_caps.is_empty(), "need at least one worker node");
+        let running_eff_cpu = vec![Cell::new(None); node_caps.len()];
         let nodes = node_caps
             .into_iter()
             .enumerate()
@@ -933,6 +989,8 @@ impl Simulation {
                 drop_pings: Vec::new(),
                 delay_ping: Vec::new(),
                 tick_jitter: None,
+                running_eff_cpu,
+                pops_by_kind: [KindPops::default(); EVENT_KINDS],
                 spans: SpanSink::new(config.trace_spans),
                 config,
             },
@@ -1053,7 +1111,12 @@ impl Simulation {
                 w.completed
             );
             w.clock = at;
-            Self::dispatch(w, platform, ev, total);
+            let kind = ev.kind();
+            if Self::dispatch(w, platform, ev, total) {
+                w.pops_by_kind[kind].handled += 1;
+            } else {
+                w.pops_by_kind[kind].stale += 1;
+            }
         }
         #[cfg(debug_assertions)]
         if let Err(why) = w.check_invariants() {
@@ -1085,6 +1148,7 @@ impl Simulation {
             trace,
             event_pushes,
             event_pops,
+            pops_by_kind: w.pops_by_kind,
             completion_time: w.last_completion.since(first),
             warm_hits: warm,
             cold_starts: cold,
@@ -1097,19 +1161,28 @@ impl Simulation {
         }
     }
 
-    fn dispatch(w: &mut World, platform: &mut dyn Platform, ev: Event, total: usize) {
+    /// Run one popped event's handler. `false` means the handler dropped the
+    /// event at its staleness check (a lazily-cancelled `StartExec`,
+    /// `Finish`, `MonitorTick` or `Requeue`); everything else is `true`.
+    fn dispatch(w: &mut World, platform: &mut dyn Platform, ev: Event, total: usize) -> bool {
         match ev {
             Event::DecisionDone { shard } => Self::on_decision_done(w, platform, shard),
-            Event::StartExec { inv, attempt } => Self::on_start_exec(w, platform, inv, attempt),
-            Event::Finish { inv, generation } => Self::on_finish(w, platform, inv, generation),
-            Event::MonitorTick { inv, attempt } => Self::on_monitor_tick(w, platform, inv, attempt),
+            Event::StartExec { inv, attempt } => {
+                return Self::on_start_exec(w, platform, inv, attempt)
+            }
+            Event::Finish { inv, generation } => {
+                return Self::on_finish(w, platform, inv, generation)
+            }
+            Event::MonitorTick { inv, attempt } => {
+                return Self::on_monitor_tick(w, platform, inv, attempt)
+            }
             Event::HealthPing(node) => {
                 let now = w.clock;
                 let idx = node.idx();
                 if let Some(by) = w.delay_ping[idx].take() {
                     // Injected fault: the whole ping (sweep included) is late.
                     w.queue.push(now + by, Event::HealthPing(node));
-                    return;
+                    return true;
                 }
                 // Reap warm containers past their keep-alive (their pinned
                 // memory is freed with them).
@@ -1147,11 +1220,12 @@ impl Simulation {
                 Self::kick_shard(w, shard);
             }
             Event::Fault(kind) => Self::on_fault(w, platform, kind),
-            Event::Requeue(id) => Self::on_requeue(w, id),
+            Event::Requeue(id) => return Self::on_requeue(w, id),
             Event::Prewarm { func, node, shard } => {
                 Self::on_prewarm(w, platform, func, node, shard)
             }
         }
+        true
     }
 
     /// A policy's prewarm directive fires: park an idle warm container for
@@ -1285,13 +1359,19 @@ impl Simulation {
         Self::kick_shard(w, shard);
     }
 
-    fn on_start_exec(w: &mut World, platform: &mut dyn Platform, id: InvocationId, attempt: u32) {
+    /// `false` when the start is stale (see [`Simulation::dispatch`]).
+    fn on_start_exec(
+        w: &mut World,
+        platform: &mut dyn Platform,
+        id: InvocationId,
+        attempt: u32,
+    ) -> bool {
         let now = w.clock;
         let Some(idx) = w.try_slot(id) else {
-            return; // retired: the invocation aborted terminally before this fired
+            return false; // retired: the invocation aborted terminally before this fired
         };
         if w.invs.get(idx).requeues != attempt || w.invs.get(idx).state != InvState::ColdStarting {
-            return; // stale start from a crashed attempt
+            return false; // stale start from a crashed attempt
         }
         let first_start = w.invs.get(idx).exec_start.is_none();
         // The gap since the decision (or the OOM) is pool bookkeeping, then
@@ -1303,29 +1383,37 @@ impl Simulation {
         }
         inv.state = InvState::Running;
         inv.last_update = now;
+        let Some(node) = inv.node else {
+            debug_assert!(false, "exec without node for {id:?}");
+            return true;
+        };
+        let node = node.idx();
+        w.invalidate_running_cpu(node);
         if first_start && w.invs.get(idx).restarts == 0 {
             let mut ctx = SimCtx { w };
             platform.on_start(&mut ctx, id);
         }
         // Joining the running set changes the node's CPU-share balance when
         // it is oversubscribed; refresh everyone.
-        let Some(node) = w.invs.get(idx).node else {
-            debug_assert!(false, "exec without node for {id:?}");
-            return;
-        };
-        let node = node.idx();
         w.settle_node(node);
         w.reschedule_node(node);
         let at = now + MONITOR_INTERVAL;
         w.queue.push(at, Event::MonitorTick { inv: id, attempt });
+        true
     }
 
-    fn on_monitor_tick(w: &mut World, platform: &mut dyn Platform, id: InvocationId, attempt: u32) {
+    /// `false` when the tick is stale (see [`Simulation::dispatch`]).
+    fn on_monitor_tick(
+        w: &mut World,
+        platform: &mut dyn Platform,
+        id: InvocationId,
+        attempt: u32,
+    ) -> bool {
         let Some(idx) = w.try_slot(id) else {
-            return; // retired: nothing left to monitor
+            return false; // retired: nothing left to monitor
         };
         if w.invs.get(idx).requeues != attempt {
-            return; // monitor loop of a crashed attempt
+            return false; // monitor loop of a crashed attempt
         }
         match w.invs.get(idx).state {
             InvState::Running => {}
@@ -1333,9 +1421,9 @@ impl Simulation {
                 // restarting after OOM: keep the tick chain alive
                 let at = w.clock + MONITOR_INTERVAL;
                 w.queue.push(at, Event::MonitorTick { inv: id, attempt });
-                return;
+                return true;
             }
-            _ => return,
+            _ => return false,
         }
         w.update_progress(idx);
         {
@@ -1344,17 +1432,21 @@ impl Simulation {
         }
         // OOM rule: only the provider's harvesting can kill an invocation;
         // user under-provisioning degrades speed instead (spill model).
+        // Usage never exceeds the peak, so the peak is compared first: an
+        // invocation nobody took memory from skips the usage model.
         let inv = w.invs.get(idx);
-        if inv.state == InvState::Running
-            && inv.true_demand.mem_peak_mb <= inv.nominal.mem_mb
-            && inv.mem_usage_mb() > inv.effective_alloc().mem_mb
-        {
-            Self::on_oom(w, platform, id);
+        let peak_mb = inv.true_demand.mem_peak_mb;
+        if inv.state == InvState::Running && peak_mb <= inv.nominal.mem_mb {
+            let have_mb = inv.effective_alloc().mem_mb;
+            if peak_mb > have_mb && inv.mem_usage_mb() > have_mb {
+                Self::on_oom(w, platform, id);
+            }
         }
         // One-shot injected jitter stretches exactly one monitor interval.
         let jitter = w.tick_jitter.take().unwrap_or(SimDuration::ZERO);
         let at = w.clock + MONITOR_INTERVAL + jitter;
         w.queue.push(at, Event::MonitorTick { inv: id, attempt });
+        true
     }
 
     fn on_oom(w: &mut World, platform: &mut dyn Platform, id: InvocationId) {
@@ -1380,6 +1472,7 @@ impl Simulation {
             return;
         };
         let node = node.idx();
+        w.invalidate_running_cpu(node);
         w.settle_node(node);
         w.reschedule_node(node);
         let at = now + COLD_START;
@@ -1407,6 +1500,9 @@ impl Simulation {
         }
         let idx = w.slot(id);
         let returned: Vec<Loan> = w.invs.get_mut(idx).borrowed_in.drain(..).collect();
+        if let Some(node) = w.invs.get(idx).node {
+            w.invalidate_running_cpu(node.idx());
+        }
         for loan in &returned {
             let si = w.slot(loan.source);
             let old = w.invs.get(si).charge();
@@ -1552,12 +1648,13 @@ impl Simulation {
 
     /// A crash victim's backoff expired: re-admit it through its scheduler
     /// shard like a fresh arrival (cold-start rules apply again).
-    fn on_requeue(w: &mut World, id: InvocationId) {
+    /// `false` when the requeue is stale (see [`Simulation::dispatch`]).
+    fn on_requeue(w: &mut World, id: InvocationId) -> bool {
         let Some(idx) = w.try_slot(id) else {
-            return; // terminally aborted (and retired) before the backoff fired
+            return false; // terminally aborted (and retired) before the backoff fired
         };
         if w.invs.get(idx).state != InvState::Pending {
-            return;
+            return false;
         }
         // The wait since the kill is crash backoff; then the invocation
         // passes the front end again. The new attempt's spans start here.
@@ -1570,19 +1667,26 @@ impl Simulation {
         inv.shard = Some(shard);
         w.shards[shard].queue.push_back((id, ready));
         Self::kick_shard(w, shard);
+        true
     }
 
-    fn on_finish(w: &mut World, platform: &mut dyn Platform, id: InvocationId, generation: u64) {
+    /// `false` when the finish is stale (see [`Simulation::dispatch`]).
+    fn on_finish(
+        w: &mut World,
+        platform: &mut dyn Platform,
+        id: InvocationId,
+        generation: u64,
+    ) -> bool {
         let Some(idx) = w.try_slot(id) else {
-            return; // retired: a stale event outlived its invocation
+            return false; // retired: a stale event outlived its invocation
         };
         if w.invs.get(idx).state != InvState::Running || w.invs.get(idx).finish_gen != generation {
-            return; // stale (lazy-cancelled) event
+            return false; // stale (lazy-cancelled) event
         }
         w.update_progress(idx);
         if w.invs.get(idx).remaining_work() > 0 {
             w.reschedule_finish(idx);
-            return;
+            return true;
         }
         let now = w.clock;
 
@@ -1617,7 +1721,7 @@ impl Simulation {
         // loans were already unwound above) and recycle the container.
         let (Some(node), Some(shard)) = (inv.node, inv.shard) else {
             debug_assert!(false, "completed {id:?} without placement");
-            return;
+            return true;
         };
         let charge = inv.charge();
         let func = inv.func;
@@ -1653,6 +1757,7 @@ impl Simulation {
 
         // Freed capacity: give parked invocations another chance.
         w.wake_blocked();
+        true
     }
 
     /// The counterfactual response latency with user-defined resources
@@ -2118,6 +2223,152 @@ mod tests {
         assert_eq!(res.crash_requeues, 1);
         assert!(res.records[0].flags.crashed);
         assert_eq!(res.pool_violations, 0);
+    }
+
+    /// Scripted policy for `running_cpu_cache_tracks_every_allocation_change`:
+    /// donors (func 0) are harvested at start and safeguarded 600 ms in,
+    /// borrowers (func 1) and oomers (func 3) take a CPU loan from the latest
+    /// donor, and oomers are also harvested below the memory they touch.
+    /// Every hook reads the node's CPU scale — in debug builds each read
+    /// cross-checks the cached sum against a walk — and every tick
+    /// re-checks the invariants, cache = walk among them.
+    #[derive(Default)]
+    struct Scripted {
+        donor: Option<InvocationId>,
+        scales: Vec<f64>,
+        loan_ends: Vec<(LoanEnd, u32)>,
+    }
+
+    impl Scripted {
+        fn read_scale(&mut self, ctx: &SimCtx<'_>) {
+            self.scales.push(ctx.world().node_cpu_scale(0));
+        }
+    }
+
+    impl Platform for Scripted {
+        fn name(&self) -> String {
+            "scripted".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            let func = ctx.inv(inv).func.0;
+            if func == 0 {
+                ctx.set_own_grant(inv, ResourceVec::new(1_000, 512));
+                self.donor = Some(inv);
+            }
+            if func == 3 {
+                ctx.set_own_grant(inv, ResourceVec::new(1_000, 64));
+            }
+            if let (1 | 3, Some(donor)) = (func, self.donor) {
+                // Refused on a retry whose donor was safeguarded meanwhile.
+                let cpu = if func == 1 { 2_000 } else { 1_000 };
+                let _ = ctx.lend(donor, inv, ResourceVec::new(cpu, 0));
+            }
+            self.read_scale(ctx);
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            assert_eq!(ctx.world().check_invariants(), Ok(()));
+            let _ = ctx.usage(inv);
+            self.read_scale(ctx);
+            let i = ctx.inv(inv);
+            let due = i.exec_start.is_some_and(|s| ctx.now() >= s + SimDuration::from_millis(600));
+            if i.func.0 == 0 && due && !i.flags.safeguarded {
+                let _ = ctx.preemptive_release(inv);
+            }
+        }
+        fn on_complete(&mut self, ctx: &mut SimCtx<'_>, _: InvocationId, _: &Actuals) {
+            self.read_scale(ctx);
+        }
+        fn on_loan_ended(&mut self, ctx: &mut SimCtx<'_>, loan: &Loan, why: LoanEnd) {
+            self.loan_ends.push((why, loan.borrower.0));
+            self.read_scale(ctx);
+        }
+        fn on_oom(&mut self, ctx: &mut SimCtx<'_>, _: InvocationId) {
+            self.read_scale(ctx);
+        }
+        fn on_abort(&mut self, ctx: &mut SimCtx<'_>, _: InvocationId) {
+            self.read_scale(ctx);
+        }
+        fn on_node_crash(&mut self, ctx: &mut SimCtx<'_>, _: NodeId) {
+            self.read_scale(ctx);
+        }
+    }
+
+    #[test]
+    fn running_cpu_cache_tracks_every_allocation_change() {
+        let demand = |cpu_millis, mem, ms| TrueDemand {
+            cpu_peak_millis: cpu_millis,
+            mem_peak_mb: mem,
+            base_duration: SimDuration::from_millis(ms),
+        };
+        let funcs = vec![
+            spec("donor", 4, 2048, demand(1_000, 256, 3_000)),
+            spec("borrower", 2, 512, demand(4_000, 256, 1_000)),
+            spec("filler", 3, 512, demand(3_000, 256, 1_000)),
+            spec("oomer", 1, 1024, demand(2_000, 900, 1_000)),
+        ];
+        let mut t = Trace::new();
+        let mut arrive =
+            |ms, func| t.push(SimTime::from_millis(ms), FunctionId(func), InputMeta::new(1, 0));
+        // Harvest → lend → the filler takes the room the harvest freed → the
+        // safeguard restores the donor: 4 + 2 + 3 cores on 8, scale 8/9
+        // until the filler ends.
+        arrive(0, 0);
+        arrive(100, 1);
+        arrive(200, 2);
+        // An OOM restart of an invocation that holds a loan, beside a
+        // running donor. (Donors and borrowers start warm from here on.)
+        arrive(5_950, 3);
+        arrive(6_000, 0);
+        // A targeted abort of a borrower with its loan open.
+        arrive(10_000, 0);
+        arrive(10_100, 1);
+        // A crash that kills a donor and its borrower with the loan open.
+        arrive(15_000, 0);
+        arrive(15_100, 1);
+        let mut plan = FaultPlan::empty();
+        plan.push(SimTime::from_millis(10_400), FaultKind::AbortInvocation(InvocationId(6)));
+        plan.push(SimTime::from_millis(15_400), FaultKind::NodeCrash(NodeId(0)));
+        plan.push(SimTime::from_millis(16_000), FaultKind::NodeRecover(NodeId(0)));
+
+        let mut platform = Scripted::default();
+        let res = single_node_sim(funcs).run_with_faults(&t, &mut platform, &plan);
+
+        assert_eq!(res.pool_violations, 0, "end-of-run check_invariants, cache = walk included");
+        assert_eq!(res.records.len(), 9);
+        let squeezed = platform.scales.iter().position(|&s| s < 1.0).expect("scale dipped");
+        assert_eq!(platform.scales[squeezed], 8.0 / 9.0);
+        assert!(platform.scales[squeezed..].contains(&1.0), "and the filler's finish lifted it");
+        let by_id = |id: u32| res.records.iter().find(|r| r.inv.0 == id).expect("completed");
+        assert!(by_id(0).flags.safeguarded);
+        assert!([1, 3, 6, 8].iter().all(|&id| by_id(id).flags.accelerated), "loans were made");
+        assert_eq!(by_id(3).restarts, 1);
+        // The first loan ended in the safeguard's hands; the OOM, the abort
+        // and the crash each found theirs open.
+        assert_eq!(
+            platform.loan_ends,
+            [(LoanEnd::BorrowerCompleted, 3), (LoanEnd::Crashed, 6), (LoanEnd::Crashed, 8)]
+        );
+        assert_eq!((by_id(6).requeues, by_id(7).requeues, by_id(8).requeues), (1, 1, 1));
+        // Finish instants (µs) as the engine produced them before the sum was
+        // cached (this test, run on that commit): the cache moves none.
+        let finished: Vec<u64> = (0..9)
+            .map(|id| by_id(id).arrival.as_micros() + by_id(id).latency.as_micros())
+            .collect();
+        assert_eq!(
+            finished,
+            [
+                3_501_302, 2_214_262, 2_114_396, 9_051_302, 9_001_302, 13_001_302, 13_901_302,
+                19_901_302, 18_301_906
+            ]
+        );
     }
 
     #[test]

@@ -1,12 +1,24 @@
 //! The discrete-event queue.
 //!
-//! A binary min-heap keyed by `(time, sequence)`. The monotonically increasing
-//! sequence number breaks ties deterministically in insertion order, which
-//! makes every simulation run bit-reproducible for a given trace and seed.
+//! One total order, `(time, sequence)`: the monotonically increasing sequence
+//! number breaks ties deterministically in insertion order, which makes every
+//! simulation run bit-reproducible for a given trace and seed.
+//!
+//! Behind that order sit a binary min-heap and three FIFO *timer lanes*, one
+//! each for [`Event::MonitorTick`], [`Event::HealthPing`] and
+//! [`Event::UtilizationSample`]. Those are the periodic events — three
+//! quarters of a run's traffic — and each kind is pushed at `now + interval`
+//! with one interval, so its pushes already arrive in time order: appending
+//! to a `VecDeque` keeps the lane sorted without sifting anything. A push
+//! that would land behind its lane's last entry (a jitter-stretched tick, a
+//! fault-delayed ping) goes to the heap instead, so correctness never depends
+//! on the interval constants. `pop` takes the minimum `(time, sequence)` over
+//! the heap head and the three lane fronts — exactly what one heap holding
+//! everything would pop.
 //!
 //! Completion events must be *rescheduled* whenever a running invocation's
 //! allocation changes (harvest, acceleration, preemptive release, timeliness
-//! revocation). Rather than deleting heap entries, each invocation carries a
+//! revocation). Rather than deleting queue entries, each invocation carries a
 //! generation counter: stale `Finish` events whose generation no longer
 //! matches are ignored when popped. This is the standard lazy-deletion
 //! technique for reschedulable timers.
@@ -15,7 +27,7 @@ use crate::fault::FaultKind;
 use crate::ids::{InvocationId, NodeId};
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Everything that can happen in the simulated cluster.
 ///
@@ -116,12 +128,69 @@ impl Ord for Scheduled {
     }
 }
 
+/// Number of [`Event`] kinds — the length of a per-kind table.
+pub const EVENT_KINDS: usize = 10;
+
+impl Event {
+    /// Kind names, indexed by [`Event::kind`].
+    pub const KIND_NAMES: [&'static str; EVENT_KINDS] = [
+        "decision_done",
+        "start_exec",
+        "finish",
+        "monitor_tick",
+        "health_ping",
+        "utilization_sample",
+        "retry_blocked",
+        "fault",
+        "requeue",
+        "prewarm",
+    ];
+
+    /// Dense index of this event's kind, in declaration order.
+    pub fn kind(&self) -> usize {
+        match self {
+            Event::DecisionDone { .. } => 0,
+            Event::StartExec { .. } => 1,
+            Event::Finish { .. } => 2,
+            Event::MonitorTick { .. } => 3,
+            Event::HealthPing(_) => 4,
+            Event::UtilizationSample => 5,
+            Event::RetryBlocked { .. } => 6,
+            Event::Fault(_) => 7,
+            Event::Requeue(_) => 8,
+            Event::Prewarm { .. } => 9,
+        }
+    }
+
+    /// The timer lane a periodic event queues in; `None` for everything the
+    /// heap orders.
+    fn lane(&self) -> Option<usize> {
+        match self {
+            Event::MonitorTick { .. } => Some(0),
+            Event::HealthPing(_) => Some(1),
+            Event::UtilizationSample => Some(2),
+            _ => None,
+        }
+    }
+}
+
 /// Deterministic future-event list.
 #[derive(Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,
+    /// FIFO timer lanes, indexed by [`Event::lane`]. Each is sorted by
+    /// `(at, seq)`: `push` appends only in time order, and sequence numbers
+    /// only grow.
+    lanes: [VecDeque<Scheduled>; 3],
     next_seq: u64,
     pops: u64,
+}
+
+/// Where the earliest pending event sits.
+#[derive(Clone, Copy)]
+enum Source {
+    Heap,
+    Lane(usize),
 }
 
 impl EventQueue {
@@ -134,14 +203,37 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
+        let scheduled = Scheduled { at, seq, event };
+        match scheduled.event.lane().map(|l| &mut self.lanes[l]) {
+            Some(lane) if lane.back().is_none_or(|last| last.at <= at) => {
+                lane.push_back(scheduled);
+            }
+            _ => self.heap.push(scheduled),
+        }
+    }
+
+    /// The earliest pending `(at, seq)` over the heap head and the lane
+    /// fronts, and where it sits.
+    fn earliest(&self) -> Option<(SimTime, Source)> {
+        let mut best = self.heap.peek().map(|s| (s.at, s.seq, Source::Heap));
+        for (l, lane) in self.lanes.iter().enumerate() {
+            if let Some(s) = lane.front() {
+                if best.is_none_or(|(at, seq, _)| (s.at, s.seq) < (at, seq)) {
+                    best = Some((s.at, s.seq, Source::Lane(l)));
+                }
+            }
+        }
+        best.map(|(at, _, source)| (at, source))
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let popped = self.heap.pop().map(|s| (s.at, s.event));
-        self.pops += u64::from(popped.is_some());
-        popped
+        let popped = match self.earliest()?.1 {
+            Source::Heap => self.heap.pop(),
+            Source::Lane(l) => self.lanes[l].pop_front(),
+        }?;
+        self.pops += 1;
+        Some((popped.at, popped.event))
     }
 
     /// Lifetime operation counters `(pushes, pops)` — the denominator for
@@ -153,26 +245,147 @@ impl EventQueue {
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.earliest().map(|(at, _)| at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::splitmix64;
 
     fn inv(n: u32) -> InvocationId {
         InvocationId(n)
+    }
+
+    /// The queue as it was before the timer lanes — one heap holding
+    /// everything — kept verbatim as the oracle the lanes must agree with.
+    #[derive(Default)]
+    struct HeapOracle {
+        heap: BinaryHeap<Scheduled>,
+        next_seq: u64,
+        pops: u64,
+    }
+
+    impl HeapOracle {
+        fn push(&mut self, at: SimTime, event: Event) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Scheduled { at, seq, event });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            let popped = self.heap.pop().map(|s| (s.at, s.event));
+            self.pops += u64::from(popped.is_some());
+            popped
+        }
+
+        fn ops(&self) -> (u64, u64) {
+            (self.next_seq, self.pops)
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|s| s.at)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
+
+    #[test]
+    fn lanes_pop_exactly_what_one_heap_would() {
+        let in_lanes = |q: &EventQueue| q.lanes.iter().map(VecDeque::len).sum::<usize>();
+        for seed in [1u64, 7, 42, 43, 2026] {
+            let mut rng = seed;
+            let (mut q, mut oracle) = (EventQueue::new(), HeapOracle::default());
+            // The clock only moves forward, in steps that often are zero, and
+            // offsets come from a handful of values: many events — across
+            // lanes and heap — share one instant.
+            let mut now = 0u64;
+            let (mut via_lane, mut fell_back) = (0usize, 0usize);
+            for step in 0..12_000u32 {
+                let r = splitmix64(&mut rng);
+                now += [0, 0, 0, 25][(r >> 32) as usize % 4];
+                if r % 16 < 9 {
+                    let event = match (r >> 8) % 6 {
+                        0 | 1 => Event::MonitorTick { inv: inv(step), attempt: 0 },
+                        2 => Event::HealthPing(NodeId(step % 4)),
+                        3 => Event::UtilizationSample,
+                        4 => Event::Finish { inv: inv(step), generation: r >> 40 },
+                        _ => Event::Requeue(inv(step)),
+                    };
+                    // Mostly the kind's fixed interval (in order); sometimes a
+                    // stretched or shortened one (out of order for a lane).
+                    let offset = match (r >> 16) % 16 {
+                        0 => 0,
+                        1 => 50 * ((r >> 24) % 5),
+                        2 => 300,
+                        _ => 100,
+                    };
+                    let before = in_lanes(&q);
+                    q.push(SimTime(now + offset), event.clone());
+                    if in_lanes(&q) > before {
+                        via_lane += 1;
+                    } else if event.lane().is_some() {
+                        fell_back += 1;
+                    }
+                    oracle.push(SimTime(now + offset), event);
+                } else {
+                    assert_eq!(q.peek_time(), oracle.peek_time(), "seed {seed} step {step}");
+                    assert_eq!(q.pop(), oracle.pop(), "seed {seed} step {step}");
+                }
+                assert_eq!(q.len(), oracle.len(), "seed {seed} step {step}");
+                assert_eq!(q.is_empty(), oracle.is_empty());
+                assert_eq!(q.ops(), oracle.ops());
+            }
+            // Both paths must have carried real traffic for the run to mean
+            // anything: lane appends, and lane-class events the heap took.
+            assert!(via_lane > 1_000, "seed {seed}: only {via_lane} lane appends");
+            assert!(fell_back > 1_000, "seed {seed}: only {fell_back} heap fallbacks");
+            while let Some(want) = oracle.pop() {
+                assert_eq!(q.pop(), Some(want), "seed {seed} drain");
+            }
+            assert_eq!(q.pop(), None);
+            assert_eq!(q.ops(), oracle.ops());
+        }
+    }
+
+    #[test]
+    fn out_of_order_tick_falls_back_to_the_heap() {
+        let mut q = EventQueue::new();
+        let tick = |n| Event::MonitorTick { inv: inv(n), attempt: 0 };
+        q.push(SimTime::from_millis(100), tick(0));
+        // A jitter-stretched tick, then ordinary ones behind it in time.
+        q.push(SimTime::from_millis(350), tick(1));
+        q.push(SimTime::from_millis(200), tick(2));
+        q.push(SimTime::from_millis(350), tick(3));
+        q.push(SimTime::from_millis(300), tick(4));
+        assert_eq!(q.lanes[0].len(), 3, "in-order ticks queue in the lane");
+        assert_eq!(q.heap.len(), 2, "ticks behind the lane's last entry go to the heap");
+        assert_eq!(q.len(), 5);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| match e {
+                Event::MonitorTick { inv, .. } => (t.as_micros() / 1_000, inv.0),
+                _ => unreachable!(),
+            })
+            .collect();
+        // (at, seq) order: the two 350 ms ticks keep their insertion order.
+        assert_eq!(order, vec![(100, 0), (200, 2), (300, 4), (350, 1), (350, 3)]);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub mod prelude {
         Actuals, InvFlags, InvState, Invocation, Loan, Prediction, PredictionPath, StageBreakdown,
     };
     pub use crate::metrics::{
-        cdf, mean, percentile, InvCategory, InvRecord, MetricsMode, OnlineStats, QuantileSketch,
-        RunResult, RunSummary, UtilSample,
+        cdf, mean, percentile, InvCategory, InvRecord, KindPops, MetricsMode, OnlineStats,
+        QuantileSketch, RunResult, RunSummary, UtilSample,
     };
     pub use crate::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
     pub use crate::resources::{ResourceVec, MILLIS_PER_CORE};

@@ -5,6 +5,7 @@
 //! speedup, reassignment integrals, categories — Figs 6, 8, 13, 15) and
 //! periodic cluster utilization samples (Figs 7, 11).
 
+use crate::event::EVENT_KINDS;
 use crate::ids::{FunctionId, InvocationId, NodeId};
 use crate::invocation::{InvFlags, Prediction, StageBreakdown};
 use crate::time::{SimDuration, SimTime};
@@ -226,7 +227,7 @@ impl Default for QuantileSketch {
 }
 
 /// splitmix64 step — tiny, seedable, and dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -324,6 +325,17 @@ impl RunSummary {
     }
 }
 
+/// Pops of one [`Event`](crate::event::Event) kind over a run. Every pop
+/// counts once, on one side or the other.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+pub struct KindPops {
+    /// Pops whose handler ran.
+    pub handled: u64,
+    /// Pops whose handler returned at its staleness check: a lazily
+    /// cancelled `Finish`, `StartExec`, `MonitorTick` or `Requeue`.
+    pub stale: u64,
+}
+
 /// Full result of one simulated run.
 #[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct RunResult {
@@ -340,6 +352,10 @@ pub struct RunResult {
     pub event_pushes: u64,
     /// Events popped from the engine's queue over the run.
     pub event_pops: u64,
+    /// `event_pops` by event kind, indexed by
+    /// [`Event::kind`](crate::event::Event::kind) — where the engine's
+    /// traffic goes, and how much of it is lazily-cancelled leftovers.
+    pub pops_by_kind: [KindPops; EVENT_KINDS],
     /// First arrival → last completion (workload completion time, §8.4).
     pub completion_time: SimDuration,
     /// Warm container hits.
