@@ -11,13 +11,13 @@
 //! * platforms: Default (no harvesting), Freyr, Libra.
 //!
 //! For every cell we report the cold-start rate, the mean/max idle warm
-//! pinned memory (the harvestable-supply gauge the control plane tracks via
-//! `note_idle_warm`), policy-directed prewarms, and P99 latency. The CSV is
+//! pinned memory (the engine's own `RunSummary::warm_pinned_mb`),
+//! policy-directed prewarms, and P99 latency. The CSV is
 //! byte-identical at any `--threads` count: jobs are fanned with the
 //! order-preserving [`par_map`] and reduced in configuration order.
 
 use crate::*;
-use libra_core::keepalive::{ConcurrencyConfig, HistogramConfig, PolicyKind, WithKeepAlive};
+use libra_core::keepalive::{PolicyKind, WithKeepAlive};
 use libra_sim::time::SimDuration;
 use libra_workloads::trace::TraceGen;
 use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
@@ -28,8 +28,8 @@ fn policies() -> Vec<PolicyKind> {
     vec![
         PolicyKind::FixedTtl(SimDuration::from_secs(60)),
         PolicyKind::FixedTtl(SimDuration::from_secs(10)),
-        PolicyKind::Histogram(HistogramConfig::default()),
-        PolicyKind::Concurrency(ConcurrencyConfig::default()),
+        PolicyKind::Histogram,
+        PolicyKind::Concurrency,
     ]
 }
 

@@ -21,10 +21,10 @@ use libra_sim::metrics::{mean_slice, percentiles, RunResult};
 use libra_sim::platform::{Platform, PlatformReport};
 use libra_sim::resources::ResourceVec;
 use libra_sim::trace::Trace;
-use rayon::prelude::*;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The six §8.3 platforms plus the Fig 13(a) model ablations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,17 +150,10 @@ fn knob<T: std::str::FromStr>(raw: Option<&str>, valid: impl Fn(&T) -> bool, def
     raw.and_then(|v| v.trim().parse().ok()).filter(valid).unwrap_or(default)
 }
 
-/// Configure the global rayon pool once per process from [`threads`].
-pub fn ensure_pool() {
-    static POOL: OnceLock<()> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let _ = rayon::ThreadPoolBuilder::new().num_threads(threads()).build_global();
-    });
-}
-
-/// Fan `jobs` across the worker pool and collect results **in job order** —
-/// the i-th result always comes from the i-th job, regardless of scheduling,
-/// so sweep output (tables, CSVs) is byte-identical to a serial run.
+/// Fan `jobs` across [`threads`] workers and collect results **in job
+/// order** — the i-th result always comes from the i-th job, regardless of
+/// scheduling, so sweep output (tables, CSVs) is byte-identical to a serial
+/// run.
 ///
 /// Jobs must be self-contained (build their own trace/platform from a
 /// deterministic seed) and must not print; do all reporting from the ordered
@@ -171,8 +164,42 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    ensure_pool();
-    jobs.into_par_iter().map(f).collect()
+    par_map_on(threads(), jobs, f)
+}
+
+/// [`par_map`] on `workers` scoped threads: each claims the next job index,
+/// takes the job out of its slot and leaves the result in the slot of the
+/// same index. A panicking job panics the caller once the scope has joined.
+fn par_map_on<T, R, F>(workers: usize, jobs: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let workers = workers.min(jobs.len());
+    if workers <= 1 {
+        return jobs.into_iter().map(f).collect();
+    }
+    let jobs: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let out: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    // Relaxed: the counter only hands out indices; the slots' own locks
+    // publish the jobs and the results.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = jobs.get(i) else { break };
+                let job = slot.lock().expect("no job runs under its slot's lock").take();
+                let r = f(job.expect("each index is claimed once"));
+                *out[i].lock().expect("no job runs under its slot's lock") = Some(r);
+            });
+        }
+    });
+    out.into_iter()
+        .map(|r| r.into_inner().expect("no job runs under its slot's lock"))
+        .map(|r| r.expect("the scope joined every worker, so every job ran"))
+        .collect()
 }
 
 // ---------------------------------------------------------------- reporting
@@ -278,8 +305,11 @@ mod tests {
     #[test]
     fn par_map_preserves_job_order() {
         let jobs: Vec<u64> = (0..64).collect();
-        let out = par_map(jobs.clone(), |j| j * 3);
-        assert_eq!(out, jobs.iter().map(|j| j * 3).collect::<Vec<_>>());
+        let tripled: Vec<u64> = jobs.iter().map(|j| j * 3).collect();
+        assert_eq!(par_map(jobs.clone(), |j| j * 3), tripled);
+        for workers in [1, 3, 8] {
+            assert_eq!(par_map_on(workers, jobs.clone(), |j| j * 3), tripled, "{workers} workers");
+        }
         assert!(par_map(Vec::<u64>::new(), |j| j).is_empty());
         assert!(threads() >= 1);
     }

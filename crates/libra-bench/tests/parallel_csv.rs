@@ -31,18 +31,14 @@ fn parallel_sweep_csvs_match_serial_byte_for_byte() {
     // Keep the sweep small: one repetition of the six-platform Fig 6 run.
     std::env::set_var("LIBRA_REPS", "1");
 
-    // Serial phase. LIBRA_THREADS is read by the first par_map via
-    // ensure_pool, which latches the global pool at one worker.
+    // Serial phase: every par_map call reads LIBRA_THREADS for its worker count.
     std::env::set_var("LIBRA_THREADS", "1");
     std::env::set_var("LIBRA_RESULTS_DIR", &serial_dir);
     let serial_out = libra_bench::experiments::fig06::run();
     let serial_files = read_dir_files(&serial_dir);
 
-    // Parallel phase: reconfigure the pool to 4 workers directly (the
-    // OnceLock in ensure_pool already fired; the rayon stub allows
-    // re-configuration, under real rayon this would be a no-op and the test
-    // would compare serial vs serial — still sound, just weaker).
-    let _ = rayon::ThreadPoolBuilder::new().num_threads(4).build_global();
+    // Parallel phase: four workers.
+    std::env::set_var("LIBRA_THREADS", "4");
     std::env::set_var("LIBRA_RESULTS_DIR", &parallel_dir);
     let parallel_out = libra_bench::experiments::fig06::run();
     let parallel_files = read_dir_files(&parallel_dir);

@@ -208,13 +208,13 @@ mod tests {
             Opts::parse(&args("--keepalive fixed:10")).unwrap().keepalive.label(),
             "fixed10"
         );
-        assert!(matches!(
+        assert_eq!(
             Opts::parse(&args("--keepalive histogram")).unwrap().keepalive,
-            PolicyKind::Histogram(_)
-        ));
-        assert!(matches!(
+            PolicyKind::Histogram
+        );
+        assert_eq!(
             Opts::parse(&args("--keepalive concurrency")).unwrap().keepalive,
-            PolicyKind::Concurrency(_)
-        ));
+            PolicyKind::Concurrency
+        );
     }
 }

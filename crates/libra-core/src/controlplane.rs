@@ -32,14 +32,11 @@ use crate::pool::{GetOrder, HarvestResourcePool, PoolSnapshot};
 use crate::safeguard::Safeguard;
 use libra_sim::engine::UsageSample;
 use libra_sim::ids::{InvocationId, NodeId};
-use libra_sim::invocation::Prediction;
+use libra_sim::invocation::{clamp_grant, Prediction};
 use libra_sim::platform::LoanEnd;
 use libra_sim::resources::{sat_u64, ResourceVec};
 use libra_sim::time::SimTime;
 use std::collections::BTreeMap;
-
-/// Safeguard trips before a function's memory harvesting stops.
-const MEM_BLACKLIST_AFTER: u32 = 3;
 
 /// Decision knobs of the shared control plane (embedded in `LibraConfig` —
 /// profiler/scheduler knobs stay with the drivers).
@@ -267,20 +264,12 @@ pub struct ControlPlane {
     counters: ControlCounters,
     record_trace: bool,
     trace: Vec<Action>,
-    /// Per-node idle-warm pin gauges (memory pinned by idle warm
-    /// containers), published by the substrates' keep-alive drivers via
-    /// [`ControlPlane::note_idle_warm`]. Pure telemetry: it feeds the
-    /// harvestable-supply view and never influences harvest decisions, so
-    /// publishing it cannot perturb recorded action traces.
-    idle_warm_mb: Vec<u64>,
-    /// When each gauge was last refreshed (staleness diagnostic).
-    idle_warm_at: Vec<SimTime>,
 }
 
 impl ControlPlane {
     /// A control plane for `n_nodes` nodes and `n_funcs` deployed functions.
     pub fn new(cfg: ControlConfig, n_funcs: usize, n_nodes: usize) -> Self {
-        let safeguard = Safeguard::new(n_funcs, cfg.safeguard_threshold, MEM_BLACKLIST_AFTER);
+        let safeguard = Safeguard::new(n_funcs, cfg.safeguard_threshold);
         ControlPlane {
             cfg,
             pools: (0..n_nodes).map(|_| HarvestResourcePool::new()).collect(),
@@ -289,8 +278,6 @@ impl ControlPlane {
             counters: ControlCounters::default(),
             record_trace: false,
             trace: Vec::new(),
-            idle_warm_mb: vec![0; n_nodes],
-            idle_warm_at: vec![SimTime::ZERO; n_nodes],
         }
     }
 
@@ -305,15 +292,6 @@ impl ControlPlane {
             self.trace.push(a);
         }
         out.push(a);
-    }
-
-    /// Replicates the substrate grant clamp (`SimCtx::set_own_grant`): never
-    /// below the OOM memory floor or 0.1 cores, never above the ceiling.
-    fn clamp_grant(want: ResourceVec, ceiling: ResourceVec, floor_mb: u64) -> ResourceVec {
-        let mut g = want.min(&ceiling);
-        g.mem_mb = g.mem_mb.max(floor_mb.min(ceiling.mem_mb));
-        g.cpu_millis = g.cpu_millis.max(100).min(ceiling.cpu_millis);
-        g
     }
 
     /// Borrow up to `want` from `borrower`'s node pool, recording loans
@@ -415,7 +393,7 @@ impl ControlPlane {
             target.mem_mb = a.nominal.mem_mb;
         }
         if target.cpu_millis < a.nominal.cpu_millis || target.mem_mb < a.nominal.mem_mb {
-            let grant = Self::clamp_grant(target, a.nominal, a.mem_floor_mb);
+            let grant = clamp_grant(target, a.nominal, a.mem_floor_mb);
             let freed = a.nominal.saturating_sub(&grant);
             entry.own_grant = grant;
             self.emit(&mut out, Action::SetGrant { inv: a.inv, grant, freed });
@@ -778,43 +756,6 @@ impl ControlPlane {
     /// An unknown node id yields an empty snapshot.
     pub fn snapshot(&self, node: NodeId, now: SimTime) -> PoolSnapshot {
         self.pools.get(node.idx()).map(|p| p.snapshot(now)).unwrap_or_default()
-    }
-
-    /// Record one node's current idle-warm pin gauge: how much memory that
-    /// node's idle warm containers pin right now, as decided by whatever
-    /// keep-alive policy the substrate runs. Emits no [`Action`]s — it is a
-    /// telemetry write, so enabling the supply view cannot change traces.
-    /// Unknown node ids are ignored.
-    pub fn note_idle_warm(&mut self, node: NodeId, pinned_mb: u64, now: SimTime) {
-        if let Some(g) = self.idle_warm_mb.get_mut(node.idx()) {
-            *g = pinned_mb;
-        }
-        if let Some(t) = self.idle_warm_at.get_mut(node.idx()) {
-            *t = now;
-        }
-    }
-
-    /// The last idle-warm pin gauge published for `node` (0 when never
-    /// published or the node id is unknown).
-    pub fn idle_warm_mb(&self, node: NodeId) -> u64 {
-        self.idle_warm_mb.get(node.idx()).copied().unwrap_or(0)
-    }
-
-    /// When `node`'s idle-warm gauge was last refreshed (`SimTime::ZERO`
-    /// when never published).
-    pub fn idle_warm_published_at(&self, node: NodeId) -> SimTime {
-        self.idle_warm_at.get(node.idx()).copied().unwrap_or(SimTime::ZERO)
-    }
-
-    /// The harvestable-supply view for one node: the pooled idle entitlement
-    /// volume harvesters can borrow today, alongside the keep-alive-policy-
-    /// dependent idle-warm memory — the supply a warm-pin-aware harvester
-    /// *would* see. `exp keepalive` sweeps policies against exactly this
-    /// split.
-    pub fn harvestable_supply(&self, node: NodeId) -> (ResourceVec, u64) {
-        let pooled =
-            self.pools.get(node.idx()).map(|p| p.total_idle()).unwrap_or(ResourceVec::ZERO);
-        (pooled, self.idle_warm_mb(node))
     }
 
     /// The safeguard (trigger counts, per-function blacklist state).

@@ -27,8 +27,10 @@
 //!   the idle pool per function is capped at the peak in-flight concurrency
 //!   observed over a sliding window, so the warm set scales in when load
 //!   drops instead of lingering for a full TTL.
+//!
+//! Only the fixed window takes a value ([`PolicyKind::FixedTtl`]); the
+//! histogram and concurrency tunings are constants beside each policy.
 
-use crate::controlplane::ControlPlane;
 use libra_ml::histogram::StreamingHistogram;
 use libra_sim::engine::{SimCtx, World, KEEPALIVE};
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
@@ -107,47 +109,25 @@ impl KeepAlivePolicy for FixedTtl {
     }
 }
 
-/// Tuning for [`HistogramPolicy`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HistogramConfig {
-    /// Histogram bin count for per-function inter-arrival times.
-    pub bins: usize,
-    /// Head percentile (earliest plausible next arrival → prewarm point).
-    pub head_q: f64,
-    /// Tail percentile (latest plausible next arrival → keep-alive window).
-    pub tail_q: f64,
-    /// Observations required before trusting the histogram; below this the
-    /// policy behaves like [`FixedTtl`] with `fallback_ttl`.
-    pub min_samples: u64,
-    /// TTL used while the histogram is still cold.
-    pub fallback_ttl: SimDuration,
-    /// Keep-alive window clamp (lower bound).
-    pub min_window: SimDuration,
-    /// Keep-alive window clamp (upper bound).
-    pub max_window: SimDuration,
-    /// When the head-percentile gap exceeds this, keeping the container warm
-    /// the whole time is wasteful: shut it down after `min_window` and
-    /// prewarm at `prewarm_margin × head` instead.
-    pub prewarm_cutoff: SimDuration,
-    /// Fraction of the head-percentile gap to wait before prewarming.
-    pub prewarm_margin: f64,
-}
-
-impl Default for HistogramConfig {
-    fn default() -> Self {
-        HistogramConfig {
-            bins: 64,
-            head_q: 0.05,
-            tail_q: 0.99,
-            min_samples: 4,
-            fallback_ttl: SimDuration::from_secs(60),
-            min_window: SimDuration::from_secs(10),
-            max_window: SimDuration::from_secs(600),
-            prewarm_cutoff: SimDuration::from_secs(120),
-            prewarm_margin: 0.85,
-        }
-    }
-}
+/// Histogram bin count for per-function inter-arrival times.
+const IAT_BINS: usize = 64;
+/// Head percentile (earliest plausible next arrival → prewarm point).
+const HEAD_Q: f64 = 0.05;
+/// Tail percentile (latest plausible next arrival → keep-alive window).
+const TAIL_Q: f64 = 0.99;
+/// Observations required before trusting the histogram; below this
+/// [`HistogramPolicy`] behaves like [`FixedTtl::standard`].
+const MIN_SAMPLES: u64 = 4;
+/// Keep-alive window clamp (lower bound).
+const MIN_WINDOW: SimDuration = SimDuration(10_000_000);
+/// Keep-alive window clamp (upper bound).
+const MAX_WINDOW: SimDuration = SimDuration(600_000_000);
+/// When the head-percentile gap exceeds this, keeping the container warm the
+/// whole time is wasteful: shut it down after [`MIN_WINDOW`] and prewarm at
+/// [`PREWARM_MARGIN`] × head instead.
+const PREWARM_CUTOFF: SimDuration = SimDuration(120_000_000);
+/// Fraction of the head-percentile gap to wait before prewarming.
+const PREWARM_MARGIN: f64 = 0.85;
 
 /// Per-function state for [`HistogramPolicy`].
 #[derive(Clone, Debug)]
@@ -161,32 +141,20 @@ struct FuncArrivals {
 /// histograms of inter-arrival times ([`StreamingHistogram`], the same
 /// substrate the profiler's demand models use) choose the keep-alive window
 /// (tail percentile) and the prewarm point (head percentile) online.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HistogramPolicy {
-    cfg: HistogramConfig,
     funcs: BTreeMap<FunctionId, FuncArrivals>,
 }
 
 impl HistogramPolicy {
-    /// A policy with the given tuning.
-    pub fn new(cfg: HistogramConfig) -> Self {
-        HistogramPolicy { cfg, funcs: BTreeMap::new() }
-    }
-
     /// Percentile of `func`'s inter-arrival distribution, if the histogram
     /// has enough samples to be trusted.
     fn iat_percentile(&self, func: FunctionId, q: f64) -> Option<SimDuration> {
         let fa = self.funcs.get(&func)?;
-        if fa.iat.count() < self.cfg.min_samples {
+        if fa.iat.count() < MIN_SAMPLES {
             return None;
         }
         fa.iat.percentile(q).map(SimDuration::from_secs_f64)
-    }
-}
-
-impl Default for HistogramPolicy {
-    fn default() -> Self {
-        Self::new(HistogramConfig::default())
     }
 }
 
@@ -196,12 +164,11 @@ impl KeepAlivePolicy for HistogramPolicy {
     }
 
     fn on_arrival(&mut self, func: FunctionId, now: SimTime) {
-        let bins = self.cfg.bins;
         let fa = self.funcs.entry(func).or_insert_with(|| FuncArrivals {
             last_arrival: None,
             // Initial range 1 s; the histogram doubles its range as sparser
             // gaps arrive, so any arrival process fits.
-            iat: StreamingHistogram::new(bins, 1.0),
+            iat: StreamingHistogram::new(IAT_BINS, 1.0),
         });
         if let Some(last) = fa.last_arrival {
             fa.iat.insert(now.since(last).as_secs_f64());
@@ -217,45 +184,33 @@ impl KeepAlivePolicy for HistogramPolicy {
         _idle_peers: usize,
         now: SimTime,
     ) -> Option<SimTime> {
-        let Some(tail) = self.iat_percentile(func, self.cfg.tail_q) else {
-            return Some(now + self.cfg.fallback_ttl);
+        let Some(tail) = self.iat_percentile(func, TAIL_Q) else {
+            return Some(now + KEEPALIVE);
         };
-        let head = self.iat_percentile(func, self.cfg.head_q).unwrap_or(tail);
-        if head > self.cfg.prewarm_cutoff {
+        let head = self.iat_percentile(func, HEAD_Q).unwrap_or(tail);
+        if head > PREWARM_CUTOFF {
             // Arrivals are sparse and regular enough that keeping the
             // container warm across the whole gap wastes memory: keep it
             // only briefly and rely on the prewarm directive.
-            return Some(now + self.cfg.min_window);
+            return Some(now + MIN_WINDOW);
         }
-        let window = tail.clamp(self.cfg.min_window, self.cfg.max_window);
+        let window = tail.clamp(MIN_WINDOW, MAX_WINDOW);
         Some(now + window)
     }
 
     fn prewarm_after(&mut self, func: FunctionId, now: SimTime) -> Option<SimDuration> {
         let _ = now;
-        let head = self.iat_percentile(func, self.cfg.head_q)?;
-        if head <= self.cfg.prewarm_cutoff {
+        let head = self.iat_percentile(func, HEAD_Q)?;
+        if head <= PREWARM_CUTOFF {
             return None;
         }
-        let at = head.as_secs_f64() * self.cfg.prewarm_margin;
+        let at = head.as_secs_f64() * PREWARM_MARGIN;
         Some(SimDuration::from_secs_f64(at))
     }
 }
 
-/// Tuning for [`ConcurrencyPolicy`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConcurrencyConfig {
-    /// TTL applied to containers the autoscaler decides to keep.
-    pub ttl: SimDuration,
-    /// Width of the peak-concurrency observation window.
-    pub window: SimDuration,
-}
-
-impl Default for ConcurrencyConfig {
-    fn default() -> Self {
-        ConcurrencyConfig { ttl: SimDuration::from_secs(60), window: SimDuration::from_secs(60) }
-    }
-}
+/// Width of the peak-concurrency observation window.
+const PEAK_WINDOW: SimDuration = SimDuration(60_000_000);
 
 /// Per-function state for [`ConcurrencyPolicy`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -272,10 +227,10 @@ impl FuncConcurrency {
     /// Roll the observation window forward if `now` has left it. A gap
     /// longer than two windows decays the remembered peak entirely — the
     /// stale peak must not survive an idle stretch it was never observed in.
-    fn roll(&mut self, window: SimDuration, now: SimTime) {
+    fn roll(&mut self, now: SimTime) {
         let elapsed = now.since(self.window_start);
-        if elapsed > window {
-            self.prev_peak = if elapsed > window + window { 0 } else { self.peak };
+        if elapsed > PEAK_WINDOW {
+            self.prev_peak = if elapsed > PEAK_WINDOW + PEAK_WINDOW { 0 } else { self.peak };
             self.peak = self.in_flight;
             self.window_start = now;
         }
@@ -286,27 +241,15 @@ impl FuncConcurrency {
 /// at the peak in-flight concurrency seen over the last two observation
 /// windows. Excess containers are torn down as soon as they go idle —
 /// scale-in follows load down instead of waiting out a TTL.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ConcurrencyPolicy {
-    cfg: ConcurrencyConfig,
     funcs: BTreeMap<FunctionId, FuncConcurrency>,
 }
 
 impl ConcurrencyPolicy {
-    /// A policy with the given tuning.
-    pub fn new(cfg: ConcurrencyConfig) -> Self {
-        ConcurrencyPolicy { cfg, funcs: BTreeMap::new() }
-    }
-
     /// The current warm-set target for `func`.
     fn target(&self, func: FunctionId) -> u32 {
         self.funcs.get(&func).map_or(0, |c| c.peak.max(c.prev_peak))
-    }
-}
-
-impl Default for ConcurrencyPolicy {
-    fn default() -> Self {
-        Self::new(ConcurrencyConfig::default())
     }
 }
 
@@ -316,30 +259,27 @@ impl KeepAlivePolicy for ConcurrencyPolicy {
     }
 
     fn on_arrival(&mut self, func: FunctionId, now: SimTime) {
-        let window = self.cfg.window;
         let c = self.funcs.entry(func).or_default();
-        c.roll(window, now);
+        c.roll(now);
         c.in_flight = c.in_flight.saturating_add(1);
         c.peak = c.peak.max(c.in_flight);
     }
 
     fn on_complete(&mut self, func: FunctionId, now: SimTime) {
-        let window = self.cfg.window;
         let c = self.funcs.entry(func).or_default();
-        c.roll(window, now);
+        c.roll(now);
         c.in_flight = c.in_flight.saturating_sub(1);
     }
 
     fn keep_until(&mut self, func: FunctionId, idle_peers: usize, now: SimTime) -> Option<SimTime> {
-        let window = self.cfg.window;
         if let Some(c) = self.funcs.get_mut(&func) {
-            c.roll(window, now);
+            c.roll(now);
         }
         let target = self.target(func) as usize;
         if idle_peers >= target {
             return None; // scale in: the warm set already covers peak demand
         }
-        Some(now + self.cfg.ttl)
+        Some(now + KEEPALIVE) // kept containers get the standard window
     }
 }
 
@@ -349,10 +289,10 @@ impl KeepAlivePolicy for ConcurrencyPolicy {
 pub enum PolicyKind {
     /// [`FixedTtl`] with the given window.
     FixedTtl(SimDuration),
-    /// [`HistogramPolicy`] with the given tuning.
-    Histogram(HistogramConfig),
-    /// [`ConcurrencyPolicy`] with the given tuning.
-    Concurrency(ConcurrencyConfig),
+    /// [`HistogramPolicy`].
+    Histogram,
+    /// [`ConcurrencyPolicy`].
+    Concurrency,
 }
 
 impl Default for PolicyKind {
@@ -366,8 +306,8 @@ impl PolicyKind {
     pub fn build(&self) -> Box<dyn KeepAlivePolicy> {
         match *self {
             PolicyKind::FixedTtl(ttl) => Box::new(FixedTtl { ttl }),
-            PolicyKind::Histogram(cfg) => Box::new(HistogramPolicy::new(cfg)),
-            PolicyKind::Concurrency(cfg) => Box::new(ConcurrencyPolicy::new(cfg)),
+            PolicyKind::Histogram => Box::new(HistogramPolicy::default()),
+            PolicyKind::Concurrency => Box::new(ConcurrencyPolicy::default()),
         }
     }
 
@@ -375,8 +315,8 @@ impl PolicyKind {
     pub fn label(&self) -> String {
         match *self {
             PolicyKind::FixedTtl(ttl) => format!("fixed{}", ttl.as_micros() / 1_000_000),
-            PolicyKind::Histogram(_) => "histogram".to_string(),
-            PolicyKind::Concurrency(_) => "concurrency".to_string(),
+            PolicyKind::Histogram => "histogram".to_string(),
+            PolicyKind::Concurrency => "concurrency".to_string(),
         }
     }
 
@@ -384,8 +324,8 @@ impl PolicyKind {
     pub fn parse(s: &str) -> Result<PolicyKind, String> {
         match s.split_once(':') {
             None if s == "fixed" => Ok(PolicyKind::default()),
-            None if s == "histogram" => Ok(PolicyKind::Histogram(HistogramConfig::default())),
-            None if s == "concurrency" => Ok(PolicyKind::Concurrency(ConcurrencyConfig::default())),
+            None if s == "histogram" => Ok(PolicyKind::Histogram),
+            None if s == "concurrency" => Ok(PolicyKind::Concurrency),
             Some(("fixed", secs)) => {
                 let secs: u64 = secs.parse().map_err(|e| format!("keepalive fixed:<secs>: {e}"))?;
                 Ok(PolicyKind::FixedTtl(SimDuration::from_secs(secs)))
@@ -499,14 +439,6 @@ impl<P: Platform> Platform for WithKeepAlive<P> {
     }
 }
 
-/// Report one node's current idle-warm pin gauge to the control plane's
-/// harvestable-supply view. A convenience for drivers (the sim platform's
-/// ping hook, the live cluster's registry) so both substrates publish the
-/// same view.
-pub fn publish_idle_warm(core: &mut ControlPlane, node: NodeId, pinned_mb: u64, now: SimTime) {
-    core.note_idle_warm(node, pinned_mb, now);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,8 +538,8 @@ mod tests {
             PolicyKind::FixedTtl(SimDuration::from_secs(10))
         );
         assert_eq!(PolicyKind::parse("fixed:10").unwrap().label(), "fixed10");
-        assert!(matches!(PolicyKind::parse("histogram").unwrap(), PolicyKind::Histogram(_)));
-        assert!(matches!(PolicyKind::parse("concurrency").unwrap(), PolicyKind::Concurrency(_)));
+        assert_eq!(PolicyKind::parse("histogram").unwrap(), PolicyKind::Histogram);
+        assert_eq!(PolicyKind::parse("concurrency").unwrap(), PolicyKind::Concurrency);
         assert!(PolicyKind::parse("bogus").is_err());
         assert!(PolicyKind::parse("fixed:x").is_err());
     }

@@ -19,8 +19,7 @@
 //!   or greedy maximum coverage) every substrate asks; the simulator's
 //!   pluggable [`scheduler::NodeSelector`]s over it,
 //! * [`sharding`] — §6.4: the native decentralized sharded scheduler, one lock
-//!   per shard around the simulator's slice books; places by the same rule
-//!   (times its own decisions),
+//!   per shard around the simulator's slice books; places by the same rule,
 //! * [`controlplane`] — the substrate-agnostic policy core: a pure,
 //!   clock-free state machine over the loan ledger + pools + safeguard that
 //!   consumes admission/observation/completion events and emits explicit
@@ -41,7 +40,6 @@
 
 pub mod audit;
 pub mod batch;
-pub mod clock;
 pub mod controlplane;
 pub mod coverage;
 pub mod keepalive;
@@ -53,7 +51,6 @@ pub mod scheduler;
 pub mod sharding;
 
 pub use batch::{greedy_assign, optimal_assign, Assignment, BatchNode, BatchRequest};
-pub use clock::{Clock, ManualClock, NullClock};
 pub use controlplane::{
     Action, Admission, ControlConfig, ControlCounters, ControlPlane, LendFailure, Observation,
 };

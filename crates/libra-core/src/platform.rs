@@ -356,11 +356,6 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
         // The piggyback (§6.4): schedulers learn pool status from pings.
         self.view.snapshots.insert(node, self.core.snapshot(node, world.now()));
         self.view.note_ping(node, world.now());
-        // Same piggyback, keep-alive leg: publish the node's idle-warm pin
-        // gauge so the control plane's harvestable-supply view reflects the
-        // keep-alive policy in force. Telemetry only — no Actions.
-        let pinned = world.node(node).warm.pinned_mem_mb(world.now());
-        crate::keepalive::publish_idle_warm(&mut self.core, node, pinned, world.now());
     }
 
     fn on_node_crash(&mut self, ctx: &mut SimCtx<'_>, node: NodeId) {

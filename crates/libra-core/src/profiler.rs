@@ -24,7 +24,6 @@
 //! model (what a fully-provisioned execution would reveal) plus measurement
 //! noise — see DESIGN.md §1 for the substitution note.
 
-use crate::clock::{Clock, NullClock};
 use libra_ml::dataset::Dataset;
 use libra_ml::forest::{ForestParams, RandomForest};
 use libra_ml::histogram::StreamingHistogram;
@@ -269,35 +268,18 @@ pub struct Profiler {
     choice: ModelChoice,
     states: Vec<FuncState>,
     scores: Vec<Option<ModelScores>>,
-    /// Native training-time measurements (§8.6): (offline µs, online µs).
-    pub train_micros: Vec<(u128, u128)>,
-    /// Overhead clock: [`NullClock`] under simulation (training "takes" 0µs,
-    /// keeping traces replayable), a wall clock in the live/bench harnesses.
-    clock: Box<dyn Clock>,
 }
 
 impl Profiler {
     /// Create a deterministic profiler for `n_funcs` deployed functions.
-    /// Training-time self-measurement reads [`NullClock`]; substrates that
-    /// want real §8.6 overhead numbers use [`Profiler::with_clock`].
+    /// It never reads a clock: the §8.6 training overhead is timed by the
+    /// caller (`exp overheads`, `benchmarks/perf`).
     pub fn new(n_funcs: usize, cfg: ProfilerConfig, choice: ModelChoice) -> Self {
-        Self::with_clock(n_funcs, cfg, choice, Box::new(NullClock))
-    }
-
-    /// Create a profiler measuring its own training time against `clock`.
-    pub fn with_clock(
-        n_funcs: usize,
-        cfg: ProfilerConfig,
-        choice: ModelChoice,
-        clock: Box<dyn Clock>,
-    ) -> Self {
         Profiler {
             cfg,
             choice,
             states: (0..n_funcs).map(|_| FuncState::Untrained).collect(),
             scores: vec![None; n_funcs],
-            train_micros: Vec::new(),
-            clock,
         }
     }
 
@@ -323,7 +305,6 @@ impl Profiler {
     /// One-time offline profiling on the first invocation of `f` (§4.1):
     /// duplicate, pilot-run, train, and decide the model path.
     pub fn train(&mut self, f: usize, spec: &FunctionSpec, first_input: InputMeta) {
-        let t0 = self.clock.now_micros();
         let dup = WorkloadDuplicator {
             points: self.cfg.duplicate_points,
             noise: PILOT_NOISE,
@@ -358,8 +339,6 @@ impl Profiler {
             }
             FuncState::Hist(Box::new(h))
         };
-        let elapsed = self.clock.now_micros().saturating_sub(t0);
-        self.train_micros.push((u128::from(elapsed), 0));
     }
 
     fn fit_forests(data: Dataset3, train_frac: f64, seed: u64) -> (MlModels, ModelScores) {
@@ -474,8 +453,6 @@ impl Profiler {
 
     /// Online update after a completion (§4.1 "model update").
     pub fn observe(&mut self, f: usize, input: InputMeta, actuals: &Actuals) {
-        let clock = &*self.clock;
-        let mut refit_micros = None;
         match &mut self.states[f] {
             FuncState::Untrained => {}
             FuncState::Hist(h) => {
@@ -497,7 +474,6 @@ impl Profiler {
                 m.since_refit += 1;
                 if m.since_refit >= RETRAIN_EVERY {
                     m.since_refit = 0;
-                    let t0 = clock.now_micros();
                     let params = ForestParams { n_trees: 24, seed: 1, ..Default::default() };
                     let n_mem_classes =
                         m.data.mem.iter().map(|&v| v as usize).max().unwrap_or(1) + 2;
@@ -514,12 +490,8 @@ impl Profiler {
                         params,
                     );
                     m.dur = RandomForest::fit(&m.data.x, &m.data.dur, Task::Regression, params);
-                    refit_micros = Some(clock.now_micros().saturating_sub(t0));
                 }
             }
-        }
-        if let Some(us) = refit_micros {
-            self.train_micros.push((0, u128::from(us)));
         }
     }
 }

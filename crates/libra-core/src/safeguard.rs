@@ -12,13 +12,14 @@
 
 use libra_sim::engine::UsageSample;
 
+/// Safeguard trips before a function's memory harvesting stops.
+const MEM_BLACKLIST_AFTER: u32 = 3;
+
 /// Safeguard state for one platform instance.
 #[derive(Clone, Debug)]
 pub struct Safeguard {
     /// Usage/allocation ratio that trips the safeguard.
     pub threshold: f64,
-    /// Trip count after which a function's memory is no longer harvested.
-    pub blacklist_after: u32,
     triggers: u64,
     func_trips: Vec<u32>,
     mem_blacklist: Vec<bool>,
@@ -26,10 +27,9 @@ pub struct Safeguard {
 
 impl Safeguard {
     /// Create safeguard state for `n_funcs` functions.
-    pub fn new(n_funcs: usize, threshold: f64, blacklist_after: u32) -> Self {
+    pub fn new(n_funcs: usize, threshold: f64) -> Self {
         Safeguard {
             threshold,
-            blacklist_after,
             triggers: 0,
             func_trips: vec![0; n_funcs],
             mem_blacklist: vec![false; n_funcs],
@@ -50,11 +50,11 @@ impl Safeguard {
     }
 
     /// Record a trigger for function `f`; escalates to the memory blacklist
-    /// after `blacklist_after` trips.
+    /// after `MEM_BLACKLIST_AFTER` trips.
     pub fn record_trigger(&mut self, f: usize) {
         self.triggers += 1;
         self.func_trips[f] += 1;
-        if self.func_trips[f] >= self.blacklist_after {
+        if self.func_trips[f] >= MEM_BLACKLIST_AFTER {
             self.mem_blacklist[f] = true;
         }
     }
@@ -63,7 +63,7 @@ impl Safeguard {
     /// is strictly worse than a near-miss).
     pub fn record_oom(&mut self, f: usize) {
         self.triggers += 1;
-        self.func_trips[f] = self.func_trips[f].max(self.blacklist_after);
+        self.func_trips[f] = self.func_trips[f].max(MEM_BLACKLIST_AFTER);
         self.mem_blacklist[f] = true;
     }
 
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn triggers_on_throttle_or_memory_pressure() {
-        let s = Safeguard::new(1, 0.8, 3);
+        let s = Safeguard::new(1, 0.8);
         // Running at 90% of quota without throttling is fine (Fig 1's DH).
         assert!(!s.should_trigger(&usage(900, 1000, 100, 1000, false)));
         assert!(s.should_trigger(&usage(1000, 1000, 100, 1000, true)), "throttled cgroup");
@@ -110,16 +110,16 @@ mod tests {
 
     #[test]
     fn threshold_zero_always_triggers_threshold_above_one_only_throttle() {
-        let zero = Safeguard::new(1, 0.0, 3);
+        let zero = Safeguard::new(1, 0.0);
         assert!(zero.should_trigger(&usage(1, 1000, 1, 1000, false)));
-        let never = Safeguard::new(1, 1.1, 3);
+        let never = Safeguard::new(1, 1.1);
         assert!(!never.should_trigger(&usage(1000, 1000, 1000, 1000, false)));
         assert!(never.should_trigger(&usage(1000, 1000, 1000, 1000, true)));
     }
 
     #[test]
     fn blacklist_escalates_after_repeated_trips() {
-        let mut s = Safeguard::new(2, 0.8, 3);
+        let mut s = Safeguard::new(2, 0.8);
         s.record_trigger(0);
         s.record_trigger(0);
         assert!(!s.mem_blacklisted(0));
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn oom_blacklists_immediately() {
-        let mut s = Safeguard::new(1, 0.8, 5);
+        let mut s = Safeguard::new(1, 0.8);
         s.record_oom(0);
         assert!(s.mem_blacklisted(0));
     }

@@ -16,13 +16,11 @@
 //! function, and the same function hash, the simulator's selectors ask — and
 //! reserves what the rule picked.
 //!
-//! It also measures what the paper measures in Fig 12(c): the wall-clock
-//! scheduling overhead per decision (pick-up → node selected), which must
-//! stay under a millisecond even at 50 nodes. `exp fig12` drives it with a
-//! wall clock; `benchmarks/perf` times whole calls as
-//! `sharding.schedule_on_us`.
+//! What the paper measures in Fig 12(c) — the wall-clock scheduling overhead
+//! per decision, which must stay under a millisecond even at 50 nodes — is
+//! measured by the caller: `exp fig12` and `benchmarks/perf`
+//! (`sharding.schedule_on_us`) time whole calls from outside.
 
-use crate::clock::{Clock, NullClock};
 use crate::pool::PoolSnapshot;
 use crate::scheduler::place;
 pub use crate::scheduler::ScheduleRequest;
@@ -30,17 +28,12 @@ use libra_sim::node::Slice;
 use libra_sim::resources::ResourceVec;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// A completed decision.
 #[derive(Clone, Copy, Debug)]
 pub struct Decision {
     /// Selected node index, or `None` if no shard-slice fits.
     pub node: Option<u32>,
-    /// Wall-clock decision latency (pick-up → selection), the Fig 12(c)
-    /// scheduling overhead.
-    pub latency: Duration,
 }
 
 /// One shard's books: its slice of every node, its view of every node's
@@ -64,28 +57,12 @@ struct ShardState {
 pub struct ShardedScheduler {
     shards: Vec<Mutex<ShardState>>,
     next: AtomicUsize,
-    clock: Arc<dyn Clock>,
 }
 
 impl ShardedScheduler {
     /// Start `shards` schedulers over `nodes` nodes of `capacity` each. Each
-    /// shard owns `capacity / shards` of every node. Decision latency is
-    /// measured against [`NullClock`] (always zero) — the deterministic
-    /// default; harnesses that want the real Fig 12(c) numbers use
-    /// [`spawn_with_clock`](ShardedScheduler::spawn_with_clock) with a wall
-    /// clock.
+    /// shard owns `capacity / shards` of every node.
     pub fn spawn(shards: usize, nodes: usize, capacity: ResourceVec, alpha: f64) -> Self {
-        Self::spawn_with_clock(shards, nodes, capacity, alpha, Arc::new(NullClock))
-    }
-
-    /// [`spawn`](ShardedScheduler::spawn) with an explicit latency clock.
-    pub fn spawn_with_clock(
-        shards: usize,
-        nodes: usize,
-        capacity: ResourceVec,
-        alpha: f64,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
         assert!(shards > 0 && nodes > 0);
         let state = || ShardState {
             slices: vec![Slice::new(capacity.div(shards as u64)); nodes],
@@ -96,7 +73,6 @@ impl ShardedScheduler {
         ShardedScheduler {
             shards: (0..shards).map(|_| Mutex::new(state())).collect(),
             next: AtomicUsize::new(0),
-            clock,
         }
     }
 
@@ -130,21 +106,17 @@ impl ShardedScheduler {
 
     /// Schedule on a specific shard, reserving the nominal allocation on the
     /// selected node. A dead shard answers `node: None`, the same signal as
-    /// "no capacity" — callers retry either way. The latency clock starts at
-    /// pick-up (lock held), so it times the decision, not the wait for it.
+    /// "no capacity" — callers retry either way.
     pub fn schedule_on(&self, shard: usize, req: ScheduleRequest) -> Decision {
         let mut state = self.shards[shard].lock();
         if !state.alive {
-            return Decision { node: None, latency: Duration::ZERO };
+            return Decision { node: None };
         }
-        let t0 = self.clock.now_micros();
         let fits = |i: usize| req.nominal.fits_within(&state.slices[i].free());
         let node = place(&req, state.alpha, state.slices.len(), fits, |i| &state.snapshots[i])
             .and_then(|i| u32::try_from(i).ok())
             .filter(|&i| state.slices[i as usize].try_reserve(req.nominal));
-        drop(state);
-        let latency = Duration::from_micros(self.clock.now_micros().saturating_sub(t0));
-        Decision { node, latency }
+        Decision { node }
     }
 
     /// Release a reservation previously granted by `shard` (dead or alive).
@@ -212,7 +184,6 @@ mod tests {
         let sched = ShardedScheduler::spawn(2, 4, ResourceVec::from_cores_mb(16, 16_384), 0.9);
         let d = sched.schedule(req(1, 0));
         assert!(d.node.is_some());
-        assert!(d.latency < Duration::from_millis(5), "decision should be fast: {:?}", d.latency);
     }
 
     #[test]

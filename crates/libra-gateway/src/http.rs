@@ -1,8 +1,8 @@
 //! A hand-rolled, panic-free HTTP/1.1 codec over blocking byte streams.
 //!
 //! The workspace builds offline with stubbed dependencies, so there is no
-//! hyper/tokio to lean on; like `stubs/rayon` hand-rolls parallelism, this
-//! module hand-rolls the minimal protocol subset the gateway needs:
+//! hyper/tokio to lean on; this module hand-rolls the minimal protocol
+//! subset the gateway needs:
 //! request/response heads, `Content-Length` bodies, and keep-alive
 //! connection reuse. It is on the `libra-lint` panic-freedom list — no
 //! `unwrap`, no `expect`, no indexing: malformed input must surface as

@@ -4,7 +4,7 @@
 //! Both are pure state machines over an injected microsecond clock — the
 //! caller passes `now_us` (the gateway derives it from one monotonic
 //! anchor; tests and proptests drive it manually, the same discipline as
-//! [`libra_core::clock`]). No wall-clock read ever happens inside
+//! the control plane's explicit `now`). No wall-clock read ever happens inside
 //! accounting, so every grant/deny decision replays deterministically.
 //! This module is on the `libra-lint` determinism list.
 
@@ -55,11 +55,6 @@ impl TokenBucket {
             return Err(3_600);
         }
         Err(needed.div_ceil(self.rate_per_sec).div_ceil(MICRO).max(1))
-    }
-
-    /// Whole tokens currently available (diagnostics).
-    pub fn available(&self) -> u64 {
-        self.micro / MICRO
     }
 }
 

@@ -182,6 +182,28 @@ pub fn parse(lexed: &Lexed, mask: &[bool]) -> FileItems {
     out
 }
 
+/// Angle-depth change of `t` in type position. The lexer munches `>>` and
+/// `>>=` into one operator token each (the cast rule wants `>>` whole); in a
+/// type they are two closers, so `Vec<Option<T>>` balances.
+fn angle_delta(t: &Token) -> i32 {
+    match &t.tok {
+        Tok::Punct("<") => 1,
+        Tok::Punct(">") => -1,
+        Tok::Punct(">>" | ">>=") => -2,
+        _ => 0,
+    }
+}
+
+/// [`angle_delta`] plus one level per `(`/`[`/`{` opener or closer: the depth
+/// used to split types, parameters and fields on top-level `,`/`:`/`=`.
+fn depth_delta(t: &Token) -> i32 {
+    match &t.tok {
+        Tok::Punct("(" | "[" | "{") => 1,
+        Tok::Punct(")" | "]" | "}") => -1,
+        _ => angle_delta(t),
+    }
+}
+
 /// Parse `impl [<..>] [Trait for] Type [<..>] [where ..] {` starting at the
 /// `impl` token. Returns `(type, trait, body-close-token-exclusive)`.
 fn parse_impl_header(toks: &[Token], at: usize) -> Option<(String, Option<String>, usize)> {
@@ -194,10 +216,9 @@ fn parse_impl_header(toks: &[Token], at: usize) -> Option<(String, Option<String
     let mut j = at + 1;
     while j < open {
         let t = &toks[j];
-        if t.is_punct("<") {
-            angle += 1;
-        } else if t.is_punct(">") {
-            angle -= 1;
+        let da = angle_delta(t);
+        if da != 0 {
+            angle += da;
         } else if angle == 0 {
             if t.is_ident("for") {
                 saw_for = true;
@@ -231,10 +252,9 @@ fn impl_body_open(toks: &[Token], at: usize) -> Option<usize> {
     let mut j = at + 1;
     while j < toks.len() {
         let t = &toks[j];
-        if t.is_punct("<") {
-            angle += 1;
-        } else if t.is_punct(">") {
-            angle -= 1;
+        let da = angle_delta(t);
+        if da != 0 {
+            angle += da;
         } else if t.is_punct("{") && angle <= 0 {
             return Some(j);
         } else if t.is_punct(";") {
@@ -296,10 +316,9 @@ fn parse_struct(toks: &[Token], at: usize) -> Option<(StructItem, usize)> {
     let mut j = at + 2;
     while j < toks.len() {
         let t = &toks[j];
-        if t.is_punct("<") {
-            angle += 1;
-        } else if t.is_punct(">") {
-            angle -= 1;
+        let da = angle_delta(t);
+        if da != 0 {
+            angle += da;
         } else if angle <= 0 && (t.is_punct(";") || t.is_punct("(")) {
             // Unit or tuple struct: no named fields.
             return Some((StructItem { name, fields: Vec::new() }, j + 1));
@@ -318,10 +337,9 @@ fn parse_struct(toks: &[Token], at: usize) -> Option<(StructItem, usize)> {
     let mut depth = 0i32;
     while k + 1 < close.saturating_sub(1) {
         let t = &toks[k];
-        if t.is_punct("{") || t.is_punct("(") || t.is_punct("[") || t.is_punct("<") {
-            depth += 1;
-        } else if t.is_punct("}") || t.is_punct(")") || t.is_punct("]") || t.is_punct(">") {
-            depth -= 1;
+        let dd = depth_delta(t);
+        if dd != 0 {
+            depth += dd;
         } else if depth == 0 {
             if let Tok::Ident(fname) = &t.tok {
                 if toks[k + 1].is_punct(":") && !toks[k + 1].is_punct("::") {
@@ -331,10 +349,9 @@ fn parse_struct(toks: &[Token], at: usize) -> Option<(StructItem, usize)> {
                     let mut d = 0i32;
                     while m < close - 1 {
                         let tt = &toks[m];
-                        if tt.is_punct("(") || tt.is_punct("[") || tt.is_punct("<") {
-                            d += 1;
-                        } else if tt.is_punct(")") || tt.is_punct("]") || tt.is_punct(">") {
-                            d -= 1;
+                        let dd = depth_delta(tt);
+                        if dd != 0 {
+                            d += dd;
                         } else if tt.is_punct(",") && d <= 0 {
                             break;
                         }
@@ -359,10 +376,9 @@ pub fn parse_ty(toks: &[Token]) -> TyRef {
     let mut head_end = 0usize;
     let mut angle = 0i32;
     for (i, t) in toks.iter().enumerate() {
-        if t.is_punct("<") {
-            angle += 1;
-        } else if t.is_punct(">") {
-            angle -= 1;
+        let da = angle_delta(t);
+        if da != 0 {
+            angle += da;
         } else if angle == 0 {
             if let Tok::Ident(n) = &t.tok {
                 if !is_expr_keyword(n) && n != "dyn" {
@@ -379,14 +395,10 @@ pub fn parse_ty(toks: &[Token]) -> TyRef {
         let mut depth = 0i32;
         let mut last_seg = String::new();
         for t in &toks[head_end + 1..] {
-            if t.is_punct("<") {
-                depth += 1;
-                if depth == 1 {
-                    continue;
-                }
-            } else if t.is_punct(">") {
-                depth -= 1;
-                if depth == 0 {
+            let da = angle_delta(t);
+            if da != 0 {
+                depth += da;
+                if depth <= 0 {
                     if !last_seg.is_empty() {
                         args.push(std::mem::take(&mut last_seg));
                     }
@@ -425,10 +437,9 @@ fn parse_fn(
     let mut j = at + 2;
     while j < toks.len() {
         let t = &toks[j];
-        if t.is_punct("<") {
-            angle += 1;
-        } else if t.is_punct(">") {
-            angle -= 1;
+        let da = angle_delta(t);
+        if da != 0 {
+            angle += da;
         } else if t.is_punct("(") && angle <= 0 {
             break;
         }
@@ -445,10 +456,9 @@ fn parse_fn(
     let mut angle2 = 0i32;
     while k < toks.len() {
         let t = &toks[k];
-        if t.is_punct("<") {
-            angle2 += 1;
-        } else if t.is_punct(">") {
-            angle2 -= 1;
+        let da = angle_delta(t);
+        if da != 0 {
+            angle2 += da;
         } else if t.is_punct(";") && angle2 <= 0 {
             // Bodiless declaration (trait method).
             let item = FnItem {
@@ -501,10 +511,9 @@ fn parse_params(toks: &[Token]) -> Vec<(String, TyRef)> {
     let mut start = 0usize;
     let mut groups: Vec<(usize, usize)> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") || t.is_punct("<") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") || t.is_punct(">") {
-            depth -= 1;
+        let dd = depth_delta(t);
+        if dd != 0 {
+            depth += dd;
         } else if t.is_punct(",") && depth == 0 {
             groups.push((start, i));
             start = i + 1;
@@ -519,10 +528,9 @@ fn parse_params(toks: &[Token]) -> Vec<(String, TyRef)> {
         let mut d = 0i32;
         let mut colon = None;
         for (i, t) in g.iter().enumerate() {
-            if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") || t.is_punct("<") {
-                d += 1;
-            } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") || t.is_punct(">") {
-                d -= 1;
+            let dd = depth_delta(t);
+            if dd != 0 {
+                d += dd;
             } else if t.is_punct(":") && d == 0 {
                 colon = Some(i);
                 break;
@@ -570,11 +578,9 @@ fn extract_lets(body: &[Token]) -> Vec<(String, TyRef)> {
             let mut m = after + 1;
             while m < body.len() {
                 let t = &body[m];
-                if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") || t.is_punct("<") {
-                    d += 1;
-                } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") || t.is_punct(">") {
-                    d -= 1;
-                } else if (t.is_punct("=") || t.is_punct(";")) && d <= 0 {
+                d += depth_delta(t);
+                // `>>=` is two closers and then the `=`.
+                if (t.is_punct("=") || t.is_punct(";") || t.is_punct(">>=")) && d <= 0 {
                     break;
                 }
                 m += 1;
@@ -790,6 +796,18 @@ mod tests {
         );
         assert!(f.lets.iter().any(|(n, t)| n == "s" && t.head == "Scheduler"));
         assert!(f.lets.iter().any(|(n, t)| n == "t" && t.head == "Tracker"));
+
+        // `>>` closes two angles (`>>=` two and then the `=`): the parameter
+        // after it, the body after such a return type and the next `let` stay.
+        let it = parse_src(
+            "fn g(m: Vec<Option<Node>>, w: World) -> Vec<Vec<u8>> {\n    let v: Vec<Vec<u8>>= mk();\n    let s: Scheduler = mk();\n}\nfn h() {}\n",
+        );
+        assert_eq!(it.fns.len(), 2);
+        let g = &it.fns[0];
+        assert_eq!(g.params[0].1, TyRef { head: "Vec".into(), args: vec!["Option".into()] });
+        assert_eq!(g.params[1], ("w".to_string(), TyRef { head: "World".into(), args: vec![] }));
+        assert!(g.lets.iter().any(|(n, t)| n == "v" && t.head == "Vec"));
+        assert!(g.lets.iter().any(|(n, t)| n == "s" && t.head == "Scheduler"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! entries fail the build instead of silently widening the holes.
 
 use crate::graph::{CallGraph, FnId};
-use crate::items::{is_expr_keyword, Callee, FnItem};
+use crate::items::{is_expr_keyword, FnItem};
 use crate::lexer::{Tok, Token};
 use std::collections::BTreeSet;
 
@@ -256,7 +256,7 @@ fn determinism_sink(toks: &[Token], i: usize, scope: &str) -> Option<(u32, Strin
     };
     if path2("Instant", "now") {
         return Some((line, format!(
-            "`Instant::now()` in deterministic scope `{scope}`: thread a `libra_core::clock::Clock` (sim substrates pass `NullClock`) instead of reading the wall clock"
+            "`Instant::now()` in deterministic scope `{scope}`: time the call from the caller, outside the deterministic crates, instead of reading the wall clock here"
         )));
     }
     if path2("SystemTime", "now") {
@@ -769,17 +769,6 @@ pub fn stale_roots(g: &CallGraph<'_>, em: &mut Emitter) {
                 witness: Vec::new(),
             });
         }
-    }
-}
-
-/// Resolve one call for the `Action` helper — kept for the fixture suite.
-pub fn callee_name(c: &Callee) -> &str {
-    match c {
-        Callee::SelfMethod(n)
-        | Callee::Free(n)
-        | Callee::Macro(n)
-        | Callee::Method { name: n, .. }
-        | Callee::Qualified { name: n, .. } => n,
     }
 }
 

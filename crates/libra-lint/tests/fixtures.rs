@@ -240,6 +240,20 @@ fn panic_roots_match_impl_and_trait_blocks() {
 }
 
 #[test]
+fn panic_resolves_through_a_field_declared_after_nested_generics() {
+    // `>>` lexes as one token; in a field type it closes two angles. `books`
+    // must survive `slots: Vec<Option<u32>>` so `self.books.get(..)` resolves
+    // by receiver type (`get` is too ubiquitous for the by-name fallback).
+    let src = "struct Books;\nimpl Books {\n    fn get(&self, o: Option<u32>) -> u32 { o.unwrap() }\n}\nstruct Simulation {\n    slots: Vec<Option<u32>>,\n    books: Books,\n}\nimpl Simulation {\n    fn step(&self) -> u32 { self.books.get(None) }\n}\n";
+    let ds = lint_source(DET_PATH, src);
+    let panics: Vec<&Diagnostic> = ds.iter().filter(|d| d.rule == "panic").collect();
+    assert_eq!(panics.len(), 1, "{ds:?}");
+    assert_eq!(panics[0].line, 3);
+    assert!(panics[0].witness[0].contains("Simulation::step"));
+    assert!(panics[0].witness[1].contains("Books::get"));
+}
+
+#[test]
 fn panic_root_comment_declares_a_single_fn_root() {
     let rooted = "// libra-lint: root(panic)\npub fn entry(o: Option<u32>) -> u32 { o.unwrap() }\n";
     assert_eq!(rules_at(NEUTRAL_PATH, rooted), vec![("panic".into(), 2)]);

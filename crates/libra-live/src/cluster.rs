@@ -47,7 +47,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use libra_core::controlplane::{
     Action, Admission, ControlConfig, ControlPlane, LendFailure, Observation,
 };
-use libra_core::keepalive::{publish_idle_warm, KeepAlivePolicy, PolicyKind};
+use libra_core::keepalive::{KeepAlivePolicy, PolicyKind};
 use libra_core::sharding::{ScheduleRequest, ShardedScheduler};
 use libra_sim::container::WarmPool;
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
@@ -174,11 +174,9 @@ struct NodeInner {
 }
 
 impl NodeInner {
-    /// Reap expired warm containers and publish the node's idle-warm pin
-    /// gauge to the control plane's harvestable-supply view.
+    /// Reap expired warm containers.
     fn refresh_warm(&mut self, now: SimTime) {
         let _ = self.warm.evict_expired(now);
-        publish_idle_warm(&mut self.core, NodeId(0), self.warm.pinned_mem_mb(now), now);
     }
 }
 
@@ -337,8 +335,6 @@ pub struct LiveRecord {
     /// the latency breakdown; `latency_ms − sched_ms` is the execution
     /// stage).
     pub sched_ms: f64,
-    /// Counterfactual latency at the user allocation (queueing excluded).
-    pub baseline_exec_ms: f64,
     /// Was it ever accelerated?
     pub accelerated: bool,
     /// Was it harvested from?
@@ -1059,7 +1055,6 @@ fn run_invocation(
                 idx,
                 latency_ms: stage.cursor().since(submit).as_millis_f64(),
                 sched_ms: stage.breakdown().scheduler.as_millis_f64(),
-                baseline_exec_ms: req.alloc_duration_ms() as f64,
                 accelerated: me.accelerated,
                 harvested,
                 safeguarded: me.safeguarded,

@@ -23,11 +23,9 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod cluster;
 pub mod workload;
 
-pub use clock::WallClock;
 pub use cluster::{
     run_live, LiveChaos, LiveCluster, LiveConfig, LiveRecord, LiveResult, LiveStats, SubmitError,
 };

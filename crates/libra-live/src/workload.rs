@@ -44,11 +44,6 @@ impl LiveRequest {
         self.work_mcore_ms / self.demand_cpu_millis.max(1)
     }
 
-    /// Execution time at the user allocation only.
-    pub fn alloc_duration_ms(&self) -> u64 {
-        self.work_mcore_ms / self.demand_cpu_millis.min(self.alloc.cpu_millis).max(1)
-    }
-
     /// An exact prediction for this request's demands and duration, with
     /// `mem_pad_mb` of headroom on the memory estimate.
     pub fn exact_pred(&self, mem_pad_mb: u64) -> Prediction {
@@ -125,7 +120,6 @@ mod tests {
             pred: None,
         };
         assert_eq!(r.base_duration_ms(), 1_000);
-        assert_eq!(r.alloc_duration_ms(), 2_000, "throttled to half speed");
         assert_eq!(r.exact_pred(64).mem_mb, 320);
     }
 

@@ -32,14 +32,12 @@ pub mod nn;
 pub mod scaler;
 pub mod svm;
 pub mod tree;
-pub mod validate;
 
 pub use dataset::Dataset;
 pub use forest::{ForestParams, RandomForest};
 pub use histogram::StreamingHistogram;
 pub use linear::{LinearRegression, LogisticRegression};
-pub use metrics::{accuracy, mae, r2_score};
+pub use metrics::{accuracy, r2_score};
 pub use nn::{Mlp, MlpTask};
 pub use svm::LinearSvm;
 pub use tree::{DecisionTree, Task, TreeParams};
-pub use validate::{cross_val_score, kfold, ConfusionMatrix};

@@ -32,15 +32,6 @@ pub fn r2_score(pred: &[f64], truth: &[f64]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Mean absolute error.
-pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "mae length mismatch");
-    if truth.is_empty() {
-        return 0.0;
-    }
-    pred.iter().zip(truth).map(|(p, t)| (p - t).abs()).sum::<f64>() / truth.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,10 +62,5 @@ mod tests {
     fn r2_constant_target() {
         assert_eq!(r2_score(&[5.0, 5.0], &[5.0, 5.0]), 1.0);
         assert_eq!(r2_score(&[4.0, 6.0], &[5.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn mae_basic() {
-        assert!((mae(&[1.0, 3.0], &[2.0, 1.0]) - 1.5).abs() < 1e-12);
     }
 }

@@ -27,7 +27,7 @@ use crate::event::{Event, EventQueue, EVENT_KINDS};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::function::FunctionSpec;
 use crate::ids::{FunctionId, InvocationId, NodeId};
-use crate::invocation::{Actuals, InvState, Invocation, Loan};
+use crate::invocation::{clamp_grant, exec_rate_millis, Actuals, InvState, Invocation, Loan};
 use crate::metrics::{InvRecord, KindPops, MetricsMode, RunResult, RunSummary, UtilSample};
 use crate::node::Node;
 use crate::platform::{LoanEnd, Platform, PlatformOverheads};
@@ -56,6 +56,9 @@ const SAMPLE_INTERVAL: SimDuration = SimDuration(500_000);
 const DECISION_PER_NODE_NS: u64 = 2_000;
 /// Base re-admission backoff after a crash/abort; doubles per requeue.
 const CRASH_BACKOFF: SimDuration = SimDuration(1_000_000);
+/// How many times a crash/abort victim is requeued before it is terminally
+/// `Aborted` (fault injection only).
+const CRASH_MAX_RETRIES: u32 = 3;
 
 /// Engine tuning knobs (cluster-level, not policy-level).
 #[derive(Clone, Debug)]
@@ -64,9 +67,6 @@ pub struct SimConfig {
     pub shards: usize,
     /// Fixed part of a scheduler decision's service time.
     pub decision_base: SimDuration,
-    /// How many times a crash/abort victim is requeued before it is
-    /// terminally `Aborted` (fault injection only).
-    pub crash_max_retries: u32,
     /// How measurements are aggregated: full record streams (default) or
     /// constant-space online summaries for huge traces.
     pub metrics: MetricsMode,
@@ -81,7 +81,6 @@ impl Default for SimConfig {
         SimConfig {
             shards: 1,
             decision_base: SimDuration(300),
-            crash_max_retries: 3,
             metrics: MetricsMode::Full,
             trace_spans: false,
         }
@@ -106,11 +105,6 @@ pub struct UsageSample {
 }
 
 impl UsageSample {
-    /// CPU usage as a fraction of the effective allocation.
-    pub fn cpu_ratio(&self) -> f64 {
-        self.cpu_busy_millis as f64 / self.effective.cpu_millis.max(1) as f64
-    }
-
     /// Memory usage as a fraction of the effective allocation.
     pub fn mem_ratio(&self) -> f64 {
         self.mem_used_mb as f64 / self.effective.mem_mb.max(1) as f64
@@ -267,11 +261,6 @@ impl World {
         });
     }
 
-    /// Number of scheduler shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Free nominal capacity of `node` within `shard`'s slice.
     pub fn free_in_shard(&self, node: NodeId, shard: usize) -> ResourceVec {
         self.nodes[node.idx()].free_in_shard(shard)
@@ -323,14 +312,14 @@ impl World {
     // ---- physics ------------------------------------------------------
 
     /// Effective work-accumulation rate in millicores (shared physics; the
-    /// live runtime uses the same [`crate::invocation::exec_rate_millis`]).
+    /// live runtime uses the same [`exec_rate_millis`]).
     /// `idx` is an arena slot, as in every per-invocation physics helper.
     fn effective_rate(&self, idx: usize) -> u64 {
         let inv = self.invs.get(idx);
         let eff = inv.effective_alloc();
         let scale = inv.node.map_or(1.0, |n| self.node_cpu_scale(n.idx()));
         let usable = sat_u64(eff.cpu_millis as f64 * scale);
-        crate::invocation::exec_rate_millis(
+        exec_rate_millis(
             usable,
             eff.mem_mb,
             inv.true_demand.cpu_peak_millis,
@@ -764,9 +753,7 @@ impl<'a> SimCtx<'a> {
             );
             let old = inv.charge();
             let ceiling = inv.nominal.saturating_sub(&inv.lent_out);
-            let mut g = want.min(&ceiling);
-            g.mem_mb = g.mem_mb.max(floor_mb.min(ceiling.mem_mb));
-            g.cpu_millis = g.cpu_millis.max(100).min(ceiling.cpu_millis);
+            let g = clamp_grant(want, ceiling, floor_mb);
             inv.own_grant = g;
             if g.cpu_millis < inv.nominal.cpu_millis || g.mem_mb < inv.nominal.mem_mb {
                 inv.flags.harvested = true;
@@ -1610,7 +1597,6 @@ impl Simulation {
         // the attempt counter moves on; from here until requeue is backoff.
         w.leave_stage(idx);
 
-        let max_retries = w.config.crash_max_retries;
         let inv = w.invs.get_mut(idx);
         inv.flags.crashed = true;
         inv.finish_gen += 1; // cancels in-flight Finish events
@@ -1621,7 +1607,7 @@ impl Simulation {
         inv.own_grant = inv.nominal;
         inv.exec_start = None; // a fresh attempt gets a fresh exec clock
         let attempt = inv.requeues;
-        let terminal = attempt > max_retries;
+        let terminal = attempt > CRASH_MAX_RETRIES;
         if terminal {
             inv.state = InvState::Aborted;
             inv.end = Some(now);
@@ -1778,14 +1764,13 @@ impl Simulation {
             Ok(()),
             "stage breakdown drifted for {id:?}"
         );
-        let busy = inv.nominal.cpu_millis.min(inv.true_demand.cpu_peak_millis).max(1);
-        let peak_mem = inv.true_demand.mem_peak_mb;
-        let mem_factor = if inv.nominal.mem_mb >= peak_mem {
-            1.0
-        } else {
-            (inv.nominal.mem_mb as f64 / peak_mem as f64).max(0.3)
-        };
-        let rate_nominal = sat_u64(busy as f64 * mem_factor).max(1);
+        let rate_nominal = exec_rate_millis(
+            inv.nominal.cpu_millis,
+            inv.nominal.mem_mb,
+            inv.true_demand.cpu_peak_millis,
+            inv.true_demand.mem_peak_mb,
+            inv.nominal.mem_mb,
+        );
         let base_exec_us = inv.work_total.div_ceil(rate_nominal as u128);
         let overhead = latency.saturating_sub(exec);
         let baseline = overhead + SimDuration(base_exec_us as u64);
@@ -2176,21 +2161,21 @@ mod tests {
     #[test]
     fn crash_retry_exhaustion_terminally_aborts() {
         let funcs = vec![spec("f", 2, 1024, one_sec_demand(2, 256))];
-        let cfg = SimConfig { crash_max_retries: 1, ..SimConfig::default() };
-        let sim = Simulation::new(funcs, vec![ResourceVec::from_cores_mb(8, 8192)], cfg);
+        let sim = single_node_sim(funcs);
         let mut t = Trace::new();
         t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
-        // Two crashes, each caught mid-attempt: the second exhausts the budget.
+        // Four crashes, each caught mid-attempt: requeues land 1 s, 2 s and
+        // 4 s after the first three (~1.8 s, ~4.6 s, ~9.4 s), each attempt
+        // restarts cold and runs 1 s; the fourth exhausts CRASH_MAX_RETRIES.
         let mut plan = FaultPlan::empty();
-        plan.push(SimTime::from_millis(800), FaultKind::NodeCrash(NodeId(0)));
-        plan.push(SimTime::from_millis(1_000), FaultKind::NodeRecover(NodeId(0)));
-        // Requeue lands at ~1.8s; the attempt restarts (cold) and crashes again.
-        plan.push(SimTime::from_millis(2_600), FaultKind::NodeCrash(NodeId(0)));
-        plan.push(SimTime::from_millis(2_800), FaultKind::NodeRecover(NodeId(0)));
+        for crash_ms in [800, 2_600, 5_400, 10_200] {
+            plan.push(SimTime::from_millis(crash_ms), FaultKind::NodeCrash(NodeId(0)));
+            plan.push(SimTime::from_millis(crash_ms + 200), FaultKind::NodeRecover(NodeId(0)));
+        }
         let res = sim.run_with_faults(&t, &mut NullPlatform, &plan);
         assert_eq!(res.records.len(), 0, "an aborted invocation never completes");
         assert_eq!(res.aborted, 1);
-        assert_eq!(res.crash_requeues, 1);
+        assert_eq!(res.crash_requeues, u64::from(CRASH_MAX_RETRIES));
         assert_eq!(res.pool_violations, 0);
     }
 

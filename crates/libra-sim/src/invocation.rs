@@ -43,6 +43,18 @@ pub fn exec_rate_millis(
     crate::resources::sat_u64(busy as f64 * mem_factor).max(1)
 }
 
+/// Substrate-shared grant clamp: how much of its own entitlement an invocation
+/// may be cut down to — never below the OOM memory floor of §5.1 or 0.1 cores,
+/// never above `ceiling` (its nominal less what is already on loan). The
+/// engine's `SimCtx::set_own_grant` and the control plane's harvest decision
+/// both call it, so the grant the core announces is the grant the engine sets.
+pub fn clamp_grant(want: ResourceVec, ceiling: ResourceVec, floor_mb: u64) -> ResourceVec {
+    let mut g = want.min(&ceiling);
+    g.mem_mb = g.mem_mb.max(floor_mb.min(ceiling.mem_mb));
+    g.cpu_millis = g.cpu_millis.max(100).min(ceiling.cpu_millis);
+    g
+}
+
 /// Substrate-shared footprint model: instantaneous memory usage (MB) ramps
 /// linearly from 25 % to 100 % of the peak over the execution — a coarse but
 /// monotone model of heap growth that gives the safeguard a usage signal to

@@ -77,4 +77,7 @@ rm -rf "$KA_A" "$KA_B"
 echo "==> non-test Rust lines per crate (scripts/loc.sh)"
 ./scripts/loc.sh
 
+echo "==> public functions nobody calls (scripts/dead_api.sh)"
+./scripts/dead_api.sh
+
 echo "verify: all green"

@@ -19,7 +19,7 @@
 //! * **D** (t=300 ms): CPU-hungry borrower that outlives its donor.
 
 use libra::core::controlplane::Action;
-use libra::core::keepalive::{HistogramConfig, PolicyKind, WithKeepAlive};
+use libra::core::keepalive::{PolicyKind, WithKeepAlive};
 use libra::core::{LibraConfig, LibraPlatform};
 use libra::live::{run_live, LiveConfig, LiveRecord, LiveRequest};
 use libra::sim::demand::{ConstantDemand, InputMeta, TrueDemand};
@@ -381,7 +381,7 @@ fn sim_live_and_gateway_action_traces_match() {
 /// fixed-TTL run byte for byte.
 #[test]
 fn histogram_policy_keeps_substrates_in_lockstep() {
-    let policy = PolicyKind::Histogram(HistogramConfig::default());
+    let policy = PolicyKind::Histogram;
     let sim = sim_trace_with(policy);
     let (live, result) = live_trace_with(policy);
     let gateway = gateway_trace_with(policy);

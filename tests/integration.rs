@@ -268,27 +268,24 @@ fn fault_injection_disabled_is_byte_identical() {
 
 #[test]
 fn histogram_policy_prewarms_sparse_arrivals_end_to_end() {
-    use libra::core::keepalive::{HistogramConfig, PolicyKind, WithKeepAlive};
+    use libra::core::keepalive::{PolicyKind, WithKeepAlive};
     use libra::sim::demand::InputMeta;
     use libra::sim::ids::FunctionId;
-    use libra::sim::time::{SimDuration, SimTime};
+    use libra::sim::time::SimTime;
     use libra::sim::trace::Trace;
 
-    // One function, arrivals a regular 300 s apart — far past the prewarm
-    // cutoff, so once the histogram warms up the policy stops paying for a
-    // 300 s idle container and instead prewarms one just ahead of the next
-    // predicted arrival.
+    // One function, arrivals 300 s apart — far past the prewarm cutoff, so
+    // once the histogram warms up the policy stops paying for a 300 s idle
+    // container and instead prewarms one at 85 % of the predicted gap (~255 s
+    // after an arrival) and keeps it the 10 s minimum window. The last four
+    // arrivals come 260 s apart, the first of them inside that landing window.
     let mut trace = Trace::new();
+    let mut at = 0;
     for i in 0..10u64 {
-        trace.push(SimTime::from_secs(300 * i), FunctionId(0), InputMeta::new(1, 1));
+        trace.push(SimTime::from_secs(at), FunctionId(0), InputMeta::new(1, 1));
+        at += if i < 5 { 300 } else { 260 };
     }
-    let policy = PolicyKind::Histogram(HistogramConfig {
-        // Generous landing window: prewarm at 90% of the predicted gap and
-        // keep the container a full minute, absorbing histogram bin error.
-        min_window: SimDuration::from_secs(60),
-        prewarm_margin: 0.9,
-        ..HistogramConfig::default()
-    });
+    let policy = PolicyKind::Histogram;
     let sim = Simulation::new(sebs_suite(), testbeds::single_node(), SimConfig::default());
     let mut platform = WithKeepAlive::new(OpenWhiskDefault, policy.build());
     let r = sim.run(&trace, &mut platform);
