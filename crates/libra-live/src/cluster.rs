@@ -1,9 +1,23 @@
 //! The live cluster: a thin concurrent driver of the shared harvest control
 //! plane ([`libra_core::controlplane`]). Node state lives behind
-//! `parking_lot` mutexes, one OS thread runs each invocation, and every
-//! quantum the invocation thread itself settles its progress, reports a
-//! cgroups-style usage observation to the control plane and replays the
-//! emitted [`Action`]s against the sharded scheduler's slice books.
+//! `parking_lot` mutexes and one *driver* thread per node runs everything
+//! resident there: it settles each invocation's progress, reports a
+//! cgroups-style usage observation to the control plane every
+//! [`LiveConfig::quantum`], replays the emitted [`Action`]s against the
+//! sharded scheduler's slice books, and completes an invocation at the
+//! instant its work runs out.
+//!
+//! That instant is the resident's `due`: `last_settle + min(quantum,
+//! work_left / rate / time_scale)`, capped by its next monitor tick and
+//! re-armed for every resident of the node after each event, because a
+//! `Lend`/`Return`/`Revoke`/`PreemptiveRelease` moves other residents'
+//! rates — the simulator's `Finish` event, in real time. The driver parks
+//! until the earliest `due` and an admission unparks it. Nothing spawns per
+//! request: [`LiveCluster::submit`] admits on the caller's thread when the
+//! request has arrived and a shard slice fits it, and hands everything else
+//! — future arrivals, admissions to retry each quantum — to the one
+//! *front-door* thread's time-ordered queue (the thread that is also the
+//! progress watchdog).
 //!
 //! The policy — harvesting (CPU *and* memory), lending, usage-guided
 //! trimming, the safeguard's preemptive release (§5.2), the OOM rule (§5.1)
@@ -20,13 +34,13 @@
 //! Placement is [`libra_core::scheduler::place`] through
 //! [`ShardedScheduler::schedule_on`], so a function's hash home is the node
 //! the simulator would pick. This driver asks the rule only its
-//! non-accelerable half: `run_invocation` sends `extra: ResourceVec::ZERO`
+//! non-accelerable half: admission sends `extra: ResourceVec::ZERO`
 //! and `now: SimTime::ZERO`, and nothing here calls
 //! [`ShardedScheduler::push_snapshot`], so every request is hashed and probed
 //! and the shards' pool views stay empty. On this substrate the coverage half
 //! is reached only by `exp fig12` (c), the `sharding.schedule_on_us` drill of
 //! `benchmarks/perf` and unit tests. Wiring it is a ping path that pushes
-//! `ControlPlane::snapshot` plus the real `extra`/`now` in `run_invocation`;
+//! `ControlPlane::snapshot` plus the real `extra`/`now` at admission;
 //! it changes where `live_closed` places work, so it is its own measured
 //! change.
 //!
@@ -57,10 +71,10 @@ use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use libra_sim::trace_spans::{ExecTrace, LoanOutcome, LoanSpan, SpanSink};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Live platform configuration.
@@ -77,7 +91,9 @@ pub struct LiveConfig {
     /// Policy knobs of the shared control plane (safeguard threshold,
     /// pool order, continuous acceleration, ...).
     pub control: ControlConfig,
-    /// Progress/settling quantum (real time).
+    /// Monitor interval (real time): how often a resident is observed, and
+    /// how often a refused admission is retried. Completion does not wait
+    /// for it — an invocation ends when its work does.
     pub quantum: Duration,
     /// Workload-milliseconds that elapse per real millisecond (> 1 runs the
     /// workload faster than nominal).
@@ -85,7 +101,7 @@ pub struct LiveConfig {
     /// Stall deadline: if invocations are in flight but neither an admission
     /// nor a completion happens for this long, the run is declared wedged —
     /// [`run_live`] and [`LiveCluster::shutdown`] quiesce the cluster and
-    /// panic with a per-node diagnostic dump (ledger, resident threads,
+    /// panic with a per-node diagnostic dump (ledger, residents,
     /// shard health) instead of hanging CI. Idle clusters (nothing in
     /// flight) never trip it, so a long-lived gateway can sit at this
     /// default indefinitely.
@@ -101,7 +117,7 @@ pub struct LiveConfig {
     /// Keep-alive / autoscaling policy driving each node's warm-container
     /// registry — the same [`PolicyKind`] the simulator threads through
     /// `Platform::warm_keep`, so both substrates retire idle containers by
-    /// identical rules (and publish identical idle-warm supply gauges).
+    /// identical rules.
     pub keepalive: PolicyKind,
     /// Optional chaos driver: kill and respawn scheduler shards while the
     /// workload runs. `None` (the default) injects nothing.
@@ -143,19 +159,58 @@ impl Default for LiveConfig {
     }
 }
 
-/// Physics-side state of one running invocation (the policy side lives in
-/// the node's [`ControlPlane`] ledger).
+/// A request the cluster has accepted and not yet admitted to a node.
+struct Pending {
+    idx: usize,
+    req: LiveRequest,
+    reply: Sender<LiveRecord>,
+    /// The latency ledger, started when the request arrives (`None` while
+    /// its `at_ms` is still in the future).
+    stage: Option<StageCursor>,
+}
+
+/// Physics-side state of one resident invocation (the policy side lives in
+/// the node's [`ControlPlane`] ledger): all its node's driver needs to step
+/// it, finish it and answer its caller.
 struct ExecState {
+    idx: usize,
+    req: LiveRequest,
+    reply: Sender<LiveRecord>,
+    /// The latency ledger: scheduler wait, then exec segments split at every
+    /// OOM restart (mirroring the simulator's per-attempt segmentation), all
+    /// charged through the same cursor the engine uses.
+    stage: StageCursor,
     /// Scheduler shard whose slice this invocation's charge lives in.
     shard: usize,
-    demand_cpu: u64,
-    demand_mem: u64,
-    work_total: f64,
     work_left: f64, // millicore-milliseconds (workload time)
+    /// Millicores of progress in force since `last_settle` (0 until first
+    /// armed). Only [`ClusterShared::rearm`] moves it, settling first.
+    rate: u64,
     last_settle: Instant,
+    /// Next monitor tick: one quantum after the last step.
+    tick: Instant,
+    /// When the driver steps this resident next: the earlier of `tick` and
+    /// the instant `work_left` runs out at `rate`.
+    due: Instant,
+    harvested: bool,
     accelerated: bool,
     safeguarded: bool,
     oom_restarts: u32,
+}
+
+impl ExecState {
+    fn work_total(&self) -> f64 {
+        self.req.work_mcore_ms as f64
+    }
+
+    /// Credit the work done over `[last_settle, now]` at the rate in force
+    /// over it.
+    fn settle(&mut self, now: Instant, time_scale: f64) {
+        let elapsed_ms =
+            now.saturating_duration_since(self.last_settle).as_secs_f64() * 1e3 * time_scale;
+        self.last_settle = now;
+        self.work_left -= self.rate as f64 * elapsed_ms;
+    }
 }
 
 struct NodeInner {
@@ -182,6 +237,8 @@ impl NodeInner {
 
 struct NodeShared {
     inner: Mutex<NodeInner>,
+    /// This node's driver thread, for admissions to unpark.
+    driver: OnceLock<Thread>,
 }
 
 /// Give `vol` of the charge `inv` holds back to its shard's slice; a no-op
@@ -314,7 +371,7 @@ fn apply_actions(
             Action::Requeue { inv, restored } => {
                 if let Some(st) = exec.get_mut(&inv.0) {
                     st.oom_restarts += 1;
-                    st.work_left = st.work_total;
+                    st.work_left = st.work_total();
                     st.last_settle = Instant::now();
                     sched.force_charge(st.shard, node, restored);
                 }
@@ -445,11 +502,17 @@ struct ClusterShared {
     t0: Instant,
     /// Stop accepting new submissions (graceful drain in progress).
     draining: AtomicBool,
-    /// Quiesce: invocation threads abort through the control plane and exit.
+    /// Quiesce: every resident and every queued request is aborted through
+    /// the control plane, and the node drivers and the front door exit.
     aborting: AtomicBool,
     /// The watchdog declared the run wedged (fatal; diagnostic dump follows).
     expired: AtomicBool,
-    stop_aux: AtomicBool,
+    /// The front door's queue: accepted requests not yet admitted, keyed by
+    /// when to try next — real time since `t0`: arrival, then once a quantum
+    /// — and the request index, unique among in-flight requests.
+    front: Mutex<BTreeMap<(Duration, usize), Pending>>,
+    /// The front-door thread, for `submit` to unpark.
+    front_thread: OnceLock<Thread>,
     submitted: AtomicUsize,
     inflight: AtomicUsize,
     done_count: AtomicUsize,
@@ -457,8 +520,8 @@ struct ClusterShared {
     peak_committed: AtomicU64,
     shard_kills: AtomicU64,
     records: Mutex<Vec<LiveRecord>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    aux: Mutex<Vec<JoinHandle<()>>>,
+    /// Every thread `start` spawned: node drivers, front door, chaos driver.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     /// Execution-timeline span sink (inert unless `config.trace_spans`;
     /// recording paths check the config flag before ever taking this lock).
     spans: Mutex<SpanSink>,
@@ -468,6 +531,17 @@ impl ClusterShared {
     /// Workload-microseconds since cluster start.
     fn now_us(&self) -> u64 {
         (self.t0.elapsed().as_secs_f64() * 1e6 * self.config.time_scale) as u64
+    }
+
+    /// Workload time in the whole milliseconds control-plane events carry.
+    fn now_ms(&self) -> SimTime {
+        SimTime::from_millis(
+            (self.t0.elapsed().as_secs_f64() * 1e3 * self.config.time_scale) as u64,
+        )
+    }
+
+    fn sink(&self) -> Option<&Mutex<SpanSink>> {
+        self.config.trace_spans.then_some(&self.spans)
     }
 
     /// Charge the interval since `stage`'s cursor to the stage `state` — the
@@ -481,15 +555,332 @@ impl ClusterShared {
             stage.leave(state, now, 0, &mut SpanSink::new(false));
         }
     }
-}
 
-/// Decrements the in-flight gauge when an invocation thread exits, however
-/// it exits (completion, drain abort, or a propagating panic).
-struct InflightGuard<'a>(&'a AtomicUsize);
+    /// An accepted request ends without a record (drain quiesce); dropping
+    /// its reply sender is what disconnects the caller's receiver.
+    fn count_aborted(&self) {
+        self.aborted.fetch_add(1, Ordering::SeqCst);
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
 
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+    /// Queue `p` for the front door to (re)try `at` after `t0`. Checked
+    /// against `aborting` under the queue lock, which the front door's final
+    /// drain also holds, so nothing is queued behind it.
+    fn enqueue(&self, at: Duration, p: Pending) {
+        let mut queue = self.front.lock();
+        if self.aborting.load(Ordering::SeqCst) {
+            self.count_aborted();
+            return;
+        }
+        queue.insert((at, p.idx), p);
+    }
+
+    /// One admission attempt on the calling thread: reserve a shard slice,
+    /// install the physics state on the chosen node, let the control plane
+    /// harvest and accelerate (pool priority = predicted expiry — the
+    /// timeliness law's bookkeeping) and wake the node's driver. Hands the
+    /// request back when no slice fits it.
+    fn admit(&self, mut p: Pending) -> Option<Pending> {
+        let Pending { idx, req, .. } = p;
+        let stage = p.stage.get_or_insert_with(|| {
+            StageCursor::new(idx as u64, SimTime(self.now_us()), SimDuration::ZERO)
+        });
+        let shard = idx % self.config.shards;
+        let d = self.sched.schedule_on(
+            shard,
+            ScheduleRequest {
+                nominal: req.alloc,
+                extra: ResourceVec::ZERO,
+                func: req.func,
+                duration: SimDuration::from_millis(req.base_duration_ms()),
+                now: SimTime::ZERO,
+            },
+        );
+        let Some(node_id) = d.node else { return Some(p) };
+        // Scheduler stage: submission → shard slice found.
+        let mut stage = *stage;
+        self.leave_stage(&mut stage, InvState::AwaitingDecision);
+
+        // The scheduler only answers node ids it was spawned with, so a miss
+        // here means the fleet is misconfigured — treat it like a wedged run
+        // rather than unwinding mid-ledger.
+        let Some(node) = self.nodes.get(node_id as usize) else {
+            self.sched.release(shard, node_id, req.alloc);
+            self.inflight.fetch_sub(1, Ordering::SeqCst);
+            self.expired.store(true, Ordering::SeqCst);
+            return None;
+        };
+        let inv = InvocationId(idx as u32);
+        let mut g = node.inner.lock();
+        // Checked under the node lock, which the driver's final pass also
+        // holds: nothing becomes resident behind an exited driver.
+        if self.aborting.load(Ordering::SeqCst) {
+            self.sched.release(shard, node_id, req.alloc);
+            self.count_aborted();
+            return None;
+        }
+        let now_ms = self.now_ms();
+        // Warm-lifecycle: the policy sees the arrival, then the admission
+        // consumes a live warm container if the registry holds one.
+        g.policy.on_arrival(FunctionId(req.func), now_ms);
+        let _ = g.warm.acquire(FunctionId(req.func), now_ms);
+        g.refresh_warm(now_ms);
+        let pred = if self.config.harvesting { req.pred } else { None };
+        let actions = g.core.on_admit(
+            Admission {
+                inv,
+                node: NodeId(0),
+                func: req.func as usize,
+                nominal: req.alloc,
+                mem_floor_mb: req.mem_floor_mb,
+                pred,
+            },
+            now_ms,
+        );
+        let now = Instant::now();
+        g.exec.insert(
+            inv.0,
+            ExecState {
+                idx,
+                req,
+                reply: p.reply,
+                stage,
+                shard,
+                work_left: req.work_mcore_ms as f64,
+                rate: 0,
+                last_settle: now,
+                tick: now + self.config.quantum,
+                due: now,
+                harvested: actions.iter().any(|a| matches!(a, Action::SetGrant { .. })),
+                accelerated: false,
+                safeguarded: false,
+                oom_restarts: 0,
+            },
+        );
+        apply_actions(&mut g, &self.sched, node_id, &actions, now_ms, None, self.sink());
+        self.rearm(&mut g, now);
+        drop(g);
+        if let Some(driver) = node.driver.get() {
+            driver.unpark();
+        }
+        None
+    }
+
+    /// Bring every resident's `rate` and `due` in line with the allocations
+    /// the control plane now holds — after each event on the node, because a
+    /// `Lend`/`Return`/`Revoke`/`PreemptiveRelease` moves other residents'
+    /// rates. A resident whose rate moves is settled at the old one first,
+    /// so no interval is credited at a rate it did not run at.
+    fn rearm(&self, g: &mut NodeInner, now: Instant) {
+        let NodeInner { core, exec, .. } = g;
+        let LiveConfig { quantum, time_scale, .. } = self.config;
+        for (&id, st) in exec.iter_mut() {
+            let eff = core.effective_alloc(InvocationId(id)).unwrap_or(st.req.alloc);
+            let rate = exec_rate_millis(
+                eff.cpu_millis,
+                eff.mem_mb,
+                st.req.demand_cpu_millis,
+                st.req.demand_mem_mb,
+                st.req.alloc.mem_mb,
+            );
+            if rate != st.rate {
+                st.settle(now, time_scale);
+                st.rate = rate;
+            }
+            let finish_in_s = st.work_left.max(0.0) / (rate as f64 * time_scale * 1e3);
+            let finish_in = Duration::try_from_secs_f64(finish_in_s).unwrap_or(quantum);
+            st.due = st.tick.min(st.last_settle + finish_in.min(quantum));
+        }
+    }
+
+    /// One driver pass over a node, under its lock: step every resident
+    /// whose `due` has passed (all of them once the cluster is aborting), in
+    /// `due` order, then re-arm. Returns the earliest `due` left, `None`
+    /// when nothing is resident.
+    fn drive(&self, node: u32, g: &mut NodeInner, aborting: bool) -> Option<Instant> {
+        let now = Instant::now();
+        let mut due: Vec<(Instant, u32)> = g
+            .exec
+            .iter()
+            .filter(|(_, st)| aborting || st.due <= now)
+            .map(|(&id, st)| (st.due, id))
+            .collect();
+        if !due.is_empty() {
+            due.sort_unstable();
+            for (_, id) in due {
+                self.step(node, g, id, aborting);
+            }
+            self.rearm(g, Instant::now());
+        }
+        g.exec.values().map(|st| st.due).min()
+    }
+
+    /// One resident's turn: settle its progress, then complete it, restart
+    /// it (the OOM rule) or feed the control plane an observation and replay
+    /// whatever it decides.
+    fn step(&self, node: u32, g: &mut NodeInner, id: u32, aborting: bool) {
+        let inv = InvocationId(id);
+        let now_ms = self.now_ms();
+        if aborting {
+            // Drain quiesce: unwind through the control plane so loans and
+            // slice charges are conserved, not abandoned.
+            if unwind(g, &self.sched, node, inv, now_ms, self.sink(), false).is_some() {
+                self.count_aborted();
+            }
+            return;
+        }
+
+        // Capacity probe: Σ(own + lent) must stay within capacity.
+        let committed = g.core.committed_on(NodeId(0));
+        self.peak_committed.fetch_max(committed.cpu_millis, Ordering::Relaxed);
+
+        let Some(me) = g.exec.get_mut(&id) else { return };
+        let now = Instant::now();
+        me.settle(now, self.config.time_scale);
+        me.tick = now + self.config.quantum;
+        if me.work_left <= 0.0 {
+            self.finish(node, g, inv, now_ms);
+            return;
+        }
+        let req = me.req;
+        let progress = if me.work_total() > 0.0 {
+            ((me.work_total() - me.work_left) / me.work_total()).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+
+        // The OOM rule (§5.1): a footprint within the user allocation
+        // crossed a harvested grant.
+        let eff = g.core.effective_alloc(inv).unwrap_or(req.alloc);
+        let mem_used = mem_usage_model(req.demand_mem_mb, progress);
+        if req.demand_mem_mb <= req.alloc.mem_mb && mem_used > eff.mem_mb {
+            let actions = g.core.on_oom(inv, now_ms);
+            apply_actions(g, &self.sched, node, &actions, now_ms, None, self.sink());
+            // The restart splits the exec timeline into per-restart segments
+            // (same attempt: an OOM restart is a container event, not a
+            // crash requeue).
+            if let Some(me) = g.exec.get_mut(&id) {
+                self.leave_stage(&mut me.stage, InvState::Running);
+            }
+            return;
+        }
+
+        // Monitor path: safeguard, trimming, continuous acceleration — all
+        // decided by the shared core.
+        let obs = Observation {
+            cpu_busy_millis: eff.cpu_millis.min(req.demand_cpu_millis),
+            mem_used_mb: mem_used,
+            cpu_throttled: req.demand_cpu_millis > eff.cpu_millis,
+        };
+        let actions = g.core.on_observe(inv, obs, now_ms);
+        apply_actions(g, &self.sched, node, &actions, now_ms, None, self.sink());
+    }
+
+    /// `inv`'s work is done: take it off the node, keep its container warm
+    /// if the policy says so, record it and answer its caller.
+    fn finish(&self, node: u32, g: &mut NodeInner, inv: InvocationId, now_ms: SimTime) {
+        let Some(mut me) = unwind(g, &self.sched, node, inv, now_ms, self.sink(), true) else {
+            self.expired.store(true, Ordering::SeqCst);
+            return;
+        };
+        // Warm-lifecycle: the policy decides whether (and until when)
+        // this container's memory stays pinned as an idle warm container.
+        let func = FunctionId(me.req.func);
+        g.policy.on_complete(func, now_ms);
+        let idle_peers = g.warm.count_at(func, now_ms);
+        if let Some(keep_until) = g.policy.keep_until(func, idle_peers, now_ms) {
+            g.warm.release(func, me.shard, me.req.alloc.mem_mb, now_ms, keep_until);
+        }
+        g.refresh_warm(now_ms);
+
+        self.leave_stage(&mut me.stage, InvState::Running);
+        let stages = me.stage.breakdown();
+        let record = LiveRecord {
+            idx: me.idx,
+            latency_ms: stages.total().as_millis_f64(),
+            sched_ms: stages.scheduler.as_millis_f64(),
+            accelerated: me.accelerated,
+            harvested: me.harvested,
+            safeguarded: me.safeguarded,
+            oom_restarts: me.oom_restarts,
+        };
+        self.records.lock().push(record);
+        self.done_count.fetch_add(1, Ordering::SeqCst);
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        let _ = me.reply.send(record);
+    }
+
+    /// A node's driver thread: run whatever is due, park until the earliest
+    /// `due` (an admission unparks it), exit once the cluster is aborting
+    /// and its residents are quiesced.
+    fn drive_node(&self, node_id: usize) {
+        let Some(node) = self.nodes.get(node_id) else { return };
+        loop {
+            let mut g = node.inner.lock();
+            // Read under the node lock, as `admit` reads it: whatever was
+            // admitted before this pass is quiesced by it, nothing after.
+            let aborting = self.aborting.load(Ordering::SeqCst);
+            let next_due = self.drive(node_id as u32, &mut g, aborting);
+            drop(g);
+            if aborting {
+                return;
+            }
+            match next_due {
+                Some(due) => {
+                    std::thread::park_timeout(due.saturating_duration_since(Instant::now()))
+                }
+                None => std::thread::park(),
+            }
+        }
+    }
+
+    /// The front-door thread: admits queued requests as they come due —
+    /// future arrivals on schedule, refused admissions once a quantum — and
+    /// doubles as the progress watchdog. On `aborting` it counts everything
+    /// still queued as aborted and exits.
+    fn front_door(&self) {
+        /// How often the watchdog samples progress.
+        const WATCHDOG_POLL: Duration = Duration::from_millis(2);
+        let mut last = (0usize, 0usize);
+        let mut stamp = Instant::now();
+        loop {
+            // Watchdog: a wedged run (dead shard, starved admission, logic
+            // bug) must fail loudly with state attached, not hang CI.
+            // Progress-based: trips only when invocations are resident but
+            // neither submissions nor completions move for the whole deadline.
+            let cur =
+                (self.done_count.load(Ordering::SeqCst), self.submitted.load(Ordering::SeqCst));
+            if cur != last {
+                last = cur;
+                stamp = Instant::now();
+            }
+            if self.inflight.load(Ordering::SeqCst) > 0 && stamp.elapsed() > self.config.watchdog {
+                self.expired.store(true, Ordering::SeqCst);
+            }
+
+            let now = self.t0.elapsed();
+            let next = loop {
+                let mut queue = self.front.lock();
+                if self.aborting.load(Ordering::SeqCst) {
+                    for _ in std::mem::take(&mut *queue) {
+                        self.count_aborted();
+                    }
+                    return;
+                }
+                let Some(entry) = queue.first_entry().filter(|e| e.key().0 <= now) else {
+                    break queue.keys().next().map(|&(at, _)| at);
+                };
+                let p = entry.remove();
+                drop(queue);
+                if let Some(p) = self.admit(p) {
+                    self.enqueue(now.saturating_add(self.config.quantum), p);
+                }
+            };
+            let wait = next.map_or(WATCHDOG_POLL, |at| {
+                at.saturating_sub(self.t0.elapsed()).min(WATCHDOG_POLL)
+            });
+            std::thread::park_timeout(wait);
+        }
     }
 }
 
@@ -497,9 +888,9 @@ impl Drop for InflightGuard<'_> {
 /// [`run_live`] and the `libra-gateway` admission frontend.
 ///
 /// Requests enter one at a time through [`submit`](LiveCluster::submit) and
-/// run on their own OS thread; [`shutdown`](LiveCluster::shutdown) performs
-/// the graceful drain. The cluster owns a progress watchdog: if work is in
-/// flight but nothing is admitted or completed for
+/// run under their node's driver thread; [`shutdown`](LiveCluster::shutdown)
+/// performs the graceful drain. The cluster owns a progress watchdog: if
+/// work is in flight but nothing is admitted or completed for
 /// [`LiveConfig::watchdog`], the run is declared wedged and `shutdown`
 /// panics with a diagnostic dump *after* quiescing the control plane.
 pub struct LiveCluster {
@@ -524,6 +915,7 @@ impl LiveCluster {
                         policy: config.keepalive.build(),
                         open_loans: HashMap::new(),
                     }),
+                    driver: OnceLock::new(),
                 })
             })
             .collect();
@@ -537,7 +929,8 @@ impl LiveCluster {
             draining: AtomicBool::new(false),
             aborting: AtomicBool::new(false),
             expired: AtomicBool::new(false),
-            stop_aux: AtomicBool::new(false),
+            front: Mutex::new(BTreeMap::new()),
+            front_thread: OnceLock::new(),
             submitted: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             done_count: AtomicUsize::new(0),
@@ -545,40 +938,23 @@ impl LiveCluster {
             peak_committed: AtomicU64::new(0),
             shard_kills: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
-            handles: Mutex::new(Vec::new()),
-            aux: Mutex::new(Vec::new()),
+            threads: Mutex::new(Vec::new()),
             spans: Mutex::new(SpanSink::new(config.trace_spans)),
             config,
         });
 
-        // Watchdog: a wedged run (dead shard, starved admission, logic bug)
-        // must fail loudly with state attached, not hang CI. Progress-based:
-        // trips only when invocations are resident but neither submissions
-        // nor completions move for the whole deadline.
+        let mut threads = Vec::with_capacity(shared.nodes.len() + 2);
+        for (node_id, node) in shared.nodes.iter().enumerate() {
+            let sh = Arc::clone(&shared);
+            let h = std::thread::spawn(move || sh.drive_node(node_id));
+            let _ = node.driver.set(h.thread().clone());
+            threads.push(h);
+        }
         {
             let sh = Arc::clone(&shared);
-            let deadline = sh.config.watchdog;
-            let h = std::thread::spawn(move || {
-                let mut last = (0usize, 0usize);
-                let mut stamp = Instant::now();
-                loop {
-                    if sh.stop_aux.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let cur =
-                        (sh.done_count.load(Ordering::SeqCst), sh.submitted.load(Ordering::SeqCst));
-                    if cur != last {
-                        last = cur;
-                        stamp = Instant::now();
-                    }
-                    if sh.inflight.load(Ordering::SeqCst) > 0 && stamp.elapsed() > deadline {
-                        sh.expired.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
-            shared.aux.lock().push(h);
+            let h = std::thread::spawn(move || sh.front_door());
+            let _ = shared.front_thread.set(h.thread().clone());
+            threads.push(h);
         }
         // Chaos driver: a bounded number of kill/respawn cycles, so shutdown
         // always joins.
@@ -598,8 +974,9 @@ impl LiveCluster {
                     sched.respawn(victim);
                 }
             });
-            shared.aux.lock().push(h);
+            threads.push(h);
         }
+        *shared.threads.lock() = threads;
         LiveCluster { shared }
     }
 
@@ -623,24 +1000,25 @@ impl LiveCluster {
         }
         sh.inflight.fetch_add(1, Ordering::SeqCst);
         sh.submitted.fetch_add(1, Ordering::SeqCst);
-        let (tx, rx) = bounded(1);
-        let shared = Arc::clone(sh);
-        let h = std::thread::spawn(move || run_invocation(&shared, idx, req, tx));
-        let mut handles = sh.handles.lock();
-        // Reap finished threads opportunistically so a long-lived service
-        // doesn't accumulate one parked JoinHandle per request ever served.
-        let mut i = 0;
-        while i < handles.len() {
-            if handles.get(i).is_some_and(|h| h.is_finished()) {
-                let done = handles.swap_remove(i);
-                if let Err(payload) = done.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            } else {
-                i += 1;
+        let (reply, rx) = bounded(1);
+        let p = Pending { idx, req, reply, stage: None };
+        // Arrive on schedule (workload ms → real ms). Network-driven requests
+        // arrive with `at_ms` already in the past and are admitted right
+        // here; the front door takes the rest.
+        let arrival = Duration::try_from_secs_f64(req.at_ms as f64 / 1e3 / sh.config.time_scale)
+            .unwrap_or(Duration::MAX);
+        let now = sh.t0.elapsed();
+        let retry = if arrival > now {
+            Some((arrival, p))
+        } else {
+            sh.admit(p).map(|p| (now.saturating_add(sh.config.quantum), p))
+        };
+        if let Some((at, p)) = retry {
+            sh.enqueue(at, p);
+            if let Some(front) = sh.front_thread.get() {
+                front.unpark();
             }
         }
-        handles.push(h);
         Ok(rx)
     }
 
@@ -713,7 +1091,8 @@ impl LiveCluster {
     /// Graceful drain: stop accepting, flush in-flight invocations for up to
     /// `grace`, then quiesce whatever remains through the control plane
     /// (`on_abort`: loans revoked, ledger unwound, scheduler-slice charges
-    /// released) and join every thread.
+    /// released; requests still queued at the front door are dropped) and
+    /// join every thread.
     ///
     /// # Panics
     ///
@@ -736,19 +1115,11 @@ impl LiveCluster {
         let dump =
             if sh.expired.load(Ordering::SeqCst) { Some(self.diagnostic_dump()) } else { None };
         sh.aborting.store(true, Ordering::SeqCst);
-        loop {
-            let drained = std::mem::take(&mut *sh.handles.lock());
-            if drained.is_empty() {
-                break;
-            }
-            for h in drained {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+        let threads = std::mem::take(&mut *sh.threads.lock());
+        for h in &threads {
+            h.thread().unpark();
         }
-        sh.stop_aux.store(true, Ordering::SeqCst);
-        for h in std::mem::take(&mut *sh.aux.lock()) {
+        for h in threads {
             if let Err(payload) = h.join() {
                 std::panic::resume_unwind(payload);
             }
@@ -758,7 +1129,7 @@ impl LiveCluster {
             panic!("{dump}");
         }
 
-        let mut records: Vec<LiveRecord> = sh.records.lock().clone();
+        let mut records = std::mem::take(&mut *sh.records.lock());
         records.sort_by_key(|r| r.idx);
         let stats = self.stats();
         let (mut warm_hits, mut cold_starts) = (0, 0);
@@ -836,16 +1207,17 @@ impl LiveCluster {
         for shard in 0..sh.config.shards {
             let _ = writeln!(dump, "shard {shard}: alive={}", sh.sched.is_alive(shard));
         }
+        let _ = writeln!(dump, "front door: {} queued for admission", sh.front.lock().len());
         for (i, n) in sh.nodes.iter().enumerate() {
             let g = n.inner.lock();
-            let _ = writeln!(dump, "node {i}: {} resident threads", g.exec.len());
+            let _ = writeln!(dump, "node {i}: {} residents", g.exec.len());
             for (id, st) in &g.exec {
                 let _ = writeln!(
                     dump,
                     "  inv {id}: shard {} work {:.0}/{:.0} oom_restarts {}",
                     st.shard,
-                    st.work_total - st.work_left,
-                    st.work_total,
+                    st.work_total() - st.work_left,
+                    st.work_total(),
                     st.oom_restarts
                 );
             }
@@ -876,219 +1248,6 @@ fn unwind(
     let me = g.exec.remove(&inv.0)?;
     sched.release(me.shard, node, still);
     Some(me)
-}
-
-/// One invocation's whole life, on its own OS thread.
-fn run_invocation(
-    shared: &Arc<ClusterShared>,
-    idx: usize,
-    req: LiveRequest,
-    reply: Sender<LiveRecord>,
-) {
-    let _guard = InflightGuard(&shared.inflight);
-    let config = &shared.config;
-    let sched = &shared.sched;
-    let t0 = shared.t0;
-    let scale = config.time_scale;
-    let to_work_ms = |d: Duration| d.as_secs_f64() * 1e3 * scale;
-    let sink = if config.trace_spans { Some(&shared.spans) } else { None };
-
-    // Arrive on schedule (workload ms → real ms). Network-driven requests
-    // arrive with `at_ms` already in the past and start immediately. The
-    // wait is abort-aware so a far-future arrival never pins a drain.
-    let arrive_real = Duration::from_secs_f64(req.at_ms as f64 / 1e3 / scale);
-    while t0.elapsed() < arrive_real {
-        if shared.aborting.load(Ordering::SeqCst) {
-            shared.aborted.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
-        std::thread::sleep(arrive_real.saturating_sub(t0.elapsed()).min(config.quantum));
-    }
-    // The latency ledger: scheduler wait, then exec segments split at every
-    // OOM restart (mirroring the simulator's per-attempt segmentation), all
-    // charged through the same cursor the engine uses.
-    let submit = SimTime(shared.now_us());
-    let mut stage = StageCursor::new(idx as u64, submit, SimDuration::ZERO);
-
-    // Admission: retry until a shard slice fits the allocation.
-    let (shard, node_id) = loop {
-        if shared.aborting.load(Ordering::SeqCst) {
-            shared.aborted.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
-        let shard = idx % config.shards;
-        let d = sched.schedule_on(
-            shard,
-            ScheduleRequest {
-                nominal: req.alloc,
-                extra: ResourceVec::ZERO,
-                func: req.func,
-                duration: SimDuration::from_millis(req.base_duration_ms()),
-                now: SimTime::ZERO,
-            },
-        );
-        match d.node {
-            Some(n) => break (shard, n as usize),
-            None => std::thread::sleep(config.quantum),
-        }
-    };
-    // Scheduler stage: submission → shard slice found.
-    shared.leave_stage(&mut stage, InvState::AwaitingDecision);
-
-    // The scheduler only answers node ids it was spawned with, so a miss
-    // here means the fleet is misconfigured — treat it like a wedged run
-    // rather than unwinding mid-ledger.
-    let Some(node) = shared.nodes.get(node_id) else {
-        shared.expired.store(true, Ordering::SeqCst);
-        return;
-    };
-    let node_u32 = node_id as u32;
-    let inv_id = idx as u32;
-    let inv = InvocationId(inv_id);
-
-    // Start: install physics state, then let the control plane harvest and
-    // accelerate (pool priority = predicted expiry — the timeliness law's
-    // bookkeeping).
-    let harvested;
-    {
-        let mut g = node.inner.lock();
-        g.exec.insert(
-            inv_id,
-            ExecState {
-                shard,
-                demand_cpu: req.demand_cpu_millis,
-                demand_mem: req.demand_mem_mb,
-                work_total: req.work_mcore_ms as f64,
-                work_left: req.work_mcore_ms as f64,
-                last_settle: Instant::now(),
-                accelerated: false,
-                safeguarded: false,
-                oom_restarts: 0,
-            },
-        );
-        let now_ms = SimTime::from_millis(to_work_ms(t0.elapsed()) as u64);
-        // Warm-lifecycle: the policy sees the arrival, then the admission
-        // consumes a live warm container if the registry holds one.
-        g.policy.on_arrival(FunctionId(req.func), now_ms);
-        let _ = g.warm.acquire(FunctionId(req.func), now_ms);
-        g.refresh_warm(now_ms);
-        let pred = if config.harvesting { req.pred } else { None };
-        let actions = g.core.on_admit(
-            Admission {
-                inv,
-                node: NodeId(0),
-                func: req.func as usize,
-                nominal: req.alloc,
-                mem_floor_mb: req.mem_floor_mb,
-                pred,
-            },
-            now_ms,
-        );
-        harvested = actions.iter().any(|a| matches!(a, Action::SetGrant { .. }));
-        apply_actions(&mut g, sched, node_u32, &actions, now_ms, None, sink);
-    }
-
-    // Execute: settle progress each quantum, feed the control plane an
-    // observation, replay whatever it decides.
-    loop {
-        std::thread::sleep(config.quantum);
-        let mut g = node.inner.lock();
-        if shared.aborting.load(Ordering::SeqCst) {
-            // Drain quiesce: unwind through the control plane so loans and
-            // slice charges are conserved, not abandoned.
-            let now_ms = SimTime::from_millis(to_work_ms(t0.elapsed()) as u64);
-            unwind(&mut g, sched, node_u32, inv, now_ms, sink, false);
-            shared.aborted.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
-
-        // Capacity probe: Σ(own + lent) must stay within capacity.
-        let committed = g.core.committed_on(NodeId(0));
-        shared.peak_committed.fetch_max(committed.cpu_millis, Ordering::Relaxed);
-
-        let now_ms = SimTime::from_millis(to_work_ms(t0.elapsed()) as u64);
-        let eff = g.core.effective_alloc(inv).unwrap_or(req.alloc);
-        let (finished, progress) = {
-            // Own exec state vanishing mid-run would mean another worker
-            // removed it — declare the run wedged and bail out.
-            let Some(me) = g.exec.get_mut(&inv_id) else {
-                shared.expired.store(true, Ordering::SeqCst);
-                return;
-            };
-            let now = Instant::now();
-            let elapsed_ms = to_work_ms(now - me.last_settle);
-            me.last_settle = now;
-            let rate = exec_rate_millis(
-                eff.cpu_millis,
-                eff.mem_mb,
-                me.demand_cpu,
-                me.demand_mem,
-                req.alloc.mem_mb,
-            );
-            me.work_left -= rate as f64 * elapsed_ms;
-            let frac = if me.work_total > 0.0 {
-                ((me.work_total - me.work_left) / me.work_total).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            (me.work_left <= 0.0, frac)
-        };
-
-        if finished {
-            let Some(me) = unwind(&mut g, sched, node_u32, inv, now_ms, sink, true) else {
-                shared.expired.store(true, Ordering::SeqCst);
-                return;
-            };
-            // Warm-lifecycle: the policy decides whether (and until when)
-            // this container's memory stays pinned as an idle warm container.
-            let func = FunctionId(req.func);
-            g.policy.on_complete(func, now_ms);
-            let idle_peers = g.warm.count_at(func, now_ms);
-            if let Some(keep_until) = g.policy.keep_until(func, idle_peers, now_ms) {
-                g.warm.release(func, shard, req.alloc.mem_mb, now_ms, keep_until);
-            }
-            g.refresh_warm(now_ms);
-            drop(g);
-
-            shared.leave_stage(&mut stage, InvState::Running);
-            let record = LiveRecord {
-                idx,
-                latency_ms: stage.cursor().since(submit).as_millis_f64(),
-                sched_ms: stage.breakdown().scheduler.as_millis_f64(),
-                accelerated: me.accelerated,
-                harvested,
-                safeguarded: me.safeguarded,
-                oom_restarts: me.oom_restarts,
-            };
-            shared.records.lock().push(record);
-            shared.done_count.fetch_add(1, Ordering::SeqCst);
-            let _ = reply.send(record);
-            return;
-        }
-
-        // The OOM rule (§5.1): a footprint within the user allocation
-        // crossed a harvested grant.
-        let mem_used = mem_usage_model(req.demand_mem_mb, progress);
-        if req.demand_mem_mb <= req.alloc.mem_mb && mem_used > eff.mem_mb {
-            let actions = g.core.on_oom(inv, now_ms);
-            apply_actions(&mut g, sched, node_u32, &actions, now_ms, None, sink);
-            // The restart splits the exec timeline into per-restart segments
-            // (same attempt: an OOM restart is a container event, not a
-            // crash requeue).
-            shared.leave_stage(&mut stage, InvState::Running);
-            continue;
-        }
-
-        // Monitor path: safeguard, trimming, continuous acceleration — all
-        // decided by the shared core.
-        let obs = Observation {
-            cpu_busy_millis: eff.cpu_millis.min(req.demand_cpu_millis),
-            mem_used_mb: mem_used,
-            cpu_throttled: req.demand_cpu_millis > eff.cpu_millis,
-        };
-        let actions = g.core.on_observe(inv, obs, now_ms);
-        apply_actions(&mut g, sched, node_u32, &actions, now_ms, None, sink);
-    }
 }
 
 /// Run `workload` on a live cluster under `config`: submit everything, wait
@@ -1279,6 +1438,89 @@ mod tests {
         let total_us: u64 = spans.iter().map(|s| s.len_us()).sum();
         assert!((r.records[0].latency_ms - total_us as f64 / 1e3).abs() < 1e-3);
         assert!((r.records[0].sched_ms - spans[0].len_us() as f64 / 1e3).abs() < 1e-3);
+    }
+
+    /// `work_ms` of single-core work allocated `cpu_millis`, unprofiled.
+    fn plain_request(at_ms: u64, cpu_millis: u64, work_ms: u64) -> LiveRequest {
+        LiveRequest {
+            at_ms,
+            func: 0,
+            alloc: ResourceVec::new(cpu_millis, 512),
+            demand_cpu_millis: 1_000,
+            demand_mem_mb: 256,
+            mem_floor_mb: 64,
+            work_mcore_ms: 1_000 * work_ms,
+            pred: None,
+        }
+    }
+
+    #[test]
+    fn settle_credits_an_interval_at_the_rate_it_ran_at() {
+        let t0 = Instant::now();
+        let (reply, _rx) = bounded(1);
+        let mut st = ExecState {
+            idx: 0,
+            req: plain_request(0, 2_000, 10),
+            reply,
+            stage: StageCursor::new(0, SimTime::ZERO, SimDuration::ZERO),
+            shard: 0,
+            work_left: 10_000.0,
+            rate: 2_000,
+            last_settle: t0,
+            tick: t0,
+            due: t0,
+            harvested: false,
+            accelerated: false,
+            safeguarded: false,
+            oom_restarts: 0,
+        };
+        // A loan revoked 0.9 ms into the interval: settled at the old rate
+        // first, the borrower keeps the 0.9 ms it ran accelerated...
+        st.settle(t0 + Duration::from_micros(900), 1.0);
+        assert!((st.work_left - 8_200.0).abs() < 1e-6, "{}", st.work_left);
+        // ...and only the remaining 0.1 ms is debited at the new rate.
+        st.rate = 1_000;
+        st.settle(t0 + Duration::from_millis(1), 1.0);
+        assert!((st.work_left - 8_100.0).abs() < 1e-6, "{}", st.work_left);
+        // Workload time runs `time_scale` times faster than the wall clock.
+        st.settle(t0 + Duration::from_millis(2), 4.0);
+        assert!((st.work_left - 4_100.0).abs() < 1e-6, "{}", st.work_left);
+        // An instant before the last settle credits nothing.
+        st.settle(t0, 1.0);
+        assert!((st.work_left - 4_100.0).abs() < 1e-6, "{}", st.work_left);
+    }
+
+    #[test]
+    fn completion_is_not_quantised() {
+        // 3 ms of work under a 20 ms monitor interval: the invocation ends
+        // when its work does, not at its first tick.
+        let mut c = cfg(true);
+        c.quantum = Duration::from_millis(20);
+        c.time_scale = 1.0;
+        let r = run_live(&[plain_request(0, 1_000, 3)], &c);
+        assert_eq!(r.records.len(), 1);
+        let latency_ms = r.records[0].latency_ms;
+        assert!((3.0..10.0).contains(&latency_ms), "3 ms of work took {latency_ms} ms");
+    }
+
+    #[test]
+    fn shutdown_drains_the_front_door_queue() {
+        let cluster = LiveCluster::start(cfg(true), 1);
+        // Arrivals an hour out, plus one request no node can ever hold: all
+        // four wait in the front door's queue, none is resident.
+        let mut receivers: Vec<_> =
+            (0..3).map(|idx| cluster.submit(idx, plain_request(3_600_000 * 8, 1_000, 5))).collect();
+        receivers.push(cluster.submit(3, plain_request(0, 32_000, 5)));
+        assert_eq!(cluster.inflight(), 4);
+        let r = cluster.shutdown(Duration::ZERO);
+        assert_eq!(r.aborted, 4);
+        assert!(r.records.is_empty());
+        assert_eq!(cluster.inflight(), 0);
+        for rx in receivers {
+            let rx = rx.expect("a fresh cluster accepts");
+            assert!(rx.recv().is_err(), "an aborted request's receiver must disconnect");
+        }
+        cluster.conservation_report().expect("nothing queued held a slice");
     }
 
     #[test]

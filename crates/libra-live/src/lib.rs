@@ -3,10 +3,14 @@
 //! The deterministic simulator (`libra-sim`) and this crate drive the *same*
 //! policy core — [`libra_core::controlplane::ControlPlane`] — through the
 //! same action-trace contract; what changes is the substrate. Here the
-//! mechanics are real: node state behind `parking_lot` locks, one thread per
-//! running invocation, the decentralized sharded scheduler of §6.4 admitting
-//! against per-shard slice books (the simulator's own reserved-vs-slice
-//! cell, one lock per shard), and the full policy surface — CPU *and*
+//! mechanics are real: node state behind `parking_lot` locks, one driver
+//! thread per node that steps each resident when it is `due` (its next
+//! monitor tick, or the instant its work runs out at its current rate —
+//! re-armed whenever an allocation on the node moves), one front-door thread
+//! for arrivals that are not yet due or not yet admissible, the
+//! decentralized sharded scheduler of §6.4 admitting against per-shard slice
+//! books (the simulator's own reserved-vs-slice cell, one lock per shard),
+//! and the full policy surface — CPU *and*
 //! memory harvesting, safeguard preemptive release (§5.2), OOM restarts
 //! (§5.1) and the timeliness law (§3.1) — enforced in real time while a
 //! watchdog turns any wedged run into a diagnostic panic.

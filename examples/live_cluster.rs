@@ -1,5 +1,5 @@
 //! Libra's control plane under *real* concurrency: a multi-threaded mini
-//! platform (one thread per running invocation, per-shard-locked sharded
+//! platform (one driver thread per node, per-shard-locked sharded
 //! schedulers) runs the same workload with fixed allocations and with
 //! harvesting, in scaled real time.
 //!

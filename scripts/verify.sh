@@ -39,7 +39,7 @@ echo "==> gateway smoke (500 seeded requests over loopback, scrape /metrics)"
 # missing metrics series; seeded traffic keeps the run reproducible.
 cargo run --release -q -p libra-gateway --bin gateway_loadgen -- --seed 42 --requests 500
 
-echo "==> sim smokes through the benchmark harness (5 s each: sim_engine, conservation checked; sim_harvest, loans and safeguards; sim_libra, the profiler path)"
+echo "==> smokes through the benchmark harness (5 s each: sim_engine, conservation checked; sim_harvest, loans and safeguards; sim_libra, the profiler path; live_closed and gateway_closed, the threaded cluster)"
 # The harness the PR pipeline gates on: its last stdout line is the JSON
 # result, which must say the run was correct and nothing failed. sim_harvest
 # is the one workload where loans, safeguard restores and oversubscription
@@ -47,8 +47,11 @@ echo "==> sim smokes through the benchmark harness (5 s each: sim_engine, conser
 # the engine's cached per-node running-CPU sum still equals a walk of the
 # resident list at the end of every repetition. sim_libra is full Libra with
 # the ML profiler on (train, predict, observe, refit); 5 s holds about ten
-# repetitions of it.
-for workload in sim_engine sim_harvest sim_libra; do
+# repetitions of it. live_closed keeps 64 invocations resident on the live
+# cluster's node drivers and gateway_closed reaches the same cluster over
+# loopback HTTP; "correct" there means conservation after drain, nothing
+# aborted and no node ever overcommitted.
+for workload in sim_engine sim_harvest sim_libra live_closed gateway_closed; do
   benchmarks/perf/run.sh --workload "$workload" --seed 42 --seconds 5 --trace 0 | tail -1 \
     | grep -q '"correct":true,"attempted":[0-9]*,"failed":0'
 done
