@@ -1,23 +1,24 @@
 //! The live cluster: a thin concurrent driver of the shared harvest control
 //! plane ([`libra_core::controlplane`]). Node state lives behind
 //! `parking_lot` mutexes and one *driver* thread per node runs everything
-//! resident there: it settles each invocation's progress, reports a
-//! cgroups-style usage observation to the control plane every
-//! [`LiveConfig::quantum`], replays the emitted [`Action`]s against the
-//! sharded scheduler's slice books, and completes an invocation at the
-//! instant its work runs out.
+//! resident there. Every [`LiveConfig::quantum`] the node's one monitor tick
+//! fires (the paper's per-node safeguard daemon, the simulator's `NodeTick`):
+//! one pass settles every resident's progress, reports a cgroups-style usage
+//! observation of each to the control plane and replays the emitted
+//! [`Action`]s against the sharded scheduler's slice books. Between ticks the
+//! driver wakes only to complete an invocation the instant its work runs out.
 //!
-//! That instant is the resident's `due`: `last_settle + min(quantum,
-//! work_left / rate / time_scale)`, capped by its next monitor tick and
-//! re-armed for every resident of the node after each event, because a
-//! `Lend`/`Return`/`Revoke`/`PreemptiveRelease` moves other residents'
-//! rates — the simulator's `Finish` event, in real time. The driver parks
-//! until the earliest `due` and an admission unparks it. Nothing spawns per
-//! request: [`LiveCluster::submit`] admits on the caller's thread when the
-//! request has arrived and a shard slice fits it, and hands everything else
-//! — future arrivals, admissions to retry each quantum — to the one
-//! *front-door* thread's time-ordered queue (the thread that is also the
-//! progress watchdog).
+//! That instant is the resident's `due`, `last_settle + work_left / rate /
+//! time_scale`, re-armed for every resident of the node after each event,
+//! because a `Lend`/`Return`/`Revoke`/`PreemptiveRelease` moves other
+//! residents' rates — the simulator's `Finish` event, in real time. The driver
+//! parks until the node's tick or the earliest `due`, whichever is first, and
+//! an admission unparks it. Nothing spawns per request:
+//! [`LiveCluster::submit`] admits on the caller's thread when the request has
+//! arrived and a shard slice fits it, and hands everything else — future
+//! arrivals, admissions to retry each quantum — to the one *front-door*
+//! thread's time-ordered queue (the thread that is also the progress
+//! watchdog).
 //!
 //! The policy — harvesting (CPU *and* memory), lending, usage-guided
 //! trimming, the safeguard's preemptive release (§5.2), the OOM rule (§5.1)
@@ -91,9 +92,9 @@ pub struct LiveConfig {
     /// Policy knobs of the shared control plane (safeguard threshold,
     /// pool order, continuous acceleration, ...).
     pub control: ControlConfig,
-    /// Monitor interval (real time): how often a resident is observed, and
-    /// how often a refused admission is retried. Completion does not wait
-    /// for it — an invocation ends when its work does.
+    /// Monitor interval (real time): how often a node's residents are
+    /// observed, and how often a refused admission is retried. Completion
+    /// does not wait for it — an invocation ends when its work does.
     pub quantum: Duration,
     /// Workload-milliseconds that elapse per real millisecond (> 1 runs the
     /// workload faster than nominal).
@@ -187,10 +188,9 @@ struct ExecState {
     /// armed). Only [`ClusterShared::rearm`] moves it, settling first.
     rate: u64,
     last_settle: Instant,
-    /// Next monitor tick: one quantum after the last step.
-    tick: Instant,
-    /// When the driver steps this resident next: the earlier of `tick` and
-    /// the instant `work_left` runs out at `rate`.
+    /// When `work_left` runs out at `rate`: the driver steps this resident
+    /// then, tick or no tick. Capped one quantum past `last_settle` — the
+    /// node's tick comes first — so no request can overflow the `Instant`.
     due: Instant,
     harvested: bool,
     accelerated: bool,
@@ -217,6 +217,9 @@ struct NodeInner {
     /// The shared policy core, instantiated per node (its `NodeId(0)`).
     core: ControlPlane,
     exec: HashMap<u32, ExecState>,
+    /// The node's next monitor tick. Left in the past while nothing is
+    /// resident; the next admission re-arms it, so there is one chain a node.
+    tick: Instant,
     /// Idle warm containers: the registry the simulator's nodes hold, with
     /// every deadline stamped by the keep-alive policy below.
     warm: WarmPool,
@@ -226,13 +229,6 @@ struct NodeInner {
     /// span tracing is on so loan lifetimes can be closed with the outcome
     /// the control plane reports.
     open_loans: HashMap<(u32, u32), u64>,
-}
-
-impl NodeInner {
-    /// Reap expired warm containers.
-    fn refresh_warm(&mut self, now: SimTime) {
-        let _ = self.warm.evict_expired(now);
-    }
 }
 
 struct NodeShared {
@@ -624,7 +620,7 @@ impl ClusterShared {
         // consumes a live warm container if the registry holds one.
         g.policy.on_arrival(FunctionId(req.func), now_ms);
         let _ = g.warm.acquire(FunctionId(req.func), now_ms);
-        g.refresh_warm(now_ms);
+        let _ = g.warm.evict_expired(now_ms);
         let pred = if self.config.harvesting { req.pred } else { None };
         let actions = g.core.on_admit(
             Admission {
@@ -638,6 +634,9 @@ impl ClusterShared {
             now_ms,
         );
         let now = Instant::now();
+        if g.exec.is_empty() && g.tick <= now {
+            g.tick = now + self.config.quantum;
+        }
         g.exec.insert(
             inv.0,
             ExecState {
@@ -649,7 +648,6 @@ impl ClusterShared {
                 work_left: req.work_mcore_ms as f64,
                 rate: 0,
                 last_settle: now,
-                tick: now + self.config.quantum,
                 due: now,
                 harvested: actions.iter().any(|a| matches!(a, Action::SetGrant { .. })),
                 accelerated: false,
@@ -689,36 +687,40 @@ impl ClusterShared {
             }
             let finish_in_s = st.work_left.max(0.0) / (rate as f64 * time_scale * 1e3);
             let finish_in = Duration::try_from_secs_f64(finish_in_s).unwrap_or(quantum);
-            st.due = st.tick.min(st.last_settle + finish_in.min(quantum));
+            st.due = st.last_settle + finish_in.min(quantum);
         }
     }
 
-    /// One driver pass over a node, under its lock: step every resident
-    /// whose `due` has passed (all of them once the cluster is aborting), in
-    /// `due` order, then re-arm. Returns the earliest `due` left, `None`
-    /// when nothing is resident.
+    /// One driver pass over a node, under its lock: step every resident once
+    /// the node's tick has passed (or the cluster is aborting), else only those
+    /// whose `due` has — finished work first, then id order — and re-arm.
+    /// Returns when to run next (tick or earliest `due`), `None` when empty.
     fn drive(&self, node: u32, g: &mut NodeInner, aborting: bool) -> Option<Instant> {
         let now = Instant::now();
+        let ticking = g.tick <= now;
         let mut due: Vec<(Instant, u32)> = g
             .exec
             .iter()
-            .filter(|(_, st)| aborting || st.due <= now)
-            .map(|(&id, st)| (st.due, id))
+            .filter(|(_, st)| aborting || ticking || st.due <= now)
+            .map(|(&id, st)| (st.due.min(now), id))
             .collect();
         if !due.is_empty() {
             due.sort_unstable();
             for (_, id) in due {
-                self.step(node, g, id, aborting);
+                self.step(node, g, id, aborting, ticking);
             }
             self.rearm(g, Instant::now());
         }
-        g.exec.values().map(|st| st.due).min()
+        if ticking {
+            g.tick = now + self.config.quantum;
+        }
+        g.exec.values().map(|st| st.due).min().map(|due| due.min(g.tick))
     }
 
-    /// One resident's turn: settle its progress, then complete it, restart
-    /// it (the OOM rule) or feed the control plane an observation and replay
-    /// whatever it decides.
-    fn step(&self, node: u32, g: &mut NodeInner, id: u32, aborting: bool) {
+    /// One resident's turn: settle its progress and complete it if its work
+    /// is done; else, on the node's tick, restart it (the OOM rule) or feed
+    /// the control plane an observation and replay whatever it decides.
+    fn step(&self, node: u32, g: &mut NodeInner, id: u32, aborting: bool, ticking: bool) {
         let inv = InvocationId(id);
         let now_ms = self.now_ms();
         if aborting {
@@ -737,17 +739,16 @@ impl ClusterShared {
         let Some(me) = g.exec.get_mut(&id) else { return };
         let now = Instant::now();
         me.settle(now, self.config.time_scale);
-        me.tick = now + self.config.quantum;
         if me.work_left <= 0.0 {
             self.finish(node, g, inv, now_ms);
             return;
         }
+        if !ticking {
+            return; // woken a moment early: `rearm` sets the new `due`
+        }
         let req = me.req;
-        let progress = if me.work_total() > 0.0 {
-            ((me.work_total() - me.work_left) / me.work_total()).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
+        // Work is left, so there was some to begin with: no division by zero.
+        let progress = ((me.work_total() - me.work_left) / me.work_total()).clamp(0.0, 1.0);
 
         // The OOM rule (§5.1): a footprint within the user allocation
         // crossed a harvested grant.
@@ -791,7 +792,7 @@ impl ClusterShared {
         if let Some(keep_until) = g.policy.keep_until(func, idle_peers, now_ms) {
             g.warm.release(func, me.shard, me.req.alloc.mem_mb, now_ms, keep_until);
         }
-        g.refresh_warm(now_ms);
+        let _ = g.warm.evict_expired(now_ms);
 
         self.leave_stage(&mut me.stage, InvState::Running);
         let stages = me.stage.breakdown();
@@ -810,9 +811,9 @@ impl ClusterShared {
         let _ = me.reply.send(record);
     }
 
-    /// A node's driver thread: run whatever is due, park until the earliest
-    /// `due` (an admission unparks it), exit once the cluster is aborting
-    /// and its residents are quiesced.
+    /// A node's driver thread: run whatever is due, park until the node's
+    /// tick or the earliest `due` (an admission unparks it), exit once the
+    /// cluster is aborting and its residents are quiesced.
     fn drive_node(&self, node_id: usize) {
         let Some(node) = self.nodes.get(node_id) else { return };
         loop {
@@ -911,6 +912,7 @@ impl LiveCluster {
                     inner: Mutex::new(NodeInner {
                         core,
                         exec: HashMap::new(),
+                        tick: Instant::now(),
                         warm: WarmPool::new(),
                         policy: config.keepalive.build(),
                         open_loans: HashMap::new(),
@@ -1467,7 +1469,6 @@ mod tests {
             work_left: 10_000.0,
             rate: 2_000,
             last_settle: t0,
-            tick: t0,
             due: t0,
             harvested: false,
             accelerated: false,
@@ -1501,6 +1502,61 @@ mod tests {
         assert_eq!(r.records.len(), 1);
         let latency_ms = r.records[0].latency_ms;
         assert!((3.0..10.0).contains(&latency_ms), "3 ms of work took {latency_ms} ms");
+    }
+
+    #[test]
+    fn a_node_tick_steps_every_resident_in_one_pass() {
+        // Both invocations touch 256 MB from their first instruction and are
+        // harvested to a 100 MB prediction with the safeguard off, so the OOM
+        // rule restarts each at its first observation — which splits its exec
+        // span there. #1 is admitted 15 ms into #0's 60 ms quantum.
+        let request = |at_ms| LiveRequest {
+            at_ms,
+            func: 0,
+            alloc: ResourceVec::new(2_000, 2_048),
+            demand_cpu_millis: 2_000,
+            demand_mem_mb: 1_024,
+            mem_floor_mb: 64,
+            work_mcore_ms: 2_000 * 200,
+            pred: Some(Prediction {
+                cpu_millis: 2_000,
+                mem_mb: 100,
+                duration: SimDuration::from_millis(200),
+                path: PredictionPath::Histogram,
+            }),
+        };
+        let mut c = cfg(true);
+        c.nodes = 1;
+        c.shards = 1;
+        c.quantum = Duration::from_millis(60);
+        c.time_scale = 1.0;
+        c.control.safeguard = false;
+        c.trace_spans = true;
+        c.record_trace = true;
+        let r = run_live(&[request(0), request(15)], &c);
+        assert_eq!(r.records.len(), 2);
+        assert!(r.records.iter().all(|rec| rec.oom_restarts == 1), "{:?}", r.records);
+        let trace = r.trace.expect("tracing enabled");
+        // (start, end) µs of each invocation's first exec segment.
+        let first_exec = |inv| {
+            let spans = trace.spans_for(inv);
+            assert_eq!(spans[1].kind.label(), "exec");
+            (spans[1].start_us, spans[1].end_us)
+        };
+        let ((start0, end0), (start1, end1)) = (first_exec(0), first_exec(1));
+        assert!(start1 >= start0 + 10_000, "#1 joined mid-quantum: {start0} {start1}");
+        // One pass under the node lock, in id order: both segments end within
+        // a moment of each other, #1's well short of a quantum of its own.
+        assert!(end0 <= end1 && end1 - end0 < 5_000, "observed apart: {end0} {end1}");
+        assert!(end1 - start1 < 55_000, "#1 waited for a tick of its own: {start1} {end1}");
+        let restarted: Vec<u32> = r.actions_by_node[0]
+            .iter()
+            .filter_map(|a| match a {
+                Action::Requeue { inv, .. } => Some(inv.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(restarted, [0, 1]);
     }
 
     #[test]

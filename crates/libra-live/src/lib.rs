@@ -4,9 +4,10 @@
 //! policy core — [`libra_core::controlplane::ControlPlane`] — through the
 //! same action-trace contract; what changes is the substrate. Here the
 //! mechanics are real: node state behind `parking_lot` locks, one driver
-//! thread per node that steps each resident when it is `due` (its next
-//! monitor tick, or the instant its work runs out at its current rate —
-//! re-armed whenever an allocation on the node moves), one front-door thread
+//! thread per node that observes every resident at the node's monitor tick,
+//! once a quantum, and between ticks steps a resident only when it is `due`
+//! (the instant its work runs out at its current rate — re-armed whenever
+//! an allocation on the node moves), one front-door thread
 //! for arrivals that are not yet due or not yet admissible, the
 //! decentralized sharded scheduler of §6.4 admitting against per-shard slice
 //! books (the simulator's own reserved-vs-slice cell, one lock per shard),

@@ -112,6 +112,17 @@ impl InvArena {
         self.slots[slot].as_mut().expect("free arena slot")
     }
 
+    /// The invocation in `slot` (`None` when free), for walks over
+    /// `0..slot_count()` that mutate as they go.
+    pub fn at(&self, slot: usize) -> Option<&Invocation> {
+        self.slots.get(slot)?.as_ref()
+    }
+
+    /// Slots ever allocated, free ones included.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Iterate the slots of all live invocations, in ascending slot order.
     pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.slots.iter().enumerate().filter(|(_, s)| s.is_some()).map(|(i, _)| i)

@@ -351,19 +351,21 @@ impl World {
         inv.cpu_peak_obs = inv.cpu_peak_obs.max(busy);
     }
 
-    /// Recompute the rate and (re)schedule the Finish event. Must be called
-    /// after every allocation change. `update_progress` must already have
-    /// been called with the *old* allocation.
+    /// Recompute the rate and, if it moved, (re)schedule the Finish event.
+    /// Call after every allocation change, `update_progress` first (with the
+    /// *old* allocation). At an unchanged rate the armed `Finish` stands:
+    /// progress is linear in time, so it is still at the right instant.
     fn reschedule_finish(&mut self, idx: usize) {
         let rate = self.effective_rate(idx);
         let inv = self.invs.get_mut(idx);
+        let unchanged = inv.finish_armed && rate == inv.rate_millis;
         inv.rate_millis = rate;
-        if inv.state != InvState::Running {
+        if inv.state != InvState::Running || unchanged {
             return;
         }
         inv.finish_gen += 1;
-        let remaining = inv.remaining_work();
-        let eta_us = remaining.div_ceil(rate as u128);
+        inv.finish_armed = true;
+        let eta_us = inv.remaining_work().div_ceil(rate as u128);
         let at = SimTime(self.clock.0 + eta_us as u64);
         let (id, generation) = (inv.id, inv.finish_gen);
         self.queue.push(at, Event::Finish { inv: id, generation });
@@ -390,14 +392,12 @@ impl World {
         total
     }
 
-    /// Forget `node_idx`'s cached running-CPU sum. Called wherever the sum
-    /// can change: a resident enters `Running` (`on_start_exec`) or leaves
-    /// it while staying resident (`on_oom`), a resident is unlinked (how a
-    /// completion or a kill leaves; joining changes nothing, a resident
-    /// joins `ColdStarting`), or its effective allocation changes
-    /// (`with_alloc_change`, and `end_loans` dropping the loans it held).
-    /// Invalidating twice is harmless, so call sites need not know about
-    /// each other.
+    /// Forget `node_idx`'s cached running-CPU sum. Everything that can change
+    /// it — an allocation change, a resident entering `Running`, leaving it or
+    /// being unlinked — happens inside `with_alloc_change`, which calls this
+    /// once the mutation is done; the two other callers are mutations a policy
+    /// hook reads behind before that: the `Running` flip of `on_start_exec`
+    /// (`on_start` follows) and `end_loans` dropping the loans a resident held.
     fn invalidate_running_cpu(&self, node_idx: usize) {
         self.running_eff_cpu[node_idx].set(None);
     }
@@ -436,8 +436,8 @@ impl World {
     }
 
     /// Unlink `id` from `node`'s resident list in O(1), preserving the
-    /// relative order of everyone else (the crash sweep and the Finish-event
-    /// tie-break both depend on that order).
+    /// relative order of everyone else (the crash sweep, the node tick's
+    /// observation order and the Finish tie-break all depend on it).
     fn resident_unlink(&mut self, node_idx: usize, id: InvocationId) {
         let slot = self.slot(id);
         let (prev, next) = {
@@ -468,14 +468,12 @@ impl World {
             }
         }
         self.nodes[node_idx].resident_len -= 1;
-        self.invalidate_running_cpu(node_idx);
     }
 
     /// Proportional-share CPU scale for a node: 1.0 while allocations fit;
     /// `capacity / Σ allocations` when a safeguard/OOM restore transiently
-    /// oversubscribed it (the kernel's fair-share behaviour). O(1) between
-    /// allocation changes — every monitor tick asks — because the sum is
-    /// cached (see `node_running_eff_cpu`).
+    /// oversubscribed it (the kernel's fair-share behaviour). O(1): every
+    /// observation asks, and the sum is cached (see `node_running_eff_cpu`).
     pub fn node_cpu_scale(&self, node_idx: usize) -> f64 {
         let total = self.node_running_eff_cpu(node_idx);
         let cap = self.nodes[node_idx].capacity.cpu_millis;
@@ -501,37 +499,12 @@ impl World {
         usable.min(inv.true_demand.cpu_peak_millis)
     }
 
-    /// Bring progress up to date for every running invocation on a node
-    /// (using the rates in force until now). Allocation-free: walks the
-    /// intrusive list, reading each `res_next` before touching the entry
-    /// (neither `update_progress` nor `reschedule_finish` unlinks).
-    fn settle_node(&mut self, node_idx: usize) {
-        let mut cur = self.nodes[node_idx].resident_head;
-        while let Some(id) = cur {
-            let idx = self.slot(id);
-            cur = self.invs.get(idx).res_next;
-            if self.invs.get(idx).state == InvState::Running {
-                self.update_progress(idx);
-            }
-        }
-    }
-
-    /// Recompute rates and reschedule finishes for every running invocation
-    /// on a node.
-    fn reschedule_node(&mut self, node_idx: usize) {
-        let mut cur = self.nodes[node_idx].resident_head;
-        while let Some(id) = cur {
-            let idx = self.slot(id);
-            cur = self.invs.get(idx).res_next;
-            if self.invs.get(idx).state == InvState::Running {
-                self.reschedule_finish(idx);
-            }
-        }
-    }
-
-    /// Run an allocation mutation with correct progress accounting: touched
-    /// invocations are settled first; if CPU ends up (or was) oversubscribed,
-    /// every resident's rate is recomputed, otherwise only the touched ones.
+    /// Run a mutation of a node's running set — an allocation change, a
+    /// resident entering or leaving `Running` — with correct progress
+    /// accounting: touched invocations are settled first; if CPU ends up (or
+    /// was) oversubscribed, every resident's rate is recomputed, otherwise
+    /// only the touched ones. If `f` reads the cached CPU sum after changing
+    /// what it sums (through a hook, say), it invalidates first.
     fn with_alloc_change(
         &mut self,
         node_idx: usize,
@@ -546,8 +519,17 @@ impl World {
         self.invalidate_running_cpu(node_idx);
         let post = self.node_cpu_scale(node_idx);
         if pre < 1.0 || post < 1.0 {
-            self.settle_node(node_idx);
-            self.reschedule_node(node_idx);
+            // Each `res_next` is read before its entry is touched (neither
+            // call unlinks); settling one resident moves no other's rate.
+            let mut cur = self.nodes[node_idx].resident_head;
+            while let Some(id) = cur {
+                let idx = self.slot(id);
+                cur = self.invs.get(idx).res_next;
+                if self.invs.get(idx).state == InvState::Running {
+                    self.update_progress(idx);
+                    self.reschedule_finish(idx);
+                }
+            }
         } else {
             for &i in touched {
                 self.reschedule_finish(i);
@@ -1149,8 +1131,9 @@ impl Simulation {
     }
 
     /// Run one popped event's handler. `false` means the handler dropped the
-    /// event at its staleness check (a lazily-cancelled `StartExec`,
-    /// `Finish`, `MonitorTick` or `Requeue`); everything else is `true`.
+    /// event at its staleness check (a lazily-cancelled `StartExec`, `Finish`
+    /// or `Requeue`, a `NodeTick` that found its node empty and ended the
+    /// chain); everything else is `true`.
     fn dispatch(w: &mut World, platform: &mut dyn Platform, ev: Event, total: usize) -> bool {
         match ev {
             Event::DecisionDone { shard } => Self::on_decision_done(w, platform, shard),
@@ -1160,9 +1143,8 @@ impl Simulation {
             Event::Finish { inv, generation } => {
                 return Self::on_finish(w, platform, inv, generation)
             }
-            Event::MonitorTick { inv, attempt } => {
-                return Self::on_monitor_tick(w, platform, inv, attempt)
-            }
+            Event::MonitorTick { .. } => return false, // never pushed: see its doc
+            Event::NodeTick(node) => return Self::on_node_tick(w, platform, node),
             Event::HealthPing(node) => {
                 let now = w.clock;
                 let idx = node.idx();
@@ -1360,84 +1342,81 @@ impl Simulation {
         if w.invs.get(idx).requeues != attempt || w.invs.get(idx).state != InvState::ColdStarting {
             return false; // stale start from a crashed attempt
         }
+        let Some(node) = w.invs.get(idx).node else {
+            debug_assert!(false, "exec without node for {id:?}");
+            return true;
+        };
         let first_start = w.invs.get(idx).exec_start.is_none();
         // The gap since the decision (or the OOM) is pool bookkeeping, then
         // container init — whatever warm/cold/OOM combination produced it.
         w.leave_stage(idx);
-        let inv = w.invs.get_mut(idx);
-        if first_start {
-            inv.exec_start = Some(now);
-        }
-        inv.state = InvState::Running;
-        inv.last_update = now;
-        let Some(node) = inv.node else {
-            debug_assert!(false, "exec without node for {id:?}");
-            return true;
-        };
-        let node = node.idx();
-        w.invalidate_running_cpu(node);
-        if first_start && w.invs.get(idx).restarts == 0 {
-            let mut ctx = SimCtx { w };
-            platform.on_start(&mut ctx, id);
-        }
         // Joining the running set changes the node's CPU-share balance when
-        // it is oversubscribed; refresh everyone.
-        w.settle_node(node);
-        w.reschedule_node(node);
-        let at = now + MONITOR_INTERVAL;
-        w.queue.push(at, Event::MonitorTick { inv: id, attempt });
+        // it is oversubscribed; otherwise only the newcomer needs a `Finish`,
+        // armed once, after the policy's `on_start` has set its grant.
+        w.with_alloc_change(node.idx(), &[idx], |w| {
+            let inv = w.invs.get_mut(idx);
+            if first_start {
+                inv.exec_start = Some(now);
+            }
+            inv.state = InvState::Running;
+            w.invalidate_running_cpu(node.idx());
+            if first_start && w.invs.get(idx).restarts == 0 {
+                platform.on_start(&mut SimCtx { w }, id);
+            }
+        });
+        // The first resident to run on an unwatched node starts its tick.
+        if !w.nodes[node.idx()].tick_armed {
+            w.nodes[node.idx()].tick_armed = true;
+            w.queue.push(now + MONITOR_INTERVAL, Event::NodeTick(node));
+        }
         true
     }
 
-    /// `false` when the tick is stale (see [`Simulation::dispatch`]).
-    fn on_monitor_tick(
-        w: &mut World,
-        platform: &mut dyn Platform,
-        id: InvocationId,
-        attempt: u32,
-    ) -> bool {
-        let Some(idx) = w.try_slot(id) else {
-            return false; // retired: nothing left to monitor
-        };
-        if w.invs.get(idx).requeues != attempt {
-            return false; // monitor loop of a crashed attempt
+    /// One node's monitor tick: every running resident, in admission order,
+    /// is settled, shown to the policy and held to the OOM rule. `false` when
+    /// nothing is resident — the chain ends (see [`Simulation::dispatch`]).
+    fn on_node_tick(w: &mut World, platform: &mut dyn Platform, node: NodeId) -> bool {
+        let n = node.idx();
+        if w.nodes[n].resident_len == 0 {
+            // Drained, or crashed: the next start on this node re-arms.
+            w.nodes[n].tick_armed = false;
+            return false;
         }
-        match w.invs.get(idx).state {
-            InvState::Running => {}
-            InvState::ColdStarting => {
-                // restarting after OOM: keep the tick chain alive
-                let at = w.clock + MONITOR_INTERVAL;
-                w.queue.push(at, Event::MonitorTick { inv: id, attempt });
-                return true;
+        // Nothing below unlinks: an OOM victim stays resident, cold-starting.
+        let mut cur = w.nodes[n].resident_head;
+        while let Some(id) = cur {
+            let idx = w.slot(id);
+            cur = w.invs.get(idx).res_next;
+            if w.invs.get(idx).state != InvState::Running {
+                continue;
             }
-            _ => return false,
-        }
-        w.update_progress(idx);
-        {
-            let mut ctx = SimCtx { w };
-            platform.on_tick(&mut ctx, id);
-        }
-        // OOM rule: only the provider's harvesting can kill an invocation;
-        // user under-provisioning degrades speed instead (spill model).
-        // Usage never exceeds the peak, so the peak is compared first: an
-        // invocation nobody took memory from skips the usage model.
-        let inv = w.invs.get(idx);
-        let peak_mb = inv.true_demand.mem_peak_mb;
-        if inv.state == InvState::Running && peak_mb <= inv.nominal.mem_mb {
-            let have_mb = inv.effective_alloc().mem_mb;
-            if peak_mb > have_mb && inv.mem_usage_mb() > have_mb {
-                Self::on_oom(w, platform, id);
+            w.update_progress(idx);
+            platform.on_tick(&mut SimCtx { w }, id);
+            // OOM rule: only the provider's harvesting can kill; user
+            // under-provisioning degrades speed instead (spill model). Usage
+            // never exceeds the peak, so the peak is compared first: an
+            // invocation nobody took memory from skips the usage model.
+            let inv = w.invs.get(idx);
+            let peak_mb = inv.true_demand.mem_peak_mb;
+            if inv.state == InvState::Running && peak_mb <= inv.nominal.mem_mb {
+                let have_mb = inv.effective_alloc().mem_mb;
+                if peak_mb > have_mb && inv.mem_usage_mb() > have_mb {
+                    Self::on_oom(w, platform, id);
+                }
             }
         }
         // One-shot injected jitter stretches exactly one monitor interval.
         let jitter = w.tick_jitter.take().unwrap_or(SimDuration::ZERO);
-        let at = w.clock + MONITOR_INTERVAL + jitter;
-        w.queue.push(at, Event::MonitorTick { inv: id, attempt });
+        w.queue.push(w.clock + MONITOR_INTERVAL + jitter, Event::NodeTick(node));
         true
     }
 
     fn on_oom(w: &mut World, platform: &mut dyn Platform, id: InvocationId) {
         let idx = w.slot(id);
+        let Some(node) = w.invs.get(idx).node else {
+            debug_assert!(false, "oom without node for {id:?}");
+            return;
+        };
         // The dying invocation needs its lent-out memory back, and its
         // borrowed-in loans are dropped for a clean restart.
         Self::end_loans(w, platform, id, LoanEnd::SourceOom, LoanEnd::BorrowerCompleted);
@@ -1445,23 +1424,19 @@ impl Simulation {
         // The executed segment that just died is exec time; the restart's
         // cold start is charged when the next StartExec leaves ColdStarting.
         w.leave_stage(idx);
-        let old_charge = w.invs.get(idx).charge();
-        let inv = w.invs.get_mut(idx);
-        inv.flags.oomed = true;
-        inv.restarts += 1;
-        inv.progress = 0;
-        inv.own_grant = inv.nominal;
-        inv.state = InvState::ColdStarting;
-        inv.finish_gen += 1;
-        w.reconcile_charge(idx, old_charge);
-        let Some(node) = w.invs.get(idx).node else {
-            debug_assert!(false, "oom without node for {id:?}");
-            return;
-        };
-        let node = node.idx();
-        w.invalidate_running_cpu(node);
-        w.settle_node(node);
-        w.reschedule_node(node);
+        // Leaving the running set may lift an oversubscribed node's scale.
+        w.with_alloc_change(node.idx(), &[idx], |w| {
+            let old_charge = w.invs.get(idx).charge();
+            let inv = w.invs.get_mut(idx);
+            inv.flags.oomed = true;
+            inv.restarts += 1;
+            inv.progress = 0;
+            inv.own_grant = inv.nominal;
+            inv.state = InvState::ColdStarting;
+            inv.finish_gen += 1;
+            inv.finish_armed = false;
+            w.reconcile_charge(idx, old_charge);
+        });
         let at = now + COLD_START;
         let attempt = w.invs.get(idx).requeues;
         w.queue.push(at, Event::StartExec { inv: id, attempt });
@@ -1575,10 +1550,8 @@ impl Simulation {
         let idx = w.slot(id);
         debug_assert!(matches!(w.invs.get(idx).state, InvState::ColdStarting | InvState::Running));
         let now = w.clock;
-        if w.invs.get(idx).state == InvState::Running {
-            // The attempt's work is lost, but the usage integrals stay honest.
-            w.update_progress(idx);
-        }
+        // The attempt's work is lost, but the usage integrals stay honest.
+        w.update_progress(idx);
         Self::end_loans(w, platform, id, LoanEnd::Crashed, LoanEnd::Crashed);
         // Platform cleanup while the invocation still knows its node.
         {
@@ -1589,9 +1562,12 @@ impl Simulation {
             debug_assert!(false, "killed attempt {id:?} without placement");
             return;
         };
+        // The departure changes the node's CPU-share balance.
         let charge = w.invs.get(idx).charge();
-        w.nodes[node.idx()].release(shard, charge);
-        w.resident_unlink(node.idx(), id);
+        w.with_alloc_change(node.idx(), &[], |w| {
+            w.nodes[node.idx()].release(shard, charge);
+            w.resident_unlink(node.idx(), id);
+        });
 
         // Charge the dying attempt's partial stage and emit its span before
         // the attempt counter moves on; from here until requeue is backoff.
@@ -1600,7 +1576,8 @@ impl Simulation {
         let inv = w.invs.get_mut(idx);
         inv.flags.crashed = true;
         inv.finish_gen += 1; // cancels in-flight Finish events
-        inv.requeues += 1; // cancels in-flight StartExec/MonitorTick events
+        inv.finish_armed = false;
+        inv.requeues += 1; // cancels in-flight StartExec events
         inv.node = None;
         inv.progress = 0;
         inv.rate_millis = 0;
@@ -1618,15 +1595,12 @@ impl Simulation {
             let backoff = CRASH_BACKOFF.saturating_mul(1u64 << (attempt - 1).min(16));
             w.queue.push(now + backoff, Event::Requeue(id));
         }
-        // The departure changes the node's CPU-share balance.
-        w.settle_node(node.idx());
-        w.reschedule_node(node.idx());
         // A targeted abort frees capacity on a live node: unblock the parked.
         if w.nodes[node.idx()].is_alive() {
             w.wake_blocked();
         }
         // A terminal abort leaves the simulation for good: retire the slot so
-        // any straggling StartExec/MonitorTick/Finish events read as stale.
+        // any straggling StartExec/Finish events read as stale.
         if terminal {
             w.invs.retire(id);
         }
@@ -1670,6 +1644,7 @@ impl Simulation {
             return false; // stale (lazy-cancelled) event
         }
         w.update_progress(idx);
+        w.invs.get_mut(idx).finish_armed = false;
         if w.invs.get(idx).remaining_work() > 0 {
             w.reschedule_finish(idx);
             return true;
@@ -1691,10 +1666,6 @@ impl Simulation {
         // breakdown telescoping to end-to-end latency across OOM restarts
         // and crash requeues.
         w.leave_stage(idx);
-        let inv = w.invs.get_mut(idx);
-        inv.state = InvState::Completed;
-        inv.end = Some(now);
-
         let inv = w.invs.get(idx);
         let actuals = Actuals {
             cpu_peak_millis: inv.cpu_peak_obs,
@@ -1711,8 +1682,14 @@ impl Simulation {
         };
         let charge = inv.charge();
         let func = inv.func;
-        w.nodes[node.idx()].release(shard, charge);
-        w.resident_unlink(node.idx(), id);
+        // The departure may lift an oversubscribed node's CPU scale.
+        w.with_alloc_change(node.idx(), &[], |w| {
+            let inv = w.invs.get_mut(idx);
+            inv.state = InvState::Completed;
+            inv.end = Some(now);
+            w.nodes[node.idx()].release(shard, charge);
+            w.resident_unlink(node.idx(), id);
+        });
         let pin_mem = charge.mem_mb;
         // Warm-lifecycle hook: the keep-alive policy assigns this idle
         // container's deadline (`None` tears it down immediately). The
@@ -1722,9 +1699,6 @@ impl Simulation {
         if let Some(keep_until) = platform.warm_keep(w, func, idle_peers) {
             w.nodes[node.idx()].park_warm(func, shard, pin_mem, now, keep_until);
         }
-        // The departure may lift an oversubscribed node's CPU scale.
-        w.settle_node(node.idx());
-        w.reschedule_node(node.idx());
 
         Self::record_completion(w, id, exec);
         {
@@ -1813,19 +1787,17 @@ impl Simulation {
     }
 
     fn sample_utilization(w: &mut World) {
-        // Slot order differs from id order, but progress updates are
-        // per-invocation and the sums below are order-independent integer
-        // folds, so the sample is identical either way.
-        let running: Vec<usize> =
-            w.invs.live_slots().filter(|&s| w.invs.get(s).state == InvState::Running).collect();
-        for idx in &running {
-            w.update_progress(*idx);
-        }
+        // Slot order differs from id order, but a progress update and the
+        // usage it yields are per-invocation and the sums are integer folds,
+        // so the sample is identical in any order.
         let (mut cpu_used, mut mem_used) = (0u64, 0u64);
-        for idx in &running {
-            let inv = w.invs.get(*idx);
-            cpu_used += inv.cpu_usage_millis();
-            mem_used += inv.mem_usage_mb();
+        for idx in 0..w.invs.slot_count() {
+            if w.invs.at(idx).is_some_and(|i| i.state == InvState::Running) {
+                w.update_progress(idx);
+                let inv = w.invs.get(idx);
+                cpu_used += inv.cpu_usage_millis();
+                mem_used += inv.mem_usage_mb();
+            }
         }
         let alloc = w.nodes.iter().fold(ResourceVec::ZERO, |a, n| a + n.total_reserved());
         let cap = w.total_capacity();
@@ -2342,18 +2314,217 @@ mod tests {
             [(LoanEnd::BorrowerCompleted, 3), (LoanEnd::Crashed, 6), (LoanEnd::Crashed, 8)]
         );
         assert_eq!((by_id(6).requeues, by_id(7).requeues, by_id(8).requeues), (1, 1, 1));
-        // Finish instants (µs) as the engine produced them before the sum was
-        // cached (this test, run on that commit): the cache moves none.
+        // Finish instants (µs), derived. An admission costs 1,302 (frontend
+        // 1,000, one decision 300 + 2 a node), a cold start 500,000; work is
+        // demand × base duration, in millicore·µs.
+        // #0 donor: cold, runs from 501,302 and arms the node's tick
+        //    (601,302 + k·100,000); harvested to its 1-core demand, 3,000 ms of
+        //    work → 3,501,302.
+        // #1 borrower: cold, runs from 601,302 at 2 own + 2 lent cores = its
+        //    demand, 4.0e9 of work. #2 filler: 3 cores fit only once #0 is
+        //    harvested (501,302); decided 501,604, cold, runs from 1,001,604.
+        //    The tick of 1,101,302 — 600 ms into #0 — safeguards #0: the loan
+        //    goes, 4 + 2 + 3 cores on 8, scale 8/9. #2 has 3.0e9 − 99,698 ×
+        //    3,000 left at ⌊3,000 · 8/9⌋ = 2,666 → 1,013,094 → 2,114,396. That
+        //    lifts the scale; #1 has 2.0e9 − 1,013,094 × 1,777 = 199,731,962
+        //    left at 2,000 → 99,866 → 2,214,262.
+        // #4 donor: warm, 6,001,302 + 3,000,000 = 9,001,302. The node had
+        //    been empty since 3,501,302 (that instant's tick ended the chain),
+        //    so #4 re-arms it: 6,101,302 + k·100,000.
+        // #3 oomer: cold, runs from 6,451,302 on a grant under the memory it
+        //    touches. The node's tick sees it at 6,501,302 — 50 ms in, where a
+        //    timer of its own waited 100 (this is the one instant the
+        //    per-node tick moved, from 9,051,302) — and it restarts cold:
+        //    7,001,302, loan gone, 2.0e9 at its nominal core → 9,001,302.
+        // #5 donor: warm, 10,001,302 + 3,000,000 = 13,001,302.
+        // #6 borrower: aborted at 10,400,000, back after 1,000,000: decided
+        //    11,401,302, cold, 11,901,302; #5 was safeguarded at 10,601,302 so
+        //    the loan is refused: 4.0e9 at 2,000 → 13,901,302.
+        // #7 donor: crashed at 15,400,000, back at 16,400,000: decided
+        //    16,401,302, cold (the crash emptied the warm pool), 16,901,302
+        //    (re-arming the tick: 17,001,302 + k·100,000) + 3,000,000 =
+        //    19,901,302.
+        // #8 borrower: same crash, decided one decision behind #7, cold, runs
+        //    from 16,901,604 at 4,000 until the tick of 17,501,302 safeguards
+        //    #7: 4.0e9 − 599,698 × 4,000 left at 2,000 → 800,604 → 18,301,906.
         let finished: Vec<u64> = (0..9)
             .map(|id| by_id(id).arrival.as_micros() + by_id(id).latency.as_micros())
             .collect();
         assert_eq!(
             finished,
             [
-                3_501_302, 2_214_262, 2_114_396, 9_051_302, 9_001_302, 13_001_302, 13_901_302,
+                3_501_302, 2_214_262, 2_114_396, 9_001_302, 9_001_302, 13_001_302, 13_901_302,
                 19_901_302, 18_301_906
             ]
         );
+    }
+
+    /// `NullPlatform` placement; logs every observation as (instant µs,
+    /// invocation, node, OOM restarts so far) and, for `harvest_to`, cuts
+    /// every invocation's grant to that — at start, then again (a different
+    /// grant) at each observation until it has been OOM-killed once.
+    #[derive(Default)]
+    struct TickLog {
+        seen: Vec<(u64, u32, u32, u32)>,
+        harvest_to: Option<ResourceVec>,
+    }
+
+    impl Platform for TickLog {
+        fn name(&self) -> String {
+            "ticklog".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            if let Some(grant) = self.harvest_to {
+                ctx.set_own_grant(inv, grant);
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            let i = ctx.inv(inv);
+            let node = i.node.expect("a running invocation is placed").0;
+            self.seen.push((ctx.now().as_micros(), inv.0, node, i.restarts));
+            if let (Some(grant), 0) = (self.harvest_to, i.restarts) {
+                let cpu = grant.cpu_millis + 100 * (self.seen.len() as u64 % 2);
+                ctx.set_own_grant(inv, ResourceVec::new(cpu, grant.mem_mb));
+            }
+        }
+    }
+
+    fn tick_kind() -> usize {
+        Event::NodeTick(NodeId(0)).kind()
+    }
+
+    fn finish_kind() -> usize {
+        Event::Finish { inv: InvocationId(0), generation: 0 }.kind()
+    }
+
+    #[test]
+    fn a_node_observes_all_its_residents_at_one_instant_in_admission_order() {
+        // Three cold starts 30 ms apart: running from 501,302 / 531,302 /
+        // 561,302 µs, one second each. The first arms the node's tick.
+        let funcs = vec![spec("f", 1, 256, one_sec_demand(1, 128))];
+        let mut t = Trace::new();
+        for ms in [0, 30, 60] {
+            t.push(SimTime::from_millis(ms), FunctionId(0), InputMeta::new(1, 0));
+        }
+        let mut log = TickLog::default();
+        let res = single_node_sim(funcs).run(&t, &mut log);
+        assert_eq!(res.records.len(), 3);
+        // Nine ticks see all three; #0 ends at 1,501,302, before that
+        // instant's tick (its `Finish` was queued first), which sees the
+        // other two; the run is over before the next.
+        let mut want = Vec::new();
+        for k in 0..10u64 {
+            for id in if k < 9 { 0..3u32 } else { 1..3 } {
+                want.push((601_302 + k * 100_000, id, 0, 0));
+            }
+        }
+        assert_eq!(log.seen, want);
+        assert_eq!(res.pops_by_kind[tick_kind()], KindPops { handled: 10, stale: 0 });
+    }
+
+    #[test]
+    fn an_idle_node_carries_no_tick() {
+        let nodes = 4;
+        let sim = Simulation::new(
+            vec![spec("f", 1, 256, one_sec_demand(1, 128))],
+            vec![ResourceVec::from_cores_mb(8, 8192); nodes],
+            SimConfig::default(),
+        );
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        let res = sim.run(&t, &mut NullPlatform);
+        let ticks = res.pops_by_kind[tick_kind()];
+        assert!(ticks.handled + ticks.stale <= 11, "one second is ten intervals: {ticks:?}");
+        // What is still queued when the run ends: one ping a node, the
+        // utilization sample, and at most the one tick of the node that ran.
+        let pending = res.event_pushes - res.event_pops;
+        assert!(pending <= nodes as u64 + 2, "{pending} events pending");
+    }
+
+    #[test]
+    fn a_finish_is_pushed_once_while_the_rate_holds() {
+        // 40 one-core invocations over 2 s on 8 cores: never oversubscribed.
+        let funcs = vec![spec("f", 1, 256, one_sec_demand(1, 128))];
+        let mut t = Trace::new();
+        for i in 0..40u64 {
+            t.push(SimTime::from_millis(i * 50), FunctionId(0), InputMeta::new(1, 0));
+        }
+        let res = single_node_sim(funcs).run(&t, &mut NullPlatform);
+        assert_eq!(res.records.len(), 40);
+        assert_eq!(res.pops_by_kind[finish_kind()], KindPops { handled: 40, stale: 0 });
+
+        // A donor: 4 cores allocated, 1 used. Harvested at start and re-cut
+        // at every tick, its grant never goes under its demand, so its rate
+        // never moves: a second `Finish` would land on the first one's
+        // instant and pop, stale, just before it.
+        let funcs = vec![spec("donor", 4, 1024, one_sec_demand(1, 128))];
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        let mut log =
+            TickLog { harvest_to: Some(ResourceVec::new(2_000, 512)), ..TickLog::default() };
+        let res = single_node_sim(funcs).run(&t, &mut log);
+        assert!(res.records[0].flags.harvested);
+        assert_eq!(log.seen.len(), 9, "observed, and re-cut, nine times");
+        assert_eq!(res.pops_by_kind[finish_kind()], KindPops { handled: 1, stale: 0 });
+        assert_eq!(res.records[0].exec, SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn an_oom_restart_is_monitored_again_after_its_cold_start() {
+        // Harvested to the floor, under what it touches: killed at its first
+        // observation, cold-starting for 500 ms, then two seconds at nominal.
+        let d = TrueDemand {
+            cpu_peak_millis: 2000,
+            mem_peak_mb: 900,
+            base_duration: SimDuration::from_secs(2),
+        };
+        let mut log =
+            TickLog { harvest_to: Some(ResourceVec::new(2_000, 64)), ..TickLog::default() };
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        let res = single_node_sim(vec![spec("f", 2, 1024, d)]).run(&t, &mut log);
+        assert_eq!(res.records[0].restarts, 1);
+        // One chain, never interrupted: the tick fires through the cold
+        // start (the victim is resident, just not running) and picks the
+        // restarted container up at the very instant it runs again — the
+        // `StartExec` of 1,101,302 was queued before that instant's tick.
+        let before: Vec<u64> = log.seen.iter().filter(|s| s.3 == 0).map(|s| s.0).collect();
+        let after: Vec<u64> = log.seen.iter().filter(|s| s.3 == 1).map(|s| s.0).collect();
+        assert_eq!(before, [601_302]);
+        assert_eq!(after.len(), 20, "{after:?}");
+        assert_eq!(after[0], 601_302 + 500_000);
+        assert!(after.windows(2).all(|w| w[1] - w[0] == 100_000), "{after:?}");
+    }
+
+    #[test]
+    fn crash_and_recovery_never_leave_a_node_two_tick_chains() {
+        // #0 is running when node 0 crashes (its armed tick dies on the empty
+        // node); #1 arrives right after the recovery and re-arms the chain;
+        // #0 comes back from its backoff and joins that chain, not its own.
+        let funcs = vec![spec("f", 2, 1024, one_sec_demand(2, 256))];
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        t.push(SimTime::from_millis(860), FunctionId(0), InputMeta::new(1, 0));
+        t.push(SimTime::from_millis(1_900), FunctionId(0), InputMeta::new(1, 0));
+        let mut plan = FaultPlan::empty();
+        plan.push(SimTime::from_millis(800), FaultKind::NodeCrash(NodeId(0)));
+        plan.push(SimTime::from_millis(850), FaultKind::NodeRecover(NodeId(0)));
+        let mut log = TickLog::default();
+        let res = single_node_sim(funcs).run_with_faults(&t, &mut log, &plan);
+        assert_eq!((res.records.len(), res.crash_requeues), (3, 1));
+        let observed = |id: u32| log.seen.iter().filter(|s| s.1 == id).count();
+        assert!(observed(0) >= 10 && observed(1) >= 9 && observed(2) >= 9, "{:?}", log.seen);
+        let mut instants: Vec<u64> = log.seen.iter().map(|s| s.0).collect();
+        instants.dedup();
+        assert!(instants.windows(2).all(|w| w[1] - w[0] >= 100_000), "{instants:?}");
     }
 
     #[test]

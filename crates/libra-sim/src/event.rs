@@ -5,23 +5,23 @@
 //! simulation run bit-reproducible for a given trace and seed.
 //!
 //! Behind that order sit a binary min-heap and three FIFO *timer lanes*, one
-//! each for [`Event::MonitorTick`], [`Event::HealthPing`] and
-//! [`Event::UtilizationSample`]. Those are the periodic events — three
-//! quarters of a run's traffic — and each kind is pushed at `now + interval`
-//! with one interval, so its pushes already arrive in time order: appending
-//! to a `VecDeque` keeps the lane sorted without sifting anything. A push
-//! that would land behind its lane's last entry (a jitter-stretched tick, a
+//! each for [`Event::NodeTick`], [`Event::HealthPing`] and
+//! [`Event::UtilizationSample`]. Those are the periodic events — five sixths
+//! of a run's traffic — and each kind is pushed at `now + interval` with one
+//! interval, so its pushes already arrive in time order: appending to a
+//! `VecDeque` keeps the lane sorted without sifting anything. A push that
+//! would land behind its lane's last entry (a jitter-stretched tick, a
 //! fault-delayed ping) goes to the heap instead, so correctness never depends
 //! on the interval constants. `pop` takes the minimum `(time, sequence)` over
 //! the heap head and the three lane fronts — exactly what one heap holding
 //! everything would pop.
 //!
 //! Completion events must be *rescheduled* whenever a running invocation's
-//! allocation changes (harvest, acceleration, preemptive release, timeliness
-//! revocation). Rather than deleting queue entries, each invocation carries a
-//! generation counter: stale `Finish` events whose generation no longer
-//! matches are ignored when popped. This is the standard lazy-deletion
-//! technique for reschedulable timers.
+//! rate changes (harvest, acceleration, preemptive release, timeliness
+//! revocation, a CPU-share squeeze). Rather than deleting queue entries, each
+//! invocation carries a generation counter: stale `Finish` events whose
+//! generation no longer matches are ignored when popped. This is the standard
+//! lazy-deletion technique for reschedulable timers.
 
 use crate::fault::FaultKind;
 use crate::ids::{InvocationId, NodeId};
@@ -60,15 +60,20 @@ pub enum Event {
         /// Generation at scheduling time (lazy cancellation token).
         generation: u64,
     },
-    /// Periodic per-invocation resource-usage check (the safeguard's cgroup
-    /// monitor window, §5.2). Attempt-stamped like [`Event::StartExec`] so a
-    /// pre-crash monitor loop dies with its attempt.
+    /// The per-invocation monitor timer [`Event::NodeTick`] replaced. The
+    /// engine never pushes it and drops it as stale; it stays only because
+    /// the `event.push_pop_ns` drill of `benchmarks/perf` constructs it — a
+    /// `benchmark` PR moves the drill to `NodeTick` and deletes this variant.
     MonitorTick {
         /// The monitored invocation.
         inv: InvocationId,
-        /// Attempt epoch the monitor loop belongs to.
+        /// Attempt epoch the monitor loop belonged to.
         attempt: u32,
     },
+    /// One node's monitor daemon fires (the safeguard's cgroup window, §5.2):
+    /// every running resident is observed now, in admission order. Armed by
+    /// the first resident to run, re-armed while anything is resident.
+    NodeTick(NodeId),
     /// Periodic per-node health ping carrying the harvest pool status
     /// piggyback (§6.4).
     HealthPing(NodeId),
@@ -146,13 +151,13 @@ impl Event {
         "prewarm",
     ];
 
-    /// Dense index of this event's kind, in declaration order.
+    /// Dense index of this event's kind (the two monitor timers share one).
     pub fn kind(&self) -> usize {
         match self {
             Event::DecisionDone { .. } => 0,
             Event::StartExec { .. } => 1,
             Event::Finish { .. } => 2,
-            Event::MonitorTick { .. } => 3,
+            Event::MonitorTick { .. } | Event::NodeTick(_) => 3,
             Event::HealthPing(_) => 4,
             Event::UtilizationSample => 5,
             Event::RetryBlocked { .. } => 6,
@@ -166,7 +171,7 @@ impl Event {
     /// heap orders.
     fn lane(&self) -> Option<usize> {
         match self {
-            Event::MonitorTick { .. } => Some(0),
+            Event::MonitorTick { .. } | Event::NodeTick(_) => Some(0),
             Event::HealthPing(_) => Some(1),
             Event::UtilizationSample => Some(2),
             _ => None,
@@ -323,7 +328,7 @@ mod tests {
                 now += [0, 0, 0, 25][(r >> 32) as usize % 4];
                 if r % 16 < 9 {
                     let event = match (r >> 8) % 6 {
-                        0 | 1 => Event::MonitorTick { inv: inv(step), attempt: 0 },
+                        0 | 1 => Event::NodeTick(NodeId(step)),
                         2 => Event::HealthPing(NodeId(step % 4)),
                         3 => Event::UtilizationSample,
                         4 => Event::Finish { inv: inv(step), generation: r >> 40 },
@@ -368,7 +373,7 @@ mod tests {
     #[test]
     fn out_of_order_tick_falls_back_to_the_heap() {
         let mut q = EventQueue::new();
-        let tick = |n| Event::MonitorTick { inv: inv(n), attempt: 0 };
+        let tick = |n| Event::NodeTick(NodeId(n));
         q.push(SimTime::from_millis(100), tick(0));
         // A jitter-stretched tick, then ordinary ones behind it in time.
         q.push(SimTime::from_millis(350), tick(1));
@@ -380,7 +385,7 @@ mod tests {
         assert_eq!(q.len(), 5);
         let order: Vec<_> = std::iter::from_fn(|| q.pop())
             .map(|(t, e)| match e {
-                Event::MonitorTick { inv, .. } => (t.as_micros() / 1_000, inv.0),
+                Event::NodeTick(node) => (t.as_micros() / 1_000, node.0),
                 _ => unreachable!(),
             })
             .collect();

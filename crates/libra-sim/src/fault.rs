@@ -45,7 +45,7 @@ pub enum FaultKind {
         /// How late it arrives.
         by: SimDuration,
     },
-    /// Add one-shot jitter to the next monitor tick of a running invocation.
+    /// Add one-shot jitter to the next monitor tick any node fires.
     TickJitter(SimDuration),
 }
 

@@ -345,6 +345,9 @@ pub struct Invocation {
     pub rate_millis: u64,
     /// Generation counter for lazy-cancelled Finish events.
     pub finish_gen: u64,
+    /// Whether a `Finish` of generation `finish_gen`, computed at
+    /// `rate_millis`, is queued: while the rate holds, it stands.
+    pub finish_armed: bool,
     /// Highest busy-CPU observation (millicores) so far — the `cpu_peak`
     /// a cgroups monitor would have recorded.
     pub cpu_peak_obs: u64,
@@ -363,7 +366,7 @@ pub struct Invocation {
     /// Number of OOM restarts.
     pub restarts: u32,
     /// Number of crash/abort requeues; doubles as the attempt epoch for
-    /// lazy-cancelled StartExec/MonitorTick events.
+    /// lazy-cancelled StartExec events.
     pub requeues: u32,
 
     /// The platform's prediction, if any (recorded for metrics).
@@ -411,6 +414,7 @@ impl Invocation {
             last_update: arrival,
             rate_millis: 0,
             finish_gen: 0,
+            finish_armed: false,
             cpu_peak_obs: 0,
             res_prev: None,
             res_next: None,

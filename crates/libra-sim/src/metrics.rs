@@ -332,7 +332,8 @@ pub struct KindPops {
     /// Pops whose handler ran.
     pub handled: u64,
     /// Pops whose handler returned at its staleness check: a lazily
-    /// cancelled `Finish`, `StartExec`, `MonitorTick` or `Requeue`.
+    /// cancelled `Finish`, `StartExec` or `Requeue`, or a node tick that found
+    /// nothing resident and ended its chain.
     pub stale: u64,
 }
 

@@ -94,6 +94,9 @@ pub struct Node {
     pub resident_tail: Option<InvocationId>,
     /// Number of entries in the resident list.
     pub resident_len: usize,
+    /// Whether this node's monitor tick is in the event queue (engine-only:
+    /// one chain per node, whatever crashes and recoveries come between).
+    pub tick_armed: bool,
     /// Idle warm containers.
     pub warm: WarmPool,
     /// False while the node is crashed (fault injection). A dead node
@@ -115,6 +118,7 @@ impl Node {
             resident_head: None,
             resident_tail: None,
             resident_len: 0,
+            tick_armed: false,
             warm: WarmPool::new(),
             alive: true,
         }
