@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn round_robin_spreads_across_nodes() {
         let res = run_with(RoundRobin::default());
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for r in &res.records {
             used.insert(r.node);
         }

@@ -4,6 +4,10 @@
 //! names. Sweeps honour `LIBRA_REPS`, `LIBRA_SCALE` and `LIBRA_THREADS`, and
 //! their output is byte-identical at any thread count.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 use libra_bench::experiments as e;
 
 /// Every runnable entry, in the order `all` runs them.

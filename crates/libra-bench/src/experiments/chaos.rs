@@ -104,7 +104,7 @@ pub fn run() -> Vec<(String, f64)> {
             "pool-consistency violation at fault scale {scale}"
         );
         let done = run.result.records.len() as u64 + run.result.aborted;
-        assert_eq!(done as f64, total, "an arrival neither completed nor aborted");
+        assert_eq!(done, traces[rep].len() as u64, "an arrival neither completed nor aborted");
         p99[i].push(run.result.latency_percentile(99.0));
         loss[i].push(run.result.aborted as f64 / total);
         requeues[i].push(run.result.crash_requeues as f64);

@@ -8,6 +8,14 @@
 //! Every experiment prints the paper's expected shape next to the measured
 //! numbers and writes CSV series under `results/` for external plotting.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the harness times what it runs from outside: fig12, overheads, ablations and scale report wall-clock"
+)]
 #![warn(missing_docs)]
 
 pub mod experiments;

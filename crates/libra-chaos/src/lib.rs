@@ -21,6 +21,13 @@
 //!   whole cluster forever (all nodes dead, or a stalled shard holding the
 //!   only queue) and the run would never terminate.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)] // in test code too
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 use libra_sim::fault::{FaultKind, FaultPlan};
 use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::time::{SimDuration, SimTime};
@@ -229,8 +236,8 @@ mod tests {
             let plan = build_plan(&busy(seed), &shape());
             // Replaying the plan in order, every down node must come back up
             // and every stalled shard must resume by the end.
-            let mut down = std::collections::HashSet::new();
-            let mut stalled = std::collections::HashSet::new();
+            let mut down = std::collections::BTreeSet::new();
+            let mut stalled = std::collections::BTreeSet::new();
             for e in plan.events() {
                 match e.kind {
                     FaultKind::NodeCrash(n) => {

@@ -9,6 +9,10 @@
 //! libra compare [--cluster single|multi|jetstream:<n>] [--seed S] [--reps R]
 //! ```
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 mod csvio;
 mod opts;
 

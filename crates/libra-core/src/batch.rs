@@ -76,15 +76,14 @@ fn consume(snapshot: &mut PoolSnapshot, extra: ResourceVec) {
 fn evaluate(
     reqs: &[BatchRequest],
     nodes: &[BatchNode],
-    choice: &[Option<usize>],
+    choice: &[usize],
     now: SimTime,
     alpha: f64,
 ) -> Option<f64> {
     let mut free: Vec<ResourceVec> = nodes.iter().map(|n| n.free).collect();
     let mut snaps: Vec<PoolSnapshot> = nodes.iter().map(|n| n.snapshot.clone()).collect();
     let mut total = 0.0;
-    for (req, ch) in reqs.iter().zip(choice) {
-        let Some(n) = *ch else { continue };
+    for (req, &n) in reqs.iter().zip(choice) {
         if !req.nominal.fits_within(&free[n]) {
             return None;
         }
@@ -137,17 +136,23 @@ pub fn optimal_assign(
     alpha: f64,
 ) -> Assignment {
     assert!(
-        nodes.len().pow(reqs.len() as u32) <= 1_000_000,
+        u32::try_from(reqs.len())
+            .ok()
+            .and_then(|r| nodes.len().checked_pow(r))
+            .is_some_and(|n| n <= 1_000_000),
         "batch too large for exhaustive search ({} nodes ^ {} requests)",
         nodes.len(),
         reqs.len()
     );
     let mut best = greedy_assign(reqs, nodes, now, alpha);
-    let mut choice: Vec<Option<usize>> = vec![Some(0); reqs.len()];
+    let mut choice = vec![0usize; reqs.len()];
     loop {
         if let Some(total) = evaluate(reqs, nodes, &choice, now, alpha) {
             if total > best.total_coverage + 1e-12 {
-                best = Assignment { nodes: choice.clone(), total_coverage: total };
+                best = Assignment {
+                    nodes: choice.iter().map(|&n| Some(n)).collect(),
+                    total_coverage: total,
+                };
             }
         }
         // Odometer over node choices.
@@ -156,12 +161,11 @@ pub fn optimal_assign(
             if i == choice.len() {
                 return best;
             }
-            let cur = choice[i].expect("odometer digits are Some");
-            if cur + 1 < nodes.len() {
-                choice[i] = Some(cur + 1);
+            if choice[i] + 1 < nodes.len() {
+                choice[i] += 1;
                 break;
             }
-            choice[i] = Some(0);
+            choice[i] = 0;
             i += 1;
         }
     }

@@ -28,6 +28,9 @@
 //! honoured, the live scheduler when admissions consumed the idle volume),
 //! and the core then unwinds its optimistic ledger update.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::pool::{GetOrder, HarvestResourcePool, PoolSnapshot};
 use crate::safeguard::Safeguard;
 use libra_sim::engine::UsageSample;
@@ -200,7 +203,10 @@ impl Action {
             Action::Lend { borrower, .. } | Action::Return { borrower, .. } => borrower,
             Action::Revoke { source, borrower, reason, .. } => match reason {
                 LoanEnd::BorrowerCompleted => borrower,
-                _ => source,
+                LoanEnd::SourceCompleted
+                | LoanEnd::Safeguard
+                | LoanEnd::SourceOom
+                | LoanEnd::Crashed => source,
             },
         }
     }
@@ -357,6 +363,46 @@ impl ControlPlane {
         out
     }
 
+    /// Revoke what `inv` lent (ending `as_source`) and, given `as_borrower`,
+    /// unwind what it borrowed. The reason keys the counter, and only a
+    /// completed borrower's volume goes back to its source's pool entry
+    /// (re-harvesting, §5.1) — a crash idles nothing, it loses it.
+    fn end_loans(
+        &mut self,
+        inv: InvocationId,
+        as_source: LoanEnd,
+        as_borrower: Option<LoanEnd>,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        for (borrower, vol) in self.collect_outgoing(inv) {
+            self.count_loan_end(as_source);
+            self.emit(out, Action::Revoke { source: inv, borrower, vol, reason: as_source });
+        }
+        let Some(reason) = as_borrower else { return };
+        let borrowed = self.ledger.get_mut(&inv).map(|e| std::mem::take(&mut e.borrowed));
+        for (source, vol) in borrowed.unwrap_or_default() {
+            self.count_loan_end(reason);
+            if let Some(se) = self.ledger.get_mut(&source) {
+                se.lent_out = se.lent_out.saturating_sub(&vol);
+                let pool = self.pools.get_mut(se.node.idx());
+                if let (LoanEnd::BorrowerCompleted, Some(p)) = (reason, pool) {
+                    p.give_back(source, vol, now);
+                }
+            }
+            self.emit(out, Action::Revoke { source, borrower: inv, vol, reason });
+        }
+    }
+
+    fn count_loan_end(&mut self, reason: LoanEnd) {
+        match reason {
+            LoanEnd::SourceCompleted => self.counters.loans_expired += 1,
+            LoanEnd::BorrowerCompleted => self.counters.loans_reharvested += 1,
+            LoanEnd::Crashed => self.counters.loans_crashed += 1,
+            LoanEnd::Safeguard | LoanEnd::SourceOom => {}
+        }
+    }
+
     /// Admission: harvest if over-provisioned (Step 5 of Fig 3), then
     /// accelerate the shortfall from the pool, best-effort.
     pub fn on_admit(&mut self, a: Admission, now: SimTime) -> Vec<Action> {
@@ -440,17 +486,7 @@ impl ControlPlane {
                     nominal,
                 };
                 if self.safeguard.should_trigger(&usage) {
-                    for (borrower, vol) in self.collect_outgoing(inv) {
-                        self.emit(
-                            &mut out,
-                            Action::Revoke {
-                                source: inv,
-                                borrower,
-                                vol,
-                                reason: LoanEnd::Safeguard,
-                            },
-                        );
-                    }
+                    self.end_loans(inv, LoanEnd::Safeguard, None, now, &mut out);
                     let Some(e) = self.ledger.get_mut(&inv) else { return out };
                     let restored = nominal.saturating_sub(&e.own_grant);
                     e.own_grant = nominal;
@@ -535,38 +571,26 @@ impl ControlPlane {
     /// lent (the timeliness law) and return everything it borrowed to its
     /// sources' pool entries (re-harvesting, §5.1).
     pub fn on_complete(&mut self, inv: InvocationId, now: SimTime) -> Vec<Action> {
-        let out = self.complete_inner(inv, now);
+        let out = self.retire(inv, LoanEnd::SourceCompleted, LoanEnd::BorrowerCompleted, now);
         crate::audit::post_event(self, "on_complete");
         out
     }
 
-    fn complete_inner(&mut self, inv: InvocationId, now: SimTime) -> Vec<Action> {
+    /// Drop `inv`'s pool entry, end its loans in both directions and forget it.
+    fn retire(
+        &mut self,
+        inv: InvocationId,
+        as_source: LoanEnd,
+        as_borrower: LoanEnd,
+        now: SimTime,
+    ) -> Vec<Action> {
         let mut out = Vec::new();
-        let Some(e) = self.ledger.remove(&inv) else { return out };
+        let Some(e) = self.ledger.get(&inv) else { return out };
         if let Some(p) = self.pools.get_mut(e.node.idx()) {
             p.remove(inv, now);
         }
-        for (borrower, vol) in self.collect_outgoing(inv) {
-            self.counters.loans_expired += 1;
-            self.emit(
-                &mut out,
-                Action::Revoke { source: inv, borrower, vol, reason: LoanEnd::SourceCompleted },
-            );
-        }
-        for (source, vol) in e.borrowed {
-            self.counters.loans_reharvested += 1;
-            if let Some(se) = self.ledger.get_mut(&source) {
-                se.lent_out = se.lent_out.saturating_sub(&vol);
-                let src_node = se.node;
-                if let Some(p) = self.pools.get_mut(src_node.idx()) {
-                    p.give_back(source, vol, now);
-                }
-            }
-            self.emit(
-                &mut out,
-                Action::Revoke { source, borrower: inv, vol, reason: LoanEnd::BorrowerCompleted },
-            );
-        }
+        self.end_loans(inv, as_source, Some(as_borrower), now, &mut out);
+        self.ledger.remove(&inv);
         out
     }
 
@@ -582,30 +606,7 @@ impl ControlPlane {
         let mut out = Vec::new();
         let Some(e) = self.ledger.get(&inv) else { return out };
         let (node, func) = (e.node, e.func);
-        for (borrower, vol) in self.collect_outgoing(inv) {
-            self.emit(
-                &mut out,
-                Action::Revoke { source: inv, borrower, vol, reason: LoanEnd::SourceOom },
-            );
-        }
-        let borrowed: Vec<(InvocationId, ResourceVec)> = match self.ledger.get_mut(&inv) {
-            Some(e) => std::mem::take(&mut e.borrowed),
-            None => Vec::new(),
-        };
-        for (source, vol) in borrowed {
-            self.counters.loans_reharvested += 1;
-            if let Some(se) = self.ledger.get_mut(&source) {
-                se.lent_out = se.lent_out.saturating_sub(&vol);
-                let src_node = se.node;
-                if let Some(p) = self.pools.get_mut(src_node.idx()) {
-                    p.give_back(source, vol, now);
-                }
-            }
-            self.emit(
-                &mut out,
-                Action::Revoke { source, borrower: inv, vol, reason: LoanEnd::BorrowerCompleted },
-            );
-        }
+        self.end_loans(inv, LoanEnd::SourceOom, Some(LoanEnd::BorrowerCompleted), now, &mut out);
         let Some(e) = self.ledger.get_mut(&inv) else { return out };
         let restored = e.nominal.saturating_sub(&e.own_grant);
         e.own_grant = e.nominal;
@@ -620,34 +621,8 @@ impl ControlPlane {
     /// A crash/abort killed this attempt: both loan directions die with it
     /// (nothing returns to the pool — the volumes were lost, not idled).
     pub fn on_abort(&mut self, inv: InvocationId, now: SimTime) -> Vec<Action> {
-        let out = self.abort_inner(inv, now);
+        let out = self.retire(inv, LoanEnd::Crashed, LoanEnd::Crashed, now);
         crate::audit::post_event(self, "on_abort");
-        out
-    }
-
-    fn abort_inner(&mut self, inv: InvocationId, now: SimTime) -> Vec<Action> {
-        let mut out = Vec::new();
-        let Some(e) = self.ledger.remove(&inv) else { return out };
-        if let Some(p) = self.pools.get_mut(e.node.idx()) {
-            p.remove(inv, now);
-        }
-        for (borrower, vol) in self.collect_outgoing(inv) {
-            self.counters.loans_crashed += 1;
-            self.emit(
-                &mut out,
-                Action::Revoke { source: inv, borrower, vol, reason: LoanEnd::Crashed },
-            );
-        }
-        for (source, vol) in e.borrowed {
-            self.counters.loans_crashed += 1;
-            if let Some(se) = self.ledger.get_mut(&source) {
-                se.lent_out = se.lent_out.saturating_sub(&vol);
-            }
-            self.emit(
-                &mut out,
-                Action::Revoke { source, borrower: inv, vol, reason: LoanEnd::Crashed },
-            );
-        }
         out
     }
 

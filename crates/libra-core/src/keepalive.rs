@@ -31,6 +31,9 @@
 //! Only the fixed window takes a value ([`PolicyKind::FixedTtl`]); the
 //! histogram and concurrency tunings are constants beside each policy.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use libra_ml::histogram::StreamingHistogram;
 use libra_sim::engine::{SimCtx, World, KEEPALIVE};
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};

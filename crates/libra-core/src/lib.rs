@@ -36,6 +36,13 @@
 //!   histogram prewarm, concurrency autoscaling) that decide when idle warm
 //!   containers die — and therefore how much idle memory harvesters see.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)] // in test code too
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 #![warn(missing_docs)]
 
 pub mod audit;

@@ -168,12 +168,26 @@ fn unit(seed: u64, salt: u64) -> f64 {
 }
 
 /// Class encodings.
-fn cpu_class(millis: u64) -> usize {
-    (millis.div_ceil(MILLIS_PER_CORE) as usize).clamp(1, MAX_CPU_CLASS)
+fn cpu_class(millis: u64) -> u64 {
+    millis.div_ceil(MILLIS_PER_CORE).clamp(1, MAX_CPU_CLASS as u64)
 }
 
-fn mem_class(mb: u64) -> usize {
-    (mb.div_ceil(MEM_CLASS_MB) as usize).clamp(1, 512)
+fn mem_class(mb: u64) -> u64 {
+    mb.div_ceil(MEM_CLASS_MB).clamp(1, 512)
+}
+
+/// A class label read back from a [`Dataset3`] column.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "labels are class indices (≤ 512) stored as f64"
+)]
+fn label(v: f64) -> usize {
+    v as usize
+}
+
+/// Classes the memory forest needs: the largest label seen, plus headroom.
+fn n_mem_classes(mem: &[f64]) -> usize {
+    mem.iter().map(|&v| label(v)).max().unwrap_or(1) + 2
 }
 
 fn features(size: u64) -> Vec<f64> {
@@ -207,7 +221,7 @@ struct Dataset3 {
 }
 
 impl Dataset3 {
-    fn push(&mut self, size: u64, cpu_cls: usize, mem_cls: usize, dur_s: f64) {
+    fn push(&mut self, size: u64, cpu_cls: u64, mem_cls: u64, dur_s: f64) {
         self.x.push(features(size));
         self.cpu.push(cpu_cls as f64);
         self.mem.push(mem_cls as f64);
@@ -351,7 +365,7 @@ impl Profiler {
         let (trx, tex) = (rows(&tr), rows(&te));
         let params = ForestParams { n_trees: 24, seed, ..Default::default() };
         let n_cpu_classes = MAX_CPU_CLASS + 1;
-        let n_mem_classes = data.mem.iter().map(|&v| v as usize).max().unwrap_or(1) + 2;
+        let n_mem_classes = n_mem_classes(&data.mem);
 
         let holdout_accuracy = |col: &[f64], n_classes: usize| {
             let rf = RandomForest::fit(
@@ -362,7 +376,7 @@ impl Profiler {
             );
             accuracy(
                 &tex.iter().map(|r| rf.predict_class(r)).collect::<Vec<_>>(),
-                &te.iter().map(|&i| col[i] as usize).collect::<Vec<_>>(),
+                &te.iter().map(|&i| label(col[i])).collect::<Vec<_>>(),
             )
         };
         let cpu_acc = holdout_accuracy(&data.cpu, n_cpu_classes);
@@ -388,7 +402,7 @@ impl Profiler {
         );
         let all_dur = RandomForest::fit(&data.x, &data.dur, Task::Regression, params);
 
-        let sizes: Vec<u64> = data.x.iter().map(|r| r[0] as u64).collect();
+        let sizes: Vec<u64> = data.x.iter().map(|r| sat_u64(r[0])).collect();
         let size_min = sizes.iter().copied().min().unwrap_or(1);
         let size_max = sizes.iter().copied().max().unwrap_or(1);
 
@@ -425,8 +439,8 @@ impl Profiler {
                 let x = features(clamped);
                 let cpu_raw = (m.cpu.predict_class(&x)).max(1) as f64 * MILLIS_PER_CORE as f64;
                 let mem_raw = (m.mem.predict_class(&x)).max(1) as f64 * MEM_CLASS_MB as f64;
-                let cpu = (cpu_class((cpu_raw * ratio) as u64) as u64) * MILLIS_PER_CORE;
-                let mem = (mem_class((mem_raw * ratio) as u64) as u64) * MEM_CLASS_MB;
+                let cpu = cpu_class(sat_u64(cpu_raw * ratio)) * MILLIS_PER_CORE;
+                let mem = mem_class(sat_u64(mem_raw * ratio)) * MEM_CLASS_MB;
                 let dur = SimDuration::from_secs_f64((m.dur.predict(&x) * ratio).max(0.001));
                 Some(Prediction {
                     cpu_millis: cpu,
@@ -439,8 +453,8 @@ impl Profiler {
                 let cpu_raw = h.cpu.percentile(PEAK_PERCENTILE)?;
                 let mem_raw = h.mem.percentile(PEAK_PERCENTILE)?;
                 let dur_raw = h.dur.percentile(DURATION_PERCENTILE)?;
-                let cpu = (cpu_class(cpu_raw.ceil() as u64) as u64) * MILLIS_PER_CORE;
-                let mem = (mem_class(mem_raw.ceil() as u64) as u64) * MEM_CLASS_MB;
+                let cpu = cpu_class(sat_u64(cpu_raw.ceil())) * MILLIS_PER_CORE;
+                let mem = mem_class(sat_u64(mem_raw.ceil())) * MEM_CLASS_MB;
                 Some(Prediction {
                     cpu_millis: cpu,
                     mem_mb: mem,
@@ -475,8 +489,7 @@ impl Profiler {
                 if m.since_refit >= RETRAIN_EVERY {
                     m.since_refit = 0;
                     let params = ForestParams { n_trees: 24, seed: 1, ..Default::default() };
-                    let n_mem_classes =
-                        m.data.mem.iter().map(|&v| v as usize).max().unwrap_or(1) + 2;
+                    let n_mem_classes = n_mem_classes(&m.data.mem);
                     m.cpu = RandomForest::fit(
                         &m.data.x,
                         &m.data.cpu,

@@ -137,6 +137,7 @@ pub fn place<'a>(
         return None;
     }
     if req.extra.is_zero() {
+        #[expect(clippy::cast_possible_truncation, reason = "a remainder of `nodes`, a usize")]
         let home = (hash_func(req.func) % nodes as u64) as usize;
         return (0..nodes).map(|k| (home + k) % nodes).find(|&i| fits(i));
     }
@@ -275,7 +276,7 @@ impl NodeSelector for CoverageSelector {
         // to trust: ask the half that needs no pool knowledge.
         let extra = match classify(world, inv) {
             InvClass::Accelerable(extra) if !view.all_stale(now) => extra,
-            _ => ResourceVec::ZERO,
+            InvClass::Accelerable(_) | InvClass::NonAccelerable => ResourceVec::ZERO,
         };
         place_in_world(world, shard, inv, extra, alpha, |n| view.fresh(n, now))
     }

@@ -12,7 +12,7 @@ use libra_sim::invocation::{Prediction, PredictionPath};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const SLOTS: usize = 6;
 
@@ -62,7 +62,7 @@ fn op() -> impl Strategy<Value = Op> {
 fn drive(ops: &[Op]) -> (Vec<Action>, libra_core::ControlCounters) {
     let mut cp = ControlPlane::new(ControlConfig::default(), 4, 1);
     let mut slots: [Option<InvocationId>; SLOTS] = [None; SLOTS];
-    let mut nominal: HashMap<InvocationId, ResourceVec> = HashMap::new();
+    let mut nominal: BTreeMap<InvocationId, ResourceVec> = BTreeMap::new();
     let mut next_id = 0u32;
     let mut trace = Vec::new();
     let mut t = 0u64;

@@ -62,7 +62,7 @@ fn full_libra_uses_both_model_paths() {
 #[test]
 fn first_invocation_of_each_function_is_served_as_configured() {
     let (res, _) = run(LibraConfig::libra(), 60, 7);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     let mut by_arrival: Vec<_> = res.records.iter().collect();
     by_arrival.sort_by_key(|r| r.arrival);
     for r in by_arrival {

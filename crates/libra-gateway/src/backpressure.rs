@@ -5,8 +5,8 @@
 //! *sum* — how many invocations the whole gateway will hold in flight
 //! against the cluster before it starts shedding load with 503s (and a
 //! queue-depth header so clients can make informed retry decisions).
-//! Deterministic by construction: one atomic counter, no clocks. On the
-//! `libra-lint` determinism list.
+//! Deterministic by construction: one atomic counter, no clocks — the crate
+//! denies `clippy::disallowed_types` (`clippy.toml`: `Instant`, `HashMap`, …).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -13,6 +13,10 @@
 //! the generous smoke quotas simply never trigger them, and the smoke
 //! asserts that too.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 use libra_gateway::client::{GatewayClient, InvokeOutcome};
 use libra_gateway::server::{Gateway, GatewayConfig};
 use libra_gateway::tenant::TenantQuota;

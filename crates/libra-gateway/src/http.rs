@@ -4,8 +4,8 @@
 //! hyper/tokio to lean on; this module hand-rolls the minimal protocol
 //! subset the gateway needs:
 //! request/response heads, `Content-Length` bodies, and keep-alive
-//! connection reuse. It is on the `libra-lint` panic-freedom list — no
-//! `unwrap`, no `expect`, no indexing: malformed input must surface as
+//! connection reuse. The crate denies clippy's `unwrap_used`, `expect_used`,
+//! `panic` and `indexing_slicing` — malformed input must surface as
 //! [`RecvError::Malformed`] (the server turns it into a 400), never as a
 //! panic that takes a worker thread down.
 

@@ -32,6 +32,10 @@ pub struct GatewayCounters {
     pub http_400: AtomicU64,
     /// Requests answered 404 (unknown tenant or route).
     pub http_404: AtomicU64,
+    /// Requests answered 409 (their `idx` was already in flight).
+    pub http_409: AtomicU64,
+    /// Requests answered 413 (head or body over the size limit).
+    pub http_413: AtomicU64,
     /// Requests answered 500 (cluster declared wedged mid-request).
     pub http_500: AtomicU64,
     /// Requests answered 503 while draining.
@@ -117,25 +121,17 @@ pub fn render(
         let _ = writeln!(out, "libra_gateway_stage_micros_total{{stage=\"{stage}\"}} {v}");
     }
 
-    // HTTP-level outcomes.
-    counter(
-        &mut out,
-        "libra_gateway_http_400_total",
-        "Malformed requests answered 400.",
-        counters.http_400.load(Ordering::Relaxed),
-    );
-    counter(
-        &mut out,
-        "libra_gateway_http_404_total",
-        "Unknown tenants/routes answered 404.",
-        counters.http_404.load(Ordering::Relaxed),
-    );
-    counter(
-        &mut out,
-        "libra_gateway_http_500_total",
-        "Requests failed by a wedged cluster.",
-        counters.http_500.load(Ordering::Relaxed),
-    );
+    // HTTP-level outcomes: one series per error status the request path answers.
+    for (code, help, val) in [
+        (400, "Malformed requests answered 400.", &counters.http_400),
+        (404, "Unknown tenants/routes answered 404.", &counters.http_404),
+        (409, "Duplicate in-flight invocation ids answered 409.", &counters.http_409),
+        (413, "Oversized requests answered 413.", &counters.http_413),
+        (500, "Requests failed by a wedged cluster.", &counters.http_500),
+    ] {
+        let name = format!("libra_gateway_http_{code}_total");
+        counter(&mut out, &name, help, val.load(Ordering::Relaxed));
+    }
     counter(
         &mut out,
         "libra_gateway_rejected_draining_total",

@@ -6,7 +6,8 @@
 //! anchor; tests and proptests drive it manually, the same discipline as
 //! the control plane's explicit `now`). No wall-clock read ever happens inside
 //! accounting, so every grant/deny decision replays deterministically.
-//! This module is on the `libra-lint` determinism list.
+//! Enforced: the crate denies `clippy::disallowed_types` / `disallowed_methods`
+//! (the list is the root `clippy.toml`), and only `server.rs` is excused.
 
 /// Micro-tokens per token: refill arithmetic is integer-exact at
 /// microsecond granularity (`rate_per_sec` tokens/s × `elapsed_us` µs =

@@ -17,6 +17,12 @@
 //! accepting, lets workers flush their in-flight requests, then drains the
 //! cluster through the control plane ([`LiveCluster::shutdown`]).
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the socket half of the gateway: deadlines, uptime and latency stamps read the host clock; every admission decision takes its `now_us` as an argument"
+)]
+
 use crate::backpressure::AdmissionGate;
 use crate::http::{Conn, RecvError, Request, Response};
 use crate::metrics::{render, GatewayCounters};
@@ -227,7 +233,7 @@ fn serve_connection(inner: &Arc<GatewayInner>, stream: TcpStream) {
                 return;
             }
             Err(RecvError::TooLarge) => {
-                inner.counters.http_400.fetch_add(1, Ordering::Relaxed);
+                inner.counters.http_413.fetch_add(1, Ordering::Relaxed);
                 let _ = conn.send_response(&Response::text(
                     413,
                     "Payload Too Large",
@@ -365,6 +371,7 @@ fn invoke(inner: &Arc<GatewayInner>, req: &Request, tenant_name: &str, func: u32
 
     // Invocation ids must be unique while resident.
     if !inner.inflight_idx.lock().insert(idx as u64) {
+        inner.counters.http_409.fetch_add(1, Ordering::Relaxed);
         return Response::text(409, "Conflict", &format!("invocation {idx} already in flight\n"));
     }
     let _idx_guard = IdxGuard { set: &inner.inflight_idx, idx: idx as u64 };

@@ -6,9 +6,9 @@
 //! endpoint renders. Admission hands out a [`TenantPermit`] whose `Drop`
 //! releases the ledger, so every early-return path in the server gives the
 //! slot back without bookkeeping. Deterministic accounting discipline
-//! applies (`libra-lint`): decisions depend only on the injected `now_us`
-//! and prior admissions — `BTreeMap` keeps registry iteration (and thus
-//! the metrics page) in a stable order.
+//! applies (clippy's `disallowed_types`, denied crate-wide): decisions
+//! depend only on the injected `now_us` and prior admissions — `BTreeMap`
+//! keeps registry iteration (and thus the metrics page) in a stable order.
 
 use crate::quota::{QuotaDenied, QuotaLedger, TokenBucket};
 use parking_lot::Mutex;

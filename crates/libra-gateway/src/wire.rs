@@ -6,7 +6,8 @@
 //! integer, so encode/decode is exact and byte-stable, which the three-way
 //! fidelity test leans on. Unknown keys are ignored (forward
 //! compatibility); missing required keys are decode errors, never panics
-//! (panic-freedom and determinism lint rules both cover this file).
+//! (the crate denies clippy's panic family, `indexing_slicing` and the
+//! determinism list — DESIGN.md §6).
 
 use libra_live::LiveRequest;
 use libra_sim::invocation::{Prediction, PredictionPath};

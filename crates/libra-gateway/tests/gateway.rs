@@ -129,6 +129,14 @@ fn malformed_http_gets_400_and_workers_survive() {
     let mut c = GatewayClient::connect(addr).expect("connect");
     let resp = c.raw("POST", "/invoke/t/0", b"idx=zero\n").expect("transport");
     assert_eq!(resp.status, 400);
+    // A body over the limit is refused on its declared length, as a 413.
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    let oversized = libra_gateway::http::MAX_BODY + 1;
+    write!(s, "POST /invoke/t/0 HTTP/1.1\r\nContent-Length: {oversized}\r\n\r\n").expect("write");
+    let mut buf = Vec::new();
+    let _ = s.read_to_end(&mut buf);
+    let head = String::from_utf8_lossy(&buf);
+    assert!(head.starts_with("HTTP/1.1 413"), "an oversized body must get a 413, got {head:?}");
 
     // And the pool still serves real work afterwards.
     let mut c = GatewayClient::connect(addr).expect("connect");
@@ -138,7 +146,10 @@ fn malformed_http_gets_400_and_workers_survive() {
     };
     assert_eq!(rec.idx, 0);
     let report = gw.shutdown();
-    assert!(report.metrics.contains("libra_gateway_http_400_total"), "400s are counted");
+    // Each status is booked under its own series: four 400s, and the 413 apart.
+    for series in ["libra_gateway_http_400_total 4", "libra_gateway_http_413_total 1"] {
+        assert!(report.metrics.contains(series), "missing {series}:\n{}", report.metrics);
+    }
 }
 
 #[test]
@@ -192,7 +203,8 @@ fn duplicate_inflight_idx_is_a_conflict() {
     let resp = c.raw("POST", "/invoke/t/0", b"idx=7\nat_ms=0\ncpu=1000\nmem=256\ndemand_cpu=1000\ndemand_mem=128\nmem_floor=64\nwork=1000\n").expect("transport");
     assert_eq!(resp.status, 409, "same idx while resident must conflict");
     blocker.join().expect("no panic");
-    gw.shutdown();
+    let report = gw.shutdown();
+    assert!(report.metrics.contains("libra_gateway_http_409_total 1"), "{}", report.metrics);
 }
 
 #[test]

@@ -1126,8 +1126,11 @@ impl LiveCluster {
                 std::panic::resume_unwind(payload);
             }
         }
+        #[expect(
+            clippy::panic,
+            reason = "deliberate watchdog abort — a wedged run must fail the harness with the pre-quiesce diagnostic dump, not hand back a bogus result"
+        )]
         if let Some(dump) = dump {
-            // libra-lint: allow(panic): deliberate watchdog abort — a wedged run must fail the harness with the pre-quiesce diagnostic dump, not hand back a bogus result
             panic!("{dump}");
         }
 

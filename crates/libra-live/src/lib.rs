@@ -26,6 +26,17 @@
 //!          p[0], p[1], result.loans_expired);
 //! ```
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the live substrate runs in real time: it reads the host clock and nothing replays its hash order"
+)]
 #![warn(missing_docs)]
 
 pub mod cluster;

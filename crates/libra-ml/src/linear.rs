@@ -68,13 +68,13 @@ impl Default for LinearRegression {
 
 /// Gaussian elimination with partial pivoting. Panics on a singular system
 /// (prevented in practice by the ridge term).
-#[allow(clippy::needless_range_loop)] // Gaussian elimination reads naturally with indices
+#[expect(clippy::needless_range_loop, reason = "Gaussian elimination reads naturally with indices")]
 fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     let n = b.len();
     for col in 0..n {
-        let pivot = (col..n)
-            .max_by(|&i, &j| a[i][col].abs().partial_cmp(&a[j][col].abs()).expect("NaN in solve"))
-            .expect("empty system");
+        // A NaN pivot orders last and fails the singularity assert below.
+        let pivot =
+            (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs())).unwrap_or(col);
         a.swap(col, pivot);
         b.swap(col, pivot);
         let p = a[col][col];

@@ -70,7 +70,7 @@ impl Mlp {
     }
 
     /// Fit on `(x, y)`. For classification, `y` holds class indices as f64.
-    #[allow(clippy::needless_range_loop)] // index form mirrors the gradient math
+    #[expect(clippy::needless_range_loop, reason = "index form mirrors the gradient math")]
     pub fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
         assert_eq!(x.len(), y.len(), "feature/target length mismatch");
         assert!(!x.is_empty(), "cannot fit on an empty dataset");

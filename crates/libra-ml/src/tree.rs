@@ -100,6 +100,10 @@ fn class_counts(y: &[f64], idx: &[usize], n_classes: usize) -> Vec<usize> {
 /// size. The left side is `value <= thr`, advanced by value, not position:
 /// the midpoint of two adjacent floats can round up to the right one, whose
 /// rows are then on the left too.
+#[expect(
+    clippy::float_cmp,
+    reason = "a boundary lies between distinct values: equal means bit-equal"
+)]
 fn sweep(
     x: &[Vec<f64>],
     idx: &[usize],
@@ -278,6 +282,10 @@ impl DecisionTree {
         }
     }
 
+    #[expect(
+        clippy::float_cmp,
+        reason = "a node is pure when every target is the same value, bit for bit"
+    )]
     fn grow(
         &mut self,
         x: &[Vec<f64>],

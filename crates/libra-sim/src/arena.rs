@@ -57,6 +57,10 @@ impl InvArena {
 
     /// Insert a fresh invocation; returns its slot. Panics if the id is out
     /// of range or already present.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a slot index is below the id count, and ids are u32"
+    )]
     pub fn insert(&mut self, inv: Invocation) -> usize {
         let id = inv.id;
         assert_eq!(self.slot_of[id.idx()], NO_SLOT, "{id:?} inserted twice");
@@ -100,15 +104,21 @@ impl InvArena {
     /// Borrow by slot (panics on a free slot — callers hold slots of live
     /// invocations only).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "arena contract — slots come from slot_of, which filters stale ids generationally; a free slot is engine corruption and must fail loudly"
+    )]
     pub fn get(&self, slot: usize) -> &Invocation {
-        // libra-lint: allow(panic): arena contract — slots come from slot_of, which filters stale ids generationally; a free slot is engine corruption and must fail loudly
         self.slots[slot].as_ref().expect("free arena slot")
     }
 
     /// Mutably borrow by slot.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "arena contract — slots come from slot_of, which filters stale ids generationally; a free slot is engine corruption and must fail loudly"
+    )]
     pub fn get_mut(&mut self, slot: usize) -> &mut Invocation {
-        // libra-lint: allow(panic): arena contract — slots come from slot_of, which filters stale ids generationally; a free slot is engine corruption and must fail loudly
         self.slots[slot].as_mut().expect("free arena slot")
     }
 

@@ -221,10 +221,13 @@ impl World {
 
     /// Arena slot of a live invocation; panics when absent. Engine paths
     /// that must only ever see live invocations use this.
+    #[expect(
+        clippy::panic,
+        reason = "accessor contract — engine paths resolve ids through slot_of first; a miss here is state-machine corruption and must fail loudly"
+    )]
     fn slot(&self, id: InvocationId) -> usize {
         match self.invs.slot_of(id) {
             Some(s) => s,
-            // libra-lint: allow(panic): accessor contract — engine paths resolve ids through slot_of first; a miss here is state-machine corruption and must fail loudly
             None => panic!("{id:?} is not in flight (not yet arrived, or retired)"),
         }
     }
@@ -366,7 +369,7 @@ impl World {
         inv.finish_gen += 1;
         inv.finish_armed = true;
         let eta_us = inv.remaining_work().div_ceil(rate as u128);
-        let at = SimTime(self.clock.0 + eta_us as u64);
+        let at = SimTime(self.clock.0 + u64::try_from(eta_us).unwrap_or(u64::MAX));
         let (id, generation) = (inv.id, inv.finish_gen);
         self.queue.push(at, Event::Finish { inv: id, generation });
     }
@@ -1747,7 +1750,7 @@ impl Simulation {
         );
         let base_exec_us = inv.work_total.div_ceil(rate_nominal as u128);
         let overhead = latency.saturating_sub(exec);
-        let baseline = overhead + SimDuration(base_exec_us as u64);
+        let baseline = overhead + SimDuration(u64::try_from(base_exec_us).unwrap_or(u64::MAX));
         let speedup = if baseline.as_micros() == 0 {
             0.0
         } else {

@@ -174,7 +174,13 @@ impl Event {
             Event::MonitorTick { .. } | Event::NodeTick(_) => Some(0),
             Event::HealthPing(_) => Some(1),
             Event::UtilizationSample => Some(2),
-            _ => None,
+            Event::DecisionDone { .. }
+            | Event::StartExec { .. }
+            | Event::Finish { .. }
+            | Event::RetryBlocked { .. }
+            | Event::Fault(_)
+            | Event::Requeue(_)
+            | Event::Prewarm { .. } => None,
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::demand::{InputMeta, TrueDemand};
 use crate::ids::{FunctionId, InvocationId, NodeId};
-use crate::resources::ResourceVec;
+use crate::resources::{sat_u64, ResourceVec};
 use crate::time::{SimDuration, SimTime};
 use crate::trace_spans::{SpanKind, SpanSink};
 
@@ -61,7 +61,7 @@ pub fn clamp_grant(want: ResourceVec, ceiling: ResourceVec, floor_mb: u64) -> Re
 /// watch (§5.2).
 pub fn mem_usage_model(true_mem_peak_mb: u64, progress_frac: f64) -> u64 {
     let frac = 0.25 + 0.75 * progress_frac.clamp(0.0, 1.0);
-    (true_mem_peak_mb as f64 * frac).round() as u64
+    sat_u64((true_mem_peak_mb as f64 * frac).round())
 }
 
 /// Lifecycle states of an invocation.

@@ -5,6 +5,9 @@
 //! speedup, reassignment integrals, categories — Figs 6, 8, 13, 15) and
 //! periodic cluster utilization samples (Figs 7, 11).
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::event::EVENT_KINDS;
 use crate::ids::{FunctionId, InvocationId, NodeId};
 use crate::invocation::{InvFlags, Prediction, StageBreakdown};
@@ -246,8 +249,8 @@ impl QuantileSketch {
         // Algorithm R: keep each of the `seen` samples with equal probability
         // by overwriting a uniformly drawn index < capacity (when the draw
         // lands past the reservoir, the sample is simply not kept).
-        let j = (splitmix64(&mut self.state) % self.seen) as usize;
-        if let Some(slot) = self.buf.get_mut(j) {
+        let j = splitmix64(&mut self.state) % self.seen;
+        if let Some(slot) = usize::try_from(j).ok().and_then(|j| self.buf.get_mut(j)) {
             *slot = x;
         }
     }
@@ -460,6 +463,10 @@ pub fn percentiles(data: &[f64], ps: &[f64]) -> Vec<f64> {
 }
 
 /// The p-th percentile of data already sorted ascending.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "p is clamped to [0, 100], so rank is in 0..len"
+)]
 fn percentile_sorted(v: &[f64], p: f64) -> f64 {
     let p = p.clamp(0.0, 100.0);
     let rank = p / 100.0 * v.len().saturating_sub(1) as f64;

@@ -76,7 +76,7 @@ pub struct PlatformReport {
 /// receive the [`World`]. Implementations must base decisions only on
 /// information a real provider has: input sizes, their own predictions, and
 /// usage observations — never on `Invocation::true_demand`.
-#[allow(unused_variables)]
+#[expect(unused_variables, reason = "the default hook bodies are empty")]
 pub trait Platform {
     /// Display name, used in reports.
     fn name(&self) -> String;

@@ -14,9 +14,10 @@ pub const MILLIS_PER_CORE: u64 = 1_000;
 
 /// Checked float→integer conversion for resource volumes: NaN and negative
 /// values clamp to 0, overflow saturates at `u64::MAX`. The single audited
-/// home for float→int truncation on deterministic hot paths — raw `as`
-/// casts there are rejected by libra-lint's `cast` rule.
+/// home for float→int truncation in `libra-sim` and `libra-core`, where a raw
+/// `as` that can truncate is `clippy::cast_possible_truncation`, denied.
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "the audited cast: see the body")]
 pub fn sat_u64(x: f64) -> u64 {
     if x.is_nan() {
         0

@@ -6,6 +6,7 @@
 //! sub-millisecond scheduling decisions of §6.4 and the multi-second function
 //! executions of §8.
 
+use crate::resources::sat_u64;
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
@@ -64,7 +65,7 @@ impl SimDuration {
 
     /// Construct from fractional seconds, rounding to the nearest microsecond.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e6).round() as u64)
+        SimDuration(sat_u64((s.max(0.0) * 1e6).round()))
     }
 
     /// Length in microseconds.

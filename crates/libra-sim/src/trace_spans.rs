@@ -19,6 +19,9 @@
 //! sim workloads (`benchmarks/perf`) run the hot path with tracing compiled
 //! in but off.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::metrics::percentiles;
 use crate::platform::LoanEnd;
 use crate::time::SimTime;

@@ -90,7 +90,7 @@ impl AppKind {
 
     /// The `FunctionId` this kind receives in [`sebs_suite`].
     pub fn id(&self) -> FunctionId {
-        FunctionId(ALL_APPS.iter().position(|a| a == self).expect("kind in ALL_APPS") as u32)
+        FunctionId(*self as u32) // ALL_APPS is in declaration order
     }
 
     /// User-defined (default) allocation from the suite's settings. Users
@@ -199,7 +199,9 @@ impl AppModel {
                 // exceed the 6-core default (Fig 1 Case 3).
                 (0.8 + size / 1_100.0, 96.0 + size * 0.03, 800.0 + size * 3.0)
             }
-            _ => unreachable!("size_related_demand on content app"),
+            AppKind::Vp | AppKind::Ir | AppKind::Gp | AppKind::Gm | AppKind::Gb => {
+                unreachable!("size_related_demand on content app")
+            }
         }
         // noise applied by caller
         .pipe_noise(noise)
@@ -221,7 +223,9 @@ impl AppModel {
             AppKind::Gp => (0.8 + 3.2 * a, 200.0 + 1_000.0 * b, 2_000.0 + 18_000.0 * c),
             AppKind::Gm => (0.5 + 2.0 * a, 100.0 + 600.0 * b, 1_500.0 + 10_000.0 * c),
             AppKind::Gb => (0.5 + 2.0 * a, 100.0 + 500.0 * b, 1_000.0 + 8_000.0 * c),
-            _ => unreachable!("content_demand on size app"),
+            AppKind::Ul | AppKind::Tn | AppKind::Cp | AppKind::Dv | AppKind::Dh => {
+                unreachable!("content_demand on size app")
+            }
         }
     }
 }

@@ -160,7 +160,7 @@ impl TraceGen {
     pub fn zipf_catalogue(functions: usize, seed: u64, s: f64) -> Self {
         use crate::apps::ALL_APPS;
         assert!(functions > 0, "catalogue needs at least one function");
-        let kinds: Vec<AppKind> = (0..functions).map(|i| ALL_APPS[i % ALL_APPS.len()]).collect();
+        let kinds: Vec<AppKind> = ALL_APPS.iter().copied().cycle().take(functions).collect();
         let pools = kinds
             .iter()
             .enumerate()

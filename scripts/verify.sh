@@ -7,11 +7,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (workspace, all targets, deny warnings)"
+echo "==> cargo clippy (workspace, all targets, deny warnings; the invariants of DESIGN.md §6 are its deny set)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> libra-lint (call-graph reachability: determinism, panic-freedom, casts; emits LINT.json)"
-cargo run -q -p libra-lint -- --json LINT.json
+echo "==> lint canary (clippy must fail on one violation per denied lint and clippy.toml entry, and name each)"
+./scripts/lint_canary.sh
+
+echo "==> computed subscripts where indexing_slicing cannot be denied (scripts/computed_subscripts.sh)"
+./scripts/computed_subscripts.sh
 
 echo "==> cargo doc (workspace, deny rustdoc warnings)"
 # --exclude libra-cli: its `libra` bin collides with the root `libra` lib in

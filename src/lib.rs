@@ -19,6 +19,10 @@
 //! See `examples/quickstart.rs` for a end-to-end tour and DESIGN.md for the
 //! system inventory.
 
+// DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm, clippy::float_cmp))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+
 pub use libra_baselines as baselines;
 pub use libra_chaos as chaos;
 pub use libra_core as core;

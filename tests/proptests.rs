@@ -10,6 +10,8 @@ use libra::sim::resources::ResourceVec;
 use libra::sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
+mod support;
+
 #[derive(Clone, Debug)]
 enum PoolOp {
     Put { src: u32, cpu: u64, mem: u64, expiry: u64 },
@@ -174,7 +176,7 @@ proptest! {
     /// after every op.
     #[test]
     fn indexed_pool_matches_sorted_scan_reference(ops in prop::collection::vec(eq_op(), 1..150)) {
-        use libra::core::pool::reference::SortedScanPool;
+        use support::sorted_scan_pool::SortedScanPool;
         use libra::core::pool::GetOrder;
 
         let mut indexed = HarvestResourcePool::new();
@@ -260,7 +262,8 @@ proptest! {
         ops in prop::collection::vec(warm_op(), 1..150),
         ttl_secs in 1u64..120,
     ) {
-        use libra::sim::container::{reference, WarmPool};
+        use libra::sim::container::WarmPool;
+        use support::seed_warm_pool as reference;
         use libra::sim::ids::FunctionId;
 
         let ttl = SimDuration::from_secs(ttl_secs);
