@@ -18,10 +18,17 @@
 //!   its substrate's mutations: `LibraPlatform` issues `SimCtx` calls,
 //!   `libra-live::cluster` replays them under real `parking_lot` locks.
 //! * **State** is the per-node harvest pools, the safeguard, and a loan
-//!   ledger mirroring every grant and loan the drivers applied. The ledger is
-//!   a `BTreeMap`, so identical event sequences yield identical action
-//!   traces — the property the differential fidelity test and the
-//!   conservation proptests pin down.
+//!   ledger mirroring every grant and loan the drivers applied. What is per
+//!   node is indexed by node: one ledger per node beside its pool, each in
+//!   ascending invocation id. A loan never leaves its node (§3.1), so every
+//!   borrower of a source sits in the source's own ledger and walking that
+//!   one vector visits them in the global ascending-id order — identical
+//!   event sequences yield identical action traces, the property the
+//!   differential fidelity test and the conservation proptests pin down.
+//!   One sorted `id → node` index finds an event's ledger; it is looked up,
+//!   never walked for a decision, and holds one pair per *live* invocation
+//!   whatever the ids are — a table dense over an id range is ruled out,
+//!   because the gateway takes the id off the request body (hostile input).
 //!
 //! The only feedback channel a driver needs is [`ControlPlane::lend_failed`]:
 //! substrates may refuse a `Lend` (the sim engine when a source is no longer
@@ -39,7 +46,6 @@ use libra_sim::invocation::{clamp_grant, Prediction};
 use libra_sim::platform::LoanEnd;
 use libra_sim::resources::{sat_u64, ResourceVec};
 use libra_sim::time::SimTime;
-use std::collections::BTreeMap;
 
 /// Decision knobs of the shared control plane (embedded in `LibraConfig` —
 /// profiler/scheduler knobs stay with the drivers).
@@ -240,7 +246,7 @@ pub struct ControlCounters {
 /// substrate currently holds for this invocation.
 #[derive(Clone, Debug)]
 struct Entry {
-    node: NodeId,
+    id: InvocationId,
     func: usize,
     nominal: ResourceVec,
     own_grant: ResourceVec,
@@ -261,12 +267,25 @@ impl Entry {
     }
 }
 
+/// Where a ledgered invocation is: `(node index, position in that node's
+/// ledger)`. An event resolves it once; only admission and retirement move
+/// positions, and both do so after their last use of one.
+type Slot = (usize, usize);
+
+/// Position of `inv` in one node's id-ordered ledger.
+fn pos_in(ledger: &[Entry], inv: InvocationId) -> Option<usize> {
+    ledger.binary_search_by_key(&inv, |e| e.id).ok()
+}
+
 /// The shared, clock-free harvest control plane (see the module docs).
 pub struct ControlPlane {
     cfg: ControlConfig,
     pools: Vec<HarvestResourcePool>,
     safeguard: Safeguard,
-    ledger: BTreeMap<InvocationId, Entry>,
+    /// One ledger per node, indexed like `pools`, each in ascending id.
+    ledgers: Vec<Vec<Entry>>,
+    /// `(id, node)` of every ledgered invocation, sorted by id.
+    index: Vec<(InvocationId, NodeId)>,
     counters: ControlCounters,
     record_trace: bool,
     trace: Vec<Action>,
@@ -280,7 +299,8 @@ impl ControlPlane {
             cfg,
             pools: (0..n_nodes).map(|_| HarvestResourcePool::new()).collect(),
             safeguard,
-            ledger: BTreeMap::new(),
+            ledgers: vec![Vec::new(); n_nodes],
+            index: Vec::new(),
             counters: ControlCounters::default(),
             record_trace: false,
             trace: Vec::new(),
@@ -293,71 +313,96 @@ impl ControlPlane {
         self.record_trace = on;
     }
 
-    fn emit(&mut self, out: &mut Vec<Action>, a: Action) {
+    /// Close an event: trace what it emitted, then audit the ledger.
+    fn finish(&mut self, event: &str, out: Vec<Action>) -> Vec<Action> {
         if self.record_trace {
-            self.trace.push(a);
+            self.trace.extend_from_slice(&out);
         }
-        out.push(a);
+        crate::audit::post_event(self, event);
+        out
     }
 
-    /// Borrow up to `want` from `borrower`'s node pool, recording loans
-    /// optimistically (drivers report refusals via [`Self::lend_failed`]).
+    /// Where `inv` is in the index (`Ok`) or would be inserted (`Err`).
+    fn index_pos(&self, inv: InvocationId) -> Result<usize, usize> {
+        self.index.binary_search_by_key(&inv, |&(id, _)| id)
+    }
+
+    fn locate(&self, inv: InvocationId) -> Option<Slot> {
+        let n = self.index.get(self.index_pos(inv).ok()?)?.1.idx();
+        Some((n, pos_in(self.ledgers.get(n)?, inv)?))
+    }
+
+    fn entry(&self, (n, p): Slot) -> Option<&Entry> {
+        self.ledgers.get(n)?.get(p)
+    }
+
+    fn entry_mut(&mut self, (n, p): Slot) -> Option<&mut Entry> {
+        self.ledgers.get_mut(n)?.get_mut(p)
+    }
+
+    /// `id`'s entry in node `n`'s ledger — where every loan partner of an
+    /// invocation on `n` is.
+    fn peer_mut(&mut self, n: usize, id: InvocationId) -> Option<&mut Entry> {
+        let ledger = self.ledgers.get_mut(n)?;
+        let p = pos_in(ledger, id)?;
+        ledger.get_mut(p)
+    }
+
+    /// Borrow up to `want` from the pool of `borrower`'s node, recording
+    /// loans optimistically (drivers report refusals via
+    /// [`Self::lend_failed`]).
     fn acquire(
         &mut self,
+        at: Slot,
         borrower: InvocationId,
-        node: NodeId,
         want: ResourceVec,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
         let order = self.cfg.pool_order;
-        let Some(pool) = self.pools.get_mut(node.idx()) else { return };
-        let grants = pool.get_with(want, now, order);
-        for (source, vol) in grants {
+        let Some(pool) = self.pools.get_mut(at.0) else { return };
+        let Some(ledger) = self.ledgers.get_mut(at.0) else { return };
+        for (source, vol) in pool.get_with(want, now, order) {
             // A substrate never honours a self-loan or an unledgered source;
             // resynchronize by dropping the stale entry (mirrors the
             // historical sim-platform behaviour).
-            if source == borrower || !self.ledger.contains_key(&source) {
-                if let Some(p) = self.pools.get_mut(node.idx()) {
-                    p.remove(source, now);
-                }
+            let Some(src) = pos_in(ledger, source).filter(|_| source != borrower) else {
+                pool.remove(source, now);
                 continue;
-            }
-            let Some(be) = self.ledger.get_mut(&borrower) else {
-                // Unledgered borrower (already completed/aborted): the grant
-                // goes straight back to its source's pool entry.
-                if let Some(p) = self.pools.get_mut(node.idx()) {
-                    p.give_back(source, vol, now);
-                }
+            };
+            let Some(be) = ledger.get_mut(at.1) else {
+                pool.give_back(source, vol, now);
                 continue;
             };
             be.borrowed.push((source, vol));
-            if let Some(se) = self.ledger.get_mut(&source) {
+            if let Some(se) = ledger.get_mut(src) {
                 se.lent_out += vol;
             }
-            self.emit(out, Action::Lend { source, borrower, vol });
+            out.push(Action::Lend { source, borrower, vol });
         }
     }
 
-    /// Remove every loan whose source is `source` from the borrowers'
-    /// ledgers, zero the source's `lent_out`, and return the removed records
-    /// (one per loan, in deterministic borrower-id order).
-    fn collect_outgoing(&mut self, source: InvocationId) -> Vec<(InvocationId, ResourceVec)> {
+    /// Remove every loan whose source is `source` from the ledgers of its
+    /// borrowers — all on node `n`, so one walk of that node's ledger meets
+    /// them in ascending borrower id — zero the source's `lent_out`, and
+    /// return the removed records (one per loan).
+    fn collect_outgoing(
+        &mut self,
+        (n, p): Slot,
+        source: InvocationId,
+    ) -> Vec<(InvocationId, ResourceVec)> {
         let mut out = Vec::new();
-        for (id, e) in self.ledger.iter_mut() {
-            if e.borrowed.iter().any(|(s, _)| *s == source) {
-                let mut kept = Vec::with_capacity(e.borrowed.len());
-                for (s, v) in e.borrowed.drain(..) {
-                    if s == source {
-                        out.push((*id, v));
-                    } else {
-                        kept.push((s, v));
-                    }
+        let Some(ledger) = self.ledgers.get_mut(n) else { return out };
+        for e in ledger.iter_mut() {
+            let id = e.id;
+            e.borrowed.retain(|&(s, v)| {
+                if s == source {
+                    out.push((id, v));
                 }
-                e.borrowed = kept;
-            }
+                s != source
+            });
         }
-        if let Some(se) = self.ledger.get_mut(&source) {
+        if let Some(se) = ledger.get_mut(p) {
             se.lent_out = ResourceVec::ZERO;
         }
         out
@@ -369,28 +414,28 @@ impl ControlPlane {
     /// (re-harvesting, §5.1) — a crash idles nothing, it loses it.
     fn end_loans(
         &mut self,
+        at: Slot,
         inv: InvocationId,
         as_source: LoanEnd,
         as_borrower: Option<LoanEnd>,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        for (borrower, vol) in self.collect_outgoing(inv) {
+        for (borrower, vol) in self.collect_outgoing(at, inv) {
             self.count_loan_end(as_source);
-            self.emit(out, Action::Revoke { source: inv, borrower, vol, reason: as_source });
+            out.push(Action::Revoke { source: inv, borrower, vol, reason: as_source });
         }
         let Some(reason) = as_borrower else { return };
-        let borrowed = self.ledger.get_mut(&inv).map(|e| std::mem::take(&mut e.borrowed));
+        let borrowed = self.entry_mut(at).map(|e| std::mem::take(&mut e.borrowed));
         for (source, vol) in borrowed.unwrap_or_default() {
             self.count_loan_end(reason);
-            if let Some(se) = self.ledger.get_mut(&source) {
+            if let Some(se) = self.peer_mut(at.0, source) {
                 se.lent_out = se.lent_out.saturating_sub(&vol);
-                let pool = self.pools.get_mut(se.node.idx());
-                if let (LoanEnd::BorrowerCompleted, Some(p)) = (reason, pool) {
+                if let (LoanEnd::BorrowerCompleted, Some(p)) = (reason, self.pools.get_mut(at.0)) {
                     p.give_back(source, vol, now);
                 }
             }
-            self.emit(out, Action::Revoke { source, borrower: inv, vol, reason });
+            out.push(Action::Revoke { source, borrower: inv, vol, reason });
         }
     }
 
@@ -404,18 +449,33 @@ impl ControlPlane {
     }
 
     /// Admission: harvest if over-provisioned (Step 5 of Fig 3), then
-    /// accelerate the shortfall from the pool, best-effort.
+    /// accelerate the shortfall from the pool, best-effort. Admitting an id
+    /// that is already ledgered is a driver bug: the first admission stands
+    /// and nothing is emitted for the second.
     pub fn on_admit(&mut self, a: Admission, now: SimTime) -> Vec<Action> {
         let out = self.admit_inner(a, now);
-        crate::audit::post_event(self, "on_admit");
-        out
+        self.finish("on_admit", out)
     }
 
     fn admit_inner(&mut self, a: Admission, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
-        self.emit(&mut out, Action::Admitted { inv: a.inv, node: a.node, nominal: a.nominal });
+        let Err(index_at) = self.index_pos(a.inv) else {
+            debug_assert!(false, "{} admitted while already ledgered", a.inv);
+            return out;
+        };
+        // A node the control plane was not built with gets its pool and
+        // ledger now: volume harvested on it must be lendable on it.
+        let n = a.node.idx();
+        if n >= self.pools.len() {
+            self.pools.resize_with(n + 1, HarvestResourcePool::new);
+            self.ledgers.resize_with(n + 1, Vec::new);
+        }
+        let (Some(pool), Some(ledger)) = (self.pools.get_mut(n), self.ledgers.get_mut(n)) else {
+            return out;
+        };
+        out.push(Action::Admitted { inv: a.inv, node: a.node, nominal: a.nominal });
         let mut entry = Entry {
-            node: a.node,
+            id: a.inv,
             func: a.func,
             nominal: a.nominal,
             own_grant: a.nominal,
@@ -423,39 +483,38 @@ impl ControlPlane {
             borrowed: Vec::new(),
             lent_out: ResourceVec::ZERO,
         };
-        let Some(pred) = a.pred else {
-            // First-seen: serve with user resources while profiling (§4.1).
-            self.ledger.insert(a.inv, entry);
-            return out;
-        };
-
-        // Harvest: keep the predicted demand of each dimension plus the
-        // safety headroom (memory stays untouched for blacklisted functions).
-        let h = self.cfg.harvest_headroom;
-        let padded =
-            ResourceVec::new(sat_u64(pred.cpu_millis as f64 * h), sat_u64(pred.mem_mb as f64 * h));
-        let mut target = padded.min(&a.nominal);
-        if self.safeguard.mem_blacklisted(a.func) {
-            target.mem_mb = a.nominal.mem_mb;
-        }
-        if target.cpu_millis < a.nominal.cpu_millis || target.mem_mb < a.nominal.mem_mb {
-            let grant = clamp_grant(target, a.nominal, a.mem_floor_mb);
-            let freed = a.nominal.saturating_sub(&grant);
-            entry.own_grant = grant;
-            self.emit(&mut out, Action::SetGrant { inv: a.inv, grant, freed });
-            if !freed.is_zero() {
-                let priority = now + pred.duration;
-                if let Some(p) = self.pools.get_mut(a.node.idx()) {
-                    p.put(a.inv, freed, priority, now);
+        // First-seen (no prediction): serve with user resources while
+        // profiling (§4.1). Otherwise harvest: keep the predicted demand of
+        // each dimension plus the safety headroom (memory stays untouched
+        // for blacklisted functions).
+        if let Some(pred) = a.pred {
+            let h = self.cfg.harvest_headroom;
+            let padded = ResourceVec::new(
+                sat_u64(pred.cpu_millis as f64 * h),
+                sat_u64(pred.mem_mb as f64 * h),
+            );
+            let mut target = padded.min(&a.nominal);
+            if self.safeguard.mem_blacklisted(a.func) {
+                target.mem_mb = a.nominal.mem_mb;
+            }
+            if target.cpu_millis < a.nominal.cpu_millis || target.mem_mb < a.nominal.mem_mb {
+                let grant = clamp_grant(target, a.nominal, a.mem_floor_mb);
+                let freed = a.nominal.saturating_sub(&grant);
+                entry.own_grant = grant;
+                out.push(Action::SetGrant { inv: a.inv, grant, freed });
+                if !freed.is_zero() {
+                    pool.put(a.inv, freed, now + pred.duration, now);
                 }
             }
         }
-        self.ledger.insert(a.inv, entry);
+        let p = ledger.partition_point(|e| e.id < a.inv);
+        ledger.insert(p, entry);
+        self.index.insert(index_at, (a.inv, a.node));
 
         // Accelerate: borrow the shortfall from the pool.
-        let extra = pred.peak().saturating_sub(&a.nominal);
+        let extra = a.pred.map_or(ResourceVec::ZERO, |pred| pred.peak().saturating_sub(&a.nominal));
         if !extra.is_zero() {
-            self.acquire(a.inv, a.node, extra, now, &mut out);
+            self.acquire((n, p), a.inv, extra, now, &mut out);
         }
         out
     }
@@ -464,14 +523,14 @@ impl ControlPlane {
     /// usage-guided loan trimming, continuous acceleration.
     pub fn on_observe(&mut self, inv: InvocationId, obs: Observation, now: SimTime) -> Vec<Action> {
         let out = self.observe_inner(inv, obs, now);
-        crate::audit::post_event(self, "on_observe");
-        out
+        self.finish("on_observe", out)
     }
 
     fn observe_inner(&mut self, inv: InvocationId, obs: Observation, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
-        let Some(e) = self.ledger.get(&inv) else { return out };
-        let (node, func, nominal, pred) = (e.node, e.func, e.nominal, e.pred);
+        let Some(at) = self.locate(inv) else { return out };
+        let Some(e) = self.entry(at) else { return out };
+        let (func, nominal, pred) = (e.func, e.nominal, e.pred);
 
         // Safeguard: invocations that had resources harvested need
         // protection against mispredictions (§5.2).
@@ -486,15 +545,15 @@ impl ControlPlane {
                     nominal,
                 };
                 if self.safeguard.should_trigger(&usage) {
-                    self.end_loans(inv, LoanEnd::Safeguard, None, now, &mut out);
-                    let Some(e) = self.ledger.get_mut(&inv) else { return out };
+                    self.end_loans(at, inv, LoanEnd::Safeguard, None, now, &mut out);
+                    let Some(e) = self.entry_mut(at) else { return out };
                     let restored = nominal.saturating_sub(&e.own_grant);
                     e.own_grant = nominal;
-                    if let Some(p) = self.pools.get_mut(node.idx()) {
+                    if let Some(p) = self.pools.get_mut(at.0) {
                         p.remove(inv, now);
                     }
                     self.safeguard.record_trigger(func);
-                    self.emit(&mut out, Action::PreemptiveRelease { inv, restored });
+                    out.push(Action::PreemptiveRelease { inv, restored });
                     return out;
                 }
             }
@@ -506,7 +565,7 @@ impl ControlPlane {
         // use (over-inflated prediction) so other accelerable invocations
         // aren't starved. Memory is never trimmed — footprints grow over the
         // execution, and a trimmed grant could turn into an OOM later.
-        let Some(e) = self.ledger.get_mut(&inv) else { return out };
+        let Some(e) = self.entry_mut(at) else { return out };
         let borrowed_cpu: u64 = e.borrowed.iter().map(|(_, v)| v.cpu_millis).sum();
         if borrowed_cpu > 0 {
             let eff_cpu = e.effective().cpu_millis;
@@ -532,13 +591,13 @@ impl ControlPlane {
                 e.borrowed.retain(|(_, v)| !v.is_zero());
                 for (src, give) in gives {
                     let vol = ResourceVec::new(give, 0);
-                    if let Some(se) = self.ledger.get_mut(&src) {
+                    if let Some(se) = self.peer_mut(at.0, src) {
                         se.lent_out = se.lent_out.saturating_sub(&vol);
                     }
-                    if let Some(p) = self.pools.get_mut(node.idx()) {
+                    if let Some(p) = self.pools.get_mut(at.0) {
                         p.give_back(src, vol, now);
                     }
-                    self.emit(&mut out, Action::Return { borrower: inv, source: src, vol });
+                    out.push(Action::Return { borrower: inv, source: src, vol });
                 }
             }
         }
@@ -550,7 +609,7 @@ impl ControlPlane {
         if !self.cfg.continuous_acceleration {
             return out;
         }
-        let Some(e) = self.ledger.get(&inv) else { return out };
+        let Some(e) = self.entry(at) else { return out };
         let eff = e.effective();
         let shortfall = pred.peak().saturating_sub(&eff);
         if shortfall.is_zero() {
@@ -563,7 +622,7 @@ impl ControlPlane {
         if want.is_zero() {
             return out;
         }
-        self.acquire(inv, node, want, now, &mut out);
+        self.acquire(at, inv, want, now, &mut out);
         out
     }
 
@@ -572,8 +631,7 @@ impl ControlPlane {
     /// sources' pool entries (re-harvesting, §5.1).
     pub fn on_complete(&mut self, inv: InvocationId, now: SimTime) -> Vec<Action> {
         let out = self.retire(inv, LoanEnd::SourceCompleted, LoanEnd::BorrowerCompleted, now);
-        crate::audit::post_event(self, "on_complete");
-        out
+        self.finish("on_complete", out)
     }
 
     /// Drop `inv`'s pool entry, end its loans in both directions and forget it.
@@ -585,12 +643,15 @@ impl ControlPlane {
         now: SimTime,
     ) -> Vec<Action> {
         let mut out = Vec::new();
-        let Some(e) = self.ledger.get(&inv) else { return out };
-        if let Some(p) = self.pools.get_mut(e.node.idx()) {
+        let (Ok(index_at), Some(at)) = (self.index_pos(inv), self.locate(inv)) else { return out };
+        if let Some(p) = self.pools.get_mut(at.0) {
             p.remove(inv, now);
         }
-        self.end_loans(inv, as_source, Some(as_borrower), now, &mut out);
-        self.ledger.remove(&inv);
+        self.end_loans(at, inv, as_source, Some(as_borrower), now, &mut out);
+        if let Some(ledger) = self.ledgers.get_mut(at.0) {
+            ledger.remove(at.1);
+        }
+        self.index.remove(index_at);
         out
     }
 
@@ -598,23 +659,23 @@ impl ControlPlane {
     /// restore its grant and ask the driver to restart it at nominal.
     pub fn on_oom(&mut self, inv: InvocationId, now: SimTime) -> Vec<Action> {
         let out = self.oom_inner(inv, now);
-        crate::audit::post_event(self, "on_oom");
-        out
+        self.finish("on_oom", out)
     }
 
     fn oom_inner(&mut self, inv: InvocationId, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
-        let Some(e) = self.ledger.get(&inv) else { return out };
-        let (node, func) = (e.node, e.func);
-        self.end_loans(inv, LoanEnd::SourceOom, Some(LoanEnd::BorrowerCompleted), now, &mut out);
-        let Some(e) = self.ledger.get_mut(&inv) else { return out };
+        let Some(at) = self.locate(inv) else { return out };
+        let as_borrower = Some(LoanEnd::BorrowerCompleted);
+        self.end_loans(at, inv, LoanEnd::SourceOom, as_borrower, now, &mut out);
+        let Some(e) = self.entry_mut(at) else { return out };
+        let func = e.func;
         let restored = e.nominal.saturating_sub(&e.own_grant);
         e.own_grant = e.nominal;
-        if let Some(p) = self.pools.get_mut(node.idx()) {
+        if let Some(p) = self.pools.get_mut(at.0) {
             p.remove(inv, now);
         }
         self.safeguard.record_oom(func);
-        self.emit(&mut out, Action::Requeue { inv, restored });
+        out.push(Action::Requeue { inv, restored });
         out
     }
 
@@ -622,8 +683,7 @@ impl ControlPlane {
     /// (nothing returns to the pool — the volumes were lost, not idled).
     pub fn on_abort(&mut self, inv: InvocationId, now: SimTime) -> Vec<Action> {
         let out = self.retire(inv, LoanEnd::Crashed, LoanEnd::Crashed, now);
-        crate::audit::post_event(self, "on_abort");
-        out
+        self.finish("on_abort", out)
     }
 
     /// A whole node crashed: sweep its pool's orphan entries and drop any
@@ -636,9 +696,11 @@ impl ControlPlane {
             }
         }
         self.counters.crash_sweeps += 1;
-        self.ledger.retain(|_, e| e.node != node);
-        crate::audit::post_event(self, "on_node_crash");
-        Vec::new()
+        if let Some(ledger) = self.ledgers.get_mut(node.idx()) {
+            ledger.clear();
+        }
+        self.index.retain(|&(_, n)| n != node);
+        self.finish("on_node_crash", Vec::new())
     }
 
     /// Driver feedback: a [`Action::Lend`] could not be applied. Unwinds the
@@ -651,39 +713,24 @@ impl ControlPlane {
         why: LendFailure,
         now: SimTime,
     ) {
-        self.lend_failed_inner(source, borrower, vol, why, now);
-        crate::audit::post_event(self, "lend_failed");
-    }
-
-    fn lend_failed_inner(
-        &mut self,
-        source: InvocationId,
-        borrower: InvocationId,
-        vol: ResourceVec,
-        why: LendFailure,
-        now: SimTime,
-    ) {
-        let mut node = None;
-        if let Some(be) = self.ledger.get_mut(&borrower) {
-            node = Some(be.node);
+        let (b, s) = (self.locate(borrower), self.locate(source));
+        if let Some(be) = b.and_then(|at| self.entry_mut(at)) {
             if let Some(pos) = be.borrowed.iter().rposition(|(s, v)| *s == source && *v == vol) {
                 be.borrowed.remove(pos);
             }
         }
-        if let Some(se) = self.ledger.get_mut(&source) {
+        if let Some(se) = s.and_then(|at| self.entry_mut(at)) {
             se.lent_out = se.lent_out.saturating_sub(&vol);
-            node = Some(se.node);
         }
-        let Some(node) = node else { return };
-        let Some(pool) = self.pools.get_mut(node.idx()) else { return };
-        match why {
-            LendFailure::SourceGone => {
-                pool.remove(source, now);
-            }
-            LendFailure::NoCapacity => {
-                pool.give_back(source, vol, now);
+        if let Some(pool) = s.or(b).and_then(|(n, _)| self.pools.get_mut(n)) {
+            match why {
+                LendFailure::SourceGone => {
+                    pool.remove(source, now);
+                }
+                LendFailure::NoCapacity => pool.give_back(source, vol, now),
             }
         }
+        crate::audit::post_event(self, "lend_failed");
     }
 
     // ---- queries -------------------------------------------------------
@@ -691,30 +738,29 @@ impl ControlPlane {
     /// What the substrate should currently have committed for `inv`
     /// (own grant + volume lent out). `None` once completed/aborted.
     pub fn charge(&self, inv: InvocationId) -> Option<ResourceVec> {
-        self.ledger.get(&inv).map(|e| e.charge())
+        self.entry(self.locate(inv)?).map(Entry::charge)
     }
 
     /// Everything `inv` currently holds (own grant + loans in).
     pub fn effective_alloc(&self, inv: InvocationId) -> Option<ResourceVec> {
-        self.ledger.get(&inv).map(|e| e.effective())
+        self.entry(self.locate(inv)?).map(Entry::effective)
     }
 
     /// Whether the ledger records a live loan from `source` to `borrower`.
     pub fn has_loan(&self, source: InvocationId, borrower: InvocationId) -> bool {
-        self.ledger.get(&borrower).is_some_and(|e| e.borrowed.iter().any(|(s, _)| *s == source))
+        let e = self.locate(borrower).and_then(|at| self.entry(at));
+        e.is_some_and(|e| e.borrowed.iter().any(|(s, _)| *s == source))
     }
 
     /// Whether `inv` is currently in the ledger.
     pub fn is_tracked(&self, inv: InvocationId) -> bool {
-        self.ledger.contains_key(&inv)
+        self.index_pos(inv).is_ok()
     }
 
     /// Total committed volume (Σ own grant + lent out) on `node`.
     pub fn committed_on(&self, node: NodeId) -> ResourceVec {
-        self.ledger
-            .values()
-            .filter(|e| e.node == node)
-            .fold(ResourceVec::ZERO, |acc, e| acc + e.charge())
+        let ledger = self.ledgers.get(node.idx()).map_or(&[][..], Vec::as_slice);
+        ledger.iter().fold(ResourceVec::ZERO, |acc, e| acc + e.charge())
     }
 
     /// The per-node harvest pools.
@@ -727,10 +773,13 @@ impl ControlPlane {
         self.pools.get(node.idx())
     }
 
-    /// A scheduler-facing snapshot of one node's pool (§6.4 piggyback).
-    /// An unknown node id yields an empty snapshot.
-    pub fn snapshot(&self, node: NodeId, now: SimTime) -> PoolSnapshot {
-        self.pools.get(node.idx()).map(|p| p.snapshot(now)).unwrap_or_default()
+    /// Overwrite `buf` with a scheduler-facing snapshot of one node's pool
+    /// (§6.4 piggyback). An unknown node id yields an empty snapshot.
+    pub fn snapshot_into(&self, node: NodeId, now: SimTime, buf: &mut PoolSnapshot) {
+        match self.pools.get(node.idx()) {
+            Some(p) => p.snapshot_into(now, buf),
+            None => buf.clear(),
+        }
     }
 
     /// The safeguard (trigger counts, per-function blacklist state).
@@ -751,43 +800,56 @@ impl ControlPlane {
 
     /// Number of invocations currently in the ledger.
     pub fn ledger_len(&self) -> usize {
-        self.ledger.len()
+        self.index.len()
     }
 
     /// Validate the conservation invariants the proptests pin down:
     /// Σ borrowed per source equals that source's `lent_out`, loans stay
-    /// intra-node and die with their source, and no charge exceeds nominal.
+    /// intra-node and die with their source, and no charge exceeds nominal —
+    /// and that the index names exactly the entries of the id-ordered ledgers.
     pub fn check_conservation(&self) -> Result<(), String> {
-        let mut borrowed_from: BTreeMap<InvocationId, ResourceVec> = BTreeMap::new();
-        for (id, e) in &self.ledger {
-            if !e.charge().fits_within(&e.nominal) {
-                return Err(format!(
-                    "{id}: charge {:?} exceeds nominal {:?}",
-                    e.charge(),
-                    e.nominal
-                ));
+        let mut ledgered = 0;
+        for (n, ledger) in self.ledgers.iter().enumerate() {
+            ledgered += ledger.len();
+            if !ledger.is_sorted_by(|a, b| a.id < b.id) {
+                return Err(format!("node {n}: ledger not in ascending id"));
             }
-            for (s, v) in &e.borrowed {
-                if v.is_zero() {
-                    return Err(format!("{id}: zero-volume loan record from {s}"));
+            // What the node's borrowers hold of each entry, by position.
+            let mut held = vec![ResourceVec::ZERO; ledger.len()];
+            for e in ledger {
+                let id = e.id;
+                if self.locate(id).map(|at| at.0) != Some(n) {
+                    return Err(format!("{id}: ledgered on node {n}, not indexed there"));
                 }
-                let Some(se) = self.ledger.get(s) else {
-                    return Err(format!("{id} borrows from dead source {s} (timeliness violated)"));
-                };
-                if se.node != e.node {
-                    return Err(format!("cross-node loan {s} → {id}"));
+                if !e.charge().fits_within(&e.nominal) {
+                    return Err(format!(
+                        "{id}: charge {:?} exceeds nominal {:?}",
+                        e.charge(),
+                        e.nominal
+                    ));
                 }
-                *borrowed_from.entry(*s).or_default() += *v;
+                for (s, v) in &e.borrowed {
+                    if v.is_zero() {
+                        return Err(format!("{id}: zero-volume loan record from {s}"));
+                    }
+                    let Some(h) = pos_in(ledger, *s).and_then(|p| held.get_mut(p)) else {
+                        let why = if self.is_tracked(*s) { "cross-node" } else { "dead" };
+                        return Err(format!("{id} borrows from {why} source {s}"));
+                    };
+                    *h += *v;
+                }
+            }
+            for (e, total) in ledger.iter().zip(held) {
+                if total != e.lent_out {
+                    return Err(format!(
+                        "{}: lent_out {:?} but borrowers hold {:?}",
+                        e.id, e.lent_out, total
+                    ));
+                }
             }
         }
-        for (id, e) in &self.ledger {
-            let total = borrowed_from.get(id).copied().unwrap_or(ResourceVec::ZERO);
-            if total != e.lent_out {
-                return Err(format!(
-                    "{id}: lent_out {:?} but borrowers hold {:?}",
-                    e.lent_out, total
-                ));
-            }
+        if ledgered != self.index.len() {
+            return Err(format!("{ledgered} entries ledgered, {} indexed", self.index.len()));
         }
         Ok(())
     }
@@ -796,14 +858,14 @@ impl ControlPlane {
     pub fn dump(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        for (id, e) in &self.ledger {
-            let _ = writeln!(
-                s,
-                "  {id} node={} func={} nominal={:?} grant={:?} lent={:?} borrowed={:?}",
-                e.node, e.func, e.nominal, e.own_grant, e.lent_out, e.borrowed
-            );
-        }
-        for (n, p) in self.pools.iter().enumerate() {
+        for (n, (ledger, p)) in self.ledgers.iter().zip(&self.pools).enumerate() {
+            for e in ledger {
+                let _ = writeln!(
+                    s,
+                    "  {} node#{n} func={} nominal={:?} grant={:?} lent={:?} borrowed={:?}",
+                    e.id, e.func, e.nominal, e.own_grant, e.lent_out, e.borrowed
+                );
+            }
             let _ = writeln!(s, "  pool[{n}]: {} entries, idle {:?}", p.len(), p.total_idle());
         }
         s
@@ -905,5 +967,122 @@ mod tests {
         c.check_conservation().unwrap();
         assert_eq!(c.effective_alloc(borrower), Some(ResourceVec::new(1_000, 512)));
         assert_eq!(c.charge(source), Some(ResourceVec::new(1_000, 512)));
+    }
+
+    /// A donor allocated `cpu` millicores and predicted to use one core of
+    /// them, and a one-core borrower predicted to want `want_cpu`.
+    fn donor(inv: u32, cpu: u64) -> Admission {
+        adm(inv, (cpu, 2_048), Some((1_000, 512, 1_000)))
+    }
+
+    fn borrower(inv: u32, want_cpu: u64) -> Admission {
+        adm(inv, (1_000, 512), Some((want_cpu, 512, 500)))
+    }
+
+    fn ids(c: &ControlPlane, node: usize) -> Vec<u32> {
+        c.ledgers[node].iter().map(|e| e.id.0).collect()
+    }
+
+    #[test]
+    fn ledger_and_index_stay_id_ordered_whatever_the_admission_order() {
+        let mut c = cp();
+        for inv in [7, 3, 9, 1] {
+            c.on_admit(adm(inv, (1_000, 512), None), SimTime(0));
+        }
+        assert_eq!(ids(&c, 0), [1, 3, 7, 9]);
+        assert_eq!(c.index.iter().map(|&(id, _)| id.0).collect::<Vec<_>>(), [1, 3, 7, 9]);
+        c.on_complete(InvocationId(3), SimTime(1));
+        assert_eq!((ids(&c, 0), c.ledger_len()), (vec![1, 7, 9], 3));
+        c.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn an_id_aborted_on_one_node_is_admitted_afresh_on_another() {
+        // The crash-requeue path: same id, different node.
+        let mut c = ControlPlane::new(ControlConfig::default(), 4, 2);
+        c.on_admit(donor(5, 4_000), SimTime(0));
+        c.on_abort(InvocationId(5), SimTime(10));
+        assert!(!c.is_tracked(InvocationId(5)) && c.pool(NodeId(0)).unwrap().is_empty());
+        let acts = c.on_admit(Admission { node: NodeId(1), ..donor(5, 4_000) }, SimTime(20));
+        assert!(matches!(acts[0], Action::Admitted { node: NodeId(1), .. }));
+        assert_eq!(c.index, [(InvocationId(5), NodeId(1))]);
+        assert_eq!(c.committed_on(NodeId(0)), ResourceVec::ZERO);
+        assert_eq!(c.committed_on(NodeId(1)), ResourceVec::new(1_000, 512));
+        assert!(c.pool(NodeId(1)).unwrap().contains(InvocationId(5)));
+    }
+
+    #[test]
+    fn the_index_holds_what_is_alive_however_far_apart_the_ids_are() {
+        // One straggler outlives 100,000 later ids (and the largest id there
+        // is): a table dense over the id range would span them all.
+        let mut c = cp();
+        c.on_admit(adm(0, (1_000, 512), None), SimTime(0));
+        c.on_admit(adm(u32::MAX, (1_000, 512), None), SimTime(0));
+        for inv in 1..=100_000u32 {
+            c.on_admit(adm(inv, (1_000, 512), None), SimTime(inv as u64));
+            if inv > 4 {
+                c.on_complete(InvocationId(inv - 4), SimTime(inv as u64));
+            }
+            assert!(c.index.len() <= 8 && c.index.capacity() <= 8, "at {inv}");
+        }
+        assert!(c.is_tracked(InvocationId(0)) && c.is_tracked(InvocationId(u32::MAX)));
+    }
+
+    #[test]
+    fn a_source_revokes_its_borrowers_in_ascending_id_not_admission_order() {
+        let mut c = cp();
+        c.on_admit(donor(5, 8_000), SimTime(0));
+        for inv in [9, 2, 6] {
+            let acts = c.on_admit(borrower(inv, 3_000), SimTime(0));
+            assert!(acts.iter().any(|a| matches!(a, Action::Lend { .. })), "{inv} borrows");
+        }
+        let revoked: Vec<u32> = c
+            .on_complete(InvocationId(5), SimTime(100))
+            .iter()
+            .filter_map(|a| match a {
+                Action::Revoke { borrower, .. } => Some(borrower.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(revoked, [2, 6, 9]);
+    }
+
+    #[test]
+    fn collect_outgoing_filters_the_borrowers_loans_in_place() {
+        let mut c = cp();
+        c.on_admit(donor(1, 2_000), SimTime(0));
+        c.on_admit(donor(2, 2_000), SimTime(0));
+        c.on_admit(borrower(3, 3_000), SimTime(0));
+        let loans = |c: &ControlPlane| c.ledgers[0][2].borrowed.clone();
+        assert_eq!(loans(&c).len(), 2, "one loan from each donor");
+        let buf = c.ledgers[0][2].borrowed.as_ptr();
+        let at = c.locate(InvocationId(1)).unwrap();
+        let out = c.collect_outgoing(at, InvocationId(1));
+        assert_eq!(out, [(InvocationId(3), ResourceVec::new(1_000, 0))]);
+        assert_eq!(loans(&c), [(InvocationId(2), ResourceVec::new(1_000, 0))]);
+        assert_eq!(c.ledgers[0][2].borrowed.as_ptr(), buf, "same buffer, not a fresh Vec");
+        c.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn a_node_beyond_the_built_range_gets_a_pool_to_lend_from() {
+        // Regression: the grant shrank but the freed volume entered no pool.
+        let mut c = cp();
+        c.on_admit(Admission { node: NodeId(3), ..donor(1, 4_000) }, SimTime(0));
+        assert_eq!(c.pools().len(), 4);
+        let acts = c.on_admit(Admission { node: NodeId(3), ..borrower(2, 3_000) }, SimTime(0));
+        assert!(acts.iter().any(|a| matches!(a, Action::Lend { source, vol, .. }
+            if *source == InvocationId(1) && vol.cpu_millis == 2_000)));
+        assert_eq!(c.committed_on(NodeId(3)), ResourceVec::new(4_000, 1_024));
+        c.check_conservation().unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already ledgered")]
+    fn admitting_a_ledgered_id_again_is_a_driver_bug() {
+        let mut c = cp();
+        c.on_admit(donor(1, 4_000), SimTime(0));
+        c.on_admit(donor(1, 4_000), SimTime(1));
     }
 }

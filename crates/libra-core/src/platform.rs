@@ -354,18 +354,14 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
 
     fn on_ping(&mut self, world: &World, node: NodeId) {
         // The piggyback (§6.4): schedulers learn pool status from pings.
-        self.view.snapshots.insert(node, self.core.snapshot(node, world.now()));
-        self.view.note_ping(node, world.now());
+        let now = world.now();
+        self.core.snapshot_into(node, now, self.view.note_ping(node, now));
     }
 
     fn on_node_crash(&mut self, ctx: &mut SimCtx<'_>, node: NodeId) {
         let actions = self.core.on_node_crash(node, ctx.now());
         self.apply(ctx, actions);
-        // Drop the scheduler's view of the node: its snapshot describes a
-        // pool that no longer exists, and treating it as "never pinged"
-        // (rather than stale) lets a recovered node start from a clean slate.
-        self.view.snapshots.remove(&node);
-        self.view.pings.remove(&node);
+        self.view.forget(node);
     }
 
     fn on_abort(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {

@@ -290,22 +290,29 @@ impl HarvestResourcePool {
     }
 
     /// Point-in-time status for the health-ping piggyback, expired entries
-    /// (priority ≤ now) excluded. Read straight off the expiry index, so the
-    /// result is ordered by the total key `(expiry, source id)` —
-    /// deterministic downstream computation even across equal expiries.
-    pub fn snapshot(&self, now: SimTime) -> PoolSnapshot {
-        self.by_expiry
-            .iter()
-            .skip_while(|&&(priority, _)| priority <= now)
-            .filter_map(|&(priority, id)| {
-                let e = &self.entries[&id];
-                (e.cpu_idle_millis > 0 || e.mem_idle_mb > 0).then_some(PoolEntryStatus {
-                    cpu_idle_millis: e.cpu_idle_millis,
-                    mem_idle_mb: e.mem_idle_mb,
-                    expiry: priority,
-                })
+    /// (priority ≤ now) excluded, written over `buf` (the scheduler's view
+    /// keeps one buffer per node, so a ping allocates nothing). Read straight
+    /// off the expiry index, so the result is ordered by the total key
+    /// `(expiry, source id)` — deterministic downstream computation even
+    /// across equal expiries.
+    pub fn snapshot_into(&self, now: SimTime, buf: &mut PoolSnapshot) {
+        buf.clear();
+        let live = self.by_expiry.iter().skip_while(|&&(priority, _)| priority <= now);
+        buf.extend(live.filter_map(|&(priority, id)| {
+            let e = &self.entries[&id];
+            (e.cpu_idle_millis > 0 || e.mem_idle_mb > 0).then_some(PoolEntryStatus {
+                cpu_idle_millis: e.cpu_idle_millis,
+                mem_idle_mb: e.mem_idle_mb,
+                expiry: priority,
             })
-            .collect()
+        }));
+    }
+
+    /// [`Self::snapshot_into`] a fresh buffer.
+    pub fn snapshot(&self, now: SimTime) -> PoolSnapshot {
+        let mut buf = PoolSnapshot::new();
+        self.snapshot_into(now, &mut buf);
+        buf
     }
 
     /// Bring the ledger up to `now` for all entries (call before reading the

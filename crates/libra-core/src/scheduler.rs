@@ -25,20 +25,20 @@ use libra_sim::engine::World;
 use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// A pool snapshot older than this (i.e. this many missed health pings at
 /// the default 500 ms interval) is stale: the node may be partitioned or
 /// dead, and its advertised idle resources cannot be trusted.
 pub const STALE_VIEW_AFTER: SimDuration = SimDuration(2_000_000);
 
-/// The scheduler-side view of cluster pool state, refreshed by health pings.
+/// The scheduler-side view of cluster pool state, refreshed by health pings:
+/// one slot per node, indexed by node id — when the node's last ping arrived
+/// (`None`: never, or forgotten since) and the pool snapshot it carried. A
+/// slot's snapshot buffer is kept and overwritten in place, so a ping
+/// allocates nothing and a lookup is an index and a compare.
 #[derive(Debug, Default)]
 pub struct SchedView {
-    /// Last-known pool snapshot per node.
-    pub snapshots: BTreeMap<NodeId, PoolSnapshot>,
-    /// When each node's last health ping arrived.
-    pub pings: BTreeMap<NodeId, SimTime>,
+    nodes: Vec<(Option<SimTime>, PoolSnapshot)>,
 }
 
 impl SchedView {
@@ -47,9 +47,25 @@ impl SchedView {
         Self::default()
     }
 
-    /// Record a health ping from `node` at `now`.
-    pub fn note_ping(&mut self, node: NodeId, now: SimTime) {
-        self.pings.insert(node, now);
+    /// Record a health ping from `node` at `now` and hand out the node's
+    /// snapshot buffer for the ping's payload to overwrite (growing the view
+    /// to cover a node it has not heard from before).
+    pub fn note_ping(&mut self, node: NodeId, now: SimTime) -> &mut PoolSnapshot {
+        if node.idx() >= self.nodes.len() {
+            self.nodes.resize_with(node.idx() + 1, Default::default);
+        }
+        let slot = &mut self.nodes[node.idx()];
+        slot.0 = Some(now);
+        &mut slot.1
+    }
+
+    /// Reset `node`'s slot to "never pinged": it crashed, so its snapshot
+    /// describes a pool that no longer exists, and a recovered node starts
+    /// from a clean slate rather than stale.
+    pub fn forget(&mut self, node: NodeId) {
+        if let Some(slot) = self.nodes.get_mut(node.idx()) {
+            *slot = Default::default();
+        }
     }
 
     /// True when the node has pinged before but not recently — missed pings
@@ -57,13 +73,15 @@ impl SchedView {
     /// that has never pinged is *not* stale: at startup there is simply no
     /// snapshot yet, which the coverage loop already treats as empty.
     pub fn is_stale(&self, node: NodeId, now: SimTime) -> bool {
-        self.pings.get(&node).is_some_and(|&last| now.since(last) > STALE_VIEW_AFTER)
+        let last = self.nodes.get(node.idx()).and_then(|slot| slot.0);
+        last.is_some_and(|last| now.since(last) > STALE_VIEW_AFTER)
     }
 
     /// True when every known node's view is stale — the scheduler has lost
     /// contact with the pool layer entirely and must stop trusting it.
     pub fn all_stale(&self, now: SimTime) -> bool {
-        !self.pings.is_empty() && self.pings.keys().all(|&n| self.is_stale(n, now))
+        let mut pinged = self.nodes.iter().filter_map(|slot| slot.0).peekable();
+        pinged.peek().is_some() && pinged.all(|last| now.since(last) > STALE_VIEW_AFTER)
     }
 
     /// What `node`'s pool can be trusted to hold at `now`: its last
@@ -73,7 +91,7 @@ impl SchedView {
         if self.is_stale(node, now) {
             return &[];
         }
-        self.snapshots.get(&node).map_or(&[], Vec::as_slice)
+        self.nodes.get(node.idx()).map_or(&[], |slot| &slot.1)
     }
 }
 
@@ -312,10 +330,9 @@ impl NodeSelector for VolumeSelector {
                         continue;
                     }
                     let vol: u64 = view
-                        .snapshots
-                        .get(&node)
-                        .map(|s| s.iter().map(|e| e.cpu_idle_millis).sum())
-                        .unwrap_or(0);
+                        .nodes
+                        .get(node.idx())
+                        .map_or(0, |(_, s)| s.iter().map(|e| e.cpu_idle_millis).sum());
                     if best.is_none_or(|(bv, _)| vol > bv) {
                         best = Some((vol, node));
                     }
@@ -427,12 +444,17 @@ mod tests {
         let mut view = SchedView::new();
         let n = NodeId(0);
         assert!(view.fresh(n, SimTime::from_secs(9)).is_empty(), "never pinged");
-        view.snapshots.insert(n, idle(1_000));
         let pinged = SimTime::from_secs(10);
-        view.note_ping(n, pinged);
+        *view.note_ping(n, pinged) = idle(1_000);
         let limit = pinged + STALE_VIEW_AFTER;
         assert_eq!(view.fresh(n, limit), idle(1_000).as_slice());
         assert!(view.fresh(n, limit + SimDuration(1)).is_empty(), "stale");
+        // A crash resets the slot to "never pinged"; its neighbours stay.
+        *view.note_ping(NodeId(3), pinged) = idle(2_000);
+        view.forget(n);
+        assert!(!view.is_stale(n, limit + SimDuration(1)) && view.fresh(n, limit).is_empty());
+        assert_eq!(view.fresh(NodeId(3), limit), idle(2_000).as_slice());
+        assert!(view.all_stale(limit + SimDuration(1)) && !view.all_stale(limit));
     }
 
     #[test]

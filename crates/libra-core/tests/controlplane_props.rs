@@ -57,78 +57,110 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Drive a fresh control plane through `ops`, checking invariants after
-/// every event; returns the full emitted action sequence and the counters.
-fn drive(ops: &[Op]) -> (Vec<Action>, libra_core::ControlCounters) {
-    let mut cp = ControlPlane::new(ControlConfig::default(), 4, 1);
-    let mut slots: [Option<InvocationId>; SLOTS] = [None; SLOTS];
-    let mut nominal: BTreeMap<InvocationId, ResourceVec> = BTreeMap::new();
-    let mut next_id = 0u32;
-    let mut trace = Vec::new();
-    let mut t = 0u64;
+/// A concrete control-plane event: what an [`Op`] resolves to once its slot
+/// is looked up.
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    Admit(Admission),
+    Observe(InvocationId, Observation),
+    Complete(InvocationId),
+    Oom(InvocationId),
+    Abort(InvocationId),
+}
 
-    for o in ops {
-        t += 37;
-        let now = SimTime::from_millis(t);
-        let actions = match *o {
+/// Resolve `ops`, each on the node paired with it, into timed events: every
+/// node has its own slots, ids are handed out cluster-wide in admission
+/// order, and ops on an empty (or, for `Admit`, occupied) slot drop out. The
+/// safeguard's per-function history is the one state a cluster's nodes
+/// share, so each node deploys its own four functions.
+fn resolve(ops: &[(usize, Op)]) -> Vec<(usize, SimTime, Event)> {
+    let mut slots: BTreeMap<(usize, usize), InvocationId> = BTreeMap::new();
+    let mut next_id = 0u32;
+    let mut events = Vec::new();
+    for (i, (node, o)) in ops.iter().enumerate() {
+        let now = SimTime::from_millis(37 * (i as u64 + 1));
+        let live = |slot: usize| slots.get(&(*node, slot)).copied();
+        let ev = match *o {
             Op::Admit { slot, cpu, mem, pred } => {
-                if slots[slot].is_some() {
+                if live(slot).is_some() {
                     continue;
                 }
                 let inv = InvocationId(next_id);
                 next_id += 1;
-                slots[slot] = Some(inv);
-                let nom = ResourceVec::new(cpu, mem);
-                nominal.insert(inv, nom);
-                cp.on_admit(
-                    Admission {
-                        inv,
-                        node: NodeId(0),
-                        func: slot % 4,
-                        nominal: nom,
-                        mem_floor_mb: 64,
-                        pred: pred.map(|(c, m, d)| Prediction {
-                            cpu_millis: c,
-                            mem_mb: m,
-                            duration: SimDuration::from_millis(d),
-                            path: PredictionPath::Histogram,
-                        }),
-                    },
-                    now,
-                )
+                slots.insert((*node, slot), inv);
+                Event::Admit(Admission {
+                    inv,
+                    node: NodeId(*node as u32),
+                    func: node * 4 + slot % 4,
+                    nominal: ResourceVec::new(cpu, mem),
+                    mem_floor_mb: 64,
+                    pred: pred.map(|(c, m, d)| Prediction {
+                        cpu_millis: c,
+                        mem_mb: m,
+                        duration: SimDuration::from_millis(d),
+                        path: PredictionPath::Histogram,
+                    }),
+                })
             }
             Op::Observe { slot, busy, mem_used, throttled } => {
-                let Some(inv) = slots[slot] else { continue };
-                cp.on_observe(
-                    inv,
-                    Observation {
-                        cpu_busy_millis: busy,
-                        mem_used_mb: mem_used,
-                        cpu_throttled: throttled,
-                    },
-                    now,
-                )
+                let Some(inv) = live(slot) else { continue };
+                let obs = Observation {
+                    cpu_busy_millis: busy,
+                    mem_used_mb: mem_used,
+                    cpu_throttled: throttled,
+                };
+                Event::Observe(inv, obs)
             }
-            Op::Complete { slot } => {
-                let Some(inv) = slots[slot].take() else { continue };
-                let a = cp.on_complete(inv, now);
-                assert!(!cp.is_tracked(inv), "completed invocation still ledgered");
-                a
-            }
-            Op::Oom { slot } => {
-                let Some(inv) = slots[slot] else { continue };
-                let a = cp.on_oom(inv, now);
-                // An OOM restart keeps the invocation alive at nominal.
-                assert_eq!(cp.charge(inv), nominal.get(&inv).copied());
-                a
-            }
-            Op::Abort { slot } => {
-                let Some(inv) = slots[slot].take() else { continue };
-                let a = cp.on_abort(inv, now);
-                assert!(!cp.is_tracked(inv), "aborted invocation still ledgered");
-                a
-            }
+            Op::Oom { slot } => match live(slot) {
+                Some(inv) => Event::Oom(inv),
+                None => continue,
+            },
+            Op::Complete { slot } => match slots.remove(&(*node, slot)) {
+                Some(inv) => Event::Complete(inv),
+                None => continue,
+            },
+            Op::Abort { slot } => match slots.remove(&(*node, slot)) {
+                Some(inv) => Event::Abort(inv),
+                None => continue,
+            },
         };
+        events.push((*node, now, ev));
+    }
+    events
+}
+
+fn feed(cp: &mut ControlPlane, ev: Event, now: SimTime) -> Vec<Action> {
+    match ev {
+        Event::Admit(a) => cp.on_admit(a, now),
+        Event::Observe(inv, obs) => cp.on_observe(inv, obs, now),
+        Event::Complete(inv) => cp.on_complete(inv, now),
+        Event::Oom(inv) => cp.on_oom(inv, now),
+        Event::Abort(inv) => cp.on_abort(inv, now),
+    }
+}
+
+/// Drive a fresh control plane through `ops`, checking invariants after
+/// every event; returns the full emitted action sequence and the counters.
+fn drive(ops: &[Op]) -> (Vec<Action>, libra_core::ControlCounters) {
+    let mut cp = ControlPlane::new(ControlConfig::default(), 4, 1);
+    let mut nominal: BTreeMap<InvocationId, ResourceVec> = BTreeMap::new();
+    let mut trace = Vec::new();
+    let on_node_0: Vec<(usize, Op)> = ops.iter().map(|o| (0, o.clone())).collect();
+
+    for (_, now, ev) in resolve(&on_node_0) {
+        let actions = feed(&mut cp, ev, now);
+        match ev {
+            Event::Admit(a) => {
+                nominal.insert(a.inv, a.nominal);
+            }
+            Event::Observe(..) => {}
+            // An OOM restart keeps the invocation alive at nominal.
+            Event::Oom(inv) => assert_eq!(cp.charge(inv), nominal.get(&inv).copied()),
+            Event::Complete(inv) | Event::Abort(inv) => {
+                assert!(!cp.is_tracked(inv), "retired invocation still ledgered");
+                nominal.remove(&inv);
+            }
+        }
 
         for a in &actions {
             match *a {
@@ -146,11 +178,10 @@ fn drive(ops: &[Op]) -> (Vec<Action>, libra_core::ControlCounters) {
         }
         trace.extend(actions);
 
-        cp.check_conservation().unwrap_or_else(|e| panic!("after {o:?}: {e}"));
+        cp.check_conservation().unwrap_or_else(|e| panic!("after {ev:?}: {e}"));
         // No entry may charge more than its entitlement, so the node total
         // is bounded by the live entitlements.
-        let cap: ResourceVec =
-            slots.iter().flatten().fold(ResourceVec::ZERO, |acc, inv| acc + nominal[inv]);
+        let cap = nominal.values().fold(ResourceVec::ZERO, |acc, nom| acc + *nom);
         assert!(
             cp.committed_on(NodeId(0)).fits_within(&cap),
             "committed volume exceeds live entitlements"
@@ -177,5 +208,46 @@ proptest! {
         let (b, cb) = drive(&ops);
         prop_assert_eq!(a, b, "action traces diverged on replay");
         prop_assert_eq!(ca, cb, "counters diverged on replay");
+    }
+
+    /// A cluster's control plane is the product of its nodes': the simulator
+    /// drives one instance over every node, the live cluster one instance
+    /// per node, and both must decide alike. Interleave the op stream over
+    /// three nodes of one control plane; each node's share of the actions,
+    /// its committed volume and the summed counters must equal those of
+    /// three single-node control planes fed only their own node's events.
+    #[test]
+    fn a_cluster_is_the_product_of_its_nodes(
+        ops in prop::collection::vec((0usize..3, op()), 1..150)
+    ) {
+        let mut cluster = ControlPlane::new(ControlConfig::default(), 12, 3);
+        let mut alone: Vec<ControlPlane> =
+            (0..3).map(|_| ControlPlane::new(ControlConfig::default(), 12, 1)).collect();
+        for (node, now, ev) in resolve(&ops) {
+            // The lone control plane calls its only node 0.
+            let local = match ev {
+                Event::Admit(a) => Event::Admit(Admission { node: NodeId(0), ..a }),
+                other => other,
+            };
+            let mut want = feed(&mut alone[node], local, now);
+            if let Some(Action::Admitted { node: n, .. }) = want.first_mut() {
+                *n = NodeId(node as u32);
+            }
+            prop_assert_eq!(feed(&mut cluster, ev, now), want, "node {}, {:?}", node, ev);
+            prop_assert_eq!(cluster.check_conservation(), Ok(()));
+            prop_assert_eq!(alone[node].check_conservation(), Ok(()));
+            for (k, cp) in alone.iter().enumerate() {
+                prop_assert_eq!(cluster.committed_on(NodeId(k as u32)), cp.committed_on(NodeId(0)));
+            }
+        }
+        let mut sum = libra_core::ControlCounters::default();
+        for c in alone.iter().map(ControlPlane::counters) {
+            sum.loans_expired += c.loans_expired;
+            sum.loans_reharvested += c.loans_reharvested;
+            sum.loans_crashed += c.loans_crashed;
+            sum.crash_sweeps += c.crash_sweeps;
+        }
+        prop_assert_eq!(cluster.counters(), sum);
+        prop_assert_eq!(cluster.ledger_len(), alone.iter().map(ControlPlane::ledger_len).sum::<usize>());
     }
 }

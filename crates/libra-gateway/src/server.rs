@@ -383,7 +383,7 @@ fn invoke(inner: &Arc<GatewayInner>, req: &Request, tenant_name: &str, func: u32
             return Response::text(503, "Service Unavailable", "draining\n")
                 .with_header("Connection", "close");
         }
-        Err(e @ SubmitError::FuncOutOfRange { .. }) => {
+        Err(e @ (SubmitError::FuncOutOfRange { .. } | SubmitError::IdxOutOfRange { .. })) => {
             inner.counters.http_400.fetch_add(1, Ordering::Relaxed);
             return Response::text(400, "Bad Request", &format!("{e}\n"));
         }

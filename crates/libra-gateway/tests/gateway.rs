@@ -208,6 +208,29 @@ fn duplicate_inflight_idx_is_a_conflict() {
 }
 
 #[test]
+fn idx_that_would_alias_an_inflight_id_when_truncated_is_a_bad_request() {
+    // Regression: 4294967301 = 2^32 + 5 passed the uniqueness check beside
+    // idx 5 and became the same 32-bit invocation id on the node.
+    let gw = start(vec![TenantQuota::generous("t")], 64);
+    let addr = gw.local_addr();
+    let resident = std::thread::spawn(move || {
+        let mut c = GatewayClient::connect(addr).expect("connect");
+        c.invoke("t", 0, 5, &request(1_200, 512)).expect("transport")
+    });
+    std::thread::sleep(Duration::from_millis(40));
+    let mut c = GatewayClient::connect(addr).expect("connect");
+    let resp = c.raw("POST", "/invoke/t/0", b"idx=4294967301\nat_ms=0\ncpu=1000\nmem=256\ndemand_cpu=1000\ndemand_mem=128\nmem_floor=64\nwork=1000\n").expect("transport");
+    assert_eq!(resp.status, 400, "an idx above u32::MAX names no invocation id");
+    let InvokeOutcome::Done(rec) = resident.join().expect("no panic") else {
+        panic!("the resident invocation must complete untouched");
+    };
+    assert_eq!(rec.idx, 5);
+    let report = gw.shutdown();
+    assert_eq!((report.live.records.len(), report.live.aborted), (1, 0));
+    assert!(report.metrics.contains("libra_gateway_http_400_total 1"), "{}", report.metrics);
+}
+
+#[test]
 fn graceful_drain_flushes_inflight_requests() {
     let gw = start(vec![TenantQuota::generous("t")], 64);
     let addr = gw.local_addr();

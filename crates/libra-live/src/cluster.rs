@@ -41,7 +41,7 @@
 //! and the shards' pool views stay empty. On this substrate the coverage half
 //! is reached only by `exp fig12` (c), the `sharding.schedule_on_us` drill of
 //! `benchmarks/perf` and unit tests. Wiring it is a ping path that pushes
-//! `ControlPlane::snapshot` plus the real `extra`/`now` at admission;
+//! `ControlPlane::snapshot_into` plus the real `extra`/`now` at admission;
 //! it changes where `live_closed` places work, so it is its own measured
 //! change.
 //!
@@ -457,6 +457,12 @@ pub enum SubmitError {
         /// Deployed function count the cluster was started with.
         n_funcs: usize,
     },
+    /// The request index does not fit an invocation id (`u32`): truncated,
+    /// it would alias another in-flight request's id.
+    IdxOutOfRange {
+        /// The offending request index.
+        idx: usize,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -466,6 +472,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::FuncOutOfRange { func, n_funcs } => {
                 write!(f, "function {func} outside deployed range 0..{n_funcs}")
             }
+            SubmitError::IdxOutOfRange { idx } => write!(f, "idx {idx} is not a 32-bit id"),
         }
     }
 }
@@ -606,6 +613,7 @@ impl ClusterShared {
             self.expired.store(true, Ordering::SeqCst);
             return None;
         };
+        // Lossless: `submit` refused any `idx` that does not fit the id.
         let inv = InvocationId(idx as u32);
         let mut g = node.inner.lock();
         // Checked under the node lock, which the driver's final pass also
@@ -983,8 +991,9 @@ impl LiveCluster {
     }
 
     /// Admit one request. `idx` is the caller's stable request index: it
-    /// becomes the invocation id (`InvocationId(idx)`), keys the scheduler
-    /// shard (`idx % shards`), and must be unique among in-flight requests.
+    /// becomes the invocation id (`InvocationId(idx)`, so it must fit `u32`),
+    /// keys the scheduler shard (`idx % shards`), and must be unique among
+    /// in-flight requests.
     /// Returns a one-shot receiver that yields the completion record; if the
     /// invocation is drained away before completing, the sender is dropped
     /// and the receiver reports disconnection instead.
@@ -999,6 +1008,9 @@ impl LiveCluster {
         }
         if req.func as usize >= sh.n_funcs {
             return Err(SubmitError::FuncOutOfRange { func: req.func, n_funcs: sh.n_funcs });
+        }
+        if u32::try_from(idx).is_err() {
+            return Err(SubmitError::IdxOutOfRange { idx });
         }
         sh.inflight.fetch_add(1, Ordering::SeqCst);
         sh.submitted.fetch_add(1, Ordering::SeqCst);

@@ -92,6 +92,16 @@ fn out_of_range_function_is_refused() {
     cluster.shutdown(Duration::ZERO);
 }
 
+#[test]
+fn idx_beyond_an_invocation_id_is_refused_before_it_counts_in_flight() {
+    let cluster = LiveCluster::start(cfg(), 64);
+    let req = *mixed_workload(1, 3).first().expect("one request");
+    let idx = u32::MAX as usize + 6;
+    assert_eq!(cluster.submit(idx, req).err(), Some(SubmitError::IdxOutOfRange { idx }));
+    assert_eq!((cluster.inflight(), cluster.stats().submitted), (0, 0));
+    cluster.shutdown(Duration::ZERO);
+}
+
 proptest! {
     /// Whatever the workload size, seed, and grace period, drain terminates
     /// with zero in-flight, accounts for every submission exactly once, and
