@@ -211,15 +211,19 @@ mod tests {
 
     /// `fit` against a forest built the way it was before trees took row
     /// lists: every tree's bootstrap rows cloned, the tree grown by the split
-    /// search the sweep replaced (`DecisionTree::fit_oracle`). Same trees,
-    /// so bit-equal predictions, on both sides of the 64-row fan-out threshold.
+    /// search the sweep replaced (`DecisionTree::fit_oracle`) from a fresh
+    /// sort at every node. Same trees, so bit-equal predictions, on both
+    /// sides of the 64-row fan-out threshold.
     #[test]
     fn fit_matches_oracle_trees_on_cloned_bootstrap_rows() {
         for n in [40usize, 150] {
             let (x, y_class) = step_data(n);
             let y_reg: Vec<f64> = (0..n).map(|i| 1e6 + ((i * 7) % 13) as f64 * 0.25).collect();
+            // Four of seventeen declared classes in use, as for the profiler's CPU target.
+            let y_sparse: Vec<f64> = y_class.iter().map(|c| c * 5.0 + 1.0).collect();
             for (task, y, subsample) in [
                 (Task::Classification { n_classes: 4 }, &y_class, 2),
+                (Task::Classification { n_classes: 17 }, &y_sparse, 2),
                 (Task::Regression, &y_reg, 1),
             ] {
                 let params = ForestParams { n_trees: 16, seed: 7, ..Default::default() };

@@ -4,15 +4,33 @@
 //! (§4.3.1). Splits minimize Gini impurity (classification) or sum of
 //! squared errors (regression); every midpoint between consecutive distinct
 //! feature values is a candidate threshold, so the tree is the exact CART
-//! tree. The search sorts a node's rows once per feature and sweeps the
-//! boundaries with a left-side pointer (`sweep`) — O(n log n) a node — yet
-//! picks the split, and reports the gain, that dividing the node afresh
-//! at every threshold would. For classification that is immediate: class
-//! counts are integers, so running left counts and `total − left` give each
-//! side's impurity through the same `gini_n` a whole node uses. A side's SSE
-//! is a float sum in row order that no running sum reproduces, so regression
-//! first scores every candidate from prefix sums and evaluates the slow way
-//! only those the score cannot rule out (`best_sse_split` has the argument).
+//! tree.
+//!
+//! A tree sorts once. `fit_rows` lays its sample (a forest's bootstrap,
+//! repeats and all) out as per-tree buffers — the `(target, row)` pairs in
+//! sample order, and per feature the `(value, row)` pairs sorted by value,
+//! stably, so ties stand in sample order — and a node is the same range
+//! `lo..hi` of every one of them. Splitting a node partitions each range in
+//! place, stably, through one spill buffer: the children are `lo..mid` and
+//! `mid..hi`. A stable partition of a sorted run is sorted, with ties in the
+//! order the parent had them, which is the child's sample order; so a child's
+//! range holds exactly what collecting the child's rows and stable-sorting
+//! them would, and everything that sums floats in row order or in `entered`
+//! order — leaf means, a side's SSE, the running sums of the sweep — adds
+//! the same numbers in the same order as a search that re-sorts every node.
+//!
+//! The search sweeps a node's sorted range per feature with a left-side
+//! pointer (`sweep`) — O(n) a node — yet picks the split, and reports the
+//! gain, that dividing the node afresh at every threshold would. For
+//! classification that is immediate: class counts are integers, so running
+//! left counts and `total − left` give each side's impurity through the same
+//! `gini_n` a whole node uses — summed over the classes the node holds, in
+//! ascending order, not over all that were declared: an absent class has
+//! count zero on both sides and would add `+0.0`, which changes no bit of a
+//! sum. A side's SSE is a float sum in row order that no running sum
+//! reproduces, so regression first scores every candidate from prefix sums
+//! and evaluates the slow way only those the score cannot rule out
+//! (`best_sse_split` has the argument).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -63,6 +81,9 @@ pub struct DecisionTree {
 /// The best split of a node so far: `(gain, feature, threshold)`.
 type Best = Option<(f64, usize, f64)>;
 
+/// An element of a per-tree buffer: a float and the dataset row it belongs to.
+type Pair = (f64, usize);
+
 /// Keep `best` unless `gain` is strictly greater: of equal gains the first
 /// enumerated wins.
 fn offer(best: &mut Best, gain: f64, f: usize, thr: f64) {
@@ -78,41 +99,28 @@ fn sse(ys: impl Iterator<Item = f64> + Clone, n: usize) -> f64 {
     ys.map(|v| (v - mean).powi(2)).sum::<f64>()
 }
 
-/// Gini impurity times `n` of `n` rows with these per-class counts.
+/// Gini impurity times `n` of `n` rows with these per-class counts. A count
+/// of zero adds `+0.0` to a sum of squares that some positive term makes
+/// positive, so leaving zero counts out returns the same bits.
 fn gini_n(counts: impl Iterator<Item = usize>, n: usize) -> f64 {
     let n = n as f64;
     let gini = 1.0 - counts.map(|c| (c as f64 / n).powi(2)).sum::<f64>();
     gini * n
 }
 
-fn class_counts(y: &[f64], idx: &[usize], n_classes: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; n_classes];
-    for &i in idx {
-        counts[y[i] as usize] += 1;
-    }
-    counts
-}
-
-/// Enumerate feature `f`'s candidate splits of node `idx` in ascending
-/// threshold order: sort the node's `(value, row)` pairs once, then at each
-/// boundary between distinct values call `visit(thr, entered, n_left)` with
-/// the pairs that joined the left side since the last call and that side's
-/// size. The left side is `value <= thr`, advanced by value, not position:
-/// the midpoint of two adjacent floats can round up to the right one, whose
-/// rows are then on the left too.
+/// Enumerate the candidate splits of a node on one feature, given the node's
+/// `(value, row)` pairs for it in ascending order, by ascending threshold: at
+/// each boundary between distinct values call `visit(thr, entered, n_left)`
+/// with the pairs that joined the left side since the last call and that
+/// side's size. The left side is `value <= thr`, advanced by value, not
+/// position: the midpoint of two adjacent floats can round up to the right
+/// one, whose rows are then on the left too.
 #[expect(
     clippy::float_cmp,
     reason = "a boundary lies between distinct values: equal means bit-equal"
 )]
-fn sweep(
-    x: &[Vec<f64>],
-    idx: &[usize],
-    f: usize,
-    mut visit: impl FnMut(f64, &[(f64, usize)], usize),
-) {
-    let mut vals: Vec<(f64, usize)> = idx.iter().map(|&i| (x[i][f], i)).collect();
-    vals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut right: &[(f64, usize)] = &vals;
+fn sweep(vals: &[Pair], mut visit: impl FnMut(f64, &[Pair], usize)) {
+    let mut right = vals;
     for pair in vals.windows(2) {
         let (prev, cur) = (pair[0].0, pair[1].0);
         let thr = (cur + prev) / 2.0;
@@ -129,95 +137,226 @@ fn sweep(
     }
 }
 
-/// Best Gini split of node `idx` over `feats`: each side's class counts come
-/// from the sweep, its impurity from `gini_n` as a whole node's does.
-fn best_gini_split(
-    x: &[Vec<f64>],
-    y: &[f64],
-    idx: &[usize],
-    feats: &[usize],
-    n_classes: usize,
-) -> Best {
-    let total = class_counts(y, idx, n_classes);
-    let parent = gini_n(total.iter().copied(), idx.len());
-    let mut left = vec![0usize; n_classes];
-    let mut best = None;
-    for &f in feats {
-        left.fill(0);
-        sweep(x, idx, f, |thr, entered, n_left| {
-            for &(_, i) in entered {
-                left[y[i] as usize] += 1;
-            }
-            let right = total.iter().zip(&left).map(|(&t, &l)| t - l);
-            let gain =
-                parent - gini_n(left.iter().copied(), n_left) - gini_n(right, idx.len() - n_left);
-            offer(&mut best, gain, f, thr);
-        });
+/// Stable partition of `run` in place: the pairs whose row `goes_left` first,
+/// both sides in the order they had. Returns the size of the left side.
+fn partition(run: &mut [Pair], spill: &mut Vec<Pair>, goes_left: impl Fn(usize) -> bool) -> usize {
+    spill.clear();
+    let mut n_left = 0;
+    for k in 0..run.len() {
+        let pair = run[k];
+        if goes_left(pair.1) {
+            run[n_left] = pair;
+            n_left += 1;
+        } else {
+            spill.push(pair);
+        }
     }
-    best
+    run[n_left..].copy_from_slice(spill);
+    n_left
 }
 
-/// Best SSE split of node `idx` over `feats`: the split, and the gain, that
-/// evaluating `parent − sse(left) − sse(right)` at every candidate would give.
-///
-/// Each candidate is first scored `s = SL²/nL + SR²/nR`, `SL` the sweep's
-/// running sum of the node-centred targets `z = y − c` and `SR = Σz − SL`. In
-/// exact arithmetic `s = G + n(ȳ − c)²` for any centre `c`, `G` the true gain,
-/// so `s` ranks candidates as `G` does. In floats (`u = ε/2`, `Z = Σz²`,
-/// `Y = max|y|`) `s` is off by `E_s ≲ (4n^1.5 + 2n + 6)·u·Z` — `SR` carries up
-/// to `2n·u·Σ|z|` of rounding, `Σ|z| ≤ √(nZ)`, `|SR| ≤ √(nR·Z)` — and the slow
-/// evaluation `Ĝ` is off too, by a constant all candidates share (the parent's
-/// error) plus `E_g ≲ (2n + 6)·u·Z + n³u²Y²`: a side's mean is a float sum,
-/// wrong by up to `n_s·u·Y`, which adds `n_s³u²Y²` to its SSE, and the squares,
-/// sums and subtractions add `(n + 3)·u` of it. That last term is nothing
-/// unless the targets sit on a large offset, and then it is what matters.
-///
-/// The slow winner `w` has `Ĝ_w ≥ Ĝ_k`, hence `G_w ≥ G_k − 2E_g` and
-/// `s_w ≥ s_k − 2(E_s + E_g)` for every `k`: it scores within `2·tol` of the
-/// top for any `tol ≥ E_s + E_g`, and the one below has a factor of 6 and more
-/// to spare. Evaluating just those candidates the slow way, in enumeration
-/// order under the same strict `>`, returns `w` with `Ĝ_w` — the first of the
-/// maxima is the first in any subset that holds it. A score not provably
-/// below the line (NaN, or a non-finite `tol`) is evaluated.
-fn best_sse_split(x: &[Vec<f64>], y: &[f64], idx: &[usize], feats: &[usize]) -> Best {
-    let parent = sse(idx.iter().map(|&i| y[i]), idx.len());
-    let n = idx.len() as f64;
-    let centre = idx.iter().map(|&i| y[i]).sum::<f64>() / n;
-    let (mut z_sum, mut z_sq, mut y_max) = (0.0f64, 0.0f64, 0.0f64);
-    for &i in idx {
-        let z = y[i] - centre;
-        z_sum += z;
-        z_sq += z * z;
-        y_max = y_max.max(y[i].abs());
-    }
-    let tol =
-        64.0 * f64::EPSILON * n.powf(1.5) * z_sq + 4.0 * (f64::EPSILON * y_max).powi(2) * n.powi(3);
+/// One tree's growth: the bootstrap sample laid out once, as buffers every
+/// node owns the same range `lo..hi` of, and the scratch a node's split
+/// search needs, allocated once.
+struct Grower<'a> {
+    x: &'a [Vec<f64>],
+    y: &'a [f64],
+    params: TreeParams,
+    tree: DecisionTree,
+    /// `(target, row)` of the sample; a node's range is in sample order.
+    sample: Vec<Pair>,
+    /// Per feature, `(value, row)` of the sample; a node's range ascends by
+    /// value, ties in sample order.
+    sorted: Vec<Vec<Pair>>,
+    /// Right-hand side of the range `partition` is dividing.
+    spill: Vec<Pair>,
+    /// The features the node at hand may split on.
+    feats: Vec<usize>,
+    /// Regression candidates of the node at hand: `(score, feature, thr, n_left)`.
+    scored: Vec<(f64, usize, f64, usize)>,
+    /// Class counts of the node at hand (`tally`; all zero between nodes), of
+    /// a candidate's left side, and the classes the node holds, ascending.
+    total: Vec<usize>,
+    left: Vec<usize>,
+    present: Vec<usize>,
+}
 
-    let mut scored: Vec<(f64, usize, f64, usize)> = Vec::new(); // (score, feature, thr, n_left)
-    for &f in feats {
-        let mut sl = 0.0f64;
-        sweep(x, idx, f, |thr, entered, n_left| {
-            for &(_, i) in entered {
-                sl += y[i] - centre;
+impl Grower<'_> {
+    /// Count the classes of node `lo..hi` into `total` and list them in `present`.
+    fn tally(&mut self, lo: usize, hi: usize) {
+        for &(label, _) in &self.sample[lo..hi] {
+            let c = label as usize;
+            if self.total[c] == 0 {
+                self.present.push(c);
             }
-            let sr = z_sum - sl;
-            let (nl, nr) = (n_left as f64, (idx.len() - n_left) as f64);
-            scored.push((sl * (sl / nl) + sr * (sr / nr), f, thr, n_left));
-        });
-    }
-    let line = scored.iter().map(|c| c.0).fold(f64::NEG_INFINITY, f64::max) - 2.0 * tol;
-
-    let mut best = None;
-    for &(score, f, thr, n_left) in &scored {
-        if score < line {
-            continue;
+            self.total[c] += 1;
         }
-        let side =
-            |left: bool| idx.iter().filter(move |&&i| (x[i][f] <= thr) == left).map(|&i| y[i]);
-        let gain = parent - sse(side(true), n_left) - sse(side(false), idx.len() - n_left);
-        offer(&mut best, gain, f, thr);
+        self.present.sort_unstable();
     }
-    best
+
+    fn clear_tally(&mut self) {
+        for c in self.present.drain(..) {
+            self.total[c] = 0;
+        }
+    }
+
+    /// Best Gini split of node `lo..hi` over `feats`: each side's class counts
+    /// come from the sweep, its impurity from `gini_n` as a whole node's does,
+    /// both over the classes the node holds.
+    fn best_gini_split(&mut self, lo: usize, hi: usize) -> Best {
+        let n = hi - lo;
+        self.tally(lo, hi);
+        let parent = gini_n(self.present.iter().map(|&c| self.total[c]), n);
+        let mut best = None;
+        for &f in &self.feats {
+            for &c in &self.present {
+                self.left[c] = 0;
+            }
+            sweep(&self.sorted[f][lo..hi], |thr, entered, n_left| {
+                for &(_, i) in entered {
+                    self.left[self.y[i] as usize] += 1;
+                }
+                let left = self.present.iter().map(|&c| self.left[c]);
+                let right = self.present.iter().map(|&c| self.total[c] - self.left[c]);
+                let gain = parent - gini_n(left, n_left) - gini_n(right, n - n_left);
+                offer(&mut best, gain, f, thr);
+            });
+        }
+        self.clear_tally();
+        best
+    }
+
+    /// Best SSE split of node `lo..hi` over `feats`: the split, and the gain,
+    /// that evaluating `parent − sse(left) − sse(right)` at every candidate
+    /// would give.
+    ///
+    /// Each candidate is first scored `s = SL²/nL + SR²/nR`, `SL` the sweep's
+    /// running sum of the node-centred targets `z = y − c` and `SR = Σz − SL`.
+    /// In exact arithmetic `s = G + n(ȳ − c)²` for any centre `c`, `G` the true
+    /// gain, so `s` ranks candidates as `G` does. In floats (`u = ε/2`,
+    /// `Z = Σz²`, `Y = max|y|`) `s` is off by `E_s ≲ (4n^1.5 + 2n + 6)·u·Z` —
+    /// `SR` carries up to `2n·u·Σ|z|` of rounding, `Σ|z| ≤ √(nZ)`,
+    /// `|SR| ≤ √(nR·Z)` — and the slow evaluation `Ĝ` is off too, by a constant
+    /// all candidates share (the parent's error) plus
+    /// `E_g ≲ (2n + 6)·u·Z + n³u²Y²`: a side's mean is a float sum, wrong by up
+    /// to `n_s·u·Y`, which adds `n_s³u²Y²` to its SSE, and the squares, sums and
+    /// subtractions add `(n + 3)·u` of it. That last term is nothing unless the
+    /// targets sit on a large offset, and then it is what matters.
+    ///
+    /// The slow winner `w` has `Ĝ_w ≥ Ĝ_k`, hence `G_w ≥ G_k − 2E_g` and
+    /// `s_w ≥ s_k − 2(E_s + E_g)` for every `k`: it scores within `2·tol` of
+    /// the top for any `tol ≥ E_s + E_g`, and the one below has a factor of 6
+    /// and more to spare. Evaluating just those candidates the slow way, in
+    /// enumeration order under the same strict `>`, returns `w` with `Ĝ_w` —
+    /// the first of the maxima is the first in any subset that holds it. A
+    /// score not provably below the line (NaN, or a non-finite `tol`) is
+    /// evaluated.
+    fn best_sse_split(&mut self, lo: usize, hi: usize) -> Best {
+        let (x, node) = (self.x, &self.sample[lo..hi]);
+        let ys = node.iter().map(|p| p.0);
+        let parent = sse(ys.clone(), node.len());
+        let n = node.len() as f64;
+        let centre = ys.clone().sum::<f64>() / n;
+        let (mut z_sum, mut z_sq, mut y_max) = (0.0f64, 0.0f64, 0.0f64);
+        for y in ys {
+            let z = y - centre;
+            z_sum += z;
+            z_sq += z * z;
+            y_max = y_max.max(y.abs());
+        }
+        let tol = 64.0 * f64::EPSILON * n.powf(1.5) * z_sq
+            + 4.0 * (f64::EPSILON * y_max).powi(2) * n.powi(3);
+
+        self.scored.clear();
+        for &f in &self.feats {
+            let mut sl = 0.0f64;
+            sweep(&self.sorted[f][lo..hi], |thr, entered, n_left| {
+                for &(_, i) in entered {
+                    sl += self.y[i] - centre;
+                }
+                let sr = z_sum - sl;
+                let (nl, nr) = (n_left as f64, (node.len() - n_left) as f64);
+                self.scored.push((sl * (sl / nl) + sr * (sr / nr), f, thr, n_left));
+            });
+        }
+        let line = self.scored.iter().map(|c| c.0).fold(f64::NEG_INFINITY, f64::max) - 2.0 * tol;
+
+        let mut best = None;
+        for &(score, f, thr, n_left) in &self.scored {
+            if score < line {
+                continue;
+            }
+            let side =
+                |left: bool| node.iter().filter(move |p| (x[p.1][f] <= thr) == left).map(|p| p.0);
+            let gain = parent - sse(side(true), n_left) - sse(side(false), node.len() - n_left);
+            offer(&mut best, gain, f, thr);
+        }
+        best
+    }
+
+    fn leaf_value(&mut self, lo: usize, hi: usize) -> f64 {
+        match self.tree.task {
+            Task::Regression => {
+                self.sample[lo..hi].iter().map(|p| p.0).sum::<f64>() / (hi - lo) as f64
+            }
+            Task::Classification { .. } => {
+                self.tally(lo, hi);
+                let top = self.present.iter().max_by_key(|&&c| self.total[c]).map(|&c| c as f64);
+                self.clear_tally();
+                top.unwrap_or(0.0)
+            }
+        }
+    }
+
+    /// Divide node `lo..hi` at `x[f] <= thr` and return where: every buffer's
+    /// range is partitioned stably, so `lo..mid` and `mid..hi` are the
+    /// children's, in the orders the buffers promise.
+    fn split(&mut self, lo: usize, hi: usize, f: usize, thr: f64) -> usize {
+        let x = self.x;
+        let mut mid = lo;
+        for run in self.sorted.iter_mut().chain([&mut self.sample]) {
+            mid = lo + partition(&mut run[lo..hi], &mut self.spill, |row| x[row][f] <= thr);
+        }
+        mid
+    }
+
+    #[expect(
+        clippy::float_cmp,
+        reason = "a node is pure when every target is the same value, bit for bit"
+    )]
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize, rng: &mut impl Rng) -> usize {
+        let node_id = self.tree.nodes.len();
+        self.tree.nodes.push(NodeKind::Leaf { value: 0.0 }); // placeholder
+
+        let first = self.sample[lo].0;
+        let pure = self.sample[lo..hi].iter().all(|p| p.0 == first);
+        let stop = depth >= self.params.max_depth || hi - lo < self.params.min_samples_split;
+        let mut best = None;
+        if !stop && !pure {
+            let d = self.sorted.len();
+            self.feats.clear();
+            self.feats.extend(0..d);
+            if let Some(k) = self.params.feature_subsample {
+                self.feats.shuffle(rng);
+                self.feats.truncate(k.clamp(1, d));
+            }
+            best = match self.tree.task {
+                Task::Regression => self.best_sse_split(lo, hi),
+                Task::Classification { .. } => self.best_gini_split(lo, hi),
+            };
+        }
+
+        self.tree.nodes[node_id] = match best {
+            Some((gain, feature, threshold)) if gain > 1e-12 => {
+                let mid = self.split(lo, hi, feature, threshold);
+                let left = self.grow(lo, mid, depth + 1, rng);
+                let right = self.grow(mid, hi, depth + 1, rng);
+                NodeKind::Split { feature, threshold, left, right }
+            }
+            _ => NodeKind::Leaf { value: self.leaf_value(lo, hi) },
+        };
+        node_id
+    }
 }
 
 impl DecisionTree {
@@ -238,7 +377,8 @@ impl DecisionTree {
     }
 
     /// Fit a tree on the rows `rows` of `(x, y)`, repeats and all, in that
-    /// order — a forest's bootstrap sample without a copy of the data.
+    /// order — a forest's bootstrap sample without a copy of the data. The
+    /// one sort a tree does is here: the sample, once per feature.
     pub(crate) fn fit_rows(
         x: &[Vec<f64>],
         y: &[f64],
@@ -247,9 +387,33 @@ impl DecisionTree {
         params: TreeParams,
         rng: &mut impl Rng,
     ) -> Self {
-        let mut tree = DecisionTree { nodes: Vec::new(), task };
-        tree.grow(x, y, rows, 0, params, rng);
-        tree
+        let sorted = (0..x[0].len())
+            .map(|f| {
+                let mut run: Vec<Pair> = rows.iter().map(|&i| (x[i][f], i)).collect();
+                run.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+                run
+            })
+            .collect();
+        let n_classes = match task {
+            Task::Classification { n_classes } => n_classes,
+            Task::Regression => 0,
+        };
+        let mut grower = Grower {
+            x,
+            y,
+            params,
+            tree: DecisionTree { nodes: Vec::new(), task },
+            sample: rows.iter().map(|&i| (y[i], i)).collect(),
+            sorted,
+            spill: Vec::new(),
+            feats: Vec::new(),
+            scored: Vec::new(),
+            total: vec![0; n_classes],
+            left: vec![0; n_classes],
+            present: Vec::new(),
+        };
+        grower.grow(0, rows.len(), 0, rng);
+        grower.tree
     }
 
     /// Predict for one feature row.
@@ -268,66 +432,6 @@ impl DecisionTree {
     /// Number of nodes (diagnostics).
     pub fn size(&self) -> usize {
         self.nodes.len()
-    }
-
-    fn leaf_value(&self, y: &[f64], idx: &[usize]) -> f64 {
-        match self.task {
-            Task::Regression => idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64,
-            Task::Classification { n_classes } => class_counts(y, idx, n_classes)
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &c)| c)
-                .map(|(k, _)| k as f64)
-                .unwrap_or(0.0),
-        }
-    }
-
-    #[expect(
-        clippy::float_cmp,
-        reason = "a node is pure when every target is the same value, bit for bit"
-    )]
-    fn grow(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        idx: &[usize],
-        depth: usize,
-        params: TreeParams,
-        rng: &mut impl Rng,
-    ) -> usize {
-        let node_id = self.nodes.len();
-        self.nodes.push(NodeKind::Leaf { value: 0.0 }); // placeholder
-
-        let pure = idx.iter().all(|&i| y[i] == y[idx[0]]);
-        if depth >= params.max_depth || idx.len() < params.min_samples_split || pure {
-            self.nodes[node_id] = NodeKind::Leaf { value: self.leaf_value(y, idx) };
-            return node_id;
-        }
-
-        let d = x[0].len();
-        let mut feats: Vec<usize> = (0..d).collect();
-        if let Some(k) = params.feature_subsample {
-            feats.shuffle(rng);
-            feats.truncate(k.clamp(1, d));
-        }
-
-        let best = match self.task {
-            Task::Regression => best_sse_split(x, y, idx, &feats),
-            Task::Classification { n_classes } => best_gini_split(x, y, idx, &feats, n_classes),
-        };
-
-        match best {
-            Some((gain, f, thr)) if gain > 1e-12 => {
-                let (l, r): (Vec<usize>, Vec<usize>) = idx.iter().partition(|&&i| x[i][f] <= thr);
-                let left = self.grow(x, y, &l, depth + 1, params, rng);
-                let right = self.grow(x, y, &r, depth + 1, params, rng);
-                self.nodes[node_id] = NodeKind::Split { feature: f, threshold: thr, left, right };
-            }
-            _ => {
-                self.nodes[node_id] = NodeKind::Leaf { value: self.leaf_value(y, idx) };
-            }
-        }
-        node_id
     }
 }
 
@@ -596,6 +700,150 @@ pub(crate) mod tests {
         }
         let y: Vec<f64> = (0..60).map(|i| f64::from((i / 10) % 2)).collect();
         assert_same_tree(&x, &y, &rows, Task::Regression, TreeParams::default(), "blocks");
+    }
+
+    /// `(depth, feature)` of every split of `t`, in node order.
+    fn splits(t: &DecisionTree) -> Vec<(usize, usize)> {
+        fn walk(t: &DecisionTree, i: usize, depth: usize, out: &mut Vec<(usize, usize)>) {
+            if let NodeKind::Split { feature, left, right, .. } = t.nodes[i] {
+                out.push((depth, feature));
+                walk(t, left, depth + 1, out);
+                walk(t, right, depth + 1, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(t, 0, 0, &mut out);
+        out
+    }
+
+    /// What tells a range carried down the tree from a fresh sort of the
+    /// child's rows, and a stable partition from an unstable one: the feature
+    /// the parent did *not* split on must come out in value order with ties
+    /// in sample order, and the sample itself in sample order, because
+    /// regression sums targets in that order.
+    #[test]
+    fn carried_ranges_are_the_fresh_sorts_of_the_children() {
+        let all = TreeParams::default();
+
+        // Feature 1 ties across distinct rows (8 each) whose targets differ in
+        // every bit that a reordered sum would move; feature 0 takes the root.
+        let x: Vec<Vec<f64>> = (0..24).map(|i| vec![f64::from(i), f64::from(i % 3)]).collect();
+        let y: Vec<f64> = (0..24)
+            .map(|i| 0.1 * f64::from(i * i % 7) + 1e-3 * f64::from(i) + f64::from(i / 12) * 5.0)
+            .collect();
+        let rows: Vec<usize> = (0..24).collect();
+        let t = assert_same_tree(&x, &y, &rows, Task::Regression, all, "ties off the split");
+        assert_eq!(splits(&t)[0], (0, 0));
+        assert!(splits(&t).iter().any(|&(depth, f)| depth >= 1 && f == 1), "{:?}", splits(&t));
+        let drawn: Vec<usize> = (0..40).map(|k| (k * 7 + k / 3) % 24).collect();
+        assert_same_tree(&x, &y, &drawn, Task::Regression, all, "ties off the split, drawn");
+
+        // Three rows tie on every feature, twice over, so each trio shares a
+        // leaf whose mean sums it as drawn — a, b, c, a, b, c — on either
+        // side of the root; summed in any other order a bit moves.
+        let x: Vec<Vec<f64>> =
+            [2.0, 2.0, 2.0, 9.0, 9.0, 9.0, 11.0].iter().map(|&v| vec![v, 20.0 - v]).collect();
+        let y = vec![0.1, 0.2, 0.3, 40.1, 40.2, 40.3, 50.0];
+        let rows = [0, 3, 1, 4, 2, 5, 6, 0, 3, 1, 4, 2, 5];
+        let t = assert_same_tree(&x, &y, &rows, Task::Regression, all, "interleaved repeats");
+        for trio in [0, 3] {
+            let drawn = y[trio..trio + 3].iter().chain(&y[trio..trio + 3]);
+            assert_ne!(drawn.clone().sum::<f64>(), drawn.clone().rev().sum::<f64>());
+            assert_eq!(t.predict(&x[trio]).to_bits(), (drawn.sum::<f64>() / 6.0).to_bits());
+        }
+
+        // Feature 1 takes the root; feature 0 is first looked at three levels
+        // down, in ranges partitioned three times since they were sorted.
+        let x: Vec<Vec<f64>> = (0..64)
+            .map(|i| vec![f64::from(i % 8) * 0.37, f64::from(i / 8 % 2), f64::from(i / 16)])
+            .collect();
+        let y: Vec<f64> =
+            x.iter().map(|r| 1e4 * r[1] + 1e2 * r[2] + r[0] + 1e-3 * r[0] * r[2]).collect();
+        for rows in [(0..64).collect::<Vec<_>>(), (0..90).map(|k| (k * 37 + k / 5) % 64).collect()]
+        {
+            let t = assert_same_tree(&x, &y, &rows, Task::Regression, all, "feature 1 first");
+            let s = splits(&t);
+            assert_eq!(s[0], (0, 1));
+            assert!(s.iter().all(|&(depth, f)| f != 0 || depth >= 3), "{s:?}");
+            assert!(s.contains(&(3, 0)) && s.contains(&(4, 0)), "{s:?}");
+        }
+    }
+
+    /// The midpoint cases again, two levels down: feature 0 sorts the rows
+    /// into four groups, and feature 1 holds −∞ | +∞ (no threshold), a pair
+    /// whose midpoint rounds up (both rows left, a third right), a pair whose
+    /// midpoint rounds down, and an ordinary pair.
+    #[test]
+    fn midpoints_two_levels_down_split_as_the_comparison_does() {
+        let e = f64::EPSILON;
+        let within = [
+            vec![f64::NEG_INFINITY, f64::INFINITY],
+            vec![1.0 + e, 1.0 + 2.0 * e, 5.0],
+            vec![1.0, 1.0 + e],
+            vec![3.0, 4.0],
+        ];
+        let mut x = Vec::new();
+        for (group, values) in within.iter().enumerate() {
+            x.extend(values.iter().map(|&v| vec![group as f64, v]));
+        }
+        let y_reg: Vec<f64> = x.iter().enumerate().map(|(i, r)| 1e3 * r[0] + i as f64).collect();
+        let y_class: Vec<f64> = (0..x.len()).map(|i| i as f64).collect();
+        let rows: Vec<usize> = (0..x.len()).chain([2, 3, 0, 1, 5, 6]).collect();
+        for (task, y) in
+            [(Task::Regression, &y_reg), (Task::Classification { n_classes: 17 }, &y_class)]
+        {
+            let t = assert_same_tree(&x, y, &rows, task, TreeParams::default(), "depth 2");
+            let s = splits(&t);
+            assert!(s.iter().any(|&(depth, f)| depth >= 2 && f == 1), "{task:?}: {s:?}");
+            // The rounded-up pair stays together, the rounded-down one parts,
+            // and, once the groups are apart, −∞ and +∞ cannot be told apart.
+            assert_eq!(t.predict(&x[2]), t.predict(&x[3]), "{task:?}");
+            assert_ne!(t.predict(&x[3]), t.predict(&x[4]), "{task:?}");
+            assert_ne!(t.predict(&x[5]), t.predict(&x[6]), "{task:?}");
+            if task == Task::Regression {
+                assert_eq!(s[..2], [(0, 0), (1, 0)], "the groups part first: {s:?}");
+                assert_eq!(t.predict(&x[0]), t.predict(&x[1]));
+            }
+        }
+    }
+
+    /// Seventeen classes declared, as for the profiler's CPU target, and
+    /// nodes that hold two or three of them: impurity summed over the classes
+    /// present is impurity summed over all seventeen.
+    #[test]
+    fn gini_over_the_classes_present_is_gini_over_all() {
+        let mut x: Vec<Vec<f64>> =
+            (0..45).map(|i| vec![f64::from(i), f64::from(i * 7 % 5)]).collect();
+        let mut y: Vec<f64> = (0..45)
+            .map(|i| match i {
+                0..=14 => 3.0,
+                15..=29 => [9.0, 16.0][i as usize % 2],
+                _ => [0.0, 16.0, 16.0][i as usize % 3],
+            })
+            .collect();
+        // Two rows no feature tells apart: their leaf's vote ties, and of
+        // tied classes the highest wins, as it does counting all seventeen.
+        x.extend([vec![50.0, 0.0], vec![50.0, 0.0]]);
+        y.extend([12.0, 5.0]);
+        let task = Task::Classification { n_classes: 17 };
+        let rows: Vec<usize> = (0..47).collect();
+        let t = assert_same_tree(&x, &y, &rows, task, TreeParams::default(), "17 classes");
+        assert!(t.size() > 7);
+        assert_eq!(t.predict(&[50.0, 0.0]), 12.0);
+        let drawn: Vec<usize> = (0..60).map(|k| (k * 11 + k / 4) % 47).collect();
+        for subsample in [None, Some(1)] {
+            let params = TreeParams { feature_subsample: subsample, ..Default::default() };
+            assert_same_tree(&x, &y, &drawn, task, params, "17 classes, drawn");
+        }
+    }
+
+    #[test]
+    fn partition_keeps_both_sides_in_order() {
+        let mut run: Vec<Pair> = [4, 1, 6, 3, 2, 5, 1, 4].iter().map(|&r| (0.5, r)).collect();
+        let mut spill = vec![(9.9, 99)]; // stale scratch is discarded
+        let n_left = partition(&mut run, &mut spill, |row| row % 2 == 0);
+        assert_eq!(n_left, 4);
+        assert_eq!(run.iter().map(|p| p.1).collect::<Vec<_>>(), [4, 6, 2, 4, 1, 3, 5, 1]);
     }
 
     fn rng() -> ChaCha8Rng {

@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Decision fingerprints of the release-build simulator runs the benchmark
+# times, at seed 42: exact counts the traced workloads already print.
+# sim_harvest (50,000 invocations, 200 nodes, Libra without the profiler) pins
+# what the control plane decided; sim_libra (150 invocations, 100 nodes, full
+# Libra) adds what the profiler was asked and how many rows it fitted, and
+# moves if any prediction does, because grants, loans and finish times follow
+# the predictions. They are counts, so they repeat exactly on any machine; the
+# goldens pin the action trace on a 1-node and a small chaos scenario, this
+# pins the runs a speed claim is made on. A PR that moves simulated behaviour
+# on purpose updates the numbers beside tests/golden/.
+# Run from anywhere: ./scripts/decision_fingerprint.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+declare -A want
+want[sim_harvest]='controlplane.loans_expired 3937
+controlplane.safeguard_triggers 7476
+engine.event_pops 1429641
+pool.gets 329705
+pool.puts 41742'
+want[sim_libra]='controlplane.loans_expired 9
+controlplane.safeguard_triggers 10
+engine.event_pops 20275
+pool.gets 72
+pool.puts 78
+profiler.observe.calls 150
+profiler.predict.calls 87
+profiler.rows_max 133
+profiler.train.calls 63'
+
+for workload in sim_harvest sim_libra; do
+  # Every wanted name, as the alternation of a regex with its dots escaped.
+  names=$(cut -d' ' -f1 <<<"${want[$workload]}" | sed 's/\./\\./g' | paste -sd'|')
+  got=$(benchmarks/perf/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 1 | tail -1 \
+    | grep -oE "\"($names)\":\{\"value\":[0-9]+" \
+    | sed -E 's/^"([^"]*)":\{"value":/\1 /' | sort)
+  echo "$workload:"
+  echo "$got"
+  if [ "$got" != "${want[$workload]}" ]; then
+    echo "$workload fingerprint moved; expected:" >&2
+    echo "${want[$workload]}" >&2
+    exit 1
+  fi
+done

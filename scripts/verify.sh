@@ -65,9 +65,10 @@ done
 benchmarks/perf/run.sh --workload sim_engine --seed 42 --seconds 3 --trace 1 | tail -1 \
   | grep -o '"engine.events_per_inv":{"value":[0-9.]*' | cut -d: -f3 \
   | awk '{ print "engine.events_per_inv", $1; ok = $1 > 0 && $1 <= 25 } END { exit !ok }'
-# What the control plane decided on the 50,000-invocation, 200-node run, as
-# five exact counts (scripts/harvest_fingerprint.sh holds them).
-./scripts/harvest_fingerprint.sh
+# What the control plane decided on the 50,000-invocation, 200-node run and
+# what the profiler was asked on the full-Libra run, as exact counts
+# (scripts/decision_fingerprint.sh holds them).
+./scripts/decision_fingerprint.sh
 
 echo "==> trace-export smoke (seed workload with tracing on, grep the HTML timeline)"
 # The single-set seed workload with span tracing enabled must export a
