@@ -69,10 +69,10 @@ pub fn pool_order() {
     for ((name, _), chunk) in variants.iter().zip(runs.chunks(reps as usize)) {
         row(&[
             (*name).into(),
-            format!("{:.1}", mean_of(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
-            format!("{:.3}", mean_of(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
-            format!("{:.0}", mean_of(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
-            format!("{:.0}", mean_of(&chunk.iter().map(|r| r.3).collect::<Vec<_>>())),
+            format!("{:.1}", mean_slice(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
+            format!("{:.3}", mean_slice(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
+            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
+            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.3).collect::<Vec<_>>())),
         ]);
     }
     println!("Expected: longest-lived-first loses the fewest loans to source");
@@ -100,9 +100,9 @@ pub fn continuous_acceleration() {
     for ((name, _), chunk) in variants.iter().zip(runs.chunks(reps as usize)) {
         row(&[
             (*name).into(),
-            format!("{:.1}", mean_of(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
-            format!("{:.0}", mean_of(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
-            format!("{:.3}", mean_of(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
+            format!("{:.1}", mean_slice(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
+            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
+            format!("{:.3}", mean_slice(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
         ]);
     }
     println!("Expected: one-shot acceleration strands long invocations whose");
@@ -129,9 +129,9 @@ pub fn headroom() {
     for (h, chunk) in hs.iter().zip(runs.chunks(reps as usize)) {
         row(&[
             format!("{h:.1}"),
-            format!("{:.1}", mean_of(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
-            format!("{:.0}", mean_of(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
-            format!("{:.3}", mean_of(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
+            format!("{:.1}", mean_slice(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
+            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
+            format!("{:.3}", mean_slice(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
         ]);
     }
     println!("Expected: more headroom = fewer safeguard trips but less harvest");
@@ -167,9 +167,9 @@ pub fn coverage_vs_volume() {
     for (name, chunk) in variants.iter().zip(runs.chunks(reps as usize)) {
         row(&[
             (*name).into(),
-            format!("{:.1}", mean_of(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
-            format!("{:.0}", mean_of(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
-            format!("{:.3}", mean_of(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
+            format!("{:.1}", mean_slice(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
+            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
+            format!("{:.3}", mean_slice(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
         ]);
     }
     println!("Expected: coverage-aware placement sends accelerable invocations");
@@ -181,7 +181,7 @@ pub fn coverage_vs_volume() {
 /// exhaustive batch-optimal assigner — with the decision-time cost that
 /// justifies shipping the greedy.
 pub fn greedy_gap() {
-    use libra_core::batch::{greedy_assign, optimal_assign, BatchNode, BatchRequest};
+    use crate::batch::{greedy_assign, optimal_assign, BatchNode, BatchRequest};
     use libra_core::pool::PoolEntryStatus;
     use libra_sim::resources::ResourceVec;
     use libra_sim::time::{SimDuration, SimTime};

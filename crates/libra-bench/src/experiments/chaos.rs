@@ -52,7 +52,7 @@ fn run_libra_with(trace: &Trace, faults: &FaultPlan) -> PlatformRun {
 /// Assert that an empty fault plan reproduces the plain run exactly.
 fn check_inert(trace: &Trace) {
     let plain =
-        run_kind(PlatformKind::Libra, sebs_suite(), testbeds::multi_node(), config(), trace);
+        run_on(sebs_suite(), testbeds::multi_node(), config(), trace, PlatformKind::Libra.build());
     let empty = run_libra_with(trace, &FaultPlan::empty());
     assert_eq!(plain.result.records.len(), empty.result.records.len());
     for (a, b) in plain.result.records.iter().zip(empty.result.records.iter()) {
@@ -114,15 +114,15 @@ pub fn run() -> Vec<(String, f64)> {
     header("P99 latency and loss vs fault scale (averaged over reps)");
     row(&["scale", "faults", "P99 (s)", "P99 degr.", "loss rate", "requeues", "pool viol."]
         .map(String::from));
-    let base_p99 = mean_of(&p99[0]);
+    let base_p99 = mean_slice(&p99[0]);
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for (i, &scale) in SCALES.iter().enumerate() {
-        let p = mean_of(&p99[i]);
+        let p = mean_slice(&p99[i]);
         let degr = if base_p99 > 0.0 { p / base_p99 } else { 1.0 };
-        let l = mean_of(&loss[i]);
-        let rq = mean_of(&requeues[i]);
-        let f = mean_of(&faults[i]);
+        let l = mean_slice(&loss[i]);
+        let rq = mean_slice(&requeues[i]);
+        let f = mean_slice(&faults[i]);
         row(&[
             format!("{scale:.1}x"),
             format!("{f:.1}"),

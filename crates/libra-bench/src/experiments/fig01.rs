@@ -63,8 +63,13 @@ pub fn run() {
             trace.push(SimTime::ZERO, AppKind::Vp.id(), vp_in);
             trace.push(SimTime::from_secs(120), AppKind::Dh.id(), dh_in);
             trace.push(SimTime::from_secs(120), AppKind::Vp.id(), vp_in);
-            let run =
-                run_kind(kind, sebs_suite(), testbeds::single_node(), SimConfig::default(), &trace);
+            let run = run_on(
+                sebs_suite(),
+                testbeds::single_node(),
+                SimConfig::default(),
+                &trace,
+                kind.build(),
+            );
             let measured: Vec<_> = run
                 .result
                 .records

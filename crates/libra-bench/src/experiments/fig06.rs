@@ -22,12 +22,12 @@ pub fn run() -> Vec<(String, f64)> {
     let jobs: Vec<(usize, usize)> =
         (0..reps as usize).flat_map(|rep| (0..n).map(move |i| (rep, i))).collect();
     let runs = par_map(jobs, |(rep, i)| {
-        run_kind(
-            PlatformKind::MAIN_SIX[i],
+        run_on(
             sebs_suite(),
             testbeds::single_node(),
             SimConfig::default(),
             &traces[rep],
+            PlatformKind::MAIN_SIX[i].build(),
         )
     });
     for (j, run) in runs.iter().enumerate() {
@@ -61,8 +61,8 @@ pub fn run() -> Vec<(String, f64)> {
     }
 
     header("Headline comparisons (averaged over reps)");
-    let p99m: Vec<f64> = p99.iter().map(|v| mean_of(v)).collect();
-    let worstm: Vec<f64> = worst.iter().map(|v| mean_of(v)).collect();
+    let p99m: Vec<f64> = p99.iter().map(|v| mean_slice(v)).collect();
+    let worstm: Vec<f64> = worst.iter().map(|v| mean_slice(v)).collect();
     let names: Vec<&str> = PlatformKind::MAIN_SIX.iter().map(|k| k.name()).collect();
     row(&["platform".into(), "P99 (s)".into(), "worst speedup".into()]);
     for i in 0..names.len() {

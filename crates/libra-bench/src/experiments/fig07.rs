@@ -22,12 +22,12 @@ pub fn run() -> Vec<(String, f64, f64, f64)> {
     let jobs: Vec<(usize, usize)> =
         (0..reps as usize).flat_map(|rep| (0..n).map(move |i| (rep, i))).collect();
     let runs = par_map(jobs, |(rep, i)| {
-        run_kind(
-            PlatformKind::MAIN_SIX[i],
+        run_on(
             sebs_suite(),
             testbeds::single_node(),
             SimConfig::default(),
             &traces[rep],
+            PlatformKind::MAIN_SIX[i].build(),
         )
     });
     for (j, run) in runs.iter().enumerate() {
@@ -41,7 +41,7 @@ pub fn run() -> Vec<(String, f64, f64, f64)> {
     row(&["platform".into(), "cpu util".into(), "mem util".into(), "completion".into()]);
     let mut out = Vec::new();
     for (i, kind) in PlatformKind::MAIN_SIX.iter().enumerate() {
-        let (c, m, t) = (mean_of(&cpu[i]), mean_of(&mem[i]), mean_of(&compl[i]));
+        let (c, m, t) = (mean_slice(&cpu[i]), mean_slice(&mem[i]), mean_slice(&compl[i]));
         row(&[kind.name().into(), format!("{c:.3}"), format!("{m:.3}"), format!("{t:.1}s")]);
         out.push((kind.name().to_string(), c, m, t));
     }

@@ -17,7 +17,7 @@ pub fn run() {
 
     // Run all six platforms in parallel; print from the ordered results.
     let runs = par_map(PlatformKind::MAIN_SIX.to_vec(), |kind| {
-        run_kind(kind, sebs_suite(), testbeds::single_node(), SimConfig::default(), &trace)
+        run_on(sebs_suite(), testbeds::single_node(), SimConfig::default(), &trace, kind.build())
     });
     for run in &runs {
         println!("\n-- {}", run.name);

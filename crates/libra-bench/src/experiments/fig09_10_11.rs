@@ -96,7 +96,8 @@ pub fn sweep() -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for (chunk_i, acc) in measured.chunks(reps).enumerate() {
         let (ri, ai) = (chunk_i / ALGOS.len(), chunk_i % ALGOS.len());
-        let mean = |f: &dyn Fn(&SweepPoint) -> f64| mean_of(&acc.iter().map(f).collect::<Vec<_>>());
+        let mean =
+            |f: &dyn Fn(&SweepPoint) -> f64| mean_slice(&acc.iter().map(f).collect::<Vec<_>>());
         out.push(SweepPoint {
             rpm: rpms[ri],
             algo: ALGOS[ai],

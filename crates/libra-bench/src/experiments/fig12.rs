@@ -52,12 +52,12 @@ pub fn strong_scaling() -> Vec<(usize, f64)> {
     let out: Vec<(usize, f64)> = par_map((1..=4).collect(), |shards| {
         let gen = TraceGen::standard(&ALL_APPS, 7);
         let trace = gen.concurrent_burst(n_inv);
-        let run = run_kind(
-            PlatformKind::Libra,
+        let run = run_on(
             scaling_suite(),
             testbeds::jetstream(50),
             scaling_config(shards),
             &trace,
+            PlatformKind::Libra.build(),
         );
         (shards, run.result.completion_time.as_secs_f64())
     });
@@ -85,12 +85,12 @@ pub fn weak_scaling() -> Vec<(usize, f64)> {
         let n_inv = ((20.0 * nodes as f64 * scale) as usize).max(20);
         let gen = TraceGen::standard(&ALL_APPS, 7);
         let trace = gen.concurrent_burst(n_inv);
-        let run = run_kind(
-            PlatformKind::Libra,
+        let run = run_on(
             scaling_suite(),
             testbeds::jetstream(nodes),
             scaling_config(4),
             &trace,
+            PlatformKind::Libra.build(),
         );
         (nodes, n_inv, run.result.completion_time.as_secs_f64())
     });

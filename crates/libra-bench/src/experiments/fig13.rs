@@ -23,7 +23,7 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
     let trace = gen.single_set();
     let panel_a = [PlatformKind::LibraHist, PlatformKind::LibraMl, PlatformKind::Libra];
     let runs = par_map(panel_a.to_vec(), |kind| {
-        run_kind(kind, sebs_suite(), testbeds::single_node(), SimConfig::default(), &trace)
+        run_on(sebs_suite(), testbeds::single_node(), SimConfig::default(), &trace, kind.build())
     });
     for (kind, run) in panel_a.iter().zip(&runs) {
         cdf_summary(kind.name(), &run.result.speedups(), "");
@@ -47,7 +47,13 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
         let trace = gen.single_set();
         let panel_kinds = [PlatformKind::Default, PlatformKind::Freyr, PlatformKind::Libra];
         let runs = par_map(panel_kinds.to_vec(), |kind| {
-            run_kind(kind, suite.clone(), testbeds::single_node(), SimConfig::default(), &trace)
+            run_on(
+                suite.clone(),
+                testbeds::single_node(),
+                SimConfig::default(),
+                &trace,
+                kind.build(),
+            )
         });
         let mut p99s = Vec::new();
         for (kind, run) in panel_kinds.iter().zip(&runs) {

@@ -15,7 +15,8 @@ pub fn run() -> Vec<(String, [f64; 6])> {
     let gen = TraceGen::standard(&ALL_APPS, 42);
     let trace = gen.poisson(300, 120.0);
     let config = SimConfig { shards: 2, ..SimConfig::default() };
-    let run = run_kind(PlatformKind::Libra, sebs_suite(), testbeds::multi_node(), config, &trace);
+    let run =
+        run_on(sebs_suite(), testbeds::multi_node(), config, &trace, PlatformKind::Libra.build());
 
     row(&[
         "func".into(),

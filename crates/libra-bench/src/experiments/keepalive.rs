@@ -107,11 +107,11 @@ pub fn run() -> Vec<(String, f64)> {
     for (ci, chunk) in runs.chunks(reps as usize).enumerate() {
         let (pi, ki) = (ci / PLATFORMS.len(), ci % PLATFORMS.len());
         let label = format!("{}/{}", pols[pi].label(), PLATFORMS[ki].name());
-        let cold = mean_of(&chunk.iter().map(|c| c.cold_rate).collect::<Vec<_>>());
-        let pinned = mean_of(&chunk.iter().map(|c| c.pinned_mean_mb).collect::<Vec<_>>());
-        let peak = mean_of(&chunk.iter().map(|c| c.pinned_max_mb).collect::<Vec<_>>());
-        let prewarms = mean_of(&chunk.iter().map(|c| c.prewarms).collect::<Vec<_>>());
-        let p99 = mean_of(&chunk.iter().map(|c| c.p99_s).collect::<Vec<_>>());
+        let cold = mean_slice(&chunk.iter().map(|c| c.cold_rate).collect::<Vec<_>>());
+        let pinned = mean_slice(&chunk.iter().map(|c| c.pinned_mean_mb).collect::<Vec<_>>());
+        let peak = mean_slice(&chunk.iter().map(|c| c.pinned_max_mb).collect::<Vec<_>>());
+        let prewarms = mean_slice(&chunk.iter().map(|c| c.prewarms).collect::<Vec<_>>());
+        let p99 = mean_slice(&chunk.iter().map(|c| c.p99_s).collect::<Vec<_>>());
         row(&[
             pols[pi].label(),
             PLATFORMS[ki].name().into(),

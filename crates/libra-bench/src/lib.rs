@@ -2,8 +2,9 @@
 //!
 //! One module per table/figure of the paper under [`experiments`] (see
 //! DESIGN.md §3 for the index), run by name through the one `exp` binary;
-//! this library holds the shared machinery: platform constructors, run
-//! drivers, and plain-text table/CDF reporting.
+//! this library holds the shared machinery: platform constructors, the run
+//! driver, parallel sweeps, plain-text table/CDF reporting, and the batch
+//! assigners of the greedy-gap ablation ([`batch`]).
 //!
 //! Every experiment prints the paper's expected shape next to the measured
 //! numbers and writes CSV series under `results/` for external plotting.
@@ -18,6 +19,7 @@
 )]
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod experiments;
 pub mod plot;
 
@@ -122,24 +124,6 @@ pub fn run_on(
     let sim = Simulation::new(funcs, nodes, config);
     let result = sim.run(trace, platform.as_mut());
     PlatformRun { name: platform.name(), result, report: platform.report() }
-}
-
-/// Run a kind on the standard suite/cluster/config.
-pub fn run_kind(
-    kind: PlatformKind,
-    funcs: Vec<FunctionSpec>,
-    nodes: Vec<ResourceVec>,
-    config: SimConfig,
-    trace: &Trace,
-) -> PlatformRun {
-    run_on(funcs, nodes, config, trace, kind.build())
-}
-
-/// Averaged repetition: the paper reports results "averaged over five times
-/// of experiments"; we re-run with distinct trace seeds and aggregate.
-/// Delegates to [`libra_sim::metrics::mean_slice`] (NaN on empty).
-pub fn mean_of(values: &[f64]) -> f64 {
-    mean_slice(values)
 }
 
 // ------------------------------------------------------------- parallel runs
@@ -302,12 +286,6 @@ mod tests {
             assert!(!p.name().is_empty());
         }
         assert_eq!(PlatformKind::Libra.name(), "Libra");
-    }
-
-    #[test]
-    fn mean_of_handles_edges() {
-        assert!(mean_of(&[]).is_nan());
-        assert_eq!(mean_of(&[2.0, 4.0]), 3.0);
     }
 
     #[test]

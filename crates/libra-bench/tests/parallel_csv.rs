@@ -1,7 +1,7 @@
 //! The parallel sweep runner must be a pure wall-clock optimization: CSV
 //! artifacts (and the aggregates they derive from) must be byte-identical to
 //! a serial run. This drives a real experiment (Fig 6) through the actual
-//! `run_kind`/`par_map`/`write_csv` machinery twice — once on one worker
+//! `run_on`/`par_map`/`write_csv` machinery twice — once on one worker
 //! thread, once on several — and diffs every produced file.
 //!
 //! Both phases live in ONE test so the env-var handoff (results dir, thread

@@ -28,9 +28,6 @@
 //! * [`platform`] — the simulator driver of the control plane as a
 //!   `libra_sim::Platform`, with the paper's ablations (NS / NP / NSP /
 //!   Hist / ML) as configuration presets,
-//! * [`batch`] — the paper's acknowledged limitation made measurable: a
-//!   batch-optimal assigner against which the greedy scheduler's optimality
-//!   gap (and cost) can be quantified,
 //! * [`keepalive`] — the keep-alive / autoscaling policy layer: pure,
 //!   clock-free [`keepalive::KeepAlivePolicy`] implementations (fixed TTL,
 //!   histogram prewarm, concurrency autoscaling) that decide when idle warm
@@ -46,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod batch;
 pub mod controlplane;
 pub mod coverage;
 pub mod keepalive;
@@ -57,7 +53,6 @@ pub mod safeguard;
 pub mod scheduler;
 pub mod sharding;
 
-pub use batch::{greedy_assign, optimal_assign, Assignment, BatchNode, BatchRequest};
 pub use controlplane::{
     Action, Admission, ControlConfig, ControlCounters, ControlPlane, LendFailure, Observation,
 };

@@ -15,9 +15,10 @@
 //!
 //! That rule is written once, as [`place`] over two closures (does node *i*
 //! fit; what does its pool advertise), and every substrate asks it: the
-//! selectors below, the live [`crate::sharding::ShardedScheduler`], and
-//! [`crate::batch::greedy_assign`] through [`max_coverage`]. `hash_func` is
-//! the only function hash, so a function's home node is the same everywhere.
+//! selectors below and the live [`crate::sharding::ShardedScheduler`]; the
+//! harness's batch ablation (`libra_bench::batch`) runs its coverage scan,
+//! [`max_coverage`]. `hash_func` is the only function hash, so a function's
+//! home node is the same everywhere.
 
 use crate::coverage::demand_coverage;
 use crate::pool::{PoolEntryStatus, PoolSnapshot};

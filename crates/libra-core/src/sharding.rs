@@ -52,7 +52,7 @@ struct ShardState {
 /// dead shard keeps its books and degrades instead of panicking:
 /// `schedule_on` answers `node: None` (the caller retries, exactly like an
 /// unplaceable request), `try_charge` answers `false` (the loan is skipped),
-/// while `release` and `force_charge` still land — capacity that running
+/// while `release` and `rebook` still land — capacity that running
 /// invocations give back or are restored to is never lost to a crash.
 pub struct ShardedScheduler {
     shards: Vec<Mutex<ShardState>>,
@@ -133,14 +133,15 @@ impl ShardedScheduler {
         state.alive && state.slices[node as usize].try_reserve(res)
     }
 
-    /// Re-commit `res` on `node` within `shard`'s slice unconditionally —
-    /// the live twin of the simulator's `Node::force_reserve`: a safeguard
-    /// release or OOM restart must restore the nominal grant even when
+    /// Move one resident's booking on `node` within `shard`'s slice from
+    /// `from` to `to` under one lock, without a capacity check
+    /// ([`Slice::rebook`], the rule the simulator's `Node::rebook` runs): a
+    /// safeguard release or OOM restart restores the nominal grant even when
     /// admissions already consumed the freed capacity. The slice may end up
     /// over-reserved; it then admits nothing until releases bring it back
     /// under its capacity.
-    pub fn force_charge(&self, shard: usize, node: u32, res: ResourceVec) {
-        self.shards[shard].lock().slices[node as usize].force_reserve(res);
+    pub fn rebook(&self, shard: usize, node: u32, from: ResourceVec, to: ResourceVec) {
+        self.shards[shard].lock().slices[node as usize].rebook(from, to);
     }
 
     /// A snapshot of `shard`'s free slice per node (works even while the
@@ -211,11 +212,12 @@ mod tests {
     #[test]
     fn forced_restore_blocks_admission_until_released() {
         // One shard, one node, 4-core / 4 GB slice holding one 2-core
-        // admission; a forced restore of 3 cores over-reserves the CPU side.
+        // admission; rebooking a resident from nothing to 3 cores
+        // over-reserves the CPU side.
         let sched = ShardedScheduler::spawn(1, 1, ResourceVec::from_cores_mb(4, 4096), 0.9);
         assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
         let restored = ResourceVec::from_cores_mb(3, 1024);
-        sched.force_charge(0, 0, restored);
+        sched.rebook(0, 0, ResourceVec::ZERO, restored);
         assert_eq!(sched.slice_free(0).unwrap()[0].cpu_millis, 0, "free saturates at zero");
         assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "no admission beside the debt");
         assert!(!sched.try_charge(0, 0, ResourceVec::new(100, 0)), "no lending beside it either");

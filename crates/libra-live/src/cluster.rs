@@ -4,9 +4,9 @@
 //! resident there. Every [`LiveConfig::quantum`] the node's one monitor tick
 //! fires (the paper's per-node safeguard daemon, the simulator's `NodeTick`):
 //! one pass settles every resident's progress, reports a cgroups-style usage
-//! observation of each to the control plane and replays the emitted
-//! [`Action`]s against the sharded scheduler's slice books. Between ticks the
-//! driver wakes only to complete an invocation the instant its work runs out.
+//! observation of each to the control plane and applies the emitted
+//! [`Action`]s. Between ticks the driver wakes only to complete an invocation
+//! the instant its work runs out.
 //!
 //! That instant is the resident's `due`, `last_settle + work_left / rate /
 //! time_scale`, re-armed for every resident of the node after each event,
@@ -30,7 +30,14 @@
 //! lock per shard), plus a watchdog that turns a wedged run into a
 //! diagnostic panic instead of a hung CI job.
 //!
+//! The slice books follow the ledger, as in the simulator: after every event
+//! each resident of the node is rebooked ([`Slice::rebook`]) to what the
+//! control plane charges it (own grant + lent out, zero once it has left).
+//! A `Lend` alone is checked against the slice first, and refused if
+//! admissions took the pooled volume.
+//!
 //! [`Slice`]: libra_sim::node::Slice
+//! [`Slice::rebook`]: libra_sim::node::Slice::rebook
 //!
 //! Placement is [`libra_core::scheduler::place`] through
 //! [`ShardedScheduler::schedule_on`], so a function's hash home is the node
@@ -54,8 +61,8 @@
 //!   over the network, and [`LiveCluster::shutdown`] performs a graceful
 //!   drain — stop accepting, flush in-flight work, and *quiesce* whatever
 //!   cannot finish within the grace period through the control plane
-//!   (`on_abort` + charge release) so no harvest loan or scheduler-slice
-//!   charge is ever stranded by shutdown.
+//!   (`on_abort`, after which the ledger charges nothing) so no harvest loan
+//!   or scheduler-slice booking is ever stranded by shutdown.
 
 use crate::workload::LiveRequest;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -67,7 +74,6 @@ use libra_core::sharding::{ScheduleRequest, ShardedScheduler};
 use libra_sim::container::WarmPool;
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
 use libra_sim::invocation::{exec_rate_millis, mem_usage_model, InvState, StageCursor};
-use libra_sim::platform::LoanEnd;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use libra_sim::trace_spans::{ExecTrace, LoanOutcome, LoanSpan, SpanSink};
@@ -181,8 +187,10 @@ struct ExecState {
     /// OOM restart (mirroring the simulator's per-attempt segmentation), all
     /// charged through the same cursor the engine uses.
     stage: StageCursor,
-    /// Scheduler shard whose slice this invocation's charge lives in.
+    /// Scheduler shard whose slice this invocation's booking lives in.
     shard: usize,
+    /// What that slice holds for it: its charge as of the node's last event.
+    booked: ResourceVec,
     work_left: f64, // millicore-milliseconds (workload time)
     /// Millicores of progress in force since `last_settle` (0 until first
     /// armed). Only [`ClusterShared::rearm`] moves it, settling first.
@@ -237,87 +245,30 @@ struct NodeShared {
     driver: OnceLock<Thread>,
 }
 
-/// Give `vol` of the charge `inv` holds back to its shard's slice; a no-op
-/// once `inv`'s exec state is gone.
-fn release_for(
-    exec: &HashMap<u32, ExecState>,
-    sched: &ShardedScheduler,
-    node: u32,
-    inv: InvocationId,
-    vol: ResourceVec,
-) {
-    if let Some(st) = exec.get(&inv.0) {
-        sched.release(st.shard, node, vol);
-    }
-}
-
-/// Replay control-plane actions against the live substrate: the sharded
-/// scheduler's slice books and the per-invocation exec states.
-///
-/// `unwinding` names the invocation whose *whole* charge the caller releases
-/// in one shot after the event (the completion/abort paths): revocations
-/// against that charge are skipped here so it isn't released twice.
+/// Apply control-plane actions to the live substrate — the per-invocation
+/// exec states and the sharded scheduler's slice books — then rebook every
+/// resident to what the ledger now charges it.
 fn apply_actions(
     inner: &mut NodeInner,
     sched: &ShardedScheduler,
     node: u32,
     actions: &[Action],
     now: SimTime,
-    unwinding: Option<InvocationId>,
     sink: Option<&Mutex<SpanSink>>,
 ) {
     let NodeInner { core, exec, open_loans, .. } = inner;
     for &a in actions {
-        // Loan lifetimes: a span closes, with the volume and outcome of the
-        // action that ended it, once the control plane no longer holds the
-        // loan — a partial trim (`Return` of some of the CPU) leaves it open,
-        // exactly as the simulator's `return_loan` does.
         let ended = match a {
-            Action::Return { source, borrower, vol } => {
-                Some((source, borrower, vol, LoanOutcome::Returned))
-            }
-            Action::Revoke { source, borrower, vol, reason } => {
-                Some((source, borrower, vol, LoanOutcome::Revoked(reason)))
-            }
-            Action::Admitted { .. }
-            | Action::SetGrant { .. }
-            | Action::Lend { .. }
-            | Action::PreemptiveRelease { .. }
-            | Action::Requeue { .. } => None,
-        };
-        if let (Some(sink), Some((source, borrower, vol, outcome))) = (sink, ended) {
-            if !core.has_loan(source, borrower) {
-                if let Some(start_us) = open_loans.remove(&(source.0, borrower.0)) {
-                    sink.lock().record_loan(LoanSpan {
-                        source: source.0 as u64,
-                        borrower: borrower.0 as u64,
-                        node,
-                        cpu_millis: vol.cpu_millis,
-                        mem_mb: vol.mem_mb,
-                        start_us,
-                        end_us: now.as_micros(),
-                        outcome,
-                    });
-                }
-            }
-        }
-        match a {
-            // The scheduler reservation *is* the live admission; the action
-            // is the explicit trace record networked frontends key off.
-            Action::Admitted { .. } => {}
-            // Harvest: the freed volume leaves the committed charge.
-            Action::SetGrant { inv, freed, .. } => {
-                release_for(exec, sched, node, inv, freed);
-            }
             // Lending re-commits pooled idle volume: admissions may have
             // consumed it, so charge the source's slice first and report the
             // refusal if it's gone.
             Action::Lend { source, borrower, vol } => {
-                let Some(src) = exec.get(&source.0) else {
+                let Some(src) = exec.get_mut(&source.0) else {
                     core.lend_failed(source, borrower, vol, LendFailure::SourceGone, now);
                     continue;
                 };
                 if sched.try_charge(src.shard, node, vol) {
+                    src.booked += vol;
                     if let Some(b) = exec.get_mut(&borrower.0) {
                         b.accelerated = true;
                     }
@@ -329,49 +280,63 @@ fn apply_actions(
                 } else {
                     core.lend_failed(source, borrower, vol, LendFailure::NoCapacity, now);
                 }
-            }
-            // Trimmed volume goes back to uncommitted idle.
-            Action::Return { source, vol, .. } => {
-                release_for(exec, sched, node, source, vol);
-            }
-            Action::Revoke { source, vol, reason, .. } => {
-                let source_unwinds = match reason {
-                    // The source lives on: release the lend-time charge taken on
-                    // its shard (re-harvest or forced unwind).
-                    LoanEnd::BorrowerCompleted | LoanEnd::Safeguard | LoanEnd::SourceOom => false,
-                    // The source is going away: its completion path releases the
-                    // full pre-revocation charge in one shot.
-                    LoanEnd::SourceCompleted => true,
-                    // Drain/crash abort. When the *source* is the invocation
-                    // being unwound its wholesale release covers this charge;
-                    // but a loan the unwound invocation *borrowed* is charged on
-                    // its still-live source's shard and must be released here —
-                    // abandoning it would strand slice capacity across a drain.
-                    LoanEnd::Crashed => unwinding == Some(source),
-                };
-                if !source_unwinds {
-                    release_for(exec, sched, node, source, vol);
-                }
+                None
             }
             // Safeguard (§5.2): the grant is already back at nominal in the
-            // ledger; force the substrate charge to match, even if admissions
-            // already consumed the freed volume (the slice then admits
-            // nothing until releases bring it back under its capacity).
-            Action::PreemptiveRelease { inv, restored } => {
+            // ledger; the rebook below restores it on the slice.
+            Action::PreemptiveRelease { inv, .. } => {
                 if let Some(st) = exec.get_mut(&inv.0) {
                     st.safeguarded = true;
-                    sched.force_charge(st.shard, node, restored);
                 }
+                None
             }
             // OOM rule (§5.1): restart from scratch at the nominal grant.
-            Action::Requeue { inv, restored } => {
+            Action::Requeue { inv, .. } => {
                 if let Some(st) = exec.get_mut(&inv.0) {
                     st.oom_restarts += 1;
                     st.work_left = st.work_total();
                     st.last_settle = Instant::now();
-                    sched.force_charge(st.shard, node, restored);
                 }
+                None
             }
+            Action::Return { source, borrower, vol } => {
+                Some((source, borrower, vol, LoanOutcome::Returned))
+            }
+            Action::Revoke { source, borrower, vol, reason } => {
+                Some((source, borrower, vol, LoanOutcome::Revoked(reason)))
+            }
+            // Admission reserved the nominal through `schedule_on`; it and
+            // every grant or loan change reach the slice by the rebook below.
+            Action::Admitted { .. } | Action::SetGrant { .. } => None,
+        };
+        // Loan lifetimes: a span closes, with the volume and outcome of the
+        // action that ended it, once the control plane no longer holds the
+        // loan — a partial trim (`Return` of some of the CPU) leaves it open,
+        // exactly as the simulator's `return_loan` does.
+        let Some((sink, (source, borrower, vol, outcome))) = sink.zip(ended) else { continue };
+        if core.has_loan(source, borrower) {
+            continue;
+        }
+        if let Some(start_us) = open_loans.remove(&(source.0, borrower.0)) {
+            sink.lock().record_loan(LoanSpan {
+                source: source.0 as u64,
+                borrower: borrower.0 as u64,
+                node,
+                cpu_millis: vol.cpu_millis,
+                mem_mb: vol.mem_mb,
+                start_us,
+                end_us: now.as_micros(),
+                outcome,
+            });
+        }
+    }
+    // The slice holds what the ledger says — past capacity, too, when a
+    // restore lands on volume admissions took since it was harvested.
+    for (&id, st) in exec.iter_mut() {
+        let charge = core.charge(InvocationId(id)).unwrap_or(ResourceVec::ZERO);
+        if charge != st.booked {
+            sched.rebook(st.shard, node, st.booked, charge);
+            st.booked = charge;
         }
     }
 }
@@ -531,6 +496,51 @@ struct ClusterShared {
 }
 
 impl ClusterShared {
+    /// A cluster's shared state, before any of its threads start.
+    fn new(config: LiveConfig, n_funcs: usize) -> Self {
+        let n_funcs = n_funcs.max(1);
+        let nodes: Vec<Arc<NodeShared>> = (0..config.nodes)
+            .map(|_| {
+                let mut core = ControlPlane::new(config.control.clone(), n_funcs, 1);
+                core.set_record_trace(config.record_trace);
+                Arc::new(NodeShared {
+                    inner: Mutex::new(NodeInner {
+                        core,
+                        exec: HashMap::new(),
+                        tick: Instant::now(),
+                        warm: WarmPool::new(),
+                        policy: config.keepalive.build(),
+                        open_loans: HashMap::new(),
+                    }),
+                    driver: OnceLock::new(),
+                })
+            })
+            .collect();
+        let sched =
+            Arc::new(ShardedScheduler::spawn(config.shards, config.nodes, config.capacity, 0.9));
+        ClusterShared {
+            n_funcs,
+            nodes,
+            sched,
+            t0: Instant::now(),
+            draining: AtomicBool::new(false),
+            aborting: AtomicBool::new(false),
+            expired: AtomicBool::new(false),
+            front: Mutex::new(BTreeMap::new()),
+            front_thread: OnceLock::new(),
+            submitted: AtomicUsize::new(0),
+            inflight: AtomicUsize::new(0),
+            done_count: AtomicUsize::new(0),
+            aborted: AtomicU64::new(0),
+            peak_committed: AtomicU64::new(0),
+            shard_kills: AtomicU64::new(0),
+            records: Mutex::new(Vec::new()),
+            threads: Mutex::new(Vec::new()),
+            spans: Mutex::new(SpanSink::new(config.trace_spans)),
+            config,
+        }
+    }
+
     /// Workload-microseconds since cluster start.
     fn now_us(&self) -> u64 {
         (self.t0.elapsed().as_secs_f64() * 1e6 * self.config.time_scale) as u64
@@ -653,6 +663,7 @@ impl ClusterShared {
                 reply: p.reply,
                 stage,
                 shard,
+                booked: req.alloc,
                 work_left: req.work_mcore_ms as f64,
                 rate: 0,
                 last_settle: now,
@@ -663,7 +674,7 @@ impl ClusterShared {
                 oom_restarts: 0,
             },
         );
-        apply_actions(&mut g, &self.sched, node_id, &actions, now_ms, None, self.sink());
+        apply_actions(&mut g, &self.sched, node_id, &actions, now_ms, self.sink());
         self.rearm(&mut g, now);
         drop(g);
         if let Some(driver) = node.driver.get() {
@@ -733,7 +744,7 @@ impl ClusterShared {
         let now_ms = self.now_ms();
         if aborting {
             // Drain quiesce: unwind through the control plane so loans and
-            // slice charges are conserved, not abandoned.
+            // slice bookings are conserved, not abandoned.
             if unwind(g, &self.sched, node, inv, now_ms, self.sink(), false).is_some() {
                 self.count_aborted();
             }
@@ -764,7 +775,7 @@ impl ClusterShared {
         let mem_used = mem_usage_model(req.demand_mem_mb, progress);
         if req.demand_mem_mb <= req.alloc.mem_mb && mem_used > eff.mem_mb {
             let actions = g.core.on_oom(inv, now_ms);
-            apply_actions(g, &self.sched, node, &actions, now_ms, None, self.sink());
+            apply_actions(g, &self.sched, node, &actions, now_ms, self.sink());
             // The restart splits the exec timeline into per-restart segments
             // (same attempt: an OOM restart is a container event, not a
             // crash requeue).
@@ -782,7 +793,7 @@ impl ClusterShared {
             cpu_throttled: req.demand_cpu_millis > eff.cpu_millis,
         };
         let actions = g.core.on_observe(inv, obs, now_ms);
-        apply_actions(g, &self.sched, node, &actions, now_ms, None, self.sink());
+        apply_actions(g, &self.sched, node, &actions, now_ms, self.sink());
     }
 
     /// `inv`'s work is done: take it off the node, keep its container warm
@@ -911,48 +922,7 @@ impl LiveCluster {
     /// (sizes the control plane's per-function safeguard history; requests
     /// must carry `func < n_funcs`).
     pub fn start(config: LiveConfig, n_funcs: usize) -> Self {
-        let n_funcs = n_funcs.max(1);
-        let nodes: Vec<Arc<NodeShared>> = (0..config.nodes)
-            .map(|_| {
-                let mut core = ControlPlane::new(config.control.clone(), n_funcs, 1);
-                core.set_record_trace(config.record_trace);
-                Arc::new(NodeShared {
-                    inner: Mutex::new(NodeInner {
-                        core,
-                        exec: HashMap::new(),
-                        tick: Instant::now(),
-                        warm: WarmPool::new(),
-                        policy: config.keepalive.build(),
-                        open_loans: HashMap::new(),
-                    }),
-                    driver: OnceLock::new(),
-                })
-            })
-            .collect();
-        let sched =
-            Arc::new(ShardedScheduler::spawn(config.shards, config.nodes, config.capacity, 0.9));
-        let shared = Arc::new(ClusterShared {
-            n_funcs,
-            nodes,
-            sched,
-            t0: Instant::now(),
-            draining: AtomicBool::new(false),
-            aborting: AtomicBool::new(false),
-            expired: AtomicBool::new(false),
-            front: Mutex::new(BTreeMap::new()),
-            front_thread: OnceLock::new(),
-            submitted: AtomicUsize::new(0),
-            inflight: AtomicUsize::new(0),
-            done_count: AtomicUsize::new(0),
-            aborted: AtomicU64::new(0),
-            peak_committed: AtomicU64::new(0),
-            shard_kills: AtomicU64::new(0),
-            records: Mutex::new(Vec::new()),
-            threads: Mutex::new(Vec::new()),
-            spans: Mutex::new(SpanSink::new(config.trace_spans)),
-            config,
-        });
-
+        let shared = Arc::new(ClusterShared::new(config, n_funcs));
         let mut threads = Vec::with_capacity(shared.nodes.len() + 2);
         for (node_id, node) in shared.nodes.iter().enumerate() {
             let sh = Arc::clone(&shared);
@@ -1194,10 +1164,6 @@ impl LiveCluster {
             if !g.exec.is_empty() {
                 return Err(format!("node {i}: {} exec states survive drain", g.exec.len()));
             }
-            let committed = g.core.committed_on(NodeId(0));
-            if !committed.is_zero() {
-                return Err(format!("node {i}: committed {committed:?} after drain"));
-            }
         }
         let slice = sh.config.capacity.div(sh.config.shards as u64);
         for shard in 0..sh.config.shards {
@@ -1245,11 +1211,10 @@ impl LiveCluster {
 }
 
 /// Take `inv` off its node through the control plane — `on_complete` if it
-/// `finished`, `on_abort` if a drain cuts it short. The charge still on the
-/// books (own grant + everything lent out) is captured *before* the event
-/// unwinds the loan ledger, the emitted revocations are replayed, and that
-/// whole charge goes back to the shard slice in one shot, so neither ending
-/// strands a harvest loan or a slice charge. Returns the removed exec state.
+/// `finished`, `on_abort` if a drain cuts it short — and apply what it emits,
+/// which rebooks it and its loan partners. What its slice still holds for it
+/// (nothing, once the ledger has let it go) goes back, so neither ending
+/// strands a loan or a booking. Returns the removed exec state.
 fn unwind(
     g: &mut NodeInner,
     sched: &ShardedScheduler,
@@ -1259,11 +1224,10 @@ fn unwind(
     sink: Option<&Mutex<SpanSink>>,
     finished: bool,
 ) -> Option<ExecState> {
-    let Some(still) = g.core.charge(inv) else { return g.exec.remove(&inv.0) };
     let actions = if finished { g.core.on_complete(inv, now) } else { g.core.on_abort(inv, now) };
-    apply_actions(g, sched, node, &actions, now, Some(inv), sink);
+    apply_actions(g, sched, node, &actions, now, sink);
     let me = g.exec.remove(&inv.0)?;
-    sched.release(me.shard, node, still);
+    sched.release(me.shard, node, me.booked);
     Some(me)
 }
 
@@ -1296,6 +1260,7 @@ mod tests {
     use super::*;
     use crate::workload::mixed_workload;
     use libra_sim::invocation::{Prediction, PredictionPath};
+    use libra_sim::platform::LoanEnd;
 
     fn cfg(harvesting: bool) -> LiveConfig {
         LiveConfig {
@@ -1481,6 +1446,7 @@ mod tests {
             reply,
             stage: StageCursor::new(0, SimTime::ZERO, SimDuration::ZERO),
             shard: 0,
+            booked: ResourceVec::new(2_000, 512),
             work_left: 10_000.0,
             rate: 2_000,
             last_settle: t0,
@@ -1504,6 +1470,108 @@ mod tests {
         // An instant before the last settle credits nothing.
         st.settle(t0, 1.0);
         assert!((st.work_left - 4_100.0).abs() < 1e-6, "{}", st.work_left);
+    }
+
+    #[test]
+    fn slice_books_follow_the_ledger_through_every_event() {
+        // One node, one shard, no thread started: each event below runs here,
+        // through the paths the driver runs, and after each the shard's slice
+        // must hold exactly what the control plane charges the node.
+        let mut c = cfg(true);
+        c.nodes = 1;
+        c.shards = 1;
+        c.record_trace = true;
+        let sh = ClusterShared::new(c, 2);
+        let balanced = |after: &str| {
+            let g = sh.nodes[0].inner.lock();
+            let free = sh.sched.slice_free(0).expect("shard 0")[0];
+            let booked = sh.config.capacity.saturating_sub(&free);
+            assert_eq!(booked, g.core.committed_on(NodeId(0)), "slice vs ledger after {after}");
+        };
+        // Work enough that no real time elapsing here finishes anything.
+        let predicted = |func, alloc, cpu_millis, mem_mb, ms| LiveRequest {
+            at_ms: 0,
+            func,
+            alloc,
+            demand_cpu_millis: cpu_millis,
+            demand_mem_mb: mem_mb,
+            mem_floor_mb: 64,
+            work_mcore_ms: 1_000_000_000,
+            pred: Some(Prediction {
+                cpu_millis,
+                mem_mb,
+                duration: SimDuration::from_millis(ms),
+                path: PredictionPath::Histogram,
+            }),
+        };
+        let admit = |idx: usize, req| {
+            sh.inflight.fetch_add(1, Ordering::SeqCst);
+            let (reply, _) = bounded(1);
+            assert!(sh.admit(Pending { idx, req, reply, stage: None }).is_none(), "#{idx} fits");
+            balanced(&format!("admitting #{idx}"));
+        };
+        let event = |what: &str, f: &dyn Fn(&mut ControlPlane, SimTime) -> Vec<Action>| {
+            let mut g = sh.nodes[0].inner.lock();
+            let now = sh.now_ms();
+            let actions = f(&mut g.core, now);
+            apply_actions(&mut g, &sh.sched, 0, &actions, now, None);
+            drop(g);
+            balanced(what);
+        };
+        let observe = |id, cpu_busy_millis, mem_used_mb, cpu_throttled| {
+            let obs = Observation { cpu_busy_millis, mem_used_mb, cpu_throttled };
+            move |core: &mut ControlPlane, now| core.on_observe(InvocationId(id), obs, now)
+        };
+        let big = ResourceVec::new(4_000, 4_096);
+
+        admit(0, predicted(0, big, 1_000, 1_024, 1_000)); // harvested: 3 cores, 3 GB pooled
+        admit(1, predicted(0, ResourceVec::new(1_000, 1_024), 3_000, 1_024, 1_000)); // borrows 2 cores
+        event("the safeguard", &observe(0, 1_000, 1_000, false)); // revokes #1's loan
+        admit(2, predicted(1, big, 1_000, 512, 2_000));
+        event("a top-up", &observe(1, 1_000, 512, true)); // #1 borrows from #2
+        event("an OOM restart", &|core, now| core.on_oom(InvocationId(2), now));
+        admit(3, predicted(0, big, 1_000, 1_024, 3_000));
+        event("a top-up", &observe(1, 1_000, 512, true)); // #1 borrows from #3
+        let mut g = sh.nodes[0].inner.lock();
+        sh.finish(0, &mut g, InvocationId(3), sh.now_ms()); // a source completes mid-loan
+        drop(g);
+        balanced("a completion");
+        admit(4, predicted(0, big, 1_000, 1_024, 3_000));
+        event("a top-up", &observe(1, 1_000, 512, true)); // #1 borrows from #4
+        event("a trim", &observe(1, 500, 512, false)); // #1 returns it
+        event("a top-up", &observe(1, 1_000, 512, true)); // and borrows it again
+                                                          // Drain: the borrower first, its loan still out, then everyone else.
+        let mut g = sh.nodes[0].inner.lock();
+        sh.step(0, &mut g, 1, true, false);
+        drop(g);
+        balanced("aborting a borrower");
+        let mut g = sh.nodes[0].inner.lock();
+        assert_eq!(sh.drive(0, &mut g, true), None, "the drain pass empties the node");
+        drop(g);
+        balanced("the drain");
+
+        let g = sh.nodes[0].inner.lock();
+        let trace = g.core.action_trace();
+        let seen = |what: &str, hit: &dyn Fn(&Action) -> bool| {
+            assert!(trace.iter().any(hit), "no {what} in {trace:?}");
+        };
+        seen("harvest", &|a| matches!(a, Action::SetGrant { .. }));
+        seen("loan", &|a| matches!(a, Action::Lend { .. }));
+        seen("trim", &|a| matches!(a, Action::Return { .. }));
+        seen("safeguard release", &|a| matches!(a, Action::PreemptiveRelease { .. }));
+        seen("OOM restart", &|a| matches!(a, Action::Requeue { .. }));
+        for reason in
+            [LoanEnd::Safeguard, LoanEnd::SourceOom, LoanEnd::SourceCompleted, LoanEnd::Crashed]
+        {
+            seen(
+                &format!("{reason:?} revocation"),
+                &|a| matches!(a, Action::Revoke { reason: r, .. } if *r == reason),
+            );
+        }
+        drop(g);
+        assert_eq!(sh.aborted.load(Ordering::SeqCst), 4);
+        assert_eq!(sh.inflight.load(Ordering::SeqCst), 0);
+        LiveCluster { shared: Arc::new(sh) }.conservation_report().expect("drained clean");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! which must hold on every interleaving:
 //!
 //! * concurrent admissions never oversubscribe a shard slice,
-//! * forced restores (safeguard / OOM) racing releases neither mint nor leak
+//! * rebookings without a capacity check (the live driver booking a
+//!   resident at what the ledger charges it — a harvest, a safeguard or OOM
+//!   restore, the release at the end) racing each other neither mint nor leak
 //!   capacity — however far the slice was over-reserved in between, nothing
-//!   is reserved once every charge has been released,
+//!   is reserved once every resident is booked back to nothing,
 //! * a shard kill/respawn racing a release loses no freed capacity.
 
 #![cfg(loom)]
@@ -90,22 +92,23 @@ fn concurrent_admissions_never_oversubscribe() {
 }
 
 #[test]
-fn forced_restore_vs_release_ends_with_nothing_reserved() {
+fn rebooked_restores_racing_end_with_nothing_reserved() {
     loom::model(|| {
         let s = Arc::new(sched());
-        // Two invocations' worth of charge that cannot both fit: whichever
-        // forced restore lands second over-reserves the slice, and the racing
-        // releases must bring it all the way back — the live safeguard /
-        // OOM-restart scenario.
-        let vol_a = ResourceVec::new(6_000, 4_096);
-        let vol_b = ResourceVec::new(6_000, 6_144);
+        // Two admitted residents, harvested down to 2 cores / 1 GB each, are
+        // restored to nominals that cannot both fit: whichever restore lands
+        // second over-reserves the slice, and the racing rebookings to
+        // nothing (the drivers' completions) must bring it all the way back —
+        // the live safeguard / OOM-restart scenario.
+        let harvested = ResourceVec::new(2_000, 1_024);
         let mut handles = Vec::new();
-        for vol in [vol_a, vol_b] {
+        for nominal in [ResourceVec::new(6_000, 4_096), ResourceVec::new(6_000, 6_144)] {
+            assert!(s.try_charge(0, 0, harvested), "two harvested residents fit");
             let s = Arc::clone(&s);
             handles.push(loom::thread::spawn(move || {
-                s.force_charge(0, 0, vol);
+                s.rebook(0, 0, harvested, nominal);
                 loom::thread::yield_now();
-                s.release(0, 0, vol);
+                s.rebook(0, 0, nominal, ResourceVec::ZERO);
             }));
         }
         for h in handles {

@@ -552,8 +552,7 @@ impl World {
         let (Some(node), Some(shard)) = (inv.node, inv.shard) else {
             return;
         };
-        self.nodes[node.idx()].release(shard, old);
-        self.nodes[node.idx()].force_reserve(shard, new);
+        self.nodes[node.idx()].rebook(shard, old, new);
         if !old.fits_within(&new) {
             // Charge shrank in some dimension: parked invocations may fit now.
             self.wake_blocked();

@@ -38,7 +38,7 @@ impl Slice {
     }
 
     /// Volume currently reserved (may exceed the capacity after a
-    /// [`force_reserve`](Slice::force_reserve)).
+    /// [`rebook`](Slice::rebook)).
     pub fn reserved(&self) -> ResourceVec {
         self.reserved
     }
@@ -49,8 +49,8 @@ impl Slice {
         self.capacity.saturating_sub(&self.reserved)
     }
 
-    /// Reserve `res` if it fits the free capacity. While a forced restore
-    /// has a dimension over-reserved nothing that needs that dimension fits:
+    /// Reserve `res` if it fits the free capacity. While a restore has a
+    /// dimension over-reserved nothing that needs that dimension fits:
     /// admission stops until releases bring `reserved` back under capacity.
     pub fn try_reserve(&mut self, res: ResourceVec) -> bool {
         let fits = res.fits_within(&self.free());
@@ -60,12 +60,15 @@ impl Slice {
         fits
     }
 
-    /// Reserve `res` without a capacity check. Used when a safeguard or OOM
-    /// restores a harvested invocation to its user allocation: the restore
-    /// must succeed even if it transiently over-reserves the slice (the
-    /// kernel absorbs it via proportional CPU sharing; see `engine`).
-    pub fn force_reserve(&mut self, res: ResourceVec) {
-        self.reserved += res;
+    /// Move one resident's booking from `from` to `to` without a capacity
+    /// check — the one rule by which both substrates keep a slice equal to
+    /// its residents' ledger charges (own grant + lent out). A safeguard or
+    /// OOM restore to the user allocation must land even if it transiently
+    /// over-reserves the slice (the kernel absorbs it via proportional CPU
+    /// sharing; see `engine`).
+    pub fn rebook(&mut self, from: ResourceVec, to: ResourceVec) {
+        self.release(from);
+        self.reserved += to;
     }
 
     /// Give `res` back.
@@ -169,16 +172,16 @@ impl Node {
     pub fn try_reserve(&mut self, shard: usize, res: ResourceVec) -> bool {
         let fits = res.fits_within(&self.free_in_shard(shard));
         if fits {
-            self.force_reserve(shard, res);
+            self.rebook(shard, ResourceVec::ZERO, res);
         }
         fits
     }
 
-    /// Add to `shard`'s reservation without a capacity check
-    /// ([`Slice::force_reserve`]): a safeguard or OOM restore must succeed
-    /// even if it transiently oversubscribes the slice.
-    pub fn force_reserve(&mut self, shard: usize, res: ResourceVec) {
-        self.slices[shard].force_reserve(res);
+    /// Move a resident's booking in `shard`'s slice from `from` to `to`
+    /// ([`Slice::rebook`], no capacity check), then evict the warm
+    /// containers the new booking crowds out.
+    pub fn rebook(&mut self, shard: usize, from: ResourceVec, to: ResourceVec) {
+        self.slices[shard].rebook(from, to);
         self.settle_pins(shard);
     }
 
@@ -274,7 +277,7 @@ mod tests {
     fn over_reserved_slice_refuses_until_released() {
         let mut s = Slice::new(ResourceVec::from_cores_mb(4, 4096));
         assert!(s.try_reserve(ResourceVec::from_cores_mb(3, 1024)));
-        s.force_reserve(ResourceVec::from_cores_mb(3, 1024));
+        s.rebook(ResourceVec::ZERO, ResourceVec::from_cores_mb(3, 1024));
         assert_eq!(s.free(), ResourceVec::new(0, 2048), "free saturates per dimension");
         assert!(!s.try_reserve(ResourceVec::new(100, 1)), "no admission beside the debt");
         s.release(ResourceVec::from_cores_mb(3, 1024));
