@@ -17,17 +17,21 @@
 //! is pure mechanism: it stores deadlines, answers warm hits, and reaps
 //! expired pins.
 //!
-//! Lookups are indexed: a per-function ordered position index makes
-//! `acquire`/`count_at` proportional to that *function's* idle set instead
-//! of the whole node's, a per-shard pin gauge makes `pinned_for` O(log s),
-//! and a cached earliest deadline lets the periodic expiry sweep return
-//! without scanning when nothing can have expired. The pre-index
-//! linear-scan implementation survives as the equivalence-proptest oracle,
-//! `tests/support/seed_warm_pool.rs` at the repo root.
+//! Lookups are indexed: one sorted `(function, position)` index, in which
+//! each function's positions form one ascending (= scan order) run found by
+//! binary search, makes `acquire`/`count_at` proportional to that
+//! *function's* idle set instead of the whole node's; a per-shard pin gauge,
+//! indexed by shard, makes `pinned_for` O(1); and a cached earliest deadline
+//! lets the periodic expiry sweep return without scanning when nothing can
+//! have expired. Removals update both indexes in place — a warm hit moves
+//! two positions, a reaped or demand-evicted entry shifts the later ones
+//! down one — so nothing on the periodic path is rebuilt, re-sorted or
+//! allocated (beyond the returned pins). The
+//! pre-index linear-scan implementation survives as the equivalence-proptest
+//! oracle, `tests/support/seed_warm_pool.rs` at the repo root.
 
 use crate::ids::FunctionId;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One idle warm container.
 #[derive(Clone, Copy, Debug)]
@@ -48,10 +52,12 @@ struct WarmEntry {
 #[derive(Default, Debug)]
 pub struct WarmPool {
     idle: Vec<WarmEntry>,
-    /// Positions into `idle`, per function, in ascending (= scan) order.
-    by_func: BTreeMap<FunctionId, BTreeSet<usize>>,
-    /// Memory pinned per shard, *including* expired-but-unreaped entries.
-    pinned_shard: BTreeMap<usize, u64>,
+    /// `(idle[i].func, i)` for every position `i`, sorted: each function's
+    /// positions form one ascending (= scan order) run.
+    by_func: Vec<(FunctionId, usize)>,
+    /// Memory pinned per shard, indexed by shard, *including*
+    /// expired-but-unreaped entries.
+    pinned_shard: Vec<u64>,
     /// Lower bound on the earliest `keep_until` across entries (never later
     /// than the true minimum; removals leave it stale-low, sweeps fix it).
     next_expiry: Option<SimTime>,
@@ -65,20 +71,30 @@ impl WarmPool {
         WarmPool::default()
     }
 
+    /// `func`'s idle positions, ascending: its run in `by_func`.
+    fn positions(&self, func: FunctionId) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.by_func.partition_point(|&(f, _)| f < func);
+        let hi = self.by_func.partition_point(|&(f, _)| f <= func);
+        self.by_func[lo..hi].iter().map(|&(_, i)| i)
+    }
+
+    /// Add position `i` (already in `idle`) to the function index.
+    fn index_insert(&mut self, i: usize) {
+        let key = (self.idle[i].func, i);
+        let at = self.by_func.partition_point(|&k| k < key);
+        self.by_func.insert(at, key);
+    }
+
     /// Drop position `i` from the function index (entry still in `idle`).
     fn index_remove(&mut self, i: usize) {
-        let func = self.idle[i].func;
-        if let Some(set) = self.by_func.get_mut(&func) {
-            set.remove(&i);
-            if set.is_empty() {
-                self.by_func.remove(&func);
-            }
+        if let Ok(at) = self.by_func.binary_search(&(self.idle[i].func, i)) {
+            self.by_func.remove(at);
         }
     }
 
     /// Remove the entry at position `i` preserving the exact `swap_remove`
     /// semantics the scan implementation had: the last entry moves into the
-    /// hole, so every index update is O(log n).
+    /// hole, so only two positions change.
     fn swap_remove_at(&mut self, i: usize) -> WarmEntry {
         let last = self.idle.len() - 1;
         self.index_remove(i);
@@ -87,27 +103,29 @@ impl WarmPool {
         }
         let e = self.idle.swap_remove(i);
         if i < self.idle.len() {
-            let moved = self.idle[i].func;
-            self.by_func.entry(moved).or_default().insert(i);
+            self.index_insert(i);
         }
-        if let Some(p) = self.pinned_shard.get_mut(&e.shard) {
+        if let Some(p) = self.pinned_shard.get_mut(e.shard) {
             *p = p.saturating_sub(e.mem_mb);
         }
         e
     }
 
-    /// Recompute every index from `idle` (after bulk removals that shift
-    /// positions: the expiry sweep and demand eviction).
-    fn rebuild_index(&mut self) {
-        self.by_func.clear();
-        self.pinned_shard.clear();
-        self.next_expiry = None;
-        for (i, e) in self.idle.iter().enumerate() {
-            self.by_func.entry(e.func).or_default().insert(i);
-            *self.pinned_shard.entry(e.shard).or_default() += e.mem_mb;
-            self.next_expiry =
-                Some(self.next_expiry.map_or(e.keep_until, |m: SimTime| m.min(e.keep_until)));
+    /// Remove the entry at position `i` the way `Vec::remove` does: every
+    /// later entry shifts down one, keeping its order, so the index stays
+    /// sorted with each later position decremented in place.
+    fn remove_at(&mut self, i: usize) -> WarmEntry {
+        self.index_remove(i);
+        for (_, p) in &mut self.by_func {
+            if *p > i {
+                *p -= 1;
+            }
         }
+        let e = self.idle.remove(i);
+        if let Some(p) = self.pinned_shard.get_mut(e.shard) {
+            *p = p.saturating_sub(e.mem_mb);
+        }
+        e
     }
 
     /// Try to take a warm container for `func`. On a hit, returns
@@ -116,10 +134,7 @@ impl WarmPool {
     /// Expired entries are ignored (the engine reaps them via
     /// [`WarmPool::evict_expired`]).
     pub fn acquire(&mut self, func: FunctionId, now: SimTime) -> Option<(usize, u64)> {
-        let pos = self
-            .by_func
-            .get(&func)
-            .and_then(|set| set.iter().copied().find(|&i| now <= self.idle[i].keep_until));
+        let pos = self.positions(func).find(|&i| now <= self.idle[i].keep_until);
         match pos {
             Some(i) => {
                 let e = self.swap_remove_at(i);
@@ -143,32 +158,42 @@ impl WarmPool {
         now: SimTime,
         keep_until: SimTime,
     ) {
-        let pos = self.idle.len();
         self.idle.push(WarmEntry { func, shard, mem_mb, idle_since: now, keep_until });
-        self.by_func.entry(func).or_default().insert(pos);
-        *self.pinned_shard.entry(shard).or_default() += mem_mb;
+        self.index_insert(self.idle.len() - 1);
+        if shard >= self.pinned_shard.len() {
+            self.pinned_shard.resize(shard + 1, 0);
+        }
+        self.pinned_shard[shard] += mem_mb;
         self.next_expiry = Some(self.next_expiry.map_or(keep_until, |m| m.min(keep_until)));
     }
 
     /// Reap entries past their keep-until deadline, returning the
     /// `(shard, mem)` pins to credit back. Returns without scanning when the
-    /// cached earliest deadline proves nothing can have expired.
+    /// cached earliest deadline proves nothing can have expired; a sweep
+    /// that reaps nothing allocates nothing.
     pub fn evict_expired(&mut self, now: SimTime) -> Vec<(usize, u64)> {
         match self.next_expiry {
             Some(e) if now > e => {}
             _ => return Vec::new(),
         }
-        let (expired, live): (Vec<WarmEntry>, Vec<WarmEntry>) =
-            self.idle.drain(..).partition(|e| now > e.keep_until);
-        self.idle = live;
-        self.rebuild_index();
-        expired.into_iter().map(|e| (e.shard, e.mem_mb)).collect()
+        let mut expired = Vec::new();
+        let mut i = 0;
+        while let Some(e) = self.idle.get(i) {
+            if now > e.keep_until {
+                let e = self.remove_at(i);
+                expired.push((e.shard, e.mem_mb));
+            } else {
+                i += 1;
+            }
+        }
+        self.next_expiry = self.idle.iter().map(|e| e.keep_until).min();
+        expired
     }
 
     /// Evict LRU warm containers pinned to `shard` until at least `need_mb`
     /// of memory is freed (or the pool is out of candidates). Returns the
     /// freed pins.
-    pub fn evict_for(&mut self, shard: usize, need_mb: u64, _now: SimTime) -> Vec<(usize, u64)> {
+    pub fn evict_for(&mut self, shard: usize, need_mb: u64) -> Vec<(usize, u64)> {
         if self.pinned_for(shard) == 0 {
             return Vec::new();
         }
@@ -184,15 +209,12 @@ impl WarmPool {
                 .map(|(i, _)| i);
             match lru {
                 Some(i) => {
-                    let e = self.idle.remove(i);
+                    let e = self.remove_at(i);
                     total += e.mem_mb;
                     freed.push((e.shard, e.mem_mb));
                 }
                 None => break,
             }
-        }
-        if !freed.is_empty() {
-            self.rebuild_index();
         }
         freed
     }
@@ -205,9 +227,7 @@ impl WarmPool {
     /// Non-mutating count of warm containers for `func` still within
     /// keep-alive at `now` (for read-only scheduler queries).
     pub fn count_at(&self, func: FunctionId, now: SimTime) -> usize {
-        self.by_func
-            .get(&func)
-            .map_or(0, |set| set.iter().filter(|&&i| now <= self.idle[i].keep_until).count())
+        self.positions(func).filter(|&i| now <= self.idle[i].keep_until).count()
     }
 
     /// Total memory currently pinned by live warm containers (diagnostics).
@@ -219,16 +239,34 @@ impl WarmPool {
     /// entries that have not been reaped yet (an expired paused container
     /// still holds its heap until the pool tears it down).
     pub fn pinned_for(&self, shard: usize) -> u64 {
-        self.pinned_shard.get(&shard).copied().unwrap_or(0)
+        self.pinned_shard.get(shard).copied().unwrap_or(0)
     }
 
     /// Pins of every entry (used when tearing a node down in tests).
     pub fn drain_all(&mut self) -> Vec<(usize, u64)> {
         let out = self.idle.drain(..).map(|e| (e.shard, e.mem_mb)).collect();
         self.by_func.clear();
-        self.pinned_shard.clear();
+        self.pinned_shard.fill(0);
         self.next_expiry = None;
         out
+    }
+
+    /// Assert the index invariants: `by_func` is exactly
+    /// `{(idle[i].func, i)}`, ascending; every shard's gauge (one past the
+    /// last shard too) is the sum of its entries' pins; and `next_expiry` is
+    /// no later than any entry's deadline.
+    #[cfg(test)]
+    fn check_index(&self) {
+        let mut want: Vec<_> = self.idle.iter().enumerate().map(|(i, e)| (e.func, i)).collect();
+        want.sort_unstable();
+        assert_eq!(self.by_func, want, "function index diverged from the pool");
+        for s in 0..=self.pinned_shard.len() {
+            let sum: u64 = self.idle.iter().filter(|e| e.shard == s).map(|e| e.mem_mb).sum();
+            assert_eq!(self.pinned_for(s), sum, "pin gauge of shard {s}");
+        }
+        if let Some(min) = self.idle.iter().map(|e| e.keep_until).min() {
+            assert!(self.next_expiry.is_some_and(|n| n <= min), "cached expiry past {min:?}");
+        }
     }
 }
 
@@ -302,7 +340,7 @@ mod tests {
         park(&mut p, FunctionId(1), 0, 300, SimTime::from_secs(1)); // oldest, shard 0
         park(&mut p, FunctionId(2), 0, 300, SimTime::from_secs(2));
         park(&mut p, FunctionId(3), 1, 300, SimTime::ZERO); // other shard
-        let freed = p.evict_for(0, 300, SimTime::from_secs(5));
+        let freed = p.evict_for(0, 300);
         assert_eq!(freed, vec![(0, 300)]);
         // the shard-0 survivor is the newer entry (func 2)
         assert_eq!(p.count_at(FunctionId(1), SimTime::from_secs(5)), 0);
@@ -316,7 +354,7 @@ mod tests {
     fn evict_for_stops_when_shard_has_no_candidates() {
         let mut p = WarmPool::new();
         park(&mut p, F, 1, 256, SimTime::ZERO);
-        let freed = p.evict_for(0, 1000, SimTime::from_secs(1));
+        let freed = p.evict_for(0, 1000);
         assert!(freed.is_empty());
     }
 
@@ -362,5 +400,60 @@ mod tests {
         assert_eq!(p.count_at(FunctionId(2), now), 2);
         let total_pinned = p.pinned_for(0) + p.pinned_for(1);
         assert_eq!(total_pinned, 5 * 64);
+    }
+
+    /// Per-entry deadlines out of park order (what `HistogramPolicy` hands
+    /// out and the fixed-TTL oracle never does), over sparse function ids,
+    /// with hits, sweeps and demand evictions interleaved: the index stays
+    /// exact after every op, each hit is the first live entry of its function
+    /// in scan order, and each sweep reaps exactly the expired entries.
+    #[test]
+    fn index_stays_exact_under_out_of_order_deadlines() {
+        let mut p = WarmPool::new();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: u64| {
+            rng =
+                rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 33) % n
+        };
+        let funcs = [FunctionId(0), FunctionId(1), FunctionId(2), FunctionId(399)];
+        let mut reaped = 0;
+        for step in 0..3_000u64 {
+            let now = SimTime::from_millis(step * 250);
+            let func = funcs[draw(4) as usize];
+            match draw(5) {
+                0 | 1 => {
+                    // Anywhere in the next 30 s: a later park often expires first.
+                    let keep_until = now + SimDuration::from_millis(draw(30_000));
+                    p.release(func, draw(3) as usize, 1 + draw(512), now, keep_until);
+                }
+                2 => {
+                    let want = p
+                        .idle
+                        .iter()
+                        .find(|e| e.func == func && now <= e.keep_until)
+                        .map(|e| (e.shard, e.mem_mb));
+                    assert_eq!(p.acquire(func, now), want, "hit at step {step}");
+                }
+                3 => {
+                    let want: Vec<_> = p
+                        .idle
+                        .iter()
+                        .filter(|e| now > e.keep_until)
+                        .map(|e| (e.shard, e.mem_mb))
+                        .collect();
+                    assert_eq!(p.evict_expired(now), want, "sweep at step {step}");
+                    reaped += want.len();
+                }
+                _ => {
+                    // Shard 3 never holds a pin.
+                    let shard = draw(4) as usize;
+                    let freed = p.evict_for(shard, draw(1024));
+                    assert!(freed.iter().all(|&(s, _)| s == shard));
+                }
+            }
+            p.check_index();
+        }
+        assert!(p.stats().0 > 0 && p.stats().1 > 0 && reaped > 0, "every path exercised");
     }
 }

@@ -278,10 +278,9 @@ impl World {
     pub fn usage(&self, i: InvocationId) -> UsageSample {
         let idx = self.slot(i);
         let inv = self.invs.get(idx);
-        let busy = self.busy_cpu(idx);
         let eff = inv.effective_alloc();
         UsageSample {
-            cpu_busy_millis: busy,
+            cpu_busy_millis: self.busy_cpu(inv, eff.cpu_millis),
             mem_used_mb: inv.mem_usage_mb(),
             cpu_throttled: inv.state == InvState::Running
                 && inv.true_demand.cpu_peak_millis > eff.cpu_millis,
@@ -320,8 +319,7 @@ impl World {
     fn effective_rate(&self, idx: usize) -> u64 {
         let inv = self.invs.get(idx);
         let eff = inv.effective_alloc();
-        let scale = inv.node.map_or(1.0, |n| self.node_cpu_scale(n.idx()));
-        let usable = sat_u64(eff.cpu_millis as f64 * scale);
+        let usable = inv.node.map_or(eff.cpu_millis, |n| self.usable_cpu(n.idx(), eff.cpu_millis));
         exec_rate_millis(
             usable,
             eff.mem_mb,
@@ -336,20 +334,21 @@ impl World {
     fn update_progress(&mut self, idx: usize) {
         let now = self.clock;
         let inv = self.invs.get_mut(idx);
-        if inv.state == InvState::Running {
-            let dt = now.since(inv.last_update).as_micros();
-            if dt > 0 {
-                inv.progress =
-                    (inv.progress + inv.rate_millis as u128 * dt as u128).min(inv.work_total);
-                let eff = inv.effective_alloc();
-                inv.cpu_reassigned +=
-                    (eff.cpu_millis as i128 - inv.nominal.cpu_millis as i128) * dt as i128;
-                inv.mem_reassigned +=
-                    (eff.mem_mb as i128 - inv.nominal.mem_mb as i128) * dt as i128;
-            }
+        if inv.state != InvState::Running {
+            inv.last_update = now;
+            return;
+        }
+        let eff = inv.effective_alloc();
+        let dt = now.since(inv.last_update).as_micros();
+        if dt > 0 {
+            inv.progress =
+                (inv.progress + inv.rate_millis as u128 * dt as u128).min(inv.work_total);
+            inv.cpu_reassigned +=
+                (eff.cpu_millis as i128 - inv.nominal.cpu_millis as i128) * dt as i128;
+            inv.mem_reassigned += (eff.mem_mb as i128 - inv.nominal.mem_mb as i128) * dt as i128;
         }
         inv.last_update = now;
-        let busy = self.busy_cpu(idx);
+        let busy = self.busy_cpu(self.invs.get(idx), eff.cpu_millis);
         let inv = self.invs.get_mut(idx);
         inv.cpu_peak_obs = inv.cpu_peak_obs.max(busy);
     }
@@ -487,19 +486,28 @@ impl World {
         }
     }
 
-    /// Busy millicores of one invocation right now (CPU-share scaled).
-    fn busy_cpu(&self, idx: usize) -> u64 {
-        let inv = self.invs.get(idx);
-        if inv.state != InvState::Running {
-            return 0;
+    /// Busy millicores of `inv`, whose effective CPU is `eff_cpu`, right now
+    /// (CPU-share scaled).
+    fn busy_cpu(&self, inv: &Invocation, eff_cpu: u64) -> u64 {
+        match inv.node {
+            Some(n) if inv.state == InvState::Running => {
+                self.usable_cpu(n.idx(), eff_cpu).min(inv.true_demand.cpu_peak_millis)
+            }
+            _ => 0,
         }
-        let node = match inv.node {
-            Some(n) => n.idx(),
-            None => return 0,
-        };
-        let scale = self.node_cpu_scale(node);
-        let usable = sat_u64(inv.effective_alloc().cpu_millis as f64 * scale);
-        usable.min(inv.true_demand.cpu_peak_millis)
+    }
+
+    /// Millicores a resident of `node_idx` allocated `eff_cpu` can use: all
+    /// of them while the node's running allocations fit its capacity, its
+    /// [`World::node_cpu_scale`] share while oversubscribed. The first case
+    /// skips the float round trip, which is exact there: `eff_cpu ≤ capacity
+    /// < 2^53`, so `eff_cpu as f64 * 1.0` converts back to `eff_cpu`.
+    fn usable_cpu(&self, node_idx: usize, eff_cpu: u64) -> u64 {
+        if self.node_running_eff_cpu(node_idx) <= self.nodes[node_idx].capacity.cpu_millis {
+            eff_cpu
+        } else {
+            sat_u64(eff_cpu as f64 * self.node_cpu_scale(node_idx))
+        }
     }
 
     /// Run a mutation of a node's running set — an allocation change, a

@@ -61,7 +61,21 @@ pub fn clamp_grant(want: ResourceVec, ceiling: ResourceVec, floor_mb: u64) -> Re
 /// watch (§5.2).
 pub fn mem_usage_model(true_mem_peak_mb: u64, progress_frac: f64) -> u64 {
     let frac = 0.25 + 0.75 * progress_frac.clamp(0.0, 1.0);
-    sat_u64((true_mem_peak_mb as f64 * frac).round())
+    sat_round(true_mem_peak_mb as f64 * frac)
+}
+
+/// `sat_u64(x.round())` — round half away from zero, then saturate — without
+/// libm's `round`, a software call on baseline x86-64. Exact for every `x`:
+/// below 2^64 the truncation `t` is exact, so `x - t` is exactly the
+/// fraction; at or above it `t` is `u64::MAX` and the add saturates; NaN and
+/// negatives give 0 either way.
+fn sat_round(x: f64) -> u64 {
+    let t = sat_u64(x);
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
 }
 
 /// Lifecycle states of an invocation.
@@ -452,10 +466,15 @@ impl Invocation {
     /// Fraction of total work completed, in `[0, 1]`.
     pub fn progress_frac(&self) -> f64 {
         if self.work_total == 0 {
-            1.0
-        } else {
-            (self.progress as f64 / self.work_total as f64).min(1.0)
+            return 1.0;
         }
+        // Through `u64` when both fit (always, in practice): the same integer
+        // converts to the same `f64`, without the software `u128` conversion.
+        let (p, w) = match (u64::try_from(self.progress), u64::try_from(self.work_total)) {
+            (Ok(p), Ok(w)) => (p as f64, w as f64),
+            _ => (self.progress as f64, self.work_total as f64),
+        };
+        (p / w).min(1.0)
     }
 
     /// Instantaneous memory footprint (MB); see [`mem_usage_model`].
@@ -551,6 +570,89 @@ mod tests {
         i.progress = i.work_total;
         assert_eq!(i.progress_frac(), 1.0);
         assert_eq!(i.remaining_work(), 0);
+    }
+
+    /// The seeded generator of the sweeps below (64-bit LCG, high bits).
+    fn lcg(state: &mut u64) -> u64 {
+        *state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        *state ^ (*state >> 29)
+    }
+
+    /// `sat_round` is `sat_u64(x.round())` bit for bit: on exact halves, the
+    /// largest double below ½, either side of 2^52 and 2^53 (past which there
+    /// is no fraction), across 2^63..2^64 and beyond `u64::MAX`; and
+    /// `mem_usage_model` is the libm formula on a seeded sweep.
+    #[test]
+    fn integer_rounding_matches_libm_round() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.499_999_999_999_999_94,
+            -0.5,
+            -1.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            u64::MAX as f64,
+        ];
+        xs.extend([0u64, 1, 2, 3, 1023, 1 << 20, (1 << 52) - 1].map(|k| k as f64 + 0.5));
+        for p in [52, 53, 63, 64] {
+            let b = 2f64.powi(p);
+            xs.extend([b, b.next_down(), b.next_up(), b - 0.5, b + 0.5, b - 1.0, b + 1.0, b + 3.0]);
+        }
+        let lo = 2f64.powi(63);
+        xs.extend((0..=64).map(|i| lo + f64::from(i) * 2f64.powi(57)));
+        for x in xs {
+            assert_eq!(sat_round(x), sat_u64(x.round()), "x = {x:e}");
+        }
+
+        let libm =
+            |peak: u64, p: f64| sat_u64((peak as f64 * (0.25 + 0.75 * p.clamp(0.0, 1.0))).round());
+        let mut state = 42;
+        for n in 0..100_000u64 {
+            let peak = match n % 3 {
+                0 => lcg(&mut state) % 65_536,
+                1 => lcg(&mut state) >> (lcg(&mut state) % 64),
+                _ => 2 * (lcg(&mut state) % 4096) + 1, // odd: quarters and halves
+            };
+            let p = match n % 4 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => (lcg(&mut state) % 10_001) as f64 / 10_000.0,
+            };
+            assert_eq!(mem_usage_model(peak, p), libm(peak, p), "peak {peak}, progress {p}");
+        }
+    }
+
+    /// `progress_frac` through `u64` is the `u128` formula bit for bit, and
+    /// the `u128` fallback still answers above `u64::MAX`.
+    #[test]
+    fn progress_frac_matches_the_u128_formula() {
+        let formula = |p: u128, w: u128| (p as f64 / w as f64).min(1.0);
+        let big = u128::from(u64::MAX);
+        let mut cases = vec![
+            (0, 1),
+            (1, 3),
+            (big, big),
+            (big - 1, big),
+            (big, big + 1),
+            (big + 1, big),
+            (big * 7, big * 9),
+            (u128::MAX, u128::MAX),
+            (3, u128::MAX),
+        ];
+        let mut state = 7;
+        for _ in 0..10_000 {
+            let w = u128::from(lcg(&mut state)) >> (lcg(&mut state) % 64) | 1;
+            cases.push((u128::from(lcg(&mut state)) % (w + w / 8), w));
+        }
+        let mut i = inv();
+        for (p, w) in cases {
+            (i.progress, i.work_total) = (p, w);
+            assert_eq!(i.progress_frac().to_bits(), formula(p, w).to_bits(), "{p}/{w}");
+        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl Node {
         let used = slice.reserved().mem_mb + self.warm.pinned_for(shard);
         let over = used.saturating_sub(slice.capacity().mem_mb);
         if over > 0 {
-            let _ = self.warm.evict_for(shard, over, SimTime::ZERO);
+            let _ = self.warm.evict_for(shard, over);
         }
     }
 

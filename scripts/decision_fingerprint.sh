@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Decision fingerprints of the release-build simulator runs the benchmark
 # times, at seed 42: exact counts the traced workloads already print.
+# sim_engine (75,000 invocations, 300 nodes, NullPlatform) pins how many
+# events the engine pushed and popped and how many invocations were live at
+# once, so an engine speed claim is made on the same simulated run;
 # sim_harvest (50,000 invocations, 200 nodes, Libra without the profiler) pins
 # what the control plane decided; sim_libra (150 invocations, 100 nodes, full
 # Libra) adds what the profiler was asked and how many rows it fitted, and
@@ -14,6 +17,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A want
+want[sim_engine]='engine.event_pops 1505092
+engine.event_pushes 1505394
+engine.peak_live_inv 797'
 want[sim_harvest]='controlplane.loans_expired 3937
 controlplane.safeguard_triggers 7476
 engine.event_pops 1429641
@@ -29,7 +35,7 @@ profiler.predict.calls 87
 profiler.rows_max 133
 profiler.train.calls 63'
 
-for workload in sim_harvest sim_libra; do
+for workload in sim_engine sim_harvest sim_libra; do
   # Every wanted name, as the alternation of a regex with its dots escaped.
   names=$(cut -d' ' -f1 <<<"${want[$workload]}" | sed 's/\./\\./g' | paste -sd'|')
   got=$(benchmarks/perf/run.sh --workload "$workload" --seed 42 --seconds 3 --trace 1 | tail -1 \

@@ -65,8 +65,9 @@ done
 benchmarks/perf/run.sh --workload sim_engine --seed 42 --seconds 3 --trace 1 | tail -1 \
   | grep -o '"engine.events_per_inv":{"value":[0-9.]*' | cut -d: -f3 \
   | awk '{ print "engine.events_per_inv", $1; ok = $1 > 0 && $1 <= 25 } END { exit !ok }'
-# What the control plane decided on the 50,000-invocation, 200-node run and
-# what the profiler was asked on the full-Libra run, as exact counts
+# The engine's event and live-invocation counts on sim_engine, what the
+# control plane decided on the 50,000-invocation, 200-node run and what the
+# profiler was asked on the full-Libra run, as exact counts
 # (scripts/decision_fingerprint.sh holds them).
 ./scripts/decision_fingerprint.sh
 
