@@ -8,8 +8,9 @@
 //! that logic once, as a pure, clock-free state machine:
 //!
 //! * **Inputs** are abstract events: [`ControlPlane::on_admit`] (placement +
-//!   prediction), [`ControlPlane::on_observe`] (a cgroups-style
-//!   [`Observation`]), [`ControlPlane::on_complete`], [`ControlPlane::on_oom`],
+//!   prediction), [`ControlPlane::on_observe_at`] (a monitor visit, which
+//!   pulls a cgroups-style [`Observation`] only when a decision reads it),
+//!   [`ControlPlane::on_complete`], [`ControlPlane::on_oom`],
 //!   [`ControlPlane::on_abort`] and [`ControlPlane::on_node_crash`]. Every
 //!   event carries an explicit `now` — the core never reads a clock, so the
 //!   discrete-event simulator and the threaded live runtime can both drive it.
@@ -25,10 +26,12 @@
 //!   one vector visits them in the global ascending-id order — identical
 //!   event sequences yield identical action traces, the property the
 //!   differential fidelity test and the conservation proptests pin down.
-//!   One sorted `id → node` index finds an event's ledger; it is looked up,
-//!   never walked for a decision, and holds one pair per *live* invocation
-//!   whatever the ids are — a table dense over an id range is ruled out,
-//!   because the gateway takes the id off the request body (hostile input).
+//!   A monitor visit names its node, so it reads that ledger alone; for the
+//!   other events one sorted `id → node` index finds the ledger. It is
+//!   looked up, never walked for a decision, and holds one pair per *live*
+//!   invocation whatever the ids are — a table dense over an id range is
+//!   ruled out, because the gateway takes the id off the request body
+//!   (hostile input).
 //!
 //! The only feedback channel a driver needs is [`ControlPlane::lend_failed`]:
 //! substrates may refuse a `Lend` (the sim engine when a source is no longer
@@ -46,6 +49,7 @@ use libra_sim::invocation::{clamp_grant, Prediction};
 use libra_sim::platform::LoanEnd;
 use libra_sim::resources::{sat_u64, ResourceVec};
 use libra_sim::time::SimTime;
+use std::cell::LazyCell;
 
 /// Decision knobs of the shared control plane (embedded in `LibraConfig` —
 /// profiler/scheduler knobs stay with the drivers).
@@ -519,16 +523,52 @@ impl ControlPlane {
         out
     }
 
-    /// A monitor observation for a running invocation: safeguard check,
-    /// usage-guided loan trimming, continuous acceleration.
-    pub fn on_observe(&mut self, inv: InvocationId, obs: Observation, now: SimTime) -> Vec<Action> {
-        let out = self.observe_inner(inv, obs, now);
+    /// A monitor visit of `inv`, running on `node`: safeguard check,
+    /// usage-guided loan trimming, continuous acceleration. The caller names
+    /// the node (a substrate always knows where a running invocation is), so
+    /// the visit reads that node's ledger alone. `sample` is called at most
+    /// once, and only when a decision reads the usage: a visit that cannot
+    /// act returns no actions and leaves every ledger, pool and counter as
+    /// it was, without sampling. Visiting an invocation on a node that does
+    /// not hold it is a substrate bug (a debug assertion; a no-op in release).
+    pub fn on_observe_at(
+        &mut self,
+        node: NodeId,
+        inv: InvocationId,
+        now: SimTime,
+        sample: impl FnOnce() -> Observation,
+    ) -> Vec<Action> {
+        let out = self.observe_inner(node, inv, now, LazyCell::new(sample));
         self.finish("on_observe", out)
     }
 
-    fn observe_inner(&mut self, inv: InvocationId, obs: Observation, now: SimTime) -> Vec<Action> {
+    /// [`Self::on_observe_at`] with the node looked up in the index and the
+    /// observation taken up front, for callers that hold neither. An
+    /// untracked `inv` is visited on node 0, where it is not found either.
+    pub fn on_observe(&mut self, inv: InvocationId, obs: Observation, now: SimTime) -> Vec<Action> {
+        let at = self.index_pos(inv).ok().and_then(|i| self.index.get(i));
+        self.on_observe_at(at.map_or(NodeId(0), |&(_, n)| n), inv, now, || obs)
+    }
+
+    /// The visit itself. Every early return before the first read of `obs`
+    /// is a visit that cannot act — they are the skip predicate.
+    fn observe_inner(
+        &mut self,
+        node: NodeId,
+        inv: InvocationId,
+        now: SimTime,
+        obs: LazyCell<Observation, impl FnOnce() -> Observation>,
+    ) -> Vec<Action> {
         let mut out = Vec::new();
-        let Some(at) = self.locate(inv) else { return out };
+        let n = node.idx();
+        let Some(p) = self.ledgers.get(n).and_then(|l| pos_in(l, inv)) else {
+            debug_assert!(
+                !self.is_tracked(inv),
+                "{inv} visited on {node}, ledgered on another node"
+            );
+            return out;
+        };
+        let at = (n, p);
         let Some(e) = self.entry(at) else { return out };
         let (func, nominal, pred) = (e.func, e.nominal, e.pred);
 
@@ -612,7 +652,8 @@ impl ControlPlane {
         let Some(e) = self.entry(at) else { return out };
         let eff = e.effective();
         let shortfall = pred.peak().saturating_sub(&eff);
-        if shortfall.is_zero() {
+        // An empty pool lends nothing (and counts no get).
+        if shortfall.is_zero() || self.pools.get(at.0).is_none_or(HarvestResourcePool::is_empty) {
             return out;
         }
         // Don't re-borrow CPU the usage signal says it cannot use.
@@ -927,16 +968,54 @@ mod tests {
         let t = SimTime(0);
         c.on_admit(adm(1, (4_000, 2_048), Some((1_000, 512, 1_000))), t);
         // Footprint crosses 80 % of the harvested 512 MB grant.
-        let acts = c.on_observe(
-            InvocationId(1),
-            Observation { cpu_busy_millis: 900, mem_used_mb: 450, cpu_throttled: false },
-            SimTime(100),
-        );
+        let acts = c.on_observe_at(NodeId(0), InvocationId(1), SimTime(100), || Observation {
+            cpu_busy_millis: 900,
+            mem_used_mb: 450,
+            cpu_throttled: false,
+        });
         assert!(acts.iter().any(|a| matches!(a, Action::PreemptiveRelease { restored, .. }
             if *restored == ResourceVec::new(3_000, 1_536))));
         assert_eq!(c.charge(InvocationId(1)), Some(ResourceVec::new(4_000, 2_048)));
         assert!(c.pool(NodeId(0)).unwrap().is_empty(), "pool entry removed on release");
         c.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn a_quiet_visit_never_samples() {
+        // Unharvested, borrowing nothing, an empty pool: nothing to decide.
+        let mut c = cp();
+        c.on_admit(adm(1, (1_000, 512), Some((2_000, 512, 1_000))), SimTime(0));
+        let acts = c.on_observe_at(NodeId(0), InvocationId(1), SimTime(100), || {
+            panic!("a visit that cannot act sampled usage")
+        });
+        assert!(acts.is_empty());
+    }
+
+    #[test]
+    fn the_index_addressed_visit_decides_like_the_node_addressed_one() {
+        let obs = Observation { cpu_busy_millis: 900, mem_used_mb: 450, cpu_throttled: false };
+        let mut by_node = ControlPlane::new(ControlConfig::default(), 4, 2);
+        let mut by_index = ControlPlane::new(ControlConfig::default(), 4, 2);
+        for c in [&mut by_node, &mut by_index] {
+            c.on_admit(Admission { node: NodeId(1), ..donor(1, 4_000) }, SimTime(0));
+        }
+        let want = by_node.on_observe_at(NodeId(1), InvocationId(1), SimTime(100), || obs);
+        assert!(matches!(want[..], [.., Action::PreemptiveRelease { .. }]));
+        assert_eq!(by_index.on_observe(InvocationId(1), obs, SimTime(100)), want);
+        assert_eq!(by_index.on_observe(InvocationId(9), obs, SimTime(100)), [], "untracked");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ledgered on another node")]
+    fn visiting_an_invocation_on_the_wrong_node_is_a_substrate_bug() {
+        let mut c = ControlPlane::new(ControlConfig::default(), 4, 2);
+        c.on_admit(donor(1, 4_000), SimTime(0));
+        c.on_observe_at(NodeId(1), InvocationId(1), SimTime(100), || Observation {
+            cpu_busy_millis: 900,
+            mem_used_mb: 450,
+            cpu_throttled: false,
+        });
     }
 
     #[test]

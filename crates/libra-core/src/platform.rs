@@ -304,21 +304,21 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
     }
 
     fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        if !ctx.inv(inv).is_running() {
-            return;
-        }
-        let u = ctx.usage(inv);
+        let rec = ctx.inv(inv);
+        let Some(node) = rec.node.filter(|_| rec.is_running()) else { return };
         debug_assert_eq!(
             self.core.effective_alloc(inv),
-            Some(u.effective),
+            Some(rec.effective_alloc()),
             "core ledger diverged from engine for {inv:?}"
         );
-        let obs = Observation {
-            cpu_busy_millis: u.cpu_busy_millis,
-            mem_used_mb: u.mem_used_mb,
-            cpu_throttled: u.cpu_throttled,
-        };
-        let actions = self.core.on_observe(inv, obs, ctx.now());
+        let actions = self.core.on_observe_at(node, inv, ctx.now(), || {
+            let u = ctx.usage(inv);
+            Observation {
+                cpu_busy_millis: u.cpu_busy_millis,
+                mem_used_mb: u.mem_used_mb,
+                cpu_throttled: u.cpu_throttled,
+            }
+        });
         self.apply(ctx, actions);
     }
 

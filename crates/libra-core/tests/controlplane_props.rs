@@ -12,6 +12,7 @@ use libra_sim::invocation::{Prediction, PredictionPath};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 const SLOTS: usize = 6;
@@ -62,7 +63,7 @@ fn op() -> impl Strategy<Value = Op> {
 #[derive(Clone, Copy, Debug)]
 enum Event {
     Admit(Admission),
-    Observe(InvocationId, Observation),
+    Observe(NodeId, InvocationId, Observation),
     Complete(InvocationId),
     Oom(InvocationId),
     Abort(InvocationId),
@@ -109,7 +110,7 @@ fn resolve(ops: &[(usize, Op)]) -> Vec<(usize, SimTime, Event)> {
                     mem_used_mb: mem_used,
                     cpu_throttled: throttled,
                 };
-                Event::Observe(inv, obs)
+                Event::Observe(NodeId(*node as u32), inv, obs)
             }
             Op::Oom { slot } => match live(slot) {
                 Some(inv) => Event::Oom(inv),
@@ -129,10 +130,14 @@ fn resolve(ops: &[(usize, Op)]) -> Vec<(usize, SimTime, Event)> {
     events
 }
 
-fn feed(cp: &mut ControlPlane, ev: Event, now: SimTime) -> Vec<Action> {
+/// Apply one event; `sampled` is set when a visit took its usage sample.
+fn feed(cp: &mut ControlPlane, ev: Event, now: SimTime, sampled: &Cell<bool>) -> Vec<Action> {
     match ev {
         Event::Admit(a) => cp.on_admit(a, now),
-        Event::Observe(inv, obs) => cp.on_observe(inv, obs, now),
+        Event::Observe(node, inv, obs) => cp.on_observe_at(node, inv, now, || {
+            sampled.set(true);
+            obs
+        }),
         Event::Complete(inv) => cp.on_complete(inv, now),
         Event::Oom(inv) => cp.on_oom(inv, now),
         Event::Abort(inv) => cp.on_abort(inv, now),
@@ -148,7 +153,7 @@ fn drive(ops: &[Op]) -> (Vec<Action>, libra_core::ControlCounters) {
     let on_node_0: Vec<(usize, Op)> = ops.iter().map(|o| (0, o.clone())).collect();
 
     for (_, now, ev) in resolve(&on_node_0) {
-        let actions = feed(&mut cp, ev, now);
+        let actions = feed(&mut cp, ev, now, &Cell::new(false));
         match ev {
             Event::Admit(a) => {
                 nominal.insert(a.inv, a.nominal);
@@ -227,13 +232,15 @@ proptest! {
             // The lone control plane calls its only node 0.
             let local = match ev {
                 Event::Admit(a) => Event::Admit(Admission { node: NodeId(0), ..a }),
+                Event::Observe(_, inv, obs) => Event::Observe(NodeId(0), inv, obs),
                 other => other,
             };
-            let mut want = feed(&mut alone[node], local, now);
+            let mut want = feed(&mut alone[node], local, now, &Cell::new(false));
             if let Some(Action::Admitted { node: n, .. }) = want.first_mut() {
                 *n = NodeId(node as u32);
             }
-            prop_assert_eq!(feed(&mut cluster, ev, now), want, "node {}, {:?}", node, ev);
+            let got = feed(&mut cluster, ev, now, &Cell::new(false));
+            prop_assert_eq!(got, want, "node {}, {:?}", node, ev);
             prop_assert_eq!(cluster.check_conservation(), Ok(()));
             prop_assert_eq!(alone[node].check_conservation(), Ok(()));
             for (k, cp) in alone.iter().enumerate() {
@@ -249,5 +256,38 @@ proptest! {
         }
         prop_assert_eq!(cluster.counters(), sum);
         prop_assert_eq!(cluster.ledger_len(), alone.iter().map(ControlPlane::ledger_len).sum::<usize>());
+    }
+
+    /// A monitor visit pulls its usage sample only when a decision reads it,
+    /// so a visit that did not sample could not act: it emitted nothing and
+    /// left the ledgers, the pools (their operation counts included) and the
+    /// counters exactly as they were. Checked under the default knobs and
+    /// with the safeguard (Libra-NS) or continuous acceleration off, which
+    /// move the first read of the sample.
+    #[test]
+    fn a_visit_that_does_not_sample_changes_nothing(
+        ops in prop::collection::vec((0usize..3, op()), 1..150)
+    ) {
+        let state = |cp: &ControlPlane| {
+            let ops: Vec<(u64, u64)> = cp.pools().iter().map(|p| p.op_counts()).collect();
+            (cp.dump(), cp.counters(), ops)
+        };
+        let knobs = [
+            ControlConfig::default(),
+            ControlConfig { safeguard: false, ..ControlConfig::default() },
+            ControlConfig { continuous_acceleration: false, ..ControlConfig::default() },
+        ];
+        for cfg in knobs {
+            let mut cp = ControlPlane::new(cfg, 12, 3);
+            for (_, now, ev) in resolve(&ops) {
+                let before = state(&cp);
+                let sampled = Cell::new(false);
+                let actions = feed(&mut cp, ev, now, &sampled);
+                if matches!(ev, Event::Observe(..)) && !sampled.get() {
+                    prop_assert_eq!(actions, [], "{:?} acted without sampling", ev);
+                    prop_assert_eq!(state(&cp), before, "{:?} moved state without sampling", ev);
+                }
+            }
+        }
     }
 }

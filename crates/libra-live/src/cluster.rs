@@ -786,13 +786,13 @@ impl ClusterShared {
         }
 
         // Monitor path: safeguard, trimming, continuous acceleration — all
-        // decided by the shared core.
-        let obs = Observation {
+        // decided by the shared core. Each node has its own core, in which
+        // the node is node 0.
+        let actions = g.core.on_observe_at(NodeId(0), inv, now_ms, || Observation {
             cpu_busy_millis: eff.cpu_millis.min(req.demand_cpu_millis),
             mem_used_mb: mem_used,
             cpu_throttled: req.demand_cpu_millis > eff.cpu_millis,
-        };
-        let actions = g.core.on_observe(inv, obs, now_ms);
+        });
         apply_actions(g, &self.sched, node, &actions, now_ms, self.sink());
     }
 
@@ -1519,8 +1519,13 @@ mod tests {
             balanced(what);
         };
         let observe = |id, cpu_busy_millis, mem_used_mb, cpu_throttled| {
-            let obs = Observation { cpu_busy_millis, mem_used_mb, cpu_throttled };
-            move |core: &mut ControlPlane, now| core.on_observe(InvocationId(id), obs, now)
+            move |core: &mut ControlPlane, now| {
+                core.on_observe_at(NodeId(0), InvocationId(id), now, || Observation {
+                    cpu_busy_millis,
+                    mem_used_mb,
+                    cpu_throttled,
+                })
+            }
         };
         let big = ResourceVec::new(4_000, 4_096);
 

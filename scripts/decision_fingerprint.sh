@@ -5,10 +5,11 @@
 # events the engine pushed and popped and how many invocations were live at
 # once, so an engine speed claim is made on the same simulated run;
 # sim_harvest (50,000 invocations, 200 nodes, Libra without the profiler) pins
-# what the control plane decided; sim_libra (150 invocations, 100 nodes, full
-# Libra) adds what the profiler was asked and how many rows it fitted, and
-# moves if any prediction does, because grants, loans and finish times follow
-# the predictions. They are counts, so they repeat exactly on any machine; the
+# what the control plane decided and how many monitor visits it made (a speed
+# claim on it is then one of cheaper visits, not fewer); sim_libra (150
+# invocations, 100 nodes, full Libra) adds what the profiler was asked and how
+# many rows it fitted, and moves if any prediction does, because grants, loans
+# and finish times follow the predictions. They are counts, so they repeat exactly on any machine; the
 # goldens pin the action trace on a 1-node and a small chaos scenario, this
 # pins the runs a speed claim is made on. A PR that moves simulated behaviour
 # on purpose updates the numbers beside tests/golden/.
@@ -23,11 +24,13 @@ engine.peak_live_inv 797'
 want[sim_harvest]='controlplane.loans_expired 3937
 controlplane.safeguard_triggers 7476
 engine.event_pops 1429641
+hook.on_tick.calls 3514042
 pool.gets 329705
 pool.puts 41742'
 want[sim_libra]='controlplane.loans_expired 9
 controlplane.safeguard_triggers 10
 engine.event_pops 20275
+hook.on_tick.calls 10361
 pool.gets 72
 pool.puts 78
 profiler.observe.calls 150
