@@ -1,7 +1,7 @@
 //! `exp scale` — the `huge` trace tier (1M invocations at 20k RPM across a
 //! 400-function Zipf catalogue, on 1,000 × 48-core nodes) through the engine
 //! in [`MetricsMode::Streaming`]: the workload the slab arena, streamed
-//! arrivals, intrusive resident lists and online metrics exist for, and the
+//! arrivals, per-node resident vectors and online metrics exist for, and the
 //! only code that runs it at full size. `LIBRA_SCALE` shrinks invocations,
 //! arrival rate and node count together (0.02: 20k invocations, 20 nodes).
 //!

@@ -18,7 +18,8 @@
 //!
 //! Determinism: slot assignment (LIFO free list) and retirement order are
 //! pure functions of the event sequence, and nothing observable (ids,
-//! iteration over node resident lists, metrics) depends on slot numbers.
+//! metrics) depends on slot numbers. Nodes hold their residents as slots,
+//! but in admission order, so a walk over them never follows slot order.
 
 use crate::ids::InvocationId;
 use crate::invocation::Invocation;

@@ -274,14 +274,14 @@ impl World {
         self.nodes[node.idx()].warm.count_at(func, self.clock)
     }
 
-    /// A usage observation for a running invocation (what cgroups would say).
+    /// What cgroups would report for a running invocation now (settles nothing).
     pub fn usage(&self, i: InvocationId) -> UsageSample {
         let idx = self.slot(i);
         let inv = self.invs.get(idx);
         let eff = inv.effective_alloc();
         UsageSample {
             cpu_busy_millis: self.busy_cpu(inv, eff.cpu_millis),
-            mem_used_mb: inv.mem_usage_mb(),
+            mem_used_mb: inv.mem_usage_mb_at(self.clock),
             cpu_throttled: inv.state == InvState::Running
                 && inv.true_demand.cpu_peak_millis > eff.cpu_millis,
             effective: eff,
@@ -329,26 +329,19 @@ impl World {
         )
     }
 
-    /// Bring `progress`, the reassignment integrals and the observed CPU peak
-    /// up to `self.clock`, using the rate in force since `last_update`.
+    /// [`Invocation::settle`] at `self.clock`, then observe the busy CPU:
+    /// only before a change of allocation, rate or lifecycle state.
     fn update_progress(&mut self, idx: usize) {
-        let now = self.clock;
-        let inv = self.invs.get_mut(idx);
-        if inv.state != InvState::Running {
-            inv.last_update = now;
-            return;
-        }
-        let eff = inv.effective_alloc();
-        let dt = now.since(inv.last_update).as_micros();
-        if dt > 0 {
-            inv.progress =
-                (inv.progress + inv.rate_millis as u128 * dt as u128).min(inv.work_total);
-            inv.cpu_reassigned +=
-                (eff.cpu_millis as i128 - inv.nominal.cpu_millis as i128) * dt as i128;
-            inv.mem_reassigned += (eff.mem_mb as i128 - inv.nominal.mem_mb as i128) * dt as i128;
-        }
-        inv.last_update = now;
-        let busy = self.busy_cpu(self.invs.get(idx), eff.cpu_millis);
+        self.invs.get_mut(idx).settle(self.clock);
+        self.observe_busy(idx);
+    }
+
+    /// Raise `idx`'s observed CPU peak to its busy CPU right now — what a
+    /// cgroups monitor records at every visit, whether or not anything is
+    /// settled then.
+    fn observe_busy(&mut self, idx: usize) {
+        let inv = self.invs.get(idx);
+        let busy = self.busy_cpu(inv, inv.effective_alloc().cpu_millis);
         let inv = self.invs.get_mut(idx);
         inv.cpu_peak_obs = inv.cpu_peak_obs.max(busy);
     }
@@ -375,7 +368,7 @@ impl World {
 
     /// Σ effective CPU allocation of *running* invocations on a node, in
     /// O(1): the sum is cached per node and recomputed — by walking the
-    /// resident list — only on the first read after something that can
+    /// node's residents — only on the first read after something that can
     /// change it ([`World::invalidate_running_cpu`] names those places).
     /// Debug builds re-walk on every read and assert the cache agrees;
     /// [`World::check_invariants`] checks it in every build.
@@ -396,7 +389,7 @@ impl World {
 
     /// Forget `node_idx`'s cached running-CPU sum. Everything that can change
     /// it — an allocation change, a resident entering `Running`, leaving it or
-    /// being unlinked — happens inside `with_alloc_change`, which calls this
+    /// being removed — happens inside `with_alloc_change`, which calls this
     /// once the mutation is done; the two other callers are mutations a policy
     /// hook reads behind before that: the `Running` flip of `on_start_exec`
     /// (`on_start` follows) and `end_loans` dropping the loans a resident held.
@@ -404,72 +397,28 @@ impl World {
         self.running_eff_cpu[node_idx].set(None);
     }
 
-    /// [`World::node_running_eff_cpu`] computed from the resident list.
+    /// [`World::node_running_eff_cpu`] computed from the resident slots.
     fn walk_running_eff_cpu(&self, node_idx: usize) -> u64 {
-        let mut total = 0u64;
-        let mut cur = self.nodes[node_idx].resident_head;
-        while let Some(id) = cur {
-            let inv = self.invs.get(self.slot(id));
-            cur = inv.res_next;
-            if inv.state == InvState::Running {
-                total += inv.effective_alloc().cpu_millis;
-            }
-        }
-        total
+        self.nodes[node_idx]
+            .residents
+            .iter()
+            .map(|&s| self.invs.get(s as usize))
+            .filter(|inv| inv.state == InvState::Running)
+            .map(|inv| inv.effective_alloc().cpu_millis)
+            .sum()
     }
 
-    /// Append `id` to `node`'s intrusive resident list (admission order).
-    fn resident_push(&mut self, node_idx: usize, id: InvocationId) {
-        let tail = self.nodes[node_idx].resident_tail;
-        let slot = self.slot(id);
-        let inv = self.invs.get_mut(slot);
-        debug_assert!(inv.res_prev.is_none() && inv.res_next.is_none());
-        inv.res_prev = tail;
-        inv.res_next = None;
-        match tail {
-            Some(t) => {
-                let ts = self.slot(t);
-                self.invs.get_mut(ts).res_next = Some(id);
+    /// Remove arena slot `idx` from `node_idx`'s residents, keeping everyone
+    /// else's admission order (the crash sweep, the node tick's visit order
+    /// and the Finish tie-break all depend on it).
+    fn resident_remove(&mut self, node_idx: usize, idx: usize) {
+        let residents = &mut self.nodes[node_idx].residents;
+        match residents.iter().position(|&s| s as usize == idx) {
+            Some(k) => {
+                residents.remove(k);
             }
-            None => self.nodes[node_idx].resident_head = Some(id),
+            None => debug_assert!(false, "slot {idx} is not resident on node {node_idx}"),
         }
-        self.nodes[node_idx].resident_tail = Some(id);
-        self.nodes[node_idx].resident_len += 1;
-    }
-
-    /// Unlink `id` from `node`'s resident list in O(1), preserving the
-    /// relative order of everyone else (the crash sweep, the node tick's
-    /// observation order and the Finish tie-break all depend on it).
-    fn resident_unlink(&mut self, node_idx: usize, id: InvocationId) {
-        let slot = self.slot(id);
-        let (prev, next) = {
-            let inv = self.invs.get_mut(slot);
-            let links = (inv.res_prev, inv.res_next);
-            inv.res_prev = None;
-            inv.res_next = None;
-            links
-        };
-        match prev {
-            Some(p) => {
-                let ps = self.slot(p);
-                self.invs.get_mut(ps).res_next = next;
-            }
-            None => {
-                debug_assert_eq!(self.nodes[node_idx].resident_head, Some(id));
-                self.nodes[node_idx].resident_head = next;
-            }
-        }
-        match next {
-            Some(n) => {
-                let ns = self.slot(n);
-                self.invs.get_mut(ns).res_prev = prev;
-            }
-            None => {
-                debug_assert_eq!(self.nodes[node_idx].resident_tail, Some(id));
-                self.nodes[node_idx].resident_tail = prev;
-            }
-        }
-        self.nodes[node_idx].resident_len -= 1;
     }
 
     /// Proportional-share CPU scale for a node: 1.0 while allocations fit;
@@ -530,12 +479,10 @@ impl World {
         self.invalidate_running_cpu(node_idx);
         let post = self.node_cpu_scale(node_idx);
         if pre < 1.0 || post < 1.0 {
-            // Each `res_next` is read before its entry is touched (neither
-            // call unlinks); settling one resident moves no other's rate.
-            let mut cur = self.nodes[node_idx].resident_head;
-            while let Some(id) = cur {
-                let idx = self.slot(id);
-                cur = self.invs.get(idx).res_next;
+            // Neither call admits or removes a resident, and settling one
+            // moves no other's rate.
+            for k in 0..self.nodes[node_idx].residents.len() {
+                let idx = self.nodes[node_idx].residents[k] as usize;
                 if self.invs.get(idx).state == InvState::Running {
                     self.update_progress(idx);
                     self.reschedule_finish(idx);
@@ -597,27 +544,46 @@ impl World {
     /// Cross-check every conservation invariant. Called by tests and (in
     /// debug builds) at each completion.
     pub fn check_invariants(&self) -> Result<(), String> {
+        // The resident vectors hold exactly the placed (cold-starting or
+        // running) invocations, each once, on its own node.
+        let placed =
+            |inv: &Invocation| matches!(inv.state, InvState::ColdStarting | InvState::Running);
+        let mut resident_on: Vec<Option<NodeId>> = vec![None; self.invs.slot_count()];
+        for node in &self.nodes {
+            for &s in &node.residents {
+                let slot = s as usize;
+                let Some(inv) = self.invs.at(slot) else {
+                    return Err(format!("{:?} holds free arena slot {slot}", node.id));
+                };
+                if let Some(first) = resident_on[slot].replace(node.id) {
+                    return Err(format!(
+                        "{:?} resident on {first:?}, then on {:?}",
+                        inv.id, node.id
+                    ));
+                }
+                if inv.node != Some(node.id) || !placed(inv) {
+                    return Err(format!(
+                        "{:?} ({:?}, placed on {:?}) is resident on {:?}",
+                        inv.id, inv.state, inv.node, node.id
+                    ));
+                }
+            }
+        }
+        // Every resident is placed and distinct, so equal counts leave no
+        // placed invocation out.
+        let n_placed = self.invs.live_slots().filter(|&s| placed(self.invs.get(s))).count();
+        let n_resident = resident_on.iter().flatten().count();
+        if n_placed != n_resident {
+            return Err(format!("{n_placed} invocations are placed, {n_resident} resident"));
+        }
         for node in &self.nodes {
             // Reservations must equal the residents' charges exactly. (They
             // may transiently exceed the slice after a safeguard/OOM restore
             // — that is by design; the proportional CPU scale absorbs it.)
             let mut per_shard = vec![ResourceVec::ZERO; node.shards()];
-            let mut walked = 0usize;
-            let mut cur = node.resident_head;
-            while let Some(iid) = cur {
-                let Some(slot) = self.invs.slot_of(iid) else {
-                    return Err(format!("{:?} resident list holds retired {:?}", node.id, iid));
-                };
-                let inv = self.invs.get(slot);
-                cur = inv.res_next;
-                walked += 1;
+            for &s in &node.residents {
+                let inv = self.invs.get(s as usize);
                 per_shard[inv.shard.ok_or("resident without shard")?] += inv.charge();
-            }
-            if walked != node.resident_len {
-                return Err(format!(
-                    "{:?} resident list length drift: walked {walked}, recorded {}",
-                    node.id, node.resident_len
-                ));
             }
             let node_idx = node.id.idx();
             if let Some(cached) = self.running_eff_cpu[node_idx].get() {
@@ -894,20 +860,14 @@ impl<'a> SimCtx<'a> {
             return Vec::new();
         };
         // Loans are intra-node, so every borrower lives on the source's node:
-        // walk its resident list instead of scanning the whole arena. The old
+        // walk its residents instead of scanning the whole arena. The old
         // implementation collected in ascending-borrower-id order; a stable
         // sort by borrower id reproduces that byte-for-byte (per-borrower
         // loan order is `borrowed_in` order either way).
         let mut borrowers: Vec<Loan> = Vec::new();
-        let mut cur = self.w.nodes[node].resident_head;
-        while let Some(id) = cur {
-            let inv = self.w.invs.get(self.w.slot(id));
-            cur = inv.res_next;
-            for l in &inv.borrowed_in {
-                if l.source == source {
-                    borrowers.push(*l);
-                }
-            }
+        for &s in &self.w.nodes[node].residents {
+            let inv = self.w.invs.get(s as usize);
+            borrowers.extend(inv.borrowed_in.iter().filter(|l| l.source == source));
         }
         borrowers.sort_by_key(|l| l.borrower.0);
         let touched: Vec<usize> = borrowers.iter().map(|l| self.w.slot(l.borrower)).collect();
@@ -1320,7 +1280,8 @@ impl Simulation {
                 let inv = w.invs.get_mut(idx);
                 inv.node = Some(node);
                 let (func, attempt) = (inv.func, inv.requeues);
-                w.resident_push(node.idx(), id);
+                // A slot is below the id count, and ids are `u32`: exact.
+                w.nodes[node.idx()].residents.push(u32::try_from(idx).unwrap_or(u32::MAX));
                 let warm = w.nodes[node.idx()].warm.acquire(func, now).is_some();
                 let mut start_at = now + w.overheads.pool;
                 if !warm {
@@ -1383,24 +1344,27 @@ impl Simulation {
     }
 
     /// One node's monitor tick: every running resident, in admission order,
-    /// is settled, shown to the policy and held to the OOM rule. `false` when
-    /// nothing is resident — the chain ends (see [`Simulation::dispatch`]).
+    /// has its busy CPU observed, is shown to the policy and is held to the
+    /// OOM rule. A visit settles nothing: it reads footprints as of now.
+    /// `false` when nothing is resident — the chain ends (see
+    /// [`Simulation::dispatch`]).
     fn on_node_tick(w: &mut World, platform: &mut dyn Platform, node: NodeId) -> bool {
         let n = node.idx();
-        if w.nodes[n].resident_len == 0 {
+        if w.nodes[n].residents.is_empty() {
             // Drained, or crashed: the next start on this node re-arms.
             w.nodes[n].tick_armed = false;
             return false;
         }
-        // Nothing below unlinks: an OOM victim stays resident, cold-starting.
-        let mut cur = w.nodes[n].resident_head;
-        while let Some(id) = cur {
-            let idx = w.slot(id);
-            cur = w.invs.get(idx).res_next;
+        let now = w.clock;
+        // Nothing below admits or removes a resident: an OOM victim stays,
+        // cold-starting.
+        for k in 0..w.nodes[n].residents.len() {
+            let idx = w.nodes[n].residents[k] as usize;
             if w.invs.get(idx).state != InvState::Running {
                 continue;
             }
-            w.update_progress(idx);
+            w.observe_busy(idx);
+            let id = w.invs.get(idx).id;
             platform.on_tick(&mut SimCtx { w }, id);
             // OOM rule: only the provider's harvesting can kill; user
             // under-provisioning degrades speed instead (spill model). Usage
@@ -1410,7 +1374,7 @@ impl Simulation {
             let peak_mb = inv.true_demand.mem_peak_mb;
             if inv.state == InvState::Running && peak_mb <= inv.nominal.mem_mb {
                 let have_mb = inv.effective_alloc().mem_mb;
-                if peak_mb > have_mb && inv.mem_usage_mb() > have_mb {
+                if peak_mb > have_mb && inv.mem_usage_mb_at(now) > have_mb {
                     Self::on_oom(w, platform, id);
                 }
             }
@@ -1427,10 +1391,14 @@ impl Simulation {
             debug_assert!(false, "oom without node for {id:?}");
             return;
         };
+        let now = w.clock;
+        // Settle the dying segment's integrals at the allocation it ran
+        // with, before `end_loans` drains what it borrowed. (No busy
+        // observation: the visit that found the OOM made it.)
+        w.invs.get_mut(idx).settle(now);
         // The dying invocation needs its lent-out memory back, and its
         // borrowed-in loans are dropped for a clean restart.
         Self::end_loans(w, platform, id, LoanEnd::SourceOom, LoanEnd::BorrowerCompleted);
-        let now = w.clock;
         // The executed segment that just died is exec time; the restart's
         // cold start is charged when the next StartExec leaves ColdStarting.
         w.leave_stage(idx);
@@ -1497,13 +1465,13 @@ impl Simulation {
                 // the whole sweep, then kill every resident attempt. Loans
                 // are intra-node, so both ends of every affected loan die
                 // here; the sweep still runs the full revocation protocol so
-                // the ledger (and the platform's books) stay exact. The walk
-                // reads each victim's successor before the kill unlinks it —
-                // a kill only ever removes its own id from the list.
+                // the ledger (and the platform's books) stay exact. Victims
+                // are named first, in admission order, since each kill
+                // removes its own slot (and a terminal one frees it).
                 w.nodes[n.idx()].fail();
-                let mut cur = w.nodes[n.idx()].resident_head;
-                while let Some(id) = cur {
-                    cur = w.invs.get(w.slot(id)).res_next;
+                let victims: Vec<InvocationId> =
+                    w.nodes[n.idx()].residents.iter().map(|&s| w.invs.get(s as usize).id).collect();
+                for id in victims {
                     Self::kill_attempt(w, platform, id);
                 }
                 let mut ctx = SimCtx { w };
@@ -1576,7 +1544,7 @@ impl Simulation {
         let charge = w.invs.get(idx).charge();
         w.with_alloc_change(node.idx(), &[], |w| {
             w.nodes[node.idx()].release(shard, charge);
-            w.resident_unlink(node.idx(), id);
+            w.resident_remove(node.idx(), idx);
         });
 
         // Charge the dying attempt's partial stage and emit its span before
@@ -1698,7 +1666,7 @@ impl Simulation {
             inv.state = InvState::Completed;
             inv.end = Some(now);
             w.nodes[node.idx()].release(shard, charge);
-            w.resident_unlink(node.idx(), id);
+            w.resident_remove(node.idx(), idx);
         });
         let pin_mem = charge.mem_mb;
         // Warm-lifecycle hook: the keep-alive policy assigns this idle
@@ -1789,7 +1757,7 @@ impl Simulation {
             breakdown: *inv.stage.breakdown(),
             pred: inv.pred,
             cpu_peak_obs: inv.cpu_peak_obs,
-            mem_peak_obs: inv.mem_usage_mb(),
+            mem_peak_obs: inv.mem_usage_mb_at(w.clock),
             restarts: inv.restarts,
             requeues: inv.requeues,
         };
@@ -1797,16 +1765,17 @@ impl Simulation {
     }
 
     fn sample_utilization(w: &mut World) {
-        // Slot order differs from id order, but a progress update and the
-        // usage it yields are per-invocation and the sums are integer folds,
-        // so the sample is identical in any order.
+        // Slot order differs from id order, but an observation is
+        // per-invocation and the sums are integer folds, so the sample is
+        // identical in any order. Like a monitor visit, it settles nothing.
+        let now = w.clock;
         let (mut cpu_used, mut mem_used) = (0u64, 0u64);
         for idx in 0..w.invs.slot_count() {
             if w.invs.at(idx).is_some_and(|i| i.state == InvState::Running) {
-                w.update_progress(idx);
+                w.observe_busy(idx);
                 let inv = w.invs.get(idx);
                 cpu_used += inv.cpu_usage_millis();
-                mem_used += inv.mem_usage_mb();
+                mem_used += inv.mem_usage_mb_at(now);
             }
         }
         let alloc = w.nodes.iter().fold(ResourceVec::ZERO, |a, n| a + n.total_reserved());
@@ -2369,6 +2338,207 @@ mod tests {
         );
     }
 
+    #[test]
+    fn an_oom_victims_last_segment_is_seen_by_the_visit_and_settled_before_the_drain() {
+        // Donor #0 runs from 501,302 µs, harvested to one core. Oomer #1 runs
+        // from 651,302 on its own core plus one borrowed from #0 (busy 2,000)
+        // and a memory grant of 128 MB under what it touches, so the visit
+        // of 701,302 kills it. Those 50 ms end in `end_loans`, which drops
+        // the loan, and hold no utilization sample: the visit is the one
+        // observation of busy 2,000, and only a settle before the drain books
+        // +1,000 millicores over them. The restart runs on its one core.
+        let demand = |cpu_millis, mem| TrueDemand {
+            cpu_peak_millis: cpu_millis,
+            mem_peak_mb: mem,
+            base_duration: SimDuration::from_secs(1),
+        };
+        let funcs = vec![
+            spec("donor", 4, 2048, demand(1_000, 256)),
+            spec("borrower", 2, 512, demand(4_000, 256)),
+            spec("filler", 3, 512, demand(3_000, 256)),
+            spec("oomer", 1, 1024, demand(2_000, 900)),
+        ];
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        t.push(SimTime::from_millis(150), FunctionId(3), InputMeta::new(1, 0));
+        let res = single_node_sim(funcs).run(&t, &mut Scripted::default());
+        let r = res.records.iter().find(|r| r.inv.0 == 1).expect("completed");
+        assert_eq!((r.restarts, r.cpu_peak_obs), (1, 2_000));
+        assert_eq!((r.cpu_reassigned_core_sec, r.mem_reassigned_mb_sec), (0.05, -44.8));
+        assert_eq!(r.arrival.as_micros() + r.latency.as_micros(), 1_201_302 + 2_000_000);
+    }
+
+    /// `NullPlatform` placement. At its first visit it breaks the resident
+    /// vectors four ways, records what `check_invariants` says of each, then
+    /// restores them and records that too.
+    #[derive(Default)]
+    struct BreakResidents(Vec<Result<(), String>>);
+
+    impl Platform for BreakResidents {
+        fn name(&self) -> String {
+            "break-residents".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, _: InvocationId) {
+            if !self.0.is_empty() {
+                return;
+            }
+            let w = &mut *ctx.w;
+            let kept = std::mem::take(&mut w.nodes[0].residents);
+            assert!(w.invs.at(0).is_none(), "slot 0 was freed by #0's completion");
+            for (on_0, on_1) in [
+                (vec![kept[0], kept[0]], vec![]), // a slot twice
+                (vec![kept[0], 0], vec![]),       // a free slot
+                (vec![], kept.clone()),           // on the wrong node
+                (vec![], vec![]),                 // placed, resident nowhere
+                (kept, vec![]),                   // as it was
+            ] {
+                (w.nodes[0].residents, w.nodes[1].residents) = (on_0, on_1);
+                self.0.push(w.check_invariants());
+            }
+        }
+    }
+
+    #[test]
+    fn check_invariants_holds_the_resident_vectors_to_the_placed_set() {
+        // #0 (50 ms) finishes at 551,302 µs and frees slot 0; #1 takes slot 1
+        // and is running at the first visit, 601,302.
+        let funcs = vec![
+            spec(
+                "short",
+                1,
+                256,
+                TrueDemand {
+                    base_duration: SimDuration::from_millis(50),
+                    ..one_sec_demand(1, 128)
+                },
+            ),
+            spec("long", 1, 256, one_sec_demand(1, 128)),
+        ];
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        t.push(SimTime::from_millis(10), FunctionId(1), InputMeta::new(1, 0));
+        let sim = Simulation::new(
+            funcs,
+            vec![ResourceVec::from_cores_mb(8, 8192); 2],
+            SimConfig::default(),
+        );
+        let mut log = BreakResidents::default();
+        assert_eq!(sim.run(&t, &mut log).pool_violations, 0);
+        let err = |s: &str| Err(s.to_string());
+        assert_eq!(
+            log.0,
+            [
+                err("inv#1 resident on node#0, then on node#0"),
+                err("node#0 holds free arena slot 0"),
+                err("inv#1 (Running, placed on Some(node#0)) is resident on node#1"),
+                err("1 invocations are placed, 0 resident"),
+                Ok(()),
+            ]
+        );
+    }
+
+    /// Scripted policy for `a_drained_loan_that_lifts_the_scale_rerates_the_residents`:
+    /// func 0 and func 2 are harvested to one core at start, func 1 borrows
+    /// three cores from the func-0 donor, and func 2 is safeguarded at its
+    /// first visit from 1.3 s on. Every visit logs (instant µs, invocation,
+    /// rate in force, rate its allocation and the node's scale give now)
+    /// when the two differ.
+    #[derive(Default)]
+    struct DrainedLoan {
+        donor: Option<InvocationId>,
+        stale: Vec<(u64, u32, u64, u64)>,
+    }
+
+    impl Platform for DrainedLoan {
+        fn name(&self) -> String {
+            "drained-loan".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            match ctx.inv(inv).func.0 {
+                0 | 2 => {
+                    ctx.set_own_grant(inv, ResourceVec::new(1_000, 512));
+                    if ctx.inv(inv).func.0 == 0 {
+                        self.donor = Some(inv);
+                    }
+                }
+                1 => {
+                    let donor = self.donor.expect("the donor starts first");
+                    assert!(ctx.lend(donor, inv, ResourceVec::new(3_000, 0)));
+                }
+                _ => {}
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            let w = ctx.world();
+            let idx = w.slot(inv);
+            let (have, want) = (w.invs.get(idx).rate_millis, w.effective_rate(idx));
+            if have != want {
+                self.stale.push((ctx.now().as_micros(), inv.0, have, want));
+            }
+            let i = ctx.inv(inv);
+            if i.func.0 == 2 && ctx.now() >= SimTime::from_millis(1_300) && !i.flags.safeguarded {
+                let _ = ctx.preemptive_release(inv);
+            }
+        }
+    }
+
+    /// Known physics bug, kept failing until the fix re-blesses the goldens.
+    /// `end_loans` drains a dying borrower's loans *before* the caller's
+    /// `with_alloc_change` measures the node's scale, so when the drain alone
+    /// lifts an oversubscribed node back to scale 1, `pre` already reads 1
+    /// and the other residents keep their throttled rates.
+    ///
+    /// On 8 cores: donor #0 (4 cores, harvested to 1) lends 3 to borrower #2
+    /// (1 core of its own, wants 4); donor #1 (2 cores, harvested to 1) and
+    /// filler #3 (2 cores) fill the node. The safeguard restores #1 at
+    /// 1,301,302 µs: 1 + 2 + 4 + 2 = 9 cores on 8, and every resident is
+    /// re-rated at 8/9 (#3: 1,777 millicores). When #2 completes, its 3
+    /// borrowed cores go back: 6 cores on 8, scale 1 — but #0 keeps 888 and
+    /// #3 keeps 1,777 where their allocations give 1,000 and 2,000. The fix
+    /// drops the loans inside the `with_alloc_change` that takes the
+    /// invocation out of the running set.
+    #[test]
+    #[ignore = "known bug: a dying borrower's drained loans skip the re-rating of its node"]
+    fn a_drained_loan_that_lifts_the_scale_rerates_the_residents() {
+        let demand = |cpu_millis, ms| TrueDemand {
+            cpu_peak_millis: cpu_millis,
+            mem_peak_mb: 128,
+            base_duration: SimDuration::from_millis(ms),
+        };
+        let funcs = vec![
+            spec("donor", 4, 1024, demand(1_000, 3_000)),
+            spec("borrower", 1, 256, demand(4_000, 1_000)),
+            spec("donor2", 2, 1024, demand(1_000, 3_000)),
+            spec("filler", 2, 512, demand(2_000, 3_000)),
+        ];
+        let mut t = Trace::new();
+        for (ms, func) in [(0, 0), (10, 2), (20, 1), (700, 3)] {
+            t.push(SimTime::from_millis(ms), FunctionId(func), InputMeta::new(1, 0));
+        }
+        let mut platform = DrainedLoan::default();
+        let res = single_node_sim(funcs).run(&t, &mut platform);
+        assert_eq!(res.records.len(), 4);
+        let by_id = |id: u32| res.records.iter().find(|r| r.inv.0 == id).expect("completed");
+        assert!(by_id(1).flags.safeguarded && by_id(2).flags.accelerated);
+        assert_eq!(platform.stale, [], "visits that found a rate the allocation no longer gives");
+    }
+
     /// `NullPlatform` placement; logs every observation as (instant µs,
     /// invocation, node, OOM restarts so far) and, for `harvest_to`, cuts
     /// every invocation's grant to that — at start, then again (a different
@@ -2535,6 +2705,61 @@ mod tests {
         let mut instants: Vec<u64> = log.seen.iter().map(|s| s.0).collect();
         instants.dedup();
         assert!(instants.windows(2).all(|w| w[1] - w[0] >= 100_000), "{instants:?}");
+    }
+
+    /// `NullPlatform` placement; logs every killed attempt as (invocation,
+    /// arena slot).
+    #[derive(Default)]
+    struct AbortLog(Vec<(u32, usize)>);
+
+    impl Platform for AbortLog {
+        fn name(&self) -> String {
+            "abortlog".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_abort(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            self.0.push((inv.0, ctx.world().slot(inv)));
+        }
+    }
+
+    #[test]
+    fn a_crash_sweep_kills_in_admission_order() {
+        // #0 and #1 finish at ~0.6 s and free slots 0 then 1, which the
+        // free list hands back last-in first: #2 takes slot 1, #3 slot 0,
+        // #4 slot 2. #2 is aborted at 2 s and re-admitted at ~3 s, behind
+        // the other two. So at the crash, admission order (3, 4, 2) is
+        // neither id order nor slot order, and the sweep must follow it.
+        let short = spec(
+            "short",
+            1,
+            256,
+            TrueDemand { base_duration: SimDuration::from_millis(100), ..one_sec_demand(1, 128) },
+        );
+        let long = spec(
+            "long",
+            1,
+            256,
+            TrueDemand { base_duration: SimDuration::from_secs(5), ..one_sec_demand(1, 128) },
+        );
+        let mut t = Trace::new();
+        for (ms, func) in [(0, 0), (0, 0), (1_000, 1), (1_100, 1), (1_200, 1)] {
+            t.push(SimTime::from_millis(ms), FunctionId(func), InputMeta::new(1, 0));
+        }
+        let mut plan = FaultPlan::empty();
+        plan.push(SimTime::from_secs(2), FaultKind::AbortInvocation(InvocationId(2)));
+        plan.push(SimTime::from_secs(4), FaultKind::NodeCrash(NodeId(0)));
+        plan.push(SimTime::from_millis(4_100), FaultKind::NodeRecover(NodeId(0)));
+        let mut log = AbortLog::default();
+        let res = single_node_sim(vec![short, long]).run_with_faults(&t, &mut log, &plan);
+        assert_eq!((res.records.len(), res.pool_violations), (5, 0));
+        assert_eq!(log.0, [(2, 1), (3, 0), (4, 2), (2, 1)]);
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! (`nominal`), what it actually holds (`own_grant` plus incoming loans), how
 //! much work it has completed, and the metric integrals the evaluation
 //! figures need.
+//!
+//! Only an allocation or lifecycle change writes progress
+//! (`Invocation::settle`); an observation reads it as of its instant.
 
 use crate::demand::{InputMeta, TrueDemand};
 use crate::ids::{FunctionId, InvocationId, NodeId};
@@ -350,12 +353,14 @@ pub struct Invocation {
     /// Total volume currently lent out to others.
     pub lent_out: ResourceVec,
 
-    /// Work completed so far (millicore-µs).
+    /// Work completed by `last_update` (millicore-µs). Only a change to the
+    /// allocation, rate or lifecycle state writes it (`Invocation::settle`);
+    /// readers between such changes use [`Invocation::progress_at`].
     pub progress: u128,
-    /// Last time `progress` was brought up to date.
+    /// The instant `progress` and the reassignment integrals were settled at.
     pub last_update: SimTime,
-    /// Effective rate (millicores of useful work per µs × 1000) as of
-    /// `last_update`; see `engine::effective_rate`.
+    /// Effective rate (millicores of useful work per µs × 1000) in force
+    /// since `last_update`; see `engine::effective_rate`.
     pub rate_millis: u64,
     /// Generation counter for lazy-cancelled Finish events.
     pub finish_gen: u64,
@@ -365,13 +370,6 @@ pub struct Invocation {
     /// Highest busy-CPU observation (millicores) so far — the `cpu_peak`
     /// a cgroups monitor would have recorded.
     pub cpu_peak_obs: u64,
-
-    /// Previous entry in the node's intrusive resident list (`None` = head
-    /// or not resident). Maintained by the engine only.
-    pub res_prev: Option<InvocationId>,
-    /// Next entry in the node's intrusive resident list (`None` = tail or
-    /// not resident). Maintained by the engine only.
-    pub res_next: Option<InvocationId>,
 
     /// Lifecycle state.
     pub state: InvState,
@@ -430,8 +428,6 @@ impl Invocation {
             finish_gen: 0,
             finish_armed: false,
             cpu_peak_obs: 0,
-            res_prev: None,
-            res_next: None,
             state: InvState::Pending,
             cold_start: false,
             restarts: 0,
@@ -463,23 +459,53 @@ impl Invocation {
         self.borrowed_in.iter().fold(ResourceVec::ZERO, |acc, l| acc + l.res)
     }
 
-    /// Fraction of total work completed, in `[0, 1]`.
-    pub fn progress_frac(&self) -> f64 {
+    /// Work completed by `now` (millicore-µs): `progress` plus what the rate
+    /// in force since `last_update` has added, capped at `work_total`. Only
+    /// a running invocation accrues. Reads; writes nothing.
+    fn work_at(&self, now: SimTime) -> u128 {
+        if self.state != InvState::Running {
+            return self.progress;
+        }
+        let dt = now.since(self.last_update).as_micros();
+        (self.progress + u128::from(self.rate_millis) * u128::from(dt)).min(self.work_total)
+    }
+
+    /// Bring `progress` and the reassignment integrals up to `now` at the
+    /// allocation and rate in force since `last_update`. The engine settles
+    /// only right before one of those, or the lifecycle state, changes. In
+    /// between, all three are linear in time and the cap is monotone, so
+    /// settling at t₁ then t₂ is settling at t₂, bit for bit: readers use
+    /// the `_at(now)` forms and write nothing.
+    pub(crate) fn settle(&mut self, now: SimTime) {
+        if self.state == InvState::Running {
+            let dt = i128::from(now.since(self.last_update).as_micros());
+            let eff = self.effective_alloc();
+            self.progress = self.work_at(now);
+            self.cpu_reassigned +=
+                (i128::from(eff.cpu_millis) - i128::from(self.nominal.cpu_millis)) * dt;
+            self.mem_reassigned += (i128::from(eff.mem_mb) - i128::from(self.nominal.mem_mb)) * dt;
+        }
+        self.last_update = now;
+    }
+
+    /// Fraction of total work completed by `now`, in `[0, 1]`.
+    pub fn progress_at(&self, now: SimTime) -> f64 {
         if self.work_total == 0 {
             return 1.0;
         }
+        let done = self.work_at(now);
         // Through `u64` when both fit (always, in practice): the same integer
         // converts to the same `f64`, without the software `u128` conversion.
-        let (p, w) = match (u64::try_from(self.progress), u64::try_from(self.work_total)) {
+        let (p, w) = match (u64::try_from(done), u64::try_from(self.work_total)) {
             (Ok(p), Ok(w)) => (p as f64, w as f64),
-            _ => (self.progress as f64, self.work_total as f64),
+            _ => (done as f64, self.work_total as f64),
         };
         (p / w).min(1.0)
     }
 
-    /// Instantaneous memory footprint (MB); see [`mem_usage_model`].
-    pub fn mem_usage_mb(&self) -> u64 {
-        mem_usage_model(self.true_demand.mem_peak_mb, self.progress_frac())
+    /// Memory footprint (MB) at `now`; see [`mem_usage_model`].
+    pub fn mem_usage_mb_at(&self, now: SimTime) -> u64 {
+        mem_usage_model(self.true_demand.mem_peak_mb, self.progress_at(now))
     }
 
     /// Instantaneous busy millicores: the code uses everything it can, up to
@@ -488,7 +514,7 @@ impl Invocation {
         self.effective_alloc().cpu_millis.min(self.true_demand.cpu_peak_millis)
     }
 
-    /// Remaining work in millicore-µs.
+    /// Remaining work in millicore-µs as of `last_update`.
     pub fn remaining_work(&self) -> u128 {
         self.work_total.saturating_sub(self.progress)
     }
@@ -545,11 +571,12 @@ mod tests {
     #[test]
     fn memory_ramps_from_quarter_to_peak() {
         let mut i = inv();
-        assert_eq!(i.mem_usage_mb(), 100); // 25% of 400 at progress 0
+        let now = SimTime::ZERO;
+        assert_eq!(i.mem_usage_mb_at(now), 100); // 25% of 400 at progress 0
         i.progress = i.work_total;
-        assert_eq!(i.mem_usage_mb(), 400);
+        assert_eq!(i.mem_usage_mb_at(now), 400);
         i.progress = i.work_total / 2;
-        let mid = i.mem_usage_mb();
+        let mid = i.mem_usage_mb_at(now);
         assert!(mid > 100 && mid < 400, "mid-execution usage {mid} should be between");
     }
 
@@ -565,10 +592,10 @@ mod tests {
     #[test]
     fn progress_fraction_and_remaining() {
         let mut i = inv();
-        assert_eq!(i.progress_frac(), 0.0);
+        assert_eq!(i.progress_at(SimTime::ZERO), 0.0);
         assert_eq!(i.remaining_work(), i.work_total);
         i.progress = i.work_total;
-        assert_eq!(i.progress_frac(), 1.0);
+        assert_eq!(i.progress_at(SimTime::ZERO), 1.0);
         assert_eq!(i.remaining_work(), 0);
     }
 
@@ -626,10 +653,10 @@ mod tests {
         }
     }
 
-    /// `progress_frac` through `u64` is the `u128` formula bit for bit, and
+    /// `progress_at` through `u64` is the `u128` formula bit for bit, and
     /// the `u128` fallback still answers above `u64::MAX`.
     #[test]
-    fn progress_frac_matches_the_u128_formula() {
+    fn progress_at_matches_the_u128_formula() {
         let formula = |p: u128, w: u128| (p as f64 / w as f64).min(1.0);
         let big = u128::from(u64::MAX);
         let mut cases = vec![
@@ -651,7 +678,7 @@ mod tests {
         let mut i = inv();
         for (p, w) in cases {
             (i.progress, i.work_total) = (p, w);
-            assert_eq!(i.progress_frac().to_bits(), formula(p, w).to_bits(), "{p}/{w}");
+            assert_eq!(i.progress_at(SimTime::ZERO).to_bits(), formula(p, w).to_bits(), "{p}/{w}");
         }
     }
 
@@ -659,7 +686,77 @@ mod tests {
     fn zero_work_counts_as_complete() {
         let mut i = inv();
         i.work_total = 0;
-        assert_eq!(i.progress_frac(), 1.0);
+        assert_eq!(i.progress_at(SimTime::ZERO), 1.0);
+    }
+
+    /// Case `n` of the settle sweeps: an invocation settled at some instant
+    /// with seeded work, progress, rate, grant and loan (running in four
+    /// cases of five), and two later instants `t₁ ≤ t₂`. Work scales vary
+    /// from 2^8 to 2^40 against up to 48 cores for up to 100 s, so many
+    /// cases reach the `work_total` cap, some of them between `t₁` and `t₂`.
+    fn seeded_settle_case(state: &mut u64, n: u64) -> (Invocation, SimTime, SimTime) {
+        let mut i = inv();
+        i.state = if n.is_multiple_of(5) { InvState::ColdStarting } else { InvState::Running };
+        i.rate_millis = lcg(state) % 48_001;
+        i.work_total = u128::from(lcg(state) % (1 << (8 + lcg(state) % 33))) + 1;
+        i.progress = u128::from(lcg(state)) % (i.work_total + 1);
+        i.own_grant = ResourceVec::new(lcg(state) % 8_001, lcg(state) % 4_097);
+        if n.is_multiple_of(2) {
+            let res = ResourceVec::new(lcg(state) % 4_001, lcg(state) % 1_025);
+            i.borrowed_in.push(Loan {
+                source: InvocationId(9),
+                borrower: i.id,
+                res,
+                created: i.arrival,
+            });
+        }
+        i.cpu_reassigned = i128::from(lcg(state) >> 12) - (1 << 51);
+        i.mem_reassigned = i128::from(lcg(state) >> 12) - (1 << 51);
+        i.last_update = SimTime(lcg(state) % 1_000_000);
+        let t1 = i.last_update + SimDuration(lcg(state) % 100_000_000);
+        let t2 = t1 + SimDuration(lcg(state) % 100_000_000);
+        (i, t1, t2)
+    }
+
+    /// Settling at t₁ and then at t₂ is settling once at t₂, bit for bit, for
+    /// progress and both reassignment integrals — across the `work_total`
+    /// cap too. That is why a monitor visit need not settle.
+    #[test]
+    fn settling_at_t1_then_t2_is_settling_at_t2() {
+        let (mut state, mut capped, mut crossed, mut short) = (23, 0, 0, 0);
+        for n in 0..20_000 {
+            let (mut twice, t1, t2) = seeded_settle_case(&mut state, n);
+            let mut once = twice.clone();
+            twice.settle(t1);
+            let capped_at_t1 = twice.progress == twice.work_total;
+            twice.settle(t2);
+            once.settle(t2);
+            let books =
+                |i: &Invocation| (i.progress, i.cpu_reassigned, i.mem_reassigned, i.last_update);
+            assert_eq!(books(&twice), books(&once), "case {n}: t1 {t1:?}, t2 {t2:?}");
+            let capped_at_t2 = once.progress == once.work_total;
+            capped += u32::from(capped_at_t1);
+            crossed += u32::from(!capped_at_t1 && capped_at_t2);
+            short += u32::from(!capped_at_t2);
+        }
+        assert!(
+            capped > 100 && crossed > 100 && short > 100,
+            "capped by t1 in {capped}, between t1 and t2 in {crossed}, short in {short} cases"
+        );
+    }
+
+    /// `progress_at(now)` and `mem_usage_mb_at(now)` read exactly what
+    /// settling at `now` and then reading would.
+    #[test]
+    fn reading_at_now_is_settling_then_reading() {
+        let mut state = 5;
+        for n in 0..20_000 {
+            let (read, _, now) = seeded_settle_case(&mut state, n);
+            let mut settled = read.clone();
+            settled.settle(now);
+            assert_eq!(read.progress_at(now).to_bits(), settled.progress_at(now).to_bits());
+            assert_eq!(read.mem_usage_mb_at(now), settled.mem_usage_mb_at(now), "case {n}");
+        }
     }
 
     /// `leave` over every state, including the pool/container-init split

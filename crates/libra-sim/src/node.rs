@@ -11,7 +11,7 @@
 //! which is the safety invariant the integration tests assert.
 
 use crate::container::WarmPool;
-use crate::ids::{InvocationId, NodeId};
+use crate::ids::NodeId;
 use crate::resources::ResourceVec;
 use crate::time::SimTime;
 
@@ -86,17 +86,14 @@ pub struct Node {
     pub capacity: ResourceVec,
     /// Per-shard nominal reservations (one slice per scheduler shard).
     slices: Vec<Slice>,
-    /// Head of the intrusive resident list (invocations assigned here,
-    /// cold-starting or running), in admission order. The links live in
-    /// `Invocation::{res_prev, res_next}`; the engine maintains both ends.
-    /// An intrusive list keeps membership updates O(1) — the old `Vec` +
-    /// `retain` made every completion O(residents) — while preserving the
-    /// insertion order the deterministic crash sweep depends on.
-    pub resident_head: Option<InvocationId>,
-    /// Tail of the intrusive resident list (for O(1) append).
-    pub resident_tail: Option<InvocationId>,
-    /// Number of entries in the resident list.
-    pub resident_len: usize,
+    /// Arena slots of the invocations assigned here (cold-starting or
+    /// running), in admission order — the order the crash sweep, the monitor
+    /// tick's visits and the `Finish` tie-break depend on. The engine pushes
+    /// at placement and removes (`position` + `Vec::remove`, over the few
+    /// dozen residents a node holds) at completion or kill. Walks index the
+    /// arena directly: the id-linked list this replaced paid an `id → slot`
+    /// lookup per step, on the engine's hottest path.
+    pub(crate) residents: Vec<u32>,
     /// Whether this node's monitor tick is in the event queue (engine-only:
     /// one chain per node, whatever crashes and recoveries come between).
     pub tick_armed: bool,
@@ -118,9 +115,7 @@ impl Node {
             id,
             capacity,
             slices: vec![Slice::new(capacity.div(shards as u64)); shards],
-            resident_head: None,
-            resident_tail: None,
-            resident_len: 0,
+            residents: Vec::new(),
             tick_armed: false,
             warm: WarmPool::new(),
             alive: true,
@@ -232,7 +227,7 @@ impl Node {
 
     /// Number of invocations currently resident.
     pub fn load(&self) -> usize {
-        self.resident_len
+        self.residents.len()
     }
 }
 

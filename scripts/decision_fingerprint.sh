@@ -2,8 +2,9 @@
 # Decision fingerprints of the release-build simulator runs the benchmark
 # times, at seed 42: exact counts the traced workloads already print.
 # sim_engine (75,000 invocations, 300 nodes, NullPlatform) pins how many
-# events the engine pushed and popped and how many invocations were live at
-# once, so an engine speed claim is made on the same simulated run;
+# events the engine pushed and popped, how many invocations were live at
+# once and how many monitor visits it made, so an engine speed claim is made
+# on the same simulated run and is one of cheaper visits, not fewer;
 # sim_harvest (50,000 invocations, 200 nodes, Libra without the profiler) pins
 # what the control plane decided and how many monitor visits it made (a speed
 # claim on it is then one of cheaper visits, not fewer); sim_libra (150
@@ -20,7 +21,8 @@ cd "$(dirname "$0")/.."
 declare -A want
 want[sim_engine]='engine.event_pops 1505092
 engine.event_pushes 1505394
-engine.peak_live_inv 797'
+engine.peak_live_inv 797
+hook.on_tick.calls 5287480'
 want[sim_harvest]='controlplane.loans_expired 3937
 controlplane.safeguard_triggers 7476
 engine.event_pops 1429641
