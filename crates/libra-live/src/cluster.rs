@@ -1,19 +1,21 @@
 //! The live cluster: a thin concurrent driver of the shared harvest control
 //! plane ([`libra_core::controlplane`]). Node state lives behind
 //! `parking_lot` mutexes and one *driver* thread per node runs everything
-//! resident there. Every [`LiveConfig::quantum`] the node's one monitor tick
-//! fires (the paper's per-node safeguard daemon, the simulator's `NodeTick`):
-//! one pass settles every resident's progress, reports a cgroups-style usage
-//! observation of each to the control plane and applies the emitted
-//! [`Action`]s. Between ticks the driver wakes only to complete an invocation
-//! the instant its work runs out.
+//! resident there on the simulator's execution model: a resident is a
+//! [`Run`], on one clock of workload µs (real time × `time_scale`) that every
+//! event, span and instant here is stamped in. Every [`LiveConfig::quantum`]
+//! the node's one monitor tick fires (the simulator's `NodeTick`): one pass
+//! visits every resident as the simulator does — report a cgroups-style usage
+//! observation to the control plane, apply the emitted [`Action`]s, then the
+//! OOM rule against the allocation the policy left — and settles nothing.
 //!
-//! That instant is the resident's `due`, `last_settle + work_left / rate /
-//! time_scale`, re-armed for every resident of the node after each event,
-//! because a `Lend`/`Return`/`Revoke`/`PreemptiveRelease` moves other
-//! residents' rates — the simulator's `Finish` event, in real time. The driver
-//! parks until the node's tick or the earliest `due`, whichever is first, and
-//! an admission unparks it. Nothing spawns per request:
+//! Between ticks the driver wakes only to complete an invocation the instant
+//! its work runs out: its `due` ([`Run::due`]), re-armed for every resident
+//! of the node after each event, because a `Lend`/`Return`/`Revoke`/
+//! `PreemptiveRelease` moves other residents' rates — the simulator's
+//! `Finish` event. The driver parks until the node's tick or the earliest
+//! `due`, whichever is first, and an admission unparks it. Nothing spawns per
+//! request:
 //! [`LiveCluster::submit`] admits on the caller's thread when the request has
 //! arrived and a shard slice fits it, and hands everything else — future
 //! arrivals, admissions to retry each quantum — to the one *front-door*
@@ -73,7 +75,9 @@ use libra_core::keepalive::{KeepAlivePolicy, PolicyKind};
 use libra_core::sharding::{ScheduleRequest, ShardedScheduler};
 use libra_sim::container::WarmPool;
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
-use libra_sim::invocation::{exec_rate_millis, mem_usage_model, InvState, StageCursor};
+use libra_sim::invocation::{
+    exec_rate_millis, mem_usage_model, oom_kills, InvState, Run, StageCursor,
+};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use libra_sim::trace_spans::{ExecTrace, LoanOutcome, LoanSpan, SpanSink};
@@ -191,34 +195,14 @@ struct ExecState {
     shard: usize,
     /// What that slice holds for it: its charge as of the node's last event.
     booked: ResourceVec,
-    work_left: f64, // millicore-milliseconds (workload time)
-    /// Millicores of progress in force since `last_settle` (0 until first
-    /// armed). Only [`ClusterShared::rearm`] moves it, settling first.
-    rate: u64,
-    last_settle: Instant,
-    /// When `work_left` runs out at `rate`: the driver steps this resident
-    /// then, tick or no tick. Capped one quantum past `last_settle` — the
-    /// node's tick comes first — so no request can overflow the `Instant`.
-    due: Instant,
+    /// Its execution; only [`NodeInner::rearm`] and an OOM restart write it.
+    run: Run,
+    /// When the run's work is done: the driver steps it then, tick or not.
+    due: SimTime,
     harvested: bool,
     accelerated: bool,
     safeguarded: bool,
     oom_restarts: u32,
-}
-
-impl ExecState {
-    fn work_total(&self) -> f64 {
-        self.req.work_mcore_ms as f64
-    }
-
-    /// Credit the work done over `[last_settle, now]` at the rate in force
-    /// over it.
-    fn settle(&mut self, now: Instant, time_scale: f64) {
-        let elapsed_ms =
-            now.saturating_duration_since(self.last_settle).as_secs_f64() * 1e3 * time_scale;
-        self.last_settle = now;
-        self.work_left -= self.rate as f64 * elapsed_ms;
-    }
 }
 
 struct NodeInner {
@@ -227,7 +211,7 @@ struct NodeInner {
     exec: HashMap<u32, ExecState>,
     /// The node's next monitor tick. Left in the past while nothing is
     /// resident; the next admission re-arms it, so there is one chain a node.
-    tick: Instant,
+    tick: SimTime,
     /// Idle warm containers: the registry the simulator's nodes hold, with
     /// every deadline stamped by the keep-alive policy below.
     warm: WarmPool,
@@ -237,6 +221,28 @@ struct NodeInner {
     /// span tracing is on so loan lifetimes can be closed with the outcome
     /// the control plane reports.
     open_loans: HashMap<(u32, u32), u64>,
+}
+
+impl NodeInner {
+    /// Bring every resident's rate and `due` in line with the allocations
+    /// the control plane now holds — after each event on the node, because a
+    /// `Lend`/`Return`/`Revoke`/`PreemptiveRelease` moves other residents'
+    /// rates. [`Run::rerate`] settles a moved rate at the old one first.
+    fn rearm(&mut self, now: SimTime) {
+        let NodeInner { core, exec, .. } = self;
+        for (&id, st) in exec.iter_mut() {
+            let eff = core.effective_alloc(InvocationId(id)).unwrap_or(st.req.alloc);
+            let rate = exec_rate_millis(
+                eff.cpu_millis,
+                eff.mem_mb,
+                st.req.demand_cpu_millis,
+                st.req.demand_mem_mb,
+                st.req.alloc.mem_mb,
+            );
+            st.run.rerate(now, rate);
+            st.due = st.run.due(now).unwrap_or(SimTime(u64::MAX));
+        }
+    }
 }
 
 struct NodeShared {
@@ -294,8 +300,7 @@ fn apply_actions(
             Action::Requeue { inv, .. } => {
                 if let Some(st) = exec.get_mut(&inv.0) {
                     st.oom_restarts += 1;
-                    st.work_left = st.work_total();
-                    st.last_settle = Instant::now();
+                    st.run.restart(now);
                 }
                 None
             }
@@ -476,9 +481,9 @@ struct ClusterShared {
     /// The watchdog declared the run wedged (fatal; diagnostic dump follows).
     expired: AtomicBool,
     /// The front door's queue: accepted requests not yet admitted, keyed by
-    /// when to try next — real time since `t0`: arrival, then once a quantum
-    /// — and the request index, unique among in-flight requests.
-    front: Mutex<BTreeMap<(Duration, usize), Pending>>,
+    /// when to try next — arrival, then once a quantum — and the request
+    /// index, unique among in-flight requests.
+    front: Mutex<BTreeMap<(SimTime, usize), Pending>>,
     /// The front-door thread, for `submit` to unpark.
     front_thread: OnceLock<Thread>,
     submitted: AtomicUsize,
@@ -507,7 +512,7 @@ impl ClusterShared {
                     inner: Mutex::new(NodeInner {
                         core,
                         exec: HashMap::new(),
-                        tick: Instant::now(),
+                        tick: SimTime::ZERO,
                         warm: WarmPool::new(),
                         policy: config.keepalive.build(),
                         open_loans: HashMap::new(),
@@ -541,16 +546,21 @@ impl ClusterShared {
         }
     }
 
-    /// Workload-microseconds since cluster start.
-    fn now_us(&self) -> u64 {
-        (self.t0.elapsed().as_secs_f64() * 1e6 * self.config.time_scale) as u64
+    /// The cluster's one clock: workload µs since start (real time ×
+    /// `time_scale`).
+    fn now(&self) -> SimTime {
+        SimTime((self.t0.elapsed().as_secs_f64() * 1e6 * self.config.time_scale) as u64)
     }
 
-    /// Workload time in the whole milliseconds control-plane events carry.
-    fn now_ms(&self) -> SimTime {
-        SimTime::from_millis(
-            (self.t0.elapsed().as_secs_f64() * 1e3 * self.config.time_scale) as u64,
-        )
+    /// Real time from now until workload instant `at` (zero once it passed).
+    fn until(&self, at: SimTime) -> Duration {
+        let real_s = at.since(self.now()).as_secs_f64() / self.config.time_scale;
+        Duration::try_from_secs_f64(real_s).unwrap_or(Duration::MAX)
+    }
+
+    /// [`LiveConfig::quantum`] in workload time.
+    fn quantum(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.config.quantum.as_secs_f64() * self.config.time_scale)
     }
 
     fn sink(&self) -> Option<&Mutex<SpanSink>> {
@@ -558,10 +568,9 @@ impl ClusterShared {
     }
 
     /// Charge the interval since `stage`'s cursor to the stage `state` — the
-    /// lifecycle state its invocation is leaving right now — was spending it
+    /// lifecycle state its invocation is leaving at `now` — was spending it
     /// in. The span lock is taken only when tracing is on.
-    fn leave_stage(&self, stage: &mut StageCursor, state: InvState) {
-        let now = SimTime(self.now_us());
+    fn leave_stage(&self, stage: &mut StageCursor, state: InvState, now: SimTime) {
         if self.config.trace_spans {
             stage.leave(state, now, 0, &mut self.spans.lock());
         } else {
@@ -576,10 +585,10 @@ impl ClusterShared {
         self.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Queue `p` for the front door to (re)try `at` after `t0`. Checked
-    /// against `aborting` under the queue lock, which the front door's final
-    /// drain also holds, so nothing is queued behind it.
-    fn enqueue(&self, at: Duration, p: Pending) {
+    /// Queue `p` for the front door to (re)try at `at`. Checked against
+    /// `aborting` under the queue lock, which the front door's final drain
+    /// also holds, so nothing is queued behind it.
+    fn enqueue(&self, at: SimTime, p: Pending) {
         let mut queue = self.front.lock();
         if self.aborting.load(Ordering::SeqCst) {
             self.count_aborted();
@@ -595,9 +604,8 @@ impl ClusterShared {
     /// request back when no slice fits it.
     fn admit(&self, mut p: Pending) -> Option<Pending> {
         let Pending { idx, req, .. } = p;
-        let stage = p.stage.get_or_insert_with(|| {
-            StageCursor::new(idx as u64, SimTime(self.now_us()), SimDuration::ZERO)
-        });
+        let arrived = || StageCursor::new(idx as u64, self.now(), SimDuration::ZERO);
+        let mut stage = *p.stage.get_or_insert_with(arrived);
         let shard = idx % self.config.shards;
         let d = self.sched.schedule_on(
             shard,
@@ -610,10 +618,6 @@ impl ClusterShared {
             },
         );
         let Some(node_id) = d.node else { return Some(p) };
-        // Scheduler stage: submission → shard slice found.
-        let mut stage = *stage;
-        self.leave_stage(&mut stage, InvState::AwaitingDecision);
-
         // The scheduler only answers node ids it was spawned with, so a miss
         // here means the fleet is misconfigured — treat it like a wedged run
         // rather than unwinding mid-ledger.
@@ -633,12 +637,14 @@ impl ClusterShared {
             self.count_aborted();
             return None;
         }
-        let now_ms = self.now_ms();
+        // Scheduler stage: submission → resident on a node with a slice.
+        let now = self.now();
+        self.leave_stage(&mut stage, InvState::AwaitingDecision, now);
         // Warm-lifecycle: the policy sees the arrival, then the admission
         // consumes a live warm container if the registry holds one.
-        g.policy.on_arrival(FunctionId(req.func), now_ms);
-        let _ = g.warm.acquire(FunctionId(req.func), now_ms);
-        let _ = g.warm.evict_expired(now_ms);
+        g.policy.on_arrival(FunctionId(req.func), now);
+        let _ = g.warm.acquire(FunctionId(req.func), now);
+        let _ = g.warm.evict_expired(now);
         let pred = if self.config.harvesting { req.pred } else { None };
         let actions = g.core.on_admit(
             Admission {
@@ -649,11 +655,10 @@ impl ClusterShared {
                 mem_floor_mb: req.mem_floor_mb,
                 pred,
             },
-            now_ms,
+            now,
         );
-        let now = Instant::now();
         if g.exec.is_empty() && g.tick <= now {
-            g.tick = now + self.config.quantum;
+            g.tick = now + self.quantum();
         }
         g.exec.insert(
             inv.0,
@@ -664,9 +669,7 @@ impl ClusterShared {
                 stage,
                 shard,
                 booked: req.alloc,
-                work_left: req.work_mcore_ms as f64,
-                rate: 0,
-                last_settle: now,
+                run: Run::new(u128::from(req.work_mcore_ms) * 1_000, now),
                 due: now,
                 harvested: actions.iter().any(|a| matches!(a, Action::SetGrant { .. })),
                 accelerated: false,
@@ -674,8 +677,8 @@ impl ClusterShared {
                 oom_restarts: 0,
             },
         );
-        apply_actions(&mut g, &self.sched, node_id, &actions, now_ms, self.sink());
-        self.rearm(&mut g, now);
+        apply_actions(&mut g, &self.sched, node_id, &actions, now, self.sink());
+        g.rearm(now);
         drop(g);
         if let Some(driver) = node.driver.get() {
             driver.unpark();
@@ -683,41 +686,14 @@ impl ClusterShared {
         None
     }
 
-    /// Bring every resident's `rate` and `due` in line with the allocations
-    /// the control plane now holds — after each event on the node, because a
-    /// `Lend`/`Return`/`Revoke`/`PreemptiveRelease` moves other residents'
-    /// rates. A resident whose rate moves is settled at the old one first,
-    /// so no interval is credited at a rate it did not run at.
-    fn rearm(&self, g: &mut NodeInner, now: Instant) {
-        let NodeInner { core, exec, .. } = g;
-        let LiveConfig { quantum, time_scale, .. } = self.config;
-        for (&id, st) in exec.iter_mut() {
-            let eff = core.effective_alloc(InvocationId(id)).unwrap_or(st.req.alloc);
-            let rate = exec_rate_millis(
-                eff.cpu_millis,
-                eff.mem_mb,
-                st.req.demand_cpu_millis,
-                st.req.demand_mem_mb,
-                st.req.alloc.mem_mb,
-            );
-            if rate != st.rate {
-                st.settle(now, time_scale);
-                st.rate = rate;
-            }
-            let finish_in_s = st.work_left.max(0.0) / (rate as f64 * time_scale * 1e3);
-            let finish_in = Duration::try_from_secs_f64(finish_in_s).unwrap_or(quantum);
-            st.due = st.last_settle + finish_in.min(quantum);
-        }
-    }
-
-    /// One driver pass over a node, under its lock: step every resident once
-    /// the node's tick has passed (or the cluster is aborting), else only those
-    /// whose `due` has — finished work first, then id order — and re-arm.
-    /// Returns when to run next (tick or earliest `due`), `None` when empty.
-    fn drive(&self, node: u32, g: &mut NodeInner, aborting: bool) -> Option<Instant> {
-        let now = Instant::now();
+    /// One driver pass over a node at one instant, under its lock: step all
+    /// residents once the node's tick has passed (or the cluster aborts), else
+    /// those whose `due` has — finished work first, then id order — and
+    /// re-arm. Returns when to run next (tick or earliest `due`), if anything.
+    fn drive(&self, node: u32, g: &mut NodeInner, aborting: bool) -> Option<SimTime> {
+        let now = self.now();
         let ticking = g.tick <= now;
-        let mut due: Vec<(Instant, u32)> = g
+        let mut due: Vec<(SimTime, u32)> = g
             .exec
             .iter()
             .filter(|(_, st)| aborting || ticking || st.due <= now)
@@ -726,26 +702,26 @@ impl ClusterShared {
         if !due.is_empty() {
             due.sort_unstable();
             for (_, id) in due {
-                self.step(node, g, id, aborting, ticking);
+                self.step(node, g, id, now, aborting, ticking);
             }
-            self.rearm(g, Instant::now());
+            g.rearm(now);
         }
         if ticking {
-            g.tick = now + self.config.quantum;
+            g.tick = now + self.quantum();
         }
         g.exec.values().map(|st| st.due).min().map(|due| due.min(g.tick))
     }
 
-    /// One resident's turn: settle its progress and complete it if its work
-    /// is done; else, on the node's tick, restart it (the OOM rule) or feed
-    /// the control plane an observation and replay whatever it decides.
-    fn step(&self, node: u32, g: &mut NodeInner, id: u32, aborting: bool, ticking: bool) {
+    /// One resident's turn at `now`: complete it if its work is done; else,
+    /// on the node's tick, visit it as the simulator does — the control plane
+    /// sees a usage observation and acts, then the OOM rule holds it to the
+    /// allocation the policy left. A visit settles nothing.
+    fn step(&self, node: u32, g: &mut NodeInner, id: u32, now: SimTime, abort: bool, tick: bool) {
         let inv = InvocationId(id);
-        let now_ms = self.now_ms();
-        if aborting {
+        if abort {
             // Drain quiesce: unwind through the control plane so loans and
             // slice bookings are conserved, not abandoned.
-            if unwind(g, &self.sched, node, inv, now_ms, self.sink(), false).is_some() {
+            if unwind(g, &self.sched, node, inv, now, self.sink(), false).is_some() {
                 self.count_aborted();
             }
             return;
@@ -755,65 +731,60 @@ impl ClusterShared {
         let committed = g.core.committed_on(NodeId(0));
         self.peak_committed.fetch_max(committed.cpu_millis, Ordering::Relaxed);
 
-        let Some(me) = g.exec.get_mut(&id) else { return };
-        let now = Instant::now();
-        me.settle(now, self.config.time_scale);
-        if me.work_left <= 0.0 {
-            self.finish(node, g, inv, now_ms);
+        let Some(me) = g.exec.get(&id) else { return };
+        if me.run.work_at(now) == me.run.work_total {
+            self.finish(node, g, inv, now);
             return;
         }
-        if !ticking {
+        if !tick {
             return; // woken a moment early: `rearm` sets the new `due`
         }
-        let req = me.req;
-        // Work is left, so there was some to begin with: no division by zero.
-        let progress = ((me.work_total() - me.work_left) / me.work_total()).clamp(0.0, 1.0);
-
-        // The OOM rule (§5.1): a footprint within the user allocation
-        // crossed a harvested grant.
-        let eff = g.core.effective_alloc(inv).unwrap_or(req.alloc);
-        let mem_used = mem_usage_model(req.demand_mem_mb, progress);
-        if req.demand_mem_mb <= req.alloc.mem_mb && mem_used > eff.mem_mb {
-            let actions = g.core.on_oom(inv, now_ms);
-            apply_actions(g, &self.sched, node, &actions, now_ms, self.sink());
-            // The restart splits the exec timeline into per-restart segments
-            // (same attempt: an OOM restart is a container event, not a
-            // crash requeue).
-            if let Some(me) = g.exec.get_mut(&id) {
-                self.leave_stage(&mut me.stage, InvState::Running);
-            }
-            return;
-        }
+        let (req, progress) = (me.req, me.run.progress_at(now));
+        let mem_used = || mem_usage_model(req.demand_mem_mb, progress);
 
         // Monitor path: safeguard, trimming, continuous acceleration — all
         // decided by the shared core. Each node has its own core, in which
         // the node is node 0.
-        let actions = g.core.on_observe_at(NodeId(0), inv, now_ms, || Observation {
+        let eff = g.core.effective_alloc(inv).unwrap_or(req.alloc);
+        let actions = g.core.on_observe_at(NodeId(0), inv, now, || Observation {
             cpu_busy_millis: eff.cpu_millis.min(req.demand_cpu_millis),
-            mem_used_mb: mem_used,
+            mem_used_mb: mem_used(),
             cpu_throttled: req.demand_cpu_millis > eff.cpu_millis,
         });
-        apply_actions(g, &self.sched, node, &actions, now_ms, self.sink());
+        apply_actions(g, &self.sched, node, &actions, now, self.sink());
+
+        // The OOM rule (§5.1), against the allocation the policy left.
+        let have_mb = g.core.effective_alloc(inv).map_or(req.alloc.mem_mb, |e| e.mem_mb);
+        if oom_kills(req.demand_mem_mb, req.alloc.mem_mb, have_mb, mem_used) {
+            let actions = g.core.on_oom(inv, now);
+            apply_actions(g, &self.sched, node, &actions, now, self.sink());
+            // The restart splits the exec timeline into per-restart segments
+            // (same attempt: an OOM restart is a container event, not a
+            // crash requeue).
+            if let Some(me) = g.exec.get_mut(&id) {
+                self.leave_stage(&mut me.stage, InvState::Running, now);
+            }
+        }
     }
 
     /// `inv`'s work is done: take it off the node, keep its container warm
     /// if the policy says so, record it and answer its caller.
-    fn finish(&self, node: u32, g: &mut NodeInner, inv: InvocationId, now_ms: SimTime) {
-        let Some(mut me) = unwind(g, &self.sched, node, inv, now_ms, self.sink(), true) else {
+    fn finish(&self, node: u32, g: &mut NodeInner, inv: InvocationId, now: SimTime) {
+        let Some(mut me) = unwind(g, &self.sched, node, inv, now, self.sink(), true) else {
             self.expired.store(true, Ordering::SeqCst);
             return;
         };
         // Warm-lifecycle: the policy decides whether (and until when)
         // this container's memory stays pinned as an idle warm container.
         let func = FunctionId(me.req.func);
-        g.policy.on_complete(func, now_ms);
-        let idle_peers = g.warm.count_at(func, now_ms);
-        if let Some(keep_until) = g.policy.keep_until(func, idle_peers, now_ms) {
-            g.warm.release(func, me.shard, me.req.alloc.mem_mb, now_ms, keep_until);
+        g.policy.on_complete(func, now);
+        let idle_peers = g.warm.count_at(func, now);
+        if let Some(keep_until) = g.policy.keep_until(func, idle_peers, now) {
+            g.warm.release(func, me.shard, me.req.alloc.mem_mb, now, keep_until);
         }
-        let _ = g.warm.evict_expired(now_ms);
+        let _ = g.warm.evict_expired(now);
 
-        self.leave_stage(&mut me.stage, InvState::Running);
+        self.leave_stage(&mut me.stage, InvState::Running, now);
         let stages = me.stage.breakdown();
         let record = LiveRecord {
             idx: me.idx,
@@ -846,9 +817,7 @@ impl ClusterShared {
                 return;
             }
             match next_due {
-                Some(due) => {
-                    std::thread::park_timeout(due.saturating_duration_since(Instant::now()))
-                }
+                Some(due) => std::thread::park_timeout(self.until(due)),
                 None => std::thread::park(),
             }
         }
@@ -878,7 +847,7 @@ impl ClusterShared {
                 self.expired.store(true, Ordering::SeqCst);
             }
 
-            let now = self.t0.elapsed();
+            let now = self.now();
             let next = loop {
                 let mut queue = self.front.lock();
                 if self.aborting.load(Ordering::SeqCst) {
@@ -893,12 +862,10 @@ impl ClusterShared {
                 let p = entry.remove();
                 drop(queue);
                 if let Some(p) = self.admit(p) {
-                    self.enqueue(now.saturating_add(self.config.quantum), p);
+                    self.enqueue(now + self.quantum(), p);
                 }
             };
-            let wait = next.map_or(WATCHDOG_POLL, |at| {
-                at.saturating_sub(self.t0.elapsed()).min(WATCHDOG_POLL)
-            });
+            let wait = next.map_or(WATCHDOG_POLL, |at| self.until(at).min(WATCHDOG_POLL));
             std::thread::park_timeout(wait);
         }
     }
@@ -986,16 +953,15 @@ impl LiveCluster {
         sh.submitted.fetch_add(1, Ordering::SeqCst);
         let (reply, rx) = bounded(1);
         let p = Pending { idx, req, reply, stage: None };
-        // Arrive on schedule (workload ms → real ms). Network-driven requests
-        // arrive with `at_ms` already in the past and are admitted right
-        // here; the front door takes the rest.
-        let arrival = Duration::try_from_secs_f64(req.at_ms as f64 / 1e3 / sh.config.time_scale)
-            .unwrap_or(Duration::MAX);
-        let now = sh.t0.elapsed();
+        // Arrive on schedule. Network-driven requests arrive with `at_ms`
+        // already in the past and are admitted right here; the front door
+        // takes the rest.
+        let arrival = SimTime(req.at_ms.saturating_mul(1_000));
+        let now = sh.now();
         let retry = if arrival > now {
             Some((arrival, p))
         } else {
-            sh.admit(p).map(|p| (now.saturating_add(sh.config.quantum), p))
+            sh.admit(p).map(|p| (now + sh.quantum(), p))
         };
         if let Some((at, p)) = retry {
             sh.enqueue(at, p);
@@ -1026,7 +992,7 @@ impl LiveCluster {
     /// Workload-microseconds since cluster start — the timebase every
     /// execution-timeline span is stamped in.
     pub fn now_us(&self) -> u64 {
-        self.shared.now_us()
+        self.shared.now().as_micros()
     }
 
     /// Record a frontend-stage span for `inv` (a networked frontend's
@@ -1128,13 +1094,12 @@ impl LiveCluster {
             cold_starts += colds;
             actions_by_node.push(g.core.action_trace().to_vec());
         }
-        let scale = sh.config.time_scale;
         let trace = std::mem::replace(&mut *sh.spans.lock(), SpanSink::new(false)).into_trace();
         LiveResult {
             oom_restarts: records.iter().map(|r| r.oom_restarts as u64).sum(),
             records,
             trace,
-            makespan_ms: sh.t0.elapsed().as_secs_f64() * 1e3 * scale,
+            makespan_ms: sh.now().since(SimTime::ZERO).as_millis_f64(),
             loans_expired: stats.loans_expired,
             safeguard_releases: stats.safeguard_releases,
             aborted: stats.aborted,
@@ -1191,17 +1156,16 @@ impl LiveCluster {
             let _ = writeln!(dump, "shard {shard}: alive={}", sh.sched.is_alive(shard));
         }
         let _ = writeln!(dump, "front door: {} queued for admission", sh.front.lock().len());
+        let now = sh.now();
         for (i, n) in sh.nodes.iter().enumerate() {
             let g = n.inner.lock();
             let _ = writeln!(dump, "node {i}: {} residents", g.exec.len());
             for (id, st) in &g.exec {
+                let (done, total) = (st.run.work_at(now), st.run.work_total);
                 let _ = writeln!(
                     dump,
-                    "  inv {id}: shard {} work {:.0}/{:.0} oom_restarts {}",
-                    st.shard,
-                    st.work_total() - st.work_left,
-                    st.work_total(),
-                    st.oom_restarts
+                    "  inv {id}: shard {} work {done}/{total} oom_restarts {}",
+                    st.shard, st.oom_restarts
                 );
             }
             dump.push_str(&g.core.dump());
@@ -1407,19 +1371,23 @@ mod tests {
         assert_eq!(r.records.len(), 1);
         assert!(r.records[0].oom_restarts >= 1, "the OOM rule must restart the invocation");
         assert!(r.oom_restarts >= 1);
-        // The ledger across the restart: one scheduler span, then one exec
-        // segment per (re)start, tiling [submit, completion] exactly; the
-        // record's stage figures are reads of the same cursor.
+        // The ledger across the restart: one scheduler span (none when the
+        // request was admitted in the workload µs it arrived: a zero-length
+        // span is dropped), then one exec segment per (re)start, tiling
+        // [submit, completion] exactly; the record's stage figures are reads
+        // of the same cursor.
         let trace = r.trace.expect("tracing enabled");
         let spans = trace.spans_for(0);
+        let sched = usize::from(r.records[0].sched_ms > 0.0);
         let kinds: Vec<&str> = spans.iter().map(|s| s.kind.label()).collect();
-        assert_eq!(kinds[0], "scheduler");
-        assert_eq!(kinds.len(), 2 + r.records[0].oom_restarts as usize, "{kinds:?}");
-        assert!(kinds[1..].iter().all(|k| *k == "exec"), "{kinds:?}");
+        assert_eq!(kinds[..sched], ["scheduler"][..sched], "{kinds:?}");
+        assert_eq!(kinds.len(), sched + 1 + r.records[0].oom_restarts as usize, "{kinds:?}");
+        assert!(kinds[sched..].iter().all(|k| *k == "exec"), "{kinds:?}");
         assert!(spans.windows(2).all(|w| w[0].end_us == w[1].start_us), "gap/overlap: {spans:?}");
         let total_us: u64 = spans.iter().map(|s| s.len_us()).sum();
         assert!((r.records[0].latency_ms - total_us as f64 / 1e3).abs() < 1e-3);
-        assert!((r.records[0].sched_ms - spans[0].len_us() as f64 / 1e3).abs() < 1e-3);
+        let sched_us: u64 = spans[..sched].iter().map(|s| s.len_us()).sum();
+        assert!((r.records[0].sched_ms - sched_us as f64 / 1e3).abs() < 1e-3);
     }
 
     /// `work_ms` of single-core work allocated `cpu_millis`, unprofiled.
@@ -1434,42 +1402,6 @@ mod tests {
             work_mcore_ms: 1_000 * work_ms,
             pred: None,
         }
-    }
-
-    #[test]
-    fn settle_credits_an_interval_at_the_rate_it_ran_at() {
-        let t0 = Instant::now();
-        let (reply, _rx) = bounded(1);
-        let mut st = ExecState {
-            idx: 0,
-            req: plain_request(0, 2_000, 10),
-            reply,
-            stage: StageCursor::new(0, SimTime::ZERO, SimDuration::ZERO),
-            shard: 0,
-            booked: ResourceVec::new(2_000, 512),
-            work_left: 10_000.0,
-            rate: 2_000,
-            last_settle: t0,
-            due: t0,
-            harvested: false,
-            accelerated: false,
-            safeguarded: false,
-            oom_restarts: 0,
-        };
-        // A loan revoked 0.9 ms into the interval: settled at the old rate
-        // first, the borrower keeps the 0.9 ms it ran accelerated...
-        st.settle(t0 + Duration::from_micros(900), 1.0);
-        assert!((st.work_left - 8_200.0).abs() < 1e-6, "{}", st.work_left);
-        // ...and only the remaining 0.1 ms is debited at the new rate.
-        st.rate = 1_000;
-        st.settle(t0 + Duration::from_millis(1), 1.0);
-        assert!((st.work_left - 8_100.0).abs() < 1e-6, "{}", st.work_left);
-        // Workload time runs `time_scale` times faster than the wall clock.
-        st.settle(t0 + Duration::from_millis(2), 4.0);
-        assert!((st.work_left - 4_100.0).abs() < 1e-6, "{}", st.work_left);
-        // An instant before the last settle credits nothing.
-        st.settle(t0, 1.0);
-        assert!((st.work_left - 4_100.0).abs() < 1e-6, "{}", st.work_left);
     }
 
     #[test]
@@ -1512,7 +1444,7 @@ mod tests {
         };
         let event = |what: &str, f: &dyn Fn(&mut ControlPlane, SimTime) -> Vec<Action>| {
             let mut g = sh.nodes[0].inner.lock();
-            let now = sh.now_ms();
+            let now = sh.now();
             let actions = f(&mut g.core, now);
             apply_actions(&mut g, &sh.sched, 0, &actions, now, None);
             drop(g);
@@ -1538,7 +1470,7 @@ mod tests {
         admit(3, predicted(0, big, 1_000, 1_024, 3_000));
         event("a top-up", &observe(1, 1_000, 512, true)); // #1 borrows from #3
         let mut g = sh.nodes[0].inner.lock();
-        sh.finish(0, &mut g, InvocationId(3), sh.now_ms()); // a source completes mid-loan
+        sh.finish(0, &mut g, InvocationId(3), sh.now()); // a source completes mid-loan
         drop(g);
         balanced("a completion");
         admit(4, predicted(0, big, 1_000, 1_024, 3_000));
@@ -1547,7 +1479,7 @@ mod tests {
         event("a top-up", &observe(1, 1_000, 512, true)); // and borrows it again
                                                           // Drain: the borrower first, its loan still out, then everyone else.
         let mut g = sh.nodes[0].inner.lock();
-        sh.step(0, &mut g, 1, true, false);
+        sh.step(0, &mut g, 1, sh.now(), true, false);
         drop(g);
         balanced("aborting a borrower");
         let mut g = sh.nodes[0].inner.lock();
@@ -1625,11 +1557,12 @@ mod tests {
         assert_eq!(r.records.len(), 2);
         assert!(r.records.iter().all(|rec| rec.oom_restarts == 1), "{:?}", r.records);
         let trace = r.trace.expect("tracing enabled");
-        // (start, end) µs of each invocation's first exec segment.
+        // (start, end) µs of each invocation's first exec segment. (An
+        // admission in the workload µs of its submit leaves no scheduler span.)
         let first_exec = |inv| {
             let spans = trace.spans_for(inv);
-            assert_eq!(spans[1].kind.label(), "exec");
-            (spans[1].start_us, spans[1].end_us)
+            let exec = spans.iter().find(|s| s.kind.label() == "exec").expect("ran");
+            (exec.start_us, exec.end_us)
         };
         let ((start0, end0), (start1, end1)) = (first_exec(0), first_exec(1));
         assert!(start1 >= start0 + 10_000, "#1 joined mid-quantum: {start0} {start1}");

@@ -27,7 +27,8 @@ use crate::event::{Event, EventQueue, EVENT_KINDS};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::function::FunctionSpec;
 use crate::ids::{FunctionId, InvocationId, NodeId};
-use crate::invocation::{clamp_grant, exec_rate_millis, Actuals, InvState, Invocation, Loan};
+use crate::invocation::{clamp_grant, exec_rate_millis, oom_kills};
+use crate::invocation::{Actuals, InvState, Invocation, Loan};
 use crate::metrics::{InvRecord, KindPops, MetricsMode, RunResult, RunSummary, UtilSample};
 use crate::node::Node;
 use crate::platform::{LoanEnd, Platform, PlatformOverheads};
@@ -346,22 +347,21 @@ impl World {
         inv.cpu_peak_obs = inv.cpu_peak_obs.max(busy);
     }
 
-    /// Recompute the rate and, if it moved, (re)schedule the Finish event.
-    /// Call after every allocation change, `update_progress` first (with the
-    /// *old* allocation). At an unchanged rate the armed `Finish` stands:
-    /// progress is linear in time, so it is still at the right instant.
+    /// Re-rate the run — 0 unless running — and, if the rate moved,
+    /// (re)schedule its Finish. Call after every allocation change,
+    /// `update_progress` first (with the *old* allocation). At an unchanged
+    /// rate the armed `Finish` stands: it is still at the right instant.
     fn reschedule_finish(&mut self, idx: usize) {
-        let rate = self.effective_rate(idx);
+        let running = self.invs.get(idx).state == InvState::Running;
+        let rate = if running { self.effective_rate(idx) } else { 0 };
         let inv = self.invs.get_mut(idx);
-        let unchanged = inv.finish_armed && rate == inv.rate_millis;
-        inv.rate_millis = rate;
-        if inv.state != InvState::Running || unchanged {
+        let moved = inv.run.rerate(self.clock, rate);
+        if !running || (inv.finish_armed && !moved) {
             return;
         }
+        let Some(at) = inv.run.due(self.clock) else { return };
         inv.finish_gen += 1;
         inv.finish_armed = true;
-        let eta_us = inv.remaining_work().div_ceil(rate as u128);
-        let at = SimTime(self.clock.0 + u64::try_from(eta_us).unwrap_or(u64::MAX));
         let (id, generation) = (inv.id, inv.finish_gen);
         self.queue.push(at, Event::Finish { inv: id, generation });
     }
@@ -616,6 +616,9 @@ impl World {
         }
         for slot in self.invs.live_slots() {
             let inv = self.invs.get(slot);
+            if inv.state != InvState::Running && inv.run.rate_millis != 0 {
+                return Err(format!("{:?} accrues while {:?}", inv.id, inv.state));
+            }
             let recorded = lent_by_source.get(&inv.id.0).copied().unwrap_or(ResourceVec::ZERO);
             if recorded != inv.lent_out {
                 return Err(format!(
@@ -1366,17 +1369,12 @@ impl Simulation {
             w.observe_busy(idx);
             let id = w.invs.get(idx).id;
             platform.on_tick(&mut SimCtx { w }, id);
-            // OOM rule: only the provider's harvesting can kill; user
-            // under-provisioning degrades speed instead (spill model). Usage
-            // never exceeds the peak, so the peak is compared first: an
-            // invocation nobody took memory from skips the usage model.
+            // The OOM rule, against the allocation the policy left.
             let inv = w.invs.get(idx);
-            let peak_mb = inv.true_demand.mem_peak_mb;
-            if inv.state == InvState::Running && peak_mb <= inv.nominal.mem_mb {
-                let have_mb = inv.effective_alloc().mem_mb;
-                if peak_mb > have_mb && inv.mem_usage_mb_at(now) > have_mb {
-                    Self::on_oom(w, platform, id);
-                }
+            let (peak, have) = (inv.true_demand.mem_peak_mb, inv.effective_alloc().mem_mb);
+            let used = || inv.mem_usage_mb_at(now);
+            if inv.state == InvState::Running && oom_kills(peak, inv.nominal.mem_mb, have, used) {
+                Self::on_oom(w, platform, id);
             }
         }
         // One-shot injected jitter stretches exactly one monitor interval.
@@ -1408,7 +1406,7 @@ impl Simulation {
             let inv = w.invs.get_mut(idx);
             inv.flags.oomed = true;
             inv.restarts += 1;
-            inv.progress = 0;
+            inv.run.restart(now);
             inv.own_grant = inv.nominal;
             inv.state = InvState::ColdStarting;
             inv.finish_gen += 1;
@@ -1557,8 +1555,7 @@ impl Simulation {
         inv.finish_armed = false;
         inv.requeues += 1; // cancels in-flight StartExec events
         inv.node = None;
-        inv.progress = 0;
-        inv.rate_millis = 0;
+        inv.run.restart(now);
         inv.own_grant = inv.nominal;
         inv.exec_start = None; // a fresh attempt gets a fresh exec clock
         let attempt = inv.requeues;
@@ -1623,7 +1620,7 @@ impl Simulation {
         }
         w.update_progress(idx);
         w.invs.get_mut(idx).finish_armed = false;
-        if w.invs.get(idx).remaining_work() > 0 {
+        if w.invs.get(idx).run.remaining() > 0 {
             w.reschedule_finish(idx);
             return true;
         }
@@ -1664,6 +1661,7 @@ impl Simulation {
         w.with_alloc_change(node.idx(), &[], |w| {
             let inv = w.invs.get_mut(idx);
             inv.state = InvState::Completed;
+            inv.run.rerate(now, 0);
             inv.end = Some(now);
             w.nodes[node.idx()].release(shard, charge);
             w.resident_remove(node.idx(), idx);
@@ -1723,7 +1721,7 @@ impl Simulation {
             inv.true_demand.mem_peak_mb,
             inv.nominal.mem_mb,
         );
-        let base_exec_us = inv.work_total.div_ceil(rate_nominal as u128);
+        let base_exec_us = inv.run.work_total.div_ceil(rate_nominal as u128);
         let overhead = latency.saturating_sub(exec);
         let baseline = overhead + SimDuration(u64::try_from(base_exec_us).unwrap_or(u64::MAX));
         let speedup = if baseline.as_micros() == 0 {
@@ -2370,7 +2368,8 @@ mod tests {
 
     /// `NullPlatform` placement. At its first visit it breaks the resident
     /// vectors four ways, records what `check_invariants` says of each, then
-    /// restores them and records that too.
+    /// restores them and records that too; last, a running resident leaves
+    /// `Running` with its rate still in force.
     #[derive(Default)]
     struct BreakResidents(Vec<Result<(), String>>);
 
@@ -2403,6 +2402,11 @@ mod tests {
                 (w.nodes[0].residents, w.nodes[1].residents) = (on_0, on_1);
                 self.0.push(w.check_invariants());
             }
+            let slot = w.nodes[0].residents[0] as usize;
+            w.invs.get_mut(slot).state = InvState::ColdStarting;
+            w.invalidate_running_cpu(0);
+            self.0.push(w.check_invariants());
+            w.invs.get_mut(slot).state = InvState::Running;
         }
     }
 
@@ -2441,6 +2445,7 @@ mod tests {
                 err("inv#1 (Running, placed on Some(node#0)) is resident on node#1"),
                 err("1 invocations are placed, 0 resident"),
                 Ok(()),
+                err("inv#1 accrues while ColdStarting"),
             ]
         );
     }
@@ -2487,7 +2492,7 @@ mod tests {
         fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
             let w = ctx.world();
             let idx = w.slot(inv);
-            let (have, want) = (w.invs.get(idx).rate_millis, w.effective_rate(idx));
+            let (have, want) = (w.invs.get(idx).run.rate_millis, w.effective_rate(idx));
             if have != want {
                 self.stale.push((ctx.now().as_micros(), inv.0, have, want));
             }

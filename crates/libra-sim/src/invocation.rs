@@ -6,8 +6,7 @@
 //! much work it has completed, and the metric integrals the evaluation
 //! figures need.
 //!
-//! Only an allocation or lifecycle change writes progress
-//! (`Invocation::settle`); an observation reads it as of its instant.
+//! Execution itself is a [`Run`], the clock-free model both substrates step.
 
 use crate::demand::{InputMeta, TrueDemand};
 use crate::ids::{FunctionId, InvocationId, NodeId};
@@ -15,13 +14,11 @@ use crate::resources::{sat_u64, ResourceVec};
 use crate::time::{SimDuration, SimTime};
 use crate::trace_spans::{SpanKind, SpanSink};
 
-/// Substrate-shared execution physics: the work-accumulation rate (in
+/// Substrate-shared execution physics: the rate of the [`Run`] (in
 /// millicores) of an invocation holding `usable_cpu_millis` of schedulable
 /// CPU and `effective_mem_mb` of memory, against its true demands. The
-/// engine applies node contention scaling to `usable_cpu_millis` before
-/// calling; the live runtime passes its effective grant directly. Keeping
-/// this in one place is what makes the live platform's progress model
-/// *identical* to the simulator's, not a drifting copy.
+/// engine applies node contention scaling to `usable_cpu_millis` first; the
+/// live runtime passes its effective grant.
 pub fn exec_rate_millis(
     usable_cpu_millis: u64,
     effective_mem_mb: u64,
@@ -65,6 +62,90 @@ pub fn clamp_grant(want: ResourceVec, ceiling: ResourceVec, floor_mb: u64) -> Re
 pub fn mem_usage_model(true_mem_peak_mb: u64, progress_frac: f64) -> u64 {
     let frac = 0.25 + 0.75 * progress_frac.clamp(0.0, 1.0);
     sat_round(true_mem_peak_mb as f64 * frac)
+}
+
+/// Substrate-shared OOM rule (§5.1), in MB: only the provider's harvesting
+/// kills — a footprint within the user's `nominal` that crossed the `have` it
+/// holds. User under-provisioning slows it instead (the spill model). Usage
+/// never exceeds the `peak`, so `used` is read only when `have` is under it.
+pub fn oom_kills(peak: u64, nominal: u64, have: u64, used: impl FnOnce() -> u64) -> bool {
+    peak <= nominal && peak > have && used() > have
+}
+
+/// One resident's execution on both substrates, clock-free: work in
+/// millicore-µs, instants in µs, progress linear at `rate_millis` since
+/// `last_update` and capped at `work_total`, read as of an instant. The rate
+/// is 0 unless the resident runs, so no lifecycle gate is needed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Run {
+    /// Total work.
+    pub work_total: u128,
+    /// Work completed by `last_update`.
+    pub progress: u128,
+    /// The instant `progress` was settled at.
+    pub last_update: SimTime,
+    /// Millicores of useful work in force since `last_update`.
+    pub rate_millis: u64,
+}
+
+impl Run {
+    /// `work_total` to do, none done, not running, as of `now`.
+    pub fn new(work_total: u128, now: SimTime) -> Self {
+        Run { work_total, progress: 0, last_update: now, rate_millis: 0 }
+    }
+
+    /// Work completed by `now`. Reads; writes nothing.
+    pub fn work_at(&self, now: SimTime) -> u128 {
+        let dt = now.since(self.last_update).as_micros();
+        (self.progress + u128::from(self.rate_millis) * u128::from(dt)).min(self.work_total)
+    }
+
+    /// Bring `progress` up to `now`: settling at t₁ then t₂ is settling at t₂.
+    pub fn settle(&mut self, now: SimTime) {
+        self.progress = self.work_at(now);
+        self.last_update = now;
+    }
+
+    /// Run at `rate` from `now`; if it moves, settle at the old rate first and return `true`.
+    pub fn rerate(&mut self, now: SimTime, rate: u64) -> bool {
+        let moved = rate != self.rate_millis;
+        if moved {
+            self.settle(now);
+            self.rate_millis = rate;
+        }
+        moved
+    }
+
+    /// Work left as of `last_update`.
+    pub fn remaining(&self) -> u128 {
+        self.work_total.saturating_sub(self.progress)
+    }
+
+    /// The first µs the work is done at, read from `from` on; `None` at rate 0.
+    pub fn due(&self, from: SimTime) -> Option<SimTime> {
+        let rate = u128::from(self.rate_millis);
+        let eta = (rate > 0).then(|| (self.work_total - self.work_at(from)).div_ceil(rate))?;
+        Some(SimTime(from.0.saturating_add(u64::try_from(eta).unwrap_or(u64::MAX))))
+    }
+
+    /// Fraction of the work completed by `now`, in `[0, 1]`.
+    pub fn progress_at(&self, now: SimTime) -> f64 {
+        if self.work_total == 0 {
+            return 1.0;
+        }
+        let done = self.work_at(now);
+        // Through `u64` when both fit: the same `f64`, without the software `u128` conversion.
+        let (p, w) = match (u64::try_from(done), u64::try_from(self.work_total)) {
+            (Ok(p), Ok(w)) => (p as f64, w as f64),
+            _ => (done as f64, self.work_total as f64),
+        };
+        (p / w).min(1.0)
+    }
+
+    /// Start over from nothing at `now`, not running (an OOM or crash restart).
+    pub fn restart(&mut self, now: SimTime) {
+        *self = Run::new(self.work_total, now);
+    }
 }
 
 /// `sat_u64(x.round())` — round half away from zero, then saturate — without
@@ -329,8 +410,10 @@ pub struct Invocation {
     pub input: InputMeta,
     /// Ground truth (engine-private in spirit; platforms must not read it).
     pub true_demand: TrueDemand,
-    /// Total work in millicore-µs ([`TrueDemand::work`]).
-    pub work_total: u128,
+    /// Its execution: [`TrueDemand::work`] at the rate `engine::effective_rate`
+    /// gives. Only a change to the allocation, rate or lifecycle state
+    /// settles it (`Invocation::settle`).
+    pub run: Run,
 
     /// Arrival at the front end.
     pub arrival: SimTime,
@@ -353,19 +436,10 @@ pub struct Invocation {
     /// Total volume currently lent out to others.
     pub lent_out: ResourceVec,
 
-    /// Work completed by `last_update` (millicore-µs). Only a change to the
-    /// allocation, rate or lifecycle state writes it (`Invocation::settle`);
-    /// readers between such changes use [`Invocation::progress_at`].
-    pub progress: u128,
-    /// The instant `progress` and the reassignment integrals were settled at.
-    pub last_update: SimTime,
-    /// Effective rate (millicores of useful work per µs × 1000) in force
-    /// since `last_update`; see `engine::effective_rate`.
-    pub rate_millis: u64,
     /// Generation counter for lazy-cancelled Finish events.
     pub finish_gen: u64,
-    /// Whether a `Finish` of generation `finish_gen`, computed at
-    /// `rate_millis`, is queued: while the rate holds, it stands.
+    /// Whether a `Finish` of generation `finish_gen`, computed at the run's
+    /// rate, is queued: while the rate holds, it stands.
     pub finish_armed: bool,
     /// Highest busy-CPU observation (millicores) so far — the `cpu_peak`
     /// a cgroups monitor would have recorded.
@@ -412,7 +486,7 @@ impl Invocation {
             func,
             input,
             true_demand,
-            work_total: true_demand.work(),
+            run: Run::new(true_demand.work(), arrival),
             arrival,
             exec_start: None,
             end: None,
@@ -422,9 +496,6 @@ impl Invocation {
             own_grant: nominal,
             borrowed_in: Vec::new(),
             lent_out: ResourceVec::ZERO,
-            progress: 0,
-            last_update: arrival,
-            rate_millis: 0,
             finish_gen: 0,
             finish_armed: false,
             cpu_peak_obs: 0,
@@ -459,64 +530,30 @@ impl Invocation {
         self.borrowed_in.iter().fold(ResourceVec::ZERO, |acc, l| acc + l.res)
     }
 
-    /// Work completed by `now` (millicore-µs): `progress` plus what the rate
-    /// in force since `last_update` has added, capped at `work_total`. Only
-    /// a running invocation accrues. Reads; writes nothing.
-    fn work_at(&self, now: SimTime) -> u128 {
-        if self.state != InvState::Running {
-            return self.progress;
-        }
-        let dt = now.since(self.last_update).as_micros();
-        (self.progress + u128::from(self.rate_millis) * u128::from(dt)).min(self.work_total)
-    }
-
-    /// Bring `progress` and the reassignment integrals up to `now` at the
-    /// allocation and rate in force since `last_update`. The engine settles
-    /// only right before one of those, or the lifecycle state, changes. In
-    /// between, all three are linear in time and the cap is monotone, so
-    /// settling at t₁ then t₂ is settling at t₂, bit for bit: readers use
-    /// the `_at(now)` forms and write nothing.
+    /// [`Run::settle`] at `now`, and the reassignment integrals with it at the
+    /// allocation in force since the run's `last_update`. The engine settles
+    /// only right before that allocation, the rate or the lifecycle state
+    /// changes; the integrals are linear in between, like progress.
     pub(crate) fn settle(&mut self, now: SimTime) {
         if self.state == InvState::Running {
-            let dt = i128::from(now.since(self.last_update).as_micros());
+            let dt = i128::from(now.since(self.run.last_update).as_micros());
             let eff = self.effective_alloc();
-            self.progress = self.work_at(now);
             self.cpu_reassigned +=
                 (i128::from(eff.cpu_millis) - i128::from(self.nominal.cpu_millis)) * dt;
             self.mem_reassigned += (i128::from(eff.mem_mb) - i128::from(self.nominal.mem_mb)) * dt;
         }
-        self.last_update = now;
-    }
-
-    /// Fraction of total work completed by `now`, in `[0, 1]`.
-    pub fn progress_at(&self, now: SimTime) -> f64 {
-        if self.work_total == 0 {
-            return 1.0;
-        }
-        let done = self.work_at(now);
-        // Through `u64` when both fit (always, in practice): the same integer
-        // converts to the same `f64`, without the software `u128` conversion.
-        let (p, w) = match (u64::try_from(done), u64::try_from(self.work_total)) {
-            (Ok(p), Ok(w)) => (p as f64, w as f64),
-            _ => (done as f64, self.work_total as f64),
-        };
-        (p / w).min(1.0)
+        self.run.settle(now);
     }
 
     /// Memory footprint (MB) at `now`; see [`mem_usage_model`].
     pub fn mem_usage_mb_at(&self, now: SimTime) -> u64 {
-        mem_usage_model(self.true_demand.mem_peak_mb, self.progress_at(now))
+        mem_usage_model(self.true_demand.mem_peak_mb, self.run.progress_at(now))
     }
 
     /// Instantaneous busy millicores: the code uses everything it can, up to
     /// its true CPU peak.
     pub fn cpu_usage_millis(&self) -> u64 {
         self.effective_alloc().cpu_millis.min(self.true_demand.cpu_peak_millis)
-    }
-
-    /// Remaining work in millicore-µs as of `last_update`.
-    pub fn remaining_work(&self) -> u128 {
-        self.work_total.saturating_sub(self.progress)
     }
 
     /// End-to-end response latency (arrival → completion), once completed.
@@ -573,9 +610,9 @@ mod tests {
         let mut i = inv();
         let now = SimTime::ZERO;
         assert_eq!(i.mem_usage_mb_at(now), 100); // 25% of 400 at progress 0
-        i.progress = i.work_total;
+        i.run.progress = i.run.work_total;
         assert_eq!(i.mem_usage_mb_at(now), 400);
-        i.progress = i.work_total / 2;
+        i.run.progress = i.run.work_total / 2;
         let mid = i.mem_usage_mb_at(now);
         assert!(mid > 100 && mid < 400, "mid-execution usage {mid} should be between");
     }
@@ -591,12 +628,12 @@ mod tests {
 
     #[test]
     fn progress_fraction_and_remaining() {
-        let mut i = inv();
-        assert_eq!(i.progress_at(SimTime::ZERO), 0.0);
-        assert_eq!(i.remaining_work(), i.work_total);
-        i.progress = i.work_total;
-        assert_eq!(i.progress_at(SimTime::ZERO), 1.0);
-        assert_eq!(i.remaining_work(), 0);
+        let mut run = inv().run;
+        assert_eq!(run.progress_at(SimTime::ZERO), 0.0);
+        assert_eq!(run.remaining(), run.work_total);
+        run.progress = run.work_total;
+        assert_eq!(run.progress_at(SimTime::ZERO), 1.0);
+        assert_eq!(run.remaining(), 0);
     }
 
     /// The seeded generator of the sweeps below (64-bit LCG, high bits).
@@ -675,18 +712,73 @@ mod tests {
             let w = u128::from(lcg(&mut state)) >> (lcg(&mut state) % 64) | 1;
             cases.push((u128::from(lcg(&mut state)) % (w + w / 8), w));
         }
-        let mut i = inv();
+        let mut run = Run::new(0, SimTime::ZERO);
         for (p, w) in cases {
-            (i.progress, i.work_total) = (p, w);
-            assert_eq!(i.progress_at(SimTime::ZERO).to_bits(), formula(p, w).to_bits(), "{p}/{w}");
+            (run.progress, run.work_total) = (p, w);
+            assert_eq!(
+                run.progress_at(SimTime::ZERO).to_bits(),
+                formula(p, w).to_bits(),
+                "{p}/{w}"
+            );
         }
     }
 
     #[test]
     fn zero_work_counts_as_complete() {
-        let mut i = inv();
-        i.work_total = 0;
-        assert_eq!(i.progress_at(SimTime::ZERO), 1.0);
+        assert_eq!(Run::new(0, SimTime::ZERO).progress_at(SimTime::ZERO), 1.0);
+    }
+
+    /// A rate change settles the interval before it at the rate that ran
+    /// over it; an unchanged rate writes nothing.
+    #[test]
+    fn rerate_credits_an_interval_at_the_rate_it_ran_at() {
+        let t0 = SimTime(5_000);
+        let mut run = Run::new(10_000_000, t0); // 10 core-ms of work
+        assert!(run.rerate(t0, 2_000));
+        // A loan revoked 0.9 ms in: the borrower keeps the 0.9 ms it ran
+        // accelerated...
+        assert!(run.rerate(t0 + SimDuration(900), 1_000));
+        assert_eq!((run.remaining(), run.last_update), (8_200_000, t0 + SimDuration(900)));
+        // ...and only the rest is credited at the new rate.
+        assert_eq!(run.work_at(t0 + SimDuration(1_000)), 1_900_000);
+        let before = run;
+        assert!(!run.rerate(t0 + SimDuration(1_000), 1_000));
+        assert_eq!(run, before, "an unchanged rate settles nothing");
+        // An instant before the last settle credits nothing.
+        assert_eq!(run.work_at(t0), 1_800_000);
+        run.restart(t0 + SimDuration(2_000));
+        assert_eq!(run, Run::new(10_000_000, t0 + SimDuration(2_000)));
+    }
+
+    /// `due` is the first µs at which the work is done — not one earlier —
+    /// and the same instant read from any `from` before it; never at rate 0.
+    #[test]
+    fn due_is_exact_to_the_microsecond() {
+        let mut state = 11;
+        for _ in 0..20_000 {
+            let mut run = Run::new(u128::from(lcg(&mut state) % (1 << 40)) + 1, SimTime::ZERO);
+            run.progress = u128::from(lcg(&mut state)) % run.work_total;
+            run.last_update = SimTime(lcg(&mut state) % 1_000_000);
+            assert_eq!(run.due(run.last_update), None, "rate 0 is never due");
+            run.rate_millis = lcg(&mut state) % 48_000 + 1;
+            let due = run.due(run.last_update).expect("running");
+            assert!(due > run.last_update);
+            assert_eq!(run.work_at(due), run.work_total);
+            assert!(run.work_at(SimTime(due.0 - 1)) < run.work_total, "{run:?} due {due:?}");
+            let from = run.last_update + SimDuration(lcg(&mut state) % (due - run.last_update).0);
+            assert_eq!(run.due(from), Some(due), "{run:?} from {from:?}");
+            assert_eq!(run.due(due + SimDuration(7)), Some(due + SimDuration(7)));
+        }
+    }
+
+    #[test]
+    fn oom_kills_only_what_harvesting_took() {
+        let used = |mb: u64| move || mb;
+        assert!(oom_kills(900, 1_024, 512, used(600)));
+        assert!(!oom_kills(900, 1_024, 512, used(512)), "at the grant, not over it");
+        assert!(!oom_kills(1_100, 1_024, 512, used(600)), "user under-provisioning spills");
+        let unread = || -> u64 { panic!("usage read with the grant above the peak") };
+        assert!(!oom_kills(900, 1_024, 900, unread));
     }
 
     /// Case `n` of the settle sweeps: an invocation settled at some instant
@@ -696,10 +788,11 @@ mod tests {
     /// cases reach the `work_total` cap, some of them between `t₁` and `t₂`.
     fn seeded_settle_case(state: &mut u64, n: u64) -> (Invocation, SimTime, SimTime) {
         let mut i = inv();
-        i.state = if n.is_multiple_of(5) { InvState::ColdStarting } else { InvState::Running };
-        i.rate_millis = lcg(state) % 48_001;
-        i.work_total = u128::from(lcg(state) % (1 << (8 + lcg(state) % 33))) + 1;
-        i.progress = u128::from(lcg(state)) % (i.work_total + 1);
+        let running = !n.is_multiple_of(5);
+        i.state = if running { InvState::Running } else { InvState::ColdStarting };
+        i.run.rate_millis = lcg(state) % 48_001 * u64::from(running);
+        i.run.work_total = u128::from(lcg(state) % (1 << (8 + lcg(state) % 33))) + 1;
+        i.run.progress = u128::from(lcg(state)) % (i.run.work_total + 1);
         i.own_grant = ResourceVec::new(lcg(state) % 8_001, lcg(state) % 4_097);
         if n.is_multiple_of(2) {
             let res = ResourceVec::new(lcg(state) % 4_001, lcg(state) % 1_025);
@@ -712,8 +805,8 @@ mod tests {
         }
         i.cpu_reassigned = i128::from(lcg(state) >> 12) - (1 << 51);
         i.mem_reassigned = i128::from(lcg(state) >> 12) - (1 << 51);
-        i.last_update = SimTime(lcg(state) % 1_000_000);
-        let t1 = i.last_update + SimDuration(lcg(state) % 100_000_000);
+        i.run.last_update = SimTime(lcg(state) % 1_000_000);
+        let t1 = i.run.last_update + SimDuration(lcg(state) % 100_000_000);
         let t2 = t1 + SimDuration(lcg(state) % 100_000_000);
         (i, t1, t2)
     }
@@ -728,13 +821,12 @@ mod tests {
             let (mut twice, t1, t2) = seeded_settle_case(&mut state, n);
             let mut once = twice.clone();
             twice.settle(t1);
-            let capped_at_t1 = twice.progress == twice.work_total;
+            let capped_at_t1 = twice.run.progress == twice.run.work_total;
             twice.settle(t2);
             once.settle(t2);
-            let books =
-                |i: &Invocation| (i.progress, i.cpu_reassigned, i.mem_reassigned, i.last_update);
+            let books = |i: &Invocation| (i.run, i.cpu_reassigned, i.mem_reassigned);
             assert_eq!(books(&twice), books(&once), "case {n}: t1 {t1:?}, t2 {t2:?}");
-            let capped_at_t2 = once.progress == once.work_total;
+            let capped_at_t2 = once.run.progress == once.run.work_total;
             capped += u32::from(capped_at_t1);
             crossed += u32::from(!capped_at_t1 && capped_at_t2);
             short += u32::from(!capped_at_t2);
@@ -754,7 +846,7 @@ mod tests {
             let (read, _, now) = seeded_settle_case(&mut state, n);
             let mut settled = read.clone();
             settled.settle(now);
-            assert_eq!(read.progress_at(now).to_bits(), settled.progress_at(now).to_bits());
+            assert_eq!(read.run.progress_at(now).to_bits(), settled.run.progress_at(now).to_bits());
             assert_eq!(read.mem_usage_mb_at(now), settled.mem_usage_mb_at(now), "case {n}");
         }
     }
