@@ -550,8 +550,31 @@ impl ControlPlane {
         self.on_observe_at(at.map_or(NodeId(0), |&(_, n)| n), inv, now, || obs)
     }
 
+    /// Whether a monitor should keep visiting `inv` on `node`: its entry is
+    /// harvested under the safeguard, borrows CPU (trimming), or, under
+    /// continuous acceleration, is predicted and short of its peak. Outside
+    /// those, [`Self::on_observe_at`] returns before it reads the usage
+    /// sample or the pool, so the visit emits nothing and changes nothing;
+    /// and the entry stays outside them until a call whose actions or
+    /// arguments name `inv`. The pool filling is no such call, which is why
+    /// the shortfall term ignores the pool. False for an invocation `node`
+    /// does not hold.
+    pub fn watches(&self, node: NodeId, inv: InvocationId) -> bool {
+        let Some(e) = self.ledgers.get(node.idx()).and_then(|l| l.get(pos_in(l, inv)?)) else {
+            return false;
+        };
+        let harvested = e.own_grant != e.nominal || !e.lent_out.is_zero();
+        let borrows_cpu = e.borrowed.iter().any(|(_, v)| v.cpu_millis > 0);
+        let short = |p: Prediction| !p.peak().saturating_sub(&e.effective()).is_zero();
+        (self.cfg.safeguard && harvested)
+            || borrows_cpu
+            || (self.cfg.continuous_acceleration && e.pred.is_some_and(short))
+    }
+
     /// The visit itself. Every early return before the first read of `obs`
-    /// is a visit that cannot act — they are the skip predicate.
+    /// is a visit that cannot act — they are the skip predicate, and
+    /// [`Self::watches`] is the part of it that no event outside the
+    /// entry's own can change.
     fn observe_inner(
         &mut self,
         node: NodeId,

@@ -303,6 +303,12 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
         self.apply(ctx, actions);
     }
 
+    /// The monitor visit, ending in [`ControlPlane::watches`]: an entry
+    /// outside that predicate reads neither the usage sample nor the pool,
+    /// so later visits would be no-ops, and is unwatched. Every later change
+    /// to the entry is an action, which the engine turns into an allocation
+    /// or charge change of the resident (a revocation through its own loan
+    /// unwinding), and that watches the resident again.
     fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
         let rec = ctx.inv(inv);
         let Some(node) = rec.node.filter(|_| rec.is_running()) else { return };
@@ -320,6 +326,7 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
             }
         });
         self.apply(ctx, actions);
+        ctx.watch(inv, self.core.watches(node, inv));
     }
 
     fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {

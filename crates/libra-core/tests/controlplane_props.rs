@@ -6,14 +6,16 @@
 //! identical action traces (the property the cross-substrate fidelity test
 //! builds on).
 
-use libra_core::controlplane::{Action, Admission, ControlConfig, ControlPlane, Observation};
+use libra_core::controlplane::{
+    Action, Admission, ControlConfig, ControlPlane, LendFailure, Observation,
+};
 use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::invocation::{Prediction, PredictionPath};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const SLOTS: usize = 6;
 
@@ -195,6 +197,70 @@ fn drive(ops: &[Op]) -> (Vec<Action>, libra_core::ControlCounters) {
     (trace, cp.counters())
 }
 
+/// The knobs that move the first read of a visit's sample: the defaults,
+/// the safeguard off (Libra-NS), continuous acceleration off.
+fn knobs() -> [ControlConfig; 3] {
+    [
+        ControlConfig::default(),
+        ControlConfig { safeguard: false, ..ControlConfig::default() },
+        ControlConfig { continuous_acceleration: false, ..ControlConfig::default() },
+    ]
+}
+
+/// Everything a visit could change: the ledgers, the pools' operation
+/// counts and the counters.
+fn state(cp: &ControlPlane) -> (String, libra_core::ControlCounters, Vec<(u64, u64)>) {
+    (cp.dump(), cp.counters(), cp.pools().iter().map(|p| p.op_counts()).collect())
+}
+
+/// Every invocation an event's arguments or its emitted actions name.
+fn named(ev: Event, actions: &[Action]) -> BTreeSet<InvocationId> {
+    let mut out = BTreeSet::new();
+    out.insert(match ev {
+        Event::Admit(a) => a.inv,
+        Event::Observe(_, inv, _) | Event::Complete(inv) | Event::Oom(inv) | Event::Abort(inv) => {
+            inv
+        }
+    });
+    for a in actions {
+        match *a {
+            Action::Admitted { inv, .. }
+            | Action::SetGrant { inv, .. }
+            | Action::PreemptiveRelease { inv, .. }
+            | Action::Requeue { inv, .. } => {
+                out.insert(inv);
+            }
+            Action::Lend { source, borrower, .. }
+            | Action::Return { source, borrower, .. }
+            | Action::Revoke { source, borrower, .. } => {
+                out.extend([source, borrower]);
+            }
+        }
+    }
+    out
+}
+
+/// `watches` of every ledgered invocation.
+fn watched(
+    cp: &ControlPlane,
+    live: &BTreeMap<InvocationId, NodeId>,
+) -> BTreeMap<InvocationId, bool> {
+    live.iter().map(|(&inv, &node)| (inv, cp.watches(node, inv))).collect()
+}
+
+/// The invocations whose `watches` differs between `before` and `after`
+/// (both ledgered throughout).
+fn moved(
+    before: &BTreeMap<InvocationId, bool>,
+    after: &BTreeMap<InvocationId, bool>,
+) -> BTreeSet<InvocationId> {
+    before
+        .iter()
+        .filter(|&(inv, w)| after.get(inv).is_some_and(|a| a != w))
+        .map(|(&inv, _)| inv)
+        .collect()
+}
+
 proptest! {
     /// Conservation + sanity: arbitrary admit/observe/complete/oom/abort
     /// sequences keep the ledger balanced (checked after every event inside
@@ -268,16 +334,7 @@ proptest! {
     fn a_visit_that_does_not_sample_changes_nothing(
         ops in prop::collection::vec((0usize..3, op()), 1..150)
     ) {
-        let state = |cp: &ControlPlane| {
-            let ops: Vec<(u64, u64)> = cp.pools().iter().map(|p| p.op_counts()).collect();
-            (cp.dump(), cp.counters(), ops)
-        };
-        let knobs = [
-            ControlConfig::default(),
-            ControlConfig { safeguard: false, ..ControlConfig::default() },
-            ControlConfig { continuous_acceleration: false, ..ControlConfig::default() },
-        ];
-        for cfg in knobs {
+        for cfg in knobs() {
             let mut cp = ControlPlane::new(cfg, 12, 3);
             for (_, now, ev) in resolve(&ops) {
                 let before = state(&cp);
@@ -286,6 +343,73 @@ proptest! {
                 if matches!(ev, Event::Observe(..)) && !sampled.get() {
                     prop_assert_eq!(actions, [], "{:?} acted without sampling", ev);
                     prop_assert_eq!(state(&cp), before, "{:?} moved state without sampling", ev);
+                }
+            }
+        }
+    }
+
+    /// `ControlPlane::watches` is the part of the skip predicate that only an
+    /// entry's own events move. Outside it, a visit is a no-op that never
+    /// samples — no actions; ledgers, pools (their op counts included) and
+    /// counters untouched — whatever happened on its node since, later
+    /// admissions filling its pool included. And whether an entry is inside
+    /// it changes only across a call whose arguments or emitted actions name
+    /// it, a driver's `lend_failed` included (some emitted lends are refused
+    /// here, as a substrate may). Under the same three knobs as above.
+    #[test]
+    fn only_an_entrys_own_events_move_watches_and_outside_it_a_visit_is_a_no_op(
+        ops in prop::collection::vec((0usize..3, op()), 1..150),
+        refusals in prop::collection::vec(0u8..4, 150..151),
+    ) {
+        for cfg in knobs() {
+            let mut cp = ControlPlane::new(cfg, 12, 3);
+            let mut live: BTreeMap<InvocationId, NodeId> = BTreeMap::new();
+            for (k, (_, now, ev)) in resolve(&ops).into_iter().enumerate() {
+                let before = watched(&cp, &live);
+                let actions = feed(&mut cp, ev, now, &Cell::new(false));
+                match ev {
+                    Event::Admit(a) => {
+                        live.insert(a.inv, a.node);
+                    }
+                    Event::Complete(inv) | Event::Abort(inv) => {
+                        live.remove(&inv);
+                    }
+                    Event::Observe(..) | Event::Oom(_) => {}
+                }
+                let names = named(ev, &actions);
+                let stray = moved(&before, &watched(&cp, &live));
+                prop_assert!(stray.is_subset(&names), "{:?} moved watches of {:?}", ev, stray);
+
+                let lends: Vec<_> = actions
+                    .iter()
+                    .filter_map(|a| match *a {
+                        Action::Lend { source, borrower, vol } => Some((source, borrower, vol)),
+                        _ => None,
+                    })
+                    .collect();
+                let refused = match refusals[k % refusals.len()] {
+                    2 => lends.first().map(|&l| (l, LendFailure::NoCapacity)),
+                    3 => lends.last().map(|&l| (l, LendFailure::SourceGone)),
+                    _ => None,
+                };
+                if let Some(((source, borrower, vol), why)) = refused {
+                    let before = watched(&cp, &live);
+                    cp.lend_failed(source, borrower, vol, why, now);
+                    let stray = moved(&before, &watched(&cp, &live));
+                    let names = BTreeSet::from([source, borrower]);
+                    prop_assert!(stray.is_subset(&names), "lend_failed moved watches of {:?}", stray);
+                }
+
+                for (&inv, &node) in &live {
+                    if cp.watches(node, inv) {
+                        continue;
+                    }
+                    let before = state(&cp);
+                    let acts = cp.on_observe_at(node, inv, now, || {
+                        panic!("{inv} is not watched, yet its visit sampled")
+                    });
+                    prop_assert_eq!(acts, [], "{} is not watched, yet its visit acted", inv);
+                    prop_assert_eq!(state(&cp), before, "{} is not watched, yet its visit moved state", inv);
                 }
             }
         }

@@ -330,21 +330,35 @@ impl World {
         )
     }
 
-    /// [`Invocation::settle`] at `self.clock`, then observe the busy CPU:
-    /// only before a change of allocation, rate or lifecycle state.
+    /// End a run segment, only before a change of allocation, rate or
+    /// lifecycle state: [`Invocation::settle`] at `self.clock`, raise the
+    /// observed CPU peak to the segment's busy CPU (constant on a segment,
+    /// so this is the one observation it needs), and watch the resident
+    /// again — the change may give its platform's visit something to do.
     fn update_progress(&mut self, idx: usize) {
-        self.invs.get_mut(idx).settle(self.clock);
-        self.observe_busy(idx);
-    }
-
-    /// Raise `idx`'s observed CPU peak to its busy CPU right now — what a
-    /// cgroups monitor records at every visit, whether or not anything is
-    /// settled then.
-    fn observe_busy(&mut self, idx: usize) {
         let inv = self.invs.get(idx);
         let busy = self.busy_cpu(inv, inv.effective_alloc().cpu_millis);
         let inv = self.invs.get_mut(idx);
+        inv.settle(self.clock);
         inv.cpu_peak_obs = inv.cpu_peak_obs.max(busy);
+        self.set_watched(idx, true);
+    }
+
+    /// The one writer of [`Invocation::watched`] and of `Node::watched`, the
+    /// count of a node's residents whose flag is set. Only a resident
+    /// (cold-starting or running) changes, so a non-resident's flag stays
+    /// false: `resident_remove` unwatches, and each attempt's start, which
+    /// settles, watches.
+    fn set_watched(&mut self, idx: usize, on: bool) {
+        let inv = self.invs.get_mut(idx);
+        let resident = matches!(inv.state, InvState::ColdStarting | InvState::Running);
+        if inv.watched == on || !resident {
+            return;
+        }
+        let Some(node) = inv.node else { return };
+        inv.watched = on;
+        let count = &mut self.nodes[node.idx()].watched;
+        *count = if on { *count + 1 } else { *count - 1 };
     }
 
     /// Re-rate the run — 0 unless running — and, if the rate moved,
@@ -410,8 +424,10 @@ impl World {
 
     /// Remove arena slot `idx` from `node_idx`'s residents, keeping everyone
     /// else's admission order (the crash sweep, the node tick's visit order
-    /// and the Finish tie-break all depend on it).
+    /// and the Finish tie-break all depend on it). Call while it is still
+    /// cold-starting or running, so its flag leaves the node's count.
     fn resident_remove(&mut self, node_idx: usize, idx: usize) {
+        self.set_watched(idx, false);
         let residents = &mut self.nodes[node_idx].residents;
         match residents.iter().position(|&s| s as usize == idx) {
             Some(k) => {
@@ -496,14 +512,17 @@ impl World {
     }
 
     /// Reconcile node reservation bookkeeping after an invocation's charge
-    /// (own grant + lent out) changed, and wake parked invocations when the
-    /// change freed capacity.
+    /// (own grant + lent out) changed, watch it again (a source whose
+    /// `lent_out` moved is not settled, yet its platform's visit may now
+    /// have something to do), and wake parked invocations when the change
+    /// freed capacity.
     fn reconcile_charge(&mut self, idx: usize, old: ResourceVec) {
-        let inv = self.invs.get(idx);
-        let new = inv.charge();
+        let new = self.invs.get(idx).charge();
         if new == old {
             return;
         }
+        self.set_watched(idx, true);
+        let inv = self.invs.get(idx);
         let (Some(node), Some(shard)) = (inv.node, inv.shard) else {
             return;
         };
@@ -575,6 +594,23 @@ impl World {
         let n_resident = resident_on.iter().flatten().count();
         if n_placed != n_resident {
             return Err(format!("{n_placed} invocations are placed, {n_resident} resident"));
+        }
+        // A node counts its watched residents; nothing else is watched.
+        for node in &self.nodes {
+            let flagged =
+                node.residents.iter().filter(|&&s| self.invs.get(s as usize).watched).count();
+            if node.watched as usize != flagged {
+                return Err(format!(
+                    "{:?} counts {} watched residents, {flagged} are flagged",
+                    node.id, node.watched
+                ));
+            }
+        }
+        if let Some(s) = self.invs.live_slots().find(|&s| {
+            let inv = self.invs.get(s);
+            inv.watched && !placed(inv)
+        }) {
+            return Err(format!("{:?} is watched but not resident", self.invs.get(s).id));
         }
         for node in &self.nodes {
             // Reservations must equal the residents' charges exactly. (They
@@ -690,6 +726,20 @@ impl<'a> SimCtx<'a> {
     /// Idle lendable volume of `source` (see [`World::harvestable`]).
     pub fn harvestable(&self, source: InvocationId) -> ResourceVec {
         self.w.harvestable(source)
+    }
+
+    /// Say whether the node's monitor tick should keep visiting resident
+    /// `i`. A platform unwatches a resident whose visit cannot act until
+    /// its allocation or charge next changes; the engine watches it again
+    /// at that change. Unwatching is ignored while `i`'s own memory grant
+    /// is below its nominal — only then can the OOM rule, which the visit
+    /// applies, kill it — and for an invocation that is not resident.
+    pub fn watch(&mut self, i: InvocationId, on: bool) {
+        let Some(idx) = self.w.try_slot(i) else { return };
+        let inv = self.w.invs.get(idx);
+        if on || inv.own_grant.mem_mb >= inv.nominal.mem_mb {
+            self.w.set_watched(idx, on);
+        }
     }
 
     /// Set how much of its own entitlement `inv` keeps (the *harvest*
@@ -1346,11 +1396,11 @@ impl Simulation {
         true
     }
 
-    /// One node's monitor tick: every running resident, in admission order,
-    /// has its busy CPU observed, is shown to the policy and is held to the
-    /// OOM rule. A visit settles nothing: it reads footprints as of now.
-    /// `false` when nothing is resident — the chain ends (see
-    /// [`Simulation::dispatch`]).
+    /// One node's monitor tick: every running resident that is watched, in
+    /// admission order, is shown to the policy and held to the OOM rule; a
+    /// node with none watched skips the walk. A visit settles nothing: it
+    /// reads footprints as of now. `false` when nothing is resident — the
+    /// chain ends (see [`Simulation::dispatch`]).
     fn on_node_tick(w: &mut World, platform: &mut dyn Platform, node: NodeId) -> bool {
         let n = node.idx();
         if w.nodes[n].residents.is_empty() {
@@ -1360,14 +1410,16 @@ impl Simulation {
         }
         let now = w.clock;
         // Nothing below admits or removes a resident: an OOM victim stays,
-        // cold-starting.
-        for k in 0..w.nodes[n].residents.len() {
+        // cold-starting. A visit may watch a resident again; one later in
+        // the order is then visited at this tick, one earlier at the next.
+        let walk = if w.nodes[n].watched > 0 { w.nodes[n].residents.len() } else { 0 };
+        for k in 0..walk {
             let idx = w.nodes[n].residents[k] as usize;
-            if w.invs.get(idx).state != InvState::Running {
+            let inv = w.invs.get(idx);
+            if inv.state != InvState::Running || !inv.watched {
                 continue;
             }
-            w.observe_busy(idx);
-            let id = w.invs.get(idx).id;
+            let id = inv.id;
             platform.on_tick(&mut SimCtx { w }, id);
             // The OOM rule, against the allocation the policy left.
             let inv = w.invs.get(idx);
@@ -1390,10 +1442,10 @@ impl Simulation {
             return;
         };
         let now = w.clock;
-        // Settle the dying segment's integrals at the allocation it ran
-        // with, before `end_loans` drains what it borrowed. (No busy
-        // observation: the visit that found the OOM made it.)
-        w.invs.get_mut(idx).settle(now);
+        // End the dying segment — settle its integrals, observe its busy
+        // CPU — at the allocation it ran with, before `end_loans` drains
+        // what it borrowed.
+        w.update_progress(idx);
         // The dying invocation needs its lent-out memory back, and its
         // borrowed-in loans are dropped for a clean restart.
         Self::end_loans(w, platform, id, LoanEnd::SourceOom, LoanEnd::BorrowerCompleted);
@@ -1659,12 +1711,12 @@ impl Simulation {
         let func = inv.func;
         // The departure may lift an oversubscribed node's CPU scale.
         w.with_alloc_change(node.idx(), &[], |w| {
+            w.nodes[node.idx()].release(shard, charge);
+            w.resident_remove(node.idx(), idx);
             let inv = w.invs.get_mut(idx);
             inv.state = InvState::Completed;
             inv.run.rerate(now, 0);
             inv.end = Some(now);
-            w.nodes[node.idx()].release(shard, charge);
-            w.resident_remove(node.idx(), idx);
         });
         let pin_mem = charge.mem_mb;
         // Warm-lifecycle hook: the keep-alive policy assigns this idle
@@ -1763,15 +1815,14 @@ impl Simulation {
     }
 
     fn sample_utilization(w: &mut World) {
-        // Slot order differs from id order, but an observation is
-        // per-invocation and the sums are integer folds, so the sample is
-        // identical in any order. Like a monitor visit, it settles nothing.
+        // Slot order differs from id order, but the sums are integer folds,
+        // so the sample is identical in any order. It writes nothing per
+        // invocation: no settle, and no busy-CPU observation — that is made
+        // where a run segment ends (`update_progress`).
         let now = w.clock;
         let (mut cpu_used, mut mem_used) = (0u64, 0u64);
         for idx in 0..w.invs.slot_count() {
-            if w.invs.at(idx).is_some_and(|i| i.state == InvState::Running) {
-                w.observe_busy(idx);
-                let inv = w.invs.get(idx);
+            if let Some(inv) = w.invs.at(idx).filter(|i| i.state == InvState::Running) {
                 cpu_used += inv.cpu_usage_millis();
                 mem_used += inv.mem_usage_mb_at(now);
             }
@@ -2337,14 +2388,14 @@ mod tests {
     }
 
     #[test]
-    fn an_oom_victims_last_segment_is_seen_by_the_visit_and_settled_before_the_drain() {
+    fn an_oom_victims_last_segment_is_observed_and_settled_before_the_drain() {
         // Donor #0 runs from 501,302 µs, harvested to one core. Oomer #1 runs
         // from 651,302 on its own core plus one borrowed from #0 (busy 2,000)
         // and a memory grant of 128 MB under what it touches, so the visit
         // of 701,302 kills it. Those 50 ms end in `end_loans`, which drops
-        // the loan, and hold no utilization sample: the visit is the one
-        // observation of busy 2,000, and only a settle before the drain books
-        // +1,000 millicores over them. The restart runs on its one core.
+        // the loan: only the OOM branch's settle before the drain observes
+        // busy 2,000 and books +1,000 millicores over them. The restart runs
+        // on its one core.
         let demand = |cpu_millis, mem| TrueDemand {
             cpu_peak_millis: cpu_millis,
             mem_peak_mb: mem,
@@ -2368,7 +2419,8 @@ mod tests {
 
     /// `NullPlatform` placement. At its first visit it breaks the resident
     /// vectors four ways, records what `check_invariants` says of each, then
-    /// restores them and records that too; last, a running resident leaves
+    /// restores them and records that too; then it drifts node 0's watched
+    /// count from the flags, up and down; last, a running resident leaves
     /// `Running` with its rate still in force.
     #[derive(Default)]
     struct BreakResidents(Vec<Result<(), String>>);
@@ -2403,6 +2455,12 @@ mod tests {
                 self.0.push(w.check_invariants());
             }
             let slot = w.nodes[0].residents[0] as usize;
+            w.nodes[0].watched += 1;
+            self.0.push(w.check_invariants());
+            w.nodes[0].watched -= 1;
+            w.invs.get_mut(slot).watched = false;
+            self.0.push(w.check_invariants());
+            w.invs.get_mut(slot).watched = true;
             w.invs.get_mut(slot).state = InvState::ColdStarting;
             w.invalidate_running_cpu(0);
             self.0.push(w.check_invariants());
@@ -2445,6 +2503,8 @@ mod tests {
                 err("inv#1 (Running, placed on Some(node#0)) is resident on node#1"),
                 err("1 invocations are placed, 0 resident"),
                 Ok(()),
+                err("node#0 counts 2 watched residents, 1 are flagged"),
+                err("node#0 counts 1 watched residents, 0 are flagged"),
                 err("inv#1 accrues while ColdStarting"),
             ]
         );
@@ -2710,6 +2770,196 @@ mod tests {
         let mut instants: Vec<u64> = log.seen.iter().map(|s| s.0).collect();
         instants.dedup();
         assert!(instants.windows(2).all(|w| w[1] - w[0] >= 100_000), "{instants:?}");
+    }
+
+    /// `NullPlatform` placement and visit (the default `on_tick`, which
+    /// unwatches), after cutting every grant to `grant` at start if set.
+    /// Logs every visit as (instant µs, invocation, OOM restarts, attempt).
+    #[derive(Default)]
+    struct DefaultVisits {
+        grant: Option<ResourceVec>,
+        seen: Vec<(u64, u32, u32, u32)>,
+    }
+
+    impl Platform for DefaultVisits {
+        fn name(&self) -> String {
+            "default-visits".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            if let Some(grant) = self.grant {
+                ctx.set_own_grant(inv, grant);
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            let i = ctx.inv(inv);
+            self.seen.push((ctx.now().as_micros(), inv.0, i.restarts, i.requeues));
+            NullPlatform.on_tick(ctx, inv);
+        }
+    }
+
+    #[test]
+    fn a_default_visit_comes_once_per_attempt() {
+        // Two one-second invocations run from ≈ 0.5 s; the node crashes at
+        // 0.8 s, and each is requeued, re-placed and run to completion.
+        let funcs = vec![spec("f", 2, 1024, one_sec_demand(2, 256))];
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        t.push(SimTime::from_millis(30), FunctionId(0), InputMeta::new(1, 0));
+        let mut plan = FaultPlan::empty();
+        plan.push(SimTime::from_millis(800), FaultKind::NodeCrash(NodeId(0)));
+        plan.push(SimTime::from_millis(850), FaultKind::NodeRecover(NodeId(0)));
+        let mut log = DefaultVisits::default();
+        let res = single_node_sim(funcs).run_with_faults(&t, &mut log, &plan);
+        assert_eq!((res.records.len(), res.crash_requeues, res.pool_violations), (2, 2, 0));
+        let visits: Vec<(u32, u32)> = log.seen.iter().map(|s| (s.1, s.3)).collect();
+        assert_eq!(visits, [(0, 0), (1, 0), (0, 1), (1, 1)]);
+        // The ticks ran all along, two in the first attempt and ten in the
+        // second (the crash emptied the node: one stale tick ended the
+        // chain); they just had nobody to show after each attempt's first.
+        assert_eq!(res.pops_by_kind[tick_kind()], KindPops { handled: 12, stale: 1 });
+    }
+
+    #[test]
+    fn unwatching_a_memory_harvested_resident_keeps_its_oom_rule() {
+        // Peak 900 MB within 1,024 nominal, harvested to 600 MB: running
+        // from 501,302 µs for 2 s, its footprint 900 · (0.25 + 0.75 p) first
+        // crosses 600 at p = 0.6, the visit of 1,701,302. Every visit till
+        // then is one the unwatch could not skip; the restart runs at its
+        // nominal memory, and there the unwatch holds.
+        let d = TrueDemand {
+            cpu_peak_millis: 2000,
+            mem_peak_mb: 900,
+            base_duration: SimDuration::from_secs(2),
+        };
+        let grant = Some(ResourceVec::new(2_000, 600));
+        let mut p = DefaultVisits { grant, ..DefaultVisits::default() };
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        let res = single_node_sim(vec![spec("f", 2, 1024, d)]).run(&t, &mut p);
+        assert_eq!(res.records[0].restarts, 1);
+        let before: Vec<u64> = p.seen.iter().filter(|s| s.2 == 0).map(|s| s.0).collect();
+        let want: Vec<u64> = (0..12).map(|k| 601_302 + k * 100_000).collect();
+        assert_eq!(before, want);
+        assert_eq!(p.seen.iter().filter(|s| s.2 == 1).count(), 1, "{:?}", p.seen);
+    }
+
+    /// What [`Poker`]'s driver does at its visit of 801,302 µs.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Poke {
+        Nothing,
+        Lend,
+        ReturnLoan,
+        Safeguard,
+        SetGrant,
+    }
+
+    /// Donor #0 (func 0) is cut to one core at start; borrower #1 (func 1)
+    /// borrows one of them at start when the poke needs a loan open; driver
+    /// #2 (func 2) stays watched and pokes at 801,302 µs; everyone else is
+    /// unwatched at every visit. Logs every visit as (instant µs, inv).
+    struct Poker {
+        poke: Poke,
+        seen: Vec<(u64, u32)>,
+    }
+
+    impl Platform for Poker {
+        fn name(&self) -> String {
+            "poker".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            let one_core = ResourceVec::new(1_000, 0);
+            match inv.0 {
+                0 => ctx.set_own_grant(inv, ResourceVec::new(1_000, 1024)),
+                1 if matches!(self.poke, Poke::ReturnLoan | Poke::Safeguard) => {
+                    assert!(ctx.lend(InvocationId(0), inv, one_core));
+                }
+                _ => {}
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            self.seen.push((ctx.now().as_micros(), inv.0));
+            if inv.0 != 2 {
+                ctx.watch(inv, false);
+                return;
+            }
+            if ctx.now() != SimTime(801_302) {
+                return;
+            }
+            let (donor, borrower) = (InvocationId(0), InvocationId(1));
+            let one_core = ResourceVec::new(1_000, 0);
+            match self.poke {
+                Poke::Nothing => {}
+                Poke::Lend => assert!(ctx.lend(donor, borrower, one_core)),
+                Poke::ReturnLoan => {
+                    assert_eq!(ctx.return_loan(borrower, donor, one_core), one_core)
+                }
+                Poke::Safeguard => assert_eq!(ctx.preemptive_release(donor).len(), 1),
+                Poke::SetGrant => ctx.set_own_grant(borrower, ResourceVec::new(1_000, 512)),
+            }
+        }
+    }
+
+    #[test]
+    fn every_allocation_or_charge_change_watches_again() {
+        // #0–#2 run from ≈ 0.5 s and are first visited at 601,302 µs; #3
+        // (3 cores) is placed at 651,302 and starts at 1,151,302, on 8 cores
+        // with 1 + 2 + 1 (+ 1 lent) reserved beside it.
+        let long = |cores, mem, cpu| {
+            let d = TrueDemand {
+                cpu_peak_millis: cpu,
+                mem_peak_mb: 128,
+                base_duration: SimDuration::from_secs(3),
+            };
+            spec("long", cores, mem, d)
+        };
+        let funcs = vec![
+            long(4, 1024, 1_000),
+            long(2, 512, 4_000),
+            long(1, 256, 1_000),
+            long(3, 512, 3_000),
+        ];
+        let mut t = Trace::new();
+        for (ms, func) in [(0, 0), (10, 1), (20, 2), (650, 3)] {
+            t.push(SimTime::from_millis(ms), FunctionId(func), InputMeta::new(1, 0));
+        }
+        let at = |seen: &[(u64, u32)], us: u64| -> Vec<u32> {
+            seen.iter().filter(|s| s.0 == us).map(|s| s.1).collect()
+        };
+        // Who the ticks after the poke and after #3's start visit. The
+        // safeguard restores #0 to four cores, so #3's start finds 10 cores
+        // running on 8: the whole node is re-rated, hence watched again.
+        for (poke, after_poke, after_start) in [
+            (Poke::Nothing, vec![2], vec![2, 3]),
+            (Poke::Lend, vec![0, 1, 2], vec![2, 3]),
+            (Poke::ReturnLoan, vec![0, 1, 2], vec![2, 3]),
+            (Poke::Safeguard, vec![0, 1, 2], vec![0, 1, 2, 3]),
+            (Poke::SetGrant, vec![1, 2], vec![2, 3]),
+        ] {
+            let mut p = Poker { poke, seen: Vec::new() };
+            let res = single_node_sim(funcs.clone()).run(&t, &mut p);
+            assert_eq!((res.records.len(), res.pool_violations), (4, 0), "{poke:?}");
+            assert_eq!(at(&p.seen, 601_302), [0, 1, 2], "{poke:?}");
+            assert_eq!(at(&p.seen, 801_302), [2], "{poke:?}");
+            assert_eq!(at(&p.seen, 901_302), after_poke, "{poke:?}");
+            assert_eq!(at(&p.seen, 1_001_302), [2], "{poke:?}");
+            assert_eq!(at(&p.seen, 1_201_302), after_start, "{poke:?}");
+        }
     }
 
     /// `NullPlatform` placement; logs every killed attempt as (invocation,

@@ -442,8 +442,13 @@ pub struct Invocation {
     /// rate, is queued: while the rate holds, it stands.
     pub finish_armed: bool,
     /// Highest busy-CPU observation (millicores) so far — the `cpu_peak`
-    /// a cgroups monitor would have recorded.
+    /// a cgroups monitor would have recorded. Observed where a run segment
+    /// ends; read at completion.
     pub cpu_peak_obs: u64,
+    /// Whether its node's monitor tick visits it. Its start sets it, and so
+    /// does every later change of its allocation or charge; only its
+    /// platform clears it (`SimCtx::watch`). False while not resident.
+    pub watched: bool,
 
     /// Lifecycle state.
     pub state: InvState,
@@ -499,6 +504,7 @@ impl Invocation {
             finish_gen: 0,
             finish_armed: false,
             cpu_peak_obs: 0,
+            watched: false,
             state: InvState::Pending,
             cold_start: false,
             restarts: 0,

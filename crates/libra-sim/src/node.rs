@@ -94,6 +94,9 @@ pub struct Node {
     /// arena directly: the id-linked list this replaced paid an `id → slot`
     /// lookup per step, on the engine's hottest path.
     pub(crate) residents: Vec<u32>,
+    /// How many residents are `Invocation::watched`: the tick skips its walk
+    /// at zero. Written only by the engine's `World::set_watched`.
+    pub(crate) watched: u32,
     /// Whether this node's monitor tick is in the event queue (engine-only:
     /// one chain per node, whatever crashes and recoveries come between).
     pub tick_armed: bool,
@@ -116,6 +119,7 @@ impl Node {
             capacity,
             slices: vec![Slice::new(capacity.div(shards as u64)); shards],
             residents: Vec::new(),
+            watched: 0,
             tick_armed: false,
             warm: WarmPool::new(),
             alive: true,

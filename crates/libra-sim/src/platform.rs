@@ -104,8 +104,15 @@ pub trait Platform {
     fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {}
 
     /// Periodic usage observation for a running invocation (the safeguard's
-    /// monitor window, §5.2).
-    fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {}
+    /// monitor window, §5.2). The node's tick calls it only for residents
+    /// that are watched: each is watched when it starts and again at every
+    /// change of its allocation or charge, and a platform unwatches one
+    /// ([`SimCtx::watch`]) whose visit cannot act until such a change. The
+    /// default acts on nothing, so it unwatches at once: one visit per
+    /// attempt.
+    fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+        ctx.watch(inv, false);
+    }
 
     /// The invocation completed; actual usage is reported back (model
     /// updates, pool cleanup, §4 online updating).

@@ -2,18 +2,20 @@
 # Decision fingerprints of the release-build simulator runs the benchmark
 # times, at seed 42: exact counts the traced workloads already print.
 # sim_engine (75,000 invocations, 300 nodes, NullPlatform) pins how many
-# events the engine pushed and popped, how many invocations were live at
-# once and how many monitor visits it made, so an engine speed claim is made
-# on the same simulated run and is one of cheaper visits, not fewer;
-# sim_harvest (50,000 invocations, 200 nodes, Libra without the profiler) pins
-# what the control plane decided and how many monitor visits it made (a speed
-# claim on it is then one of cheaper visits, not fewer); sim_libra (150
-# invocations, 100 nodes, full Libra) adds what the profiler was asked and how
-# many rows it fitted, and moves if any prediction does, because grants, loans
-# and finish times follow the predictions. They are counts, so they repeat exactly on any machine; the
-# goldens pin the action trace on a 1-node and a small chaos scenario, this
-# pins the runs a speed claim is made on. A PR that moves simulated behaviour
-# on purpose updates the numbers beside tests/golden/.
+# events the engine pushed and popped and how many invocations were live at
+# once; sim_harvest (50,000 invocations, 200 nodes, Libra without the
+# profiler) pins what the control plane decided; sim_libra (150 invocations,
+# 100 nodes, full Libra) adds what the profiler was asked and how many rows it
+# fitted, and moves if any prediction does, because grants, loans and finish
+# times follow the predictions. Those counts say the simulated run is the same,
+# so a speed claim is made on the same run. Each workload also pins
+# hook.on_tick.calls, the monitor visits made: a node's tick visits only its
+# watched residents (DESIGN.md §2.1), one visit per invocation under
+# NullPlatform, and tests/watched_visits.rs shows that the visits skipped were
+# no-ops. They are counts, so they repeat exactly on any machine; the goldens
+# pin the action trace on a 1-node and a small chaos scenario, this pins the
+# runs a speed claim is made on. A PR that moves simulated behaviour, or which
+# residents are visited, on purpose updates the numbers beside tests/golden/.
 # Run from anywhere: ./scripts/decision_fingerprint.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,17 +24,17 @@ declare -A want
 want[sim_engine]='engine.event_pops 1505092
 engine.event_pushes 1505394
 engine.peak_live_inv 797
-hook.on_tick.calls 5287480'
+hook.on_tick.calls 75000'
 want[sim_harvest]='controlplane.loans_expired 3937
 controlplane.safeguard_triggers 7476
 engine.event_pops 1429641
-hook.on_tick.calls 3514042
+hook.on_tick.calls 2513853
 pool.gets 329705
 pool.puts 41742'
 want[sim_libra]='controlplane.loans_expired 9
 controlplane.safeguard_triggers 10
 engine.event_pops 20275
-hook.on_tick.calls 10361
+hook.on_tick.calls 5023
 pool.gets 72
 pool.puts 78
 profiler.observe.calls 150
