@@ -36,7 +36,8 @@ pub struct BatchRequest {
 pub struct BatchNode {
     /// Free capacity for nominal admission.
     pub free: ResourceVec,
-    /// Pool snapshot (idle volumes with expiries).
+    /// Pool snapshot (idle volumes with expiries), in ascending expiry as a
+    /// pool's snapshot is.
     pub snapshot: PoolSnapshot,
 }
 
@@ -49,25 +50,23 @@ pub struct Assignment {
     pub total_coverage: f64,
 }
 
-/// Consume `extra` from a snapshot, longest-lived entries first (mirrors the
-/// pool's `get`), so later requests see what an earlier co-located request
-/// would actually leave behind. The stable sort keys on expiry alone:
-/// snapshots arrive ordered by the total key `(expiry, source id)`, so ties
-/// keep that deterministic position.
+/// Consume `extra` from a snapshot, longest-lived entries first — from the
+/// back of the expiry-ordered snapshot, as the pool's `get` hands out — so
+/// later requests see what an earlier co-located request would actually
+/// leave behind.
 fn consume(snapshot: &mut PoolSnapshot, extra: ResourceVec) {
     let mut remaining = extra;
-    let mut order: Vec<usize> = (0..snapshot.len()).collect();
-    order.sort_by(|&a, &b| snapshot[b].expiry.cmp(&snapshot[a].expiry));
-    for i in order {
+    for e in snapshot.iter_mut().rev() {
         if remaining.is_zero() {
             break;
         }
-        let e = &mut snapshot[i];
-        let take_cpu = remaining.cpu_millis.min(e.cpu_idle_millis);
-        let take_mem = remaining.mem_mb.min(e.mem_idle_mb);
-        e.cpu_idle_millis -= take_cpu;
-        e.mem_idle_mb -= take_mem;
-        remaining -= ResourceVec::new(take_cpu, take_mem);
+        let take = ResourceVec::new(
+            remaining.cpu_millis.min(e.cpu_idle_millis),
+            remaining.mem_mb.min(e.mem_idle_mb),
+        );
+        e.cpu_idle_millis -= take.cpu_millis;
+        e.mem_idle_mb -= take.mem_mb;
+        remaining -= take;
     }
     snapshot.retain(|e: &PoolEntryStatus| e.cpu_idle_millis > 0 || e.mem_idle_mb > 0);
 }
@@ -250,6 +249,17 @@ mod tests {
         // First fully covered on CPU (0.9 weight) + mem trivially (0.1):
         // the entry carries only 256 MB and extra.mem = 0 -> mem coverage 1.
         assert!((g.total_coverage - (1.0 + 0.1)).abs() < 1e-9, "{g:?}");
+    }
+
+    #[test]
+    fn consumption_takes_the_longest_lived_entry_first() {
+        // Two 2-core entries, valid 5 s and 100 s. The first request takes
+        // the long-lived one, so the second, over 10 s, is covered for half
+        // its window: 0.9 · 0.5 on CPU plus the memory weight (no extra).
+        let nodes = vec![node(8, &[(2000, 5), (2000, 100)])];
+        let reqs = vec![req(2, 10), req(2, 10)];
+        let g = greedy_assign(&reqs, &nodes, t(0), 0.9);
+        assert!((g.total_coverage - (1.0 + 0.9 * 0.5 + 0.1)).abs() < 1e-9, "{g:?}");
     }
 
     #[test]

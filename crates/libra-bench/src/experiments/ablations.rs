@@ -197,7 +197,7 @@ pub fn greedy_gap() {
     let (mut gap_sum, mut worst_gap) = (0.0f64, 0.0f64);
     let (mut greedy_ns, mut optimal_ns) = (0u128, 0u128);
     for _ in 0..scenarios {
-        let nodes: Vec<BatchNode> = (0..4)
+        let mut nodes: Vec<BatchNode> = (0..4)
             .map(|_| BatchNode {
                 free: ResourceVec::from_cores_mb(4 + next() % 8, 16_384),
                 snapshot: (0..(1 + next() % 4))
@@ -209,6 +209,8 @@ pub fn greedy_gap() {
                     .collect(),
             })
             .collect();
+        // A pool snapshot is in ascending expiry; so must these be.
+        nodes.iter_mut().for_each(|n| n.snapshot.sort_by_key(|e| e.expiry));
         let reqs: Vec<BatchRequest> = (0..6)
             .map(|_| BatchRequest {
                 nominal: ResourceVec::from_cores_mb(1 + next() % 3, 512),

@@ -755,9 +755,7 @@ impl ControlPlane {
     /// first, so this is a defensive sweep).
     pub fn on_node_crash(&mut self, node: NodeId, now: SimTime) -> Vec<Action> {
         if let Some(pool) = self.pools.get_mut(node.idx()) {
-            for id in pool.sources() {
-                pool.remove(id, now);
-            }
+            pool.clear(now);
         }
         self.counters.crash_sweeps += 1;
         if let Some(ledger) = self.ledgers.get_mut(node.idx()) {

@@ -15,50 +15,53 @@
 //! "we count the entire d from t3 to t5 and only part of e from t5 to t7").
 //! CPU and memory coverages are combined as `D = α·D_cpu + (1−α)·D_mem` with
 //! α > 0.5 because harvested idle cores are more precious than memory.
+//!
+//! A pool snapshot is already in ascending expiry ([`crate::pool`]), so the
+//! step function `available(τ)` is read straight off it: walking back from
+//! the latest expiry, each expiry inside the window closes a segment, and
+//! the entry's volume joins what is valid before it. The walk stops at the
+//! first entry expired by `now` and allocates nothing; the integral is exact
+//! in unit·µs, and only the final ratio is a float.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::pool::PoolEntryStatus;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 
-/// Coverage of a one-dimensional demand (`units` over `[start, start+dur]`)
-/// by pool entries `(volume, expiry)`. Returns a value in `[0, 1]`.
-/// A zero demand (or zero window) is trivially fully covered.
-pub fn coverage_1d(
-    entries: &[(u64, SimTime)],
+/// Coverage in `[0, 1]` of a one-dimensional demand (`units` over `[now,
+/// now + dur]`) by an expiry-ordered snapshot, `vol` reading the dimension's
+/// volume off an entry. A zero demand (or zero window) is trivially fully
+/// covered.
+fn coverage_1d(
+    snapshot: &[PoolEntryStatus],
+    vol: impl Fn(&PoolEntryStatus) -> u64,
     units: u64,
-    start: SimTime,
+    now: SimTime,
     dur: SimDuration,
 ) -> f64 {
     if units == 0 || dur.as_micros() == 0 {
         return 1.0;
     }
-    let end = start + dur;
-    // Piecewise-constant availability: breakpoints at entry expiries inside
-    // the window.
-    let mut cuts: Vec<SimTime> =
-        entries.iter().map(|&(_, e)| e).filter(|&e| e > start && e < end).collect();
-    cuts.push(end);
-    cuts.sort();
-    cuts.dedup();
-
-    let mut covered: u128 = 0; // unit·µs
-    let mut seg_start = start;
-    for cut in cuts {
-        let avail: u64 = entries
-            .iter()
-            .filter(|&&(_, e)| e >= cut) // valid through this whole segment
-            .map(|&(v, _)| v)
-            .sum();
-        let seg = cut.since(seg_start).as_micros() as u128;
-        covered += (avail.min(units) as u128) * seg;
-        seg_start = cut;
+    // `avail` is the volume valid through the segment ending at `seg_end`;
+    // `covered` is Σ min(avail, units) × length of the segments closed so far.
+    let (mut avail, mut covered, mut seg_end) = (0u64, 0u128, now + dur);
+    for e in snapshot.iter().rev().take_while(|e| e.expiry > now) {
+        if e.expiry < seg_end {
+            covered +=
+                u128::from(avail.min(units)) * u128::from(seg_end.since(e.expiry).as_micros());
+            seg_end = e.expiry;
+        }
+        avail += vol(e);
     }
-    let demand_area = units as u128 * dur.as_micros() as u128;
+    covered += u128::from(avail.min(units)) * u128::from(seg_end.since(now).as_micros());
+    let demand_area = u128::from(units) * u128::from(dur.as_micros());
     (covered as f64 / demand_area as f64).clamp(0.0, 1.0)
 }
 
 /// Weighted demand coverage for an invocation needing `extra` resources over
-/// `[now, now + dur]`, given a node's pool snapshot.
+/// `[now, now + dur]`, given a node's pool snapshot, which must be in
+/// ascending expiry as every pool snapshot is (debug-asserted).
 /// `alpha` weights CPU vs memory (default 0.9, §8.2.3).
 pub fn demand_coverage(
     snapshot: &[PoolEntryStatus],
@@ -67,15 +70,9 @@ pub fn demand_coverage(
     dur: SimDuration,
     alpha: f64,
 ) -> f64 {
-    let cpu_entries: Vec<(u64, SimTime)> = snapshot
-        .iter()
-        .filter(|e| e.cpu_idle_millis > 0)
-        .map(|e| (e.cpu_idle_millis, e.expiry))
-        .collect();
-    let mem_entries: Vec<(u64, SimTime)> =
-        snapshot.iter().filter(|e| e.mem_idle_mb > 0).map(|e| (e.mem_idle_mb, e.expiry)).collect();
-    let dc = coverage_1d(&cpu_entries, extra.cpu_millis, now, dur);
-    let dm = coverage_1d(&mem_entries, extra.mem_mb, now, dur);
+    debug_assert!(snapshot.is_sorted_by_key(|e| e.expiry), "snapshot out of expiry order");
+    let dc = coverage_1d(snapshot, |e| e.cpu_idle_millis, extra.cpu_millis, now, dur);
+    let dm = coverage_1d(snapshot, |e| e.mem_idle_mb, extra.mem_mb, now, dur);
     alpha * dc + (1.0 - alpha) * dm
 }
 
@@ -91,62 +88,75 @@ mod tests {
         SimDuration::from_secs(s)
     }
 
+    /// CPU coverage of `units` by `(volume, expiry)` entries, given in any
+    /// order (sorted here, as a pool would hold them).
+    fn cpu_coverage(
+        entries: &[(u64, SimTime)],
+        units: u64,
+        start: SimTime,
+        dur: SimDuration,
+    ) -> f64 {
+        let mut snap: Vec<PoolEntryStatus> = entries
+            .iter()
+            .map(|&(v, e)| PoolEntryStatus { cpu_idle_millis: v, mem_idle_mb: 0, expiry: e })
+            .collect();
+        snap.sort_by_key(|e| e.expiry);
+        coverage_1d(&snap, |e| e.cpu_idle_millis, units, start, dur)
+    }
+
     #[test]
     fn coverage_figure5_example() {
-        // Fig 5: demand 2 units over [t3, t7]. Entry d (1 unit) covers the
-        // whole window [expiry t8 >= t7]; entry e (1 unit) expires at t5...
-        // The paper's worked example: coverage = (1·(t5−t3) + 2·(t7−t5)) /
-        // (2·(t7−t3)). We mirror it with d expiring beyond t7 and a second
-        // entry arriving... entries: d=(1, t8), e=(1, ...) — e joins from t5?
-        // Pool snapshots are point-in-time, so we encode the equivalent
-        // instant: at t3 the pool holds d (1 unit until t8) and e (1 unit
-        // until t5 is WRONG — e is valid *from* t5).
-        // Equivalent arithmetic with expiries only: one unit valid the whole
-        // window + one unit valid for the first half covers
-        // (2·half + 1·half) / (2·full) = 0.75.
-        let entries = [(1u64, t(8)), (1u64, t(5))];
-        let c = coverage_1d(&entries, 2, t(3), d(4)); // window [3, 7]
-                                                      // first 2 s: both valid -> min(2,2)=2; last 2 s: one valid -> 1.
-                                                      // covered = 2·2 + 1·2 = 6; demand area = 2·4 = 8.
+        // Fig 5's arithmetic with expiries only (a snapshot is a point in
+        // time, so an entry that *joins* later cannot be expressed): one unit
+        // valid the whole window [t3, t7] and one unit valid for its first
+        // half. First 2 s: both valid, min(2, 2) = 2; last 2 s: one valid, 1.
+        // Covered 2·2 + 1·2 = 6 over a demand area of 2·4 = 8.
+        let c = cpu_coverage(&[(1, t(8)), (1, t(5))], 2, t(3), d(4));
         assert!((c - 0.75).abs() < 1e-9, "coverage {c}");
     }
 
     #[test]
     fn zero_demand_is_fully_covered() {
-        assert_eq!(coverage_1d(&[], 0, t(0), d(10)), 1.0);
-        assert_eq!(coverage_1d(&[(5, t(1))], 3, t(0), SimDuration::ZERO), 1.0);
+        assert_eq!(cpu_coverage(&[], 0, t(0), d(10)), 1.0);
+        assert_eq!(cpu_coverage(&[(5, t(1))], 3, t(0), SimDuration::ZERO), 1.0);
     }
 
     #[test]
     fn empty_pool_covers_nothing() {
-        assert_eq!(coverage_1d(&[], 2, t(0), d(10)), 0.0);
+        assert_eq!(cpu_coverage(&[], 2, t(0), d(10)), 0.0);
     }
 
     #[test]
     fn full_coverage_when_volume_and_time_suffice() {
-        let entries = [(4u64, t(100))];
-        assert!((coverage_1d(&entries, 2, t(0), d(10)) - 1.0).abs() < 1e-12);
+        assert!((cpu_coverage(&[(4, t(100))], 2, t(0), d(10)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn expired_entries_do_not_count() {
-        let entries = [(4u64, t(1))];
-        assert_eq!(coverage_1d(&entries, 2, t(5), d(10)), 0.0);
+        assert_eq!(cpu_coverage(&[(4, t(1))], 2, t(5), d(10)), 0.0);
+        // An entry expiring exactly at the start counts for nothing either.
+        assert_eq!(cpu_coverage(&[(4, t(5))], 2, t(5), d(10)), 0.0);
     }
 
     #[test]
     fn partial_time_coverage_scales_linearly() {
         // 2 units valid for half the window, demand 2 -> coverage 0.5
-        let entries = [(2u64, t(5))];
-        let c = coverage_1d(&entries, 2, t(0), d(10));
+        let c = cpu_coverage(&[(2, t(5))], 2, t(0), d(10));
         assert!((c - 0.5).abs() < 1e-9, "coverage {c}");
     }
 
     #[test]
     fn volume_caps_at_demand() {
         // 100 units available but only 2 demanded: still 1.0, not more.
-        let entries = [(100u64, t(100))];
-        assert!((coverage_1d(&entries, 2, t(0), d(10)) - 1.0).abs() < 1e-12);
+        assert!((cpu_coverage(&[(100, t(100))], 2, t(0), d(10)) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn equal_expiries_and_an_expiry_at_the_window_end_count_whole() {
+        // Two 1-unit entries expiring together at t4, one expiring exactly
+        // at the window's end: 3 units for 4 s, then 1 for 6 s.
+        let c = cpu_coverage(&[(1, t(4)), (1, t(4)), (1, t(10))], 3, t(0), d(10));
+        assert!((c - 18.0 / 30.0).abs() < 1e-12, "coverage {c}");
     }
 
     #[test]

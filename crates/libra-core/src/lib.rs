@@ -56,7 +56,7 @@ pub mod sharding;
 pub use controlplane::{
     Action, Admission, ControlConfig, ControlCounters, ControlPlane, LendFailure, Observation,
 };
-pub use coverage::{coverage_1d, demand_coverage};
+pub use coverage::demand_coverage;
 pub use keepalive::{
     ConcurrencyPolicy, FixedTtl, HistogramPolicy, KeepAlivePolicy, PolicyKind, WithKeepAlive,
 };

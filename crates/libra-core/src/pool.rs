@@ -12,41 +12,45 @@
 //! quantity the paper uses to compare how well schedulers exploit harvested
 //! resources ("a lower value indicates a better utilization").
 //!
-//! # The expiry index
+//! # One expiry-ordered vector
 //!
-//! `get` is the hot path of every accelerate decision, so the pool keeps an
-//! expiry-ordered index `BTreeSet<(SimTime, InvocationId)>` in lockstep with
-//! the entry map. Invariants (checked by [`HarvestResourcePool::check_index`]
-//! in debug builds):
-//!
-//! * every `(id → entry)` in the map has exactly the key
-//!   `(entry.priority, id)` in the index, and `|index| == |map|`;
-//! * keys never go stale: `put` re-keys when it revises a priority, and
-//!   `remove` deletes map and index together;
-//! * expired entries (`priority ≤ now`) are **lazily evicted** from the index
-//!   head on every `get_with` — they are never handed out and never survive a
-//!   hand-out pass, while the read-only `snapshot()` simply skips them.
-//!
-//! This makes `put`/`remove` O(log n), `get` O(k log n) for k grants, and
-//! `snapshot`/`sources` a single in-order walk with no per-call sort. The
+//! A pool is one `Vec` of entries in ascending `(expiry, source id)`, a total
+//! order, and every read the design makes is a walk of it in that order or
+//! its reverse: `get` hands out latest-expiry-first from the back (the
+//! ablations' shortest-lived order from the front), and the health-ping
+//! snapshot is the vector copied in order — the order demand coverage folds
+//! over ([`crate::coverage`]). Expired entries (`priority ≤ now`) are a
+//! prefix: `get_with` settles and drains them in one go before handing
+//! anything out, and `snapshot` skips them. A pool holds one entry per
+//! harvested resident of its node, a few dozen at most, so finding a source
+//! is a scan of the vector and `put` / `remove` shift the entries behind it
+//! in place. [`HarvestResourcePool::check_order`] asserts the order; the
 //! observationally-equivalent O(n log n) sorted-scan implementation is the
 //! proptest oracle, `tests/support/sorted_scan_pool.rs` at the repo root.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use libra_sim::ids::InvocationId;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Unbounded};
 
 /// One tracked entry: idle volume still available from a source invocation.
 #[derive(Clone, Copy, Debug)]
 struct PoolEntry {
+    source: InvocationId,
     cpu_idle_millis: u64,
     mem_idle_mb: u64,
     /// Estimated completion timestamp of the source (the priority).
     priority: SimTime,
     /// Last time this entry's idle volume changed (ledger bookkeeping).
     last_touch: SimTime,
+}
+
+impl PoolEntry {
+    /// The pool's order: expiry, then source id.
+    fn key(&self) -> (SimTime, InvocationId) {
+        (self.priority, self.source)
+    }
 }
 
 /// A point-in-time view of one entry, as piggybacked in health pings for the
@@ -63,7 +67,8 @@ pub struct PoolEntryStatus {
 
 /// A snapshot of a whole pool (the health-ping payload), ordered by
 /// `(expiry, source id)` — a total order, so equal-expiry entries appear in
-/// the same position on every run.
+/// the same position on every run, and the order
+/// [`crate::coverage::demand_coverage`] reads.
 pub type PoolSnapshot = Vec<PoolEntryStatus>;
 
 /// Hand-out order for [`HarvestResourcePool::get_with`]. The paper's design
@@ -73,7 +78,7 @@ pub type PoolSnapshot = Vec<PoolEntryStatus>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GetOrder {
     /// Latest expiry first — Libra's choice. Ties broken by descending
-    /// source id (the index walk order).
+    /// source id (the pool's order, read from the back).
     LongestLived,
     /// Insertion order (oldest source id first) — a FIFO pool, what a
     /// timeliness-unaware implementation would do.
@@ -86,9 +91,8 @@ pub enum GetOrder {
 /// The per-node harvest resource pool.
 #[derive(Debug, Default)]
 pub struct HarvestResourcePool {
-    entries: BTreeMap<InvocationId, PoolEntry>,
-    /// Expiry-ordered index over `entries`, keyed `(priority, id)`.
-    by_expiry: BTreeSet<(SimTime, InvocationId)>,
+    /// Every entry, in ascending `(priority, source)`.
+    entries: Vec<PoolEntry>,
     puts: u64,
     gets: u64,
     /// Σ idle cpu × time, in millicore·µs.
@@ -103,8 +107,15 @@ impl HarvestResourcePool {
         Self::default()
     }
 
-    fn settle(&mut self, id: InvocationId, now: SimTime) {
-        if let Some(e) = self.entries.get_mut(&id) {
+    /// Position of `source`'s entry.
+    fn find(&self, source: InvocationId) -> Option<usize> {
+        self.entries.iter().position(|e| e.source == source)
+    }
+
+    /// Accrue the idle volume × time of the entry at `at` since its last
+    /// change into the ledger.
+    fn settle(&mut self, at: usize, now: SimTime) {
+        if let Some(e) = self.entries.get_mut(at) {
             let dt = now.since(e.last_touch).as_micros() as u128;
             self.idle_cpu_integral += e.cpu_idle_millis as u128 * dt;
             self.idle_mem_integral += e.mem_idle_mb as u128 * dt;
@@ -112,18 +123,15 @@ impl HarvestResourcePool {
         }
     }
 
-    /// Evict entries whose priority is `≤ now` — they sit at the head of the
-    /// expiry index, so this pops until the head is live. Their remaining
-    /// idle time is settled into the ledger first, exactly like `remove`.
+    /// Evict entries whose priority is `≤ now` — the vector's prefix. Their
+    /// remaining idle time is settled into the ledger first, exactly like
+    /// `remove`.
     fn evict_expired(&mut self, now: SimTime) {
-        while let Some(&(priority, id)) = self.by_expiry.first() {
-            if priority > now {
-                break;
-            }
-            self.settle(id, now);
-            self.entries.remove(&id);
-            self.by_expiry.remove(&(priority, id));
+        let expired = self.entries.partition_point(|e| e.priority <= now);
+        for at in 0..expired {
+            self.settle(at, now);
         }
+        self.entries.drain(..expired);
     }
 
     /// `put`: track `vol` harvested from `source`, expiring at `priority`
@@ -136,30 +144,20 @@ impl HarvestResourcePool {
             return;
         }
         self.puts += 1;
-        self.settle(source, now);
-        match self.entries.get_mut(&source) {
-            Some(e) => {
-                e.cpu_idle_millis += vol.cpu_millis;
-                e.mem_idle_mb += vol.mem_mb;
-                if e.priority != priority {
-                    self.by_expiry.remove(&(e.priority, source));
-                    e.priority = priority;
-                    self.by_expiry.insert((priority, source));
-                }
+        let mut e = match self.find(source) {
+            Some(at) => {
+                self.settle(at, now);
+                self.entries.remove(at)
             }
             None => {
-                self.entries.insert(
-                    source,
-                    PoolEntry {
-                        cpu_idle_millis: vol.cpu_millis,
-                        mem_idle_mb: vol.mem_mb,
-                        priority,
-                        last_touch: now,
-                    },
-                );
-                self.by_expiry.insert((priority, source));
+                PoolEntry { source, cpu_idle_millis: 0, mem_idle_mb: 0, priority, last_touch: now }
             }
-        }
+        };
+        e.cpu_idle_millis += vol.cpu_millis;
+        e.mem_idle_mb += vol.mem_mb;
+        e.priority = priority;
+        let at = self.entries.partition_point(|x| x.key() < e.key());
+        self.entries.insert(at, e);
     }
 
     /// `get`: borrow up to `want` from the pool, best-effort, preferring
@@ -167,24 +165,6 @@ impl HarvestResourcePool {
     /// Returns `(source, volume)` pairs; the sum never exceeds `want`.
     pub fn get(&mut self, want: ResourceVec, now: SimTime) -> Vec<(InvocationId, ResourceVec)> {
         self.get_with(want, now, GetOrder::LongestLived)
-    }
-
-    /// Next index key after `cursor` in the walk direction of `order_by`
-    /// (`None` cursor = start of the walk). O(log n) per step.
-    fn step(
-        &self,
-        order_by: GetOrder,
-        cursor: Option<(SimTime, InvocationId)>,
-    ) -> Option<(SimTime, InvocationId)> {
-        match (order_by, cursor) {
-            (GetOrder::LongestLived, None) => self.by_expiry.last().copied(),
-            (GetOrder::LongestLived, Some(c)) => self.by_expiry.range(..c).next_back().copied(),
-            (GetOrder::ShortestLived, None) => self.by_expiry.first().copied(),
-            (GetOrder::ShortestLived, Some(c)) => {
-                self.by_expiry.range((Excluded(c), Unbounded)).next().copied()
-            }
-            (GetOrder::Fifo, _) => unreachable!("fifo does not walk the expiry index"),
-        }
     }
 
     /// `get` with an explicit hand-out order (see [`GetOrder`]). Entries
@@ -201,14 +181,38 @@ impl HarvestResourcePool {
         }
         self.gets += 1;
         self.evict_expired(now);
+        let n = self.entries.len();
+        match order_by {
+            GetOrder::LongestLived => self.hand_out((0..n).rev(), want, now),
+            GetOrder::ShortestLived => self.hand_out(0..n, want, now),
+            GetOrder::Fifo => {
+                // The ablation-only FIFO order is source-id order, not the
+                // pool's.
+                let mut by_id: Vec<usize> = (0..n).collect();
+                by_id.sort_unstable_by_key(|&at| self.entries.get(at).map(|e| e.source));
+                self.hand_out(by_id.into_iter(), want, now)
+            }
+        }
+    }
+
+    /// Take from the entries at the positions `order` names, in that order,
+    /// until `want` is met. Taking volume moves no entry, so the positions
+    /// stay valid throughout.
+    fn hand_out(
+        &mut self,
+        order: impl Iterator<Item = usize>,
+        want: ResourceVec,
+        now: SimTime,
+    ) -> Vec<(InvocationId, ResourceVec)> {
         let mut remaining = want;
         let mut out = Vec::new();
-        let mut take_from = |pool: &mut Self, id: InvocationId| {
-            pool.settle(id, now);
-            let Some(e) = pool.entries.get_mut(&id) else {
-                debug_assert!(false, "pool entry for {id:?} vanished mid-get");
-                return remaining.is_zero();
-            };
+        for at in order {
+            debug_assert!(
+                self.entries.get(at).is_some_and(|e| e.priority > now),
+                "expired entry survived eviction"
+            );
+            self.settle(at, now);
+            let Some(e) = self.entries.get_mut(at) else { continue };
             let take = ResourceVec::new(
                 remaining.cpu_millis.min(e.cpu_idle_millis),
                 remaining.mem_mb.min(e.mem_idle_mb),
@@ -217,30 +221,10 @@ impl HarvestResourcePool {
                 e.cpu_idle_millis -= take.cpu_millis;
                 e.mem_idle_mb -= take.mem_mb;
                 remaining -= take;
-                out.push((id, take));
+                out.push((e.source, take));
             }
-            remaining.is_zero()
-        };
-        if order_by == GetOrder::Fifo {
-            // The ablation-only FIFO order is id order, not expiry order; it
-            // keeps the pre-index sorted scan.
-            let mut order: Vec<InvocationId> = self.entries.keys().copied().collect();
-            order.sort_unstable();
-            for id in order {
-                if take_from(self, id) {
-                    break;
-                }
-            }
-        } else {
-            // Walk the index step by step: taking volume never changes a key
-            // (only `put`/`remove` re-key), so the cursor stays valid.
-            let mut cursor = None;
-            while let Some(key) = self.step(order_by, cursor) {
-                debug_assert!(key.0 > now, "expired entry survived eviction");
-                if take_from(self, key.1) {
-                    break;
-                }
-                cursor = Some(key);
+            if remaining.is_zero() {
+                break;
             }
         }
         out
@@ -251,8 +235,9 @@ impl HarvestResourcePool {
     /// until the source completes. No-op if the source is no longer tracked
     /// (it already completed — timeliness).
     pub fn give_back(&mut self, source: InvocationId, vol: ResourceVec, now: SimTime) {
-        self.settle(source, now);
-        if let Some(e) = self.entries.get_mut(&source) {
+        let Some(at) = self.find(source) else { return };
+        self.settle(at, now);
+        if let Some(e) = self.entries.get_mut(at) {
             e.cpu_idle_millis += vol.cpu_millis;
             e.mem_idle_mb += vol.mem_mb;
         }
@@ -261,50 +246,45 @@ impl HarvestResourcePool {
     /// Drop `source`'s entry entirely (source completed, OOMed, or was
     /// safeguarded). Returns the idle volume that was still pooled.
     pub fn remove(&mut self, source: InvocationId, now: SimTime) -> ResourceVec {
-        self.settle(source, now);
-        match self.entries.remove(&source) {
-            Some(e) => {
-                self.by_expiry.remove(&(e.priority, source));
-                ResourceVec::new(e.cpu_idle_millis, e.mem_idle_mb)
-            }
-            None => ResourceVec::ZERO,
-        }
+        let Some(at) = self.find(source) else { return ResourceVec::ZERO };
+        self.settle(at, now);
+        let e = self.entries.remove(at);
+        ResourceVec::new(e.cpu_idle_millis, e.mem_idle_mb)
     }
 
-    /// Source invocations with entries, in expiry-index order — `(expiry,
-    /// id)`, a total order, so sweeps are deterministic.
-    pub fn sources(&self) -> Vec<InvocationId> {
-        self.by_expiry.iter().map(|&(_, id)| id).collect()
+    /// Drop every entry (the node crashed), settling each into the ledger
+    /// first, as `remove` would.
+    pub fn clear(&mut self, now: SimTime) {
+        self.settle_all(now);
+        self.entries.clear();
     }
 
     /// Whether `source` still has an entry.
     pub fn contains(&self, source: InvocationId) -> bool {
-        self.entries.contains_key(&source)
+        self.find(source).is_some()
     }
 
     /// Total idle volume currently pooled.
     pub fn total_idle(&self) -> ResourceVec {
         self.entries
-            .values()
+            .iter()
             .fold(ResourceVec::ZERO, |a, e| a + ResourceVec::new(e.cpu_idle_millis, e.mem_idle_mb))
     }
 
     /// Point-in-time status for the health-ping piggyback, expired entries
-    /// (priority ≤ now) excluded, written over `buf` (the scheduler's view
-    /// keeps one buffer per node, so a ping allocates nothing). Read straight
-    /// off the expiry index, so the result is ordered by the total key
-    /// `(expiry, source id)` — deterministic downstream computation even
-    /// across equal expiries.
+    /// (priority ≤ now) and emptied ones excluded, written over `buf` (the
+    /// scheduler's view keeps one buffer per node, so a ping allocates
+    /// nothing). The pool's own order, `(expiry, source id)`, so downstream
+    /// computation is deterministic across equal expiries.
     pub fn snapshot_into(&self, now: SimTime, buf: &mut PoolSnapshot) {
         buf.clear();
-        let live = self.by_expiry.iter().skip_while(|&&(priority, _)| priority <= now);
-        buf.extend(live.filter_map(|&(priority, id)| {
-            let e = &self.entries[&id];
-            (e.cpu_idle_millis > 0 || e.mem_idle_mb > 0).then_some(PoolEntryStatus {
+        let live = self.entries.iter().skip_while(|e| e.priority <= now);
+        buf.extend(live.filter(|e| e.cpu_idle_millis > 0 || e.mem_idle_mb > 0).map(|e| {
+            PoolEntryStatus {
                 cpu_idle_millis: e.cpu_idle_millis,
                 mem_idle_mb: e.mem_idle_mb,
-                expiry: priority,
-            })
+                expiry: e.priority,
+            }
         }));
     }
 
@@ -318,9 +298,8 @@ impl HarvestResourcePool {
     /// Bring the ledger up to `now` for all entries (call before reading the
     /// integrals at end of run).
     pub fn settle_all(&mut self, now: SimTime) {
-        let ids: Vec<InvocationId> = self.entries.keys().copied().collect();
-        for id in ids {
-            self.settle(id, now);
+        for at in 0..self.entries.len() {
+            self.settle(at, now);
         }
     }
 
@@ -344,17 +323,18 @@ impl HarvestResourcePool {
         self.entries.is_empty()
     }
 
-    /// Assert the index invariants (map and index in lockstep). Cheap enough
-    /// for tests and the proptest oracle; not called on the hot path.
-    pub fn check_index(&self) {
-        assert_eq!(self.entries.len(), self.by_expiry.len(), "index/map size diverged");
-        for (id, e) in &self.entries {
-            assert!(
-                self.by_expiry.contains(&(e.priority, *id)),
-                "entry {id:?} (priority {:?}) missing from the expiry index",
-                e.priority
-            );
-        }
+    /// Assert the pool's invariant: entries in strictly ascending `(expiry,
+    /// source id)`, one per source. Cheap enough for tests and the proptest
+    /// oracle; not called on the hot path.
+    pub fn check_order(&self) {
+        assert!(
+            self.entries.is_sorted_by(|a, b| a.key() < b.key()),
+            "pool entries out of (expiry, source) order"
+        );
+        let mut sources: Vec<InvocationId> = self.entries.iter().map(|e| e.source).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        assert_eq!(sources.len(), self.entries.len(), "a source has two pool entries");
     }
 }
 
@@ -390,7 +370,7 @@ mod tests {
         assert_eq!(got[1].0, inv(2));
         assert_eq!(got[1].1, r(1000, 0));
         assert_eq!(pool.total_idle(), r(1000, 0), "one unit of #2 remains");
-        pool.check_index();
+        pool.check_order();
     }
 
     #[test]
@@ -426,7 +406,7 @@ mod tests {
         pool.give_back(inv(1), r(1000, 128), t(25));
         assert!(pool.total_idle().is_zero());
         assert!(!pool.contains(inv(1)));
-        pool.check_index();
+        pool.check_order();
     }
 
     #[test]
@@ -457,7 +437,7 @@ mod tests {
         // Expired entries are lazily evicted during the get.
         assert!(!pool.contains(inv(1)), "expired entry must be evicted");
         assert_eq!(pool.len(), 1);
-        pool.check_index();
+        pool.check_order();
     }
 
     #[test]
@@ -495,7 +475,7 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].cpu_idle_millis, 1000);
         assert_eq!(snap[0].expiry, t(30));
-        pool.check_index();
+        pool.check_order();
     }
 
     #[test]
@@ -513,7 +493,7 @@ mod tests {
         // And at t20 the (now expired) entry is neither visible nor lendable.
         assert!(pool.snapshot(t(20)).is_empty());
         assert!(pool.get(r(1000, 0), t(20)).is_empty());
-        pool.check_index();
+        pool.check_order();
     }
 
     #[test]
@@ -575,11 +555,33 @@ mod tests {
     }
 
     #[test]
-    fn sources_walk_the_expiry_index() {
+    fn entries_keep_expiry_then_id_order_through_re_puts() {
         let mut pool = HarvestResourcePool::new();
         pool.put(inv(7), r(100, 0), t(30), t(0));
-        pool.put(inv(2), r(100, 0), t(50), t(0));
-        pool.put(inv(9), r(100, 0), t(30), t(0));
-        assert_eq!(pool.sources(), vec![inv(7), inv(9), inv(2)], "(expiry, id) order");
+        pool.put(inv(2), r(200, 0), t(50), t(0));
+        pool.put(inv(9), r(300, 0), t(30), t(0));
+        let vols = |p: &HarvestResourcePool| -> Vec<u64> {
+            p.snapshot(t(1)).iter().map(|e| e.cpu_idle_millis).collect()
+        };
+        assert_eq!(vols(&pool), vec![100, 300, 200], "(expiry, id) order");
+        // A revised estimate moves the entry to its new place.
+        pool.put(inv(2), r(100, 0), t(20), t(1));
+        assert_eq!(vols(&pool), vec![300, 100, 300]);
+        pool.check_order();
+    }
+
+    #[test]
+    fn clear_settles_every_entry_like_removing_each() {
+        let (mut cleared, mut removed) = (HarvestResourcePool::new(), HarvestResourcePool::new());
+        for pool in [&mut cleared, &mut removed] {
+            pool.put(inv(1), r(1000, 64), t(50), t(0));
+            pool.put(inv(2), r(500, 0), t(40), t(2));
+        }
+        cleared.clear(t(10));
+        removed.remove(inv(1), t(10));
+        removed.remove(inv(2), t(10));
+        assert!(cleared.is_empty());
+        assert_eq!(cleared.idle_ledger(), removed.idle_ledger());
+        assert_eq!(cleared.idle_ledger(), (14.0, 640.0));
     }
 }

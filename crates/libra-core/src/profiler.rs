@@ -690,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "known gap (ROADMAP item 4): `observe` widens the size domain on every observation \
+    #[ignore = "known gap (ROADMAP item 7): `observe` widens the size domain on every observation \
                 but refits every eighth, so until then a never-fitted size counts as inside the \
                 domain and the forests flat-line at the old boundary; the fix moves every Libra \
                 CSV and lands with the bounded-window / refit-schedule PR"]

@@ -158,7 +158,7 @@ impl ShardedScheduler {
         for shard in &self.shards {
             let mut state = shard.lock();
             if state.alive {
-                state.snapshots[node as usize] = snap.clone();
+                state.snapshots[node as usize].clone_from(snap);
             }
         }
     }

@@ -3,7 +3,7 @@
 # (`buf[off + 2]`, `bins[v / w]`, `v[a..b + 1]`) in the non-test lines of the
 # crates that index arenas by typed id (`nodes[id.idx()]`, 82 times in engine.rs)
 # and therefore cannot deny `clippy::indexing_slicing` whole, as libra-live,
-# libra-gateway and the four files named in DESIGN.md §6 do. A plain subscript
+# libra-gateway and the six files named in DESIGN.md §6 do. A plain subscript
 # is checked by the arena that handed the id out; an offset that was computed is
 # the one that walks off the end: use `.get()` and handle the miss. Prints
 # file:line per hit and exits 1 if there are any.

@@ -4,10 +4,11 @@
 # sim_engine (75,000 invocations, 300 nodes, NullPlatform) pins how many
 # events the engine pushed and popped and how many invocations were live at
 # once; sim_harvest (50,000 invocations, 200 nodes, Libra without the
-# profiler) pins what the control plane decided; sim_libra (150 invocations,
-# 100 nodes, full Libra) adds what the profiler was asked and how many rows it
-# fitted, and moves if any prediction does, because grants, loans and finish
-# times follow the predictions. Those counts say the simulated run is the same,
+# profiler) pins what the control plane decided and how many placement
+# decisions it took (one per invocation: no admission was refused and
+# retried); sim_libra (150 invocations, 100 nodes, full Libra) adds what the
+# profiler was asked and how many rows it fitted, and moves if any prediction
+# does, because grants, loans and finish times follow the predictions. Those counts say the simulated run is the same,
 # so a speed claim is made on the same run. Each workload also pins
 # hook.on_tick.calls, the monitor visits made: a node's tick visits only its
 # watched residents (DESIGN.md §2.1), one visit per invocation under
@@ -29,6 +30,7 @@ want[sim_harvest]='controlplane.loans_expired 3937
 controlplane.safeguard_triggers 7476
 engine.event_pops 1429641
 hook.on_tick.calls 2513853
+hook.select_node.calls 50000
 pool.gets 329705
 pool.puts 41742'
 want[sim_libra]='controlplane.loans_expired 9

@@ -2,8 +2,8 @@
 //! invariants: the harvest resource pool, demand coverage, the streaming
 //! histogram, and resource arithmetic.
 
-use libra::core::coverage::coverage_1d;
-use libra::core::pool::HarvestResourcePool;
+use libra::core::coverage::demand_coverage;
+use libra::core::pool::{HarvestResourcePool, PoolEntryStatus};
 use libra::ml::StreamingHistogram;
 use libra::sim::ids::InvocationId;
 use libra::sim::resources::ResourceVec;
@@ -91,17 +91,52 @@ proptest! {
         start in 0u64..100,
         dur in 1u64..200,
     ) {
-        let es: Vec<(u64, SimTime)> =
-            entries.iter().map(|&(v, e)| (v, SimTime::from_secs(e))).collect();
-        let c = coverage_1d(&es, units, SimTime::from_secs(start), SimDuration::from_secs(dur));
+        let cpu = |entries: &[(u64, u64)]| {
+            let mut snap: Vec<PoolEntryStatus> = entries
+                .iter()
+                .map(|&(v, e)| PoolEntryStatus { cpu_idle_millis: v, mem_idle_mb: 0, expiry: SimTime::from_secs(e) })
+                .collect();
+            snap.sort_by_key(|e| e.expiry);
+            let extra = ResourceVec::new(units, 0);
+            // α = 1 weighs the CPU coverage alone, exactly.
+            demand_coverage(&snap, extra, SimTime::from_secs(start), SimDuration::from_secs(dur), 1.0)
+        };
+        let c = cpu(&entries);
         prop_assert!((0.0..=1.0).contains(&c), "coverage {c} out of range");
 
         // Adding an always-valid entry can only help.
-        let mut more = es.clone();
-        more.push((units, SimTime::from_secs(start + dur + 10)));
-        let c2 = coverage_1d(&more, units, SimTime::from_secs(start), SimDuration::from_secs(dur));
+        let mut more = entries.clone();
+        more.push((units, start + dur + 10));
+        let c2 = cpu(&more);
         prop_assert!(c2 + 1e-9 >= c, "adding volume reduced coverage: {c} -> {c2}");
         prop_assert!((c2 - 1.0).abs() < 1e-9, "a full always-valid entry must saturate coverage, got {c2}");
+    }
+
+    /// The in-place fold over an expiry-ordered snapshot is the cut-scan
+    /// coverage it replaced, bit for bit: every placement decision compares
+    /// these floats, so equal bits are equal decisions. Expiries are drawn
+    /// from a few seconds' range so ties, entries expired before `now`, and
+    /// expiries on the window's edges all occur; volumes, demands and the
+    /// window may be zero.
+    #[test]
+    fn in_place_coverage_matches_the_cut_scan_bit_for_bit(
+        entries in prop::collection::vec((0u64..4000, 0u64..2048, 0u64..12), 0..24),
+        extra in (0u64..6000, 0u64..4096),
+        now in 0u64..6,
+        dur in 0u64..8,
+        alpha in prop_oneof![Just(0.0), Just(0.5), Just(0.9), Just(1.0), 0.0f64..1.0],
+    ) {
+        use support::cut_scan_coverage as reference;
+        let mut snap: Vec<PoolEntryStatus> = entries
+            .iter()
+            .map(|&(cpu, mem, e)| PoolEntryStatus { cpu_idle_millis: cpu, mem_idle_mb: mem, expiry: SimTime::from_secs(e) })
+            .collect();
+        snap.sort_by_key(|e| e.expiry);
+        let (extra, now, dur) =
+            (ResourceVec::new(extra.0, extra.1), SimTime::from_secs(now), SimDuration::from_secs(dur));
+        let got = demand_coverage(&snap, extra, now, dur, alpha);
+        let want = reference::demand_coverage(&snap, extra, now, dur, alpha);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
     }
 
     /// Histogram percentiles stay within [min, max] and are monotone in q.
@@ -167,13 +202,13 @@ fn eq_op() -> impl Strategy<Value = EqOp> {
 }
 
 proptest! {
-    /// The expiry-indexed pool is observationally equivalent to the
+    /// The expiry-ordered pool is observationally equivalent to the
     /// sorted-scan reference implementation: identical grants (sources,
     /// volumes, and order) for every hand-out policy, identical snapshots,
     /// identical totals/counters, and matching idle-time ledgers, across
     /// arbitrary put/get/give_back/remove sequences — including ones where
-    /// entries expire mid-sequence. The index invariants are re-checked
-    /// after every op.
+    /// entries expire mid-sequence. The pool's order is re-checked after
+    /// every op.
     #[test]
     fn indexed_pool_matches_sorted_scan_reference(ops in prop::collection::vec(eq_op(), 1..150)) {
         use support::sorted_scan_pool::SortedScanPool;
@@ -213,7 +248,7 @@ proptest! {
                     prop_assert_eq!(a, b, "removed volume diverged");
                 }
             }
-            indexed.check_index();
+            indexed.check_order();
             prop_assert_eq!(indexed.snapshot(now), oracle.snapshot(now), "snapshots diverged");
             prop_assert_eq!(indexed.total_idle(), oracle.total_idle());
             prop_assert_eq!(indexed.len(), oracle.len());
