@@ -1,5 +1,5 @@
 //! `exp chaos` — resilience of the harvest control plane under injected
-//! faults (libra-chaos).
+//! faults (`libra_sim::fault` plans).
 //!
 //! Two claims are checked. First, fault injection is *provably inert* when
 //! disabled: running Libra through [`Simulation::run_with_faults`] with an
@@ -14,9 +14,8 @@
 //! as faults scale up.
 
 use crate::*;
-use libra_chaos::{build_plan, ChaosConfig, ClusterShape};
 use libra_sim::engine::{SimConfig, Simulation};
-use libra_sim::fault::FaultPlan;
+use libra_sim::fault::{build_plan, ChaosConfig, ClusterShape, FaultPlan};
 use libra_sim::time::SimDuration;
 use libra_sim::trace::Trace;
 use libra_workloads::trace::TraceGen;

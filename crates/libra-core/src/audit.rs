@@ -21,18 +21,6 @@ use crate::controlplane::ControlPlane;
 #[cfg(debug_assertions)]
 static AUDITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Audits run so far in this process (always 0 in release builds).
-pub fn audit_count() -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        AUDITS.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
-}
-
 /// Validate the ledger after `event` mutated it. Panics (debug builds only)
 /// with the failing invariant and a full ledger dump.
 pub fn post_event(cp: &ControlPlane, event: &str) {
@@ -56,6 +44,18 @@ mod tests {
     use libra_sim::ids::{InvocationId, NodeId};
     use libra_sim::resources::ResourceVec;
     use libra_sim::time::SimTime;
+
+    /// Audits run so far in this process (always 0 in release builds).
+    fn audit_count() -> u64 {
+        #[cfg(debug_assertions)]
+        {
+            AUDITS.load(std::sync::atomic::Ordering::Relaxed)
+        }
+        #[cfg(not(debug_assertions))]
+        {
+            0
+        }
+    }
 
     #[test]
     fn events_are_audited_in_debug_builds() {

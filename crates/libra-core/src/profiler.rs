@@ -35,6 +35,7 @@ use libra_ml::tree::Task;
 use libra_sim::demand::InputMeta;
 use libra_sim::function::FunctionSpec;
 use libra_sim::invocation::{Actuals, Prediction, PredictionPath};
+use libra_sim::metrics::{splitmix64_at, unit_f64};
 use libra_sim::resources::{sat_u64, MILLIS_PER_CORE};
 use libra_sim::time::SimDuration;
 
@@ -142,11 +143,12 @@ impl WorkloadDuplicator {
             .map(|k| {
                 let frac = k as f64 / (self.points - 1).max(1) as f64;
                 let size = sat_u64((lo as f64 + frac * (hi - lo) as f64).round());
-                let content = splitmix(first_input.content_seed ^ self.seed, k as u64);
+                let content = splitmix64_at(first_input.content_seed ^ self.seed, k as u64);
                 let d = spec.model.demand(&InputMeta::new(size.max(1), content));
                 // measurement noise (memory measurements are steadier)
-                let n1 = 1.0 + self.noise * (unit(content, 11) - 0.5) * 2.0;
-                let n2 = 1.0 + self.noise * 0.25 * (unit(content, 12) - 0.5) * 2.0;
+                let n1 = 1.0 + self.noise * (unit_f64(splitmix64_at(content, 11)) - 0.5) * 2.0;
+                let n2 =
+                    1.0 + self.noise * 0.25 * (unit_f64(splitmix64_at(content, 12)) - 0.5) * 2.0;
                 PilotObservation {
                     size: size.max(1),
                     cpu_peak_millis: sat_u64(d.cpu_peak_millis as f64 * n1).max(1),
@@ -156,18 +158,6 @@ impl WorkloadDuplicator {
             })
             .collect()
     }
-}
-
-fn splitmix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(seed: u64, salt: u64) -> f64 {
-    (splitmix(seed, salt) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Class encodings.

@@ -24,6 +24,7 @@ use crate::coverage::demand_coverage;
 use crate::pool::{PoolEntryStatus, PoolSnapshot};
 use libra_sim::engine::World;
 use libra_sim::ids::{InvocationId, NodeId};
+use libra_sim::metrics::splitmix64;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 
@@ -111,12 +112,10 @@ pub struct ScheduleRequest {
     pub now: SimTime,
 }
 
-/// Deterministic function-id hash (splitmix). The golden traces pin it.
+/// Deterministic function-id hash: one splitmix64 step from state `f`. The
+/// golden traces pin it.
 fn hash_func(f: u32) -> u64 {
-    let mut z = (f as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(&mut u64::from(f))
 }
 
 /// The candidate whose pool snapshot gives `extra` the greatest weighted

@@ -37,23 +37,23 @@ pub struct Decision {
 }
 
 /// One shard's books: its slice of every node, its view of every node's
-/// harvest pool, and whether it is currently up.
+/// harvest pool, and whether it is currently stalled.
 struct ShardState {
     slices: Vec<Slice>,
     snapshots: Vec<PoolSnapshot>,
     alpha: f64,
-    alive: bool,
+    stalled: bool,
 }
 
 /// A fleet of scheduler shards.
 ///
-/// Shards can be [`kill`](ShardedScheduler::kill)ed and
-/// [`respawn`](ShardedScheduler::respawn)ed at runtime (fault injection). A
-/// dead shard keeps its books and degrades instead of panicking:
-/// `schedule_on` answers `node: None` (the caller retries, exactly like an
-/// unplaceable request), `try_charge` answers `false` (the loan is skipped),
-/// while `release` and `rebook` still land — capacity that running
-/// invocations give back or are restored to is never lost to a crash.
+/// A shard can be [`stall`](ShardedScheduler::stall)ed and
+/// [`resume`](ShardedScheduler::resume)d at runtime — the simulator's
+/// `FaultKind::ShardStall` / `ShardResume`, with the simulator's meaning: a
+/// stalled shard makes no new placements (`schedule_on` answers
+/// `node: None`, and the caller retries exactly as for an unplaceable
+/// request) and nothing else changes. Charges, rebookings, releases and
+/// snapshot pushes land on its books as on any other shard's.
 pub struct ShardedScheduler {
     shards: Vec<Mutex<ShardState>>,
     next: AtomicUsize,
@@ -68,7 +68,7 @@ impl ShardedScheduler {
             slices: vec![Slice::new(capacity.div(shards as u64)); nodes],
             snapshots: vec![PoolSnapshot::new(); nodes],
             alpha,
-            alive: true,
+            stalled: false,
         };
         ShardedScheduler {
             shards: (0..shards).map(|_| Mutex::new(state())).collect(),
@@ -81,21 +81,27 @@ impl ShardedScheduler {
         self.shards.len()
     }
 
-    /// Whether `shard` is currently up.
-    pub fn is_alive(&self, shard: usize) -> bool {
-        self.shards[shard].lock().alive
+    /// Whether `shard` is currently stalled (diagnostics).
+    pub fn is_stalled(&self, shard: usize) -> bool {
+        self.shards.get(shard).is_some_and(|s| s.lock().stalled)
     }
 
-    /// Kill `shard`: it stops admitting and charging until
-    /// [`respawn`](ShardedScheduler::respawn); its books survive. Idempotent.
-    pub fn kill(&self, shard: usize) {
-        self.shards[shard].lock().alive = false;
+    /// Stall `shard`: it places nothing until
+    /// [`resume`](ShardedScheduler::resume). Idempotent; a shard the fleet
+    /// does not have is ignored, as the simulator ignores it.
+    pub fn stall(&self, shard: usize) {
+        self.set_stalled(shard, true);
     }
 
-    /// Bring a killed shard back over its preserved books. No-op if the
-    /// shard is alive.
-    pub fn respawn(&self, shard: usize) {
-        self.shards[shard].lock().alive = true;
+    /// Let a stalled shard place again. Idempotent.
+    pub fn resume(&self, shard: usize) {
+        self.set_stalled(shard, false);
+    }
+
+    fn set_stalled(&self, shard: usize, stalled: bool) {
+        if let Some(s) = self.shards.get(shard) {
+            s.lock().stalled = stalled;
+        }
     }
 
     /// Schedule a request on the next shard (front-end round robin).
@@ -105,11 +111,11 @@ impl ShardedScheduler {
     }
 
     /// Schedule on a specific shard, reserving the nominal allocation on the
-    /// selected node. A dead shard answers `node: None`, the same signal as
-    /// "no capacity" — callers retry either way.
+    /// selected node. A stalled shard answers `node: None`, the same signal
+    /// as "no capacity" — callers retry either way.
     pub fn schedule_on(&self, shard: usize, req: ScheduleRequest) -> Decision {
         let mut state = self.shards[shard].lock();
-        if !state.alive {
+        if state.stalled {
             return Decision { node: None };
         }
         let fits = |i: usize| req.nominal.fits_within(&state.slices[i].free());
@@ -119,18 +125,16 @@ impl ShardedScheduler {
         Decision { node }
     }
 
-    /// Release a reservation previously granted by `shard` (dead or alive).
+    /// Release a reservation previously granted by `shard`.
     pub fn release(&self, shard: usize, node: u32, res: ResourceVec) {
         self.shards[shard].lock().slices[node as usize].release(res);
     }
 
     /// Try to re-commit `res` on `node` within `shard`'s slice (used when
     /// pooled idle capacity is lent out — lending re-commits it). `false`
-    /// means admissions already consumed the room, or the shard is down —
-    /// the conservative answer.
+    /// means admissions already consumed the room.
     pub fn try_charge(&self, shard: usize, node: u32, res: ResourceVec) -> bool {
-        let mut state = self.shards[shard].lock();
-        state.alive && state.slices[node as usize].try_reserve(res)
+        self.shards[shard].lock().slices[node as usize].try_reserve(res)
     }
 
     /// Move one resident's booking on `node` within `shard`'s slice from
@@ -144,22 +148,20 @@ impl ShardedScheduler {
         self.shards[shard].lock().slices[node as usize].rebook(from, to);
     }
 
-    /// A snapshot of `shard`'s free slice per node (works even while the
-    /// shard is down). Diagnostic: quiescence checks assert the slices
+    /// A snapshot of `shard`'s free slice per node. Diagnostic: quiescence checks assert the slices
     /// return to `capacity / shards` after a graceful drain.
     pub fn slice_free(&self, shard: usize) -> Option<Vec<ResourceVec>> {
         self.shards.get(shard).map(|s| s.lock().slices.iter().map(Slice::free).collect())
     }
 
     /// Push a fresh pool snapshot for `node` to every shard (the broadcast
-    /// health ping). Dead shards miss the update — their view goes stale,
-    /// like a real partitioned scheduler.
+    /// health ping). Test-only until the live driver grows the ping path
+    /// that pushes `ControlPlane::snapshot`; until then every shard's pool
+    /// views stay empty outside tests.
+    #[cfg(test)]
     pub fn push_snapshot(&self, node: u32, snap: &PoolSnapshot) {
         for shard in &self.shards {
-            let mut state = shard.lock();
-            if state.alive {
-                state.snapshots[node as usize].clone_from(snap);
-            }
+            shard.lock().snapshots[node as usize].clone_from(snap);
         }
     }
 }
@@ -246,40 +248,51 @@ mod tests {
     }
 
     #[test]
-    fn killed_shard_answers_none_and_respawn_preserves_slice_state() {
+    fn stalled_shard_answers_none_and_resume_preserves_slice_state() {
         // One shard, one node, 4-core slice: one 2-core request fits.
         let sched = ShardedScheduler::spawn(1, 1, ResourceVec::from_cores_mb(4, 4096), 0.9);
         assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
-        assert!(sched.is_alive(0));
+        assert!(!sched.is_stalled(0));
 
-        sched.kill(0);
-        assert!(!sched.is_alive(0));
-        assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "dead shard must answer None");
-        assert!(!sched.try_charge(0, 0, ResourceVec::from_cores_mb(1, 128)));
-        sched.kill(0); // idempotent
+        sched.stall(0);
+        assert!(sched.is_stalled(0));
+        assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "stalled shard must answer None");
+        sched.stall(0); // idempotent
+        sched.stall(7); // a shard the fleet does not have is ignored
 
-        sched.respawn(0);
-        assert!(sched.is_alive(0));
-        // The pre-kill reservation survived: one more 2-core request fits,
+        sched.resume(0);
+        assert!(!sched.is_stalled(0));
+        // The pre-stall reservation survived: one more 2-core request fits,
         // the next exhausts the slice.
         assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
         assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "slice state was preserved");
     }
 
     #[test]
-    fn release_to_a_dead_shard_is_not_lost() {
-        let sched = ShardedScheduler::spawn(1, 1, ResourceVec::from_cores_mb(4, 4096), 0.9);
-        assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
-        assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
-        sched.kill(0);
-        // The completion path releases while the shard is down; the capacity
-        // must land in the dead shard's books.
-        sched.release(0, 0, ResourceVec::from_cores_mb(2, 512));
-        sched.respawn(0);
-        assert!(
-            sched.schedule_on(0, req(0, 0)).node.is_some(),
-            "capacity released during downtime must be schedulable after respawn"
-        );
+    fn a_stalled_shard_stops_placing_and_nothing_else() {
+        // One shard, two nodes, 4-core slices, the function's home node
+        // holding one 2-core admission. While stalled, every path but
+        // placement lands on its books exactly as on a running shard's.
+        let sched = ShardedScheduler::spawn(1, 2, ResourceVec::from_cores_mb(4, 4096), 0.9);
+        let home = sched.schedule_on(0, req(0, 0)).node.expect("an empty slice admits");
+        let other = 1 - home;
+        sched.stall(0);
+        assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "no placement while stalled");
+        assert!(sched.try_charge(0, home, ResourceVec::new(1_000, 0)), "a loan still charges");
+        sched.rebook(0, home, ResourceVec::new(1_000, 0), ResourceVec::new(500, 0));
+        sched.release(0, home, ResourceVec::new(500, 0));
+        let snap = vec![PoolEntryStatus {
+            cpu_idle_millis: 4_000,
+            mem_idle_mb: 512,
+            expiry: SimTime::from_secs(100),
+        }];
+        sched.push_snapshot(other, &snap);
+        // The 2-core admission is all the home node still holds.
+        let free = sched.slice_free(0).expect("shard 0");
+        assert_eq!(free[home as usize], ResourceVec::new(2_000, 3_584));
+        sched.resume(0);
+        // The snapshot pushed while stalled steers the accelerable request.
+        assert_eq!(sched.schedule_on(0, req(3, 2_000)).node, Some(other), "snapshot was taken");
     }
 
     #[test]

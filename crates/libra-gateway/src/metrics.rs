@@ -32,7 +32,8 @@ pub struct GatewayCounters {
     pub http_400: AtomicU64,
     /// Requests answered 404 (unknown tenant or route).
     pub http_404: AtomicU64,
-    /// Requests answered 409 (their `idx` was already in flight).
+    /// Requests answered 409 (the cluster refused their `idx`: already in
+    /// flight).
     pub http_409: AtomicU64,
     /// Requests answered 413 (head or body over the size limit).
     pub http_413: AtomicU64,
@@ -187,9 +188,9 @@ pub fn render(
     );
     counter(
         &mut out,
-        "libra_live_shard_kills_total",
-        "Scheduler shard kill/respawn cycles (chaos).",
-        live.shard_kills as u64,
+        "libra_live_faults_injected_total",
+        "Fault-plan events fired (scheduler shard stalls and resumes).",
+        live.faults_injected,
     );
     out
 }
@@ -220,6 +221,7 @@ mod tests {
             "libra_gateway_stage_micros_total{stage=\"exec\"} 20",
             "libra_gateway_admission_queue_capacity 4",
             "libra_live_loans_expired_total 0",
+            "libra_live_faults_injected_total 0",
         ] {
             assert!(a.contains(needle), "metrics page must contain {needle}\n{a}");
         }

@@ -30,8 +30,6 @@ use crate::tenant::{AdmitError, TenantQuota, TenantRegistry, TenantState};
 use crate::wire;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use libra_live::cluster::{LiveCluster, LiveConfig, LiveResult, SubmitError};
-use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -92,9 +90,6 @@ struct GatewayInner {
     gate: AdmissionGate,
     counters: GatewayCounters,
     draining: AtomicBool,
-    /// In-flight invocation indices: the cluster requires idx uniqueness
-    /// among resident invocations, so duplicates are refused up front (409).
-    inflight_idx: Mutex<BTreeSet<u64>>,
     max_funcs: usize,
     t0: Instant,
 }
@@ -120,7 +115,6 @@ impl Gateway {
             gate: AdmissionGate::new(config.admission_capacity),
             counters: GatewayCounters::default(),
             draining: AtomicBool::new(false),
-            inflight_idx: Mutex::new(BTreeSet::new()),
             max_funcs: config.max_funcs,
             t0: Instant::now(),
         });
@@ -296,18 +290,6 @@ fn parse_invoke_target(target: &str) -> Option<(&str, u32)> {
     Some((tenant, func.parse().ok()?))
 }
 
-/// Releases a claimed invocation index when the request finishes.
-struct IdxGuard<'a> {
-    set: &'a Mutex<BTreeSet<u64>>,
-    idx: u64,
-}
-
-impl Drop for IdxGuard<'_> {
-    fn drop(&mut self) {
-        self.set.lock().remove(&self.idx);
-    }
-}
-
 /// The admission pipeline for one invocation request.
 fn invoke(inner: &Arc<GatewayInner>, req: &Request, tenant_name: &str, func: u32) -> Response {
     let frontend_start = Instant::now();
@@ -369,13 +351,6 @@ fn invoke(inner: &Arc<GatewayInner>, req: &Request, tenant_name: &str, func: u32
         }
     };
 
-    // Invocation ids must be unique while resident.
-    if !inner.inflight_idx.lock().insert(idx as u64) {
-        inner.counters.http_409.fetch_add(1, Ordering::Relaxed);
-        return Response::text(409, "Conflict", &format!("invocation {idx} already in flight\n"));
-    }
-    let _idx_guard = IdxGuard { set: &inner.inflight_idx, idx: idx as u64 };
-
     let rx = match inner.cluster.submit(idx, live_req) {
         Ok(rx) => rx,
         Err(SubmitError::Draining) => {
@@ -386,6 +361,11 @@ fn invoke(inner: &Arc<GatewayInner>, req: &Request, tenant_name: &str, func: u32
         Err(e @ (SubmitError::FuncOutOfRange { .. } | SubmitError::IdxOutOfRange { .. })) => {
             inner.counters.http_400.fetch_add(1, Ordering::Relaxed);
             return Response::text(400, "Bad Request", &format!("{e}\n"));
+        }
+        // Invocation ids are unique while in flight; the cluster holds them.
+        Err(e @ SubmitError::IdxInFlight { .. }) => {
+            inner.counters.http_409.fetch_add(1, Ordering::Relaxed);
+            return Response::text(409, "Conflict", &format!("{e}\n"));
         }
     };
     inner

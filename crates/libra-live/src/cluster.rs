@@ -20,7 +20,13 @@
 //! arrived and a shard slice fits it, and hands everything else — future
 //! arrivals, admissions to retry each quantum — to the one *front-door*
 //! thread's time-ordered queue (the thread that is also the progress
-//! watchdog).
+//! watchdog). A cluster runs `nodes + 1` threads, whatever it replays.
+//!
+//! Faults come from the simulator's own vocabulary: [`LiveConfig::faults`] is
+//! a [`FaultPlan`], and the front door fires each `ShardStall` /
+//! `ShardResume` at its workload instant, as
+//! `Simulation::run_with_faults` does, with the simulator's meaning (a
+//! stalled shard places nothing; see [`ShardedScheduler::stall`]).
 //!
 //! The policy — harvesting (CPU *and* memory), lending, usage-guided
 //! trimming, the safeguard's preemptive release (§5.2), the OOM rule (§5.1)
@@ -45,8 +51,8 @@
 //! [`ShardedScheduler::schedule_on`], so a function's hash home is the node
 //! the simulator would pick. This driver asks the rule only its
 //! non-accelerable half: admission sends `extra: ResourceVec::ZERO`
-//! and `now: SimTime::ZERO`, and nothing here calls
-//! [`ShardedScheduler::push_snapshot`], so every request is hashed and probed
+//! and `now: SimTime::ZERO`, and `ShardedScheduler::push_snapshot` is
+//! test-only, so every request is hashed and probed
 //! and the shards' pool views stay empty. On this substrate the coverage half
 //! is reached only by `exp fig12` (c), the `sharding.schedule_on_us` drill of
 //! `benchmarks/perf` and unit tests. Wiring it is a ping path that pushes
@@ -74,6 +80,7 @@ use libra_core::controlplane::{
 use libra_core::keepalive::{KeepAlivePolicy, PolicyKind};
 use libra_core::sharding::{ScheduleRequest, ShardedScheduler};
 use libra_sim::container::WarmPool;
+use libra_sim::fault::{FaultKind, FaultPlan};
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
 use libra_sim::invocation::{
     exec_rate_millis, mem_usage_model, oom_kills, InvState, Run, StageCursor,
@@ -82,7 +89,7 @@ use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use libra_sim::trace_spans::{ExecTrace, LoanOutcome, LoanSpan, SpanSink};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
@@ -130,25 +137,12 @@ pub struct LiveConfig {
     /// `Platform::warm_keep`, so both substrates retire idle containers by
     /// identical rules.
     pub keepalive: PolicyKind,
-    /// Optional chaos driver: kill and respawn scheduler shards while the
-    /// workload runs. `None` (the default) injects nothing.
-    pub chaos: Option<LiveChaos>,
-}
-
-/// Live fault injection: a driver thread repeatedly kills a (seeded-random)
-/// scheduler shard, holds it down, then respawns it. Admission, charging and
-/// release paths must all survive the dead shard (see
-/// [`ShardedScheduler::kill`]).
-#[derive(Clone, Debug)]
-pub struct LiveChaos {
-    /// Seed for the shard-picking stream.
-    pub seed: u64,
-    /// How many kill/respawn cycles to run.
-    pub kills: u32,
-    /// Delay before each kill.
-    pub gap: Duration,
-    /// How long the shard stays dead.
-    pub downtime: Duration,
+    /// Faults to replay, at their instants in workload µs since start: the
+    /// simulator's [`FaultPlan`] (build one with
+    /// [`libra_sim::fault::build_plan`]). Live replays its shard kinds only,
+    /// `ShardStall` and `ShardResume`; any other kind is a caller error
+    /// (debug-asserted by [`LiveCluster::start`]). Empty by default.
+    pub faults: FaultPlan,
 }
 
 impl Default for LiveConfig {
@@ -165,7 +159,7 @@ impl Default for LiveConfig {
             record_trace: false,
             trace_spans: false,
             keepalive: PolicyKind::default(),
-            chaos: None,
+            faults: FaultPlan::empty(),
         }
     }
 }
@@ -387,8 +381,9 @@ pub struct LiveResult {
     pub aborted: u64,
     /// Maximum Σ(own + lent) observed on any node (capacity invariant probe).
     pub peak_committed_cpu: u64,
-    /// Scheduler-shard kill/respawn cycles performed by the chaos driver.
-    pub shard_kills: u32,
+    /// Plan faults fired ([`LiveConfig::faults`]; the simulator's
+    /// `RunResult::faults_injected`).
+    pub faults_injected: u64,
     /// Admissions served by a policy-kept warm container.
     pub warm_hits: u64,
     /// Admissions that found no live warm container for their function.
@@ -433,6 +428,12 @@ pub enum SubmitError {
         /// The offending request index.
         idx: usize,
     },
+    /// Another in-flight request already holds this index (and so its
+    /// invocation id).
+    IdxInFlight {
+        /// The duplicated request index.
+        idx: usize,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -443,6 +444,7 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "function {func} outside deployed range 0..{n_funcs}")
             }
             SubmitError::IdxOutOfRange { idx } => write!(f, "idx {idx} is not a 32-bit id"),
+            SubmitError::IdxInFlight { idx } => write!(f, "invocation {idx} already in flight"),
         }
     }
 }
@@ -463,8 +465,8 @@ pub struct LiveStats {
     pub loans_expired: u64,
     /// Safeguard preemptive releases.
     pub safeguard_releases: u64,
-    /// Scheduler-shard kill/respawn cycles (chaos driver).
-    pub shard_kills: u32,
+    /// Plan faults fired so far ([`LiveConfig::faults`]).
+    pub faults_injected: u64,
 }
 
 struct ClusterShared {
@@ -487,13 +489,15 @@ struct ClusterShared {
     /// The front-door thread, for `submit` to unpark.
     front_thread: OnceLock<Thread>,
     submitted: AtomicUsize,
-    inflight: AtomicUsize,
+    /// Indices of the accepted requests not yet completed or aborted: the
+    /// in-flight count, and what `submit` holds a new index unique against.
+    inflight: Mutex<HashSet<usize>>,
     done_count: AtomicUsize,
     aborted: AtomicU64,
     peak_committed: AtomicU64,
-    shard_kills: AtomicU64,
+    faults_injected: AtomicU64,
     records: Mutex<Vec<LiveRecord>>,
-    /// Every thread `start` spawned: node drivers, front door, chaos driver.
+    /// Every thread `start` spawned: node drivers, then the front door.
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Execution-timeline span sink (inert unless `config.trace_spans`;
     /// recording paths check the config flag before ever taking this lock).
@@ -534,11 +538,11 @@ impl ClusterShared {
             front: Mutex::new(BTreeMap::new()),
             front_thread: OnceLock::new(),
             submitted: AtomicUsize::new(0),
-            inflight: AtomicUsize::new(0),
+            inflight: Mutex::new(HashSet::new()),
             done_count: AtomicUsize::new(0),
             aborted: AtomicU64::new(0),
             peak_committed: AtomicU64::new(0),
-            shard_kills: AtomicU64::new(0),
+            faults_injected: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
             spans: Mutex::new(SpanSink::new(config.trace_spans)),
@@ -578,11 +582,16 @@ impl ClusterShared {
         }
     }
 
-    /// An accepted request ends without a record (drain quiesce); dropping
+    /// Accepted request `idx` is no longer in flight: its index is free.
+    fn retire(&self, idx: usize) {
+        self.inflight.lock().remove(&idx);
+    }
+
+    /// Accepted request `idx` ends without a record (drain quiesce); dropping
     /// its reply sender is what disconnects the caller's receiver.
-    fn count_aborted(&self) {
+    fn count_aborted(&self, idx: usize) {
         self.aborted.fetch_add(1, Ordering::SeqCst);
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.retire(idx);
     }
 
     /// Queue `p` for the front door to (re)try at `at`. Checked against
@@ -591,7 +600,7 @@ impl ClusterShared {
     fn enqueue(&self, at: SimTime, p: Pending) {
         let mut queue = self.front.lock();
         if self.aborting.load(Ordering::SeqCst) {
-            self.count_aborted();
+            self.count_aborted(p.idx);
             return;
         }
         queue.insert((at, p.idx), p);
@@ -623,7 +632,7 @@ impl ClusterShared {
         // rather than unwinding mid-ledger.
         let Some(node) = self.nodes.get(node_id as usize) else {
             self.sched.release(shard, node_id, req.alloc);
-            self.inflight.fetch_sub(1, Ordering::SeqCst);
+            self.retire(idx);
             self.expired.store(true, Ordering::SeqCst);
             return None;
         };
@@ -634,7 +643,7 @@ impl ClusterShared {
         // holds: nothing becomes resident behind an exited driver.
         if self.aborting.load(Ordering::SeqCst) {
             self.sched.release(shard, node_id, req.alloc);
-            self.count_aborted();
+            self.count_aborted(idx);
             return None;
         }
         // Scheduler stage: submission → resident on a node with a slice.
@@ -721,8 +730,8 @@ impl ClusterShared {
         if abort {
             // Drain quiesce: unwind through the control plane so loans and
             // slice bookings are conserved, not abandoned.
-            if unwind(g, &self.sched, node, inv, now, self.sink(), false).is_some() {
-                self.count_aborted();
+            if let Some(me) = unwind(g, &self.sched, node, inv, now, self.sink(), false) {
+                self.count_aborted(me.idx);
             }
             return;
         }
@@ -797,7 +806,7 @@ impl ClusterShared {
         };
         self.records.lock().push(record);
         self.done_count.fetch_add(1, Ordering::SeqCst);
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.retire(me.idx);
         let _ = me.reply.send(record);
     }
 
@@ -823,17 +832,35 @@ impl ClusterShared {
         }
     }
 
-    /// The front-door thread: admits queued requests as they come due —
-    /// future arrivals on schedule, refused admissions once a quantum — and
-    /// doubles as the progress watchdog. On `aborting` it counts everything
-    /// still queued as aborted and exits.
+    /// Replay one plan fault. The shard kinds are live's whole vocabulary
+    /// (`LiveCluster::start` debug-asserts the plan holds nothing else).
+    fn inject(&self, kind: FaultKind) {
+        match kind {
+            FaultKind::ShardStall(shard) => self.sched.stall(shard),
+            FaultKind::ShardResume(shard) => self.sched.resume(shard),
+            FaultKind::NodeCrash(_)
+            | FaultKind::NodeRecover(_)
+            | FaultKind::AbortInvocation(_)
+            | FaultKind::PingDrop(_)
+            | FaultKind::PingDelay { .. }
+            | FaultKind::TickJitter(_) => return,
+        }
+        self.faults_injected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The front-door thread: fires plan faults at their instants, admits
+    /// queued requests as they come due — future arrivals on schedule,
+    /// refused admissions once a quantum — and doubles as the progress
+    /// watchdog. On `aborting` it counts everything still queued as aborted
+    /// and exits.
     fn front_door(&self) {
         /// How often the watchdog samples progress.
         const WATCHDOG_POLL: Duration = Duration::from_millis(2);
         let mut last = (0usize, 0usize);
         let mut stamp = Instant::now();
+        let mut faults = self.config.faults.events().iter().peekable();
         loop {
-            // Watchdog: a wedged run (dead shard, starved admission, logic
+            // Watchdog: a wedged run (unresumed stall, starved admission, logic
             // bug) must fail loudly with state attached, not hang CI.
             // Progress-based: trips only when invocations are resident but
             // neither submissions nor completions move for the whole deadline.
@@ -843,16 +870,19 @@ impl ClusterShared {
                 last = cur;
                 stamp = Instant::now();
             }
-            if self.inflight.load(Ordering::SeqCst) > 0 && stamp.elapsed() > self.config.watchdog {
+            if !self.inflight.lock().is_empty() && stamp.elapsed() > self.config.watchdog {
                 self.expired.store(true, Ordering::SeqCst);
             }
 
             let now = self.now();
+            while let Some(fault) = faults.next_if(|f| f.at <= now) {
+                self.inject(fault.kind);
+            }
             let next = loop {
                 let mut queue = self.front.lock();
                 if self.aborting.load(Ordering::SeqCst) {
-                    for _ in std::mem::take(&mut *queue) {
-                        self.count_aborted();
+                    for ((_, idx), _) in std::mem::take(&mut *queue) {
+                        self.count_aborted(idx);
                     }
                     return;
                 }
@@ -865,6 +895,7 @@ impl ClusterShared {
                     self.enqueue(now + self.quantum(), p);
                 }
             };
+            let next = next.into_iter().chain(faults.peek().map(|f| f.at)).min();
             let wait = next.map_or(WATCHDOG_POLL, |at| self.until(at).min(WATCHDOG_POLL));
             std::thread::park_timeout(wait);
         }
@@ -887,10 +918,20 @@ pub struct LiveCluster {
 impl LiveCluster {
     /// Start a cluster under `config` with `n_funcs` deployed functions
     /// (sizes the control plane's per-function safeguard history; requests
-    /// must carry `func < n_funcs`).
+    /// must carry `func < n_funcs`). `config.faults` may hold shard kinds
+    /// only (debug-asserted).
     pub fn start(config: LiveConfig, n_funcs: usize) -> Self {
+        debug_assert!(
+            config
+                .faults
+                .events()
+                .iter()
+                .all(|f| matches!(f.kind, FaultKind::ShardStall(_) | FaultKind::ShardResume(_))),
+            "live replays shard stalls and resumes only: {:?}",
+            config.faults
+        );
         let shared = Arc::new(ClusterShared::new(config, n_funcs));
-        let mut threads = Vec::with_capacity(shared.nodes.len() + 2);
+        let mut threads = Vec::with_capacity(shared.nodes.len() + 1);
         for (node_id, node) in shared.nodes.iter().enumerate() {
             let sh = Arc::clone(&shared);
             let h = std::thread::spawn(move || sh.drive_node(node_id));
@@ -903,26 +944,6 @@ impl LiveCluster {
             let _ = shared.front_thread.set(h.thread().clone());
             threads.push(h);
         }
-        // Chaos driver: a bounded number of kill/respawn cycles, so shutdown
-        // always joins.
-        if let Some(chaos) = shared.config.chaos.clone() {
-            let sched = Arc::clone(&shared.sched);
-            let shard_kills = Arc::clone(&shared);
-            let shards = shared.config.shards as u64;
-            let h = std::thread::spawn(move || {
-                let mut rng = chaos.seed;
-                for _ in 0..chaos.kills {
-                    std::thread::sleep(chaos.gap);
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let victim = ((rng >> 33) % shards) as usize;
-                    sched.kill(victim);
-                    shard_kills.shard_kills.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(chaos.downtime);
-                    sched.respawn(victim);
-                }
-            });
-            threads.push(h);
-        }
         *shared.threads.lock() = threads;
         LiveCluster { shared }
     }
@@ -930,7 +951,8 @@ impl LiveCluster {
     /// Admit one request. `idx` is the caller's stable request index: it
     /// becomes the invocation id (`InvocationId(idx)`, so it must fit `u32`),
     /// keys the scheduler shard (`idx % shards`), and must be unique among
-    /// in-flight requests.
+    /// in-flight requests ([`SubmitError::IdxInFlight`] otherwise; it is free
+    /// again once its request completes or is aborted).
     /// Returns a one-shot receiver that yields the completion record; if the
     /// invocation is drained away before completing, the sender is dropped
     /// and the receiver reports disconnection instead.
@@ -949,7 +971,9 @@ impl LiveCluster {
         if u32::try_from(idx).is_err() {
             return Err(SubmitError::IdxOutOfRange { idx });
         }
-        sh.inflight.fetch_add(1, Ordering::SeqCst);
+        if !sh.inflight.lock().insert(idx) {
+            return Err(SubmitError::IdxInFlight { idx });
+        }
         sh.submitted.fetch_add(1, Ordering::SeqCst);
         let (reply, rx) = bounded(1);
         let p = Pending { idx, req, reply, stage: None };
@@ -979,7 +1003,7 @@ impl LiveCluster {
 
     /// Currently resident invocations (admitted or queued for admission).
     pub fn inflight(&self) -> usize {
-        self.shared.inflight.load(Ordering::SeqCst)
+        self.shared.inflight.lock().len()
     }
 
     /// Whether the watchdog has declared the run wedged. Frontends blocked
@@ -1030,11 +1054,11 @@ impl LiveCluster {
         LiveStats {
             submitted: sh.submitted.load(Ordering::SeqCst),
             completed: sh.done_count.load(Ordering::SeqCst),
-            inflight: sh.inflight.load(Ordering::SeqCst),
+            inflight: sh.inflight.lock().len(),
             aborted: sh.aborted.load(Ordering::SeqCst),
             loans_expired,
             safeguard_releases,
-            shard_kills: sh.shard_kills.load(Ordering::Relaxed) as u32,
+            faults_injected: sh.faults_injected.load(Ordering::Relaxed),
         }
     }
 
@@ -1054,7 +1078,7 @@ impl LiveCluster {
         let sh = &self.shared;
         sh.draining.store(true, Ordering::SeqCst);
         let t = Instant::now();
-        while sh.inflight.load(Ordering::SeqCst) > 0
+        while !sh.inflight.lock().is_empty()
             && !sh.expired.load(Ordering::SeqCst)
             && t.elapsed() < grace
         {
@@ -1104,7 +1128,7 @@ impl LiveCluster {
             safeguard_releases: stats.safeguard_releases,
             aborted: stats.aborted,
             peak_committed_cpu: sh.peak_committed.load(Ordering::Relaxed),
-            shard_kills: stats.shard_kills,
+            faults_injected: stats.faults_injected,
             warm_hits,
             cold_starts,
             actions_by_node,
@@ -1153,7 +1177,7 @@ impl LiveCluster {
             sh.config.watchdog
         );
         for shard in 0..sh.config.shards {
-            let _ = writeln!(dump, "shard {shard}: alive={}", sh.sched.is_alive(shard));
+            let _ = writeln!(dump, "shard {shard}: stalled={}", sh.sched.is_stalled(shard));
         }
         let _ = writeln!(dump, "front door: {} queued for admission", sh.front.lock().len());
         let now = sh.now();
@@ -1223,6 +1247,7 @@ pub fn run_live(workload: &[LiveRequest], config: &LiveConfig) -> LiveResult {
 mod tests {
     use super::*;
     use crate::workload::mixed_workload;
+    use libra_sim::fault::{build_plan, ChaosConfig, ClusterShape};
     use libra_sim::invocation::{Prediction, PredictionPath};
     use libra_sim::platform::LoanEnd;
 
@@ -1239,7 +1264,7 @@ mod tests {
             record_trace: false,
             trace_spans: false,
             keepalive: PolicyKind::default(),
-            chaos: None,
+            faults: FaultPlan::empty(),
         }
     }
 
@@ -1281,21 +1306,24 @@ mod tests {
     }
 
     #[test]
-    fn survives_scheduler_shard_kills() {
+    fn survives_scheduler_shard_stalls() {
+        // Four stalls of 240 workload ms (30 real ms), drawn inside the first
+        // 600 workload ms: the 40 arrivals, 25 ms apart, outlast every resume.
         let w = mixed_workload(40, 13);
         let mut c = cfg(true);
-        c.chaos = Some(LiveChaos {
-            seed: 99,
-            kills: 4,
-            gap: Duration::from_millis(15),
-            downtime: Duration::from_millis(30),
-        });
+        let chaos = ChaosConfig {
+            shard_stalls: 4.0,
+            shard_stall_duration: SimDuration::from_millis(240),
+            ..ChaosConfig::quiet(99, SimDuration::from_millis(600))
+        };
+        c.faults = build_plan(&chaos, &ClusterShape { nodes: 2, shards: 2, invocations: 40 });
+        assert_eq!(c.faults.len(), 8);
         let r = run_live(&w, &c);
-        assert_eq!(r.shard_kills, 4);
-        assert_eq!(r.records.len(), 40, "every request must complete despite dead shards");
+        assert_eq!(r.faults_injected, 8, "every stall and resume fires");
+        assert_eq!(r.records.len(), 40, "every request must complete despite stalled shards");
         assert!(
             r.peak_committed_cpu <= 16_000,
-            "capacity invariant must hold through kill/respawn, got {}",
+            "capacity invariant must hold through stall/resume, got {}",
             r.peak_committed_cpu
         );
     }
@@ -1437,7 +1465,7 @@ mod tests {
             }),
         };
         let admit = |idx: usize, req| {
-            sh.inflight.fetch_add(1, Ordering::SeqCst);
+            sh.inflight.lock().insert(idx);
             let (reply, _) = bounded(1);
             assert!(sh.admit(Pending { idx, req, reply, stage: None }).is_none(), "#{idx} fits");
             balanced(&format!("admitting #{idx}"));
@@ -1507,7 +1535,7 @@ mod tests {
         }
         drop(g);
         assert_eq!(sh.aborted.load(Ordering::SeqCst), 4);
-        assert_eq!(sh.inflight.load(Ordering::SeqCst), 0);
+        assert!(sh.inflight.lock().is_empty());
         LiveCluster { shared: Arc::new(sh) }.conservation_report().expect("drained clean");
     }
 
@@ -1598,6 +1626,30 @@ mod tests {
             assert!(rx.recv().is_err(), "an aborted request's receiver must disconnect");
         }
         cluster.conservation_report().expect("nothing queued held a slice");
+    }
+
+    #[test]
+    fn an_idx_is_refused_while_it_is_in_flight_and_free_again_after() {
+        let cluster = LiveCluster::start(cfg(true), 1);
+        // An arrival an hour out holds idx 7 in the front door's queue.
+        let queued = cluster.submit(7, plain_request(3_600_000 * 8, 1_000, 5)).expect("accepted");
+        let dup = cluster.submit(7, plain_request(0, 1_000, 5));
+        assert_eq!(dup.err(), Some(SubmitError::IdxInFlight { idx: 7 }));
+        assert_eq!(cluster.inflight(), 1, "the refusal books nothing");
+        // A resident holds its idx too, and frees it when it completes.
+        let rx = cluster.submit(8, plain_request(0, 1_000, 5)).expect("accepted");
+        assert_eq!(
+            cluster.submit(8, plain_request(0, 1_000, 5)).err(),
+            Some(SubmitError::IdxInFlight { idx: 8 })
+        );
+        rx.recv().expect("completes");
+        let again = cluster.submit(8, plain_request(0, 1_000, 5)).expect("idx 8 is free again");
+        again.recv().expect("completes");
+        let r = cluster.shutdown(Duration::ZERO);
+        assert_eq!(r.records.len(), 2);
+        assert_eq!(r.aborted, 1, "only the hour-out arrival is drained");
+        assert!(queued.recv().is_err());
+        cluster.conservation_report().expect("drained clean");
     }
 
     #[test]

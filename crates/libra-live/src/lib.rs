@@ -43,7 +43,7 @@ pub mod cluster;
 pub mod workload;
 
 pub use cluster::{
-    run_live, LiveChaos, LiveCluster, LiveConfig, LiveRecord, LiveResult, LiveStats, SubmitError,
+    run_live, LiveCluster, LiveConfig, LiveRecord, LiveResult, LiveStats, SubmitError,
 };
 pub use workload::{mixed_workload, LiveRequest};
 

@@ -43,17 +43,6 @@ impl LiveRequest {
     pub fn base_duration_ms(&self) -> u64 {
         self.work_mcore_ms / self.demand_cpu_millis.max(1)
     }
-
-    /// An exact prediction for this request's demands and duration, with
-    /// `mem_pad_mb` of headroom on the memory estimate.
-    pub fn exact_pred(&self, mem_pad_mb: u64) -> Prediction {
-        Prediction {
-            cpu_millis: self.demand_cpu_millis,
-            mem_mb: self.demand_mem_mb + mem_pad_mb,
-            duration: SimDuration::from_millis(self.base_duration_ms()),
-            path: PredictionPath::Histogram,
-        }
-    }
 }
 
 /// A synthetic live workload mixing over-provisioned donors and
@@ -120,7 +109,6 @@ mod tests {
             pred: None,
         };
         assert_eq!(r.base_duration_ms(), 1_000);
-        assert_eq!(r.exact_pred(64).mem_mb, 320);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   restore, the release at the end) racing each other neither mint nor leak
 //!   capacity — however far the slice was over-reserved in between, nothing
 //!   is reserved once every resident is booked back to nothing,
-//! * a shard kill/respawn racing a release loses no freed capacity.
+//! * a shard stall/resume racing a release loses no freed capacity.
 
 #![cfg(loom)]
 
@@ -119,31 +119,31 @@ fn rebooked_restores_racing_end_with_nothing_reserved() {
 }
 
 #[test]
-fn release_racing_shard_kill_loses_nothing() {
+fn release_racing_shard_stall_loses_nothing() {
     loom::model(|| {
         let s = Arc::new(sched());
         // Admit 2 cores so there is a real charge to give back.
         let d = s.schedule_on(0, req(ResourceVec::new(2_000, 1_024)));
         assert!(d.node.is_some(), "empty slice must admit 2 cores");
 
-        let killer = {
+        let staller = {
             let s = Arc::clone(&s);
             loom::thread::spawn(move || {
-                s.kill(0);
-                s.respawn(0);
+                s.stall(0);
+                s.resume(0);
             })
         };
         let releaser = {
             let s = Arc::clone(&s);
             loom::thread::spawn(move || {
-                // Lands before the kill, while the shard is down, or after
-                // the respawn — the dead shard's books take it all the same.
+                // Lands before the stall, while the shard is stalled, or
+                // after the resume — the shard's books take it all the same.
                 s.release(0, 0, ResourceVec::new(2_000, 1_024));
             })
         };
-        killer.join().unwrap();
+        staller.join().unwrap();
         releaser.join().unwrap();
-        assert!(s.is_alive(0), "shard must be back up after respawn");
+        assert!(!s.is_stalled(0), "shard must place again after the resume");
         assert_nothing_reserved(&s);
     });
 }

@@ -44,11 +44,6 @@ impl Dataset {
         self.y.is_empty()
     }
 
-    /// Number of feature columns (0 when empty).
-    pub fn num_features(&self) -> usize {
-        self.x.first().map(Vec::len).unwrap_or(0)
-    }
-
     /// Deterministically shuffle and split into (train, test) with
     /// `train_frac` of rows in train — the paper's 7:3 split (§8.2.3) is
     /// `train_frac = 0.7`.
@@ -78,11 +73,6 @@ impl Dataset {
     pub fn labels(&self) -> Vec<usize> {
         self.y.iter().map(|&v| v.round().max(0.0) as usize).collect()
     }
-
-    /// Number of distinct classes (max label + 1).
-    pub fn num_classes(&self) -> usize {
-        self.labels().into_iter().max().map_or(0, |m| m + 1)
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +93,7 @@ mod tests {
         let (tr, te) = d.train_test_split(0.7, 42);
         assert_eq!(tr.len(), 70);
         assert_eq!(te.len(), 30);
-        assert_eq!(tr.num_features(), 2);
+        assert!(tr.x.iter().all(|row| row.len() == 2));
     }
 
     #[test]
@@ -119,8 +109,8 @@ mod tests {
     #[test]
     fn labels_and_classes() {
         let d = toy(9);
-        assert_eq!(d.num_classes(), 3);
         assert_eq!(d.labels()[..3], [0, 1, 2]);
+        assert_eq!(d.labels().into_iter().max(), Some(2));
     }
 
     #[test]
@@ -133,7 +123,7 @@ mod tests {
     fn empty_dataset_basics() {
         let d = Dataset::new();
         assert!(d.is_empty());
-        assert_eq!(d.num_features(), 0);
-        assert_eq!(d.num_classes(), 0);
+        assert!(d.x.is_empty());
+        assert!(d.labels().is_empty());
     }
 }

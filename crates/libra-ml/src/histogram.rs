@@ -36,11 +36,6 @@ impl StreamingHistogram {
         }
     }
 
-    /// Default shape: 64 bins over `[0, 1)`, growing as needed.
-    pub fn with_defaults() -> Self {
-        Self::new(64, 1.0)
-    }
-
     /// Number of samples ingested.
     pub fn count(&self) -> u64 {
         self.count
@@ -110,14 +105,14 @@ mod tests {
 
     #[test]
     fn empty_has_no_percentile() {
-        let h = StreamingHistogram::with_defaults();
+        let h = StreamingHistogram::new(64, 1.0);
         assert!(h.percentile(50.0).is_none());
         assert_eq!(h.count(), 0);
     }
 
     #[test]
     fn single_sample_percentiles_collapse() {
-        let mut h = StreamingHistogram::with_defaults();
+        let mut h = StreamingHistogram::new(64, 1.0);
         h.insert(0.42);
         for q in [0.0, 5.0, 50.0, 99.0, 100.0] {
             let p = h.percentile(q).unwrap();
@@ -167,7 +162,7 @@ mod tests {
 
     #[test]
     fn negative_and_nonfinite_inputs_are_safe() {
-        let mut h = StreamingHistogram::with_defaults();
+        let mut h = StreamingHistogram::new(64, 1.0);
         h.insert(-5.0); // clamped to 0
         h.insert(f64::NAN); // ignored
         h.insert(f64::INFINITY); // ignored

@@ -229,13 +229,27 @@ impl Default for QuantileSketch {
     }
 }
 
-/// splitmix64 step — tiny, seedable, and dependency-free.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64 step — tiny, seedable, and dependency-free: advance `state` by
+/// the golden-ratio increment and return its mix. The workspace's one copy:
+/// the sketch, fault plans, pilot noise, app demand and the function hash all
+/// draw from it.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One [`splitmix64`] step from the state `seed ^ salt·φ`: a stateless hash
+/// of `(seed, salt)`, so one seed yields an independent draw per salt.
+pub fn splitmix64_at(seed: u64, salt: u64) -> u64 {
+    splitmix64(&mut (seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
+/// The top 53 bits of `bits` as a uniform `f64` in `[0, 1)`.
+pub fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl QuantileSketch {
@@ -620,7 +634,7 @@ mod tests {
         let mut sk = QuantileSketch::default();
         let mut state = 42u64;
         for _ in 0..100_000 {
-            let x = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            let x = unit_f64(splitmix64(&mut state));
             sk.push(x);
         }
         assert!(!sk.is_exact());
@@ -633,10 +647,18 @@ mod tests {
         let mut sk2 = QuantileSketch::default();
         let mut state2 = 42u64;
         for _ in 0..100_000 {
-            let x = (splitmix64(&mut state2) >> 11) as f64 / (1u64 << 53) as f64;
+            let x = unit_f64(splitmix64(&mut state2));
             sk2.push(x);
         }
         assert_eq!(sk.quantiles(&[1.0, 50.0, 99.0]), sk2.quantiles(&[1.0, 50.0, 99.0]));
+    }
+
+    #[test]
+    fn salted_draws_are_in_the_unit_interval_and_spread() {
+        let vals: Vec<f64> = (0..1000).map(|i| unit_f64(splitmix64_at(i, 3))).collect();
+        assert!(vals.iter().all(|v| (0.0..1.0).contains(v)));
+        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+        assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl ResourceVec {
         assert!(k > 0, "division of a ResourceVec by zero shards");
         ResourceVec { cpu_millis: self.cpu_millis / k, mem_mb: self.mem_mb / k }
     }
-
-    /// Scale both dimensions by an integer factor.
-    pub fn mul(&self, k: u64) -> ResourceVec {
-        ResourceVec { cpu_millis: self.cpu_millis * k, mem_mb: self.mem_mb * k }
-    }
 }
 
 impl Add for ResourceVec {
@@ -183,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn min_max_div_mul() {
+    fn min_max_div() {
         let a = ResourceVec::new(100, 400);
         let b = ResourceVec::new(300, 50);
         assert_eq!(a.min(&b), ResourceVec::new(100, 50));
@@ -192,7 +187,6 @@ mod tests {
             ResourceVec::from_cores_mb(32, 32_768).div(4),
             ResourceVec::from_cores_mb(8, 8192)
         );
-        assert_eq!(a.mul(3), ResourceVec::new(300, 1200));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use libra_sim::demand::{DemandModel, InputMeta, TrueDemand};
 use libra_sim::function::FunctionSpec;
 use libra_sim::ids::FunctionId;
+use libra_sim::metrics::{splitmix64_at, unit_f64};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::SimDuration;
 use std::sync::Arc;
@@ -146,21 +147,6 @@ impl AppKind {
     }
 }
 
-/// SplitMix64: a tiny, high-quality hash for deriving deterministic
-/// pseudo-random content behaviour from `(content_seed, salt)`.
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform f64 in [0, 1) from `(seed, salt)`.
-fn unif(seed: u64, salt: u64) -> f64 {
-    (mix(seed, salt) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// The analytic demand model of one application.
 #[derive(Clone, Copy, Debug)]
 pub struct AppModel {
@@ -209,9 +195,9 @@ impl AppModel {
 
     fn content_demand(&self, seed: u64) -> (f64, f64, f64) {
         // Draw from app-specific distributions keyed only on content.
-        let a = unif(seed, 1);
-        let b = unif(seed, 2);
-        let c = unif(seed, 3);
+        let a = unit_f64(splitmix64_at(seed, 1));
+        let b = unit_f64(splitmix64_at(seed, 2));
+        let c = unit_f64(splitmix64_at(seed, 3));
         match self.kind {
             AppKind::Vp => {
                 // Heavy video workloads: long executions, chronically beyond
@@ -248,7 +234,7 @@ impl PipeNoise for (f64, f64, f64) {
 impl DemandModel for AppModel {
     fn demand(&self, input: &InputMeta) -> TrueDemand {
         let (cores, mem, ms) = if self.kind.input_size_related() {
-            let noise = unif(input.content_seed, 0xA0);
+            let noise = unit_f64(splitmix64_at(input.content_seed, 0xA0));
             self.size_related_demand(input.size as f64, noise)
         } else {
             self.content_demand(input.content_seed)
@@ -386,13 +372,5 @@ mod tests {
         assert_eq!(unrel.len(), 5);
         assert!(rel_kinds.iter().all(AppKind::input_size_related));
         assert!(unrel_kinds.iter().all(|k| !k.input_size_related()));
-    }
-
-    #[test]
-    fn unif_is_in_unit_interval_and_spread() {
-        let vals: Vec<f64> = (0..1000).map(|i| unif(i, 3)).collect();
-        assert!(vals.iter().all(|v| (0.0..1.0).contains(v)));
-        let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-        assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
     }
 }

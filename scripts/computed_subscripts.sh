@@ -15,7 +15,7 @@
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
-found=$(find crates/libra-{sim,core,ml,workloads,chaos,baselines}/src -name '*.rs' | sort | xargs awk '
+found=$(find crates/libra-{sim,core,ml,workloads,baselines}/src -name '*.rs' | sort | xargs awk '
   FNR == 1 { skip = 0 }
   /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
   skip || /^[[:space:]]*\/\// { next }

@@ -2,19 +2,24 @@
 # Public functions nobody calls: every `pub fn` / `pub(crate) fn` name declared
 # under crates/*/src and src/ that occurs exactly once — its own declaration —
 # as a word in the Rust sources of crates/, src/, tests/, examples/ and
-# benchmarks/perf/src (comment-only lines skipped, so a doc mention does not
-# keep a function alive). Prints one name per line and exits 1 if there are any.
+# benchmarks/perf/src. Comment-only lines are skipped, so a doc mention does not
+# keep a function alive, and so is a file's `#[cfg(test)]` section (from its
+# first `#[cfg(test)]` line on, as scripts/loc.sh counts), so a function whose
+# only callers are its own unit tests is reported too. Prints one name per line
+# and exits 1 if there are any.
 #
 # It counts words, not resolved paths, so it cannot see a dead function whose
 # name collides with a live one (another type's `new`, a field or a local of
-# the same name, the name inside a string), nor one called only by its own unit
-# tests. It never reports a live function.
+# the same name, the name inside a string). It never reports a function that
+# non-test code calls.
 # Run from anywhere: ./scripts/dead_api.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
 dead=$(find crates src tests examples benchmarks/perf/src -name '*.rs' -print0 | xargs -0 awk '
-  /^[[:space:]]*\/\// { next }
+  FNR == 1 { skip = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+  skip || /^[[:space:]]*\/\// { next }
   {
     line = $0
     while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {

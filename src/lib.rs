@@ -11,7 +11,6 @@
 //! * [`core`] — Libra itself: profiler, harvest resource pool, safeguard,
 //!   demand coverage, decentralized sharding scheduler,
 //! * [`baselines`] — OpenWhisk default, the Freyr stand-in, RR/JSQ/MWS,
-//! * [`chaos`] — deterministic fault-injection plans for resilience testing,
 //! * [`live`] — the real-thread sharded control plane,
 //! * [`gateway`] — the multi-tenant HTTP admission frontend over [`live`]:
 //!   quotas, rate limits, backpressure, graceful drain and `/metrics`.
@@ -24,7 +23,6 @@
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 pub use libra_baselines as baselines;
-pub use libra_chaos as chaos;
 pub use libra_core as core;
 pub use libra_gateway as gateway;
 pub use libra_live as live;

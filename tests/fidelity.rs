@@ -754,3 +754,54 @@ fn placement_agrees_on_four_nodes() {
     assert_eq!(sim_homes, live_homes, "a function's home node must not depend on the substrate");
     assert!(sim_homes.iter().any(|&n| n != sim_homes[0]), "scenario must spread: {sim_homes:?}");
 }
+
+/// One fault vocabulary: the plan `build_plan` draws for the simulator is the
+/// plan the live cluster replays, at the same workload instants. Three shard
+/// stalls of 150 ms each, drawn inside the first 400 ms of eight arrivals
+/// 100 ms apart on two shards, so every stall and resume fires before the
+/// last invocation completes on either substrate.
+#[test]
+fn one_shard_stall_plan_replays_on_sim_and_live() {
+    use libra::sim::fault::{build_plan, ChaosConfig, ClusterShape, FaultKind};
+    const ONE: Actor = Actor { alloc: (1_000, 256), demand: (1_000, 128, 50), pred: (0, 0, 0) };
+    let actors: Vec<Actor> = (0..8).map(|_| ONE).collect();
+    let arrivals_ms: Vec<u64> = (0..8).map(|i| i * 100).collect();
+    let capacity = ResourceVec::from_cores_mb(16, 16 * 1024);
+    let chaos = ChaosConfig {
+        shard_stalls: 3.0,
+        shard_stall_duration: SimDuration::from_millis(150),
+        ..ChaosConfig::quiet(11, SimDuration::from_millis(400))
+    };
+    let plan = build_plan(&chaos, &ClusterShape { nodes: 2, shards: 2, invocations: 8 });
+    assert_eq!(plan.len(), 6, "{plan:?}");
+    assert!(plan
+        .events()
+        .iter()
+        .all(|f| matches!(f.kind, FaultKind::ShardStall(_) | FaultKind::ShardResume(_))));
+
+    let (funcs, trace) = sim_scenario(&actors, &arrivals_ms);
+    let sim =
+        Simulation::new(funcs, vec![capacity; 2], SimConfig { shards: 2, ..SimConfig::default() });
+    let sim_result = sim.run_with_faults(&trace, &mut LibraPlatform::new(LibraConfig::np()), &plan);
+    assert_eq!(sim_result.records.len(), 8, "every sim invocation completes");
+
+    let workload: Vec<LiveRequest> = live_requests(&actors, &arrivals_ms)
+        .into_iter()
+        .map(|r| LiveRequest { pred: None, ..r })
+        .collect();
+    let cfg = LiveConfig {
+        nodes: 2,
+        capacity,
+        shards: 2,
+        harvesting: true,
+        quantum: Duration::from_millis(1),
+        time_scale: 4.0,
+        faults: plan.clone(),
+        ..LiveConfig::default()
+    };
+    let live_result = run_live(&workload, &cfg);
+    assert_eq!(live_result.records.len(), 8, "every live invocation completes");
+
+    assert_eq!(sim_result.faults_injected, plan.len() as u64);
+    assert_eq!(live_result.faults_injected, sim_result.faults_injected);
+}

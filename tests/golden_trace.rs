@@ -19,9 +19,9 @@
 //! Regenerate deliberately with `LIBRA_BLESS=1 cargo test --test
 //! golden_trace` after verifying a behavioural change is intended.
 
-use libra::chaos::{build_plan, ChaosConfig, ClusterShape};
 use libra::core::{LibraConfig, LibraPlatform};
 use libra::sim::engine::{SimConfig, Simulation};
+use libra::sim::fault::{build_plan, ChaosConfig, ClusterShape};
 use libra::sim::metrics::RunResult;
 use libra::sim::time::SimDuration;
 use libra::workloads::trace::TraceGen;

@@ -388,7 +388,7 @@ proptest! {
         delays in 0.0f64..3.0,
         jitters in 0.0f64..4.0,
     ) {
-        use libra::chaos::{build_plan, ChaosConfig, ClusterShape};
+        use libra::sim::fault::{build_plan, ChaosConfig, ClusterShape};
         use libra::core::{LibraConfig, LibraPlatform};
         use libra::sim::engine::{SimConfig, Simulation};
         use libra::workloads::trace::TraceGen;
@@ -447,7 +447,7 @@ proptest! {
         aborts in 0.0f64..4.0,
         stalls in 0.0f64..2.0,
     ) {
-        use libra::chaos::{build_plan, ChaosConfig, ClusterShape};
+        use libra::sim::fault::{build_plan, ChaosConfig, ClusterShape};
         use libra::core::{LibraConfig, LibraPlatform};
         use libra::sim::engine::{SimConfig, Simulation};
         use libra::workloads::trace::TraceGen;

@@ -13,12 +13,12 @@
 //! Libra, the control plane's action trace.
 
 use libra::baselines::Freyr;
-use libra::chaos::{build_plan, ChaosConfig, ClusterShape};
 use libra::core::controlplane::Action;
 use libra::core::keepalive::{PolicyKind, WithKeepAlive};
 use libra::core::{LibraConfig, LibraPlatform};
 use libra::sim::engine::{NullPlatform, SimConfig, SimCtx, Simulation, World};
 use libra::sim::fault::FaultPlan;
+use libra::sim::fault::{build_plan, ChaosConfig, ClusterShape};
 use libra::sim::ids::{FunctionId, InvocationId, NodeId};
 use libra::sim::invocation::{Actuals, Loan, Prediction};
 use libra::sim::metrics::RunResult;
