@@ -170,6 +170,10 @@ pub struct World {
     faults_fired: u64,
     drop_pings: Vec<u32>,
     delay_ping: Vec<Option<SimDuration>>,
+    /// The nodes an [`Event::PingRound`] pings, in node order: every node
+    /// until an injected delay (other than exactly one interval) moves it
+    /// onto its own [`Event::HealthPing`] chain.
+    ping_round: Vec<NodeId>,
     tick_jitter: Option<SimDuration>,
     /// Per node, the cached [`World::node_running_eff_cpu`] sum; `None` after
     /// anything that can change it, recomputed by the next read. A `Cell`
@@ -533,13 +537,25 @@ impl World {
         }
     }
 
+    /// Arm the ping round at `at` for the nodes still in it; once every
+    /// node has left for its own chain there is no round.
+    fn push_ping_round(&mut self, at: SimTime) {
+        if !self.ping_round.is_empty() {
+            let members = u32::try_from(self.ping_round.len()).unwrap_or(u32::MAX);
+            self.queue.push(at, Event::PingRound { members });
+        }
+    }
+
     /// Capacity may have been freed: give every shard's parked invocations
     /// one retry at the current instant.
     fn wake_blocked(&mut self) {
         for s in 0..self.shards.len() {
             if !self.shards[s].blocked.is_empty() && !self.shards[s].retry_pending {
                 self.shards[s].retry_pending = true;
-                self.queue.push(self.clock, Event::RetryBlocked { shard: s });
+                self.queue.push(
+                    self.clock,
+                    Event::RetryBlocked { shard: u32::try_from(s).unwrap_or(u32::MAX) },
+                );
             }
         }
     }
@@ -980,6 +996,7 @@ impl Simulation {
                 faults_fired: 0,
                 drop_pings: Vec::new(),
                 delay_ping: Vec::new(),
+                ping_round: Vec::new(),
                 tick_jitter: None,
                 running_eff_cpu,
                 pops_by_kind: [KindPops::default(); EVENT_KINDS],
@@ -1040,17 +1057,14 @@ impl Simulation {
             return RunResult { platform: platform.name(), ..RunResult::default() };
         }
         w.invs = InvArena::with_id_capacity(total);
-        // Periodic events.
+        // Periodic events: every node's first ping is one round.
         w.queue.push(SimTime::ZERO, Event::UtilizationSample);
-        for n in 0..w.nodes.len() {
-            w.queue.push(
-                SimTime::ZERO + PING_INTERVAL,
-                Event::HealthPing(NodeId(u32::try_from(n).unwrap_or(u32::MAX))),
-            );
-        }
+        let round: Vec<NodeId> = w.node_ids().collect();
+        w.ping_round = round;
+        w.push_ping_round(SimTime::ZERO + PING_INTERVAL);
         // Injected faults (none in the common case).
         for f in faults.events() {
-            w.queue.push(f.at, Event::Fault(f.kind));
+            w.queue.push(f.at, Event::Fault(Box::new(f.kind)));
         }
         platform.init(w);
 
@@ -1058,14 +1072,24 @@ impl Simulation {
         // events, so the queue holds only the dynamic future. Under the old
         // eager seeding every arrival carried a lower sequence number than
         // any dynamic event, so an arrival due at or before the queue head
-        // always won the tie — the `<=` below reproduces that order exactly.
+        // always won the tie — `pop_before` pops only a head strictly
+        // earlier than the next arrival, which reproduces that order exactly.
         let mut next = 0usize;
         while w.completed + w.aborted < total {
-            let arrival_due = next < total && {
-                let at = trace.entries[order[next] as usize].at;
-                w.queue.peek_time().is_none_or(|q| at <= q)
-            };
-            if arrival_due {
+            let arrival = (next < total).then(|| trace.entries[order[next] as usize].at);
+            let Some((at, ev)) = w.queue.pop_before(arrival) else {
+                if arrival.is_none() {
+                    // A drained queue with in-flight invocations is a
+                    // scheduling deadlock: end the run and let the metrics
+                    // report the shortfall instead of aborting a multi-hour
+                    // sweep.
+                    debug_assert!(
+                        false,
+                        "event queue drained with {} completed + {} aborted of {total} invocations",
+                        w.completed, w.aborted
+                    );
+                    break;
+                }
                 let e = &trace.entries[order[next] as usize];
                 debug_assert!(e.at >= w.clock, "time went backwards");
                 assert!(
@@ -1083,17 +1107,6 @@ impl Simulation {
                 );
                 next += 1;
                 continue;
-            }
-            let Some((at, ev)) = w.queue.pop() else {
-                // A drained queue with in-flight invocations is a scheduling
-                // deadlock: end the run and let the metrics report the
-                // shortfall instead of aborting a multi-hour sweep.
-                debug_assert!(
-                    false,
-                    "event queue drained with {} completed + {} aborted of {total} invocations",
-                    w.completed, w.aborted
-                );
-                break;
             };
             debug_assert!(at >= w.clock, "time went backwards");
             assert!(
@@ -1103,11 +1116,11 @@ impl Simulation {
                 w.completed
             );
             w.clock = at;
-            let kind = ev.kind();
-            if Self::dispatch(w, platform, ev, total) {
-                w.pops_by_kind[kind].handled += 1;
+            let (kind, weight) = (ev.kind(), ev.weight());
+            if Self::dispatch(w, platform, ev) {
+                w.pops_by_kind[kind].handled += weight;
             } else {
-                w.pops_by_kind[kind].stale += 1;
+                w.pops_by_kind[kind].stale += weight;
             }
         }
         #[cfg(debug_assertions)]
@@ -1156,10 +1169,12 @@ impl Simulation {
     /// Run one popped event's handler. `false` means the handler dropped the
     /// event at its staleness check (a lazily-cancelled `StartExec`, `Finish`
     /// or `Requeue`, a `NodeTick` that found its node empty and ended the
-    /// chain); everything else is `true`.
-    fn dispatch(w: &mut World, platform: &mut dyn Platform, ev: Event, total: usize) -> bool {
+    /// chain); everything else is `true`. Periodic events re-arm
+    /// unconditionally: the run loop dispatches only while invocations are
+    /// in flight, and neither a ping nor a sample completes one.
+    fn dispatch(w: &mut World, platform: &mut dyn Platform, ev: Event) -> bool {
         match ev {
-            Event::DecisionDone { shard } => Self::on_decision_done(w, platform, shard),
+            Event::DecisionDone { shard } => Self::on_decision_done(w, platform, shard as usize),
             Event::StartExec { inv, attempt } => {
                 return Self::on_start_exec(w, platform, inv, attempt)
             }
@@ -1169,38 +1184,33 @@ impl Simulation {
             Event::MonitorTick { .. } => return false, // never pushed: see its doc
             Event::NodeTick(node) => return Self::on_node_tick(w, platform, node),
             Event::HealthPing(node) => {
+                let at = w.clock + Self::ping(w, platform, node);
+                w.queue.push(at, Event::HealthPing(node));
+            }
+            Event::PingRound { members } => {
+                debug_assert_eq!(members as usize, w.ping_round.len());
                 let now = w.clock;
-                let idx = node.idx();
-                if let Some(by) = w.delay_ping[idx].take() {
-                    // Injected fault: the whole ping (sweep included) is late.
-                    w.queue.push(now + by, Event::HealthPing(node));
-                    return true;
-                }
-                // Reap warm containers past their keep-alive (their pinned
-                // memory is freed with them).
-                let _ = w.nodes[idx].warm.evict_expired(now);
-                let dropped = w.drop_pings[idx] > 0;
-                if dropped {
-                    w.drop_pings[idx] -= 1;
-                }
-                // A crashed node sends no pings; the platform's view of it
-                // goes stale until recovery.
-                if !dropped && w.nodes[idx].is_alive() {
-                    platform.on_ping(w, node);
-                }
-                if w.completed + w.aborted < total {
-                    let at = w.clock + PING_INTERVAL;
-                    w.queue.push(at, Event::HealthPing(node));
-                }
+                let mut round = std::mem::take(&mut w.ping_round);
+                // A node whose next ping is one interval out stays: it would
+                // fire with the round, right after the members before it. Any
+                // other delay leaves the round for the node's own chain.
+                round.retain(|&node| match Self::ping(w, platform, node) {
+                    PING_INTERVAL => true,
+                    next => {
+                        w.queue.push(now + next, Event::HealthPing(node));
+                        false
+                    }
+                });
+                w.ping_round = round;
+                w.push_ping_round(now + PING_INTERVAL);
             }
             Event::UtilizationSample => {
                 Self::sample_utilization(w);
-                if w.completed + w.aborted < total {
-                    let at = w.clock + SAMPLE_INTERVAL;
-                    w.queue.push(at, Event::UtilizationSample);
-                }
+                let at = w.clock + SAMPLE_INTERVAL;
+                w.queue.push(at, Event::UtilizationSample);
             }
             Event::RetryBlocked { shard } => {
+                let shard = shard as usize;
                 w.shards[shard].retry_pending = false;
                 let blocked: Vec<_> = std::mem::take(&mut w.shards[shard].blocked);
                 let now = w.clock;
@@ -1211,13 +1221,37 @@ impl Simulation {
                 }
                 Self::kick_shard(w, shard);
             }
-            Event::Fault(kind) => Self::on_fault(w, platform, kind),
+            Event::Fault(kind) => Self::on_fault(w, platform, *kind),
             Event::Requeue(id) => return Self::on_requeue(w, id),
             Event::Prewarm { func, node, shard } => {
-                Self::on_prewarm(w, platform, func, node, shard)
+                Self::on_prewarm(w, platform, func, node, shard as usize)
             }
         }
         true
+    }
+
+    /// One node's health ping (§6.4), the body a ping round runs for each
+    /// member and a node's own `HealthPing` runs alone. Returns how long
+    /// until the node's next ping: an injected delay postpones the whole
+    /// ping (sweep included), otherwise it is one interval.
+    fn ping(w: &mut World, platform: &mut dyn Platform, node: NodeId) -> SimDuration {
+        let idx = node.idx();
+        if let Some(by) = w.delay_ping[idx].take() {
+            return by;
+        }
+        // Reap warm containers past their keep-alive (their pinned memory is
+        // freed with them).
+        let _ = w.nodes[idx].warm.evict_expired(w.clock);
+        let dropped = w.drop_pings[idx] > 0;
+        if dropped {
+            w.drop_pings[idx] -= 1;
+        }
+        // A crashed node sends no pings; the platform's view of it goes stale
+        // until recovery.
+        if !dropped && w.nodes[idx].is_alive() {
+            platform.on_ping(w, node);
+        }
+        PING_INTERVAL
     }
 
     /// A policy's prewarm directive fires: park an idle warm container for
@@ -1289,8 +1323,14 @@ impl Simulation {
         // therefore golden traces — are unchanged.
         if let Some(delay) = platform.prewarm_after_arrival(w, e.func) {
             if let Some(&(pnode, pshard)) = w.last_site.get(&e.func) {
-                w.queue
-                    .push(now + delay, Event::Prewarm { func: e.func, node: pnode, shard: pshard });
+                w.queue.push(
+                    now + delay,
+                    Event::Prewarm {
+                        func: e.func,
+                        node: pnode,
+                        shard: u32::try_from(pshard).unwrap_or(u32::MAX),
+                    },
+                );
             }
         }
     }
@@ -1307,7 +1347,7 @@ impl Simulation {
         w.shards[shard].busy = Some((id, done));
         w.decision_delay_sum_us += svc.as_micros();
         w.decisions += 1;
-        w.queue.push(done, Event::DecisionDone { shard });
+        w.queue.push(done, Event::DecisionDone { shard: u32::try_from(shard).unwrap_or(u32::MAX) });
     }
 
     fn on_decision_done(w: &mut World, platform: &mut dyn Platform, shard: usize) {
@@ -2099,6 +2139,87 @@ mod tests {
         assert_eq!(trace.critical_path(r.inv.0 as u64).last(), Some(&SpanKind::Exec));
         // Per-kind stats surface in the summary for traced runs.
         assert!(res.summary.span_stats.iter().any(|s| s.kind == SpanKind::Exec && s.count == 2));
+    }
+
+    /// First-fit placement that logs every `on_ping` as (ms, node).
+    #[derive(Default)]
+    struct PingRecorder(Vec<(u64, u32)>);
+    impl Platform for PingRecorder {
+        fn name(&self) -> String {
+            "ping-recorder".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_ping(&mut self, world: &World, node: NodeId) {
+            self.0.push((world.now().as_micros() / 1_000, node.0));
+        }
+    }
+
+    #[test]
+    fn pings_fire_in_node_order_around_delays_drops_and_crashes() {
+        // One 10 s invocation on node 0 keeps the run (and the pings) going.
+        let long =
+            TrueDemand { base_duration: SimDuration::from_secs(10), ..one_sec_demand(1, 128) };
+        let sim = Simulation::new(
+            vec![spec("long", 1, 256, long)],
+            vec![ResourceVec::from_cores_mb(8, 8192); 3],
+            SimConfig::default(),
+        );
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        let delay = |ms, node, by| {
+            (ms, FaultKind::PingDelay { node: NodeId(node), by: SimDuration::from_millis(by) })
+        };
+        let interval_ms = PING_INTERVAL.as_micros() / 1_000;
+        let mut plan = FaultPlan::empty();
+        for (ms, kind) in [
+            // Exactly one interval: node 1 skips 1.0 s and is back in node
+            // order at 1.5 s.
+            delay(600, 1, interval_ms),
+            // Zero: node 0's 2.0 s ping re-fires at 2.0 s, after 1 and 2.
+            delay(1_600, 0, 0),
+            (2_100, FaultKind::PingDrop(NodeId(1))),
+            // Two intervals: node 2's 3.0 s ping lands at 4.0 s, ahead of
+            // the pings re-armed at 3.5 s.
+            delay(2_600, 2, 2 * interval_ms),
+            // The default chaos delay: node 0's 4.5 s ping fires at 4.9 s.
+            delay(4_100, 0, 400),
+            // A dead node sends nothing until it recovers.
+            (4_600, FaultKind::NodeCrash(NodeId(1))),
+            (5_600, FaultKind::NodeRecover(NodeId(1))),
+        ] {
+            plan.push(SimTime::from_millis(ms), kind);
+        }
+        let mut rec = PingRecorder::default();
+        let res = sim.run_with_faults(&t, &mut rec, &plan);
+        assert_eq!(res.faults_injected, 7);
+        assert!(res.records[0].latency > SimDuration::from_secs(6), "the run outlasts 6 s");
+        let upto_6s: Vec<_> = rec.0.into_iter().filter(|&(ms, _)| ms <= 6_000).collect();
+        #[rustfmt::skip]
+        let want = [
+            (500, 0), (500, 1), (500, 2),
+            (1_000, 0), (1_000, 2),
+            (1_500, 0), (1_500, 1), (1_500, 2),
+            (2_000, 1), (2_000, 2), (2_000, 0),
+            (2_500, 2), (2_500, 0),
+            (3_000, 1), (3_000, 0),
+            (3_500, 1), (3_500, 0),
+            (4_000, 2), (4_000, 1), (4_000, 0),
+            (4_500, 2), (4_500, 1),
+            (4_900, 0),
+            (5_000, 2),
+            (5_400, 0),
+            (5_500, 2),
+            (5_900, 0),
+            (6_000, 2), (6_000, 1),
+        ];
+        assert_eq!(upto_6s, want);
     }
 
     #[test]

@@ -4,17 +4,23 @@
 //! number breaks ties deterministically in insertion order, which makes every
 //! simulation run bit-reproducible for a given trace and seed.
 //!
-//! Behind that order sit a binary min-heap and three FIFO *timer lanes*, one
-//! each for [`Event::NodeTick`], [`Event::HealthPing`] and
-//! [`Event::UtilizationSample`]. Those are the periodic events — five sixths
-//! of a run's traffic — and each kind is pushed at `now + interval` with one
-//! interval, so its pushes already arrive in time order: appending to a
-//! `VecDeque` keeps the lane sorted without sifting anything. A push that
-//! would land behind its lane's last entry (a jitter-stretched tick, a
-//! fault-delayed ping) goes to the heap instead, so correctness never depends
-//! on the interval constants. `pop` takes the minimum `(time, sequence)` over
-//! the heap head and the three lane fronts — exactly what one heap holding
-//! everything would pop.
+//! Behind that order sit a binary min-heap and three FIFO *timer lanes*: one
+//! for [`Event::NodeTick`], one for the health pings ([`Event::PingRound`],
+//! and [`Event::HealthPing`] once a fault has moved a node off the round)
+//! and one for [`Event::UtilizationSample`]. Those are the periodic events,
+//! and each kind is pushed at `now + interval` with one interval, so its
+//! pushes already arrive in time order: appending to a `VecDeque` keeps the
+//! lane sorted without sifting anything. A push that would land behind its
+//! lane's last entry (a jitter-stretched tick, a fault-delayed ping) goes to
+//! the heap instead, so correctness never depends on the interval constants.
+//! [`EventQueue::pop_before`] takes the minimum `(time, sequence)` over the
+//! heap head and the three lane fronts — exactly what one heap holding
+//! everything would pop — in one probe.
+//!
+//! A ping round is one queue entry standing for one `HealthPing` per member
+//! node. It takes one sequence number per member and counts one push and one
+//! pop per member ([`Event::weight`]), so [`EventQueue::ops`] counts the
+//! simulated events, not the physical queue entries.
 //!
 //! Completion events must be *rescheduled* whenever a running invocation's
 //! rate changes (harvest, acceleration, preemptive release, timeliness
@@ -41,7 +47,7 @@ pub enum Event {
     /// invocation at the head of its queue.
     DecisionDone {
         /// Scheduler shard index.
-        shard: usize,
+        shard: u32,
     },
     /// A container (warm or freshly cold-started) begins executing. Carries
     /// the attempt epoch it was scheduled under; after a crash requeue the
@@ -75,19 +81,28 @@ pub enum Event {
     /// the first resident to run, re-armed while anything is resident.
     NodeTick(NodeId),
     /// Periodic per-node health ping carrying the harvest pool status
-    /// piggyback (§6.4).
+    /// piggyback (§6.4), for a node an injected delay moved off the
+    /// [`Event::PingRound`].
     HealthPing(NodeId),
+    /// One health-ping round: every node still in the common ping phase
+    /// pings now, in node order. Stands for `members` [`Event::HealthPing`]s
+    /// that would fire at this instant with consecutive sequence numbers.
+    PingRound {
+        /// Nodes in the round (the engine keeps the list).
+        members: u32,
+    },
     /// Periodic cluster-wide utilization sample (for Figs 7 and 11).
     UtilizationSample,
     /// Re-run blocked scheduler queues after capacity was released.
     RetryBlocked {
         /// Scheduler shard index.
-        shard: usize,
+        shard: u32,
     },
     /// An injected fault fires, carrying the fault itself — the engine does
     /// not need to keep the whole [`FaultPlan`](crate::fault::FaultPlan)
-    /// alive to look it up by index.
-    Fault(FaultKind),
+    /// alive to look it up by index. Boxed: faults are rare, and inline
+    /// the widest one would set every event's size.
+    Fault(Box<FaultKind>),
     /// A crash/abort victim's backoff expired; re-admit it to a scheduler.
     Requeue(InvocationId),
     /// A keep-alive policy's prewarm directive fires: spin up a warm
@@ -102,9 +117,12 @@ pub enum Event {
         /// Node to place the warm container on.
         node: NodeId,
         /// Scheduler shard whose slice carries the pin.
-        shard: usize,
+        shard: u32,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+const _: () = assert!(std::mem::size_of::<Scheduled>() == 32);
 
 #[derive(Clone, Debug)]
 struct Scheduled {
@@ -151,14 +169,15 @@ impl Event {
         "prewarm",
     ];
 
-    /// Dense index of this event's kind (the two monitor timers share one).
+    /// Dense index of this event's kind (the two monitor timers share one,
+    /// as a ping round shares the single-node ping's).
     pub fn kind(&self) -> usize {
         match self {
             Event::DecisionDone { .. } => 0,
             Event::StartExec { .. } => 1,
             Event::Finish { .. } => 2,
             Event::MonitorTick { .. } | Event::NodeTick(_) => 3,
-            Event::HealthPing(_) => 4,
+            Event::HealthPing(_) | Event::PingRound { .. } => 4,
             Event::UtilizationSample => 5,
             Event::RetryBlocked { .. } => 6,
             Event::Fault(_) => 7,
@@ -167,12 +186,31 @@ impl Event {
         }
     }
 
+    /// Simulated events this queue entry stands for: a ping round's member
+    /// count, 1 for everything else.
+    pub fn weight(&self) -> u64 {
+        match self {
+            Event::PingRound { members } => u64::from(*members),
+            Event::DecisionDone { .. }
+            | Event::StartExec { .. }
+            | Event::Finish { .. }
+            | Event::MonitorTick { .. }
+            | Event::NodeTick(_)
+            | Event::HealthPing(_)
+            | Event::UtilizationSample
+            | Event::RetryBlocked { .. }
+            | Event::Fault(_)
+            | Event::Requeue(_)
+            | Event::Prewarm { .. } => 1,
+        }
+    }
+
     /// The timer lane a periodic event queues in; `None` for everything the
     /// heap orders.
     fn lane(&self) -> Option<usize> {
         match self {
             Event::MonitorTick { .. } | Event::NodeTick(_) => Some(0),
-            Event::HealthPing(_) => Some(1),
+            Event::HealthPing(_) | Event::PingRound { .. } => Some(1),
             Event::UtilizationSample => Some(2),
             Event::DecisionDone { .. }
             | Event::StartExec { .. }
@@ -210,10 +248,11 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Schedule `event` at absolute time `at`. It takes one sequence number
+    /// per simulated event it stands for ([`Event::weight`]).
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq += event.weight();
         let scheduled = Scheduled { at, seq, event };
         match scheduled.event.lane().map(|l| &mut self.lanes[l]) {
             Some(lane) if lane.back().is_none_or(|last| last.at <= at) => {
@@ -239,24 +278,31 @@ impl EventQueue {
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let popped = match self.earliest()?.1 {
+        self.pop_before(None)
+    }
+
+    /// Pop the earliest event only if it is strictly earlier than `limit`
+    /// (`None`: no limit). The engine passes the next trace arrival, which
+    /// wins a tie; one probe finds the head and takes it.
+    pub fn pop_before(&mut self, limit: Option<SimTime>) -> Option<(SimTime, Event)> {
+        let (at, source) = self.earliest()?;
+        if limit.is_some_and(|limit| at >= limit) {
+            return None;
+        }
+        let popped = match source {
             Source::Heap => self.heap.pop(),
             Source::Lane(l) => self.lanes[l].pop_front(),
         }?;
-        self.pops += 1;
+        self.pops += popped.event.weight();
         Some((popped.at, popped.event))
     }
 
-    /// Lifetime operation counters `(pushes, pops)` — the denominator for
-    /// the benchmark's events/sec figure. Pushes equal the total sequence
+    /// Lifetime operation counters `(pushes, pops)` in simulated events (a
+    /// ping round counts once per member) — the denominator for the
+    /// benchmark's events/sec figure. Pushes equal the total sequence
     /// numbers handed out; pops count successful removals only.
     pub fn ops(&self) -> (u64, u64) {
         (self.next_seq, self.pops)
-    }
-
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.earliest().map(|(at, _)| at)
     }
 
     /// Number of pending events.
@@ -280,7 +326,8 @@ mod tests {
     }
 
     /// The queue as it was before the timer lanes — one heap holding
-    /// everything — kept verbatim as the oracle the lanes must agree with.
+    /// everything, counting a ping round once per member — kept as the
+    /// oracle the lanes must agree with.
     #[derive(Default)]
     struct HeapOracle {
         heap: BinaryHeap<Scheduled>,
@@ -291,21 +338,24 @@ mod tests {
     impl HeapOracle {
         fn push(&mut self, at: SimTime, event: Event) {
             let seq = self.next_seq;
-            self.next_seq += 1;
+            self.next_seq += event.weight();
             self.heap.push(Scheduled { at, seq, event });
         }
 
-        fn pop(&mut self) -> Option<(SimTime, Event)> {
-            let popped = self.heap.pop().map(|s| (s.at, s.event));
-            self.pops += u64::from(popped.is_some());
-            popped
+        fn pop_before(&mut self, limit: Option<SimTime>) -> Option<(SimTime, Event)> {
+            if limit.is_some_and(|limit| self.head_time().is_some_and(|at| at >= limit)) {
+                return None;
+            }
+            let popped = self.heap.pop()?;
+            self.pops += popped.event.weight();
+            Some((popped.at, popped.event))
         }
 
         fn ops(&self) -> (u64, u64) {
             (self.next_seq, self.pops)
         }
 
-        fn peek_time(&self) -> Option<SimTime> {
+        fn head_time(&self) -> Option<SimTime> {
             self.heap.peek().map(|s| s.at)
         }
 
@@ -328,16 +378,17 @@ mod tests {
             // offsets come from a handful of values: many events — across
             // lanes and heap — share one instant.
             let mut now = 0u64;
-            let (mut via_lane, mut fell_back) = (0usize, 0usize);
+            let (mut via_lane, mut fell_back, mut held) = (0usize, 0usize, 0usize);
             for step in 0..12_000u32 {
                 let r = splitmix64(&mut rng);
                 now += [0, 0, 0, 25][(r >> 32) as usize % 4];
                 if r % 16 < 9 {
-                    let event = match (r >> 8) % 6 {
+                    let event = match (r >> 8) % 7 {
                         0 | 1 => Event::NodeTick(NodeId(step)),
                         2 => Event::HealthPing(NodeId(step % 4)),
                         3 => Event::UtilizationSample,
                         4 => Event::Finish { inv: inv(step), generation: r >> 40 },
+                        5 => Event::PingRound { members: 1 + (r >> 44) as u32 % 300 },
                         _ => Event::Requeue(inv(step)),
                     };
                     // Mostly the kind's fixed interval (in order); sometimes a
@@ -357,18 +408,29 @@ mod tests {
                     }
                     oracle.push(SimTime(now + offset), event);
                 } else {
-                    assert_eq!(q.peek_time(), oracle.peek_time(), "seed {seed} step {step}");
-                    assert_eq!(q.pop(), oracle.pop(), "seed {seed} step {step}");
+                    // A limit before, at or after the head, or none: only a
+                    // head strictly earlier than the limit pops.
+                    let limit = oracle.head_time().and_then(|head| match (r >> 8) % 4 {
+                        0 => None,
+                        1 => Some(SimTime(head.0.saturating_sub(1))),
+                        2 => Some(head),
+                        _ => Some(SimTime(head.0 + 1)),
+                    });
+                    let popped = q.pop_before(limit);
+                    held += usize::from(popped.is_none() && !q.is_empty());
+                    assert_eq!(popped, oracle.pop_before(limit), "seed {seed} step {step}");
                 }
                 assert_eq!(q.len(), oracle.len(), "seed {seed} step {step}");
                 assert_eq!(q.is_empty(), oracle.is_empty());
                 assert_eq!(q.ops(), oracle.ops());
             }
-            // Both paths must have carried real traffic for the run to mean
-            // anything: lane appends, and lane-class events the heap took.
+            // Every path must have carried real traffic for the run to mean
+            // anything: lane appends, lane-class events the heap took, and
+            // heads a limit held back.
             assert!(via_lane > 1_000, "seed {seed}: only {via_lane} lane appends");
             assert!(fell_back > 1_000, "seed {seed}: only {fell_back} heap fallbacks");
-            while let Some(want) = oracle.pop() {
+            assert!(held > 1_000, "seed {seed}: a limit held the head back only {held} times");
+            while let Some(want) = oracle.pop_before(None) {
                 assert_eq!(q.pop(), Some(want), "seed {seed} drain");
             }
             assert_eq!(q.pop(), None);
@@ -427,15 +489,31 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn an_arrival_at_the_head_wins_the_tie() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(SimTime::from_secs(1), Event::UtilizationSample);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.pop_before(None), None);
+        let at = SimTime::from_secs(1);
+        q.push(at, Event::UtilizationSample);
+        assert_eq!(q.pop_before(Some(SimTime::from_millis(999))), None);
+        assert_eq!(q.pop_before(Some(at)), None, "a limit equal to the head keeps it");
         assert_eq!(q.len(), 1);
-        let (t, e) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(1));
-        assert_eq!(e, Event::UtilizationSample);
+        assert_eq!(q.ops(), (1, 0));
+        assert_eq!(q.pop_before(Some(SimTime(at.0 + 1))), Some((at, Event::UtilizationSample)));
         assert!(q.pop().is_none());
+        assert_eq!(q.ops(), (1, 1));
+    }
+
+    #[test]
+    fn a_ping_round_counts_once_per_member() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(500);
+        q.push(t, Event::PingRound { members: 300 });
+        q.push(t, Event::HealthPing(NodeId(7)));
+        assert_eq!(q.ops(), (301, 0), "one push per member");
+        assert_eq!(q.len(), 2, "in two queue entries");
+        assert_eq!(q.pop(), Some((t, Event::PingRound { members: 300 })));
+        assert_eq!(q.pop(), Some((t, Event::HealthPing(NodeId(7)))));
+        assert_eq!(q.ops(), (301, 301), "one pop per member");
     }
 }

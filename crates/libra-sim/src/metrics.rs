@@ -342,8 +342,8 @@ impl RunSummary {
     }
 }
 
-/// Pops of one [`Event`](crate::event::Event) kind over a run. Every pop
-/// counts once, on one side or the other.
+/// Pops of one [`Event`](crate::event::Event) kind over a run. Every
+/// simulated pop counts once, on one side or the other.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct KindPops {
     /// Pops whose handler ran.
@@ -366,13 +366,18 @@ pub struct RunResult {
     pub util: Vec<UtilSample>,
     /// Constant-space aggregates, populated in both metrics modes.
     pub summary: RunSummary,
-    /// Events pushed onto the engine's queue over the run.
+    /// Simulated events pushed onto the engine's queue over the run. A ping
+    /// round is one queue entry but counts once per member node
+    /// ([`Event::weight`](crate::event::Event::weight)), as the per-node
+    /// pings it stands for would.
     pub event_pushes: u64,
-    /// Events popped from the engine's queue over the run.
+    /// Simulated events popped from the engine's queue over the run, a ping
+    /// round once per member node.
     pub event_pops: u64,
     /// `event_pops` by event kind, indexed by
     /// [`Event::kind`](crate::event::Event::kind) — where the engine's
-    /// traffic goes, and how much of it is lazily-cancelled leftovers.
+    /// traffic goes, and how much of it is lazily-cancelled leftovers. Ping
+    /// rounds count under `health_ping`, once per member node.
     pub pops_by_kind: [KindPops; EVENT_KINDS],
     /// First arrival → last completion (workload completion time, §8.4).
     pub completion_time: SimDuration,

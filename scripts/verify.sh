@@ -65,10 +65,10 @@ for workload in sim_engine sim_harvest sim_libra live_closed gateway_closed; do
   benchmarks/perf/run.sh --workload "$workload" --seed 42 --seconds 5 --trace 0 | tail -1 \
     | grep -q '"correct":true,"attempted":[0-9]*,"failed":0'
 done
-# Events the engine pops per invocation on sim_engine: a count, so it repeats
-# exactly on any machine (20.07; 93.99 with a monitor timer per resident and
-# a Finish per resident per start and completion). Above 25 one of the two
-# is back.
+# Events the engine pushes per invocation on sim_engine: a count of simulated
+# events (a ping round counts once per node it pings), so it repeats exactly
+# on any machine (20.07; 93.99 with a monitor timer per resident and a Finish
+# per resident per start and completion). Above 25 one of the two is back.
 benchmarks/perf/run.sh --workload sim_engine --seed 42 --seconds 3 --trace 1 | tail -1 \
   | grep -o '"engine.events_per_inv":{"value":[0-9.]*' | cut -d: -f3 \
   | awk '{ print "engine.events_per_inv", $1; ok = $1 > 0 && $1 <= 25 } END { exit !ok }'
@@ -77,6 +77,18 @@ benchmarks/perf/run.sh --workload sim_engine --seed 42 --seconds 3 --trace 1 | t
 # profiler was asked on the full-Libra run, as exact counts
 # (scripts/decision_fingerprint.sh holds them).
 ./scripts/decision_fingerprint.sh
+# The simulator scale run at 2 % (20,000 invocations, ~0.1 s) asserts
+# conservation itself; its pops per event kind are simulated counts (a ping
+# round counts once per node), exact on any machine, and move only when
+# simulated behaviour does.
+want_pops='decision_done=20000 start_exec=20000 finish=20000 monitor_tick=292952(719 stale) health_ping=120020 utilization_sample=6002'
+got_pops=$(LIBRA_SCALE=0.02 cargo run --release -q -p libra-bench --bin exp -- scale 2>/dev/null \
+  | sed -n 's/.* pops: //p')
+echo "exp scale pops: $got_pops"
+if [ "$got_pops" != "$want_pops" ]; then
+  echo "exp scale pops moved; expected: $want_pops" >&2
+  exit 1
+fi
 
 echo "==> trace-export smoke (seed workload with tracing on, grep the HTML timeline)"
 # The single-set seed workload with span tracing enabled must export a
