@@ -17,25 +17,24 @@ use crate::*;
 use libra_core::controlplane::ControlConfig;
 use libra_core::pool::GetOrder;
 use libra_core::{CoverageSelector, LibraConfig, LibraPlatform, NodeSelector, VolumeSelector};
-use libra_sim::engine::SimConfig;
 use libra_sim::platform::Platform;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 
-fn single_run(cfg: LibraConfig, seed: u64) -> PlatformRun {
-    let gen = TraceGen::standard(&ALL_APPS, seed);
-    let trace = gen.single_set();
-    run_on(
-        sebs_suite(),
-        testbeds::single_node(),
-        SimConfig::default(),
-        &trace,
-        Box::new(LibraPlatform::new(cfg)),
-    )
+/// Libra under `control` on the single-node setup, repetition `rep`.
+fn single_run(control: ControlConfig, rep: u64) -> PlatformRun {
+    let cfg = LibraConfig { control, ..LibraConfig::libra() };
+    run_single_node(&single_trace(rep), Box::new(LibraPlatform::new(cfg)))
 }
 
 fn extra(run: &PlatformRun, key: &str) -> f64 {
     run.report.extra.iter().find(|(k, _)| k == key).map(|(_, v)| *v).unwrap_or(0.0)
+}
+
+fn p99(run: &PlatformRun) -> f64 {
+    run.result.latency_percentile(99.0)
+}
+
+fn mean_speedup(run: &PlatformRun) -> f64 {
+    libra_sim::metrics::mean(run.result.speedups().into_iter())
 }
 
 /// Ablation 1: pool hand-out order.
@@ -53,26 +52,16 @@ pub fn pool_order() {
         ("fifo", GetOrder::Fifo),
         ("shortest-lived", GetOrder::ShortestLived),
     ];
-    let reps = repetitions();
-    let jobs: Vec<(usize, u64)> =
-        (0..variants.len()).flat_map(|vi| (0..reps).map(move |rep| (vi, rep))).collect();
-    let runs = par_map(jobs, |(vi, rep)| {
-        let control = ControlConfig { pool_order: variants[vi].1, ..ControlConfig::default() };
-        let run = single_run(LibraConfig { control, ..LibraConfig::libra() }, 42 + rep);
-        (
-            run.result.latency_percentile(99.0),
-            libra_sim::metrics::mean(run.result.speedups().into_iter()),
-            extra(&run, "loans_expired"),
-            extra(&run, "loans_reharvested"),
-        )
+    let runs = sweep(&variants, repetitions(), |&(_, pool_order), rep| {
+        single_run(ControlConfig { pool_order, ..ControlConfig::default() }, rep)
     });
-    for ((name, _), chunk) in variants.iter().zip(runs.chunks(reps as usize)) {
+    for ((name, _), variant_runs) in variants.iter().zip(&runs) {
         row(&[
             (*name).into(),
-            format!("{:.1}", mean_slice(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
-            format!("{:.3}", mean_slice(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
-            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
-            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.3).collect::<Vec<_>>())),
+            format!("{:.1}", mean_by(variant_runs, p99)),
+            format!("{:.3}", mean_by(variant_runs, mean_speedup)),
+            format!("{:.0}", mean_by(variant_runs, |run| extra(run, "loans_expired"))),
+            format!("{:.0}", mean_by(variant_runs, |run| extra(run, "loans_reharvested"))),
         ]);
     }
     println!("Expected: longest-lived-first loses the fewest loans to source");
@@ -84,25 +73,17 @@ pub fn continuous_acceleration() {
     header("Ablation: continuous acceleration (per-tick top-ups) vs one-shot at start");
     row(&["variant".into(), "P99 (s)".into(), "accelerated".into(), "mean speedup".into()]);
     let variants = [("continuous", true), ("one-shot", false)];
-    let reps = repetitions();
-    let jobs: Vec<(usize, u64)> =
-        (0..variants.len()).flat_map(|vi| (0..reps).map(move |rep| (vi, rep))).collect();
-    let runs = par_map(jobs, |(vi, rep)| {
-        let control =
-            ControlConfig { continuous_acceleration: variants[vi].1, ..ControlConfig::default() };
-        let run = single_run(LibraConfig { control, ..LibraConfig::libra() }, 42 + rep);
-        (
-            run.result.latency_percentile(99.0),
-            run.result.records.iter().filter(|r| r.flags.accelerated).count() as f64,
-            libra_sim::metrics::mean(run.result.speedups().into_iter()),
-        )
+    let runs = sweep(&variants, repetitions(), |&(_, continuous_acceleration), rep| {
+        single_run(ControlConfig { continuous_acceleration, ..ControlConfig::default() }, rep)
     });
-    for ((name, _), chunk) in variants.iter().zip(runs.chunks(reps as usize)) {
+    for ((name, _), variant_runs) in variants.iter().zip(&runs) {
+        let accelerated =
+            |run: &PlatformRun| run.result.records.iter().filter(|r| r.flags.accelerated).count();
         row(&[
             (*name).into(),
-            format!("{:.1}", mean_slice(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
-            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
-            format!("{:.3}", mean_slice(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
+            format!("{:.1}", mean_by(variant_runs, p99)),
+            format!("{:.0}", mean_by(variant_runs, |run| accelerated(run) as f64)),
+            format!("{:.3}", mean_by(variant_runs, mean_speedup)),
         ]);
     }
     println!("Expected: one-shot acceleration strands long invocations whose");
@@ -114,24 +95,15 @@ pub fn headroom() {
     header("Ablation: harvest headroom (grant = prediction × h)");
     row(&["headroom".into(), "P99 (s)".into(), "safeguarded".into(), "cpu util".into()]);
     let hs = [1.0, 1.1, 1.2, 1.3, 1.5];
-    let reps = repetitions();
-    let jobs: Vec<(usize, u64)> =
-        (0..hs.len()).flat_map(|hi| (0..reps).map(move |rep| (hi, rep))).collect();
-    let runs = par_map(jobs, |(hi, rep)| {
-        let control = ControlConfig { harvest_headroom: hs[hi], ..ControlConfig::default() };
-        let run = single_run(LibraConfig { control, ..LibraConfig::libra() }, 42 + rep);
-        (
-            run.result.latency_percentile(99.0),
-            run.report.safeguard_triggers as f64,
-            run.result.mean_cpu_util(),
-        )
+    let runs = sweep(&hs, repetitions(), |&harvest_headroom, rep| {
+        single_run(ControlConfig { harvest_headroom, ..ControlConfig::default() }, rep)
     });
-    for (h, chunk) in hs.iter().zip(runs.chunks(reps as usize)) {
+    for (h, variant_runs) in hs.iter().zip(&runs) {
         row(&[
             format!("{h:.1}"),
-            format!("{:.1}", mean_slice(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
-            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
-            format!("{:.3}", mean_slice(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
+            format!("{:.1}", mean_by(variant_runs, p99)),
+            format!("{:.0}", mean_by(variant_runs, |run| run.report.safeguard_triggers as f64)),
+            format!("{:.3}", mean_by(variant_runs, |run| run.result.mean_cpu_util())),
         ]);
     }
     println!("Expected: more headroom = fewer safeguard trips but less harvest");
@@ -142,34 +114,26 @@ pub fn headroom() {
 pub fn coverage_vs_volume() {
     header("Ablation: demand coverage (volume × timeliness) vs volume-only scheduling");
     row(&["selector".into(), "P99 (s)".into(), "loans expired".into(), "mean speedup".into()]);
-    let config = SimConfig { shards: 2, ..SimConfig::default() };
     fn boxed<S: NodeSelector + 'static>(s: S) -> Box<dyn Platform> {
         Box::new(LibraPlatform::with_selector(LibraConfig::libra(), s))
     }
     let variants = ["coverage", "volume-only"];
-    let reps = repetitions();
-    let jobs: Vec<(usize, u64)> =
-        (0..variants.len()).flat_map(|vi| (0..reps).map(move |rep| (vi, rep))).collect();
-    let runs = par_map(jobs, |(vi, rep)| {
-        let sets = TraceGen::standard(&ALL_APPS, 42 + rep).multi_sets();
+    let runs = sweep(&variants, repetitions(), |&name, rep| {
+        // Deviation from §8.4: the `standard` multi sets, not the `heavy` ones.
+        let sets = trace_gen(rep).multi_sets();
         let trace = &sets.iter().find(|(rpm, _)| *rpm == 240).expect("240 RPM set").1;
-        let platform = match variants[vi] {
+        let platform = match name {
             "coverage" => boxed(CoverageSelector),
             _ => boxed(VolumeSelector),
         };
-        let run = run_on(sebs_suite(), testbeds::multi_node(), config.clone(), trace, platform);
-        (
-            run.result.latency_percentile(99.0),
-            extra(&run, "loans_expired"),
-            libra_sim::metrics::mean(run.result.speedups().into_iter()),
-        )
+        run_multi_node(trace, platform)
     });
-    for (name, chunk) in variants.iter().zip(runs.chunks(reps as usize)) {
+    for (name, variant_runs) in variants.iter().zip(&runs) {
         row(&[
             (*name).into(),
-            format!("{:.1}", mean_slice(&chunk.iter().map(|r| r.0).collect::<Vec<_>>())),
-            format!("{:.0}", mean_slice(&chunk.iter().map(|r| r.1).collect::<Vec<_>>())),
-            format!("{:.3}", mean_slice(&chunk.iter().map(|r| r.2).collect::<Vec<_>>())),
+            format!("{:.1}", mean_by(variant_runs, p99)),
+            format!("{:.0}", mean_by(variant_runs, |run| extra(run, "loans_expired"))),
+            format!("{:.3}", mean_by(variant_runs, mean_speedup)),
         ]);
     }
     println!("Expected: coverage-aware placement sends accelerable invocations");

@@ -18,11 +18,17 @@ use libra_sim::engine::{SimConfig, Simulation};
 use libra_sim::fault::{build_plan, ChaosConfig, ClusterShape, FaultPlan};
 use libra_sim::time::SimDuration;
 use libra_sim::trace::Trace;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
+use libra_workloads::{sebs_suite, testbeds};
 
 /// Fault scales swept (multipliers on the base fault counts).
 const SCALES: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 4.0];
+
+/// Arrivals per trace: Poisson at 120 RPM on the 4-node, 4-shard cluster.
+const INVOCATIONS: usize = 200;
+
+fn poisson_trace(rep: u64) -> Trace {
+    trace_gen(rep).poisson(INVOCATIONS, 120.0)
+}
 
 fn config() -> SimConfig {
     SimConfig { shards: 4, ..SimConfig::default() }
@@ -70,58 +76,44 @@ pub fn run() -> Vec<(String, f64)> {
     header("exp_chaos: fault-injection sweep (Libra, 4-node cluster, 4 shards)");
     let reps = repetitions();
 
-    {
-        let trace = TraceGen::standard(&ALL_APPS, 42).poisson(200, 120.0);
-        check_inert(&trace);
-    }
+    check_inert(&poisson_trace(0));
 
-    let mut p99 = vec![Vec::new(); SCALES.len()];
-    let mut loss = vec![Vec::new(); SCALES.len()];
-    let mut requeues = vec![Vec::new(); SCALES.len()];
-    let mut faults = vec![Vec::new(); SCALES.len()];
-
-    // Fan (rep × scale) across the pool; the safety asserts run on the
+    // Fan (scale × rep) across the pool; the safety asserts run on the
     // ordered results so a violation still names its fault scale.
-    let traces: Vec<_> =
-        (0..reps).map(|rep| TraceGen::standard(&ALL_APPS, 42 + rep).poisson(200, 120.0)).collect();
-    let jobs: Vec<(usize, usize)> =
-        (0..reps as usize).flat_map(|rep| (0..SCALES.len()).map(move |i| (rep, i))).collect();
-    let runs = par_map(jobs.clone(), |(rep, i)| {
-        let trace = &traces[rep];
+    let traces: Vec<Trace> = (0..reps).map(poisson_trace).collect();
+    let runs = sweep(&SCALES, reps, |&scale, rep| {
+        let trace = &traces[rep as usize];
         let span = trace.entries.last().map(|e| e.at).unwrap_or_default();
         let horizon = SimDuration(span.0) + SimDuration::from_secs(5);
         let shape =
             ClusterShape { nodes: 4, shards: config().shards, invocations: trace.len() as u32 };
-        let plan = build_plan(&base_chaos(1000 + rep as u64, horizon).scaled(SCALES[i]), &shape);
+        let plan = build_plan(&base_chaos(1000 + rep, horizon).scaled(scale), &shape);
         run_libra_with(trace, &plan)
     });
-    for (&(rep, i), run) in jobs.iter().zip(&runs) {
-        let scale = SCALES[i];
-        let total = traces[rep].len() as f64;
-        assert_eq!(
-            run.result.pool_violations, 0,
-            "pool-consistency violation at fault scale {scale}"
-        );
-        let done = run.result.records.len() as u64 + run.result.aborted;
-        assert_eq!(done, traces[rep].len() as u64, "an arrival neither completed nor aborted");
-        p99[i].push(run.result.latency_percentile(99.0));
-        loss[i].push(run.result.aborted as f64 / total);
-        requeues[i].push(run.result.crash_requeues as f64);
-        faults[i].push(run.result.faults_injected as f64);
+    for (&scale, scale_runs) in SCALES.iter().zip(&runs) {
+        for run in scale_runs {
+            assert_eq!(
+                run.result.pool_violations, 0,
+                "pool-consistency violation at fault scale {scale}"
+            );
+            let done = run.result.records.len() + run.result.aborted as usize;
+            assert_eq!(done, INVOCATIONS, "an arrival neither completed nor aborted");
+        }
     }
 
     header("P99 latency and loss vs fault scale (averaged over reps)");
     row(&["scale", "faults", "P99 (s)", "P99 degr.", "loss rate", "requeues", "pool viol."]
         .map(String::from));
-    let base_p99 = mean_slice(&p99[0]);
+    let p99 = |runs: &[PlatformRun]| mean_by(runs, |run| run.result.latency_percentile(99.0));
+    let base_p99 = p99(&runs[0]);
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    for (i, &scale) in SCALES.iter().enumerate() {
-        let p = mean_slice(&p99[i]);
+    for (&scale, scale_runs) in SCALES.iter().zip(&runs) {
+        let p = p99(scale_runs);
         let degr = if base_p99 > 0.0 { p / base_p99 } else { 1.0 };
-        let l = mean_slice(&loss[i]);
-        let rq = mean_slice(&requeues[i]);
-        let f = mean_slice(&faults[i]);
+        let l = mean_by(scale_runs, |run| run.result.aborted as f64 / INVOCATIONS as f64);
+        let rq = mean_by(scale_runs, |run| run.result.crash_requeues as f64);
+        let f = mean_by(scale_runs, |run| run.result.faults_injected as f64);
         row(&[
             format!("{scale:.1}x"),
             format!("{f:.1}"),

@@ -8,11 +8,9 @@
 
 use crate::*;
 use libra_sim::demand::{DemandModel, InputMeta};
-use libra_sim::engine::SimConfig;
 use libra_sim::time::SimTime;
 use libra_sim::trace::Trace;
 use libra_workloads::apps::{AppKind, AppModel};
-use libra_workloads::{sebs_suite, testbeds};
 
 /// `(name, DH input, VP content seed)` for the three cases. The VP seeds are
 /// chosen so video-1/2 are demanding (full utilization, accelerable) and
@@ -63,13 +61,7 @@ pub fn run() {
             trace.push(SimTime::ZERO, AppKind::Vp.id(), vp_in);
             trace.push(SimTime::from_secs(120), AppKind::Dh.id(), dh_in);
             trace.push(SimTime::from_secs(120), AppKind::Vp.id(), vp_in);
-            let run = run_on(
-                sebs_suite(),
-                testbeds::single_node(),
-                SimConfig::default(),
-                &trace,
-                kind.build(),
-            );
+            let run = run_single_node(&trace, kind.build());
             let measured: Vec<_> = run
                 .result
                 .records

@@ -2,40 +2,13 @@
 //! single-node cluster with the `single` trace set (165 invocations).
 
 use crate::*;
-use libra_sim::engine::SimConfig;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 
-/// Run the experiment; returns `(names, mean P99s)` for EXPERIMENTS.md.
-pub fn run() -> Vec<(String, f64)> {
+/// Report from the §8.3 run set ([`main_six_runs`]); returns `(names, mean
+/// P99s)` for EXPERIMENTS.md.
+pub fn run(runs: &[Vec<PlatformRun>]) -> Vec<(String, f64)> {
     header("Fig 6: single-node comparison (165-invocation `single` trace)");
-    let reps = repetitions();
-
-    let n = PlatformKind::MAIN_SIX.len();
-    let mut p99 = vec![Vec::new(); n];
-    let mut worst = vec![Vec::new(); n];
-
-    // Fan (rep × platform) across the worker pool; par_map returns results
-    // in job order, so aggregation below matches a serial sweep exactly.
-    let traces: Vec<_> =
-        (0..reps).map(|rep| TraceGen::standard(&ALL_APPS, 42 + rep).single_set()).collect();
-    let jobs: Vec<(usize, usize)> =
-        (0..reps as usize).flat_map(|rep| (0..n).map(move |i| (rep, i))).collect();
-    let runs = par_map(jobs, |(rep, i)| {
-        run_on(
-            sebs_suite(),
-            testbeds::single_node(),
-            SimConfig::default(),
-            &traces[rep],
-            PlatformKind::MAIN_SIX[i].build(),
-        )
-    });
-    for (j, run) in runs.iter().enumerate() {
-        let i = j % n;
-        p99[i].push(run.result.latency_percentile(99.0));
-        worst[i].push(run.result.worst_degradation());
-    }
-    let last_runs: Vec<PlatformRun> = runs.into_iter().skip((reps as usize - 1) * n).collect();
+    let last_runs: Vec<&PlatformRun> =
+        runs.iter().filter_map(|kind_runs| kind_runs.last()).collect();
 
     header("Fig 6(a): response-latency CDF (quantiles, seconds)");
     for run in &last_runs {
@@ -61,8 +34,10 @@ pub fn run() -> Vec<(String, f64)> {
     }
 
     header("Headline comparisons (averaged over reps)");
-    let p99m: Vec<f64> = p99.iter().map(|v| mean_slice(v)).collect();
-    let worstm: Vec<f64> = worst.iter().map(|v| mean_slice(v)).collect();
+    let p99m: Vec<f64> =
+        runs.iter().map(|r| mean_by(r, |run| run.result.latency_percentile(99.0))).collect();
+    let worstm: Vec<f64> =
+        runs.iter().map(|r| mean_by(r, |run| run.result.worst_degradation())).collect();
     let names: Vec<&str> = PlatformKind::MAIN_SIX.iter().map(|k| k.name()).collect();
     row(&["platform".into(), "P99 (s)".into(), "worst speedup".into()]);
     for i in 0..names.len() {

@@ -3,45 +3,20 @@
 //! §8.3.2 utilization and workload-completion headlines.
 
 use crate::*;
-use libra_sim::engine::SimConfig;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 
-/// Run the experiment; returns per-platform `(name, mean cpu util, mean mem
-/// util, completion secs)`.
-pub fn run() -> Vec<(String, f64, f64, f64)> {
+/// Report from the §8.3 run set ([`main_six_runs`]); returns per-platform
+/// `(name, mean cpu util, mean mem util, completion secs)`.
+pub fn run(runs: &[Vec<PlatformRun>]) -> Vec<(String, f64, f64, f64)> {
     header("Fig 7: utilization timelines (single-node, `single` trace)");
-    let reps = repetitions();
-    let n = PlatformKind::MAIN_SIX.len();
-    let (mut cpu, mut mem, mut compl) =
-        (vec![Vec::new(); n], vec![Vec::new(); n], vec![Vec::new(); n]);
-
-    // Same ordered fan-out as Fig 6: job order == aggregation order.
-    let traces: Vec<_> =
-        (0..reps).map(|rep| TraceGen::standard(&ALL_APPS, 42 + rep).single_set()).collect();
-    let jobs: Vec<(usize, usize)> =
-        (0..reps as usize).flat_map(|rep| (0..n).map(move |i| (rep, i))).collect();
-    let runs = par_map(jobs, |(rep, i)| {
-        run_on(
-            sebs_suite(),
-            testbeds::single_node(),
-            SimConfig::default(),
-            &traces[rep],
-            PlatformKind::MAIN_SIX[i].build(),
-        )
-    });
-    for (j, run) in runs.iter().enumerate() {
-        let i = j % n;
-        cpu[i].push(run.result.mean_cpu_util());
-        mem[i].push(run.result.mean_mem_util());
-        compl[i].push(run.result.completion_time.as_secs_f64());
-    }
-    let last_runs: Vec<PlatformRun> = runs.into_iter().skip((reps as usize - 1) * n).collect();
+    let last_runs: Vec<&PlatformRun> =
+        runs.iter().filter_map(|kind_runs| kind_runs.last()).collect();
 
     row(&["platform".into(), "cpu util".into(), "mem util".into(), "completion".into()]);
     let mut out = Vec::new();
-    for (i, kind) in PlatformKind::MAIN_SIX.iter().enumerate() {
-        let (c, m, t) = (mean_slice(&cpu[i]), mean_slice(&mem[i]), mean_slice(&compl[i]));
+    for (kind, kind_runs) in PlatformKind::MAIN_SIX.iter().zip(runs) {
+        let c = mean_by(kind_runs, |run| run.result.mean_cpu_util());
+        let m = mean_by(kind_runs, |run| run.result.mean_mem_util());
+        let t = mean_by(kind_runs, |run| run.result.completion_time.as_secs_f64());
         row(&[kind.name().into(), format!("{c:.3}"), format!("{m:.3}"), format!("{t:.1}s")]);
         out.push((kind.name().to_string(), c, m, t));
     }

@@ -4,22 +4,13 @@
 //! Default / Harvest / Accelerate / Safeguard.
 
 use crate::*;
-use libra_sim::engine::SimConfig;
 use libra_sim::metrics::InvCategory;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 
-/// Run the experiment and print per-category statistics per platform.
-pub fn run() {
+/// Print per-category statistics per platform from repetition 0 of the §8.3
+/// run set ([`main_six_runs`]).
+pub fn run(runs: &[Vec<PlatformRun>]) {
     header("Fig 8: per-invocation reassignment vs speedup (single trace)");
-    let gen = TraceGen::standard(&ALL_APPS, 42);
-    let trace = gen.single_set();
-
-    // Run all six platforms in parallel; print from the ordered results.
-    let runs = par_map(PlatformKind::MAIN_SIX.to_vec(), |kind| {
-        run_on(sebs_suite(), testbeds::single_node(), SimConfig::default(), &trace, kind.build())
-    });
-    for run in &runs {
+    for run in runs.iter().filter_map(|kind_runs| kind_runs.first()) {
         println!("\n-- {}", run.name);
         for cat in [
             InvCategory::Default,

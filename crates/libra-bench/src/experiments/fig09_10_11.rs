@@ -12,10 +12,7 @@
 use crate::*;
 use libra_baselines::{JoinShortestQueue, MinWorkerSet, RoundRobin};
 use libra_core::{CoverageSelector, HashSelector, LibraConfig, LibraPlatform, NodeSelector};
-use libra_sim::engine::SimConfig;
 use libra_sim::platform::Platform;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 
 const ALGOS: [&str; 5] = ["Default", "RR", "JSQ", "MWS", "Libra"];
 
@@ -58,32 +55,20 @@ pub struct SweepPoint {
 /// Run the full sweep (all RPMs × all algorithms, averaged over reps).
 ///
 /// The whole `rpm × algo × rep` cross product fans across the worker pool
-/// in one `par_map` — it is by far the largest sweep in the harness — and is
-/// aggregated in job order, so every point (and the CSV) is identical to a
-/// serial sweep.
-pub fn sweep() -> Vec<SweepPoint> {
-    let reps = repetitions() as usize;
-    // Multi-node experiments use 2 scheduler shards (decentralized).
-    let config = SimConfig { shards: 2, ..SimConfig::default() };
+/// in one [`sweep`] — it is by far the largest sweep in the harness — so
+/// every point (and the CSV) is identical to a serial sweep.
+fn measure() -> Vec<SweepPoint> {
+    let reps = repetitions();
     // One trace-set family per repetition, generated up front.
-    let rep_sets: Vec<_> =
-        (0..reps).map(|rep| TraceGen::heavy(&ALL_APPS, 42 + rep as u64).multi_sets()).collect();
-    let rpms: Vec<u32> = rep_sets[0].iter().map(|(r, _)| *r).collect();
-
-    let jobs: Vec<(usize, usize, usize)> = (0..rpms.len())
-        .flat_map(|ri| (0..ALGOS.len()).flat_map(move |ai| (0..reps).map(move |rep| (ri, ai, rep))))
-        .collect();
-    let measured = par_map(jobs, |(ri, ai, rep)| {
-        let run = run_on(
-            sebs_suite(),
-            testbeds::multi_node(),
-            config.clone(),
-            &rep_sets[rep][ri].1,
-            build(ALGOS[ai]),
-        );
+    let rep_sets: Vec<_> = (0..reps).map(multi_sets).collect();
+    let variants: Vec<(usize, &'static str)> =
+        (0..rep_sets[0].len()).flat_map(|ri| ALGOS.iter().map(move |&algo| (ri, algo))).collect();
+    let measured = sweep(&variants, reps, |&(ri, algo), rep| {
+        let (rpm, trace) = &rep_sets[rep as usize][ri];
+        let run = run_multi_node(trace, build(algo));
         SweepPoint {
-            rpm: rpms[ri],
-            algo: ALGOS[ai],
+            rpm: *rpm,
+            algo,
             p99: run.result.latency_percentile(99.0),
             completion: run.result.completion_time.as_secs_f64(),
             idle_cpu: run.report.pool_idle_cpu_core_sec,
@@ -93,23 +78,19 @@ pub fn sweep() -> Vec<SweepPoint> {
         }
     });
 
-    let mut out = Vec::new();
-    for (chunk_i, acc) in measured.chunks(reps).enumerate() {
-        let (ri, ai) = (chunk_i / ALGOS.len(), chunk_i % ALGOS.len());
-        let mean =
-            |f: &dyn Fn(&SweepPoint) -> f64| mean_slice(&acc.iter().map(f).collect::<Vec<_>>());
-        out.push(SweepPoint {
-            rpm: rpms[ri],
-            algo: ALGOS[ai],
-            p99: mean(&|p| p.p99),
-            completion: mean(&|p| p.completion),
-            idle_cpu: mean(&|p| p.idle_cpu),
-            idle_mem: mean(&|p| p.idle_mem),
-            cpu_util: (mean(&|p| p.cpu_util.0), mean(&|p| p.cpu_util.1)),
-            mem_util: (mean(&|p| p.mem_util.0), mean(&|p| p.mem_util.1)),
-        });
-    }
-    out
+    measured
+        .iter()
+        .map(|acc| SweepPoint {
+            rpm: acc[0].rpm,
+            algo: acc[0].algo,
+            p99: mean_by(acc, |p| p.p99),
+            completion: mean_by(acc, |p| p.completion),
+            idle_cpu: mean_by(acc, |p| p.idle_cpu),
+            idle_mem: mean_by(acc, |p| p.idle_mem),
+            cpu_util: (mean_by(acc, |p| p.cpu_util.0), mean_by(acc, |p| p.cpu_util.1)),
+            mem_util: (mean_by(acc, |p| p.mem_util.0), mean_by(acc, |p| p.mem_util.1)),
+        })
+        .collect()
 }
 
 fn table(points: &[SweepPoint], metric: impl Fn(&SweepPoint) -> f64, title: &str, fmt: &str) {
@@ -137,7 +118,7 @@ fn table(points: &[SweepPoint], metric: impl Fn(&SweepPoint) -> f64, title: &str
 
 /// Print Fig 9 (and return the sweep for reuse).
 pub fn run() -> Vec<SweepPoint> {
-    let points = sweep();
+    let points = measure();
 
     table(&points, |p| p.p99, "Fig 9: P99 response latency (s) per RPM", "f");
     let libra_best = points.iter().filter(|p| p.algo == "Libra").all(|p| {

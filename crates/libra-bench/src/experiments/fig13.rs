@@ -8,7 +8,7 @@
 use crate::*;
 use libra_sim::engine::SimConfig;
 use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, size_related_suite, size_unrelated_suite, testbeds, ALL_APPS};
+use libra_workloads::{size_related_suite, size_unrelated_suite, testbeds};
 
 fn p99_speedup(run: &PlatformRun) -> f64 {
     libra_sim::metrics::percentile(&run.result.speedups(), 99.0)
@@ -19,12 +19,9 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
     let mut out = Vec::new();
 
     header("Fig 13(a): model ablation on the hybrid workload (speedup quantiles)");
-    let gen = TraceGen::standard(&ALL_APPS, 42);
-    let trace = gen.single_set();
+    let trace = single_trace(0);
     let panel_a = [PlatformKind::LibraHist, PlatformKind::LibraMl, PlatformKind::Libra];
-    let runs = par_map(panel_a.to_vec(), |kind| {
-        run_on(sebs_suite(), testbeds::single_node(), SimConfig::default(), &trace, kind.build())
-    });
+    let runs = par_map(panel_a.to_vec(), |kind| run_single_node(&trace, kind.build()));
     for (kind, run) in panel_a.iter().zip(&runs) {
         cdf_summary(kind.name(), &run.result.speedups(), "");
         out.push((
@@ -43,8 +40,8 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
             "Fig 13({}): {panel} workload",
             if panel == "size-related" { "b" } else { "c" }
         ));
-        let gen = TraceGen::standard(&kinds, 42);
-        let trace = gen.single_set();
+        // Deviation from §8.3: the panel's own five-function suite and trace.
+        let trace = TraceGen::standard(&kinds, 42).single_set();
         let panel_kinds = [PlatformKind::Default, PlatformKind::Freyr, PlatformKind::Libra];
         let runs = par_map(panel_kinds.to_vec(), |kind| {
             run_on(

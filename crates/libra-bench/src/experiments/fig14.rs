@@ -6,28 +6,18 @@
 use crate::*;
 use libra_core::controlplane::ControlConfig;
 use libra_core::{LibraConfig, LibraPlatform};
-use libra_sim::engine::SimConfig;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 
 /// Run the sweep; returns `(threshold, safeguarded_ratio, p99_s)`.
 pub fn run() -> Vec<(f64, f64, f64)> {
     header("Fig 14: safeguard threshold sweep (single-node, `single` trace)");
     row(&["threshold".into(), "safeguarded %".into(), "P99 (s)".into()]);
-    let gen = TraceGen::standard(&ALL_APPS, 42);
-    let trace = gen.single_set();
+    let trace = single_trace(0);
     // All eleven thresholds run concurrently; rows print in sweep order.
     let out: Vec<(f64, f64, f64)> = par_map((0..=10usize).collect(), |i| {
         let thr = i as f64 / 10.0;
         let control = ControlConfig { safeguard_threshold: thr, ..ControlConfig::default() };
         let cfg = LibraConfig { control, ..LibraConfig::libra() };
-        let mut platform = LibraPlatform::new(cfg);
-        let sim = libra_sim::engine::Simulation::new(
-            sebs_suite(),
-            testbeds::single_node(),
-            SimConfig::default(),
-        );
-        let res = sim.run(&trace, &mut platform);
+        let res = run_single_node(&trace, Box::new(LibraPlatform::new(cfg))).result;
         (thr, res.safeguarded_ratio(), res.latency_percentile(99.0))
     });
     for &(thr, ratio, p99) in &out {

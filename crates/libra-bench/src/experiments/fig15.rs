@@ -4,19 +4,15 @@
 //! negligible next to container init and execution.
 
 use crate::*;
-use libra_sim::engine::SimConfig;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
+use libra_workloads::ALL_APPS;
 
 /// Run the breakdown; returns per-function mean stage times in seconds:
 /// `(func, frontend, profiler, scheduler, pool, container, exec)`.
 pub fn run() -> Vec<(String, [f64; 6])> {
     header("Fig 15: latency breakdown per function (multi-node, mean seconds)");
-    let gen = TraceGen::standard(&ALL_APPS, 42);
-    let trace = gen.poisson(300, 120.0);
-    let config = SimConfig { shards: 2, ..SimConfig::default() };
-    let run =
-        run_on(sebs_suite(), testbeds::multi_node(), config, &trace, PlatformKind::Libra.build());
+    // The multi-node setup on a `standard` Poisson trace, not a multi set.
+    let trace = trace_gen(0).poisson(300, 120.0);
+    let run = run_multi_node(&trace, PlatformKind::Libra.build());
 
     row(&[
         "func".into(),

@@ -1,34 +1,27 @@
 //! Fig 16 — demand-coverage weight sensitivity (§8.8): sweep α (the CPU
 //! weight in `D = α·D_cpu + (1−α)·D_mem`) and report the idle-resource
-//! ledgers and the P99 latency on the multi-node cluster at 120 RPM.
+//! ledgers and the P99 latency on the multi-node setup at 240 RPM.
 
 use crate::*;
 use libra_core::{LibraConfig, LibraPlatform};
-use libra_sim::engine::SimConfig;
-use libra_sim::platform::Platform as _;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 
 /// Run the sweep; returns `(alpha, idle_cpu_core_s, idle_mem_mb_s, p99_s)`.
 pub fn run() -> Vec<(f64, f64, f64, f64)> {
     header("Fig 16: demand-coverage weight sweep (multi-node, 240 RPM)");
     row(&["alpha".into(), "CPU idle (core·s)".into(), "mem idle (GB·s)".into(), "P99 (s)".into()]);
-    let sets = TraceGen::heavy(&ALL_APPS, 42).multi_sets();
-    let trace = &sets.iter().find(|(rpm, _)| *rpm == 240).expect("240 RPM set").1;
-    let config = SimConfig { shards: 2, ..SimConfig::default() };
+    let trace = multi_trace(0, 240);
     // All eleven alphas run concurrently; rows print in sweep order.
     let out: Vec<(f64, f64, f64, f64)> = par_map((0..=10usize).collect(), |i| {
         let alpha = i as f64 / 10.0;
         let cfg = LibraConfig { alpha, ..LibraConfig::libra() };
-        let mut platform = LibraPlatform::new(cfg);
-        let sim = libra_sim::engine::Simulation::new(
-            sebs_suite(),
-            testbeds::multi_node(),
-            config.clone(),
-        );
-        let res = sim.run(trace, &mut platform);
-        let rep = platform.report();
-        (alpha, rep.pool_idle_cpu_core_sec, rep.pool_idle_mem_mb_sec, res.latency_percentile(99.0))
+        let PlatformRun { result, report, .. } =
+            run_multi_node(&trace, Box::new(LibraPlatform::new(cfg)));
+        (
+            alpha,
+            report.pool_idle_cpu_core_sec,
+            report.pool_idle_mem_mb_sec,
+            result.latency_percentile(99.0),
+        )
     });
     for &(alpha, idle_cpu, idle_mem, p99) in &out {
         row(&[

@@ -14,13 +14,11 @@
 //! pinned memory (the engine's own `RunSummary::warm_pinned_mb`),
 //! policy-directed prewarms, and P99 latency. The CSV is
 //! byte-identical at any `--threads` count: jobs are fanned with the
-//! order-preserving [`par_map`] and reduced in configuration order.
+//! order-preserving [`sweep`] and reduced in configuration order.
 
 use crate::*;
 use libra_core::keepalive::{PolicyKind, WithKeepAlive};
 use libra_sim::time::SimDuration;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 
 /// The policy column of the sweep. `fixed60` is the seed behavior — under it
 /// every platform must reproduce its no-wrapper numbers exactly.
@@ -47,16 +45,8 @@ struct Cell {
 }
 
 fn one_run(policy: PolicyKind, kind: PlatformKind, rep: u64) -> Cell {
-    let gen = TraceGen::standard(&ALL_APPS, 42 + rep);
-    let trace = gen.single_set();
     let platform = WithKeepAlive::new(kind.build(), policy.build());
-    let run = run_on(
-        sebs_suite(),
-        testbeds::single_node(),
-        libra_sim::engine::SimConfig::default(),
-        &trace,
-        Box::new(platform),
-    );
+    let run = run_single_node(&single_trace(rep), Box::new(platform));
     let r = &run.result;
     let served = (r.warm_hits + r.cold_starts).max(1) as f64;
     Cell {
@@ -89,29 +79,19 @@ pub fn run() -> Vec<(String, f64)> {
         "P99 (s)".into(),
     ]);
     let pols = policies();
-    let reps = repetitions();
-    let jobs: Vec<(usize, usize, u64)> = pols
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, _)| {
-            PLATFORMS
-                .iter()
-                .enumerate()
-                .flat_map(move |(ki, _)| (0..reps).map(move |rep| (pi, ki, rep)))
-        })
-        .collect();
-    let runs = par_map(jobs, |(pi, ki, rep)| one_run(pols[pi], PLATFORMS[ki], rep));
+    let cells: Vec<(usize, usize)> =
+        (0..pols.len()).flat_map(|pi| (0..PLATFORMS.len()).map(move |ki| (pi, ki))).collect();
+    let runs = sweep(&cells, repetitions(), |&(pi, ki), rep| one_run(pols[pi], PLATFORMS[ki], rep));
 
     let mut out = Vec::new();
     let mut csv_rows = Vec::new();
-    for (ci, chunk) in runs.chunks(reps as usize).enumerate() {
-        let (pi, ki) = (ci / PLATFORMS.len(), ci % PLATFORMS.len());
+    for (&(pi, ki), cell) in cells.iter().zip(&runs) {
         let label = format!("{}/{}", pols[pi].label(), PLATFORMS[ki].name());
-        let cold = mean_slice(&chunk.iter().map(|c| c.cold_rate).collect::<Vec<_>>());
-        let pinned = mean_slice(&chunk.iter().map(|c| c.pinned_mean_mb).collect::<Vec<_>>());
-        let peak = mean_slice(&chunk.iter().map(|c| c.pinned_max_mb).collect::<Vec<_>>());
-        let prewarms = mean_slice(&chunk.iter().map(|c| c.prewarms).collect::<Vec<_>>());
-        let p99 = mean_slice(&chunk.iter().map(|c| c.p99_s).collect::<Vec<_>>());
+        let cold = mean_by(cell, |c| c.cold_rate);
+        let pinned = mean_by(cell, |c| c.pinned_mean_mb);
+        let peak = mean_by(cell, |c| c.pinned_max_mb);
+        let prewarms = mean_by(cell, |c| c.prewarms);
+        let p99 = mean_by(cell, |c| c.p99_s);
         row(&[
             pols[pi].label(),
             PLATFORMS[ki].name().into(),
@@ -156,19 +136,9 @@ mod tests {
     /// baseline column to the seed behavior.
     #[test]
     fn fixed60_wrapper_matches_bare_platform() {
-        let gen = TraceGen::standard(&ALL_APPS, 7);
-        let trace = gen.single_set();
-        let bare = run_on(
-            sebs_suite(),
-            testbeds::single_node(),
-            libra_sim::engine::SimConfig::default(),
-            &trace,
-            PlatformKind::Libra.build(),
-        );
-        let wrapped = run_on(
-            sebs_suite(),
-            testbeds::single_node(),
-            libra_sim::engine::SimConfig::default(),
+        let trace = libra_workloads::TraceGen::standard(&libra_workloads::ALL_APPS, 7).single_set();
+        let bare = run_single_node(&trace, PlatformKind::Libra.build());
+        let wrapped = run_single_node(
             &trace,
             Box::new(WithKeepAlive::new(
                 PlatformKind::Libra.build(),

@@ -5,14 +5,11 @@ use crate::*;
 use libra_core::profiler::{ModelChoice, Profiler, ProfilerConfig};
 use libra_core::{HarvestResourcePool, LibraConfig, LibraPlatform};
 use libra_sim::demand::InputMeta;
-use libra_sim::engine::SimConfig;
 use libra_sim::ids::InvocationId;
-use libra_sim::platform::Platform as _;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::SimTime;
 use libra_workloads::apps::AppKind;
-use libra_workloads::trace::TraceGen;
-use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
+use libra_workloads::sebs_suite;
 use std::time::Instant;
 
 /// Run the overhead measurements.
@@ -89,15 +86,12 @@ pub fn run() {
     );
 
     header("§8.10: component bookkeeping volume (multi-node workload)");
-    let gen = TraceGen::standard(&ALL_APPS, 42);
-    let trace = gen.poisson(300, 120.0);
-    let config = SimConfig { shards: 2, ..SimConfig::default() };
-    let sim = libra_sim::engine::Simulation::new(sebs_suite(), testbeds::multi_node(), config);
-    let mut platform = LibraPlatform::new(LibraConfig::libra());
+    // The multi-node setup on a `standard` Poisson trace, not a multi set.
+    let trace = trace_gen(0).poisson(300, 120.0);
     let t0 = Instant::now();
-    let res = sim.run(&trace, &mut platform);
+    let run = run_multi_node(&trace, Box::new(LibraPlatform::new(LibraConfig::libra())));
     let wall = t0.elapsed();
-    let rep = platform.report();
+    let (res, rep) = (run.result, run.report);
     println!(
         "  {} invocations, simulated {:.0} s in {:.2} s wall clock",
         res.records.len(),

@@ -3,8 +3,9 @@
 //! One module per table/figure of the paper under [`experiments`] (see
 //! DESIGN.md §3 for the index), run by name through the one `exp` binary;
 //! this library holds the shared machinery: platform constructors, the run
-//! driver, parallel sweeps, plain-text table/CDF reporting, and the batch
-//! assigners of the greedy-gap ablation ([`batch`]).
+//! driver, the evaluation's two setups (§8.3 single-node, §8.4 multi-node),
+//! the one variant × repetition [`sweep`], plain-text table/CDF reporting,
+//! and the batch assigners of the greedy-gap ablation ([`batch`]).
 //!
 //! Every experiment prints the paper's expected shape next to the measured
 //! numbers and writes CSV series under `results/` for external plotting.
@@ -31,6 +32,8 @@ use libra_sim::metrics::{mean_slice, percentiles, RunResult};
 use libra_sim::platform::{Platform, PlatformReport};
 use libra_sim::resources::ResourceVec;
 use libra_sim::trace::Trace;
+use libra_workloads::trace::TraceGen;
+use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -126,6 +129,54 @@ pub fn run_on(
     PlatformRun { name: platform.name(), result, report: platform.report() }
 }
 
+// ---------------------------------------------------------------- the setups
+
+/// §8.3's single-node setup: `platform` runs `trace` on the SeBS suite and the
+/// 72-core node under the default engine configuration.
+pub fn run_single_node(trace: &Trace, platform: Box<dyn Platform>) -> PlatformRun {
+    run_on(sebs_suite(), testbeds::single_node(), SimConfig::default(), trace, platform)
+}
+
+/// The evaluation's trace generator for repetition `rep`: the ten SeBS
+/// applications' `standard` input pools and popularity, seeded `42 + rep`.
+pub fn trace_gen(rep: u64) -> TraceGen {
+    TraceGen::standard(&ALL_APPS, 42 + rep)
+}
+
+/// §8.3's `single` trace (165 invocations) of repetition `rep`.
+pub fn single_trace(rep: u64) -> Trace {
+    trace_gen(rep).single_set()
+}
+
+/// §8.4's multi-node setup: `platform` runs `trace` on the SeBS suite and the
+/// four-node cluster, decentralized into two scheduler shards.
+pub fn run_multi_node(trace: &Trace, platform: Box<dyn Platform>) -> PlatformRun {
+    let config = SimConfig { shards: 2, ..SimConfig::default() };
+    run_on(sebs_suite(), testbeds::multi_node(), config, trace, platform)
+}
+
+/// §8.4's ten `heavy` multi sets of repetition `rep`: `(rpm, trace)` pairs,
+/// 10 → 300 RPM.
+pub fn multi_sets(rep: u64) -> Vec<(u32, Trace)> {
+    TraceGen::heavy(&ALL_APPS, 42 + rep).multi_sets()
+}
+
+/// §8.4's `heavy` multi set at `rpm` of repetition `rep`.
+pub fn multi_trace(rep: u64, rpm: u32) -> Trace {
+    multi_sets(rep).into_iter().find(|(r, _)| *r == rpm).expect("a multi set at that RPM").1
+}
+
+/// The §8.3 run set Figs 6, 7 and 8 all read: the six platforms of
+/// [`PlatformKind::MAIN_SIX`] on the single-node setup, one run per
+/// repetition of the `single` trace, grouped as [`sweep`] groups them.
+pub fn main_six_runs() -> Vec<Vec<PlatformRun>> {
+    let reps = repetitions();
+    let traces: Vec<Trace> = (0..reps).map(single_trace).collect();
+    sweep(&PlatformKind::MAIN_SIX, reps, |kind, rep| {
+        run_single_node(&traces[rep as usize], kind.build())
+    })
+}
+
 // ------------------------------------------------------------- parallel runs
 
 /// Worker-thread count for the parallel sweep runner: `LIBRA_THREADS` env,
@@ -192,6 +243,27 @@ where
         .map(|r| r.into_inner().expect("no job runs under its slot's lock"))
         .map(|r| r.expect("the scope joined every worker, so every job ran"))
         .collect()
+}
+
+/// Run every variant `reps` times across the [`par_map`] workers. Element
+/// `v` of the result holds variant `v`'s runs in repetition order, so a
+/// per-variant aggregate folds the same values in the same order as a serial
+/// loop over repetitions would.
+pub fn sweep<V, R, F>(variants: &[V], reps: u64, run: F) -> Vec<Vec<R>>
+where
+    V: Sync,
+    R: Send,
+    F: Fn(&V, u64) -> R + Sync,
+{
+    let jobs: Vec<(usize, u64)> =
+        (0..variants.len()).flat_map(|v| (0..reps).map(move |rep| (v, rep))).collect();
+    let mut runs = par_map(jobs, |(v, rep)| run(&variants[v], rep)).into_iter();
+    variants.iter().map(|_| runs.by_ref().take(reps as usize).collect()).collect()
+}
+
+/// The mean of `f` over one variant's runs, folded in repetition order.
+pub fn mean_by<R>(runs: &[R], f: impl Fn(&R) -> f64) -> f64 {
+    mean_slice(&runs.iter().map(f).collect::<Vec<_>>())
 }
 
 // ---------------------------------------------------------------- reporting
@@ -298,5 +370,16 @@ mod tests {
         }
         assert!(par_map(Vec::<u64>::new(), |j| j).is_empty());
         assert!(threads() >= 1);
+    }
+
+    #[test]
+    fn sweep_groups_runs_variant_major_with_repetitions_in_order() {
+        let grouped = sweep(&['a', 'b', 'c'], 4, |&v, rep| format!("{v}{rep}"));
+        assert_eq!(
+            grouped,
+            [["a0", "a1", "a2", "a3"], ["b0", "b1", "b2", "b3"], ["c0", "c1", "c2", "c3"]]
+        );
+        assert_eq!(mean_by(&[1.0, 2.0, 6.0], |&x| x), 3.0);
+        assert!(sweep(&[(); 0], 3, |_, rep| rep).is_empty());
     }
 }

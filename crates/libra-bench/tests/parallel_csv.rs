@@ -1,12 +1,13 @@
 //! The parallel sweep runner must be a pure wall-clock optimization: CSV
 //! artifacts (and the aggregates they derive from) must be byte-identical to
-//! a serial run. This drives a real experiment (Fig 6) through the actual
-//! `run_on`/`par_map`/`write_csv` machinery twice — once on one worker
-//! thread, once on several — and diffs every produced file.
+//! a serial run. This simulates the §8.3 run set through the actual
+//! `sweep`/`par_map` machinery twice — once on one worker thread, once on
+//! several — writes Figs 6, 7 and 8 from each, and diffs every produced file.
 //!
 //! Both phases live in ONE test so the env-var handoff (results dir, thread
 //! count) is never raced by a sibling test.
 
+use libra_bench::experiments::{fig06, fig07, fig08};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -28,23 +29,31 @@ fn parallel_sweep_csvs_match_serial_byte_for_byte() {
     std::fs::create_dir_all(&serial_dir).unwrap();
     std::fs::create_dir_all(&parallel_dir).unwrap();
 
-    // Keep the sweep small: one repetition of the six-platform Fig 6 run.
+    // Keep the sweep small: one repetition of the six-platform run set.
     std::env::set_var("LIBRA_REPS", "1");
+    // One phase: simulate the run set once and write all three figures from it.
+    let phase = || {
+        let runs = libra_bench::main_six_runs();
+        (fig06::run(&runs), fig07::run(&runs), fig08::run(&runs))
+    };
 
     // Serial phase: every par_map call reads LIBRA_THREADS for its worker count.
     std::env::set_var("LIBRA_THREADS", "1");
     std::env::set_var("LIBRA_RESULTS_DIR", &serial_dir);
-    let serial_out = libra_bench::experiments::fig06::run();
+    let serial_out = phase();
     let serial_files = read_dir_files(&serial_dir);
 
     // Parallel phase: four workers.
     std::env::set_var("LIBRA_THREADS", "4");
     std::env::set_var("LIBRA_RESULTS_DIR", &parallel_dir);
-    let parallel_out = libra_bench::experiments::fig06::run();
+    let parallel_out = phase();
     let parallel_files = read_dir_files(&parallel_dir);
 
     assert_eq!(serial_out, parallel_out, "returned aggregates diverged");
-    assert!(!serial_files.is_empty(), "experiment produced no CSV artifacts");
+    for fig in ["fig06a", "fig06b", "fig07", "fig08"] {
+        let n = serial_files.keys().filter(|name| name.starts_with(fig)).count();
+        assert_eq!(n, 6, "{fig}: one CSV per platform");
+    }
     assert_eq!(
         serial_files.keys().collect::<Vec<_>>(),
         parallel_files.keys().collect::<Vec<_>>(),

@@ -16,9 +16,8 @@
 mod csvio;
 mod opts;
 
-use libra_baselines::{Freyr, OpenWhiskDefault};
+use libra_bench::PlatformKind;
 use libra_core::keepalive::{PolicyKind, WithKeepAlive};
-use libra_core::{LibraConfig, LibraPlatform};
 use libra_sim::engine::{SimConfig, Simulation};
 use libra_sim::metrics::RunResult;
 use libra_sim::platform::Platform;
@@ -75,19 +74,18 @@ fn make_trace(opts: &Opts) -> Result<Trace, String> {
     })
 }
 
+/// The CLI's platform names, in [`PlatformKind::MAIN_SIX`] order.
+const PLATFORMS: [&str; 6] = ["default", "freyr", "libra", "ns", "np", "nsp"];
+
 fn build_platform(name: &str, keepalive: PolicyKind) -> Result<Box<dyn Platform>, String> {
-    let inner: Box<dyn Platform> = match name {
-        "default" => Box::new(OpenWhiskDefault),
-        "freyr" => Box::new(Freyr::new()),
-        "libra" => Box::new(LibraPlatform::new(LibraConfig::libra())),
-        "ns" => Box::new(LibraPlatform::new(LibraConfig::ns())),
-        "np" => Box::new(LibraPlatform::new(LibraConfig::np())),
-        "nsp" => Box::new(LibraPlatform::new(LibraConfig::nsp())),
-        other => return Err(format!("unknown platform `{other}`")),
-    };
+    let (_, kind) = PLATFORMS
+        .iter()
+        .zip(PlatformKind::MAIN_SIX)
+        .find(|(n, _)| **n == name)
+        .ok_or(format!("unknown platform `{name}`"))?;
     // The default fixed-60 policy is observationally identical to the bare
     // engine, so wrapping unconditionally is safe (and pinned by tests).
-    Ok(Box::new(WithKeepAlive::new(inner, keepalive.build())))
+    Ok(Box::new(WithKeepAlive::new(kind.build(), keepalive.build())))
 }
 
 fn cluster(opts: &Opts) -> Vec<libra_sim::resources::ResourceVec> {
@@ -98,14 +96,14 @@ fn cluster(opts: &Opts) -> Vec<libra_sim::resources::ResourceVec> {
     }
 }
 
-fn execute(opts: &Opts, platform: &mut dyn Platform, trace: &Trace) -> RunResult {
-    let config = SimConfig {
-        shards: opts.shards,
-        trace_spans: opts.trace_out.is_some(),
-        ..SimConfig::default()
-    };
+fn execute(opts: &Opts, platform: &mut dyn Platform, trace: &Trace) -> Result<RunResult, String> {
+    let config =
+        SimConfig { shards: opts.shards, trace: opts.trace_out.is_some(), ..SimConfig::default() };
     let sim = Simulation::new(sebs_suite(), cluster(opts), config);
-    sim.run(trace, platform)
+    match sim.unplaceable(trace) {
+        Some(why) => Err(why),
+        None => Ok(sim.run(trace, platform)),
+    }
 }
 
 fn cmd_trace(opts: &Opts) -> Result<(), String> {
@@ -126,7 +124,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let trace = make_trace(opts)?;
     let mut platform = build_platform(&opts.platform, opts.keepalive)?;
-    let result = execute(opts, platform.as_mut(), &trace);
+    let result = execute(opts, platform.as_mut(), &trace)?;
     summarize(&result);
     if let Some(path) = &opts.out {
         let f = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
@@ -150,7 +148,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
         "{:<10} {:>9} {:>9} {:>12} {:>9} {:>9} {:>8}",
         "platform", "p50 (s)", "p99 (s)", "completion", "cpu util", "worst", "accel"
     );
-    for name in ["default", "freyr", "libra", "ns", "np", "nsp"] {
+    for name in PLATFORMS {
         let mut p50 = 0.0;
         let mut p99 = 0.0;
         let mut compl = 0.0;
@@ -161,7 +159,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
             let rep_opts = Opts { seed: opts.seed + rep, ..opts.clone() };
             let trace = make_trace(&rep_opts)?;
             let mut platform = build_platform(name, opts.keepalive)?;
-            let r = execute(&rep_opts, platform.as_mut(), &trace);
+            let r = execute(&rep_opts, platform.as_mut(), &trace)?;
             let ps = r.latency_percentiles(&[50.0, 99.0]);
             p50 += ps[0];
             p99 += ps[1];

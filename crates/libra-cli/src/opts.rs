@@ -116,9 +116,12 @@ impl Opts {
                     o.cluster = match v.split_once(':') {
                         None if v == "single" => ClusterSpec::Single,
                         None if v == "multi" => ClusterSpec::Multi,
-                        Some(("jetstream", n)) => ClusterSpec::Jetstream(
-                            n.parse().map_err(|e| format!("--cluster jetstream: {e}"))?,
-                        ),
+                        Some(("jetstream", n)) => {
+                            match n.parse().map_err(|e| format!("--cluster jetstream: {e}"))? {
+                                0 => return Err("need at least one worker node".into()),
+                                n => ClusterSpec::Jetstream(n),
+                            }
+                        }
                         _ => return Err(format!("bad --cluster `{v}`")),
                     };
                 }
@@ -130,10 +133,15 @@ impl Opts {
                         ["multi", rpm] => {
                             TraceKind::Multi(rpm.parse().map_err(|e| format!("--kind multi: {e}"))?)
                         }
-                        ["poisson", n, rpm] => TraceKind::Poisson {
-                            n: n.parse().map_err(|e| format!("--kind poisson n: {e}"))?,
-                            rpm: rpm.parse().map_err(|e| format!("--kind poisson rpm: {e}"))?,
-                        },
+                        ["poisson", n, rpm] => {
+                            let n = n.parse().map_err(|e| format!("--kind poisson n: {e}"))?;
+                            let rpm: f64 =
+                                rpm.parse().map_err(|e| format!("--kind poisson rpm: {e}"))?;
+                            if rpm.is_nan() || rpm <= 0.0 {
+                                return Err("rpm must be positive".into());
+                            }
+                            TraceKind::Poisson { n, rpm }
+                        }
                         _ => return Err(format!("bad --kind `{v}`")),
                     };
                 }

@@ -361,11 +361,6 @@ impl<P: Platform> WithKeepAlive<P> {
         &self.inner
     }
 
-    /// The wrapped platform, mutably.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-
     /// The policy in charge.
     pub fn policy(&self) -> &dyn KeepAlivePolicy {
         self.policy.as_ref()

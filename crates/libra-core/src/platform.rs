@@ -143,7 +143,6 @@ pub struct LibraPlatform<S: NodeSelector = CoverageSelector> {
     windows: Vec<Window>,
     core: ControlPlane,
     view: SchedView,
-    record_trace: bool,
     initialized: bool,
 }
 
@@ -166,7 +165,6 @@ impl<S: NodeSelector> LibraPlatform<S> {
             windows: Vec::new(),
             core,
             view: SchedView::new(),
-            record_trace: false,
             initialized: false,
         }
     }
@@ -184,13 +182,6 @@ impl<S: NodeSelector> LibraPlatform<S> {
     /// The shared control plane (ledger, pools, safeguard, action trace).
     pub fn core(&self) -> &ControlPlane {
         &self.core
-    }
-
-    /// Record the control plane's emitted actions (for the differential
-    /// fidelity test). Must be called before the run; survives `init`.
-    pub fn enable_action_trace(&mut self) {
-        self.record_trace = true;
-        self.core.set_record_trace(true);
     }
 
     /// Translate core actions into engine mutations. `Revoke`/`Requeue` are
@@ -250,7 +241,8 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
             .then(|| Profiler::new(n_funcs, self.cfg.profiler_cfg.clone(), self.cfg.model_choice));
         self.windows = vec![Window::new(NP_WINDOW); n_funcs];
         self.core = ControlPlane::new(self.cfg.control.clone(), n_funcs, world.num_nodes());
-        self.core.set_record_trace(self.record_trace);
+        // The control plane records its actions when the run is traced.
+        self.core.set_record_trace(world.config.trace);
         self.initialized = true;
     }
 

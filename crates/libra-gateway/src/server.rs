@@ -263,7 +263,7 @@ fn route(inner: &Arc<GatewayInner>, req: &Request) -> Response {
             None => Response::text(
                 404,
                 "Not Found",
-                "tracing disabled (start the gateway with live.trace_spans = true)\n",
+                "tracing disabled (start the gateway with live.trace = true)\n",
             ),
         },
         ("POST", target) => match parse_invoke_target(target) {

@@ -124,14 +124,14 @@ pub struct LiveConfig {
     /// flight) never trip it, so a long-lived gateway can sit at this
     /// default indefinitely.
     pub watchdog: Duration,
-    /// Record every control-plane action per node (fidelity testing).
-    pub record_trace: bool,
-    /// Record per-attempt execution-timeline spans (scheduler wait and exec
-    /// segments split at OOM restarts) plus harvest-loan lifetimes, stamped
-    /// in workload microseconds since cluster start — the same span schema
-    /// the simulator emits under `SimConfig::trace_spans`. Off by default;
-    /// when off no recording call is made and the sink never locks.
-    pub trace_spans: bool,
+    /// Record the run's traces, as `SimConfig::trace` does in the
+    /// simulator: every control-plane action per node, and per-attempt
+    /// execution-timeline spans (scheduler wait and exec segments split at
+    /// OOM restarts) plus harvest-loan lifetimes, stamped in workload
+    /// microseconds since cluster start — the simulator's span schema. Off
+    /// by default; when off no recording call is made and the sink never
+    /// locks.
+    pub trace: bool,
     /// Keep-alive / autoscaling policy driving each node's warm-container
     /// registry — the same [`PolicyKind`] the simulator threads through
     /// `Platform::warm_keep`, so both substrates retire idle containers by
@@ -156,8 +156,7 @@ impl Default for LiveConfig {
             quantum: Duration::from_millis(2),
             time_scale: 4.0,
             watchdog: Duration::from_secs(60),
-            record_trace: false,
-            trace_spans: false,
+            trace: false,
             keepalive: PolicyKind::default(),
             faults: FaultPlan::empty(),
         }
@@ -389,10 +388,10 @@ pub struct LiveResult {
     /// Admissions that found no live warm container for their function.
     pub cold_starts: u64,
     /// Per-node control-plane action traces (only populated when
-    /// [`LiveConfig::record_trace`] is set).
+    /// [`LiveConfig::trace`] is set).
     pub actions_by_node: Vec<Vec<Action>>,
     /// Execution-timeline trace: per-attempt stage spans and harvest-loan
-    /// lifetimes in workload µs (`None` unless [`LiveConfig::trace_spans`]).
+    /// lifetimes in workload µs (`None` unless [`LiveConfig::trace`]).
     pub trace: Option<ExecTrace>,
 }
 
@@ -499,7 +498,7 @@ struct ClusterShared {
     records: Mutex<Vec<LiveRecord>>,
     /// Every thread `start` spawned: node drivers, then the front door.
     threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Execution-timeline span sink (inert unless `config.trace_spans`;
+    /// Execution-timeline span sink (inert unless `config.trace`;
     /// recording paths check the config flag before ever taking this lock).
     spans: Mutex<SpanSink>,
 }
@@ -511,7 +510,7 @@ impl ClusterShared {
         let nodes: Vec<Arc<NodeShared>> = (0..config.nodes)
             .map(|_| {
                 let mut core = ControlPlane::new(config.control.clone(), n_funcs, 1);
-                core.set_record_trace(config.record_trace);
+                core.set_record_trace(config.trace);
                 Arc::new(NodeShared {
                     inner: Mutex::new(NodeInner {
                         core,
@@ -545,7 +544,7 @@ impl ClusterShared {
             faults_injected: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
-            spans: Mutex::new(SpanSink::new(config.trace_spans)),
+            spans: Mutex::new(SpanSink::new(config.trace)),
             config,
         }
     }
@@ -568,14 +567,14 @@ impl ClusterShared {
     }
 
     fn sink(&self) -> Option<&Mutex<SpanSink>> {
-        self.config.trace_spans.then_some(&self.spans)
+        self.config.trace.then_some(&self.spans)
     }
 
     /// Charge the interval since `stage`'s cursor to the stage `state` — the
     /// lifecycle state its invocation is leaving at `now` — was spending it
     /// in. The span lock is taken only when tracing is on.
     fn leave_stage(&self, stage: &mut StageCursor, state: InvState, now: SimTime) {
-        if self.config.trace_spans {
+        if self.config.trace {
             stage.leave(state, now, 0, &mut self.spans.lock());
         } else {
             stage.leave(state, now, 0, &mut SpanSink::new(false));
@@ -1021,10 +1020,10 @@ impl LiveCluster {
 
     /// Record a frontend-stage span for `inv` (a networked frontend's
     /// admission overhead, stamped via [`LiveCluster::now_us`]). No-op
-    /// unless [`LiveConfig::trace_spans`] is set.
+    /// unless [`LiveConfig::trace`] is set.
     pub fn record_frontend_span(&self, inv: u64, start_us: u64, end_us: u64) {
         use libra_sim::trace_spans::SpanKind;
-        if self.shared.config.trace_spans {
+        if self.shared.config.trace {
             self.shared.spans.lock().record(
                 inv,
                 0,
@@ -1036,7 +1035,7 @@ impl LiveCluster {
     }
 
     /// Snapshot the execution-timeline trace recorded so far (`None` unless
-    /// [`LiveConfig::trace_spans`]). Completions keep streaming in after the
+    /// [`LiveConfig::trace`]). Completions keep streaming in after the
     /// snapshot; `shutdown` returns the final trace.
     pub fn trace_snapshot(&self) -> Option<ExecTrace> {
         self.shared.spans.lock().clone().into_trace()
@@ -1261,8 +1260,7 @@ mod tests {
             quantum: Duration::from_millis(1),
             time_scale: 8.0,
             watchdog: Duration::from_secs(30),
-            record_trace: false,
-            trace_spans: false,
+            trace: false,
             keepalive: PolicyKind::default(),
             faults: FaultPlan::empty(),
         }
@@ -1394,7 +1392,7 @@ mod tests {
         c.nodes = 1;
         c.shards = 1;
         c.control.safeguard = false;
-        c.trace_spans = true;
+        c.trace = true;
         let r = run_live(&w, &c);
         assert_eq!(r.records.len(), 1);
         assert!(r.records[0].oom_restarts >= 1, "the OOM rule must restart the invocation");
@@ -1440,7 +1438,7 @@ mod tests {
         let mut c = cfg(true);
         c.nodes = 1;
         c.shards = 1;
-        c.record_trace = true;
+        c.trace = true;
         let sh = ClusterShared::new(c, 2);
         let balanced = |after: &str| {
             let g = sh.nodes[0].inner.lock();
@@ -1579,8 +1577,7 @@ mod tests {
         c.quantum = Duration::from_millis(60);
         c.time_scale = 1.0;
         c.control.safeguard = false;
-        c.trace_spans = true;
-        c.record_trace = true;
+        c.trace = true;
         let r = run_live(&[request(0), request(15)], &c);
         assert_eq!(r.records.len(), 2);
         assert!(r.records.iter().all(|rec| rec.oom_restarts == 1), "{:?}", r.records);

@@ -71,10 +71,12 @@ pub struct SimConfig {
     /// How measurements are aggregated: full record streams (default) or
     /// constant-space online summaries for huge traces.
     pub metrics: MetricsMode,
-    /// Record per-attempt execution-timeline spans and loan lifetimes
-    /// ([`crate::trace_spans`]). Off by default: a disabled sink costs one
-    /// branch per stage transition and zero allocations.
-    pub trace_spans: bool,
+    /// Record the run's traces: per-attempt execution-timeline spans and
+    /// loan lifetimes ([`crate::trace_spans`]), and the platform's own
+    /// record of what it decided (a harvesting platform's control-plane
+    /// actions). Off by default: a disabled sink costs one branch per stage
+    /// transition and zero allocations.
+    pub trace: bool,
 }
 
 impl Default for SimConfig {
@@ -83,7 +85,7 @@ impl Default for SimConfig {
             shards: 1,
             decision_base: SimDuration(300),
             metrics: MetricsMode::Full,
-            trace_spans: false,
+            trace: false,
         }
     }
 }
@@ -182,7 +184,7 @@ pub struct World {
     /// Pops per event kind, split by whether the handler ran or dropped the
     /// event at its staleness check.
     pops_by_kind: [KindPops; EVENT_KINDS],
-    /// Execution-timeline span sink (inert unless `config.trace_spans`).
+    /// Execution-timeline span sink (inert unless `config.trace`).
     spans: SpanSink,
 }
 
@@ -1000,7 +1002,7 @@ impl Simulation {
                 tick_jitter: None,
                 running_eff_cpu,
                 pops_by_kind: [KindPops::default(); EVENT_KINDS],
-                spans: SpanSink::new(config.trace_spans),
+                spans: SpanSink::new(config.trace),
                 config,
             },
         }
@@ -1009,6 +1011,29 @@ impl Simulation {
     /// Read-only access to the world (for tests and ad-hoc inspection).
     pub fn world(&self) -> &World {
         &self.world
+    }
+
+    /// Why `trace` cannot run on this cluster: the first function it invokes
+    /// that is not deployed, or whose allocation exceeds the largest shard
+    /// slice, so it could never be placed. [`Simulation::run_with_faults`]
+    /// asserts there is none.
+    pub fn unplaceable(&self, trace: &Trace) -> Option<String> {
+        let w = &self.world;
+        let max_slice =
+            w.nodes.iter().map(Node::shard_capacity).fold(ResourceVec::ZERO, |a, c| a.max(&c));
+        trace.entries.iter().find_map(|e| match w.funcs.get(e.func.idx()) {
+            None => Some(format!(
+                "the trace invokes function {} but only {} are deployed",
+                e.func.0,
+                w.funcs.len()
+            )),
+            Some(spec) if !spec.user_alloc.fits_within(&max_slice) => Some(format!(
+                "function {} requires {:?} but the largest shard slice is {:?} — \
+                 it could never be placed",
+                spec.name, spec.user_alloc, max_slice
+            )),
+            Some(_) => None,
+        })
     }
 
     /// Run `trace` under `platform` to completion and return all metrics.
@@ -1028,6 +1053,8 @@ impl Simulation {
         platform: &mut dyn Platform,
         faults: &FaultPlan,
     ) -> RunResult {
+        let unplaceable = self.unplaceable(trace);
+        assert!(unplaceable.is_none(), "{}", unplaceable.unwrap_or_default());
         let w = &mut self.world;
         w.overheads = platform.overheads();
         w.drop_pings = vec![0; w.nodes.len()];
@@ -1038,20 +1065,6 @@ impl Simulation {
         let mut order: Vec<u32> =
             (0..u32::try_from(trace.entries.len()).unwrap_or(u32::MAX)).collect();
         order.sort_by_key(|&i| trace.entries[i as usize].at);
-        let max_slice =
-            w.nodes.iter().map(Node::shard_capacity).fold(ResourceVec::ZERO, |a, c| a.max(&c));
-        for &i in &order {
-            let e = &trace.entries[i as usize];
-            let spec = &w.funcs[e.func.idx()];
-            assert!(
-                spec.user_alloc.fits_within(&max_slice),
-                "function {} requires {:?} but the largest shard slice is {:?} — \
-                 it could never be placed",
-                spec.name,
-                spec.user_alloc,
-                max_slice
-            );
-        }
         let total = order.len();
         if total == 0 {
             return RunResult { platform: platform.name(), ..RunResult::default() };
@@ -1138,7 +1151,7 @@ impl Simulation {
         let first = w.first_arrival.unwrap_or(SimTime::ZERO);
         let mut summary = std::mem::take(&mut w.summary);
         summary.peak_live_invocations = w.invs.peak_live();
-        // Execution-timeline trace (None unless `config.trace_spans`): the
+        // Execution-timeline trace (None unless `config.trace`): the
         // sink moves out whole; per-kind percentile stats ride the summary.
         let trace = std::mem::replace(&mut w.spans, SpanSink::new(false)).into_trace();
         if let Some(t) = &trace {
@@ -2111,7 +2124,7 @@ mod tests {
             base_duration: SimDuration::from_secs(2),
         };
         let funcs = vec![spec("f", 2, 1024, d)];
-        let cfg = SimConfig { trace_spans: true, ..SimConfig::default() };
+        let cfg = SimConfig { trace: true, ..SimConfig::default() };
         let sim = Simulation::new(funcs, vec![ResourceVec::from_cores_mb(8, 8192)], cfg);
         let mut t = Trace::new();
         t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
@@ -2228,7 +2241,7 @@ mod tests {
         // used to be smeared into the scheduler stage on requeue; now each
         // lands in its own stage and the total still telescopes.
         let funcs = vec![spec("f", 2, 1024, one_sec_demand(2, 256))];
-        let cfg = SimConfig { trace_spans: true, ..SimConfig::default() };
+        let cfg = SimConfig { trace: true, ..SimConfig::default() };
         let sim = Simulation::new(funcs, vec![ResourceVec::from_cores_mb(8, 8192)], cfg);
         let mut t = Trace::new();
         t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));

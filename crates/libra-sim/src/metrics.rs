@@ -317,7 +317,7 @@ pub struct RunSummary {
     /// High-water mark of concurrently in-flight invocations (arena slots).
     pub peak_live_invocations: usize,
     /// Per-span-kind count/total/p50/p95/p99 over the execution-timeline
-    /// trace. Empty unless the run was traced (`SimConfig::trace_spans`).
+    /// trace. Empty unless the run was traced (`SimConfig::trace`).
     pub span_stats: Vec<SpanKindStats>,
 }
 
@@ -400,7 +400,7 @@ pub struct RunResult {
     /// value means a crash sweep corrupted the reservation/loan books).
     pub pool_violations: u64,
     /// Execution-timeline trace: per-attempt stage spans and harvest-loan
-    /// lifetimes. `None` unless the run was traced (`SimConfig::trace_spans`).
+    /// lifetimes. `None` unless the run was traced (`SimConfig::trace`).
     pub trace: Option<ExecTrace>,
 }
 

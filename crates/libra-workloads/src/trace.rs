@@ -50,16 +50,23 @@ impl TraceGen {
         TraceGen { kinds: kinds.to_vec(), pools, weights, seed }
     }
 
-    fn pick_function(&self, rng: &mut impl Rng) -> usize {
-        let total: f64 = self.weights.iter().sum();
-        let mut x = rng.gen_range(0.0..total);
-        for (i, w) in self.weights.iter().enumerate() {
-            if x < *w {
-                return i;
-            }
-            x -= w;
-        }
-        self.weights.len() - 1
+    /// The running sums of the popularity weights: one weighted function pick
+    /// draws `x` uniformly below the last and takes the first function whose
+    /// sum exceeds it, in O(log m). Built once per generated trace.
+    fn cumulative_weights(&self) -> Vec<f64> {
+        self.weights
+            .iter()
+            .scan(0.0, |acc, w| {
+                *acc += w;
+                Some(*acc)
+            })
+            .collect()
+    }
+
+    /// One weighted function pick from `cum` ([`Self::cumulative_weights`]).
+    fn pick_function(cum: &[f64], rng: &mut impl Rng) -> usize {
+        let x = rng.gen_range(0.0..cum.last().copied().unwrap_or_default());
+        cum.partition_point(|&c| c <= x).min(cum.len() - 1)
     }
 
     /// Poisson-arrival trace: `n` invocations at `rpm` requests per minute.
@@ -72,17 +79,19 @@ impl TraceGen {
     /// skews by whole seconds.
     pub fn poisson(&self, n: usize, rpm: f64) -> Trace {
         assert!(rpm > 0.0, "rpm must be positive");
+        let cum = self.cumulative_weights();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mean_gap_us = 60e6 / rpm;
         let mut t_us = 0u64;
         let mut trace = Trace::new();
+        trace.entries.reserve(n);
         for _ in 0..n {
             // Exponential inter-arrival, rounded to whole microseconds
             // while still small — never after accumulation.
             let u: f64 = rng.gen_range(f64::EPSILON..1.0);
             let gap_us = (-mean_gap_us * u.ln()).round() as u64;
             t_us = t_us.saturating_add(gap_us);
-            let f = self.pick_function(&mut rng);
+            let f = Self::pick_function(&cum, &mut rng);
             let input = self.pools[f].sample(&mut rng);
             trace.push(SimTime(t_us), FunctionId(f as u32), input);
         }
@@ -93,6 +102,7 @@ impl TraceGen {
     /// mirroring the shape of the paper's single-node workload (Fig 7 runs
     /// for a few hundred seconds with visible bursts).
     pub fn single_set(&self) -> Trace {
+        let cum = self.cumulative_weights();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x51136);
         let mut trace = Trace::new();
         // Four arrival waves ~30 s apart (the bursty shape of production
@@ -108,7 +118,7 @@ impl TraceGen {
             for _ in 0..n {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 t += -mean_gap_us * u.ln();
-                let f = self.pick_function(&mut rng);
+                let f = Self::pick_function(&cum, &mut rng);
                 let input = self.pools[f].sample(&mut rng);
                 trace.push(SimTime(t as u64), FunctionId(f as u32), input);
             }
@@ -171,37 +181,6 @@ impl TraceGen {
         let weights = (0..functions).map(|r| 1.0 / ((r + 1) as f64).powf(s)).collect();
         TraceGen { kinds, pools, weights, seed }
     }
-
-    /// Poisson-arrival trace like [`TraceGen::poisson`], but with function
-    /// picks served from a cumulative-weight table in O(log m) instead of a
-    /// linear scan of the weights. At the `huge` tier (hundreds of functions
-    /// × a million arrivals) the scan is the dominant generation cost; at
-    /// ten functions it is noise, which is why the original generators keep
-    /// their (byte-pinned) sampling loop.
-    pub fn poisson_indexed(&self, n: usize, rpm: f64) -> Trace {
-        assert!(rpm > 0.0, "rpm must be positive");
-        let mut cum: Vec<f64> = Vec::with_capacity(self.weights.len());
-        let mut acc = 0.0;
-        for w in &self.weights {
-            acc += w;
-            cum.push(acc);
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let mean_gap_us = 60e6 / rpm;
-        let mut t_us = 0u64;
-        let mut trace = Trace::new();
-        trace.entries.reserve(n);
-        for _ in 0..n {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let gap_us = (-mean_gap_us * u.ln()).round() as u64;
-            t_us = t_us.saturating_add(gap_us);
-            let x = rng.gen_range(0.0..acc);
-            let f = cum.partition_point(|&c| c <= x).min(self.weights.len() - 1);
-            let input = self.pools[f].sample(&mut rng);
-            trace.push(SimTime(t_us), FunctionId(f as u32), input);
-        }
-        trace
-    }
 }
 
 /// The `huge` benchmark tier: everything a driver needs to reproduce the
@@ -245,7 +224,7 @@ impl HugeTier {
 
     /// Generate the tier's trace.
     pub fn trace(&self) -> Trace {
-        self.gen.poisson_indexed(self.invocations, self.rpm)
+        self.gen.poisson(self.invocations, self.rpm)
     }
 
     /// Per-node capacities for [`Simulation::new`](libra_sim::engine::Simulation).
@@ -396,7 +375,7 @@ mod tests {
     fn zipf_catalogue_is_heavy_tailed_and_deterministic() {
         let g = TraceGen::zipf_catalogue(400, 11, 1.1);
         assert_eq!(g.kinds.len(), 400);
-        let t = g.poisson_indexed(20_000, 2_000.0);
+        let t = g.poisson(20_000, 2_000.0);
         assert_eq!(t.len(), 20_000);
         let mut counts = vec![0usize; 400];
         for e in &t.entries {
@@ -408,9 +387,9 @@ mod tests {
         let tail_hit = counts[200..].iter().filter(|&&c| c > 0).count();
         assert!(tail_hit > 50, "cold tail must still be exercised: {tail_hit}");
         // Same seed → byte-identical trace; different seed → different.
-        let t2 = TraceGen::zipf_catalogue(400, 11, 1.1).poisson_indexed(20_000, 2_000.0);
+        let t2 = TraceGen::zipf_catalogue(400, 11, 1.1).poisson(20_000, 2_000.0);
         assert_eq!(t.entries, t2.entries);
-        let t3 = TraceGen::zipf_catalogue(400, 12, 1.1).poisson_indexed(20_000, 2_000.0);
+        let t3 = TraceGen::zipf_catalogue(400, 12, 1.1).poisson(20_000, 2_000.0);
         assert_ne!(t.entries, t3.entries);
     }
 

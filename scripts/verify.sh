@@ -106,6 +106,20 @@ echo "==> committed results/*.csv reproduce (exp all at default LIBRA_REPS, 1 an
 # order-preserving fan-out of the sweeps, keepalive and chaos included).
 ./scripts/check_results.sh
 
+echo "==> exp fig07 and exp fig08 run alone reproduce their committed CSVs"
+# `exp all` simulates the §8.3 run set once and hands it to Figs 6, 7 and 8;
+# run alone, fig07 and fig08 simulate it themselves. check_results.sh runs
+# only `exp all`, so this is the check of the standalone path.
+FIG_OUT="$(mktemp -d)"
+for fig in fig07 fig08; do
+  env -u LIBRA_REPS LIBRA_RESULTS_DIR="$FIG_OUT" \
+    cargo run --release -q -p libra-bench --bin exp -- "$fig" > /dev/null
+done
+for f in "$FIG_OUT"/*.csv; do
+  cmp "$f" "results/$(basename "$f")"
+done
+rm -rf "$FIG_OUT"
+
 echo "==> non-test Rust lines per crate (scripts/loc.sh)"
 ./scripts/loc.sh
 

@@ -199,7 +199,7 @@ fn sim_trace_with(policy: PolicyKind) -> Vec<Action> {
     let sim = Simulation::new(
         funcs,
         vec![ResourceVec::from_cores_mb(16, 16 * 1024)],
-        SimConfig { shards: 1, ..SimConfig::default() },
+        SimConfig { shards: 1, trace: true, ..SimConfig::default() },
     );
     let mut platform = WithKeepAlive::new(
         FixedPredPlatform {
@@ -208,7 +208,6 @@ fn sim_trace_with(policy: PolicyKind) -> Vec<Action> {
         },
         policy.build(),
     );
-    platform.inner_mut().inner.enable_action_trace();
     let r = sim.run(&trace, &mut platform);
     assert_eq!(r.records.len(), 4, "all sim invocations must complete");
     platform.inner().inner.core().action_trace().to_vec()
@@ -230,7 +229,7 @@ fn live_trace_with(policy: PolicyKind) -> (Vec<Action>, libra::live::LiveResult)
         harvesting: true,
         quantum: Duration::from_millis(1),
         time_scale: 4.0,
-        record_trace: true,
+        trace: true,
         keepalive: policy,
         ..LiveConfig::default()
     };
@@ -262,7 +261,7 @@ fn gateway_trace_with(policy: PolicyKind) -> Vec<Action> {
         harvesting: true,
         quantum: Duration::from_millis(1),
         time_scale: 4.0,
-        record_trace: true,
+        trace: true,
         keepalive: policy,
         ..LiveConfig::default()
     };
@@ -433,7 +432,7 @@ fn execution_trace_critical_paths_agree_across_substrates() {
     let sim = Simulation::new(
         funcs,
         vec![ResourceVec::from_cores_mb(16, 16 * 1024)],
-        SimConfig { shards: 1, trace_spans: true, ..SimConfig::default() },
+        SimConfig { shards: 1, trace: true, ..SimConfig::default() },
     );
     let mut platform = WithKeepAlive::new(
         FixedPredPlatform {
@@ -455,7 +454,7 @@ fn execution_trace_critical_paths_agree_across_substrates() {
         harvesting: true,
         quantum: Duration::from_millis(1),
         time_scale: 4.0,
-        trace_spans: true,
+        trace: true,
         ..LiveConfig::default()
     };
     let live_result = run_live(&workload, &live_cfg);
@@ -598,13 +597,12 @@ fn trimmed_loan_span_stays_open_until_the_loan_is_gone() {
     let sim = Simulation::new(
         funcs,
         vec![ResourceVec::from_cores_mb(16, 16 * 1024)],
-        SimConfig { shards: 1, trace_spans: true, ..SimConfig::default() },
+        SimConfig { shards: 1, trace: true, ..SimConfig::default() },
     );
     let mut platform = FixedPredPlatform {
         inner: LibraPlatform::new(LibraConfig::libra()),
         preds: PAIR.iter().map(|a| prediction(a.pred)).collect(),
     };
-    platform.inner.enable_action_trace();
     let sim_result = sim.run(&trace, &mut platform);
     assert_eq!(sim_result.records.len(), 2);
     let sim_spans = sim_result.trace.expect("sim tracing enabled");
@@ -616,8 +614,7 @@ fn trimmed_loan_span_stays_open_until_the_loan_is_gone() {
         harvesting: true,
         quantum: Duration::from_millis(1),
         time_scale: 4.0,
-        record_trace: true,
-        trace_spans: true,
+        trace: true,
         ..LiveConfig::default()
     };
     let live_result = run_live(&live_requests(&PAIR, &PAIR_ARRIVALS_MS), &live_cfg);
@@ -666,13 +663,12 @@ fn the_safeguard_releases_before_the_oom_rule_kills_on_both_substrates() {
     let sim = Simulation::new(
         funcs,
         vec![ResourceVec::from_cores_mb(16, 16 * 1024)],
-        SimConfig { shards: 1, ..SimConfig::default() },
+        SimConfig { shards: 1, trace: true, ..SimConfig::default() },
     );
     let mut platform = FixedPredPlatform {
         inner: LibraPlatform::new(LibraConfig::libra()),
         preds: vec![prediction(ONE[0].pred)],
     };
-    platform.inner.enable_action_trace();
     let sim_result = sim.run(&trace, &mut platform);
     assert_eq!(sim_result.records.len(), 1);
     assert_eq!(sim_result.records[0].restarts, 0, "the simulator never OOMs it");
@@ -684,7 +680,7 @@ fn the_safeguard_releases_before_the_oom_rule_kills_on_both_substrates() {
         harvesting: true,
         quantum: Duration::from_millis(1),
         time_scale: 4.0,
-        record_trace: true,
+        trace: true,
         ..LiveConfig::default()
     };
     let live = run_live(&live_requests(&ONE, &[0]), &live_cfg);
@@ -735,7 +731,7 @@ fn placement_agrees_on_four_nodes() {
         harvesting: true,
         quantum: Duration::from_millis(1),
         time_scale: 4.0,
-        record_trace: true,
+        trace: true,
         ..LiveConfig::default()
     };
     let live_result = run_live(&workload, &cfg);

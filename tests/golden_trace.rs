@@ -89,9 +89,9 @@ fn render_all() -> String {
     // Scenario 1: the seed workload, fault-free, single node.
     writeln!(out, "=== single_set seed=42 single-node libra ===").unwrap();
     let trace = TraceGen::standard(&ALL_APPS, 42).single_set();
-    let sim = Simulation::new(sebs_suite(), testbeds::single_node(), SimConfig::default());
+    let config = SimConfig { trace: true, ..SimConfig::default() };
+    let sim = Simulation::new(sebs_suite(), testbeds::single_node(), config);
     let mut platform = LibraPlatform::new(LibraConfig::libra());
-    platform.enable_action_trace();
     let r = sim.run(&trace, &mut platform);
     assert_eq!(r.records.len(), 165, "all seed invocations must complete");
     render_run(&mut out, &platform, &r);
@@ -113,10 +113,9 @@ fn render_all() -> String {
     };
     let shape = ClusterShape { nodes: 4, shards: 4, invocations: trace.len() as u32 };
     let plan = build_plan(&chaos, &shape);
-    let config = SimConfig { shards: 4, ..SimConfig::default() };
+    let config = SimConfig { shards: 4, trace: true, ..SimConfig::default() };
     let sim = Simulation::new(sebs_suite(), testbeds::multi_node(), config);
     let mut platform = LibraPlatform::new(LibraConfig::libra());
-    platform.enable_action_trace();
     let r = sim.run_with_faults(&trace, &mut platform, &plan);
     assert_eq!(
         r.records.len() as u64 + r.aborted,

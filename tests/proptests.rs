@@ -471,7 +471,7 @@ proptest! {
         let sim = Simulation::new(
             sebs_suite(),
             testbeds::multi_node(),
-            SimConfig { shards: 2, trace_spans: true, ..SimConfig::default() },
+            SimConfig { shards: 2, trace: true, ..SimConfig::default() },
         );
         let mut p = LibraPlatform::new(LibraConfig::libra());
         let r = sim.run_with_faults(&trace, &mut p, &plan);

@@ -154,12 +154,6 @@ const UNPROFILED: &[Kind] = &[Kind::Null, Kind::LibraNp, Kind::LibraNsp, Kind::F
 const UNPROFILED_UNDER_CHAOS: &[Kind] = &[Kind::Null, Kind::LibraNp, Kind::Freyr];
 const PROFILED: &[Kind] = &[Kind::Libra, Kind::LibraHistogramKeepAlive];
 
-fn libra(cfg: LibraConfig) -> LibraPlatform {
-    let mut p = LibraPlatform::new(cfg);
-    p.enable_action_trace();
-    p
-}
-
 /// One cluster, trace and fault plan.
 struct Workload {
     name: String,
@@ -179,7 +173,9 @@ struct Run {
 }
 
 fn run<P: Traced>(w: &Workload, inner: P, rewatch: bool) -> Run {
-    let sim = Simulation::new(w.funcs.clone(), w.nodes.clone(), w.config.clone());
+    // Traced, so a Libra platform records its actions for the comparison.
+    let config = SimConfig { trace: true, ..w.config.clone() };
+    let sim = Simulation::new(w.funcs.clone(), w.nodes.clone(), config);
     let mut p = Visits { inner, rewatch, visits: 0, oversubscribed: 0 };
     let r: RunResult = sim.run_with_faults(&w.trace, &mut p, &w.plan);
     let report = p.report();
@@ -197,11 +193,11 @@ fn run<P: Traced>(w: &Workload, inner: P, rewatch: bool) -> Run {
 fn compare(w: &Workload, kind: Kind) -> (u64, Run) {
     let both = |rewatch| match kind {
         Kind::Null => run(w, NullPlatform, rewatch),
-        Kind::LibraNp => run(w, libra(LibraConfig::np()), rewatch),
-        Kind::LibraNsp => run(w, libra(LibraConfig::nsp()), rewatch),
-        Kind::Libra => run(w, libra(LibraConfig::libra()), rewatch),
+        Kind::LibraNp => run(w, LibraPlatform::new(LibraConfig::np()), rewatch),
+        Kind::LibraNsp => run(w, LibraPlatform::new(LibraConfig::nsp()), rewatch),
+        Kind::Libra => run(w, LibraPlatform::new(LibraConfig::libra()), rewatch),
         Kind::LibraHistogramKeepAlive => {
-            let inner = libra(LibraConfig::libra());
+            let inner = LibraPlatform::new(LibraConfig::libra());
             run(w, WithKeepAlive::new(inner, PolicyKind::Histogram.build()), rewatch)
         }
         Kind::Freyr => run(w, Freyr::new(), rewatch),
