@@ -18,8 +18,9 @@
 //!    resumes the resource allocation to the user-defined value for the next
 //!    invocation, leaving the current invocation suffering".
 
-use libra_core::pool::HarvestResourcePool;
-use libra_core::scheduler::hash_probe;
+use libra_core::platform::hash_probe;
+use libra_core::pool::{ledger_totals, HarvestResourcePool};
+use libra_core::safeguard::overloaded;
 use libra_sim::engine::{SimCtx, World};
 use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::invocation::{Actuals, Loan, Prediction, PredictionPath};
@@ -209,8 +210,9 @@ impl Platform for Freyr {
         if !harvested {
             return;
         }
+        // The safeguard's overload rule at its default threshold.
         let u = ctx.usage(inv);
-        if u.cpu_throttled || u.mem_ratio() >= 0.8 {
+        if overloaded(u.cpu_throttled, u.mem_used_mb, u.effective.mem_mb, 0.8) {
             // Detected — but NOT preemptively released. Only the next
             // invocation of this function is spared (§9).
             let f = rec.func.idx();
@@ -260,15 +262,7 @@ impl Platform for Freyr {
     }
 
     fn report(&self) -> PlatformReport {
-        let (mut cpu, mut mem, mut puts, mut gets) = (0.0, 0.0, 0, 0);
-        for p in &self.pools {
-            let (c, m) = p.idle_ledger();
-            cpu += c;
-            mem += m;
-            let (pu, ge) = p.op_counts();
-            puts += pu;
-            gets += ge;
-        }
+        let (cpu, mem, puts, gets) = ledger_totals(&self.pools);
         PlatformReport {
             pool_idle_cpu_core_sec: cpu,
             pool_idle_mem_mb_sec: mem,

@@ -7,7 +7,7 @@
 //! amount of resources." Scheduling is the controller's function-hash with
 //! rehash-on-full; there is no profiler, no pool, no safeguard.
 
-use libra_core::scheduler::hash_probe;
+use libra_core::platform::hash_probe;
 use libra_sim::engine::World;
 use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::platform::{Platform, PlatformOverheads};

@@ -6,7 +6,7 @@
 //! Libra's function harvesting and acceleration when evaluating all five
 //! algorithms for a fair comparison on scheduling".
 
-use libra_core::scheduler::{NodeSelector, SchedView};
+use libra_core::{NodeSelector, SchedView};
 use libra_sim::engine::World;
 use libra_sim::ids::{InvocationId, NodeId};
 

@@ -147,16 +147,13 @@ pub fn coverage_vs_volume() {
 pub fn greedy_gap() {
     use crate::batch::{greedy_assign, optimal_assign, BatchNode, BatchRequest};
     use libra_core::pool::PoolEntryStatus;
+    use libra_sim::metrics::remix64;
     use libra_sim::resources::ResourceVec;
     use libra_sim::time::{SimDuration, SimTime};
 
     header("Ablation: greedy vs batch-optimal scheduling (random 6-request batches, 4 nodes)");
     let mut z = 0x5eedu64;
-    let mut next = move || {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || remix64(&mut z);
     let scenarios = 200;
     let (mut gap_sum, mut worst_gap) = (0.0f64, 0.0f64);
     let (mut greedy_ns, mut optimal_ns) = (0u128, 0u128);

@@ -17,7 +17,7 @@
 //! order-preserving [`sweep`] and reduced in configuration order.
 
 use crate::*;
-use libra_core::keepalive::{PolicyKind, WithKeepAlive};
+use libra_core::{PolicyKind, WithKeepAlive};
 use libra_sim::time::SimDuration;
 
 /// The policy column of the sweep. `fixed60` is the seed behavior — under it

@@ -17,7 +17,7 @@ mod csvio;
 mod opts;
 
 use libra_bench::PlatformKind;
-use libra_core::keepalive::{PolicyKind, WithKeepAlive};
+use libra_core::{PolicyKind, WithKeepAlive};
 use libra_sim::engine::{SimConfig, Simulation};
 use libra_sim::metrics::RunResult;
 use libra_sim::platform::Platform;

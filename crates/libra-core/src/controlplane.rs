@@ -43,7 +43,6 @@
 
 use crate::pool::{GetOrder, HarvestResourcePool, PoolSnapshot};
 use crate::safeguard::Safeguard;
-use libra_sim::engine::UsageSample;
 use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::invocation::{clamp_grant, Prediction};
 use libra_sim::platform::LoanEnd;
@@ -105,9 +104,9 @@ pub struct Admission {
     pub pred: Option<Prediction>,
 }
 
-/// A cgroups-style usage observation for one running invocation — the
-/// substrate-independent subset of [`UsageSample`] (the core derives
-/// `effective`/`nominal` from its own ledger).
+/// A cgroups-style usage observation for one running invocation. The
+/// allocation it is read against (effective grant, nominal) comes from the
+/// core's own ledger.
 #[derive(Clone, Copy, Debug)]
 pub struct Observation {
     /// Busy millicores right now.
@@ -597,29 +596,21 @@ impl ControlPlane {
 
         // Safeguard: invocations that had resources harvested need
         // protection against mispredictions (§5.2).
-        if self.cfg.safeguard {
-            let harvested = e.own_grant != nominal || !e.lent_out.is_zero();
-            if harvested {
-                let usage = UsageSample {
-                    cpu_busy_millis: obs.cpu_busy_millis,
-                    mem_used_mb: obs.mem_used_mb,
-                    cpu_throttled: obs.cpu_throttled,
-                    effective: e.effective(),
-                    nominal,
-                };
-                if self.safeguard.should_trigger(&usage) {
-                    self.end_loans(at, inv, LoanEnd::Safeguard, None, now, &mut out);
-                    let Some(e) = self.entry_mut(at) else { return out };
-                    let restored = nominal.saturating_sub(&e.own_grant);
-                    e.own_grant = nominal;
-                    if let Some(p) = self.pools.get_mut(at.0) {
-                        p.remove(inv, now);
-                    }
-                    self.safeguard.record_trigger(func);
-                    out.push(Action::PreemptiveRelease { inv, restored });
-                    return out;
-                }
+        let harvested = e.own_grant != nominal || !e.lent_out.is_zero();
+        if self.cfg.safeguard
+            && harvested
+            && self.safeguard.should_trigger(&obs, e.effective().mem_mb)
+        {
+            self.end_loans(at, inv, LoanEnd::Safeguard, None, now, &mut out);
+            let Some(e) = self.entry_mut(at) else { return out };
+            let restored = nominal.saturating_sub(&e.own_grant);
+            e.own_grant = nominal;
+            if let Some(p) = self.pools.get_mut(at.0) {
+                p.remove(inv, now);
             }
+            self.safeguard.record_trigger(func);
+            out.push(Action::PreemptiveRelease { inv, restored });
+            return out;
         }
 
         let Some(pred) = pred else { return out };

@@ -9,8 +9,9 @@
 //! report per-function events (arrival, completion, container-going-idle)
 //! with an explicit `now`, and the policy answers keep-until deadlines and
 //! prewarm directives. Both substrates drive the same object: the simulator
-//! through the [`libra_sim::platform::Platform`] warm-lifecycle hooks (see
-//! [`WithKeepAlive`]) and the live cluster through its warm-container
+//! through its `Platform` warm-lifecycle hooks (see
+//! [`crate::platform::WithKeepAlive`], which composes a policy with any
+//! simulated platform) and the live cluster through its warm-container
 //! registry.
 //!
 //! Three implementations ship:
@@ -35,10 +36,8 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use libra_ml::histogram::StreamingHistogram;
-use libra_sim::engine::{SimCtx, World, KEEPALIVE};
-use libra_sim::ids::{FunctionId, InvocationId, NodeId};
-use libra_sim::invocation::{Actuals, Loan, Prediction};
-use libra_sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
+use libra_sim::container::KEEPALIVE;
+use libra_sim::ids::FunctionId;
 use libra_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -78,7 +77,7 @@ pub trait KeepAlivePolicy: Send {
 
 /// OpenWhisk's fixed keep-alive window: every idle container survives
 /// exactly `ttl` past its last use. Stateless and byte-identical to the
-/// pre-policy engine when `ttl` is the engine's [`KEEPALIVE`] window.
+/// pre-policy engine when `ttl` is the warm pool's [`KEEPALIVE`] window.
 #[derive(Clone, Copy, Debug)]
 pub struct FixedTtl {
     /// Idle lifetime of a warm container.
@@ -87,7 +86,7 @@ pub struct FixedTtl {
 
 impl FixedTtl {
     /// The classic 60 s window (OpenWhisk default): the same [`KEEPALIVE`]
-    /// constant the engine's default `Platform::warm_keep` answers with.
+    /// constant the simulator's default `Platform::warm_keep` answers with.
     pub fn standard() -> Self {
         FixedTtl { ttl: KEEPALIVE }
     }
@@ -337,103 +336,6 @@ impl PolicyKind {
                 "bad keepalive policy `{s}` (expected fixed[:secs] | histogram | concurrency)"
             )),
         }
-    }
-}
-
-/// Wrap any [`Platform`] with a [`KeepAlivePolicy`]: the warm-lifecycle
-/// hooks are answered by the policy, everything else forwards to the inner
-/// platform. This is how a keep-alive policy composes with *every* platform
-/// under test (Default / Freyr / Libra) without each of them learning about
-/// container lifecycle.
-pub struct WithKeepAlive<P> {
-    inner: P,
-    policy: Box<dyn KeepAlivePolicy>,
-}
-
-impl<P: Platform> WithKeepAlive<P> {
-    /// Wrap `inner`, delegating warm-lifecycle decisions to `policy`.
-    pub fn new(inner: P, policy: Box<dyn KeepAlivePolicy>) -> Self {
-        WithKeepAlive { inner, policy }
-    }
-
-    /// The wrapped platform.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// The policy in charge.
-    pub fn policy(&self) -> &dyn KeepAlivePolicy {
-        self.policy.as_ref()
-    }
-}
-
-impl<P: Platform> Platform for WithKeepAlive<P> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn init(&mut self, world: &World) {
-        self.inner.init(world);
-    }
-
-    fn overheads(&self) -> PlatformOverheads {
-        self.inner.overheads()
-    }
-
-    fn predict(&mut self, world: &World, inv: InvocationId) -> Option<Prediction> {
-        self.inner.predict(world, inv)
-    }
-
-    fn select_node(&mut self, world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
-        self.inner.select_node(world, shard, inv)
-    }
-
-    fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        self.inner.on_start(ctx, inv);
-    }
-
-    fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        self.inner.on_tick(ctx, inv);
-    }
-
-    fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {
-        self.policy.on_complete(ctx.inv(inv).func, ctx.now());
-        self.inner.on_complete(ctx, inv, actuals);
-    }
-
-    fn on_loan_ended(&mut self, ctx: &mut SimCtx<'_>, loan: &Loan, reason: LoanEnd) {
-        self.inner.on_loan_ended(ctx, loan, reason);
-    }
-
-    fn on_oom(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        self.inner.on_oom(ctx, inv);
-    }
-
-    fn on_ping(&mut self, world: &World, node: NodeId) {
-        self.inner.on_ping(world, node);
-    }
-
-    fn on_node_crash(&mut self, ctx: &mut SimCtx<'_>, node: NodeId) {
-        self.inner.on_node_crash(ctx, node);
-    }
-
-    fn on_abort(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        // An aborted attempt leaves the in-flight set too.
-        self.policy.on_complete(ctx.inv(inv).func, ctx.now());
-        self.inner.on_abort(ctx, inv);
-    }
-
-    fn prewarm_after_arrival(&mut self, world: &World, func: FunctionId) -> Option<SimDuration> {
-        self.policy.on_arrival(func, world.now());
-        self.policy.prewarm_after(func, world.now())
-    }
-
-    fn warm_keep(&mut self, world: &World, func: FunctionId, idle_peers: usize) -> Option<SimTime> {
-        self.policy.keep_until(func, idle_peers, world.now())
-    }
-
-    fn report(&self) -> PlatformReport {
-        self.inner.report()
     }
 }
 

@@ -12,12 +12,13 @@
 //!   estimators, and the input size-relatedness test,
 //! * [`pool`] — §5.1: the per-node harvest resource pool (put/get by expiry
 //!   priority, preemptive release, re-harvesting, idle-time ledger),
-//! * [`safeguard`] — §5.2: usage-threshold protection + OOM blacklisting,
+//! * [`safeguard`] — §5.2: the overload rule, usage-threshold protection +
+//!   OOM blacklisting,
 //! * [`coverage`] — §6.2: time-weighted demand coverage,
-//! * [`scheduler`] — §6.3: accelerable/non-accelerable classification and
-//!   the one placement rule ([`scheduler::place`]: hash home + linear probe,
-//!   or greedy maximum coverage) every substrate asks; the simulator's
-//!   pluggable [`scheduler::NodeSelector`]s over it,
+//! * [`scheduler`] — §6.3: the one placement rule ([`scheduler::place`]:
+//!   hash home + linear probe for non-accelerable requests, greedy maximum
+//!   coverage for accelerable ones) every substrate asks, and the
+//!   scheduler's ping-fed pool view,
 //! * [`sharding`] — §6.4: the native decentralized sharded scheduler, one lock
 //!   per shard around the simulator's slice books; places by the same rule,
 //! * [`controlplane`] — the substrate-agnostic policy core: a pure,
@@ -25,13 +26,18 @@
 //!   consumes admission/observation/completion events and emits explicit
 //!   [`controlplane::Action`]s; the simulator and the live threaded runtime
 //!   are both thin drivers of it,
-//! * [`platform`] — the simulator driver of the control plane as a
-//!   `libra_sim::Platform`, with the paper's ablations (NS / NP / NSP /
-//!   Hist / ML) as configuration presets,
 //! * [`keepalive`] — the keep-alive / autoscaling policy layer: pure,
 //!   clock-free [`keepalive::KeepAlivePolicy`] implementations (fixed TTL,
 //!   histogram prewarm, concurrency autoscaling) that decide when idle warm
-//!   containers die — and therefore how much idle memory harvesters see.
+//!   containers die — and therefore how much idle memory harvesters see,
+//! * [`platform`] — the one module that meets the simulator's engine and
+//!   its `Platform` trait: the control plane's simulator driver
+//!   ([`LibraPlatform`], with the paper's ablations NS / NP / NSP / Hist /
+//!   ML as configuration presets), the pluggable [`NodeSelector`]s over
+//!   [`scheduler::place`], and [`WithKeepAlive`], which puts a keep-alive
+//!   policy under any simulated platform. `scripts/sim_seam.sh` holds every
+//!   other module to the simulator's vocabulary (time, ids, resources,
+//!   invocation records).
 
 // DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -57,15 +63,13 @@ pub use controlplane::{
     Action, Admission, ControlConfig, ControlCounters, ControlPlane, LendFailure, Observation,
 };
 pub use coverage::demand_coverage;
-pub use keepalive::{
-    ConcurrencyPolicy, FixedTtl, HistogramPolicy, KeepAlivePolicy, PolicyKind, WithKeepAlive,
+pub use keepalive::{ConcurrencyPolicy, FixedTtl, HistogramPolicy, KeepAlivePolicy, PolicyKind};
+pub use platform::{
+    hash_probe, CoverageSelector, HashSelector, LibraConfig, LibraPlatform, NodeSelector,
+    VolumeSelector, WithKeepAlive,
 };
-pub use platform::{LibraConfig, LibraPlatform};
 pub use pool::{GetOrder, HarvestResourcePool, PoolEntryStatus, PoolSnapshot};
 pub use profiler::{ModelChoice, ModelScores, Profiler, ProfilerConfig, WorkloadDuplicator};
 pub use safeguard::Safeguard;
-pub use scheduler::{
-    classify, hash_probe, CoverageSelector, HashSelector, InvClass, NodeSelector, SchedView,
-    ScheduleRequest, VolumeSelector,
-};
+pub use scheduler::{SchedView, ScheduleRequest};
 pub use sharding::{Decision, ShardedScheduler};

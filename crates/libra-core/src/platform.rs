@@ -1,7 +1,15 @@
-//! The Libra platform: the simulator *driver* of the shared
-//! [`ControlPlane`], plus the parts that
-//! are genuinely simulator-side: the profiler (Step 2-4 of Fig 3), the
-//! moving-window NP estimator, node selection and the scheduler's pool view.
+//! Where libra-core meets the simulator: the one module that names the
+//! engine (`World`, `SimCtx`) or its `Platform` trait. It holds
+//!
+//! * [`LibraPlatform`], the simulator *driver* of the shared
+//!   [`ControlPlane`], plus the parts that are genuinely simulator-side: the
+//!   profiler (Step 2-4 of Fig 3), the moving-window NP estimator, node
+//!   selection and the scheduler's pool view;
+//! * the [`NodeSelector`]s, which ask [`crate::scheduler::place`] over a
+//!   simulated `World`'s shard slices (and [`hash_probe`], its
+//!   non-accelerable half, which the baselines share);
+//! * [`WithKeepAlive`], which composes a [`KeepAlivePolicy`] with any
+//!   simulated platform.
 //!
 //! All harvest/accelerate/trim/safeguard/revocation *decisions* live in
 //! [`crate::controlplane`]; this driver feeds it events from the engine's
@@ -20,13 +28,16 @@
 use crate::controlplane::{
     Action, Admission, ControlConfig, ControlPlane, LendFailure, Observation,
 };
+use crate::keepalive::KeepAlivePolicy;
+use crate::pool::{ledger_totals, PoolEntryStatus};
 use crate::profiler::{ModelChoice, Profiler, ProfilerConfig};
-use crate::scheduler::{CoverageSelector, NodeSelector, SchedView};
+use crate::scheduler::{place, SchedView, ScheduleRequest};
 use libra_sim::engine::{SimCtx, World};
-use libra_sim::ids::{InvocationId, NodeId};
+use libra_sim::ids::{FunctionId, InvocationId, NodeId};
 use libra_sim::invocation::{Actuals, Loan, Prediction, PredictionPath};
 use libra_sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
-use libra_sim::time::SimDuration;
+use libra_sim::resources::ResourceVec;
+use libra_sim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Moving-window length for the NP variant (paper: n = 5).
@@ -370,15 +381,7 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
     }
 
     fn report(&self) -> PlatformReport {
-        let (mut cpu, mut mem, mut puts, mut gets) = (0.0, 0.0, 0, 0);
-        for p in self.core.pools() {
-            let (c, m) = p.idle_ledger();
-            cpu += c;
-            mem += m;
-            let (pu, ge) = p.op_counts();
-            puts += pu;
-            gets += ge;
-        }
+        let (cpu, mem, puts, gets) = ledger_totals(self.core.pools());
         let counters = self.core.counters();
         PlatformReport {
             pool_idle_cpu_core_sec: cpu,
@@ -396,13 +399,271 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
     }
 }
 
+/// A pluggable node-selection strategy. Libra's coverage-greedy algorithm,
+/// OpenWhisk's hashing, and the RR/JSQ/MWS baselines of §8.4 all implement
+/// this; the surrounding platform (profiler + harvesting + safeguard) stays
+/// identical, which is how the paper isolates the scheduling comparison.
+pub trait NodeSelector: Send {
+    /// Human-readable name for reports.
+    fn name(&self) -> &'static str;
+
+    /// Pick a node for `inv` within `shard`, or `None` to park it until
+    /// capacity frees up.
+    fn select(
+        &mut self,
+        world: &World,
+        shard: usize,
+        inv: InvocationId,
+        view: &SchedView,
+        alpha: f64,
+    ) -> Option<NodeId>;
+}
+
+/// What `inv`'s prediction wants beyond its user allocation (§6.3): zero
+/// for a non-accelerable invocation, and for an unprofiled one by
+/// definition.
+fn extra_demand(world: &World, inv: InvocationId) -> ResourceVec {
+    let rec = world.inv(inv);
+    rec.pred.map_or(ResourceVec::ZERO, |p| p.peak().saturating_sub(&rec.nominal))
+}
+
+/// [`place`] for `inv` over `shard`'s slice of each simulated node; `extra`
+/// zero asks the non-accelerable half whatever the invocation's class.
+fn place_in_world<'a>(
+    world: &World,
+    shard: usize,
+    inv: InvocationId,
+    extra: ResourceVec,
+    alpha: f64,
+    snapshot: impl Fn(NodeId) -> &'a [PoolEntryStatus],
+) -> Option<NodeId> {
+    let rec = world.inv(inv);
+    let req = ScheduleRequest {
+        nominal: rec.nominal,
+        extra,
+        func: rec.func.0,
+        duration: rec.pred.map_or(SimDuration::ZERO, |p| p.duration),
+        now: world.now(),
+    };
+    // `place` asks about `i < num_nodes` only, which `World` numbers in u32.
+    let node = |i: usize| NodeId(u32::try_from(i).unwrap_or(u32::MAX));
+    place(
+        &req,
+        alpha,
+        world.num_nodes(),
+        |i| rec.nominal.fits_within(&world.free_in_shard(node(i), shard)),
+        |i| snapshot(node(i)),
+    )
+    .map(node)
+}
+
+/// Hash with linear probing: the first node (starting at the function's hash
+/// home) whose shard slice fits the user allocation. This is both the
+/// OpenWhisk default algorithm and Libra's path for non-accelerable
+/// invocations — [`place`] with nothing extra to chase.
+pub fn hash_probe(world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
+    place_in_world(world, shard, inv, ResourceVec::ZERO, 0.0, |_| &[])
+}
+
+/// OpenWhisk's default algorithm as a pluggable selector: pure
+/// function-hashing with linear probing for every invocation (baseline 1 of
+/// §8.4).
+#[derive(Debug, Default)]
+pub struct HashSelector;
+
+impl NodeSelector for HashSelector {
+    fn name(&self) -> &'static str {
+        "Default"
+    }
+
+    fn select(
+        &mut self,
+        world: &World,
+        shard: usize,
+        inv: InvocationId,
+        _view: &SchedView,
+        _alpha: f64,
+    ) -> Option<NodeId> {
+        hash_probe(world, shard, inv)
+    }
+}
+
+/// Libra's scheduler: hashing for non-accelerable invocations, greedy
+/// maximum weighted demand coverage for accelerable ones (§6.3).
+#[derive(Debug, Default)]
+pub struct CoverageSelector;
+
+impl NodeSelector for CoverageSelector {
+    fn name(&self) -> &'static str {
+        "libra"
+    }
+
+    fn select(
+        &mut self,
+        world: &World,
+        shard: usize,
+        inv: InvocationId,
+        view: &SchedView,
+        alpha: f64,
+    ) -> Option<NodeId> {
+        let now = world.now();
+        let mut extra = extra_demand(world, inv);
+        // Contact lost with every pool, so no coverage to trust: ask the half
+        // that needs no pool knowledge.
+        if !extra.is_zero() && view.all_stale(now) {
+            extra = ResourceVec::ZERO;
+        }
+        place_in_world(world, shard, inv, extra, alpha, |n| view.fresh(n, now))
+    }
+}
+
+/// Timeliness-blind ablation of Libra's scheduler: accelerable invocations
+/// chase the node with the largest idle *volume*, ignoring expiries. Exists
+/// to quantify how much the time dimension of demand coverage (§6.2) is
+/// worth; not part of the paper's system.
+#[derive(Debug, Default)]
+pub struct VolumeSelector;
+
+impl NodeSelector for VolumeSelector {
+    fn name(&self) -> &'static str {
+        "volume-only"
+    }
+
+    fn select(
+        &mut self,
+        world: &World,
+        shard: usize,
+        inv: InvocationId,
+        view: &SchedView,
+        _alpha: f64,
+    ) -> Option<NodeId> {
+        if extra_demand(world, inv).is_zero() {
+            return hash_probe(world, shard, inv);
+        }
+        let rec = world.inv(inv);
+        let mut best: Option<(u64, NodeId)> = None;
+        for node in world.node_ids() {
+            if !rec.nominal.fits_within(&world.free_in_shard(node, shard)) {
+                continue;
+            }
+            let vol: u64 = view.snapshot(node).iter().map(|e| e.cpu_idle_millis).sum();
+            if best.is_none_or(|(bv, _)| vol > bv) {
+                best = Some((vol, node));
+            }
+        }
+        best.map(|(_, n)| n)
+    }
+}
+
+/// Wrap any [`Platform`] with a [`KeepAlivePolicy`]: the warm-lifecycle
+/// hooks are answered by the policy, everything else forwards to the inner
+/// platform. This is how a keep-alive policy composes with *every* platform
+/// under test (Default / Freyr / Libra) without each of them learning about
+/// container lifecycle.
+pub struct WithKeepAlive<P> {
+    inner: P,
+    policy: Box<dyn KeepAlivePolicy>,
+}
+
+impl<P: Platform> WithKeepAlive<P> {
+    /// Wrap `inner`, delegating warm-lifecycle decisions to `policy`.
+    pub fn new(inner: P, policy: Box<dyn KeepAlivePolicy>) -> Self {
+        WithKeepAlive { inner, policy }
+    }
+
+    /// The wrapped platform.
+    pub fn inner(&self) -> &P {
+        &self.inner
+    }
+
+    /// The policy in charge.
+    pub fn policy(&self) -> &dyn KeepAlivePolicy {
+        self.policy.as_ref()
+    }
+}
+
+impl<P: Platform> Platform for WithKeepAlive<P> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn init(&mut self, world: &World) {
+        self.inner.init(world);
+    }
+
+    fn overheads(&self) -> PlatformOverheads {
+        self.inner.overheads()
+    }
+
+    fn predict(&mut self, world: &World, inv: InvocationId) -> Option<Prediction> {
+        self.inner.predict(world, inv)
+    }
+
+    fn select_node(&mut self, world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
+        self.inner.select_node(world, shard, inv)
+    }
+
+    fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+        self.inner.on_start(ctx, inv);
+    }
+
+    fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+        self.inner.on_tick(ctx, inv);
+    }
+
+    fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {
+        self.policy.on_complete(ctx.inv(inv).func, ctx.now());
+        self.inner.on_complete(ctx, inv, actuals);
+    }
+
+    fn on_loan_ended(&mut self, ctx: &mut SimCtx<'_>, loan: &Loan, reason: LoanEnd) {
+        self.inner.on_loan_ended(ctx, loan, reason);
+    }
+
+    fn on_oom(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+        self.inner.on_oom(ctx, inv);
+    }
+
+    fn on_ping(&mut self, world: &World, node: NodeId) {
+        self.inner.on_ping(world, node);
+    }
+
+    fn on_node_crash(&mut self, ctx: &mut SimCtx<'_>, node: NodeId) {
+        self.inner.on_node_crash(ctx, node);
+    }
+
+    fn on_abort(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+        // An aborted attempt leaves the in-flight set too. A retried one
+        // reports `on_complete` again when it finishes, with no second
+        // `on_arrival`: a double count (tests/integration.rs, `#[ignore]`d).
+        self.policy.on_complete(ctx.inv(inv).func, ctx.now());
+        self.inner.on_abort(ctx, inv);
+    }
+
+    fn prewarm_after_arrival(&mut self, world: &World, func: FunctionId) -> Option<SimDuration> {
+        self.policy.on_arrival(func, world.now());
+        self.policy.prewarm_after(func, world.now())
+    }
+
+    fn warm_keep(&mut self, world: &World, func: FunctionId, idle_peers: usize) -> Option<SimTime> {
+        self.policy.keep_until(func, idle_peers, world.now())
+    }
+
+    fn report(&self) -> PlatformReport {
+        self.inner.report()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use libra_sim::demand::{ConstantDemand, InputMeta, TrueDemand};
     use libra_sim::engine::{SimConfig, Simulation};
+    use libra_sim::function::FunctionSpec;
     use libra_sim::trace::Trace;
     use libra_workloads::trace::TraceGen;
     use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
+    use std::sync::Arc;
 
     fn run_single(cfg: LibraConfig, n: usize) -> (libra_sim::metrics::RunResult, PlatformReport) {
         let gen = TraceGen::standard(&ALL_APPS, 42);
@@ -472,5 +733,108 @@ mod tests {
             assert!(p.is_empty(), "every entry must be removed by completion");
         }
         assert_eq!(platform.core().ledger_len(), 0, "ledger must drain with the workload");
+    }
+
+    fn build_world(nodes: usize) -> Simulation {
+        let model = Arc::new(ConstantDemand(TrueDemand {
+            cpu_peak_millis: 1000,
+            mem_peak_mb: 128,
+            base_duration: SimDuration::from_secs(1),
+        }));
+        let funcs = vec![
+            FunctionSpec::new("a", ResourceVec::from_cores_mb(2, 512), model.clone()),
+            FunctionSpec::new("b", ResourceVec::from_cores_mb(2, 512), model),
+        ];
+        Simulation::new(
+            funcs,
+            vec![ResourceVec::from_cores_mb(8, 8192); nodes],
+            SimConfig::default(),
+        )
+    }
+
+    /// Drives arrivals through `select`, recording each answer and what
+    /// the invocation wanted beyond its allocation.
+    struct Probe<F> {
+        pred: Option<Prediction>,
+        select: F,
+        picks: Vec<(Option<NodeId>, ResourceVec)>,
+    }
+
+    impl<F: FnMut(&World, usize, InvocationId) -> Option<NodeId> + Send> Platform for Probe<F> {
+        fn name(&self) -> String {
+            "probe".into()
+        }
+        fn predict(&mut self, _w: &World, _i: InvocationId) -> Option<Prediction> {
+            self.pred
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            let n = (self.select)(world, shard, inv);
+            self.picks.push((n, extra_demand(world, inv)));
+            n
+        }
+    }
+
+    fn probe(
+        nodes: usize,
+        trace: &Trace,
+        pred: Option<Prediction>,
+        select: impl FnMut(&World, usize, InvocationId) -> Option<NodeId> + Send,
+    ) -> Vec<(Option<NodeId>, ResourceVec)> {
+        let mut p = Probe { pred, select, picks: Vec::new() };
+        build_world(nodes).run(trace, &mut p);
+        p.picks
+    }
+
+    #[test]
+    fn same_function_hashes_to_same_node() {
+        let mut t = Trace::new();
+        for i in 0..6 {
+            t.push(SimTime::from_secs(i * 3), FunctionId(0), InputMeta::new(1, i));
+        }
+        let view = SchedView::new();
+        let picks = probe(4, &t, None, |w, s, i| CoverageSelector.select(w, s, i, &view, 0.9));
+        assert_eq!(picks.len(), 6);
+        assert!(
+            picks.windows(2).all(|w| w[0].0.is_some() && w[0].0 == w[1].0),
+            "non-accelerable invocations of one function stay on one node: {picks:?}"
+        );
+    }
+
+    #[test]
+    fn extra_demand_is_the_prediction_beyond_the_allocation() {
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        let pred = Prediction {
+            cpu_millis: 4000,
+            mem_mb: 128,
+            duration: SimDuration::from_secs(1),
+            path: PredictionPath::Ml,
+        };
+        let picks = probe(1, &t, Some(pred), hash_probe);
+        assert_eq!(picks[0].1, ResourceVec::new(2000, 0));
+        assert_eq!(probe(1, &t, None, hash_probe)[0].1, ResourceVec::ZERO, "unprofiled");
+    }
+
+    #[test]
+    fn hash_probe_falls_through_full_nodes() {
+        // Fill node capacity via long-running invocations, then check probing.
+        let mut t = Trace::new();
+        // Four 2-core invocations of fn 0 fill its home node's 8-core slice;
+        // the fifth must land elsewhere.
+        for i in 0..5 {
+            t.push(SimTime(i), FunctionId(0), InputMeta::new(1, i));
+        }
+        let nodes: Vec<_> = probe(2, &t, None, hash_probe).iter().map(|p| p.0).collect();
+        let first = nodes[0];
+        assert!(first.is_some() && nodes[..4].iter().all(|&n| n == first));
+        assert!(
+            nodes[4].is_some() && nodes[4] != first,
+            "fifth invocation must rehash to the other node"
+        );
     }
 }

@@ -338,6 +338,15 @@ impl HarvestResourcePool {
     }
 }
 
+/// Every pool's Fig 10 ledger and operation counters, summed in `pools`'
+/// order: `(idle cpu core·seconds, idle memory MB·seconds, puts, gets)`.
+pub fn ledger_totals(pools: &[HarvestResourcePool]) -> (f64, f64, u64, u64) {
+    pools.iter().fold((0.0, 0.0, 0, 0), |(cpu, mem, puts, gets), p| {
+        let ((c, m), (pu, ge)) = (p.idle_ledger(), p.op_counts());
+        (cpu + c, mem + m, puts + pu, gets + ge)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,14 +6,27 @@
 //! default 0.8 — Libra immediately returns *everything* harvested from it
 //! via preemptive release, before mispredictions can hurt it.
 //!
-//! This module owns the trigger rule and the per-function escalation
+//! This module owns the trigger rule ([`overloaded`], which Freyr's
+//! non-preemptive detector asks too) and the per-function escalation
 //! bookkeeping: functions that repeatedly trigger the safeguard (or OOM)
 //! stop having their *memory* harvested at all (§5.1 "Mitigating OOM").
 
-use libra_sim::engine::UsageSample;
+use crate::controlplane::Observation;
 
 /// Safeguard trips before a function's memory harvesting stops.
 const MEM_BLACKLIST_AFTER: u32 = 3;
+
+/// The overload rule: the cgroup was CPU-throttled, or memory use reached
+/// `threshold` of the memory grant `mem_mb` (a zero grant counts as 1 MB).
+///
+/// CPU uses the kernel's throttling signal (the cgroup wanted more than its
+/// quota — running *at* a correctly-predicted quota is fine, which is why
+/// Fig 1's harvested DH keeps its grant); memory uses the usage/grant
+/// ratio, because footprint growth towards the grant must be stopped
+/// *before* it becomes an OOM.
+pub fn overloaded(throttled: bool, mem_used_mb: u64, mem_mb: u64, threshold: f64) -> bool {
+    throttled || mem_used_mb as f64 / mem_mb.max(1) as f64 >= threshold
+}
 
 /// Safeguard state for one platform instance.
 #[derive(Clone, Debug)]
@@ -36,17 +49,12 @@ impl Safeguard {
         }
     }
 
-    /// The trigger rule: does this usage observation demand a preemptive
-    /// release? (Checked only for invocations that actually had resources
+    /// Does `obs`, taken under an effective memory grant of `mem_grant_mb`,
+    /// demand a preemptive release? [`overloaded`] at this safeguard's
+    /// threshold. (Checked only for invocations that actually had resources
     /// harvested — the caller guards that.)
-    ///
-    /// CPU uses the kernel's throttling signal (the cgroup wanted more than
-    /// its quota — running *at* a correctly-predicted quota is fine, which
-    /// is why Fig 1's harvested DH keeps its grant); memory uses the
-    /// usage/allocation ratio, because footprint growth towards the grant
-    /// must be stopped *before* it becomes an OOM.
-    pub fn should_trigger(&self, usage: &UsageSample) -> bool {
-        usage.cpu_throttled || usage.mem_ratio() >= self.threshold
+    pub fn should_trigger(&self, obs: &Observation, mem_grant_mb: u64) -> bool {
+        overloaded(obs.cpu_throttled, obs.mem_used_mb, mem_grant_mb, self.threshold)
     }
 
     /// Record a trigger for function `f`; escalates to the memory blacklist
@@ -81,40 +89,29 @@ impl Safeguard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use libra_sim::resources::ResourceVec;
 
-    fn usage(
-        cpu_busy: u64,
-        cpu_alloc: u64,
-        mem_used: u64,
-        mem_alloc: u64,
-        throttled: bool,
-    ) -> UsageSample {
-        UsageSample {
-            cpu_busy_millis: cpu_busy,
-            mem_used_mb: mem_used,
-            cpu_throttled: throttled,
-            effective: ResourceVec::new(cpu_alloc, mem_alloc),
-            nominal: ResourceVec::new(cpu_alloc, mem_alloc),
-        }
+    fn obs(cpu_busy_millis: u64, mem_used_mb: u64, cpu_throttled: bool) -> Observation {
+        Observation { cpu_busy_millis, mem_used_mb, cpu_throttled }
     }
 
     #[test]
     fn triggers_on_throttle_or_memory_pressure() {
         let s = Safeguard::new(1, 0.8);
         // Running at 90% of quota without throttling is fine (Fig 1's DH).
-        assert!(!s.should_trigger(&usage(900, 1000, 100, 1000, false)));
-        assert!(s.should_trigger(&usage(1000, 1000, 100, 1000, true)), "throttled cgroup");
-        assert!(s.should_trigger(&usage(100, 1000, 820, 1000, false)), "mem ratio 0.82");
+        assert!(!s.should_trigger(&obs(900, 100, false), 1000));
+        assert!(s.should_trigger(&obs(1000, 100, true), 1000), "throttled cgroup");
+        assert!(s.should_trigger(&obs(100, 820, false), 1000), "mem ratio 0.82");
+        assert!(s.should_trigger(&obs(100, 800, false), 1000), "the threshold itself trips");
+        assert!(s.should_trigger(&obs(0, 1, false), 0), "a zero grant is read as 1 MB");
     }
 
     #[test]
     fn threshold_zero_always_triggers_threshold_above_one_only_throttle() {
         let zero = Safeguard::new(1, 0.0);
-        assert!(zero.should_trigger(&usage(1, 1000, 1, 1000, false)));
+        assert!(zero.should_trigger(&obs(1, 1, false), 1000));
         let never = Safeguard::new(1, 1.1);
-        assert!(!never.should_trigger(&usage(1000, 1000, 1000, 1000, false)));
-        assert!(never.should_trigger(&usage(1000, 1000, 1000, 1000, true)));
+        assert!(!never.should_trigger(&obs(1000, 1000, false), 1000));
+        assert!(never.should_trigger(&obs(1000, 1000, true), 1000));
     }
 
     #[test]

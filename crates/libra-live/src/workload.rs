@@ -10,6 +10,7 @@
 //! validates deterministically.
 
 use libra_sim::invocation::{Prediction, PredictionPath};
+use libra_sim::metrics::remix64;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::SimDuration;
 
@@ -53,13 +54,8 @@ impl LiveRequest {
 pub fn mixed_workload(n: usize, seed: u64) -> Vec<LiveRequest> {
     let mut out = Vec::with_capacity(n);
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut next = move || {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     for i in 0..n {
-        let r = next();
+        let r = remix64(&mut z);
         let donor = r % 10 < 6; // 60% donors
         let (alloc_c, demand_c) = if donor {
             (4_000u64, 800 + (r >> 8) % 1_400) // uses 0.8-2.2 of 4 cores
@@ -126,6 +122,33 @@ mod tests {
             .iter()
             .any(|r| r.demand_cpu_millis < r.alloc.cpu_millis
                 && r.pred.unwrap().mem_mb < r.alloc.mem_mb));
+    }
+
+    /// `live_closed` and `gateway_closed` replay this stream, so it is
+    /// pinned: `(at_ms, func, work_mcore_ms, pred cpu, pred mem, pred µs)`.
+    #[test]
+    fn mixed_workload_stream_is_pinned() {
+        let want = [
+            (19, 5, 2_843_652, 2_094, 484, 1_358_000),
+            (40, 7, 1_752_960, 1_408, 454, 1_245_000),
+            (50, 3, 2_702_375, 1_663, 452, 1_625_000),
+            (90, 7, 5_864_352, 3_048, 512, 1_924_000),
+            (106, 1, 626_056, 1_126, 358, 556_000),
+            (127, 1, 2_926_380, 5_134, 512, 570_000),
+            (158, 7, 3_992_373, 4_851, 512, 823_000),
+            (183, 7, 1_742_807, 3_371, 512, 517_000),
+        ];
+        let got: Vec<_> = mixed_workload(8, 42)
+            .iter()
+            .map(|r| {
+                let p = r.pred.unwrap();
+                (r.at_ms, r.func, r.work_mcore_ms, p.cpu_millis, p.mem_mb, p.duration.as_micros())
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert!(mixed_workload(8, 42)
+            .iter()
+            .all(|r| r.pred.unwrap().path == PredictionPath::Histogram));
     }
 
     #[test]

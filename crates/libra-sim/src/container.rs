@@ -31,7 +31,12 @@
 //! oracle, `tests/support/seed_warm_pool.rs` at the repo root.
 
 use crate::ids::FunctionId;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+
+/// Fixed keep-alive window of an idle warm container (OpenWhisk's 60 s): the
+/// default [`Platform::warm_keep`](crate::platform::Platform::warm_keep)
+/// deadline and the policy layer's standard TTL.
+pub const KEEPALIVE: SimDuration = SimDuration(60_000_000);
 
 /// One idle warm container.
 #[derive(Clone, Copy, Debug)]

@@ -43,9 +43,6 @@ use std::collections::{BTreeMap, VecDeque};
 const MONITOR_INTERVAL: SimDuration = SimDuration(100_000);
 /// Container cold-start delay.
 const COLD_START: SimDuration = SimDuration(500_000);
-/// Fixed keep-alive window of an idle warm container (OpenWhisk's 60 s): the
-/// default [`Platform::warm_keep`] answer and the policy layer's standard TTL.
-pub const KEEPALIVE: SimDuration = SimDuration(60_000_000);
 /// Hard ceiling on simulated time; exceeding it aborts with diagnostics
 /// (guards against workloads that can never be placed).
 const MAX_SIM_TIME: SimDuration = SimDuration(48 * 3600 * 1_000_000);
@@ -105,13 +102,6 @@ pub struct UsageSample {
     pub effective: ResourceVec,
     /// Its user-defined entitlement.
     pub nominal: ResourceVec,
-}
-
-impl UsageSample {
-    /// Memory usage as a fraction of the effective allocation.
-    pub fn mem_ratio(&self) -> f64 {
-        self.mem_used_mb as f64 / self.effective.mem_mb.max(1) as f64
-    }
 }
 
 struct Shard {

@@ -235,9 +235,20 @@ impl Default for QuantileSketch {
 /// draw from it.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    remix64(&mut { *state })
+}
+
+/// The workspace's second generator: splitmix64's mix iterated on its own
+/// state, never adding the golden-ratio increment, so it is not
+/// [`splitmix64`]. `state` keeps the mix before its last xor-shift, and the
+/// return value is the mix. The live mixed workload and the greedy-gap
+/// ablation draw from it, and their streams are pinned to it.
+#[inline]
+pub fn remix64(state: &mut u64) -> u64 {
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    *state = z;
     z ^ (z >> 31)
 }
 

@@ -155,9 +155,9 @@ pub trait Platform {
     /// that node. Returns the deadline until which the engine should keep
     /// it warm (pinning its memory), or `None` to tear it down immediately.
     /// The default is the classic fixed window,
-    /// [`KEEPALIVE`](crate::engine::KEEPALIVE).
+    /// [`KEEPALIVE`](crate::container::KEEPALIVE).
     fn warm_keep(&mut self, world: &World, func: FunctionId, idle_peers: usize) -> Option<SimTime> {
-        Some(world.now() + crate::engine::KEEPALIVE)
+        Some(world.now() + crate::container::KEEPALIVE)
     }
 
     /// End-of-run counters.

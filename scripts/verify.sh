@@ -126,4 +126,7 @@ echo "==> non-test Rust lines per crate (scripts/loc.sh)"
 echo "==> public functions nobody calls (scripts/dead_api.sh)"
 ./scripts/dead_api.sh
 
+echo "==> libra-core names the simulator's engine and Platform trait only in its platform module (scripts/sim_seam.sh)"
+./scripts/sim_seam.sh
+
 echo "verify: all green"

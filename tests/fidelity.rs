@@ -19,8 +19,7 @@
 //! * **D** (t=300 ms): CPU-hungry borrower that outlives its donor.
 
 use libra::core::controlplane::Action;
-use libra::core::keepalive::{PolicyKind, WithKeepAlive};
-use libra::core::{LibraConfig, LibraPlatform};
+use libra::core::{LibraConfig, LibraPlatform, PolicyKind, WithKeepAlive};
 use libra::live::{run_live, LiveConfig, LiveRecord, LiveRequest};
 use libra::sim::demand::{ConstantDemand, InputMeta, TrueDemand};
 use libra::sim::engine::{SimConfig, SimCtx, Simulation, World};

@@ -14,8 +14,7 @@
 
 use libra::baselines::Freyr;
 use libra::core::controlplane::Action;
-use libra::core::keepalive::{PolicyKind, WithKeepAlive};
-use libra::core::{LibraConfig, LibraPlatform};
+use libra::core::{LibraConfig, LibraPlatform, PolicyKind, WithKeepAlive};
 use libra::sim::engine::{NullPlatform, SimConfig, SimCtx, Simulation, World};
 use libra::sim::fault::FaultPlan;
 use libra::sim::fault::{build_plan, ChaosConfig, ClusterShape};
