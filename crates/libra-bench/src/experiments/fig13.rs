@@ -4,6 +4,10 @@
 //! * (b) Default / Freyr / Libra on the input size-related workload
 //!   (UL, TN, CP, DV, DH only),
 //! * (c) the same on the input size-unrelated workload (VP, IR, GP, GM, GB).
+//!
+//! Each panel writes its rows to `fig13{a,b,c}_*.csv`: `variant` indexes the
+//! panel's platforms in the order printed (Hist, ML, Libra in (a); Default,
+//! Freyr, Libra in (b) and (c)), then p99 latency (s) and p99 speedup.
 
 use crate::*;
 use libra_sim::engine::SimConfig;
@@ -12,6 +16,13 @@ use libra_workloads::{size_related_suite, size_unrelated_suite, testbeds};
 
 fn p99_speedup(run: &PlatformRun) -> f64 {
     libra_sim::metrics::percentile(&run.result.speedups(), 99.0)
+}
+
+/// One panel's rows, in order, as `variant, p99_latency_s, p99_speedup`.
+fn write_panel(name: &str, rows: &[(String, String, f64, f64)]) {
+    let rows: Vec<Vec<f64>> =
+        rows.iter().enumerate().map(|(i, r)| vec![i as f64, r.2, r.3]).collect();
+    write_csv(name, &["variant", "p99_latency_s", "p99_speedup"], &rows);
 }
 
 /// Run all three panels; returns `(panel, platform, p99 latency, p99 speedup)`.
@@ -32,10 +43,12 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
         ));
     }
     println!("Expected: full Libra at least matches either single-model variant.");
+    write_panel("fig13a_model_ablation", &out);
 
-    for (panel, (suite, kinds)) in
-        [("size-related", size_related_suite()), ("size-unrelated", size_unrelated_suite())]
-    {
+    for (panel, file, (suite, kinds)) in [
+        ("size-related", "fig13b_size_related", size_related_suite()),
+        ("size-unrelated", "fig13c_size_unrelated", size_unrelated_suite()),
+    ] {
         header(&format!(
             "Fig 13({}): {panel} workload",
             if panel == "size-related" { "b" } else { "c" }
@@ -53,6 +66,7 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
             )
         });
         let mut p99s = Vec::new();
+        let first = out.len();
         for (kind, run) in panel_kinds.iter().zip(&runs) {
             cdf_summary(kind.name(), &run.result.speedups(), "");
             p99s.push(run.result.latency_percentile(99.0));
@@ -63,6 +77,7 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
                 p99_speedup(run),
             ));
         }
+        write_panel(file, &out[first..]);
         compare(
             &format!("{panel}: Libra P99 vs Default / Freyr"),
             if panel == "size-related" {

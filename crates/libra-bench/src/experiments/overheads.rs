@@ -6,11 +6,12 @@ use libra_core::profiler::{ModelChoice, Profiler, ProfilerConfig};
 use libra_core::{HarvestResourcePool, LibraConfig, LibraPlatform};
 use libra_sim::demand::InputMeta;
 use libra_sim::ids::InvocationId;
+use libra_sim::invocation::Actuals;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::SimTime;
 use libra_workloads::apps::AppKind;
 use libra_workloads::sebs_suite;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Run the overhead measurements.
 pub fn run() {
@@ -38,7 +39,41 @@ pub fn run() {
     let pred = t0.elapsed() / n_pred as u32;
     compare("prediction overhead", "< 2 ms", format!("{:.3} ms", pred.as_secs_f64() * 1e3));
 
-    // Online update timing (histogram insert path).
+    // Online update on the ML path: every eighth `observe` refits DH's three
+    // serving forests on all rows so far. Time each call of four refit
+    // periods; the refitting calls are what the histogram row never pays.
+    let dh = AppKind::Dh.id().idx();
+    let (mut all, mut refits) = (Duration::ZERO, Duration::ZERO);
+    let periods = 4u32;
+    for k in 0..u64::from(8 * periods) {
+        let input = InputMeta::new(100 + k * 300, 7 + k);
+        let d = suite[dh].model.demand(&input);
+        let actuals = Actuals {
+            cpu_peak_millis: d.cpu_peak_millis,
+            mem_peak_mb: d.mem_peak_mb,
+            exec_duration: d.base_duration,
+            input_size: input.size,
+        };
+        let t0 = Instant::now();
+        p.observe(dh, input, &actuals);
+        let took = t0.elapsed();
+        all += took;
+        if k % 8 == 7 {
+            refits += took;
+        }
+    }
+    compare(
+        "online update, DH (ML path, mean of 32)",
+        "< 1 ms",
+        format!("{:.3} ms", all.as_secs_f64() * 1e3 / f64::from(8 * periods)),
+    );
+    compare(
+        "online update, DH refit (every 8th call)",
+        "< 1 ms",
+        format!("{:.3} ms", refits.as_secs_f64() * 1e3 / f64::from(periods)),
+    );
+
+    // Online update on the histogram path (GP): an insert per target.
     let mut p2 = Profiler::new(10, ProfilerConfig::default(), ModelChoice::HistogramOnly);
     p2.train(AppKind::Gp.id().idx(), &suite[AppKind::Gp.id().idx()], InputMeta::new(5_000, 1));
     let t0 = Instant::now();
@@ -47,7 +82,7 @@ pub fn run() {
         p2.observe(
             AppKind::Gp.id().idx(),
             InputMeta::new(5_000, i),
-            &libra_sim::invocation::Actuals {
+            &Actuals {
                 cpu_peak_millis: 3_000,
                 mem_peak_mb: 700,
                 exec_duration: libra_sim::time::SimDuration::from_secs(5),
@@ -56,7 +91,11 @@ pub fn run() {
         );
     }
     let online = t0.elapsed() / n_obs as u32;
-    compare("online update", "< 1 ms", format!("{:.4} ms", online.as_secs_f64() * 1e3));
+    compare(
+        "online update, GP (histogram path)",
+        "< 1 ms",
+        format!("{:.4} ms", online.as_secs_f64() * 1e3),
+    );
 
     header("Harvest pool operation costs (native)");
     let mut pool = HarvestResourcePool::new();

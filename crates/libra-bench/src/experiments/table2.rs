@@ -1,6 +1,11 @@
 //! Table 2 — the profiler's model study (§8.6): LR, SVM, NN and RF compared
 //! on CPU-class accuracy, memory-class accuracy and duration R² for each of
 //! the ten functions, with a 7:3 train/test split on duplicator datasets.
+//!
+//! `table2_model_study.csv` has one row per function × family: `func` is the
+//! function's index in `ALL_APPS` (UL = 0 … GB = 9), `related` is 1 for the
+//! five size-related ones, `family` indexes LR, SVM, NN, RF (0–3), and the
+//! scores are unrounded (`dur_r2` unclamped).
 
 use crate::*;
 use libra_core::profiler::{WorkloadDuplicator, MEM_CLASS_MB};
@@ -141,15 +146,18 @@ pub fn run() -> Vec<(String, String, Scores)> {
         models.map(|model| eval_family(model, &x, &cpu, &mem, &dur))
     });
 
-    for (kind, scores) in ALL_APPS.iter().zip(&app_scores) {
+    let mut csv = Vec::new();
+    for (fi, (kind, scores)) in ALL_APPS.iter().zip(&app_scores).enumerate() {
         let mut cols = vec![kind.name().to_string()];
+        let related = kind.input_size_related();
         for (mi, (model, s)) in models.iter().zip(scores).enumerate() {
             cols.push(format!("{:.2}/{:.2}/{:.2}", s.cpu, s.mem, s.dur.max(-99.0)));
-            let tgt = if kind.input_size_related() { &mut sums[mi] } else { &mut sums_un[mi] };
+            let tgt = if related { &mut sums[mi] } else { &mut sums_un[mi] };
             tgt.0 += s.cpu;
             tgt.1 += s.mem;
             tgt.2 += s.dur.max(-99.0);
             out.push((kind.name().to_string(), model.to_string(), *s));
+            csv.push(vec![fi as f64, f64::from(u8::from(related)), mi as f64, s.cpu, s.mem, s.dur]);
         }
         row(&cols);
     }
@@ -163,6 +171,11 @@ pub fn run() -> Vec<(String, String, Scores)> {
         cols.push(format!("{:.2}/{:.2}/{:.2}", s.0 / 5.0, s.1 / 5.0, s.2 / 5.0));
     }
     row(&cols);
+    write_csv(
+        "table2_model_study",
+        &["func", "related", "family", "cpu_acc", "mem_acc", "dur_r2"],
+        &csv,
+    );
 
     // Headline: RF best on average for related functions.
     let rf = &sums[3];

@@ -197,16 +197,17 @@ struct Forests {
 }
 
 impl Forests {
-    /// Fit the three on rows `x` with one target column each. Every forest
-    /// seeds its own RNG from `seed`, so a fit depends on nothing fitted before.
+    /// Fit the three on rows `x` with one target column each, in one
+    /// `fit_many`: the three share `seed`, so tree `k` of each draws and
+    /// sorts the same bootstrap, once. Each forest is the one `fit` would
+    /// give alone, so a fit depends on nothing fitted before.
     fn fit(x: &[Vec<f64>], cpu: &[f64], mem: &[f64], dur: &[f64], n_mem: usize, seed: u64) -> Self {
         let params = ForestParams { n_trees: 24, seed, ..Default::default() };
         let classes = |n_classes| Task::Classification { n_classes };
-        Forests {
-            cpu: RandomForest::fit(x, cpu, classes(MAX_CPU_CLASS + 1), params),
-            mem: RandomForest::fit(x, mem, classes(n_mem), params),
-            dur: RandomForest::fit(x, dur, Task::Regression, params),
-        }
+        let targets =
+            [(cpu, classes(MAX_CPU_CLASS + 1)), (mem, classes(n_mem)), (dur, Task::Regression)];
+        let [cpu, mem, dur] = RandomForest::fit_many(x, &targets, params);
+        Forests { cpu, mem, dur }
     }
 }
 
@@ -717,6 +718,62 @@ mod tests {
         assert!(after.duration >= floor, "after the refit: {after:?} under {floor}");
         assert!(after.cpu_millis >= boundary.cpu_millis);
     }
+
+    /// Every `Prediction` field of the ten functions at three sizes after
+    /// `train`, then DH's again after the eight completions that refit its
+    /// forests: the forests pinned at unit-test speed.
+    #[test]
+    fn predictions_keep_their_recorded_bits_across_a_refit() {
+        let suite = sebs_suite();
+        let mut p = profiler();
+        let mut got = Vec::new();
+        let mut predict = |p: &Profiler, f: usize, s: u64| {
+            for size in [s / 4, s, 4 * s] {
+                let pred = p.predict(f, InputMeta::new(size, 1)).unwrap();
+                got.push((pred.cpu_millis, pred.mem_mb, pred.duration.0, pred.path));
+            }
+        };
+        for kind in libra_workloads::ALL_APPS {
+            let (f, input) = (kind.id().idx(), first_input(kind));
+            p.train(f, &suite[f], input);
+            predict(&p, f, input.size);
+        }
+        let (f, s) = (AppKind::Dh.id().idx(), first_input(AppKind::Dh).size);
+        for k in 0..RETRAIN_EVERY as u64 {
+            let input = InputMeta::new(s / 2 + k * s, 50 + k);
+            let d = suite[f].model.demand(&input);
+            let actuals = Actuals {
+                cpu_peak_millis: d.cpu_peak_millis,
+                mem_peak_mb: d.mem_peak_mb,
+                exec_duration: d.base_duration,
+                input_size: input.size,
+            };
+            p.observe(f, input, &actuals);
+        }
+        predict(&p, f, s);
+        assert_eq!(got, PINNED_PREDICTIONS);
+    }
+
+    /// What that test predicts, as recorded before the forests shared one
+    /// bootstrap layout across targets: UL … GB three rows each in
+    /// `ALL_APPS` order, then DH after its refit.
+    #[rustfmt::skip]
+    const PINNED_PREDICTIONS: [(u64, u64, u64, PredictionPath); 33] = {
+        use PredictionPath::{Histogram as H, Ml};
+        [
+            (1000, 128, 1253718, Ml), (1000, 128, 1929544, Ml), (1000, 128, 4817253, Ml),
+            (1000, 128, 426332, Ml), (1000, 128, 808586, Ml), (1000, 128, 2250902, Ml),
+            (2000, 128, 1384237, Ml), (2000, 128, 2765622, Ml), (3000, 256, 7720902, Ml),
+            (1000, 256, 2063351, Ml), (2000, 256, 4025827, Ml), (3000, 512, 10950575, Ml),
+            (2000, 128, 1679169, Ml), (2000, 128, 3897958, Ml), (5000, 256, 13240075, Ml),
+            (11000, 896, 6000000, H), (11000, 896, 6000000, H), (11000, 896, 6000000, H),
+            (7000, 1408, 3437500, H), (7000, 1408, 3437500, H), (7000, 1408, 3437500, H),
+            (4000, 1280, 3250000, H), (4000, 1280, 3250000, H), (4000, 1280, 3250000, H),
+            (3000, 768, 1750000, H), (3000, 768, 1750000, H), (3000, 768, 1750000, H),
+            (3000, 640, 1416667, H), (3000, 640, 1416667, H), (3000, 640, 1416667, H),
+            (2000, 128, 1692973, Ml), (2000, 128, 3898044, Ml), (5000, 256, 13268238, Ml),
+        ]
+    };
 
     #[test]
     fn hist_only_choice_forces_histograms() {

@@ -4,14 +4,25 @@
 //! models, we opt for Random Forest"). Two classifiers (CPU peak, memory
 //! peak) and one regressor (execution time) per function.
 //!
-//! Tree training is embarrassingly parallel; on more than one core `fit`
-//! fans the trees of a larger forest out over crossbeam scoped threads
-//! (data-race-free by construction: each thread reads shared `&[Vec<f64>]`
-//! slices and writes its own tree slot). On one core, where the fan-out
-//! would be a single worker, it grows them inline. Either way a tree sees
-//! its bootstrap sample as a list of row numbers, not as a copy of the rows.
+//! Forests fitted together share their bootstraps. Tree `k` of a forest
+//! draws its rows from the `k`-th seed of `ForestParams::seed`, so the
+//! profiler's three forests, fitted with one `ForestParams`, draw the same
+//! rows for tree `k` and would sort the same `(value, row)` runs.
+//! `fit_many` does that once per tree index: it draws the rows, sorts the
+//! sample per feature (`tree::sort_sample`), and grows one tree per target
+//! from its own copy of that layout and of the RNG as the draws left it —
+//! the tree `fit` would grow for that target alone, bit for bit. `fit` is
+//! `fit_many` with one target.
+//!
+//! Tree training is embarrassingly parallel; on more than one core
+//! `fit_many` fans the tree indices of a larger forest out over crossbeam
+//! scoped threads (data-race-free by construction: each thread reads shared
+//! `&[Vec<f64>]` slices and writes its own slot). On one core, where the
+//! fan-out would be a single worker, it grows them inline. Either way a tree
+//! sees its bootstrap sample as a list of row numbers, not as a copy of the
+//! rows.
 
-use crate::tree::{DecisionTree, Task, TreeParams};
+use crate::tree::{sort_sample, DecisionTree, Task, TreeParams};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::thread::available_parallelism;
@@ -52,16 +63,31 @@ impl RandomForest {
     /// classification, max(1, d/3) for regression, unless `params.tree`
     /// specifies one.
     pub fn fit(x: &[Vec<f64>], y: &[f64], task: Task, params: ForestParams) -> Self {
+        let [forest] = Self::fit_many(x, &[(y, task)], params);
+        forest
+    }
+
+    /// Fit one forest per `(y, task)` target on the same rows `x` and
+    /// `params`, in order: each the forest `fit` would give for that target,
+    /// each tree's bootstrap drawn and sorted once for all of them.
+    pub fn fit_many<const N: usize>(
+        x: &[Vec<f64>],
+        targets: &[(&[f64], Task); N],
+        params: ForestParams,
+    ) -> [Self; N] {
         assert!(!x.is_empty(), "cannot fit a forest on an empty dataset");
-        assert_eq!(x.len(), y.len(), "feature/target length mismatch");
         let d = x[0].len();
-        let mut tree_params = params.tree;
-        if tree_params.feature_subsample.is_none() {
-            tree_params.feature_subsample = Some(match task {
-                Task::Classification { .. } => (d as f64).sqrt().ceil() as usize,
-                Task::Regression => (d / 3).max(1),
-            });
-        }
+        let tree_params = targets.map(|(y, task)| {
+            assert_eq!(x.len(), y.len(), "feature/target length mismatch");
+            let mut tree_params = params.tree;
+            if tree_params.feature_subsample.is_none() {
+                tree_params.feature_subsample = Some(match task {
+                    Task::Classification { .. } => (d as f64).sqrt().ceil() as usize,
+                    Task::Regression => (d / 3).max(1),
+                });
+            }
+            tree_params
+        });
         let n = x.len();
         let sample_n = ((n as f64 * params.bootstrap_frac).round() as usize).max(1);
 
@@ -70,19 +96,28 @@ impl RandomForest {
         let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
         let seeds: Vec<u64> = (0..params.n_trees).map(|_| seeder.next_u64()).collect();
 
-        let fit_one = |seed: u64| -> DecisionTree {
+        // Tree `k` of every target: one draw, one sort, then each target's
+        // tree from a copy of the layout and of the RNG after the draws.
+        let fit_one = |seed: u64| -> Vec<DecisionTree> {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let rows: Vec<usize> = (0..sample_n).map(|_| rng.gen_range(0..n)).collect();
-            DecisionTree::fit_rows(x, y, &rows, task, tree_params, &mut rng)
+            let sorted = sort_sample(x, &rows);
+            targets
+                .iter()
+                .zip(&tree_params)
+                .map(|(&(y, task), &tp)| {
+                    DecisionTree::fit_sorted(y, &rows, sorted.clone(), task, tp, &mut rng.clone())
+                })
+                .collect()
         };
 
         // Parallel fan-out for larger forests; sequential below the
         // threshold where thread spawn overhead dominates, and on one core.
         let large = params.n_trees >= 16 && n >= 64;
         let threads = if large { available_parallelism().map_or(4, |p| p.get()) } else { 1 };
-        let trees: Vec<DecisionTree> = if threads > 1 {
+        let per_index: Vec<Vec<DecisionTree>> = if threads > 1 {
             let chunk = params.n_trees.div_ceil(threads);
-            let mut out: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
+            let mut out: Vec<Option<Vec<DecisionTree>>> = vec![None; params.n_trees];
             let scope_ok = crossbeam::scope(|s| {
                 for (slot_chunk, seed_chunk) in out.chunks_mut(chunk).zip(seeds.chunks(chunk)) {
                     s.spawn(move |_| {
@@ -104,7 +139,14 @@ impl RandomForest {
             seeds.iter().map(|&s| fit_one(s)).collect()
         };
 
-        RandomForest { trees, task }
+        let mut forests = targets
+            .map(|(_, task)| RandomForest { trees: Vec::with_capacity(params.n_trees), task });
+        for trees in per_index {
+            for (forest, tree) in forests.iter_mut().zip(trees) {
+                forest.trees.push(tree);
+            }
+        }
+        forests
     }
 
     /// Predict one row: majority vote (classification) or mean (regression).
@@ -245,6 +287,58 @@ mod tests {
                 assert_eq!(format!("{:?}", fitted.trees), format!("{:?}", reference.trees));
                 for row in &x {
                     assert_eq!(fitted.predict(row).to_bits(), reference.predict(row).to_bits());
+                }
+            }
+        }
+    }
+
+    /// `fit_many` against one oracle forest per target, as the profiler fits
+    /// them: rows `[s, ln s]`, a CPU-like and a memory-like classifier and a
+    /// regressor under one `ForestParams` and each task's default feature
+    /// subsample. Every tree of every target is its own oracle tree — grown
+    /// from a clone of the bootstrap rows and of the RNG after the draws — on
+    /// both sides of the 64-row fan-out threshold.
+    #[test]
+    fn fit_many_matches_per_target_oracle_forests() {
+        for n in [40usize, 150] {
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|k| {
+                    let s = (10.0 + 990.0 * k as f64 / (n - 1) as f64).round();
+                    vec![s, s.ln()]
+                })
+                .collect();
+            let cpu: Vec<f64> = (0..n).map(|k| (1 + k * 6 / n + k % 2) as f64).collect();
+            let mem: Vec<f64> = (0..n).map(|k| (1 + k * 30 / n + (k * 7) % 3) as f64).collect();
+            let dur: Vec<f64> = x.iter().map(|r| 0.05 + r[0] * r[1] * 1e-4).collect();
+            let targets = [
+                (cpu.as_slice(), Task::Classification { n_classes: 17 }),
+                (mem.as_slice(), Task::Classification { n_classes: 40 }),
+                (dur.as_slice(), Task::Regression),
+            ];
+            let params = ForestParams { n_trees: 24, seed: 11, ..Default::default() };
+            let fitted = RandomForest::fit_many(&x, &targets, params);
+
+            for (forest, (y, task)) in fitted.iter().zip(targets) {
+                let subsample = match task {
+                    Task::Classification { .. } => 2,
+                    Task::Regression => 1,
+                };
+                let tree_params = TreeParams { feature_subsample: Some(subsample), ..params.tree };
+                let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
+                let trees: Vec<DecisionTree> = (0..params.n_trees)
+                    .map(|_| {
+                        let mut rng = ChaCha8Rng::seed_from_u64(seeder.next_u64());
+                        let drawn: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                        let bx: Vec<Vec<f64>> = drawn.iter().map(|&i| x[i].clone()).collect();
+                        let by: Vec<f64> = drawn.iter().map(|&i| y[i]).collect();
+                        DecisionTree::fit_oracle(&bx, &by, task, tree_params, &mut rng)
+                    })
+                    .collect();
+                let reference = RandomForest { trees, task };
+
+                assert_eq!(format!("{:?}", forest.trees), format!("{:?}", reference.trees));
+                for row in &x {
+                    assert_eq!(forest.predict(row).to_bits(), reference.predict(row).to_bits());
                 }
             }
         }

@@ -6,13 +6,19 @@
 //! feature values is a candidate threshold, so the tree is the exact CART
 //! tree.
 //!
-//! A tree sorts once. `fit_rows` lays its sample (a forest's bootstrap,
-//! repeats and all) out as per-tree buffers — the `(target, row)` pairs in
-//! sample order, and per feature the `(value, row)` pairs sorted by value,
-//! stably, so ties stand in sample order — and a node is the same range
-//! `lo..hi` of every one of them. Splitting a node partitions each range in
-//! place, stably, through one spill buffer: the children are `lo..mid` and
-//! `mid..hi`. A stable partition of a sorted run is sorted, with ties in the
+//! A tree sorts once, or not at all. `sort_sample` lays a sample (a forest's
+//! bootstrap, repeats and all) out per feature as the `(value, row)` pairs
+//! sorted by value, stably, so ties stand in sample order; a forest fitting
+//! several targets on one bootstrap (`RandomForest::fit_many`) sorts it once
+//! and grows each target's tree from a copy. With the `(target, row)` pairs in
+//! sample order these are the per-tree buffers, and a node is the same range
+//! `lo..hi` of every one of them. The grower reads no feature value outside
+//! them. Splitting a node partitions each range in place, stably, through one
+//! spill buffer: the children are `lo..mid` and `mid..hi`. The chosen
+//! feature's range is divided already — the sweep put the left side's pairs
+//! first — so its rows are marked in a per-tree mask (`mark`) and the other
+//! ranges and the sample are partitioned by the mark, without a branch on the
+//! side. A stable partition of a sorted run is sorted, with ties in the
 //! order the parent had them, which is the child's sample order; so a child's
 //! range holds exactly what collecting the child's rows and stable-sorting
 //! them would, and everything that sums floats in row order or in `entered`
@@ -21,16 +27,17 @@
 //!
 //! The search sweeps a node's sorted range per feature with a left-side
 //! pointer (`sweep`) — O(n) a node — yet picks the split, and reports the
-//! gain, that dividing the node afresh at every threshold would. For
-//! classification that is immediate: class counts are integers, so running
-//! left counts and `total − left` give each side's impurity through the same
-//! `gini_n` a whole node uses — summed over the classes the node holds, in
-//! ascending order, not over all that were declared: an absent class has
-//! count zero on both sides and would add `+0.0`, which changes no bit of a
-//! sum. A side's SSE is a float sum in row order that no running sum
-//! reproduces, so regression first scores every candidate from prefix sums
-//! and evaluates the slow way only those the score cannot rule out
-//! (`best_sse_split` has the argument).
+//! gain, that dividing the node afresh at every threshold would. Both tasks
+//! score every candidate cheaply first and compute the gain the slow way only
+//! for those the score cannot rule out. For classification the score comes
+//! from integers — the running sums of squared class counts — and the slow
+//! gain is each side's `gini_n`, as a whole node's, summed over the classes
+//! the node holds, in ascending order, not over all that were declared: an
+//! absent class has count zero on both sides and would add `+0.0`, which
+//! changes no bit of a sum (`best_gini_split` has the argument). A side's SSE
+//! is a float sum in row order that no running sum reproduces, so regression
+//! scores from prefix sums and evaluates a side in sample order, gathered
+//! through the mask (`best_sse_split`).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -78,18 +85,27 @@ pub struct DecisionTree {
     task: Task,
 }
 
-/// The best split of a node so far: `(gain, feature, threshold)`.
-type Best = Option<(f64, usize, f64)>;
+/// The best split of a node so far: `(gain, feature, threshold, n_left)`.
+type Best = Option<(f64, usize, f64, usize)>;
+
+/// A candidate split of the node at hand: `(score, feature, threshold, n_left)`.
+type Scored = (f64, usize, f64, usize);
 
 /// An element of a per-tree buffer: a float and the dataset row it belongs to.
-type Pair = (f64, usize);
+pub(crate) type Pair = (f64, usize);
 
 /// Keep `best` unless `gain` is strictly greater: of equal gains the first
 /// enumerated wins.
-fn offer(best: &mut Best, gain: f64, f: usize, thr: f64) {
-    if best.is_none_or(|(g, _, _)| gain > g) {
-        *best = Some((gain, f, thr));
+fn offer(best: &mut Best, gain: f64, (_, f, thr, n_left): Scored) {
+    if best.is_none_or(|(g, ..)| gain > g) {
+        *best = Some((gain, f, thr, n_left));
     }
+}
+
+/// The cut below which a candidate scored `s` cannot be the best split: the
+/// top score less `2·tol`.
+fn band_line(scored: &[Scored], tol: f64) -> f64 {
+    scored.iter().map(|c| c.0).fold(f64::NEG_INFINITY, f64::max) - 2.0 * tol
 }
 
 /// Sum of squared deviations from the mean of `n` targets, two passes in
@@ -137,21 +153,36 @@ fn sweep(vals: &[Pair], mut visit: impl FnMut(f64, &[Pair], usize)) {
     }
 }
 
+/// Per feature, the `(value, row)` pairs of the sample `rows` sorted by value,
+/// stably, so ties stand in sample order: the layout a tree grows from.
+pub(crate) fn sort_sample(x: &[Vec<f64>], rows: &[usize]) -> Vec<Vec<Pair>> {
+    (0..x[0].len())
+        .map(|f| {
+            let mut run: Vec<Pair> = rows.iter().map(|&i| (x[i][f], i)).collect();
+            run.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            run
+        })
+        .collect()
+}
+
 /// Stable partition of `run` in place: the pairs whose row `goes_left` first,
 /// both sides in the order they had. Returns the size of the left side.
+/// Every pair is written to both sides' next slot and one slot is kept, so
+/// the loop does not branch on the side, which is a coin toss to predict.
 fn partition(run: &mut [Pair], spill: &mut Vec<Pair>, goes_left: impl Fn(usize) -> bool) -> usize {
-    spill.clear();
-    let mut n_left = 0;
+    if spill.len() < run.len() {
+        spill.resize(run.len(), (0.0, 0));
+    }
+    let (mut n_left, mut n_right) = (0, 0);
     for k in 0..run.len() {
         let pair = run[k];
-        if goes_left(pair.1) {
-            run[n_left] = pair;
-            n_left += 1;
-        } else {
-            spill.push(pair);
-        }
+        let left = goes_left(pair.1);
+        run[n_left] = pair; // n_left <= k: a slot already read
+        spill[n_right] = pair;
+        n_left += usize::from(left);
+        n_right += usize::from(!left);
     }
-    run[n_left..].copy_from_slice(spill);
+    run[n_left..].copy_from_slice(&spill[..n_right]);
     n_left
 }
 
@@ -159,7 +190,6 @@ fn partition(run: &mut [Pair], spill: &mut Vec<Pair>, goes_left: impl Fn(usize) 
 /// node owns the same range `lo..hi` of, and the scratch a node's split
 /// search needs, allocated once.
 struct Grower<'a> {
-    x: &'a [Vec<f64>],
     y: &'a [f64],
     params: TreeParams,
     tree: DecisionTree,
@@ -170,10 +200,14 @@ struct Grower<'a> {
     sorted: Vec<Vec<Pair>>,
     /// Right-hand side of the range `partition` is dividing.
     spill: Vec<Pair>,
+    /// A candidate's node sample, divided into its two sides (`best_sse_split`).
+    sides: Vec<Pair>,
+    /// Per dataset row, whether it is on the left of the candidate `mark`ed last.
+    goes_left: Vec<bool>,
     /// The features the node at hand may split on.
     feats: Vec<usize>,
-    /// Regression candidates of the node at hand: `(score, feature, thr, n_left)`.
-    scored: Vec<(f64, usize, f64, usize)>,
+    /// Candidates of the node at hand, in enumeration order.
+    scored: Vec<Scored>,
     /// Class counts of the node at hand (`tally`; all zero between nodes), of
     /// a candidate's left side, and the classes the node holds, ascending.
     total: Vec<usize>,
@@ -200,27 +234,85 @@ impl Grower<'_> {
         }
     }
 
-    /// Best Gini split of node `lo..hi` over `feats`: each side's class counts
-    /// come from the sweep, its impurity from `gini_n` as a whole node's does,
-    /// both over the classes the node holds.
+    /// Record which rows go left at candidate `(f, n_left)` of node `lo..hi`:
+    /// the first `n_left` pairs of `f`'s range, which the sweep put there.
+    fn mark(&mut self, f: usize, lo: usize, hi: usize, n_left: usize) {
+        let (left, right) = self.sorted[f][lo..hi].split_at(n_left);
+        for &(_, row) in left {
+            self.goes_left[row] = true;
+        }
+        for &(_, row) in right {
+            self.goes_left[row] = false;
+        }
+    }
+
+    /// Best Gini split of node `lo..hi` over `feats`: the split, and the gain,
+    /// that `parent − gini_n(left) − gini_n(right)` at every candidate would
+    /// give, each side's impurity over the classes the node holds.
+    ///
+    /// Each candidate is first scored `s = ΣcL²/nL + ΣcR²/nR` from integers
+    /// the sweep keeps: a row of class `c` entering the left side adds
+    /// `2·cL + 1` to `ΣcL²` and takes `2·cR − 1` from `ΣcR²` (counts before the
+    /// move). In exact arithmetic `gini_n(c, m) = m − Σc²/m`, so the gain is
+    /// `parent − n + s`: one constant for the node, and `s` ranks candidates
+    /// as the gain does. In floats (`u = ε/2`, `k` the classes the node holds)
+    /// the sums of squares are exact integers and each quotient rounds once,
+    /// so `s` is off by `E_s ≤ 2u·n`. A side's `gini_n` sums `k` rounded
+    /// squares of rounded quotients, each below 1, takes the sum from 1 and
+    /// scales by the side's size: off by `(k + 4)·u·n` at most; with the two
+    /// subtractions the slow gain is off by `E_g ≤ (k + 6)·u·n` plus the
+    /// parent's error, which every candidate shares. As for `best_sse_split`,
+    /// the slow winner then scores within `2(E_s + E_g)` of the top, and
+    /// `tol = (8k + 32)·ε·n` is eight times that and more. Only the candidates
+    /// within `2·tol` of the top get `gini_n`, in enumeration order under the
+    /// same strict `>`, their left counts rebuilt by walking each feature's
+    /// range once more.
     fn best_gini_split(&mut self, lo: usize, hi: usize) -> Best {
         let n = hi - lo;
         self.tally(lo, hi);
         let parent = gini_n(self.present.iter().map(|&c| self.total[c]), n);
-        let mut best = None;
+        let sq_total: usize = self.present.iter().map(|&c| self.total[c] * self.total[c]).sum();
+        self.scored.clear();
         for &f in &self.feats {
             for &c in &self.present {
                 self.left[c] = 0;
             }
+            let (mut sq_left, mut sq_right) = (0usize, sq_total);
             sweep(&self.sorted[f][lo..hi], |thr, entered, n_left| {
                 for &(_, i) in entered {
-                    self.left[self.y[i] as usize] += 1;
+                    let c = self.y[i] as usize;
+                    let (cl, cr) = (self.left[c], self.total[c] - self.left[c]);
+                    sq_left += 2 * cl + 1;
+                    sq_right -= 2 * cr - 1;
+                    self.left[c] = cl + 1;
                 }
-                let left = self.present.iter().map(|&c| self.left[c]);
-                let right = self.present.iter().map(|&c| self.total[c] - self.left[c]);
-                let gain = parent - gini_n(left, n_left) - gini_n(right, n - n_left);
-                offer(&mut best, gain, f, thr);
+                let s = sq_left as f64 / n_left as f64 + sq_right as f64 / (n - n_left) as f64;
+                self.scored.push((s, f, thr, n_left));
             });
+        }
+        let tol = (8.0 * self.present.len() as f64 + 32.0) * f64::EPSILON * n as f64;
+        let line = band_line(&self.scored, tol);
+
+        let mut best = None;
+        let mut at = (usize::MAX, 0); // `left` counts the first `at.1` pairs of feature `at.0`
+        for &cand @ (s, f, _, n_left) in &self.scored {
+            if s < line {
+                continue;
+            }
+            if at.0 != f {
+                for &c in &self.present {
+                    self.left[c] = 0;
+                }
+                at = (f, 0);
+            }
+            let run = &self.sorted[f][lo..hi];
+            for &(_, i) in &run[at.1..n_left] {
+                self.left[self.y[i] as usize] += 1;
+            }
+            at.1 = n_left;
+            let left = self.present.iter().map(|&c| self.left[c]);
+            let right = self.present.iter().map(|&c| self.total[c] - self.left[c]);
+            offer(&mut best, parent - gini_n(left, n_left) - gini_n(right, n - n_left), cand);
         }
         self.clear_tally();
         best
@@ -228,7 +320,7 @@ impl Grower<'_> {
 
     /// Best SSE split of node `lo..hi` over `feats`: the split, and the gain,
     /// that evaluating `parent − sse(left) − sse(right)` at every candidate
-    /// would give.
+    /// would give. `parent` is the sum of the squared node-centred targets.
     ///
     /// Each candidate is first scored `s = SL²/nL + SR²/nR`, `SL` the sweep's
     /// running sum of the node-centred targets `z = y − c` and `SR = Σz − SL`.
@@ -250,22 +342,20 @@ impl Grower<'_> {
     /// enumeration order under the same strict `>`, returns `w` with `Ĝ_w` —
     /// the first of the maxima is the first in any subset that holds it. A
     /// score not provably below the line (NaN, or a non-finite `tol`) is
-    /// evaluated.
+    /// evaluated; its sides are gathered in sample order through `mark`.
     fn best_sse_split(&mut self, lo: usize, hi: usize) -> Best {
-        let (x, node) = (self.x, &self.sample[lo..hi]);
-        let ys = node.iter().map(|p| p.0);
-        let parent = sse(ys.clone(), node.len());
-        let n = node.len() as f64;
-        let centre = ys.clone().sum::<f64>() / n;
-        let (mut z_sum, mut z_sq, mut y_max) = (0.0f64, 0.0f64, 0.0f64);
-        for y in ys {
+        let n = hi - lo;
+        let centre = self.sample[lo..hi].iter().map(|p| p.0).sum::<f64>() / n as f64;
+        let (mut z_sum, mut parent, mut y_max) = (0.0f64, 0.0f64, 0.0f64);
+        for &(y, _) in &self.sample[lo..hi] {
             let z = y - centre;
             z_sum += z;
-            z_sq += z * z;
+            parent += z * z;
             y_max = y_max.max(y.abs());
         }
-        let tol = 64.0 * f64::EPSILON * n.powf(1.5) * z_sq
-            + 4.0 * (f64::EPSILON * y_max).powi(2) * n.powi(3);
+        let nf = n as f64;
+        let tol = 64.0 * f64::EPSILON * nf.powf(1.5) * parent
+            + 4.0 * (f64::EPSILON * y_max).powi(2) * nf.powi(3);
 
         self.scored.clear();
         for &f in &self.feats {
@@ -275,21 +365,28 @@ impl Grower<'_> {
                     sl += self.y[i] - centre;
                 }
                 let sr = z_sum - sl;
-                let (nl, nr) = (n_left as f64, (node.len() - n_left) as f64);
+                let (nl, nr) = (n_left as f64, (n - n_left) as f64);
                 self.scored.push((sl * (sl / nl) + sr * (sr / nr), f, thr, n_left));
             });
         }
-        let line = self.scored.iter().map(|c| c.0).fold(f64::NEG_INFINITY, f64::max) - 2.0 * tol;
+        let line = band_line(&self.scored, tol);
 
         let mut best = None;
-        for &(score, f, thr, n_left) in &self.scored {
+        for k in 0..self.scored.len() {
+            let cand @ (score, f, _, n_left) = self.scored[k];
             if score < line {
                 continue;
             }
-            let side =
-                |left: bool| node.iter().filter(move |p| (x[p.1][f] <= thr) == left).map(|p| p.0);
-            let gain = parent - sse(side(true), n_left) - sse(side(false), node.len() - n_left);
-            offer(&mut best, gain, f, thr);
+            self.mark(f, lo, hi, n_left);
+            self.sides.clear();
+            self.sides.extend_from_slice(&self.sample[lo..hi]);
+            let goes_left = &self.goes_left;
+            partition(&mut self.sides, &mut self.spill, |row| goes_left[row]);
+            let (left, right) = self.sides.split_at(n_left);
+            let gain = parent
+                - sse(left.iter().map(|p| p.0), n_left)
+                - sse(right.iter().map(|p| p.0), n - n_left);
+            offer(&mut best, gain, cand);
         }
         best
     }
@@ -308,16 +405,21 @@ impl Grower<'_> {
         }
     }
 
-    /// Divide node `lo..hi` at `x[f] <= thr` and return where: every buffer's
-    /// range is partitioned stably, so `lo..mid` and `mid..hi` are the
-    /// children's, in the orders the buffers promise.
-    fn split(&mut self, lo: usize, hi: usize, f: usize, thr: f64) -> usize {
-        let x = self.x;
-        let mut mid = lo;
-        for run in self.sorted.iter_mut().chain([&mut self.sample]) {
-            mid = lo + partition(&mut run[lo..hi], &mut self.spill, |row| x[row][f] <= thr);
+    /// Divide node `lo..hi` at its candidate `(f, n_left)` and return where:
+    /// `f`'s range is divided already (its first `n_left` pairs are the left
+    /// side), and every other buffer's range is partitioned stably by the
+    /// rows `mark` puts left, so `lo..mid` and `mid..hi` are the children's,
+    /// in the orders the buffers promise.
+    fn split(&mut self, lo: usize, hi: usize, f: usize, n_left: usize) -> usize {
+        self.mark(f, lo, hi, n_left);
+        let goes_left = &self.goes_left;
+        let others =
+            self.sorted.iter_mut().enumerate().filter(|&(g, _)| g != f).map(|(_, run)| run);
+        for run in others.chain([&mut self.sample]) {
+            let moved = partition(&mut run[lo..hi], &mut self.spill, |row| goes_left[row]);
+            debug_assert_eq!(moved, n_left);
         }
-        mid
+        lo + n_left
     }
 
     #[expect(
@@ -347,8 +449,8 @@ impl Grower<'_> {
         }
 
         self.tree.nodes[node_id] = match best {
-            Some((gain, feature, threshold)) if gain > 1e-12 => {
-                let mid = self.split(lo, hi, feature, threshold);
+            Some((gain, feature, threshold, n_left)) if gain > 1e-12 => {
+                let mid = self.split(lo, hi, feature, n_left);
                 let left = self.grow(lo, mid, depth + 1, rng);
                 let right = self.grow(mid, hi, depth + 1, rng);
                 NodeKind::Split { feature, threshold, left, right }
@@ -377,8 +479,7 @@ impl DecisionTree {
     }
 
     /// Fit a tree on the rows `rows` of `(x, y)`, repeats and all, in that
-    /// order — a forest's bootstrap sample without a copy of the data. The
-    /// one sort a tree does is here: the sample, once per feature.
+    /// order — a forest's bootstrap sample without a copy of the data.
     pub(crate) fn fit_rows(
         x: &[Vec<f64>],
         y: &[f64],
@@ -387,25 +488,33 @@ impl DecisionTree {
         params: TreeParams,
         rng: &mut impl Rng,
     ) -> Self {
-        let sorted = (0..x[0].len())
-            .map(|f| {
-                let mut run: Vec<Pair> = rows.iter().map(|&i| (x[i][f], i)).collect();
-                run.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-                run
-            })
-            .collect();
+        Self::fit_sorted(y, rows, sort_sample(x, rows), task, params, rng)
+    }
+
+    /// Fit a tree on the sample `rows` given its layout `sorted`, which must
+    /// be `sort_sample(x, rows)`: the grower reads features only from it, so
+    /// a forest sorts one bootstrap for every target it fits on those rows.
+    pub(crate) fn fit_sorted(
+        y: &[f64],
+        rows: &[usize],
+        sorted: Vec<Vec<Pair>>,
+        task: Task,
+        params: TreeParams,
+        rng: &mut impl Rng,
+    ) -> Self {
         let n_classes = match task {
             Task::Classification { n_classes } => n_classes,
             Task::Regression => 0,
         };
         let mut grower = Grower {
-            x,
             y,
             params,
             tree: DecisionTree { nodes: Vec::new(), task },
             sample: rows.iter().map(|&i| (y[i], i)).collect(),
             sorted,
             spill: Vec::new(),
+            sides: Vec::new(),
+            goes_left: vec![false; y.len()],
             feats: Vec::new(),
             scored: Vec::new(),
             total: vec![0; n_classes],
@@ -633,6 +742,61 @@ pub(crate) mod tests {
             let params = TreeParams {
                 max_depth: g.gen_range(1..=12),
                 min_samples_split: g.gen_range(2..=5),
+                feature_subsample: g.gen_bool(0.5).then(|| g.gen_range(1..=d)),
+            };
+            let rows: Vec<usize> = if g.gen_bool(0.5) {
+                (0..n).collect()
+            } else {
+                (0..n).map(|_| g.gen_range(0..n)).collect()
+            };
+            assert_same_tree(&x, &y, &rows, task, params, &format!("case {case}"));
+        }
+    }
+
+    /// The Gini band's tolerance grows with the classes a node holds, so the
+    /// sweep is checked where it is widest: 17 or 64 declared classes (the
+    /// CPU forest's width and more) with up to 40 of them in use, on the
+    /// level grid of the sweep above or on the profiler's rows `[s, ln s]`
+    /// over duplicator-spaced sizes, and one 514-class case, the width
+    /// `n_mem_classes` gives the memory forest.
+    #[test]
+    fn gini_band_keeps_the_oracles_trees_with_many_classes() {
+        for case in 0..241u64 {
+            let mut g = ChaCha8Rng::seed_from_u64(0xc1a5_0000 + case);
+            let wide = case == 240;
+            let n_classes = if wide { 514 } else { [17, 64][case as usize % 2] };
+            let n = if wide { 300 } else { g.gen_range(20..=160usize) };
+            let held = if wide { 120 } else { g.gen_range(2..=40usize.min(n_classes)) };
+            let mut classes: Vec<usize> = (0..n_classes).collect();
+            classes.shuffle(&mut g);
+            classes.truncate(held);
+            let x: Vec<Vec<f64>> = if wide || case % 4 < 2 {
+                let (lo, hi) = (g.gen_range(1..=50u32), g.gen_range(500..=200_000u32));
+                (0..n)
+                    .map(|k| {
+                        let frac = k as f64 / (n - 1) as f64;
+                        let s = (f64::from(lo) + frac * f64::from(hi - lo)).round();
+                        vec![s, s.ln()]
+                    })
+                    .collect()
+            } else {
+                let (d, levels) = (g.gen_range(1..=3usize), g.gen_range(2..=40u32));
+                (0..n)
+                    .map(|_| (0..d).map(|_| f64::from(g.gen_range(0..levels))).collect())
+                    .collect()
+            };
+            let spread = g.gen_range(0..=3usize);
+            let y: Vec<f64> = (0..n)
+                .map(|k| {
+                    let step = (k * held / n + g.gen_range(0..=spread)).min(held - 1);
+                    classes[step] as f64
+                })
+                .collect();
+            let task = Task::Classification { n_classes };
+            let d = x[0].len();
+            let params = TreeParams {
+                max_depth: g.gen_range(4..=12),
+                min_samples_split: 2,
                 feature_subsample: g.gen_bool(0.5).then(|| g.gen_range(1..=d)),
             };
             let rows: Vec<usize> = if g.gen_bool(0.5) {
