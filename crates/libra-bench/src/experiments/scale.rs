@@ -5,12 +5,19 @@
 //! only code that runs it at full size. `LIBRA_SCALE` shrinks invocations,
 //! arrival rate and node count together (0.02: 20k invocations, 20 nodes).
 //!
-//! It asserts conservation and prints one throughput line; the regression
-//! gate on simulator speed is the repo benchmark (`benchmarks/perf`).
+//! It runs the tier twice, under `NullPlatform` (the engine alone) and
+//! under Libra-NP (harvesting, the safeguard's monitor and the coverage
+//! scheduler, without the ML profiler), asserts conservation after each and
+//! prints one throughput line for each; the second adds its monitor visits
+//! and safeguard trips. The regression gate on simulator speed is the repo
+//! benchmark (`benchmarks/perf`).
 
+use libra_core::{LibraConfig, LibraPlatform};
 use libra_sim::engine::{NullPlatform, SimConfig, Simulation};
 use libra_sim::event::Event;
 use libra_sim::metrics::MetricsMode;
+use libra_sim::platform::Platform;
+use libra_sim::trace::Trace;
 use libra_workloads::trace::HugeTier;
 use std::time::Instant;
 
@@ -29,7 +36,7 @@ fn peak_rss_mb() -> u64 {
     0
 }
 
-/// Run the tier and print its throughput line.
+/// Run the tier under both platforms and print their throughput lines.
 pub fn run() {
     let scale = crate::scale();
     let mut tier = HugeTier::standard(42);
@@ -45,12 +52,26 @@ pub fn run() {
     );
 
     let trace = tier.trace();
+    let (null, null_pops) = simulate(&tier, &trace, &mut NullPlatform);
+    println!("tier=huge scale={scale} {null} pops: {null_pops}");
+    let mut libra = LibraPlatform::new(LibraConfig::np());
+    let (np, np_pops) = simulate(&tier, &trace, &mut libra);
+    println!(
+        "tier=huge platform=Libra-NP scale={scale} {np} visits={} safeguard_trips={} pops: {np_pops}",
+        libra.visits(),
+        libra.report().safeguard_triggers,
+    );
+}
+
+/// Run the tier under `platform` and assert conservation; returns the
+/// line's outcome and speed fields, and its pops per event kind.
+fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> (String, String) {
     let config =
         SimConfig { shards: tier.shards, metrics: MetricsMode::Streaming, ..SimConfig::default() };
     let sim = Simulation::new(tier.suite(), tier.node_caps(), config);
 
     let t_run = Instant::now();
-    let result = sim.run(&trace, &mut NullPlatform);
+    let result = sim.run(trace, platform);
     let wall_sec = t_run.elapsed().as_secs_f64();
 
     let total = result.summary.completed + result.aborted;
@@ -74,10 +95,10 @@ pub fn run() {
         })
         .collect();
 
-    println!(
-        "tier=huge scale={scale} completed={} aborted={} wall={wall_sec:.2}s \
+    let fields = format!(
+        "completed={} aborted={} wall={wall_sec:.2}s \
          inv/s={inv_per_sec:.0} events/s={events_per_sec:.0} peak_rss={}MB \
-         peak_live={} p50={:.3}s p99={:.3}s mean_cpu_util={:.3} pops: {}",
+         peak_live={} p50={:.3}s p99={:.3}s mean_cpu_util={:.3}",
         result.summary.completed,
         result.aborted,
         peak_rss_mb(),
@@ -85,6 +106,6 @@ pub fn run() {
         result.summary.latency_sketch.quantile(50.0),
         result.summary.latency_sketch.quantile(99.0),
         result.summary.cpu_util.mean(),
-        pops.join(" "),
     );
+    (fields, pops.join(" "))
 }

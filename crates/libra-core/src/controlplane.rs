@@ -42,9 +42,9 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::pool::{GetOrder, HarvestResourcePool, PoolSnapshot};
-use crate::safeguard::Safeguard;
+use crate::safeguard::{trip_footprint, Safeguard};
 use libra_sim::ids::{InvocationId, NodeId};
-use libra_sim::invocation::{clamp_grant, Prediction};
+use libra_sim::invocation::{clamp_grant, Prediction, Wake};
 use libra_sim::platform::LoanEnd;
 use libra_sim::resources::{sat_u64, ResourceVec};
 use libra_sim::time::SimTime;
@@ -549,31 +549,47 @@ impl ControlPlane {
         self.on_observe_at(at.map_or(NodeId(0), |&(_, n)| n), inv, now, || obs)
     }
 
-    /// Whether a monitor should keep visiting `inv` on `node`: its entry is
-    /// harvested under the safeguard, borrows CPU (trimming), or, under
-    /// continuous acceleration, is predicted and short of its peak. Outside
-    /// those, [`Self::on_observe_at`] returns before it reads the usage
-    /// sample or the pool, so the visit emits nothing and changes nothing;
-    /// and the entry stays outside them until a call whose actions or
-    /// arguments name `inv`. The pool filling is no such call, which is why
-    /// the shortfall term ignores the pool. False for an invocation `node`
-    /// does not hold.
-    pub fn watches(&self, node: NodeId, inv: InvocationId) -> bool {
+    /// When a monitor should next visit `inv` on `node`, after a visit that
+    /// emitted nothing: the earliest [`Wake`] of the terms below, and
+    /// [`Wake::NEVER`] outside all of them, where [`Self::on_observe_at`]
+    /// returns before it reads the usage sample or the pool. Until the
+    /// condition holds, a visit that sees the same busy CPU, no throttling
+    /// and a lower footprint emits nothing and changes nothing, as long as
+    /// no call names `inv` and nothing changes on `node`.
+    ///
+    /// * Harvested under the safeguard: the footprint of the trip line
+    ///   ([`trip_footprint`]). Throttling moves only with the allocation.
+    /// * Borrows CPU (trimming): a change of the node, which is what moves
+    ///   the busy CPU trimming reads.
+    /// * Under continuous acceleration, predicted and short of its peak:
+    ///   a change of the node while the node's pool is empty (it gains
+    ///   volume only by a harvest or a loan given back there); every tick
+    ///   while it is not, since each such visit counts a pool get.
+    ///
+    /// `NEVER` for an invocation `node` does not hold.
+    pub fn watches(&self, node: NodeId, inv: InvocationId) -> Wake {
         let Some(e) = self.ledgers.get(node.idx()).and_then(|l| l.get(pos_in(l, inv)?)) else {
-            return false;
+            return Wake::NEVER;
         };
-        let harvested = e.own_grant != e.nominal || !e.lent_out.is_zero();
-        let borrows_cpu = e.borrowed.iter().any(|(_, v)| v.cpu_millis > 0);
+        let mut wake = Wake::NEVER;
+        if self.cfg.safeguard && (e.own_grant != e.nominal || !e.lent_out.is_zero()) {
+            let line = trip_footprint(e.effective().mem_mb, self.safeguard.threshold);
+            wake = wake.or(Wake::footprint(line));
+        }
+        if e.borrowed.iter().any(|(_, v)| v.cpu_millis > 0) {
+            wake = wake.or(Wake::NODE_CHANGE);
+        }
         let short = |p: Prediction| !p.peak().saturating_sub(&e.effective()).is_zero();
-        (self.cfg.safeguard && harvested)
-            || borrows_cpu
-            || (self.cfg.continuous_acceleration && e.pred.is_some_and(short))
+        if self.cfg.continuous_acceleration && e.pred.is_some_and(short) {
+            let dry = self.pools.get(node.idx()).is_none_or(HarvestResourcePool::is_empty);
+            wake = wake.or(if dry { Wake::NODE_CHANGE } else { Wake::EVERY_TICK });
+        }
+        wake
     }
 
     /// The visit itself. Every early return before the first read of `obs`
-    /// is a visit that cannot act — they are the skip predicate, and
-    /// [`Self::watches`] is the part of it that no event outside the
-    /// entry's own can change.
+    /// is a visit that cannot act; after a visit that emitted nothing,
+    /// [`Self::watches`] says until when the next one cannot either.
     fn observe_inner(
         &mut self,
         node: NodeId,

@@ -34,7 +34,7 @@ use crate::profiler::{ModelChoice, Profiler, ProfilerConfig};
 use crate::scheduler::{place, SchedView, ScheduleRequest};
 use libra_sim::engine::{SimCtx, World};
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
-use libra_sim::invocation::{Actuals, Loan, Prediction, PredictionPath};
+use libra_sim::invocation::{Actuals, Loan, Prediction, PredictionPath, Wake};
 use libra_sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
@@ -155,6 +155,8 @@ pub struct LibraPlatform<S: NodeSelector = CoverageSelector> {
     core: ControlPlane,
     view: SchedView,
     initialized: bool,
+    /// Monitor visits (`on_tick` calls) since `init`.
+    visits: u64,
 }
 
 impl LibraPlatform<CoverageSelector> {
@@ -177,12 +179,19 @@ impl<S: NodeSelector> LibraPlatform<S> {
             core,
             view: SchedView::new(),
             initialized: false,
+            visits: 0,
         }
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &LibraConfig {
         &self.cfg
+    }
+
+    /// Monitor visits the engine made since the run began: the count a
+    /// node's wake conditions keep down.
+    pub fn visits(&self) -> u64 {
+        self.visits
     }
 
     /// Profiler access (None for NP variants).
@@ -255,6 +264,7 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
         // The control plane records its actions when the run is traced.
         self.core.set_record_trace(world.config.trace);
         self.initialized = true;
+        self.visits = 0;
     }
 
     fn overheads(&self) -> PlatformOverheads {
@@ -306,13 +316,18 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
         self.apply(ctx, actions);
     }
 
-    /// The monitor visit, ending in [`ControlPlane::watches`]: an entry
-    /// outside that predicate reads neither the usage sample nor the pool,
-    /// so later visits would be no-ops, and is unwatched. Every later change
-    /// to the entry is an action, which the engine turns into an allocation
-    /// or charge change of the resident (a revocation through its own loan
-    /// unwinding), and that watches the resident again.
+    /// The monitor visit, ending in the wake condition it leaves. A visit
+    /// that emitted nothing leaves [`ControlPlane::watches`]: its trip
+    /// footprint and node terms are what the engine can check without a
+    /// visit, because throttling and busy CPU move only with the node's
+    /// allocations. One that acted saw its sample before its own actions,
+    /// which may leave it throttled, so it is visited at the next tick
+    /// unless `watches` is `NEVER`. Every later change to the entry is an
+    /// action, which the engine turns into an allocation or charge change
+    /// of the resident (a revocation through its own loan unwinding), and
+    /// that resets the condition to every tick.
     fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+        self.visits += 1;
         let rec = ctx.inv(inv);
         let Some(node) = rec.node.filter(|_| rec.is_running()) else { return };
         debug_assert_eq!(
@@ -328,8 +343,10 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
                 cpu_throttled: u.cpu_throttled,
             }
         });
+        let acted = !actions.is_empty();
         self.apply(ctx, actions);
-        ctx.watch(inv, self.core.watches(node, inv));
+        let wake = self.core.watches(node, inv);
+        ctx.watch(inv, if acted && wake != Wake::NEVER { Wake::EVERY_TICK } else { wake });
     }
 
     fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {
@@ -733,6 +750,112 @@ mod tests {
             assert!(p.is_empty(), "every entry must be removed by completion");
         }
         assert_eq!(platform.core().ledger_len(), 0, "ledger must drain with the workload");
+    }
+
+    /// `LibraPlatform` with one scripted prediction per function; with
+    /// `rewatch`, every resident is visited at every tick.
+    struct ScriptedLibra {
+        inner: LibraPlatform,
+        preds: Vec<Prediction>,
+        rewatch: bool,
+    }
+
+    impl Platform for ScriptedLibra {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn init(&mut self, world: &World) {
+            self.inner.init(world);
+        }
+        fn overheads(&self) -> PlatformOverheads {
+            self.inner.overheads()
+        }
+        fn predict(&mut self, world: &World, inv: InvocationId) -> Option<Prediction> {
+            self.preds.get(world.inv(inv).func.idx()).copied()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            self.inner.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            self.inner.on_start(ctx, inv);
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            self.inner.on_tick(ctx, inv);
+            if self.rewatch {
+                ctx.watch(inv, Wake::EVERY_TICK);
+            }
+        }
+        fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {
+            self.inner.on_complete(ctx, inv, actuals);
+        }
+        fn on_loan_ended(&mut self, ctx: &mut SimCtx<'_>, loan: &Loan, reason: LoanEnd) {
+            self.inner.on_loan_ended(ctx, loan, reason);
+        }
+        fn on_oom(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            self.inner.on_oom(ctx, inv);
+        }
+    }
+
+    #[test]
+    fn a_visit_that_trims_a_harvested_borrower_is_followed_by_one_at_the_next_tick() {
+        // One 7-core node, continuous acceleration off. Donor #0 (4 cores,
+        // 10 s) is harvested to one core, and so is donor #1 (4 cores,
+        // 20 s); borrower #2 (2 cores, memory harvested to 512 MB, wants 5
+        // cores for 20 s) borrows three of #1's. At ≈ 8.3 s #0's footprint
+        // reaches its trip line and the safeguard restores it: 10 cores run
+        // on 7, so #2 can use 3.5 of its 5 and its visit at that tick trims
+        // what it cannot use. That leaves it throttled while harvested, so
+        // the safeguard must restore it at the next tick — not at the next
+        // change of the node, #0's completion.
+        let f = |cores, cpu, mem, secs| {
+            let d = TrueDemand {
+                cpu_peak_millis: cpu,
+                mem_peak_mb: mem,
+                base_duration: SimDuration::from_secs(secs),
+            };
+            FunctionSpec::new(
+                "f",
+                ResourceVec::from_cores_mb(cores, 1024),
+                Arc::new(ConstantDemand(d)),
+            )
+        };
+        let funcs = vec![f(4, 1_000, 480, 10), f(4, 1_000, 128, 20), f(2, 5_000, 200, 20)];
+        let pred = |cpu_millis, mem_mb, secs| Prediction {
+            cpu_millis,
+            mem_mb,
+            duration: SimDuration::from_secs(secs),
+            path: PredictionPath::Window,
+        };
+        let preds = vec![pred(1_000, 500, 10), pred(1_000, 1024, 20), pred(5_000, 512, 20)];
+        let mut t = Trace::new();
+        for (ms, func) in [(0, 0), (1_000, 1), (2_000, 2)] {
+            t.push(SimTime::from_millis(ms), FunctionId(func), InputMeta::new(1, 0));
+        }
+        let cfg = LibraConfig {
+            profiler: false,
+            control: ControlConfig { continuous_acceleration: false, ..ControlConfig::default() },
+            ..LibraConfig::default()
+        };
+        let mut runs = Vec::new();
+        for rewatch in [false, true] {
+            let inner = LibraPlatform::new(cfg.clone());
+            let mut p = ScriptedLibra { inner, preds: preds.clone(), rewatch };
+            let caps = vec![ResourceVec::from_cores_mb(7, 8192)];
+            let config = SimConfig { trace: true, ..SimConfig::default() };
+            let res = Simulation::new(funcs.clone(), caps, config).run(&t, &mut p);
+            let actions = p.inner.core().action_trace().to_vec();
+            let at = |want: fn(&Action) -> bool| actions.iter().position(want);
+            let trim = at(|a| matches!(a, Action::Return { borrower: InvocationId(2), .. }));
+            let trip = at(|a| matches!(a, Action::PreemptiveRelease { inv: InvocationId(2), .. }));
+            assert!(trim.is_some() && trim < trip, "rewatch {rewatch}: {actions:?}");
+            runs.push(format!("{:#?}\n{actions:#?}", res.records));
+        }
+        assert_eq!(runs[0], runs[1]);
     }
 
     fn build_world(nodes: usize) -> Simulation {

@@ -12,6 +12,7 @@
 //! stop having their *memory* harvested at all (§5.1 "Mitigating OOM").
 
 use crate::controlplane::Observation;
+use libra_sim::resources::sat_u64;
 
 /// Safeguard trips before a function's memory harvesting stops.
 const MEM_BLACKLIST_AFTER: u32 = 3;
@@ -26,6 +27,45 @@ const MEM_BLACKLIST_AFTER: u32 = 3;
 /// *before* it becomes an OOM.
 pub fn overloaded(throttled: bool, mem_used_mb: u64, mem_mb: u64, threshold: f64) -> bool {
     throttled || mem_used_mb as f64 / mem_mb.max(1) as f64 >= threshold
+}
+
+/// The trip line: the least footprint `m` for which
+/// [`overloaded`]`(false, m, mem_mb, threshold)` holds, or `u64::MAX` when
+/// none below it does (a NaN threshold, say). The ratio is monotone in `m`,
+/// so the answer is a partition point: `threshold × grant`, rounded up,
+/// lands within a step or two of it below 2⁵², where every integer is an
+/// `f64`, and a bisection over all of `u64` finds it above.
+pub fn trip_footprint(mem_mb: u64, threshold: f64) -> u64 {
+    let trips = |m: u64| overloaded(false, m, mem_mb, threshold);
+    let guess = (threshold * mem_mb.max(1) as f64).ceil();
+    if trips(0) {
+        return 0;
+    }
+    if !trips(u64::MAX) {
+        return u64::MAX;
+    }
+    if guess < 2f64.powi(52) {
+        // 0 does not trip, so the threshold is positive and so is `guess`.
+        let mut m = sat_u64(guess);
+        while m > 0 && trips(m - 1) {
+            m -= 1;
+        }
+        while !trips(m) {
+            m += 1;
+        }
+        return m;
+    }
+    // `lo` does not trip, `hi` does.
+    let (mut lo, mut hi) = (0u64, u64::MAX);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if trips(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 /// Safeguard state for one platform instance.
@@ -112,6 +152,22 @@ mod tests {
         let never = Safeguard::new(1, 1.1);
         assert!(!never.should_trigger(&obs(1000, 1000, false), 1000));
         assert!(never.should_trigger(&obs(1000, 1000, true), 1000));
+    }
+
+    #[test]
+    fn the_trip_footprint_is_the_least_footprint_that_trips() {
+        for threshold in [0.0, 0.55, 0.8, 1.0, 1.1] {
+            for grant in [0, 1, 2, 127, 128, 3 << 20] {
+                let scan = (0..).find(|&m| overloaded(false, m, grant, threshold));
+                assert_eq!(Some(trip_footprint(grant, threshold)), scan, "{threshold} × {grant}");
+            }
+        }
+        assert_eq!(trip_footprint(1_000, f64::NAN), u64::MAX, "a NaN threshold never trips");
+        assert_eq!(trip_footprint(1_000, -1.0), 0);
+        let huge = trip_footprint(u64::MAX, 0.5);
+        assert!(
+            overloaded(false, huge, u64::MAX, 0.5) && !overloaded(false, huge - 1, u64::MAX, 0.5)
+        );
     }
 
     #[test]

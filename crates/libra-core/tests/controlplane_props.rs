@@ -10,7 +10,7 @@ use libra_core::controlplane::{
     Action, Admission, ControlConfig, ControlPlane, LendFailure, Observation,
 };
 use libra_sim::ids::{InvocationId, NodeId};
-use libra_sim::invocation::{Prediction, PredictionPath};
+use libra_sim::invocation::{Prediction, PredictionPath, Wake};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -244,21 +244,35 @@ fn named(ev: Event, actions: &[Action]) -> BTreeSet<InvocationId> {
 fn watched(
     cp: &ControlPlane,
     live: &BTreeMap<InvocationId, NodeId>,
-) -> BTreeMap<InvocationId, bool> {
+) -> BTreeMap<InvocationId, Wake> {
     live.iter().map(|(&inv, &node)| (inv, cp.watches(node, inv))).collect()
 }
 
 /// The invocations whose `watches` differs between `before` and `after`
-/// (both ledgered throughout).
+/// (both ledgered throughout), with both values.
 fn moved(
-    before: &BTreeMap<InvocationId, bool>,
-    after: &BTreeMap<InvocationId, bool>,
-) -> BTreeSet<InvocationId> {
+    before: &BTreeMap<InvocationId, Wake>,
+    after: &BTreeMap<InvocationId, Wake>,
+) -> Vec<(InvocationId, Wake, Wake)> {
     before
         .iter()
-        .filter(|&(inv, w)| after.get(inv).is_some_and(|a| a != w))
-        .map(|(&inv, _)| inv)
+        .filter_map(|(&inv, &b)| after.get(&inv).filter(|&&a| a != b).map(|&a| (inv, b, a)))
         .collect()
+}
+
+/// Whether wake `a` can hold where `b` does not: a lower footprint, or a
+/// node wait `b` lacks while `b` is not every tick.
+fn earlier(a: Wake, b: Wake) -> bool {
+    a.footprint_mb < b.footprint_mb || (a.node_change && !b.node_change && b.footprint_mb > 0)
+}
+
+/// Footprints below `line` that a visit left dormant until `line` is
+/// probed with: none below 0, else 0, the one it saw and `line - 1`.
+fn below(line: u64, seen: u64) -> Vec<u64> {
+    match line {
+        0 => Vec::new(),
+        _ => vec![0, seen.min(line - 1), line - 1],
+    }
 }
 
 proptest! {
@@ -348,14 +362,22 @@ proptest! {
         }
     }
 
-    /// `ControlPlane::watches` is the part of the skip predicate that only an
-    /// entry's own events move. Outside it, a visit is a no-op that never
-    /// samples — no actions; ledgers, pools (their op counts included) and
-    /// counters untouched — whatever happened on its node since, later
-    /// admissions filling its pool included. And whether an entry is inside
-    /// it changes only across a call whose arguments or emitted actions name
-    /// it, a driver's `lend_failed` included (some emitted lends are refused
-    /// here, as a substrate may). Under the same three knobs as above.
+    /// `ControlPlane::watches` is the wake condition a visit that emitted
+    /// nothing leaves. Three things are checked after every event, under
+    /// the same three knobs as above:
+    ///
+    /// * An event moves the condition of an entry it does not name (in its
+    ///   arguments or its actions, a driver's `lend_failed` included: some
+    ///   emitted lends are refused here, as a substrate may) only on its own
+    ///   node, and a visit there that emitted nothing never makes it
+    ///   earlier. Everything else on a node is a change of the node, which
+    ///   wakes a node wait.
+    /// * Outside `NEVER`, a visit is a no-op that never samples — no
+    ///   actions; ledgers, pools (their op counts included) and counters
+    ///   untouched.
+    /// * After a visit that returned nothing, and until the next event on
+    ///   its node, a visit with the same busy CPU, no throttling and a
+    ///   footprint below the condition's is a no-op too (it may sample).
     #[test]
     fn only_an_entrys_own_events_move_watches_and_outside_it_a_visit_is_a_no_op(
         ops in prop::collection::vec((0usize..3, op()), 1..150),
@@ -364,7 +386,11 @@ proptest! {
         for cfg in knobs() {
             let mut cp = ControlPlane::new(cfg, 12, 3);
             let mut live: BTreeMap<InvocationId, NodeId> = BTreeMap::new();
-            for (k, (_, now, ev)) in resolve(&ops).into_iter().enumerate() {
+            // Entries a visit left dormant: node, busy CPU and footprint
+            // seen, and the condition it left.
+            let mut dormant: BTreeMap<InvocationId, (NodeId, Observation, Wake)> = BTreeMap::new();
+            for (k, (node, now, ev)) in resolve(&ops).into_iter().enumerate() {
+                let node = NodeId(node as u32);
                 let before = watched(&cp, &live);
                 let actions = feed(&mut cp, ev, now, &Cell::new(false));
                 match ev {
@@ -376,9 +402,7 @@ proptest! {
                     }
                     Event::Observe(..) | Event::Oom(_) => {}
                 }
-                let names = named(ev, &actions);
-                let stray = moved(&before, &watched(&cp, &live));
-                prop_assert!(stray.is_subset(&names), "{:?} moved watches of {:?}", ev, stray);
+                let mut names = named(ev, &actions);
 
                 let lends: Vec<_> = actions
                     .iter()
@@ -393,23 +417,42 @@ proptest! {
                     _ => None,
                 };
                 if let Some(((source, borrower, vol), why)) = refused {
-                    let before = watched(&cp, &live);
                     cp.lend_failed(source, borrower, vol, why, now);
-                    let stray = moved(&before, &watched(&cp, &live));
-                    let names = BTreeSet::from([source, borrower]);
-                    prop_assert!(stray.is_subset(&names), "lend_failed moved watches of {:?}", stray);
+                    names.extend([source, borrower]);
+                }
+                let quiet = matches!(ev, Event::Observe(..)) && actions.is_empty();
+                for (inv, b, a) in moved(&before, &watched(&cp, &live)) {
+                    if names.contains(&inv) {
+                        continue;
+                    }
+                    prop_assert_eq!(live[&inv], node, "{:?} moved {}'s wake on another node", ev, inv);
+                    prop_assert!(!(quiet && earlier(a, b)), "{:?} woke {} earlier: {:?} -> {:?}", ev, inv, b, a);
                 }
 
-                for (&inv, &node) in &live {
-                    if cp.watches(node, inv) {
+                for (&inv, &at) in &live {
+                    if cp.watches(at, inv) != Wake::NEVER {
                         continue;
                     }
                     let before = state(&cp);
-                    let acts = cp.on_observe_at(node, inv, now, || {
+                    let acts = cp.on_observe_at(at, inv, now, || {
                         panic!("{inv} is not watched, yet its visit sampled")
                     });
                     prop_assert_eq!(acts, [], "{} is not watched, yet its visit acted", inv);
                     prop_assert_eq!(state(&cp), before, "{} is not watched, yet its visit moved state", inv);
+                }
+
+                dormant.retain(|inv, (at, ..)| *at != node && live.contains_key(inv));
+                if let (Event::Observe(_, inv, obs), true) = (ev, quiet) {
+                    dormant.insert(inv, (node, obs, cp.watches(node, inv)));
+                }
+                for (&inv, &(at, seen, wake)) in &dormant {
+                    for mem_used_mb in below(wake.footprint_mb, seen.mem_used_mb) {
+                        let obs = Observation { mem_used_mb, cpu_throttled: false, ..seen };
+                        let before = state(&cp);
+                        let acts = cp.on_observe_at(at, inv, now, || obs);
+                        prop_assert_eq!(acts, [], "{} acted below its wake {:?} at {:?}", inv, wake, obs);
+                        prop_assert_eq!(state(&cp), before, "{} moved state below its wake {:?}", inv, wake);
+                    }
                 }
             }
         }

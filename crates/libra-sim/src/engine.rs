@@ -27,8 +27,8 @@ use crate::event::{Event, EventQueue, EVENT_KINDS};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::function::FunctionSpec;
 use crate::ids::{FunctionId, InvocationId, NodeId};
-use crate::invocation::{clamp_grant, exec_rate_millis, oom_kills};
-use crate::invocation::{Actuals, InvState, Invocation, Loan};
+use crate::invocation::{clamp_grant, exec_rate_millis, oom_kills, oom_wake};
+use crate::invocation::{Actuals, InvState, Invocation, Loan, Wake};
 use crate::metrics::{InvRecord, KindPops, MetricsMode, RunResult, RunSummary, UtilSample};
 use crate::node::Node;
 use crate::platform::{LoanEnd, Platform, PlatformOverheads};
@@ -329,32 +329,35 @@ impl World {
     /// End a run segment, only before a change of allocation, rate or
     /// lifecycle state: [`Invocation::settle`] at `self.clock`, raise the
     /// observed CPU peak to the segment's busy CPU (constant on a segment,
-    /// so this is the one observation it needs), and watch the resident
-    /// again — the change may give its platform's visit something to do.
+    /// so this is the one observation it needs), and visit the resident at
+    /// every tick again — the change may give its platform's visit
+    /// something to do.
     fn update_progress(&mut self, idx: usize) {
         let inv = self.invs.get(idx);
         let busy = self.busy_cpu(inv, inv.effective_alloc().cpu_millis);
         let inv = self.invs.get_mut(idx);
         inv.settle(self.clock);
         inv.cpu_peak_obs = inv.cpu_peak_obs.max(busy);
-        self.set_watched(idx, true);
+        self.set_wake(idx, Wake::EVERY_TICK);
     }
 
-    /// The one writer of [`Invocation::watched`] and of `Node::watched`, the
-    /// count of a node's residents whose flag is set. Only a resident
-    /// (cold-starting or running) changes, so a non-resident's flag stays
-    /// false: `resident_remove` unwatches, and each attempt's start, which
-    /// settles, watches.
-    fn set_watched(&mut self, idx: usize, on: bool) {
+    /// The one writer of [`Invocation::wake`] and of `Node::watched`, the
+    /// count of a node's residents whose wake is not [`Wake::NEVER`]; it
+    /// stamps the node's generation for a node wait. Only a resident
+    /// (cold-starting or running) changes, so a non-resident's wake stays
+    /// `NEVER`: `resident_remove` sets it, and each attempt's start, which
+    /// settles, sets `EVERY_TICK`.
+    fn set_wake(&mut self, idx: usize, wake: Wake) {
         let inv = self.invs.get_mut(idx);
         let resident = matches!(inv.state, InvState::ColdStarting | InvState::Running);
-        if inv.watched == on || !resident {
-            return;
+        let Some(node) = inv.node.filter(|_| resident) else { return };
+        let node = &mut self.nodes[node.idx()];
+        let (was, on) = (inv.wake != Wake::NEVER, wake != Wake::NEVER);
+        inv.wake = wake;
+        inv.wake_gen = node.generation;
+        if was != on {
+            node.watched = if on { node.watched + 1 } else { node.watched - 1 };
         }
-        let Some(node) = inv.node else { return };
-        inv.watched = on;
-        let count = &mut self.nodes[node.idx()].watched;
-        *count = if on { *count + 1 } else { *count - 1 };
     }
 
     /// Re-rate the run — 0 unless running — and, if the rate moved,
@@ -397,14 +400,17 @@ impl World {
         total
     }
 
-    /// Forget `node_idx`'s cached running-CPU sum. Everything that can change
-    /// it — an allocation change, a resident entering `Running`, leaving it or
-    /// being removed — happens inside `with_alloc_change`, which calls this
-    /// once the mutation is done; the two other callers are mutations a policy
-    /// hook reads behind before that: the `Running` flip of `on_start_exec`
-    /// (`on_start` follows) and `end_loans` dropping the loans a resident held.
-    fn invalidate_running_cpu(&self, node_idx: usize) {
+    /// Forget `node_idx`'s cached running-CPU sum, and bump the node's
+    /// generation: the node has changed for a resident waiting on it.
+    /// Everything that can change the sum — an allocation change, a resident
+    /// entering `Running`, leaving it or being removed — happens inside
+    /// `with_alloc_change`, which calls this once the mutation is done; the
+    /// two other callers are mutations a policy hook reads behind before
+    /// that: the `Running` flip of `on_start_exec` (`on_start` follows) and
+    /// `end_loans` dropping the loans a resident held.
+    fn invalidate_running_cpu(&mut self, node_idx: usize) {
         self.running_eff_cpu[node_idx].set(None);
+        self.nodes[node_idx].generation += 1;
     }
 
     /// [`World::node_running_eff_cpu`] computed from the resident slots.
@@ -421,9 +427,9 @@ impl World {
     /// Remove arena slot `idx` from `node_idx`'s residents, keeping everyone
     /// else's admission order (the crash sweep, the node tick's visit order
     /// and the Finish tie-break all depend on it). Call while it is still
-    /// cold-starting or running, so its flag leaves the node's count.
+    /// cold-starting or running, so its wake leaves the node's count.
     fn resident_remove(&mut self, node_idx: usize, idx: usize) {
-        self.set_watched(idx, false);
+        self.set_wake(idx, Wake::NEVER);
         let residents = &mut self.nodes[node_idx].residents;
         match residents.iter().position(|&s| s as usize == idx) {
             Some(k) => {
@@ -508,16 +514,24 @@ impl World {
     }
 
     /// Reconcile node reservation bookkeeping after an invocation's charge
-    /// (own grant + lent out) changed, watch it again (a source whose
-    /// `lent_out` moved is not settled, yet its platform's visit may now
-    /// have something to do), and wake parked invocations when the change
-    /// freed capacity.
+    /// (own grant + lent out) changed, visit it at every tick again (a
+    /// source whose `lent_out` moved is not settled, yet its platform's
+    /// visit may now have something to do), and wake parked invocations
+    /// when the change freed capacity.
+    ///
+    /// It leaves the node's generation alone. A charge moves only with an
+    /// allocation: a grant, a loan made, returned or revoked, or a loan
+    /// dropped by a dying borrower. Every caller runs inside
+    /// `with_alloc_change` or right after `end_loans` has dropped loans,
+    /// and both bump the generation. So a harvest pool that a charge change
+    /// refills (a loan given back to its source's entry) was refilled at a
+    /// change of its node, and its node's waiting borrowers wake.
     fn reconcile_charge(&mut self, idx: usize, old: ResourceVec) {
         let new = self.invs.get(idx).charge();
         if new == old {
             return;
         }
-        self.set_watched(idx, true);
+        self.set_wake(idx, Wake::EVERY_TICK);
         let inv = self.invs.get(idx);
         let (Some(node), Some(shard)) = (inv.node, inv.shard) else {
             return;
@@ -603,10 +617,12 @@ impl World {
         if n_placed != n_resident {
             return Err(format!("{n_placed} invocations are placed, {n_resident} resident"));
         }
-        // A node counts its watched residents; nothing else is watched.
+        // A node counts its watched residents, those whose wake is not
+        // `NEVER`; nothing else is watched.
+        let watched = |inv: &Invocation| inv.wake != Wake::NEVER;
         for node in &self.nodes {
             let flagged =
-                node.residents.iter().filter(|&&s| self.invs.get(s as usize).watched).count();
+                node.residents.iter().filter(|&&s| watched(self.invs.get(s as usize))).count();
             if node.watched as usize != flagged {
                 return Err(format!(
                     "{:?} counts {} watched residents, {flagged} are flagged",
@@ -616,7 +632,7 @@ impl World {
         }
         if let Some(s) = self.invs.live_slots().find(|&s| {
             let inv = self.invs.get(s);
-            inv.watched && !placed(inv)
+            watched(inv) && !placed(inv)
         }) {
             return Err(format!("{:?} is watched but not resident", self.invs.get(s).id));
         }
@@ -736,18 +752,19 @@ impl<'a> SimCtx<'a> {
         self.w.harvestable(source)
     }
 
-    /// Say whether the node's monitor tick should keep visiting resident
-    /// `i`. A platform unwatches a resident whose visit cannot act until
-    /// its allocation or charge next changes; the engine watches it again
-    /// at that change. Unwatching is ignored while `i`'s own memory grant
-    /// is below its nominal — only then can the OOM rule, which the visit
-    /// applies, kill it — and for an invocation that is not resident.
-    pub fn watch(&mut self, i: InvocationId, on: bool) {
+    /// Leave the condition on which the node's monitor tick next visits
+    /// resident `i`: a platform leaves the earliest one at which its visit
+    /// could act; the engine resets it to [`Wake::EVERY_TICK`] at the next
+    /// change of `i`'s allocation or charge. The visit also applies the OOM
+    /// rule, so while `i`'s footprint can outgrow the memory it has within
+    /// its nominal, the footprint one past that memory wakes it too.
+    /// Ignored for an invocation that is not resident.
+    pub fn watch(&mut self, i: InvocationId, wake: Wake) {
         let Some(idx) = self.w.try_slot(i) else { return };
         let inv = self.w.invs.get(idx);
-        if on || inv.own_grant.mem_mb >= inv.nominal.mem_mb {
-            self.w.set_watched(idx, on);
-        }
+        let have = inv.effective_alloc().mem_mb;
+        let oom = oom_wake(inv.true_demand.mem_peak_mb, inv.nominal.mem_mb, have);
+        self.w.set_wake(idx, wake.or(oom));
     }
 
     /// Set how much of its own entitlement `inv` keeps (the *harvest*
@@ -1439,11 +1456,12 @@ impl Simulation {
         true
     }
 
-    /// One node's monitor tick: every running resident that is watched, in
-    /// admission order, is shown to the policy and held to the OOM rule; a
-    /// node with none watched skips the walk. A visit settles nothing: it
-    /// reads footprints as of now. `false` when nothing is resident — the
-    /// chain ends (see [`Simulation::dispatch`]).
+    /// One node's monitor tick: every running resident whose wake condition
+    /// holds ([`Invocation::wake`]), in admission order, is shown to the
+    /// policy and held to the OOM rule; a node with none watched skips the
+    /// walk. A visit settles nothing: it reads footprints as of now. `false`
+    /// when nothing is resident — the chain ends (see
+    /// [`Simulation::dispatch`]).
     fn on_node_tick(w: &mut World, platform: &mut dyn Platform, node: NodeId) -> bool {
         let n = node.idx();
         if w.nodes[n].residents.is_empty() {
@@ -1453,13 +1471,14 @@ impl Simulation {
         }
         let now = w.clock;
         // Nothing below admits or removes a resident: an OOM victim stays,
-        // cold-starting. A visit may watch a resident again; one later in
-        // the order is then visited at this tick, one earlier at the next.
+        // cold-starting. A visit may wake a resident (reset its condition,
+        // or change the node); one later in the order is then visited at
+        // this tick, one earlier at the next.
         let walk = if w.nodes[n].watched > 0 { w.nodes[n].residents.len() } else { 0 };
         for k in 0..walk {
             let idx = w.nodes[n].residents[k] as usize;
             let inv = w.invs.get(idx);
-            if inv.state != InvState::Running || !inv.watched {
+            if inv.state != InvState::Running || !inv.wakes(now, w.nodes[n].generation) {
                 continue;
             }
             let id = inv.id;
@@ -2582,9 +2601,9 @@ mod tests {
             w.nodes[0].watched += 1;
             self.0.push(w.check_invariants());
             w.nodes[0].watched -= 1;
-            w.invs.get_mut(slot).watched = false;
+            w.invs.get_mut(slot).wake = Wake::NEVER;
             self.0.push(w.check_invariants());
-            w.invs.get_mut(slot).watched = true;
+            w.invs.get_mut(slot).wake = Wake::EVERY_TICK;
             w.invs.get_mut(slot).state = InvState::ColdStarting;
             w.invalidate_running_cpu(0);
             self.0.push(w.check_invariants());
@@ -2955,9 +2974,10 @@ mod tests {
     fn unwatching_a_memory_harvested_resident_keeps_its_oom_rule() {
         // Peak 900 MB within 1,024 nominal, harvested to 600 MB: running
         // from 501,302 µs for 2 s, its footprint 900 · (0.25 + 0.75 p) first
-        // crosses 600 at p = 0.6, the visit of 1,701,302. Every visit till
-        // then is one the unwatch could not skip; the restart runs at its
-        // nominal memory, and there the unwatch holds.
+        // crosses 600 at p = 0.6, the visit of 1,701,302. The default visit
+        // leaves `NEVER`, which the engine turns into the footprint of 601
+        // MB, where the OOM rule fires: the first visit, then that one. The
+        // restart runs at its nominal memory, and there `NEVER` holds.
         let d = TrueDemand {
             cpu_peak_millis: 2000,
             mem_peak_mb: 900,
@@ -2970,8 +2990,7 @@ mod tests {
         let res = single_node_sim(vec![spec("f", 2, 1024, d)]).run(&t, &mut p);
         assert_eq!(res.records[0].restarts, 1);
         let before: Vec<u64> = p.seen.iter().filter(|s| s.2 == 0).map(|s| s.0).collect();
-        let want: Vec<u64> = (0..12).map(|k| 601_302 + k * 100_000).collect();
-        assert_eq!(before, want);
+        assert_eq!(before, [601_302, 1_701_302]);
         assert_eq!(p.seen.iter().filter(|s| s.2 == 1).count(), 1, "{:?}", p.seen);
     }
 
@@ -3019,7 +3038,7 @@ mod tests {
         fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
             self.seen.push((ctx.now().as_micros(), inv.0));
             if inv.0 != 2 {
-                ctx.watch(inv, false);
+                ctx.watch(inv, Wake::NEVER);
                 return;
             }
             if ctx.now() != SimTime(801_302) {
@@ -3084,6 +3103,158 @@ mod tests {
             assert_eq!(at(&p.seen, 1_001_302), [2], "{poke:?}");
             assert_eq!(at(&p.seen, 1_201_302), after_start, "{poke:?}");
         }
+    }
+
+    /// Cuts every invocation's memory to 600 MB at start, and trips it
+    /// (restores its grant) at the first visit that sees its footprint at
+    /// 0.8 × that grant, 480 MB or more. A visit that does not trip leaves
+    /// the footprint of 480 MB, or, with `rewatch`, every tick; a tripped
+    /// one leaves never. Logs every visit as (instant µs, inv) and every
+    /// trip as its instant.
+    struct TripLine {
+        rewatch: bool,
+        seen: Vec<(u64, u32)>,
+        trips: Vec<u64>,
+    }
+
+    impl Platform for TripLine {
+        fn name(&self) -> String {
+            "trip-line".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            let cpu = ctx.inv(inv).nominal.cpu_millis;
+            ctx.set_own_grant(inv, ResourceVec::new(cpu, 600));
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            let now = ctx.now().as_micros();
+            self.seen.push((now, inv.0));
+            let i = ctx.inv(inv);
+            if i.own_grant == i.nominal {
+                ctx.watch(inv, Wake::NEVER);
+            } else if ctx.usage(inv).mem_used_mb * 5 >= 600 * 4 {
+                ctx.preemptive_release(inv);
+                self.trips.push(now);
+                ctx.watch(inv, Wake::NEVER);
+            } else {
+                ctx.watch(inv, if self.rewatch { Wake::EVERY_TICK } else { Wake::footprint(480) });
+            }
+        }
+    }
+
+    #[test]
+    fn a_footprint_wake_trips_at_the_tick_the_footprint_reaches_it() {
+        // Peak 500 MB, harvested to 600: no OOM can come. Running from
+        // 501,302 µs for 2 s, progress at the tick of 601,302 + k · 100,000
+        // is (k + 1) / 20, and its footprint round(500 · (0.25 + 0.75 p))
+        // is 463 MB at k = 17 and 481 at k = 18: the trip line of 480 is
+        // first reached at 2,401,302.
+        let d = TrueDemand {
+            cpu_peak_millis: 2000,
+            mem_peak_mb: 500,
+            base_duration: SimDuration::from_secs(2),
+        };
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        let mut runs = Vec::new();
+        for rewatch in [false, true] {
+            let mut p = TripLine { rewatch, seen: Vec::new(), trips: Vec::new() };
+            let res = single_node_sim(vec![spec("f", 2, 1024, d)]).run(&t, &mut p);
+            assert_eq!(p.trips, [2_401_302], "rewatch {rewatch}");
+            let to_trip = p.seen.iter().filter(|s| s.0 <= 2_401_302).count();
+            assert_eq!(to_trip, if rewatch { 19 } else { 2 }, "rewatch {rewatch}: {:?}", p.seen);
+            runs.push(format!("{:?}", res.records));
+        }
+        assert_eq!(runs[0], runs[1]);
+    }
+
+    /// Donor #1 (func 1) is cut to one of its four cores at start. Borrower
+    /// #0 (func 0) borrows one core of it at the first visit that finds
+    /// the donor's idle volume; until then each visit leaves a wait on the
+    /// node, or, with `rewatch`, every tick; afterwards never. Logs every
+    /// visit of #0 and every loan as its instant µs.
+    struct PoolWait {
+        rewatch: bool,
+        seen: Vec<u64>,
+        lends: Vec<u64>,
+    }
+
+    impl Platform for PoolWait {
+        fn name(&self) -> String {
+            "pool-wait".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            if inv.0 == 1 {
+                ctx.set_own_grant(inv, ResourceVec::new(1_000, 1024));
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            if inv.0 != 0 || !ctx.inv(inv).borrowed_in.is_empty() {
+                ctx.watch(inv, Wake::NEVER);
+                return;
+            }
+            let now = ctx.now().as_micros();
+            self.seen.push(now);
+            let (donor, one_core) = (InvocationId(1), ResourceVec::new(1_000, 0));
+            if one_core.fits_within(&ctx.harvestable(donor)) {
+                assert!(ctx.lend(donor, inv, one_core));
+                self.lends.push(now);
+                ctx.watch(inv, Wake::NEVER);
+            } else {
+                ctx.watch(inv, if self.rewatch { Wake::EVERY_TICK } else { Wake::NODE_CHANGE });
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_wait_lends_at_the_first_tick_after_a_harvest_fills_the_pool() {
+        // Borrower #0 runs from 501,302 µs; its ticks come at 601,302 +
+        // k · 100,000. Donor #1 arrives at 1.05 s and starts (cold) at
+        // 1,551,302, where its harvest fills the pool: the next tick,
+        // 1,601,302, lends. Placing the donor changes no running set, so
+        // without re-watching the borrower sleeps from its first visit
+        // to then.
+        let long = |cores, cpu| {
+            let d = TrueDemand {
+                cpu_peak_millis: cpu,
+                mem_peak_mb: 128,
+                base_duration: SimDuration::from_secs(3),
+            };
+            spec("long", cores, 1024, d)
+        };
+        let funcs = vec![long(1, 2_000), long(4, 1_000)];
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        t.push(SimTime::from_millis(1_050), FunctionId(1), InputMeta::new(1, 0));
+        let mut runs = Vec::new();
+        for rewatch in [false, true] {
+            let mut p = PoolWait { rewatch, seen: Vec::new(), lends: Vec::new() };
+            let res = single_node_sim(funcs.clone()).run(&t, &mut p);
+            assert_eq!(p.lends, [1_601_302], "rewatch {rewatch}");
+            let want: Vec<u64> = if rewatch {
+                (0..11).map(|k| 601_302 + k * 100_000).collect()
+            } else {
+                vec![601_302, 1_601_302]
+            };
+            assert_eq!(p.seen, want, "rewatch {rewatch}");
+            runs.push(format!("{:?}", res.records));
+        }
+        assert_eq!(runs[0], runs[1]);
     }
 
     /// `NullPlatform` placement; logs every killed attempt as (invocation,

@@ -72,6 +72,55 @@ pub fn oom_kills(peak: u64, nominal: u64, have: u64, used: impl FnOnce() -> u64)
     peak <= nominal && peak > have && used() > have
 }
 
+/// [`oom_kills`] as a wake condition: while the rule can fire, the footprint
+/// one past `have`, where it fires; never otherwise.
+pub(crate) fn oom_wake(peak: u64, nominal: u64, have: u64) -> Wake {
+    if peak <= nominal && peak > have {
+        Wake::footprint(have + 1)
+    } else {
+        Wake::NEVER
+    }
+}
+
+/// When a node's monitor tick next visits a resident: once its footprint
+/// ([`mem_usage_model`]) reaches `footprint_mb`, or, with `node_change`, once
+/// its node's running set or allocations have changed since the condition
+/// was left. A platform leaves one after each visit that did nothing
+/// (`SimCtx::watch`); every change of the resident's own allocation or
+/// charge resets it to [`Wake::EVERY_TICK`]. A footprint only grows within
+/// an attempt, so until the condition holds the resident's visits are
+/// skipped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Wake {
+    /// Visit once the footprint is at least this many MB (0: at every
+    /// tick; `u64::MAX`: not for the footprint).
+    pub footprint_mb: u64,
+    /// Visit once the resident's node has changed.
+    pub node_change: bool,
+}
+
+impl Wake {
+    /// Visit at every tick.
+    pub const EVERY_TICK: Wake = Wake { footprint_mb: 0, node_change: false };
+    /// Visit only after the resident's own allocation or charge changes.
+    pub const NEVER: Wake = Wake { footprint_mb: u64::MAX, node_change: false };
+    /// Visit once the resident's node has changed.
+    pub const NODE_CHANGE: Wake = Wake { footprint_mb: u64::MAX, node_change: true };
+
+    /// Visit once the footprint reaches `mb`.
+    pub const fn footprint(mb: u64) -> Wake {
+        Wake { footprint_mb: mb, node_change: false }
+    }
+
+    /// The condition that holds as soon as either of the two does.
+    pub fn or(self, other: Wake) -> Wake {
+        Wake {
+            footprint_mb: self.footprint_mb.min(other.footprint_mb),
+            node_change: self.node_change || other.node_change,
+        }
+    }
+}
+
 /// One resident's execution on both substrates, clock-free: work in
 /// millicore-µs, instants in µs, progress linear at `rate_millis` since
 /// `last_update` and capped at `work_total`, read as of an instant. The rate
@@ -445,10 +494,14 @@ pub struct Invocation {
     /// a cgroups monitor would have recorded. Observed where a run segment
     /// ends; read at completion.
     pub cpu_peak_obs: u64,
-    /// Whether its node's monitor tick visits it. Its start sets it, and so
-    /// does every later change of its allocation or charge; only its
-    /// platform clears it (`SimCtx::watch`). False while not resident.
-    pub watched: bool,
+    /// When its node's monitor tick next visits it. Its start and every
+    /// later change of its allocation or charge set [`Wake::EVERY_TICK`];
+    /// only its platform leaves anything later (`SimCtx::watch`).
+    /// [`Wake::NEVER`] while not resident.
+    pub wake: Wake,
+    /// Its node's generation (`Node::generation`) when `wake` was set: the
+    /// node has changed since when the two differ.
+    pub(crate) wake_gen: u64,
 
     /// Lifecycle state.
     pub state: InvState,
@@ -504,7 +557,8 @@ impl Invocation {
             finish_gen: 0,
             finish_armed: false,
             cpu_peak_obs: 0,
-            watched: false,
+            wake: Wake::NEVER,
+            wake_gen: 0,
             state: InvState::Pending,
             cold_start: false,
             restarts: 0,
@@ -554,6 +608,15 @@ impl Invocation {
     /// Memory footprint (MB) at `now`; see [`mem_usage_model`].
     pub fn mem_usage_mb_at(&self, now: SimTime) -> u64 {
         mem_usage_model(self.true_demand.mem_peak_mb, self.run.progress_at(now))
+    }
+
+    /// Whether its [`Wake`] holds at `now`, on a node at generation
+    /// `node_gen`. The footprint is read last, and only for a finite one.
+    pub(crate) fn wakes(&self, now: SimTime, node_gen: u64) -> bool {
+        let w = self.wake;
+        w.footprint_mb == 0
+            || (w.node_change && self.wake_gen != node_gen)
+            || (w.footprint_mb != u64::MAX && self.mem_usage_mb_at(now) >= w.footprint_mb)
     }
 
     /// Instantaneous busy millicores: the code uses everything it can, up to

@@ -71,6 +71,7 @@ pub mod prelude {
     pub use crate::ids::{FunctionId, InvocationId, NodeId};
     pub use crate::invocation::{
         Actuals, InvFlags, InvState, Invocation, Loan, Prediction, PredictionPath, StageBreakdown,
+        Wake,
     };
     pub use crate::metrics::{
         cdf, mean, percentile, InvCategory, InvRecord, KindPops, MetricsMode, OnlineStats,

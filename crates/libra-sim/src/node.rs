@@ -94,9 +94,14 @@ pub struct Node {
     /// arena directly: the id-linked list this replaced paid an `id → slot`
     /// lookup per step, on the engine's hottest path.
     pub(crate) residents: Vec<u32>,
-    /// How many residents are `Invocation::watched`: the tick skips its walk
-    /// at zero. Written only by the engine's `World::set_watched`.
+    /// How many residents are watched, their `Invocation::wake` not
+    /// `Wake::NEVER`: the tick skips its walk at zero. Written only by the
+    /// engine's `World::set_wake`.
     pub(crate) watched: u32,
+    /// Bumped at every change of the node's running set or allocations
+    /// (`World::invalidate_running_cpu`): what a resident waiting on its
+    /// node (`Wake::node_change`) compares with the generation it waited at.
+    pub(crate) generation: u64,
     /// Whether this node's monitor tick is in the event queue (engine-only:
     /// one chain per node, whatever crashes and recoveries come between).
     pub tick_armed: bool,
@@ -120,6 +125,7 @@ impl Node {
             slices: vec![Slice::new(capacity.div(shards as u64)); shards],
             residents: Vec::new(),
             watched: 0,
+            generation: 0,
             tick_armed: false,
             warm: WarmPool::new(),
             alive: true,

@@ -9,7 +9,7 @@
 
 use crate::engine::{SimCtx, World};
 use crate::ids::{FunctionId, InvocationId, NodeId};
-use crate::invocation::{Actuals, Loan, Prediction};
+use crate::invocation::{Actuals, Loan, Prediction, Wake};
 use crate::time::{SimDuration, SimTime};
 
 /// Why a loan ended before (or at) its natural conclusion.
@@ -105,13 +105,14 @@ pub trait Platform {
 
     /// Periodic usage observation for a running invocation (the safeguard's
     /// monitor window, §5.2). The node's tick calls it only for residents
-    /// that are watched: each is watched when it starts and again at every
-    /// change of its allocation or charge, and a platform unwatches one
-    /// ([`SimCtx::watch`]) whose visit cannot act until such a change. The
-    /// default acts on nothing, so it unwatches at once: one visit per
-    /// attempt.
+    /// whose wake condition holds: each is visited at every tick from its
+    /// start and again from every change of its allocation or charge, and
+    /// a visit that cannot act leaves ([`SimCtx::watch`]) the earliest
+    /// condition — its footprint reaching a line, its node changing, or
+    /// [`Wake::NEVER`] — under which the next one could. The default acts
+    /// on nothing, so it leaves `NEVER` at once: one visit per attempt.
     fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        ctx.watch(inv, false);
+        ctx.watch(inv, Wake::NEVER);
     }
 
     /// The invocation completed; actual usage is reported back (model

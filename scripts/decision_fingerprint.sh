@@ -10,13 +10,16 @@
 # profiler was asked and how many rows it fitted, and moves if any prediction
 # does, because grants, loans and finish times follow the predictions. Those counts say the simulated run is the same,
 # so a speed claim is made on the same run. Each workload also pins
-# hook.on_tick.calls, the monitor visits made: a node's tick visits only its
-# watched residents (DESIGN.md §2.1), one visit per invocation under
-# NullPlatform, and tests/watched_visits.rs shows that the visits skipped were
-# no-ops. They are counts, so they repeat exactly on any machine; the goldens
+# hook.on_tick.calls, the monitor visits made: a node's tick visits a resident
+# only once the wake condition its last visit left holds (DESIGN.md §2.1) —
+# its footprint reaching the safeguard's trip line, its node changing, every
+# tick, or never — so there is one visit per invocation under NullPlatform,
+# and tests/watched_visits.rs shows that the visits skipped were no-ops. They
+# are counts, so they repeat exactly on any machine; the goldens
 # pin the action trace on a 1-node and a small chaos scenario, this pins the
-# runs a speed claim is made on. A PR that moves simulated behaviour, or which
-# residents are visited, on purpose updates the numbers beside tests/golden/.
+# runs a speed claim is made on. A change that moves simulated behaviour, or
+# which residents are visited, on purpose updates the numbers beside
+# tests/golden/.
 # Run from anywhere: ./scripts/decision_fingerprint.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,14 +32,14 @@ hook.on_tick.calls 75000'
 want[sim_harvest]='controlplane.loans_expired 3937
 controlplane.safeguard_triggers 7476
 engine.event_pops 1429641
-hook.on_tick.calls 2513853
+hook.on_tick.calls 420058
 hook.select_node.calls 50000
 pool.gets 329705
 pool.puts 41742'
 want[sim_libra]='controlplane.loans_expired 9
 controlplane.safeguard_triggers 10
 engine.event_pops 20275
-hook.on_tick.calls 5023
+hook.on_tick.calls 607
 pool.gets 72
 pool.puts 78
 profiler.observe.calls 150

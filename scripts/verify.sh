@@ -77,16 +77,26 @@ benchmarks/perf/run.sh --workload sim_engine --seed 42 --seconds 3 --trace 1 | t
 # profiler was asked on the full-Libra run, as exact counts
 # (scripts/decision_fingerprint.sh holds them).
 ./scripts/decision_fingerprint.sh
-# The simulator scale run at 2 % (20,000 invocations, ~0.1 s) asserts
-# conservation itself; its pops per event kind are simulated counts (a ping
-# round counts once per node), exact on any machine, and move only when
-# simulated behaviour does.
+# The simulator scale run at 2 % (20,000 invocations, ~0.3 s) asserts
+# conservation itself, under NullPlatform (first line) and under Libra-NP
+# (second line); its pops per event kind are simulated counts (a ping round
+# counts once per node), exact on any machine, and move only when simulated
+# behaviour does. The Libra-NP line's monitor visits and safeguard trips are
+# counts too; the visits also move when a change alters which residents'
+# wake conditions hold (tests/watched_visits.rs must then still pass).
 want_pops='decision_done=20000 start_exec=20000 finish=20000 monitor_tick=292952(719 stale) health_ping=120020 utilization_sample=6002'
-got_pops=$(LIBRA_SCALE=0.02 cargo run --release -q -p libra-bench --bin exp -- scale 2>/dev/null \
-  | sed -n 's/.* pops: //p')
+want_np='visits=187054 safeguard_trips=3284 pops: decision_done=20000 start_exec=20000 finish=24744(4744 stale) monitor_tick=502177(1996 stale) health_ping=120000 utilization_sample=6001'
+scale_out=$(LIBRA_SCALE=0.02 cargo run --release -q -p libra-bench --bin exp -- scale 2>/dev/null)
+got_pops=$(sed -n '1s/.* pops: //p' <<<"$scale_out")
+got_np=$(sed -n '2s/.* \(visits=\)/\1/p' <<<"$scale_out")
 echo "exp scale pops: $got_pops"
+echo "exp scale Libra-NP: $got_np"
 if [ "$got_pops" != "$want_pops" ]; then
   echo "exp scale pops moved; expected: $want_pops" >&2
+  exit 1
+fi
+if [ "$got_np" != "$want_np" ]; then
+  echo "exp scale Libra-NP line moved; expected: $want_np" >&2
   exit 1
 fi
 

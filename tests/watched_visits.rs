@@ -19,7 +19,7 @@ use libra::sim::engine::{NullPlatform, SimConfig, SimCtx, Simulation, World};
 use libra::sim::fault::FaultPlan;
 use libra::sim::fault::{build_plan, ChaosConfig, ClusterShape};
 use libra::sim::ids::{FunctionId, InvocationId, NodeId};
-use libra::sim::invocation::{Actuals, Loan, Prediction};
+use libra::sim::invocation::{Actuals, Loan, Prediction, Wake};
 use libra::sim::metrics::RunResult;
 use libra::sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
 use libra::sim::resources::ResourceVec;
@@ -65,7 +65,7 @@ impl<P: Platform> Platform for Visits<P> {
         }
         self.inner.on_tick(ctx, inv);
         if self.rewatch {
-            ctx.watch(inv, true);
+            ctx.watch(inv, Wake::EVERY_TICK);
         }
     }
     fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {
@@ -120,7 +120,7 @@ impl Traced for WithKeepAlive<LibraPlatform> {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Kind {
     Null,
     LibraNp,
@@ -131,15 +131,24 @@ enum Kind {
     Libra,
     LibraHistogramKeepAlive,
     Freyr,
+    /// Libra-NS: a memory-harvested entry that neither borrows nor is
+    /// short of its peak is left dormant, and only the engine's OOM
+    /// footprint wakes it.
+    LibraNs,
+    /// Libra-NP with the safeguard's trip line at 1.2 × the memory grant,
+    /// past the OOM line, so the OOM footprint comes first.
+    LibraNpLaxSafeguard,
 }
 
-const ALL_KINDS: [Kind; 6] = [
+const ALL_KINDS: [Kind; 8] = [
     Kind::Null,
     Kind::LibraNp,
     Kind::LibraNsp,
     Kind::Freyr,
     Kind::Libra,
     Kind::LibraHistogramKeepAlive,
+    Kind::LibraNs,
+    Kind::LibraNpLaxSafeguard,
 ];
 
 /// The kinds without the ML profiler. A profiled run fits its forests
@@ -152,6 +161,10 @@ const UNPROFILED: &[Kind] = &[Kind::Null, Kind::LibraNp, Kind::LibraNsp, Kind::F
 /// OOM-prone, unsafeguarded runs meet.
 const UNPROFILED_UNDER_CHAOS: &[Kind] = &[Kind::Null, Kind::LibraNp, Kind::Freyr];
 const PROFILED: &[Kind] = &[Kind::Libra, Kind::LibraHistogramKeepAlive];
+/// The kinds that leave a memory-harvested resident to the engine's OOM
+/// footprint; their runs must meet an OOM restart. Left out of the chaos
+/// sweep with Libra-NSP.
+const OOM_PRONE: &[Kind] = &[Kind::LibraNs, Kind::LibraNpLaxSafeguard];
 
 /// One cluster, trace and fault plan.
 struct Workload {
@@ -169,6 +182,7 @@ struct Run {
     visits: u64,
     oversubscribed: u64,
     safeguard_triggers: u64,
+    oom_restarts: u64,
 }
 
 fn run<P: Traced>(w: &Workload, inner: P, rewatch: bool) -> Run {
@@ -178,11 +192,13 @@ fn run<P: Traced>(w: &Workload, inner: P, rewatch: bool) -> Run {
     let mut p = Visits { inner, rewatch, visits: 0, oversubscribed: 0 };
     let r: RunResult = sim.run_with_faults(&w.trace, &mut p, &w.plan);
     let report = p.report();
+    let oom_restarts = r.records.iter().map(|rec| u64::from(rec.restarts)).sum();
     Run {
         outcome: format!("{r:#?}\n{report:#?}\n{:#?}", p.inner.actions()),
         visits: p.visits,
         oversubscribed: p.oversubscribed,
         safeguard_triggers: report.safeguard_triggers,
+        oom_restarts,
     }
 }
 
@@ -200,6 +216,12 @@ fn compare(w: &Workload, kind: Kind) -> (u64, Run) {
             run(w, WithKeepAlive::new(inner, PolicyKind::Histogram.build()), rewatch)
         }
         Kind::Freyr => run(w, Freyr::new(), rewatch),
+        Kind::LibraNs => run(w, LibraPlatform::new(LibraConfig::ns()), rewatch),
+        Kind::LibraNpLaxSafeguard => {
+            let mut cfg = LibraConfig::np();
+            cfg.control.safeguard_threshold = 1.2;
+            run(w, LibraPlatform::new(cfg), rewatch)
+        }
     };
     let (skipping, all) = (both(false), both(true));
     if skipping.outcome != all.outcome {
@@ -224,13 +246,20 @@ fn paper_workload(name: &str, trace: Trace, nodes: Vec<ResourceVec>) -> Workload
 
 /// Compare each of `kinds` on every workload. Each platform that unwatches
 /// (all but Freyr, whose visit never does) must have skipped some visits.
-fn compare_all(workloads: &[Workload], kinds: &[Kind]) {
+/// Returns the OOM restarts that the runs of the `OOM_PRONE` kinds among
+/// `kinds` met.
+fn compare_all(workloads: &[Workload], kinds: &[Kind]) -> u64 {
+    let mut oom_prone_restarts = 0;
     for &kind in kinds {
-        let (mut skipping, mut all) = (0, 0);
+        let (mut skipping, mut all, mut ooms) = (0, 0, 0);
         for w in workloads {
             let (visits, every) = compare(w, kind);
             skipping += visits;
             all += every.visits;
+            ooms += every.oom_restarts;
+        }
+        if OOM_PRONE.contains(&kind) {
+            oom_prone_restarts += ooms;
         }
         if matches!(kind, Kind::Freyr) {
             assert_eq!(skipping, all, "Freyr never unwatches");
@@ -238,12 +267,22 @@ fn compare_all(workloads: &[Workload], kinds: &[Kind]) {
             assert!(skipping < all, "{kind:?} skipped nothing: the test lost its teeth");
         }
     }
+    oom_prone_restarts
+}
+
+/// Fails unless the OOM-prone runs met an OOM restart, where a dormant
+/// resident is woken only by the engine's OOM footprint.
+fn assert_ooms(restarts: u64) {
+    assert!(restarts > 0, "no OOM restart: the engine's OOM footprint went untested");
 }
 
 #[test]
 fn the_seed_single_workload_runs_the_same_with_every_visit() {
     let trace = TraceGen::standard(&ALL_APPS, 42).single_set();
-    compare_all(&[paper_workload("single", trace, testbeds::single_node())], &ALL_KINDS);
+    assert_ooms(compare_all(
+        &[paper_workload("single", trace, testbeds::single_node())],
+        &ALL_KINDS,
+    ));
 }
 
 #[test]
@@ -256,6 +295,7 @@ fn the_seed_multi_workload_runs_the_same_with_every_visit() {
     compare_all(&workloads, UNPROFILED);
     // The sets of 60 and 120 requests a minute.
     compare_all(&workloads[5..7], PROFILED);
+    assert_ooms(compare_all(&workloads[5..7], OOM_PRONE));
 }
 
 #[test]
@@ -310,4 +350,5 @@ fn a_harvest_trace_with_restores_and_oversubscription_runs_the_same_with_every_v
     assert!(all.safeguard_triggers > 0, "no safeguard restore");
     assert!(all.oversubscribed > 0, "no visit met an oversubscribed node");
     assert!(skipping < all.visits, "nothing was skipped: the test lost its teeth");
+    assert_ooms(compare_all(&[w], OOM_PRONE));
 }
