@@ -20,10 +20,11 @@
 
 use libra_core::platform::hash_probe;
 use libra_core::pool::{ledger_totals, HarvestResourcePool};
+use libra_core::profiler::MovingWindow;
 use libra_core::safeguard::overloaded;
 use libra_sim::engine::{SimCtx, World};
 use libra_sim::ids::{InvocationId, NodeId};
-use libra_sim::invocation::{Actuals, Loan, Prediction, PredictionPath};
+use libra_sim::invocation::{Actuals, Loan, Prediction, PredictionPath, Wake};
 use libra_sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
@@ -33,9 +34,9 @@ use libra_sim::time::{SimDuration, SimTime};
 /// window maximum is what a well-trained volume-only agent converges to; the
 /// structural flaw it cannot escape is that *input size is not a feature*,
 /// so a bigger-than-recently-seen input is under-predicted no matter what.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct Estimator {
-    window: std::collections::VecDeque<(u64, u64, f64)>,
+    window: MovingWindow,
     /// Overload detected: serve the next invocation with user resources.
     skip_next: bool,
     step: u64,
@@ -44,11 +45,8 @@ struct Estimator {
 const FREYR_WINDOW: usize = 8;
 
 impl Estimator {
-    fn observe(&mut self, a: &Actuals) {
-        if self.window.len() == FREYR_WINDOW {
-            self.window.pop_front();
-        }
-        self.window.push_back((a.cpu_peak_millis, a.mem_peak_mb, a.exec_duration.as_secs_f64()));
+    fn new() -> Self {
+        Estimator { window: MovingWindow::new(FREYR_WINDOW), skip_next: false, step: 0 }
     }
 
     /// ε-greedy-style exploration noise, deterministic per step.
@@ -64,17 +62,12 @@ impl Estimator {
     }
 
     fn predict(&mut self) -> Option<Prediction> {
-        if self.window.is_empty() {
-            return None;
-        }
-        let cpu = self.window.iter().map(|w| w.0).max().unwrap_or(0) as f64;
-        let mem = self.window.iter().map(|w| w.1).max().unwrap_or(0) as f64;
-        let dur = self.window.iter().map(|w| w.2).fold(0.0, f64::max);
+        let (cpu, mem, dur) = self.window.maxima()?;
         let f = self.explore();
         Some(Prediction {
-            cpu_millis: ((cpu * f) as u64).max(100),
-            mem_mb: ((mem * f) as u64).max(32),
-            duration: SimDuration::from_secs_f64((dur * f).max(0.001)),
+            cpu_millis: ((cpu as f64 * f) as u64).max(100),
+            mem_mb: ((mem as f64 * f) as u64).max(32),
+            duration: SimDuration::from_secs_f64((dur.as_secs_f64() * f).max(0.001)),
             path: PredictionPath::Window,
         })
     }
@@ -112,7 +105,7 @@ impl Platform for Freyr {
     }
 
     fn init(&mut self, world: &World) {
-        self.estimators = vec![Estimator::default(); world.functions().len()];
+        self.estimators = vec![Estimator::new(); world.functions().len()];
         self.pools = (0..world.num_nodes()).map(|_| HarvestResourcePool::new()).collect();
     }
 
@@ -141,11 +134,7 @@ impl Platform for Freyr {
                 let u = (z >> 11) as f64 / (1u64 << 53) as f64;
                 let size = ((s as f64) * (0.1f64).powf(1.0 - 2.0 * u)).round().max(1.0) as u64;
                 let d = spec.model.demand(&libra_sim::demand::InputMeta::new(size, z));
-                self.estimators[f].window.push_back((
-                    d.cpu_peak_millis,
-                    d.mem_peak_mb,
-                    d.base_duration.as_secs_f64(),
-                ));
+                self.estimators[f].window.push(d.cpu_peak_millis, d.mem_peak_mb, d.base_duration);
             }
         }
         let e = &mut self.estimators[f];
@@ -208,6 +197,9 @@ impl Platform for Freyr {
         }
         let harvested = rec.own_grant != rec.nominal || !rec.lent_out.is_zero();
         if !harvested {
+            // Harvesting happens in `on_start` only, and a later lend or
+            // return resets the wake condition: no visit of it can act.
+            ctx.watch(inv, Wake::NEVER);
             return;
         }
         // The safeguard's overload rule at its default threshold.
@@ -233,7 +225,8 @@ impl Platform for Freyr {
         let f = rec.func.idx();
         let now = ctx.now();
         self.pools[node].remove(inv, now);
-        self.estimators[f].observe(actuals);
+        let window = &mut self.estimators[f].window;
+        window.push(actuals.cpu_peak_millis, actuals.mem_peak_mb, actuals.exec_duration);
     }
 
     fn on_loan_ended(&mut self, ctx: &mut SimCtx<'_>, loan: &Loan, reason: LoanEnd) {

@@ -151,11 +151,19 @@ mod tests {
         assert_eq!(bare.result.completion_time, wrapped.result.completion_time);
     }
 
-    /// Boxed platforms compose with the wrapper (the forwarding impl).
+    /// A platform chosen at run time composes with the wrapper: a
+    /// `WithKeepAlive<dyn Platform>` runs a trace through both its inner
+    /// platform and its policy.
     #[test]
     fn wrapper_over_boxed_platform_builds() {
-        let p = WithKeepAlive::new(PlatformKind::Default.build(), PolicyKind::default().build());
-        assert_eq!(p.policy().name(), "fixed");
-        assert!(!p.name().is_empty());
+        let mut trace = single_trace(0);
+        trace.entries.truncate(40);
+        let mut p: WithKeepAlive<dyn Platform> =
+            WithKeepAlive::new(PlatformKind::Freyr.build(), PolicyKind::Histogram.build());
+        let sim = Simulation::new(sebs_suite(), testbeds::single_node(), SimConfig::default());
+        let r = sim.run(&trace, &mut p);
+        assert_eq!(r.records.len(), 40);
+        assert_eq!((p.name().as_str(), p.policy().name()), ("Freyr", "histogram"));
+        assert!(p.report().pool_puts > 0, "the inner platform harvested");
     }
 }

@@ -2,7 +2,7 @@
 //! demand signatures of our synthetic stand-ins.
 
 use crate::*;
-use libra_sim::demand::{DemandModel, InputMeta};
+use libra_sim::demand::DemandModel;
 use libra_workloads::apps::{AppModel, ALL_APPS};
 use libra_workloads::datasets::InputPool;
 
@@ -71,6 +71,4 @@ pub fn run() {
         "20-60% (Alibaba [42])",
         format!("{:.0}%", 100.0 * total_busy / total_alloc),
     );
-    let _: Option<&dyn DemandModel> = None;
-    let _ = InputMeta::new(1, 1);
 }

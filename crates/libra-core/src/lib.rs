@@ -9,7 +9,9 @@
 //! Components, one module per subsystem of the paper:
 //!
 //! * [`profiler`] — §4: the workload duplicator, RF/histogram demand
-//!   estimators, and the input size-relatedness test,
+//!   estimators, and the input size-relatedness test; and Libra's one
+//!   [`profiler::DemandEstimator`], the profiler or the Libra-NP ablation's
+//!   moving windows (§8.3),
 //! * [`pool`] — §5.1: the per-node harvest resource pool (put/get by expiry
 //!   priority, preemptive release, re-harvesting, idle-time ledger),
 //! * [`safeguard`] — §5.2: the overload rule, usage-threshold protection +
@@ -18,9 +20,11 @@
 //! * [`scheduler`] — §6.3: the one placement rule ([`scheduler::place`]:
 //!   hash home + linear probe for non-accelerable requests, greedy maximum
 //!   coverage for accelerable ones) every substrate asks, and the
-//!   scheduler's ping-fed pool view,
+//!   scheduler's ping-fed pool view, whose [`SchedView::place`] adds the one
+//!   §6.4 rule for stale snapshots,
 //! * [`sharding`] — §6.4: the native decentralized sharded scheduler, one lock
-//!   per shard around the simulator's slice books; places by the same rule,
+//!   per shard around the simulator's slice books and a pool view; places by
+//!   the same rules,
 //! * [`controlplane`] — the substrate-agnostic policy core: a pure,
 //!   clock-free state machine over the loan ledger + pools + safeguard that
 //!   consumes admission/observation/completion events and emits explicit
@@ -31,11 +35,12 @@
 //!   histogram prewarm, concurrency autoscaling) that decide when idle warm
 //!   containers die — and therefore how much idle memory harvesters see,
 //! * [`platform`] — the one module that meets the simulator's engine and
-//!   its `Platform` trait: the control plane's simulator driver
+//!   its `Platform` trait, and glue only: the simulator driver of the
+//!   control plane, the demand estimator and a pool view
 //!   ([`LibraPlatform`], with the paper's ablations NS / NP / NSP / Hist /
 //!   ML as configuration presets), the pluggable [`NodeSelector`]s over
 //!   [`scheduler::place`], and [`WithKeepAlive`], which puts a keep-alive
-//!   policy under any simulated platform. `scripts/sim_seam.sh` holds every
+//!   policy over any simulated platform. `scripts/sim_seam.sh` holds every
 //!   other module to the simulator's vocabulary (time, ids, resources,
 //!   invocation records).
 

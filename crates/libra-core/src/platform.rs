@@ -2,17 +2,19 @@
 //! engine (`World`, `SimCtx`) or its `Platform` trait. It holds
 //!
 //! * [`LibraPlatform`], the simulator *driver* of the shared
-//!   [`ControlPlane`], plus the parts that are genuinely simulator-side: the
-//!   profiler (Step 2-4 of Fig 3), the moving-window NP estimator, node
-//!   selection and the scheduler's pool view;
-//! * the [`NodeSelector`]s, which ask [`crate::scheduler::place`] over a
-//!   simulated `World`'s shard slices (and [`hash_probe`], its
-//!   non-accelerable half, which the baselines share);
+//!   [`ControlPlane`], of Libra's [`DemandEstimator`] (the profiler, or the
+//!   NP windows) and of a ping-fed [`SchedView`];
+//! * the [`NodeSelector`]s, which ask [`SchedView::place`] (or
+//!   [`crate::scheduler::place`] directly) over a simulated `World`'s shard
+//!   slices, and [`hash_probe`], the non-accelerable half, which the
+//!   baselines share;
 //! * [`WithKeepAlive`], which composes a [`KeepAlivePolicy`] with any
-//!   simulated platform.
+//!   simulated platform, one chosen at run time included.
 //!
-//! All harvest/accelerate/trim/safeguard/revocation *decisions* live in
-//! [`crate::controlplane`]; this driver feeds it events from the engine's
+//! It is glue only. All harvest/accelerate/trim/safeguard/revocation
+//! *decisions* live in [`crate::controlplane`], demand estimation in
+//! [`crate::profiler`], and placement with its §6.4 staleness rule in
+//! [`crate::scheduler`]; this driver feeds them events from the engine's
 //! hooks and translates the emitted [`Action`]s into `SimCtx` calls. The
 //! engine's own loan-end callbacks are treated as cross-checks only — the
 //! core re-derives the same revocations from the same events, which is what
@@ -29,19 +31,15 @@ use crate::controlplane::{
     Action, Admission, ControlConfig, ControlPlane, LendFailure, Observation,
 };
 use crate::keepalive::KeepAlivePolicy;
-use crate::pool::{ledger_totals, PoolEntryStatus};
-use crate::profiler::{ModelChoice, Profiler, ProfilerConfig};
+use crate::pool::ledger_totals;
+use crate::profiler::{DemandEstimator, ModelChoice, Profiler, ProfilerConfig};
 use crate::scheduler::{place, SchedView, ScheduleRequest};
 use libra_sim::engine::{SimCtx, World};
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
-use libra_sim::invocation::{Actuals, Loan, Prediction, PredictionPath, Wake};
+use libra_sim::invocation::{Actuals, Loan, Prediction, Wake};
 use libra_sim::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-
-/// Moving-window length for the NP variant (paper: n = 5).
-const NP_WINDOW: usize = 5;
 
 /// Libra configuration (§8.2.3 defaults).
 #[derive(Clone, Debug)]
@@ -109,52 +107,14 @@ impl LibraConfig {
     }
 }
 
-/// Moving-window history for the NP variant: keeps the `n` latest actuals
-/// and predicts their maxima.
-#[derive(Clone, Debug, Default)]
-struct Window {
-    entries: VecDeque<(u64, u64, SimDuration)>,
-    cap: usize,
-}
-
-impl Window {
-    fn new(cap: usize) -> Self {
-        Window { entries: VecDeque::new(), cap }
-    }
-
-    fn push(&mut self, cpu: u64, mem: u64, dur: SimDuration) {
-        if self.entries.len() == self.cap {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((cpu, mem, dur));
-    }
-
-    fn predict(&self) -> Option<Prediction> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let cpu = self.entries.iter().map(|e| e.0).max().unwrap_or(0).max(100);
-        let mem = self.entries.iter().map(|e| e.1).max().unwrap_or(0).max(32);
-        let dur = self.entries.iter().map(|e| e.2).max().unwrap_or(SimDuration::ZERO);
-        Some(Prediction {
-            cpu_millis: cpu,
-            mem_mb: mem,
-            duration: dur,
-            path: PredictionPath::Window,
-        })
-    }
-}
-
 /// The Libra platform over a pluggable node selector: prediction + placement
 /// stay here, harvesting policy is delegated to the shared [`ControlPlane`].
 pub struct LibraPlatform<S: NodeSelector = CoverageSelector> {
     cfg: LibraConfig,
     selector: S,
-    profiler: Option<Profiler>,
-    windows: Vec<Window>,
+    estimator: DemandEstimator,
     core: ControlPlane,
     view: SchedView,
-    initialized: bool,
     /// Monitor visits (`on_tick` calls) since `init`.
     visits: u64,
 }
@@ -174,29 +134,17 @@ impl<S: NodeSelector> LibraPlatform<S> {
         LibraPlatform {
             cfg,
             selector,
-            profiler: None,
-            windows: Vec::new(),
+            estimator: DemandEstimator::windows(0),
             core,
             view: SchedView::new(),
-            initialized: false,
             visits: 0,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &LibraConfig {
-        &self.cfg
     }
 
     /// Monitor visits the engine made since the run began: the count a
     /// node's wake conditions keep down.
     pub fn visits(&self) -> u64 {
         self.visits
-    }
-
-    /// Profiler access (None for NP variants).
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
     }
 
     /// The shared control plane (ledger, pools, safeguard, action trace).
@@ -255,15 +203,19 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
 
     fn init(&mut self, world: &World) {
         let n_funcs = world.functions().len();
-        self.profiler = self
-            .cfg
-            .profiler
-            .then(|| Profiler::new(n_funcs, self.cfg.profiler_cfg.clone(), self.cfg.model_choice));
-        self.windows = vec![Window::new(NP_WINDOW); n_funcs];
+        self.estimator = if self.cfg.profiler {
+            let cfg = &self.cfg;
+            DemandEstimator::Profiler(Profiler::new(
+                n_funcs,
+                cfg.profiler_cfg.clone(),
+                cfg.model_choice,
+            ))
+        } else {
+            DemandEstimator::windows(n_funcs)
+        };
         self.core = ControlPlane::new(self.cfg.control.clone(), n_funcs, world.num_nodes());
         // The control plane records its actions when the run is traced.
         self.core.set_record_trace(world.config.trace);
-        self.initialized = true;
         self.visits = 0;
     }
 
@@ -277,21 +229,8 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
     }
 
     fn predict(&mut self, world: &World, inv: InvocationId) -> Option<Prediction> {
-        debug_assert!(self.initialized, "predict before init");
         let rec = world.inv(inv);
-        let f = rec.func.idx();
-        match &mut self.profiler {
-            Some(p) => {
-                if !p.is_trained(f) {
-                    // First-seen invocation: serve with user resources while
-                    // the duplicator profiles offline (§4.1).
-                    p.train(f, world.func(rec.func), rec.input);
-                    return None;
-                }
-                p.predict(f, rec.input)
-            }
-            None => self.windows[f].predict(),
-        }
+        self.estimator.predict(rec.func.idx(), world.func(rec.func), rec.input)
     }
 
     fn select_node(&mut self, world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
@@ -351,16 +290,10 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
 
     fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {
         let rec = ctx.inv(inv);
-        let f = rec.func.idx();
-        let input = rec.input;
+        let (f, input) = (rec.func.idx(), rec.input);
         let actions = self.core.on_complete(inv, ctx.now());
         self.apply(ctx, actions);
-        if let Some(p) = &mut self.profiler {
-            if p.is_trained(f) {
-                p.observe(f, input, actuals);
-            }
-        }
-        self.windows[f].push(actuals.cpu_peak_millis, actuals.mem_peak_mb, actuals.exec_duration);
+        self.estimator.observe(f, input, actuals);
     }
 
     fn on_loan_ended(&mut self, _ctx: &mut SimCtx<'_>, loan: &Loan, _reason: LoanEnd) {
@@ -444,16 +377,15 @@ fn extra_demand(world: &World, inv: InvocationId) -> ResourceVec {
     rec.pred.map_or(ResourceVec::ZERO, |p| p.peak().saturating_sub(&rec.nominal))
 }
 
-/// [`place`] for `inv` over `shard`'s slice of each simulated node; `extra`
-/// zero asks the non-accelerable half whatever the invocation's class.
-fn place_in_world<'a>(
-    world: &World,
+/// `inv`'s [`ScheduleRequest`] at the world's now, asking `extra` beyond
+/// its allocation, and whether node *i*'s `shard` slice fits it: what a
+/// placement rule over `0..world.num_nodes()` asks.
+fn request_in_world<'w>(
+    world: &'w World,
     shard: usize,
     inv: InvocationId,
     extra: ResourceVec,
-    alpha: f64,
-    snapshot: impl Fn(NodeId) -> &'a [PoolEntryStatus],
-) -> Option<NodeId> {
+) -> (ScheduleRequest, impl Fn(usize) -> bool + 'w) {
     let rec = world.inv(inv);
     let req = ScheduleRequest {
         nominal: rec.nominal,
@@ -462,16 +394,14 @@ fn place_in_world<'a>(
         duration: rec.pred.map_or(SimDuration::ZERO, |p| p.duration),
         now: world.now(),
     };
-    // `place` asks about `i < num_nodes` only, which `World` numbers in u32.
-    let node = |i: usize| NodeId(u32::try_from(i).unwrap_or(u32::MAX));
-    place(
-        &req,
-        alpha,
-        world.num_nodes(),
-        |i| rec.nominal.fits_within(&world.free_in_shard(node(i), shard)),
-        |i| snapshot(node(i)),
-    )
-    .map(node)
+    let nominal = rec.nominal;
+    (req, move |i| nominal.fits_within(&world.free_in_shard(node_id(i), shard)))
+}
+
+/// Node *i* of a rule over `0..world.num_nodes()`, which `World` numbers in
+/// u32.
+fn node_id(i: usize) -> NodeId {
+    NodeId(u32::try_from(i).unwrap_or(u32::MAX))
 }
 
 /// Hash with linear probing: the first node (starting at the function's hash
@@ -479,7 +409,8 @@ fn place_in_world<'a>(
 /// OpenWhisk default algorithm and Libra's path for non-accelerable
 /// invocations — [`place`] with nothing extra to chase.
 pub fn hash_probe(world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
-    place_in_world(world, shard, inv, ResourceVec::ZERO, 0.0, |_| &[])
+    let (req, fits) = request_in_world(world, shard, inv, ResourceVec::ZERO);
+    place(&req, 0.0, world.num_nodes(), fits, |_| &[]).map(node_id)
 }
 
 /// OpenWhisk's default algorithm as a pluggable selector: pure
@@ -523,14 +454,8 @@ impl NodeSelector for CoverageSelector {
         view: &SchedView,
         alpha: f64,
     ) -> Option<NodeId> {
-        let now = world.now();
-        let mut extra = extra_demand(world, inv);
-        // Contact lost with every pool, so no coverage to trust: ask the half
-        // that needs no pool knowledge.
-        if !extra.is_zero() && view.all_stale(now) {
-            extra = ResourceVec::ZERO;
-        }
-        place_in_world(world, shard, inv, extra, alpha, |n| view.fresh(n, now))
+        let (req, fits) = request_in_world(world, shard, inv, extra_demand(world, inv));
+        view.place(&req, alpha, world.num_nodes(), fits).map(node_id)
     }
 }
 
@@ -576,15 +501,16 @@ impl NodeSelector for VolumeSelector {
 /// hooks are answered by the policy, everything else forwards to the inner
 /// platform. This is how a keep-alive policy composes with *every* platform
 /// under test (Default / Freyr / Libra) without each of them learning about
-/// container lifecycle.
-pub struct WithKeepAlive<P> {
-    inner: P,
+/// container lifecycle. The inner platform is boxed, so
+/// `WithKeepAlive<dyn Platform>` wraps one chosen at run time.
+pub struct WithKeepAlive<P: ?Sized> {
+    inner: Box<P>,
     policy: Box<dyn KeepAlivePolicy>,
 }
 
-impl<P: Platform> WithKeepAlive<P> {
+impl<P: Platform + ?Sized> WithKeepAlive<P> {
     /// Wrap `inner`, delegating warm-lifecycle decisions to `policy`.
-    pub fn new(inner: P, policy: Box<dyn KeepAlivePolicy>) -> Self {
+    pub fn new(inner: Box<P>, policy: Box<dyn KeepAlivePolicy>) -> Self {
         WithKeepAlive { inner, policy }
     }
 
@@ -599,7 +525,7 @@ impl<P: Platform> WithKeepAlive<P> {
     }
 }
 
-impl<P: Platform> Platform for WithKeepAlive<P> {
+impl<P: Platform + ?Sized> Platform for WithKeepAlive<P> {
     fn name(&self) -> String {
         self.inner.name()
     }
@@ -677,6 +603,7 @@ mod tests {
     use libra_sim::demand::{ConstantDemand, InputMeta, TrueDemand};
     use libra_sim::engine::{SimConfig, Simulation};
     use libra_sim::function::FunctionSpec;
+    use libra_sim::invocation::PredictionPath;
     use libra_sim::trace::Trace;
     use libra_workloads::trace::TraceGen;
     use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
@@ -737,6 +664,20 @@ mod tests {
             .filter(|r| matches!(r.pred.map(|p| p.path), Some(PredictionPath::Window)))
             .count();
         assert!(windowed > 0, "NP must produce window predictions");
+    }
+
+    #[test]
+    fn full_libra_keeps_no_window_and_np_no_profiler() {
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        for (cfg, profiled) in [(LibraConfig::libra(), true), (LibraConfig::np(), false)] {
+            let mut p = LibraPlatform::new(cfg);
+            build_world(1).run(&t, &mut p);
+            match &p.estimator {
+                DemandEstimator::Profiler(_) => assert!(profiled),
+                DemandEstimator::Windows(w) => assert!(!profiled && w.len() == 2),
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! 4. Observed actuals feed **online updates** after every completion:
 //!    histogram inserts always, periodic forest refits for the ML path.
 //!
+//! [`DemandEstimator`] is what a platform asks: this profiler, or for the
+//! Libra-NP ablation (§8.3) a [`MovingWindow`] of each function's latest
+//! actuals, the window type the Freyr stand-in's agent reads too.
+//!
 //! On a real platform pilot executions run the user's container with maximum
 //! allocation; here a pilot run queries the function's ground-truth demand
 //! model (what a fully-provisioned execution would reveal) plus measurement
@@ -38,6 +42,7 @@ use libra_sim::invocation::{Actuals, Prediction, PredictionPath};
 use libra_sim::metrics::{splitmix64_at, unit_f64};
 use libra_sim::resources::{sat_u64, MILLIS_PER_CORE};
 use libra_sim::time::SimDuration;
+use std::collections::VecDeque;
 
 /// Memory class granularity: OpenWhisk-style 128 MB steps.
 pub const MEM_CLASS_MB: u64 = 128;
@@ -494,6 +499,102 @@ impl Profiler {
     }
 }
 
+/// Moving-window length of the Libra-NP ablation (paper: n = 5).
+const NP_WINDOW: usize = 5;
+
+/// The `cap` latest `(CPU peak, memory peak, duration)` observations of one
+/// function and their maxima: Libra-NP's estimate (§8.3) and the Freyr
+/// stand-in's volume-only agent.
+#[derive(Clone, Debug)]
+pub struct MovingWindow {
+    entries: VecDeque<(u64, u64, SimDuration)>,
+    cap: usize,
+}
+
+impl MovingWindow {
+    /// An empty window of `cap` entries.
+    pub fn new(cap: usize) -> Self {
+        MovingWindow { entries: VecDeque::new(), cap }
+    }
+
+    /// Add one observation, dropping the oldest when the window is full.
+    pub fn push(&mut self, cpu_millis: u64, mem_mb: u64, duration: SimDuration) {
+        if self.entries.len() == self.cap {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((cpu_millis, mem_mb, duration));
+    }
+
+    /// Whether nothing was observed yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The window's `(CPU peak, memory peak, duration)` maxima, each taken
+    /// on its own; `None` while it is empty.
+    pub fn maxima(&self) -> Option<(u64, u64, SimDuration)> {
+        let mut all = self.entries.iter().copied();
+        let first = all.next()?;
+        Some(all.fold(first, |(c, m, d), (c2, m2, d2)| (c.max(c2), m.max(m2), d.max(d2))))
+    }
+}
+
+/// Libra's demand estimator: the profiler (§4) or, in the Libra-NP ablation
+/// (§8.3), one moving window per function.
+pub enum DemandEstimator {
+    /// Trains on a function's first sight, then predicts and learns from
+    /// every completion.
+    Profiler(Profiler),
+    /// The `NP_WINDOW` latest actuals of each function, predicting their
+    /// maxima with floors of 100 millicores and 32 MB.
+    Windows(Vec<MovingWindow>),
+}
+
+impl DemandEstimator {
+    /// Libra-NP's estimator over `n_funcs` functions.
+    pub fn windows(n_funcs: usize) -> Self {
+        DemandEstimator::Windows(vec![MovingWindow::new(NP_WINDOW); n_funcs])
+    }
+
+    /// The estimate for an invocation of `f` (deployed as `spec`) with
+    /// `input`, or `None` to serve it with user resources: the profiler
+    /// answers `None` on a function's first sight, which it spends profiling
+    /// (§4.1), the windows until the function first completes.
+    pub fn predict(
+        &mut self,
+        f: usize,
+        spec: &FunctionSpec,
+        input: InputMeta,
+    ) -> Option<Prediction> {
+        match self {
+            DemandEstimator::Profiler(p) if !p.is_trained(f) => {
+                p.train(f, spec, input);
+                None
+            }
+            DemandEstimator::Profiler(p) => p.predict(f, input),
+            DemandEstimator::Windows(w) => {
+                let (cpu, mem, duration) = w[f].maxima()?;
+                Some(Prediction {
+                    cpu_millis: cpu.max(100),
+                    mem_mb: mem.max(32),
+                    duration,
+                    path: PredictionPath::Window,
+                })
+            }
+        }
+    }
+
+    /// Learn from a completed invocation of `f` with `input`.
+    pub fn observe(&mut self, f: usize, input: InputMeta, actuals: &Actuals) {
+        match self {
+            DemandEstimator::Profiler(p) => p.observe(f, input, actuals),
+            DemandEstimator::Windows(w) => {
+                w[f].push(actuals.cpu_peak_millis, actuals.mem_peak_mb, actuals.exec_duration);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,6 +699,44 @@ mod tests {
         assert!(p.predict(0, InputMeta::new(1, 1)).is_none());
         assert!(!p.is_trained(0));
         assert_eq!(p.is_size_related(0), None);
+    }
+
+    #[test]
+    fn np_windows_predict_the_floored_maxima_of_the_five_latest_actuals() {
+        let suite = sebs_suite();
+        let mut est = DemandEstimator::windows(2);
+        let input = InputMeta::new(1, 0);
+        assert!(est.predict(0, &suite[0], input).is_none(), "nothing completed yet");
+        let mut got = Vec::new();
+        for k in 0..8 {
+            let z = splitmix64_at(1, k);
+            let a = Actuals {
+                cpu_peak_millis: z % 400,
+                mem_peak_mb: (z >> 16) % 96,
+                exec_duration: SimDuration((z >> 32) % 2_000_000),
+                input_size: 1,
+            };
+            est.observe(0, input, &a);
+            let p = est.predict(0, &suite[0], input).expect("a completion was observed");
+            assert_eq!(p.path, PredictionPath::Window);
+            got.push((p.cpu_millis, p.mem_mb, p.duration.0));
+        }
+        // The actuals: (65, 2, 1363436), (169, 86, 1575143), (190, 82, 425070),
+        // (242, 41, 663020), (361, 33, 102360), (275, 24, 1937597),
+        // (245, 54, 183916), (116, 62, 1878712). The first is floored to
+        // 100 millicores and 32 MB; from the sixth on, the oldest leave.
+        let want = [
+            (100, 32, 1_363_436),
+            (169, 86, 1_575_143),
+            (190, 86, 1_575_143),
+            (242, 86, 1_575_143),
+            (361, 86, 1_575_143),
+            (361, 86, 1_937_597),
+            (361, 82, 1_937_597),
+            (361, 62, 1_937_597),
+        ];
+        assert_eq!(got, want);
+        assert!(est.predict(1, &suite[1], input).is_none(), "one window per function");
     }
 
     #[test]

@@ -17,7 +17,12 @@
 //! fit; what does its pool advertise), and every substrate asks it: the
 //! simulator's node selectors ([`crate::platform::NodeSelector`]) and the
 //! live [`crate::sharding::ShardedScheduler`]; the harness's batch ablation
-//! (`libra_bench::batch`) runs its coverage scan, [`max_coverage`].
+//! (`libra_bench::batch`) runs its coverage scan, [`max_coverage`]. Which
+//! snapshots a scheduler may chase is decided here alone, by
+//! [`SchedView::place`]: a snapshot counts for [`STALE_VIEW_AFTER`] after
+//! its ping, and with every pinged node stale an accelerable request is
+//! placed as a non-accelerable one. Libra's coverage selector and every
+//! shard of the sharded scheduler ask it.
 //! `hash_func` is the only function hash, so a function's home node is the
 //! same everywhere. This module names no simulator engine type: the
 //! selectors that read a simulated `World` live in [`crate::platform`].
@@ -71,36 +76,36 @@ impl SchedView {
         }
     }
 
-    /// True when the node has pinged before but not recently — missed pings
-    /// mean its snapshot describes a pool that may no longer exist. A node
-    /// that has never pinged is *not* stale: at startup there is simply no
-    /// snapshot yet, which the coverage loop already treats as empty.
-    pub fn is_stale(&self, node: NodeId, now: SimTime) -> bool {
-        let last = self.nodes.get(node.idx()).and_then(|slot| slot.0);
-        last.is_some_and(|last| now.since(last) > STALE_VIEW_AFTER)
-    }
-
     /// `node`'s last snapshot, stale or not: empty when it never pinged.
     pub(crate) fn snapshot(&self, node: NodeId) -> &[PoolEntryStatus] {
         self.nodes.get(node.idx()).map_or(&[], |slot| &slot.1)
     }
 
-    /// True when every known node's view is stale — the scheduler has lost
-    /// contact with the pool layer entirely and must stop trusting it.
-    pub fn all_stale(&self, now: SimTime) -> bool {
+    /// True when some node has pinged and every pinged node's last ping is
+    /// stale: the scheduler has lost contact with the pool layer entirely
+    /// and must stop trusting it. A node that never pinged (or was
+    /// forgotten) does not count: at startup there is simply no snapshot
+    /// yet.
+    fn all_stale(&self, now: SimTime) -> bool {
         let mut pinged = self.nodes.iter().filter_map(|slot| slot.0).peekable();
-        pinged.peek().is_some() && pinged.all(|last| now.since(last) > STALE_VIEW_AFTER)
+        pinged.peek().is_some() && pinged.all(|last| is_stale(last, now))
     }
 
-    /// What `node`'s pool can be trusted to hold at `now`: its last
-    /// snapshot, or nothing when it never pinged or its view is stale (the
-    /// pool may be gone — crashed node, dropped pings).
-    pub fn fresh(&self, node: NodeId, now: SimTime) -> &[PoolEntryStatus] {
-        if self.is_stale(node, now) {
-            return &[];
+    /// What node *i*'s pool can be trusted to hold at `now`: the snapshot of
+    /// its last ping while that ping is fresh, else nothing (it never
+    /// pinged, or missed pings mean its pool may be gone — crashed node,
+    /// dropped pings).
+    fn fresh(&self, i: usize, now: SimTime) -> &[PoolEntryStatus] {
+        match self.nodes.get(i) {
+            Some((Some(last), snap)) if !is_stale(*last, now) => snap,
+            _ => &[],
         }
-        self.snapshot(node)
     }
+}
+
+/// Whether a ping received at `last` is too old to trust at `now`.
+fn is_stale(last: SimTime, now: SimTime) -> bool {
+    now.since(last) > STALE_VIEW_AFTER
 }
 
 /// A scheduling request, as the front end would deliver it.
@@ -169,6 +174,27 @@ pub fn place<'a>(
     max_coverage(req.extra, req.now, req.duration, alpha, fitting).map(|(i, _)| i)
 }
 
+impl SchedView {
+    /// [`place`] over this view, with the §6.4 staleness rule: node *i*'s
+    /// snapshot counts only within [`STALE_VIEW_AFTER`] of its last ping,
+    /// and when every pinged node is stale no coverage can be trusted, so an
+    /// accelerable request asks the non-accelerable half. Node *i* is
+    /// `NodeId(i)`. Every scheduler that chases pool snapshots asks this.
+    pub fn place(
+        &self,
+        req: &ScheduleRequest,
+        alpha: f64,
+        nodes: usize,
+        fits: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        if !req.extra.is_zero() && self.all_stale(req.now) {
+            let blind = ScheduleRequest { extra: ResourceVec::ZERO, ..req.clone() };
+            return place(&blind, alpha, nodes, fits, |_| &[]);
+        }
+        place(req, alpha, nodes, fits, |i| self.fresh(i, req.now))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,18 +246,20 @@ mod tests {
     #[test]
     fn fresh_view_is_the_snapshot_only_while_pings_keep_coming() {
         let mut view = SchedView::new();
-        let n = NodeId(0);
-        assert!(view.fresh(n, SimTime::from_secs(9)).is_empty(), "never pinged");
+        assert!(view.fresh(0, SimTime::from_secs(9)).is_empty(), "never pinged");
         let pinged = SimTime::from_secs(10);
-        *view.note_ping(n, pinged) = idle(1_000);
+        *view.note_ping(NodeId(0), pinged) = idle(1_000);
         let limit = pinged + STALE_VIEW_AFTER;
-        assert_eq!(view.fresh(n, limit), idle(1_000).as_slice());
-        assert!(view.fresh(n, limit + SimDuration(1)).is_empty(), "stale");
+        assert_eq!(view.fresh(0, limit), idle(1_000).as_slice());
+        assert!(view.fresh(0, limit + SimDuration(1)).is_empty(), "stale");
         // A crash resets the slot to "never pinged"; its neighbours stay.
         *view.note_ping(NodeId(3), pinged) = idle(2_000);
-        view.forget(n);
-        assert!(!view.is_stale(n, limit + SimDuration(1)) && view.fresh(n, limit).is_empty());
-        assert_eq!(view.fresh(NodeId(3), limit), idle(2_000).as_slice());
+        view.forget(NodeId(0));
+        assert!(view.fresh(0, limit).is_empty());
+        assert_eq!(view.fresh(3, limit), idle(2_000).as_slice());
         assert!(view.all_stale(limit + SimDuration(1)) && !view.all_stale(limit));
+        // With every slot forgotten, nothing has pinged: nothing is stale.
+        view.forget(NodeId(3));
+        assert!(!view.all_stale(limit + SimDuration(1)));
     }
 }

@@ -4,25 +4,25 @@
 //! [`libra_sim::node::Node`]'s per-shard [`Slice`]s; this is the same thing
 //! for real threads. Each of the N shards owns an even slice of every node's
 //! capacity — the very cell type the simulator uses, so both substrates admit
-//! and refuse by one arithmetic — plus its own copy of the piggybacked pool
-//! snapshots, behind that shard's lock. **Shards share nothing with each
-//! other** (the paper's core scalability argument: "schedulers no longer need
-//! to share any data for synchronization"): every operation locks one shard,
-//! mutates its books and returns, so a shard's books have one write path and
-//! callers of different shards never contend.
+//! and refuse by one arithmetic — plus its own [`SchedView`] of the
+//! piggybacked pool snapshots, behind that shard's lock. **Shards share
+//! nothing with each other** (the paper's core scalability argument:
+//! "schedulers no longer need to share any data for synchronization"):
+//! every operation locks one shard, mutates its books and returns, so a
+//! shard's books have one write path and callers of different shards never
+//! contend.
 //!
-//! Where a request goes is not decided here: a shard asks the one §6.3 rule,
-//! [`crate::scheduler::place`], over its own slices and snapshots — the same
-//! function, and the same function hash, the simulator's selectors ask — and
-//! reserves what the rule picked.
+//! Where a request goes is not decided here: a shard asks its view's
+//! [`SchedView::place`] — the one §6.3 rule with the one §6.4 staleness rule,
+//! which the simulator's coverage selector asks too — over its own slices,
+//! and reserves what the rule picked.
 //!
 //! What the paper measures in Fig 12(c) — the wall-clock scheduling overhead
 //! per decision, which must stay under a millisecond even at 50 nodes — is
 //! measured by the caller: `exp fig12` and `benchmarks/perf`
 //! (`sharding.schedule_on_us`) time whole calls from outside.
 
-use crate::pool::PoolSnapshot;
-use crate::scheduler::place;
+use crate::scheduler::SchedView;
 pub use crate::scheduler::ScheduleRequest;
 use libra_sim::node::Slice;
 use libra_sim::resources::ResourceVec;
@@ -36,11 +36,11 @@ pub struct Decision {
     pub node: Option<u32>,
 }
 
-/// One shard's books: its slice of every node, its view of every node's
-/// harvest pool, and whether it is currently stalled.
+/// One shard's books: its slice of every node, its ping-fed view of every
+/// node's harvest pool, and whether it is currently stalled.
 struct ShardState {
     slices: Vec<Slice>,
-    snapshots: Vec<PoolSnapshot>,
+    view: SchedView,
     alpha: f64,
     stalled: bool,
 }
@@ -53,7 +53,7 @@ struct ShardState {
 /// stalled shard makes no new placements (`schedule_on` answers
 /// `node: None`, and the caller retries exactly as for an unplaceable
 /// request) and nothing else changes. Charges, rebookings, releases and
-/// snapshot pushes land on its books as on any other shard's.
+/// pings land on its books as on any other shard's.
 pub struct ShardedScheduler {
     shards: Vec<Mutex<ShardState>>,
     next: AtomicUsize,
@@ -66,7 +66,7 @@ impl ShardedScheduler {
         assert!(shards > 0 && nodes > 0);
         let state = || ShardState {
             slices: vec![Slice::new(capacity.div(shards as u64)); nodes],
-            snapshots: vec![PoolSnapshot::new(); nodes],
+            view: SchedView::new(),
             alpha,
             stalled: false,
         };
@@ -119,7 +119,9 @@ impl ShardedScheduler {
             return Decision { node: None };
         }
         let fits = |i: usize| req.nominal.fits_within(&state.slices[i].free());
-        let node = place(&req, state.alpha, state.slices.len(), fits, |i| &state.snapshots[i])
+        let node = state
+            .view
+            .place(&req, state.alpha, state.slices.len(), fits)
             .and_then(|i| u32::try_from(i).ok())
             .filter(|&i| state.slices[i as usize].try_reserve(req.nominal));
         Decision { node }
@@ -154,14 +156,20 @@ impl ShardedScheduler {
         self.shards.get(shard).map(|s| s.lock().slices.iter().map(Slice::free).collect())
     }
 
-    /// Push a fresh pool snapshot for `node` to every shard (the broadcast
-    /// health ping). Test-only until the live driver grows the ping path
-    /// that pushes `ControlPlane::snapshot`; until then every shard's pool
-    /// views stay empty outside tests.
+    /// Deliver `node`'s health ping at `now`, carrying its pool snapshot,
+    /// to every shard (the broadcast ping of §6.4). Test-only until the live
+    /// driver grows the ping path that sends `ControlPlane::snapshot`; until
+    /// then no shard's view is ever pinged outside tests, so none is stale
+    /// and none advertises anything.
     #[cfg(test)]
-    pub fn push_snapshot(&self, node: u32, snap: &PoolSnapshot) {
+    pub fn note_ping(
+        &self,
+        node: u32,
+        now: libra_sim::time::SimTime,
+        snap: &crate::pool::PoolSnapshot,
+    ) {
         for shard in &self.shards {
-            shard.lock().snapshots[node as usize].clone_from(snap);
+            shard.lock().view.note_ping(libra_sim::ids::NodeId(node), now).clone_from(snap);
         }
     }
 }
@@ -169,7 +177,8 @@ impl ShardedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::PoolEntryStatus;
+    use crate::pool::{PoolEntryStatus, PoolSnapshot};
+    use crate::scheduler::STALE_VIEW_AFTER;
     use libra_sim::time::{SimDuration, SimTime};
 
     fn req(func: u32, extra_cpu: u64) -> ScheduleRequest {
@@ -180,6 +189,15 @@ mod tests {
             duration: SimDuration::from_secs(2),
             now: SimTime::ZERO,
         }
+    }
+
+    /// A pool advertising `cpu` idle millicores and 512 MB until 100 s.
+    fn idle(cpu: u64) -> PoolSnapshot {
+        vec![PoolEntryStatus {
+            cpu_idle_millis: cpu,
+            mem_idle_mb: 512,
+            expiry: SimTime::from_secs(100),
+        }]
     }
 
     #[test]
@@ -237,14 +255,37 @@ mod tests {
     #[test]
     fn coverage_prefers_node_with_harvested_resources() {
         let sched = ShardedScheduler::spawn(1, 3, ResourceVec::from_cores_mb(16, 16_384), 0.9);
-        let snap = vec![PoolEntryStatus {
-            cpu_idle_millis: 4_000,
-            mem_idle_mb: 512,
-            expiry: SimTime::from_secs(100),
-        }];
-        sched.push_snapshot(2, &snap);
+        sched.note_ping(2, SimTime::ZERO, &idle(4_000));
         let d = sched.schedule_on(0, req(3, 2_000));
         assert_eq!(d.node, Some(2), "accelerable request must chase the harvested pool");
+    }
+
+    #[test]
+    fn a_snapshot_is_chased_until_it_goes_stale() {
+        // One shard over three 16-core nodes; function `f` is homed on node
+        // 1, and node 2 pings at 10 s advertising 4 idle cores.
+        let sched = ShardedScheduler::spawn(1, 3, ResourceVec::from_cores_mb(16, 16_384), 0.9);
+        let place_at = |f, extra, now| {
+            let r = ScheduleRequest { now, ..req(f, extra) };
+            let node = sched.schedule_on(0, r.clone()).node;
+            if let Some(n) = node {
+                sched.release(0, n, r.nominal);
+            }
+            node
+        };
+        let f = (0..64).find(|&f| place_at(f, 0, SimTime::ZERO) == Some(1)).expect("a home on 1");
+        let pinged = SimTime::from_secs(10);
+        sched.note_ping(2, pinged, &idle(4_000));
+        let limit = pinged + STALE_VIEW_AFTER;
+        assert_eq!(place_at(f, 2_000, limit), Some(2), "still fresh");
+        // One µs later the only pinged node is stale: no coverage can be
+        // trusted, so the accelerable request takes its hash home.
+        let late = limit + SimDuration(1);
+        assert_eq!(place_at(f, 2_000, late), Some(1), "every pinged node stale");
+        // Node 0 pings, advertising nothing: node 2's stale snapshot still
+        // counts for nothing, every coverage is zero and node 0 wins the tie.
+        sched.note_ping(0, limit, &PoolSnapshot::new());
+        assert_eq!(place_at(f, 2_000, late), Some(0), "a stale snapshot is not chased");
     }
 
     #[test]
@@ -281,18 +322,13 @@ mod tests {
         assert!(sched.try_charge(0, home, ResourceVec::new(1_000, 0)), "a loan still charges");
         sched.rebook(0, home, ResourceVec::new(1_000, 0), ResourceVec::new(500, 0));
         sched.release(0, home, ResourceVec::new(500, 0));
-        let snap = vec![PoolEntryStatus {
-            cpu_idle_millis: 4_000,
-            mem_idle_mb: 512,
-            expiry: SimTime::from_secs(100),
-        }];
-        sched.push_snapshot(other, &snap);
+        sched.note_ping(other, SimTime::ZERO, &idle(4_000));
         // The 2-core admission is all the home node still holds.
         let free = sched.slice_free(0).expect("shard 0");
         assert_eq!(free[home as usize], ResourceVec::new(2_000, 3_584));
         sched.resume(0);
-        // The snapshot pushed while stalled steers the accelerable request.
-        assert_eq!(sched.schedule_on(0, req(3, 2_000)).node, Some(other), "snapshot was taken");
+        // The ping delivered while stalled steers the accelerable request.
+        assert_eq!(sched.schedule_on(0, req(3, 2_000)).node, Some(other), "the ping was taken");
     }
 
     #[test]

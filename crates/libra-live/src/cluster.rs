@@ -50,15 +50,15 @@
 //! Placement is [`libra_core::scheduler::place`] through
 //! [`ShardedScheduler::schedule_on`], so a function's hash home is the node
 //! the simulator would pick. This driver asks the rule only its
-//! non-accelerable half: admission sends `extra: ResourceVec::ZERO`
-//! and `now: SimTime::ZERO`, and `ShardedScheduler::push_snapshot` is
-//! test-only, so every request is hashed and probed
-//! and the shards' pool views stay empty. On this substrate the coverage half
-//! is reached only by `exp fig12` (c), the `sharding.schedule_on_us` drill of
-//! `benchmarks/perf` and unit tests. Wiring it is a ping path that pushes
-//! `ControlPlane::snapshot_into` plus the real `extra`/`now` at admission;
-//! it changes where `live_closed` places work, so it is its own measured
-//! change.
+//! non-accelerable half: admission sends `extra: ResourceVec::ZERO` and
+//! `now: SimTime::ZERO`, and `ShardedScheduler::note_ping` (a node's ping
+//! at an instant, carrying its pool snapshot) is test-only, so every request
+//! is hashed and probed, and the shards' pool views are never pinged: none
+//! is stale and none advertises anything. On this substrate the coverage
+//! half is reached only by `exp fig12` (c) and unit tests. Wiring it is a
+//! ping path that sends `ControlPlane::snapshot_into` plus the real
+//! `extra`/`now` at admission; it changes where `live_closed` places work,
+//! so it is its own measured change.
 //!
 //! Two driver surfaces exist over the same machinery:
 //!

@@ -6,10 +6,13 @@
 //! footnote 4). Hash-based scheduling exists precisely to increase warm hits.
 //!
 //! Idle warm containers **pin memory**: a paused container's heap stays
-//! resident, charged against the shard slice that admitted it, until the
-//! container is reused (the pin transfers to the new invocation's own
-//! charge), expires past its keep-until deadline, or is evicted because
-//! admission needs the room. The engine drives those three paths.
+//! resident, counted against the memory of the shard slice that admitted it,
+//! until the container is reused (the new invocation's own charge takes its
+//! place), expires past its keep-until deadline, or is evicted because
+//! admission needs the room. The engine drives those three paths. The count
+//! is this pool's per-shard gauge, not a booking in the slice: the node
+//! reads the gauge beside the slice's reservations (`Node::park_warm`,
+//! `Node::settle_pins`), so the pins the pool returns are informational.
 //!
 //! *Who decides the deadline?* Not this pool. Each entry carries an absolute
 //! `keep_until` stamped at park time by the keep-alive policy in charge
@@ -133,11 +136,12 @@ impl WarmPool {
         e
     }
 
-    /// Try to take a warm container for `func`. On a hit, returns
-    /// `Some((shard, pinned_mem))` — the caller must credit that release
-    /// back to the shard's slice (the pin transfers to the new invocation).
-    /// Expired entries are ignored (the engine reaps them via
-    /// [`WarmPool::evict_expired`]).
+    /// Try to take a warm container for `func`. On a hit, the entry and its
+    /// pin leave the pool, and so its per-shard gauge (`pinned_for`), which
+    /// is what `Node::park_warm` and `Node::settle_pins` read; the returned
+    /// `Some((shard, pinned_mem))` is informational, since a pin is never
+    /// booked in a slice and nothing needs crediting back. Expired entries
+    /// are ignored (the engine reaps them via [`WarmPool::evict_expired`]).
     pub fn acquire(&mut self, func: FunctionId, now: SimTime) -> Option<(usize, u64)> {
         let pos = self.positions(func).find(|&i| now <= self.idle[i].keep_until);
         match pos {
@@ -172,10 +176,11 @@ impl WarmPool {
         self.next_expiry = Some(self.next_expiry.map_or(keep_until, |m| m.min(keep_until)));
     }
 
-    /// Reap entries past their keep-until deadline, returning the
-    /// `(shard, mem)` pins to credit back. Returns without scanning when the
-    /// cached earliest deadline proves nothing can have expired; a sweep
-    /// that reaps nothing allocates nothing.
+    /// Reap entries past their keep-until deadline, dropping their pins from
+    /// the per-shard gauge, and return the `(shard, mem)` pins reaped, for
+    /// information: nothing needs crediting back. Returns without scanning
+    /// when the cached earliest deadline proves nothing can have expired; a
+    /// sweep that reaps nothing allocates nothing.
     pub fn evict_expired(&mut self, now: SimTime) -> Vec<(usize, u64)> {
         match self.next_expiry {
             Some(e) if now > e => {}
@@ -196,8 +201,9 @@ impl WarmPool {
     }
 
     /// Evict LRU warm containers pinned to `shard` until at least `need_mb`
-    /// of memory is freed (or the pool is out of candidates). Returns the
-    /// freed pins.
+    /// of memory is freed (or the pool is out of candidates), dropping their
+    /// pins from the per-shard gauge. Returns the freed pins, for
+    /// information.
     pub fn evict_for(&mut self, shard: usize, need_mb: u64) -> Vec<(usize, u64)> {
         if self.pinned_for(shard) == 0 {
             return Vec::new();

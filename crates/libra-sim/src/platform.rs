@@ -166,72 +166,3 @@ pub trait Platform {
         PlatformReport::default()
     }
 }
-
-/// Forwarding impl so wrappers generic over `P: Platform` (keep-alive
-/// decorators, instrumentation shims) compose with boxed platforms built at
-/// runtime from a platform-kind enum.
-impl Platform for Box<dyn Platform> {
-    fn name(&self) -> String {
-        self.as_ref().name()
-    }
-
-    fn init(&mut self, world: &World) {
-        self.as_mut().init(world)
-    }
-
-    fn overheads(&self) -> PlatformOverheads {
-        self.as_ref().overheads()
-    }
-
-    fn predict(&mut self, world: &World, inv: InvocationId) -> Option<Prediction> {
-        self.as_mut().predict(world, inv)
-    }
-
-    fn select_node(&mut self, world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
-        self.as_mut().select_node(world, shard, inv)
-    }
-
-    fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        self.as_mut().on_start(ctx, inv)
-    }
-
-    fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        self.as_mut().on_tick(ctx, inv)
-    }
-
-    fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {
-        self.as_mut().on_complete(ctx, inv, actuals)
-    }
-
-    fn on_loan_ended(&mut self, ctx: &mut SimCtx<'_>, loan: &Loan, reason: LoanEnd) {
-        self.as_mut().on_loan_ended(ctx, loan, reason)
-    }
-
-    fn on_oom(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        self.as_mut().on_oom(ctx, inv)
-    }
-
-    fn on_ping(&mut self, world: &World, node: NodeId) {
-        self.as_mut().on_ping(world, node)
-    }
-
-    fn on_node_crash(&mut self, ctx: &mut SimCtx<'_>, node: NodeId) {
-        self.as_mut().on_node_crash(ctx, node)
-    }
-
-    fn on_abort(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        self.as_mut().on_abort(ctx, inv)
-    }
-
-    fn prewarm_after_arrival(&mut self, world: &World, func: FunctionId) -> Option<SimDuration> {
-        self.as_mut().prewarm_after_arrival(world, func)
-    }
-
-    fn warm_keep(&mut self, world: &World, func: FunctionId, idle_peers: usize) -> Option<SimTime> {
-        self.as_mut().warm_keep(world, func, idle_peers)
-    }
-
-    fn report(&self) -> PlatformReport {
-        self.as_ref().report()
-    }
-}

@@ -201,10 +201,10 @@ fn sim_trace_with(policy: PolicyKind) -> Vec<Action> {
         SimConfig { shards: 1, trace: true, ..SimConfig::default() },
     );
     let mut platform = WithKeepAlive::new(
-        FixedPredPlatform {
+        Box::new(FixedPredPlatform {
             inner: LibraPlatform::new(LibraConfig::libra()),
             preds: ACTORS.iter().map(|a| prediction(a.pred)).collect(),
-        },
+        }),
         policy.build(),
     );
     let r = sim.run(&trace, &mut platform);
@@ -434,10 +434,10 @@ fn execution_trace_critical_paths_agree_across_substrates() {
         SimConfig { shards: 1, trace: true, ..SimConfig::default() },
     );
     let mut platform = WithKeepAlive::new(
-        FixedPredPlatform {
+        Box::new(FixedPredPlatform {
             inner: LibraPlatform::new(LibraConfig::libra()),
             preds: ACTORS.iter().map(|a| prediction(a.pred)).collect(),
-        },
+        }),
         PolicyKind::default().build(),
     );
     let sim_result = sim.run(&trace, &mut platform);

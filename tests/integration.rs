@@ -287,7 +287,7 @@ fn histogram_policy_prewarms_sparse_arrivals_end_to_end() {
     }
     let policy = PolicyKind::Histogram;
     let sim = Simulation::new(sebs_suite(), testbeds::single_node(), SimConfig::default());
-    let mut platform = WithKeepAlive::new(OpenWhiskDefault, policy.build());
+    let mut platform = WithKeepAlive::new(Box::new(OpenWhiskDefault), policy.build());
     let r = sim.run(&trace, &mut platform);
 
     assert_eq!(r.records.len(), 10, "every sparse invocation completes");
@@ -336,7 +336,8 @@ fn keep_alive_counts_a_retried_abort_once() {
     trace.push(SimTime::from_secs(5), f, InputMeta::new(2, 3)); // D
     let mut plan = FaultPlan::empty();
     plan.push(SimTime::from_millis(800), FaultKind::AbortInvocation(InvocationId(0)));
-    let mut platform = WithKeepAlive::new(OpenWhiskDefault, PolicyKind::Concurrency.build());
+    let mut platform =
+        WithKeepAlive::new(Box::new(OpenWhiskDefault), PolicyKind::Concurrency.build());
     let r = sim.run_with_faults(&trace, &mut platform, &plan);
 
     assert_eq!(r.records.len(), 4);
