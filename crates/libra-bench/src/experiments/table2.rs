@@ -1,25 +1,27 @@
 //! Table 2 — the profiler's model study (§8.6): LR, SVM, NN and RF compared
 //! on CPU-class accuracy, memory-class accuracy and duration R² for each of
 //! the ten functions, with a 7:3 train/test split on duplicator datasets.
+//! RF is `libra-ml`'s forest, the one the profiler runs; the three baselines
+//! live in this experiment's private `models` module and nowhere else.
 //!
 //! `table2_model_study.csv` has one row per function × family: `func` is the
 //! function's index in `ALL_APPS` (UL = 0 … GB = 9), `related` is 1 for the
 //! five size-related ones, `family` indexes LR, SVM, NN, RF (0–3), and the
 //! scores are unrounded (`dur_r2` unclamped).
 
+mod models;
+
 use crate::*;
 use libra_core::profiler::{WorkloadDuplicator, MEM_CLASS_MB};
-use libra_ml::dataset::Dataset;
+use libra_ml::dataset::split_indices;
 use libra_ml::forest::{ForestParams, RandomForest};
-use libra_ml::linear::{LinearRegression, LogisticRegression};
 use libra_ml::metrics::{accuracy, r2_score};
-use libra_ml::nn::{Mlp, MlpTask};
-use libra_ml::svm::LinearSvm;
 use libra_ml::tree::Task;
 use libra_sim::demand::InputMeta;
 use libra_sim::resources::MILLIS_PER_CORE;
 use libra_workloads::apps::ALL_APPS;
 use libra_workloads::sebs_suite;
+use models::{LinearRegression, Mlp, OneVsRest};
 
 /// One function's scores for one model family.
 #[derive(Clone, Copy, Debug)]
@@ -32,102 +34,120 @@ pub struct Scores {
     pub dur: f64,
 }
 
+/// The four model families, in column order: a family's position is its
+/// `family` index in the CSV.
+#[derive(Clone, Copy, Debug)]
+enum Family {
+    Lr,
+    Svm,
+    Nn,
+    Rf,
+}
+
+impl Family {
+    const ALL: [Family; 4] = [Family::Lr, Family::Svm, Family::Nn, Family::Rf];
+
+    /// The column header.
+    fn name(self) -> &'static str {
+        match self {
+            Family::Lr => "LR",
+            Family::Svm => "SVM",
+            Family::Nn => "NN",
+            Family::Rf => "RF",
+        }
+    }
+
+    /// The classes a model of this family, fitted on `(train, y)`, predicts
+    /// for the rows of `test`.
+    fn classify(
+        self,
+        train: &[Vec<f64>],
+        y: &[f64],
+        n_classes: usize,
+        test: &[Vec<f64>],
+    ) -> Vec<usize> {
+        let labels: Vec<usize> = y.iter().map(|&v| v as usize).collect();
+        match self {
+            Family::Lr => {
+                let m = OneVsRest::logistic(train, &labels, n_classes);
+                test.iter().map(|r| m.predict(r)).collect()
+            }
+            Family::Svm => {
+                let m = OneVsRest::svm(train, &labels, n_classes);
+                test.iter().map(|r| m.predict(r)).collect()
+            }
+            Family::Nn => {
+                let m = Mlp::classifier(train, &labels, n_classes);
+                test.iter().map(|r| m.predict_class(r)).collect()
+            }
+            Family::Rf => {
+                let task = Task::Classification { n_classes };
+                let m = RandomForest::fit(train, y, task, ForestParams::default());
+                test.iter().map(|r| m.predict_class(r)).collect()
+            }
+        }
+    }
+
+    /// The durations a model of this family, fitted on `(train, y)`,
+    /// predicts for the rows of `test`.
+    fn regress(self, train: &[Vec<f64>], y: &[f64], test: &[Vec<f64>]) -> Vec<f64> {
+        match self {
+            Family::Lr => {
+                let m = LinearRegression::fit(train, y, 1e-6);
+                test.iter().map(|r| m.predict(r)).collect()
+            }
+            Family::Svm => {
+                // SVR stand-in: the paper's SVR is emulated by a linear model
+                // with a stronger L2 term (the same hypothesis class).
+                let m = LinearRegression::fit(train, y, 1e-2);
+                test.iter().map(|r| m.predict(r)).collect()
+            }
+            Family::Nn => {
+                let m = Mlp::regressor(train, y);
+                test.iter().map(|r| m.predict(r)).collect()
+            }
+            Family::Rf => {
+                let m = RandomForest::fit(train, y, Task::Regression, ForestParams::default());
+                test.iter().map(|r| m.predict(r)).collect()
+            }
+        }
+    }
+}
+
 fn features(size: u64) -> Vec<f64> {
     let s = size.max(1) as f64;
     vec![s, s.ln()]
 }
 
-type XySplit = ((Vec<Vec<f64>>, Vec<f64>), (Vec<Vec<f64>>, Vec<f64>));
-
-fn split(x: &[Vec<f64>], y: &[f64]) -> XySplit {
-    let d = Dataset::from_rows(x.to_vec(), y.to_vec());
-    let (tr, te) = d.train_test_split(0.7, 0xdead);
-    ((tr.x, tr.y), (te.x, te.y))
+/// The entries of `col` at `ids`.
+fn pick<T: Clone>(col: &[T], ids: &[usize]) -> Vec<T> {
+    ids.iter().map(|&i| col[i].clone()).collect()
 }
 
-fn eval_family(model: &str, x: &[Vec<f64>], cpu: &[f64], mem: &[f64], dur: &[f64]) -> Scores {
-    let n_cpu = cpu.iter().map(|&v| v as usize).max().unwrap_or(1) + 2;
-    let n_mem = mem.iter().map(|&v| v as usize).max().unwrap_or(1) + 2;
-
-    let classify = |y: &[f64], n_classes: usize| -> f64 {
-        let ((trx, trl), (tex, tel)) = split(x, y);
-        let labels: Vec<usize> = trl.iter().map(|&v| v as usize).collect();
-        let truth: Vec<usize> = tel.iter().map(|&v| v as usize).collect();
-        let preds: Vec<usize> = match model {
-            "LR" => {
-                let mut m = LogisticRegression::new();
-                m.fit(&trx, &labels, n_classes);
-                tex.iter().map(|r| m.predict(r)).collect()
-            }
-            "SVM" => {
-                let mut m = LinearSvm::new();
-                m.fit(&trx, &labels, n_classes);
-                tex.iter().map(|r| m.predict(r)).collect()
-            }
-            "NN" => {
-                let mut m = Mlp::new(MlpTask::Classification { n_classes }, 12);
-                m.fit(&trx, &trl);
-                tex.iter().map(|r| m.predict_class(r)).collect()
-            }
-            "RF" => {
-                let m = RandomForest::fit(
-                    &trx,
-                    &trl,
-                    Task::Classification { n_classes },
-                    ForestParams::default(),
-                );
-                tex.iter().map(|r| m.predict_class(r)).collect()
-            }
-            _ => unreachable!(),
-        };
+fn eval_family(family: Family, x: &[Vec<f64>], cpu: &[f64], mem: &[f64], dur: &[f64]) -> Scores {
+    let (tr, te) = split_indices(x.len(), 0.7, 0xdead);
+    let (train, test) = (pick(x, &tr), pick(x, &te));
+    let classify = |y: &[f64]| -> f64 {
+        let n_classes = y.iter().map(|&v| v as usize).max().unwrap_or(1) + 2;
+        let preds = family.classify(&train, &pick(y, &tr), n_classes, &test);
+        let truth: Vec<usize> = te.iter().map(|&i| y[i] as usize).collect();
         accuracy(&preds, &truth)
     };
-
-    let regress = || -> f64 {
-        let ((trx, trl), (tex, tel)) = split(x, dur);
-        let preds: Vec<f64> = match model {
-            "LR" => {
-                let mut m = LinearRegression::default();
-                m.fit(&trx, &trl);
-                tex.iter().map(|r| m.predict(r)).collect()
-            }
-            "SVM" => {
-                // SVR stand-in: linear regression on hinge-like clipped
-                // targets is not meaningful; the paper's SVR is emulated by
-                // a linear model with L2 (same hypothesis class).
-                let mut m = LinearRegression::new(1e-2);
-                m.fit(&trx, &trl);
-                tex.iter().map(|r| m.predict(r)).collect()
-            }
-            "NN" => {
-                let mut m = Mlp::new(MlpTask::Regression, 12);
-                m.fit(&trx, &trl);
-                tex.iter().map(|r| m.predict(r)).collect()
-            }
-            "RF" => {
-                let m = RandomForest::fit(&trx, &trl, Task::Regression, ForestParams::default());
-                tex.iter().map(|r| m.predict(r)).collect()
-            }
-            _ => unreachable!(),
-        };
-        r2_score(&preds, &tel)
-    };
-
-    Scores { cpu: classify(cpu, n_cpu), mem: classify(mem, n_mem), dur: regress() }
+    let dur_r2 = r2_score(&family.regress(&train, &pick(dur, &tr), &test), &pick(dur, &te));
+    Scores { cpu: classify(cpu), mem: classify(mem), dur: dur_r2 }
 }
 
 /// Run the study; returns `(func, model, scores)` triples.
 pub fn run() -> Vec<(String, String, Scores)> {
     header("Table 2: model comparison (cpu acc / mem acc / duration R², 7:3 split)");
     let suite = sebs_suite();
-    let models = ["LR", "SVM", "NN", "RF"];
     let mut cols = vec!["func".to_string()];
-    cols.extend(models.iter().map(|m| m.to_string()));
+    cols.extend(Family::ALL.map(|f| f.name().to_string()));
     row(&cols);
 
     let mut out = Vec::new();
-    let mut sums = vec![(0.0, 0.0, 0.0); models.len()]; // related avg
-    let mut sums_un = vec![(0.0, 0.0, 0.0); models.len()];
+    let mut sums = [(0.0, 0.0, 0.0); Family::ALL.len()]; // related avg
+    let mut sums_un = [(0.0, 0.0, 0.0); Family::ALL.len()];
 
     // One job per function (each trains all four model families); results
     // come back in app order, so the printed table matches a serial run.
@@ -143,20 +163,21 @@ pub fn run() -> Vec<(String, String, Scores)> {
         let mem: Vec<f64> =
             obs.iter().map(|o| o.mem_peak_mb.div_ceil(MEM_CLASS_MB) as f64).collect();
         let dur: Vec<f64> = obs.iter().map(|o| o.duration.as_secs_f64()).collect();
-        models.map(|model| eval_family(model, &x, &cpu, &mem, &dur))
+        Family::ALL.map(|family| eval_family(family, &x, &cpu, &mem, &dur))
     });
 
     let mut csv = Vec::new();
     for (fi, (kind, scores)) in ALL_APPS.iter().zip(&app_scores).enumerate() {
         let mut cols = vec![kind.name().to_string()];
         let related = kind.input_size_related();
-        for (mi, (model, s)) in models.iter().zip(scores).enumerate() {
+        for (family, s) in Family::ALL.into_iter().zip(scores) {
+            let mi = family as usize;
             cols.push(format!("{:.2}/{:.2}/{:.2}", s.cpu, s.mem, s.dur.max(-99.0)));
             let tgt = if related { &mut sums[mi] } else { &mut sums_un[mi] };
             tgt.0 += s.cpu;
             tgt.1 += s.mem;
             tgt.2 += s.dur.max(-99.0);
-            out.push((kind.name().to_string(), model.to_string(), *s));
+            out.push((kind.name().to_string(), family.name().to_string(), *s));
             csv.push(vec![fi as f64, f64::from(u8::from(related)), mi as f64, s.cpu, s.mem, s.dur]);
         }
         row(&cols);
@@ -178,7 +199,7 @@ pub fn run() -> Vec<(String, String, Scores)> {
     );
 
     // Headline: RF best on average for related functions.
-    let rf = &sums[3];
+    let rf = &sums[Family::Rf as usize];
     let best_cpu = sums.iter().all(|s| rf.0 >= s.0 - 1e-9);
     let best_r2 = sums.iter().all(|s| rf.2 >= s.2 - 1e-9);
     println!();
@@ -195,7 +216,7 @@ pub fn run() -> Vec<(String, String, Scores)> {
     compare(
         "related vs unrelated gap visible",
         "acc ~0.95 vs ~0.59 (RF)",
-        format!("{:.2} vs {:.2}", sums[3].0 / 5.0, sums_un[3].0 / 5.0),
+        format!("{:.2} vs {:.2}", rf.0 / 5.0, sums_un[Family::Rf as usize].0 / 5.0),
     );
     out
 }

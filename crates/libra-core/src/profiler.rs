@@ -31,7 +31,7 @@
 //! model (what a fully-provisioned execution would reveal) plus measurement
 //! noise — see DESIGN.md §1 for the substitution note.
 
-use libra_ml::dataset::Dataset;
+use libra_ml::dataset::split_indices;
 use libra_ml::forest::{ForestParams, RandomForest};
 use libra_ml::histogram::StreamingHistogram;
 use libra_ml::metrics::{accuracy, r2_score};
@@ -259,7 +259,7 @@ impl Dataset3 {
     /// The relatedness test (§4.3): forests fitted on a 7:3 split's train
     /// rows, scored on its test rows. One split serves the three targets.
     fn relatedness(&self, seed: u64) -> ModelScores {
-        let (tr, te) = Dataset::split_indices(self.len(), TRAIN_FRAC, seed);
+        let (tr, te) = split_indices(self.len(), TRAIN_FRAC, seed);
         let rows = |ids: &[usize]| ids.iter().map(|&i| self.x[i].clone()).collect::<Vec<_>>();
         let pick = |ids: &[usize], col: &[f64]| ids.iter().map(|&i| col[i]).collect::<Vec<_>>();
         let rf = Forests::fit(

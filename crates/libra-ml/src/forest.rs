@@ -34,20 +34,13 @@ pub struct ForestParams {
     pub n_trees: usize,
     /// Per-tree growth limits.
     pub tree: TreeParams,
-    /// Bootstrap sample fraction (1.0 = classic bagging).
-    pub bootstrap_frac: f64,
     /// Seed for all randomness (bootstraps + feature subsampling).
     pub seed: u64,
 }
 
 impl Default for ForestParams {
     fn default() -> Self {
-        ForestParams {
-            n_trees: 32,
-            tree: TreeParams::default(),
-            bootstrap_frac: 1.0,
-            seed: 0x11b7a,
-        }
+        ForestParams { n_trees: 32, tree: TreeParams::default(), seed: 0x11b7a }
     }
 }
 
@@ -89,18 +82,18 @@ impl RandomForest {
             tree_params
         });
         let n = x.len();
-        let sample_n = ((n as f64 * params.bootstrap_frac).round() as usize).max(1);
 
         // Deterministic per-tree seeds derived up front so the parallel
         // schedule cannot affect the result.
         let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
         let seeds: Vec<u64> = (0..params.n_trees).map(|_| seeder.next_u64()).collect();
 
-        // Tree `k` of every target: one draw, one sort, then each target's
-        // tree from a copy of the layout and of the RNG after the draws.
+        // Tree `k` of every target: one draw (a classic bootstrap, `n` rows
+        // with replacement), one sort, then each target's tree from a copy of
+        // the layout and of the RNG after the draws.
         let fit_one = |seed: u64| -> Vec<DecisionTree> {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let rows: Vec<usize> = (0..sample_n).map(|_| rng.gen_range(0..n)).collect();
+            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
             let sorted = sort_sample(x, &rows);
             targets
                 .iter()

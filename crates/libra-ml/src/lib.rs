@@ -1,21 +1,18 @@
-//! # libra-ml — from-scratch ML models for Libra's profiler
+//! # libra-ml — the models Libra's profiler runs, built from scratch
 //!
 //! The paper's profiler (§4) trains, per function, two classifiers (CPU and
-//! memory usage-peak classes) and one regressor (execution time), and the
-//! model study of §8.6 / Table 2 compares four families — Logistic/Linear
-//! Regression, SVM, Neural Network, and Random Forest — plus histogram
-//! models for input size-unrelated functions. The original implementation
-//! used scikit-learn and NumPy; this crate reimplements everything needed in
-//! pure Rust so that the entire study is reproducible offline:
+//! memory usage-peak classes) and one regressor (execution time) as random
+//! forests, and models input size-unrelated functions with histograms. The
+//! original implementation used scikit-learn and NumPy; this crate is the
+//! pure-Rust replacement, so the profiler runs offline:
 //!
 //! * [`tree`] / [`forest`] — CART trees and bagged random forests,
-//! * [`linear`] — linear regression (normal equations) and one-vs-rest
-//!   logistic regression,
-//! * [`svm`] — one-vs-rest linear SVM (Pegasos-style SGD),
-//! * [`nn`] — a one-hidden-layer MLP,
 //! * [`histogram`] — streaming histograms with tail/head percentile queries,
-//! * [`dataset`], [`scaler`], [`metrics`] — plumbing (7:3 splits, feature
-//!   standardization, accuracy and R²).
+//! * [`dataset`], [`metrics`] — the 7:3 train/test split, accuracy and R².
+//!
+//! Table 2's other model families (LR, SVM, NN), which the profiler never
+//! runs, live in the experiment that compares them (`libra-bench`'s
+//! `experiments::table2`).
 //!
 //! All models are deterministic given their seeds; forest training fans out
 //! across crossbeam scoped threads where there is more than one core, and
@@ -32,18 +29,10 @@
 pub mod dataset;
 pub mod forest;
 pub mod histogram;
-pub mod linear;
 pub mod metrics;
-pub mod nn;
-pub mod scaler;
-pub mod svm;
 pub mod tree;
 
-pub use dataset::Dataset;
 pub use forest::{ForestParams, RandomForest};
 pub use histogram::StreamingHistogram;
-pub use linear::{LinearRegression, LogisticRegression};
 pub use metrics::{accuracy, r2_score};
-pub use nn::{Mlp, MlpTask};
-pub use svm::LinearSvm;
 pub use tree::{DecisionTree, Task, TreeParams};

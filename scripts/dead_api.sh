@@ -1,17 +1,29 @@
 #!/usr/bin/env bash
-# Public functions nobody calls: every `pub fn` / `pub(crate) fn` name declared
-# under crates/*/src and src/ that occurs exactly once — its own declaration —
-# as a word in the Rust sources of crates/, src/, tests/, examples/ and
-# benchmarks/perf/src. Comment-only lines are skipped, so a doc mention does not
-# keep a function alive, and so is a file's `#[cfg(test)]` section (from its
-# first `#[cfg(test)]` line on, as scripts/loc.sh counts), so a function whose
-# only callers are its own unit tests is reported too. Prints one name per line
-# and exits 1 if there are any.
+# Two reports on the public API.
 #
-# It counts words, not resolved paths, so it cannot see a dead function whose
-# name collides with a live one (another type's `new`, a field or a local of
-# the same name, the name inside a string). It never reports a function that
-# non-test code calls.
+# 1. Public functions nobody calls: every `pub fn` / `pub(crate) fn` name
+# declared under crates/*/src and src/ that occurs exactly once — its own
+# declaration — as a word in the Rust sources of crates/, src/, tests/,
+# examples/ and benchmarks/perf/src. Comment-only lines are skipped, so a doc
+# mention does not keep a function alive, and so is a file's `#[cfg(test)]`
+# section (from its first `#[cfg(test)]` line on, as scripts/loc.sh counts),
+# so a function whose only callers are its own unit tests is reported too.
+# Prints one name per line and exits 1 if there are any.
+#
+# 2. Public items only the experiment harness uses: every `pub`
+# fn/struct/enum/const/type/trait declared under crates/*/src or src/,
+# outside libra-bench and libra-cli, whose name occurs as a word outside its
+# declaring file only in crates/libra-bench, counted over the non-test code of
+# crates/*/src, src/, examples/ and benchmarks/perf/src (the harness naming an
+# item keeps it where it is). `pub use` re-exports do not count as uses.
+# Each is a candidate to move into libra-bench. Printed as `file name` lines
+# under a header; it never changes the exit status.
+#
+# Both count words, not resolved paths, so they cannot see a dead function
+# whose name collides with a live one (another type's `new`, a field or a
+# local of the same name, the name inside a string), and report 2 lists an
+# item used inside its own file as well (that use is not counted). Report 1
+# never reports a function that non-test code calls.
 # Run from anywhere: ./scripts/dead_api.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -36,6 +48,41 @@ dead=$(find crates src tests examples benchmarks/perf/src -name '*.rs' -print0 |
   END { for (n in names) if (seen[n] == 1) print n }
 ' | sort)
 
+bench_only=$(find crates/*/src src examples benchmarks/perf/src -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 { skip = 0; reexport = 0; files[FILENAME] = 1 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+  skip || /^[[:space:]]*\/\// { next }
+  reexport || /^[[:space:]]*pub(\([^)]*\))? use / { reexport = $0 !~ /;/; next }
+  {
+    line = $0
+    while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+      uses[substr(line, RSTART, RLENGTH), FILENAME]++
+      line = substr(line, RSTART + RLENGTH)
+    }
+  }
+  FILENAME ~ /^(crates\/[^\/]*\/src|src)\// && FILENAME !~ /^crates\/libra-(bench|cli)\// &&
+    match($0, /^[[:space:]]*pub ((const|async|unsafe) )*(fn|struct|enum|const|type|trait) [A-Za-z_][A-Za-z0-9_]*/) {
+    decl = substr($0, RSTART, RLENGTH)
+    sub(/.* /, "", decl)
+    decls[decl, FILENAME] = 1
+  }
+  END {
+    for (d in decls) {
+      split(d, key, SUBSEP)
+      bench = other = 0
+      for (f in files) {
+        if (f == key[2] || !((key[1], f) in uses)) continue
+        if (f ~ /^crates\/libra-bench\//) bench++; else other++
+      }
+      if (bench && !other) print key[2], key[1]
+    }
+  }
+' | sort)
+
+if [ -n "$bench_only" ]; then
+  echo "-- pub items whose only uses outside their own file are in crates/libra-bench (candidates to move there):"
+  echo "$bench_only"
+fi
 if [ -n "$dead" ]; then
   echo "$dead"
   exit 1
