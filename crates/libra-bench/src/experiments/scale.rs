@@ -8,9 +8,10 @@
 //! It runs the tier twice, under `NullPlatform` (the engine alone) and
 //! under Libra-NP (harvesting, the safeguard's monitor and the coverage
 //! scheduler, without the ML profiler), asserts conservation after each and
-//! prints one throughput line for each; the second adds its monitor visits
-//! and safeguard trips. The regression gate on simulator speed is the repo
-//! benchmark (`benchmarks/perf`).
+//! prints one throughput line for each, with its monitor ticks that walked
+//! their node; the second adds its monitor visits and safeguard trips. The
+//! regression gate on simulator speed is the repo benchmark
+//! (`benchmarks/perf`).
 
 use libra_core::{LibraConfig, LibraPlatform};
 use libra_sim::engine::{NullPlatform, SimConfig, Simulation};
@@ -52,20 +53,21 @@ pub fn run() {
     );
 
     let trace = tier.trace();
-    let (null, null_pops) = simulate(&tier, &trace, &mut NullPlatform);
-    println!("tier=huge scale={scale} {null} pops: {null_pops}");
+    let (null, null_walks, null_pops) = simulate(&tier, &trace, &mut NullPlatform);
+    println!("tier=huge scale={scale} {null} walks={null_walks} pops: {null_pops}");
     let mut libra = LibraPlatform::new(LibraConfig::np());
-    let (np, np_pops) = simulate(&tier, &trace, &mut libra);
+    let (np, np_walks, np_pops) = simulate(&tier, &trace, &mut libra);
     println!(
-        "tier=huge platform=Libra-NP scale={scale} {np} visits={} safeguard_trips={} pops: {np_pops}",
+        "tier=huge platform=Libra-NP scale={scale} {np} visits={} walks={np_walks} safeguard_trips={} pops: {np_pops}",
         libra.visits(),
         libra.report().safeguard_triggers,
     );
 }
 
 /// Run the tier under `platform` and assert conservation; returns the
-/// line's outcome and speed fields, and its pops per event kind.
-fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> (String, String) {
+/// line's outcome and speed fields, its monitor ticks that walked, and its
+/// pops per event kind.
+fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> (String, u64, String) {
     let config =
         SimConfig { shards: tier.shards, metrics: MetricsMode::Streaming, ..SimConfig::default() };
     let sim = Simulation::new(tier.suite(), tier.node_caps(), config);
@@ -107,5 +109,5 @@ fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> (Str
         result.summary.latency_sketch.quantile(99.0),
         result.summary.cpu_util.mean(),
     );
-    (fields, pops.join(" "))
+    (fields, result.tick_walks.0, pops.join(" "))
 }

@@ -76,6 +76,38 @@ pub fn demand_coverage(
     alpha * dc + (1.0 - alpha) * dm
 }
 
+/// An upper bound on [`demand_coverage`] over any window longer than zero:
+/// each dimension is covered at most `min(1, Σ volume / demand)`, summed
+/// over the entries the coverage reads (those expiring after `now`), and a
+/// zero dimension fully. `None` when it reads no entry: then every snapshot
+/// covers alike. The bound and the coverage differ in their roundings by a
+/// few ulps.
+pub(crate) fn volume_bound(
+    snapshot: &[PoolEntryStatus],
+    extra: ResourceVec,
+    now: SimTime,
+    alpha: f64,
+) -> Option<f64> {
+    let (mut cpu, mut mem, mut read) = (0u64, 0u64, false);
+    for e in snapshot.iter().rev().take_while(|e| e.expiry > now) {
+        cpu = cpu.saturating_add(e.cpu_idle_millis);
+        mem = mem.saturating_add(e.mem_idle_mb);
+        read = true;
+    }
+    let frac = |vol: u64, units: u64| {
+        if units == 0 {
+            1.0
+        } else {
+            (vol as f64 / units as f64).min(1.0)
+        }
+    };
+    // A weight below zero takes the dimension's least coverage, 0.
+    read.then(|| {
+        alpha.max(0.0) * frac(cpu, extra.cpu_millis)
+            + (1.0 - alpha).max(0.0) * frac(mem, extra.mem_mb)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

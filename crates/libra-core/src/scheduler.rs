@@ -27,7 +27,7 @@
 //! same everywhere. This module names no simulator engine type: the
 //! selectors that read a simulated `World` live in [`crate::platform`].
 
-use crate::coverage::demand_coverage;
+use crate::coverage::{demand_coverage, volume_bound};
 use crate::pool::{PoolEntryStatus, PoolSnapshot};
 use libra_sim::ids::NodeId;
 use libra_sim::metrics::splitmix64;
@@ -132,6 +132,13 @@ fn hash_func(f: u32) -> u64 {
 /// The candidate whose pool snapshot gives `extra` the greatest weighted
 /// demand coverage (§6.2) over `[now, now + dur]`, and that coverage. Equal
 /// coverages (within 1e-12) go to the earlier candidate.
+///
+/// Over a window longer than zero it scores only candidates that can win.
+/// Snapshots with no entry valid after `now` all cover alike, so the first
+/// is scored and the rest lose its tie. A snapshot whose volume bound
+/// (`coverage::volume_bound`) is below the best by more than 1e-9 cannot
+/// pass it by 1e-12: that margin dwarfs the roundings between bound and
+/// coverage.
 pub fn max_coverage<'a>(
     extra: ResourceVec,
     now: SimTime,
@@ -140,7 +147,16 @@ pub fn max_coverage<'a>(
     candidates: impl IntoIterator<Item = (usize, &'a [PoolEntryStatus])>,
 ) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
+    let mut dry_scored = false;
     for (i, snap) in candidates {
+        if dur > SimDuration::ZERO {
+            match volume_bound(snap, extra, now, alpha) {
+                None if dry_scored => continue,
+                None => dry_scored = true,
+                Some(bound) if best.is_some_and(|(_, bc)| bound < bc - 1e-9) => continue,
+                Some(_) => {}
+            }
+        }
         let c = demand_coverage(snap, extra, now, dur, alpha);
         if best.is_none_or(|(_, bc)| c > bc + 1e-12) {
             best = Some((i, c));
@@ -241,6 +257,82 @@ mod tests {
         // whatever the function's hash home is.
         assert_eq!(place(&req(9, 2_000), 0.9, 4, |_| true, |_| &[]), Some(0));
         assert_eq!(place(&req(9, 2_000), 0.9, 4, |_| false, snap), None);
+    }
+
+    /// [`max_coverage`] without its prunes: every candidate scored.
+    fn max_coverage_unpruned<'a>(
+        extra: ResourceVec,
+        now: SimTime,
+        dur: SimDuration,
+        alpha: f64,
+        candidates: impl IntoIterator<Item = (usize, &'a [PoolEntryStatus])>,
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, snap) in candidates {
+            let c = demand_coverage(snap, extra, now, dur, alpha);
+            if best.is_none_or(|(_, bc)| c > bc + 1e-12) {
+                best = Some((i, c));
+            }
+        }
+        best
+    }
+
+    /// The prunes change no answer, bit for bit: seeded candidate lists
+    /// with empty, expired-only and repeated (tying) snapshots, entries
+    /// expiring at `now` and past the window, zero windows and zero `extra`
+    /// dimensions, α at 0, 1 and between.
+    #[test]
+    fn max_coverage_prunes_only_candidates_that_cannot_win() {
+        let mut state = 19;
+        let mut r = |m: u64| splitmix64(&mut state) % m;
+        let now = SimTime::from_secs(50);
+        let (mut dry_ties, mut below) = (0, 0);
+        for n in 0..4_000u64 {
+            let mut snaps: Vec<PoolSnapshot> = Vec::new();
+            for _ in 0..1 + r(24) {
+                if !snaps.is_empty() && r(4) == 0 {
+                    snaps.push(snaps[r(snaps.len() as u64) as usize].clone());
+                    continue;
+                }
+                let expired_only = r(4) == 0;
+                let mut snap: PoolSnapshot = (0..r(6))
+                    .map(|_| {
+                        let expiry = match (expired_only, r(5)) {
+                            (true, _) | (false, 0) => now.0 - r(10_000_000),
+                            (false, 1) => now.0,
+                            _ => now.0 + 1 + r(20_000_000),
+                        };
+                        PoolEntryStatus {
+                            cpu_idle_millis: r(4) * 500,
+                            mem_idle_mb: r(4) * 256,
+                            expiry: SimTime(expiry),
+                        }
+                    })
+                    .collect();
+                snap.sort_by_key(|e| e.expiry);
+                snaps.push(snap);
+            }
+            let extra = ResourceVec::new(r(3) * 1_000, r(3) * 512);
+            let dur = SimDuration(match n % 5 {
+                0 => 0,
+                _ => r(15_000_000) + 1,
+            });
+            let alpha = [0.0, 1.0, 0.9, 0.5, r(101) as f64 / 100.0][(n % 5) as usize];
+            let cands = || snaps.iter().enumerate().map(|(i, s)| (i, s.as_slice()));
+            let got = max_coverage(extra, now, dur, alpha, cands());
+            let want = max_coverage_unpruned(extra, now, dur, alpha, cands());
+            let bits = |b: Option<(usize, f64)>| b.map(|(i, c)| (i, c.to_bits()));
+            assert_eq!(bits(got), bits(want), "case {n}: extra {extra:?}, dur {dur:?}, α {alpha}");
+            // How often each prune had candidates to skip.
+            let (Some((win, best)), true) = (got, dur.as_micros() > 0) else { continue };
+            let bounds: Vec<_> = cands().map(|(_, s)| volume_bound(s, extra, now, alpha)).collect();
+            dry_ties += u32::from(bounds.iter().filter(|b| b.is_none()).count() > 1);
+            below += u32::from(bounds[win..].iter().flatten().any(|&b| b < best - 1e-9));
+        }
+        assert!(
+            dry_ties > 500 && below > 500,
+            "dry ties in {dry_ties} cases, bounds below in {below}"
+        );
     }
 
     #[test]

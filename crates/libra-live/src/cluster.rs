@@ -233,7 +233,7 @@ impl NodeInner {
                 st.req.alloc.mem_mb,
             );
             st.run.rerate(now, rate);
-            st.due = st.run.due(now).unwrap_or(SimTime(u64::MAX));
+            st.due = st.run.due(now).unwrap_or(SimTime::MAX);
         }
     }
 }

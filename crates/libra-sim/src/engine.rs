@@ -29,7 +29,9 @@ use crate::function::FunctionSpec;
 use crate::ids::{FunctionId, InvocationId, NodeId};
 use crate::invocation::{clamp_grant, exec_rate_millis, oom_kills, oom_wake};
 use crate::invocation::{Actuals, InvState, Invocation, Loan, Wake};
-use crate::metrics::{InvRecord, KindPops, MetricsMode, RunResult, RunSummary, UtilSample};
+use crate::metrics::{
+    InvRecord, KindPops, MetricsMode, RunResult, RunSummary, UtilSample, WorkCount,
+};
 use crate::node::Node;
 use crate::platform::{LoanEnd, Platform, PlatformOverheads};
 use crate::resources::{sat_u64, ResourceVec};
@@ -174,6 +176,8 @@ pub struct World {
     /// Pops per event kind, split by whether the handler ran or dropped the
     /// event at its staleness check.
     pops_by_kind: [KindPops; EVENT_KINDS],
+    /// Monitor ticks that walked their node's residents.
+    tick_walks: u64,
     /// Execution-timeline span sink (inert unless `config.trace`).
     spans: SpanSink,
 }
@@ -343,10 +347,11 @@ impl World {
 
     /// The one writer of [`Invocation::wake`] and of `Node::watched`, the
     /// count of a node's residents whose wake is not [`Wake::NEVER`]; it
-    /// stamps the node's generation for a node wait. Only a resident
-    /// (cold-starting or running) changes, so a non-resident's wake stays
-    /// `NEVER`: `resident_remove` sets it, and each attempt's start, which
-    /// settles, sets `EVERY_TICK`.
+    /// stamps the node's generation for a node wait and bounds when the
+    /// footprint line can first hold ([`World::bound_wake`]). Only a
+    /// resident (cold-starting or running) changes, so a non-resident's
+    /// wake stays `NEVER`: `resident_remove` sets it, and each attempt's
+    /// start, which settles, sets `EVERY_TICK`.
     fn set_wake(&mut self, idx: usize, wake: Wake) {
         let inv = self.invs.get_mut(idx);
         let resident = matches!(inv.state, InvState::ColdStarting | InvState::Running);
@@ -357,6 +362,21 @@ impl World {
         inv.wake_gen = node.generation;
         if was != on {
             node.watched = if on { node.watched + 1 } else { node.watched - 1 };
+        }
+        self.bound_wake(idx);
+    }
+
+    /// Bound, from its run as it stands, when resident `idx`'s footprint
+    /// line can first hold (`Invocation::wake_from`), and lower its node's
+    /// `next_wake` to that bound. `set_wake` calls it, and so does every
+    /// rate move: a wake its platform left after the settle (`SimCtx::watch`
+    /// in a hook) was bounded on the old rate.
+    fn bound_wake(&mut self, idx: usize) {
+        let inv = self.invs.get_mut(idx);
+        inv.wake_from = inv.footprint_wake_from();
+        if let Some(node) = inv.node {
+            let next = &mut self.nodes[node.idx()].next_wake;
+            *next = (*next).min(inv.wake_from);
         }
     }
 
@@ -369,6 +389,10 @@ impl World {
         let rate = if running { self.effective_rate(idx) } else { 0 };
         let inv = self.invs.get_mut(idx);
         let moved = inv.run.rerate(self.clock, rate);
+        if moved {
+            self.bound_wake(idx);
+        }
+        let inv = self.invs.get_mut(idx);
         if !running || (inv.finish_armed && !moved) {
             return;
         }
@@ -401,7 +425,8 @@ impl World {
     }
 
     /// Forget `node_idx`'s cached running-CPU sum, and bump the node's
-    /// generation: the node has changed for a resident waiting on it.
+    /// generation: the node has changed for a resident waiting on it, so
+    /// its next tick walks.
     /// Everything that can change the sum — an allocation change, a resident
     /// entering `Running`, leaving it or being removed — happens inside
     /// `with_alloc_change`, which calls this once the mutation is done; the
@@ -410,7 +435,9 @@ impl World {
     /// `end_loans` dropping the loans a resident held.
     fn invalidate_running_cpu(&mut self, node_idx: usize) {
         self.running_eff_cpu[node_idx].set(None);
-        self.nodes[node_idx].generation += 1;
+        let node = &mut self.nodes[node_idx];
+        node.generation += 1;
+        node.next_wake = SimTime::ZERO;
     }
 
     /// [`World::node_running_eff_cpu`] computed from the resident slots.
@@ -1003,6 +1030,7 @@ impl Simulation {
                 aborted: 0,
                 requeue_total: 0,
                 faults_fired: 0,
+                tick_walks: 0,
                 drop_pings: Vec::new(),
                 delay_ping: Vec::new(),
                 ping_round: Vec::new(),
@@ -1183,6 +1211,7 @@ impl Simulation {
             crash_requeues: w.requeue_total,
             faults_injected: w.faults_fired,
             pool_violations,
+            tick_walks: WorkCount(w.tick_walks),
         }
     }
 
@@ -1458,10 +1487,11 @@ impl Simulation {
 
     /// One node's monitor tick: every running resident whose wake condition
     /// holds ([`Invocation::wake`]), in admission order, is shown to the
-    /// policy and held to the OOM rule; a node with none watched skips the
-    /// walk. A visit settles nothing: it reads footprints as of now. `false`
-    /// when nothing is resident — the chain ends (see
-    /// [`Simulation::dispatch`]).
+    /// policy and held to the OOM rule. A node with none watched, or whose
+    /// `next_wake` is still ahead, skips the walk; a walk rebuilds
+    /// `next_wake` from the conditions its residents are left with. A visit
+    /// settles nothing: it reads footprints as of now. `false` when nothing
+    /// is resident — the chain ends (see [`Simulation::dispatch`]).
     fn on_node_tick(w: &mut World, platform: &mut dyn Platform, node: NodeId) -> bool {
         let n = node.idx();
         if w.nodes[n].residents.is_empty() {
@@ -1474,21 +1504,43 @@ impl Simulation {
         // cold-starting. A visit may wake a resident (reset its condition,
         // or change the node); one later in the order is then visited at
         // this tick, one earlier at the next.
-        let walk = if w.nodes[n].watched > 0 { w.nodes[n].residents.len() } else { 0 };
-        for k in 0..walk {
+        let host = &mut w.nodes[n];
+        let walk = host.watched > 0 && now >= host.next_wake;
+        if walk {
+            // Rebuilt below; a visit that wakes anyone lowers it again.
+            host.next_wake = SimTime::MAX;
+            w.tick_walks += 1;
+        } else {
+            debug_assert!(
+                w.nodes[n].residents.iter().all(|&s| {
+                    let inv = w.invs.get(s as usize);
+                    inv.state != InvState::Running || !inv.wakes(now, w.nodes[n].generation)
+                }),
+                "{node:?} skipped a tick at {now:?} at which a resident wakes"
+            );
+        }
+        let len = if walk { w.nodes[n].residents.len() } else { 0 };
+        for k in 0..len {
             let idx = w.nodes[n].residents[k] as usize;
             let inv = w.invs.get(idx);
-            if inv.state != InvState::Running || !inv.wakes(now, w.nodes[n].generation) {
-                continue;
+            if inv.state == InvState::Running && inv.wakes(now, w.nodes[n].generation) {
+                let id = inv.id;
+                platform.on_tick(&mut SimCtx { w }, id);
+                // The OOM rule, against the allocation the policy left.
+                let inv = w.invs.get(idx);
+                let (peak, have) = (inv.true_demand.mem_peak_mb, inv.effective_alloc().mem_mb);
+                let used = || inv.mem_usage_mb_at(now);
+                if inv.state == InvState::Running && oom_kills(peak, inv.nominal.mem_mb, have, used)
+                {
+                    Self::on_oom(w, platform, id);
+                }
             }
-            let id = inv.id;
-            platform.on_tick(&mut SimCtx { w }, id);
-            // The OOM rule, against the allocation the policy left.
+            // A resident that leaves `Running` is watched from every tick
+            // again at its next start.
             let inv = w.invs.get(idx);
-            let (peak, have) = (inv.true_demand.mem_peak_mb, inv.effective_alloc().mem_mb);
-            let used = || inv.mem_usage_mb_at(now);
-            if inv.state == InvState::Running && oom_kills(peak, inv.nominal.mem_mb, have, used) {
-                Self::on_oom(w, platform, id);
+            if inv.state == InvState::Running {
+                let host = &mut w.nodes[n];
+                host.next_wake = host.next_wake.min(inv.next_wake(host.generation));
             }
         }
         // One-shot injected jitter stretches exactly one monitor interval.
@@ -3170,9 +3222,58 @@ mod tests {
             assert_eq!(p.trips, [2_401_302], "rewatch {rewatch}");
             let to_trip = p.seen.iter().filter(|s| s.0 <= 2_401_302).count();
             assert_eq!(to_trip, if rewatch { 19 } else { 2 }, "rewatch {rewatch}: {:?}", p.seen);
+            // Without re-watching, the node walks only the ticks it visits:
+            // the first after the start, and the one its footprint wait,
+            // bounded at the crossing, can first hold at.
+            assert_eq!(res.tick_walks.0, if rewatch { 19 } else { 2 }, "rewatch {rewatch}");
             runs.push(format!("{:?}", res.records));
         }
         assert_eq!(runs[0], runs[1]);
+    }
+
+    /// Leaves a footprint wait of 481 MB at start, before the rate the start
+    /// gives is set, and never after a visit. Logs every visit's instant µs.
+    struct StartWait(Vec<u64>);
+
+    impl Platform for StartWait {
+        fn name(&self) -> String {
+            "start-wait".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            ctx.watch(inv, Wake::footprint(481));
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            self.0.push(ctx.now().as_micros());
+            ctx.watch(inv, Wake::NEVER);
+        }
+    }
+
+    #[test]
+    fn a_footprint_wake_left_at_start_is_bounded_at_the_rate_the_start_sets() {
+        // The run of the trip-line test: 481 MB is first reached at the
+        // tick of 2,401,302. The wait is left while the rate is still 0,
+        // so it is bounded again once the start sets the rate. The node
+        // walks the first tick (the start changed it), which rebuilds its
+        // bound from the wait, and then only the tick the line is reached
+        // at, where it visits.
+        let d = TrueDemand {
+            cpu_peak_millis: 2000,
+            mem_peak_mb: 500,
+            base_duration: SimDuration::from_secs(2),
+        };
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        let mut p = StartWait(Vec::new());
+        let res = single_node_sim(vec![spec("f", 2, 1024, d)]).run(&t, &mut p);
+        assert_eq!((p.0.as_slice(), res.tick_walks.0), (&[2_401_302][..], 2));
     }
 
     /// Donor #1 (func 1) is cut to one of its four cores at start. Borrower
@@ -3228,7 +3329,10 @@ mod tests {
         // 1,551,302, where its harvest fills the pool: the next tick,
         // 1,601,302, lends. Placing the donor changes no running set, so
         // without re-watching the borrower sleeps from its first visit
-        // to then.
+        // to then, and the node walks no tick in between: it walks at
+        // 601,302 (the start's every-tick), at 1,601,302 (the donor's start
+        // bumped the generation) and at 1,701,302 (the loan did), and then
+        // never again.
         let long = |cores, cpu| {
             let d = TrueDemand {
                 cpu_peak_millis: cpu,
@@ -3252,9 +3356,57 @@ mod tests {
                 vec![601_302, 1_601_302]
             };
             assert_eq!(p.seen, want, "rewatch {rewatch}");
+            assert_eq!(res.tick_walks.0, if rewatch { 12 } else { 3 }, "rewatch {rewatch}");
             runs.push(format!("{:?}", res.records));
         }
         assert_eq!(runs[0], runs[1]);
+    }
+
+    /// #0 waits on its node at every visit, everyone else never. Logs every
+    /// visit of #0 as its instant µs.
+    struct DepartureWait(Vec<u64>);
+
+    impl Platform for DepartureWait {
+        fn name(&self) -> String {
+            "departure-wait".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            NullPlatform.select_node(world, shard, inv)
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            if inv.0 == 0 {
+                self.0.push(ctx.now().as_micros());
+                ctx.watch(inv, Wake::NODE_CHANGE);
+            } else {
+                ctx.watch(inv, Wake::NEVER);
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_wait_wakes_at_the_first_tick_after_a_neighbour_leaves() {
+        // #0 (3 s) and #1 (0.5 s) both run from 501,302 µs. After the
+        // first tick nobody is watched for a footprint or every tick; #1's
+        // departure at 1,001,302 (after that instant's tick) changes the
+        // node: the next tick, 1,101,302, walks and visits #0. No tick
+        // walks between, nor after.
+        let d = |ms| TrueDemand {
+            cpu_peak_millis: 1_000,
+            mem_peak_mb: 128,
+            base_duration: SimDuration::from_millis(ms),
+        };
+        let funcs = vec![spec("long", 1, 256, d(3_000)), spec("short", 1, 256, d(500))];
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        t.push(SimTime::ZERO, FunctionId(1), InputMeta::new(1, 0));
+        let mut p = DepartureWait(Vec::new());
+        let res = single_node_sim(funcs).run(&t, &mut p);
+        assert_eq!((p.0.as_slice(), res.tick_walks.0), (&[601_302, 1_101_302][..], 2));
     }
 
     /// `NullPlatform` placement; logs every killed attempt as (invocation,

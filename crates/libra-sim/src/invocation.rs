@@ -177,6 +177,28 @@ impl Run {
         Some(SimTime(from.0.saturating_add(u64::try_from(eta).unwrap_or(u64::MAX))))
     }
 
+    /// No later than the first µs at which the footprint of a `peak_mb` peak
+    /// ([`mem_usage_model`]) reaches `mb`, read from the run as it stands:
+    /// `last_update` if it already has, [`SimTime::MAX`] if it never will
+    /// (rate 0, no work, a line the peak stays under). Otherwise the model
+    /// inverted, `peak·(¼ + ¾·q) ≥ mb − ½`, less margins — 1e-9 on `q`, one
+    /// unit of work, one µs — that dwarf its few float roundings: a reading
+    /// before the instant returned is one below the line.
+    pub fn footprint_from(&self, peak_mb: u64, mb: u64) -> SimTime {
+        let at = self.last_update;
+        if mem_usage_model(peak_mb, self.progress_at(at)) >= mb {
+            return at;
+        }
+        if self.rate_millis == 0 || self.work_total == 0 || mem_usage_model(peak_mb, 1.0) < mb {
+            return SimTime::MAX;
+        }
+        let q = ((mb as f64 - 0.5) / peak_mb as f64 - 0.25) / 0.75 - 1e-9;
+        let need = u128::from(sat_u64(q * self.work_total as f64 - 1.0));
+        let dt = need.saturating_sub(self.progress) / u128::from(self.rate_millis);
+        SimTime(at.0.saturating_add(u64::try_from(dt).unwrap_or(u64::MAX)).saturating_sub(1))
+            .max(at)
+    }
+
     /// Fraction of the work completed by `now`, in `[0, 1]`.
     pub fn progress_at(&self, now: SimTime) -> f64 {
         if self.work_total == 0 {
@@ -502,6 +524,11 @@ pub struct Invocation {
     /// Its node's generation (`Node::generation`) when `wake` was set: the
     /// node has changed since when the two differ.
     pub(crate) wake_gen: u64,
+    /// No later than the first instant `wake`'s footprint line can hold
+    /// ([`Invocation::footprint_wake_from`]): zero for [`Wake::EVERY_TICK`],
+    /// [`SimTime::MAX`] without a finite line. Written with `wake` and
+    /// whenever the run's rate moves under it.
+    pub(crate) wake_from: SimTime,
 
     /// Lifecycle state.
     pub state: InvState,
@@ -559,6 +586,7 @@ impl Invocation {
             cpu_peak_obs: 0,
             wake: Wake::NEVER,
             wake_gen: 0,
+            wake_from: SimTime::MAX,
             state: InvState::Pending,
             cold_start: false,
             restarts: 0,
@@ -610,13 +638,44 @@ impl Invocation {
         mem_usage_model(self.true_demand.mem_peak_mb, self.run.progress_at(now))
     }
 
+    /// [`Run::footprint_from`] for its [`Wake`]'s footprint line: what
+    /// `wake_from` holds.
+    pub(crate) fn footprint_wake_from(&self) -> SimTime {
+        match self.wake.footprint_mb {
+            0 => SimTime::ZERO,
+            u64::MAX => SimTime::MAX,
+            mb => self.run.footprint_from(self.true_demand.mem_peak_mb, mb),
+        }
+    }
+
     /// Whether its [`Wake`] holds at `now`, on a node at generation
-    /// `node_gen`. The footprint is read last, and only for a finite one.
+    /// `node_gen`. The footprint is read last, and only from `wake_from` on
+    /// (never for an infinite line); debug builds check that a read skipped
+    /// before it would have found the footprint below the line.
     pub(crate) fn wakes(&self, now: SimTime, node_gen: u64) -> bool {
         let w = self.wake;
+        let at_line = || self.mem_usage_mb_at(now) >= w.footprint_mb;
+        debug_assert!(
+            now >= self.wake_from || w.footprint_mb == u64::MAX || !at_line(),
+            "{:?} reached its {} MB line at {now:?}, before its bound {:?}",
+            self.id,
+            w.footprint_mb,
+            self.wake_from
+        );
         w.footprint_mb == 0
             || (w.node_change && self.wake_gen != node_gen)
-            || (w.footprint_mb != u64::MAX && self.mem_usage_mb_at(now) >= w.footprint_mb)
+            || (now >= self.wake_from && at_line())
+    }
+
+    /// The earliest instant its [`Wake`] can hold, on a node at generation
+    /// `node_gen`, as far as `wake_from` knows: zero once it waits on a node
+    /// that has changed.
+    pub(crate) fn next_wake(&self, node_gen: u64) -> SimTime {
+        if self.wake.node_change && self.wake_gen != node_gen {
+            SimTime::ZERO
+        } else {
+            self.wake_from
+        }
     }
 
     /// Instantaneous busy millicores: the code uses everything it can, up to
@@ -838,6 +897,99 @@ mod tests {
             assert_eq!(run.due(from), Some(due), "{run:?} from {from:?}");
             assert_eq!(run.due(due + SimDuration(7)), Some(due + SimDuration(7)));
         }
+    }
+
+    /// The first µs at which a `peak_mb` peak's footprint on `run` reaches
+    /// `mb`, by binary search over the monotone predicate; `None` if never.
+    fn first_at_line(run: &Run, peak_mb: u64, mb: u64) -> Option<u64> {
+        let holds = |t: u64| mem_usage_model(peak_mb, run.progress_at(SimTime(t))) >= mb;
+        let (mut lo, mut hi) = (run.last_update.0, run.due(run.last_update).map_or(0, |t| t.0));
+        if holds(lo) {
+            return Some(lo);
+        }
+        if hi <= lo || !holds(hi) {
+            return None;
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if holds(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(hi)
+    }
+
+    /// `footprint_from` is never later than the first µs at which the
+    /// footprint reaches the line, is `MAX` exactly when it never does, and
+    /// on runs shorter than 10^4 s is at most a millisecond early. Seeded
+    /// runs cover rate 0, no work, progress at or near the end, lines at 0,
+    /// at the footprint, at and above the peak's, and peaks and work near
+    /// 2^53.
+    #[test]
+    fn footprint_from_bounds_the_first_microsecond_at_the_line() {
+        use crate::metrics::splitmix64;
+        let mut state = 42;
+        let mut r = |m: u64| splitmix64(&mut state) % m;
+        let (mut never, mut already, mut ahead) = (0, 0, 0);
+        for n in 0..40_000u64 {
+            let peak = match n % 4 {
+                0 => r(65_536),
+                1 => (1 << 53) - r(1 << 10),
+                2 => 2 * r(4_096) + 1,
+                _ => r(1 << 20) + 1,
+            };
+            let work_total = match n % 7 {
+                0 => 0,
+                1 => u128::from((1u64 << 53) - r(1 << 10)),
+                2 => u128::from(r(1 << 12)) + 1,
+                _ => {
+                    let bits = 10 + r(31);
+                    u128::from(r(1 << bits)) + 1
+                }
+            };
+            let mut run = Run::new(work_total, SimTime(r(1_000_000_000)));
+            run.progress = match n % 5 {
+                0 => 0,
+                1 => work_total,
+                2 => work_total.saturating_sub(u128::from(r(1_000))),
+                _ => u128::from(r(u64::MAX)) % (work_total + 1),
+            };
+            run.rate_millis = if n % 11 == 0 { 0 } else { r(48_000) + 1 };
+            let (now, top) = (
+                mem_usage_model(peak, run.progress_at(run.last_update)),
+                mem_usage_model(peak, 1.0),
+            );
+            let mb = match n % 6 {
+                0 => 0,
+                1 => now,
+                2 => top,
+                3 => top + 1 + r(3),
+                _ => now + r(top.saturating_sub(now) + 1),
+            };
+            let bound = run.footprint_from(peak, mb);
+            let case = format!("case {n}: {run:?}, peak {peak}, line {mb}, bound {bound:?}");
+            let Some(first) = first_at_line(&run, peak, mb) else {
+                assert_eq!(bound, SimTime::MAX, "{case}: never at the line");
+                never += 1;
+                continue;
+            };
+            assert!(bound.0 <= first, "{case}: late for {first}");
+            if bound == run.last_update {
+                already += 1;
+            } else {
+                ahead += 1;
+            }
+            let span = work_total / u128::from(run.rate_millis.max(1));
+            if run.rate_millis > 0 && span < 10_000_000_000 {
+                assert!(first - bound.0 <= 1_000, "{case}: early for {first}");
+            }
+        }
+        assert!(
+            never > 1_000 && already > 1_000 && ahead > 1_000,
+            "never {never}, at once {already}, ahead {ahead}"
+        );
     }
 
     #[test]

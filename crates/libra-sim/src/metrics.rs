@@ -365,6 +365,18 @@ pub struct KindPops {
     pub stale: u64,
 }
 
+/// A count of work the engine did for a run rather than of anything it
+/// simulated: two runs that simulate the same thing may differ in it, so
+/// its `Debug`, part of a run's printed outcome, leaves the number out.
+#[derive(Clone, Copy, Default, serde::Serialize)]
+pub struct WorkCount(pub u64);
+
+impl std::fmt::Debug for WorkCount {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("WorkCount(..)")
+    }
+}
+
 /// Full result of one simulated run.
 #[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct RunResult {
@@ -410,6 +422,10 @@ pub struct RunResult {
     /// End-of-run safety-ledger violations (must always be 0; a non-zero
     /// value means a crash sweep corrupted the reservation/loan books).
     pub pool_violations: u64,
+    /// Monitor ticks that walked their node's residents: the others found
+    /// nobody watched, or no wake condition that could hold yet. A walk
+    /// that visits nobody changes nothing.
+    pub tick_walks: WorkCount,
     /// Execution-timeline trace: per-attempt stage spans and harvest-loan
     /// lifetimes. `None` unless the run was traced (`SimConfig::trace`).
     pub trace: Option<ExecTrace>,

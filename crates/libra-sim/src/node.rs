@@ -98,6 +98,12 @@ pub struct Node {
     /// `Wake::NEVER`: the tick skips its walk at zero. Written only by the
     /// engine's `World::set_wake`.
     pub(crate) watched: u32,
+    /// No later than the earliest instant a watched resident's wake can
+    /// hold: the tick skips its walk before it. `World::bound_wake` lowers
+    /// it to each new `Invocation::wake_from`, a generation bump zeroes it (a
+    /// node wait may hold), and a walk rebuilds it from what each resident
+    /// is left waiting on. Too low costs a walk; it is never too high.
+    pub(crate) next_wake: SimTime,
     /// Bumped at every change of the node's running set or allocations
     /// (`World::invalidate_running_cpu`): what a resident waiting on its
     /// node (`Wake::node_change`) compares with the generation it waited at.
@@ -125,6 +131,7 @@ impl Node {
             slices: vec![Slice::new(capacity.div(shards as u64)); shards],
             residents: Vec::new(),
             watched: 0,
+            next_wake: SimTime::ZERO,
             generation: 0,
             tick_armed: false,
             warm: WarmPool::new(),

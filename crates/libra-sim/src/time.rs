@@ -22,6 +22,8 @@ pub struct SimDuration(pub u64);
 impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
+    /// The last representable instant: "never" for an instant that is not coming.
+    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from whole seconds.
     pub fn from_secs(s: u64) -> Self {

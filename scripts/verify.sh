@@ -81,11 +81,14 @@ benchmarks/perf/run.sh --workload sim_engine --seed 42 --seconds 3 --trace 1 | t
 # conservation itself, under NullPlatform (first line) and under Libra-NP
 # (second line); its pops per event kind are simulated counts (a ping round
 # counts once per node), exact on any machine, and move only when simulated
-# behaviour does. The Libra-NP line's monitor visits and safeguard trips are
-# counts too; the visits also move when a change alters which residents'
-# wake conditions hold (tests/watched_visits.rs must then still pass).
+# behaviour does. The Libra-NP line's monitor visits, monitor ticks that
+# walked their node and safeguard trips are counts too; the visits also move
+# when a change alters which residents' wake conditions hold
+# (tests/watched_visits.rs must then still pass), and the walks when a change
+# alters which ticks can skip theirs (413,568 when every watched node walked
+# every tick).
 want_pops='decision_done=20000 start_exec=20000 finish=20000 monitor_tick=292952(719 stale) health_ping=120020 utilization_sample=6002'
-want_np='visits=187054 safeguard_trips=3284 pops: decision_done=20000 start_exec=20000 finish=24744(4744 stale) monitor_tick=502177(1996 stale) health_ping=120000 utilization_sample=6001'
+want_np='visits=187054 walks=101543 safeguard_trips=3284 pops: decision_done=20000 start_exec=20000 finish=24744(4744 stale) monitor_tick=502177(1996 stale) health_ping=120000 utilization_sample=6001'
 scale_out=$(LIBRA_SCALE=0.02 cargo run --release -q -p libra-bench --bin exp -- scale 2>/dev/null)
 got_pops=$(sed -n '1s/.* pops: //p' <<<"$scale_out")
 got_np=$(sed -n '2s/.* \(visits=\)/\1/p' <<<"$scale_out")
