@@ -810,6 +810,11 @@ impl ControlPlane {
         self.entry(self.locate(inv)?).map(Entry::charge)
     }
 
+    /// `inv`'s own grant: what it holds once its loans, both ways, end.
+    pub fn own_grant(&self, inv: InvocationId) -> Option<ResourceVec> {
+        self.entry(self.locate(inv)?).map(|e| e.own_grant)
+    }
+
     /// Everything `inv` currently holds (own grant + loans in).
     pub fn effective_alloc(&self, inv: InvocationId) -> Option<ResourceVec> {
         self.entry(self.locate(inv)?).map(Entry::effective)

@@ -150,10 +150,10 @@ impl ShardedScheduler {
         self.shards[shard].lock().slices[node as usize].rebook(from, to);
     }
 
-    /// A snapshot of `shard`'s free slice per node. Diagnostic: quiescence checks assert the slices
-    /// return to `capacity / shards` after a graceful drain.
-    pub fn slice_free(&self, shard: usize) -> Option<Vec<ResourceVec>> {
-        self.shards.get(shard).map(|s| s.lock().slices.iter().map(Slice::free).collect())
+    /// A copy of `shard`'s books for `node`, which a node's warm pins are
+    /// weighed against (`WarmPool::park` / `settle`).
+    pub fn slice(&self, shard: usize, node: u32) -> Slice {
+        self.shards[shard].lock().slices[node as usize]
     }
 
     /// Deliver `node`'s health ping at `now`, carrying its pool snapshot,
@@ -238,7 +238,7 @@ mod tests {
         assert!(sched.schedule_on(0, req(0, 0)).node.is_some());
         let restored = ResourceVec::from_cores_mb(3, 1024);
         sched.rebook(0, 0, ResourceVec::ZERO, restored);
-        assert_eq!(sched.slice_free(0).unwrap()[0].cpu_millis, 0, "free saturates at zero");
+        assert_eq!(sched.slice(0, 0).free().cpu_millis, 0, "free saturates at zero");
         assert!(sched.schedule_on(0, req(0, 0)).node.is_none(), "no admission beside the debt");
         assert!(!sched.try_charge(0, 0, ResourceVec::new(100, 0)), "no lending beside it either");
         // Giving back exactly the overshoot (1 core) frees nothing yet ...
@@ -324,8 +324,7 @@ mod tests {
         sched.release(0, home, ResourceVec::new(500, 0));
         sched.note_ping(other, SimTime::ZERO, &idle(4_000));
         // The 2-core admission is all the home node still holds.
-        let free = sched.slice_free(0).expect("shard 0");
-        assert_eq!(free[home as usize], ResourceVec::new(2_000, 3_584));
+        assert_eq!(sched.slice(0, home).free(), ResourceVec::new(2_000, 3_584));
         sched.resume(0);
         // The ping delivered while stalled steers the accelerable request.
         assert_eq!(sched.schedule_on(0, req(3, 2_000)).node, Some(other), "the ping was taken");

@@ -44,6 +44,11 @@
 //! A `Lend` alone is checked against the slice first, and refused if
 //! admissions took the pooled volume.
 //!
+//! Warm containers follow the simulator's rule through the same calls,
+//! [`WarmPool::park`] and [`WarmPool::settle`], under one keep-alive policy
+//! for the cluster. Unlike the simulator, live runs no prewarm directives,
+//! and it reaps expired pins at admission and completion, not at a ping.
+//!
 //! [`Slice`]: libra_sim::node::Slice
 //! [`Slice::rebook`]: libra_sim::node::Slice::rebook
 //!
@@ -132,10 +137,10 @@ pub struct LiveConfig {
     /// by default; when off no recording call is made and the sink never
     /// locks.
     pub trace: bool,
-    /// Keep-alive / autoscaling policy driving each node's warm-container
-    /// registry — the same [`PolicyKind`] the simulator threads through
-    /// `Platform::warm_keep`, so both substrates retire idle containers by
-    /// identical rules.
+    /// Keep-alive / autoscaling policy deciding the deadlines of the nodes'
+    /// warm containers — one instance for the cluster, as the simulator's
+    /// `WithKeepAlive` holds one, so both substrates retire idle containers
+    /// by identical rules.
     pub keepalive: PolicyKind,
     /// Faults to replay, at their instants in workload µs since start: the
     /// simulator's [`FaultPlan`] (build one with
@@ -206,10 +211,8 @@ struct NodeInner {
     /// resident; the next admission re-arms it, so there is one chain a node.
     tick: SimTime,
     /// Idle warm containers: the registry the simulator's nodes hold, with
-    /// every deadline stamped by the keep-alive policy below.
+    /// every deadline stamped by the cluster's keep-alive policy.
     warm: WarmPool,
-    /// This node's keep-alive policy instance ([`LiveConfig::keepalive`]).
-    policy: Box<dyn KeepAlivePolicy>,
     /// Open harvest loans `(source, borrower) → start µs`, kept only while
     /// span tracing is on so loan lifetimes can be closed with the outcome
     /// the control plane reports.
@@ -246,7 +249,7 @@ struct NodeShared {
 
 /// Apply control-plane actions to the live substrate — the per-invocation
 /// exec states and the sharded scheduler's slice books — then rebook every
-/// resident to what the ledger now charges it.
+/// resident to what the ledger now charges it, settling warm pins after each.
 fn apply_actions(
     inner: &mut NodeInner,
     sched: &ShardedScheduler,
@@ -255,7 +258,7 @@ fn apply_actions(
     now: SimTime,
     sink: Option<&Mutex<SpanSink>>,
 ) {
-    let NodeInner { core, exec, open_loans, .. } = inner;
+    let NodeInner { core, exec, open_loans, warm, .. } = inner;
     for &a in actions {
         let ended = match a {
             // Lending re-commits pooled idle volume: admissions may have
@@ -267,6 +270,7 @@ fn apply_actions(
                     continue;
                 };
                 if sched.try_charge(src.shard, node, vol) {
+                    warm.settle(src.shard, &sched.slice(src.shard, node));
                     src.booked += vol;
                     if let Some(b) = exec.get_mut(&borrower.0) {
                         b.accelerated = true;
@@ -334,6 +338,7 @@ fn apply_actions(
         let charge = core.charge(InvocationId(id)).unwrap_or(ResourceVec::ZERO);
         if charge != st.booked {
             sched.rebook(st.shard, node, st.booked, charge);
+            warm.settle(st.shard, &sched.slice(st.shard, node));
             st.booked = charge;
         }
     }
@@ -473,6 +478,8 @@ struct ClusterShared {
     n_funcs: usize,
     nodes: Vec<Arc<NodeShared>>,
     sched: Arc<ShardedScheduler>,
+    /// [`LiveConfig::keepalive`]; nothing takes a node lock while holding it.
+    policy: Mutex<Box<dyn KeepAlivePolicy>>,
     t0: Instant,
     /// Stop accepting new submissions (graceful drain in progress).
     draining: AtomicBool,
@@ -517,7 +524,6 @@ impl ClusterShared {
                         exec: HashMap::new(),
                         tick: SimTime::ZERO,
                         warm: WarmPool::new(),
-                        policy: config.keepalive.build(),
                         open_loans: HashMap::new(),
                     }),
                     driver: OnceLock::new(),
@@ -530,6 +536,7 @@ impl ClusterShared {
             n_funcs,
             nodes,
             sched,
+            policy: Mutex::new(config.keepalive.build()),
             t0: Instant::now(),
             draining: AtomicBool::new(false),
             aborting: AtomicBool::new(false),
@@ -612,7 +619,11 @@ impl ClusterShared {
     /// request back when no slice fits it.
     fn admit(&self, mut p: Pending) -> Option<Pending> {
         let Pending { idx, req, .. } = p;
-        let arrived = || StageCursor::new(idx as u64, self.now(), SimDuration::ZERO);
+        let arrived = || {
+            let now = self.now();
+            self.policy.lock().on_arrival(FunctionId(req.func), now);
+            StageCursor::new(idx as u64, now, SimDuration::ZERO)
+        };
         let mut stage = *p.stage.get_or_insert_with(arrived);
         let shard = idx % self.config.shards;
         let d = self.sched.schedule_on(
@@ -648,11 +659,11 @@ impl ClusterShared {
         // Scheduler stage: submission → resident on a node with a slice.
         let now = self.now();
         self.leave_stage(&mut stage, InvState::AwaitingDecision, now);
-        // Warm-lifecycle: the policy sees the arrival, then the admission
-        // consumes a live warm container if the registry holds one.
-        g.policy.on_arrival(FunctionId(req.func), now);
-        let _ = g.warm.acquire(FunctionId(req.func), now);
+        // Warm-lifecycle, in the simulator's order: the booking evicts the
+        // pins it crowds out, then takes a warm container if one is left.
         let _ = g.warm.evict_expired(now);
+        g.warm.settle(shard, &self.sched.slice(shard, node_id));
+        let _ = g.warm.acquire(FunctionId(req.func), now);
         let pred = if self.config.harvesting { req.pred } else { None };
         let actions = g.core.on_admit(
             Admission {
@@ -776,21 +787,25 @@ impl ClusterShared {
     }
 
     /// `inv`'s work is done: take it off the node, keep its container warm
-    /// if the policy says so, record it and answer its caller.
+    /// if the policy says so and its slice has room, record it and answer
+    /// its caller. The pin is the grant it holds once its loans end.
     fn finish(&self, node: u32, g: &mut NodeInner, inv: InvocationId, now: SimTime) {
+        let pin_mb = g.core.own_grant(inv).map_or(0, |r| r.mem_mb);
         let Some(mut me) = unwind(g, &self.sched, node, inv, now, self.sink(), true) else {
             self.expired.store(true, Ordering::SeqCst);
             return;
         };
-        // Warm-lifecycle: the policy decides whether (and until when)
-        // this container's memory stays pinned as an idle warm container.
+        // Warm-lifecycle, in the simulator's order.
         let func = FunctionId(me.req.func);
-        g.policy.on_complete(func, now);
-        let idle_peers = g.warm.count_at(func, now);
-        if let Some(keep_until) = g.policy.keep_until(func, idle_peers, now) {
-            g.warm.release(func, me.shard, me.req.alloc.mem_mb, now, keep_until);
-        }
         let _ = g.warm.evict_expired(now);
+        let slice = self.sched.slice(me.shard, node);
+        let mut policy = self.policy.lock();
+        let idle_peers = g.warm.count_at(func, now);
+        if let Some(keep_until) = policy.keep_until(func, idle_peers, now) {
+            let _ = g.warm.park(func, me.shard, pin_mb, &slice, now, keep_until);
+        }
+        policy.on_complete(func, now);
+        drop(policy);
 
         self.leave_stage(&mut me.stage, InvState::Running, now);
         let stages = me.stage.breakdown();
@@ -1153,13 +1168,11 @@ impl LiveCluster {
                 return Err(format!("node {i}: {} exec states survive drain", g.exec.len()));
             }
         }
-        let slice = sh.config.capacity.div(sh.config.shards as u64);
         for shard in 0..sh.config.shards {
-            for (node, free) in sh.sched.slice_free(shard).iter().flatten().enumerate() {
-                if *free != slice {
-                    return Err(format!(
-                        "shard {shard} node {node}: only {free:?} of {slice:?} free after drain"
-                    ));
+            for node in 0..sh.config.nodes {
+                let held = sh.sched.slice(shard, node as u32).reserved();
+                if !held.is_zero() {
+                    return Err(format!("shard {shard} node {node}: {held:?} booked after drain"));
                 }
             }
         }
@@ -1442,8 +1455,7 @@ mod tests {
         let sh = ClusterShared::new(c, 2);
         let balanced = |after: &str| {
             let g = sh.nodes[0].inner.lock();
-            let free = sh.sched.slice_free(0).expect("shard 0")[0];
-            let booked = sh.config.capacity.saturating_sub(&free);
+            let booked = sh.sched.slice(0, 0).reserved();
             assert_eq!(booked, g.core.committed_on(NodeId(0)), "slice vs ledger after {after}");
         };
         // Work enough that no real time elapsing here finishes anything.

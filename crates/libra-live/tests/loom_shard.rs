@@ -53,7 +53,7 @@ fn req(nominal: ResourceVec) -> ScheduleRequest {
 /// Assert nothing is reserved: the whole slice is free (nothing leaked) and
 /// not a sliver more can be charged on top of it (nothing minted).
 fn assert_nothing_reserved(s: &ShardedScheduler) {
-    assert_eq!(s.slice_free(0), Some(vec![capacity()]), "reservations survive");
+    assert_eq!(s.slice(0, 0).free(), capacity(), "reservations survive");
     assert!(s.try_charge(0, 0, capacity()), "the whole slice must be chargeable");
     assert!(!s.try_charge(0, 0, ResourceVec::new(100, 0)), "slice minted capacity");
 }

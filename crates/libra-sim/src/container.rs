@@ -9,10 +9,12 @@
 //! resident, counted against the memory of the shard slice that admitted it,
 //! until the container is reused (the new invocation's own charge takes its
 //! place), expires past its keep-until deadline, or is evicted because
-//! admission needs the room. The engine drives those three paths. The count
-//! is this pool's per-shard gauge, not a booking in the slice: the node
-//! reads the gauge beside the slice's reservations (`Node::park_warm`,
-//! `Node::settle_pins`), so the pins the pool returns are informational.
+//! admission needs the room. The count is this pool's per-shard gauge, not a
+//! booking in the slice, and only this pool weighs it against the slice:
+//! [`WarmPool::park`] keeps a container only if the slice's reservations plus
+//! the shard's pins leave room for it, and [`WarmPool::settle`] evicts the
+//! pins a new booking crowds out. Both substrates call the two, so the pins
+//! the other calls return are informational.
 //!
 //! *Who decides the deadline?* Not this pool. Each entry carries an absolute
 //! `keep_until` stamped at park time by the keep-alive policy in charge
@@ -34,6 +36,7 @@
 //! oracle, `tests/support/seed_warm_pool.rs` at the repo root.
 
 use crate::ids::FunctionId;
+use crate::node::Slice;
 use crate::time::{SimDuration, SimTime};
 
 /// Fixed keep-alive window of an idle warm container (OpenWhisk's 60 s): the
@@ -138,9 +141,9 @@ impl WarmPool {
 
     /// Try to take a warm container for `func`. On a hit, the entry and its
     /// pin leave the pool, and so its per-shard gauge (`pinned_for`), which
-    /// is what `Node::park_warm` and `Node::settle_pins` read; the returned
-    /// `Some((shard, pinned_mem))` is informational, since a pin is never
-    /// booked in a slice and nothing needs crediting back. Expired entries
+    /// is what [`park`](WarmPool::park) and [`settle`](WarmPool::settle)
+    /// read; the returned `Some((shard, pinned_mem))` is informational, since
+    /// a pin is never booked in a slice and nothing needs crediting back. Expired entries
     /// are ignored (the engine reaps them via [`WarmPool::evict_expired`]).
     pub fn acquire(&mut self, func: FunctionId, now: SimTime) -> Option<(usize, u64)> {
         let pos = self.positions(func).find(|&i| now <= self.idle[i].keep_until);
@@ -157,16 +160,23 @@ impl WarmPool {
         }
     }
 
-    /// Park a completed (or prewarmed) container as warm, pinning `mem_mb`
-    /// against `shard` until the policy-assigned `keep_until` deadline.
-    pub fn release(
+    /// Park a completed (or prewarmed) container as warm until the policy's
+    /// `keep_until`, pinning `mem_mb` against `shard` (whose books are
+    /// `slice`) if its reservations plus the shard's pins leave that much
+    /// memory free; else it is torn down: `false`, and nothing changes.
+    pub fn park(
         &mut self,
         func: FunctionId,
         shard: usize,
         mem_mb: u64,
+        slice: &Slice,
         now: SimTime,
         keep_until: SimTime,
-    ) {
+    ) -> bool {
+        let used = slice.reserved().mem_mb + self.pinned_for(shard);
+        if mem_mb > slice.capacity().mem_mb.saturating_sub(used) {
+            return false;
+        }
         self.idle.push(WarmEntry { func, shard, mem_mb, idle_since: now, keep_until });
         self.index_insert(self.idle.len() - 1);
         if shard >= self.pinned_shard.len() {
@@ -174,6 +184,17 @@ impl WarmPool {
         }
         self.pinned_shard[shard] += mem_mb;
         self.next_expiry = Some(self.next_expiry.map_or(keep_until, |m| m.min(keep_until)));
+        true
+    }
+
+    /// After a change of `shard`'s bookings, evict its least recently idle
+    /// containers until its `slice`'s reservations plus its pins fit again.
+    pub fn settle(&mut self, shard: usize, slice: &Slice) {
+        let used = slice.reserved().mem_mb + self.pinned_for(shard);
+        let over = used.saturating_sub(slice.capacity().mem_mb);
+        if over > 0 {
+            let _ = self.evict_for(shard, over);
+        }
     }
 
     /// Reap entries past their keep-until deadline, dropping their pins from
@@ -253,13 +274,12 @@ impl WarmPool {
         self.pinned_shard.get(shard).copied().unwrap_or(0)
     }
 
-    /// Pins of every entry (used when tearing a node down in tests).
-    pub fn drain_all(&mut self) -> Vec<(usize, u64)> {
-        let out = self.idle.drain(..).map(|e| (e.shard, e.mem_mb)).collect();
+    /// Tear every container down (its node crashed).
+    pub fn drain_all(&mut self) {
+        self.idle.clear();
         self.by_func.clear();
         self.pinned_shard.fill(0);
         self.next_expiry = None;
-        out
     }
 
     /// Assert the index invariants: `by_func` is exactly
@@ -284,15 +304,74 @@ impl WarmPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::ResourceVec;
     use crate::time::SimDuration;
 
     const F: FunctionId = FunctionId(1);
     const TTL: SimDuration = SimDuration(60 * 1_000_000);
 
+    /// Park into a slice no pin here crowds: these tests exercise the
+    /// index, not the room.
+    fn put(
+        p: &mut WarmPool,
+        func: FunctionId,
+        shard: usize,
+        mem: u64,
+        now: SimTime,
+        until: SimTime,
+    ) {
+        let roomy = Slice::new(ResourceVec::new(0, u64::MAX / 2));
+        assert!(p.park(func, shard, mem, &roomy, now, until));
+    }
+
     /// Park with the classic fixed-TTL deadline (what the engine's default
     /// `warm_keep` hook computes).
-    fn park(p: &mut WarmPool, func: FunctionId, shard: usize, mem: u64, now: SimTime) {
-        p.release(func, shard, mem, now, now + TTL);
+    fn keep(p: &mut WarmPool, func: FunctionId, shard: usize, mem: u64, now: SimTime) {
+        put(p, func, shard, mem, now, now + TTL);
+    }
+
+    /// A slice of 1000 MB with `reserved_mb` of it booked.
+    fn slice(reserved_mb: u64) -> Slice {
+        let mut s = Slice::new(ResourceVec::new(1_000, 1_000));
+        assert!(s.try_reserve(ResourceVec::new(0, reserved_mb)));
+        s
+    }
+
+    #[test]
+    fn park_refuses_exactly_when_reservations_and_pins_leave_no_room() {
+        let mut p = WarmPool::new();
+        let s = slice(400);
+        assert!(p.park(F, 0, 300, &s, SimTime::ZERO, SimTime::from_secs(60)));
+        // 400 reserved + 300 pinned + 301 > 1000: torn down, nothing moves.
+        assert!(!p.park(F, 0, 301, &s, SimTime::ZERO, SimTime::from_secs(60)));
+        assert_eq!((p.pinned_for(0), p.count_at(F, SimTime::ZERO)), (300, 1));
+        // 400 + 300 + 300 = 1000: exactly full still parks.
+        assert!(p.park(F, 0, 300, &s, SimTime::ZERO, SimTime::from_secs(60)));
+        assert_eq!((p.pinned_for(0), p.count_at(F, SimTime::ZERO)), (600, 2));
+        assert!(!p.park(F, 0, 1, &s, SimTime::ZERO, SimTime::from_secs(60)));
+        // Pins count per shard: shard 0's leave shard 1 (same books) empty.
+        assert!(p.park(F, 1, 600, &s, SimTime::ZERO, SimTime::from_secs(60)));
+        p.check_index();
+    }
+
+    #[test]
+    fn settle_evicts_least_recently_idle_pins_of_its_shard_until_the_slice_fits() {
+        let mut p = WarmPool::new();
+        keep(&mut p, FunctionId(4), 1, 500, SimTime::ZERO); // oldest, other shard
+        keep(&mut p, FunctionId(1), 0, 200, SimTime::from_secs(1));
+        keep(&mut p, FunctionId(2), 0, 300, SimTime::from_secs(2));
+        keep(&mut p, FunctionId(3), 0, 100, SimTime::from_secs(3));
+        let live = |p: &WarmPool| {
+            (1..=4).map(|f| p.count_at(FunctionId(f), SimTime::from_secs(4))).collect::<Vec<_>>()
+        };
+        p.settle(0, &slice(400)); // 400 + 600 = 1000: fits, nothing goes
+        assert_eq!(live(&p), [1, 1, 1, 1]);
+        p.settle(0, &slice(500)); // 100 over: the 200 MB pin alone covers it
+        assert_eq!(live(&p), [0, 1, 1, 1]);
+        p.settle(0, &slice(800)); // 200 over: the 300 MB pin, then it fits
+        assert_eq!(live(&p), [0, 0, 1, 1]);
+        assert_eq!((p.pinned_for(0), p.pinned_for(1)), (100, 500));
+        p.check_index();
     }
 
     #[test]
@@ -303,9 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn release_then_acquire_is_warm_and_returns_pin() {
+    fn park_then_acquire_is_warm_and_returns_pin() {
         let mut p = WarmPool::new();
-        park(&mut p, F, 1, 512, SimTime::from_secs(1));
+        keep(&mut p, F, 1, 512, SimTime::from_secs(1));
         assert_eq!(p.pinned_mem_mb(SimTime::from_secs(2)), 512);
         let hit = p.acquire(F, SimTime::from_secs(2));
         assert_eq!(hit, Some((1, 512)));
@@ -317,7 +396,7 @@ mod tests {
     #[test]
     fn keepalive_expires_containers() {
         let mut p = WarmPool::new();
-        p.release(F, 0, 256, SimTime::ZERO, SimTime::from_secs(10));
+        put(&mut p, F, 0, 256, SimTime::ZERO, SimTime::from_secs(10));
         assert_eq!(p.count_at(F, SimTime::from_secs(10)), 1);
         assert_eq!(p.count_at(F, SimTime::from_secs(11)), 0);
         assert!(p.acquire(F, SimTime::from_secs(11)).is_none());
@@ -330,7 +409,7 @@ mod tests {
     #[test]
     fn expiry_sweep_short_circuits_before_first_deadline() {
         let mut p = WarmPool::new();
-        p.release(F, 0, 256, SimTime::ZERO, SimTime::from_secs(100));
+        put(&mut p, F, 0, 256, SimTime::ZERO, SimTime::from_secs(100));
         // Nothing can be expired yet: the sweep must return empty (and the
         // entry must survive).
         assert!(p.evict_expired(SimTime::from_secs(50)).is_empty());
@@ -340,7 +419,7 @@ mod tests {
     #[test]
     fn functions_do_not_share_containers() {
         let mut p = WarmPool::new();
-        park(&mut p, FunctionId(1), 0, 128, SimTime::ZERO);
+        keep(&mut p, FunctionId(1), 0, 128, SimTime::ZERO);
         assert!(p.acquire(FunctionId(2), SimTime::from_secs(1)).is_none());
         assert!(p.acquire(FunctionId(1), SimTime::from_secs(1)).is_some());
     }
@@ -348,9 +427,9 @@ mod tests {
     #[test]
     fn evict_for_frees_lru_first_within_shard() {
         let mut p = WarmPool::new();
-        park(&mut p, FunctionId(1), 0, 300, SimTime::from_secs(1)); // oldest, shard 0
-        park(&mut p, FunctionId(2), 0, 300, SimTime::from_secs(2));
-        park(&mut p, FunctionId(3), 1, 300, SimTime::ZERO); // other shard
+        keep(&mut p, FunctionId(1), 0, 300, SimTime::from_secs(1)); // oldest, shard 0
+        keep(&mut p, FunctionId(2), 0, 300, SimTime::from_secs(2));
+        keep(&mut p, FunctionId(3), 1, 300, SimTime::ZERO); // other shard
         let freed = p.evict_for(0, 300);
         assert_eq!(freed, vec![(0, 300)]);
         // the shard-0 survivor is the newer entry (func 2)
@@ -364,7 +443,7 @@ mod tests {
     #[test]
     fn evict_for_stops_when_shard_has_no_candidates() {
         let mut p = WarmPool::new();
-        park(&mut p, F, 1, 256, SimTime::ZERO);
+        keep(&mut p, F, 1, 256, SimTime::ZERO);
         let freed = p.evict_for(0, 1000);
         assert!(freed.is_empty());
     }
@@ -372,8 +451,8 @@ mod tests {
     #[test]
     fn multiple_warm_containers_stack() {
         let mut p = WarmPool::new();
-        park(&mut p, F, 0, 100, SimTime::ZERO);
-        park(&mut p, F, 0, 100, SimTime::ZERO);
+        keep(&mut p, F, 0, 100, SimTime::ZERO);
+        keep(&mut p, F, 0, 100, SimTime::ZERO);
         assert_eq!(p.count_at(F, SimTime::from_secs(1)), 2);
         assert!(p.acquire(F, SimTime::from_secs(1)).is_some());
         assert!(p.acquire(F, SimTime::from_secs(1)).is_some());
@@ -385,8 +464,8 @@ mod tests {
         // A policy may assign different lifetimes to containers of the same
         // function; the pool honours each deadline independently.
         let mut p = WarmPool::new();
-        p.release(F, 0, 100, SimTime::ZERO, SimTime::from_secs(5));
-        p.release(F, 0, 100, SimTime::ZERO, SimTime::from_secs(50));
+        put(&mut p, F, 0, 100, SimTime::ZERO, SimTime::from_secs(5));
+        put(&mut p, F, 0, 100, SimTime::ZERO, SimTime::from_secs(50));
         assert_eq!(p.count_at(F, SimTime::from_secs(10)), 1);
         // The expired entry is skipped; the live one serves the hit.
         assert_eq!(p.acquire(F, SimTime::from_secs(10)), Some((0, 100)));
@@ -397,7 +476,7 @@ mod tests {
     fn index_survives_swap_remove_churn() {
         let mut p = WarmPool::new();
         for i in 0..8u32 {
-            park(&mut p, FunctionId(i % 3), (i % 2) as usize, 64, SimTime::from_secs(i as u64));
+            keep(&mut p, FunctionId(i % 3), (i % 2) as usize, 64, SimTime::from_secs(i as u64));
         }
         let now = SimTime::from_secs(9);
         // Drain function 0 (indices churn under swap_remove each time).
@@ -436,7 +515,7 @@ mod tests {
                 0 | 1 => {
                     // Anywhere in the next 30 s: a later park often expires first.
                     let keep_until = now + SimDuration::from_millis(draw(30_000));
-                    p.release(func, draw(3) as usize, 1 + draw(512), now, keep_until);
+                    put(&mut p, func, draw(3) as usize, 1 + draw(512), now, keep_until);
                 }
                 2 => {
                     let want = p

@@ -683,7 +683,7 @@ impl World {
                 }
             }
             for (s, want) in per_shard.iter().enumerate() {
-                let got = node.reserved_in(s);
+                let got = node.slice(s).reserved();
                 if got != *want {
                     return Err(format!(
                         "{:?} shard {s} reservation drift: booked {:?}, residents charge {:?}",
@@ -1055,7 +1055,7 @@ impl Simulation {
     pub fn unplaceable(&self, trace: &Trace) -> Option<String> {
         let w = &self.world;
         let max_slice =
-            w.nodes.iter().map(Node::shard_capacity).fold(ResourceVec::ZERO, |a, c| a.max(&c));
+            w.nodes.iter().map(|n| n.slice(0).capacity()).fold(ResourceVec::ZERO, |a, c| a.max(&c));
         trace.entries.iter().find_map(|e| match w.funcs.get(e.func.idx()) {
             None => Some(format!(
                 "the trace invokes function {} but only {} are deployed",
@@ -1325,9 +1325,8 @@ impl Simulation {
             return;
         };
         let mem = w.funcs[func.idx()].user_alloc.mem_mb;
-        let before = w.nodes[idx].warm.pinned_for(shard);
-        w.nodes[idx].park_warm(func, shard, mem, now, keep_until);
-        if w.nodes[idx].warm.pinned_for(shard) > before {
+        let slice = *w.nodes[idx].slice(shard);
+        if w.nodes[idx].warm.park(func, shard, mem, &slice, now, keep_until) {
             w.prewarms += 1;
         }
     }
@@ -1707,7 +1706,7 @@ impl Simulation {
         // The departure changes the node's CPU-share balance.
         let charge = w.invs.get(idx).charge();
         w.with_alloc_change(node.idx(), &[], |w| {
-            w.nodes[node.idx()].release(shard, charge);
+            w.nodes[node.idx()].rebook(shard, charge, ResourceVec::ZERO);
             w.resident_remove(node.idx(), idx);
         });
 
@@ -1825,7 +1824,7 @@ impl Simulation {
         let func = inv.func;
         // The departure may lift an oversubscribed node's CPU scale.
         w.with_alloc_change(node.idx(), &[], |w| {
-            w.nodes[node.idx()].release(shard, charge);
+            w.nodes[node.idx()].rebook(shard, charge, ResourceVec::ZERO);
             w.resident_remove(node.idx(), idx);
             let inv = w.invs.get_mut(idx);
             inv.state = InvState::Completed;
@@ -1839,7 +1838,8 @@ impl Simulation {
         w.last_site.insert(func, (node, shard));
         let idle_peers = w.nodes[node.idx()].warm.count_at(func, now);
         if let Some(keep_until) = platform.warm_keep(w, func, idle_peers) {
-            w.nodes[node.idx()].park_warm(func, shard, pin_mem, now, keep_until);
+            let slice = *w.nodes[node.idx()].slice(shard);
+            let _ = w.nodes[node.idx()].warm.park(func, shard, pin_mem, &slice, now, keep_until);
         }
 
         Self::record_completion(w, id, exec);

@@ -122,7 +122,7 @@ impl Node {
     /// Create a node with `capacity`, sharded across `shards` schedulers.
     /// Warm-container lifetimes are not fixed per node: each parked
     /// container carries the keep-until deadline its policy assigned
-    /// (see [`Node::park_warm`]).
+    /// (see [`WarmPool::park`]).
     pub fn new(id: NodeId, capacity: ResourceVec, shards: usize) -> Self {
         assert!(shards > 0, "a node must be visible to at least one scheduler shard");
         Node {
@@ -163,11 +163,6 @@ impl Node {
         self.slices.len()
     }
 
-    /// Capacity slice owned by one shard.
-    pub fn shard_capacity(&self) -> ResourceVec {
-        self.slices[0].capacity()
-    }
-
     /// Free (unreserved) capacity within `shard`'s slice. A crashed node
     /// has no free capacity at all.
     pub fn free_in_shard(&self, shard: usize) -> ResourceVec {
@@ -179,7 +174,7 @@ impl Node {
 
     /// Try to reserve `res` nominally within `shard`'s slice. Idle warm
     /// containers do not block admission — their pinned memory is evicted
-    /// on demand (`Node::settle_pins`), exactly like OpenWhisk's container
+    /// on demand ([`WarmPool::settle`]), exactly like OpenWhisk's container
     /// pool tearing down paused containers to make room.
     pub fn try_reserve(&mut self, shard: usize, res: ResourceVec) -> bool {
         let fits = res.fits_within(&self.free_in_shard(shard));
@@ -189,52 +184,18 @@ impl Node {
         fits
     }
 
-    /// Move a resident's booking in `shard`'s slice from `from` to `to`
+    /// Move a resident's booking in `shard`'s slice from `from` to `to` (zero: it left)
     /// ([`Slice::rebook`], no capacity check), then evict the warm
-    /// containers the new booking crowds out.
+    /// containers the new booking crowds out ([`WarmPool::settle`]).
     pub fn rebook(&mut self, shard: usize, from: ResourceVec, to: ResourceVec) {
         self.slices[shard].rebook(from, to);
-        self.settle_pins(shard);
+        self.warm.settle(shard, &self.slices[shard]);
     }
 
-    /// Evict warm containers of `shard` until its reservations plus pinned
-    /// warm memory fit the slice again.
-    fn settle_pins(&mut self, shard: usize) {
-        let slice = &self.slices[shard];
-        let used = slice.reserved().mem_mb + self.warm.pinned_for(shard);
-        let over = used.saturating_sub(slice.capacity().mem_mb);
-        if over > 0 {
-            let _ = self.warm.evict_for(shard, over);
-        }
-    }
-
-    /// Park a completed invocation's container as warm until the
-    /// policy-assigned `keep_until` deadline, pinning `mem_mb` in `shard`'s
-    /// slice — unless there is no room to keep it, in which case the
-    /// container is simply torn down.
-    pub fn park_warm(
-        &mut self,
-        func: crate::ids::FunctionId,
-        shard: usize,
-        mem_mb: u64,
-        now: SimTime,
-        keep_until: SimTime,
-    ) {
-        let slice = &self.slices[shard];
-        let used = slice.reserved().mem_mb + self.warm.pinned_for(shard);
-        if mem_mb <= slice.capacity().mem_mb.saturating_sub(used) {
-            self.warm.release(func, shard, mem_mb, now, keep_until);
-        }
-    }
-
-    /// Release a reservation from `shard`'s slice.
-    pub fn release(&mut self, shard: usize, res: ResourceVec) {
-        self.slices[shard].release(res);
-    }
-
-    /// Current reservation of one shard (for invariant checks).
-    pub fn reserved_in(&self, shard: usize) -> ResourceVec {
-        self.slices[shard].reserved()
+    /// `shard`'s books: what the warm pool weighs its pins against, and
+    /// what invariant checks read.
+    pub fn slice(&self, shard: usize) -> &Slice {
+        &self.slices[shard]
     }
 
     /// Total nominal reservation across all shards.
@@ -259,7 +220,7 @@ mod tests {
     #[test]
     fn shard_capacity_is_even_slice() {
         let n = node(4);
-        assert_eq!(n.shard_capacity(), ResourceVec::from_cores_mb(8, 8192));
+        assert_eq!(n.slice(3).capacity(), ResourceVec::from_cores_mb(8, 8192));
         assert_eq!(n.free_in_shard(0), ResourceVec::from_cores_mb(8, 8192));
     }
 
@@ -280,9 +241,9 @@ mod tests {
         let r = ResourceVec::from_cores_mb(4, 2048);
         assert!(n.try_reserve(0, r));
         assert_eq!(n.total_reserved(), r);
-        n.release(0, r);
+        n.rebook(0, r, ResourceVec::ZERO);
         assert_eq!(n.total_reserved(), ResourceVec::ZERO);
-        assert_eq!(n.free_in_shard(0), n.shard_capacity());
+        assert_eq!(n.free_in_shard(0), n.slice(0).capacity());
     }
 
     #[test]

@@ -30,11 +30,14 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> libra-live unit tests twice more (release): the node drivers run on real threads"
+echo "==> libra-live unit tests and the fidelity tests twice more (release): the node drivers run on real threads"
 # A timing-dependent failure that shows up in one run of three passes a gate
-# that runs the suite once; two more release runs make it show.
+# that runs the suite once; two more release runs make it show. The fidelity
+# tests drive live node drivers too (warm_hits_agree_under_memory_pressure
+# leans on one run overlapping another by a few hundred workload ms).
 for _ in 1 2; do
   cargo test --release -q -p libra-live --lib
+  cargo test --release -q --test fidelity
 done
 
 echo "==> benchmark harness against the working tree (build + its unit tests)"

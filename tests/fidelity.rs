@@ -800,3 +800,73 @@ fn one_shard_stall_plan_replays_on_sim_and_live() {
     assert_eq!(sim_result.faults_injected, plan.len() as u64);
     assert_eq!(live_result.faults_injected, sim_result.faults_injected);
 }
+
+/// One warm rule on both substrates: an idle container pins its grant in the
+/// shard slice that admitted it, a completion finds room for that pin or
+/// tears the container down, and a new booking evicts the pins it crowds
+/// out. One node of 2 GB, one shard, the default 60 s keep-alive, which no
+/// container here outlives. X is harvested to half its memory and its
+/// safeguard restores it mid-run, after Y1 was admitted into the harvested
+/// room: the slice is over-reserved when Y1 completes, so Y1's container
+/// gets no room (these two runs overlap on purpose: only an over-reserved
+/// slice can refuse a completion's pin). Every other run is alone: Y2's
+/// booking crowds out X1's pin, Y3 finds Y2's container, and X2 finds none.
+#[test]
+fn warm_hits_agree_under_memory_pressure() {
+    const PAIR: [Actor; 2] = [
+        // X: 1.5 GB asked, 768 MB predicted, a footprint that trips the
+        // safeguard's 0.8 line at ~47% of its run.
+        Actor { alloc: (1_000, 1_536), demand: (1_000, 1_024, 2_000), pred: (1_000, 768, 2_000) },
+        // Y: served as asked.
+        Actor { alloc: (1_000, 1_024), demand: (1_000, 256, 1_000), pred: (1_000, 1_024, 1_000) },
+    ];
+    // (arrival ms, function): X1, Y1, then Y2, Y3 and X2 alone.
+    const RUNS: [(u64, u32); 5] = [(0, 0), (600, 1), (3_000, 1), (5_000, 1), (6_500, 0)];
+    let capacity = ResourceVec::from_cores_mb(16, 2_048);
+
+    let (funcs, _) = sim_scenario(&PAIR, &[0, 0]);
+    let mut trace = Trace::new();
+    for &(at_ms, f) in &RUNS {
+        trace.push(SimTime::from_millis(at_ms), FunctionId(f), InputMeta::new(1, 1));
+    }
+    let sim =
+        Simulation::new(funcs, vec![capacity], SimConfig { shards: 1, ..SimConfig::default() });
+    let mut platform = FixedPredPlatform {
+        inner: LibraPlatform::new(LibraConfig::libra()),
+        preds: PAIR.iter().map(|a| prediction(a.pred)).collect(),
+    };
+    let sim_result = sim.run(&trace, &mut platform);
+    assert_eq!(sim_result.records.len(), RUNS.len());
+
+    let workload: Vec<LiveRequest> = RUNS
+        .iter()
+        .map(|&(at_ms, f)| {
+            let actor = std::slice::from_ref(&PAIR[f as usize]);
+            LiveRequest { func: f, ..live_requests(actor, &[at_ms])[0] }
+        })
+        .collect();
+    let cfg = LiveConfig {
+        nodes: 1,
+        capacity,
+        shards: 1,
+        harvesting: true,
+        quantum: Duration::from_millis(1),
+        time_scale: 4.0,
+        ..LiveConfig::default()
+    };
+    let live = run_live(&workload, &cfg);
+    assert_eq!(live.records.len(), RUNS.len());
+
+    assert!(
+        sim_result.records.iter().any(|r| r.flags.safeguarded),
+        "X1's safeguard must fire in sim"
+    );
+    assert!(live.records[0].safeguarded, "X1's safeguard must fire live");
+    assert_eq!(
+        (live.warm_hits, live.cold_starts),
+        (sim_result.warm_hits, sim_result.cold_starts),
+        "live (warm hits, cold starts) against the simulator's"
+    );
+    // Only Y3 is warm: Y1's container found no room, X1's was crowded out.
+    assert_eq!((sim_result.warm_hits, sim_result.cold_starts), (1, 4));
+}

@@ -305,8 +305,11 @@ proptest! {
         use libra::sim::container::WarmPool;
         use support::seed_warm_pool as reference;
         use libra::sim::ids::FunctionId;
+        use libra::sim::node::Slice;
 
         let ttl = SimDuration::from_secs(ttl_secs);
+        // The seed pool parked unconditionally: park into a slice no pin fills.
+        let roomy = Slice::new(ResourceVec::new(0, u64::MAX / 2));
         let mut new = WarmPool::new();
         let mut old = reference::WarmPool::new(ttl);
         let mut t = 0u64;
@@ -321,7 +324,7 @@ proptest! {
                 }
                 WarmOp::Release { func, shard, mem } => {
                     let f = FunctionId(func);
-                    new.release(f, shard as usize, mem, now, now + ttl);
+                    prop_assert!(new.park(f, shard as usize, mem, &roomy, now, now + ttl));
                     old.release(f, shard as usize, mem, now);
                 }
                 WarmOp::EvictExpired => {
