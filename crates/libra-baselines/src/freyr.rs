@@ -204,7 +204,7 @@ impl Platform for Freyr {
         }
         // The safeguard's overload rule at its default threshold.
         let u = ctx.usage(inv);
-        if overloaded(u.cpu_throttled, u.mem_used_mb, u.effective.mem_mb, 0.8) {
+        if overloaded(u.cpu_throttled, u.mem_used_mb, rec.effective_alloc().mem_mb, 0.8) {
             // Detected — but NOT preemptively released. Only the next
             // invocation of this function is spared (§9).
             let f = rec.func.idx();

@@ -111,7 +111,7 @@ pub fn weak_scaling() -> Vec<(usize, f64)> {
 }
 
 /// Scheduling overhead, measured natively: mean wall-clock time of one
-/// `schedule()` call (shard lock included, single caller so uncontended) on
+/// `schedule_on()` call (shard lock included, single caller so uncontended) on
 /// the real sharded scheduler (4 shards, 50 nodes) over 200 → 1,000 requests.
 /// Returns `(n_invocations, mean_overhead_ms)`.
 pub fn sched_overhead() -> Vec<(usize, f64)> {
@@ -123,17 +123,20 @@ pub fn sched_overhead() -> Vec<(usize, f64)> {
         let mut lat = Vec::with_capacity(n);
         for i in 0..n {
             let t0 = Instant::now();
-            let d = sched.schedule(ScheduleRequest {
-                nominal: ResourceVec::from_cores_mb(2, 512),
-                extra: if i % 3 == 0 {
-                    ResourceVec::from_cores_mb(2, 256)
-                } else {
-                    ResourceVec::ZERO
+            let d = sched.schedule_on(
+                i % 4,
+                ScheduleRequest {
+                    nominal: ResourceVec::from_cores_mb(2, 512),
+                    extra: if i % 3 == 0 {
+                        ResourceVec::from_cores_mb(2, 256)
+                    } else {
+                        ResourceVec::ZERO
+                    },
+                    func: (i % 10) as u32,
+                    duration: SimDuration::from_secs(5),
+                    now: SimTime::ZERO,
                 },
-                func: (i % 10) as u32,
-                duration: SimDuration::from_secs(5),
-                now: SimTime::ZERO,
-            });
+            );
             lat.push(t0.elapsed().as_secs_f64() * 1e3);
             // release immediately so capacity isn't the bottleneck
             if let Some(node) = d.node {

@@ -50,6 +50,8 @@ use libra_sim::resources::{sat_u64, ResourceVec};
 use libra_sim::time::SimTime;
 use std::cell::LazyCell;
 
+pub use libra_sim::invocation::Observation;
+
 /// Decision knobs of the shared control plane (embedded in `LibraConfig` —
 /// profiler/scheduler knobs stay with the drivers).
 #[derive(Clone, Debug)]
@@ -102,19 +104,6 @@ pub struct Admission {
     pub mem_floor_mb: u64,
     /// Predicted demands, if any (`None` = first-seen: serve at nominal).
     pub pred: Option<Prediction>,
-}
-
-/// A cgroups-style usage observation for one running invocation. The
-/// allocation it is read against (effective grant, nominal) comes from the
-/// core's own ledger.
-#[derive(Clone, Copy, Debug)]
-pub struct Observation {
-    /// Busy millicores right now.
-    pub cpu_busy_millis: u64,
-    /// Memory footprint right now (MB).
-    pub mem_used_mb: u64,
-    /// Whether the invocation wanted more CPU than it holds.
-    pub cpu_throttled: bool,
 }
 
 /// An explicit control-plane decision for the driver to apply. Actions carry

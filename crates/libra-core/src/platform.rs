@@ -27,9 +27,7 @@
 //! presets: Libra-NS (no safeguard), Libra-NP (no profiler, moving-window
 //! estimates), Libra-NSP (neither).
 
-use crate::controlplane::{
-    Action, Admission, ControlConfig, ControlPlane, LendFailure, Observation,
-};
+use crate::controlplane::{Action, Admission, ControlConfig, ControlPlane, LendFailure};
 use crate::keepalive::KeepAlivePolicy;
 use crate::pool::ledger_totals;
 use crate::profiler::{DemandEstimator, ModelChoice, Profiler, ProfilerConfig};
@@ -274,14 +272,7 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
             Some(rec.effective_alloc()),
             "core ledger diverged from engine for {inv:?}"
         );
-        let actions = self.core.on_observe_at(node, inv, ctx.now(), || {
-            let u = ctx.usage(inv);
-            Observation {
-                cpu_busy_millis: u.cpu_busy_millis,
-                mem_used_mb: u.mem_used_mb,
-                cpu_throttled: u.cpu_throttled,
-            }
-        });
+        let actions = self.core.on_observe_at(node, inv, ctx.now(), || ctx.usage(inv));
         let acted = !actions.is_empty();
         self.apply(ctx, actions);
         let wake = self.core.watches(node, inv);

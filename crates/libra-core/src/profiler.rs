@@ -207,7 +207,7 @@ impl Forests {
     /// sorts the same bootstrap, once. Each forest is the one `fit` would
     /// give alone, so a fit depends on nothing fitted before.
     fn fit(x: &[Vec<f64>], cpu: &[f64], mem: &[f64], dur: &[f64], n_mem: usize, seed: u64) -> Self {
-        let params = ForestParams { n_trees: 24, seed, ..Default::default() };
+        let params = ForestParams { n_trees: 24, seed };
         let classes = |n_classes| Task::Classification { n_classes };
         let targets =
             [(cpu, classes(MAX_CPU_CLASS + 1)), (mem, classes(n_mem)), (dur, Task::Regression)];

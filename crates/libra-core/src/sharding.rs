@@ -27,7 +27,6 @@ pub use crate::scheduler::ScheduleRequest;
 use libra_sim::node::Slice;
 use libra_sim::resources::ResourceVec;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A completed decision.
 #[derive(Clone, Copy, Debug)]
@@ -56,7 +55,6 @@ struct ShardState {
 /// pings land on its books as on any other shard's.
 pub struct ShardedScheduler {
     shards: Vec<Mutex<ShardState>>,
-    next: AtomicUsize,
 }
 
 impl ShardedScheduler {
@@ -70,10 +68,7 @@ impl ShardedScheduler {
             alpha,
             stalled: false,
         };
-        ShardedScheduler {
-            shards: (0..shards).map(|_| Mutex::new(state())).collect(),
-            next: AtomicUsize::new(0),
-        }
+        ShardedScheduler { shards: (0..shards).map(|_| Mutex::new(state())).collect() }
     }
 
     /// Number of shards.
@@ -102,12 +97,6 @@ impl ShardedScheduler {
         if let Some(s) = self.shards.get(shard) {
             s.lock().stalled = stalled;
         }
-    }
-
-    /// Schedule a request on the next shard (front-end round robin).
-    pub fn schedule(&self, req: ScheduleRequest) -> Decision {
-        let s = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.schedule_on(s, req)
     }
 
     /// Schedule on a specific shard, reserving the nominal allocation on the
@@ -203,7 +192,7 @@ mod tests {
     #[test]
     fn schedules_and_reserves() {
         let sched = ShardedScheduler::spawn(2, 4, ResourceVec::from_cores_mb(16, 16_384), 0.9);
-        let d = sched.schedule(req(1, 0));
+        let d = sched.schedule_on(0, req(1, 0));
         assert!(d.node.is_some());
     }
 

@@ -32,15 +32,13 @@ use std::thread::available_parallelism;
 pub struct ForestParams {
     /// Number of trees.
     pub n_trees: usize,
-    /// Per-tree growth limits.
-    pub tree: TreeParams,
     /// Seed for all randomness (bootstraps + feature subsampling).
     pub seed: u64,
 }
 
 impl Default for ForestParams {
     fn default() -> Self {
-        ForestParams { n_trees: 32, tree: TreeParams::default(), seed: 0x11b7a }
+        ForestParams { n_trees: 32, seed: 0x11b7a }
     }
 }
 
@@ -52,9 +50,8 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fit a forest. Feature subsampling defaults per task: √d for
-    /// classification, max(1, d/3) for regression, unless `params.tree`
-    /// specifies one.
+    /// Fit a forest of default-limit trees, each split weighing a per-task
+    /// feature subsample: √d for classification, max(1, d/3) for regression.
     pub fn fit(x: &[Vec<f64>], y: &[f64], task: Task, params: ForestParams) -> Self {
         let [forest] = Self::fit_many(x, &[(y, task)], params);
         forest
@@ -72,14 +69,11 @@ impl RandomForest {
         let d = x[0].len();
         let tree_params = targets.map(|(y, task)| {
             assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-            let mut tree_params = params.tree;
-            if tree_params.feature_subsample.is_none() {
-                tree_params.feature_subsample = Some(match task {
-                    Task::Classification { .. } => (d as f64).sqrt().ceil() as usize,
-                    Task::Regression => (d / 3).max(1),
-                });
-            }
-            tree_params
+            let feature_subsample = Some(match task {
+                Task::Classification { .. } => (d as f64).sqrt().ceil() as usize,
+                Task::Regression => (d / 3).max(1),
+            });
+            TreeParams { feature_subsample, ..TreeParams::default() }
         });
         let n = x.len();
 
@@ -261,10 +255,11 @@ mod tests {
                 (Task::Classification { n_classes: 17 }, &y_sparse, 2),
                 (Task::Regression, &y_reg, 1),
             ] {
-                let params = ForestParams { n_trees: 16, seed: 7, ..Default::default() };
+                let params = ForestParams { n_trees: 16, seed: 7 };
                 let fitted = RandomForest::fit(&x, y, task, params);
 
-                let tree_params = TreeParams { feature_subsample: Some(subsample), ..params.tree };
+                let tree_params =
+                    TreeParams { feature_subsample: Some(subsample), ..TreeParams::default() };
                 let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
                 let trees: Vec<DecisionTree> = (0..params.n_trees)
                     .map(|_| {
@@ -308,7 +303,7 @@ mod tests {
                 (mem.as_slice(), Task::Classification { n_classes: 40 }),
                 (dur.as_slice(), Task::Regression),
             ];
-            let params = ForestParams { n_trees: 24, seed: 11, ..Default::default() };
+            let params = ForestParams { n_trees: 24, seed: 11 };
             let fitted = RandomForest::fit_many(&x, &targets, params);
 
             for (forest, (y, task)) in fitted.iter().zip(targets) {
@@ -316,7 +311,8 @@ mod tests {
                     Task::Classification { .. } => 2,
                     Task::Regression => 1,
                 };
-                let tree_params = TreeParams { feature_subsample: Some(subsample), ..params.tree };
+                let tree_params =
+                    TreeParams { feature_subsample: Some(subsample), ..TreeParams::default() };
                 let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
                 let trees: Vec<DecisionTree> = (0..params.n_trees)
                     .map(|_| {

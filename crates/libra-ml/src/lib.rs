@@ -35,4 +35,4 @@ pub mod tree;
 pub use forest::{ForestParams, RandomForest};
 pub use histogram::StreamingHistogram;
 pub use metrics::{accuracy, r2_score};
-pub use tree::{DecisionTree, Task, TreeParams};
+pub use tree::Task;

@@ -56,7 +56,7 @@ pub enum Task {
 
 /// Tree growth limits.
 #[derive(Clone, Copy, Debug)]
-pub struct TreeParams {
+pub(crate) struct TreeParams {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
     /// Minimum rows required to attempt a split.
@@ -80,7 +80,7 @@ enum NodeKind {
 
 /// A fitted decision tree (arena-allocated nodes).
 #[derive(Clone, Debug)]
-pub struct DecisionTree {
+pub(crate) struct DecisionTree {
     nodes: Vec<NodeKind>,
     task: Task,
 }
@@ -462,35 +462,6 @@ impl Grower<'_> {
 }
 
 impl DecisionTree {
-    /// Fit a tree on `(x, y)`; classification labels must be `0..n_classes`
-    /// encoded as `f64`, features must not be NaN. `rng` drives feature
-    /// subsampling (pass any deterministic RNG for reproducible forests).
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[f64],
-        task: Task,
-        params: TreeParams,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert_eq!(x.len(), y.len(), "feature/target length mismatch");
-        assert!(!x.is_empty(), "cannot fit a tree on an empty dataset");
-        let rows: Vec<usize> = (0..x.len()).collect();
-        Self::fit_rows(x, y, &rows, task, params, rng)
-    }
-
-    /// Fit a tree on the rows `rows` of `(x, y)`, repeats and all, in that
-    /// order — a forest's bootstrap sample without a copy of the data.
-    pub(crate) fn fit_rows(
-        x: &[Vec<f64>],
-        y: &[f64],
-        rows: &[usize],
-        task: Task,
-        params: TreeParams,
-        rng: &mut impl Rng,
-    ) -> Self {
-        Self::fit_sorted(y, rows, sort_sample(x, rows), task, params, rng)
-    }
-
     /// Fit a tree on the sample `rows` given its layout `sorted`, which must
     /// be `sort_sample(x, rows)`: the grower reads features only from it, so
     /// a forest sorts one bootstrap for every target it fits on those rows.
@@ -537,11 +508,6 @@ impl DecisionTree {
             }
         }
     }
-
-    /// Number of nodes (diagnostics).
-    pub fn size(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 #[cfg(test)]
@@ -549,6 +515,43 @@ pub(crate) mod tests {
     use super::*;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    impl DecisionTree {
+        /// Fit a tree on `(x, y)`; classification labels must be
+        /// `0..n_classes` encoded as `f64`, features must not be NaN. `rng`
+        /// drives feature subsampling.
+        pub(crate) fn fit(
+            x: &[Vec<f64>],
+            y: &[f64],
+            task: Task,
+            params: TreeParams,
+            rng: &mut impl Rng,
+        ) -> Self {
+            assert_eq!(x.len(), y.len(), "feature/target length mismatch");
+            assert!(!x.is_empty(), "cannot fit a tree on an empty dataset");
+            let rows: Vec<usize> = (0..x.len()).collect();
+            Self::fit_rows(x, y, &rows, task, params, rng)
+        }
+
+        /// Fit a tree on the rows `rows` of `(x, y)`, repeats and all, in
+        /// that order — a forest's bootstrap sample without a copy of the
+        /// data.
+        pub(crate) fn fit_rows(
+            x: &[Vec<f64>],
+            y: &[f64],
+            rows: &[usize],
+            task: Task,
+            params: TreeParams,
+            rng: &mut impl Rng,
+        ) -> Self {
+            Self::fit_sorted(y, rows, sort_sample(x, rows), task, params, rng)
+        }
+
+        /// Number of nodes.
+        pub(crate) fn size(&self) -> usize {
+            self.nodes.len()
+        }
+    }
 
     /// The split search `grow` had before the sweep, verbatim — every
     /// candidate threshold re-partitions the node and both impurities are

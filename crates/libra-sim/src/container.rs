@@ -22,18 +22,19 @@
 //! is pure mechanism: it stores deadlines, answers warm hits, and reaps
 //! expired pins.
 //!
-//! Lookups are indexed: one sorted `(function, position)` index, in which
-//! each function's positions form one ascending (= scan order) run found by
-//! binary search, makes `acquire`/`count_at` proportional to that
-//! *function's* idle set instead of the whole node's; a per-shard pin gauge,
-//! indexed by shard, makes `pinned_for` O(1); and a cached earliest deadline
-//! lets the periodic expiry sweep return without scanning when nothing can
-//! have expired. Removals update both indexes in place — a warm hit moves
-//! two positions, a reaped or demand-evicted entry shifts the later ones
-//! down one — so nothing on the periodic path is rebuilt, re-sorted or
-//! allocated (beyond the returned pins). The
-//! pre-index linear-scan implementation survives as the equivalence-proptest
-//! oracle, `tests/support/seed_warm_pool.rs` at the repo root.
+//! The pool is one `Vec` in park order, with `swap_remove` on a warm hit and
+//! order-keeping `remove` on a reap or an eviction. A warm hit takes the
+//! first live entry of its function in position order and a warm count
+//! scans the same way: a node's idle set is small, and on the `sim_engine`
+//! and `sim_harvest` benchmarks a plain scan ran at least as fast as a
+//! sorted `(function, position)` index. Two pieces of bookkeeping stay
+//! because they pay: a per-shard pin gauge makes `pinned_for`, which `park`
+//! and `settle` read on every rebook, O(1); and a cached lower bound on the
+//! earliest deadline lets the periodic expiry sweep return without scanning
+//! when nothing can have expired (without it `sim_engine` ran slower in 6
+//! of 6 paired runs, median 391k → 346k inv/s on 2 cores). The pre-policy fixed-TTL pool survives as
+//! the equivalence-proptest oracle, `tests/support/seed_warm_pool.rs` at the
+//! repo root.
 
 use crate::ids::FunctionId;
 use crate::node::Slice;
@@ -63,9 +64,6 @@ struct WarmEntry {
 #[derive(Default, Debug)]
 pub struct WarmPool {
     idle: Vec<WarmEntry>,
-    /// `(idle[i].func, i)` for every position `i`, sorted: each function's
-    /// positions form one ascending (= scan order) run.
-    by_func: Vec<(FunctionId, usize)>,
     /// Memory pinned per shard, indexed by shard, *including*
     /// expired-but-unreaped entries.
     pinned_shard: Vec<u64>,
@@ -82,61 +80,11 @@ impl WarmPool {
         WarmPool::default()
     }
 
-    /// `func`'s idle positions, ascending: its run in `by_func`.
-    fn positions(&self, func: FunctionId) -> impl Iterator<Item = usize> + '_ {
-        let lo = self.by_func.partition_point(|&(f, _)| f < func);
-        let hi = self.by_func.partition_point(|&(f, _)| f <= func);
-        self.by_func[lo..hi].iter().map(|&(_, i)| i)
-    }
-
-    /// Add position `i` (already in `idle`) to the function index.
-    fn index_insert(&mut self, i: usize) {
-        let key = (self.idle[i].func, i);
-        let at = self.by_func.partition_point(|&k| k < key);
-        self.by_func.insert(at, key);
-    }
-
-    /// Drop position `i` from the function index (entry still in `idle`).
-    fn index_remove(&mut self, i: usize) {
-        if let Ok(at) = self.by_func.binary_search(&(self.idle[i].func, i)) {
-            self.by_func.remove(at);
-        }
-    }
-
-    /// Remove the entry at position `i` preserving the exact `swap_remove`
-    /// semantics the scan implementation had: the last entry moves into the
-    /// hole, so only two positions change.
-    fn swap_remove_at(&mut self, i: usize) -> WarmEntry {
-        let last = self.idle.len() - 1;
-        self.index_remove(i);
-        if i != last {
-            self.index_remove(last);
-        }
-        let e = self.idle.swap_remove(i);
-        if i < self.idle.len() {
-            self.index_insert(i);
-        }
+    /// Drop a removed entry's pin from its shard's gauge.
+    fn unpin(&mut self, e: &WarmEntry) {
         if let Some(p) = self.pinned_shard.get_mut(e.shard) {
             *p = p.saturating_sub(e.mem_mb);
         }
-        e
-    }
-
-    /// Remove the entry at position `i` the way `Vec::remove` does: every
-    /// later entry shifts down one, keeping its order, so the index stays
-    /// sorted with each later position decremented in place.
-    fn remove_at(&mut self, i: usize) -> WarmEntry {
-        self.index_remove(i);
-        for (_, p) in &mut self.by_func {
-            if *p > i {
-                *p -= 1;
-            }
-        }
-        let e = self.idle.remove(i);
-        if let Some(p) = self.pinned_shard.get_mut(e.shard) {
-            *p = p.saturating_sub(e.mem_mb);
-        }
-        e
     }
 
     /// Try to take a warm container for `func`. On a hit, the entry and its
@@ -146,10 +94,11 @@ impl WarmPool {
     /// a pin is never booked in a slice and nothing needs crediting back. Expired entries
     /// are ignored (the engine reaps them via [`WarmPool::evict_expired`]).
     pub fn acquire(&mut self, func: FunctionId, now: SimTime) -> Option<(usize, u64)> {
-        let pos = self.positions(func).find(|&i| now <= self.idle[i].keep_until);
+        let pos = self.idle.iter().position(|e| e.func == func && now <= e.keep_until);
         match pos {
             Some(i) => {
-                let e = self.swap_remove_at(i);
+                let e = self.idle.swap_remove(i);
+                self.unpin(&e);
                 self.warm_hits += 1;
                 Some((e.shard, e.mem_mb))
             }
@@ -178,7 +127,6 @@ impl WarmPool {
             return false;
         }
         self.idle.push(WarmEntry { func, shard, mem_mb, idle_since: now, keep_until });
-        self.index_insert(self.idle.len() - 1);
         if shard >= self.pinned_shard.len() {
             self.pinned_shard.resize(shard + 1, 0);
         }
@@ -211,7 +159,8 @@ impl WarmPool {
         let mut i = 0;
         while let Some(e) = self.idle.get(i) {
             if now > e.keep_until {
-                let e = self.remove_at(i);
+                let e = self.idle.remove(i);
+                self.unpin(&e);
                 expired.push((e.shard, e.mem_mb));
             } else {
                 i += 1;
@@ -241,7 +190,8 @@ impl WarmPool {
                 .map(|(i, _)| i);
             match lru {
                 Some(i) => {
-                    let e = self.remove_at(i);
+                    let e = self.idle.remove(i);
+                    self.unpin(&e);
                     total += e.mem_mb;
                     freed.push((e.shard, e.mem_mb));
                 }
@@ -259,7 +209,7 @@ impl WarmPool {
     /// Non-mutating count of warm containers for `func` still within
     /// keep-alive at `now` (for read-only scheduler queries).
     pub fn count_at(&self, func: FunctionId, now: SimTime) -> usize {
-        self.positions(func).filter(|&i| now <= self.idle[i].keep_until).count()
+        self.idle.iter().filter(|e| e.func == func && now <= e.keep_until).count()
     }
 
     /// Total memory currently pinned by live warm containers (diagnostics).
@@ -277,20 +227,15 @@ impl WarmPool {
     /// Tear every container down (its node crashed).
     pub fn drain_all(&mut self) {
         self.idle.clear();
-        self.by_func.clear();
         self.pinned_shard.fill(0);
         self.next_expiry = None;
     }
 
-    /// Assert the index invariants: `by_func` is exactly
-    /// `{(idle[i].func, i)}`, ascending; every shard's gauge (one past the
-    /// last shard too) is the sum of its entries' pins; and `next_expiry` is
+    /// Assert the bookkeeping invariants: every shard's gauge (one past the
+    /// last shard too) is the sum of its entries' pins, and `next_expiry` is
     /// no later than any entry's deadline.
     #[cfg(test)]
-    fn check_index(&self) {
-        let mut want: Vec<_> = self.idle.iter().enumerate().map(|(i, e)| (e.func, i)).collect();
-        want.sort_unstable();
-        assert_eq!(self.by_func, want, "function index diverged from the pool");
+    fn check_books(&self) {
         for s in 0..=self.pinned_shard.len() {
             let sum: u64 = self.idle.iter().filter(|e| e.shard == s).map(|e| e.mem_mb).sum();
             assert_eq!(self.pinned_for(s), sum, "pin gauge of shard {s}");
@@ -311,7 +256,7 @@ mod tests {
     const TTL: SimDuration = SimDuration(60 * 1_000_000);
 
     /// Park into a slice no pin here crowds: these tests exercise the
-    /// index, not the room.
+    /// hits and the books, not the room.
     fn put(
         p: &mut WarmPool,
         func: FunctionId,
@@ -351,7 +296,7 @@ mod tests {
         assert!(!p.park(F, 0, 1, &s, SimTime::ZERO, SimTime::from_secs(60)));
         // Pins count per shard: shard 0's leave shard 1 (same books) empty.
         assert!(p.park(F, 1, 600, &s, SimTime::ZERO, SimTime::from_secs(60)));
-        p.check_index();
+        p.check_books();
     }
 
     #[test]
@@ -371,7 +316,7 @@ mod tests {
         p.settle(0, &slice(800)); // 200 over: the 300 MB pin, then it fits
         assert_eq!(live(&p), [0, 0, 1, 1]);
         assert_eq!((p.pinned_for(0), p.pinned_for(1)), (100, 500));
-        p.check_index();
+        p.check_books();
     }
 
     #[test]
@@ -473,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn index_survives_swap_remove_churn() {
+    fn hits_survive_swap_remove_churn() {
         let mut p = WarmPool::new();
         for i in 0..8u32 {
             keep(&mut p, FunctionId(i % 3), (i % 2) as usize, 64, SimTime::from_secs(i as u64));
@@ -494,11 +439,12 @@ mod tests {
 
     /// Per-entry deadlines out of park order (what `HistogramPolicy` hands
     /// out and the fixed-TTL oracle never does), over sparse function ids,
-    /// with hits, sweeps and demand evictions interleaved: the index stays
+    /// with hits, sweeps and demand evictions interleaved: the books stay
     /// exact after every op, each hit is the first live entry of its function
-    /// in scan order, and each sweep reaps exactly the expired entries.
+    /// in scan order, every function's warm count matches a scan, and each
+    /// sweep reaps exactly the expired entries.
     #[test]
-    fn index_stays_exact_under_out_of_order_deadlines() {
+    fn books_stay_exact_under_out_of_order_deadlines() {
         let mut p = WarmPool::new();
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut draw = |n: u64| {
@@ -542,7 +488,11 @@ mod tests {
                     assert!(freed.iter().all(|&(s, _)| s == shard));
                 }
             }
-            p.check_index();
+            for f in funcs {
+                let want = p.idle.iter().filter(|e| e.func == f && now <= e.keep_until).count();
+                assert_eq!(p.count_at(f, now), want, "count of {f:?} at step {step}");
+            }
+            p.check_books();
         }
         assert!(p.stats().0 > 0 && p.stats().1 > 0 && reaped > 0, "every path exercised");
     }

@@ -28,7 +28,7 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::function::FunctionSpec;
 use crate::ids::{FunctionId, InvocationId, NodeId};
 use crate::invocation::{clamp_grant, exec_rate_millis, oom_kills, oom_wake};
-use crate::invocation::{Actuals, InvState, Invocation, Loan, Wake};
+use crate::invocation::{Actuals, InvState, Invocation, Loan, Observation, Wake};
 use crate::metrics::{
     InvRecord, KindPops, MetricsMode, RunResult, RunSummary, UtilSample, WorkCount,
 };
@@ -87,23 +87,6 @@ impl Default for SimConfig {
             trace: false,
         }
     }
-}
-
-/// Instantaneous usage observation for one invocation — what a cgroups
-/// monitor would report (§5.2, §7 "Safeguard").
-#[derive(Clone, Copy, Debug)]
-pub struct UsageSample {
-    /// Busy millicores right now.
-    pub cpu_busy_millis: u64,
-    /// Memory footprint right now (MB).
-    pub mem_used_mb: u64,
-    /// Whether the cgroup was CPU-throttled in this window (the kernel's
-    /// `nr_throttled` signal): the code wanted more CPU than its quota.
-    pub cpu_throttled: bool,
-    /// Everything the invocation currently holds (own grant + loans in).
-    pub effective: ResourceVec,
-    /// Its user-defined entitlement.
-    pub nominal: ResourceVec,
 }
 
 struct Shard {
@@ -276,17 +259,15 @@ impl World {
     }
 
     /// What cgroups would report for a running invocation now (settles nothing).
-    pub fn usage(&self, i: InvocationId) -> UsageSample {
+    pub fn usage(&self, i: InvocationId) -> Observation {
         let idx = self.slot(i);
         let inv = self.invs.get(idx);
-        let eff = inv.effective_alloc();
-        UsageSample {
-            cpu_busy_millis: self.busy_cpu(inv, eff.cpu_millis),
+        let eff_cpu = inv.effective_alloc().cpu_millis;
+        Observation {
+            cpu_busy_millis: self.busy_cpu(inv, eff_cpu),
             mem_used_mb: inv.mem_usage_mb_at(self.clock),
             cpu_throttled: inv.state == InvState::Running
-                && inv.true_demand.cpu_peak_millis > eff.cpu_millis,
-            effective: eff,
-            nominal: inv.nominal,
+                && inv.true_demand.cpu_peak_millis > eff_cpu,
         }
     }
 
@@ -770,7 +751,7 @@ impl<'a> SimCtx<'a> {
     }
 
     /// Usage observation (what cgroups would report).
-    pub fn usage(&self, i: InvocationId) -> UsageSample {
+    pub fn usage(&self, i: InvocationId) -> Observation {
         self.w.usage(i)
     }
 

@@ -64,6 +64,21 @@ pub fn mem_usage_model(true_mem_peak_mb: u64, progress_frac: f64) -> u64 {
     sat_round(true_mem_peak_mb as f64 * frac)
 }
 
+/// What a cgroups monitor reports for one running invocation, on either
+/// substrate (§5.2, §7 "Safeguard"). The allocation it is read against
+/// (effective grant, nominal) is the reader's own: the engine's record or
+/// the control plane's ledger.
+#[derive(Clone, Copy, Debug)]
+pub struct Observation {
+    /// Busy millicores right now.
+    pub cpu_busy_millis: u64,
+    /// Memory footprint right now (MB).
+    pub mem_used_mb: u64,
+    /// Whether the cgroup was CPU-throttled in this window (the kernel's
+    /// `nr_throttled` signal): the code wanted more CPU than its quota.
+    pub cpu_throttled: bool,
+}
+
 /// Substrate-shared OOM rule (§5.1), in MB: only the provider's harvesting
 /// kills — a footprint within the user's `nominal` that crossed the `have` it
 /// holds. User under-provisioning slows it instead (the spill model). Usage

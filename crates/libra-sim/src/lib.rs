@@ -65,7 +65,7 @@ pub mod trace_spans;
 pub mod prelude {
     pub use crate::arena::InvArena;
     pub use crate::demand::{ConstantDemand, DemandModel, FnDemand, InputMeta, TrueDemand};
-    pub use crate::engine::{NullPlatform, SimConfig, SimCtx, Simulation, UsageSample, World};
+    pub use crate::engine::{NullPlatform, SimConfig, SimCtx, Simulation, World};
     pub use crate::fault::{FaultEvent, FaultKind, FaultPlan};
     pub use crate::function::FunctionSpec;
     pub use crate::ids::{FunctionId, InvocationId, NodeId};

@@ -30,6 +30,11 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> the warm pool against the seed's fixed-TTL pool at 3000 cases (release)"
+# The one reference check of the warm pool's hits, counts, sweeps and
+# evictions: a plain scan of one vector, the seed oracle's own order.
+PROPTEST_CASES=3000 cargo test --release -q --test proptests warm_pool_fixed_ttl_matches_seed_reference
+
 echo "==> libra-live unit tests and the fidelity tests twice more (release): the node drivers run on real threads"
 # A timing-dependent failure that shows up in one run of three passes a gate
 # that runs the suite once; two more release runs make it show. The fidelity

@@ -1,6 +1,6 @@
-//! The pre-index, pre-policy warm pool: linear scans over a `Vec`, fixed
-//! keep-alive TTL applied to every entry. Kept as the proptest oracle (the
-//! indexed pool under a fixed-TTL policy must be event-for-event equivalent).
+//! The pre-policy warm pool: linear scans over a `Vec`, fixed keep-alive TTL
+//! applied to every entry. Kept as the proptest oracle (the per-entry-deadline
+//! pool under a fixed-TTL policy must be event-for-event equivalent).
 
 use libra::sim::ids::FunctionId;
 use libra::sim::time::{SimDuration, SimTime};
