@@ -16,7 +16,11 @@
 use crate::*;
 use libra_core::controlplane::ControlConfig;
 use libra_core::pool::GetOrder;
-use libra_core::{CoverageSelector, LibraConfig, LibraPlatform, NodeSelector, VolumeSelector};
+use libra_core::{
+    hash_probe, CoverageSelector, LibraConfig, LibraPlatform, NodeSelector, SchedView,
+};
+use libra_sim::engine::World;
+use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::platform::Platform;
 
 /// Libra under `control` on the single-node setup, repetition `rep`.
@@ -108,6 +112,43 @@ pub fn headroom() {
     }
     println!("Expected: more headroom = fewer safeguard trips but less harvest");
     println!("volume; the aggressive 1.0 posture relies on the safeguard.");
+}
+
+/// Timeliness-blind ablation of Libra's scheduler: accelerable invocations
+/// chase the node with the largest idle *volume*, ignoring expiries. Exists
+/// to quantify how much the time dimension of demand coverage (§6.2) is
+/// worth; not part of the paper's system.
+struct VolumeSelector;
+
+impl NodeSelector for VolumeSelector {
+    fn name(&self) -> &'static str {
+        "volume-only"
+    }
+
+    fn select(
+        &mut self,
+        world: &World,
+        shard: usize,
+        inv: InvocationId,
+        view: &SchedView,
+        _alpha: f64,
+    ) -> Option<NodeId> {
+        let rec = world.inv(inv);
+        if rec.pred.is_none_or(|p| p.peak().saturating_sub(&rec.nominal).is_zero()) {
+            return hash_probe(world, shard, inv);
+        }
+        let mut best: Option<(u64, NodeId)> = None;
+        for node in world.node_ids() {
+            if !rec.nominal.fits_within(&world.free_in_shard(node, shard)) {
+                continue;
+            }
+            let vol: u64 = view.snapshot(node).iter().map(|e| e.cpu_idle_millis).sum();
+            if best.is_none_or(|(bv, _)| vol > bv) {
+                best = Some((vol, node));
+            }
+        }
+        best.map(|(_, n)| n)
+    }
 }
 
 /// Ablation 4: coverage scheduling vs volume-only.

@@ -73,7 +73,7 @@ pub fn run() {
                 println!(
                     "   {:>8} {}: latency {:>6.1}s  peak-busy {:.1}/{:.0} cores  speedup {:+.2}  [{}{}]",
                     run.name,
-                    r.func_name,
+                    ALL_APPS[r.func.idx()].name(),
                     r.latency.as_secs_f64(),
                     r.cpu_peak_obs as f64 / 1000.0,
                     alloc_cores,

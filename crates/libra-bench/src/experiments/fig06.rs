@@ -3,6 +3,14 @@
 
 use crate::*;
 
+/// Empirical CDF points `(value, cumulative fraction)` for plotting.
+fn cdf(data: &[f64]) -> Vec<(f64, f64)> {
+    let mut v = data.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len() as f64;
+    v.into_iter().enumerate().map(|(i, x)| (x, (i + 1) as f64 / n)).collect()
+}
+
 /// Report from the §8.3 run set ([`main_six_runs`]); returns `(names, mean
 /// P99s)` for EXPERIMENTS.md.
 pub fn run(runs: &[Vec<PlatformRun>]) -> Vec<(String, f64)> {
@@ -16,12 +24,7 @@ pub fn run(runs: &[Vec<PlatformRun>]) -> Vec<(String, f64)> {
     }
     let cdf_series: Vec<(String, Vec<(f64, f64)>)> = [0usize, 1, 2]
         .iter()
-        .map(|&i| {
-            (
-                last_runs[i].name.clone(),
-                libra_sim::metrics::cdf(&last_runs[i].result.latencies_sec()),
-            )
-        })
+        .map(|&i| (last_runs[i].name.clone(), cdf(&last_runs[i].result.latencies_sec())))
         .collect();
     println!(
         "\n{}",
@@ -64,13 +67,13 @@ pub fn run(runs: &[Vec<PlatformRun>]) -> Vec<(String, f64)> {
     // CSV artifacts: full CDFs of the last repetition.
     for run in &last_runs {
         let tag = run.name.replace(['(', ')'], "_");
-        let lat = libra_sim::metrics::cdf(&run.result.latencies_sec());
+        let lat = cdf(&run.result.latencies_sec());
         write_csv(
             &format!("fig06a_latency_cdf_{tag}"),
             &["latency_s", "cdf"],
             &lat.iter().map(|&(x, y)| vec![x, y]).collect::<Vec<_>>(),
         );
-        let sp = libra_sim::metrics::cdf(&run.result.speedups());
+        let sp = cdf(&run.result.speedups());
         write_csv(
             &format!("fig06b_speedup_cdf_{tag}"),
             &["speedup", "cdf"],
@@ -79,4 +82,28 @@ pub fn run(runs: &[Vec<PlatformRun>]) -> Vec<(String, f64)> {
     }
 
     names.iter().map(|n| n.to_string()).zip(p99m).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cdf_is_monotone_to_one() {
+        let c = cdf(&[3.0, 1.0, 2.0]);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c[0], (1.0, 1.0 / 3.0));
+        assert_eq!(c[2], (3.0, 1.0));
+        assert!(c.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
+    }
+
+    #[test]
+    fn cdf_tolerates_nan_input() {
+        // A NaN sample (a speedup with a zero baseline) sorts last and must
+        // not abort the run's reporting.
+        let c = cdf(&[f64::NAN, 1.0, 3.0, 2.0]);
+        assert_eq!(c.len(), 4);
+        assert_eq!(c[0], (1.0, 0.25));
+        assert!(c[3].0.is_nan());
+    }
 }

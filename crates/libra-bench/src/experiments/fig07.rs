@@ -3,6 +3,7 @@
 //! §8.3.2 utilization and workload-completion headlines.
 
 use crate::*;
+use libra_sim::metrics::{mean, UtilSample};
 
 /// Report from the §8.3 run set ([`main_six_runs`]); returns per-platform
 /// `(name, mean cpu util, mean mem util, completion secs)`.
@@ -15,7 +16,7 @@ pub fn run(runs: &[Vec<PlatformRun>]) -> Vec<(String, f64, f64, f64)> {
     let mut out = Vec::new();
     for (kind, kind_runs) in PlatformKind::MAIN_SIX.iter().zip(runs) {
         let c = mean_by(kind_runs, |run| run.result.mean_cpu_util());
-        let m = mean_by(kind_runs, |run| run.result.mean_mem_util());
+        let m = mean_by(kind_runs, |run| mean(run.result.util.iter().map(UtilSample::mem_util)));
         let t = mean_by(kind_runs, |run| run.result.completion_time.as_secs_f64());
         row(&[kind.name().into(), format!("{c:.3}"), format!("{m:.3}"), format!("{t:.1}s")]);
         out.push((kind.name().to_string(), c, m, t));

@@ -4,7 +4,34 @@
 //! Default / Harvest / Accelerate / Safeguard.
 
 use crate::*;
-use libra_sim::metrics::InvCategory;
+use libra_sim::invocation::InvFlags;
+
+/// Fig 8 scatter categories; the discriminant is the CSV's `category` column.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Category {
+    /// Ran with the user-requested allocation, untouched.
+    Default,
+    /// Had idle resources harvested from it.
+    Harvest,
+    /// Ran with supplementary (borrowed) resources.
+    Accelerate,
+    /// Was protected by the safeguard (or OOM-restarted).
+    Safeguard,
+}
+
+/// The category of an invocation that ended with `flags`: protection wins
+/// over acceleration, acceleration over harvesting.
+fn category(flags: &InvFlags) -> Category {
+    if flags.safeguarded || flags.oomed {
+        Category::Safeguard
+    } else if flags.accelerated {
+        Category::Accelerate
+    } else if flags.harvested {
+        Category::Harvest
+    } else {
+        Category::Default
+    }
+}
 
 /// Print per-category statistics per platform from repetition 0 of the §8.3
 /// run set ([`main_six_runs`]).
@@ -12,14 +39,10 @@ pub fn run(runs: &[Vec<PlatformRun>]) {
     header("Fig 8: per-invocation reassignment vs speedup (single trace)");
     for run in runs.iter().filter_map(|kind_runs| kind_runs.first()) {
         println!("\n-- {}", run.name);
-        for cat in [
-            InvCategory::Default,
-            InvCategory::Harvest,
-            InvCategory::Accelerate,
-            InvCategory::Safeguard,
-        ] {
+        for cat in [Category::Default, Category::Harvest, Category::Accelerate, Category::Safeguard]
+        {
             let members: Vec<_> =
-                run.result.records.iter().filter(|r| r.category() == cat).collect();
+                run.result.records.iter().filter(|r| category(&r.flags) == cat).collect();
             if members.is_empty() {
                 println!("   {cat:<12?} (none)");
                 continue;
@@ -45,13 +68,8 @@ pub fn run(runs: &[Vec<PlatformRun>]) {
             .records
             .iter()
             .map(|r| {
-                let cat = match r.category() {
-                    InvCategory::Default => 0.0,
-                    InvCategory::Harvest => 1.0,
-                    InvCategory::Accelerate => 2.0,
-                    InvCategory::Safeguard => 3.0,
-                };
-                vec![r.cpu_reassigned_core_sec, r.mem_reassigned_mb_sec, r.speedup, cat]
+                let cat = category(&r.flags) as u8;
+                vec![r.cpu_reassigned_core_sec, r.mem_reassigned_mb_sec, r.speedup, f64::from(cat)]
             })
             .collect();
         write_csv(
@@ -64,4 +82,24 @@ pub fn run(runs: &[Vec<PlatformRun>]) {
     println!("shows harvesting/acceleration without timeliness (degraded tail);");
     println!("Libra shows negative-x harvest dots at ≈0 speedup (safe) and");
     println!("positive-x accelerate dots with positive speedups.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn category_priority() {
+        let mut flags = InvFlags::default();
+        assert_eq!(category(&flags), Category::Default);
+        flags.harvested = true;
+        assert_eq!(category(&flags), Category::Harvest);
+        flags.accelerated = true;
+        assert_eq!(category(&flags), Category::Accelerate);
+        flags.safeguarded = true;
+        assert_eq!(category(&flags), Category::Safeguard);
+        let oomed = InvFlags { oomed: true, ..InvFlags::default() };
+        assert_eq!(category(&oomed), Category::Safeguard);
+        assert_eq!(Category::Safeguard as u8, 3, "the CSV column's codes");
+    }
 }

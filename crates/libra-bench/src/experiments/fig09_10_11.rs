@@ -12,9 +12,15 @@
 use crate::*;
 use libra_baselines::{JoinShortestQueue, MinWorkerSet, RoundRobin};
 use libra_core::{CoverageSelector, HashSelector, LibraConfig, LibraPlatform, NodeSelector};
+use libra_sim::metrics::{mean, UtilSample};
 use libra_sim::platform::Platform;
 
 const ALGOS: [&str; 5] = ["Default", "RR", "JSQ", "MWS", "Libra"];
+
+/// The largest of `util` over a run's samples (0 for none).
+fn peak(samples: &[UtilSample], util: fn(&UtilSample) -> f64) -> f64 {
+    samples.iter().map(util).fold(0.0, f64::max)
+}
 
 fn build(algo: &str) -> Box<dyn Platform> {
     let cfg = LibraConfig::libra();
@@ -73,8 +79,11 @@ fn measure() -> Vec<SweepPoint> {
             completion: run.result.completion_time.as_secs_f64(),
             idle_cpu: run.report.pool_idle_cpu_core_sec,
             idle_mem: run.report.pool_idle_mem_mb_sec,
-            cpu_util: (run.result.mean_cpu_util(), run.result.peak_cpu_util()),
-            mem_util: (run.result.mean_mem_util(), run.result.peak_mem_util()),
+            cpu_util: (run.result.mean_cpu_util(), peak(&run.result.util, UtilSample::cpu_util)),
+            mem_util: (
+                mean(run.result.util.iter().map(UtilSample::mem_util)),
+                peak(&run.result.util, UtilSample::mem_util),
+            ),
         }
     });
 

@@ -12,11 +12,28 @@ use crate::*;
 use libra_core::sharding::{ScheduleRequest, ShardedScheduler};
 use libra_sim::engine::SimConfig;
 use libra_sim::function::FunctionSpec;
+use libra_sim::ids::FunctionId;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 use libra_workloads::trace::TraceGen;
 use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
+
+/// `n` simultaneous invocations of `gen`'s functions, evenly divided — the
+/// strong/weak-scaling workload of §8.5 ("1000 concurrent invocations where
+/// each function is invoked 100 times simultaneously").
+fn concurrent_burst(gen: &TraceGen, n: usize) -> Trace {
+    let mut rng = ChaCha8Rng::seed_from_u64(gen.seed ^ 0xb0057);
+    let mut trace = Trace::new();
+    for i in 0..n {
+        let f = i % gen.kinds.len();
+        let input = gen.pools[f].sample(&mut rng);
+        trace.push(SimTime::ZERO, FunctionId(f as u32), input);
+    }
+    trace
+}
 
 /// The ten functions with allocations clamped to fit a 4-way shard slice of
 /// a 24-core Jetstream node (6 cores / 6 GB): on the paper's testbed,
@@ -50,8 +67,7 @@ pub fn strong_scaling() -> Vec<(usize, f64)> {
     let n_inv = ((1_000.0 * scale) as usize).max(50);
     // Shard configs run concurrently; rows print from the ordered results.
     let out: Vec<(usize, f64)> = par_map((1..=4).collect(), |shards| {
-        let gen = TraceGen::standard(&ALL_APPS, 7);
-        let trace = gen.concurrent_burst(n_inv);
+        let trace = concurrent_burst(&TraceGen::standard(&ALL_APPS, 7), n_inv);
         let run = run_on(
             scaling_suite(),
             testbeds::jetstream(50),
@@ -83,8 +99,7 @@ pub fn weak_scaling() -> Vec<(usize, f64)> {
     // Node counts run concurrently; rows print from the ordered results.
     let sized: Vec<(usize, usize, f64)> = par_map(vec![10usize, 20, 30, 40, 50], |nodes| {
         let n_inv = ((20.0 * nodes as f64 * scale) as usize).max(20);
-        let gen = TraceGen::standard(&ALL_APPS, 7);
-        let trace = gen.concurrent_burst(n_inv);
+        let trace = concurrent_burst(&TraceGen::standard(&ALL_APPS, 7), n_inv);
         let run = run_on(
             scaling_suite(),
             testbeds::jetstream(nodes),
@@ -177,4 +192,20 @@ pub fn run() {
         &["invocations", "mean_ms"],
         &c.iter().map(|&(n, t)| vec![n as f64, t]).collect::<Vec<_>>(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn concurrent_burst_divides_functions_evenly() {
+        let t = concurrent_burst(&TraceGen::standard(&ALL_APPS, 1), 1000);
+        assert_eq!(t.len(), 1000);
+        assert!(t.entries.iter().all(|e| e.at == SimTime::ZERO));
+        for f in 0..10u32 {
+            let n = t.entries.iter().filter(|e| e.func == FunctionId(f)).count();
+            assert_eq!(n, 100, "function {f} should get 100 invocations");
+        }
+    }
 }

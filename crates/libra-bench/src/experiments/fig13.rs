@@ -12,7 +12,14 @@
 use crate::*;
 use libra_sim::engine::SimConfig;
 use libra_workloads::trace::TraceGen;
-use libra_workloads::{size_related_suite, size_unrelated_suite, testbeds};
+use libra_workloads::{suite, testbeds, AppKind};
+
+/// §8.7's two workloads: the ten applications split by Table 1's
+/// size-relatedness (UL, TN, CP, DV, DH | VP, IR, GP, GM, GB), each in
+/// `FunctionId` order and re-based to ids 0..5 in its own suite.
+fn size_split() -> (Vec<AppKind>, Vec<AppKind>) {
+    ALL_APPS.into_iter().partition(AppKind::input_size_related)
+}
 
 fn p99_speedup(run: &PlatformRun) -> f64 {
     libra_sim::metrics::percentile(&run.result.speedups(), 99.0)
@@ -45,9 +52,10 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
     println!("Expected: full Libra at least matches either single-model variant.");
     write_panel("fig13a_model_ablation", &out);
 
-    for (panel, file, (suite, kinds)) in [
-        ("size-related", "fig13b_size_related", size_related_suite()),
-        ("size-unrelated", "fig13c_size_unrelated", size_unrelated_suite()),
+    let (related, unrelated) = size_split();
+    for (panel, file, kinds) in [
+        ("size-related", "fig13b_size_related", related),
+        ("size-unrelated", "fig13c_size_unrelated", unrelated),
     ] {
         header(&format!(
             "Fig 13({}): {panel} workload",
@@ -55,10 +63,11 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
         ));
         // Deviation from §8.3: the panel's own five-function suite and trace.
         let trace = TraceGen::standard(&kinds, 42).single_set();
+        let specs = suite(&kinds);
         let panel_kinds = [PlatformKind::Default, PlatformKind::Freyr, PlatformKind::Libra];
         let runs = par_map(panel_kinds.to_vec(), |kind| {
             run_on(
-                suite.clone(),
+                specs.clone(),
                 testbeds::single_node(),
                 SimConfig::default(),
                 &trace,
@@ -96,4 +105,18 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
     println!("Libra's gain; the unrelated workload still improves (conservative");
     println!("histogram harvesting), just less.");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn size_split_partitions_the_ten() {
+        let (related, unrelated) = size_split();
+        assert_eq!(suite(&related).len(), 5);
+        assert_eq!(suite(&unrelated).len(), 5);
+        assert!(related.iter().all(AppKind::input_size_related));
+        assert!(unrelated.iter().all(|k| !k.input_size_related()));
+    }
 }

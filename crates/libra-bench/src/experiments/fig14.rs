@@ -18,7 +18,9 @@ pub fn run() -> Vec<(f64, f64, f64)> {
         let control = ControlConfig { safeguard_threshold: thr, ..ControlConfig::default() };
         let cfg = LibraConfig { control, ..LibraConfig::libra() };
         let res = run_single_node(&trace, Box::new(LibraPlatform::new(cfg))).result;
-        (thr, res.safeguarded_ratio(), res.latency_percentile(99.0))
+        let safeguarded = res.records.iter().filter(|r| r.flags.safeguarded).count();
+        let ratio = safeguarded as f64 / res.records.len().max(1) as f64;
+        (thr, ratio, res.latency_percentile(99.0))
     });
     for &(thr, ratio, p99) in &out {
         row(&[format!("{thr:.1}"), format!("{:.0}%", 100.0 * ratio), format!("{p99:.1}")]);

@@ -17,17 +17,17 @@
 //! order-preserving [`sweep`] and reduced in configuration order.
 
 use crate::*;
-use libra_core::{PolicyKind, WithKeepAlive};
+use libra_core::{KeepAlive, WithKeepAlive};
 use libra_sim::time::SimDuration;
 
 /// The policy column of the sweep. `fixed60` is the seed behavior — under it
 /// every platform must reproduce its no-wrapper numbers exactly.
-fn policies() -> Vec<PolicyKind> {
+fn policies() -> Vec<KeepAlive> {
     vec![
-        PolicyKind::FixedTtl(SimDuration::from_secs(60)),
-        PolicyKind::FixedTtl(SimDuration::from_secs(10)),
-        PolicyKind::Histogram,
-        PolicyKind::Concurrency,
+        KeepAlive::fixed(SimDuration::from_secs(60)),
+        KeepAlive::fixed(SimDuration::from_secs(10)),
+        KeepAlive::histogram(),
+        KeepAlive::concurrency(),
     ]
 }
 
@@ -44,8 +44,8 @@ struct Cell {
     p99_s: f64,
 }
 
-fn one_run(policy: PolicyKind, kind: PlatformKind, rep: u64) -> Cell {
-    let platform = WithKeepAlive::new(kind.build(), policy.build());
+fn one_run(policy: KeepAlive, kind: PlatformKind, rep: u64) -> Cell {
+    let platform = WithKeepAlive::new(kind.build(), policy);
     let run = run_single_node(&single_trace(rep), Box::new(platform));
     let r = &run.result;
     let served = (r.warm_hits + r.cold_starts).max(1) as f64;
@@ -81,7 +81,9 @@ pub fn run() -> Vec<(String, f64)> {
     let pols = policies();
     let cells: Vec<(usize, usize)> =
         (0..pols.len()).flat_map(|pi| (0..PLATFORMS.len()).map(move |ki| (pi, ki))).collect();
-    let runs = sweep(&cells, repetitions(), |&(pi, ki), rep| one_run(pols[pi], PLATFORMS[ki], rep));
+    let runs = sweep(&cells, repetitions(), |&(pi, ki), rep| {
+        one_run(pols[pi].clone(), PLATFORMS[ki], rep)
+    });
 
     let mut out = Vec::new();
     let mut csv_rows = Vec::new();
@@ -142,7 +144,7 @@ mod tests {
             &trace,
             Box::new(WithKeepAlive::new(
                 PlatformKind::Libra.build(),
-                PolicyKind::FixedTtl(SimDuration::from_secs(60)).build(),
+                KeepAlive::fixed(SimDuration::from_secs(60)),
             )),
         );
         assert_eq!(bare.result.warm_hits, wrapped.result.warm_hits);
@@ -159,11 +161,11 @@ mod tests {
         let mut trace = single_trace(0);
         trace.entries.truncate(40);
         let mut p: WithKeepAlive<dyn Platform> =
-            WithKeepAlive::new(PlatformKind::Freyr.build(), PolicyKind::Histogram.build());
+            WithKeepAlive::new(PlatformKind::Freyr.build(), KeepAlive::histogram());
         let sim = Simulation::new(sebs_suite(), testbeds::single_node(), SimConfig::default());
         let r = sim.run(&trace, &mut p);
         assert_eq!(r.records.len(), 40);
-        assert_eq!((p.name().as_str(), p.policy().name()), ("Freyr", "histogram"));
+        assert_eq!((p.name().as_str(), p.policy().label().as_str()), ("Freyr", "histogram"));
         assert!(p.report().pool_puts > 0, "the inner platform harvested");
     }
 }

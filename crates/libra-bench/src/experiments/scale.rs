@@ -15,12 +15,26 @@
 
 use libra_core::{LibraConfig, LibraPlatform};
 use libra_sim::engine::{NullPlatform, SimConfig, Simulation};
-use libra_sim::event::Event;
+use libra_sim::event::EVENT_KINDS;
 use libra_sim::metrics::MetricsMode;
 use libra_sim::platform::Platform;
 use libra_sim::trace::Trace;
 use libra_workloads::trace::HugeTier;
 use std::time::Instant;
+
+/// Event kind names, indexed by `Event::kind`.
+const KIND_NAMES: [&str; EVENT_KINDS] = [
+    "decision_done",
+    "start_exec",
+    "finish",
+    "monitor_tick",
+    "health_ping",
+    "utilization_sample",
+    "retry_blocked",
+    "fault",
+    "requeue",
+    "prewarm",
+];
 
 /// Peak resident set size (VmHWM) in MB, from `/proc/self/status`.
 /// Returns 0 on platforms without procfs — the field is informational.
@@ -87,7 +101,7 @@ fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> (Str
 
     // Where the pops went, for the next event diet: `kind=pops`, with the
     // lazily-cancelled share in brackets where there is one.
-    let pops: Vec<String> = Event::KIND_NAMES
+    let pops: Vec<String> = KIND_NAMES
         .iter()
         .zip(&result.pops_by_kind)
         .filter(|(_, k)| k.handled + k.stale > 0)

@@ -28,7 +28,7 @@ use libra_baselines::{Freyr, OpenWhiskDefault};
 use libra_core::{LibraConfig, LibraPlatform, ModelChoice};
 use libra_sim::engine::{SimConfig, Simulation};
 use libra_sim::function::FunctionSpec;
-use libra_sim::metrics::{mean_slice, percentiles, RunResult};
+use libra_sim::metrics::{percentiles, RunResult};
 use libra_sim::platform::{Platform, PlatformReport};
 use libra_sim::resources::ResourceVec;
 use libra_sim::trace::Trace;
@@ -261,9 +261,13 @@ where
     variants.iter().map(|_| runs.by_ref().take(reps as usize).collect()).collect()
 }
 
-/// The mean of `f` over one variant's runs, folded in repetition order.
+/// The mean of `f` over one variant's runs, folded in repetition order; NaN
+/// for no runs, which a report must not mistake for zero.
 pub fn mean_by<R>(runs: &[R], f: impl Fn(&R) -> f64) -> f64 {
-    mean_slice(&runs.iter().map(f).collect::<Vec<_>>())
+    if runs.is_empty() {
+        return f64::NAN;
+    }
+    runs.iter().map(f).sum::<f64>() / runs.len() as f64
 }
 
 // ---------------------------------------------------------------- reporting
@@ -381,5 +385,11 @@ mod tests {
         );
         assert_eq!(mean_by(&[1.0, 2.0, 6.0], |&x| x), 3.0);
         assert!(sweep(&[(); 0], 3, |_, rep| rep).is_empty());
+    }
+
+    #[test]
+    fn mean_by_of_no_runs_is_nan() {
+        assert!(mean_by(&[] as &[f64], |&x| x).is_nan());
+        assert!((mean_by(&[2.0, 4.0], |&x| x) - 3.0).abs() < 1e-12);
     }
 }

@@ -11,6 +11,7 @@
 //! but no format crate, and the schema is two fixed record types.
 
 use libra_sim::demand::InputMeta;
+use libra_sim::function::FunctionSpec;
 use libra_sim::ids::FunctionId;
 use libra_sim::metrics::RunResult;
 use libra_sim::time::SimTime;
@@ -90,8 +91,13 @@ pub fn read_trace(r: impl Read) -> Result<Trace, CsvError> {
     Ok(trace)
 }
 
-/// Write per-invocation results as CSV.
-pub fn write_results(result: &RunResult, mut w: impl Write) -> Result<(), CsvError> {
+/// Write per-invocation results as CSV, naming each function from `funcs`,
+/// the suite the run simulated.
+pub fn write_results(
+    result: &RunResult,
+    funcs: &[FunctionSpec],
+    mut w: impl Write,
+) -> Result<(), CsvError> {
     writeln!(
         w,
         "inv,func,arrival_s,latency_s,exec_s,baseline_s,speedup,harvested,accelerated,safeguarded,oomed,cpu_reassigned_core_s"
@@ -101,7 +107,7 @@ pub fn write_results(result: &RunResult, mut w: impl Write) -> Result<(), CsvErr
             w,
             "{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{:.4}",
             r.inv.0,
-            r.func_name,
+            funcs[r.func.idx()].name,
             r.arrival.as_secs_f64(),
             r.latency.as_secs_f64(),
             r.exec.as_secs_f64(),

@@ -17,7 +17,7 @@ mod csvio;
 mod opts;
 
 use libra_bench::PlatformKind;
-use libra_core::{PolicyKind, WithKeepAlive};
+use libra_core::{KeepAlive, WithKeepAlive};
 use libra_sim::engine::{SimConfig, Simulation};
 use libra_sim::metrics::RunResult;
 use libra_sim::platform::Platform;
@@ -77,7 +77,7 @@ fn make_trace(opts: &Opts) -> Result<Trace, String> {
 /// The CLI's platform names, in [`PlatformKind::MAIN_SIX`] order.
 const PLATFORMS: [&str; 6] = ["default", "freyr", "libra", "ns", "np", "nsp"];
 
-fn build_platform(name: &str, keepalive: PolicyKind) -> Result<Box<dyn Platform>, String> {
+fn build_platform(name: &str, keepalive: &KeepAlive) -> Result<Box<dyn Platform>, String> {
     let (_, kind) = PLATFORMS
         .iter()
         .zip(PlatformKind::MAIN_SIX)
@@ -85,7 +85,7 @@ fn build_platform(name: &str, keepalive: PolicyKind) -> Result<Box<dyn Platform>
         .ok_or(format!("unknown platform `{name}`"))?;
     // The default fixed-60 policy is observationally identical to the bare
     // engine, so wrapping unconditionally is safe (and pinned by tests).
-    Ok(Box::new(WithKeepAlive::new(kind.build(), keepalive.build())))
+    Ok(Box::new(WithKeepAlive::new(kind.build(), keepalive.clone())))
 }
 
 fn cluster(opts: &Opts) -> Vec<libra_sim::resources::ResourceVec> {
@@ -123,12 +123,12 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
 
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let trace = make_trace(opts)?;
-    let mut platform = build_platform(&opts.platform, opts.keepalive)?;
+    let mut platform = build_platform(&opts.platform, &opts.keepalive)?;
     let result = execute(opts, platform.as_mut(), &trace)?;
     summarize(&result);
     if let Some(path) = &opts.out {
         let f = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        csvio::write_results(&result, f).map_err(|e| e.to_string())?;
+        csvio::write_results(&result, &sebs_suite(), f).map_err(|e| e.to_string())?;
         eprintln!("wrote per-invocation records to {path}");
     }
     if let Some(path) = &opts.trace_out {
@@ -158,7 +158,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
         for rep in 0..opts.reps {
             let rep_opts = Opts { seed: opts.seed + rep, ..opts.clone() };
             let trace = make_trace(&rep_opts)?;
-            let mut platform = build_platform(name, opts.keepalive)?;
+            let mut platform = build_platform(name, &opts.keepalive)?;
             let r = execute(&rep_opts, platform.as_mut(), &trace)?;
             let ps = r.latency_percentiles(&[50.0, 99.0]);
             p50 += ps[0];

@@ -1,7 +1,7 @@
 //! Hand-rolled option parsing (the workspace's dependency policy admits no
 //! argument-parsing crate; the grammar is small and fixed).
 
-use libra_core::keepalive::PolicyKind;
+use libra_core::KeepAlive;
 
 /// Usage text for `libra help` and errors.
 pub const USAGE: &str = "\
@@ -74,7 +74,7 @@ pub struct Opts {
     /// `--reps`
     pub reps: u64,
     /// `--keepalive` (warm-container lifecycle policy)
-    pub keepalive: PolicyKind,
+    pub keepalive: KeepAlive,
 }
 
 impl Default for Opts {
@@ -89,7 +89,7 @@ impl Default for Opts {
             out: None,
             trace_out: None,
             reps: 1,
-            keepalive: PolicyKind::default(),
+            keepalive: KeepAlive::default(),
         }
     }
 }
@@ -110,7 +110,7 @@ impl Opts {
                 "--out" => o.out = Some(value()?.clone()),
                 "--trace" => o.trace_file = Some(value()?.clone()),
                 "--trace-out" => o.trace_out = Some(value()?.clone()),
-                "--keepalive" => o.keepalive = PolicyKind::parse(value()?)?,
+                "--keepalive" => o.keepalive = KeepAlive::parse(value()?)?,
                 "--cluster" => {
                     let v = value()?;
                     o.cluster = match v.split_once(':') {
@@ -211,18 +211,10 @@ mod tests {
 
     #[test]
     fn parses_keepalive_policies() {
-        assert_eq!(Opts::parse(&[]).unwrap().keepalive, PolicyKind::default());
-        assert_eq!(
-            Opts::parse(&args("--keepalive fixed:10")).unwrap().keepalive.label(),
-            "fixed10"
-        );
-        assert_eq!(
-            Opts::parse(&args("--keepalive histogram")).unwrap().keepalive,
-            PolicyKind::Histogram
-        );
-        assert_eq!(
-            Opts::parse(&args("--keepalive concurrency")).unwrap().keepalive,
-            PolicyKind::Concurrency
-        );
+        let label = |a: &[String]| Opts::parse(a).unwrap().keepalive.label();
+        assert_eq!(label(&[]), KeepAlive::default().label());
+        assert_eq!(label(&args("--keepalive fixed:10")), "fixed10");
+        assert_eq!(label(&args("--keepalive histogram")), "histogram");
+        assert_eq!(label(&args("--keepalive concurrency")), "concurrency");
     }
 }

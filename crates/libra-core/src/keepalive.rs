@@ -1,36 +1,35 @@
-//! Keep-alive & autoscaling policies — when does an idle warm container die?
+//! Keep-alive & autoscaling — when does an idle warm container die?
 //!
 //! Libra's harvestable supply is exactly the memory that idle warm containers
 //! pin, so the keep-alive policy is not a substrate detail: it decides how
-//! much idle memory exists for harvesters to see. This module extracts that
-//! decision from the simulator's `WarmPool` (where it used to be a hard-coded
-//! 60 s TTL) into a first-class [`KeepAlivePolicy`] — pure, clock-free and
+//! much idle memory exists for harvesters to see. This module holds that
+//! decision as one value, [`KeepAlive`] — pure, clock-free and
 //! deterministic, the same discipline as [`crate::controlplane`]: drivers
 //! report per-function events (arrival, completion, container-going-idle)
 //! with an explicit `now`, and the policy answers keep-until deadlines and
-//! prewarm directives. Both substrates drive the same object: the simulator
+//! prewarm directives. Both substrates drive the same value: the simulator
 //! through its `Platform` warm-lifecycle hooks (see
 //! [`crate::platform::WithKeepAlive`], which composes a policy with any
 //! simulated platform) and the live cluster through its warm-container
 //! registry.
 //!
-//! Three implementations ship:
+//! Three policies ship, one constructor each:
 //!
-//! * [`FixedTtl`] — OpenWhisk's classic fixed keep-alive window. With the
-//!   default 60 s TTL it reproduces the pre-refactor engine byte-identically
-//!   (the golden-trace test pins this).
-//! * [`HistogramPolicy`] — the Serverless-in-the-Wild hybrid: a streaming
-//!   histogram of per-function inter-arrival times picks the keep-alive
-//!   window from the tail percentile, and when arrivals are so sparse that
-//!   keeping warm is wasteful it shuts the container down early and issues a
-//!   *prewarm* directive just before the predicted next arrival.
-//! * [`ConcurrencyPolicy`] — concurrency-based autoscaling (Knative-style):
-//!   the idle pool per function is capped at the peak in-flight concurrency
-//!   observed over a sliding window, so the warm set scales in when load
-//!   drops instead of lingering for a full TTL.
+//! * [`KeepAlive::fixed`] — OpenWhisk's classic fixed keep-alive window.
+//!   With the default 60 s TTL it reproduces the pre-policy engine
+//!   byte-identically (the golden-trace test pins this).
+//! * [`KeepAlive::histogram`] — the Serverless-in-the-Wild hybrid: a
+//!   streaming histogram of per-function inter-arrival times picks the
+//!   keep-alive window from the tail percentile, and when arrivals are so
+//!   sparse that keeping warm is wasteful it shuts the container down early
+//!   and issues a *prewarm* directive just before the predicted next arrival.
+//! * [`KeepAlive::concurrency`] — concurrency-based autoscaling
+//!   (Knative-style): the idle pool per function is capped at the peak
+//!   in-flight concurrency observed over a sliding window, so the warm set
+//!   scales in when load drops instead of lingering for a full TTL.
 //!
-//! Only the fixed window takes a value ([`PolicyKind::FixedTtl`]); the
-//! histogram and concurrency tunings are constants beside each policy.
+//! Only the fixed window takes a value; the histogram and concurrency
+//! tunings are constants beside their state.
 
 // DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -41,84 +40,42 @@ use libra_sim::ids::FunctionId;
 use libra_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// A keep-alive / autoscaling policy: pure event-in, directive-out.
+/// A keep-alive / autoscaling policy and its per-function state: pure
+/// event-in, directive-out.
 ///
 /// Drivers feed it per-function lifecycle events, each stamped with an
 /// explicit `now` (no wall clocks — the sim passes virtual time, the live
 /// runtime passes its logical microsecond clock), and ask two questions:
 /// how long to keep an idle container, and whether to prewarm one ahead of
-/// the predicted next arrival. Implementations must be deterministic:
-/// identical event sequences must produce identical answers on every run.
-pub trait KeepAlivePolicy: Send {
-    /// Short display name (used in experiment CSV columns).
-    fn name(&self) -> &'static str;
+/// the predicted next arrival. Identical event sequences produce identical
+/// answers on every run, and a clone shares no state with its original.
+#[derive(Clone, Debug)]
+pub struct KeepAlive(Rule);
 
-    /// An invocation of `func` arrived at `now`.
-    fn on_arrival(&mut self, func: FunctionId, now: SimTime);
-
-    /// An invocation of `func` left the in-flight set at `now` (completed
-    /// or aborted).
-    fn on_complete(&mut self, func: FunctionId, now: SimTime);
-
-    /// A container for `func` is going idle at `now`; `idle_peers` containers
-    /// for the same function already sit idle on that node. Returns the
-    /// deadline until which the container should be kept warm, or `None` to
-    /// tear it down immediately (its memory unpins right away).
-    fn keep_until(&mut self, func: FunctionId, idle_peers: usize, now: SimTime) -> Option<SimTime>;
-
-    /// After an arrival of `func` at `now`: optionally direct the driver to
-    /// prewarm a container for `func` this far in the future (just before
-    /// the predicted next arrival). The default is no prewarming.
-    fn prewarm_after(&mut self, func: FunctionId, now: SimTime) -> Option<SimDuration> {
-        let _ = (func, now);
-        None
-    }
-}
-
-/// OpenWhisk's fixed keep-alive window: every idle container survives
-/// exactly `ttl` past its last use. Stateless and byte-identical to the
-/// pre-policy engine when `ttl` is the warm pool's [`KEEPALIVE`] window.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedTtl {
-    /// Idle lifetime of a warm container.
-    pub ttl: SimDuration,
-}
-
-impl FixedTtl {
-    /// The classic 60 s window (OpenWhisk default): the same [`KEEPALIVE`]
-    /// constant the simulator's default `Platform::warm_keep` answers with.
-    pub fn standard() -> Self {
-        FixedTtl { ttl: KEEPALIVE }
-    }
-}
-
-impl KeepAlivePolicy for FixedTtl {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn on_arrival(&mut self, _func: FunctionId, _now: SimTime) {}
-
-    fn on_complete(&mut self, _func: FunctionId, _now: SimTime) {}
-
-    fn keep_until(
-        &mut self,
-        _func: FunctionId,
-        _idle_peers: usize,
-        now: SimTime,
-    ) -> Option<SimTime> {
-        Some(now + self.ttl)
-    }
+#[derive(Clone, Debug)]
+enum Rule {
+    /// Every idle container survives exactly this long past its last use.
+    Fixed(SimDuration),
+    /// Per-function inter-arrival histograms ([`StreamingHistogram`], the
+    /// same substrate the profiler's demand models use) choose the window
+    /// (tail percentile) and the prewarm point (head percentile) online.
+    Histogram(BTreeMap<FunctionId, FuncArrivals>),
+    /// The idle warm set per function is capped at the peak in-flight
+    /// concurrency seen over the last two observation windows; excess
+    /// containers are torn down as soon as they go idle.
+    Concurrency(BTreeMap<FunctionId, FuncConcurrency>),
 }
 
 /// Histogram bin count for per-function inter-arrival times.
 const IAT_BINS: usize = 64;
-/// Head percentile (earliest plausible next arrival → prewarm point).
-const HEAD_Q: f64 = 0.05;
-/// Tail percentile (latest plausible next arrival → keep-alive window).
-const TAIL_Q: f64 = 0.99;
-/// Observations required before trusting the histogram; below this
-/// [`HistogramPolicy`] behaves like [`FixedTtl::standard`].
+/// Head percentile, in [0, 100] (earliest plausible next arrival → prewarm
+/// point).
+const HEAD_Q: f64 = 5.0;
+/// Tail percentile, in [0, 100] (latest plausible next arrival → keep-alive
+/// window).
+const TAIL_Q: f64 = 99.0;
+/// Observations required before trusting the histogram; below this the
+/// histogram policy keeps the standard [`KEEPALIVE`] window.
 const MIN_SAMPLES: u64 = 4;
 /// Keep-alive window clamp (lower bound).
 const MIN_WINDOW: SimDuration = SimDuration(10_000_000);
@@ -130,8 +87,10 @@ const MAX_WINDOW: SimDuration = SimDuration(600_000_000);
 const PREWARM_CUTOFF: SimDuration = SimDuration(120_000_000);
 /// Fraction of the head-percentile gap to wait before prewarming.
 const PREWARM_MARGIN: f64 = 0.85;
+/// Width of the peak-concurrency observation window.
+const PEAK_WINDOW: SimDuration = SimDuration(60_000_000);
 
-/// Per-function state for [`HistogramPolicy`].
+/// One function's arrivals under the histogram policy.
 #[derive(Clone, Debug)]
 struct FuncArrivals {
     last_arrival: Option<SimTime>,
@@ -139,82 +98,18 @@ struct FuncArrivals {
     iat: StreamingHistogram,
 }
 
-/// Serverless-in-the-Wild-style hybrid keep-alive: per-function streaming
-/// histograms of inter-arrival times ([`StreamingHistogram`], the same
-/// substrate the profiler's demand models use) choose the keep-alive window
-/// (tail percentile) and the prewarm point (head percentile) online.
-#[derive(Debug, Default)]
-pub struct HistogramPolicy {
-    funcs: BTreeMap<FunctionId, FuncArrivals>,
-}
-
-impl HistogramPolicy {
-    /// Percentile of `func`'s inter-arrival distribution, if the histogram
-    /// has enough samples to be trusted.
-    fn iat_percentile(&self, func: FunctionId, q: f64) -> Option<SimDuration> {
-        let fa = self.funcs.get(&func)?;
-        if fa.iat.count() < MIN_SAMPLES {
+impl FuncArrivals {
+    /// The `q`-th percentile (q in [0, 100]) of the inter-arrival times, once
+    /// there are enough samples to trust it.
+    fn iat_percentile(&self, q: f64) -> Option<SimDuration> {
+        if self.iat.count() < MIN_SAMPLES {
             return None;
         }
-        fa.iat.percentile(q).map(SimDuration::from_secs_f64)
+        self.iat.percentile(q).map(SimDuration::from_secs_f64)
     }
 }
 
-impl KeepAlivePolicy for HistogramPolicy {
-    fn name(&self) -> &'static str {
-        "histogram"
-    }
-
-    fn on_arrival(&mut self, func: FunctionId, now: SimTime) {
-        let fa = self.funcs.entry(func).or_insert_with(|| FuncArrivals {
-            last_arrival: None,
-            // Initial range 1 s; the histogram doubles its range as sparser
-            // gaps arrive, so any arrival process fits.
-            iat: StreamingHistogram::new(IAT_BINS, 1.0),
-        });
-        if let Some(last) = fa.last_arrival {
-            fa.iat.insert(now.since(last).as_secs_f64());
-        }
-        fa.last_arrival = Some(now);
-    }
-
-    fn on_complete(&mut self, _func: FunctionId, _now: SimTime) {}
-
-    fn keep_until(
-        &mut self,
-        func: FunctionId,
-        _idle_peers: usize,
-        now: SimTime,
-    ) -> Option<SimTime> {
-        let Some(tail) = self.iat_percentile(func, TAIL_Q) else {
-            return Some(now + KEEPALIVE);
-        };
-        let head = self.iat_percentile(func, HEAD_Q).unwrap_or(tail);
-        if head > PREWARM_CUTOFF {
-            // Arrivals are sparse and regular enough that keeping the
-            // container warm across the whole gap wastes memory: keep it
-            // only briefly and rely on the prewarm directive.
-            return Some(now + MIN_WINDOW);
-        }
-        let window = tail.clamp(MIN_WINDOW, MAX_WINDOW);
-        Some(now + window)
-    }
-
-    fn prewarm_after(&mut self, func: FunctionId, now: SimTime) -> Option<SimDuration> {
-        let _ = now;
-        let head = self.iat_percentile(func, HEAD_Q)?;
-        if head <= PREWARM_CUTOFF {
-            return None;
-        }
-        let at = head.as_secs_f64() * PREWARM_MARGIN;
-        Some(SimDuration::from_secs_f64(at))
-    }
-}
-
-/// Width of the peak-concurrency observation window.
-const PEAK_WINDOW: SimDuration = SimDuration(60_000_000);
-
-/// Per-function state for [`ConcurrencyPolicy`].
+/// One function's in-flight count under the concurrency policy.
 #[derive(Clone, Copy, Debug, Default)]
 struct FuncConcurrency {
     in_flight: u32,
@@ -239,102 +134,144 @@ impl FuncConcurrency {
     }
 }
 
-/// Concurrency-based autoscaling: the idle warm set per function is capped
-/// at the peak in-flight concurrency seen over the last two observation
-/// windows. Excess containers are torn down as soon as they go idle —
-/// scale-in follows load down instead of waiting out a TTL.
-#[derive(Debug, Default)]
-pub struct ConcurrencyPolicy {
-    funcs: BTreeMap<FunctionId, FuncConcurrency>,
-}
-
-impl ConcurrencyPolicy {
-    /// The current warm-set target for `func`.
-    fn target(&self, func: FunctionId) -> u32 {
-        self.funcs.get(&func).map_or(0, |c| c.peak.max(c.prev_peak))
-    }
-}
-
-impl KeepAlivePolicy for ConcurrencyPolicy {
-    fn name(&self) -> &'static str {
-        "concurrency"
-    }
-
-    fn on_arrival(&mut self, func: FunctionId, now: SimTime) {
-        let c = self.funcs.entry(func).or_default();
-        c.roll(now);
-        c.in_flight = c.in_flight.saturating_add(1);
-        c.peak = c.peak.max(c.in_flight);
-    }
-
-    fn on_complete(&mut self, func: FunctionId, now: SimTime) {
-        let c = self.funcs.entry(func).or_default();
-        c.roll(now);
-        c.in_flight = c.in_flight.saturating_sub(1);
-    }
-
-    fn keep_until(&mut self, func: FunctionId, idle_peers: usize, now: SimTime) -> Option<SimTime> {
-        if let Some(c) = self.funcs.get_mut(&func) {
-            c.roll(now);
-        }
-        let target = self.target(func) as usize;
-        if idle_peers >= target {
-            return None; // scale in: the warm set already covers peak demand
-        }
-        Some(now + KEEPALIVE) // kept containers get the standard window
-    }
-}
-
-/// Declarative policy choice — the config-file / CLI-facing counterpart of
-/// the trait objects above, so `SimConfig`-style plumbing can stay `Clone`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PolicyKind {
-    /// [`FixedTtl`] with the given window.
-    FixedTtl(SimDuration),
-    /// [`HistogramPolicy`].
-    Histogram,
-    /// [`ConcurrencyPolicy`].
-    Concurrency,
-}
-
-impl Default for PolicyKind {
+impl Default for KeepAlive {
+    /// The classic 60 s window (OpenWhisk default): the same [`KEEPALIVE`]
+    /// constant the simulator's default `Platform::warm_keep` answers with.
     fn default() -> Self {
-        PolicyKind::FixedTtl(KEEPALIVE)
+        KeepAlive::fixed(KEEPALIVE)
     }
 }
 
-impl PolicyKind {
-    /// Instantiate the policy.
-    pub fn build(&self) -> Box<dyn KeepAlivePolicy> {
-        match *self {
-            PolicyKind::FixedTtl(ttl) => Box::new(FixedTtl { ttl }),
-            PolicyKind::Histogram => Box::new(HistogramPolicy::default()),
-            PolicyKind::Concurrency => Box::new(ConcurrencyPolicy::default()),
-        }
+impl KeepAlive {
+    /// OpenWhisk's fixed keep-alive window: every idle container survives
+    /// exactly `ttl` past its last use.
+    pub fn fixed(ttl: SimDuration) -> Self {
+        KeepAlive(Rule::Fixed(ttl))
     }
 
-    /// Short label for CSV columns and CLI output.
-    pub fn label(&self) -> String {
-        match *self {
-            PolicyKind::FixedTtl(ttl) => format!("fixed{}", ttl.as_micros() / 1_000_000),
-            PolicyKind::Histogram => "histogram".to_string(),
-            PolicyKind::Concurrency => "concurrency".to_string(),
-        }
+    /// Serverless-in-the-Wild-style hybrid keep-alive over per-function
+    /// inter-arrival histograms.
+    pub fn histogram() -> Self {
+        KeepAlive(Rule::Histogram(BTreeMap::new()))
     }
 
-    /// Parse a CLI spec: `fixed[:secs]`, `histogram`, or `concurrency`.
-    pub fn parse(s: &str) -> Result<PolicyKind, String> {
-        match s.split_once(':') {
-            None if s == "fixed" => Ok(PolicyKind::default()),
-            None if s == "histogram" => Ok(PolicyKind::Histogram),
-            None if s == "concurrency" => Ok(PolicyKind::Concurrency),
-            Some(("fixed", secs)) => {
-                let secs: u64 = secs.parse().map_err(|e| format!("keepalive fixed:<secs>: {e}"))?;
-                Ok(PolicyKind::FixedTtl(SimDuration::from_secs(secs)))
+    /// Concurrency-based autoscaling: scale-in follows load down instead of
+    /// waiting out a TTL.
+    pub fn concurrency() -> Self {
+        KeepAlive(Rule::Concurrency(BTreeMap::new()))
+    }
+
+    /// An invocation of `func` arrived at `now`.
+    pub fn on_arrival(&mut self, func: FunctionId, now: SimTime) {
+        match &mut self.0 {
+            Rule::Fixed(_) => {}
+            Rule::Histogram(funcs) => {
+                let fa = funcs.entry(func).or_insert_with(|| FuncArrivals {
+                    last_arrival: None,
+                    // Initial range 1 s; the histogram doubles its range as
+                    // sparser gaps arrive, so any arrival process fits.
+                    iat: StreamingHistogram::new(IAT_BINS, 1.0),
+                });
+                if let Some(last) = fa.last_arrival {
+                    fa.iat.insert(now.since(last).as_secs_f64());
+                }
+                fa.last_arrival = Some(now);
             }
-            _ => Err(format!(
-                "bad keepalive policy `{s}` (expected fixed[:secs] | histogram | concurrency)"
-            )),
+            Rule::Concurrency(funcs) => {
+                let c = funcs.entry(func).or_default();
+                c.roll(now);
+                c.in_flight = c.in_flight.saturating_add(1);
+                c.peak = c.peak.max(c.in_flight);
+            }
+        }
+    }
+
+    /// An invocation of `func` left the in-flight set at `now` (completed
+    /// or aborted).
+    pub fn on_complete(&mut self, func: FunctionId, now: SimTime) {
+        if let Rule::Concurrency(funcs) = &mut self.0 {
+            let c = funcs.entry(func).or_default();
+            c.roll(now);
+            c.in_flight = c.in_flight.saturating_sub(1);
+        }
+    }
+
+    /// A container for `func` is going idle at `now`; `idle_peers` containers
+    /// for the same function already sit idle on that node. Returns the
+    /// deadline until which the container should be kept warm, or `None` to
+    /// tear it down immediately (its memory unpins right away).
+    pub fn keep_until(
+        &mut self,
+        func: FunctionId,
+        idle_peers: usize,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        match &mut self.0 {
+            Rule::Fixed(ttl) => Some(now + *ttl),
+            Rule::Histogram(funcs) => {
+                let fa = funcs.get(&func);
+                let Some(tail) = fa.and_then(|fa| fa.iat_percentile(TAIL_Q)) else {
+                    return Some(now + KEEPALIVE);
+                };
+                let head = fa.and_then(|fa| fa.iat_percentile(HEAD_Q)).unwrap_or(tail);
+                if head > PREWARM_CUTOFF {
+                    // Arrivals are sparse and regular enough that keeping the
+                    // container warm across the whole gap wastes memory: keep
+                    // it only briefly and rely on the prewarm directive.
+                    return Some(now + MIN_WINDOW);
+                }
+                Some(now + tail.clamp(MIN_WINDOW, MAX_WINDOW))
+            }
+            Rule::Concurrency(funcs) => {
+                let target = funcs.get_mut(&func).map_or(0, |c| {
+                    c.roll(now);
+                    c.peak.max(c.prev_peak)
+                });
+                // Scale in once the warm set covers peak demand; kept
+                // containers get the standard window.
+                (idle_peers < target as usize).then(|| now + KEEPALIVE)
+            }
+        }
+    }
+
+    /// After an arrival of `func`: optionally direct the driver to prewarm a
+    /// container for `func` this far in the future (just before the
+    /// predicted next arrival). Only the histogram policy ever prewarms.
+    pub fn prewarm_after(&self, func: FunctionId) -> Option<SimDuration> {
+        let Rule::Histogram(funcs) = &self.0 else {
+            return None;
+        };
+        let head = funcs.get(&func)?.iat_percentile(HEAD_Q)?;
+        (head > PREWARM_CUTOFF)
+            .then(|| SimDuration::from_secs_f64(head.as_secs_f64() * PREWARM_MARGIN))
+    }
+
+    /// Short label for CSV columns and CLI output: `fixed<secs>`,
+    /// `histogram` or `concurrency`. [`KeepAlive::parse`] reads it back.
+    pub fn label(&self) -> String {
+        match &self.0 {
+            Rule::Fixed(ttl) => format!("fixed{}", ttl.as_micros() / 1_000_000),
+            Rule::Histogram(_) => "histogram".to_string(),
+            Rule::Concurrency(_) => "concurrency".to_string(),
+        }
+    }
+
+    /// Parse a CLI spec: `fixed[:secs]` (or a label's `fixed<secs>`),
+    /// `histogram`, or `concurrency`.
+    pub fn parse(s: &str) -> Result<KeepAlive, String> {
+        match s {
+            "fixed" => Ok(KeepAlive::default()),
+            "histogram" => Ok(KeepAlive::histogram()),
+            "concurrency" => Ok(KeepAlive::concurrency()),
+            _ => {
+                let expected = "expected fixed[:secs] | histogram | concurrency";
+                let secs = s
+                    .strip_prefix("fixed:")
+                    .or_else(|| s.strip_prefix("fixed"))
+                    .ok_or_else(|| format!("bad keepalive policy `{s}` ({expected})"))?;
+                let secs: u64 = secs.parse().map_err(|e| format!("keepalive fixed:<secs>: {e}"))?;
+                Ok(KeepAlive::fixed(SimDuration::from_secs(secs)))
+            }
         }
     }
 }
@@ -351,15 +288,15 @@ mod tests {
 
     #[test]
     fn fixed_ttl_is_now_plus_ttl() {
-        let mut p = FixedTtl::standard();
+        let mut p = KeepAlive::default();
         assert_eq!(p.keep_until(F, 0, t(10)), Some(t(70)));
         assert_eq!(p.keep_until(F, 99, t(10)), Some(t(70)), "peers do not matter");
-        assert!(p.prewarm_after(F, t(10)).is_none());
+        assert!(p.prewarm_after(F).is_none());
     }
 
     #[test]
     fn histogram_falls_back_until_warmed_up() {
-        let mut p = HistogramPolicy::default();
+        let mut p = KeepAlive::histogram();
         p.on_arrival(F, t(0));
         p.on_arrival(F, t(30));
         // Only one IAT sample — below min_samples, fall back to the TTL.
@@ -368,7 +305,7 @@ mod tests {
 
     #[test]
     fn histogram_tracks_dense_arrivals_with_short_window() {
-        let mut p = HistogramPolicy::default();
+        let mut p = KeepAlive::histogram();
         // 20 arrivals 5 s apart: tail percentile ≈ 5 s, clamped up to 10 s.
         for i in 0..20 {
             p.on_arrival(F, t(5 * i));
@@ -379,12 +316,30 @@ mod tests {
             window < SimDuration::from_secs(60),
             "dense arrivals should not need the fallback TTL, got {window:?}"
         );
-        assert!(p.prewarm_after(F, t(100)).is_none(), "no prewarm when dense");
+        assert!(p.prewarm_after(F).is_none(), "no prewarm when dense");
+    }
+
+    #[test]
+    fn histogram_window_covers_the_tail_gap() {
+        let mut p = KeepAlive::histogram();
+        // 19 gaps of 20 s, then one of 50 s: the 99th-percentile gap is the
+        // 50 s one, so the window must reach past 45 s, not stop at 20 s.
+        let mut at = 0;
+        for _ in 0..19 {
+            p.on_arrival(F, t(at));
+            at += 20;
+        }
+        p.on_arrival(F, t(at));
+        at += 50;
+        p.on_arrival(F, t(at));
+        let window = p.keep_until(F, 0, t(at)).expect("kept warm").since(t(at));
+        assert!(window >= SimDuration::from_secs(45), "tail window {window:?}");
+        assert!(p.prewarm_after(F).is_none(), "20 s gaps are dense: no prewarm");
     }
 
     #[test]
     fn histogram_prewarms_sparse_arrivals() {
-        let mut p = HistogramPolicy::default();
+        let mut p = KeepAlive::histogram();
         // Arrivals 300 s apart: head percentile far past the cutoff.
         for i in 0..20 {
             p.on_arrival(F, t(300 * i));
@@ -395,14 +350,14 @@ mod tests {
             ku.since(now) <= SimDuration::from_secs(10),
             "sparse arrivals keep only min_window"
         );
-        let gap = p.prewarm_after(F, now).expect("sparse arrivals prewarm");
+        let gap = p.prewarm_after(F).expect("sparse arrivals prewarm");
         let secs = gap.as_secs_f64();
         assert!(secs > 120.0 && secs < 300.0, "prewarm inside the gap, got {secs}");
     }
 
     #[test]
     fn concurrency_caps_idle_set_at_observed_peak() {
-        let mut p = ConcurrencyPolicy::default();
+        let mut p = KeepAlive::concurrency();
         // Two overlapping invocations: peak concurrency 2.
         p.on_arrival(F, t(1));
         p.on_arrival(F, t(2));
@@ -415,7 +370,7 @@ mod tests {
 
     #[test]
     fn concurrency_target_decays_after_two_windows() {
-        let mut p = ConcurrencyPolicy::default();
+        let mut p = KeepAlive::concurrency();
         p.on_arrival(F, t(0));
         p.on_arrival(F, t(1));
         p.on_complete(F, t(2));
@@ -426,21 +381,56 @@ mod tests {
 
     #[test]
     fn unknown_function_has_zero_target() {
-        let mut p = ConcurrencyPolicy::default();
+        let mut p = KeepAlive::concurrency();
         assert!(p.keep_until(FunctionId(99), 0, t(1)).is_none());
     }
 
     #[test]
-    fn kind_parses_and_labels() {
-        assert_eq!(PolicyKind::parse("fixed").unwrap(), PolicyKind::default());
-        assert_eq!(
-            PolicyKind::parse("fixed:10").unwrap(),
-            PolicyKind::FixedTtl(SimDuration::from_secs(10))
-        );
-        assert_eq!(PolicyKind::parse("fixed:10").unwrap().label(), "fixed10");
-        assert_eq!(PolicyKind::parse("histogram").unwrap(), PolicyKind::Histogram);
-        assert_eq!(PolicyKind::parse("concurrency").unwrap(), PolicyKind::Concurrency);
-        assert!(PolicyKind::parse("bogus").is_err());
-        assert!(PolicyKind::parse("fixed:x").is_err());
+    fn parses_and_labels() {
+        let label = |s: &str| KeepAlive::parse(s).unwrap().label();
+        assert_eq!(label("fixed"), KeepAlive::default().label());
+        assert_eq!(label("fixed:10"), "fixed10");
+        assert_eq!(label("histogram"), "histogram");
+        assert_eq!(label("concurrency"), "concurrency");
+        let mut p = KeepAlive::parse("fixed:10").unwrap();
+        assert_eq!(p.keep_until(F, 0, t(1)), Some(t(11)));
+        assert!(KeepAlive::parse("bogus").is_err());
+        assert!(KeepAlive::parse("fixed:x").is_err());
+    }
+
+    #[test]
+    fn parse_reads_back_every_label() {
+        let policies = [
+            KeepAlive::fixed(SimDuration::from_secs(10)),
+            KeepAlive::default(),
+            KeepAlive::histogram(),
+            KeepAlive::concurrency(),
+        ];
+        let labels: Vec<String> = policies.iter().map(KeepAlive::label).collect();
+        assert_eq!(labels, ["fixed10", "fixed60", "histogram", "concurrency"]);
+        for k in &policies {
+            assert_eq!(KeepAlive::parse(&k.label()).unwrap().label(), k.label());
+        }
+        let mut p = KeepAlive::parse("fixed60").unwrap();
+        assert_eq!(p.keep_until(F, 0, t(1)), Some(t(61)));
+    }
+
+    #[test]
+    fn a_clone_shares_no_state_with_its_original() {
+        for original in [KeepAlive::histogram(), KeepAlive::concurrency()] {
+            let mut original = original;
+            let mut clone = original.clone();
+            // The original sees overlapping dense arrivals, the clone sparse
+            // ones; each must answer from its own history.
+            for i in 0..20 {
+                original.on_arrival(F, t(5 * i));
+                original.on_arrival(F, t(5 * i));
+                clone.on_arrival(F, t(300 * i));
+                clone.on_complete(F, t(300 * i + 1));
+            }
+            let now = t(6000);
+            let answers = |p: &mut KeepAlive| (p.keep_until(F, 1, now), p.prewarm_after(F));
+            assert_ne!(answers(&mut original), answers(&mut clone), "{}", original.label());
+        }
     }
 }

@@ -30,10 +30,10 @@
 //!   consumes admission/observation/completion events and emits explicit
 //!   [`controlplane::Action`]s; the simulator and the live threaded runtime
 //!   are both thin drivers of it,
-//! * [`keepalive`] — the keep-alive / autoscaling policy layer: pure,
-//!   clock-free [`keepalive::KeepAlivePolicy`] implementations (fixed TTL,
-//!   histogram prewarm, concurrency autoscaling) that decide when idle warm
-//!   containers die — and therefore how much idle memory harvesters see,
+//! * [`keepalive`] — the keep-alive / autoscaling policy layer: one pure,
+//!   clock-free [`KeepAlive`] value (fixed TTL, histogram prewarm or
+//!   concurrency autoscaling) that decides when idle warm containers die —
+//!   and therefore how much idle memory harvesters see,
 //! * [`platform`] — the one module that meets the simulator's engine and
 //!   its `Platform` trait, and glue only: the simulator driver of the
 //!   control plane, the demand estimator and a pool view
@@ -68,10 +68,10 @@ pub use controlplane::{
     Action, Admission, ControlConfig, ControlCounters, ControlPlane, LendFailure, Observation,
 };
 pub use coverage::demand_coverage;
-pub use keepalive::{ConcurrencyPolicy, FixedTtl, HistogramPolicy, KeepAlivePolicy, PolicyKind};
+pub use keepalive::KeepAlive;
 pub use platform::{
     hash_probe, CoverageSelector, HashSelector, LibraConfig, LibraPlatform, NodeSelector,
-    VolumeSelector, WithKeepAlive,
+    WithKeepAlive,
 };
 pub use pool::{GetOrder, HarvestResourcePool, PoolEntryStatus, PoolSnapshot};
 pub use profiler::{ModelChoice, ModelScores, Profiler, ProfilerConfig, WorkloadDuplicator};

@@ -8,7 +8,7 @@
 //!   [`crate::scheduler::place`] directly) over a simulated `World`'s shard
 //!   slices, and [`hash_probe`], the non-accelerable half, which the
 //!   baselines share;
-//! * [`WithKeepAlive`], which composes a [`KeepAlivePolicy`] with any
+//! * [`WithKeepAlive`], which composes a [`KeepAlive`] policy with any
 //!   simulated platform, one chosen at run time included.
 //!
 //! It is glue only. All harvest/accelerate/trim/safeguard/revocation
@@ -28,7 +28,7 @@
 //! estimates), Libra-NSP (neither).
 
 use crate::controlplane::{Action, Admission, ControlConfig, ControlPlane, LendFailure};
-use crate::keepalive::KeepAlivePolicy;
+use crate::keepalive::KeepAlive;
 use crate::pool::ledger_totals;
 use crate::profiler::{DemandEstimator, ModelChoice, Profiler, ProfilerConfig};
 use crate::scheduler::{place, SchedView, ScheduleRequest};
@@ -450,45 +450,7 @@ impl NodeSelector for CoverageSelector {
     }
 }
 
-/// Timeliness-blind ablation of Libra's scheduler: accelerable invocations
-/// chase the node with the largest idle *volume*, ignoring expiries. Exists
-/// to quantify how much the time dimension of demand coverage (§6.2) is
-/// worth; not part of the paper's system.
-#[derive(Debug, Default)]
-pub struct VolumeSelector;
-
-impl NodeSelector for VolumeSelector {
-    fn name(&self) -> &'static str {
-        "volume-only"
-    }
-
-    fn select(
-        &mut self,
-        world: &World,
-        shard: usize,
-        inv: InvocationId,
-        view: &SchedView,
-        _alpha: f64,
-    ) -> Option<NodeId> {
-        if extra_demand(world, inv).is_zero() {
-            return hash_probe(world, shard, inv);
-        }
-        let rec = world.inv(inv);
-        let mut best: Option<(u64, NodeId)> = None;
-        for node in world.node_ids() {
-            if !rec.nominal.fits_within(&world.free_in_shard(node, shard)) {
-                continue;
-            }
-            let vol: u64 = view.snapshot(node).iter().map(|e| e.cpu_idle_millis).sum();
-            if best.is_none_or(|(bv, _)| vol > bv) {
-                best = Some((vol, node));
-            }
-        }
-        best.map(|(_, n)| n)
-    }
-}
-
-/// Wrap any [`Platform`] with a [`KeepAlivePolicy`]: the warm-lifecycle
+/// Wrap any [`Platform`] with a [`KeepAlive`] policy: the warm-lifecycle
 /// hooks are answered by the policy, everything else forwards to the inner
 /// platform. This is how a keep-alive policy composes with *every* platform
 /// under test (Default / Freyr / Libra) without each of them learning about
@@ -496,12 +458,12 @@ impl NodeSelector for VolumeSelector {
 /// `WithKeepAlive<dyn Platform>` wraps one chosen at run time.
 pub struct WithKeepAlive<P: ?Sized> {
     inner: Box<P>,
-    policy: Box<dyn KeepAlivePolicy>,
+    policy: KeepAlive,
 }
 
 impl<P: Platform + ?Sized> WithKeepAlive<P> {
     /// Wrap `inner`, delegating warm-lifecycle decisions to `policy`.
-    pub fn new(inner: Box<P>, policy: Box<dyn KeepAlivePolicy>) -> Self {
+    pub fn new(inner: Box<P>, policy: KeepAlive) -> Self {
         WithKeepAlive { inner, policy }
     }
 
@@ -511,8 +473,8 @@ impl<P: Platform + ?Sized> WithKeepAlive<P> {
     }
 
     /// The policy in charge.
-    pub fn policy(&self) -> &dyn KeepAlivePolicy {
-        self.policy.as_ref()
+    pub fn policy(&self) -> &KeepAlive {
+        &self.policy
     }
 }
 
@@ -576,7 +538,7 @@ impl<P: Platform + ?Sized> Platform for WithKeepAlive<P> {
 
     fn prewarm_after_arrival(&mut self, world: &World, func: FunctionId) -> Option<SimDuration> {
         self.policy.on_arrival(func, world.now());
-        self.policy.prewarm_after(func, world.now())
+        self.policy.prewarm_after(func)
     }
 
     fn warm_keep(&mut self, world: &World, func: FunctionId, idle_peers: usize) -> Option<SimTime> {

@@ -77,7 +77,7 @@ impl SchedView {
     }
 
     /// `node`'s last snapshot, stale or not: empty when it never pinged.
-    pub(crate) fn snapshot(&self, node: NodeId) -> &[PoolEntryStatus] {
+    pub fn snapshot(&self, node: NodeId) -> &[PoolEntryStatus] {
         self.nodes.get(node.idx()).map_or(&[], |slot| &slot.1)
     }
 

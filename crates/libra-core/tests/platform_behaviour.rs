@@ -67,8 +67,9 @@ fn first_invocation_of_each_function_is_served_as_configured() {
     by_arrival.sort_by_key(|r| r.arrival);
     for r in by_arrival {
         if seen.insert(r.func) {
-            assert!(r.pred.is_none(), "{} first invocation must have no estimate", r.func_name);
-            assert!(!r.flags.harvested, "{} first invocation harvested", r.func_name);
+            let name = ALL_APPS[r.func.idx()].name();
+            assert!(r.pred.is_none(), "{name} first invocation must have no estimate");
+            assert!(!r.flags.harvested, "{name} first invocation harvested");
         }
     }
 }

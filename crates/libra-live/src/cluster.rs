@@ -82,7 +82,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use libra_core::controlplane::{
     Action, Admission, ControlConfig, ControlPlane, LendFailure, Observation,
 };
-use libra_core::keepalive::{KeepAlivePolicy, PolicyKind};
+use libra_core::keepalive::KeepAlive;
 use libra_core::sharding::{ScheduleRequest, ShardedScheduler};
 use libra_sim::container::WarmPool;
 use libra_sim::fault::{FaultKind, FaultPlan};
@@ -141,7 +141,7 @@ pub struct LiveConfig {
     /// warm containers — one instance for the cluster, as the simulator's
     /// `WithKeepAlive` holds one, so both substrates retire idle containers
     /// by identical rules.
-    pub keepalive: PolicyKind,
+    pub keepalive: KeepAlive,
     /// Faults to replay, at their instants in workload µs since start: the
     /// simulator's [`FaultPlan`] (build one with
     /// [`libra_sim::fault::build_plan`]). Live replays its shard kinds only,
@@ -162,7 +162,7 @@ impl Default for LiveConfig {
             time_scale: 4.0,
             watchdog: Duration::from_secs(60),
             trace: false,
-            keepalive: PolicyKind::default(),
+            keepalive: KeepAlive::default(),
             faults: FaultPlan::empty(),
         }
     }
@@ -479,7 +479,7 @@ struct ClusterShared {
     nodes: Vec<Arc<NodeShared>>,
     sched: Arc<ShardedScheduler>,
     /// [`LiveConfig::keepalive`]; nothing takes a node lock while holding it.
-    policy: Mutex<Box<dyn KeepAlivePolicy>>,
+    policy: Mutex<KeepAlive>,
     t0: Instant,
     /// Stop accepting new submissions (graceful drain in progress).
     draining: AtomicBool,
@@ -536,7 +536,7 @@ impl ClusterShared {
             n_funcs,
             nodes,
             sched,
-            policy: Mutex::new(config.keepalive.build()),
+            policy: Mutex::new(config.keepalive.clone()),
             t0: Instant::now(),
             draining: AtomicBool::new(false),
             aborting: AtomicBool::new(false),
@@ -1274,7 +1274,7 @@ mod tests {
             time_scale: 8.0,
             watchdog: Duration::from_secs(30),
             trace: false,
-            keepalive: PolicyKind::default(),
+            keepalive: KeepAlive::default(),
             faults: FaultPlan::empty(),
         }
     }

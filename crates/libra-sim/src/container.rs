@@ -437,7 +437,7 @@ mod tests {
         assert_eq!(total_pinned, 5 * 64);
     }
 
-    /// Per-entry deadlines out of park order (what `HistogramPolicy` hands
+    /// Per-entry deadlines out of park order (what `KeepAlive::histogram` hands
     /// out and the fixed-TTL oracle never does), over sparse function ids,
     /// with hits, sweeps and demand evictions interleaved: the books stay
     /// exact after every op, each hit is the first live entry of its function

@@ -1888,7 +1888,6 @@ impl Simulation {
         let rec = InvRecord {
             inv: id,
             func: inv.func,
-            func_name: w.funcs[inv.func.idx()].name.clone(),
             node,
             arrival: inv.arrival,
             latency,

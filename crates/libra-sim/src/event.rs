@@ -155,20 +155,6 @@ impl Ord for Scheduled {
 pub const EVENT_KINDS: usize = 10;
 
 impl Event {
-    /// Kind names, indexed by [`Event::kind`].
-    pub const KIND_NAMES: [&'static str; EVENT_KINDS] = [
-        "decision_done",
-        "start_exec",
-        "finish",
-        "monitor_tick",
-        "health_ping",
-        "utilization_sample",
-        "retry_blocked",
-        "fault",
-        "requeue",
-        "prewarm",
-    ];
-
     /// Dense index of this event's kind (the two monitor timers share one,
     /// as a ping round shares the single-node ping's).
     pub fn kind(&self) -> usize {

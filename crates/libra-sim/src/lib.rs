@@ -74,8 +74,8 @@ pub mod prelude {
         Wake,
     };
     pub use crate::metrics::{
-        cdf, mean, percentile, InvCategory, InvRecord, KindPops, MetricsMode, OnlineStats,
-        QuantileSketch, RunResult, RunSummary, UtilSample,
+        mean, percentile, InvRecord, KindPops, MetricsMode, OnlineStats, QuantileSketch, RunResult,
+        RunSummary, UtilSample,
     };
     pub use crate::platform::{LoanEnd, Platform, PlatformOverheads, PlatformReport};
     pub use crate::resources::{ResourceVec, MILLIS_PER_CORE};

@@ -21,8 +21,6 @@ pub struct InvRecord {
     pub inv: InvocationId,
     /// Which function.
     pub func: FunctionId,
-    /// Function name (for per-function reports).
-    pub func_name: String,
     /// Node that executed it.
     pub node: NodeId,
     /// Arrival time.
@@ -56,34 +54,6 @@ pub struct InvRecord {
     pub restarts: u32,
     /// Number of crash/abort requeues suffered (fault injection).
     pub requeues: u32,
-}
-
-impl InvRecord {
-    /// Fig 8 category label.
-    pub fn category(&self) -> InvCategory {
-        if self.flags.safeguarded || self.flags.oomed {
-            InvCategory::Safeguard
-        } else if self.flags.accelerated {
-            InvCategory::Accelerate
-        } else if self.flags.harvested {
-            InvCategory::Harvest
-        } else {
-            InvCategory::Default
-        }
-    }
-}
-
-/// Fig 8 scatter categories.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
-pub enum InvCategory {
-    /// Ran with the user-requested allocation, untouched.
-    Default,
-    /// Had idle resources harvested from it.
-    Harvest,
-    /// Ran with supplementary (borrowed) resources.
-    Accelerate,
-    /// Was protected by the safeguard (or OOM-restarted).
-    Safeguard,
 }
 
 /// One cluster-wide utilization sample.
@@ -123,8 +93,8 @@ impl UtilSample {
 /// for the paper-scale experiments whose figures need the raw streams.
 /// `Streaming` keeps only the constant-space [`RunSummary`]: at
 /// million-invocation traces the record vector alone would pin hundreds of
-/// MB (every record carries a `func_name` String), so the benchmark tier
-/// folds each completion into online aggregates instead.
+/// MB, so the benchmark tier folds each completion into online aggregates
+/// instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub enum MetricsMode {
     /// Record everything (the default; matches historical behaviour).
@@ -167,7 +137,7 @@ impl OnlineStats {
         self.count
     }
 
-    /// Arithmetic mean (NaN when empty, like [`mean_slice`]).
+    /// Arithmetic mean (NaN when empty: no data is not a mean of zero).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             f64::NAN
@@ -457,34 +427,10 @@ impl RunResult {
         mean(self.util.iter().map(UtilSample::cpu_util))
     }
 
-    /// Mean memory utilization over the run (Eq. 2).
-    pub fn mean_mem_util(&self) -> f64 {
-        mean(self.util.iter().map(UtilSample::mem_util))
-    }
-
-    /// Peak CPU utilization over the run.
-    pub fn peak_cpu_util(&self) -> f64 {
-        self.util.iter().map(UtilSample::cpu_util).fold(0.0, f64::max)
-    }
-
-    /// Peak memory utilization over the run.
-    pub fn peak_mem_util(&self) -> f64 {
-        self.util.iter().map(UtilSample::mem_util).fold(0.0, f64::max)
-    }
-
     /// Worst (most negative) speedup — the paper's "performance degradation
     /// at worst".
     pub fn worst_degradation(&self) -> f64 {
         self.speedups().into_iter().fold(0.0, f64::min)
-    }
-
-    /// Fraction of invocations that triggered the safeguard.
-    pub fn safeguarded_ratio(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let n = self.records.iter().filter(|r| r.flags.safeguarded).count();
-        n as f64 / self.records.len() as f64
     }
 }
 
@@ -543,23 +489,6 @@ pub fn mean(it: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Arithmetic mean of a slice. Unlike [`mean`], an empty slice yields NaN —
-/// aggregators must not mistake "no data" for "zero".
-pub fn mean_slice(data: &[f64]) -> f64 {
-    if data.is_empty() {
-        return f64::NAN;
-    }
-    data.iter().sum::<f64>() / data.len() as f64
-}
-
-/// Empirical CDF points `(value, cumulative fraction)` for plotting.
-pub fn cdf(data: &[f64]) -> Vec<(f64, f64)> {
-    let mut v = data.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len() as f64;
-    v.into_iter().enumerate().map(|(i, x)| (x, (i + 1) as f64 / n)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,29 +531,12 @@ mod tests {
         // …and the max degrades to NaN rather than panicking.
         assert!(out[2].is_nan());
         assert!(percentile(&[f64::NAN], 50.0).is_nan());
-        // cdf over NaN-bearing data must not panic either.
-        assert_eq!(cdf(&data).len(), 4);
     }
 
     #[test]
     fn mean_of_empty_is_zero() {
         assert_eq!(mean(std::iter::empty()), 0.0);
         assert!((mean([1.0, 2.0, 3.0].into_iter()) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_slice_empty_is_nan() {
-        assert!(mean_slice(&[]).is_nan());
-        assert!((mean_slice(&[2.0, 4.0]) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_is_monotone_to_one() {
-        let c = cdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c[0], (1.0, 1.0 / 3.0));
-        assert_eq!(c[2], (3.0, 1.0));
-        assert!(c.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
     }
 
     #[test]
@@ -635,9 +547,10 @@ mod tests {
             s.push(x);
         }
         assert_eq!(s.count(), 8);
-        assert!((s.mean() - mean_slice(&data)).abs() < 1e-12);
+        let exact_mean = data.iter().sum::<f64>() / data.len() as f64;
+        assert!((s.mean() - exact_mean).abs() < 1e-12);
         let exact_var =
-            data.iter().map(|x| (x - mean_slice(&data)).powi(2)).sum::<f64>() / data.len() as f64;
+            data.iter().map(|x| (x - exact_mean).powi(2)).sum::<f64>() / data.len() as f64;
         assert!((s.variance() - exact_var).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 9.0);
@@ -729,37 +642,5 @@ mod tests {
         };
         assert!((s.cpu_util() - 0.5).abs() < 1e-12);
         assert!((s.mem_util() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn category_priority() {
-        let mut r = InvRecord {
-            inv: InvocationId(0),
-            func: FunctionId(0),
-            func_name: "f".into(),
-            node: NodeId(0),
-            arrival: SimTime::ZERO,
-            latency: SimDuration::from_secs(1),
-            exec: SimDuration::from_secs(1),
-            baseline_latency: SimDuration::from_secs(1),
-            speedup: 0.0,
-            cold_start: false,
-            flags: InvFlags::default(),
-            cpu_reassigned_core_sec: 0.0,
-            mem_reassigned_mb_sec: 0.0,
-            breakdown: StageBreakdown::default(),
-            pred: None,
-            cpu_peak_obs: 0,
-            mem_peak_obs: 0,
-            restarts: 0,
-            requeues: 0,
-        };
-        assert_eq!(r.category(), InvCategory::Default);
-        r.flags.harvested = true;
-        assert_eq!(r.category(), InvCategory::Harvest);
-        r.flags.accelerated = true;
-        assert_eq!(r.category(), InvCategory::Accelerate);
-        r.flags.safeguarded = true;
-        assert_eq!(r.category(), InvCategory::Safeguard);
     }
 }

@@ -37,13 +37,14 @@ fn breakdown_sums_to_latency_exactly() {
         trace.push(SimTime(i * 700_000), FunctionId((i % 2) as u32), InputMeta::new(1, i));
     }
     let res = sim.run(&trace, &mut NullPlatform);
+    let funcs = suite();
     for r in &res.records {
         let sum = r.breakdown.total();
         assert_eq!(
             sum.as_micros(),
             r.latency.as_micros(),
             "{}: breakdown {:?} != latency {:?}",
-            r.func_name,
+            funcs[r.func.idx()].name,
             sum,
             r.latency
         );

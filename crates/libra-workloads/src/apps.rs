@@ -129,22 +129,6 @@ impl AppKind {
             AppKind::Gb => (1_000, 100_000),
         }
     }
-
-    /// One-line description (Table 1).
-    pub fn description(&self) -> &'static str {
-        match self {
-            AppKind::Ul => "Upload input files to storage",
-            AppKind::Tn => "Thumbnail input images",
-            AppKind::Cp => "Compress input files",
-            AppKind::Dv => "Visualize input DNA sequence files",
-            AppKind::Dh => "Generate HTMLs from input templates",
-            AppKind::Vp => "Generate GIF of an input video",
-            AppKind::Ir => "Recognize an input image",
-            AppKind::Gp => "Pagerank a randomly generated graph",
-            AppKind::Gm => "MST on a randomly generated graph",
-            AppKind::Gb => "BFS on a randomly generated graph",
-        }
-    }
 }
 
 /// The analytic demand model of one application.
@@ -247,38 +231,18 @@ impl DemandModel for AppModel {
     }
 }
 
-/// Build the full ten-function suite with default user allocations; the
-/// returned vector's indices are the canonical `FunctionId`s.
-pub fn sebs_suite() -> Vec<FunctionSpec> {
-    ALL_APPS
+/// The suite of `kinds` with their default user allocations: function id
+/// *i* is `kinds[i]`.
+pub fn suite(kinds: &[AppKind]) -> Vec<FunctionSpec> {
+    kinds
         .iter()
         .map(|&kind| FunctionSpec::new(kind.name(), kind.user_alloc(), Arc::new(AppModel { kind })))
         .collect()
 }
 
-/// Build a suite restricted to the input size-related five (UL, TN, CP, DV,
-/// DH) — the "input size-related workload" of §8.7. Function ids are
-/// re-based to 0..5.
-pub fn size_related_suite() -> (Vec<FunctionSpec>, Vec<AppKind>) {
-    let kinds: Vec<AppKind> =
-        ALL_APPS.iter().copied().filter(AppKind::input_size_related).collect();
-    let specs = kinds
-        .iter()
-        .map(|&kind| FunctionSpec::new(kind.name(), kind.user_alloc(), Arc::new(AppModel { kind })))
-        .collect();
-    (specs, kinds)
-}
-
-/// Build a suite restricted to the input size-unrelated five (VP, IR, GP,
-/// GM, GB) — the "input size-unrelated workload" of §8.7.
-pub fn size_unrelated_suite() -> (Vec<FunctionSpec>, Vec<AppKind>) {
-    let kinds: Vec<AppKind> =
-        ALL_APPS.iter().copied().filter(|k| !k.input_size_related()).collect();
-    let specs = kinds
-        .iter()
-        .map(|&kind| FunctionSpec::new(kind.name(), kind.user_alloc(), Arc::new(AppModel { kind })))
-        .collect();
-    (specs, kinds)
+/// The full ten-function suite; its indices are the canonical `FunctionId`s.
+pub fn sebs_suite() -> Vec<FunctionSpec> {
+    suite(&ALL_APPS)
 }
 
 #[cfg(test)]
@@ -356,21 +320,18 @@ mod tests {
     }
 
     #[test]
+    fn suite_follows_its_kinds() {
+        let s = suite(&[AppKind::Vp, AppKind::Ul]);
+        assert_eq!(s.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(), ["VP", "UL"]);
+        assert_eq!(s[0].user_alloc, AppKind::Vp.user_alloc());
+    }
+
+    #[test]
     fn vp_is_frequently_under_provisioned() {
         // The canonical accelerable app: most contents need > 4 cores.
         let m = AppModel { kind: AppKind::Vp };
         let over =
             (0..100).filter(|&s| m.demand(&InputMeta::new(10, s)).cpu_peak_millis > 4_000).count();
         assert!(over > 40, "VP should often exceed its 4-core default, got {over}/100");
-    }
-
-    #[test]
-    fn sub_suites_partition_the_ten() {
-        let (rel, rel_kinds) = size_related_suite();
-        let (unrel, unrel_kinds) = size_unrelated_suite();
-        assert_eq!(rel.len(), 5);
-        assert_eq!(unrel.len(), 5);
-        assert!(rel_kinds.iter().all(AppKind::input_size_related));
-        assert!(unrel_kinds.iter().all(|k| !k.input_size_related()));
     }
 }

@@ -5,8 +5,8 @@
 //! of the paper (§8.2): the ten SeBS-like applications of Table 1
 //! ([`apps`]), seeded input datasets replacing CIFAR-100 / YouTube-8M /
 //! NCBI / igraph ([`datasets`]), and Azure-Functions-like invocation traces
-//! ([`trace`] — the `single` set, the ten `multi` sets, and the concurrent
-//! scaling bursts). See DESIGN.md §1 for the substitution rationale.
+//! ([`trace`] — the `single` set, the ten `multi` sets, Poisson and
+//! large-catalogue traces). See DESIGN.md §1 for the substitution rationale.
 
 // DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -20,7 +20,7 @@ pub mod apps;
 pub mod datasets;
 pub mod trace;
 
-pub use apps::{sebs_suite, size_related_suite, size_unrelated_suite, AppKind, AppModel, ALL_APPS};
+pub use apps::{sebs_suite, suite, AppKind, AppModel, ALL_APPS};
 pub use datasets::{standard_pools, InputPool};
 pub use trace::TraceGen;
 

@@ -146,20 +146,6 @@ impl TraceGen {
             .collect()
     }
 
-    /// `n` simultaneous invocations, evenly divided across functions — the
-    /// strong/weak-scaling workload of §8.5 ("1000 concurrent invocations
-    /// where each function is invoked 100 times simultaneously").
-    pub fn concurrent_burst(&self, n: usize) -> Trace {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xb0057);
-        let mut trace = Trace::new();
-        for i in 0..n {
-            let f = i % self.kinds.len();
-            let input = self.pools[f].sample(&mut rng);
-            trace.push(SimTime::ZERO, FunctionId(f as u32), input);
-        }
-        trace
-    }
-
     /// Large-catalogue generator: `functions` synthetic functions cycling
     /// through [`ALL_APPS`](crate::apps::ALL_APPS), with popularity drawn
     /// from a seeded Zipf(`s`) over function rank — the heavy-tailed shape
@@ -348,17 +334,6 @@ mod tests {
         assert_eq!(a.entries, b.entries);
         let c = TraceGen::standard(&ALL_APPS, 8).single_set();
         assert_ne!(a.entries, c.entries);
-    }
-
-    #[test]
-    fn concurrent_burst_divides_functions_evenly() {
-        let t = gen().concurrent_burst(1000);
-        assert_eq!(t.len(), 1000);
-        assert!(t.entries.iter().all(|e| e.at == SimTime::ZERO));
-        for f in 0..10u32 {
-            let n = t.entries.iter().filter(|e| e.func == FunctionId(f)).count();
-            assert_eq!(n, 100, "function {f} should get 100 invocations");
-        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn main() {
     {
         println!(
             "best acceleration   : {} ran {:.1}s instead of {:.1}s (speedup {:.2})",
-            best.func_name,
+            ALL_APPS[best.func.idx()].name(),
             best.latency.as_secs_f64(),
             best.baseline_latency.as_secs_f64(),
             best.speedup

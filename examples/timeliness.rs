@@ -74,6 +74,7 @@ fn main() {
         })),
     );
 
+    let names = [a.name.clone(), b.name.clone()];
     let sim = Simulation::new(
         vec![a, b],
         vec![ResourceVec::from_cores_mb(8, 8192)],
@@ -88,7 +89,7 @@ fn main() {
     for r in &result.records {
         println!(
             "{}: latency {:.1}s (baseline {:.1}s, speedup {:+.2}) {}",
-            r.func_name,
+            names[r.func.idx()],
             r.latency.as_secs_f64(),
             r.baseline_latency.as_secs_f64(),
             r.speedup,

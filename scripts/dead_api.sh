@@ -12,18 +12,21 @@
 #
 # 2. Public items only the experiment harness uses: every `pub`
 # fn/struct/enum/const/type/trait declared under crates/*/src or src/,
-# outside libra-bench and libra-cli, whose name occurs as a word outside its
-# declaring file only in crates/libra-bench, counted over the non-test code of
-# crates/*/src, src/, examples/ and benchmarks/perf/src (the harness naming an
-# item keeps it where it is). `pub use` re-exports do not count as uses.
-# Each is a candidate to move into libra-bench. Printed as `file name` lines
-# under a header; it never changes the exit status.
+# outside libra-bench and libra-cli, whose name occurs as a word in
+# crates/libra-bench and has no other use. A use is any line of the
+# declaring file's non-test code except the item's own declaration and
+# `impl` header lines; any line of another file's code under crates/*/src,
+# src/, examples/ or benchmarks/perf/src (the harness naming an item keeps it
+# where it is); and any test outside libra-bench: tests/, crates/*/tests/ and
+# other files' `#[cfg(test)]` sections. `pub use` re-exports do not count as
+# uses. Each is an item to move into libra-bench. Printed as `file name`
+# lines under a header; exits 1 if there are any.
 #
 # Both count words, not resolved paths, so they cannot see a dead function
 # whose name collides with a live one (another type's `new`, a field or a
-# local of the same name, the name inside a string), and report 2 lists an
-# item used inside its own file as well (that use is not counted). Report 1
-# never reports a function that non-test code calls.
+# local of the same name, the name inside a string). Report 1 never reports
+# a function that non-test code calls, and report 2 never reports an item
+# that shipped code or a test outside libra-bench names.
 # Run from anywhere: ./scripts/dead_api.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -48,42 +51,52 @@ dead=$(find crates src tests examples benchmarks/perf/src -name '*.rs' -print0 |
   END { for (n in names) if (seen[n] == 1) print n }
 ' | sort)
 
-bench_only=$(find crates/*/src src examples benchmarks/perf/src -name '*.rs' -print0 | xargs -0 awk '
-  FNR == 1 { skip = 0; reexport = 0; files[FILENAME] = 1 }
+bench_only=$(find crates/*/src src examples benchmarks/perf/src tests crates/*/tests -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 {
+    skip = 0; reexport = 0; files[FILENAME] = 1
+    bench = FILENAME ~ /^crates\/libra-bench\//
+    testfile = FILENAME ~ /^(crates\/[^\/]*\/)?tests\//
+  }
   /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
-  skip || /^[[:space:]]*\/\// { next }
+  /^[[:space:]]*\/\// { next }
   reexport || /^[[:space:]]*pub(\([^)]*\))? use / { reexport = $0 !~ /;/; next }
   {
+    own = !bench && !skip && !testfile && $0 !~ /^[[:space:]]*(unsafe )?impl[[:space:]<]/
+    decl = ""
+    if (!bench && !skip && !testfile && FILENAME ~ /^(crates\/[^\/]*\/src|src)\// && FILENAME !~ /^crates\/libra-cli\// &&
+        match($0, /^[[:space:]]*pub ((const|async|unsafe) )*(fn|struct|enum|const|type|trait) [A-Za-z_][A-Za-z0-9_]*/)) {
+      decl = substr($0, RSTART, RLENGTH)
+      sub(/.* /, "", decl)
+      decls[decl, FILENAME] = 1
+    }
     line = $0
     while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
-      uses[substr(line, RSTART, RLENGTH), FILENAME]++
+      word = substr(line, RSTART, RLENGTH)
       line = substr(line, RSTART + RLENGTH)
+      if (bench) { if (!skip) benchuse[word]++; continue }
+      uses[word, FILENAME]++
+      if (own && word != decl) ownuses[word, FILENAME]++
     }
-  }
-  FILENAME ~ /^(crates\/[^\/]*\/src|src)\// && FILENAME !~ /^crates\/libra-(bench|cli)\// &&
-    match($0, /^[[:space:]]*pub ((const|async|unsafe) )*(fn|struct|enum|const|type|trait) [A-Za-z_][A-Za-z0-9_]*/) {
-    decl = substr($0, RSTART, RLENGTH)
-    sub(/.* /, "", decl)
-    decls[decl, FILENAME] = 1
   }
   END {
     for (d in decls) {
       split(d, key, SUBSEP)
-      bench = other = 0
-      for (f in files) {
-        if (f == key[2] || !((key[1], f) in uses)) continue
-        if (f ~ /^crates\/libra-bench\//) bench++; else other++
-      }
-      if (bench && !other) print key[2], key[1]
+      if (!(key[1] in benchuse) || (key[1], key[2]) in ownuses) continue
+      other = 0
+      for (f in files) if (f != key[2] && (key[1], f) in uses) other++
+      if (!other) print key[2], key[1]
     }
   }
 ' | sort)
 
-if [ -n "$bench_only" ]; then
-  echo "-- pub items whose only uses outside their own file are in crates/libra-bench (candidates to move there):"
-  echo "$bench_only"
-fi
+status=0
 if [ -n "$dead" ]; then
   echo "$dead"
-  exit 1
+  status=1
 fi
+if [ -n "$bench_only" ]; then
+  echo "-- pub items used only by crates/libra-bench (move each into its experiment):"
+  echo "$bench_only"
+  status=1
+fi
+exit $status

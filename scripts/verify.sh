@@ -144,7 +144,7 @@ rm -rf "$FIG_OUT"
 echo "==> non-test Rust lines per crate (scripts/loc.sh)"
 ./scripts/loc.sh
 
-echo "==> public functions nobody calls (scripts/dead_api.sh)"
+echo "==> public API nobody calls, or only libra-bench uses (scripts/dead_api.sh)"
 ./scripts/dead_api.sh
 
 echo "==> libra-core names the simulator's engine and Platform trait only in its platform module (scripts/sim_seam.sh)"

@@ -19,7 +19,7 @@
 //! * **D** (t=300 ms): CPU-hungry borrower that outlives its donor.
 
 use libra::core::controlplane::Action;
-use libra::core::{LibraConfig, LibraPlatform, PolicyKind, WithKeepAlive};
+use libra::core::{KeepAlive, LibraConfig, LibraPlatform, WithKeepAlive};
 use libra::live::{run_live, LiveConfig, LiveRecord, LiveRequest};
 use libra::sim::demand::{ConstantDemand, InputMeta, TrueDemand};
 use libra::sim::engine::{SimConfig, SimCtx, Simulation, World};
@@ -188,12 +188,12 @@ impl Platform for FixedPredPlatform {
 
 /// Drive the scenario through the simulator; return the recorded action trace.
 fn sim_trace() -> Vec<Action> {
-    sim_trace_with(PolicyKind::default())
+    sim_trace_with(KeepAlive::default())
 }
 
 /// Same, under an explicit keep-alive policy (wrapped via [`WithKeepAlive`],
 /// the same composition the experiment harness uses).
-fn sim_trace_with(policy: PolicyKind) -> Vec<Action> {
+fn sim_trace_with(policy: KeepAlive) -> Vec<Action> {
     let (funcs, trace) = sim_scenario(&ACTORS, &ARRIVALS_MS);
     let sim = Simulation::new(
         funcs,
@@ -205,7 +205,7 @@ fn sim_trace_with(policy: PolicyKind) -> Vec<Action> {
             inner: LibraPlatform::new(LibraConfig::libra()),
             preds: ACTORS.iter().map(|a| prediction(a.pred)).collect(),
         }),
-        policy.build(),
+        policy,
     );
     let r = sim.run(&trace, &mut platform);
     assert_eq!(r.records.len(), 4, "all sim invocations must complete");
@@ -214,12 +214,12 @@ fn sim_trace_with(policy: PolicyKind) -> Vec<Action> {
 
 /// Drive the same scenario through the live threaded runtime.
 fn live_trace() -> (Vec<Action>, libra::live::LiveResult) {
-    live_trace_with(PolicyKind::default())
+    live_trace_with(KeepAlive::default())
 }
 
 /// Same, under an explicit keep-alive policy on the live cluster's
 /// warm-container registry.
-fn live_trace_with(policy: PolicyKind) -> (Vec<Action>, libra::live::LiveResult) {
+fn live_trace_with(policy: KeepAlive) -> (Vec<Action>, libra::live::LiveResult) {
     let workload = live_requests(&ACTORS, &ARRIVALS_MS);
     let cfg = LiveConfig {
         nodes: 1,
@@ -242,12 +242,12 @@ fn live_trace_with(policy: PolicyKind) -> (Vec<Action>, libra::live::LiveResult)
 /// the cluster itself (requests carry `at_ms`), so network jitter only has
 /// to stay under the 100 ms inter-arrival margin.
 fn gateway_trace() -> Vec<Action> {
-    gateway_trace_with(PolicyKind::default())
+    gateway_trace_with(KeepAlive::default())
 }
 
 /// Same, under an explicit keep-alive policy threaded through the gateway's
 /// embedded live cluster.
-fn gateway_trace_with(policy: PolicyKind) -> Vec<Action> {
+fn gateway_trace_with(policy: KeepAlive) -> Vec<Action> {
     use libra::gateway::client::{GatewayClient, InvokeOutcome};
     use libra::gateway::server::{Gateway, GatewayConfig};
     use libra::gateway::tenant::TenantQuota;
@@ -384,10 +384,9 @@ fn sim_live_and_gateway_action_traces_match() {
 /// fixed-TTL run byte for byte.
 #[test]
 fn histogram_policy_keeps_substrates_in_lockstep() {
-    let policy = PolicyKind::Histogram;
-    let sim = sim_trace_with(policy);
-    let (live, result) = live_trace_with(policy);
-    let gateway = gateway_trace_with(policy);
+    let sim = sim_trace_with(KeepAlive::histogram());
+    let (live, result) = live_trace_with(KeepAlive::histogram());
+    let gateway = gateway_trace_with(KeepAlive::histogram());
     let fixed_sim = sim_trace();
 
     for inv in 0..4u32 {
@@ -438,7 +437,7 @@ fn execution_trace_critical_paths_agree_across_substrates() {
             inner: LibraPlatform::new(LibraConfig::libra()),
             preds: ACTORS.iter().map(|a| prediction(a.pred)).collect(),
         }),
-        PolicyKind::default().build(),
+        KeepAlive::default(),
     );
     let sim_result = sim.run(&trace, &mut platform);
     let sim_spans = sim_result.trace.expect("sim tracing enabled");

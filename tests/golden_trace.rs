@@ -49,7 +49,7 @@ fn render_run(out: &mut String, platform: &LibraPlatform, r: &RunResult) {
              restarts={} requeues={}",
             rec.inv,
             rec.func,
-            rec.func_name,
+            ALL_APPS[rec.func.idx()].name(),
             rec.node,
             rec.arrival.as_micros(),
             rec.latency.as_micros(),

@@ -268,7 +268,7 @@ fn fault_injection_disabled_is_byte_identical() {
 
 #[test]
 fn histogram_policy_prewarms_sparse_arrivals_end_to_end() {
-    use libra::core::{PolicyKind, WithKeepAlive};
+    use libra::core::{KeepAlive, WithKeepAlive};
     use libra::sim::demand::InputMeta;
     use libra::sim::ids::FunctionId;
     use libra::sim::time::SimTime;
@@ -285,9 +285,8 @@ fn histogram_policy_prewarms_sparse_arrivals_end_to_end() {
         trace.push(SimTime::from_secs(at), FunctionId(0), InputMeta::new(1, 1));
         at += if i < 5 { 300 } else { 260 };
     }
-    let policy = PolicyKind::Histogram;
     let sim = Simulation::new(sebs_suite(), testbeds::single_node(), SimConfig::default());
-    let mut platform = WithKeepAlive::new(Box::new(OpenWhiskDefault), policy.build());
+    let mut platform = WithKeepAlive::new(Box::new(OpenWhiskDefault), KeepAlive::histogram());
     let r = sim.run(&trace, &mut platform);
 
     assert_eq!(r.records.len(), 10, "every sparse invocation completes");
@@ -298,7 +297,7 @@ fn histogram_policy_prewarms_sparse_arrivals_end_to_end() {
 
 /// `WithKeepAlive::on_abort` reports a departure to the policy, but a
 /// requeued attempt gets no new `on_arrival` and reports `on_complete` again
-/// when it finishes, so `ConcurrencyPolicy` under-counts in-flight work
+/// when it finishes, so the concurrency policy under-counts in-flight work
 /// after every retried abort. A is aborted at 0.8 s and retried; B arrives
 /// during A's retry and finishes first; C and D arrive together once both
 /// are done. The true peak is two in flight (A's retry and B), so both
@@ -309,7 +308,7 @@ fn histogram_policy_prewarms_sparse_arrivals_end_to_end() {
 #[test]
 #[ignore = "known defect: a retried abort is counted out of the in-flight set twice"]
 fn keep_alive_counts_a_retried_abort_once() {
-    use libra::core::{PolicyKind, WithKeepAlive};
+    use libra::core::{KeepAlive, WithKeepAlive};
     use libra::sim::demand::{FnDemand, InputMeta, TrueDemand};
     use libra::sim::fault::{FaultKind, FaultPlan};
     use libra::sim::function::FunctionSpec;
@@ -336,8 +335,7 @@ fn keep_alive_counts_a_retried_abort_once() {
     trace.push(SimTime::from_secs(5), f, InputMeta::new(2, 3)); // D
     let mut plan = FaultPlan::empty();
     plan.push(SimTime::from_millis(800), FaultKind::AbortInvocation(InvocationId(0)));
-    let mut platform =
-        WithKeepAlive::new(Box::new(OpenWhiskDefault), PolicyKind::Concurrency.build());
+    let mut platform = WithKeepAlive::new(Box::new(OpenWhiskDefault), KeepAlive::concurrency());
     let r = sim.run_with_faults(&trace, &mut platform, &plan);
 
     assert_eq!(r.records.len(), 4);

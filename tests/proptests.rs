@@ -291,8 +291,8 @@ fn warm_op() -> impl Strategy<Value = WarmOp> {
 
 proptest! {
     /// The keep-alive refactor is observationally equivalent to the seed
-    /// pool: the per-function-indexed, per-entry-deadline `WarmPool` driven
-    /// with `FixedTtl`-style deadlines (`keep_until = now + ttl`) matches the
+    /// pool: the park-ordered, per-entry-deadline `WarmPool` driven with
+    /// `KeepAlive::fixed` deadlines (`keep_until = now + ttl`) matches the
     /// pre-refactor hard-coded-TTL reference event for event — identical
     /// warm hits (shard and pinned memory), identical eviction batches in
     /// identical order, identical counters and gauges — on arbitrary

@@ -14,7 +14,7 @@
 
 use libra::baselines::Freyr;
 use libra::core::controlplane::Action;
-use libra::core::{LibraConfig, LibraPlatform, PolicyKind, WithKeepAlive};
+use libra::core::{KeepAlive, LibraConfig, LibraPlatform, WithKeepAlive};
 use libra::sim::engine::{NullPlatform, SimConfig, SimCtx, Simulation, World};
 use libra::sim::fault::FaultPlan;
 use libra::sim::fault::{build_plan, ChaosConfig, ClusterShape};
@@ -213,7 +213,7 @@ fn compare(w: &Workload, kind: Kind) -> (u64, Run) {
         Kind::Libra => run(w, LibraPlatform::new(LibraConfig::libra()), rewatch),
         Kind::LibraHistogramKeepAlive => {
             let inner = LibraPlatform::new(LibraConfig::libra());
-            run(w, WithKeepAlive::new(Box::new(inner), PolicyKind::Histogram.build()), rewatch)
+            run(w, WithKeepAlive::new(Box::new(inner), KeepAlive::histogram()), rewatch)
         }
         Kind::Freyr => run(w, Freyr::new(), rewatch),
         Kind::LibraNs => run(w, LibraPlatform::new(LibraConfig::ns()), rewatch),
