@@ -41,10 +41,12 @@ pub fn run(runs: &[Vec<PlatformRun>]) {
         println!("\n-- {}", run.name);
         for cat in [Category::Default, Category::Harvest, Category::Accelerate, Category::Safeguard]
         {
+            // A derived `Debug` ignores width: pad the formatted name.
+            let name = format!("{cat:?}");
             let members: Vec<_> =
                 run.result.records.iter().filter(|r| category(&r.flags) == cat).collect();
             if members.is_empty() {
-                println!("   {cat:<12?} (none)");
+                println!("   {name:<12} (none)");
                 continue;
             }
             let cpu_min =
@@ -54,7 +56,7 @@ pub fn run(runs: &[Vec<PlatformRun>]) {
             let sp_min = members.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
             let sp_max = members.iter().map(|r| r.speedup).fold(f64::NEG_INFINITY, f64::max);
             println!(
-                "   {cat:<12?} n={:<4} core·sec [{:+8.1}, {:+8.1}]  speedup [{:+.2}, {:+.2}]",
+                "   {name:<12} n={:<4} core·sec [{:+8.1}, {:+8.1}]  speedup [{:+.2}, {:+.2}]",
                 members.len(),
                 cpu_min,
                 cpu_max,

@@ -1,4 +1,4 @@
-//! Keep-alive / autoscaling policy sweep against the harvesting platforms.
+//! Keep-alive policy sweep against the harvesting platforms.
 //!
 //! The paper fixes the warm-container lifecycle to OpenWhisk's 60 s TTL and
 //! studies harvesting on top of it; this experiment varies the keep-alive
@@ -6,8 +6,7 @@
 //! for harvesters to see — and crosses it with the §8.3 platforms:
 //!
 //! * policies: fixed 60 s (the seed), fixed 10 s, histogram-based
-//!   prewarm/keep-alive (Serverless-in-the-Wild style), concurrency-based
-//!   autoscaling (Knative style);
+//!   prewarm/keep-alive (Serverless-in-the-Wild style);
 //! * platforms: Default (no harvesting), Freyr, Libra.
 //!
 //! For every cell we report the cold-start rate, the mean/max idle warm
@@ -27,7 +26,6 @@ fn policies() -> Vec<KeepAlive> {
         KeepAlive::fixed(SimDuration::from_secs(60)),
         KeepAlive::fixed(SimDuration::from_secs(10)),
         KeepAlive::histogram(),
-        KeepAlive::concurrency(),
     ]
 }
 
@@ -120,7 +118,7 @@ pub fn run() -> Vec<(String, f64)> {
         ],
         &csv_rows,
     );
-    println!("policy_idx: 0=fixed60 1=fixed10 2=histogram 3=concurrency;");
+    println!("policy_idx: 0=fixed60 1=fixed10 2=histogram;");
     println!("platform_idx: 0=Default 1=Freyr 2=Libra");
     println!("Expected: shorter/adaptive keep-alive shrinks pinned warm memory");
     println!("(less harvestable idle-warm supply, more cold starts); the fixed60");

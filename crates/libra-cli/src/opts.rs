@@ -11,7 +11,7 @@ USAGE:
   libra trace   --kind single|multi:<rpm>|poisson:<n>:<rpm> [--seed S] [--out FILE]
   libra run     --platform default|freyr|libra|ns|np|nsp
                 [--cluster single|multi|jetstream:<n>] [--shards K]
-                [--keepalive fixed[:secs]|histogram|concurrency]
+                [--keepalive fixed[:secs]|histogram]
                 [--trace FILE | --kind ...] [--seed S] [--out FILE]
                 [--trace-out FILE.html]
   libra compare [--cluster ...] [--kind ...] [--seed S] [--reps R]
@@ -215,6 +215,7 @@ mod tests {
         assert_eq!(label(&[]), KeepAlive::default().label());
         assert_eq!(label(&args("--keepalive fixed:10")), "fixed10");
         assert_eq!(label(&args("--keepalive histogram")), "histogram");
-        assert_eq!(label(&args("--keepalive concurrency")), "concurrency");
+        let gone = Opts::parse(&args("--keepalive concurrency")).unwrap_err();
+        assert!(gone.contains("fixed[:secs] | histogram"), "{gone}");
     }
 }

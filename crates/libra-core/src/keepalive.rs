@@ -1,19 +1,18 @@
-//! Keep-alive & autoscaling — when does an idle warm container die?
+//! Keep-alive — when does an idle warm container die?
 //!
 //! Libra's harvestable supply is exactly the memory that idle warm containers
 //! pin, so the keep-alive policy is not a substrate detail: it decides how
 //! much idle memory exists for harvesters to see. This module holds that
 //! decision as one value, [`KeepAlive`] — pure, clock-free and
 //! deterministic, the same discipline as [`crate::controlplane`]: drivers
-//! report per-function events (arrival, completion, container-going-idle)
-//! with an explicit `now`, and the policy answers keep-until deadlines and
-//! prewarm directives. Both substrates drive the same value: the simulator
-//! through its `Platform` warm-lifecycle hooks (see
-//! [`crate::platform::WithKeepAlive`], which composes a policy with any
-//! simulated platform) and the live cluster through its warm-container
+//! report each arrival with an explicit `now`, and the policy answers
+//! keep-until deadlines and prewarm directives. Both substrates drive the
+//! same value: the simulator through its `Platform` warm-lifecycle hooks
+//! (see [`crate::platform::WithKeepAlive`], which composes a policy with
+//! any simulated platform) and the live cluster through its warm-container
 //! registry.
 //!
-//! Three policies ship, one constructor each:
+//! Two policies ship, one constructor each:
 //!
 //! * [`KeepAlive::fixed`] — OpenWhisk's classic fixed keep-alive window.
 //!   With the default 60 s TTL it reproduces the pre-policy engine
@@ -23,13 +22,9 @@
 //!   keep-alive window from the tail percentile, and when arrivals are so
 //!   sparse that keeping warm is wasteful it shuts the container down early
 //!   and issues a *prewarm* directive just before the predicted next arrival.
-//! * [`KeepAlive::concurrency`] — concurrency-based autoscaling
-//!   (Knative-style): the idle pool per function is capped at the peak
-//!   in-flight concurrency observed over a sliding window, so the warm set
-//!   scales in when load drops instead of lingering for a full TTL.
 //!
-//! Only the fixed window takes a value; the histogram and concurrency
-//! tunings are constants beside their state.
+//! Only the fixed window takes a value; the histogram's tunings are
+//! constants beside its state.
 
 // DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -40,11 +35,11 @@ use libra_sim::ids::FunctionId;
 use libra_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// A keep-alive / autoscaling policy and its per-function state: pure
-/// event-in, directive-out.
+/// A keep-alive policy and its per-function state: pure event-in,
+/// directive-out.
 ///
-/// Drivers feed it per-function lifecycle events, each stamped with an
-/// explicit `now` (no wall clocks — the sim passes virtual time, the live
+/// Drivers feed it per-function arrivals, each stamped with an explicit
+/// `now` (no wall clocks — the sim passes virtual time, the live
 /// runtime passes its logical microsecond clock), and ask two questions:
 /// how long to keep an idle container, and whether to prewarm one ahead of
 /// the predicted next arrival. Identical event sequences produce identical
@@ -60,10 +55,6 @@ enum Rule {
     /// same substrate the profiler's demand models use) choose the window
     /// (tail percentile) and the prewarm point (head percentile) online.
     Histogram(BTreeMap<FunctionId, FuncArrivals>),
-    /// The idle warm set per function is capped at the peak in-flight
-    /// concurrency seen over the last two observation windows; excess
-    /// containers are torn down as soon as they go idle.
-    Concurrency(BTreeMap<FunctionId, FuncConcurrency>),
 }
 
 /// Histogram bin count for per-function inter-arrival times.
@@ -87,8 +78,6 @@ const MAX_WINDOW: SimDuration = SimDuration(600_000_000);
 const PREWARM_CUTOFF: SimDuration = SimDuration(120_000_000);
 /// Fraction of the head-percentile gap to wait before prewarming.
 const PREWARM_MARGIN: f64 = 0.85;
-/// Width of the peak-concurrency observation window.
-const PEAK_WINDOW: SimDuration = SimDuration(60_000_000);
 
 /// One function's arrivals under the histogram policy.
 #[derive(Clone, Debug)]
@@ -106,31 +95,6 @@ impl FuncArrivals {
             return None;
         }
         self.iat.percentile(q).map(SimDuration::from_secs_f64)
-    }
-}
-
-/// One function's in-flight count under the concurrency policy.
-#[derive(Clone, Copy, Debug, Default)]
-struct FuncConcurrency {
-    in_flight: u32,
-    /// Peak in-flight within the current window.
-    peak: u32,
-    /// Peak in-flight within the previous (closed) window.
-    prev_peak: u32,
-    window_start: SimTime,
-}
-
-impl FuncConcurrency {
-    /// Roll the observation window forward if `now` has left it. A gap
-    /// longer than two windows decays the remembered peak entirely — the
-    /// stale peak must not survive an idle stretch it was never observed in.
-    fn roll(&mut self, now: SimTime) {
-        let elapsed = now.since(self.window_start);
-        if elapsed > PEAK_WINDOW {
-            self.prev_peak = if elapsed > PEAK_WINDOW + PEAK_WINDOW { 0 } else { self.peak };
-            self.peak = self.in_flight;
-            self.window_start = now;
-        }
     }
 }
 
@@ -155,12 +119,6 @@ impl KeepAlive {
         KeepAlive(Rule::Histogram(BTreeMap::new()))
     }
 
-    /// Concurrency-based autoscaling: scale-in follows load down instead of
-    /// waiting out a TTL.
-    pub fn concurrency() -> Self {
-        KeepAlive(Rule::Concurrency(BTreeMap::new()))
-    }
-
     /// An invocation of `func` arrived at `now`.
     pub fn on_arrival(&mut self, func: FunctionId, now: SimTime) {
         match &mut self.0 {
@@ -177,59 +135,28 @@ impl KeepAlive {
                 }
                 fa.last_arrival = Some(now);
             }
-            Rule::Concurrency(funcs) => {
-                let c = funcs.entry(func).or_default();
-                c.roll(now);
-                c.in_flight = c.in_flight.saturating_add(1);
-                c.peak = c.peak.max(c.in_flight);
-            }
         }
     }
 
-    /// An invocation of `func` left the in-flight set at `now` (completed
-    /// or aborted).
-    pub fn on_complete(&mut self, func: FunctionId, now: SimTime) {
-        if let Rule::Concurrency(funcs) = &mut self.0 {
-            let c = funcs.entry(func).or_default();
-            c.roll(now);
-            c.in_flight = c.in_flight.saturating_sub(1);
-        }
-    }
-
-    /// A container for `func` is going idle at `now`; `idle_peers` containers
-    /// for the same function already sit idle on that node. Returns the
-    /// deadline until which the container should be kept warm, or `None` to
-    /// tear it down immediately (its memory unpins right away).
-    pub fn keep_until(
-        &mut self,
-        func: FunctionId,
-        idle_peers: usize,
-        now: SimTime,
-    ) -> Option<SimTime> {
-        match &mut self.0 {
-            Rule::Fixed(ttl) => Some(now + *ttl),
+    /// A container for `func` is going idle at `now`: the deadline until
+    /// which it is kept warm. Both policies keep every container for some
+    /// window; whether its memory can stay pinned is the warm pool's call.
+    pub fn keep_until(&self, func: FunctionId, now: SimTime) -> SimTime {
+        match &self.0 {
+            Rule::Fixed(ttl) => now + *ttl,
             Rule::Histogram(funcs) => {
                 let fa = funcs.get(&func);
                 let Some(tail) = fa.and_then(|fa| fa.iat_percentile(TAIL_Q)) else {
-                    return Some(now + KEEPALIVE);
+                    return now + KEEPALIVE;
                 };
                 let head = fa.and_then(|fa| fa.iat_percentile(HEAD_Q)).unwrap_or(tail);
                 if head > PREWARM_CUTOFF {
                     // Arrivals are sparse and regular enough that keeping the
                     // container warm across the whole gap wastes memory: keep
                     // it only briefly and rely on the prewarm directive.
-                    return Some(now + MIN_WINDOW);
+                    return now + MIN_WINDOW;
                 }
-                Some(now + tail.clamp(MIN_WINDOW, MAX_WINDOW))
-            }
-            Rule::Concurrency(funcs) => {
-                let target = funcs.get_mut(&func).map_or(0, |c| {
-                    c.roll(now);
-                    c.peak.max(c.prev_peak)
-                });
-                // Scale in once the warm set covers peak demand; kept
-                // containers get the standard window.
-                (idle_peers < target as usize).then(|| now + KEEPALIVE)
+                now + tail.clamp(MIN_WINDOW, MAX_WINDOW)
             }
         }
     }
@@ -246,25 +173,23 @@ impl KeepAlive {
             .then(|| SimDuration::from_secs_f64(head.as_secs_f64() * PREWARM_MARGIN))
     }
 
-    /// Short label for CSV columns and CLI output: `fixed<secs>`,
-    /// `histogram` or `concurrency`. [`KeepAlive::parse`] reads it back.
+    /// Short label for CSV columns and CLI output: `fixed<secs>` or
+    /// `histogram`. [`KeepAlive::parse`] reads it back.
     pub fn label(&self) -> String {
         match &self.0 {
             Rule::Fixed(ttl) => format!("fixed{}", ttl.as_micros() / 1_000_000),
             Rule::Histogram(_) => "histogram".to_string(),
-            Rule::Concurrency(_) => "concurrency".to_string(),
         }
     }
 
-    /// Parse a CLI spec: `fixed[:secs]` (or a label's `fixed<secs>`),
-    /// `histogram`, or `concurrency`.
+    /// Parse a CLI spec: `fixed[:secs]` (or a label's `fixed<secs>`) or
+    /// `histogram`.
     pub fn parse(s: &str) -> Result<KeepAlive, String> {
         match s {
             "fixed" => Ok(KeepAlive::default()),
             "histogram" => Ok(KeepAlive::histogram()),
-            "concurrency" => Ok(KeepAlive::concurrency()),
             _ => {
-                let expected = "expected fixed[:secs] | histogram | concurrency";
+                let expected = "expected fixed[:secs] | histogram";
                 let secs = s
                     .strip_prefix("fixed:")
                     .or_else(|| s.strip_prefix("fixed"))
@@ -288,9 +213,8 @@ mod tests {
 
     #[test]
     fn fixed_ttl_is_now_plus_ttl() {
-        let mut p = KeepAlive::default();
-        assert_eq!(p.keep_until(F, 0, t(10)), Some(t(70)));
-        assert_eq!(p.keep_until(F, 99, t(10)), Some(t(70)), "peers do not matter");
+        let p = KeepAlive::default();
+        assert_eq!(p.keep_until(F, t(10)), t(70));
         assert!(p.prewarm_after(F).is_none());
     }
 
@@ -300,7 +224,7 @@ mod tests {
         p.on_arrival(F, t(0));
         p.on_arrival(F, t(30));
         // Only one IAT sample — below min_samples, fall back to the TTL.
-        assert_eq!(p.keep_until(F, 0, t(31)), Some(t(31) + SimDuration::from_secs(60)));
+        assert_eq!(p.keep_until(F, t(31)), t(31) + SimDuration::from_secs(60));
     }
 
     #[test]
@@ -310,8 +234,7 @@ mod tests {
         for i in 0..20 {
             p.on_arrival(F, t(5 * i));
         }
-        let ku = p.keep_until(F, 0, t(100)).expect("dense arrivals keep warm");
-        let window = ku.since(t(100));
+        let window = p.keep_until(F, t(100)).since(t(100));
         assert!(
             window < SimDuration::from_secs(60),
             "dense arrivals should not need the fallback TTL, got {window:?}"
@@ -332,7 +255,7 @@ mod tests {
         p.on_arrival(F, t(at));
         at += 50;
         p.on_arrival(F, t(at));
-        let window = p.keep_until(F, 0, t(at)).expect("kept warm").since(t(at));
+        let window = p.keep_until(F, t(at)).since(t(at));
         assert!(window >= SimDuration::from_secs(45), "tail window {window:?}");
         assert!(p.prewarm_after(F).is_none(), "20 s gaps are dense: no prewarm");
     }
@@ -345,9 +268,8 @@ mod tests {
             p.on_arrival(F, t(300 * i));
         }
         let now = t(6000);
-        let ku = p.keep_until(F, 0, now).expect("kept briefly");
         assert!(
-            ku.since(now) <= SimDuration::from_secs(10),
+            p.keep_until(F, now).since(now) <= SimDuration::from_secs(10),
             "sparse arrivals keep only min_window"
         );
         let gap = p.prewarm_after(F).expect("sparse arrivals prewarm");
@@ -356,46 +278,17 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_caps_idle_set_at_observed_peak() {
-        let mut p = KeepAlive::concurrency();
-        // Two overlapping invocations: peak concurrency 2.
-        p.on_arrival(F, t(1));
-        p.on_arrival(F, t(2));
-        p.on_complete(F, t(3));
-        p.on_complete(F, t(4));
-        assert!(p.keep_until(F, 0, t(5)).is_some(), "0 idle < target 2");
-        assert!(p.keep_until(F, 1, t(5)).is_some(), "1 idle < target 2");
-        assert!(p.keep_until(F, 2, t(5)).is_none(), "at target: scale in");
-    }
-
-    #[test]
-    fn concurrency_target_decays_after_two_windows() {
-        let mut p = KeepAlive::concurrency();
-        p.on_arrival(F, t(0));
-        p.on_arrival(F, t(1));
-        p.on_complete(F, t(2));
-        p.on_complete(F, t(3));
-        // Two windows later the old peak has rolled out entirely.
-        assert!(p.keep_until(F, 1, t(200)).is_none(), "target decayed to 0");
-    }
-
-    #[test]
-    fn unknown_function_has_zero_target() {
-        let mut p = KeepAlive::concurrency();
-        assert!(p.keep_until(FunctionId(99), 0, t(1)).is_none());
-    }
-
-    #[test]
     fn parses_and_labels() {
         let label = |s: &str| KeepAlive::parse(s).unwrap().label();
         assert_eq!(label("fixed"), KeepAlive::default().label());
         assert_eq!(label("fixed:10"), "fixed10");
         assert_eq!(label("histogram"), "histogram");
-        assert_eq!(label("concurrency"), "concurrency");
-        let mut p = KeepAlive::parse("fixed:10").unwrap();
-        assert_eq!(p.keep_until(F, 0, t(1)), Some(t(11)));
+        let p = KeepAlive::parse("fixed:10").unwrap();
+        assert_eq!(p.keep_until(F, t(1)), t(11));
         assert!(KeepAlive::parse("bogus").is_err());
         assert!(KeepAlive::parse("fixed:x").is_err());
+        let gone = KeepAlive::parse("concurrency").unwrap_err();
+        assert!(gone.contains("fixed[:secs] | histogram"), "{gone}");
     }
 
     #[test]
@@ -404,33 +297,29 @@ mod tests {
             KeepAlive::fixed(SimDuration::from_secs(10)),
             KeepAlive::default(),
             KeepAlive::histogram(),
-            KeepAlive::concurrency(),
         ];
         let labels: Vec<String> = policies.iter().map(KeepAlive::label).collect();
-        assert_eq!(labels, ["fixed10", "fixed60", "histogram", "concurrency"]);
+        assert_eq!(labels, ["fixed10", "fixed60", "histogram"]);
         for k in &policies {
             assert_eq!(KeepAlive::parse(&k.label()).unwrap().label(), k.label());
         }
-        let mut p = KeepAlive::parse("fixed60").unwrap();
-        assert_eq!(p.keep_until(F, 0, t(1)), Some(t(61)));
+        let p = KeepAlive::parse("fixed60").unwrap();
+        assert_eq!(p.keep_until(F, t(1)), t(61));
     }
 
     #[test]
     fn a_clone_shares_no_state_with_its_original() {
-        for original in [KeepAlive::histogram(), KeepAlive::concurrency()] {
-            let mut original = original;
-            let mut clone = original.clone();
-            // The original sees overlapping dense arrivals, the clone sparse
-            // ones; each must answer from its own history.
-            for i in 0..20 {
-                original.on_arrival(F, t(5 * i));
-                original.on_arrival(F, t(5 * i));
-                clone.on_arrival(F, t(300 * i));
-                clone.on_complete(F, t(300 * i + 1));
-            }
-            let now = t(6000);
-            let answers = |p: &mut KeepAlive| (p.keep_until(F, 1, now), p.prewarm_after(F));
-            assert_ne!(answers(&mut original), answers(&mut clone), "{}", original.label());
+        let mut original = KeepAlive::histogram();
+        let mut clone = original.clone();
+        // The original sees overlapping dense arrivals, the clone sparse
+        // ones; each must answer from its own history.
+        for i in 0..20 {
+            original.on_arrival(F, t(5 * i));
+            original.on_arrival(F, t(5 * i));
+            clone.on_arrival(F, t(300 * i));
         }
+        let now = t(6000);
+        let answers = |p: &KeepAlive| (p.keep_until(F, now), p.prewarm_after(F));
+        assert_ne!(answers(&original), answers(&clone));
     }
 }

@@ -30,9 +30,9 @@
 //!   consumes admission/observation/completion events and emits explicit
 //!   [`controlplane::Action`]s; the simulator and the live threaded runtime
 //!   are both thin drivers of it,
-//! * [`keepalive`] — the keep-alive / autoscaling policy layer: one pure,
-//!   clock-free [`KeepAlive`] value (fixed TTL, histogram prewarm or
-//!   concurrency autoscaling) that decides when idle warm containers die —
+//! * [`keepalive`] — the keep-alive policy layer: one pure, clock-free
+//!   [`KeepAlive`] value (fixed TTL or histogram prewarm) that decides when
+//!   idle warm containers die —
 //!   and therefore how much idle memory harvesters see,
 //! * [`platform`] — the one module that meets the simulator's engine and
 //!   its `Platform` trait, and glue only: the simulator driver of the

@@ -508,7 +508,6 @@ impl<P: Platform + ?Sized> Platform for WithKeepAlive<P> {
     }
 
     fn on_complete(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId, actuals: &Actuals) {
-        self.policy.on_complete(ctx.inv(inv).func, ctx.now());
         self.inner.on_complete(ctx, inv, actuals);
     }
 
@@ -529,10 +528,6 @@ impl<P: Platform + ?Sized> Platform for WithKeepAlive<P> {
     }
 
     fn on_abort(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
-        // An aborted attempt leaves the in-flight set too. A retried one
-        // reports `on_complete` again when it finishes, with no second
-        // `on_arrival`: a double count (tests/integration.rs, `#[ignore]`d).
-        self.policy.on_complete(ctx.inv(inv).func, ctx.now());
         self.inner.on_abort(ctx, inv);
     }
 
@@ -541,8 +536,10 @@ impl<P: Platform + ?Sized> Platform for WithKeepAlive<P> {
         self.policy.prewarm_after(func)
     }
 
-    fn warm_keep(&mut self, world: &World, func: FunctionId, idle_peers: usize) -> Option<SimTime> {
-        self.policy.keep_until(func, idle_peers, world.now())
+    /// The hook's `idle_peers` count goes unread: neither policy counts a
+    /// node's idle peers.
+    fn warm_keep(&mut self, world: &World, func: FunctionId, _: usize) -> Option<SimTime> {
+        Some(self.policy.keep_until(func, world.now()))
     }
 
     fn report(&self) -> PlatformReport {

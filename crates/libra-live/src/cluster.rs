@@ -137,7 +137,7 @@ pub struct LiveConfig {
     /// by default; when off no recording call is made and the sink never
     /// locks.
     pub trace: bool,
-    /// Keep-alive / autoscaling policy deciding the deadlines of the nodes'
+    /// Keep-alive policy deciding the deadlines of the nodes'
     /// warm containers — one instance for the cluster, as the simulator's
     /// `WithKeepAlive` holds one, so both substrates retire idle containers
     /// by identical rules.
@@ -787,7 +787,7 @@ impl ClusterShared {
     }
 
     /// `inv`'s work is done: take it off the node, keep its container warm
-    /// if the policy says so and its slice has room, record it and answer
+    /// to the policy's deadline if its slice has room, record it and answer
     /// its caller. The pin is the grant it holds once its loans end.
     fn finish(&self, node: u32, g: &mut NodeInner, inv: InvocationId, now: SimTime) {
         let pin_mb = g.core.own_grant(inv).map_or(0, |r| r.mem_mb);
@@ -799,13 +799,8 @@ impl ClusterShared {
         let func = FunctionId(me.req.func);
         let _ = g.warm.evict_expired(now);
         let slice = self.sched.slice(me.shard, node);
-        let mut policy = self.policy.lock();
-        let idle_peers = g.warm.count_at(func, now);
-        if let Some(keep_until) = policy.keep_until(func, idle_peers, now) {
-            let _ = g.warm.park(func, me.shard, pin_mb, &slice, now, keep_until);
-        }
-        policy.on_complete(func, now);
-        drop(policy);
+        let keep_until = self.policy.lock().keep_until(func, now);
+        let _ = g.warm.park(func, me.shard, pin_mb, &slice, now, keep_until);
 
         self.leave_stage(&mut me.stage, InvState::Running, now);
         let stages = me.stage.breakdown();

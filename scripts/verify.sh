@@ -121,6 +121,26 @@ grep -q 'data-kind="exec"' "$TRACE_OUT/timeline.html"
 grep -q 'data-kind="scheduler"' "$TRACE_OUT/timeline.html"
 rm -rf "$TRACE_OUT"
 
+echo "==> examples run and print what they show (one run each, stdout grepped)"
+# Each example must print the lines named after it (extended regexes): its
+# table header and a row, or the one line that is its point.
+example_says() {
+  local name=$1 out
+  shift
+  out=$(cargo run --release -q --example "$name")
+  for want in "$@"; do
+    if ! grep -Eq "$want" <<<"$out"; then
+      echo "example $name printed no line matching: $want" >&2
+      exit 1
+    fi
+  done
+}
+example_says quickstart '^platform +: Libra\(libra\)$' '^invocations +: 60$'
+example_says timeliness 'loan of .* ended: SourceCompleted \(the timeliness law\)$'
+example_says profiler_tour '^func +size-related\? +cpu acc' '^DH +true '
+example_says live_cluster '^platform +p50 \(ms\) +p99 \(ms\)' '^harvesting +[0-9]+ +[0-9]+ '
+example_says gateway_demo '^tight +#[0-9]+: 429 Too Many Requests'
+
 echo "==> committed results/*.csv reproduce (exp all at default LIBRA_REPS, 1 and 4 threads)"
 # Every CSV under results/ must be byte-equal to what this tree writes, at
 # both thread counts (which also makes the two runs equal to each other: the

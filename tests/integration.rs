@@ -294,51 +294,3 @@ fn histogram_policy_prewarms_sparse_arrivals_end_to_end() {
     assert!(r.warm_hits >= 1, "a prewarmed container must convert a cold start into a warm hit");
     assert!(r.cold_starts >= 4, "warm-up arrivals (below min_samples) stay cold");
 }
-
-/// `WithKeepAlive::on_abort` reports a departure to the policy, but a
-/// requeued attempt gets no new `on_arrival` and reports `on_complete` again
-/// when it finishes, so the concurrency policy under-counts in-flight work
-/// after every retried abort. A is aborted at 0.8 s and retried; B arrives
-/// during A's retry and finishes first; C and D arrive together once both
-/// are done. The true peak is two in flight (A's retry and B), so both
-/// containers should stay warm and C and D should both hit warm: three cold
-/// starts (A, its retry, B). The double count sees a peak of one, scales A's
-/// container in, and D starts cold: four. The fix needs `on_abort` to know
-/// whether the kill is terminal (ROADMAP item 12).
-#[test]
-#[ignore = "known defect: a retried abort is counted out of the in-flight set twice"]
-fn keep_alive_counts_a_retried_abort_once() {
-    use libra::core::{KeepAlive, WithKeepAlive};
-    use libra::sim::demand::{FnDemand, InputMeta, TrueDemand};
-    use libra::sim::fault::{FaultKind, FaultPlan};
-    use libra::sim::function::FunctionSpec;
-    use libra::sim::ids::{FunctionId, InvocationId};
-    use libra::sim::resources::ResourceVec;
-    use libra::sim::time::{SimDuration, SimTime};
-    use libra::sim::trace::Trace;
-    use std::sync::Arc;
-
-    // One function: 2 cores, 256 MB, `size` × 100 ms of work.
-    let model = Arc::new(FnDemand(|i: &InputMeta| TrueDemand {
-        cpu_peak_millis: 2_000,
-        mem_peak_mb: 256,
-        base_duration: SimDuration::from_millis(100 * i.size),
-    }));
-    let funcs = vec![FunctionSpec::new("f", ResourceVec::from_cores_mb(2, 512), model)];
-    let sim =
-        Simulation::new(funcs, vec![ResourceVec::from_cores_mb(8, 8192)], SimConfig::default());
-    let mut trace = Trace::new();
-    let f = FunctionId(0);
-    trace.push(SimTime::ZERO, f, InputMeta::new(10, 0)); // A: 1 s
-    trace.push(SimTime::from_millis(2_000), f, InputMeta::new(2, 1)); // B: 0.2 s
-    trace.push(SimTime::from_secs(5), f, InputMeta::new(2, 2)); // C
-    trace.push(SimTime::from_secs(5), f, InputMeta::new(2, 3)); // D
-    let mut plan = FaultPlan::empty();
-    plan.push(SimTime::from_millis(800), FaultKind::AbortInvocation(InvocationId(0)));
-    let mut platform = WithKeepAlive::new(Box::new(OpenWhiskDefault), KeepAlive::concurrency());
-    let r = sim.run_with_faults(&trace, &mut platform, &plan);
-
-    assert_eq!(r.records.len(), 4);
-    assert_eq!(r.crash_requeues, 1, "A is retried once");
-    assert_eq!(r.cold_starts, 3, "A's container should stay warm for C or D");
-}
