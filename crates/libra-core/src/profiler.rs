@@ -914,6 +914,68 @@ mod tests {
         ]
     };
 
+    /// Forty catalogue functions — four profiles of each app, told apart by
+    /// their function id — first seen at their pool's first input or, every
+    /// third, at a size of 1–5, whose duplicated sizes tie in runs. Per
+    /// function, one splitmix fold of every `Prediction` field at three sizes
+    /// after `train`, then again after the eight completions that refit an
+    /// ML-path function's forests.
+    #[test]
+    fn catalogue_predictions_keep_their_recorded_bits_across_a_refit() {
+        use libra_sim::metrics::splitmix64_at as mix;
+        let suite = sebs_suite();
+        let gen = libra_workloads::TraceGen::zipf_catalogue(40, SEED, 1.1);
+        let mut p = Profiler::new(40, ProfilerConfig::default(), ModelChoice::Auto);
+        let (mut got, mut tiny_ml) = ([0u64; 40], 0);
+        for (f, fold) in got.iter_mut().enumerate() {
+            let spec = &suite[gen.kinds[f].id().idx()];
+            let pooled = gen.pools[f].inputs[0];
+            let s = if f % 3 == 2 { 1 + f as u64 % 5 } else { pooled.size };
+            p.train(f, spec, InputMeta::new(s, pooled.content_seed));
+            let mut predict = |p: &Profiler| {
+                for size in [s / 4, s, 4 * s] {
+                    let pred = p.predict(f, InputMeta::new(size, 1)).unwrap();
+                    let path = u64::from(pred.path == PredictionPath::Ml);
+                    for v in [pred.cpu_millis, pred.mem_mb, pred.duration.0, path] {
+                        *fold = mix(*fold, v);
+                    }
+                }
+            };
+            predict(&p);
+            for k in 0..RETRAIN_EVERY as u64 {
+                let input = InputMeta::new((s / 2).max(1) + k * s, 50 + k);
+                let d = spec.model.demand(&input);
+                let actuals = Actuals {
+                    cpu_peak_millis: d.cpu_peak_millis,
+                    mem_peak_mb: d.mem_peak_mb,
+                    exec_duration: d.base_duration,
+                    input_size: input.size,
+                };
+                p.observe(f, input, &actuals);
+            }
+            predict(&p);
+            tiny_ml += usize::from(f % 3 == 2 && p.is_size_related(f) == Some(true));
+        }
+        assert!(tiny_ml >= 3, "tied duplicated sizes reach the forests: {tiny_ml}");
+        assert_eq!(got, PINNED_CATALOGUE);
+    }
+
+    /// What that test folds, as recorded before a forest's order-twin
+    /// features (`ln s` of `s`) shared their leader's sorted layout.
+    #[rustfmt::skip]
+    const PINNED_CATALOGUE: [u64; 40] = [
+        0x606b_8d74_4f2d_358f, 0x0fdf_9490_9788_ec0a, 0x28a9_1e2b_057b_5897, 0xe831_110a_f08f_0b37,
+        0x043b_8bfb_c80b_7e11, 0x12a1_abed_ca43_648b, 0x45c9_bf12_bb89_3f75, 0xaac6_4ad4_7a38_2b28,
+        0x37f3_d47f_e981_f0b8, 0x61bd_d576_fff8_506f, 0xf7b3_a28b_2203_9b26, 0xa2ac_baa0_2920_d7f1,
+        0x94e3_80f7_1d92_f8a9, 0x3d1c_bb17_5c1a_832c, 0xba01_cf7f_b4c0_440a, 0xfd0d_8e08_c5b1_90a2,
+        0xdb62_a805_02ea_4444, 0x676b_909f_4f6f_ab51, 0xfda5_ce81_4b51_b90a, 0xee91_1b79_a2f8_8536,
+        0x6096_fdea_406f_3444, 0xae98_70eb_138e_6160, 0x38ad_0119_b042_a1ad, 0x9344_2696_a559_b5b8,
+        0xbe41_fc11_fe1c_41be, 0xeeaa_1b41_7108_73e7, 0x40b8_876a_dfa5_e27f, 0xc6c2_4551_eea5_2a63,
+        0x58e9_33d2_65be_d357, 0xb91c_b641_c40a_7cb9, 0x4bd6_bb53_6a98_af9d, 0x6129_d834_d4a1_e349,
+        0xb94c_1168_fa1e_5231, 0x6ee3_3d70_0bdd_1d68, 0x388e_0eea_3ecb_22c6, 0x97c3_2aeb_f161_391b,
+        0x9266_c1c3_e4ad_64dd, 0x56ae_04af_6d32_6dcd, 0x4eb2_c1fe_41b0_6325, 0xf321_8db8_b099_68d3,
+    ];
+
     #[test]
     fn hist_only_choice_forces_histograms() {
         let suite = sebs_suite();

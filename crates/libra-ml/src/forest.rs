@@ -8,11 +8,13 @@
 //! draws its rows from the `k`-th seed of `ForestParams::seed`, so the
 //! profiler's three forests, fitted with one `ForestParams`, draw the same
 //! rows for tree `k` and would sort the same `(value, row)` runs.
-//! `fit_many` does that once per tree index: it draws the rows, sorts the
-//! sample per feature (`tree::sort_sample`), and grows one tree per target
-//! from its own copy of that layout and of the RNG as the draws left it —
-//! the tree `fit` would grow for that target alone, bit for bit. `fit` is
-//! `fit_many` with one target.
+//! `fit_many` does that once per tree index: it draws the rows, lays the
+//! sample out (`tree::Layout`) and grows one tree per target from its own
+//! copy of that layout and of the RNG as the draws left it — the tree `fit`
+//! would grow for that target alone, bit for bit. `fit` is `fit_many` with
+//! one target. Once per `fit_many`, on all of `x`, each feature finds its
+//! leader (`tree::leaders`), so an order twin such as the profiler's `ln s`
+//! reads the layout of `s` rather than sorting and sweeping its own.
 //!
 //! Tree training is embarrassingly parallel; on more than one core
 //! `fit_many` fans the tree indices of a larger forest out over crossbeam
@@ -20,9 +22,10 @@
 //! `&[Vec<f64>]` slices and writes its own slot). On one core, where the
 //! fan-out would be a single worker, it grows them inline. Either way a tree
 //! sees its bootstrap sample as a list of row numbers, not as a copy of the
-//! rows.
+//! rows, and each worker (the inline loop, or one spawned chunk) grows all
+//! its trees in one `tree::Scratch`.
 
-use crate::tree::{sort_sample, DecisionTree, Task, TreeParams};
+use crate::tree::{leaders, DecisionTree, Layout, Scratch, Task, TreeParams};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::thread::available_parallelism;
@@ -83,33 +86,33 @@ impl RandomForest {
         let seeds: Vec<u64> = (0..params.n_trees).map(|_| seeder.next_u64()).collect();
 
         // Tree `k` of every target: one draw (a classic bootstrap, `n` rows
-        // with replacement), one sort, then each target's tree from a copy of
-        // the layout and of the RNG after the draws.
-        let fit_one = |seed: u64| -> Vec<DecisionTree> {
+        // with replacement), one layout, then each target's tree from a copy
+        // of the layout and of the RNG after the draws.
+        let leader = leaders(x);
+        let fit_one = |seed: u64, scratch: &mut Scratch| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            let sorted = sort_sample(x, &rows);
-            targets
-                .iter()
-                .zip(&tree_params)
-                .map(|(&(y, task), &tp)| {
-                    DecisionTree::fit_sorted(y, &rows, sorted.clone(), task, tp, &mut rng.clone())
-                })
-                .collect()
+            let layout = Layout::new(x, &leader, &rows);
+            let fit = |(&(y, task), &tp)| {
+                DecisionTree::fit_sorted(&layout, y, task, tp, &mut rng.clone(), scratch)
+            };
+            targets.iter().zip(&tree_params).map(fit).collect::<Vec<_>>()
         };
 
         // Parallel fan-out for larger forests; sequential below the
         // threshold where thread spawn overhead dominates, and on one core.
         let large = params.n_trees >= 16 && n >= 64;
         let threads = if large { available_parallelism().map_or(4, |p| p.get()) } else { 1 };
+        let mut inline = Scratch::default();
         let per_index: Vec<Vec<DecisionTree>> = if threads > 1 {
             let chunk = params.n_trees.div_ceil(threads);
             let mut out: Vec<Option<Vec<DecisionTree>>> = vec![None; params.n_trees];
             let scope_ok = crossbeam::scope(|s| {
                 for (slot_chunk, seed_chunk) in out.chunks_mut(chunk).zip(seeds.chunks(chunk)) {
                     s.spawn(move |_| {
+                        let mut scratch = Scratch::default();
                         for (slot, &seed) in slot_chunk.iter_mut().zip(seed_chunk) {
-                            *slot = Some(fit_one(seed));
+                            *slot = Some(fit_one(seed, &mut scratch));
                         }
                     });
                 }
@@ -120,10 +123,10 @@ impl RandomForest {
             // than aborting the whole control plane mid-run.
             out.into_iter()
                 .zip(&seeds)
-                .map(|(t, &seed)| t.unwrap_or_else(|| fit_one(seed)))
+                .map(|(t, &seed)| t.unwrap_or_else(|| fit_one(seed, &mut inline)))
                 .collect()
         } else {
-            seeds.iter().map(|&s| fit_one(s)).collect()
+            seeds.iter().map(|&s| fit_one(s, &mut inline)).collect()
         };
 
         let mut forests = targets

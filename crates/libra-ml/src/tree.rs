@@ -6,12 +6,13 @@
 //! feature values is a candidate threshold, so the tree is the exact CART
 //! tree.
 //!
-//! A tree sorts once, or not at all. `sort_sample` lays a sample (a forest's
-//! bootstrap, repeats and all) out per feature as the `(value, row)` pairs
-//! sorted by value, stably, so ties stand in sample order; a forest fitting
-//! several targets on one bootstrap (`RandomForest::fit_many`) sorts it once
-//! and grows each target's tree from a copy. With the `(target, row)` pairs in
-//! sample order these are the per-tree buffers, and a node is the same range
+//! A tree sorts once, or not at all. `Layout::new` lays a sample (a forest's
+//! bootstrap, repeats and all) out per leading feature (below) as the
+//! `(value, row)` pairs sorted by value, stably, so ties stand in sample
+//! order; a forest fitting several targets on one bootstrap
+//! (`RandomForest::fit_many`) sorts it once and grows each target's tree from
+//! a copy. With the `(target, row)` pairs in sample order these are a tree's
+//! buffers, and a node is the same range
 //! `lo..hi` of every one of them. The grower reads no feature value outside
 //! them. Splitting a node partitions each range in place, stably, through one
 //! spill buffer: the children are `lo..mid` and `mid..hi`. The chosen
@@ -38,9 +39,23 @@
 //! is a float sum in row order that no running sum reproduces, so regression
 //! scores from prefix sums and evaluates a side in sample order, gathered
 //! through the mask (`best_sse_split`).
+//!
+//! Order twins share a layout. A feature that on every row is finite, ties
+//! and rises exactly where an earlier one does — `ln s` of `s` — and that,
+//! like that one, has no adjacent values `a < b` whose midpoint `(a + b) / 2`
+//! rounds up to `b`, reads that *leader*'s sorted run (`leaders`). Checked on
+//! the pairs adjacent over all rows, the midpoint holds for every pair a node
+//! meets: for `a ≤ c < b` monotone rounding gives `(a + b) / 2 ≤ (c + b) / 2
+//! < b`. So each boundary moves one value's rows in both features, and a
+//! twin's candidates are its leader's partitions, scores and gains at its own
+//! thresholds: only leaders are sorted and partitioned, and `grow` sweeps the
+//! first feature of a group (`offer`'s strict `>` would keep it anyway),
+//! reading a twin's own values through its leader's run. A fit worker grows
+//! every tree in one `Scratch`, so a tree allocates nothing but its nodes.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::cmp::Ordering;
 
 /// What the tree predicts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,16 +168,99 @@ fn sweep(vals: &[Pair], mut visit: impl FnMut(f64, &[Pair], usize)) {
     }
 }
 
-/// Per feature, the `(value, row)` pairs of the sample `rows` sorted by value,
-/// stably, so ties stand in sample order: the layout a tree grows from.
-pub(crate) fn sort_sample(x: &[Vec<f64>], rows: &[usize]) -> Vec<Vec<Pair>> {
-    (0..x[0].len())
-        .map(|f| {
+/// Per feature, its leader: the first feature it is an order twin of (see
+/// the module doc), or itself.
+#[expect(clippy::float_cmp, reason = "a twin ties where its leader ties, bit for bit")]
+pub(crate) fn leaders(x: &[Vec<f64>]) -> Vec<usize> {
+    let below = |a: f64, b: f64| (a + b) / 2.0 < b;
+    let twins = |g: usize, f: usize| {
+        let mut order: Vec<usize> = (0..x.len()).collect();
+        order.sort_by(|&i, &j| x[i][g].partial_cmp(&x[j][g]).unwrap_or(Ordering::Equal));
+        x.iter().all(|r| r[g].is_finite() && r[f].is_finite())
+            && order.windows(2).all(|w| {
+                let (a, b, tie) = (&x[w[0]], &x[w[1]], x[w[0]][g] == x[w[1]][g]);
+                (tie && a[f] == b[f])
+                    || (!tie && a[f] < b[f] && below(a[g], b[g]) && below(a[f], b[f]))
+            })
+    };
+    let mut leader: Vec<usize> = Vec::new();
+    for f in 0..x[0].len() {
+        let first = (0..f).find(|&g| leader[g] == g && twins(g, f)).unwrap_or(f);
+        leader.push(first);
+    }
+    leader
+}
+
+/// A sample (a forest's bootstrap, repeats and all, in draw order) laid out
+/// once for every tree a forest grows on it.
+pub(crate) struct Layout<'a> {
+    x: &'a [Vec<f64>],
+    leader: &'a [usize],
+    rows: &'a [usize],
+    /// Per leader, the sample's `(value, row)` pairs sorted by value, stably,
+    /// so ties stand in sample order; a twin's run is empty.
+    sorted: Vec<Vec<Pair>>,
+}
+
+impl<'a> Layout<'a> {
+    /// Lay out the sample `rows` of `x`, whose features lead as `leader` says.
+    pub(crate) fn new(x: &'a [Vec<f64>], leader: &'a [usize], rows: &'a [usize]) -> Self {
+        let sorted_run = |f: usize| {
             let mut run: Vec<Pair> = rows.iter().map(|&i| (x[i][f], i)).collect();
-            run.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            run.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
             run
-        })
-        .collect()
+        };
+        let leads = leader.iter().enumerate();
+        let sorted = leads.map(|(f, &g)| if g == f { sorted_run(f) } else { Vec::new() }).collect();
+        Layout { x, leader, rows, sorted }
+    }
+}
+
+/// Feature `f`'s `(value, row)` pairs of node `lo..hi`, ascending: a leader's
+/// own run, or a twin's values read through its leader's run into `twin`.
+fn run_of<'b>(
+    layout: &Layout<'_>,
+    sorted: &'b [Vec<Pair>],
+    twin: &'b mut Vec<Pair>,
+    f: usize,
+    lo: usize,
+    hi: usize,
+) -> &'b [Pair] {
+    let run = &sorted[layout.leader[f]][lo..hi];
+    if layout.leader[f] == f {
+        return run;
+    }
+    twin.clear();
+    twin.extend(run.iter().map(|&(_, row)| (layout.x[row][f], row)));
+    twin
+}
+
+/// The buffers a tree's growth needs besides its nodes, one set per fit
+/// worker; `fit_sorted` resets what a tree reads.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// `(target, row)` of the sample; a node's range is in sample order.
+    sample: Vec<Pair>,
+    /// This tree's copy of its layout's runs.
+    sorted: Vec<Vec<Pair>>,
+    /// Right-hand side of the range `partition` is dividing.
+    spill: Vec<Pair>,
+    /// A candidate's node sample, divided into its two sides (`best_sse_split`).
+    sides: Vec<Pair>,
+    /// Per dataset row, whether it is on the left of the candidate `mark`ed
+    /// last (a row is read only after `mark` wrote it).
+    goes_left: Vec<bool>,
+    /// The features the node at hand may split on.
+    feats: Vec<usize>,
+    /// Candidates of the node at hand, in enumeration order.
+    scored: Vec<Scored>,
+    /// Class counts of the node at hand (`tally`; all zero between nodes), of
+    /// a candidate's left side, and the classes the node holds, ascending.
+    total: Vec<usize>,
+    left: Vec<usize>,
+    present: Vec<usize>,
+    /// A kept twin's pairs of the node at hand (`run_of`).
+    twin: Vec<Pair>,
 }
 
 /// Stable partition of `run` in place: the pairs whose row `goes_left` first,
@@ -186,63 +284,45 @@ fn partition(run: &mut [Pair], spill: &mut Vec<Pair>, goes_left: impl Fn(usize) 
     n_left
 }
 
-/// One tree's growth: the bootstrap sample laid out once, as buffers every
-/// node owns the same range `lo..hi` of, and the scratch a node's split
-/// search needs, allocated once.
+/// One tree's growth over a sample laid out once: every node owns the same
+/// range `lo..hi` of the scratch's sample and runs.
 struct Grower<'a> {
+    layout: &'a Layout<'a>,
     y: &'a [f64],
     params: TreeParams,
     tree: DecisionTree,
-    /// `(target, row)` of the sample; a node's range is in sample order.
-    sample: Vec<Pair>,
-    /// Per feature, `(value, row)` of the sample; a node's range ascends by
-    /// value, ties in sample order.
-    sorted: Vec<Vec<Pair>>,
-    /// Right-hand side of the range `partition` is dividing.
-    spill: Vec<Pair>,
-    /// A candidate's node sample, divided into its two sides (`best_sse_split`).
-    sides: Vec<Pair>,
-    /// Per dataset row, whether it is on the left of the candidate `mark`ed last.
-    goes_left: Vec<bool>,
-    /// The features the node at hand may split on.
-    feats: Vec<usize>,
-    /// Candidates of the node at hand, in enumeration order.
-    scored: Vec<Scored>,
-    /// Class counts of the node at hand (`tally`; all zero between nodes), of
-    /// a candidate's left side, and the classes the node holds, ascending.
-    total: Vec<usize>,
-    left: Vec<usize>,
-    present: Vec<usize>,
+    s: &'a mut Scratch,
 }
 
 impl Grower<'_> {
     /// Count the classes of node `lo..hi` into `total` and list them in `present`.
     fn tally(&mut self, lo: usize, hi: usize) {
-        for &(label, _) in &self.sample[lo..hi] {
+        for &(label, _) in &self.s.sample[lo..hi] {
             let c = label as usize;
-            if self.total[c] == 0 {
-                self.present.push(c);
+            if self.s.total[c] == 0 {
+                self.s.present.push(c);
             }
-            self.total[c] += 1;
+            self.s.total[c] += 1;
         }
-        self.present.sort_unstable();
+        self.s.present.sort_unstable();
     }
 
     fn clear_tally(&mut self) {
-        for c in self.present.drain(..) {
-            self.total[c] = 0;
+        for c in self.s.present.drain(..) {
+            self.s.total[c] = 0;
         }
     }
 
     /// Record which rows go left at candidate `(f, n_left)` of node `lo..hi`:
-    /// the first `n_left` pairs of `f`'s range, which the sweep put there.
+    /// the first `n_left` pairs of the range of `f`'s leader, which the sweep
+    /// put there.
     fn mark(&mut self, f: usize, lo: usize, hi: usize, n_left: usize) {
-        let (left, right) = self.sorted[f][lo..hi].split_at(n_left);
+        let (left, right) = self.s.sorted[self.layout.leader[f]][lo..hi].split_at(n_left);
         for &(_, row) in left {
-            self.goes_left[row] = true;
+            self.s.goes_left[row] = true;
         }
         for &(_, row) in right {
-            self.goes_left[row] = false;
+            self.s.goes_left[row] = false;
         }
     }
 
@@ -265,53 +345,55 @@ impl Grower<'_> {
     /// the slow winner then scores within `2(E_s + E_g)` of the top, and
     /// `tol = (8k + 32)·ε·n` is eight times that and more. Only the candidates
     /// within `2·tol` of the top get `gini_n`, in enumeration order under the
-    /// same strict `>`, their left counts rebuilt by walking each feature's
-    /// range once more.
+    /// same strict `>`, their left counts rebuilt by walking the range of each
+    /// feature's leader once more.
     fn best_gini_split(&mut self, lo: usize, hi: usize) -> Best {
         let n = hi - lo;
         self.tally(lo, hi);
-        let parent = gini_n(self.present.iter().map(|&c| self.total[c]), n);
-        let sq_total: usize = self.present.iter().map(|&c| self.total[c] * self.total[c]).sum();
-        self.scored.clear();
-        for &f in &self.feats {
-            for &c in &self.present {
-                self.left[c] = 0;
+        let (layout, y, s) = (self.layout, self.y, &mut *self.s);
+        let parent = gini_n(s.present.iter().map(|&c| s.total[c]), n);
+        let sq_total: usize = s.present.iter().map(|&c| s.total[c] * s.total[c]).sum();
+        s.scored.clear();
+        for &f in &s.feats {
+            for &c in &s.present {
+                s.left[c] = 0;
             }
             let (mut sq_left, mut sq_right) = (0usize, sq_total);
-            sweep(&self.sorted[f][lo..hi], |thr, entered, n_left| {
+            let run = run_of(layout, &s.sorted, &mut s.twin, f, lo, hi);
+            sweep(run, |thr, entered, n_left| {
                 for &(_, i) in entered {
-                    let c = self.y[i] as usize;
-                    let (cl, cr) = (self.left[c], self.total[c] - self.left[c]);
+                    let c = y[i] as usize;
+                    let (cl, cr) = (s.left[c], s.total[c] - s.left[c]);
                     sq_left += 2 * cl + 1;
                     sq_right -= 2 * cr - 1;
-                    self.left[c] = cl + 1;
+                    s.left[c] = cl + 1;
                 }
-                let s = sq_left as f64 / n_left as f64 + sq_right as f64 / (n - n_left) as f64;
-                self.scored.push((s, f, thr, n_left));
+                let score = sq_left as f64 / n_left as f64 + sq_right as f64 / (n - n_left) as f64;
+                s.scored.push((score, f, thr, n_left));
             });
         }
-        let tol = (8.0 * self.present.len() as f64 + 32.0) * f64::EPSILON * n as f64;
-        let line = band_line(&self.scored, tol);
+        let tol = (8.0 * s.present.len() as f64 + 32.0) * f64::EPSILON * n as f64;
+        let line = band_line(&s.scored, tol);
 
         let mut best = None;
         let mut at = (usize::MAX, 0); // `left` counts the first `at.1` pairs of feature `at.0`
-        for &cand @ (s, f, _, n_left) in &self.scored {
-            if s < line {
+        for &cand @ (score, f, _, n_left) in &s.scored {
+            if score < line {
                 continue;
             }
             if at.0 != f {
-                for &c in &self.present {
-                    self.left[c] = 0;
+                for &c in &s.present {
+                    s.left[c] = 0;
                 }
                 at = (f, 0);
             }
-            let run = &self.sorted[f][lo..hi];
+            let run = &s.sorted[layout.leader[f]][lo..hi];
             for &(_, i) in &run[at.1..n_left] {
-                self.left[self.y[i] as usize] += 1;
+                s.left[y[i] as usize] += 1;
             }
             at.1 = n_left;
-            let left = self.present.iter().map(|&c| self.left[c]);
-            let right = self.present.iter().map(|&c| self.total[c] - self.left[c]);
+            let left = s.present.iter().map(|&c| s.left[c]);
+            let right = s.present.iter().map(|&c| s.total[c] - s.left[c]);
             offer(&mut best, parent - gini_n(left, n_left) - gini_n(right, n - n_left), cand);
         }
         self.clear_tally();
@@ -345,9 +427,10 @@ impl Grower<'_> {
     /// evaluated; its sides are gathered in sample order through `mark`.
     fn best_sse_split(&mut self, lo: usize, hi: usize) -> Best {
         let n = hi - lo;
-        let centre = self.sample[lo..hi].iter().map(|p| p.0).sum::<f64>() / n as f64;
+        let (layout, y, s) = (self.layout, self.y, &mut *self.s);
+        let centre = s.sample[lo..hi].iter().map(|p| p.0).sum::<f64>() / n as f64;
         let (mut z_sum, mut parent, mut y_max) = (0.0f64, 0.0f64, 0.0f64);
-        for &(y, _) in &self.sample[lo..hi] {
+        for &(y, _) in &s.sample[lo..hi] {
             let z = y - centre;
             z_sum += z;
             parent += z * z;
@@ -357,32 +440,34 @@ impl Grower<'_> {
         let tol = 64.0 * f64::EPSILON * nf.powf(1.5) * parent
             + 4.0 * (f64::EPSILON * y_max).powi(2) * nf.powi(3);
 
-        self.scored.clear();
-        for &f in &self.feats {
+        s.scored.clear();
+        for &f in &s.feats {
             let mut sl = 0.0f64;
-            sweep(&self.sorted[f][lo..hi], |thr, entered, n_left| {
+            let run = run_of(layout, &s.sorted, &mut s.twin, f, lo, hi);
+            sweep(run, |thr, entered, n_left| {
                 for &(_, i) in entered {
-                    sl += self.y[i] - centre;
+                    sl += y[i] - centre;
                 }
                 let sr = z_sum - sl;
                 let (nl, nr) = (n_left as f64, (n - n_left) as f64);
-                self.scored.push((sl * (sl / nl) + sr * (sr / nr), f, thr, n_left));
+                s.scored.push((sl * (sl / nl) + sr * (sr / nr), f, thr, n_left));
             });
         }
-        let line = band_line(&self.scored, tol);
+        let line = band_line(&s.scored, tol);
 
         let mut best = None;
-        for k in 0..self.scored.len() {
-            let cand @ (score, f, _, n_left) = self.scored[k];
+        for k in 0..self.s.scored.len() {
+            let cand @ (score, f, _, n_left) = self.s.scored[k];
             if score < line {
                 continue;
             }
             self.mark(f, lo, hi, n_left);
-            self.sides.clear();
-            self.sides.extend_from_slice(&self.sample[lo..hi]);
-            let goes_left = &self.goes_left;
-            partition(&mut self.sides, &mut self.spill, |row| goes_left[row]);
-            let (left, right) = self.sides.split_at(n_left);
+            let s = &mut *self.s;
+            s.sides.clear();
+            s.sides.extend_from_slice(&s.sample[lo..hi]);
+            let goes_left = &s.goes_left;
+            partition(&mut s.sides, &mut s.spill, |row| goes_left[row]);
+            let (left, right) = s.sides.split_at(n_left);
             let gain = parent
                 - sse(left.iter().map(|p| p.0), n_left)
                 - sse(right.iter().map(|p| p.0), n - n_left);
@@ -394,11 +479,12 @@ impl Grower<'_> {
     fn leaf_value(&mut self, lo: usize, hi: usize) -> f64 {
         match self.tree.task {
             Task::Regression => {
-                self.sample[lo..hi].iter().map(|p| p.0).sum::<f64>() / (hi - lo) as f64
+                self.s.sample[lo..hi].iter().map(|p| p.0).sum::<f64>() / (hi - lo) as f64
             }
             Task::Classification { .. } => {
                 self.tally(lo, hi);
-                let top = self.present.iter().max_by_key(|&&c| self.total[c]).map(|&c| c as f64);
+                let (present, total) = (&self.s.present, &self.s.total);
+                let top = present.iter().max_by_key(|&&c| total[c]).map(|&c| c as f64);
                 self.clear_tally();
                 top.unwrap_or(0.0)
             }
@@ -406,17 +492,18 @@ impl Grower<'_> {
     }
 
     /// Divide node `lo..hi` at its candidate `(f, n_left)` and return where:
-    /// `f`'s range is divided already (its first `n_left` pairs are the left
-    /// side), and every other buffer's range is partitioned stably by the
-    /// rows `mark` puts left, so `lo..mid` and `mid..hi` are the children's,
-    /// in the orders the buffers promise.
+    /// the range of `f`'s leader is divided already (its first `n_left` pairs
+    /// are the left side), and every other leader's range and the sample's
+    /// are partitioned stably by the rows `mark` puts left, so `lo..mid` and
+    /// `mid..hi` are the children's, in the orders the buffers promise.
     fn split(&mut self, lo: usize, hi: usize, f: usize, n_left: usize) -> usize {
         self.mark(f, lo, hi, n_left);
-        let goes_left = &self.goes_left;
-        let others =
-            self.sorted.iter_mut().enumerate().filter(|&(g, _)| g != f).map(|(_, run)| run);
-        for run in others.chain([&mut self.sample]) {
-            let moved = partition(&mut run[lo..hi], &mut self.spill, |row| goes_left[row]);
+        let (leader, chosen) = (self.layout.leader, self.layout.leader[f]);
+        let Scratch { sample, sorted, spill, goes_left, .. } = &mut *self.s;
+        let others = sorted.iter_mut().enumerate();
+        let others = others.filter(|&(g, _)| leader[g] == g && g != chosen).map(|(_, run)| run);
+        for run in others.chain([sample]) {
+            let moved = partition(&mut run[lo..hi], spill, |row| goes_left[row]);
             debug_assert_eq!(moved, n_left);
         }
         lo + n_left
@@ -430,17 +517,24 @@ impl Grower<'_> {
         let node_id = self.tree.nodes.len();
         self.tree.nodes.push(NodeKind::Leaf { value: 0.0 }); // placeholder
 
-        let first = self.sample[lo].0;
-        let pure = self.sample[lo..hi].iter().all(|p| p.0 == first);
+        let first = self.s.sample[lo].0;
+        let pure = self.s.sample[lo..hi].iter().all(|p| p.0 == first);
         let stop = depth >= self.params.max_depth || hi - lo < self.params.min_samples_split;
         let mut best = None;
         if !stop && !pure {
-            let d = self.sorted.len();
-            self.feats.clear();
-            self.feats.extend(0..d);
+            let (leader, feats) = (self.layout.leader, &mut self.s.feats);
+            let d = leader.len();
+            feats.clear();
+            feats.extend(0..d);
             if let Some(k) = self.params.feature_subsample {
-                self.feats.shuffle(rng);
-                self.feats.truncate(k.clamp(1, d));
+                feats.shuffle(rng);
+                feats.truncate(k.clamp(1, d));
+            }
+            // A twin's candidates repeat those of its group's first feature.
+            for k in (1..feats.len()).rev() {
+                if feats[..k].iter().any(|&g| leader[g] == leader[feats[k]]) {
+                    feats.remove(k);
+                }
             }
             best = match self.tree.task {
                 Task::Regression => self.best_sse_split(lo, hi),
@@ -462,37 +556,31 @@ impl Grower<'_> {
 }
 
 impl DecisionTree {
-    /// Fit a tree on the sample `rows` given its layout `sorted`, which must
-    /// be `sort_sample(x, rows)`: the grower reads features only from it, so
-    /// a forest sorts one bootstrap for every target it fits on those rows.
+    /// Fit a tree for targets `y` on the sample `layout` lays out, growing
+    /// in the scratch `s`: the grower reads features only through the layout,
+    /// so a forest lays out one bootstrap for every target it fits on those
+    /// rows, and a worker's trees reuse one scratch.
     pub(crate) fn fit_sorted(
+        layout: &Layout<'_>,
         y: &[f64],
-        rows: &[usize],
-        sorted: Vec<Vec<Pair>>,
         task: Task,
         params: TreeParams,
         rng: &mut impl Rng,
+        s: &mut Scratch,
     ) -> Self {
         let n_classes = match task {
             Task::Classification { n_classes } => n_classes,
             Task::Regression => 0,
         };
-        let mut grower = Grower {
-            y,
-            params,
-            tree: DecisionTree { nodes: Vec::new(), task },
-            sample: rows.iter().map(|&i| (y[i], i)).collect(),
-            sorted,
-            spill: Vec::new(),
-            sides: Vec::new(),
-            goes_left: vec![false; y.len()],
-            feats: Vec::new(),
-            scored: Vec::new(),
-            total: vec![0; n_classes],
-            left: vec![0; n_classes],
-            present: Vec::new(),
-        };
-        grower.grow(0, rows.len(), 0, rng);
+        s.sample.clear();
+        s.sample.extend(layout.rows.iter().map(|&i| (y[i], i)));
+        s.sorted.clone_from(&layout.sorted);
+        s.goes_left.resize(y.len(), false);
+        s.total.resize(n_classes, 0); // all zero between trees, as between nodes
+        s.left.resize(n_classes, 0);
+        let tree = DecisionTree { nodes: Vec::new(), task };
+        let mut grower = Grower { layout, y, params, tree, s };
+        grower.grow(0, layout.rows.len(), 0, rng);
         grower.tree
     }
 
@@ -544,7 +632,9 @@ pub(crate) mod tests {
             params: TreeParams,
             rng: &mut impl Rng,
         ) -> Self {
-            Self::fit_sorted(y, rows, sort_sample(x, rows), task, params, rng)
+            let leader = leaders(x);
+            let layout = Layout::new(x, &leader, rows);
+            Self::fit_sorted(&layout, y, task, params, rng, &mut Scratch::default())
         }
 
         /// Number of nodes.
@@ -694,27 +784,39 @@ pub(crate) mod tests {
 
     /// 2,400 random nodes' worth of trees against the oracle: 2–160 rows
     /// (plain or drawn with replacement), 1–3 features on 2–40 value levels
-    /// (ties abound) with a monotone twin, both tasks, with and without
-    /// feature subsampling, regression targets on 2–40 levels or continuous,
-    /// offset by 10⁰…10¹³ over spreads of 10⁰…10⁻⁷.
+    /// (ties abound), feature 0 sometimes on adjacent floats above 1 (whose
+    /// midpoints round either way), feature 1 sometimes a monotone map of
+    /// feature 0 — affine, decreasing, or an increasing non-affine one, which
+    /// `leaders` makes an order twin when the midpoints allow — both tasks,
+    /// with and without feature subsampling, regression targets on 2–40
+    /// levels or continuous, offset by 10⁰…10¹³ over spreads of 10⁰…10⁻⁷. The
+    /// oracle knows no twins, so it referees the shared layout.
     #[test]
     fn sweep_grows_the_oracles_trees_bit_for_bit() {
+        let maps: [fn(f64) -> f64; 5] =
+            [|v| v * 3.0 + 1.0, |v| -v, |v| (v + 1.0).ln(), |v| v * v * v, f64::sqrt];
+        let mut twinned = 0;
         for case in 0..2400u64 {
             let mut g = ChaCha8Rng::seed_from_u64(0x5eed_0000 + case);
             let n = g.gen_range(2..=160usize);
             let d = g.gen_range(1..=3usize);
             let levels = g.gen_range(2..=40u32);
-            let twin = g.gen_range(0..3u32); // 0 none, 1 increasing, 2 decreasing
+            let twin = g.gen_range(0..=maps.len()); // `maps.len()`: no twin column
+            let adjacent = g.gen_bool(0.2);
             let x: Vec<Vec<f64>> = (0..n)
                 .map(|_| {
                     let mut row: Vec<f64> =
                         (0..d).map(|_| f64::from(g.gen_range(0..levels)) * 0.37).collect();
-                    if d > 1 && twin > 0 {
-                        row[1] = if twin == 1 { row[0] * 3.0 + 1.0 } else { -row[0] };
+                    if adjacent {
+                        row[0] = 1.0 + (row[0] / 0.37).round() * f64::EPSILON;
+                    }
+                    if d > 1 && twin < maps.len() {
+                        row[1] = maps[twin](row[0]);
                     }
                     row
                 })
                 .collect();
+            twinned += usize::from(leaders(&x).iter().enumerate().any(|(f, &l)| l != f));
             let classify = case % 2 == 0;
             let (task, y): (Task, Vec<f64>) = if classify {
                 let n_classes = g.gen_range(2..=6usize);
@@ -754,6 +856,42 @@ pub(crate) mod tests {
             };
             assert_same_tree(&x, &y, &rows, task, params, &format!("case {case}"));
         }
+        assert!(twinned >= 700, "{twinned} of 2,400 cases share a layout");
+    }
+
+    /// `leaders` pairs a feature with an earlier one only when both are
+    /// finite, tie together, rise together and split every adjacent pair
+    /// below its right value.
+    #[test]
+    fn leaders_are_exact_order_twins() {
+        let e = f64::EPSILON;
+        let sizes = [7.0, 1.0, 300.0, 7.0, 42.0, 1.0, 5.0e6, 2.0];
+        let with = |map: fn(f64) -> f64| -> Vec<Vec<f64>> {
+            sizes.iter().map(|&s| vec![s, map(s)]).collect()
+        };
+        assert_eq!(leaders(&with(f64::ln)), [0, 0], "[s, ln s]");
+        assert_eq!(leaders(&with(|v| 3.0 * v + 1.0)), [0, 0], "[x, 3x + 1]");
+        assert_eq!(leaders(&with(|v| -v)), [0, 1], "[x, −x]");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for col in 0..2 {
+                let mut x = with(f64::ln);
+                x[2][col] = bad;
+                assert_eq!(leaders(&x), [0, 1], "{bad} in column {col}");
+            }
+        }
+        // Column 1 parts rows 0 and 1, which column 0 ties; then the reverse.
+        assert_eq!(leaders(&[vec![1.0, 1.0], vec![1.0, 2.0], vec![2.0, 3.0]]), [0, 1]);
+        assert_eq!(leaders(&[vec![1.0, 1.0], vec![2.0, 1.0], vec![3.0, 2.0]]), [0, 1]);
+        // The midpoint of 1 + ε and 1 + 2ε rounds up to 1 + 2ε, in either column.
+        let adjacent = [1.0 + e, 1.0 + 2.0 * e, 5.0];
+        let x: Vec<Vec<f64>> =
+            adjacent.iter().zip([0.0, 1.0, 2.0]).map(|(&a, b)| vec![a, b]).collect();
+        assert_eq!(leaders(&x), [0, 1]);
+        let x: Vec<Vec<f64>> = x.iter().map(|r| vec![r[1], r[0]]).collect();
+        assert_eq!(leaders(&x), [0, 1]);
+        // A third column leads with the first column's group, past a non-twin.
+        let x: Vec<Vec<f64>> = sizes.iter().map(|&s| vec![s, -s, s.sqrt(), -2.0 * s]).collect();
+        assert_eq!(leaders(&x), [0, 1, 0, 1]);
     }
 
     /// The Gini band's tolerance grows with the classes a node holds, so the

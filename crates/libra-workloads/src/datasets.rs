@@ -40,11 +40,13 @@ impl InputPool {
         assert!(bias > 0.0, "bias must be positive");
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (kind.id().0 as u64) << 32);
         let (lo, hi) = kind.size_range();
+        debug_assert!(lo >= 1 && hi >= lo);
         let (llo, lhi) = ((lo as f64).ln(), (hi as f64).ln());
         let inputs = (0..n)
             .map(|_| {
                 let size = if (bias - 1.0).abs() < 1e-12 {
-                    log_uniform(&mut rng, lo, hi)
+                    // Log-uniform in `[lo, hi]`.
+                    (rng.gen_range(llo..=lhi).exp().round() as u64).clamp(lo, hi)
                 } else {
                     let u: f64 = rng.gen_range(0.0..1.0f64);
                     let pos = u.powf(1.0 / bias);
@@ -71,14 +73,6 @@ impl InputPool {
     pub fn is_empty(&self) -> bool {
         self.inputs.is_empty()
     }
-}
-
-/// Log-uniform integer in `[lo, hi]`.
-fn log_uniform(rng: &mut impl Rng, lo: u64, hi: u64) -> u64 {
-    debug_assert!(lo >= 1 && hi >= lo);
-    let (llo, lhi) = ((lo as f64).ln(), (hi as f64).ln());
-    let v = rng.gen_range(llo..=lhi).exp();
-    (v.round() as u64).clamp(lo, hi)
 }
 
 /// Generate the standard per-app pools (100 inputs each, like the paper's

@@ -368,6 +368,23 @@ mod tests {
         assert_ne!(t.entries, t3.entries);
     }
 
+    /// One splitmix fold of every `(size, content_seed)` in `g`'s pools, in
+    /// pool order.
+    fn pool_fold(g: &TraceGen) -> u64 {
+        use libra_sim::metrics::splitmix64_at as mix;
+        let inputs = g.pools.iter().flat_map(|p| &p.inputs);
+        inputs.fold(0, |acc, i| mix(mix(acc, i.size), i.content_seed))
+    }
+
+    /// The inputs of the benchmark's catalogue and of the standard suite, as
+    /// recorded before the log-uniform draw took its bounds' logarithms once
+    /// per pool instead of once per draw.
+    #[test]
+    fn catalogue_and_standard_pools_keep_their_recorded_inputs() {
+        assert_eq!(pool_fold(&TraceGen::zipf_catalogue(400, 0x11b7a, 1.1)), 0x1647_5bdf_e98b_158b);
+        assert_eq!(pool_fold(&TraceGen::standard(&ALL_APPS, 42)), 0xb9bf_8376_2602_95f9);
+    }
+
     #[test]
     fn huge_tier_shapes_are_consistent() {
         let tier = HugeTier::standard(1);

@@ -170,4 +170,9 @@ echo "==> public API nobody calls, or only libra-bench uses (scripts/dead_api.sh
 echo "==> libra-core names the simulator's engine and Platform trait only in its platform module (scripts/sim_seam.sh)"
 ./scripts/sim_seam.sh
 
+echo "==> the perf trajectory: each workload's latest inv_per_s median against its best (scripts/trajectory.sh)"
+# Reads the committed BENCH_trajectory.json only, so it cannot flake; it
+# fails on a record it cannot read and states no bound yet.
+./scripts/trajectory.sh
+
 echo "verify: all green"
