@@ -35,17 +35,17 @@ const TABLE: &[Entry] = &[
     ("fig06", |s| drop(e::fig06::run(s.main_six()))),
     ("fig07", |s| drop(e::fig07::run(s.main_six()))),
     ("fig08", |s| e::fig08::run(s.main_six())),
-    ("fig09_10_11", |_| drop(e::fig09_10_11::run())),
+    ("fig09_10_11", |_| e::fig09_10_11::run()),
     ("fig12", |_| e::fig12::run()),
-    ("table2", |_| drop(e::table2::run())),
-    ("fig13", |_| drop(e::fig13::run())),
-    ("fig14", |_| drop(e::fig14::run())),
-    ("fig15", |_| drop(e::fig15::run())),
-    ("fig16", |_| drop(e::fig16::run())),
+    ("table2", |_| e::table2::run()),
+    ("fig13", |_| e::fig13::run()),
+    ("fig14", |_| e::fig14::run()),
+    ("fig15", |_| e::fig15::run()),
+    ("fig16", |_| e::fig16::run()),
     ("overheads", |_| e::overheads::run()),
     ("ablations", |_| e::ablations::run()),
-    ("keepalive", |_| drop(e::keepalive::run())),
-    ("chaos", |_| drop(e::chaos::run())),
+    ("keepalive", |_| e::keepalive::run()),
+    ("chaos", |_| e::chaos::run()),
     // Not part of the paper's evaluation, so not part of `all`.
     ("scale", |_| e::scale::run()),
 ];

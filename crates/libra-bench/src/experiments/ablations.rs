@@ -12,9 +12,16 @@
 //!    keep (interacts with the safeguard's trigger rate).
 //! 4. **Coverage vs volume-only scheduling** — the time dimension of demand
 //!    coverage (§6.2) against a scheduler that chases raw idle volume.
+//! 5. **Greedy vs batch-optimal scheduling** — the greedy scheduler's
+//!    optimality gap (§1's acknowledged limitation) on random batches, and
+//!    what each assigner's decision costs.
 //!
-//! `results/exp_ablations.csv` holds every simulated number the tables print
-//! (`CSV_HEADER`); the µs decision costs are wall-clock and stay on stdout.
+//! Ablations 1–3 each change one `ControlConfig` field of Libra's default on
+//! the single-node setup, so one sweep runs their eight distinct
+//! configurations and the default's runs fill the first row of all three
+//! tables. `results/exp_ablations.csv` holds every simulated number the
+//! tables print (`CSV_HEADER`); the µs decision costs are wall-clock and stay
+//! on stdout.
 
 use crate::*;
 use libra_core::controlplane::ControlConfig;
@@ -26,123 +33,125 @@ use libra_sim::engine::World;
 use libra_sim::ids::{InvocationId, NodeId};
 use libra_sim::platform::Platform;
 
-/// Libra under `control` on the single-node setup, repetition `rep`.
-fn single_run(control: ControlConfig, rep: u64) -> PlatformRun {
-    let cfg = LibraConfig { control, ..LibraConfig::libra() };
-    run_single_node(&single_trace(rep), Box::new(LibraPlatform::new(cfg)))
-}
+/// The columns of `exp_ablations.csv`: the ablation (1–5), its variant in
+/// table order, the seven [`COLUMNS`], then ablation 5's gaps.
+const CSV_HEADER: &str = "ablation,variant_idx,p99_s,mean_speedup,loans_expired,\
+    loans_reharvested,accelerated,safeguard_triggers,cpu_util,gap_mean_pct,gap_worst_pct";
+
+/// A measured column: the name a table prints, its decimals, and the number
+/// one run gives.
+type Column = (&'static str, usize, fn(&PlatformRun) -> f64);
+
+/// What every run of ablations 1–4 measures, in CSV order.
+const COLUMNS: [Column; 7] = [
+    ("P99 (s)", 1, |run| run.result.latency_percentile(99.0)),
+    ("mean speedup", 3, |run| libra_sim::metrics::mean(run.result.speedups().into_iter())),
+    ("loans expired", 0, |run| extra(run, "loans_expired")),
+    ("re-harvested", 0, |run| extra(run, "loans_reharvested")),
+    ("accelerated", 0, |run| {
+        run.result.records.iter().filter(|r| r.flags.accelerated).count() as f64
+    }),
+    ("safeguarded", 0, |run| run.report.safeguard_triggers as f64),
+    ("cpu util", 3, |run| run.result.mean_cpu_util()),
+];
 
 fn extra(run: &PlatformRun, key: &str) -> f64 {
     run.report.extra.iter().find(|(k, _)| k == key).map(|(_, v)| *v).unwrap_or(0.0)
 }
 
-fn p99(run: &PlatformRun) -> f64 {
-    run.result.latency_percentile(99.0)
+/// Run every variant over the repetitions; element `v` holds variant `v`'s
+/// [`COLUMNS`], each averaged over its runs in repetition order.
+fn measure<V: Sync>(variants: &[V], run: impl Fn(&V, u64) -> PlatformRun + Sync) -> Vec<[f64; 7]> {
+    let runs = sweep(variants, repetitions(), |v, rep| {
+        let run = run(v, rep);
+        COLUMNS.map(|(_, _, column)| column(&run))
+    });
+    runs.iter().map(|runs| std::array::from_fn(|c| mean_by(runs, |r| r[c]))).collect()
 }
 
-fn mean_speedup(run: &PlatformRun) -> f64 {
-    libra_sim::metrics::mean(run.result.speedups().into_iter())
+/// The eight distinct configurations of ablations 1–3: Libra's default, then
+/// one field of it changed at a time.
+fn single_node_configs() -> [ControlConfig; 8] {
+    let base = ControlConfig::default();
+    [
+        base.clone(),
+        ControlConfig { pool_order: GetOrder::Fifo, ..base },
+        ControlConfig { pool_order: GetOrder::ShortestLived, ..base },
+        ControlConfig { continuous_acceleration: false, ..base },
+        ControlConfig { harvest_headroom: 1.1, ..base },
+        ControlConfig { harvest_headroom: 1.2, ..base },
+        ControlConfig { harvest_headroom: 1.3, ..base },
+        ControlConfig { harvest_headroom: 1.5, ..base },
+    ]
 }
 
-/// The columns of `exp_ablations.csv`: the ablation (1–5), its variant in
-/// table order, every number the tables of ablations 1–4 print, then
-/// ablation 5's gaps.
-const CSV_HEADER: &str = "ablation,variant_idx,p99_s,mean_speedup,loans_expired,\
-    loans_reharvested,accelerated,safeguard_triggers,cpu_util,gap_mean_pct,gap_worst_pct";
+/// One ablation's table: its title, the name of its variant column, its rows
+/// (a label and the variant whose measurements fill it), the [`COLUMNS`] it
+/// prints, and what the design leads one to expect.
+struct Table {
+    title: &'static str,
+    variant: &'static str,
+    rows: &'static [(&'static str, usize)],
+    columns: &'static [&'static str],
+    expected: &'static str,
+}
 
-/// The CSV rows of ablation `ablation`, one per variant: each run column
-/// averaged over the variant's runs, the gap columns `NaN`.
-fn csv_rows(ablation: usize, runs: &[Vec<PlatformRun>]) -> Vec<Vec<f64>> {
-    let columns: [fn(&PlatformRun) -> f64; 7] = [
-        p99,
-        mean_speedup,
-        |run| extra(run, "loans_expired"),
-        |run| extra(run, "loans_reharvested"),
-        |run| run.result.records.iter().filter(|r| r.flags.accelerated).count() as f64,
-        |run| run.report.safeguard_triggers as f64,
-        |run| run.result.mean_cpu_util(),
-    ];
-    let row = |(v, runs): (usize, &Vec<PlatformRun>)| {
-        let means = columns.iter().map(|column| mean_by(runs, column));
-        [ablation as f64, v as f64].into_iter().chain(means).chain([f64::NAN; 2]).collect()
+/// Ablations 1–3, over the variants of [`single_node_configs`].
+const SINGLE_NODE_TABLES: [Table; 3] = [
+    Table {
+        title: "Ablation: pool hand-out order (Fig 4's longest-lived-first vs FIFO/worst)",
+        variant: "order",
+        rows: &[("longest-lived", 0), ("fifo", 1), ("shortest-lived", 2)],
+        columns: &["P99 (s)", "mean speedup", "loans expired", "re-harvested"],
+        expected: "longest-lived-first loses the fewest loans to source\n\
+            completions and achieves the best speedups — the paper's Fig 4 logic.",
+    },
+    Table {
+        title: "Ablation: continuous acceleration (per-tick top-ups) vs one-shot at start",
+        variant: "variant",
+        rows: &[("continuous", 0), ("one-shot", 3)],
+        columns: &["P99 (s)", "accelerated", "mean speedup"],
+        expected: "one-shot acceleration strands long invocations whose\n\
+            donors churn — continuous top-ups capture far more of the harvest.",
+    },
+    Table {
+        title: "Ablation: harvest headroom (grant = prediction × h)",
+        variant: "headroom",
+        rows: &[("1.0", 0), ("1.1", 4), ("1.2", 5), ("1.3", 6), ("1.5", 7)],
+        columns: &["P99 (s)", "safeguarded", "cpu util"],
+        expected: "more headroom = fewer safeguard trips but less harvest\n\
+            volume; the aggressive 1.0 posture relies on the safeguard.",
+    },
+];
+
+/// Ablation 4, over coverage (variant 0) and volume-only (variant 1).
+const COVERAGE_TABLE: Table = Table {
+    title: "Ablation: demand coverage (volume × timeliness) vs volume-only scheduling",
+    variant: "selector",
+    rows: &[("coverage", 0), ("volume-only", 1)],
+    columns: &["P99 (s)", "loans expired", "mean speedup"],
+    expected: "coverage-aware placement sends accelerable invocations\n\
+        where the harvest *lasts*, losing fewer loans to expiry.",
+};
+
+/// Print `table` from its variants' `measured` columns and return its CSV
+/// rows as ablation `ablation`, the gap columns `NaN`.
+fn report(ablation: usize, table: &Table, measured: &[[f64; 7]]) -> Vec<Vec<f64>> {
+    header(table.title);
+    let shown: Vec<usize> = (table.columns.iter())
+        .map(|name| COLUMNS.iter().position(|c| c.0 == *name).expect("a name in COLUMNS"))
+        .collect();
+    let names = shown.iter().map(|&c| COLUMNS[c].0.to_string());
+    row(&std::iter::once(table.variant.to_string()).chain(names).collect::<Vec<_>>());
+    for &(label, v) in table.rows {
+        let cells = shown.iter().map(|&c| format!("{:.*}", COLUMNS[c].1, measured[v][c]));
+        row(&std::iter::once(label.to_string()).chain(cells).collect::<Vec<_>>());
+    }
+    println!("Expected: {}", table.expected);
+    let csv_row = |(i, &(_, v)): (usize, &(&str, usize))| {
+        [ablation as f64, i as f64].into_iter().chain(measured[v]).chain([f64::NAN; 2]).collect()
     };
-    runs.iter().enumerate().map(row).collect()
-}
-
-/// Ablation 1: pool hand-out order. Returns its CSV rows.
-pub fn pool_order() -> Vec<Vec<f64>> {
-    header("Ablation: pool hand-out order (Fig 4's longest-lived-first vs FIFO/worst)");
-    row(&[
-        "order".into(),
-        "P99 (s)".into(),
-        "mean speedup".into(),
-        "loans expired".into(),
-        "re-harvested".into(),
-    ]);
-    let variants = [
-        ("longest-lived", GetOrder::LongestLived),
-        ("fifo", GetOrder::Fifo),
-        ("shortest-lived", GetOrder::ShortestLived),
-    ];
-    let runs = sweep(&variants, repetitions(), |&(_, pool_order), rep| {
-        single_run(ControlConfig { pool_order, ..ControlConfig::default() }, rep)
-    });
-    for ((name, _), variant_runs) in variants.iter().zip(&runs) {
-        row(&[
-            (*name).into(),
-            format!("{:.1}", mean_by(variant_runs, p99)),
-            format!("{:.3}", mean_by(variant_runs, mean_speedup)),
-            format!("{:.0}", mean_by(variant_runs, |run| extra(run, "loans_expired"))),
-            format!("{:.0}", mean_by(variant_runs, |run| extra(run, "loans_reharvested"))),
-        ]);
-    }
-    println!("Expected: longest-lived-first loses the fewest loans to source");
-    println!("completions and achieves the best speedups — the paper's Fig 4 logic.");
-    csv_rows(1, &runs)
-}
-
-/// Ablation 2: continuous acceleration vs one-shot. Returns its CSV rows.
-pub fn continuous_acceleration() -> Vec<Vec<f64>> {
-    header("Ablation: continuous acceleration (per-tick top-ups) vs one-shot at start");
-    row(&["variant".into(), "P99 (s)".into(), "accelerated".into(), "mean speedup".into()]);
-    let variants = [("continuous", true), ("one-shot", false)];
-    let runs = sweep(&variants, repetitions(), |&(_, continuous_acceleration), rep| {
-        single_run(ControlConfig { continuous_acceleration, ..ControlConfig::default() }, rep)
-    });
-    for ((name, _), variant_runs) in variants.iter().zip(&runs) {
-        let accelerated =
-            |run: &PlatformRun| run.result.records.iter().filter(|r| r.flags.accelerated).count();
-        row(&[
-            (*name).into(),
-            format!("{:.1}", mean_by(variant_runs, p99)),
-            format!("{:.0}", mean_by(variant_runs, |run| accelerated(run) as f64)),
-            format!("{:.3}", mean_by(variant_runs, mean_speedup)),
-        ]);
-    }
-    println!("Expected: one-shot acceleration strands long invocations whose");
-    println!("donors churn — continuous top-ups capture far more of the harvest.");
-    csv_rows(2, &runs)
-}
-
-/// Ablation 3: harvest headroom sweep. Returns its CSV rows.
-pub fn headroom() -> Vec<Vec<f64>> {
-    header("Ablation: harvest headroom (grant = prediction × h)");
-    row(&["headroom".into(), "P99 (s)".into(), "safeguarded".into(), "cpu util".into()]);
-    let hs = [1.0, 1.1, 1.2, 1.3, 1.5];
-    let runs = sweep(&hs, repetitions(), |&harvest_headroom, rep| {
-        single_run(ControlConfig { harvest_headroom, ..ControlConfig::default() }, rep)
-    });
-    for (h, variant_runs) in hs.iter().zip(&runs) {
-        row(&[
-            format!("{h:.1}"),
-            format!("{:.1}", mean_by(variant_runs, p99)),
-            format!("{:.0}", mean_by(variant_runs, |run| run.report.safeguard_triggers as f64)),
-            format!("{:.3}", mean_by(variant_runs, |run| run.result.mean_cpu_util())),
-        ]);
-    }
-    println!("Expected: more headroom = fewer safeguard trips but less harvest");
-    println!("volume; the aggressive 1.0 posture relies on the safeguard.");
-    csv_rows(3, &runs)
+    table.rows.iter().enumerate().map(csv_row).collect()
 }
 
 /// Timeliness-blind ablation of Libra's scheduler: accelerable invocations
@@ -182,15 +191,13 @@ impl NodeSelector for VolumeSelector {
     }
 }
 
-/// Ablation 4: coverage scheduling vs volume-only. Returns its CSV rows.
-pub fn coverage_vs_volume() -> Vec<Vec<f64>> {
-    header("Ablation: demand coverage (volume × timeliness) vs volume-only scheduling");
-    row(&["selector".into(), "P99 (s)".into(), "loans expired".into(), "mean speedup".into()]);
+/// Ablation 4's measurements: Libra with coverage and with volume-only
+/// placement on the multi-node setup.
+fn coverage_vs_volume() -> Vec<[f64; 7]> {
     fn boxed<S: NodeSelector + 'static>(s: S) -> Box<dyn Platform> {
         Box::new(LibraPlatform::with_selector(LibraConfig::libra(), s))
     }
-    let variants = ["coverage", "volume-only"];
-    let runs = sweep(&variants, repetitions(), |&name, rep| {
+    measure(&["coverage", "volume-only"], |&name, rep| {
         // Deviation from §8.4: the `standard` multi sets, not the `heavy` ones.
         let sets = trace_gen(rep).multi_sets();
         let trace = &sets.iter().find(|(rpm, _)| *rpm == 240).expect("240 RPM set").1;
@@ -199,18 +206,7 @@ pub fn coverage_vs_volume() -> Vec<Vec<f64>> {
             _ => boxed(VolumeSelector),
         };
         run_multi_node(trace, platform)
-    });
-    for (name, variant_runs) in variants.iter().zip(&runs) {
-        row(&[
-            (*name).into(),
-            format!("{:.1}", mean_by(variant_runs, p99)),
-            format!("{:.0}", mean_by(variant_runs, |run| extra(run, "loans_expired"))),
-            format!("{:.3}", mean_by(variant_runs, mean_speedup)),
-        ]);
-    }
-    println!("Expected: coverage-aware placement sends accelerable invocations");
-    println!("where the harvest *lasts*, losing fewer loans to expiry.");
-    csv_rows(4, &runs)
+    })
 }
 
 /// Ablation 5: the greedy scheduler's optimality gap (the paper's
@@ -218,7 +214,7 @@ pub fn coverage_vs_volume() -> Vec<Vec<f64>> {
 /// exhaustive batch-optimal assigner — with the decision-time cost that
 /// justifies shipping the greedy. Returns its CSV row: the mean and the
 /// worst gap, in percent.
-pub fn greedy_gap() -> Vec<f64> {
+fn greedy_gap() -> Vec<f64> {
     use crate::batch::{greedy_assign, optimal_assign, BatchNode, BatchRequest};
     use libra_core::pool::PoolEntryStatus;
     use libra_sim::metrics::remix64;
@@ -286,10 +282,14 @@ pub fn greedy_gap() -> Vec<f64> {
 
 /// Run all five ablations and write `exp_ablations.csv`.
 pub fn run() {
-    let mut rows = pool_order();
-    rows.extend(continuous_acceleration());
-    rows.extend(headroom());
-    rows.extend(coverage_vs_volume());
+    let single = measure(&single_node_configs(), |control, rep| {
+        let cfg = LibraConfig { control: control.clone(), ..LibraConfig::libra() };
+        run_single_node(&single_trace(rep), Box::new(LibraPlatform::new(cfg)))
+    });
+    let mut rows: Vec<Vec<f64>> = (SINGLE_NODE_TABLES.iter().enumerate())
+        .flat_map(|(i, table)| report(i + 1, table, &single))
+        .collect();
+    rows.extend(report(4, &COVERAGE_TABLE, &coverage_vs_volume()));
     rows.push(greedy_gap());
     write_csv("exp_ablations", &CSV_HEADER.split(',').collect::<Vec<_>>(), &rows);
 }

@@ -71,8 +71,8 @@ fn check_inert(trace: &Trace) {
     println!("inertness check: empty fault plan is byte-identical to a plain run ✓");
 }
 
-/// Run the experiment; returns `(labels, values)` for EXPERIMENTS.md.
-pub fn run() -> Vec<(String, f64)> {
+/// Run the experiment.
+pub fn run() {
     header("exp_chaos: fault-injection sweep (Libra, 4-node cluster, 4 shards)");
     let reps = repetitions();
 
@@ -107,13 +107,13 @@ pub fn run() -> Vec<(String, f64)> {
     let p99 = |runs: &[PlatformRun]| mean_by(runs, |run| run.result.latency_percentile(99.0));
     let base_p99 = p99(&runs[0]);
     let mut rows = Vec::new();
-    let mut out = Vec::new();
     for (&scale, scale_runs) in SCALES.iter().zip(&runs) {
         let p = p99(scale_runs);
         let degr = if base_p99 > 0.0 { p / base_p99 } else { 1.0 };
         let l = mean_by(scale_runs, |run| run.result.aborted as f64 / INVOCATIONS as f64);
         let rq = mean_by(scale_runs, |run| run.result.crash_requeues as f64);
         let f = mean_by(scale_runs, |run| run.result.faults_injected as f64);
+        let violations = mean_by(scale_runs, |run| run.result.pool_violations as f64);
         row(&[
             format!("{scale:.1}x"),
             format!("{f:.1}"),
@@ -121,11 +121,9 @@ pub fn run() -> Vec<(String, f64)> {
             format!("{degr:.2}x"),
             format!("{:.2}%", l * 100.0),
             format!("{rq:.1}"),
-            "0".into(),
+            format!("{violations}"),
         ]);
-        rows.push(vec![scale, f, p, degr, l, rq, 0.0]);
-        out.push((format!("chaos {scale:.1}x P99 (s)"), p));
-        out.push((format!("chaos {scale:.1}x loss rate"), l));
+        rows.push(vec![scale, f, p, degr, l, rq, violations]);
     }
     write_csv(
         "exp_chaos",
@@ -147,5 +145,4 @@ pub fn run() -> Vec<(String, f64)> {
         "graceful (bounded)",
         format!("{:.2}x", rows.last().map(|r| r[3]).unwrap_or(1.0)),
     );
-    out
 }

@@ -38,24 +38,23 @@ fn build(algo: &str) -> Box<dyn Platform> {
 }
 
 /// One measured point of the sweep.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
+struct SweepPoint {
     /// Requests per minute of the trace set.
-    pub rpm: u32,
+    rpm: u32,
     /// Scheduling algorithm.
-    pub algo: &'static str,
+    algo: &'static str,
     /// P99 response latency (s).
-    pub p99: f64,
+    p99: f64,
     /// Workload completion time (s).
-    pub completion: f64,
+    completion: f64,
     /// Idle harvested CPU ledger (core·s).
-    pub idle_cpu: f64,
+    idle_cpu: f64,
     /// Idle harvested memory ledger (MB·s).
-    pub idle_mem: f64,
+    idle_mem: f64,
     /// Mean / peak CPU utilization.
-    pub cpu_util: (f64, f64),
+    cpu_util: (f64, f64),
     /// Mean / peak memory utilization.
-    pub mem_util: (f64, f64),
+    mem_util: (f64, f64),
 }
 
 /// Run the full sweep (all RPMs × all algorithms, averaged over reps).
@@ -125,8 +124,8 @@ fn table(points: &[SweepPoint], metric: impl Fn(&SweepPoint) -> f64, title: &str
     }
 }
 
-/// Print Fig 9 (and return the sweep for reuse).
-pub fn run() -> Vec<SweepPoint> {
+/// Run the sweep and print Figs 9, 10 and 11.
+pub fn run() {
     let points = measure();
 
     table(&points, |p| p.p99, "Fig 9: P99 response latency (s) per RPM", "f");
@@ -209,5 +208,4 @@ pub fn run() -> Vec<SweepPoint> {
         ],
         &rows,
     );
-    points
 }

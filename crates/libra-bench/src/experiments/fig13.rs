@@ -21,36 +21,27 @@ fn size_split() -> (Vec<AppKind>, Vec<AppKind>) {
     ALL_APPS.into_iter().partition(AppKind::input_size_related)
 }
 
-fn p99_speedup(run: &PlatformRun) -> f64 {
-    libra_sim::metrics::percentile(&run.result.speedups(), 99.0)
-}
-
-/// One panel's rows, in order, as `variant, p99_latency_s, p99_speedup`.
-fn write_panel(name: &str, rows: &[(String, String, f64, f64)]) {
-    let rows: Vec<Vec<f64>> =
-        rows.iter().enumerate().map(|(i, r)| vec![i as f64, r.2, r.3]).collect();
+/// One panel's runs, in order, as `variant, p99_latency_s, p99_speedup`.
+fn write_panel(name: &str, runs: &[PlatformRun]) {
+    let row = |(i, run): (usize, &PlatformRun)| {
+        let p99_speedup = libra_sim::metrics::percentile(&run.result.speedups(), 99.0);
+        vec![i as f64, run.result.latency_percentile(99.0), p99_speedup]
+    };
+    let rows: Vec<Vec<f64>> = runs.iter().enumerate().map(row).collect();
     write_csv(name, &["variant", "p99_latency_s", "p99_speedup"], &rows);
 }
 
-/// Run all three panels; returns `(panel, platform, p99 latency, p99 speedup)`.
-pub fn run() -> Vec<(String, String, f64, f64)> {
-    let mut out = Vec::new();
-
+/// Run all three panels.
+pub fn run() {
     header("Fig 13(a): model ablation on the hybrid workload (speedup quantiles)");
     let trace = single_trace(0);
     let panel_a = [PlatformKind::LibraHist, PlatformKind::LibraMl, PlatformKind::Libra];
     let runs = par_map(panel_a.to_vec(), |kind| run_single_node(&trace, kind.build()));
     for (kind, run) in panel_a.iter().zip(&runs) {
         cdf_summary(kind.name(), &run.result.speedups(), "");
-        out.push((
-            "hybrid".into(),
-            kind.name().into(),
-            run.result.latency_percentile(99.0),
-            p99_speedup(run),
-        ));
     }
     println!("Expected: full Libra at least matches either single-model variant.");
-    write_panel("fig13a_model_ablation", &out);
+    write_panel("fig13a_model_ablation", &runs);
 
     let (related, unrelated) = size_split();
     for (panel, file, kinds) in [
@@ -74,19 +65,11 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
                 kind.build(),
             )
         });
-        let mut p99s = Vec::new();
-        let first = out.len();
         for (kind, run) in panel_kinds.iter().zip(&runs) {
             cdf_summary(kind.name(), &run.result.speedups(), "");
-            p99s.push(run.result.latency_percentile(99.0));
-            out.push((
-                panel.into(),
-                kind.name().into(),
-                run.result.latency_percentile(99.0),
-                p99_speedup(run),
-            ));
         }
-        write_panel(file, &out[first..]);
+        write_panel(file, &runs);
+        let p99s: Vec<f64> = runs.iter().map(|run| run.result.latency_percentile(99.0)).collect();
         compare(
             &format!("{panel}: Libra P99 vs Default / Freyr"),
             if panel == "size-related" {
@@ -104,7 +87,6 @@ pub fn run() -> Vec<(String, String, f64, f64)> {
     println!("\nExpected shape: the more size-related the workload, the larger");
     println!("Libra's gain; the unrelated workload still improves (conservative");
     println!("histogram harvesting), just less.");
-    out
 }
 
 #[cfg(test)]

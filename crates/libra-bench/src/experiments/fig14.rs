@@ -7,8 +7,8 @@ use crate::*;
 use libra_core::controlplane::ControlConfig;
 use libra_core::{LibraConfig, LibraPlatform};
 
-/// Run the sweep; returns `(threshold, safeguarded_ratio, p99_s)`.
-pub fn run() -> Vec<(f64, f64, f64)> {
+/// Run the sweep.
+pub fn run() {
     header("Fig 14: safeguard threshold sweep (single-node, `single` trace)");
     row(&["threshold".into(), "safeguarded %".into(), "P99 (s)".into()]);
     let trace = single_trace(0);
@@ -47,5 +47,4 @@ pub fn run() -> Vec<(f64, f64, f64)> {
         &["threshold", "safeguarded_ratio", "p99_s"],
         &out.iter().map(|&(t, r, p)| vec![t, r, p]).collect::<Vec<_>>(),
     );
-    out
 }

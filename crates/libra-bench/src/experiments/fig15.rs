@@ -6,9 +6,8 @@
 use crate::*;
 use libra_workloads::ALL_APPS;
 
-/// Run the breakdown; returns per-function mean stage times in seconds:
-/// `(func, frontend, profiler, scheduler, pool, container, exec)`.
-pub fn run() -> Vec<(String, [f64; 6])> {
+/// Run the breakdown: per-function mean stage times in seconds.
+pub fn run() {
     header("Fig 15: latency breakdown per function (multi-node, mean seconds)");
     // The multi-node setup on a `standard` Poisson trace, not a multi set.
     let trace = trace_gen(0).poisson(300, 120.0);
@@ -73,5 +72,4 @@ pub fn run() -> Vec<(String, [f64; 6])> {
             })
             .collect::<Vec<_>>(),
     );
-    out
 }

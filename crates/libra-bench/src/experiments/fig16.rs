@@ -5,8 +5,8 @@
 use crate::*;
 use libra_core::{LibraConfig, LibraPlatform};
 
-/// Run the sweep; returns `(alpha, idle_cpu_core_s, idle_mem_mb_s, p99_s)`.
-pub fn run() -> Vec<(f64, f64, f64, f64)> {
+/// Run the sweep.
+pub fn run() {
     header("Fig 16: demand-coverage weight sweep (multi-node, 240 RPM)");
     row(&["alpha".into(), "CPU idle (core·s)".into(), "mem idle (GB·s)".into(), "P99 (s)".into()]);
     let trace = multi_trace(0, 240);
@@ -46,5 +46,4 @@ pub fn run() -> Vec<(f64, f64, f64, f64)> {
         &["alpha", "idle_cpu_core_s", "idle_mem_mb_s", "p99_s"],
         &out.iter().map(|&(a, c, m, p)| vec![a, c, m, p]).collect::<Vec<_>>(),
     );
-    out
 }

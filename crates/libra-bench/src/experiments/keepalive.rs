@@ -64,8 +64,8 @@ fn zero_if_nan(x: f64) -> f64 {
     }
 }
 
-/// Run the sweep; returns `(label, value)` pairs for downstream checks.
-pub fn run() -> Vec<(String, f64)> {
+/// Run the sweep.
+pub fn run() {
     header("Keep-alive policy x harvester sweep (cold starts vs harvestable supply)");
     row(&[
         "policy".into(),
@@ -83,10 +83,8 @@ pub fn run() -> Vec<(String, f64)> {
         one_run(pols[pi].clone(), PLATFORMS[ki], rep)
     });
 
-    let mut out = Vec::new();
     let mut csv_rows = Vec::new();
     for (&(pi, ki), cell) in cells.iter().zip(&runs) {
-        let label = format!("{}/{}", pols[pi].label(), PLATFORMS[ki].name());
         let cold = mean_by(cell, |c| c.cold_rate);
         let pinned = mean_by(cell, |c| c.pinned_mean_mb);
         let peak = mean_by(cell, |c| c.pinned_max_mb);
@@ -102,8 +100,6 @@ pub fn run() -> Vec<(String, f64)> {
             format!("{p99:.1}"),
         ]);
         csv_rows.push(vec![pi as f64, ki as f64, cold, pinned, peak, prewarms, p99]);
-        out.push((format!("{label} cold_rate"), cold));
-        out.push((format!("{label} pinned_mb"), pinned));
     }
     write_csv(
         "exp_keepalive",
@@ -123,7 +119,6 @@ pub fn run() -> Vec<(String, f64)> {
     println!("Expected: shorter/adaptive keep-alive shrinks pinned warm memory");
     println!("(less harvestable idle-warm supply, more cold starts); the fixed60");
     println!("column reproduces the seed lifecycle under every harvester.");
-    out
 }
 
 #[cfg(test)]

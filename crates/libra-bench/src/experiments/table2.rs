@@ -24,14 +24,13 @@ use libra_workloads::sebs_suite;
 use models::{LinearRegression, Mlp, OneVsRest};
 
 /// One function's scores for one model family.
-#[derive(Clone, Copy, Debug)]
-pub struct Scores {
+struct Scores {
     /// CPU-class accuracy.
-    pub cpu: f64,
+    cpu: f64,
     /// Memory-class accuracy.
-    pub mem: f64,
+    mem: f64,
     /// Duration R².
-    pub dur: f64,
+    dur: f64,
 }
 
 /// The four model families, in column order: a family's position is its
@@ -137,15 +136,14 @@ fn eval_family(family: Family, x: &[Vec<f64>], cpu: &[f64], mem: &[f64], dur: &[
     Scores { cpu: classify(cpu), mem: classify(mem), dur: dur_r2 }
 }
 
-/// Run the study; returns `(func, model, scores)` triples.
-pub fn run() -> Vec<(String, String, Scores)> {
+/// Run the study.
+pub fn run() {
     header("Table 2: model comparison (cpu acc / mem acc / duration R², 7:3 split)");
     let suite = sebs_suite();
     let mut cols = vec!["func".to_string()];
     cols.extend(Family::ALL.map(|f| f.name().to_string()));
     row(&cols);
 
-    let mut out = Vec::new();
     let mut sums = [(0.0, 0.0, 0.0); Family::ALL.len()]; // related avg
     let mut sums_un = [(0.0, 0.0, 0.0); Family::ALL.len()];
 
@@ -177,7 +175,6 @@ pub fn run() -> Vec<(String, String, Scores)> {
             tgt.0 += s.cpu;
             tgt.1 += s.mem;
             tgt.2 += s.dur.max(-99.0);
-            out.push((kind.name().to_string(), family.name().to_string(), *s));
             csv.push(vec![fi as f64, f64::from(u8::from(related)), mi as f64, s.cpu, s.mem, s.dur]);
         }
         row(&cols);
@@ -218,5 +215,4 @@ pub fn run() -> Vec<(String, String, Scores)> {
         "acc ~0.95 vs ~0.59 (RF)",
         format!("{:.2} vs {:.2}", rf.0 / 5.0, sums_un[Family::Rf as usize].0 / 5.0),
     );
-    out
 }

@@ -2,10 +2,11 @@
 # The perf trajectory as data (ROADMAP item 20): BENCH_trajectory.json holds
 # one record per change and workload of the repo benchmark's inv_per_s, one
 # record per line. For each workload this prints the latest record's change
-# median against the best change median recorded, at the harness's default
-# seed 42 (a record without a seed is at 42), skipping changes marked
-# "merged": false, and whether the two were measured on one host. Records
-# back-filled from CHANGES.md or the pipeline carry no quartiles and no host.
+# median against the best change median recorded on the same host, at the
+# harness's default seed 42 (a record without a seed is at 42), skipping
+# changes marked "merged": false. Records back-filled from CHANGES.md or the
+# pipeline carry no quartiles and no host, so a latest record without a host
+# has no comparable record, and the line says so.
 # It states no bound yet. Exits non-zero only on a record it cannot read.
 # Reads the committed file only, so it cannot flake.
 # Run from anywhere: ./scripts/trajectory.sh
@@ -30,16 +31,23 @@ function field(key,   s) {
   records++
   if (field("merged") == "false" || (field("seed") != "" && field("seed") != 42)) next
   if (!(w in latest)) order[++n] = w
-  latest[w] = m + 0; latest_pr[w] = pr; latest_host[w] = field("host")
-  if (!(w in best) || m + 0 > best[w]) { best[w] = m + 0; best_pr[w] = pr; best_host[w] = field("host") }
+  host = field("host")
+  latest[w] = m + 0; latest_pr[w] = pr; latest_host[w] = host
+  if (host == "") next
+  k = w SUBSEP host
+  if (!(k in best) || m + 0 > best[k]) { best[k] = m + 0; best_pr[k] = pr }
 }
 END {
   if (records == 0) { print "BENCH_trajectory.json: no records" > "/dev/stderr"; exit 1 }
-  printf "%-16s %18s %18s %12s %10s\n", "workload", "latest (PR)", "best (PR)", "latest/best", "one host"
+  printf "%-16s %18s %24s %12s\n", "workload", "latest (PR)", "best on its host (PR)", "latest/best"
   for (i = 1; i <= n; i++) {
     w = order[i]
-    same = (latest_host[w] != "" && latest_host[w] == best_host[w]) ? "yes" : "no"
-    printf "%-16s %11.1f (%3s) %11.1f (%3s) %12.3f %10s\n", w, latest[w], latest_pr[w], best[w], best_pr[w], latest[w] / best[w], same
+    if (latest_host[w] == "") {
+      printf "%-16s %11.1f (%3s) %s\n", w, latest[w], latest_pr[w], "  no comparable record: the latest has no host"
+      continue
+    }
+    k = w SUBSEP latest_host[w]
+    printf "%-16s %11.1f (%3s) %17.1f (%3s) %12.3f\n", w, latest[w], latest_pr[w], best[k], best_pr[k], latest[w] / best[k]
   }
   exit bad
 }

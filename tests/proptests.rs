@@ -171,7 +171,7 @@ proptest! {
     }
 }
 
-/// Ops for the indexed-vs-reference equivalence test: like [`PoolOp`] but
+/// Ops for the pool-vs-reference equivalence test: like [`PoolOp`] but
 /// with expiries on the same scale as the op clock (7 µs per op), so lazy
 /// expiry eviction actually triggers, and with an explicit hand-out order on
 /// every get.
@@ -210,11 +210,11 @@ proptest! {
     /// entries expire mid-sequence. The pool's order is re-checked after
     /// every op.
     #[test]
-    fn indexed_pool_matches_sorted_scan_reference(ops in prop::collection::vec(eq_op(), 1..150)) {
+    fn expiry_ordered_pool_matches_sorted_scan_reference(ops in prop::collection::vec(eq_op(), 1..150)) {
         use support::sorted_scan_pool::SortedScanPool;
         use libra::core::pool::GetOrder;
 
-        let mut indexed = HarvestResourcePool::new();
+        let mut pool = HarvestResourcePool::new();
         let mut oracle = SortedScanPool::new();
         let mut t = 0u64;
         for op in ops {
@@ -223,7 +223,7 @@ proptest! {
             match op {
                 EqOp::Put { src, cpu, mem, expiry_us } => {
                     let vol = ResourceVec::new(cpu, mem);
-                    indexed.put(InvocationId(src), vol, SimTime(expiry_us), now);
+                    pool.put(InvocationId(src), vol, SimTime(expiry_us), now);
                     oracle.put(InvocationId(src), vol, SimTime(expiry_us), now);
                 }
                 EqOp::Get { cpu, mem, order } => {
@@ -233,27 +233,27 @@ proptest! {
                         1 => GetOrder::Fifo,
                         _ => GetOrder::ShortestLived,
                     };
-                    let a = indexed.get_with(want, now, order);
+                    let a = pool.get_with(want, now, order);
                     let b = oracle.get_with(want, now, order);
                     prop_assert_eq!(a, b, "grants diverged ({:?} at t={})", order, t);
                 }
                 EqOp::GiveBack { src, cpu, mem } => {
                     let vol = ResourceVec::new(cpu, mem);
-                    indexed.give_back(InvocationId(src), vol, now);
+                    pool.give_back(InvocationId(src), vol, now);
                     oracle.give_back(InvocationId(src), vol, now);
                 }
                 EqOp::Remove { src } => {
-                    let a = indexed.remove(InvocationId(src), now);
+                    let a = pool.remove(InvocationId(src), now);
                     let b = oracle.remove(InvocationId(src), now);
                     prop_assert_eq!(a, b, "removed volume diverged");
                 }
             }
-            indexed.check_order();
-            prop_assert_eq!(indexed.snapshot(now), oracle.snapshot(now), "snapshots diverged");
-            prop_assert_eq!(indexed.total_idle(), oracle.total_idle());
-            prop_assert_eq!(indexed.len(), oracle.len());
-            prop_assert_eq!(indexed.op_counts(), oracle.op_counts());
-            let (la, lb) = (indexed.idle_ledger(), oracle.idle_ledger());
+            pool.check_order();
+            prop_assert_eq!(pool.snapshot(now), oracle.snapshot(now), "snapshots diverged");
+            prop_assert_eq!(pool.total_idle(), oracle.total_idle());
+            prop_assert_eq!(pool.len(), oracle.len());
+            prop_assert_eq!(pool.op_counts(), oracle.op_counts());
+            let (la, lb) = (pool.idle_ledger(), oracle.idle_ledger());
             prop_assert!((la.0 - lb.0).abs() < 1e-9, "cpu ledger diverged: {} vs {}", la.0, lb.0);
             prop_assert!((la.1 - lb.1).abs() < 1e-9, "mem ledger diverged: {} vs {}", la.1, lb.1);
         }
