@@ -154,7 +154,7 @@ pub fn run() {
         let (lo, hi) = kind.size_range();
         let first = InputMeta::new(((lo as f64 * hi as f64).sqrt()) as u64, 4242);
         let dup = WorkloadDuplicator { points: 100, noise: 0.02, seed: 77 ^ f as u64 };
-        let obs = dup.run(&suite[f], first);
+        let obs = dup.run(suite[f].model.as_ref(), first);
         let x: Vec<Vec<f64>> = obs.iter().map(|o| features(o.size)).collect();
         let cpu: Vec<f64> =
             obs.iter().map(|o| o.cpu_peak_millis.div_ceil(MILLIS_PER_CORE) as f64).collect();

@@ -11,8 +11,13 @@
 //! 2. **Score.** Three models — two random-forest classifiers (CPU peak
 //!    class = cores, memory peak class = 128 MB steps) and one random-forest
 //!    regressor (duration) — are fitted on 70 % of the rows and evaluated on
-//!    the held-out 30 %. The scores are kept for every function under every
-//!    [`ModelChoice`] (Table 2 and Fig 13 read them) and are all this fit is for.
+//!    the held-out 30 %. The verdict is a conjunction, so it is evaluated
+//!    lazily: the CPU-class forest first, alone, and the memory and duration
+//!    forests only when its accuracy clears the threshold. Under a forced
+//!    [`ModelChoice`] nothing is scored. [`Profiler::scores`] reruns the
+//!    whole test on demand, from the pilot set the function's first sight
+//!    regenerates; no run reads them, only `tests/profiler_pins.rs`, the
+//!    `profiler_tour` example and this crate's tests.
 //! 3. **Serve.** If accuracy and R² clear the thresholds, the function is
 //!    **input size-related**: the same three models are fitted on all rows
 //!    and serve predictions. Otherwise it is treated as a black box and three
@@ -36,13 +41,14 @@ use libra_ml::forest::{ForestParams, RandomForest};
 use libra_ml::histogram::StreamingHistogram;
 use libra_ml::metrics::{accuracy, r2_score};
 use libra_ml::tree::Task;
-use libra_sim::demand::InputMeta;
+use libra_sim::demand::{DemandModel, InputMeta};
 use libra_sim::function::FunctionSpec;
 use libra_sim::invocation::{Actuals, Prediction, PredictionPath};
 use libra_sim::metrics::{splitmix64_at, unit_f64};
 use libra_sim::resources::{sat_u64, MILLIS_PER_CORE};
 use libra_sim::time::SimDuration;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Memory class granularity: OpenWhisk-style 128 MB steps.
 pub const MEM_CLASS_MB: u64 = 128;
@@ -90,7 +96,8 @@ impl Default for ProfilerConfig {
     }
 }
 
-/// Quality scores of the relatedness test (reported in Table 2).
+/// Quality scores of the relatedness test (§4.3), as [`Profiler::scores`]
+/// reports them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ModelScores {
     /// CPU-class prediction accuracy on held-out data.
@@ -134,13 +141,14 @@ pub struct WorkloadDuplicator {
 }
 
 impl WorkloadDuplicator {
-    /// Duplicate `first_input` of `spec` into labelled observations. Sizes
+    /// Duplicate `first_input` of a function whose pilot runs `model` reveals
+    /// into labelled observations. Sizes
     /// span `[max(1, s/10), 10·s]` **uniformly** ("duplicated uniformly",
     /// §4.2) — a 100× total span ("a maximum of 100 times", §8.2.3) centred
     /// on the first-seen size, covering both shrunk and grown variants. Each
     /// duplicated point derives a fresh content seed, because duplicating
     /// data changes its content too.
-    pub fn run(&self, spec: &FunctionSpec, first_input: InputMeta) -> Vec<PilotObservation> {
+    pub fn run(&self, model: &dyn DemandModel, first_input: InputMeta) -> Vec<PilotObservation> {
         let s = first_input.size.max(1);
         let lo = (s / 10).max(1);
         let hi = s.saturating_mul(10).max(lo + 1);
@@ -149,7 +157,7 @@ impl WorkloadDuplicator {
                 let frac = k as f64 / (self.points - 1).max(1) as f64;
                 let size = sat_u64((lo as f64 + frac * (hi - lo) as f64).round());
                 let content = splitmix64_at(first_input.content_seed ^ self.seed, k as u64);
-                let d = spec.model.demand(&InputMeta::new(size.max(1), content));
+                let d = model.demand(&InputMeta::new(size.max(1), content));
                 // measurement noise (memory measurements are steadier)
                 let n1 = 1.0 + self.noise * (unit_f64(splitmix64_at(content, 11)) - 0.5) * 2.0;
                 let n2 =
@@ -201,17 +209,23 @@ struct Forests {
     dur: RandomForest,
 }
 
+/// Every profiler forest: 24 trees, all randomness from `seed`.
+fn forest_params(seed: u64) -> ForestParams {
+    ForestParams { n_trees: 24, seed }
+}
+
+/// The CPU-class forest's task: a class per core count up to the maximum.
+const CPU_TASK: Task = Task::Classification { n_classes: MAX_CPU_CLASS + 1 };
+
 impl Forests {
     /// Fit the three on rows `x` with one target column each, in one
     /// `fit_many`: the three share `seed`, so tree `k` of each draws and
     /// sorts the same bootstrap, once. Each forest is the one `fit` would
     /// give alone, so a fit depends on nothing fitted before.
     fn fit(x: &[Vec<f64>], cpu: &[f64], mem: &[f64], dur: &[f64], n_mem: usize, seed: u64) -> Self {
-        let params = ForestParams { n_trees: 24, seed };
-        let classes = |n_classes| Task::Classification { n_classes };
-        let targets =
-            [(cpu, classes(MAX_CPU_CLASS + 1)), (mem, classes(n_mem)), (dur, Task::Regression)];
-        let [cpu, mem, dur] = RandomForest::fit_many(x, &targets, params);
+        let mem_task = Task::Classification { n_classes: n_mem };
+        let targets = [(cpu, CPU_TASK), (mem, mem_task), (dur, Task::Regression)];
+        let [cpu, mem, dur] = RandomForest::fit_many(x, &targets, forest_params(seed));
         Forests { cpu, mem, dur }
     }
 }
@@ -240,6 +254,20 @@ struct Dataset3 {
 }
 
 impl Dataset3 {
+    /// The labelled rows of a pilot run.
+    fn pilot(obs: &[PilotObservation]) -> Self {
+        let mut data = Dataset3::default();
+        for o in obs {
+            data.push(
+                o.size,
+                cpu_class(o.cpu_peak_millis),
+                mem_class(o.mem_peak_mb),
+                o.duration.as_secs_f64(),
+            );
+        }
+        data
+    }
+
     fn push(&mut self, size: u64, cpu_cls: u64, mem_cls: u64, dur_s: f64) {
         self.x.push(features(size));
         self.cpu.push(cpu_cls as f64);
@@ -258,33 +286,38 @@ impl Dataset3 {
 
     /// The relatedness test (§4.3): forests fitted on a 7:3 split's train
     /// rows, scored on its test rows. One split serves the three targets.
-    fn relatedness(&self, seed: u64) -> ModelScores {
+    /// The CPU-class forest is fitted alone and scored first; with `lazy`, a
+    /// CPU accuracy under the threshold decides the conjunction and ends the
+    /// test (`None`). Otherwise the memory and duration forests follow in
+    /// one `fit_many`, each the forest a three-target fit would grow.
+    fn relatedness(&self, seed: u64, lazy: bool) -> Option<ModelScores> {
         let (tr, te) = split_indices(self.len(), TRAIN_FRAC, seed);
         let rows = |ids: &[usize]| ids.iter().map(|&i| self.x[i].clone()).collect::<Vec<_>>();
         let pick = |ids: &[usize], col: &[f64]| ids.iter().map(|&i| col[i]).collect::<Vec<_>>();
-        let rf = Forests::fit(
-            &rows(&tr),
-            &pick(&tr, &self.cpu),
-            &pick(&tr, &self.mem),
-            &pick(&tr, &self.dur),
-            n_mem_classes(&self.mem),
-            seed,
-        );
-        let tex = rows(&te);
+        let (trx, tex) = (rows(&tr), rows(&te));
         let class_acc = |forest: &RandomForest, col: &[f64]| {
             accuracy(
                 &tex.iter().map(|r| forest.predict_class(r)).collect::<Vec<_>>(),
                 &te.iter().map(|&i| label(col[i])).collect::<Vec<_>>(),
             )
         };
-        ModelScores {
-            cpu_acc: class_acc(&rf.cpu, &self.cpu),
-            mem_acc: class_acc(&rf.mem, &self.mem),
+        let cpu = RandomForest::fit(&trx, &pick(&tr, &self.cpu), CPU_TASK, forest_params(seed));
+        let cpu_acc = class_acc(&cpu, &self.cpu);
+        if lazy && cpu_acc < ACC_THRESHOLD {
+            return None;
+        }
+        let (mem, dur) = (pick(&tr, &self.mem), pick(&tr, &self.dur));
+        let mem_task = Task::Classification { n_classes: n_mem_classes(&self.mem) };
+        let targets = [(&mem[..], mem_task), (&dur[..], Task::Regression)];
+        let [mem, dur] = RandomForest::fit_many(&trx, &targets, forest_params(seed));
+        Some(ModelScores {
+            cpu_acc,
+            mem_acc: class_acc(&mem, &self.mem),
             dur_r2: r2_score(
-                &tex.iter().map(|r| rf.dur.predict(r)).collect::<Vec<_>>(),
+                &tex.iter().map(|r| dur.predict(r)).collect::<Vec<_>>(),
                 &pick(&te, &self.dur),
             ),
-        }
+        })
     }
 }
 
@@ -336,7 +369,9 @@ pub struct Profiler {
     cfg: ProfilerConfig,
     choice: ModelChoice,
     states: Vec<FuncState>,
-    scores: Vec<Option<ModelScores>>,
+    /// Per trained function, what regenerates its pilot set: its demand
+    /// model and the input it was first seen with.
+    first_sights: Vec<Option<(Arc<dyn DemandModel>, InputMeta)>>,
 }
 
 impl Profiler {
@@ -350,7 +385,7 @@ impl Profiler {
             cfg: ProfilerConfig { duplicate_points: cfg.duplicate_points.max(2) },
             choice,
             states: (0..n_funcs).map(|_| FuncState::Untrained).collect(),
-            scores: vec![None; n_funcs],
+            first_sights: vec![None; n_funcs],
         }
     }
 
@@ -359,9 +394,30 @@ impl Profiler {
         !matches!(self.states[f], FuncState::Untrained)
     }
 
-    /// The relatedness-test scores for `f`, if trained.
+    /// The relatedness-test scores for `f`, if trained: the whole test, run
+    /// on the pilot set `f`'s first sight regenerates. `train` reads only as
+    /// much of it as decides the verdict, so every call computes them anew.
     pub fn scores(&self, f: usize) -> Option<ModelScores> {
-        self.scores[f]
+        let (model, input) = self.first_sights[f].as_ref()?;
+        self.pilot(f, model.as_ref(), *input).1.relatedness(SEED ^ f as u64, false)
+    }
+
+    /// The pilot observations of `f` first seen at `input` (§4.2) and their
+    /// labelled rows: the same on every call.
+    fn pilot(
+        &self,
+        f: usize,
+        model: &dyn DemandModel,
+        input: InputMeta,
+    ) -> (Vec<PilotObservation>, Dataset3) {
+        let dup = WorkloadDuplicator {
+            points: self.cfg.duplicate_points,
+            noise: PILOT_NOISE,
+            seed: SEED ^ (f as u64) << 8,
+        };
+        let obs = dup.run(model, input);
+        let data = Dataset3::pilot(&obs);
+        (obs, data)
     }
 
     /// Whether `f` was classified input size-related (ML path).
@@ -376,31 +432,16 @@ impl Profiler {
     /// One-time offline profiling on the first invocation of `f` (§4.1):
     /// duplicate, pilot-run, train, and decide the model path.
     pub fn train(&mut self, f: usize, spec: &FunctionSpec, first_input: InputMeta) {
-        let dup = WorkloadDuplicator {
-            points: self.cfg.duplicate_points,
-            noise: PILOT_NOISE,
-            seed: SEED ^ (f as u64) << 8,
-        };
-        let obs = dup.run(spec, first_input);
-
-        let mut data = Dataset3::default();
-        for o in &obs {
-            data.push(
-                o.size,
-                cpu_class(o.cpu_peak_millis),
-                mem_class(o.mem_peak_mb),
-                o.duration.as_secs_f64(),
-            );
-        }
-        // Score first; the serving forests are fitted only for a function
-        // they will serve. Nothing random crosses the two steps.
+        let (obs, data) = self.pilot(f, spec.model.as_ref(), first_input);
+        self.first_sights[f] = Some((Arc::clone(&spec.model), first_input));
+        // Score first, only as far as the verdict needs and only when it is
+        // read; the serving forests are fitted only for a function they
+        // will serve. Nothing random crosses the two steps.
         let seed = SEED ^ f as u64;
-        let scores = data.relatedness(seed);
-        self.scores[f] = Some(scores);
-
-        let related = scores.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD);
         let use_ml = match self.choice {
-            ModelChoice::Auto => related,
+            ModelChoice::Auto => data.relatedness(seed, true).is_some_and(|s| {
+                s.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD)
+            }),
             ModelChoice::HistogramOnly => false,
             ModelChoice::MlOnly => true,
         };
@@ -767,7 +808,7 @@ mod tests {
     fn duplicator_spans_sizes_log_uniformly() {
         let suite = sebs_suite();
         let dup = WorkloadDuplicator { points: 50, noise: 0.0, seed: 3 };
-        let obs = dup.run(&suite[AppKind::Cp.id().idx()], InputMeta::new(50, 1));
+        let obs = dup.run(suite[AppKind::Cp.id().idx()].model.as_ref(), InputMeta::new(50, 1));
         assert_eq!(obs.len(), 50);
         let min = obs.iter().map(|o| o.size).min().unwrap();
         let max = obs.iter().map(|o| o.size).max().unwrap();
@@ -785,7 +826,7 @@ mod tests {
         let dup =
             WorkloadDuplicator { points: 100, noise: PILOT_NOISE, seed: SEED ^ (f as u64) << 8 };
         let mut h = HistModels::new();
-        for o in dup.run(&suite[f], input) {
+        for o in dup.run(suite[f].model.as_ref(), input) {
             h.observe(o.cpu_peak_millis, o.mem_peak_mb, o.duration.as_secs_f64());
         }
         let peak = |h: &StreamingHistogram| sat_u64(h.percentile(PEAK_PERCENTILE).unwrap().ceil());
@@ -975,6 +1016,71 @@ mod tests {
         0xb94c_1168_fa1e_5231, 0x6ee3_3d70_0bdd_1d68, 0x388e_0eea_3ecb_22c6, 0x97c3_2aeb_f161_391b,
         0x9266_c1c3_e4ad_64dd, 0x56ae_04af_6d32_6dcd, 0x4eb2_c1fe_41b0_6325, 0xf321_8db8_b099_68d3,
     ];
+
+    /// The relatedness test as it was before it turned lazy: the three
+    /// forests in one three-target fit on the train rows, every score
+    /// computed whatever the first says.
+    fn eager_relatedness(data: &Dataset3, seed: u64) -> ModelScores {
+        let (tr, te) = split_indices(data.len(), TRAIN_FRAC, seed);
+        let rows = |ids: &[usize]| ids.iter().map(|&i| data.x[i].clone()).collect::<Vec<_>>();
+        let pick = |ids: &[usize], col: &[f64]| ids.iter().map(|&i| col[i]).collect::<Vec<_>>();
+        let rf = Forests::fit(
+            &rows(&tr),
+            &pick(&tr, &data.cpu),
+            &pick(&tr, &data.mem),
+            &pick(&tr, &data.dur),
+            n_mem_classes(&data.mem),
+            seed,
+        );
+        let tex = rows(&te);
+        let class_acc = |forest: &RandomForest, col: &[f64]| {
+            accuracy(
+                &tex.iter().map(|r| forest.predict_class(r)).collect::<Vec<_>>(),
+                &te.iter().map(|&i| label(col[i])).collect::<Vec<_>>(),
+            )
+        };
+        ModelScores {
+            cpu_acc: class_acc(&rf.cpu, &data.cpu),
+            mem_acc: class_acc(&rf.mem, &data.mem),
+            dur_r2: r2_score(
+                &tex.iter().map(|r| rf.dur.predict(r)).collect::<Vec<_>>(),
+                &pick(&te, &data.dur),
+            ),
+        }
+    }
+
+    /// Every app first seen at the low end, the geometric mean and the high
+    /// end of its size range, under every choice: `scores` gives the eager
+    /// test's scores bit for bit and the model path is the eager verdict's.
+    #[test]
+    fn lazy_relatedness_keeps_the_eager_scores_and_verdict() {
+        let suite = sebs_suite();
+        let bits = |s: ModelScores| [s.cpu_acc, s.mem_acc, s.dur_r2].map(f64::to_bits);
+        let mut verdicts = [0; 2];
+        for kind in libra_workloads::ALL_APPS {
+            let f = kind.id().idx();
+            let (lo, hi) = kind.size_range();
+            for input in [InputMeta::new(lo, 12345), first_input(kind), InputMeta::new(hi, 12345)] {
+                let (_, pilot) = profiler().pilot(f, suite[f].model.as_ref(), input);
+                let want = eager_relatedness(&pilot, SEED ^ f as u64);
+                let related =
+                    want.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD);
+                verdicts[usize::from(related)] += 1;
+                for (choice, use_ml) in [
+                    (ModelChoice::Auto, related),
+                    (ModelChoice::HistogramOnly, false),
+                    (ModelChoice::MlOnly, true),
+                ] {
+                    let mut p = Profiler::new(10, ProfilerConfig::default(), choice);
+                    p.train(f, &suite[f], input);
+                    let what = format!("{} at {} under {choice:?}", kind.name(), input.size);
+                    assert_eq!(bits(p.scores(f).unwrap()), bits(want), "{what}");
+                    assert_eq!(p.is_size_related(f), Some(use_ml), "{what}");
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n >= 10), "both verdicts are reached: {verdicts:?}");
+    }
 
     #[test]
     fn hist_only_choice_forces_histograms() {
