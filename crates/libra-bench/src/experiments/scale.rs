@@ -1,6 +1,6 @@
 //! `exp scale` — the `huge` trace tier (1M invocations at 20k RPM across a
 //! 400-function Zipf catalogue, on 1,000 × 48-core nodes) through the engine
-//! in [`MetricsMode::Streaming`]: the workload the slab arena, streamed
+//! in streaming metrics mode: the workload the slab arena, streamed
 //! arrivals, per-node resident vectors and online metrics exist for, and the
 //! only code that runs it at full size. `LIBRA_SCALE` shrinks invocations,
 //! arrival rate and node count together (0.02: 20k invocations, 20 nodes).
@@ -11,30 +11,17 @@
 //! prints one throughput line for each, with its monitor ticks that walked
 //! their node; the second adds its monitor visits and safeguard trips. The
 //! regression gate on simulator speed is the repo benchmark
-//! (`benchmarks/perf`).
+//! (`benchmarks/perf`); the lines' counts at 0.02 are pinned through
+//! [`crate::probe`], which runs [`tier`] and [`simulate`] itself.
 
+use crate::probe::{self, KIND_NAMES};
 use libra_core::{LibraConfig, LibraPlatform};
-use libra_sim::engine::{NullPlatform, SimConfig, Simulation};
-use libra_sim::event::EVENT_KINDS;
-use libra_sim::metrics::MetricsMode;
+use libra_sim::engine::NullPlatform;
+use libra_sim::metrics::RunResult;
 use libra_sim::platform::Platform;
 use libra_sim::trace::Trace;
 use libra_workloads::trace::HugeTier;
 use std::time::Instant;
-
-/// Event kind names, indexed by `Event::kind`.
-const KIND_NAMES: [&str; EVENT_KINDS] = [
-    "decision_done",
-    "start_exec",
-    "finish",
-    "monitor_tick",
-    "health_ping",
-    "utilization_sample",
-    "retry_blocked",
-    "fault",
-    "requeue",
-    "prewarm",
-];
 
 /// Peak resident set size (VmHWM) in MB, from `/proc/self/status`.
 /// Returns 0 on platforms without procfs — the field is informational.
@@ -54,11 +41,7 @@ fn peak_rss_mb() -> u64 {
 /// Run the tier under both platforms and print their throughput lines.
 pub fn run() {
     let scale = crate::scale();
-    let mut tier = HugeTier::standard(42);
-    let scaled = |n: usize| ((n as f64 * scale) as usize).max(1);
-    tier.invocations = scaled(tier.invocations);
-    tier.nodes = scaled(tier.nodes);
-    tier.rpm *= scale;
+    let tier = tier(scale, 42);
     eprintln!(
         "[scale] scale={scale} invocations={} functions={} nodes={}",
         tier.invocations,
@@ -67,40 +50,52 @@ pub fn run() {
     );
 
     let trace = tier.trace();
-    let (null, null_walks, null_pops) = simulate(&tier, &trace, &mut NullPlatform);
-    println!("tier=huge scale={scale} {null} walks={null_walks} pops: {null_pops}");
-    let mut libra = LibraPlatform::new(LibraConfig::np());
-    let (np, np_walks, np_pops) = simulate(&tier, &trace, &mut libra);
+    let t_run = Instant::now();
+    let null = simulate(&tier, &trace, &mut NullPlatform);
+    let null_fields = fields(&null, t_run.elapsed().as_secs_f64());
     println!(
-        "tier=huge platform=Libra-NP scale={scale} {np} visits={} walks={np_walks} safeguard_trips={} pops: {np_pops}",
+        "tier=huge scale={scale} {null_fields} walks={} pops: {}",
+        null.tick_walks.0,
+        pops(&null)
+    );
+    let mut libra = LibraPlatform::new(LibraConfig::np());
+    let t_run = Instant::now();
+    let np = simulate(&tier, &trace, &mut libra);
+    let np_fields = fields(&np, t_run.elapsed().as_secs_f64());
+    println!(
+        "tier=huge platform=Libra-NP scale={scale} {np_fields} visits={} walks={} safeguard_trips={} pops: {}",
         libra.visits(),
+        np.tick_walks.0,
         libra.report().safeguard_triggers,
+        pops(&np),
     );
 }
 
-/// Run the tier under `platform` and assert conservation; returns the
-/// line's outcome and speed fields, its monitor ticks that walked, and its
-/// pops per event kind.
-fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> (String, u64, String) {
-    let config =
-        SimConfig { shards: tier.shards, metrics: MetricsMode::Streaming, ..SimConfig::default() };
-    let sim = Simulation::new(tier.suite(), tier.node_caps(), config);
+/// The huge tier at `scale`: invocations, arrival rate and node count shrunk
+/// together (0.02: 20k invocations, 20 nodes).
+pub fn tier(scale: f64, seed: u64) -> HugeTier {
+    let mut tier = HugeTier::standard(seed);
+    let scaled = |n: usize| ((n as f64 * scale) as usize).max(1);
+    tier.invocations = scaled(tier.invocations);
+    tier.nodes = scaled(tier.nodes);
+    tier.rpm *= scale;
+    tier
+}
 
-    let t_run = Instant::now();
-    let result = sim.run(trace, platform);
-    let wall_sec = t_run.elapsed().as_secs_f64();
+/// Run the tier under `platform` on a fresh engine and assert conservation.
+pub fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> RunResult {
+    let result = probe::simulation(tier).run(trace, platform);
 
     let total = result.summary.completed + result.aborted;
     assert_eq!(total as usize, tier.invocations, "every invocation must be accounted for");
     assert!(result.records.is_empty(), "streaming mode must not buffer records");
     assert_eq!(result.pool_violations, 0, "safety ledger must stay exact at scale");
+    result
+}
 
-    let inv_per_sec = result.summary.completed as f64 / wall_sec.max(1e-9);
-    let event_ops = result.event_pushes + result.event_pops;
-    let events_per_sec = event_ops as f64 / wall_sec.max(1e-9);
-
-    // Where the pops went, for the next event diet: `kind=pops`, with the
-    // lazily-cancelled share in brackets where there is one.
+/// Where the pops went, for the next event diet: `kind=pops`, with the
+/// lazily-cancelled share in brackets where there is one.
+fn pops(result: &RunResult) -> String {
     let pops: Vec<String> = KIND_NAMES
         .iter()
         .zip(&result.pops_by_kind)
@@ -110,8 +105,15 @@ fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> (Str
             stale => format!("{name}={}({stale} stale)", k.handled + stale),
         })
         .collect();
+    pops.join(" ")
+}
 
-    let fields = format!(
+/// A line's outcome and speed fields for a run that took `wall_sec`.
+fn fields(result: &RunResult, wall_sec: f64) -> String {
+    let inv_per_sec = result.summary.completed as f64 / wall_sec.max(1e-9);
+    let event_ops = result.event_pushes + result.event_pops;
+    let events_per_sec = event_ops as f64 / wall_sec.max(1e-9);
+    format!(
         "completed={} aborted={} wall={wall_sec:.2}s \
          inv/s={inv_per_sec:.0} events/s={events_per_sec:.0} peak_rss={}MB \
          peak_live={} p50={:.3}s p99={:.3}s mean_cpu_util={:.3}",
@@ -122,6 +124,5 @@ fn simulate(tier: &HugeTier, trace: &Trace, platform: &mut dyn Platform) -> (Str
         result.summary.latency_sketch.quantile(50.0),
         result.summary.latency_sketch.quantile(99.0),
         result.summary.cpu_util.mean(),
-    );
-    (fields, result.tick_walks.0, pops.join(" "))
+    )
 }

@@ -5,7 +5,8 @@
 //! this library holds the shared machinery: platform constructors, the run
 //! driver, the evaluation's two setups (§8.3 single-node, §8.4 multi-node),
 //! the one variant × repetition [`sweep`], plain-text table/CDF reporting,
-//! and the batch assigners of the greedy-gap ablation ([`batch`]).
+//! and the batch assigners of the greedy-gap ablation ([`batch`]);
+//! [`probe`] reduces the benchmark's simulated runs to exact counts.
 //!
 //! Every experiment prints the paper's expected shape next to the measured
 //! numbers and writes CSV series under `results/` for external plotting.
@@ -23,6 +24,7 @@
 pub mod batch;
 pub mod experiments;
 pub mod plot;
+pub mod probe;
 
 use libra_baselines::{Freyr, OpenWhiskDefault};
 use libra_core::{LibraConfig, LibraPlatform, ModelChoice};
