@@ -5,8 +5,9 @@
 //! and `exp scale`'s two runs at a 2 % scale (`exp_scale_null`,
 //! `exp_scale_np`). [`counts`] reduces one of them to named counts: the
 //! engine's event, pop and walk counts from its `RunResult`, the platform's
-//! `PlatformReport`, and, from a counting `Platform` wrapper, the hook calls
-//! and profiler asks that no report holds. Counts repeat exactly on any
+//! `PlatformReport` (on `sim_libra` with the profiler's forest fits), and,
+//! from a counting `Platform` wrapper, the hook calls and profiler asks that
+//! no report holds. Counts repeat exactly on any
 //! machine, so before and after a change they say whether the two ran the
 //! same simulation, which wall time cannot. The root `BENCH_counts.json`
 //! pins them and `tests/bench_counts.rs` recomputes them. Nothing here reads
@@ -296,12 +297,15 @@ impl<P: Platform> Counted<P> {
 
     /// What a `Profiler` driven as `LibraPlatform` drives it was asked: one
     /// training per first sight, a prediction per later arrival, an
-    /// observation per completion; and `rows_max`, the largest training set
-    /// any size-related function's forests were refitted on (the
-    /// duplicator's points plus its observations). The relatedness verdict
-    /// is made at training and never revised, so a fresh `Profiler` trained
-    /// on the first sights alone gives it.
-    fn profiler_counts(&self, suite: &[FunctionSpec]) -> [(&'static str, u64); 4] {
+    /// observation per completion; and `rows_max`, the most rows any
+    /// size-related function accumulated (the duplicator's points plus its
+    /// observations). The relatedness verdict is made at training and never
+    /// revised, so a fresh `Profiler` trained on the first sights alone
+    /// gives it. What the run's own profiler fitted comes from the platform's
+    /// report: `relatedness_fits`, the relatedness test's forest fits (the
+    /// CPU-class forest, then memory and duration together if it passes),
+    /// and `serving_fits`, the serving forest sets a prediction read.
+    fn profiler_counts(&self, suite: &[FunctionSpec]) -> [(&'static str, u64); 6] {
         let cfg = LibraConfig::libra();
         let mut profiler = Profiler::new(suite.len(), cfg.profiler_cfg.clone(), cfg.model_choice);
         let rows_max = self
@@ -314,11 +318,18 @@ impl<P: Platform> Counted<P> {
             })
             .max()
             .unwrap_or(0);
+        let report = self.report();
+        let fits = |key: &str| {
+            let found = report.extra.iter().find(|(k, _)| k == key);
+            found.map_or(0, |&(_, v)| v as u64)
+        };
         [
             ("profiler.train.calls", self.first_sights.len() as u64),
             ("profiler.predict.calls", self.predicts),
             ("profiler.observe.calls", self.observed.iter().flatten().sum::<usize>() as u64),
             ("profiler.rows_max", rows_max as u64),
+            ("profiler.relatedness_fits", fits("relatedness_fits")),
+            ("profiler.serving_fits", fits("serving_fits")),
         ]
     }
 }

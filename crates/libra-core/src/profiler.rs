@@ -19,13 +19,18 @@
 //!    regenerates; no run reads them, only `tests/profiler_pins.rs`, the
 //!    `profiler_tour` example and this crate's tests.
 //! 3. **Serve.** If accuracy and R² clear the thresholds, the function is
-//!    **input size-related**: the same three models are fitted on all rows
-//!    and serve predictions. Otherwise it is treated as a black box and three
+//!    **input size-related**: the same three models, fitted on all pilot
+//!    rows, serve predictions. They are fitted when a prediction first reads
+//!    them, not at the first sight, so a function never predicted for grows
+//!    no serving forest. Otherwise it is treated as a black box and three
 //!    **histogram models** estimate conservatively — 99th-percentile peaks,
 //!    5th-percentile duration (§4.3.2) — and no serving forest is ever built
 //!    for it. Each forest seeds its own RNG, so nothing crosses from step 2.
 //! 4. Observed actuals feed **online updates** after every completion:
-//!    histogram inserts always, periodic forest refits for the ML path.
+//!    histogram inserts always; on the ML path every `RETRAIN_EVERY`-th
+//!    observation resets the serving forests to a refit on the rows so far,
+//!    grown at the next prediction from exactly those rows. A refit that no
+//!    prediction reads before the next one is never grown.
 //!
 //! [`DemandEstimator`] is what a platform asks: this profiler, or for the
 //! Libra-NP ablation (§8.3) a [`MovingWindow`] of each function's latest
@@ -48,7 +53,8 @@ use libra_sim::metrics::{splitmix64_at, unit_f64};
 use libra_sim::resources::{sat_u64, MILLIS_PER_CORE};
 use libra_sim::time::SimDuration;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Memory class granularity: OpenWhisk-style 128 MB steps.
 pub const MEM_CLASS_MB: u64 = 128;
@@ -228,13 +234,35 @@ impl Forests {
         let [cpu, mem, dur] = RandomForest::fit_many(x, &targets, forest_params(seed));
         Forests { cpu, mem, dur }
     }
+
+    /// The prediction at `size` from forests whose rows cover sizes
+    /// `lo..=hi`. Inside that domain the forests are queried directly.
+    /// Beyond it they are evaluated at the boundary and scaled linearly by
+    /// the size ratio: conservative over-estimation beats the silent
+    /// under-estimation a flat-lining tree would give.
+    fn predict(&self, size: u64, lo: u64, hi: u64) -> Prediction {
+        let ratio = if size > hi { size as f64 / hi.max(1) as f64 } else { 1.0 };
+        let x = features(size.clamp(lo, hi.max(lo)));
+        let cpu_raw = (self.cpu.predict_class(&x)).max(1) as f64 * MILLIS_PER_CORE as f64;
+        let mem_raw = (self.mem.predict_class(&x)).max(1) as f64 * MEM_CLASS_MB as f64;
+        Prediction {
+            cpu_millis: cpu_class(sat_u64(cpu_raw * ratio)) * MILLIS_PER_CORE,
+            mem_mb: mem_class(sat_u64(mem_raw * ratio)) * MEM_CLASS_MB,
+            duration: SimDuration::from_secs_f64((self.dur.predict(&x) * ratio).max(0.001)),
+            path: PredictionPath::Ml,
+        }
+    }
 }
 
-/// The fitted ML path: the serving forests plus the accumulated dataset for
-/// online refits.
+/// The ML path: the accumulated dataset for online refits, and the serving
+/// forests fitted from its first rows when a prediction first reads them.
 struct MlModels {
-    forests: Forests,
     data: Dataset3,
+    /// What the serving forests are fitted from: the first `n` rows of
+    /// `data`, and the seed.
+    fit: (usize, u64),
+    /// The forests of `fit`, once a prediction has read them.
+    forests: OnceLock<Forests>,
     since_refit: usize,
     /// Size domain covered by the training data; predictions outside it
     /// extrapolate linearly (trees otherwise flat-line at the boundary,
@@ -242,6 +270,19 @@ struct MlModels {
     /// the unsafe direction).
     size_min: u64,
     size_max: u64,
+}
+
+impl MlModels {
+    /// The serving forests, fitted on first read and counted in `fitted`.
+    /// Rows observed after `fit` was recorded stay out of them, so they are
+    /// bit for bit the forests a fit at that moment would have grown.
+    fn forests(&self, fitted: &AtomicU64) -> &Forests {
+        self.forests.get_or_init(|| {
+            fitted.fetch_add(1, Ordering::Relaxed);
+            let (n, seed) = self.fit;
+            self.data.fit_first(n, seed)
+        })
+    }
 }
 
 /// Three parallel target columns over shared features.
@@ -279,9 +320,10 @@ impl Dataset3 {
         self.x.len()
     }
 
-    /// The forests on every row — what serves predictions.
-    fn fit_all(&self, seed: u64) -> Forests {
-        Forests::fit(&self.x, &self.cpu, &self.mem, &self.dur, n_mem_classes(&self.mem), seed)
+    /// The serving forests on the first `n` rows.
+    fn fit_first(&self, n: usize, seed: u64) -> Forests {
+        let mem = &self.mem[..n];
+        Forests::fit(&self.x[..n], &self.cpu[..n], mem, &self.dur[..n], n_mem_classes(mem), seed)
     }
 
     /// The relatedness test (§4.3): forests fitted on a 7:3 split's train
@@ -364,6 +406,18 @@ pub enum ModelChoice {
     MlOnly,
 }
 
+/// What a profiler's forests have cost it, in fits, counted with no clock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FitCounts {
+    /// Forest fits of the relatedness test at first sights: one for the
+    /// CPU-class forest alone, and one more (the memory and duration
+    /// forests in one `fit_many`) when its accuracy passes.
+    pub relatedness: u64,
+    /// Serving forest sets (the three in one `fit_many`) fitted, each when a
+    /// prediction first read it.
+    pub serving: u64,
+}
+
 /// The per-platform profiler: one model set per deployed function.
 pub struct Profiler {
     cfg: ProfilerConfig,
@@ -372,6 +426,10 @@ pub struct Profiler {
     /// Per trained function, what regenerates its pilot set: its demand
     /// model and the input it was first seen with.
     first_sights: Vec<Option<(Arc<dyn DemandModel>, InputMeta)>>,
+    /// [`FitCounts::relatedness`].
+    relatedness_fits: u64,
+    /// [`FitCounts::serving`]; `predict` fits through `&self`.
+    serving_fits: AtomicU64,
 }
 
 impl Profiler {
@@ -386,6 +444,16 @@ impl Profiler {
             choice,
             states: (0..n_funcs).map(|_| FuncState::Untrained).collect(),
             first_sights: vec![None; n_funcs],
+            relatedness_fits: 0,
+            serving_fits: AtomicU64::new(0),
+        }
+    }
+
+    /// The forests fitted so far.
+    pub fn fits(&self) -> FitCounts {
+        FitCounts {
+            relatedness: self.relatedness_fits,
+            serving: self.serving_fits.load(Ordering::Relaxed),
         }
     }
 
@@ -434,21 +502,27 @@ impl Profiler {
     pub fn train(&mut self, f: usize, spec: &FunctionSpec, first_input: InputMeta) {
         let (obs, data) = self.pilot(f, spec.model.as_ref(), first_input);
         self.first_sights[f] = Some((Arc::clone(&spec.model), first_input));
-        // Score first, only as far as the verdict needs and only when it is
-        // read; the serving forests are fitted only for a function they
-        // will serve. Nothing random crosses the two steps.
+        // Score only as far as the verdict needs and only when it is read;
+        // the serving forests are fitted only for a function they serve,
+        // when a prediction first reads them. Nothing random crosses the
+        // two steps.
         let seed = SEED ^ f as u64;
         let use_ml = match self.choice {
-            ModelChoice::Auto => data.relatedness(seed, true).is_some_and(|s| {
-                s.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD)
-            }),
+            ModelChoice::Auto => {
+                let scores = data.relatedness(seed, true);
+                self.relatedness_fits += if scores.is_some() { 2 } else { 1 };
+                scores.is_some_and(|s| {
+                    s.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD)
+                })
+            }
             ModelChoice::HistogramOnly => false,
             ModelChoice::MlOnly => true,
         };
         self.states[f] = if use_ml {
             let sizes = obs.iter().map(|o| o.size);
             FuncState::Ml(Box::new(MlModels {
-                forests: data.fit_all(seed),
+                fit: (data.len(), seed),
+                forests: OnceLock::new(),
                 data,
                 since_refit: 0,
                 size_min: sizes.clone().min().unwrap_or(1),
@@ -464,35 +538,15 @@ impl Profiler {
     }
 
     /// Predict the three metrics for an invocation of `f` with `input`
-    /// (Step c/d of Fig 3). Returns `None` when `f` is untrained.
+    /// (Step c/d of Fig 3). Returns `None` when `f` is untrained. On the ML
+    /// path, the first prediction after a first sight or a refit grows the
+    /// serving forests.
     pub fn predict(&self, f: usize, input: InputMeta) -> Option<Prediction> {
         match &self.states[f] {
             FuncState::Untrained => None,
             FuncState::Ml(m) => {
-                // Inside the trained domain: query the forests directly.
-                // Beyond it: evaluate at the boundary and scale linearly by
-                // the size ratio — conservative over-estimation beats the
-                // silent under-estimation a flat-lining tree would give.
-                let clamped = input.size.clamp(m.size_min, m.size_max.max(m.size_min));
-                let ratio = if input.size > m.size_max {
-                    input.size as f64 / m.size_max.max(1) as f64
-                } else {
-                    1.0
-                };
-                let x = features(clamped);
-                let cpu_raw =
-                    (m.forests.cpu.predict_class(&x)).max(1) as f64 * MILLIS_PER_CORE as f64;
-                let mem_raw = (m.forests.mem.predict_class(&x)).max(1) as f64 * MEM_CLASS_MB as f64;
-                let cpu = cpu_class(sat_u64(cpu_raw * ratio)) * MILLIS_PER_CORE;
-                let mem = mem_class(sat_u64(mem_raw * ratio)) * MEM_CLASS_MB;
-                let dur =
-                    SimDuration::from_secs_f64((m.forests.dur.predict(&x) * ratio).max(0.001));
-                Some(Prediction {
-                    cpu_millis: cpu,
-                    mem_mb: mem,
-                    duration: dur,
-                    path: PredictionPath::Ml,
-                })
+                let forests = m.forests(&self.serving_fits);
+                Some(forests.predict(input.size, m.size_min, m.size_max))
             }
             FuncState::Hist(h) => {
                 let cpu_raw = h.cpu.percentile(PEAK_PERCENTILE)?;
@@ -533,7 +587,8 @@ impl Profiler {
                 m.since_refit += 1;
                 if m.since_refit >= RETRAIN_EVERY {
                     m.since_refit = 0;
-                    m.forests = m.data.fit_all(1);
+                    m.fit = (m.data.len(), 1);
+                    m.forests = OnceLock::new();
                 }
             }
         }
@@ -1080,6 +1135,153 @@ mod tests {
             }
         }
         assert!(verdicts.iter().all(|&n| n >= 10), "both verdicts are reached: {verdicts:?}");
+    }
+
+    /// The serving forests as they were fitted before they turned lazy: at
+    /// `train`, on the pilot rows with the first-sight seed, and at every
+    /// `RETRAIN_EVERY`-th observation, on every row so far with seed 1.
+    /// Predictions read the latest; `epochs_read` counts the fits a
+    /// prediction read before the next replaced them.
+    struct EagerServing {
+        data: Dataset3,
+        forests: Forests,
+        since_refit: usize,
+        size_min: u64,
+        size_max: u64,
+        fits: u64,
+        read: bool,
+        epochs_read: u64,
+    }
+
+    impl EagerServing {
+        fn train(p: &Profiler, f: usize, spec: &FunctionSpec, input: InputMeta) -> Self {
+            let (obs, data) = p.pilot(f, spec.model.as_ref(), input);
+            let sizes = obs.iter().map(|o| o.size);
+            EagerServing {
+                forests: data.fit_first(data.len(), SEED ^ f as u64),
+                data,
+                since_refit: 0,
+                size_min: sizes.clone().min().unwrap(),
+                size_max: sizes.max().unwrap(),
+                fits: 1,
+                read: false,
+                epochs_read: 0,
+            }
+        }
+
+        fn observe(&mut self, input: InputMeta, a: &Actuals) {
+            let (cpu, mem) = (cpu_class(a.cpu_peak_millis), mem_class(a.mem_peak_mb));
+            self.data.push(input.size, cpu, mem, a.exec_duration.as_secs_f64());
+            self.size_min = self.size_min.min(input.size);
+            self.size_max = self.size_max.max(input.size);
+            self.since_refit += 1;
+            if self.since_refit == RETRAIN_EVERY {
+                self.since_refit = 0;
+                self.forests = self.data.fit_first(self.data.len(), 1);
+                self.fits += 1;
+                self.read = false;
+            }
+        }
+
+        fn predict(&mut self, size: u64) -> Prediction {
+            self.epochs_read += u64::from(!self.read);
+            self.read = true;
+            self.forests.predict(size, self.size_min, self.size_max)
+        }
+    }
+
+    /// One step after a first sight: a completion, or a prediction, at a size.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Observe(u64),
+        Predict(u64),
+    }
+
+    /// Run `steps` through a `Profiler` under `choice` and the eager oracle,
+    /// `kind` first seen at its geometric mean; every prediction must match
+    /// bit for bit. Returns the profiler's serving fits and the oracle's
+    /// fits and read fits.
+    fn lazy_against_eager(choice: ModelChoice, kind: AppKind, steps: &[Step]) -> [u64; 3] {
+        let suite = sebs_suite();
+        let (f, input) = (kind.id().idx(), first_input(kind));
+        let mut p = Profiler::new(10, ProfilerConfig::default(), choice);
+        p.train(f, &suite[f], input);
+        assert_eq!(p.is_size_related(f), Some(true), "{}", kind.name());
+        let mut eager = EagerServing::train(&p, f, &suite[f], input);
+        let fields = |p: Prediction| (p.cpu_millis, p.mem_mb, p.duration.0, p.path);
+        for (k, &step) in steps.iter().enumerate() {
+            match step {
+                Step::Observe(size) => {
+                    let input = InputMeta::new(size, 70 + k as u64);
+                    let d = suite[f].model.demand(&input);
+                    let actuals = Actuals {
+                        cpu_peak_millis: d.cpu_peak_millis,
+                        mem_peak_mb: d.mem_peak_mb,
+                        exec_duration: d.base_duration,
+                        input_size: size,
+                    };
+                    p.observe(f, input, &actuals);
+                    eager.observe(input, &actuals);
+                }
+                Step::Predict(size) => {
+                    let got = p.predict(f, InputMeta::new(size, 1)).unwrap();
+                    let want = eager.predict(size);
+                    let what = format!("{} under {choice:?}, step {k}: {step:?}", kind.name());
+                    assert_eq!(fields(got), fields(want), "{what}");
+                }
+            }
+        }
+        [p.fits().serving, eager.fits, eager.epochs_read]
+    }
+
+    /// The serving forests are grown when a prediction first reads them, from
+    /// the rows and seed of the moment they were due: every prediction is the
+    /// eager one bit for bit, before any refit, right after the eighth
+    /// observation, five observations past it, after refits no prediction
+    /// read, below and above the fitted sizes and past a widened domain, and
+    /// over seeded interleavings. A fit no prediction reads is never grown.
+    #[test]
+    fn lazy_serving_forests_predict_what_eager_fits_did() {
+        use Step::{Observe as O, Predict as P};
+        let (mut lazy_total, mut eager_total) = (0, 0);
+        for choice in [ModelChoice::Auto, ModelChoice::MlOnly] {
+            for kind in libra_workloads::ALL_APPS.into_iter().filter(|k| k.input_size_related()) {
+                let s = first_input(kind).size;
+                let observe = |n: u64| (0..n).map(move |k| O(s / 2 + k * s / 3 + 1));
+                let mut scripted = vec![P(s)];
+                scripted.extend(observe(RETRAIN_EVERY as u64));
+                scripted.push(P(s));
+                scripted.extend(observe(5));
+                scripted.push(P(2 * s));
+                scripted.extend(observe(3 + 2 * RETRAIN_EVERY as u64));
+                scripted.extend([P(s), P(1), P(s / 20), P(30 * s)]);
+                scripted.extend(observe(2).chain([O(200 * s)]));
+                scripted.extend([P(100 * s), P(400 * s)]);
+                let mut schedules = vec![scripted];
+                for seed in 0..2u64 {
+                    let schedule = (0..40).map(|k| {
+                        let z = splitmix64_at(seed ^ (kind.id().idx() as u64) << 8, k);
+                        let size = sat_u64(s as f64 * 10f64.powf(3.0 * unit_f64(z >> 2) - 1.5));
+                        if z.is_multiple_of(3) {
+                            P(size)
+                        } else {
+                            O(size.max(1))
+                        }
+                    });
+                    schedules.push(schedule.collect());
+                }
+                for steps in &schedules {
+                    let [lazy, eager, read] = lazy_against_eager(choice, kind, steps);
+                    assert_eq!(lazy, read, "{} under {choice:?}", kind.name());
+                    assert!(lazy <= eager);
+                    (lazy_total, eager_total) = (lazy_total + lazy, eager_total + eager);
+                }
+                let unpredicted: Vec<_> = observe(3 * RETRAIN_EVERY as u64).collect();
+                let fits = lazy_against_eager(choice, kind, &unpredicted);
+                assert_eq!(fits, [0, 4, 0], "{}: nothing predicted, nothing grown", kind.name());
+            }
+        }
+        assert!(lazy_total < eager_total, "some fits go unread: {lazy_total} of {eager_total}");
     }
 
     #[test]

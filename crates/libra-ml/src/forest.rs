@@ -20,7 +20,8 @@
 //! `fit_many` fans the tree indices of a larger forest out over crossbeam
 //! scoped threads (data-race-free by construction: each thread reads shared
 //! `&[Vec<f64>]` slices and writes its own slot). On one core, where the
-//! fan-out would be a single worker, it grows them inline. Either way a tree
+//! fan-out would be a single worker, it grows them inline. The core count
+//! is the one the process saw at its first fit. Either way a tree
 //! sees its bootstrap sample as a list of row numbers, not as a copy of the
 //! rows, and each worker (the inline loop, or one spawned chunk) grows all
 //! its trees in one `tree::Scratch`.
@@ -28,7 +29,15 @@
 use crate::tree::{leaders, DecisionTree, Layout, Scratch, Task, TreeParams};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
 use std::thread::available_parallelism;
+
+/// The cores a fit may fan out over, asked of the OS once per process: std
+/// re-reads the cgroup CPU quota at every ask, and no result depends on it.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| available_parallelism().map_or(4, |p| p.get()))
+}
 
 /// Forest hyperparameters.
 #[derive(Clone, Copy, Debug)]
@@ -102,7 +111,7 @@ impl RandomForest {
         // Parallel fan-out for larger forests; sequential below the
         // threshold where thread spawn overhead dominates, and on one core.
         let large = params.n_trees >= 16 && n >= 64;
-        let threads = if large { available_parallelism().map_or(4, |p| p.get()) } else { 1 };
+        let threads = if large { cores() } else { 1 };
         let mut inline = Scratch::default();
         let per_index: Vec<Vec<DecisionTree>> = if threads > 1 {
             let chunk = params.n_trees.div_ceil(threads);
