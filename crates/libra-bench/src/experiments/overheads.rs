@@ -18,10 +18,11 @@ pub fn run() {
     header("§8.6: profiler timing claims (native measurements)");
     let suite = sebs_suite();
     let mut p = Profiler::new(10, ProfilerConfig::default(), ModelChoice::Auto);
-    // First-sight profiling scores the CPU-class forest first and the other
-    // two only if it passes (VP's does not); three more forests, to serve,
-    // are fitted only for a size-related function, when its first
-    // prediction reads them: time `train` and that prediction, one of each.
+    // `train` records the first sight; the first prediction reaches the
+    // verdict, scoring the CPU-class forest first and the other two only if
+    // it passes (VP's does not), and a size-related function's three serving
+    // forests are fitted then too: time `train` and that prediction, one of
+    // each.
     for (kind, fits) in [(AppKind::Dh, "size-related, 6 fits"), (AppKind::Vp, "unrelated, 1 fit")] {
         let f = kind.id().idx();
         let t0 = Instant::now();

@@ -5,9 +5,9 @@
 //! and `exp scale`'s two runs at a 2 % scale (`exp_scale_null`,
 //! `exp_scale_np`). [`counts`] reduces one of them to named counts: the
 //! engine's event, pop and walk counts from its `RunResult`, the platform's
-//! `PlatformReport` (on `sim_libra` with the profiler's forest fits), and,
-//! from a counting `Platform` wrapper, the hook calls and profiler asks that
-//! no report holds. Counts repeat exactly on any
+//! `PlatformReport`, on `sim_libra` the forest fits of the run's profiler,
+//! and, from a counting `Platform` wrapper, the hook calls and profiler asks
+//! that no report holds. Counts repeat exactly on any
 //! machine, so before and after a change they say whether the two ran the
 //! same simulation, which wall time cannot. The root `BENCH_counts.json`
 //! pins them and `tests/bench_counts.rs` recomputes them. Nothing here reads
@@ -17,11 +17,9 @@
 //! onto this module (ROADMAP item 22); the two must not drift apart.
 
 use crate::experiments::scale;
-use libra_core::{LibraConfig, LibraPlatform, Profiler};
-use libra_sim::demand::InputMeta;
+use libra_core::{LibraConfig, LibraPlatform};
 use libra_sim::engine::{NullPlatform, SimConfig, SimCtx, Simulation, World};
 use libra_sim::event::EVENT_KINDS;
-use libra_sim::function::FunctionSpec;
 use libra_sim::ids::{FunctionId, InvocationId, NodeId};
 use libra_sim::invocation::{Actuals, Loan, Prediction};
 use libra_sim::metrics::{MetricsMode, RunResult};
@@ -220,7 +218,7 @@ pub fn counts(workload: &str, seed: u64) -> Vec<(&'static str, u64)> {
                 SimPlatform::Libra => {
                     let (mut counts, counted) =
                         Counted::new(LibraPlatform::new(LibraConfig::libra())).run(run);
-                    counts.extend(counted.profiler_counts(&inputs.tier.suite()));
+                    counts.extend(counted.profiler_counts());
                     counts
                 }
             }
@@ -243,26 +241,16 @@ struct Counted<P> {
     inner: P,
     on_tick: u64,
     select_node: u64,
-    /// Each function's input at its first `predict`, in first-sight order:
-    /// what the profiler trains on.
-    first_sights: Vec<(usize, InputMeta)>,
     /// `predict` calls after a function's first: profiler predictions.
     predicts: u64,
-    /// Per function, `None` until its first `predict`, then its completions:
-    /// profiler observations.
+    /// Per function, `None` until its first `predict` (what the profiler
+    /// trains on), then its completions: profiler observations.
     observed: Vec<Option<usize>>,
 }
 
 impl<P: Platform> Counted<P> {
     fn new(inner: P) -> Self {
-        Counted {
-            inner,
-            on_tick: 0,
-            select_node: 0,
-            first_sights: Vec::new(),
-            predicts: 0,
-            observed: Vec::new(),
-        }
+        Counted { inner, on_tick: 0, select_node: 0, predicts: 0, observed: Vec::new() }
     }
 
     /// Run `sim` with this platform plugged in; returns the run's counts and
@@ -294,42 +282,41 @@ impl<P: Platform> Counted<P> {
         }
         (counts, self)
     }
+}
 
-    /// What a `Profiler` driven as `LibraPlatform` drives it was asked: one
-    /// training per first sight, a prediction per later arrival, an
-    /// observation per completion; and `rows_max`, the most rows any
-    /// size-related function accumulated (the duplicator's points plus its
-    /// observations). The relatedness verdict is made at training and never
-    /// revised, so a fresh `Profiler` trained on the first sights alone
-    /// gives it. What the run's own profiler fitted comes from the platform's
-    /// report: `relatedness_fits`, the relatedness test's forest fits (the
-    /// CPU-class forest, then memory and duration together if it passes),
-    /// and `serving_fits`, the serving forest sets a prediction read.
-    fn profiler_counts(&self, suite: &[FunctionSpec]) -> [(&'static str, u64); 6] {
-        let cfg = LibraConfig::libra();
-        let mut profiler = Profiler::new(suite.len(), cfg.profiler_cfg.clone(), cfg.model_choice);
+impl Counted<LibraPlatform> {
+    /// What the run's own profiler was asked: one training per first sight,
+    /// a prediction per later arrival, an observation per completion; and
+    /// `rows_max`, the most rows any size-related function accumulated (the
+    /// duplicator's points plus its observations). A function never
+    /// predicted for has its verdict computed here, uncounted. What it
+    /// fitted: `relatedness_fits`, the relatedness test's forest fits a
+    /// prediction read (the CPU-class forest, then memory and duration
+    /// together if it passes), and `serving_fits`, the serving forest sets a
+    /// prediction read.
+    fn profiler_counts(&self) -> [(&'static str, u64); 6] {
+        let Some(profiler) = self.inner.profiler() else {
+            panic!("{} runs no profiler", self.inner.name())
+        };
+        let points = LibraConfig::libra().profiler_cfg.duplicate_points;
         let rows_max = self
-            .first_sights
+            .observed
             .iter()
-            .filter_map(|&(f, input)| {
-                profiler.train(f, &suite[f], input);
-                let rows = cfg.profiler_cfg.duplicate_points + self.observed[f].unwrap_or(0);
+            .enumerate()
+            .filter_map(|(f, &n)| {
+                let rows = points + n?;
                 (profiler.is_size_related(f) == Some(true)).then_some(rows)
             })
             .max()
             .unwrap_or(0);
-        let report = self.report();
-        let fits = |key: &str| {
-            let found = report.extra.iter().find(|(k, _)| k == key);
-            found.map_or(0, |&(_, v)| v as u64)
-        };
+        let fits = profiler.fits();
         [
-            ("profiler.train.calls", self.first_sights.len() as u64),
+            ("profiler.train.calls", self.observed.iter().flatten().count() as u64),
             ("profiler.predict.calls", self.predicts),
             ("profiler.observe.calls", self.observed.iter().flatten().sum::<usize>() as u64),
             ("profiler.rows_max", rows_max as u64),
-            ("profiler.relatedness_fits", fits("relatedness_fits")),
-            ("profiler.serving_fits", fits("serving_fits")),
+            ("profiler.relatedness_fits", fits.relatedness),
+            ("profiler.serving_fits", fits.serving),
         ]
     }
 }
@@ -352,10 +339,7 @@ impl<P: Platform> Platform for Counted<P> {
         let rec = world.inv(inv);
         let f = rec.func.idx();
         match self.observed[f] {
-            None => {
-                self.observed[f] = Some(0);
-                self.first_sights.push((f, rec.input));
-            }
+            None => self.observed[f] = Some(0),
             Some(_) => self.predicts += 1,
         }
         self.inner.predict(world, inv)

@@ -150,6 +150,14 @@ impl<S: NodeSelector> LibraPlatform<S> {
         &self.core
     }
 
+    /// The profiler this platform estimates demand with, if it runs one.
+    pub fn profiler(&self) -> Option<&Profiler> {
+        match &self.estimator {
+            DemandEstimator::Profiler(p) => Some(p),
+            DemandEstimator::Windows(_) => None,
+        }
+    }
+
     /// Translate core actions into engine mutations. `Revoke`/`Requeue` are
     /// no-ops here: the engine enforces those physics itself (at finish,
     /// OOM and crash), and the core re-derives them from the same events —
@@ -324,24 +332,18 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
     fn report(&self) -> PlatformReport {
         let (cpu, mem, puts, gets) = ledger_totals(self.core.pools());
         let counters = self.core.counters();
-        let mut extra = vec![
-            ("loans_expired".into(), counters.loans_expired as f64),
-            ("loans_reharvested".into(), counters.loans_reharvested as f64),
-            ("loans_crashed".into(), counters.loans_crashed as f64),
-            ("crash_sweeps".into(), counters.crash_sweeps as f64),
-        ];
-        if let DemandEstimator::Profiler(p) = &self.estimator {
-            let fits = p.fits();
-            extra.push(("relatedness_fits".into(), fits.relatedness as f64));
-            extra.push(("serving_fits".into(), fits.serving as f64));
-        }
         PlatformReport {
             pool_idle_cpu_core_sec: cpu,
             pool_idle_mem_mb_sec: mem,
             safeguard_triggers: self.core.safeguard().triggers(),
             pool_puts: puts,
             pool_gets: gets,
-            extra,
+            extra: vec![
+                ("loans_expired".into(), counters.loans_expired as f64),
+                ("loans_reharvested".into(), counters.loans_reharvested as f64),
+                ("loans_crashed".into(), counters.loans_crashed as f64),
+                ("crash_sweeps".into(), counters.crash_sweeps as f64),
+            ],
         }
     }
 }

@@ -7,7 +7,11 @@
 //!    resources while the [workload duplicator](WorkloadDuplicator) scales
 //!    its input uniformly (up to 100×), runs one fully-provisioned pilot
 //!    execution per duplicated point, and labels a training dataset with the
-//!    observed `(cpu peak, mem peak, duration)`.
+//!    observed `(cpu peak, mem peak, duration)`. [`Profiler::train`] records
+//!    only the first sight, the demand model and input that regenerate that
+//!    pilot set bit for bit; steps 2 and 3 wait for the function's first
+//!    prediction, and the completions observed until then are kept in
+//!    arrival order. A function never invoked again fits no forest.
 //! 2. **Score.** Three models — two random-forest classifiers (CPU peak
 //!    class = cores, memory peak class = 128 MB steps) and one random-forest
 //!    regressor (duration) — are fitted on 70 % of the rows and evaluated on
@@ -21,11 +25,13 @@
 //! 3. **Serve.** If accuracy and R² clear the thresholds, the function is
 //!    **input size-related**: the same three models, fitted on all pilot
 //!    rows, serve predictions. They are fitted when a prediction first reads
-//!    them, not at the first sight, so a function never predicted for grows
-//!    no serving forest. Otherwise it is treated as a black box and three
-//!    **histogram models** estimate conservatively — 99th-percentile peaks,
-//!    5th-percentile duration (§4.3.2) — and no serving forest is ever built
-//!    for it. Each forest seeds its own RNG, so nothing crosses from step 2.
+//!    them, so a function never predicted for grows no serving forest.
+//!    Otherwise it is treated as a black box and three **histogram models**
+//!    estimate conservatively — 99th-percentile peaks, 5th-percentile
+//!    duration (§4.3.2) — and no serving forest is ever built for it. Each
+//!    forest seeds its own RNG, so nothing crosses from step 2. The
+//!    completions kept since the first sight are then replayed into the
+//!    chosen models, in arrival order, as step 4 would have fed them.
 //! 4. Observed actuals feed **online updates** after every completion:
 //!    histogram inserts always; on the ML path every `RETRAIN_EVERY`-th
 //!    observation resets the serving forests to a refit on the rows so far,
@@ -53,8 +59,8 @@ use libra_sim::metrics::{splitmix64_at, unit_f64};
 use libra_sim::resources::{sat_u64, MILLIS_PER_CORE};
 use libra_sim::time::SimDuration;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::mem;
+use std::sync::Arc;
 
 /// Memory class granularity: OpenWhisk-style 128 MB steps.
 pub const MEM_CLASS_MB: u64 = 128;
@@ -262,7 +268,7 @@ struct MlModels {
     /// `data`, and the seed.
     fit: (usize, u64),
     /// The forests of `fit`, once a prediction has read them.
-    forests: OnceLock<Forests>,
+    forests: Option<Forests>,
     since_refit: usize,
     /// Size domain covered by the training data; predictions outside it
     /// extrapolate linearly (trees otherwise flat-line at the boundary,
@@ -276,10 +282,10 @@ impl MlModels {
     /// The serving forests, fitted on first read and counted in `fitted`.
     /// Rows observed after `fit` was recorded stay out of them, so they are
     /// bit for bit the forests a fit at that moment would have grown.
-    fn forests(&self, fitted: &AtomicU64) -> &Forests {
-        self.forests.get_or_init(|| {
-            fitted.fetch_add(1, Ordering::Relaxed);
-            let (n, seed) = self.fit;
+    fn forests(&mut self, fitted: &mut u64) -> &Forests {
+        let (n, seed) = self.fit;
+        self.forests.get_or_insert_with(|| {
+            *fitted += 1;
             self.data.fit_first(n, seed)
         })
     }
@@ -389,6 +395,9 @@ impl HistModels {
 enum FuncState {
     /// Never invoked.
     Untrained,
+    /// First seen, its verdict not reached yet: the completions observed
+    /// since, in arrival order.
+    Seen(Vec<(InputMeta, Actuals)>),
     /// Input size-related: ML models serve predictions.
     Ml(Box<MlModels>),
     /// Input size-unrelated: histogram models serve predictions.
@@ -409,9 +418,10 @@ pub enum ModelChoice {
 /// What a profiler's forests have cost it, in fits, counted with no clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FitCounts {
-    /// Forest fits of the relatedness test at first sights: one for the
-    /// CPU-class forest alone, and one more (the memory and duration
-    /// forests in one `fit_many`) when its accuracy passes.
+    /// Forest fits of the relatedness test, each run when a prediction first
+    /// read its function's verdict: one for the CPU-class forest alone, and
+    /// one more (the memory and duration forests in one `fit_many`) when its
+    /// accuracy passes.
     pub relatedness: u64,
     /// Serving forest sets (the three in one `fit_many`) fitted, each when a
     /// prediction first read it.
@@ -428,8 +438,8 @@ pub struct Profiler {
     first_sights: Vec<Option<(Arc<dyn DemandModel>, InputMeta)>>,
     /// [`FitCounts::relatedness`].
     relatedness_fits: u64,
-    /// [`FitCounts::serving`]; `predict` fits through `&self`.
-    serving_fits: AtomicU64,
+    /// [`FitCounts::serving`].
+    serving_fits: u64,
 }
 
 impl Profiler {
@@ -445,29 +455,27 @@ impl Profiler {
             states: (0..n_funcs).map(|_| FuncState::Untrained).collect(),
             first_sights: vec![None; n_funcs],
             relatedness_fits: 0,
-            serving_fits: AtomicU64::new(0),
+            serving_fits: 0,
         }
     }
 
     /// The forests fitted so far.
     pub fn fits(&self) -> FitCounts {
-        FitCounts {
-            relatedness: self.relatedness_fits,
-            serving: self.serving_fits.load(Ordering::Relaxed),
-        }
+        FitCounts { relatedness: self.relatedness_fits, serving: self.serving_fits }
     }
 
-    /// Whether function `f` has been profiled yet.
+    /// Whether function `f` has been seen yet. Its verdict and models wait
+    /// for its first prediction.
     pub fn is_trained(&self, f: usize) -> bool {
         !matches!(self.states[f], FuncState::Untrained)
     }
 
-    /// The relatedness-test scores for `f`, if trained: the whole test, run
-    /// on the pilot set `f`'s first sight regenerates. `train` reads only as
-    /// much of it as decides the verdict, so every call computes them anew.
+    /// The relatedness-test scores for `f`, if seen: the whole test, run on
+    /// the pilot set `f`'s first sight regenerates. A verdict reads only as
+    /// much of it as decides it, so every call computes them anew and counts
+    /// no fit.
     pub fn scores(&self, f: usize) -> Option<ModelScores> {
-        let (model, input) = self.first_sights[f].as_ref()?;
-        self.pilot(f, model.as_ref(), *input).1.relatedness(SEED ^ f as u64, false)
+        self.first_pilot(f)?.1.relatedness(SEED ^ f as u64, false)
     }
 
     /// The pilot observations of `f` first seen at `input` (§4.2) and their
@@ -488,65 +496,65 @@ impl Profiler {
         (obs, data)
     }
 
-    /// Whether `f` was classified input size-related (ML path).
+    /// The pilot set of `f`'s recorded first sight, if seen.
+    fn first_pilot(&self, f: usize) -> Option<(Vec<PilotObservation>, Dataset3)> {
+        let (model, input) = self.first_sights[f].as_ref()?;
+        Some(self.pilot(f, model.as_ref(), *input))
+    }
+
+    /// Whether `f` was classified input size-related (ML path). For a
+    /// function not yet predicted for, the verdict is computed on demand, as
+    /// [`Profiler::scores`] are, and its fits are not counted.
     pub fn is_size_related(&self, f: usize) -> Option<bool> {
         match &self.states[f] {
             FuncState::Untrained => None,
+            FuncState::Seen(_) => Some(self.verdict(&self.first_pilot(f)?.1, SEED ^ f as u64).0),
             FuncState::Ml(_) => Some(true),
             FuncState::Hist(_) => Some(false),
         }
     }
 
-    /// One-time offline profiling on the first invocation of `f` (§4.1):
-    /// duplicate, pilot-run, train, and decide the model path.
-    pub fn train(&mut self, f: usize, spec: &FunctionSpec, first_input: InputMeta) {
-        let (obs, data) = self.pilot(f, spec.model.as_ref(), first_input);
-        self.first_sights[f] = Some((Arc::clone(&spec.model), first_input));
-        // Score only as far as the verdict needs and only when it is read;
-        // the serving forests are fitted only for a function they serve,
-        // when a prediction first reads them. Nothing random crosses the
-        // two steps.
-        let seed = SEED ^ f as u64;
-        let use_ml = match self.choice {
+    /// Whether a function with pilot rows `data` is served by forests, and
+    /// the relatedness test's forest fits that decided it: the test runs
+    /// with `seed`, only as far as the verdict needs, and only under
+    /// [`ModelChoice::Auto`].
+    fn verdict(&self, data: &Dataset3, seed: u64) -> (bool, u64) {
+        match self.choice {
             ModelChoice::Auto => {
                 let scores = data.relatedness(seed, true);
-                self.relatedness_fits += if scores.is_some() { 2 } else { 1 };
-                scores.is_some_and(|s| {
+                let related = scores.is_some_and(|s| {
                     s.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD)
-                })
+                });
+                (related, if scores.is_some() { 2 } else { 1 })
             }
-            ModelChoice::HistogramOnly => false,
-            ModelChoice::MlOnly => true,
-        };
-        self.states[f] = if use_ml {
-            let sizes = obs.iter().map(|o| o.size);
-            FuncState::Ml(Box::new(MlModels {
-                fit: (data.len(), seed),
-                forests: OnceLock::new(),
-                data,
-                since_refit: 0,
-                size_min: sizes.clone().min().unwrap_or(1),
-                size_max: sizes.max().unwrap_or(1),
-            }))
-        } else {
-            let mut h = HistModels::new();
-            for o in &obs {
-                h.observe(o.cpu_peak_millis, o.mem_peak_mb, o.duration.as_secs_f64());
-            }
-            FuncState::Hist(Box::new(h))
-        };
+            ModelChoice::HistogramOnly => (false, 0),
+            ModelChoice::MlOnly => (true, 0),
+        }
+    }
+
+    /// The first invocation of `f` (§4.1): record what regenerates its pilot
+    /// set. Duplicating, scoring and building the models the verdict picks
+    /// wait for `f`'s first prediction, so a function never invoked again
+    /// fits no forest.
+    pub fn train(&mut self, f: usize, spec: &FunctionSpec, first_input: InputMeta) {
+        self.first_sights[f] = Some((Arc::clone(&spec.model), first_input));
+        self.states[f] = FuncState::Seen(Vec::new());
     }
 
     /// Predict the three metrics for an invocation of `f` with `input`
-    /// (Step c/d of Fig 3). Returns `None` when `f` is untrained. On the ML
+    /// (Step c/d of Fig 3). Returns `None` when `f` is untrained. The first
+    /// prediction after the first sight reaches `f`'s verdict; on the ML
     /// path, the first prediction after a first sight or a refit grows the
     /// serving forests.
-    pub fn predict(&self, f: usize, input: InputMeta) -> Option<Prediction> {
-        match &self.states[f] {
-            FuncState::Untrained => None,
+    pub fn predict(&mut self, f: usize, input: InputMeta) -> Option<Prediction> {
+        if matches!(self.states[f], FuncState::Seen(_)) {
+            self.resolve(f);
+        }
+        match &mut self.states[f] {
+            FuncState::Untrained | FuncState::Seen(_) => None,
             FuncState::Ml(m) => {
-                let forests = m.forests(&self.serving_fits);
-                Some(forests.predict(input.size, m.size_min, m.size_max))
+                let (lo, hi) = (m.size_min, m.size_max);
+                Some(m.forests(&mut self.serving_fits).predict(input.size, lo, hi))
             }
             FuncState::Hist(h) => {
                 let cpu_raw = h.cpu.percentile(PEAK_PERCENTILE)?;
@@ -564,10 +572,47 @@ impl Profiler {
         }
     }
 
+    /// Reach the verdict of `f`, seen and not yet predicted for, from the
+    /// pilot set its first sight regenerates, and build the models it picks:
+    /// the serving forests are recorded to fit on the pilot rows with the
+    /// first-sight seed, the histograms take the pilot observations. Then
+    /// replay the completions observed since, in arrival order, through
+    /// `observe`, so refits, the size domain and the histograms' insert order
+    /// are those of a verdict reached at the first sight.
+    fn resolve(&mut self, f: usize) {
+        let Some((obs, data)) = self.first_pilot(f) else { return };
+        let seed = SEED ^ f as u64;
+        let (use_ml, fits) = self.verdict(&data, seed);
+        self.relatedness_fits += fits;
+        let models = if use_ml {
+            let sizes = obs.iter().map(|o| o.size);
+            FuncState::Ml(Box::new(MlModels {
+                fit: (data.len(), seed),
+                forests: None,
+                data,
+                since_refit: 0,
+                size_min: sizes.clone().min().unwrap_or(1),
+                size_max: sizes.max().unwrap_or(1),
+            }))
+        } else {
+            let mut h = HistModels::new();
+            for o in &obs {
+                h.observe(o.cpu_peak_millis, o.mem_peak_mb, o.duration.as_secs_f64());
+            }
+            FuncState::Hist(Box::new(h))
+        };
+        if let FuncState::Seen(buffered) = mem::replace(&mut self.states[f], models) {
+            for (input, actuals) in &buffered {
+                self.observe(f, *input, actuals);
+            }
+        }
+    }
+
     /// Online update after a completion (§4.1 "model update").
     pub fn observe(&mut self, f: usize, input: InputMeta, actuals: &Actuals) {
         match &mut self.states[f] {
             FuncState::Untrained => {}
+            FuncState::Seen(buffered) => buffered.push((input, *actuals)),
             FuncState::Hist(h) => {
                 h.observe(
                     actuals.cpu_peak_millis,
@@ -588,7 +633,7 @@ impl Profiler {
                 if m.since_refit >= RETRAIN_EVERY {
                     m.since_refit = 0;
                     m.fit = (m.data.len(), 1);
-                    m.forests = OnceLock::new();
+                    m.forests = None;
                 }
             }
         }
@@ -791,7 +836,7 @@ mod tests {
 
     #[test]
     fn untrained_predicts_none() {
-        let p = profiler();
+        let mut p = profiler();
         assert!(p.predict(0, InputMeta::new(1, 1)).is_none());
         assert!(!p.is_trained(0));
         assert_eq!(p.is_size_related(0), None);
@@ -962,7 +1007,7 @@ mod tests {
         let suite = sebs_suite();
         let mut p = profiler();
         let mut got = Vec::new();
-        let mut predict = |p: &Profiler, f: usize, s: u64| {
+        let mut predict = |p: &mut Profiler, f: usize, s: u64| {
             for size in [s / 4, s, 4 * s] {
                 let pred = p.predict(f, InputMeta::new(size, 1)).unwrap();
                 got.push((pred.cpu_millis, pred.mem_mb, pred.duration.0, pred.path));
@@ -971,7 +1016,7 @@ mod tests {
         for kind in libra_workloads::ALL_APPS {
             let (f, input) = (kind.id().idx(), first_input(kind));
             p.train(f, &suite[f], input);
-            predict(&p, f, input.size);
+            predict(&mut p, f, input.size);
         }
         let (f, s) = (AppKind::Dh.id().idx(), first_input(AppKind::Dh).size);
         for k in 0..RETRAIN_EVERY as u64 {
@@ -985,7 +1030,7 @@ mod tests {
             };
             p.observe(f, input, &actuals);
         }
-        predict(&p, f, s);
+        predict(&mut p, f, s);
         assert_eq!(got, PINNED_PREDICTIONS);
     }
 
@@ -1028,7 +1073,7 @@ mod tests {
             let pooled = gen.pools[f].inputs[0];
             let s = if f % 3 == 2 { 1 + f as u64 % 5 } else { pooled.size };
             p.train(f, spec, InputMeta::new(s, pooled.content_seed));
-            let mut predict = |p: &Profiler| {
+            let mut predict = |p: &mut Profiler| {
                 for size in [s / 4, s, 4 * s] {
                     let pred = p.predict(f, InputMeta::new(size, 1)).unwrap();
                     let path = u64::from(pred.path == PredictionPath::Ml);
@@ -1037,7 +1082,7 @@ mod tests {
                     }
                 }
             };
-            predict(&p);
+            predict(&mut p);
             for k in 0..RETRAIN_EVERY as u64 {
                 let input = InputMeta::new((s / 2).max(1) + k * s, 50 + k);
                 let d = spec.model.demand(&input);
@@ -1049,7 +1094,7 @@ mod tests {
                 };
                 p.observe(f, input, &actuals);
             }
-            predict(&p);
+            predict(&mut p);
             tiny_ml += usize::from(f % 3 == 2 && p.is_size_related(f) == Some(true));
         }
         assert!(tiny_ml >= 3, "tied duplicated sizes reach the forests: {tiny_ml}");
@@ -1135,6 +1180,108 @@ mod tests {
             }
         }
         assert!(verdicts.iter().all(|&n| n >= 10), "both verdicts are reached: {verdicts:?}");
+    }
+
+    /// First-sight training as it was before the verdict waited for a
+    /// prediction: the pilot set, the relatedness test as far as the verdict
+    /// needs, and the models it picks, all at `f`'s first sight.
+    fn train_eagerly(p: &mut Profiler, f: usize, spec: &FunctionSpec, first_input: InputMeta) {
+        let (obs, data) = p.pilot(f, spec.model.as_ref(), first_input);
+        p.first_sights[f] = Some((Arc::clone(&spec.model), first_input));
+        let seed = SEED ^ f as u64;
+        let use_ml = match p.choice {
+            ModelChoice::Auto => {
+                let scores = data.relatedness(seed, true);
+                p.relatedness_fits += if scores.is_some() { 2 } else { 1 };
+                scores.is_some_and(|s| {
+                    s.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD)
+                })
+            }
+            ModelChoice::HistogramOnly => false,
+            ModelChoice::MlOnly => true,
+        };
+        p.states[f] = if use_ml {
+            let sizes = obs.iter().map(|o| o.size);
+            FuncState::Ml(Box::new(MlModels {
+                fit: (data.len(), seed),
+                forests: None,
+                data,
+                since_refit: 0,
+                size_min: sizes.clone().min().unwrap(),
+                size_max: sizes.max().unwrap(),
+            }))
+        } else {
+            let mut h = HistModels::new();
+            for o in &obs {
+                h.observe(o.cpu_peak_millis, o.mem_peak_mb, o.duration.as_secs_f64());
+            }
+            FuncState::Hist(Box::new(h))
+        };
+    }
+
+    /// A verdict reached at the first prediction, after the completions
+    /// observed since the first sight are replayed, predicts bit for bit
+    /// what first-sight training did: every app under every choice, with 0,
+    /// 1, 7, 8, 9 and 17 completions before that prediction (so refits fall
+    /// inside the replay), and again across the refit the next completions
+    /// force. `is_size_related` agrees before any prediction, and reaching it
+    /// then fits nothing; the first prediction fits what training did.
+    #[test]
+    fn a_verdict_read_late_predicts_what_first_sight_training_did() {
+        let suite = sebs_suite();
+        let fields = |p: Prediction| (p.cpu_millis, p.mem_mb, p.duration.0, p.path);
+        let mut paths = [0; 2];
+        for kind in libra_workloads::ALL_APPS {
+            let (f, first) = (kind.id().idx(), first_input(kind));
+            let s = first.size;
+            let observe = |p: &mut Profiler, k: u64| {
+                let input = InputMeta::new(s / 3 + k * s / 2 + 1, 90 + k);
+                let d = suite[f].model.demand(&input);
+                let actuals = Actuals {
+                    cpu_peak_millis: d.cpu_peak_millis,
+                    mem_peak_mb: d.mem_peak_mb,
+                    exec_duration: d.base_duration,
+                    input_size: input.size,
+                };
+                p.observe(f, input, &actuals);
+            };
+            for choice in [ModelChoice::Auto, ModelChoice::MlOnly, ModelChoice::HistogramOnly] {
+                for buffered in [0, 1, 7, 8, 9, 17] {
+                    let what = format!("{} under {choice:?}, {buffered} buffered", kind.name());
+                    let mut late = Profiler::new(10, ProfilerConfig::default(), choice);
+                    let mut eager = Profiler::new(10, ProfilerConfig::default(), choice);
+                    late.train(f, &suite[f], first);
+                    train_eagerly(&mut eager, f, &suite[f], first);
+                    for k in 0..buffered {
+                        observe(&mut late, k);
+                        observe(&mut eager, k);
+                    }
+                    let related = eager.is_size_related(f);
+                    assert_eq!(late.is_size_related(f), related, "{what}");
+                    assert_eq!(late.fits(), FitCounts::default(), "{what}: nothing predicted");
+                    for k in [buffered, buffered + RETRAIN_EVERY as u64] {
+                        for size in [1, s / 4, s, 40 * s] {
+                            let input = InputMeta::new(size, 1);
+                            let got = late.predict(f, input).unwrap();
+                            let want = eager.predict(f, input).unwrap();
+                            assert_eq!(
+                                fields(got),
+                                fields(want),
+                                "{what}, {k} observed, at {size}"
+                            );
+                        }
+                        assert_eq!(late.fits(), eager.fits(), "{what}, {k} observed");
+                        for j in k..k + RETRAIN_EVERY as u64 {
+                            observe(&mut late, j);
+                            observe(&mut eager, j);
+                        }
+                    }
+                    assert_eq!(late.is_size_related(f), related, "{what}");
+                    paths[usize::from(related == Some(true))] += 1;
+                }
+            }
+        }
+        assert!(paths.iter().all(|&n| n >= 60), "both paths are replayed into: {paths:?}");
     }
 
     /// The serving forests as they were fitted before they turned lazy: at

@@ -45,7 +45,7 @@ fn grid(s: u64) -> [u64; 8] {
     [(lo / 2).max(1), lo, s / 2, s, 2 * s, hi, 3 * hi, 20 * hi]
 }
 
-fn predictions(p: &Profiler, f: usize, s: u64, path: PredictionPath) -> [Pred; 8] {
+fn predictions(p: &mut Profiler, f: usize, s: u64, path: PredictionPath) -> [Pred; 8] {
     grid(s).map(|size| {
         let pred = p.predict(f, InputMeta::new(size, 1)).expect("trained");
         assert_eq!(pred.path, path);
@@ -85,9 +85,9 @@ fn profile(kind: AppKind, choice: ModelChoice, use_ml: bool, scores: [u64; 3]) -
     assert_eq!(p.is_size_related(f), Some(use_ml), "{what}");
 
     let path = if use_ml { PredictionPath::Ml } else { PredictionPath::Histogram };
-    let before = predictions(&p, f, input.size, path);
+    let before = predictions(&mut p, f, input.size, path);
     observe_16(&mut p, f, &suite[f], input.size);
-    [before, predictions(&p, f, input.size, path)]
+    [before, predictions(&mut p, f, input.size, path)]
 }
 
 #[test]
