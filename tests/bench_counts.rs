@@ -5,7 +5,10 @@
 //! three simulator workloads and from `exp scale`'s two runs at 2 %. This
 //! test runs all five and compares every count exactly. The counts say which
 //! simulation ran, so a speed claim whose counts did not move was made on
-//! the same run before and after. A change that moves simulated behaviour on
+//! the same run before and after; the `digest.*` names (`predictions`,
+//! `placements`, `completions`) fold what it decided, so such a claim is
+//! also held to the same predictions, placements and completion times, bit
+//! for bit. A change that moves simulated behaviour on
 //! purpose re-pins the file with
 //! `LIBRA_BLESS=1 cargo test --release --test bench_counts` and argues each
 //! move; a mismatch lists every moved, missing or extra count as
