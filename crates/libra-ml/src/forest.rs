@@ -16,28 +16,13 @@
 //! leader (`tree::leaders`), so an order twin such as the profiler's `ln s`
 //! reads the layout of `s` rather than sorting and sweeping its own.
 //!
-//! Tree training is embarrassingly parallel; on more than one core
-//! `fit_many` fans the tree indices of a larger forest out over crossbeam
-//! scoped threads (data-race-free by construction: each thread reads shared
-//! `&[Vec<f64>]` slices and writes its own slot). On one core, where the
-//! fan-out would be a single worker, it grows them inline. The core count
-//! is the one the process saw at its first fit. Either way a tree
-//! sees its bootstrap sample as a list of row numbers, not as a copy of the
-//! rows, and each worker (the inline loop, or one spawned chunk) grows all
-//! its trees in one `tree::Scratch`.
+//! A fit runs on the calling thread, one tree index after another, and grows
+//! all its trees in one `tree::Scratch`. A tree sees its bootstrap sample as
+//! a list of row numbers, not as a copy of the rows.
 
 use crate::tree::{leaders, DecisionTree, Layout, Scratch, Task, TreeParams};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::OnceLock;
-use std::thread::available_parallelism;
-
-/// The cores a fit may fan out over, asked of the OS once per process: std
-/// re-reads the cgroup CPU quota at every ask, and no result depends on it.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| available_parallelism().map_or(4, |p| p.get()))
-}
 
 /// Forest hyperparameters.
 #[derive(Clone, Copy, Debug)]
@@ -89,59 +74,22 @@ impl RandomForest {
         });
         let n = x.len();
 
-        // Deterministic per-tree seeds derived up front so the parallel
-        // schedule cannot affect the result.
+        // Tree `k` of every target: the `k`-th seed, one draw (a classic
+        // bootstrap, `n` rows with replacement), one layout, then each
+        // target's tree from a copy of the layout and of the RNG after the
+        // draws.
         let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
-        let seeds: Vec<u64> = (0..params.n_trees).map(|_| seeder.next_u64()).collect();
-
-        // Tree `k` of every target: one draw (a classic bootstrap, `n` rows
-        // with replacement), one layout, then each target's tree from a copy
-        // of the layout and of the RNG after the draws.
         let leader = leaders(x);
-        let fit_one = |seed: u64, scratch: &mut Scratch| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            let layout = Layout::new(x, &leader, &rows);
-            let fit = |(&(y, task), &tp)| {
-                DecisionTree::fit_sorted(&layout, y, task, tp, &mut rng.clone(), scratch)
-            };
-            targets.iter().zip(&tree_params).map(fit).collect::<Vec<_>>()
-        };
-
-        // Parallel fan-out for larger forests; sequential below the
-        // threshold where thread spawn overhead dominates, and on one core.
-        let large = params.n_trees >= 16 && n >= 64;
-        let threads = if large { cores() } else { 1 };
-        let mut inline = Scratch::default();
-        let per_index: Vec<Vec<DecisionTree>> = if threads > 1 {
-            let chunk = params.n_trees.div_ceil(threads);
-            let mut out: Vec<Option<Vec<DecisionTree>>> = vec![None; params.n_trees];
-            let scope_ok = crossbeam::scope(|s| {
-                for (slot_chunk, seed_chunk) in out.chunks_mut(chunk).zip(seeds.chunks(chunk)) {
-                    s.spawn(move |_| {
-                        let mut scratch = Scratch::default();
-                        for (slot, &seed) in slot_chunk.iter_mut().zip(seed_chunk) {
-                            *slot = Some(fit_one(seed, &mut scratch));
-                        }
-                    });
-                }
-            })
-            .is_ok();
-            debug_assert!(scope_ok, "forest training thread panicked");
-            // A panicked worker leaves holes; refit those trees here rather
-            // than aborting the whole control plane mid-run.
-            out.into_iter()
-                .zip(&seeds)
-                .map(|(t, &seed)| t.unwrap_or_else(|| fit_one(seed, &mut inline)))
-                .collect()
-        } else {
-            seeds.iter().map(|&s| fit_one(s, &mut inline)).collect()
-        };
-
+        let mut scratch = Scratch::default();
         let mut forests = targets
             .map(|(_, task)| RandomForest { trees: Vec::with_capacity(params.n_trees), task });
-        for trees in per_index {
-            for (forest, tree) in forests.iter_mut().zip(trees) {
+        for _ in 0..params.n_trees {
+            let mut rng = ChaCha8Rng::seed_from_u64(seeder.next_u64());
+            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            let layout = Layout::new(x, &leader, &rows);
+            for ((forest, &(y, task)), &tp) in forests.iter_mut().zip(targets).zip(&tree_params) {
+                let tree =
+                    DecisionTree::fit_sorted(&layout, y, task, tp, &mut rng.clone(), &mut scratch);
                 forest.trees.push(tree);
             }
         }
@@ -234,27 +182,23 @@ mod tests {
     }
 
     #[test]
-    fn small_forest_trains_sequentially() {
-        let (x, y) = step_data(30);
-        let p = ForestParams { n_trees: 4, ..Default::default() };
-        let f = RandomForest::fit(&x, &y, Task::Classification { n_classes: 4 }, p);
-        assert_eq!(f.len(), 4);
-        assert!(!f.is_empty());
-    }
-
-    #[test]
-    fn parallel_path_matches_param_count() {
-        let (x, y) = step_data(128);
-        let p = ForestParams { n_trees: 32, ..Default::default() };
-        let f = RandomForest::fit(&x, &y, Task::Regression, p);
-        assert_eq!(f.len(), 32);
+    fn forest_has_the_trees_it_was_asked_for() {
+        for (rows, n_trees, task) in
+            [(30, 4, Task::Classification { n_classes: 4 }), (128, 32, Task::Regression)]
+        {
+            let (x, y) = step_data(rows);
+            let p = ForestParams { n_trees, ..Default::default() };
+            let f = RandomForest::fit(&x, &y, task, p);
+            assert_eq!(f.len(), n_trees);
+            assert!(!f.is_empty());
+        }
     }
 
     /// `fit` against a forest built the way it was before trees took row
     /// lists: every tree's bootstrap rows cloned, the tree grown by the split
     /// search the sweep replaced (`DecisionTree::fit_oracle`) from a fresh
-    /// sort at every node. Same trees, so bit-equal predictions, on both
-    /// sides of the 64-row fan-out threshold.
+    /// sort at every node. Same trees, so bit-equal predictions, on a small
+    /// and a large forest.
     #[test]
     fn fit_matches_oracle_trees_on_cloned_bootstrap_rows() {
         for n in [40usize, 150] {
@@ -297,7 +241,7 @@ mod tests {
     /// regressor under one `ForestParams` and each task's default feature
     /// subsample. Every tree of every target is its own oracle tree — grown
     /// from a clone of the bootstrap rows and of the RNG after the draws — on
-    /// both sides of the 64-row fan-out threshold.
+    /// a small and a large forest.
     #[test]
     fn fit_many_matches_per_target_oracle_forests() {
         for n in [40usize, 150] {

@@ -14,9 +14,8 @@
 //! runs, live in the experiment that compares them (`libra-bench`'s
 //! `experiments::table2`).
 //!
-//! All models are deterministic given their seeds; forest training fans out
-//! across crossbeam scoped threads where there is more than one core, and
-//! runs inline on one.
+//! All models are deterministic given their seeds, and every fit runs on the
+//! caller's thread: the callers spread work over cores themselves.
 
 // DESIGN.md §6: denied on the non-test build; the clippy step of scripts/verify.sh enforces it.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

@@ -1,6 +1,6 @@
-//! Offline stand-in for `crossbeam`: `channel` over `std::sync::mpsc` and
-//! `scope` over `std::thread::scope`. Unified `Sender` covers both bounded
-//! and unbounded flavors (mpsc splits them into two types).
+//! Offline stand-in for `crossbeam`: `channel` over `std::sync::mpsc`. A
+//! unified `Sender` covers both bounded and unbounded flavors (mpsc splits
+//! them into two types).
 
 pub mod channel {
     //! MPMC-flavored channel API over std's MPSC channels. The workspace
@@ -170,47 +170,6 @@ pub mod channel {
     }
 }
 
-pub mod thread {
-    //! Scoped threads over `std::thread::scope`, with crossbeam's
-    //! closure-takes-the-scope spawn signature and `Result` return.
-
-    use std::any::Any;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// Handle to a spawned scoped thread.
-    pub type ScopedJoinHandle<'scope, T> = std::thread::ScopedJoinHandle<'scope, T>;
-
-    /// A scope in which child threads may borrow from the parent stack.
-    #[derive(Clone, Copy)]
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread; the closure receives the scope (crossbeam style)
-        /// so it can spawn further siblings.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let child = *self;
-            self.inner.spawn(move || f(&child))
-        }
-    }
-
-    /// Run `f` with a scope; joins all spawned threads before returning.
-    /// `Err` carries the payload of the first panicking child.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        catch_unwind(AssertUnwindSafe(|| std::thread::scope(|s| f(&Scope { inner: s }))))
-    }
-}
-
-pub use thread::{scope, Scope};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,27 +192,5 @@ mod tests {
         tx.send(7).unwrap();
         assert_eq!(rx.try_recv(), Ok(7));
         assert_eq!(rx.try_recv(), Err(channel::TryRecvError::Empty));
-    }
-
-    #[test]
-    fn scope_joins_and_borrows() {
-        let data = vec![1u64, 2, 3];
-        let sum = std::sync::atomic::AtomicU64::new(0);
-        let sum_ref = &sum;
-        scope(|s| {
-            for &x in &data {
-                s.spawn(move |_| sum_ref.fetch_add(x, std::sync::atomic::Ordering::Relaxed));
-            }
-        })
-        .unwrap();
-        assert_eq!(sum.load(std::sync::atomic::Ordering::Relaxed), 6);
-    }
-
-    #[test]
-    fn scope_reports_child_panic() {
-        let r = scope(|s| {
-            s.spawn(|_| panic!("boom"));
-        });
-        assert!(r.is_err());
     }
 }
