@@ -5,11 +5,13 @@
 //! only code that runs it at full size. `LIBRA_SCALE` shrinks invocations,
 //! arrival rate and node count together (0.02: 20k invocations, 20 nodes).
 //!
-//! It runs the tier twice, under `NullPlatform` (the engine alone) and
+//! It runs the tier three times, under `NullPlatform` (the engine alone),
 //! under Libra-NP (harvesting, the safeguard's monitor and the coverage
-//! scheduler, without the ML profiler), asserts conservation after each and
-//! prints one throughput line for each, with its monitor ticks that walked
-//! their node; the second adds its monitor visits and safeguard trips. The
+//! scheduler, without the ML profiler) and under Full Libra (the same plus
+//! the profiler's forests), asserts conservation after each and prints one
+//! throughput line for each, with its monitor ticks that walked their node;
+//! the second and third add their monitor visits and safeguard trips, and
+//! the third its profiler's forest fits and the rows its serving fits read. The
 //! regression gate on simulator speed is the repo benchmark
 //! (`benchmarks/perf`); the lines' counts at 0.02 are pinned through
 //! [`crate::probe`], which runs [`tier`] and [`simulate`] itself.
@@ -38,7 +40,7 @@ fn peak_rss_mb() -> u64 {
     0
 }
 
-/// Run the tier under both platforms and print their throughput lines.
+/// Run the tier under the three platforms and print their throughput lines.
 pub fn run() {
     let scale = crate::scale();
     let tier = tier(scale, 42);
@@ -68,6 +70,22 @@ pub fn run() {
         np.tick_walks.0,
         libra.report().safeguard_triggers,
         pops(&np),
+    );
+    let mut libra = LibraPlatform::new(LibraConfig::libra());
+    let t_run = Instant::now();
+    let full = simulate(&tier, &trace, &mut libra);
+    let full_fields = fields(&full, t_run.elapsed().as_secs_f64());
+    let fits = libra.profiler().map(|p| p.fits()).unwrap_or_default();
+    println!(
+        "tier=huge platform=Libra scale={scale} {full_fields} visits={} walks={} safeguard_trips={} \
+         relatedness_fits={} serving_fits={} rows_fitted={} pops: {}",
+        libra.visits(),
+        full.tick_walks.0,
+        libra.report().safeguard_triggers,
+        fits.relatedness,
+        fits.serving,
+        fits.serving_rows,
+        pops(&full),
     );
 }
 

@@ -1,11 +1,12 @@
 //! The benchmark's simulated runs as exact counts.
 //!
-//! Five runs: the repo benchmark's three simulator workloads (`sim_engine`,
+//! Six runs: the repo benchmark's three simulator workloads (`sim_engine`,
 //! `sim_harvest`, `sim_libra`, shaped as in `benchmarks/perf/src/sim.rs`)
-//! and `exp scale`'s two runs at a 2 % scale (`exp_scale_null`,
-//! `exp_scale_np`). [`counts`] reduces one of them to named counts: the
-//! engine's event, pop and walk counts from its `RunResult`, the platform's
-//! `PlatformReport`, on `sim_libra` the forest fits of the run's profiler,
+//! and `exp scale`'s three runs at a 2 % scale (`exp_scale_null`,
+//! `exp_scale_np`, `exp_scale_libra`). [`counts`] reduces one of them to
+//! named counts: the engine's event, pop and walk counts from its
+//! `RunResult`, the platform's `PlatformReport`, under Full Libra
+//! (`sim_libra`, `exp_scale_libra`) the forest fits of the run's profiler,
 //! and, from a counting `Platform` wrapper, the hook calls and profiler asks
 //! that no report holds, and three digests of what the run decided (see
 //! `Digest`). Counts repeat exactly on any
@@ -138,13 +139,13 @@ pub const SHAPES: [SimSpec; 3] = [
     },
 ];
 
-/// `exp scale`'s scale in the two scale workloads: 20,000 invocations on 20
-/// nodes.
+/// `exp scale`'s scale in the three scale workloads: 20,000 invocations on
+/// 20 nodes.
 const SCALE: f64 = 0.02;
 
 /// Every workload [`counts`] knows, in `BENCH_counts.json`'s order.
-pub const WORKLOADS: [&str; 5] =
-    ["sim_engine", "sim_harvest", "sim_libra", "exp_scale_null", "exp_scale_np"];
+pub const WORKLOADS: [&str; 6] =
+    ["sim_engine", "sim_harvest", "sim_libra", "exp_scale_null", "exp_scale_np", "exp_scale_libra"];
 
 /// The generated inputs of one run.
 struct Inputs {
@@ -221,15 +222,21 @@ event_kinds![
 ];
 
 /// The named counts of `workload` run at `seed`. For the three benchmark
-/// workloads `seed` is the harness's `--seed`; for the two scale workloads it
-/// seeds the tier, as 42 does in `exp scale`.
+/// workloads `seed` is the harness's `--seed`; for the three scale workloads
+/// it seeds the tier, as 42 does in `exp scale`.
 ///
 /// # Panics
 /// On a name not in [`WORKLOADS`].
 pub fn counts(workload: &str, seed: u64) -> Vec<(&'static str, u64)> {
     match workload {
-        "exp_scale_null" => scale_counts(seed, NullPlatform),
-        "exp_scale_np" => scale_counts(seed, LibraPlatform::new(LibraConfig::np())),
+        "exp_scale_null" => scale_counts(seed, NullPlatform).0,
+        "exp_scale_np" => scale_counts(seed, LibraPlatform::new(LibraConfig::np())).0,
+        "exp_scale_libra" => {
+            let (mut counts, counted) =
+                scale_counts(seed, LibraPlatform::new(LibraConfig::libra()));
+            counts.extend(counted.profiler_counts());
+            counts
+        }
         _ => {
             let spec = SHAPES.iter().find(|s| s.name == workload).unwrap_or_else(|| {
                 panic!("no workload {workload:?}; the probe knows {WORKLOADS:?}")
@@ -253,11 +260,11 @@ pub fn counts(workload: &str, seed: u64) -> Vec<(&'static str, u64)> {
 }
 
 /// `exp scale`'s run under `platform` at [`SCALE`], through the function
-/// that `exp scale` prints from.
-fn scale_counts(seed: u64, platform: impl Platform) -> Vec<(&'static str, u64)> {
+/// that `exp scale` prints from; returns its counts and the wrapper.
+fn scale_counts<P: Platform>(seed: u64, platform: P) -> (Vec<(&'static str, u64)>, Counted<P>) {
     let tier = scale::tier(SCALE, seed);
     let trace = tier.trace();
-    Counted::new(platform).run(|p| scale::simulate(&tier, &trace, p)).0
+    Counted::new(platform).run(|p| scale::simulate(&tier, &trace, p))
 }
 
 /// A forwarding [`Platform`] that counts what no report holds: the monitor
@@ -333,9 +340,9 @@ impl Counted<LibraPlatform> {
     /// predicted for has its verdict computed here, uncounted. What it
     /// fitted: `relatedness_fits`, the relatedness test's forest fits a
     /// prediction read (the CPU-class forest, then memory and duration
-    /// together if it passes), and `serving_fits`, the serving forest sets a
-    /// prediction read.
-    fn profiler_counts(&self) -> [(&'static str, u64); 6] {
+    /// together if it passes), `serving_fits`, the serving forest sets a
+    /// prediction read, and `rows_fitted`, the rows summed over those.
+    fn profiler_counts(&self) -> [(&'static str, u64); 7] {
         let Some(profiler) = self.inner.profiler() else {
             panic!("{} runs no profiler", self.inner.name())
         };
@@ -358,6 +365,7 @@ impl Counted<LibraPlatform> {
             ("profiler.rows_max", rows_max as u64),
             ("profiler.relatedness_fits", fits.relatedness),
             ("profiler.serving_fits", fits.serving),
+            ("profiler.rows_fitted", fits.serving_rows),
         ]
     }
 }

@@ -279,13 +279,14 @@ struct MlModels {
 }
 
 impl MlModels {
-    /// The serving forests, fitted on first read and counted in `fitted`.
+    /// The serving forests, fitted on first read and counted in `fits`.
     /// Rows observed after `fit` was recorded stay out of them, so they are
     /// bit for bit the forests a fit at that moment would have grown.
-    fn forests(&mut self, fitted: &mut u64) -> &Forests {
+    fn forests(&mut self, fits: &mut FitCounts) -> &Forests {
         let (n, seed) = self.fit;
         self.forests.get_or_insert_with(|| {
-            *fitted += 1;
+            fits.serving += 1;
+            fits.serving_rows += n as u64;
             self.data.fit_first(n, seed)
         })
     }
@@ -426,6 +427,9 @@ pub struct FitCounts {
     /// Serving forest sets (the three in one `fit_many`) fitted, each when a
     /// prediction first read it.
     pub serving: u64,
+    /// Rows summed over those serving fits: what they cost, as a refit on a
+    /// function's whole history grows it.
+    pub serving_rows: u64,
 }
 
 /// The per-platform profiler: one model set per deployed function.
@@ -436,10 +440,8 @@ pub struct Profiler {
     /// Per trained function, what regenerates its pilot set: its demand
     /// model and the input it was first seen with.
     first_sights: Vec<Option<(Arc<dyn DemandModel>, InputMeta)>>,
-    /// [`FitCounts::relatedness`].
-    relatedness_fits: u64,
-    /// [`FitCounts::serving`].
-    serving_fits: u64,
+    /// What its forests have cost it so far.
+    fits: FitCounts,
 }
 
 impl Profiler {
@@ -454,14 +456,13 @@ impl Profiler {
             choice,
             states: (0..n_funcs).map(|_| FuncState::Untrained).collect(),
             first_sights: vec![None; n_funcs],
-            relatedness_fits: 0,
-            serving_fits: 0,
+            fits: FitCounts::default(),
         }
     }
 
     /// The forests fitted so far.
     pub fn fits(&self) -> FitCounts {
-        FitCounts { relatedness: self.relatedness_fits, serving: self.serving_fits }
+        self.fits
     }
 
     /// Whether function `f` has been seen yet. Its verdict and models wait
@@ -554,7 +555,7 @@ impl Profiler {
             FuncState::Untrained | FuncState::Seen(_) => None,
             FuncState::Ml(m) => {
                 let (lo, hi) = (m.size_min, m.size_max);
-                Some(m.forests(&mut self.serving_fits).predict(input.size, lo, hi))
+                Some(m.forests(&mut self.fits).predict(input.size, lo, hi))
             }
             FuncState::Hist(h) => {
                 let cpu_raw = h.cpu.percentile(PEAK_PERCENTILE)?;
@@ -583,7 +584,7 @@ impl Profiler {
         let Some((obs, data)) = self.first_pilot(f) else { return };
         let seed = SEED ^ f as u64;
         let (use_ml, fits) = self.verdict(&data, seed);
-        self.relatedness_fits += fits;
+        self.fits.relatedness += fits;
         let models = if use_ml {
             let sizes = obs.iter().map(|o| o.size);
             FuncState::Ml(Box::new(MlModels {
@@ -1192,7 +1193,7 @@ mod tests {
         let use_ml = match p.choice {
             ModelChoice::Auto => {
                 let scores = data.relatedness(seed, true);
-                p.relatedness_fits += if scores.is_some() { 2 } else { 1 };
+                p.fits.relatedness += if scores.is_some() { 2 } else { 1 };
                 scores.is_some_and(|s| {
                     s.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD)
                 })

@@ -2,8 +2,8 @@
 //!
 //! `BENCH_counts.json` holds, one record per workload and line, every count
 //! `libra_bench::probe::counts` reads at seed 42 from the repo benchmark's
-//! three simulator workloads and from `exp scale`'s two runs at 2 %. This
-//! test runs all five and compares every count exactly. The counts say which
+//! three simulator workloads and from `exp scale`'s three runs at 2 %. This
+//! test runs all six and compares every count exactly. The counts say which
 //! simulation ran, so a speed claim whose counts did not move was made on
 //! the same run before and after; the `digest.*` names (`predictions`,
 //! `placements`, `completions`) fold what it decided, so such a claim is
@@ -14,9 +14,11 @@
 //! move; a mismatch lists every moved, missing or extra count as
 //! `workload name: want → got`.
 //!
-//! Release only: the five runs took 173 s in a debug build on 2 cores (0.6 s
-//! in release), longer than any other root test binary (22 s), so a debug
-//! build ignores the check and `scripts/verify.sh` runs it as a release test.
+//! Release only: without `exp_scale_libra` the other five runs took 173 s in
+//! a debug build on 2 cores (0.6 s in release), longer than any other root
+//! test binary (22 s), so a debug build ignores the check and
+//! `scripts/verify.sh` runs it as a release test. `exp_scale_libra`, Full
+//! Libra's forests refitted on whole histories, is most of its release time.
 
 use libra_bench::probe;
 use std::collections::BTreeMap;
@@ -32,7 +34,7 @@ const MAX_PUSHES_PER_INVOCATION: u64 = 25;
 
 /// What the file says of itself.
 const ABOUT: &str = "Exact counts of the repo benchmark's three simulator workloads and of \
-exp scale's two runs at LIBRA_SCALE=0.02, at seed 42, one record per workload and line. \
+exp scale's three runs at LIBRA_SCALE=0.02, at seed 42, one record per workload and line. \
 libra_bench::probe::counts reads them from RunResult, PlatformReport and a counting \
 Platform wrapper; tests/bench_counts.rs recomputes and compares them exactly, and \
 LIBRA_BLESS=1 rewrites this file. Names follow the harness's per-layer metrics where it \
