@@ -7,20 +7,23 @@
 //! Forests fitted together share their bootstraps. Tree `k` of a forest
 //! draws its rows from the `k`-th seed of `ForestParams::seed`, so the
 //! profiler's three forests, fitted with one `ForestParams`, draw the same
-//! rows for tree `k` and would sort the same `(value, row)` runs.
+//! rows for tree `k` and would lay out the same `(value, row)` runs.
 //! `fit_many` does that once per tree index: it draws the rows, lays the
 //! sample out (`tree::Layout`) and grows one tree per target from its own
 //! copy of that layout and of the RNG as the draws left it — the tree `fit`
 //! would grow for that target alone, bit for bit. `fit` is `fit_many` with
 //! one target. Once per `fit_many`, on all of `x`, each feature finds its
-//! leader (`tree::leaders`), so an order twin such as the profiler's `ln s`
-//! reads the layout of `s` rather than sorting and sweeping its own.
+//! leader and each leader is ranked (`tree::Ranks`), one sort a leader: an
+//! order twin such as the profiler's `ln s` reads the layout of `s` rather
+//! than sorting and sweeping its own, and every tree index lays its sample
+//! out by a counting sort on those ranks rather than by sorting it.
 //!
 //! A fit runs on the calling thread, one tree index after another, and grows
-//! all its trees in one `tree::Scratch`. A tree sees its bootstrap sample as
-//! a list of row numbers, not as a copy of the rows.
+//! all its trees in one `tree::Scratch` from one `tree::Layout`. A tree sees
+//! its bootstrap sample as a list of row numbers, not as a copy of the rows.
+//! No feature may be NaN: a NaN has no place in a sorted column.
 
-use crate::tree::{leaders, DecisionTree, Layout, Scratch, Task, TreeParams};
+use crate::tree::{DecisionTree, Layout, Ranks, Scratch, Task, TreeParams};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -56,13 +59,19 @@ impl RandomForest {
 
     /// Fit one forest per `(y, task)` target on the same rows `x` and
     /// `params`, in order: each the forest `fit` would give for that target,
-    /// each tree's bootstrap drawn and sorted once for all of them.
+    /// each tree's bootstrap drawn and laid out once for all of them.
+    ///
+    /// # Panics
+    /// On an empty `x`, a target whose length is not `x`'s, or a NaN
+    /// feature: a NaN has no place in a sorted column, so no tree can be
+    /// defined on it.
     pub fn fit_many<const N: usize>(
         x: &[Vec<f64>],
         targets: &[(&[f64], Task); N],
         params: ForestParams,
     ) -> [Self; N] {
         assert!(!x.is_empty(), "cannot fit a forest on an empty dataset");
+        assert!(x.iter().flatten().all(|v| !v.is_nan()), "cannot fit a forest on a NaN feature");
         let d = x[0].len();
         let tree_params = targets.map(|(y, task)| {
             assert_eq!(x.len(), y.len(), "feature/target length mismatch");
@@ -79,14 +88,14 @@ impl RandomForest {
         // target's tree from a copy of the layout and of the RNG after the
         // draws.
         let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
-        let leader = leaders(x);
+        let ranks = Ranks::new(x);
+        let mut layout = Layout::of(x, &ranks);
         let mut scratch = Scratch::default();
         let mut forests = targets
             .map(|(_, task)| RandomForest { trees: Vec::with_capacity(params.n_trees), task });
         for _ in 0..params.n_trees {
             let mut rng = ChaCha8Rng::seed_from_u64(seeder.next_u64());
-            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            let layout = Layout::new(x, &leader, &rows);
+            layout.lay_out((0..n).map(|_| rng.gen_range(0..n)));
             for ((forest, &(y, task)), &tp) in forests.iter_mut().zip(targets).zip(&tree_params) {
                 let tree =
                     DecisionTree::fit_sorted(&layout, y, task, tp, &mut rng.clone(), &mut scratch);
@@ -192,6 +201,16 @@ mod tests {
             assert_eq!(f.len(), n_trees);
             assert!(!f.is_empty());
         }
+    }
+
+    /// A NaN feature has no place in a sorted column: the fit refuses it,
+    /// rather than grow trees that depend on how a sort treats it.
+    #[test]
+    #[should_panic(expected = "cannot fit a forest on a NaN feature")]
+    fn a_nan_feature_is_refused() {
+        let (mut x, y) = step_data(30);
+        x[17][1] = f64::NAN;
+        RandomForest::fit(&x, &y, Task::Classification { n_classes: 4 }, ForestParams::default());
     }
 
     /// `fit` against a forest built the way it was before trees took row

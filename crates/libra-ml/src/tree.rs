@@ -6,25 +6,39 @@
 //! feature values is a candidate threshold, so the tree is the exact CART
 //! tree.
 //!
-//! A tree sorts once, or not at all. `Layout::new` lays a sample (a forest's
-//! bootstrap, repeats and all) out per leading feature (below) as the
-//! `(value, row)` pairs sorted by value, stably, so ties stand in sample
-//! order; a forest fitting several targets on one bootstrap
-//! (`RandomForest::fit_many`) sorts it once and grows each target's tree from
-//! a copy. With the `(target, row)` pairs in sample order these are a tree's
-//! buffers, and a node is the same range
-//! `lo..hi` of every one of them. The grower reads no feature value outside
-//! them. Splitting a node partitions each range in place, stably, through one
+//! A tree sorts nothing. A fit ranks each leading feature (below) once
+//! (`Ranks`): one stable sort of the dataset's rows gives every row the rank
+//! of its value among the column's distinct values. `Layout::lay_out` then
+//! lays a sample (a forest's bootstrap, repeats and all) out per leader as
+//! the `(value, row)` pairs sorted by value, stably, so ties stand in sample
+//! order: a counting sort by rank places one rank's pairs in sample order,
+//! which is that stable sort exactly, in O(n + distinct values) instead of
+//! O(n log n). A forest fitting several targets on one bootstrap
+//! (`RandomForest::fit_many`) lays it out once and grows each target's tree
+//! from a copy. These runs, and for regression the `(target, row)` pairs in
+//! sample order (the *sample*), are a tree's buffers, and a node is the same
+//! range `lo..hi` of every one of them. The grower reads no feature value
+//! outside them. A classification tree keeps no sample: Gini impurity, the
+//! purity check and the majority vote count labels, which does not depend
+//! on their order, so it reads them through the rows of feature 0's run
+//! (feature 0 always leads), and a pure node is a leaf holding its label.
+//!
+//! Splitting a node partitions each range in place, stably, through one
 //! spill buffer: the children are `lo..mid` and `mid..hi`. The chosen
 //! feature's range is divided already — the sweep put the left side's pairs
 //! first — so its rows are marked in a per-tree mask (`mark`) and the other
-//! ranges and the sample are partitioned by the mark, without a branch on the
-//! side. A stable partition of a sorted run is sorted, with ties in the
-//! order the parent had them, which is the child's sample order; so a child's
-//! range holds exactly what collecting the child's rows and stable-sorting
-//! them would, and everything that sums floats in row order or in `entered`
-//! order — leaf means, a side's SSE, the running sums of the sweep — adds
-//! the same numbers in the same order as a search that re-sorts every node.
+//! leaders' ranges and the sample are partitioned by the mark, without a
+//! branch on the side. A classification tree on one leader (every forest the
+//! profiler fits: `[s, ln s]`) so marks and partitions nothing. Regression
+//! scores a candidate by marking it and partitioning a copy of the sample
+//! (`best_sse_split`); a split at the candidate it scored last takes that
+//! mark and that copy instead of making both again. A stable partition of a
+//! sorted run is sorted, with ties in the order the parent had them, which
+//! is the child's sample order; so a child's range holds exactly what
+//! collecting the child's rows and stable-sorting them would, and everything
+//! that sums floats in row order or in `entered` order — leaf means, a side's
+//! SSE, the running sums of the sweep — adds the same numbers in the same
+//! order as a search that re-sorts every node.
 //!
 //! The search sweeps a node's sorted range per feature with a left-side
 //! pointer (`sweep`) — O(n) a node — yet picks the split, and reports the
@@ -43,15 +57,17 @@
 //! Order twins share a layout. A feature that on every row is finite, ties
 //! and rises exactly where an earlier one does — `ln s` of `s` — and that,
 //! like that one, has no adjacent values `a < b` whose midpoint `(a + b) / 2`
-//! rounds up to `b`, reads that *leader*'s sorted run (`leaders`). Checked on
+//! rounds up to `b`, reads that *leader*'s sorted run (`Ranks`). Checked on
 //! the pairs adjacent over all rows, the midpoint holds for every pair a node
 //! meets: for `a ≤ c < b` monotone rounding gives `(a + b) / 2 ≤ (c + b) / 2
 //! < b`. So each boundary moves one value's rows in both features, and a
 //! twin's candidates are its leader's partitions, scores and gains at its own
 //! thresholds: only leaders are sorted and partitioned, and `grow` sweeps the
 //! first feature of a group (`offer`'s strict `>` would keep it anyway),
-//! reading a twin's own values through its leader's run. A fit worker grows
-//! every tree in one `Scratch`, so a tree allocates nothing but its nodes.
+//! reading a twin's own values through its leader's run. The sort that
+//! ranks a leader also finds its twins, so a fit sorts each leader once. A
+//! fit grows every tree in one `Scratch` and lays every sample out in one
+//! `Layout`, so a tree allocates nothing but its nodes.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -168,51 +184,98 @@ fn sweep(vals: &[Pair], mut visit: impl FnMut(f64, &[Pair], usize)) {
     }
 }
 
-/// Per feature, its leader: the first feature it is an order twin of (see
-/// the module doc), or itself.
-#[expect(clippy::float_cmp, reason = "a twin ties where its leader ties, bit for bit")]
-pub(crate) fn leaders(x: &[Vec<f64>]) -> Vec<usize> {
-    let below = |a: f64, b: f64| (a + b) / 2.0 < b;
-    let twins = |g: usize, f: usize| {
-        let mut order: Vec<usize> = (0..x.len()).collect();
-        order.sort_by(|&i, &j| x[i][g].partial_cmp(&x[j][g]).unwrap_or(Ordering::Equal));
-        x.iter().all(|r| r[g].is_finite() && r[f].is_finite())
-            && order.windows(2).all(|w| {
-                let (a, b, tie) = (&x[w[0]], &x[w[1]], x[w[0]][g] == x[w[1]][g]);
-                (tie && a[f] == b[f])
-                    || (!tie && a[f] < b[f] && below(a[g], b[g]) && below(a[f], b[f]))
-            })
-    };
-    let mut leader: Vec<usize> = Vec::new();
-    for f in 0..x[0].len() {
-        let first = (0..f).find(|&g| leader[g] == g && twins(g, f)).unwrap_or(f);
-        leader.push(first);
+/// The features of a dataset ranked once for every tree a forest grows on
+/// it: per feature its leader (see the module doc), and per leader every
+/// row's rank among the column's distinct values.
+pub(crate) struct Ranks {
+    /// Per feature, the first feature it is an order twin of, or itself.
+    leader: Vec<usize>,
+    /// Per leader, per dataset row, how many distinct values of the column
+    /// lie below the row's (values that compare equal tie); a twin's is empty.
+    rank: Vec<Vec<usize>>,
+}
+
+impl Ranks {
+    /// Rank every leading column of `x`: one stable sort of the rows per
+    /// leader, which also decides which later features are its twins.
+    #[expect(clippy::float_cmp, reason = "a twin ties where its leader ties, bit for bit")]
+    pub(crate) fn new(x: &[Vec<f64>]) -> Self {
+        let below = |a: f64, b: f64| (a + b) / 2.0 < b;
+        let twins = |order: &[usize], g: usize, f: usize| {
+            x.iter().all(|r| r[g].is_finite() && r[f].is_finite())
+                && order.windows(2).all(|w| {
+                    let (a, b, tie) = (&x[w[0]], &x[w[1]], x[w[0]][g] == x[w[1]][g]);
+                    (tie && a[f] == b[f])
+                        || (!tie && a[f] < b[f] && below(a[g], b[g]) && below(a[f], b[f]))
+                })
+        };
+        let mut ranks = Ranks { leader: Vec::new(), rank: Vec::new() };
+        let mut orders: Vec<Vec<usize>> = Vec::new();
+        for f in 0..x[0].len() {
+            let first = (0..f).find(|&g| ranks.leader[g] == g && twins(&orders[g], g, f));
+            ranks.leader.push(first.unwrap_or(f));
+            let (mut order, mut rank) = (Vec::new(), Vec::new());
+            if first.is_none() {
+                order = (0..x.len()).collect();
+                order.sort_by(|&i, &j| x[i][f].partial_cmp(&x[j][f]).unwrap_or(Ordering::Equal));
+                rank = vec![0; x.len()];
+                for w in order.windows(2) {
+                    rank[w[1]] = rank[w[0]] + usize::from(x[w[0]][f] != x[w[1]][f]);
+                }
+            }
+            orders.push(order);
+            ranks.rank.push(rank);
+        }
+        ranks
     }
-    leader
 }
 
 /// A sample (a forest's bootstrap, repeats and all, in draw order) laid out
-/// once for every tree a forest grows on it.
+/// once for every tree a forest grows on it; one layout serves each of a
+/// forest's samples in turn.
 pub(crate) struct Layout<'a> {
     x: &'a [Vec<f64>],
-    leader: &'a [usize],
-    rows: &'a [usize],
+    ranks: &'a Ranks,
+    /// The sample's rows, in draw order.
+    rows: Vec<usize>,
     /// Per leader, the sample's `(value, row)` pairs sorted by value, stably,
     /// so ties stand in sample order; a twin's run is empty.
     sorted: Vec<Vec<Pair>>,
+    /// Per rank of the leader being laid out, where its next pair goes.
+    next: Vec<usize>,
 }
 
 impl<'a> Layout<'a> {
-    /// Lay out the sample `rows` of `x`, whose features lead as `leader` says.
-    pub(crate) fn new(x: &'a [Vec<f64>], leader: &'a [usize], rows: &'a [usize]) -> Self {
-        let sorted_run = |f: usize| {
-            let mut run: Vec<Pair> = rows.iter().map(|&i| (x[i][f], i)).collect();
-            run.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-            run
-        };
-        let leads = leader.iter().enumerate();
-        let sorted = leads.map(|(f, &g)| if g == f { sorted_run(f) } else { Vec::new() }).collect();
-        Layout { x, leader, rows, sorted }
+    /// An empty layout for samples of `x`, ranked as `ranks`.
+    pub(crate) fn of(x: &'a [Vec<f64>], ranks: &'a Ranks) -> Self {
+        let sorted = vec![Vec::new(); ranks.leader.len()];
+        Layout { x, ranks, rows: Vec::new(), sorted, next: Vec::new() }
+    }
+
+    /// Lay out the sample `rows`: per leader, a counting sort of the sample
+    /// by rank, which places the pairs of one rank in sample order, as a
+    /// stable sort by value does.
+    pub(crate) fn lay_out(&mut self, rows: impl IntoIterator<Item = usize>) {
+        self.rows.clear();
+        self.rows.extend(rows);
+        let Layout { x, ranks, rows, sorted, next } = self;
+        for (f, run) in sorted.iter_mut().enumerate().filter(|&(f, _)| ranks.leader[f] == f) {
+            let rank = &ranks.rank[f];
+            next.clear();
+            next.resize(x.len() + 1, 0); // a rank is below the row count
+            for &i in rows.iter() {
+                next[rank[i] + 1] += 1;
+            }
+            for k in 1..next.len() {
+                next[k] += next[k - 1];
+            }
+            run.resize(rows.len(), (0.0, 0));
+            for &i in rows.iter() {
+                let slot = &mut next[rank[i]];
+                run[*slot] = (x[i][f], i);
+                *slot += 1;
+            }
+        }
     }
 }
 
@@ -226,8 +289,9 @@ fn run_of<'b>(
     lo: usize,
     hi: usize,
 ) -> &'b [Pair] {
-    let run = &sorted[layout.leader[f]][lo..hi];
-    if layout.leader[f] == f {
+    let leader = layout.ranks.leader[f];
+    let run = &sorted[leader][lo..hi];
+    if leader == f {
         return run;
     }
     twin.clear();
@@ -235,11 +299,12 @@ fn run_of<'b>(
     twin
 }
 
-/// The buffers a tree's growth needs besides its nodes, one set per fit
-/// worker; `fit_sorted` resets what a tree reads.
+/// The buffers a tree's growth needs besides its nodes, one set per fit;
+/// `fit_sorted` resets what a tree reads.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// `(target, row)` of the sample; a node's range is in sample order.
+    /// Regression only: `(target, row)` of the sample; a node's range is in
+    /// sample order.
     sample: Vec<Pair>,
     /// This tree's copy of its layout's runs.
     sorted: Vec<Vec<Pair>>,
@@ -250,6 +315,9 @@ pub(crate) struct Scratch {
     /// Per dataset row, whether it is on the left of the candidate `mark`ed
     /// last (a row is read only after `mark` wrote it).
     goes_left: Vec<bool>,
+    /// The candidate `(feature, n_left)` of the regression node at hand that
+    /// `goes_left` and `sides` hold, if `best_sse_split` evaluated it last.
+    marked: Option<(usize, usize)>,
     /// The features the node at hand may split on.
     feats: Vec<usize>,
     /// Candidates of the node at hand, in enumeration order.
@@ -294,11 +362,39 @@ struct Grower<'a> {
     s: &'a mut Scratch,
 }
 
-impl Grower<'_> {
-    /// Count the classes of node `lo..hi` into `total` and list them in `present`.
+impl<'a> Grower<'a> {
+    /// A grower of a tree for targets `y` on the sample `layout` lays out,
+    /// with `s` reset to what the tree reads.
+    fn new(
+        layout: &'a Layout<'a>,
+        y: &'a [f64],
+        task: Task,
+        params: TreeParams,
+        s: &'a mut Scratch,
+    ) -> Self {
+        let n_classes = match task {
+            Task::Classification { n_classes } => n_classes,
+            Task::Regression => 0,
+        };
+        s.sample.clear();
+        if task == Task::Regression {
+            s.sample.extend(layout.rows.iter().map(|&i| (y[i], i)));
+        }
+        s.sorted.clone_from(&layout.sorted);
+        s.marked = None;
+        s.goes_left.resize(y.len(), false);
+        s.total.resize(n_classes, 0); // all zero between trees, as between nodes
+        s.left.resize(n_classes, 0);
+        let tree = DecisionTree { nodes: Vec::new(), task };
+        Grower { layout, y, params, tree, s }
+    }
+
+    /// Count the classes of node `lo..hi` into `total` and list them in
+    /// `present`, reading the labels through the rows of feature 0's run
+    /// (feature 0 always leads): a count does not depend on order.
     fn tally(&mut self, lo: usize, hi: usize) {
-        for &(label, _) in &self.s.sample[lo..hi] {
-            let c = label as usize;
+        for &(_, row) in &self.s.sorted[0][lo..hi] {
+            let c = self.y[row] as usize;
             if self.s.total[c] == 0 {
                 self.s.present.push(c);
             }
@@ -317,7 +413,7 @@ impl Grower<'_> {
     /// the first `n_left` pairs of the range of `f`'s leader, which the sweep
     /// put there.
     fn mark(&mut self, f: usize, lo: usize, hi: usize, n_left: usize) {
-        let (left, right) = self.s.sorted[self.layout.leader[f]][lo..hi].split_at(n_left);
+        let (left, right) = self.s.sorted[self.layout.ranks.leader[f]][lo..hi].split_at(n_left);
         for &(_, row) in left {
             self.s.goes_left[row] = true;
         }
@@ -387,7 +483,7 @@ impl Grower<'_> {
                 }
                 at = (f, 0);
             }
-            let run = &s.sorted[layout.leader[f]][lo..hi];
+            let run = &s.sorted[layout.ranks.leader[f]][lo..hi];
             for &(_, i) in &run[at.1..n_left] {
                 s.left[y[i] as usize] += 1;
             }
@@ -420,11 +516,13 @@ impl Grower<'_> {
     /// The slow winner `w` has `Ĝ_w ≥ Ĝ_k`, hence `G_w ≥ G_k − 2E_g` and
     /// `s_w ≥ s_k − 2(E_s + E_g)` for every `k`: it scores within `2·tol` of
     /// the top for any `tol ≥ E_s + E_g`, and the one below has a factor of 6
-    /// and more to spare. Evaluating just those candidates the slow way, in
-    /// enumeration order under the same strict `>`, returns `w` with `Ĝ_w` —
-    /// the first of the maxima is the first in any subset that holds it. A
-    /// score not provably below the line (NaN, or a non-finite `tol`) is
-    /// evaluated; its sides are gathered in sample order through `mark`.
+    /// and more to spare, which also absorbs the few ulps by which `n·√n`
+    /// (no libm call) misses `n^1.5`. Evaluating just those candidates the
+    /// slow way, in enumeration order under the same strict `>`, returns `w`
+    /// with `Ĝ_w` — the first of the maxima is the first in any subset that
+    /// holds it. A score not provably below the line (NaN, or a non-finite
+    /// `tol`) is evaluated; its sides are gathered in sample order through
+    /// `mark`, and the last one evaluated stays in `sides` for `split`.
     fn best_sse_split(&mut self, lo: usize, hi: usize) -> Best {
         let n = hi - lo;
         let (layout, y, s) = (self.layout, self.y, &mut *self.s);
@@ -437,7 +535,7 @@ impl Grower<'_> {
             y_max = y_max.max(y.abs());
         }
         let nf = n as f64;
-        let tol = 64.0 * f64::EPSILON * nf.powf(1.5) * parent
+        let tol = 64.0 * f64::EPSILON * (nf * nf.sqrt()) * parent
             + 4.0 * (f64::EPSILON * y_max).powi(2) * nf.powi(3);
 
         s.scored.clear();
@@ -456,6 +554,7 @@ impl Grower<'_> {
         let line = band_line(&s.scored, tol);
 
         let mut best = None;
+        s.marked = None;
         for k in 0..self.s.scored.len() {
             let cand @ (score, f, _, n_left) = self.s.scored[k];
             if score < line {
@@ -467,6 +566,7 @@ impl Grower<'_> {
             s.sides.extend_from_slice(&s.sample[lo..hi]);
             let goes_left = &s.goes_left;
             partition(&mut s.sides, &mut s.spill, |row| goes_left[row]);
+            s.marked = Some((f, n_left));
             let (left, right) = s.sides.split_at(n_left);
             let gain = parent
                 - sse(left.iter().map(|p| p.0), n_left)
@@ -493,17 +593,32 @@ impl Grower<'_> {
 
     /// Divide node `lo..hi` at its candidate `(f, n_left)` and return where:
     /// the range of `f`'s leader is divided already (its first `n_left` pairs
-    /// are the left side), and every other leader's range and the sample's
-    /// are partitioned stably by the rows `mark` puts left, so `lo..mid` and
-    /// `mid..hi` are the children's, in the orders the buffers promise.
+    /// are the left side), and every other leader's range and, in regression,
+    /// the sample's are partitioned stably by the rows `mark` puts left, so
+    /// `lo..mid` and `mid..hi` are the children's, in the orders the buffers
+    /// promise. A classification tree with one leader partitions nothing. A
+    /// regression split at the candidate `best_sse_split` divided last takes
+    /// that candidate's mark and divided sample.
     fn split(&mut self, lo: usize, hi: usize, f: usize, n_left: usize) -> usize {
-        self.mark(f, lo, hi, n_left);
-        let (leader, chosen) = (self.layout.leader, self.layout.leader[f]);
-        let Scratch { sample, sorted, spill, goes_left, .. } = &mut *self.s;
-        let others = sorted.iter_mut().enumerate();
-        let others = others.filter(|&(g, _)| leader[g] == g && g != chosen).map(|(_, run)| run);
-        for run in others.chain([sample]) {
-            let moved = partition(&mut run[lo..hi], spill, |row| goes_left[row]);
+        let (leader, chosen) = (&self.layout.ranks.leader, self.layout.ranks.leader[f]);
+        let regression = self.tree.task == Task::Regression;
+        let kept = regression && self.s.marked == Some((f, n_left));
+        let mut others = (0..leader.len()).filter(|&g| leader[g] == g && g != chosen).peekable();
+        if !regression && others.peek().is_none() {
+            return lo + n_left;
+        }
+        if !kept {
+            self.mark(f, lo, hi, n_left);
+        }
+        let Scratch { sample, sorted, spill, sides, goes_left, .. } = &mut *self.s;
+        for g in others {
+            let moved = partition(&mut sorted[g][lo..hi], spill, |row| goes_left[row]);
+            debug_assert_eq!(moved, n_left);
+        }
+        if kept {
+            sample[lo..hi].copy_from_slice(sides);
+        } else if regression {
+            let moved = partition(&mut sample[lo..hi], spill, |row| goes_left[row]);
             debug_assert_eq!(moved, n_left);
         }
         lo + n_left
@@ -517,12 +632,17 @@ impl Grower<'_> {
         let node_id = self.tree.nodes.len();
         self.tree.nodes.push(NodeKind::Leaf { value: 0.0 }); // placeholder
 
-        let first = self.s.sample[lo].0;
-        let pure = self.s.sample[lo..hi].iter().all(|p| p.0 == first);
+        let (y, rows) = (self.y, &self.s.sorted[0][lo..hi]);
+        let first = y[rows[0].1];
+        let pure = rows.iter().all(|p| y[p.1] == first);
+        if pure && self.tree.task != Task::Regression {
+            self.tree.nodes[node_id] = NodeKind::Leaf { value: first as usize as f64 };
+            return node_id;
+        }
         let stop = depth >= self.params.max_depth || hi - lo < self.params.min_samples_split;
         let mut best = None;
         if !stop && !pure {
-            let (leader, feats) = (self.layout.leader, &mut self.s.feats);
+            let (leader, feats) = (&self.layout.ranks.leader, &mut self.s.feats);
             let d = leader.len();
             feats.clear();
             feats.extend(0..d);
@@ -559,7 +679,7 @@ impl DecisionTree {
     /// Fit a tree for targets `y` on the sample `layout` lays out, growing
     /// in the scratch `s`: the grower reads features only through the layout,
     /// so a forest lays out one bootstrap for every target it fits on those
-    /// rows, and a worker's trees reuse one scratch.
+    /// rows, and a fit's trees reuse one scratch.
     pub(crate) fn fit_sorted(
         layout: &Layout<'_>,
         y: &[f64],
@@ -568,18 +688,7 @@ impl DecisionTree {
         rng: &mut impl Rng,
         s: &mut Scratch,
     ) -> Self {
-        let n_classes = match task {
-            Task::Classification { n_classes } => n_classes,
-            Task::Regression => 0,
-        };
-        s.sample.clear();
-        s.sample.extend(layout.rows.iter().map(|&i| (y[i], i)));
-        s.sorted.clone_from(&layout.sorted);
-        s.goes_left.resize(y.len(), false);
-        s.total.resize(n_classes, 0); // all zero between trees, as between nodes
-        s.left.resize(n_classes, 0);
-        let tree = DecisionTree { nodes: Vec::new(), task };
-        let mut grower = Grower { layout, y, params, tree, s };
+        let mut grower = Grower::new(layout, y, task, params, s);
         grower.grow(0, layout.rows.len(), 0, rng);
         grower.tree
     }
@@ -603,6 +712,11 @@ pub(crate) mod tests {
     use super::*;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// Per feature, its leader.
+    fn leaders(x: &[Vec<f64>]) -> Vec<usize> {
+        Ranks::new(x).leader
+    }
 
     impl DecisionTree {
         /// Fit a tree on `(x, y)`; classification labels must be
@@ -632,8 +746,9 @@ pub(crate) mod tests {
             params: TreeParams,
             rng: &mut impl Rng,
         ) -> Self {
-            let leader = leaders(x);
-            let layout = Layout::new(x, &leader, rows);
+            let ranks = Ranks::new(x);
+            let mut layout = Layout::of(x, &ranks);
+            layout.lay_out(rows.iter().copied());
             Self::fit_sorted(&layout, y, task, params, rng, &mut Scratch::default())
         }
 
@@ -1139,6 +1254,123 @@ pub(crate) mod tests {
         for subsample in [None, Some(1)] {
             let params = TreeParams { feature_subsample: subsample, ..Default::default() };
             assert_same_tree(&x, &y, &drawn, task, params, "17 classes, drawn");
+        }
+    }
+
+    /// The layout a comparison sort gives, as `Layout` had it before it laid
+    /// samples out by rank: per leader, the sample's `(value, row)` pairs
+    /// sorted by value, stably; a twin's run empty.
+    fn sorted_by_comparison(x: &[Vec<f64>], leader: &[usize], rows: &[usize]) -> Vec<Vec<Pair>> {
+        let sorted_run = |f: usize| {
+            let mut run: Vec<Pair> = rows.iter().map(|&i| (x[i][f], i)).collect();
+            run.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+            run
+        };
+        let leads = leader.iter().enumerate();
+        leads.map(|(f, &g)| if g == f { sorted_run(f) } else { Vec::new() }).collect()
+    }
+
+    /// The counting sort by rank lays every sample out as the stable
+    /// comparison sort does, bit for bit: 400 random bootstraps (rows drawn
+    /// with replacement, some far more often than others) of 1–60 rows on
+    /// 1–4 features whose values come from a few levels (ties), include
+    /// `-0.0` beside `0.0` (equal, so tied, yet not the same bits) and ±∞,
+    /// and sometimes an order twin of feature 0. One layout serves all of a
+    /// case's samples in turn, as in a forest.
+    #[test]
+    fn counting_sort_lays_out_what_the_stable_sort_does() {
+        let levels = [f64::NEG_INFINITY, -3.5, -0.0, 0.0, 0.25, 1.0, 7.0, f64::INFINITY];
+        let mut twinned = 0;
+        for case in 0..100u64 {
+            let mut g = ChaCha8Rng::seed_from_u64(0x1a70_0000 + case);
+            let n = g.gen_range(1..=60usize);
+            let d = g.gen_range(1..=4usize);
+            let spread = g.gen_range(1..=levels.len());
+            let twin = d > 1 && g.gen_bool(0.4);
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    let mut row: Vec<f64> =
+                        (0..d).map(|_| levels[g.gen_range(0..spread)]).collect();
+                    if twin {
+                        row[0] = f64::from(g.gen_range(1..=9u32));
+                        row[d - 1] = row[0].ln();
+                    }
+                    row
+                })
+                .collect();
+            let ranks = Ranks::new(&x);
+            twinned += usize::from(ranks.leader.iter().enumerate().any(|(f, &l)| l != f));
+            let mut layout = Layout::of(&x, &ranks);
+            for _ in 0..4 {
+                let hot = g.gen_range(0..n);
+                let rows: Vec<usize> =
+                    (0..n).map(|_| if g.gen_bool(0.3) { hot } else { g.gen_range(0..n) }).collect();
+                layout.lay_out(rows.iter().copied());
+                let want = sorted_by_comparison(&x, &ranks.leader, &rows);
+                let bits = |runs: &[Vec<Pair>]| -> Vec<Vec<(u64, usize)>> {
+                    runs.iter()
+                        .map(|r| r.iter().map(|&(v, i)| (v.to_bits(), i)).collect())
+                        .collect()
+                };
+                assert_eq!(layout.rows, rows, "case {case}");
+                assert_eq!(bits(&layout.sorted), bits(&want), "case {case}: {x:?} {rows:?}");
+            }
+        }
+        assert!(twinned >= 20, "{twinned} of 100 cases lay out a twin");
+    }
+
+    /// A regression node whose winner is not the candidate `best_sse_split`
+    /// divided last: rows `0, 3, 3, 3, 0` on `0..5` score and gain exactly
+    /// alike split after the first row and after the fourth, both in the
+    /// band; the first enumerated wins, the last is what `goes_left` and
+    /// `sides` hold, so `split` marks and partitions again. The tree, with a
+    /// second, independent feature whose run that mark divides, is the
+    /// oracle's.
+    #[test]
+    fn a_split_at_an_earlier_candidate_marks_and_partitions_again() {
+        let x: Vec<Vec<f64>> = (0..5).map(|i| vec![f64::from(i), f64::from(i * 3 % 5)]).collect();
+        let y = [0.0, 3.0, 3.0, 3.0, 0.0];
+        let ranks = Ranks::new(&x);
+        assert_eq!(ranks.leader, [0, 1]);
+        let mut layout = Layout::of(&x, &ranks);
+        layout.lay_out(0..5);
+        let mut s = Scratch::default();
+        let mut grower = Grower::new(&layout, &y, Task::Regression, TreeParams::default(), &mut s);
+        grower.s.feats.extend([0]);
+        let best = grower.best_sse_split(0, 5).map(|(_, f, _, n_left)| (f, n_left));
+        assert_eq!(best, Some((0, 1)));
+        assert_eq!(grower.s.marked, Some((0, 4)));
+
+        let rows: Vec<usize> = (0..5).collect();
+        let params = TreeParams { feature_subsample: Some(1), ..TreeParams::default() };
+        for params in [TreeParams::default(), params] {
+            let t = assert_same_tree(&x, &y, &rows, Task::Regression, params, "earlier winner");
+            assert!(t.size() > 3);
+        }
+        let drawn = [4, 0, 1, 1, 3, 2, 0, 4, 3];
+        assert_same_tree(&x, &y, &drawn, Task::Regression, TreeParams::default(), "drawn");
+    }
+
+    /// A classification tree on two independent leaders, `[i, i % 7]` as in
+    /// the forest's step data: a split on either partitions the other's run,
+    /// which the splits below read. The trees are the oracle's.
+    #[test]
+    fn a_classification_split_partitions_the_other_leaders_run() {
+        let x: Vec<Vec<f64>> = (0..120).map(|i| vec![f64::from(i), f64::from(i % 7)]).collect();
+        assert_eq!(leaders(&x), [0, 1]);
+        // Four steps of `i`, and inside them the class moves with `i % 7`.
+        let y: Vec<f64> = (0..120).map(|i| f64::from(i / 30 + u32::from(i % 7 < 2))).collect();
+        let task = Task::Classification { n_classes: 5 };
+        let rows: Vec<usize> = (0..120).collect();
+        let drawn: Vec<usize> = (0..120).map(|k| (k * 53 + k / 7) % 120).collect();
+        for (rows, subsample) in [(&rows, None), (&drawn, None), (&drawn, Some(1))] {
+            let params = TreeParams { feature_subsample: subsample, ..TreeParams::default() };
+            let what = format!("{} rows, subsample {subsample:?}", rows.len());
+            let t = assert_same_tree(&x, &y, rows, task, params, &what);
+            let s = splits(&t);
+            let (on_0, on_1) = (s.iter().any(|&(_, f)| f == 0), s.iter().any(|&(_, f)| f == 1));
+            assert!(on_0 && on_1, "{what}: {s:?}");
+            assert!(s.iter().any(|&(depth, _)| depth >= 2), "{what}: {s:?}");
         }
     }
 
