@@ -52,6 +52,7 @@ pub struct RandomForest {
 impl RandomForest {
     /// Fit a forest of default-limit trees, each split weighing a per-task
     /// feature subsample: √d for classification, max(1, d/3) for regression.
+    /// Panics where [`RandomForest::fit_many`] does.
     pub fn fit(x: &[Vec<f64>], y: &[f64], task: Task, params: ForestParams) -> Self {
         let [forest] = Self::fit_many(x, &[(y, task)], params);
         forest

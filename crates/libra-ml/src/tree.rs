@@ -198,7 +198,10 @@ pub(crate) struct Ranks {
 impl Ranks {
     /// Rank every leading column of `x`: one stable sort of the rows per
     /// leader, which also decides which later features are its twins.
-    #[expect(clippy::float_cmp, reason = "a twin ties where its leader ties, bit for bit")]
+    #[expect(
+        clippy::float_cmp,
+        reason = "a twin ties where its leader ties, and a rank rises where a value does"
+    )]
     pub(crate) fn new(x: &[Vec<f64>]) -> Self {
         let below = |a: f64, b: f64| (a + b) / 2.0 < b;
         let twins = |order: &[usize], g: usize, f: usize| {
