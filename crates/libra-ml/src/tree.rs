@@ -269,8 +269,10 @@ impl<'a> Layout<'a> {
             for &i in rows.iter() {
                 next[rank[i] + 1] += 1;
             }
-            for k in 1..next.len() {
-                next[k] += next[k - 1];
+            let mut below = 0;
+            for slot in next.iter_mut() {
+                below += *slot;
+                *slot = below;
             }
             run.resize(rows.len(), (0.0, 0));
             for &i in rows.iter() {
