@@ -340,9 +340,11 @@ impl Counted<LibraPlatform> {
     /// predicted for has its verdict computed here, uncounted. What it
     /// fitted: `relatedness_fits`, the relatedness test's forest fits a
     /// prediction read (the CPU-class forest, then memory and duration
-    /// together if it passes), `serving_fits`, the serving forest sets a
-    /// prediction read, and `rows_fitted`, the rows summed over those.
-    fn profiler_counts(&self) -> [(&'static str, u64); 7] {
+    /// if it passes), `relatedness_trees`, the trees those fits grew (a
+    /// classifier stops at the tree that settles its accuracy),
+    /// `serving_fits`, the serving forest sets a prediction read, and
+    /// `rows_fitted`, the rows summed over those.
+    fn profiler_counts(&self) -> [(&'static str, u64); 8] {
         let Some(profiler) = self.inner.profiler() else {
             panic!("{} runs no profiler", self.inner.name())
         };
@@ -364,6 +366,7 @@ impl Counted<LibraPlatform> {
             ("profiler.observe.calls", self.observed.iter().flatten().sum::<usize>() as u64),
             ("profiler.rows_max", rows_max as u64),
             ("profiler.relatedness_fits", fits.relatedness),
+            ("profiler.relatedness_trees", fits.relatedness_trees),
             ("profiler.serving_fits", fits.serving),
             ("profiler.rows_fitted", fits.serving_rows),
         ]

@@ -17,7 +17,12 @@
 //!    regressor (duration) — are fitted on 70 % of the rows and evaluated on
 //!    the held-out 30 %. The verdict is a conjunction, so it is evaluated
 //!    lazily: the CPU-class forest first, alone, and the memory and duration
-//!    forests only when its accuracy clears the threshold. Under a forced
+//!    forests only when its accuracy clears the threshold. A classifier
+//!    grows tree by tree and stops at the first tree after which no votes of
+//!    the trees still to come could change whether its held-out accuracy
+//!    clears the threshold ([`HeldOutVotes`]); the duration forest grows
+//!    whole, for its R². Every tree grown is the tree the whole test grows,
+//!    so the verdict is the whole test's, bit for bit. Under a forced
 //!    [`ModelChoice`] nothing is scored. [`Profiler::scores`] reruns the
 //!    whole test on demand, from the pilot set the function's first sight
 //!    regenerates; no run reads them, only `tests/profiler_pins.rs`, the
@@ -48,7 +53,7 @@
 //! noise — see DESIGN.md §1 for the substitution note.
 
 use libra_ml::dataset::split_indices;
-use libra_ml::forest::{ForestParams, RandomForest};
+use libra_ml::forest::{ForestParams, HeldOutVotes, RandomForest};
 use libra_ml::histogram::StreamingHistogram;
 use libra_ml::metrics::{accuracy, r2_score};
 use libra_ml::tree::Task;
@@ -333,41 +338,84 @@ impl Dataset3 {
         Forests::fit(&self.x[..n], &self.cpu[..n], mem, &self.dur[..n], n_mem_classes(mem), seed)
     }
 
-    /// The relatedness test (§4.3): forests fitted on a 7:3 split's train
-    /// rows, scored on its test rows. One split serves the three targets.
-    /// The CPU-class forest is fitted alone and scored first; with `lazy`, a
-    /// CPU accuracy under the threshold decides the conjunction and ends the
-    /// test (`None`). Otherwise the memory and duration forests follow in
-    /// one `fit_many`, each the forest a three-target fit would grow.
-    fn relatedness(&self, seed: u64, lazy: bool) -> Option<ModelScores> {
+    /// The 7:3 split of the relatedness test (§4.3): its train rows and
+    /// test rows, with the row numbers of each. One split serves the three
+    /// targets.
+    fn split(&self, seed: u64) -> Split {
         let (tr, te) = split_indices(self.len(), TRAIN_FRAC, seed);
         let rows = |ids: &[usize]| ids.iter().map(|&i| self.x[i].clone()).collect::<Vec<_>>();
+        Split { train: rows(&tr), test: rows(&te), tr, te }
+    }
+
+    /// The relatedness test's scores: the three forests fitted on the
+    /// split's train rows in one `fit_many`, each scored on its test rows.
+    fn scores(&self, seed: u64) -> ModelScores {
+        let split = self.split(seed);
+        let (tr, te) = (&split.tr, &split.te);
         let pick = |ids: &[usize], col: &[f64]| ids.iter().map(|&i| col[i]).collect::<Vec<_>>();
-        let (trx, tex) = (rows(&tr), rows(&te));
+        let (cpu, mem, dur) = (pick(tr, &self.cpu), pick(tr, &self.mem), pick(tr, &self.dur));
+        let rf = Forests::fit(&split.train, &cpu, &mem, &dur, n_mem_classes(&self.mem), seed);
         let class_acc = |forest: &RandomForest, col: &[f64]| {
             accuracy(
-                &tex.iter().map(|r| forest.predict_class(r)).collect::<Vec<_>>(),
+                &split.test.iter().map(|r| forest.predict_class(r)).collect::<Vec<_>>(),
                 &te.iter().map(|&i| label(col[i])).collect::<Vec<_>>(),
             )
         };
-        let cpu = RandomForest::fit(&trx, &pick(&tr, &self.cpu), CPU_TASK, forest_params(seed));
-        let cpu_acc = class_acc(&cpu, &self.cpu);
-        if lazy && cpu_acc < ACC_THRESHOLD {
-            return None;
-        }
-        let (mem, dur) = (pick(&tr, &self.mem), pick(&tr, &self.dur));
-        let mem_task = Task::Classification { n_classes: n_mem_classes(&self.mem) };
-        let targets = [(&mem[..], mem_task), (&dur[..], Task::Regression)];
-        let [mem, dur] = RandomForest::fit_many(&trx, &targets, forest_params(seed));
-        Some(ModelScores {
-            cpu_acc,
-            mem_acc: class_acc(&mem, &self.mem),
+        ModelScores {
+            cpu_acc: class_acc(&rf.cpu, &self.cpu),
+            mem_acc: class_acc(&rf.mem, &self.mem),
             dur_r2: r2_score(
-                &tex.iter().map(|r| dur.predict(r)).collect::<Vec<_>>(),
-                &pick(&te, &self.dur),
+                &split.test.iter().map(|r| rf.dur.predict(r)).collect::<Vec<_>>(),
+                &pick(te, &self.dur),
             ),
-        })
+        }
     }
+
+    /// The relatedness verdict, grown only as far as it needs: whether the
+    /// scores would clear their thresholds, and what deciding it cost. The
+    /// verdict is a conjunction, read in order. The CPU-class forest grows
+    /// alone, tree by tree, until its held-out accuracy is settled
+    /// (`HeldOutVotes`); a fail ends the test. The memory-class forest
+    /// follows alike, then the duration forest, whole, for its R². Each
+    /// forest is the one a three-target fit grows, cut where it settled.
+    fn related(&self, seed: u64, fits: &mut FitCounts) -> bool {
+        let split = self.split(seed);
+        let (tr, te) = (&split.tr, &split.te);
+        let pick = |ids: &[usize], col: &[f64]| ids.iter().map(|&i| col[i]).collect::<Vec<_>>();
+        let params = forest_params(seed);
+        let mut clears = |col: &[f64], n_classes: usize, thr: f64| {
+            let truth: Vec<usize> = te.iter().map(|&i| label(col[i])).collect();
+            let mut votes = HeldOutVotes::new(&split.test, &truth, n_classes, params.n_trees, thr);
+            let targets = [(&pick(tr, col)[..], Task::Classification { n_classes })];
+            let [forest] = RandomForest::fit_many_while(&split.train, &targets, params, |[f]| {
+                votes.tally(f);
+                votes.settled().is_none()
+            });
+            fits.relatedness_trees += forest.len() as u64;
+            votes.settled() == Some(true)
+        };
+        fits.relatedness += 1;
+        if !clears(&self.cpu, MAX_CPU_CLASS + 1, ACC_THRESHOLD) {
+            return false;
+        }
+        fits.relatedness += 1;
+        if !clears(&self.mem, n_mem_classes(&self.mem), MEM_ACC_THRESHOLD) {
+            return false;
+        }
+        let dur = RandomForest::fit(&split.train, &pick(tr, &self.dur), Task::Regression, params);
+        fits.relatedness_trees += dur.len() as u64;
+        let pred: Vec<f64> = split.test.iter().map(|r| dur.predict(r)).collect();
+        r2_score(&pred, &pick(te, &self.dur)) >= R2_THRESHOLD
+    }
+}
+
+/// A split of a dataset's rows: the train rows and test rows, and their row
+/// numbers.
+struct Split {
+    train: Vec<Vec<f64>>,
+    test: Vec<Vec<f64>>,
+    tr: Vec<usize>,
+    te: Vec<usize>,
 }
 
 /// The histogram path: conservative percentile estimators (§4.3.2).
@@ -420,10 +468,12 @@ pub enum ModelChoice {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FitCounts {
     /// Forest fits of the relatedness test, each run when a prediction first
-    /// read its function's verdict: one for the CPU-class forest alone, and
-    /// one more (the memory and duration forests in one `fit_many`) when its
-    /// accuracy passes.
+    /// read its function's verdict: one for the CPU-class forest, and one
+    /// more for the memory and duration forests when its accuracy passes.
     pub relatedness: u64,
+    /// Trees those fits grew: a classifier stops at the tree that settles
+    /// its held-out accuracy, the duration forest grows whole.
+    pub relatedness_trees: u64,
     /// Serving forest sets (the three in one `fit_many`) fitted, each when a
     /// prediction first read it.
     pub serving: u64,
@@ -476,7 +526,7 @@ impl Profiler {
     /// much of it as decides it, so every call computes them anew and counts
     /// no fit.
     pub fn scores(&self, f: usize) -> Option<ModelScores> {
-        self.first_pilot(f)?.1.relatedness(SEED ^ f as u64, false)
+        Some(self.first_pilot(f)?.1.scores(SEED ^ f as u64))
     }
 
     /// The pilot observations of `f` first seen at `input` (§4.2) and their
@@ -509,27 +559,24 @@ impl Profiler {
     pub fn is_size_related(&self, f: usize) -> Option<bool> {
         match &self.states[f] {
             FuncState::Untrained => None,
-            FuncState::Seen(_) => Some(self.verdict(&self.first_pilot(f)?.1, SEED ^ f as u64).0),
+            FuncState::Seen(_) => {
+                let data = self.first_pilot(f)?.1;
+                Some(self.verdict(&data, SEED ^ f as u64, &mut FitCounts::default()))
+            }
             FuncState::Ml(_) => Some(true),
             FuncState::Hist(_) => Some(false),
         }
     }
 
-    /// Whether a function with pilot rows `data` is served by forests, and
-    /// the relatedness test's forest fits that decided it: the test runs
-    /// with `seed`, only as far as the verdict needs, and only under
-    /// [`ModelChoice::Auto`].
-    fn verdict(&self, data: &Dataset3, seed: u64) -> (bool, u64) {
+    /// Whether a function with pilot rows `data` is served by forests,
+    /// counting in `fits` the relatedness test's forests that decided it: the
+    /// test runs with `seed`, only as far as the verdict needs, and only
+    /// under [`ModelChoice::Auto`].
+    fn verdict(&self, data: &Dataset3, seed: u64, fits: &mut FitCounts) -> bool {
         match self.choice {
-            ModelChoice::Auto => {
-                let scores = data.relatedness(seed, true);
-                let related = scores.is_some_and(|s| {
-                    s.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD)
-                });
-                (related, if scores.is_some() { 2 } else { 1 })
-            }
-            ModelChoice::HistogramOnly => (false, 0),
-            ModelChoice::MlOnly => (true, 0),
+            ModelChoice::Auto => data.related(seed, fits),
+            ModelChoice::HistogramOnly => false,
+            ModelChoice::MlOnly => true,
         }
     }
 
@@ -583,8 +630,9 @@ impl Profiler {
     fn resolve(&mut self, f: usize) {
         let Some((obs, data)) = self.first_pilot(f) else { return };
         let seed = SEED ^ f as u64;
-        let (use_ml, fits) = self.verdict(&data, seed);
-        self.fits.relatedness += fits;
+        let mut fits = self.fits;
+        let use_ml = self.verdict(&data, seed, &mut fits);
+        self.fits = fits;
         let models = if use_ml {
             let sizes = obs.iter().map(|o| o.size);
             FuncState::Ml(Box::new(MlModels {
@@ -1190,17 +1238,9 @@ mod tests {
         let (obs, data) = p.pilot(f, spec.model.as_ref(), first_input);
         p.first_sights[f] = Some((Arc::clone(&spec.model), first_input));
         let seed = SEED ^ f as u64;
-        let use_ml = match p.choice {
-            ModelChoice::Auto => {
-                let scores = data.relatedness(seed, true);
-                p.fits.relatedness += if scores.is_some() { 2 } else { 1 };
-                scores.is_some_and(|s| {
-                    s.input_size_related(ACC_THRESHOLD, MEM_ACC_THRESHOLD, R2_THRESHOLD)
-                })
-            }
-            ModelChoice::HistogramOnly => false,
-            ModelChoice::MlOnly => true,
-        };
+        let mut fits = p.fits;
+        let use_ml = p.verdict(&data, seed, &mut fits);
+        p.fits = fits;
         p.states[f] = if use_ml {
             let sizes = obs.iter().map(|o| o.size);
             FuncState::Ml(Box::new(MlModels {

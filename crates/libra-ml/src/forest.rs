@@ -71,6 +71,20 @@ impl RandomForest {
         targets: &[(&[f64], Task); N],
         params: ForestParams,
     ) -> [Self; N] {
+        Self::fit_many_while(x, targets, params, |_| true)
+    }
+
+    /// [`RandomForest::fit_many`], asking `more` after each tree index
+    /// whether to grow the next: the forests stop, all at one length, at the
+    /// first index `more` answers `false` to. Each holds the first trees of
+    /// the forest `fit_many` would give, bit for bit. Panics where
+    /// `fit_many` does.
+    pub fn fit_many_while<const N: usize>(
+        x: &[Vec<f64>],
+        targets: &[(&[f64], Task); N],
+        params: ForestParams,
+        mut more: impl FnMut(&[Self; N]) -> bool,
+    ) -> [Self; N] {
         assert!(!x.is_empty(), "cannot fit a forest on an empty dataset");
         assert!(x.iter().flatten().all(|v| !v.is_nan()), "cannot fit a forest on a NaN feature");
         let d = x[0].len();
@@ -102,6 +116,9 @@ impl RandomForest {
                     DecisionTree::fit_sorted(&layout, y, task, tp, &mut rng.clone(), &mut scratch);
                 forest.trees.push(tree);
             }
+            if !more(&forests) {
+                break;
+            }
         }
         forests
     }
@@ -113,17 +130,19 @@ impl RandomForest {
                 self.trees.iter().map(|t| t.predict(row)).sum::<f64>() / self.trees.len() as f64
             }
             Task::Classification { n_classes } => {
-                let mut votes = vec![0usize; n_classes];
-                for t in &self.trees {
-                    let c = (t.predict(row) as usize).min(n_classes - 1);
-                    votes[c] += 1;
+                // The trees' classes, on the stack for a forest of up to 64.
+                let (mut stack, mut heap) = ([0; 64], Vec::new());
+                let votes = match stack.get_mut(..self.trees.len()) {
+                    Some(votes) => votes,
+                    None => {
+                        heap.resize(self.trees.len(), 0);
+                        &mut heap[..]
+                    }
+                };
+                for (vote, t) in votes.iter_mut().zip(&self.trees) {
+                    *vote = vote_of(t, row, n_classes);
                 }
-                votes
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, &v)| v)
-                    .map(|(c, _)| c as f64)
-                    .unwrap_or(0.0)
+                plurality(votes, n_classes) as f64
             }
         }
     }
@@ -141,6 +160,131 @@ impl RandomForest {
     /// True when the forest has no trees (never the case after `fit`).
     pub fn is_empty(&self) -> bool {
         self.trees.is_empty()
+    }
+}
+
+/// The class tree `t` votes for at `row`, of `n_classes`.
+fn vote_of(t: &DecisionTree, row: &[f64], n_classes: usize) -> usize {
+    (t.predict(row) as usize).min(n_classes - 1)
+}
+
+/// The class most `votes` name; of equal counts the largest, as a
+/// `max_by_key` over per-class counts keeps the last of its maxima. With no
+/// votes, every count ties at zero: the largest of `n_classes`.
+fn plurality(votes: &mut [usize], n_classes: usize) -> usize {
+    votes.sort_unstable();
+    let runs = votes.chunk_by(|a, b| a == b).map(|run| (run.len(), run[0]));
+    runs.fold((0, n_classes.saturating_sub(1)), std::cmp::max).1
+}
+
+/// A classification forest's votes on held-out rows, tallied tree by tree
+/// as it grows, and whether its accuracy there clears a threshold once it
+/// is whole: known as soon as no choice of the remaining trees' votes could
+/// change it.
+///
+/// A row's truth `t` is the forest's answer once `(v[t], t)` is above
+/// `(v[c], c)` for every other class `c`, compared as pairs: the most votes,
+/// of equal votes the largest class, as [`RandomForest::predict`] decides.
+/// With `r` trees to come the row is a sure hit when `(v[t], t)` is above
+/// `(v[c] + r, c)` for the other class `c` with the highest `(v[c], c)`, its
+/// *rival* (every remaining vote for the rival), and a sure miss when the
+/// rival is above `(v[t] + r, t)` (every remaining vote for the truth).
+/// Accuracy clears `thr` when the hits reach the least count `h` with
+/// `h / n >= thr`, the comparison `accuracy` makes: settled once the sure
+/// hits reach it, or the rows not yet sure misses cannot. With no tree to
+/// come every row is one or the other, so a whole forest always settles.
+pub struct HeldOutVotes<'a> {
+    x: &'a [Vec<f64>],
+    truth: &'a [usize],
+    n_classes: usize,
+    /// Per row, per class, the votes of the trees tallied; a row's truth
+    /// counts in `own` instead.
+    votes: Vec<usize>,
+    /// Per row, the votes for its truth and `(votes, class)` of its rival.
+    own: Vec<usize>,
+    rival: Vec<(usize, usize)>,
+    /// Hits needed to clear the threshold; `None` when none suffice.
+    need: Option<usize>,
+    /// Trees tallied, and trees the whole forest will have.
+    tallied: usize,
+    n_trees: usize,
+}
+
+impl<'a> HeldOutVotes<'a> {
+    /// No votes yet on the rows `x`, whose true classes are `truth`, of a
+    /// forest of `n_trees` trees over `n_classes`, to be held to accuracy
+    /// `thr`.
+    pub fn new(
+        x: &'a [Vec<f64>],
+        truth: &'a [usize],
+        n_classes: usize,
+        n_trees: usize,
+        thr: f64,
+    ) -> Self {
+        assert_eq!(x.len(), truth.len(), "held-out rows/truth length mismatch");
+        let n = truth.len();
+        let accuracy = |hits: usize| if n == 0 { 0.0 } else { hits as f64 / n as f64 };
+        // Before any vote the rival is the largest class but the truth.
+        let top =
+            |t: usize| if t + 1 == n_classes { n_classes.saturating_sub(2) } else { n_classes - 1 };
+        HeldOutVotes {
+            x,
+            truth,
+            n_classes,
+            votes: vec![0; n * n_classes],
+            own: vec![0; n],
+            rival: truth.iter().map(|&t| (0, top(t))).collect(),
+            need: (0..=n).find(|&h| accuracy(h) >= thr),
+            tallied: 0,
+            n_trees,
+        }
+    }
+
+    /// Tally the trees of `forest`, a forest growing tree by tree, not
+    /// tallied yet.
+    pub fn tally(&mut self, forest: &RandomForest) {
+        for t in forest.trees.get(self.tallied..).unwrap_or_default() {
+            let (x, n_classes) = (self.x, self.n_classes);
+            self.add(x.iter().map(|row| vote_of(t, row, n_classes)));
+        }
+    }
+
+    /// One tree's votes, one per row.
+    fn add(&mut self, votes: impl Iterator<Item = usize>) {
+        let rows = self.votes.chunks_mut(self.n_classes.max(1));
+        for ((((c, &t), counts), own), rival) in
+            votes.zip(self.truth).zip(rows).zip(&mut self.own).zip(&mut self.rival)
+        {
+            if c == t {
+                *own += 1;
+            } else {
+                counts[c] += 1;
+                *rival = (*rival).max((counts[c], c));
+            }
+        }
+        self.tallied += 1;
+    }
+
+    /// Whether accuracy clears the threshold once the forest is whole, if
+    /// the trees tallied settle it.
+    pub fn settled(&self) -> Option<bool> {
+        let Some(need) = self.need else { return Some(false) };
+        let r = self.n_trees.saturating_sub(self.tallied);
+        let (mut hits, mut open) = (0, 0);
+        for ((&own, &t), &(rv, rc)) in self.own.iter().zip(self.truth).zip(&self.rival) {
+            if (own, t) > (rv + r, rc) {
+                hits += 1;
+            } else if (rv, rc) <= (own + r, t) {
+                open += 1;
+            }
+        }
+        if hits >= need {
+            Some(true)
+        } else if hits + open < need {
+            Some(false)
+        } else {
+            None
+        }
     }
 }
 
@@ -306,6 +450,127 @@ mod tests {
                     assert_eq!(forest.predict(row).to_bits(), reference.predict(row).to_bits());
                 }
             }
+        }
+    }
+
+    /// The class the per-class `counts` elect under the rule the forest had
+    /// before its votes stayed on the stack: `max_by_key` over the classes,
+    /// which keeps the last of equal maxima.
+    fn elected(counts: &[usize]) -> usize {
+        counts.iter().enumerate().max_by_key(|&(_, &v)| v).map_or(0, |(c, _)| c)
+    }
+
+    /// Per-class counts of `votes` over `n_classes`.
+    fn counts_of(votes: &[usize], n_classes: usize) -> Vec<usize> {
+        let mut counts = vec![0; n_classes];
+        for &v in votes {
+            counts[v] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn plurality_elects_what_per_class_counts_did() {
+        let mut g = ChaCha8Rng::seed_from_u64(0x7073);
+        for _ in 0..5000 {
+            let n_classes = g.gen_range(1..=17usize);
+            // Few distinct classes over many votes, so that counts tie often.
+            let used = g.gen_range(1..=n_classes.min(4));
+            let pool: Vec<usize> = (0..used).map(|_| g.gen_range(0..n_classes)).collect();
+            let mut votes: Vec<usize> =
+                (0..g.gen_range(0..=30)).map(|_| pool[g.gen_range(0..used)]).collect();
+            let want = elected(&counts_of(&votes, n_classes));
+            assert_eq!(plurality(&mut votes, n_classes), want);
+        }
+    }
+
+    /// Brute force of `HeldOutVotes` on random vote tables: 2–17 classes,
+    /// 1–30 rows, votes drawn from a few classes per row so that counts tie,
+    /// thresholds on and beside `k/n`. Whenever the trees tallied settle
+    /// the verdict, it is the verdict of all of them, each row elected as
+    /// `RandomForest::predict` elects and scored by `accuracy`; and a whole
+    /// forest always settles.
+    #[test]
+    fn held_out_votes_settle_only_on_the_whole_forests_verdict() {
+        let mut g = ChaCha8Rng::seed_from_u64(0x4856);
+        let (mut early, mut cases) = (0, 0);
+        for _ in 0..4000 {
+            let n_classes = g.gen_range(2..=17usize);
+            let n = g.gen_range(1..=30usize);
+            let n_trees = g.gen_range(1..=24usize);
+            let truth: Vec<usize> = (0..n).map(|_| g.gen_range(0..n_classes)).collect();
+            // Per row, the classes its trees vote among: mostly its truth.
+            let table: Vec<Vec<usize>> = truth
+                .iter()
+                .map(|&t| {
+                    let others: Vec<usize> = (0..2).map(|_| g.gen_range(0..n_classes)).collect();
+                    let bias = g.gen_range(0..=4u32);
+                    (0..n_trees)
+                        .map(|_| {
+                            if g.gen_range(0..4u32) < bias {
+                                t
+                            } else {
+                                others[g.gen_range(0..2usize)]
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let pred: Vec<usize> =
+                table.iter().map(|votes| elected(&counts_of(votes, n_classes))).collect();
+            let acc = accuracy(&pred, &truth);
+            let k = g.gen_range(0..=n);
+            let thr = match g.gen_range(0..4u32) {
+                0 => k as f64 / n as f64,
+                1 => acc,
+                2 => [0.7, 0.55][g.gen_range(0..2usize)],
+                _ => g.gen_range(0..=1000u32) as f64 / 1000.0,
+            };
+            let whole = acc >= thr;
+            let rows = vec![Vec::new(); n];
+            let mut votes = HeldOutVotes::new(&rows, &truth, n_classes, n_trees, thr);
+            for tree in 0..n_trees {
+                votes.add(table.iter().map(|row| row[tree]));
+                if let Some(verdict) = votes.settled() {
+                    assert_eq!(verdict, whole, "settled after {} of {n_trees}", tree + 1);
+                    early += usize::from(tree + 1 < n_trees);
+                }
+            }
+            assert_eq!(votes.settled(), Some(whole));
+            cases += 1;
+        }
+        assert!(early > cases / 4, "the rule settles early in {early} of {cases} cases");
+    }
+
+    /// Thresholds that land exactly on a hit count: 21 of 30 is 0.7, and
+    /// `accuracy` compares `21.0 / 30.0 >= 0.7`, which holds.
+    #[test]
+    fn held_out_votes_need_the_hits_accuracy_counts() {
+        let truth = vec![0; 30];
+        let rows = vec![Vec::new(); 30];
+        assert_eq!(HeldOutVotes::new(&rows, &truth, 2, 1, 0.7).need, Some(21));
+        for (hits, clears) in [(21, true), (20, false)] {
+            let mut votes = HeldOutVotes::new(&rows, &truth, 2, 1, 0.7);
+            votes.add((0..30).map(|k| usize::from(k >= hits)));
+            assert_eq!(votes.settled(), Some(clears));
+        }
+    }
+
+    #[test]
+    fn fit_many_while_keeps_the_first_trees_of_fit_many() {
+        let (x, y) = step_data(90);
+        let targets = [(&y[..], Task::Classification { n_classes: 4 }), (&y[..], Task::Regression)];
+        let params = ForestParams { n_trees: 24, seed: 5 };
+        let whole = RandomForest::fit_many(&x, &targets, params);
+        let mut asked = 0;
+        let cut = RandomForest::fit_many_while(&x, &targets, params, |forests| {
+            asked += 1;
+            assert!(forests.iter().all(|f| f.len() == asked));
+            asked < 13
+        });
+        for (cut, whole) in cut.iter().zip(&whole) {
+            assert_eq!(cut.len(), 13);
+            assert_eq!(format!("{:?}", cut.trees), format!("{:?}", &whole.trees[..13]));
         }
     }
 }

@@ -63,11 +63,15 @@
 //! < b`. So each boundary moves one value's rows in both features, and a
 //! twin's candidates are its leader's partitions, scores and gains at its own
 //! thresholds: only leaders are sorted and partitioned, and `grow` sweeps the
-//! first feature of a group (`offer`'s strict `>` would keep it anyway),
-//! reading a twin's own values through its leader's run. The sort that
-//! ranks a leader also finds its twins, so a fit sorts each leader once. A
-//! fit grows every tree in one `Scratch` and lays every sample out in one
-//! `Layout`, so a tree allocates nothing but its nodes.
+//! first feature of a group (`offer`'s strict `>` would keep it anyway) on
+//! its leader's run; a twin picked gets its own midpoint (`threshold`). The
+//! sort that ranks a leader also finds its twins, so a fit sorts each leader
+//! once. A fit grows every tree in one `Scratch` and lays every sample out in
+//! one `Layout`; a tree's one allocation is the copy of its nodes it keeps.
+//!
+//! A node's node-wide work is done once: a classification node's one tally
+//! serves its purity check, search and leaf, and a regression node's
+//! `Moments` come from its parent's slow evaluation of the chosen split.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -113,11 +117,54 @@ enum NodeKind {
 #[derive(Clone, Debug)]
 pub(crate) struct DecisionTree {
     nodes: Vec<NodeKind>,
-    task: Task,
 }
 
-/// The best split of a node so far: `(gain, feature, threshold, n_left)`.
-type Best = Option<(f64, usize, f64, usize)>;
+/// What a regression node's split search reads of its targets, each a float
+/// sum in sample order: the mean, and of the node-centred targets
+/// `z = y − mean` their sum and sum of squares (the node's SSE), and the
+/// largest `|y|`. A split's slow evaluation computes them for both sides,
+/// which are its children's samples in their order, so a child inherits
+/// them rather than summing again.
+#[derive(Clone, Copy, Debug, Default)]
+struct Moments {
+    mean: f64,
+    z_sum: f64,
+    sse: f64,
+    y_max: f64,
+}
+
+impl Moments {
+    /// The moments of `ys`: the mean as `Iterator::sum` adds, then the rest.
+    fn of(ys: &[Pair]) -> Self {
+        Moments::about(ys, ys.iter().map(|p| p.0).sum::<f64>() / ys.len() as f64)
+    }
+
+    /// The moments of `ys` whose mean is `mean`: `z`, `z²` and `|y|` summed
+    /// in order from zero.
+    fn about(ys: &[Pair], mean: f64) -> Self {
+        let mut m = Moments { mean, ..Moments::default() };
+        for &(y, _) in ys {
+            let z = y - mean;
+            m.z_sum += z;
+            m.sse += z * z;
+            m.y_max = m.y_max.max(y.abs());
+        }
+        m
+    }
+}
+
+/// The best split of a node so far: its gain, feature, threshold and left
+/// side's size, and for regression the moments of its two sides.
+#[derive(Clone, Copy, Debug)]
+struct Choice {
+    gain: f64,
+    feature: usize,
+    threshold: f64,
+    n_left: usize,
+    sides: [Moments; 2],
+}
+
+type Best = Option<Choice>;
 
 /// A candidate split of the node at hand: `(score, feature, threshold, n_left)`.
 type Scored = (f64, usize, f64, usize);
@@ -127,23 +174,10 @@ pub(crate) type Pair = (f64, usize);
 
 /// Keep `best` unless `gain` is strictly greater: of equal gains the first
 /// enumerated wins.
-fn offer(best: &mut Best, gain: f64, (_, f, thr, n_left): Scored) {
-    if best.is_none_or(|(g, ..)| gain > g) {
-        *best = Some((gain, f, thr, n_left));
+fn offer(best: &mut Best, gain: f64, (_, feature, threshold, n_left): Scored, sides: [Moments; 2]) {
+    if best.is_none_or(|b| gain > b.gain) {
+        *best = Some(Choice { gain, feature, threshold, n_left, sides });
     }
-}
-
-/// The cut below which a candidate scored `s` cannot be the best split: the
-/// top score less `2·tol`.
-fn band_line(scored: &[Scored], tol: f64) -> f64 {
-    scored.iter().map(|c| c.0).fold(f64::NEG_INFINITY, f64::max) - 2.0 * tol
-}
-
-/// Sum of squared deviations from the mean of `n` targets, two passes in
-/// iteration order.
-fn sse(ys: impl Iterator<Item = f64> + Clone, n: usize) -> f64 {
-    let mean = ys.clone().sum::<f64>() / n as f64;
-    ys.map(|v| (v - mean).powi(2)).sum::<f64>()
 }
 
 /// Gini impurity times `n` of `n` rows with these per-class counts. A count
@@ -159,28 +193,35 @@ fn gini_n(counts: impl Iterator<Item = usize>, n: usize) -> f64 {
 /// `(value, row)` pairs for it in ascending order, by ascending threshold: at
 /// each boundary between distinct values call `visit(thr, entered, n_left)`
 /// with the pairs that joined the left side since the last call and that
-/// side's size. The left side is `value <= thr`, advanced by value, not
-/// position: the midpoint of two adjacent floats can round up to the right
-/// one, whose rows are then on the left too.
+/// side's size. The left side is `value <= thr`: at the boundary before
+/// pair `k` it is the first `k` pairs, unless the midpoint of two adjacent
+/// floats rounds up to the right one, whose rows are then on the left too
+/// (and the next boundary may add none).
 #[expect(
     clippy::float_cmp,
     reason = "a boundary lies between distinct values: equal means bit-equal"
 )]
 fn sweep(vals: &[Pair], mut visit: impl FnMut(f64, &[Pair], usize)) {
-    let mut right = vals;
-    for pair in vals.windows(2) {
+    let mut start = 0; // the left side is `vals[..start]`
+    for (k, pair) in (1..).zip(vals.windows(2)) {
         let (prev, cur) = (pair[0].0, pair[1].0);
+        if cur == prev {
+            continue; // no boundary
+        }
         let thr = (cur + prev) / 2.0;
-        if cur == prev || thr.is_nan() {
-            continue; // no boundary, or −∞ | +∞: no midpoint, and no row `<=` it
+        if thr.is_nan() {
+            continue; // −∞ | +∞: no midpoint, and no row `<=` it
         }
-        let moved = right.iter().take_while(|v| v.0 <= thr).count();
-        if moved == right.len() {
-            break; // no right side, at this or any later (never lower) threshold
+        let mut end = k;
+        if thr >= cur {
+            // Rounded up to `cur`: its rows are on the left too.
+            end += vals[k..].iter().take_while(|v| v.0 <= thr).count();
+            if end == vals.len() {
+                break; // no right side, at this or any later (never lower) threshold
+            }
         }
-        let (entered, rest) = right.split_at(moved);
-        right = rest;
-        visit(thr, entered, vals.len() - right.len());
+        visit(thr, &vals[start..end], end);
+        start = end;
     }
 }
 
@@ -284,30 +325,13 @@ impl<'a> Layout<'a> {
     }
 }
 
-/// Feature `f`'s `(value, row)` pairs of node `lo..hi`, ascending: a leader's
-/// own run, or a twin's values read through its leader's run into `twin`.
-fn run_of<'b>(
-    layout: &Layout<'_>,
-    sorted: &'b [Vec<Pair>],
-    twin: &'b mut Vec<Pair>,
-    f: usize,
-    lo: usize,
-    hi: usize,
-) -> &'b [Pair] {
-    let leader = layout.ranks.leader[f];
-    let run = &sorted[leader][lo..hi];
-    if leader == f {
-        return run;
-    }
-    twin.clear();
-    twin.extend(run.iter().map(|&(_, row)| (layout.x[row][f], row)));
-    twin
-}
-
-/// The buffers a tree's growth needs besides its nodes, one set per fit;
-/// `fit_sorted` resets what a tree reads.
+/// The buffers a tree's growth needs, one set per fit; `fit_sorted` resets
+/// what a tree reads.
 #[derive(Default)]
 pub(crate) struct Scratch {
+    /// The nodes of the tree growing; the tree keeps a copy of their final
+    /// length, so a kept tree holds no spare capacity.
+    nodes: Vec<NodeKind>,
     /// Regression only: `(target, row)` of the sample; a node's range is in
     /// sample order.
     sample: Vec<Pair>,
@@ -327,13 +351,13 @@ pub(crate) struct Scratch {
     feats: Vec<usize>,
     /// Candidates of the node at hand, in enumeration order.
     scored: Vec<Scored>,
+    /// Classification only: per dataset row, its class.
+    class: Vec<usize>,
     /// Class counts of the node at hand (`tally`; all zero between nodes), of
     /// a candidate's left side, and the classes the node holds, ascending.
     total: Vec<usize>,
     left: Vec<usize>,
     present: Vec<usize>,
-    /// A kept twin's pairs of the node at hand (`run_of`).
-    twin: Vec<Pair>,
 }
 
 /// Stable partition of `run` in place: the pairs whose row `goes_left` first,
@@ -362,8 +386,8 @@ fn partition(run: &mut [Pair], spill: &mut Vec<Pair>, goes_left: impl Fn(usize) 
 struct Grower<'a> {
     layout: &'a Layout<'a>,
     y: &'a [f64],
+    task: Task,
     params: TreeParams,
-    tree: DecisionTree,
     s: &'a mut Scratch,
 }
 
@@ -377,35 +401,37 @@ impl<'a> Grower<'a> {
         params: TreeParams,
         s: &'a mut Scratch,
     ) -> Self {
-        let n_classes = match task {
-            Task::Classification { n_classes } => n_classes,
-            Task::Regression => 0,
-        };
+        s.nodes.clear();
         s.sample.clear();
-        if task == Task::Regression {
-            s.sample.extend(layout.rows.iter().map(|&i| (y[i], i)));
+        s.class.clear();
+        match task {
+            Task::Regression => s.sample.extend(layout.rows.iter().map(|&i| (y[i], i))),
+            Task::Classification { n_classes } => {
+                s.class.extend(y.iter().map(|&v| v as usize));
+                s.total.resize(n_classes, 0); // all zero between trees, as between nodes
+                s.left.resize(n_classes, 0);
+            }
         }
         s.sorted.clone_from(&layout.sorted);
         s.marked = None;
         s.goes_left.resize(y.len(), false);
-        s.total.resize(n_classes, 0); // all zero between trees, as between nodes
-        s.left.resize(n_classes, 0);
-        let tree = DecisionTree { nodes: Vec::new(), task };
-        Grower { layout, y, params, tree, s }
+        Grower { layout, y, task, params, s }
     }
 
     /// Count the classes of node `lo..hi` into `total` and list them in
     /// `present`, reading the labels through the rows of feature 0's run
-    /// (feature 0 always leads): a count does not depend on order.
+    /// (feature 0 always leads): a count does not depend on order. One tally
+    /// serves the node's purity check, split search and leaf.
     fn tally(&mut self, lo: usize, hi: usize) {
-        for &(_, row) in &self.s.sorted[0][lo..hi] {
-            let c = self.y[row] as usize;
-            if self.s.total[c] == 0 {
-                self.s.present.push(c);
+        let Scratch { sorted, class, total, present, .. } = &mut *self.s;
+        for &(_, row) in &sorted[0][lo..hi] {
+            let c = class[row];
+            if total[c] == 0 {
+                present.push(c);
             }
-            self.s.total[c] += 1;
+            total[c] += 1;
         }
-        self.s.present.sort_unstable();
+        present.sort_unstable();
     }
 
     fn clear_tally(&mut self) {
@@ -427,9 +453,10 @@ impl<'a> Grower<'a> {
         }
     }
 
-    /// Best Gini split of node `lo..hi` over `feats`: the split, and the gain,
-    /// that `parent − gini_n(left) − gini_n(right)` at every candidate would
-    /// give, each side's impurity over the classes the node holds.
+    /// Best Gini split of node `lo..hi`, tallied, over `feats`: the split,
+    /// and the gain, that `parent − gini_n(left) − gini_n(right)` at every
+    /// candidate would give, each side's impurity over the classes the node
+    /// holds.
     ///
     /// Each candidate is first scored `s = ΣcL²/nL + ΣcR²/nR` from integers
     /// the sweep keeps: a row of class `c` entering the left side adds
@@ -447,34 +474,40 @@ impl<'a> Grower<'a> {
     /// `tol = (8k + 32)·ε·n` is eight times that and more. Only the candidates
     /// within `2·tol` of the top get `gini_n`, in enumeration order under the
     /// same strict `>`, their left counts rebuilt by walking the range of each
-    /// feature's leader once more.
+    /// feature's leader once more. The sweep keeps the top score so far and
+    /// drops a candidate below its band at once: the top only rises, so the
+    /// kept ones hold every candidate of the final band.
     fn best_gini_split(&mut self, lo: usize, hi: usize) -> Best {
         let n = hi - lo;
-        self.tally(lo, hi);
-        let (layout, y, s) = (self.layout, self.y, &mut *self.s);
+        let (layout, s) = (self.layout, &mut *self.s);
         let parent = gini_n(s.present.iter().map(|&c| s.total[c]), n);
         let sq_total: usize = s.present.iter().map(|&c| s.total[c] * s.total[c]).sum();
+        let tol = (8.0 * s.present.len() as f64 + 32.0) * f64::EPSILON * n as f64;
         s.scored.clear();
+        let mut top = f64::NEG_INFINITY;
         for &f in &s.feats {
             for &c in &s.present {
                 s.left[c] = 0;
             }
             let (mut sq_left, mut sq_right) = (0usize, sq_total);
-            let run = run_of(layout, &s.sorted, &mut s.twin, f, lo, hi);
+            let run = &s.sorted[layout.ranks.leader[f]][lo..hi];
             sweep(run, |thr, entered, n_left| {
                 for &(_, i) in entered {
-                    let c = y[i] as usize;
+                    let c = s.class[i];
                     let (cl, cr) = (s.left[c], s.total[c] - s.left[c]);
                     sq_left += 2 * cl + 1;
                     sq_right -= 2 * cr - 1;
                     s.left[c] = cl + 1;
                 }
                 let score = sq_left as f64 / n_left as f64 + sq_right as f64 / (n - n_left) as f64;
+                top = top.max(score);
+                if score < top - 2.0 * tol {
+                    return; // below the band of the top so far, so below the band
+                }
                 s.scored.push((score, f, thr, n_left));
             });
         }
-        let tol = (8.0 * s.present.len() as f64 + 32.0) * f64::EPSILON * n as f64;
-        let line = band_line(&s.scored, tol);
+        let line = top - 2.0 * tol;
 
         let mut best = None;
         let mut at = (usize::MAX, 0); // `left` counts the first `at.1` pairs of feature `at.0`
@@ -490,20 +523,21 @@ impl<'a> Grower<'a> {
             }
             let run = &s.sorted[layout.ranks.leader[f]][lo..hi];
             for &(_, i) in &run[at.1..n_left] {
-                s.left[y[i] as usize] += 1;
+                s.left[s.class[i]] += 1;
             }
             at.1 = n_left;
             let left = s.present.iter().map(|&c| s.left[c]);
             let right = s.present.iter().map(|&c| s.total[c] - s.left[c]);
-            offer(&mut best, parent - gini_n(left, n_left) - gini_n(right, n - n_left), cand);
+            let gain = parent - gini_n(left, n_left) - gini_n(right, n - n_left);
+            offer(&mut best, gain, cand, [Moments::default(); 2]);
         }
-        self.clear_tally();
         best
     }
 
-    /// Best SSE split of node `lo..hi` over `feats`: the split, and the gain,
-    /// that evaluating `parent − sse(left) − sse(right)` at every candidate
-    /// would give. `parent` is the sum of the squared node-centred targets.
+    /// Best SSE split of node `lo..hi`, whose moments are `m`, over `feats`:
+    /// the split, and the gain, that evaluating `parent − sse(left) −
+    /// sse(right)` at every candidate would give. `parent` is the node's SSE,
+    /// the sum of its squared node-centred targets.
     ///
     /// Each candidate is first scored `s = SL²/nL + SR²/nR`, `SL` the sweep's
     /// running sum of the node-centred targets `z = y − c` and `SR = Σz − SL`.
@@ -525,38 +559,39 @@ impl<'a> Grower<'a> {
     /// (no libm call) misses `n^1.5`. Evaluating just those candidates the
     /// slow way, in enumeration order under the same strict `>`, returns `w`
     /// with `Ĝ_w` — the first of the maxima is the first in any subset that
-    /// holds it. A score not provably below the line (NaN, or a non-finite
-    /// `tol`) is evaluated; its sides are gathered in sample order through
-    /// `mark`, and the last one evaluated stays in `sides` for `split`.
-    fn best_sse_split(&mut self, lo: usize, hi: usize) -> Best {
+    /// holds it. As in `best_gini_split`, the sweep drops a candidate below
+    /// the band of the top so far. A score not provably below the line (NaN,
+    /// or a non-finite `tol`) is evaluated; its sides are gathered in sample order through
+    /// `mark`, their moments are what the chosen split's children
+    /// inherit, and the last one evaluated stays in `sides` for `split`.
+    fn best_sse_split(&mut self, lo: usize, hi: usize, m: Moments) -> Best {
         let n = hi - lo;
         let (layout, y, s) = (self.layout, self.y, &mut *self.s);
-        let centre = s.sample[lo..hi].iter().map(|p| p.0).sum::<f64>() / n as f64;
-        let (mut z_sum, mut parent, mut y_max) = (0.0f64, 0.0f64, 0.0f64);
-        for &(y, _) in &s.sample[lo..hi] {
-            let z = y - centre;
-            z_sum += z;
-            parent += z * z;
-            y_max = y_max.max(y.abs());
-        }
+        let Moments { mean: centre, z_sum, sse: parent, y_max } = m;
         let nf = n as f64;
         let tol = 64.0 * f64::EPSILON * (nf * nf.sqrt()) * parent
             + 4.0 * (f64::EPSILON * y_max).powi(2) * nf.powi(3);
 
         s.scored.clear();
+        let mut top = f64::NEG_INFINITY;
         for &f in &s.feats {
             let mut sl = 0.0f64;
-            let run = run_of(layout, &s.sorted, &mut s.twin, f, lo, hi);
+            let run = &s.sorted[layout.ranks.leader[f]][lo..hi];
             sweep(run, |thr, entered, n_left| {
                 for &(_, i) in entered {
                     sl += y[i] - centre;
                 }
                 let sr = z_sum - sl;
                 let (nl, nr) = (n_left as f64, (n - n_left) as f64);
-                s.scored.push((sl * (sl / nl) + sr * (sr / nr), f, thr, n_left));
+                let score = sl * (sl / nl) + sr * (sr / nr);
+                top = top.max(score);
+                if score < top - 2.0 * tol {
+                    return; // below the band of the top so far, so below the band
+                }
+                s.scored.push((score, f, thr, n_left));
             });
         }
-        let line = band_line(&s.scored, tol);
+        let line = top - 2.0 * tol;
 
         let mut best = None;
         s.marked = None;
@@ -573,26 +608,31 @@ impl<'a> Grower<'a> {
             partition(&mut s.sides, &mut s.spill, |row| goes_left[row]);
             s.marked = Some((f, n_left));
             let (left, right) = s.sides.split_at(n_left);
-            let gain = parent
-                - sse(left.iter().map(|p| p.0), n_left)
-                - sse(right.iter().map(|p| p.0), n - n_left);
-            offer(&mut best, gain, cand);
+            let sides = [Moments::of(left), Moments::of(right)];
+            offer(&mut best, parent - sides[0].sse - sides[1].sse, cand, sides);
         }
         best
     }
 
-    fn leaf_value(&mut self, lo: usize, hi: usize) -> f64 {
-        match self.tree.task {
-            Task::Regression => {
-                self.s.sample[lo..hi].iter().map(|p| p.0).sum::<f64>() / (hi - lo) as f64
+    /// The class most rows of the tallied node hold; of equal counts the
+    /// largest.
+    fn majority(&self) -> f64 {
+        let (present, total) = (&self.s.present, &self.s.total);
+        present.iter().max_by_key(|&&c| total[c]).map_or(0.0, |&c| c as f64)
+    }
+
+    /// The threshold of split `b` of node `lo..hi`: the sweep's, which is
+    /// the leader's, or a twin's own midpoint of the values of the two rows
+    /// its leader's run puts either side.
+    fn threshold(&self, b: Choice, lo: usize, hi: usize) -> f64 {
+        let leader = self.layout.ranks.leader[b.feature];
+        let (left, right) = self.s.sorted[leader][lo..hi].split_at(b.n_left);
+        match (leader == b.feature, left.last(), right.first()) {
+            (false, Some(&(_, prev)), Some(&(_, cur))) => {
+                let x = |row: usize| self.layout.x[row][b.feature];
+                (x(cur) + x(prev)) / 2.0
             }
-            Task::Classification { .. } => {
-                self.tally(lo, hi);
-                let (present, total) = (&self.s.present, &self.s.total);
-                let top = present.iter().max_by_key(|&&c| total[c]).map(|&c| c as f64);
-                self.clear_tally();
-                top.unwrap_or(0.0)
-            }
+            _ => b.threshold,
         }
     }
 
@@ -606,7 +646,7 @@ impl<'a> Grower<'a> {
     /// that candidate's mark and divided sample.
     fn split(&mut self, lo: usize, hi: usize, f: usize, n_left: usize) -> usize {
         let (leader, chosen) = (&self.layout.ranks.leader, self.layout.ranks.leader[f]);
-        let regression = self.tree.task == Task::Regression;
+        let regression = self.task == Task::Regression;
         let kept = regression && self.s.marked == Some((f, n_left));
         let mut others = (0..leader.len()).filter(|&g| leader[g] == g && g != chosen).peekable();
         if !regression && others.peek().is_none() {
@@ -629,52 +669,76 @@ impl<'a> Grower<'a> {
         lo + n_left
     }
 
+    /// The features node `lo..hi` may split on: a subsample drawn from `rng`,
+    /// each group of order twins by its first feature.
+    fn pick_features(&mut self, rng: &mut impl Rng) {
+        let (leader, feats) = (&self.layout.ranks.leader, &mut self.s.feats);
+        let d = leader.len();
+        feats.clear();
+        feats.extend(0..d);
+        if let Some(k) = self.params.feature_subsample {
+            feats.shuffle(rng);
+            feats.truncate(k.clamp(1, d));
+        }
+        // A twin's candidates repeat those of its group's first feature.
+        for k in (1..feats.len()).rev() {
+            if feats[..k].iter().any(|&g| leader[g] == leader[feats[k]]) {
+                feats.remove(k);
+            }
+        }
+    }
+
+    /// Grow node `lo..hi` at `depth` and return its id. In regression `m`
+    /// holds the node's moments, which its parent's split search computed;
+    /// classification reads none.
     #[expect(
         clippy::float_cmp,
         reason = "a node is pure when every target is the same value, bit for bit"
     )]
-    fn grow(&mut self, lo: usize, hi: usize, depth: usize, rng: &mut impl Rng) -> usize {
-        let node_id = self.tree.nodes.len();
-        self.tree.nodes.push(NodeKind::Leaf { value: 0.0 }); // placeholder
+    fn grow(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        m: Moments,
+        rng: &mut impl Rng,
+    ) -> usize {
+        let node_id = self.s.nodes.len();
+        self.s.nodes.push(NodeKind::Leaf { value: 0.0 }); // placeholder
 
-        let (y, rows) = (self.y, &self.s.sorted[0][lo..hi]);
-        let first = y[rows[0].1];
-        let pure = rows.iter().all(|p| y[p.1] == first);
-        if pure && self.tree.task != Task::Regression {
-            self.tree.nodes[node_id] = NodeKind::Leaf { value: first as usize as f64 };
-            return node_id;
-        }
-        let stop = depth >= self.params.max_depth || hi - lo < self.params.min_samples_split;
-        let mut best = None;
-        if !stop && !pure {
-            let (leader, feats) = (&self.layout.ranks.leader, &mut self.s.feats);
-            let d = leader.len();
-            feats.clear();
-            feats.extend(0..d);
-            if let Some(k) = self.params.feature_subsample {
-                feats.shuffle(rng);
-                feats.truncate(k.clamp(1, d));
+        let regression = self.task == Task::Regression;
+        let pure = if regression {
+            let ys = &self.s.sample[lo..hi];
+            ys.iter().all(|p| p.0 == ys[0].0)
+        } else {
+            self.tally(lo, hi);
+            self.s.present.len() == 1
+        };
+        let stop =
+            pure || depth >= self.params.max_depth || hi - lo < self.params.min_samples_split;
+        let best = match (stop, regression) {
+            (true, _) => None,
+            (false, true) => {
+                self.pick_features(rng);
+                self.best_sse_split(lo, hi, m)
             }
-            // A twin's candidates repeat those of its group's first feature.
-            for k in (1..feats.len()).rev() {
-                if feats[..k].iter().any(|&g| leader[g] == leader[feats[k]]) {
-                    feats.remove(k);
-                }
+            (false, false) => {
+                self.pick_features(rng);
+                self.best_gini_split(lo, hi)
             }
-            best = match self.tree.task {
-                Task::Regression => self.best_sse_split(lo, hi),
-                Task::Classification { .. } => self.best_gini_split(lo, hi),
-            };
-        }
+        };
+        let leaf = if regression { m.mean } else { self.majority() };
+        self.clear_tally();
 
-        self.tree.nodes[node_id] = match best {
-            Some((gain, feature, threshold, n_left)) if gain > 1e-12 => {
-                let mid = self.split(lo, hi, feature, n_left);
-                let left = self.grow(lo, mid, depth + 1, rng);
-                let right = self.grow(mid, hi, depth + 1, rng);
-                NodeKind::Split { feature, threshold, left, right }
+        self.s.nodes[node_id] = match best {
+            Some(b) if b.gain > 1e-12 => {
+                let threshold = self.threshold(b, lo, hi);
+                let mid = self.split(lo, hi, b.feature, b.n_left);
+                let left = self.grow(lo, mid, depth + 1, b.sides[0], rng);
+                let right = self.grow(mid, hi, depth + 1, b.sides[1], rng);
+                NodeKind::Split { feature: b.feature, threshold, left, right }
             }
-            _ => NodeKind::Leaf { value: self.leaf_value(lo, hi) },
+            _ => NodeKind::Leaf { value: leaf },
         };
         node_id
     }
@@ -694,8 +758,12 @@ impl DecisionTree {
         s: &mut Scratch,
     ) -> Self {
         let mut grower = Grower::new(layout, y, task, params, s);
-        grower.grow(0, layout.rows.len(), 0, rng);
-        grower.tree
+        let root = match task {
+            Task::Regression => Moments::of(&grower.s.sample),
+            Task::Classification { .. } => Moments::default(),
+        };
+        grower.grow(0, layout.rows.len(), 0, root, rng);
+        DecisionTree { nodes: grower.s.nodes.to_vec() }
     }
 
     /// Predict for one feature row.
@@ -775,14 +843,14 @@ pub(crate) mod tests {
             params: TreeParams,
             rng: &mut impl Rng,
         ) -> Self {
-            let mut tree = DecisionTree { nodes: Vec::new(), task };
+            let mut tree = DecisionTree { nodes: Vec::new() };
             let idx: Vec<usize> = (0..x.len()).collect();
-            tree.grow_oracle(x, y, &idx, 0, params, rng);
+            tree.grow_oracle(x, y, &idx, 0, task, params, rng);
             tree
         }
 
-        fn leaf_value_oracle(&self, y: &[f64], idx: &[usize]) -> f64 {
-            match self.task {
+        fn leaf_value_oracle(task: Task, y: &[f64], idx: &[usize]) -> f64 {
+            match task {
                 Task::Regression => idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64,
                 Task::Classification { n_classes } => {
                     let mut counts = vec![0usize; n_classes];
@@ -799,8 +867,8 @@ pub(crate) mod tests {
             }
         }
 
-        fn impurity_oracle(&self, y: &[f64], idx: &[usize]) -> f64 {
-            match self.task {
+        fn impurity_oracle(task: Task, y: &[f64], idx: &[usize]) -> f64 {
+            match task {
                 Task::Regression => {
                     let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64;
                     idx.iter().map(|&i| (y[i] - mean).powi(2)).sum::<f64>()
@@ -817,12 +885,17 @@ pub(crate) mod tests {
             }
         }
 
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "the oracle recursion carries the whole fit, as the tree keeps no task"
+        )]
         fn grow_oracle(
             &mut self,
             x: &[Vec<f64>],
             y: &[f64],
             idx: &[usize],
             depth: usize,
+            task: Task,
             params: TreeParams,
             rng: &mut impl Rng,
         ) -> usize {
@@ -831,7 +904,8 @@ pub(crate) mod tests {
 
             let pure = idx.iter().all(|&i| y[i] == y[idx[0]]);
             if depth >= params.max_depth || idx.len() < params.min_samples_split || pure {
-                self.nodes[node_id] = NodeKind::Leaf { value: self.leaf_value_oracle(y, idx) };
+                self.nodes[node_id] =
+                    NodeKind::Leaf { value: Self::leaf_value_oracle(task, y, idx) };
                 return node_id;
             }
 
@@ -842,7 +916,7 @@ pub(crate) mod tests {
                 feats.truncate(k.clamp(1, d));
             }
 
-            let parent = self.impurity_oracle(y, idx);
+            let parent = Self::impurity_oracle(task, y, idx);
             let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
             for &f in &feats {
                 let mut vals: Vec<(f64, usize)> = idx.iter().map(|&i| (x[i][f], i)).collect();
@@ -858,7 +932,9 @@ pub(crate) mod tests {
                     if l.is_empty() || r.is_empty() {
                         continue;
                     }
-                    let gain = parent - self.impurity_oracle(y, &l) - self.impurity_oracle(y, &r);
+                    let gain = parent
+                        - Self::impurity_oracle(task, y, &l)
+                        - Self::impurity_oracle(task, y, &r);
                     if best.is_none_or(|(g, _, _)| gain > g) {
                         best = Some((gain, f, thr));
                     }
@@ -869,13 +945,14 @@ pub(crate) mod tests {
                 Some((gain, f, thr)) if gain > 1e-12 => {
                     let (l, r): (Vec<usize>, Vec<usize>) =
                         idx.iter().partition(|&&i| x[i][f] <= thr);
-                    let left = self.grow_oracle(x, y, &l, depth + 1, params, rng);
-                    let right = self.grow_oracle(x, y, &r, depth + 1, params, rng);
+                    let left = self.grow_oracle(x, y, &l, depth + 1, task, params, rng);
+                    let right = self.grow_oracle(x, y, &r, depth + 1, task, params, rng);
                     self.nodes[node_id] =
                         NodeKind::Split { feature: f, threshold: thr, left, right };
                 }
                 _ => {
-                    self.nodes[node_id] = NodeKind::Leaf { value: self.leaf_value_oracle(y, idx) };
+                    self.nodes[node_id] =
+                        NodeKind::Leaf { value: Self::leaf_value_oracle(task, y, idx) };
                 }
             }
             node_id
@@ -1342,7 +1419,8 @@ pub(crate) mod tests {
         let mut s = Scratch::default();
         let mut grower = Grower::new(&layout, &y, Task::Regression, TreeParams::default(), &mut s);
         grower.s.feats.extend([0]);
-        let best = grower.best_sse_split(0, 5).map(|(_, f, _, n_left)| (f, n_left));
+        let root = Moments::of(&grower.s.sample);
+        let best = grower.best_sse_split(0, 5, root).map(|b| (b.feature, b.n_left));
         assert_eq!(best, Some((0, 1)));
         assert_eq!(grower.s.marked, Some((0, 4)));
 
